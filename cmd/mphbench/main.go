@@ -11,9 +11,9 @@
 // Without -exp every experiment runs.
 //
 // The binary doubles as its own launch target for the L1 launch-latency
-// sweep: invoked as "mphbench agent-exec ..." it is the per-rank agent of
-// the exec/ssh backends, and with MPH_BENCH_WORKER=1 in the environment it
-// is a minimal rank that joins the rendezvous and exits.
+// sweep: invoked as "mphbench agent" it is the per-host agent of the exec
+// backend, and with MPH_BENCH_WORKER=1 in the environment it is a minimal
+// rank that joins the rendezvous and exits.
 package main
 
 import (
@@ -34,8 +34,9 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
-		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		mpirun.ServeAgent()
+		return
 	}
 	if os.Getenv("MPH_BENCH_WORKER") == "1" {
 		os.Exit(benchWorker())
@@ -787,12 +788,13 @@ var benchLaunchPath string
 
 // l1 measures gang-launch latency — mpirun.Launch of n empty ranks through
 // to every rank registered, run, and reaped — for each spawner on one host.
-// The local and exec backends pay one fork/exec per rank (exec pays two:
-// agent plus worker), so their cost grows linearly with n; the daemon
-// backend sends the whole gang as a single SpawnBlock request over one warm
-// TCP connection to a persistent mphd, which is what makes sub-second
-// launch hold as n grows. The daemon here is in-process (the -daemon-addr
-// override), which is the same wire protocol a deployed mphd speaks.
+// Every backend pays one fork/exec per rank through the same block runner;
+// they differ in what carries the block there. local runs it in the
+// launcher; exec starts one agent process per host (twice: probe, then
+// spawn) and speaks the block protocol over its stdio; daemon speaks the
+// same protocol over one warm TCP connection to a persistent mphd. The
+// daemon here is in-process (the -daemon-addr override), which is the same
+// wire protocol a deployed mphd speaks.
 func l1(repeat int) error {
 	fmt.Println("L1: gang-launch latency by backend (empty ranks, one host)")
 	self, err := os.Executable()

@@ -1,9 +1,10 @@
 // Command mphd is the persistent per-host MPH agent daemon — the
 // process-manager half of the MPD-style launch path (Butler/Gropp/Lusk).
 // One mphd runs on every compute host; mphrun with -backend daemon opens a
-// single warm TCP connection per host and ships the host's whole rank block
-// in one SpawnBlock request, so gang launch costs one round trip per host
-// instead of one ssh/fork cold start per rank.
+// single warm TCP connection per host and speaks the block protocol over it
+// — the same protocol, served by the same handler, that "mphrun agent"
+// serves on stdin/stdout for the exec and ssh backends — so gang launch
+// costs one round trip per host and nothing has to be started there.
 //
 // Usage:
 //
@@ -12,9 +13,8 @@
 // The daemon forks each block's ranks as process-group children, streams
 // their output and exit events back over the spawning connection, and kills
 // everything a connection spawned the moment that connection drops: a rank
-// never outlives its launcher, exactly as with the per-rank agent. Kill
-// requests (the launcher's grace-expiry teardown) arrive over the same
-// connection.
+// never outlives its launcher. Kill requests (the launcher's grace-expiry
+// teardown) arrive over the same connection.
 //
 // mphd keeps no job state across connections — restarting it is always
 // safe, and launchers retry their dial, so a supervisor respawn mid-fleet

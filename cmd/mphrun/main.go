@@ -28,16 +28,17 @@
 //
 // A hostfile (-hostfile, one "host [slots=N]" per line) or inline host list
 // (-hosts node-a:2,node-b) places unpinned ranks across hosts under a
-// -placement policy (block or cyclic); host= pins override the policy. Ranks
-// on other hosts are spawned through the mphrun agent ("mphrun agent-exec",
-// run via ssh by default, or locally with -backend exec for single-machine
-// testing of the multi-host path). See OPERATIONS.md for the full story.
+// -placement policy (block or cyclic); host= pins override the policy. Each
+// host's ranks are spawned as one block by whatever serves the block
+// protocol there: an "mphrun agent" started via ssh (the default) or locally
+// (-backend exec, single-machine testing of the multi-host path), or a
+// persistent mphd (-backend daemon). See OPERATIONS.md for the full story.
 //
 // When a rank exits abnormally mid-job, mphrun broadcasts a launcher abort
 // to the surviving ranks on every host (their blocked MPI calls return
 // mpi.ErrAborted), waits -grace for them to exit on their own, kills the
-// remaining process groups — through the agents for remote ranks — and
-// reports the failures grouped per component executable.
+// remaining process groups — through the host's agent or daemon for remote
+// ranks — and reports the failures grouped per component executable.
 // Exit status: 0 success, 1 job or launcher failure, 2 usage error.
 package main
 
@@ -48,29 +49,17 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 
 	"mph/internal/mpi/perf"
 	"mph/internal/mpirun"
 )
 
-// sshOpts collects repeated -sshopt flags.
-type sshOpts []string
-
-// String renders the collected options for flag diagnostics.
-func (o *sshOpts) String() string { return strings.Join(*o, " ") }
-
-// Set appends one ssh option.
-func (o *sshOpts) Set(v string) error {
-	*o = append(*o, v)
-	return nil
-}
-
 func main() {
-	// The agent subcommand must bypass the launcher flag set: its arguments
-	// belong to agent-exec, and it must never recurse into launching.
-	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
-		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
+	// "mphrun agent" serves one block-protocol connection on stdin/stdout
+	// for a launcher on the other end of a pipe or ssh session, then exits.
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		mpirun.ServeAgent()
+		return
 	}
 
 	cmdfile := flag.String("cmdfile", "", "MPMD command file")
@@ -86,11 +75,14 @@ func main() {
 	placement := flag.String("placement", "block", "placement policy for unpinned ranks: block or cyclic")
 	backendName := flag.String("backend", "", "spawn backend: local, exec, ssh, or daemon (default: ssh when hosts are given, local otherwise)")
 	bind := flag.String("bind", "", "host or IP the rendezvous and rank listeners bind (default: loopback, or all interfaces for ssh/daemon)")
-	agentPath := flag.String("agent", "", "mphrun binary to run as the remote agent (default: this executable; must exist on every remote host)")
+	agentPath := flag.String("agent", "", "mphrun binary to run as each host's agent (default: this executable; must exist on every remote host)")
 	daemonPort := flag.Int("daemon-port", mpirun.DefaultDaemonPort, "mphd control port on every host for the daemon backend")
 	daemonAddr := flag.String("daemon-addr", "", "send every rank block to this one mphd address regardless of host (single-machine testing of the daemon backend)")
-	var sshOptions sshOpts
-	flag.Var(&sshOptions, "sshopt", "extra ssh option for the ssh backend (repeatable, e.g. -sshopt -i -sshopt key.pem)")
+	var sshOptions []string
+	flag.Func("sshopt", "extra ssh option for the ssh backend (repeatable, e.g. -sshopt -i -sshopt key.pem)", func(v string) error {
+		sshOptions = append(sshOptions, v)
+		return nil
+	})
 	flag.Parse()
 
 	var entries []mpirun.Entry
@@ -130,26 +122,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
 		os.Exit(1)
 	}
-	backend, err := mpirun.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
-	}
-	pinned := false
+	placed := len(hosts) > 0
 	for _, e := range entries {
-		pinned = pinned || e.Host != ""
+		placed = placed || e.Host != ""
 	}
-	if *backendName == "" && (len(hosts) > 0 || pinned) {
-		backend = mpirun.BackendSSH
-	}
-	spawner, err := mpirun.NewSpawner(backend, mpirun.SpawnerOptions{
-		AgentPath:  *agentPath,
-		SSHOptions: sshOptions,
-		DaemonPort: *daemonPort,
-		DaemonAddr: *daemonAddr,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
+	var spawner mpirun.Spawner
+	switch {
+	case *backendName == "local", *backendName == "" && !placed:
+		spawner = mpirun.NewLocalSpawner()
+	case *backendName == "exec":
+		spawner = mpirun.NewExecSpawner(*agentPath)
+	case *backendName == "ssh", *backendName == "":
+		spawner = mpirun.NewSSHSpawner(*agentPath, sshOptions)
+	case *backendName == "daemon":
+		spawner = mpirun.NewDaemonSpawner(*daemonAddr, *daemonPort)
+	default:
+		fmt.Fprintf(os.Stderr, "mphrun: unknown backend %q (want local, exec, ssh, or daemon)\n", *backendName)
 		os.Exit(1)
 	}
 

@@ -20,14 +20,15 @@ import (
 	"mph/internal/mpirun"
 )
 
-// TestMain doubles as the MPMD worker and the remote agent: when mphrun
+// TestMain doubles as the MPMD worker and the per-host agent: when mphrun
 // (driven by the tests below) spawns this test binary with MPH_TEST_WORKER
 // set it behaves as one executable of a multi-component job, and when it is
-// invoked as "agent-exec" it runs the launcher's agent protocol — which is
+// invoked as "agent" it serves the block protocol on its stdio — which is
 // how the exec-backend tests cover the remote spawn path without an sshd.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "agent-exec" {
-		os.Exit(mpirun.AgentExec(os.Args[2:], os.Stderr))
+	if len(os.Args) > 1 && os.Args[1] == "agent" {
+		mpirun.ServeAgent()
+		return
 	}
 	if os.Getenv("MPH_TEST_WORKER") == "1" {
 		os.Exit(worker())
@@ -282,8 +283,8 @@ func TestLaunchFailureReport(t *testing.T) {
 }
 
 // TestLaunchMultiHostExec runs a 4-rank job placed on two hosts (2 slots
-// each) through the exec backend: every rank is spawned via the agent-exec
-// protocol exactly as an ssh launch would, minus the ssh hop. The workers
+// each) through the exec backend: each host's block is spawned through an
+// agent exactly as an ssh launch would, minus the ssh hop. The workers
 // verify the published host topology (HostOf, SplitByHost), the registration
 // file travels by value through the agent, and the stats dumps must still
 // reconcile across the "hosts".
@@ -301,7 +302,7 @@ func TestLaunchMultiHostExec(t *testing.T) {
 	spec := selfSpec(t, 3, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 	for r, want := range []string{"nodeA", "nodeA", "nodeB", "nodeB"} {
 		if got := spec.Procs[r].Host; got != want {
@@ -345,7 +346,7 @@ func TestLaunchHierCollectives(t *testing.T) {
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
@@ -394,7 +395,7 @@ func TestLaunchShmChannel(t *testing.T) {
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
@@ -450,7 +451,7 @@ func TestLaunchMultiHostChaos(t *testing.T) {
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
 	spec.Grace = 2 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	start := time.Now()
 	err := mpirun.Launch(context.Background(), spec)
 	elapsed := time.Since(start)
@@ -501,7 +502,7 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 	spec := selfSpec(t, 3, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.Backend = mpirun.BackendExec
+	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{
 		perf.EnvStatsDir + "=" + statsDir,
 		mpirun.EnvTelemetry + "=" + tele.Addr(),

@@ -27,7 +27,7 @@ func sshStub(t *testing.T) string {
 }
 
 // testAgentPath points the agent-capable spawners at this test binary,
-// whose TestMain doubles as the agent-exec entry point.
+// whose TestMain doubles as the agent entry point.
 func testAgentPath(t *testing.T) string {
 	t.Helper()
 	self, err := os.Executable()

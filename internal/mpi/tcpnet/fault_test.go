@@ -318,6 +318,9 @@ func TestFaultSeverRecovery(t *testing.T) {
 	if got := envs[0].Perf().Net.FaultsInjected.Load(); got != 1 {
 		t.Errorf("FaultsInjected = %d, want 1", got)
 	}
+	if got := envs[0].Perf().Net.Dials.Load(); got < 2 {
+		t.Errorf("Dials = %d, want >= 2 (one peer dialled, then redialled after the sever)", got)
+	}
 }
 
 // TestFaultPeerSilenceDetected exercises the read-deadline detector: a

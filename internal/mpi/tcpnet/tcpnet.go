@@ -801,6 +801,7 @@ func (t *Transport) outbound(dst int) (*outConn, error) {
 	}
 	oc := &outConn{conn: conn, lastWrite: time.Now()}
 	t.out[dst] = oc
+	t.netCounters().Dials.Add(1)
 	return oc, nil
 }
 

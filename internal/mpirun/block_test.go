@@ -2,22 +2,25 @@ package mpirun
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
+
+// relayTo pushes src through the line relay the way a block handle prints
+// it: every emitted line prefixed and newline-terminated.
+func relayTo(out *bytes.Buffer, src io.Reader, prefix string) {
+	relayLines(src, func(line []byte) { fmt.Fprintf(out, "%s%s\n", prefix, line) })
+}
 
 // runRelay pushes input through the relay and returns everything it wrote.
 func runRelay(t *testing.T, input string, prefix string) string {
 	t.Helper()
 	var out bytes.Buffer
-	var wg sync.WaitGroup
-	wg.Add(1)
-	relay(&out, strings.NewReader(input), prefix, &wg)
-	wg.Wait()
+	relayTo(&out, strings.NewReader(input), prefix)
 	return out.String()
 }
 
@@ -86,11 +89,9 @@ func (c *closingReader) Read(p []byte) (int, error) {
 // dropping the partial line.
 func TestRelayStopsOnClosedPipe(t *testing.T) {
 	var out bytes.Buffer
-	var wg sync.WaitGroup
-	wg.Add(1)
 	done := make(chan struct{})
 	go func() {
-		relay(&out, &closingReader{strings.NewReader("last words")}, "[rank 2] ", &wg)
+		relayTo(&out, &closingReader{strings.NewReader("last words")}, "[rank 2] ")
 		close(done)
 	}()
 	select {

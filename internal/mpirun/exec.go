@@ -1,14 +1,6 @@
 package mpirun
 
-import (
-	"strings"
-	"time"
-)
-
-// agentKillBackstop is how long an agent-backed child gets to react to a
-// kill command (reap its process group and exit) before the launcher kills
-// the local agent or ssh process tree as a backstop.
-const agentKillBackstop = 2 * time.Second
+import "strings"
 
 // perRankEnvKeys are the launch variables set per rank by the launcher;
 // they must never be forwarded from the launcher's own environment.
@@ -22,7 +14,7 @@ var perRankEnvKeys = map[string]bool{
 }
 
 // passthroughEnv filters an environment down to the MPH_* variables worth
-// forwarding to agent-spawned ranks: tuning knobs and fault injections must
+// forwarding to remotely spawned ranks: tuning knobs and fault injections must
 // reach every rank of the job (collective algorithm selection diverges if
 // ranks disagree), but the per-rank launch variables are the launcher's to
 // set.

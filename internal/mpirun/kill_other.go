@@ -17,7 +17,7 @@ func killTree(cmd *exec.Cmd) {
 	}
 }
 
-// exitStatus maps a cmd.Wait error to the exit code the agent mirrors.
+// exitStatus maps a cmd.Wait error to the exit code an exit event carries.
 func exitStatus(err error) int {
 	if err == nil {
 		return 0
@@ -30,3 +30,6 @@ func exitStatus(err error) int {
 	}
 	return 1
 }
+
+// ignoreBrokenPipe is a no-op on platforms without SIGPIPE.
+func ignoreBrokenPipe() {}

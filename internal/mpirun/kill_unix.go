@@ -5,6 +5,7 @@ package mpirun
 import (
 	"errors"
 	"os/exec"
+	"os/signal"
 	"syscall"
 )
 
@@ -26,7 +27,7 @@ func killTree(cmd *exec.Cmd) {
 	}
 }
 
-// exitStatus maps a cmd.Wait error to the exit code the agent mirrors:
+// exitStatus maps a cmd.Wait error to the exit code an exit event carries:
 // the child's own code, 128+signal when it died to a signal (the shell
 // convention, so the launcher's report names the signal), or 1 for other
 // failures.
@@ -45,3 +46,9 @@ func exitStatus(err error) int {
 	}
 	return 1
 }
+
+// ignoreBrokenPipe makes writing to a launcher that hung up fail with EPIPE
+// instead of killing the process: Go raises SIGPIPE for a broken write to
+// fd 1 or 2, and an agent killed on its way to its kill lease would orphan
+// the block it spawned.
+func ignoreBrokenPipe() { signal.Ignore(syscall.SIGPIPE) }

@@ -1,12 +1,10 @@
 package mpirun
 
 import (
-	"bufio"
 	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -27,12 +25,6 @@ const (
 // teardown.
 const abortSendTimeout = 2 * time.Second
 
-// procResult is one reaped child: its world rank and exit error.
-type procResult struct {
-	rank int
-	err  error
-}
-
 // Launch runs a placed MPMD job to completion: it probes the placement
 // hosts, starts the rendezvous, spawns every host's rank block through the
 // spec's Spawner, supervises the job, and returns nil only if every rank
@@ -43,15 +35,15 @@ type procResult struct {
 // first abnormal exit triggers an abort broadcast to every surviving rank's
 // advertised address (their blocked MPI calls return mpi.ErrAborted), and
 // once spec.Grace expires the remaining process groups are killed — through
-// the remote agent or daemon for ranks on other hosts. Canceling ctx aborts
+// the host's agent or daemon for ranks on other hosts. Canceling ctx aborts
 // and kills the job the same way and returns ctx.Err().
 func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	sp, err := spec.spawner()
-	if err != nil {
-		return err
+	sp := spec.Spawner
+	if sp == nil {
+		sp = NewLocalSpawner()
 	}
 	timeout := spec.Timeout
 	if timeout <= 0 {
@@ -103,7 +95,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 			h.Kill(-1)
 		}
 	}
-	results := make(chan procResult, total)
+	results := make(chan RankExit, total)
 	for _, hb := range blocks {
 		h, err := sp.Spawn(ctx, hb.host, hb.block)
 		if err != nil {
@@ -121,7 +113,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		}
 		go func(h Handle) {
 			for e := range h.Exits() {
-				results <- procResult{rank: e.Rank, err: e.Err}
+				results <- e
 			}
 		}(h)
 	}
@@ -131,12 +123,12 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	exited := make([]bool, total)
 	reaped := 0
 	primary := -1 // first abnormally-exiting rank
-	record := func(r procResult) {
+	record := func(r RankExit) {
 		reaped++
-		exited[r.rank] = true
-		exitErr[r.rank] = r.err
-		if r.err != nil && primary < 0 {
-			primary = r.rank
+		exited[r.Rank] = true
+		exitErr[r.Rank] = r.Err
+		if r.Err != nil && primary < 0 {
+			primary = r.Rank
 		}
 	}
 	drainRest := func() {
@@ -195,10 +187,10 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 				}
 				killAll()
 				drainRest()
-				if r.err != nil {
-					return fmt.Errorf("rank %d exited before rendezvous completed: %w", r.rank, r.err)
+				if r.Err != nil {
+					return fmt.Errorf("rank %d exited before rendezvous completed: %w", r.Rank, r.Err)
 				}
-				return fmt.Errorf("rank %d exited before rendezvous completed", r.rank)
+				return fmt.Errorf("rank %d exited before rendezvous completed", r.Rank)
 			}
 		}
 	}
@@ -429,48 +421,4 @@ func failureReport(spec *LaunchSpec, exitErr []error, primary int) error {
 		fmt.Fprintf(&b, "\n  exe%d [%s] (%d rank(s)): %s", ei, strings.Join(argv, " "), ranks, status)
 	}
 	return errors.New(b.String())
-}
-
-// relayBufSize is the relay's line buffer: lines up to this length are
-// emitted intact; longer ones degrade to prefixed chunks of this size.
-const relayBufSize = 1 << 20
-
-// relay copies a child stream line by line with a rank prefix. A line longer
-// than relayBufSize is degraded to prefixed chunks rather than truncating
-// the stream: the Scanner this replaces stopped at its first ErrTooLong and
-// silently discarded everything the child printed afterwards — including
-// the panic traces and oversized log records that most need relaying. Read
-// errors other than EOF are reported to the launcher's stderr so a dying
-// pipe is visible instead of looking like a quiet child.
-func relay(dst io.Writer, src io.Reader, prefix string, wg *sync.WaitGroup) {
-	defer wg.Done()
-	br := bufio.NewReaderSize(src, relayBufSize)
-	for {
-		line, err := br.ReadSlice('\n')
-		if len(line) > 0 {
-			if n := len(line); line[n-1] == '\n' {
-				line = line[:n-1]
-				if m := len(line); m > 0 && line[m-1] == '\r' {
-					line = line[:m-1]
-				}
-			}
-			fmt.Fprintf(dst, "%s%s\n", prefix, line)
-		}
-		switch {
-		case err == nil:
-		case errors.Is(err, bufio.ErrBufferFull):
-			// Oversized line: the full buffer was just emitted as one
-			// prefixed chunk; keep draining the rest of the same line.
-		case errors.Is(err, io.EOF):
-			return
-		default:
-			// A closed pipe is the ordinary teardown race (cmd.Wait closes
-			// the child's pipes while the relay drains); only unexpected
-			// errors are worth the operator's attention.
-			if !errors.Is(err, os.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
-				fmt.Fprintf(os.Stderr, "mphrun: output relay for %sstream failed: %v\n", prefix, err)
-			}
-			return
-		}
-	}
 }

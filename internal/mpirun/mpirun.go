@@ -89,7 +89,7 @@ func (e Env) Validate() error {
 }
 
 // Environ renders the context as KEY=VALUE pairs, omitting unset optional
-// fields. It is the single place the launcher and the remote agent build a
+// fields. It is the single place the launcher and its remote agents build a
 // worker environment from, so adding a launch variable cannot miss a spawn
 // path.
 func (e Env) Environ() []string {

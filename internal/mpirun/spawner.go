@@ -2,13 +2,14 @@ package mpirun
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -66,22 +67,6 @@ type Block struct {
 	Stdout, Stderr io.Writer
 }
 
-// stdout returns the block's stdout relay destination.
-func (b *Block) stdout() io.Writer {
-	if b.Stdout != nil {
-		return b.Stdout
-	}
-	return os.Stdout
-}
-
-// stderr returns the block's stderr relay destination.
-func (b *Block) stderr() io.Writer {
-	if b.Stderr != nil {
-		return b.Stderr
-	}
-	return os.Stderr
-}
-
 // rankPrefix renders the output-relay prefix of one rank.
 func rankPrefix(p Proc, host string) string {
 	if host == "" {
@@ -90,11 +75,10 @@ func rankPrefix(p Proc, host string) string {
 	return fmt.Sprintf("[exe%d rank%d@%s] ", p.Exe, p.Rank, host)
 }
 
-// Spawner starts the host-local rank blocks of a launch. It is the typed
-// replacement for the stringly Backend switches the launcher used to thread:
-// each backend is now a value resolved once from the CLI (or constructed
-// directly by embedding callers), and the launcher calls Spawn per host
-// without knowing how ranks come to life there.
+// Spawner starts the host-local rank blocks of a launch: a value resolved
+// once from the CLI (or constructed directly by embedding callers), so the
+// launcher calls Spawn per host without knowing how ranks come to life
+// there.
 type Spawner interface {
 	// Name is the CLI spelling of the spawner ("local", "exec", "ssh",
 	// "daemon"), used in launcher banners and error reports.
@@ -117,39 +101,6 @@ type HostProber interface {
 	// ProbeHost checks one placement host; a nil return means the host can
 	// spawn ranks right now.
 	ProbeHost(ctx context.Context, host string) error
-}
-
-// SpawnerOptions carries the CLI-level knobs NewSpawner maps onto the
-// spawner constructors.
-type SpawnerOptions struct {
-	// AgentPath is the mphrun binary run as the remote agent ("" = this
-	// executable).
-	AgentPath string
-	// SSHOptions are extra ssh arguments for the ssh spawner.
-	SSHOptions []string
-	// DaemonPort is the mphd control port on every host (0 =
-	// DefaultDaemonPort).
-	DaemonPort int
-	// DaemonAddr, when set, sends every block to this one daemon address
-	// regardless of host label (single-machine testing of the daemon path).
-	DaemonAddr string
-}
-
-// NewSpawner is the conversion helper from the deprecated stringly Backend
-// constants to a Spawner value. New code should call the constructors
-// directly.
-func NewSpawner(b Backend, opts SpawnerOptions) (Spawner, error) {
-	switch b {
-	case BackendLocal, "":
-		return NewLocalSpawner(), nil
-	case BackendExec:
-		return NewExecSpawner(opts.AgentPath), nil
-	case BackendSSH:
-		return NewSSHSpawner(opts.AgentPath, opts.SSHOptions), nil
-	case BackendDaemon:
-		return NewDaemonSpawner(opts.DaemonAddr, opts.DaemonPort), nil
-	}
-	return nil, fmt.Errorf("unknown backend %q (want local, exec, ssh, or daemon)", b)
 }
 
 // dedupEnv collapses duplicate KEY=VALUE entries, keeping each key's last
@@ -176,6 +127,102 @@ func dedupEnv(env []string) []string {
 	return out
 }
 
+// wireBlock renders a host's block in its wire form.
+func wireBlock(host string, block Block) *SpawnBlock {
+	wire := &SpawnBlock{
+		Size:       block.Size,
+		Rendezvous: block.Rendezvous,
+		Regdata:    block.Regdata,
+		Host:       host,
+		Bind:       block.Bind,
+		Env:        append(append([]string(nil), block.Passthrough...), block.ExtraEnv...),
+		Ranks:      make([]SpawnRank, len(block.Procs)),
+	}
+	for i, p := range block.Procs {
+		wire.Ranks[i] = SpawnRank{Rank: p.Rank, Argv: p.Argv, Env: p.Env}
+	}
+	return wire
+}
+
+// blockHandle is the launcher's end of one running block, wherever it
+// runs: it turns the block's events into relayed output and RankExits.
+type blockHandle struct {
+	// peer names the far end in rank errors ("" when the block runs in this
+	// process).
+	peer           string
+	prefix         map[int]string // output-relay prefix of every rank
+	stdout, stderr io.Writer
+	exits          chan RankExit
+	done           chan struct{}
+	kill           func(rank int)
+}
+
+// newBlockHandle prepares the handle of a block about to be spawned.
+func newBlockHandle(peer, host string, block Block) *blockHandle {
+	h := &blockHandle{
+		peer:   peer,
+		prefix: make(map[int]string, len(block.Procs)),
+		stdout: block.Stdout,
+		stderr: block.Stderr,
+		exits:  make(chan RankExit, len(block.Procs)),
+		done:   make(chan struct{}),
+	}
+	if h.stdout == nil {
+		h.stdout = os.Stdout
+	}
+	if h.stderr == nil {
+		h.stderr = os.Stderr
+	}
+	for _, p := range block.Procs {
+		h.prefix[p.Rank] = rankPrefix(p, host)
+	}
+	return h
+}
+
+// deliver consumes one event of the block. Exit events must arrive at most
+// once per rank (the exits channel holds exactly one per rank).
+func (h *blockHandle) deliver(ev blockEvent) {
+	switch ev.Event {
+	case "line":
+		w := h.stdout
+		if ev.Stream == "stderr" {
+			w = h.stderr
+		}
+		fmt.Fprintf(w, "%s%s\n", h.prefix[ev.Rank], ev.Text)
+	case "exit":
+		h.exits <- RankExit{Rank: ev.Rank, Err: errForExit(ev.Code, ev.Msg)}
+	}
+}
+
+// finish closes the exit stream once the last event has been delivered.
+func (h *blockHandle) finish() {
+	close(h.exits)
+	close(h.done)
+}
+
+// errForExit converts an exit event into the error shape the supervisor's
+// failure report expects (matching exec.ExitError's text).
+func errForExit(code int, msg string) error {
+	if msg != "" {
+		return fmt.Errorf("%s (exit status %d)", msg, code)
+	}
+	if code == 0 {
+		return nil
+	}
+	return fmt.Errorf("exit status %d", code)
+}
+
+// Exits implements Handle.
+func (h *blockHandle) Exits() <-chan RankExit { return h.exits }
+
+// Kill implements Handle. Best effort: a lost connection has already failed
+// every rank.
+func (h *blockHandle) Kill(rank int) { h.kill(rank) }
+
+// Wait implements Handle: output lines and exits arrive on one event
+// stream, so the stream finishing means everything is relayed.
+func (h *blockHandle) Wait() { <-h.done }
+
 // LocalSpawner runs every rank directly on the launcher's host — the classic
 // single-host mode. Host-placed ranks are rejected by LaunchSpec.Validate.
 type LocalSpawner struct{}
@@ -189,28 +236,188 @@ func (*LocalSpawner) Name() string { return "local" }
 // WantsRoutable implements Spawner: everything stays on loopback.
 func (*LocalSpawner) WantsRoutable() bool { return false }
 
-// Spawn implements Spawner by exec'ing each rank's command with the launch
-// context in its environment.
+// Spawn implements Spawner by running the block in the launcher itself,
+// its events delivered straight to the handle.
 func (s *LocalSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	return spawnProcs(host, block, func(p Proc) (*exec.Cmd, bool, error) {
-		cmd := exec.Command(p.Argv[0], p.Argv[1:]...)
-		env := Env{
-			Rank:         p.Rank,
-			Size:         block.Size,
-			Rendezvous:   block.Rendezvous,
-			Registration: block.Registration,
-			Host:         host,
-			Bind:         block.Bind,
-		}
-		cmd.Env = dedupEnv(append(append(append(os.Environ(),
-			env.Environ()...), block.ExtraEnv...), p.Env...))
-		return cmd, false, nil
-	})
+	h := newBlockHandle("", host, block)
+	run := startBlock(wireBlock(host, block), block.Registration, h.deliver)
+	h.kill = run.kill
+	go func() {
+		run.wait()
+		h.finish()
+	}()
+	return h, nil
 }
 
-// ExecSpawner runs every rank through the agent command ("mphrun
-// agent-exec") on the launcher's own host, treating host assignments as
-// labels only. It exercises the full remote path — agent protocol, env
+// dialer is how a remote spawner reaches the block-protocol server of a
+// placement host. Everything above the byte stream — probe, spawn, handle —
+// is shared; the carriers differ only here.
+type dialer interface {
+	Spawner
+	// dial connects to the host's server. ctx bounds establishing the
+	// connection; a carrier that is a child process is also hung up on (and
+	// killed if that does not end it) when ctx ends.
+	dial(ctx context.Context, host string) (io.ReadWriteCloser, error)
+}
+
+// peerName renders the server of a host for error reports.
+func peerName(d dialer, host string) string {
+	if host == "" {
+		host = "(launcher host)"
+	}
+	return d.Name() + " " + host
+}
+
+// probeRemote is every remote spawner's ProbeHost: one ping/pong round trip
+// proves the host is reachable and its block-protocol server — daemon or
+// agent binary — is there and answering, which is everything a spawn needs.
+func probeRemote(ctx context.Context, d dialer, host string) error {
+	conn, err := d.dial(ctx, host)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if tc, ok := conn.(net.Conn); ok {
+		if deadline, ok := ctx.Deadline(); ok {
+			tc.SetDeadline(deadline)
+		}
+	}
+	lc := newLineConn(conn)
+	var ev blockEvent
+	if err := lc.send(blockRequest{Op: "ping"}); err != nil {
+		return fmt.Errorf("%s: %w", peerName(d, host), err)
+	}
+	if err := lc.recv(&ev); err != nil {
+		return fmt.Errorf("%s: %w", peerName(d, host), err)
+	}
+	if ev.Event != "pong" {
+		return fmt.Errorf("%s: unexpected %q reply to ping", peerName(d, host), ev.Event)
+	}
+	return nil
+}
+
+// spawnRemote is every remote spawner's Spawn: ship the host's whole block
+// in one spawn request and supervise it over the streamed events. The
+// registration file travels inside the request, by value.
+func spawnRemote(ctx context.Context, d dialer, host string, block Block) (Handle, error) {
+	conn, err := d.dial(ctx, host)
+	if err != nil {
+		return nil, err
+	}
+	lc := newLineConn(conn)
+	h := newBlockHandle(peerName(d, host), host, block)
+	h.kill = func(rank int) { _ = lc.send(blockRequest{Op: "kill", Rank: rank}) }
+	if err := lc.send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("%s: send spawn: %w", h.peer, err)
+	}
+	go func() {
+		h.readEvents(lc)
+		conn.Close()
+		h.finish()
+	}()
+	return h, nil
+}
+
+// readEvents consumes the server's event stream until every rank has
+// exited. A dead connection or a garbled event fails every still-pending
+// rank — a server crash mid-job must surface as supervised rank failures,
+// not a hang.
+func (h *blockHandle) readEvents(lc *lineConn) {
+	pending := make(map[int]bool, len(h.prefix))
+	for rank := range h.prefix {
+		pending[rank] = true
+	}
+	fail := func(msg string) {
+		for rank := range pending {
+			h.exits <- RankExit{Rank: rank, Err: fmt.Errorf("%s: %s", h.peer, msg)}
+		}
+	}
+	for len(pending) > 0 {
+		var ev blockEvent
+		switch err := lc.recv(&ev); {
+		case errors.Is(err, errBadLine):
+			fail(fmt.Sprintf("bad event: %v", err))
+			return
+		case err != nil:
+			fail(fmt.Sprintf("connection lost: %v", err))
+			return
+		case ev.Event == "error":
+			fail(ev.Msg)
+			return
+		case ev.Event == "exit" && !pending[ev.Rank]:
+			continue
+		case ev.Event == "exit":
+			delete(pending, ev.Rank)
+		}
+		h.deliver(ev)
+	}
+}
+
+// pipeConn is a block-protocol connection carried by the stdio of a child
+// process (a local agent, or the ssh client in front of a remote one).
+type pipeConn struct {
+	io.ReadCloser
+	io.WriteCloser
+	cmd *exec.Cmd
+}
+
+// Close hangs up both directions — the agent sees EOF on stdin, kills
+// whatever it spawned, and exits, never blocking on an event nobody will
+// read — and reaps the carrier process.
+func (c *pipeConn) Close() error {
+	c.WriteCloser.Close()
+	c.ReadCloser.Close()
+	return c.cmd.Wait()
+}
+
+// carrierWaitDelay is how long a carrier process gets to exit after its
+// dial context ended and it was hung up on, before it is killed.
+const carrierWaitDelay = 2 * time.Second
+
+// dialPipe starts argv as a carrier process and returns its stdio as the
+// connection. The process's stderr is the launcher's: what an agent or ssh
+// has to say about itself is launcher-level diagnostics.
+func dialPipe(ctx context.Context, argv []string) (io.ReadWriteCloser, error) {
+	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	cmd.Stderr = os.Stderr
+	// Own process group: a terminal signal that takes the launcher down must
+	// not take the carrier with it — the agent has to live to see EOF.
+	setProcGroup(cmd)
+	// Never SIGKILL first: a killed agent cannot reap its ranks. EOF is the
+	// protocol's kill lease, so ending the context hangs up instead.
+	cmd.Cancel = stdin.Close
+	cmd.WaitDelay = carrierWaitDelay
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("start %q: %w", strings.Join(argv, " "), err)
+	}
+	return &pipeConn{ReadCloser: stdout, WriteCloser: stdin, cmd: cmd}, nil
+}
+
+// agentArgv is the agent command line: the mphrun binary ("" = this
+// executable) serving one connection on its stdio.
+func agentArgv(path string) ([]string, error) {
+	if path == "" {
+		self, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("mpirun: resolve agent path: %w", err)
+		}
+		path = self
+	}
+	return []string{path, "agent"}, nil
+}
+
+// ExecSpawner runs every host's block through an agent process ("mphrun
+// agent") on the launcher's own host, treating host assignments as labels
+// only. It exercises the full remote path — block protocol over a pipe, env
 // forwarding, host topology, remote kill — without an ssh daemon, which is
 // what CI runs.
 type ExecSpawner struct {
@@ -230,19 +437,27 @@ func (*ExecSpawner) Name() string { return "exec" }
 // loopback.
 func (*ExecSpawner) WantsRoutable() bool { return false }
 
-// Spawn implements Spawner by running one local agent process per rank.
-func (s *ExecSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	agent, err := resolveAgentPath(s.AgentPath)
+// dial starts one local agent.
+func (s *ExecSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser, error) {
+	argv, err := agentArgv(s.AgentPath)
 	if err != nil {
 		return nil, err
 	}
-	return spawnProcs(host, block, func(p Proc) (*exec.Cmd, bool, error) {
-		return exec.Command(agent, agentArgs(host, block, p)...), true, nil
-	})
+	return dialPipe(ctx, argv)
 }
 
-// SSHSpawner runs each rank by executing the agent command on its assigned
-// host via ssh. The agent binary must exist at the same path on every remote
+// ProbeHost implements HostProber.
+func (s *ExecSpawner) ProbeHost(ctx context.Context, host string) error {
+	return probeRemote(ctx, s, host)
+}
+
+// Spawn implements Spawner.
+func (s *ExecSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
+	return spawnRemote(ctx, s, host, block)
+}
+
+// SSHSpawner runs each host's block through an agent started on that host
+// via ssh. The agent binary must exist at the same path on every remote
 // host.
 type SSHSpawner struct {
 	// AgentPath is the agent binary ("" = this executable's path, assumed
@@ -268,238 +483,118 @@ func (*SSHSpawner) Name() string { return "ssh" }
 // so loopback listeners would strand them.
 func (*SSHSpawner) WantsRoutable() bool { return true }
 
-// ssh returns the ssh client binary to run.
-func (s *SSHSpawner) ssh() string {
-	if s.Command != "" {
-		return s.Command
-	}
-	return "ssh"
-}
-
-// sshArgs builds the argument prefix shared by spawn and probe commands:
-// batch-mode options, the caller's extra options, then the host.
-func (s *SSHSpawner) sshArgs(host string) []string {
-	args := []string{"-o", "BatchMode=yes", "-o", "StrictHostKeyChecking=accept-new"}
-	args = append(args, s.Options...)
-	return append(args, host)
-}
-
-// Spawn implements Spawner by running the agent command on each rank's host
-// via ssh; unpinned ranks run through the local agent so supervision is
-// uniform.
-func (s *SSHSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	agent, err := resolveAgentPath(s.AgentPath)
+// dial runs the agent on the host via ssh; unpinned ranks get a local agent
+// so supervision is uniform.
+func (s *SSHSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser, error) {
+	argv, err := agentArgv(s.AgentPath)
 	if err != nil {
 		return nil, err
 	}
-	return spawnProcs(host, block, func(p Proc) (*exec.Cmd, bool, error) {
-		if host == "" {
-			return exec.Command(agent, agentArgs(host, block, p)...), true, nil
-		}
-		remote := shellJoin(append([]string{agent}, agentArgs(host, block, p)...))
-		return exec.Command(s.ssh(), append(s.sshArgs(host), remote)...), true, nil
-	})
-}
-
-// sshProbeTimeout bounds one host's pre-launch `ssh host true` check.
-const sshProbeTimeout = 10 * time.Second
-
-// ProbeHost implements HostProber with `ssh -o BatchMode=yes HOST true`: it
-// proves name resolution, reachability, and non-interactive authentication
-// in one round trip, which is everything a spawn needs.
-func (s *SSHSpawner) ProbeHost(ctx context.Context, host string) error {
 	if host == "" {
-		return nil // unpinned ranks run on the launcher's own host
+		return dialPipe(ctx, argv)
 	}
-	ctx, cancel := context.WithTimeout(ctx, sshProbeTimeout)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, s.ssh(), append(s.sshArgs(host), "true")...).CombinedOutput()
-	if err != nil {
-		msg := strings.TrimSpace(string(out))
-		if msg != "" {
-			return fmt.Errorf("%w (%s)", err, msg)
-		}
-		return err
+	ssh := s.Command
+	if ssh == "" {
+		ssh = "ssh"
 	}
-	return nil
+	args := []string{ssh, "-o", "BatchMode=yes", "-o", "StrictHostKeyChecking=accept-new"}
+	args = append(args, s.Options...)
+	return dialPipe(ctx, append(args, host, shellJoin(argv)))
 }
 
-// resolveAgentPath defaults the agent binary to this executable.
-func resolveAgentPath(path string) (string, error) {
-	if path != "" {
-		return path, nil
-	}
-	self, err := os.Executable()
-	if err != nil {
-		return "", fmt.Errorf("mpirun: resolve agent path: %w", err)
-	}
-	return self, nil
+// ProbeHost implements HostProber: beyond name resolution, reachability and
+// non-interactive authentication, the pong proves the agent binary exists
+// on the host.
+func (s *SSHSpawner) ProbeHost(ctx context.Context, host string) error {
+	return probeRemote(ctx, s, host)
 }
 
-// agentArgs builds the agent-exec argument list for one rank: the launch
-// context as flags, the forwarded environment as repeated -env flags, and
-// the rank's command after "--".
-func agentArgs(host string, block Block, p Proc) []string {
-	args := []string{
-		"agent-exec",
-		"-rank", strconv.Itoa(p.Rank),
-		"-size", strconv.Itoa(block.Size),
-		"-rendezvous", block.Rendezvous,
-	}
-	if host != "" {
-		args = append(args, "-host", host)
-	}
-	if block.Bind != "" {
-		args = append(args, "-bind", block.Bind)
-	}
-	if block.Regdata != "" {
-		args = append(args, "-regdata", block.Regdata)
-	}
-	for _, kv := range block.Passthrough {
-		args = append(args, "-env", kv)
-	}
-	for _, kv := range block.ExtraEnv {
-		args = append(args, "-env", kv)
-	}
-	for _, kv := range p.Env {
-		args = append(args, "-env", kv)
-	}
-	args = append(args, "--")
-	return append(args, p.Argv...)
+// Spawn implements Spawner.
+func (s *SSHSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
+	return spawnRemote(ctx, s, host, block)
 }
 
-// procChild is one locally started process of a block: the rank itself, its
-// agent, or its ssh client.
-type procChild struct {
-	cmd  *exec.Cmd
-	rank int
+// daemonDialTimeout is the default budget for reaching a host's daemon,
+// including reconnect retries against a daemon that is restarting.
+const daemonDialTimeout = 5 * time.Second
 
-	// agentIn is the agent's stdin (nil for direct spawns): writing "kill\n"
-	// — or just closing it — makes the agent SIGKILL the rank's process
-	// group wherever it runs.
-	agentIn io.WriteCloser
-	// done is closed once the child has been reaped; it cancels the kill
-	// backstop.
-	done chan struct{}
-
-	killOnce sync.Once
+// DaemonSpawner launches rank blocks through mphd daemons already running
+// on the placement hosts: one warm TCP connection per host, instead of one
+// cold agent start.
+type DaemonSpawner struct {
+	// Addr, when set, sends every block to this one daemon address
+	// regardless of host label — single-machine testing of the daemon path,
+	// the daemon analogue of the exec backend.
+	Addr string
+	// Port is the mphd control port on every host (0 = DefaultDaemonPort).
+	Port int
+	// DialTimeout bounds connecting to a host's daemon, including reconnect
+	// retries against a daemon that is restarting (0 = 5s).
+	DialTimeout time.Duration
 }
 
-// kill terminates the rank's process group. Direct children are killed
-// immediately; agent-backed children are asked through the agent's stdin
-// (which kills the remote process group), with a local process-tree kill
-// after agentKillBackstop in case the agent itself is gone or wedged.
-func (c *procChild) kill() {
-	c.killOnce.Do(func() {
-		if c.agentIn == nil {
-			killTree(c.cmd)
-			return
-		}
-		// Best effort: a dead agent just means the write fails and the
-		// backstop fires.
-		_, _ = io.WriteString(c.agentIn, "kill\n")
-		c.agentIn.Close()
-		go func() {
-			select {
-			case <-c.done:
-			case <-time.After(agentKillBackstop):
-				killTree(c.cmd)
-			}
-		}()
-	})
+// NewDaemonSpawner returns the daemon backend. addr pins every block to one
+// daemon address ("" = per-host, reaching host:port); port 0 selects
+// DefaultDaemonPort.
+func NewDaemonSpawner(addr string, port int) *DaemonSpawner {
+	return &DaemonSpawner{Addr: addr, Port: port}
 }
 
-// procHandle supervises the per-process children of one block for the
-// local, exec, and ssh spawners.
-type procHandle struct {
-	exits    chan RankExit
-	children map[int]*procChild
-	reapWG   sync.WaitGroup
-	outWG    sync.WaitGroup
+// Name implements Spawner.
+func (*DaemonSpawner) Name() string { return "daemon" }
+
+// WantsRoutable implements Spawner: per-host daemons mean ranks on other
+// machines, unless a single daemon address pins everything to one machine.
+func (s *DaemonSpawner) WantsRoutable() bool { return s.Addr == "" }
+
+// hostAddr resolves the daemon control address for a placement host.
+func (s *DaemonSpawner) hostAddr(host string) string {
+	if s.Addr != "" {
+		return s.Addr
+	}
+	port := s.Port
+	if port == 0 {
+		port = DefaultDaemonPort
+	}
+	if host == "" {
+		host = "127.0.0.1"
+	}
+	return net.JoinHostPort(host, strconv.Itoa(port))
 }
 
-// spawnProcs starts one OS process per rank of the block — assembled by
-// command, which also reports whether the process is an agent with a stdin
-// kill channel — wiring output relays and process-group isolation, and
-// begins reaping. On any start error the already-started ranks are killed
-// and nothing survives.
-func spawnProcs(host string, block Block, command func(p Proc) (*exec.Cmd, bool, error)) (*procHandle, error) {
-	h := &procHandle{
-		exits:    make(chan RankExit, len(block.Procs)),
-		children: make(map[int]*procChild, len(block.Procs)),
+// dial connects to a host's daemon, retrying refused or dropped dials until
+// the budget expires so a daemon mid-restart (stale socket, supervisor
+// respawn) is reconnected to instead of failed on.
+func (s *DaemonSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser, error) {
+	addr := s.hostAddr(host)
+	timeout := s.DialTimeout
+	if timeout <= 0 {
+		timeout = daemonDialTimeout
 	}
-	abort := func(err error) (*procHandle, error) {
-		h.Kill(-1)
-		return nil, err
-	}
-	for _, p := range block.Procs {
-		cmd, isAgent, err := command(p)
-		if err != nil {
-			return abort(err)
+	deadline := time.Now().Add(timeout)
+	for {
+		d := net.Dialer{Deadline: deadline}
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err == nil {
+			return conn, nil
 		}
-		c := &procChild{cmd: cmd, rank: p.Rank, done: make(chan struct{})}
-		if isAgent {
-			stdin, err := cmd.StdinPipe()
-			if err != nil {
-				return abort(err)
-			}
-			c.agentIn = stdin
+		if ctx.Err() != nil || !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("daemon %s: %w", addr, err)
 		}
-		prefix := rankPrefix(p, host)
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return abort(err)
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("daemon %s: %w", addr, ctx.Err())
+		case <-time.After(50 * time.Millisecond):
 		}
-		stderr, err := cmd.StderrPipe()
-		if err != nil {
-			return abort(err)
-		}
-		h.outWG.Add(2)
-		go relay(block.stdout(), stdout, prefix, &h.outWG)
-		go relay(block.stderr(), stderr, prefix, &h.outWG)
-		setProcGroup(cmd)
-		if err := cmd.Start(); err != nil {
-			return abort(fmt.Errorf("start %q (rank %d): %w", strings.Join(p.Argv, " "), p.Rank, err))
-		}
-		h.children[p.Rank] = c
-	}
-	// Reap each child on its own goroutine so a process that dies before the
-	// rendezvous completes surfaces immediately instead of leaving the
-	// launcher waiting out the timeout.
-	for _, c := range h.children {
-		h.reapWG.Add(1)
-		go func(c *procChild) {
-			defer h.reapWG.Done()
-			err := c.cmd.Wait()
-			close(c.done)
-			h.exits <- RankExit{Rank: c.rank, Err: err}
-		}(c)
-	}
-	go func() {
-		h.reapWG.Wait()
-		close(h.exits)
-	}()
-	return h, nil
-}
-
-// Exits implements Handle.
-func (h *procHandle) Exits() <-chan RankExit { return h.exits }
-
-// Kill implements Handle.
-func (h *procHandle) Kill(rank int) {
-	if rank < 0 {
-		for _, c := range h.children {
-			c.kill()
-		}
-		return
-	}
-	if c, ok := h.children[rank]; ok {
-		c.kill()
 	}
 }
 
-// Wait implements Handle.
-func (h *procHandle) Wait() {
-	h.reapWG.Wait()
-	h.outWG.Wait()
+// ProbeHost implements HostProber.
+func (s *DaemonSpawner) ProbeHost(ctx context.Context, host string) error {
+	return probeRemote(ctx, s, host)
+}
+
+// Spawn implements Spawner.
+func (s *DaemonSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
+	return spawnRemote(ctx, s, host, block)
 }

@@ -9,51 +9,6 @@ import (
 	"time"
 )
 
-// TestNewSpawnerConversion pins the deprecated-Backend conversion helper:
-// every string constant maps to its typed spawner, "" defaults to local,
-// options reach the constructors, and unknown names error.
-func TestNewSpawnerConversion(t *testing.T) {
-	cases := []struct {
-		backend Backend
-		want    string
-	}{
-		{"", "local"},
-		{BackendLocal, "local"},
-		{BackendExec, "exec"},
-		{BackendSSH, "ssh"},
-		{BackendDaemon, "daemon"},
-	}
-	for _, c := range cases {
-		sp, err := NewSpawner(c.backend, SpawnerOptions{})
-		if err != nil {
-			t.Errorf("NewSpawner(%q): %v", c.backend, err)
-			continue
-		}
-		if sp.Name() != c.want {
-			t.Errorf("NewSpawner(%q).Name() = %q, want %q", c.backend, sp.Name(), c.want)
-		}
-	}
-	if _, err := NewSpawner("rsh", SpawnerOptions{}); err == nil {
-		t.Error("unknown backend accepted")
-	}
-	sp, err := NewSpawner(BackendSSH, SpawnerOptions{AgentPath: "/opt/mphrun", SSHOptions: []string{"-p", "2222"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssh := sp.(*SSHSpawner)
-	if ssh.AgentPath != "/opt/mphrun" || !reflect.DeepEqual(ssh.Options, []string{"-p", "2222"}) {
-		t.Errorf("ssh options not forwarded: %+v", ssh)
-	}
-	sp, err = NewSpawner(BackendDaemon, SpawnerOptions{DaemonAddr: "127.0.0.1:9", DaemonPort: 7777})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := sp.(*DaemonSpawner)
-	if dm.Addr != "127.0.0.1:9" || dm.Port != 7777 {
-		t.Errorf("daemon options not forwarded: %+v", dm)
-	}
-}
-
 // TestDedupEnv pins the duplicate-key rule the GOMAXPROCS injection relies
 // on: the Go runtime honours the FIRST occurrence of a key, so dedupEnv
 // must collapse duplicates to the last value while keeping positions.

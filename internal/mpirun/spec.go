@@ -247,51 +247,6 @@ func ParsePlacement(s string) (Placement, error) {
 	return 0, fmt.Errorf("unknown placement %q (want block or cyclic)", s)
 }
 
-// Backend names how ranks are spawned.
-//
-// Deprecated: backends are now typed Spawner values. Use the constructors
-// (NewLocalSpawner, NewExecSpawner, NewSSHSpawner, NewDaemonSpawner) or
-// NewSpawner to convert a parsed name; the string constants remain only as
-// CLI spellings.
-type Backend string
-
-const (
-	// BackendLocal names the direct-spawn backend (LocalSpawner): every rank
-	// runs on the launcher's host, host assignments are not allowed.
-	//
-	// Deprecated: use NewLocalSpawner.
-	BackendLocal Backend = "local"
-	// BackendExec names the local-agent backend (ExecSpawner): every rank
-	// runs through the agent command on the launcher's own host, with host
-	// assignments treated as labels only.
-	//
-	// Deprecated: use NewExecSpawner.
-	BackendExec Backend = "exec"
-	// BackendSSH names the ssh backend (SSHSpawner): each rank's agent runs
-	// on its assigned host via ssh.
-	//
-	// Deprecated: use NewSSHSpawner.
-	BackendSSH Backend = "ssh"
-	// BackendDaemon names the persistent-daemon backend (DaemonSpawner):
-	// each host block is shipped in one request to the mphd agent daemon
-	// already running there.
-	//
-	// Deprecated: use NewDaemonSpawner.
-	BackendDaemon Backend = "daemon"
-)
-
-// ParseBackend reads a backend name ("local", "exec", "ssh", or "daemon";
-// "" selects local). Pass the result to NewSpawner.
-func ParseBackend(s string) (Backend, error) {
-	switch Backend(s) {
-	case "":
-		return BackendLocal, nil
-	case BackendLocal, BackendExec, BackendSSH, BackendDaemon:
-		return Backend(s), nil
-	}
-	return "", fmt.Errorf("unknown backend %q (want local, exec, ssh, or daemon)", s)
-}
-
 // Proc is one placed rank of a LaunchSpec.
 type Proc struct {
 	// Rank is the world rank.
@@ -316,8 +271,8 @@ type LaunchSpec struct {
 	// Procs lists every rank in world order.
 	Procs []Proc
 	// Registration is the registration-file path forwarded to every rank
-	// ("" = none). Remote backends ship the file's contents through the
-	// agent, so it only needs to exist on the launcher's host.
+	// ("" = none). Remote spawners ship the file's contents inside the spawn
+	// request, so it only needs to exist on the launcher's host.
 	Registration string
 	// Timeout bounds the rendezvous exchange (default 120s).
 	Timeout time.Duration
@@ -335,34 +290,8 @@ type LaunchSpec struct {
 	// Quiet suppresses the launcher's informational banner (benchmark
 	// harnesses that launch hundreds of jobs).
 	Quiet bool
-	// Spawner starts the host-local rank blocks (nil = resolved from the
-	// deprecated Backend field, defaulting to NewLocalSpawner).
+	// Spawner starts the host-local rank blocks (nil = NewLocalSpawner).
 	Spawner Spawner
-	// Backend selects how ranks are spawned when Spawner is nil.
-	//
-	// Deprecated: set Spawner instead.
-	Backend Backend
-	// AgentPath is the mphrun binary to run as the remote agent ("" = this
-	// executable), used when Spawner is resolved from Backend. Under
-	// BackendSSH the path must exist on every remote host.
-	//
-	// Deprecated: pass the path to the spawner constructor instead.
-	AgentPath string
-	// SSHOptions are extra ssh arguments inserted before the host (after
-	// the built-in BatchMode options), used when Spawner is resolved from
-	// Backend.
-	//
-	// Deprecated: pass the options to NewSSHSpawner instead.
-	SSHOptions []string
-}
-
-// spawner resolves the spec's Spawner, falling back to the deprecated
-// Backend field for callers that still fill in strings.
-func (s *LaunchSpec) spawner() (Spawner, error) {
-	if s.Spawner != nil {
-		return s.Spawner, nil
-	}
-	return NewSpawner(s.Backend, SpawnerOptions{AgentPath: s.AgentPath, SSHOptions: s.SSHOptions})
 }
 
 // NewLaunchSpec places the ranks of the parsed entries onto hosts with the
@@ -507,11 +436,8 @@ func (s *LaunchSpec) Validate() error {
 	if len(s.Procs) == 0 {
 		return fmt.Errorf("mpirun: spec has no ranks")
 	}
-	sp, err := s.spawner()
-	if err != nil {
-		return fmt.Errorf("mpirun: %w", err)
-	}
-	_, local := sp.(*LocalSpawner)
+	_, local := s.Spawner.(*LocalSpawner)
+	local = local || s.Spawner == nil
 	for i, p := range s.Procs {
 		if p.Rank != i {
 			return fmt.Errorf("mpirun: spec rank %d at index %d (ranks must be dense and ordered)", p.Rank, i)

@@ -160,7 +160,7 @@ func TestParseHostList(t *testing.T) {
 	}
 }
 
-func TestParsePlacementAndBackend(t *testing.T) {
+func TestParsePlacement(t *testing.T) {
 	for s, want := range map[string]Placement{"": PlaceBlock, "block": PlaceBlock, "cyclic": PlaceCyclic} {
 		got, err := ParsePlacement(s)
 		if err != nil || got != want {
@@ -169,15 +169,6 @@ func TestParsePlacementAndBackend(t *testing.T) {
 	}
 	if _, err := ParsePlacement("random"); err == nil {
 		t.Error("accepted placement \"random\"")
-	}
-	for s, want := range map[string]Backend{"": BackendLocal, "local": BackendLocal, "exec": BackendExec, "ssh": BackendSSH} {
-		got, err := ParseBackend(s)
-		if err != nil || got != want {
-			t.Errorf("ParseBackend(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseBackend("rsh"); err == nil {
-		t.Error("accepted backend \"rsh\"")
 	}
 }
 
@@ -272,7 +263,6 @@ func TestLaunchSpecValidate(t *testing.T) {
 		"empty":          {},
 		"sparse ranks":   {Procs: []Proc{{Rank: 1, Argv: []string{"a"}}}},
 		"no command":     {Procs: []Proc{{Rank: 0}}},
-		"bad backend":    {Procs: []Proc{{Rank: 0, Argv: []string{"a"}}}, Backend: "rsh"},
 		"host but local": {Procs: []Proc{{Rank: 0, Host: "h1", Argv: []string{"a"}}}},
 	}
 	for name, spec := range cases {
@@ -280,28 +270,9 @@ func TestLaunchSpecValidate(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	remote := &LaunchSpec{Procs: []Proc{{Rank: 0, Host: "h1", Argv: []string{"a"}}}, Backend: BackendExec}
+	remote := &LaunchSpec{Procs: []Proc{{Rank: 0, Host: "h1", Argv: []string{"a"}}}, Spawner: NewExecSpawner("")}
 	if err := remote.Validate(); err != nil {
 		t.Errorf("exec spec with host rejected: %v", err)
-	}
-}
-
-func TestAgentArgs(t *testing.T) {
-	p := Proc{Rank: 0, Host: "node-a", Argv: []string{"./worker", "-v"}, Env: []string{"RANK_ONLY=1"}}
-	block := Block{
-		Procs:       []Proc{p},
-		Size:        1,
-		Rendezvous:  "10.0.0.1:4000",
-		Regdata:     "QUJD",
-		ExtraEnv:    []string{"MPH_STATS_DIR=/tmp/stats"},
-		Passthrough: []string{"MPH_FAULT=x"},
-	}
-	args := agentArgs("node-a", block, p)
-	joined := strings.Join(args, " ")
-	want := "agent-exec -rank 0 -size 1 -rendezvous 10.0.0.1:4000 -host node-a " +
-		"-regdata QUJD -env MPH_FAULT=x -env MPH_STATS_DIR=/tmp/stats -env RANK_ONLY=1 -- ./worker -v"
-	if joined != want {
-		t.Errorf("agentArgs:\n got %q\nwant %q", joined, want)
 	}
 }
 
@@ -322,8 +293,8 @@ func TestPassthroughEnv(t *testing.T) {
 }
 
 func TestShellJoin(t *testing.T) {
-	got := shellJoin([]string{"/usr/bin/mphrun", "agent-exec", "-env", `A=x y`, "-env", `B=it's`})
-	want := `'/usr/bin/mphrun' 'agent-exec' '-env' 'A=x y' '-env' 'B=it'\''s'`
+	got := shellJoin([]string{"/usr/bin/mphrun", "agent", `A=x y`, `B=it's`})
+	want := `'/usr/bin/mphrun' 'agent' 'A=x y' 'B=it'\''s'`
 	if got != want {
 		t.Errorf("shellJoin:\n got %s\nwant %s", got, want)
 	}

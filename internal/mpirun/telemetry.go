@@ -1,7 +1,6 @@
 package mpirun
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -73,8 +72,8 @@ func EstimateClockOffset(samples []ClockSample) (offset, bound int64, ok bool) {
 	return s.TS - (s.T0+s.T3)/2, s.RTT() / 2, true
 }
 
-// teleMsg is one line of the telemetry wire protocol (line-delimited JSON
-// over TCP, one connection per rank):
+// teleMsg is one line of the telemetry wire protocol (the launch plane's
+// lineConn framing over TCP, one connection per rank):
 //
 //	client: {"kind":"hello","rank":R,"host":"H","pid":P}
 //	client: {"kind":"ping","seq":i,"t0":<client ns>}     (×K rounds)
@@ -257,27 +256,21 @@ func (t *Telemetry) acceptLoop() {
 // then report ingestion until the rank hangs up. Malformed input just ends
 // the session — telemetry must never take a job down.
 func (t *Telemetry) handleConn(conn net.Conn) {
-	rd := bufio.NewReader(conn)
-	dec := json.NewDecoder(rd)
+	lc := newLineConn(conn)
 	rank, host, pid := -1, "", 0
 	for {
 		// No read deadline: a final-only rank is silent for the whole job.
 		// The session ends when the rank hangs up or Close tears it down.
 		var msg teleMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := lc.recv(&msg); err != nil {
 			return
 		}
 		switch msg.Kind {
 		case "hello":
 			rank, host, pid = msg.Rank, msg.Host, msg.PID
 		case "ping":
-			pong := teleMsg{Kind: "pong", Seq: msg.Seq, TS: time.Now().UnixNano()}
-			b, err := json.Marshal(pong)
-			if err != nil {
-				return
-			}
 			conn.SetWriteDeadline(time.Now().Add(telemetryIOTimeout))
-			if _, err := conn.Write(append(b, '\n')); err != nil {
+			if err := lc.send(teleMsg{Kind: "pong", Seq: msg.Seq, TS: time.Now().UnixNano()}); err != nil {
 				return
 			}
 		case "report":
@@ -497,7 +490,7 @@ func (t *Telemetry) WriteMetrics(w io.Writer) {
 type TelemetryClient struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *json.Encoder
+	lc     *lineConn
 	seq    uint64
 	closed bool
 
@@ -519,9 +512,9 @@ func DialTelemetry(addr string, rank int, host string, pid int, timeout time.Dur
 	if err != nil {
 		return nil, fmt.Errorf("mpirun: dial telemetry %s: %w", addr, err)
 	}
-	c := &TelemetryClient{conn: conn, enc: json.NewEncoder(conn)}
+	c := &TelemetryClient{conn: conn, lc: newLineConn(conn)}
 	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := c.enc.Encode(teleMsg{Kind: "hello", Rank: rank, Host: host, PID: pid}); err != nil {
+	if err := c.lc.send(teleMsg{Kind: "hello", Rank: rank, Host: host, PID: pid}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("mpirun: telemetry hello: %w", err)
 	}
@@ -531,17 +524,16 @@ func DialTelemetry(addr string, rank int, host string, pid int, timeout time.Dur
 
 // clockSync runs the ping-pong rounds and stores the offset estimate.
 func (c *TelemetryClient) clockSync(timeout time.Duration) {
-	dec := json.NewDecoder(c.conn)
 	samples := make([]ClockSample, 0, DefaultClockSyncRounds)
 	for i := 0; i < DefaultClockSyncRounds; i++ {
 		t0 := time.Now().UnixNano()
 		c.conn.SetWriteDeadline(time.Now().Add(timeout))
-		if err := c.enc.Encode(teleMsg{Kind: "ping", Seq: uint64(i), T0: t0}); err != nil {
+		if err := c.lc.send(teleMsg{Kind: "ping", Seq: uint64(i), T0: t0}); err != nil {
 			break
 		}
 		c.conn.SetReadDeadline(time.Now().Add(timeout))
 		var pong teleMsg
-		if err := dec.Decode(&pong); err != nil || pong.Kind != "pong" {
+		if err := c.lc.recv(&pong); err != nil || pong.Kind != "pong" {
 			break
 		}
 		samples = append(samples, ClockSample{T0: t0, TS: pong.TS, T3: time.Now().UnixNano()})
@@ -569,7 +561,7 @@ func (c *TelemetryClient) Report(snap perf.Snapshot, final bool) error {
 	}
 	c.seq++
 	c.conn.SetWriteDeadline(time.Now().Add(telemetryIOTimeout))
-	return c.enc.Encode(teleMsg{Kind: "report", Seq: c.seq, Final: final, Snap: &snap})
+	return c.lc.send(teleMsg{Kind: "report", Seq: c.seq, Final: final, Snap: &snap})
 }
 
 // Close hangs up the telemetry connection. Safe to call more than once.

@@ -15,9 +15,10 @@
 # the receiver's buffer — for 1 MiB messages). The P2 smoke runs one cell of
 # the eager/rendezvous sweep so the mphbench TCP-pair harness stays
 # executable. The multi-host smoke launches the climate example across two
-# placement hosts through the exec backend (the full agent spawn path, minus
-# ssh) with stats on, so the remote-launch machinery stays exercised end to
-# end without an sshd. The telemetry smoke reruns that job with live
+# placement hosts through the exec backend (one "mphrun agent" per host
+# speaking the block protocol over a pipe — the full remote spawn path,
+# minus ssh) with stats on, so the remote-launch machinery stays exercised
+# end to end without an sshd. The telemetry smoke reruns that job with live
 # reporting on and scrapes the launcher's Prometheus /metrics endpoint
 # mid-run (scripts/httpget, so no curl dependency), then asserts the final
 # summary reconciles sent == received job-wide. The hierarchical smoke reruns
@@ -31,13 +32,21 @@
 # payload channel engaged under a real exec-backend launch and lost nothing.
 # The daemon smoke starts a real mphd and launches the climate job through it
 # (-backend daemon), proving the persistent-agent path works outside the unit
-# tests; the L1 smoke keeps the launch-latency harness executable.
+# tests; the L1 smoke keeps the launch-latency harness executable. The
+# removed-names guard keeps the second remote-spawn implementation and the
+# Backend shim from creeping back, and the closing line count gives the next
+# simplicity PR its baseline in the log.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go vet ./...
 go vet ./internal/mpi/perf
+# One remote-spawn protocol: these names were deleted and stay deleted
+# (an if, because set -e does not act on a "!" pipeline).
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(' --include=*.go .; then
+    exit 1
+fi
 go run ./scripts/lintdoc .
 go build ./...
 go test ./...
@@ -108,8 +117,8 @@ trap 'kill "$mphd_pid" 2>/dev/null; rm -rf "$smoke"' EXIT
 grep -q "totals reconcile" "$smoke/daemon.out"
 
 # L1 smoke: one repetition of the gang-launch latency sweep, so the
-# launch-latency harness (worker mode, agent-exec dispatch, in-process
-# daemon) stays executable.
+# launch-latency harness (worker mode, agent dispatch, in-process daemon)
+# stays executable.
 go run ./cmd/mphbench -exp L1 -repeat 1 -launchout /tmp/bench_launch.$$.json
 rm -f /tmp/bench_launch.$$.json
 
@@ -136,3 +145,6 @@ poller=$!
 wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
+
+# Non-test Go lines outside benchmark/ (20,632 before the one-protocol PR).
+find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
