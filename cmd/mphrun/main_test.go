@@ -525,8 +525,10 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				s := string(body)
-				if strings.Contains(s, "mph_rank_sent_messages_total") &&
-					!strings.Contains(s, "mph_job_ranks_final 4") {
+				// All four reporting, none final: ranks are forked one after
+				// another, so a view with any series is not yet one with all.
+				if strings.Contains(s, "mph_job_ranks_reporting 4") &&
+					strings.Contains(s, "mph_job_ranks_final 0") {
 					select {
 					case liveScrape <- s:
 					default:

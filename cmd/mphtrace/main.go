@@ -338,12 +338,12 @@ func queuePressure(traces []rankTrace) []pressure {
 // opSkew is the cross-rank arrival-skew aggregate of one collective op.
 type opSkew struct {
 	op          int64
-	invocations int            // invocations compared (min across participating ranks)
-	ranks       int            // ranks that ran the op
-	totalSkew   int64          // sum over invocations of (last − first arrival)
-	maxSkew     int64          // worst single invocation
-	maxSkewInv  int            // which invocation was worst
-	lastCount   map[int]int    // rank -> times it arrived last
+	invocations int         // invocations compared (min across participating ranks)
+	ranks       int         // ranks that ran the op
+	totalSkew   int64       // sum over invocations of (last − first arrival)
+	maxSkew     int64       // worst single invocation
+	maxSkewInv  int         // which invocation was worst
+	lastCount   map[int]int // rank -> times it arrived last
 }
 
 // slowest returns the rank that arrived last most often and how often.

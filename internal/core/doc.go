@@ -24,8 +24,10 @@
 //
 // Handshake algorithm (paper §6): the registration file is read by world
 // rank 0 and broadcast; each executable locates its entry by its component
-// name set and the world is split by executable index; disjoint component
-// layouts inside an executable are established with a single further
-// Comm_split, overlapping layouts with one Comm_split per component; a
-// final allgather publishes the component → world-rank layout to everyone.
+// name set and one allreduce gives every rank the rank → executable table.
+// The paper's Comm_splits — the world by executable index, then a single
+// split for disjoint component layouts inside an executable or one per
+// component for overlapping ones — and the component → world-rank layout
+// are then derived locally from that table (mpi.Comm.SplitWith): same
+// groups, rank order and contexts, no further messages.
 package core

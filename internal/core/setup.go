@@ -83,11 +83,14 @@ func MultiInstance(world *mpi.Comm, src Source, prefix string, opts ...Option) (
 	})
 }
 
-// handshake runs the paper-§6 algorithm. resolve identifies the calling
-// rank's executable entry from purely local knowledge; everything else is
-// collective. Error handling is coordinated: after each phase that can fail
-// on a subset of ranks, a world allreduce agrees on abort-or-continue so no
-// rank is left blocked in a collective.
+// handshake runs the paper-§6 algorithm in two world collectives on one
+// root-0 tree: a Bcast of the registration file and an Allreduce that gives
+// every rank the whole (rank -> executable) table. resolve identifies the
+// calling rank's executable entry from purely local knowledge. Everything
+// after the exchange — the executable communicator, the component
+// communicators, the layout, and the verdict on whether any rank failed — is
+// derived locally from that table and the registry, identically on every
+// rank, so no rank can be left blocked in a collective.
 func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registry.Registry) (int, error)) (*Setup, error) {
 	var cfg config
 	for _, o := range opts {
@@ -98,141 +101,95 @@ func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registr
 	// renders as running until the end — exactly where the abort happened.
 	pv := world.Perf()
 
-	// Phase 1: root reads the registration file and broadcasts the text;
-	// every rank parses the identical bytes, so parse failures are
-	// symmetric and need no coordination.
+	// Phase 1: root reads the registration file and broadcasts a status
+	// byte followed by its text, or by its load error. Every rank parses
+	// the identical bytes, so load and parse failures are symmetric.
 	endPhase := pv.TracePhase(perf.PhaseRegistry)
-	var text string
+	var msg []byte
 	var loadErr error
 	if world.Rank() == 0 {
-		text, loadErr = src.load()
-	}
-	okFlag := int64(0)
-	if loadErr != nil {
-		okFlag = 1
-	}
-	flags, err := world.AllreduceInts([]int64{okFlag}, mpi.OpSum)
-	if err != nil {
-		return nil, fmt.Errorf("mph: handshake: %w", escalate(world, err))
-	}
-	if flags[0] != 0 {
-		if loadErr != nil {
-			return nil, loadErr
+		var text string
+		if text, loadErr = src.load(); loadErr != nil {
+			msg = append([]byte{1}, loadErr.Error()...)
+		} else {
+			msg = append([]byte{0}, text...)
 		}
-		return nil, fmt.Errorf("%w: root could not load the registration file", ErrHandshake)
 	}
-	text, err = world.BcastString(0, text)
+	msg, err := world.Bcast(0, msg)
 	if err != nil {
 		return nil, fmt.Errorf("mph: handshake: %w", escalate(world, err))
 	}
-	reg, err := registry.Parse(text)
+	if loadErr != nil {
+		return nil, loadErr
+	}
+	if len(msg) == 0 {
+		return nil, fmt.Errorf("%w: empty registration broadcast", ErrHandshake)
+	}
+	if msg[0] != 0 {
+		return nil, fmt.Errorf("%w: root could not load the registration file: %s", ErrHandshake, msg[1:])
+	}
+	reg, err := registry.Parse(string(msg[1:]))
 	if err != nil {
 		return nil, err
 	}
 	endPhase()
 
-	// Phase 2: locate my executable entry and split the world by
-	// executable index (the paper's component_id coloring). Ranks whose
-	// resolution failed still participate, with color Undefined, then the
-	// failure is agreed on world-wide.
+	// Phase 2: locate my executable entry and exchange it — the paper's
+	// component_id color, Undefined where resolution failed — together with
+	// the one other thing that can fail on a subset of ranks, opening the
+	// log directory.
 	endPhase = pv.TracePhase(perf.PhaseSplit)
-	execIdx, resolveErr := resolve(reg)
-	color := execIdx
+	color, resolveErr := resolve(reg)
 	if resolveErr != nil {
 		color = mpi.Undefined
 	}
-	execComm, err := world.Split(color, 0)
-	if err != nil {
-		return nil, fmt.Errorf("mph: handshake: executable split: %w", escalate(world, err))
-	}
-	if err := agree(world, resolveErr); err != nil {
-		return nil, err
-	}
-	endPhase()
-
-	// Phase 3: establish component communicators inside my executable.
-	endPhase = pv.TracePhase(perf.PhaseComponents)
 	s := &Setup{
 		world:       world,
 		reg:         reg,
-		execIdx:     execIdx,
-		execComm:    execComm,
+		execIdx:     color,
 		comms:       make(map[string]*mpi.Comm),
 		instanceIdx: -1,
 		joinSeq:     make(map[string]int),
 	}
-	compErr := s.establishComponents()
-	if err := agree(world, compErr); err != nil {
+	var muxErr error
+	if cfg.logDir != "" {
+		// Shared per-directory so the ranks of an in-process world write
+		// through one handle per file. Without the option the mux is
+		// created on the first RedirectOutput call.
+		s.mux, muxErr = iolog.Shared(cfg.logDir)
+	}
+	colors, muxFailed, err := exchange(world, color, muxErr != nil, len(reg.Executables))
+	if err != nil {
+		return nil, err
+	}
+	endPhase()
+
+	// Phase 3: derive the communicators and the global layout.
+	endPhase = pv.TracePhase(perf.PhaseComponents)
+	if err := s.derive(colors, resolveErr); err != nil {
 		return nil, err
 	}
 	if len(s.mine) > 0 {
-		names := make([]string, len(s.mine))
-		for i, c := range s.mine {
-			names[i] = c.Name
-		}
-		pv.SetComponent(strings.Join(names, "+"))
+		pv.SetComponent(strings.Join(s.ComponentNames(), "+"))
 	}
-	endPhase()
-
-	// Phase 4: publish the global layout — every rank contributes the
-	endPhase = pv.TracePhase(perf.PhaseLayout)
-	// component names covering it; the allgather order gives each
-	// component's world ranks in ascending order, which is exactly the
-	// local-rank order produced by the key-0 splits above.
-	contribution := make([]string, len(s.mine))
-	for i, c := range s.mine {
-		contribution[i] = c.Name
-	}
-	parts, err := world.Allgather([]byte(strings.Join(contribution, "\n")))
-	if err != nil {
-		return nil, fmt.Errorf("mph: handshake: layout exchange: %w", escalate(world, err))
-	}
-	s.layout = make(map[string][]int, reg.TotalComponents())
-	for rank, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		for _, name := range strings.Split(string(p), "\n") {
-			s.layout[name] = append(s.layout[name], rank)
-		}
-	}
-	layoutErr := s.validateLayout()
-	if err := agree(world, layoutErr); err != nil {
-		return nil, err
-	}
-	endPhase()
-
-	// Phase 5: a private duplicate of the world communicator carries
-	endPhase = pv.TracePhase(perf.PhaseGlobal)
-	// MPH's name-addressed point-to-point traffic (the paper's
-	// MPH_Global_World), isolated from user traffic on world.
+	// A private duplicate of the world communicator carries MPH's
+	// name-addressed point-to-point traffic (the paper's MPH_Global_World),
+	// isolated from user traffic on world.
 	s.global = world.Dup()
 	endPhase()
 
-	if cfg.logDir != "" {
-		// Shared per-directory so the ranks of an in-process world write
-		// through one handle per file.
-		mux, muxErr := iolog.Shared(cfg.logDir)
-		if err := agree(world, muxErr); err != nil {
-			return nil, err
-		}
-		s.mux = mux
-	} else {
-		// Lazy default: created on first RedirectOutput call.
-		if err := agree(world, nil); err != nil {
-			return nil, err
-		}
+	if err := verdict(muxErr, muxFailed); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // escalate turns a transport failure inside the handshake into a world-wide
-// abort. The handshake's agree coordination assumes the world communicator
-// still works; once a peer is lost that assumption is gone, so the rank that
-// noticed aborts the job to unblock every sibling still waiting inside a
-// collective. Abort is idempotent, so concurrent escalation from several
-// ranks is harmless, and ranks that failed because an abort is already in
-// flight (mpi.ErrAborted) do not re-broadcast.
+// abort: once a peer is lost the world communicator no longer works, so the
+// rank that noticed aborts the job to unblock every sibling still waiting
+// inside a collective. Abort is idempotent, so concurrent escalation from
+// several ranks is harmless, and ranks that failed because an abort is
+// already in flight (mpi.ErrAborted) do not re-broadcast.
 func escalate(world *mpi.Comm, err error) error {
 	if _, lost := mpi.IsPeerLost(err); lost {
 		world.Abort(1)
@@ -240,37 +197,145 @@ func escalate(world *mpi.Comm, err error) error {
 	return err
 }
 
-// agree performs the coordinated abort: every rank contributes whether it
-// failed, and if any did, all ranks return an error (the local one where it
-// exists, a generic ErrHandshake elsewhere).
-func agree(world *mpi.Comm, local error) error {
+// exchange is the handshake's one all-to-all step. Every rank contributes a
+// fixed-width (world rank, color, log-dir-failed) entry and the Allreduce
+// concatenates them; the rank tag makes the tree's combining order
+// irrelevant. It returns every rank's color and how many ranks raised the
+// flag.
+func exchange(world *mpi.Comm, color int, muxFailed bool, numExec int) (colors []int, failed int, err error) {
 	flag := int64(0)
-	if local != nil {
+	if muxFailed {
 		flag = 1
 	}
-	sum, err := world.AllreduceInts([]int64{flag}, mpi.OpSum)
+	mine := mpi.EncodeInts([]int64{int64(world.Rank()), int64(color), flag})
+	all, err := world.Allreduce(mine, func(acc, in []byte) ([]byte, error) {
+		return append(acc[:len(acc):len(acc)], in...), nil
+	})
 	if err != nil {
-		return fmt.Errorf("mph: handshake coordination: %w", escalate(world, err))
+		return nil, 0, fmt.Errorf("mph: handshake: %w", escalate(world, err))
 	}
-	if sum[0] == 0 {
-		return nil
+	vals, err := mpi.DecodeInts(all)
+	n := world.Size()
+	if err != nil || len(vals) != 3*n {
+		return nil, 0, fmt.Errorf("%w: exchanged table is %d bytes for %d ranks", ErrHandshake, len(all), n)
 	}
+	colors = make([]int, n)
+	seen := make([]bool, n)
+	for i := 0; i < len(vals); i += 3 {
+		r, c := vals[i], vals[i+1]
+		if r < 0 || r >= int64(n) || seen[r] || c < mpi.Undefined || c >= int64(numExec) {
+			return nil, 0, fmt.Errorf("%w: bad table entry (rank %d, executable %d)", ErrHandshake, r, c)
+		}
+		seen[r] = true
+		colors[r] = int(c)
+		if vals[i+2] != 0 {
+			failed++
+		}
+	}
+	return colors, failed, nil
+}
+
+// verdict is the coordinated abort: when any rank failed a stage, every rank
+// returns an error — its own where it has one, a generic ErrHandshake
+// elsewhere. failed is the same number on every rank.
+func verdict(local error, failed int) error {
 	if local != nil {
 		return local
 	}
-	return fmt.Errorf("%w: %d rank(s) failed", ErrHandshake, sum[0])
+	if failed > 0 {
+		return fmt.Errorf("%w: %d rank(s) failed", ErrHandshake, failed)
+	}
+	return nil
+}
+
+// derive builds, from every rank's executable index, this rank's executable
+// and component communicators and the global layout, and reaches the
+// verdicts a failing rank would otherwise have to announce: colors tells
+// every rank which ranks failed to resolve, and which executable-local
+// processor each of the others is, hence whether its placement fails too.
+func (s *Setup) derive(colors []int, resolveErr error) error {
+	// Split the world by executable index.
+	execComm, err := s.world.SplitWith(colors, nil)
+	if err != nil {
+		return fmt.Errorf("mph: handshake: executable split: %w", err)
+	}
+	// execRanks[ei] lists executable ei's world ranks in ascending order:
+	// its processor p is execRanks[ei][p], as the key-0 split orders it.
+	execRanks := make([][]int, len(s.reg.Executables))
+	failed := 0
+	for r, ei := range colors {
+		if ei == mpi.Undefined {
+			failed++
+		} else {
+			execRanks[ei] = append(execRanks[ei], r)
+		}
+	}
+	if err := verdict(resolveErr, failed); err != nil {
+		return err
+	}
+	s.execComm = execComm
+
+	// Establish component communicators inside my executable, counting the
+	// ranks of every executable that cannot be placed.
+	for ei, ranks := range execRanks {
+		for p := range ranks {
+			if placementError(s.reg.Executables[ei], len(ranks), p) != nil {
+				failed++
+			}
+		}
+	}
+	if err := verdict(s.establishComponents(), failed); err != nil {
+		return err
+	}
+
+	// The global layout: a component's local processor i is the i-th of its
+	// executable's processors that the component covers.
+	s.layout = make(map[string][]int, s.reg.TotalComponents())
+	for ei, ranks := range execRanks {
+		e := s.reg.Executables[ei]
+		for _, c := range e.Components {
+			for p, wr := range ranks {
+				if e.Kind == registry.SingleComponent || c.Covers(p) {
+					s.layout[c.Name] = append(s.layout[c.Name], wr)
+				}
+			}
+		}
+	}
+	return s.validateLayout()
+}
+
+// placementError reports why processor p of an executable launched on size
+// processors cannot be placed: the launch disagrees with the size the
+// registration file fixes (a bare entry accepts whatever the launcher
+// provided), or no instance of a replicated executable covers p.
+func placementError(e registry.Executable, size, p int) error {
+	if want := e.Size(); want >= 0 && size != want {
+		return fmt.Errorf("%w: executable %v needs %d processors per the registration file, launched with %d",
+			ErrLayout, e.ComponentNames(), want, size)
+	}
+	if e.Kind == registry.MultiInstance && firstCovering(e, p) == mpi.Undefined {
+		return fmt.Errorf("%w: executable processor %d is covered by no instance", ErrLayout, p)
+	}
+	return nil
+}
+
+// firstCovering returns the index of the first component of e that covers
+// executable-local processor p, or mpi.Undefined.
+func firstCovering(e registry.Executable, p int) int {
+	for i := range e.Components {
+		if e.Components[i].Covers(p) {
+			return i
+		}
+	}
+	return mpi.Undefined
 }
 
 // establishComponents builds this rank's component communicators according
 // to its executable's kind (paper §6, cases 1 and 2).
 func (s *Setup) establishComponents() error {
 	e := s.reg.Executables[s.execIdx]
-
-	// An executable entry with explicit ranges fixes the executable's
-	// size; a bare entry accepts whatever the launcher provided.
-	if want := e.Size(); want >= 0 && s.execComm.Size() != want {
-		return fmt.Errorf("%w: executable %v needs %d processors per the registration file, launched with %d",
-			ErrLayout, e.ComponentNames(), want, s.execComm.Size())
+	if err := placementError(e, s.execComm.Size(), s.execComm.Rank()); err != nil {
+		return err
 	}
 
 	switch e.Kind {
@@ -287,7 +352,10 @@ func (s *Setup) establishComponents() error {
 		return s.establishDisjoint(e)
 
 	case registry.MultiInstance:
-		return s.establishInstance(e)
+		// Instances are disjoint by construction (registry.Validate), and
+		// placementError has already rejected an uncovered processor.
+		s.instanceIdx = firstCovering(e, s.execComm.Rank())
+		return s.establishDisjoint(e)
 
 	default:
 		return fmt.Errorf("mph: unknown executable kind %v", e.Kind)
@@ -308,26 +376,28 @@ func componentsOverlap(e registry.Executable) bool {
 	return false
 }
 
+// splitExec stands in for s.execComm.Split(color(me), 0): every member works
+// out every member's color from the registration entry they all parsed, so
+// the exchange inside Comm_split has nothing left to tell them.
+func (s *Setup) splitExec(color func(p int) int) (*mpi.Comm, error) {
+	colors := make([]int, s.execComm.Size())
+	for p := range colors {
+		colors[p] = color(p)
+	}
+	return s.execComm.SplitWith(colors, nil)
+}
+
 // establishDisjoint creates all component communicators with a single
 // Comm_split, the fast path of paper §6(2).
 func (s *Setup) establishDisjoint(e registry.Executable) error {
-	me := s.execComm.Rank()
-	color := mpi.Undefined
-	var covering *registry.Component
-	for i := range e.Components {
-		if e.Components[i].Covers(me) {
-			color = i
-			covering = &e.Components[i]
-			break
-		}
-	}
-	comm, err := s.execComm.Split(color, 0)
+	comm, err := s.splitExec(func(p int) int { return firstCovering(e, p) })
 	if err != nil {
 		return fmt.Errorf("mph: component split: %w", err)
 	}
-	if covering != nil {
-		s.mine = []registry.Component{*covering}
-		s.comms[covering.Name] = comm
+	if comm != nil {
+		c := e.Components[firstCovering(e, s.execComm.Rank())]
+		s.mine = []registry.Component{c}
+		s.comms[c.Name] = comm
 	}
 	return nil
 }
@@ -336,18 +406,17 @@ func (s *Setup) establishDisjoint(e registry.Executable) error {
 // repeated Comm_split calls, the general path of paper §6(2) that permits
 // partially or completely overlapping components.
 func (s *Setup) establishOverlapping(e registry.Executable) error {
-	me := s.execComm.Rank()
-	for i := range e.Components {
-		c := e.Components[i]
-		color := mpi.Undefined
-		if c.Covers(me) {
-			color = 0
-		}
-		comm, err := s.execComm.Split(color, 0)
+	for _, c := range e.Components {
+		comm, err := s.splitExec(func(p int) int {
+			if c.Covers(p) {
+				return 0
+			}
+			return mpi.Undefined
+		})
 		if err != nil {
 			return fmt.Errorf("mph: component split for %q: %w", c.Name, err)
 		}
-		if color != mpi.Undefined {
+		if comm != nil {
 			s.mine = append(s.mine, c)
 			s.comms[c.Name] = comm
 		}
@@ -355,42 +424,9 @@ func (s *Setup) establishOverlapping(e registry.Executable) error {
 	return nil
 }
 
-// establishInstance resolves the calling rank's instance of a
-// multi-instance executable and creates its communicator.
-func (s *Setup) establishInstance(e registry.Executable) error {
-	me := s.execComm.Rank()
-	idx := -1
-	for i := range e.Components {
-		if e.Components[i].Covers(me) {
-			idx = i
-			break
-		}
-	}
-	// The split is collective over the executable: an uncovered rank must
-	// still participate (with Undefined) before reporting its error, or
-	// its siblings would block.
-	color := idx
-	if idx < 0 {
-		color = mpi.Undefined
-	}
-	comm, err := s.execComm.Split(color, 0)
-	if err != nil {
-		return fmt.Errorf("mph: instance split: %w", err)
-	}
-	if idx < 0 {
-		return fmt.Errorf("%w: executable processor %d is covered by no instance", ErrLayout, me)
-	}
-	c := e.Components[idx]
-	s.instanceIdx = idx
-	s.mine = []registry.Component{c}
-	s.comms[c.Name] = comm
-	return nil
-}
-
-// validateLayout cross-checks the published layout against the
-// registration file: every component must have the processor count its
-// entry implies, and this rank's communicator rank must agree with its
-// position in the layout.
+// validateLayout cross-checks the layout against the registration file:
+// every component must have the processor count its entry implies. The
+// verdict is the same on every rank.
 func (s *Setup) validateLayout() error {
 	for _, e := range s.reg.Executables {
 		for _, c := range e.Components {
@@ -402,14 +438,6 @@ func (s *Setup) validateLayout() error {
 			case !c.Ranged() && got == 0:
 				return fmt.Errorf("%w: component %q has no processors", ErrLayout, c.Name)
 			}
-		}
-	}
-	for _, c := range s.mine {
-		comm := s.comms[c.Name]
-		ranks := s.layout[c.Name]
-		if comm.Rank() >= len(ranks) || ranks[comm.Rank()] != s.world.Rank() {
-			return fmt.Errorf("%w: component %q local rank %d does not map back to world rank %d",
-				ErrLayout, c.Name, comm.Rank(), s.world.Rank())
 		}
 	}
 	return nil

@@ -13,9 +13,9 @@ import (
 // MPICH-G2 routed grid-spanning collectives: an intra-host phase on the fast
 // local links, a single leader per host carrying the inter-host phase on the
 // slow fabric, and a local fan-out of the result. The host-aware
-// communicator pair behind them — one SplitByHost sub-communicator per host
-// plus a one-leader-per-host communicator — is built lazily on the first
-// hierarchically routed collective and cached on the Comm.
+// communicator pair behind them — one sub-communicator per host plus a
+// one-leader-per-host communicator — is built lazily, without communication,
+// on the first hierarchically routed collective and cached on the Comm.
 //
 // Large payloads are additionally pipelined in MPH_COLL_SEGMENT-byte
 // segments cut on element boundaries: a leader posts every intra-host
@@ -96,7 +96,7 @@ type hierComm struct {
 	// comm-rank block; the order-sensitive reductions require it.
 	contiguous bool
 
-	intra   *Comm // this host's SplitByHost sub-communicator (nil until built)
+	intra   *Comm // this host's sub-communicator (nil until built)
 	leaders *Comm // one-leader-per-host communicator (nil on non-leaders)
 }
 
@@ -157,16 +157,16 @@ func (c *Comm) hierInfo() *hierComm {
 // published topology and the per-job environment, both identical on every
 // rank, so all members agree without communication.
 func (c *Comm) useHier() bool {
-	if c.noHier || c.hierBuilding || !c.env.hierEnabled || len(c.group) < 2 {
+	if c.noHier || !c.env.hierEnabled || len(c.group) < 2 {
 		return false
 	}
 	return c.hierInfo() != nil
 }
 
-// hierEnsure builds (once) and returns the sub-communicator pair. The
-// SplitByHost exchange underneath is itself a collective; hierBuilding pins
-// it to the flat algorithms on every rank, since all ranks enter hierEnsure
-// from the same hierarchically routed call.
+// hierEnsure builds (once) and returns the sub-communicator pair, with no
+// communication: hierInfo already gives every rank the whole host table, so
+// the intra-host communicator is SplitWith over it (what SplitByHost would
+// gather) and the leader communicator a CommFromGroup.
 func (c *Comm) hierEnsure() (*hierComm, error) {
 	h := c.hierInfo()
 	if h == nil {
@@ -175,9 +175,7 @@ func (c *Comm) hierEnsure() (*hierComm, error) {
 	if h.intra != nil {
 		return h, nil
 	}
-	c.hierBuilding = true
-	defer func() { c.hierBuilding = false }()
-	intra, err := c.SplitByHost()
+	intra, err := c.SplitWith(h.hostIdx, nil)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: hier intra split: %w", err)
 	}

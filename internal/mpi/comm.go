@@ -29,12 +29,10 @@ type Comm struct {
 	// host topology and, once built, the intra-host/leader sub-communicator
 	// pair; hierKnown marks the verdict (hier stays nil when the comm cannot
 	// route hierarchically). noHier pins the sub-communicators themselves to
-	// the flat algorithms; hierBuilding flags the collective calls issued
-	// while building the pair, which must also stay flat on every rank.
-	hier         *hierComm
-	hierKnown    bool
-	noHier       bool
-	hierBuilding bool
+	// the flat algorithms.
+	hier      *hierComm
+	hierKnown bool
+	noHier    bool
 }
 
 // WorldComm returns the world communicator of an environment. It is how a
@@ -181,64 +179,62 @@ func (c *Comm) Dup() *Comm {
 	return newComm(c.env, ctx, c.rank, c.Group())
 }
 
-// splitEntry is the (color, key, rank) triple exchanged by CommSplit.
-type splitEntry struct {
-	color, key, rank int
-}
-
 // Split partitions the communicator by color, ordering each new group by
 // (key, parent rank) — the MPI_Comm_split contract. Ranks passing
-// Undefined as color receive a nil communicator. The call is collective.
+// Undefined as color receive a nil communicator. The call is collective:
+// one Allgather of (color, key), then SplitWith.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	start, top := c.env.pv.CollEnter(perf.CollSplit)
-	defer func() { c.env.pv.CollExit(perf.CollSplit, start, top) }()
-	// Exchange (color, key) among all members over the collective context.
-	mine := encodeInts([]int64{int64(color), int64(key)})
-	all, err := c.Allgather(mine)
+	defer c.collBegin(perf.CollSplit)()
+	all, err := c.Allgather(encodeInts([]int64{int64(color), int64(key)}))
 	if err != nil {
 		return nil, fmt.Errorf("mpi: comm split exchange: %w", err)
 	}
-	entries := make([]splitEntry, len(all))
+	colors, keys := make([]int, len(all)), make([]int, len(all))
 	for r, raw := range all {
 		vals, err := decodeInts(raw)
 		if err != nil || len(vals) != 2 {
 			return nil, fmt.Errorf("mpi: comm split: bad entry from rank %d", r)
 		}
-		entries[r] = splitEntry{color: int(vals[0]), key: int(vals[1]), rank: r}
+		colors[r], keys[r] = int(vals[0]), int(vals[1])
 	}
+	return c.SplitWith(colors, keys)
+}
 
+// SplitWith is the communication-free half of Split, for callers that
+// already hold every member's arguments: colors[r] and keys[r] are what
+// communicator rank r passes to the Split this call stands in for (nil keys
+// means all zero). Every member calls it with identical slices, as
+// collectively as Split itself: it advances the same derivation counter and
+// yields the same group, rank order and context that Split would.
+func (c *Comm) SplitWith(colors, keys []int) (*Comm, error) {
+	if len(colors) != len(c.group) || (keys != nil && len(keys) != len(c.group)) {
+		return nil, fmt.Errorf("mpi: comm split: %d colors and %d keys for comm size %d", len(colors), len(keys), len(c.group))
+	}
 	c.seq++
-	seq := c.seq
+	color := colors[c.rank]
 	if color == Undefined {
 		return nil, nil
 	}
-
-	// Collect members of my color and order them by (key, parent rank).
-	var members []splitEntry
-	for _, e := range entries {
-		if e.color == color {
-			members = append(members, e)
+	// Parent ranks of my color, ascending; the stable sort by key then
+	// leaves them in (key, parent rank) order.
+	var members []int
+	for r, col := range colors {
+		if col == color {
+			members = append(members, r)
 		}
 	}
-	sort.SliceStable(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
-
+	if keys != nil {
+		sort.SliceStable(members, func(i, j int) bool { return keys[members[i]] < keys[members[j]] })
+	}
 	group := make([]int, len(members))
-	myRank := -1
-	for i, e := range members {
-		group[i] = c.group[e.rank]
-		if e.rank == c.rank {
+	myRank := 0
+	for i, r := range members {
+		group[i] = c.group[r]
+		if r == c.rank {
 			myRank = i
 		}
 	}
-	if myRank < 0 {
-		return nil, fmt.Errorf("mpi: comm split: calling rank missing from its own color group")
-	}
-	ctx := deriveContext(c.ctx, seq, fmt.Sprintf("split:%d", color))
+	ctx := deriveContext(c.ctx, c.seq, fmt.Sprintf("split:%d", color))
 	c.env.pv.CountSplit(color, len(group))
 	return newComm(c.env, ctx, myRank, group), nil
 }

@@ -133,25 +133,21 @@ func (a CollAlg) String() string {
 	return "unknown"
 }
 
-// Phase identifies one MPH handshake phase for trace markers (paper §6: the
-// five-phase algorithm in core.handshake).
+// Phase identifies one MPH handshake phase for trace markers (paper §6 as
+// core.handshake runs it: two collectives, then a local derivation).
 type Phase uint8
 
 // Handshake phases, in execution order.
 const (
 	PhaseRegistry   Phase = iota + 1 // registration file load + broadcast
-	PhaseSplit                       // world split by executable
-	PhaseComponents                  // component communicator creation
-	PhaseLayout                      // global layout allgather + validation
-	PhaseGlobal                      // private world duplicate
+	PhaseSplit                       // exchange of every rank's executable index
+	PhaseComponents                  // local derivation of communicators and layout
 )
 
 var phaseNames = map[Phase]string{
 	PhaseRegistry:   "handshake:registry",
 	PhaseSplit:      "handshake:split",
 	PhaseComponents: "handshake:components",
-	PhaseLayout:     "handshake:layout",
-	PhaseGlobal:     "handshake:global-dup",
 }
 
 // PhaseName names a handshake phase id (as carried in trace events).

@@ -239,10 +239,10 @@ func TestCollHistBucket(t *testing.T) {
 		want int
 	}{
 		{0, 0},
-		{999, 0},          // <1µs
-		{1000, 1},         // 1µs: no longer under 1µs
-		{1999, 1},         // <2µs
-		{2000, 2},         // <4µs
+		{999, 0},            // <1µs
+		{1000, 1},           // 1µs: no longer under 1µs
+		{1999, 1},           // <2µs
+		{2000, 2},           // <4µs
 		{1_000_000, 10},     // 1ms: under 1.024ms
 		{1_048_576_000, 15}, // ~1s = 2^20µs: beyond the last bounded bucket
 		{1 << 62, 15},       // unbounded tail

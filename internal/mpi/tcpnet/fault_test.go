@@ -366,7 +366,7 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(helloFrame(1)); err != nil {
+	if _, err := conn.Write(helloFrame(1, "")); err != nil {
 		t.Fatal(err)
 	}
 

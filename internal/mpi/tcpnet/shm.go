@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -15,20 +14,21 @@ import (
 // Intra-host payload channel (DESIGN.md §12). Two ranks that mphrun placed on
 // the same host still paid full TCP framing through loopback for every
 // rendezvous payload. Following MPICH-G2's multi-protocol selection, the
-// transport negotiates a per-peer Unix-domain socket at hello time and moves
+// transport advertises a per-rank Unix-domain socket at hello time and moves
 // kindRData frames — and only those — over it. RTS/CTS control, eager
 // packets, acks, heartbeats, aborts, and the whole failure detector stay on
 // the TCP stream, so ordering and failure semantics (§9/§12) are untouched:
 // the control stream still serializes RTS before CTS before the payload
 // becomes eligible, and a dead peer is still detected by TCP-side silence.
 //
-// Negotiation: every rank listens on a private Unix socket. When a hello
-// arrives on a TCP stream from a same-host peer, the receiver answers with a
-// kindShmAck frame advertising its socket path — written inline from the
-// readLoop, on the same outbound TCP stream any CTS to that peer uses, so
-// the advertisement is ordered before the first CTS and the sender's very
-// first rendezvous payload can already take the local channel. The sender
-// dials lazily on first use and introduces itself with the usual hello.
+// Negotiation: every rank listens on a private Unix socket, and the hello
+// frame that opens each of its outbound TCP connections to a same-host peer
+// carries that socket's path. One directed contact therefore opens one
+// connection and nobody dials from a readLoop. The sender of a rendezvous
+// still knows the receiver's channel before its very first payload: the
+// receiver cannot write a CTS without first dialling the sender, and its
+// hello is the first frame on that stream. The sender dials the local socket
+// lazily on first use and introduces itself with the usual (path-less) hello.
 //
 // Fallback: any local-channel failure — listen, dial, or write — degrades
 // transparently to the TCP path (counted in ShmFallbacks), except under
@@ -42,17 +42,9 @@ var errShmNoChannel = errors.New("tcpnet: peer advertised no intra-host channel"
 // errShmChannelDown reports a local channel previously marked unusable.
 var errShmChannelDown = errors.New("tcpnet: intra-host channel marked down")
 
-// shmAckFrame frames this rank's local-listener advertisement:
-//
-//	u32 length | u8 kind | u64 srcWorld | socket path bytes
-func shmAckFrame(rank int, path string) []byte {
-	b := make([]byte, 5+8+len(path))
-	binary.LittleEndian.PutUint32(b, uint32(1+8+len(path)))
-	b[4] = kindShmAck
-	binary.LittleEndian.PutUint64(b[5:], uint64(rank))
-	copy(b[13:], path)
-	return b
-}
+// maxShmPath bounds the socket path a hello frame may carry; sockaddr_un
+// caps real ones around 104 bytes.
+const maxShmPath = 512
 
 // initShm creates this rank's local payload listener: a Unix-domain socket in
 // a private temp directory (the socket name stays short — sockaddr_un caps
@@ -89,40 +81,21 @@ func (t *Transport) sameHost(dst int) bool {
 	return h != "" && h == t.env.HostOf(t.rank)
 }
 
-// maybeOfferShm advertises this rank's local payload listener to a same-host
-// peer, once, in response to its hello. It runs inline from the readLoop on
-// purpose: the advertisement travels this rank's outbound TCP stream — the
-// stream any CTS for the peer's rendezvous uses — so the peer learns the
-// channel before it is ever clear to send a payload.
-func (t *Transport) maybeOfferShm(peer int) {
-	if t.cfg.shm == shmOff || peer == t.rank || peer < 0 || peer >= len(t.addrs) {
-		return
-	}
+// shmPathFor returns the listener path this rank's hello to dst advertises:
+// empty unless the channel is up and dst shares this rank's host.
+func (t *Transport) shmPathFor(dst int) string {
 	t.shmMu.Lock()
 	ln := t.shmLn
-	offered := t.shmOffered[peer]
-	t.shmOffered[peer] = true
 	t.shmMu.Unlock()
-	if ln == nil || offered || !t.sameHost(peer) {
-		return
+	if ln == nil || !t.sameHost(dst) {
+		return ""
 	}
-	frame := shmAckFrame(t.rank, ln.Addr().String())
-	if err := t.send(peer, frame); err != nil {
-		// The TCP path decides the peer's fate; allow a re-offer if a fresh
-		// hello ever arrives from a replacement connection.
-		t.shmMu.Lock()
-		delete(t.shmOffered, peer)
-		t.shmMu.Unlock()
-		return
-	}
-	nc := t.netCounters()
-	nc.FramesOut.Add(1)
-	nc.BytesOut.Add(uint64(len(frame)))
+	return ln.Addr().String()
 }
 
-// handleShmAck records a peer's advertised local payload listener; the dial
-// happens lazily on the first rendezvous payload to that peer.
-func (t *Transport) handleShmAck(peer int, path string) {
+// shmAdvertised records the local payload listener a peer's hello carried;
+// the dial happens lazily on the first rendezvous payload to that peer.
+func (t *Transport) shmAdvertised(peer int, path string) {
 	if t.cfg.shm == shmOff || peer < 0 || peer >= len(t.addrs) || peer == t.rank {
 		return
 	}
@@ -161,7 +134,7 @@ func (t *Transport) shmOutConn(dst int) (*outConn, error) {
 	conn, err := net.DialTimeout("unix", path, t.cfg.dialMax)
 	if err == nil {
 		conn.SetWriteDeadline(time.Now().Add(t.cfg.writeTimeout))
-		if _, werr := conn.Write(helloFrame(t.rank)); werr != nil {
+		if _, werr := conn.Write(helloFrame(t.rank, "")); werr != nil {
 			conn.Close()
 			err = werr
 		} else {

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -225,22 +226,52 @@ func TestChaosShmSeverMidRData(t *testing.T) {
 	}
 }
 
-// TestShmAckFrameRoundTrip pins the advertisement wire format.
-func TestShmAckFrameRoundTrip(t *testing.T) {
-	const path = "/tmp/mph-shm-test/r3.sock"
-	frame := shmAckFrame(3, path)
-	if got, want := len(frame), 5+8+len(path); got != want {
-		t.Fatalf("frame length %d, want %d", got, want)
+// TestHelloFrameRoundTrip pins the advertisement wire format: the hello
+// frame's optional tail is the sender's socket path.
+func TestHelloFrameRoundTrip(t *testing.T) {
+	for _, path := range []string{"", "/tmp/mph-shm-test/r3.sock"} {
+		frame := helloFrame(3, path)
+		if got, want := len(frame), 5+8+len(path); got != want {
+			t.Fatalf("frame length %d, want %d", got, want)
+		}
+		kind, body, err := readFrame(bytes.NewReader(frame))
+		if err != nil || kind != kindHello {
+			t.Fatalf("readFrame: kind %d, err %v", kind, err)
+		}
+		if got := string(body[8:]); got != path {
+			t.Fatalf("advertised path %q, want %q", got, path)
+		}
 	}
-	if frame[4] != kindShmAck {
-		t.Fatalf("frame kind %d, want %d", frame[4], kindShmAck)
-	}
-	kind, body, err := readFrame(bytes.NewReader(frame))
-	if err != nil || kind != kindShmAck {
-		t.Fatalf("readFrame: kind %d, err %v", kind, err)
-	}
-	if got := string(body[8:]); got != path {
-		t.Fatalf("advertised path %q, want %q", got, path)
+}
+
+// TestFirstContactInClosingBarrier is the regression test for the reverse
+// dial: two same-host ranks whose first and only contact is a Barrier they
+// leave by closing. When a hello made the receiver dial back from its
+// readLoop to offer its channel, that dial could meet a listener the peer
+// had already closed and sit in the retry budget. With the path riding the
+// hello, one directed contact is one connection and nothing is retried.
+func TestFirstContactInClosingBarrier(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		_, envs := startWorld(t, 2)
+		errs := make(chan error, len(envs))
+		for _, env := range envs {
+			go func(env *mpi.Env) {
+				err := mpi.WorldComm(env).Barrier()
+				if cerr := env.Close(); err == nil {
+					err = cerr
+				}
+				// Close has waited for every readLoop, so the count is final.
+				if retries := env.Perf().Net.DialRetries.Load(); err == nil && retries != 0 {
+					err = fmt.Errorf("DialRetries = %d, want 0", retries)
+				}
+				errs <- err
+			}(env)
+		}
+		for range envs {
+			if err := <-errs; err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+		}
 	}
 }
 

@@ -73,13 +73,12 @@ import (
 const (
 	kindPacket    = 1 // a message: header + payload
 	kindAck       = 2 // Ssend release: u64 ack id
-	kindHello     = 3 // first frame on every outbound conn: u64 sender world rank
+	kindHello     = 3 // first frame on every outbound conn: u64 sender world rank [+ its intra-host socket path]
 	kindHeartbeat = 4 // idle-connection liveness signal, empty body
 	kindAbort     = 5 // job-wide abort: i64 code + i64 origin rank (-1 launcher)
 	kindRTS       = 6 // rendezvous request-to-send: envelope + promised length
 	kindCTS       = 7 // rendezvous clear-to-send: u64 rendezvous id
 	kindRData     = 8 // rendezvous payload: u64 srcWorld + u64 id + payload
-	kindShmAck    = 9 // intra-host channel offer: u64 sender world rank + socket path
 )
 
 // packetHdrLen is the fixed packet-frame header after the length prefix and
@@ -195,16 +194,15 @@ type Transport struct {
 	rdvIn map[rdvKey]*mpi.Packet
 
 	// Intra-host payload channel state (shm.go, DESIGN.md §12): per-peer
-	// Unix-domain sockets negotiated at hello time that carry rendezvous
+	// Unix-domain sockets advertised in the hello frame that carry rendezvous
 	// payload frames between same-host ranks. Guarded by its own mutex —
 	// the payload hot path must not contend with connection bookkeeping.
-	shmMu      sync.Mutex
-	shmDir     string           // private socket directory, removed on Close
-	shmLn      net.Listener     // this rank's local payload listener, nil when disabled
-	shmAddr    map[int]string   // peer world rank -> advertised socket path
-	shmOut     map[int]*outConn // established outbound local payload connections
-	shmDead    map[int]bool     // peers whose local channel failed permanently
-	shmOffered map[int]bool     // peers already sent this rank's advertisement
+	shmMu   sync.Mutex
+	shmDir  string           // private socket directory, removed on Close
+	shmLn   net.Listener     // this rank's local payload listener, nil when disabled
+	shmAddr map[int]string   // peer world rank -> advertised socket path
+	shmOut  map[int]*outConn // established outbound local payload connections
+	shmDead map[int]bool     // peers whose local channel failed permanently
 
 	// Per-destination send totals, indexed by world rank. Unlike the
 	// in-process transport — where sent totals are derived from sibling
@@ -347,24 +345,23 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		hosts[r] = ep.Host
 	}
 	t := &Transport{
-		rank:       rank,
-		addrs:      addrs,
-		ln:         ln,
-		cfg:        cfg,
-		faults:     faults,
-		out:        make(map[int]*outConn),
-		dead:       make(map[int]error),
-		suspect:    make(map[int]*time.Timer),
-		stop:       make(chan struct{}),
-		pending:    make(map[uint64]pendingAck),
-		rdvOut:     make(map[uint64]pendingAck),
-		rdvIn:      make(map[rdvKey]*mpi.Packet),
-		shmAddr:    make(map[int]string),
-		shmOut:     make(map[int]*outConn),
-		shmDead:    make(map[int]bool),
-		shmOffered: make(map[int]bool),
-		sentMsgs:   make([]atomic.Uint64, size),
-		sentBytes:  make([]atomic.Uint64, size),
+		rank:      rank,
+		addrs:     addrs,
+		ln:        ln,
+		cfg:       cfg,
+		faults:    faults,
+		out:       make(map[int]*outConn),
+		dead:      make(map[int]error),
+		suspect:   make(map[int]*time.Timer),
+		stop:      make(chan struct{}),
+		pending:   make(map[uint64]pendingAck),
+		rdvOut:    make(map[uint64]pendingAck),
+		rdvIn:     make(map[rdvKey]*mpi.Packet),
+		shmAddr:   make(map[int]string),
+		shmOut:    make(map[int]*outConn),
+		shmDead:   make(map[int]bool),
+		sentMsgs:  make([]atomic.Uint64, size),
+		sentBytes: make([]atomic.Uint64, size),
 	}
 	env := mpi.NewEnv(rank, size, t)
 	env.SetHosts(hosts)
@@ -780,9 +777,11 @@ func (t *Transport) outbound(dst int) (*outConn, error) {
 		return nil, &mpi.ErrPeerLost{Rank: dst, Cause: err}
 	}
 	// Introduce ourselves before any traffic so the peer's failure detector
-	// can attribute this stream (and clear any suspicion) immediately.
+	// can attribute this stream (and clear any suspicion) immediately, and
+	// a same-host peer learns this rank's intra-host channel before any CTS
+	// written to this connection (shm.go).
 	conn.SetWriteDeadline(time.Now().Add(t.cfg.writeTimeout))
-	if _, err := conn.Write(helloFrame(t.rank)); err != nil {
+	if _, err := conn.Write(helloFrame(t.rank, t.shmPathFor(dst))); err != nil {
 		conn.Close()
 		t.peerDown(dst, err)
 		return nil, &mpi.ErrPeerLost{Rank: dst, Cause: err}
@@ -1394,26 +1393,8 @@ func (t *Transport) readLoop(conn net.Conn, local bool) {
 			}
 			t.ackMu.Unlock()
 		case kindHello:
-			if body != 8 {
+			if body < 8 || body > 8+maxShmPath {
 				readErr = fmt.Errorf("tcpnet: bad hello frame length %d", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+8]); err != nil {
-				readErr = err
-				return
-			}
-			nc.BytesIn.Add(4 + 1 + 8)
-			src := int(int64(binary.LittleEndian.Uint64(scratch[5 : 5+8])))
-			identify(src)
-			if !local {
-				// Same-host peers get this rank's intra-host channel offer,
-				// inline so the advertisement is ordered before any CTS this
-				// rank later writes to them (see maybeOfferShm).
-				t.maybeOfferShm(src)
-			}
-		case kindShmAck:
-			if body < 8+1 || body > 8+512 {
-				readErr = fmt.Errorf("tcpnet: bad shm-ack frame length %d", body)
 				return
 			}
 			buf := make([]byte, body)
@@ -1421,11 +1402,12 @@ func (t *Transport) readLoop(conn net.Conn, local bool) {
 				readErr = err
 				return
 			}
-			srcWorld := int(int64(binary.LittleEndian.Uint64(buf)))
-			identify(srcWorld)
-			nc.FramesIn.Add(1)
 			nc.BytesIn.Add(uint64(4 + 1 + body))
-			t.handleShmAck(srcWorld, string(buf[8:]))
+			src := int(int64(binary.LittleEndian.Uint64(buf)))
+			identify(src)
+			if !local && body > 8 {
+				t.shmAdvertised(src, string(buf[8:]))
+			}
 		case kindHeartbeat:
 			if body != 0 {
 				readErr = fmt.Errorf("tcpnet: bad heartbeat frame length %d", body)
@@ -1519,12 +1501,16 @@ func drainPayload(n int, readFull func([]byte) error) error {
 }
 
 // helloFrame frames this rank's introduction, the first write on every
-// outbound connection.
-func helloFrame(rank int) []byte {
-	b := make([]byte, 5+8)
-	binary.LittleEndian.PutUint32(b, 1+8)
+// outbound connection: its world rank and, to a same-host peer, the path of
+// its intra-host payload listener (empty otherwise).
+//
+//	u32 length | u8 kind | u64 srcWorld | socket path bytes
+func helloFrame(rank int, shmPath string) []byte {
+	b := make([]byte, 5+8+len(shmPath))
+	binary.LittleEndian.PutUint32(b, uint32(1+8+len(shmPath)))
 	b[4] = kindHello
 	binary.LittleEndian.PutUint64(b[5:], uint64(rank))
+	copy(b[13:], shmPath)
 	return b
 }
 

@@ -3,6 +3,7 @@ package tcpnet_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -346,4 +347,33 @@ func TestTCPGatherScatterScan(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestHandshakeDialBudget pins the transport cost of the MPH handshake over
+// real sockets: its two collectives share one spanning tree, each of whose
+// N-1 edges is dialled once per direction, and a hello no longer makes its
+// receiver dial back.
+func TestHandshakeDialBudget(t *testing.T) {
+	const n = 16
+	reg := "BEGIN\nMulti_Component_Begin\natmosphere 0 4\nland 5 7\nMulti_Component_End\n" +
+		"Multi_Component_Begin\nocean 0 3\nice 4 5\nMulti_Component_End\ncoupler\nEND\n"
+	var dials atomic.Uint64
+	runTCPWorld(t, n, func(c *mpi.Comm) error {
+		names := []string{"coupler"}
+		switch {
+		case c.Rank() < 8:
+			names = []string{"atmosphere", "land"}
+		case c.Rank() < 14:
+			names = []string{"ocean", "ice"}
+		}
+		if _, err := core.ComponentsSetup(c, core.TextSource(reg), names); err != nil {
+			return err
+		}
+		// A rank dials only from its own sends, all of which have returned.
+		dials.Add(c.Perf().Net.Dials.Load())
+		return nil
+	})
+	if got := dials.Load(); got > 2*(n-1) {
+		t.Errorf("handshake dialled %d connections job-wide, budget 2(N-1) = %d", got, 2*(n-1))
+	}
 }

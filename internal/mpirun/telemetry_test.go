@@ -39,7 +39,7 @@ func TestEstimateClockOffset(t *testing.T) {
 		{
 			name: "min rtt round wins",
 			samples: []ClockSample{
-				{T0: 0, TS: 5000, T3: 1000},  // rtt 1000, noisy
+				{T0: 0, TS: 5000, T3: 1000},    // rtt 1000, noisy
 				{T0: 2000, TS: 2060, T3: 2100}, // rtt 100, tight
 				{T0: 4000, TS: 9000, T3: 4800}, // rtt 800
 			},

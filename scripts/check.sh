@@ -33,25 +33,33 @@
 # The daemon smoke starts a real mphd and launches the climate job through it
 # (-backend daemon), proving the persistent-agent path works outside the unit
 # tests; the L1 smoke keeps the launch-latency harness executable. The
-# removed-names guard keeps the second remote-spawn implementation and the
-# Backend shim from creeping back, and the closing line count gives the next
-# simplicity PR its baseline in the log.
+# removed-names guard keeps the second remote-spawn implementation, the
+# Backend shim and the shm-ack reverse dial from creeping back; the gofmt gate
+# fails on any unformatted file. The first-contact pass runs, under -race, the
+# tests that pin what the MPH handshake costs (two world collectives on one
+# tree, 2(N-1) dials) and the closing-Barrier case the reverse dial used to
+# break. The closing line count gives the next simplicity PR its baseline in
+# the log.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go vet ./...
 go vet ./internal/mpi/perf
-# One remote-spawn protocol: these names were deleted and stay deleted
-# (an if, because set -e does not act on a "!" pipeline).
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(' --include=*.go .; then
+# One remote-spawn protocol, one connection per directed contact: these
+# names were deleted and stay deleted (an if, because set -e does not act on
+# a "!" pipeline).
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered' --include=*.go .; then
     exit 1
 fi
+test -z "$(gofmt -l .)"
 go run ./scripts/lintdoc .
 go build ./...
 go test ./...
 go test -race ./internal/mpi/...
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
+go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
+    -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun
 go test -run=NONE -bench=BenchmarkTracerOverhead -benchtime=1x ./internal/mpi
 go test -run=NONE -bench=BenchmarkAllgather -benchtime=1x ./internal/mpi
@@ -146,5 +154,6 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (20,632 before the one-protocol PR).
+# Non-test Go lines outside benchmark/ (20,632 before the one-protocol PR,
+# 20,314 after it).
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
