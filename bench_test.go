@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"mph/internal/bench"
+	"mph/internal/bootstrap"
 	"mph/internal/iolog"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
-	"mph/internal/mpirun"
 	"mph/internal/registry"
 )
 
@@ -223,7 +223,7 @@ func BenchmarkE9Redirect(b *testing.B) {
 func BenchmarkE10TCPTransport(b *testing.B) {
 	for _, size := range []int{64, 16 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			rv, err := mpirun.NewRendezvous(2)
+			rv, err := bootstrap.NewRendezvous(2)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"mph/internal/bench"
+	"mph/internal/bootstrap"
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
 	"mph/internal/mpi/tcpnet"
@@ -322,7 +323,7 @@ func p1(repeat int) error {
 			if err != nil {
 				return err
 			}
-			client, err := mpirun.DialTelemetry(tele.Addr(), 0, "bench", os.Getpid(), 5*time.Second)
+			client, err := bootstrap.DialTelemetry(tele.Addr(), 0, "bench", os.Getpid(), 5*time.Second)
 			if err != nil {
 				return err
 			}
@@ -537,7 +538,7 @@ func p2(repeat int) error {
 // (goroutines standing in for OS processes; the wire path is identical) and
 // runs fn0 on rank 0 and fn1 on rank 1.
 func tcpPair(fn0, fn1 func(c *mpi.Comm) error) error {
-	rv, err := mpirun.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		return err
 	}

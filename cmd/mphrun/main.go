@@ -50,6 +50,7 @@ import (
 	"net/http"
 	"os"
 
+	"mph/internal/bootstrap"
 	"mph/internal/mpi/perf"
 	"mph/internal/mpirun"
 )
@@ -183,7 +184,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer tele.Close()
-		spec.ExtraEnv = append(spec.ExtraEnv, mpirun.EnvTelemetry+"="+tele.Addr())
+		spec.ExtraEnv = append(spec.ExtraEnv, bootstrap.EnvTelemetry+"="+tele.Addr())
 		if *statsInterval > 0 {
 			spec.ExtraEnv = append(spec.ExtraEnv, perf.EnvStatsInterval+"="+statsInterval.String())
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
@@ -505,7 +506,7 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 	spec.Spawner = mpirun.NewExecSpawner("")
 	spec.ExtraEnv = []string{
 		perf.EnvStatsDir + "=" + statsDir,
-		mpirun.EnvTelemetry + "=" + tele.Addr(),
+		bootstrap.EnvTelemetry + "=" + tele.Addr(),
 		perf.EnvStatsInterval + "=100ms",
 	}
 

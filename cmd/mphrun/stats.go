@@ -50,6 +50,7 @@ type componentSummary struct {
 	RecvBytes uint64
 	MaxUMQHW  int
 	MaxPRQHW  int
+	MaxRSSKB  int64 // largest resident-set high-water mark of any rank
 	CollNanos int64
 }
 
@@ -59,52 +60,32 @@ func (c *componentSummary) add(s *perf.Snapshot) {
 	c.SentBytes += s.TotalSentBytes
 	c.RecvMsgs += s.TotalRecvMsgs
 	c.RecvBytes += s.TotalRecvBytes
-	if s.Engine.UMQHighWater > c.MaxUMQHW {
-		c.MaxUMQHW = s.Engine.UMQHighWater
-	}
-	if s.Engine.PRQHighWater > c.MaxPRQHW {
-		c.MaxPRQHW = s.Engine.PRQHighWater
-	}
+	c.MaxUMQHW = max(c.MaxUMQHW, s.Engine.UMQHighWater)
+	c.MaxPRQHW = max(c.MaxPRQHW, s.Engine.PRQHighWater)
+	c.MaxRSSKB = max(c.MaxRSSKB, s.PeakRSSKB)
 	c.CollNanos += s.CollNanos()
 }
 
 // summarize groups snapshots by component. The second return is the job-wide
 // total row.
 func summarize(snaps []perf.Snapshot) ([]componentSummary, componentSummary) {
-	byName := make(map[string]*componentSummary)
-	var order []string
+	index := make(map[string]int)
+	var out []componentSummary
+	totals := componentSummary{Name: "TOTAL"}
 	for i := range snaps {
 		s := &snaps[i]
 		name := s.Component
 		if name == "" {
 			name = fmt.Sprintf("rank%d", s.WorldRank)
 		}
-		c, ok := byName[name]
+		ci, ok := index[name]
 		if !ok {
-			c = &componentSummary{Name: name}
-			byName[name] = c
-			order = append(order, name)
+			ci = len(out)
+			index[name] = ci
+			out = append(out, componentSummary{Name: name})
 		}
-		c.add(s)
-	}
-	var totals componentSummary
-	totals.Name = "TOTAL"
-	out := make([]componentSummary, 0, len(order))
-	for _, name := range order {
-		c := byName[name]
-		out = append(out, *c)
-		totals.Ranks += c.Ranks
-		totals.SentMsgs += c.SentMsgs
-		totals.SentBytes += c.SentBytes
-		totals.RecvMsgs += c.RecvMsgs
-		totals.RecvBytes += c.RecvBytes
-		if c.MaxUMQHW > totals.MaxUMQHW {
-			totals.MaxUMQHW = c.MaxUMQHW
-		}
-		if c.MaxPRQHW > totals.MaxPRQHW {
-			totals.MaxPRQHW = c.MaxPRQHW
-		}
-		totals.CollNanos += c.CollNanos
+		out[ci].add(s)
+		totals.add(s)
 	}
 	return out, totals
 }
@@ -114,12 +95,12 @@ func summarize(snaps []perf.Snapshot) ([]componentSummary, componentSummary) {
 func printStats(w io.Writer, snaps []perf.Snapshot) {
 	rows, totals := summarize(snaps)
 	fmt.Fprintf(w, "mphrun: performance summary (%d rank(s))\n", totals.Ranks)
-	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s\n",
-		"component", "ranks", "sent msgs", "sent bytes", "recv msgs", "recv bytes", "umq-hw", "prq-hw", "coll time")
+	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s %11s\n",
+		"component", "ranks", "sent msgs", "sent bytes", "recv msgs", "recv bytes", "umq-hw", "prq-hw", "coll time", "peak rss MB")
 	line := func(c componentSummary) {
-		fmt.Fprintf(w, "%-16s %5d %12d %14d %12d %14d %7d %7d %12s\n",
+		fmt.Fprintf(w, "%-16s %5d %12d %14d %12d %14d %7d %7d %12s %11.1f\n",
 			c.Name, c.Ranks, c.SentMsgs, c.SentBytes, c.RecvMsgs, c.RecvBytes,
-			c.MaxUMQHW, c.MaxPRQHW, time.Duration(c.CollNanos).Round(time.Microsecond))
+			c.MaxUMQHW, c.MaxPRQHW, time.Duration(c.CollNanos).Round(time.Microsecond), float64(c.MaxRSSKB)/1024)
 	}
 	for _, c := range rows {
 		line(c)

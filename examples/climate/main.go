@@ -35,12 +35,12 @@ import (
 	"os"
 	"path/filepath"
 
+	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/coupler"
 	"mph/internal/grid"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
-	"mph/internal/mpirun"
 )
 
 const registration = `
@@ -88,7 +88,7 @@ func main() {
 	cfg := coupler.Config{Grid: g, Periods: *periods, SubSteps: *substeps, Dt: *dt,
 		Pace: *pace, Names: coupler.DefaultNames()}
 
-	if mpirun.Launched() {
+	if bootstrap.Launched() {
 		if err := runDistributed(*component, cfg, *logDir); err != nil {
 			fmt.Fprintf(os.Stderr, "climate: %v\n", err)
 			os.Exit(1)

@@ -31,10 +31,10 @@ import (
 	"os"
 	"sync"
 
+	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
-	"mph/internal/mpirun"
 )
 
 // The §4.3 registration file, shrunk from 20/32 to 6/7 processors so the
@@ -87,7 +87,7 @@ func main() {
 	}
 
 	var err error
-	if mpirun.Launched() {
+	if bootstrap.Launched() {
 		err = runDistributed(*exe, say)
 	} else {
 		err = runInProcess(say)

@@ -1,4 +1,4 @@
-package mpirun
+package bootstrap
 
 import (
 	"encoding/binary"
@@ -10,10 +10,10 @@ import (
 // The launcher speaks one frame of the transport's control protocol: the
 // job-wide abort. The frame layout (little-endian u32 length prefix, one
 // kind byte, payload) and the abort kind byte are shared with
-// internal/mpi/tcpnet, which decodes these frames in its read loop; the
-// encoder lives here so the launcher can reach surviving ranks without
-// importing the transport (tcpnet imports mpirun for the rendezvous, so the
-// dependency can only point this way).
+// internal/mpi/tcpnet, which decodes these frames in its read loop and
+// sends them rank to rank; the encoder lives in this leaf package so the
+// launcher can reach surviving ranks without importing the transport, and
+// the transport can sign its own aborts without importing the launcher.
 const (
 	// AbortFrameKind is the transport frame-kind byte of a job-wide abort
 	// (tcpnet's kindAbort).
@@ -45,7 +45,7 @@ func SendAbort(addr string, code, origin int, timeout time.Duration) error {
 	defer conn.Close()
 	conn.SetWriteDeadline(time.Now().Add(timeout))
 	if _, err := conn.Write(AbortFrame(code, origin)); err != nil {
-		return fmt.Errorf("mpirun: send abort: %w", err)
+		return fmt.Errorf("bootstrap: send abort: %w", err)
 	}
 	return nil
 }

@@ -1,19 +1,20 @@
-// Package mpirun holds the process-bootstrap protocol shared by the mphrun
-// launcher and the worker processes of a true multi-executable (MPMD) job —
-// environment-variable conventions and the rendezvous exchange that wires
-// the TCP world together — plus the launcher itself: LaunchSpec describes a
-// placed job and Launch runs it, locally or across hosts.
+// Package bootstrap is the rank↔launcher contract of a true multi-executable
+// (MPMD) job: everything a component executable and the launcher that
+// started it must agree on, and nothing that only one of them needs. It
+// holds the MPH_* environment conventions (Env), both halves of the
+// rendezvous exchange that wires the TCP world together (Rendezvous,
+// RegisterEndpoint), listener addressing (ListenAddr, AdvertiseAddr), the
+// job-wide abort frame, the rank side of the telemetry channel with its
+// message types and clock sync, and LineConn, the one bounded line-JSON
+// framing of the launch plane.
 //
-// The launcher plays the role of the paper's vendor MPP-run command
-// ("poe -pgmmodel mpmd -cmdfile ..." on the IBM SP, §6): it assigns
-// contiguous world-rank blocks to the executables of a cmdfile, places each
-// rank on a host (block, cyclic, or pinned placement over a hostfile), then
-// acts as the rendezvous point through which every rank learns every other
-// rank's listen address and host. After rendezvous the launcher is out of
-// the data path: ranks talk directly over their own TCP connections, and —
-// exactly as the paper describes — share nothing but the world communicator
-// until MPH hands them component communicators.
-package mpirun
+// It is a leaf: it imports nothing heavier than net, encoding/json and
+// mpi/perf, so a rank that links it (through tcpnet) links no process
+// spawning and no HTTP stack. The launcher proper — placement, spawners,
+// the mphd daemon, the telemetry aggregator and its HTTP surface — is
+// package mpirun, which imports this package; the dependency arrow is
+// mpirun → bootstrap ← tcpnet (DESIGN.md §15).
+package bootstrap
 
 import (
 	"bufio"
@@ -31,7 +32,7 @@ import (
 // ErrRendezvousClosed is returned by Serve when the exchange was canceled
 // with Close before every rank registered — the launcher's way of tearing
 // the rendezvous down promptly once a child has already failed.
-var ErrRendezvousClosed = errors.New("mpirun: rendezvous closed")
+var ErrRendezvousClosed = errors.New("bootstrap: rendezvous closed")
 
 // Environment variables carrying the launch context to worker processes.
 const (
@@ -53,6 +54,12 @@ const (
 	// routable from other hosts; a wildcard value (0.0.0.0, ::, *) binds all
 	// interfaces and advertises a detected routable IP.
 	EnvBind = "MPH_BIND"
+	// EnvTelemetry is the launcher's telemetry-channel address. When set,
+	// every rank dials it at transport init, runs the clock-sync handshake,
+	// and pushes perf.Snapshot reports: periodically at
+	// perf.EnvStatsInterval, and a final report at shutdown or abort. mphrun
+	// sets it for all children when live telemetry is requested.
+	EnvTelemetry = "MPH_TELEMETRY"
 )
 
 // Env is the typed launch context a worker process reads from its
@@ -77,13 +84,13 @@ type Env struct {
 // Validate checks the launch context for internal consistency.
 func (e Env) Validate() error {
 	if e.Size <= 0 {
-		return fmt.Errorf("mpirun: world size %d", e.Size)
+		return fmt.Errorf("bootstrap: world size %d", e.Size)
 	}
 	if e.Rank < 0 || e.Rank >= e.Size {
-		return fmt.Errorf("mpirun: rank %d out of world of %d", e.Rank, e.Size)
+		return fmt.Errorf("bootstrap: rank %d out of world of %d", e.Rank, e.Size)
 	}
 	if e.Rendezvous == "" {
-		return fmt.Errorf("mpirun: %s not set", EnvRendezvous)
+		return fmt.Errorf("bootstrap: %s not set", EnvRendezvous)
 	}
 	return nil
 }
@@ -115,11 +122,11 @@ func (e Env) Environ() []string {
 func EnvFromOS() (Env, error) {
 	rank, err := strconv.Atoi(os.Getenv(EnvRank))
 	if err != nil {
-		return Env{}, fmt.Errorf("mpirun: bad %s: %w", EnvRank, err)
+		return Env{}, fmt.Errorf("bootstrap: bad %s: %w", EnvRank, err)
 	}
 	size, err := strconv.Atoi(os.Getenv(EnvSize))
 	if err != nil {
-		return Env{}, fmt.Errorf("mpirun: bad %s: %w", EnvSize, err)
+		return Env{}, fmt.Errorf("bootstrap: bad %s: %w", EnvSize, err)
 	}
 	e := Env{
 		Rank:         rank,
@@ -255,11 +262,11 @@ func NewRendezvous(size int) (*Rendezvous, error) {
 // advertised) so workers on other hosts can reach it.
 func NewRendezvousBind(bind string, size int) (*Rendezvous, error) {
 	if size <= 0 {
-		return nil, fmt.Errorf("mpirun: rendezvous for world of %d", size)
+		return nil, fmt.Errorf("bootstrap: rendezvous for world of %d", size)
 	}
 	ln, err := net.Listen("tcp", ListenAddr(bind))
 	if err != nil {
-		return nil, fmt.Errorf("mpirun: rendezvous listen: %w", err)
+		return nil, fmt.Errorf("bootstrap: rendezvous listen: %w", err)
 	}
 	return &Rendezvous{ln: ln, size: size, advertised: AdvertiseAddr(bind, ln.Addr())}, nil
 }
@@ -364,17 +371,17 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 				}
 				line, err := bufio.NewReader(conn).ReadString('\n')
 				if err != nil {
-					reg.err = fmt.Errorf("mpirun: rendezvous read: %w", err)
+					reg.err = fmt.Errorf("bootstrap: rendezvous read: %w", err)
 					return
 				}
 				fields := strings.Fields(line)
 				if len(fields) != 2 && len(fields) != 3 {
-					reg.err = fmt.Errorf("mpirun: malformed registration %q", strings.TrimSpace(line))
+					reg.err = fmt.Errorf("bootstrap: malformed registration %q", strings.TrimSpace(line))
 					return
 				}
 				rank, err := strconv.Atoi(fields[0])
 				if err != nil || rank < 0 || rank >= r.size {
-					reg.err = fmt.Errorf("mpirun: registration with bad rank %q", fields[0])
+					reg.err = fmt.Errorf("bootstrap: registration with bad rank %q", fields[0])
 					return
 				}
 				reg.rank = rank
@@ -394,13 +401,13 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 			if r.closed.Load() {
 				return ErrRendezvousClosed
 			}
-			return fmt.Errorf("mpirun: rendezvous accept (%d/%d registered): %w", got, r.size, err)
+			return fmt.Errorf("bootstrap: rendezvous accept (%d/%d registered): %w", got, r.size, err)
 		case reg := <-regCh:
 			if reg.err != nil {
 				return reg.err
 			}
 			if registered[reg.rank] != nil {
-				return fmt.Errorf("mpirun: rank %d registered twice", reg.rank)
+				return fmt.Errorf("bootstrap: rank %d registered twice", reg.rank)
 			}
 			book[reg.rank] = reg.ep
 			registered[reg.rank] = reg.conn
@@ -416,7 +423,7 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 		go func(rank int, conn net.Conn) {
 			defer wg.Done()
 			if _, err := conn.Write(reply); err != nil {
-				replyErrs[rank] = fmt.Errorf("mpirun: rendezvous reply to rank %d: %w", rank, err)
+				replyErrs[rank] = fmt.Errorf("bootstrap: rendezvous reply to rank %d: %w", rank, err)
 			}
 		}(rank, conn)
 	}
@@ -453,7 +460,7 @@ func bookReply(book []Endpoint) string {
 func RegisterEndpoint(rendezvous string, rank int, ep Endpoint, timeout time.Duration) ([]Endpoint, error) {
 	conn, err := net.DialTimeout("tcp", rendezvous, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("mpirun: dial rendezvous %s: %w", rendezvous, err)
+		return nil, fmt.Errorf("bootstrap: dial rendezvous %s: %w", rendezvous, err)
 	}
 	defer conn.Close()
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
@@ -464,24 +471,24 @@ func RegisterEndpoint(rendezvous string, rank int, ep Endpoint, timeout time.Dur
 		host = noHost
 	}
 	if _, err := fmt.Fprintf(conn, "%d %s %s\n", rank, ep.Addr, host); err != nil {
-		return nil, fmt.Errorf("mpirun: register rank %d: %w", rank, err)
+		return nil, fmt.Errorf("bootstrap: register rank %d: %w", rank, err)
 	}
 	rd := bufio.NewReader(conn)
 	addrLine, err := rd.ReadString('\n')
 	if err != nil {
-		return nil, fmt.Errorf("mpirun: read address book: %w", err)
+		return nil, fmt.Errorf("bootstrap: read address book: %w", err)
 	}
 	hostLine, err := rd.ReadString('\n')
 	if err != nil {
-		return nil, fmt.Errorf("mpirun: read host book: %w", err)
+		return nil, fmt.Errorf("bootstrap: read host book: %w", err)
 	}
 	addrs := strings.Fields(addrLine)
 	hosts := strings.Fields(hostLine)
 	if len(hosts) != len(addrs) {
-		return nil, fmt.Errorf("mpirun: host book has %d entries, address book %d", len(hosts), len(addrs))
+		return nil, fmt.Errorf("bootstrap: host book has %d entries, address book %d", len(hosts), len(addrs))
 	}
 	if rank >= len(addrs) {
-		return nil, fmt.Errorf("mpirun: address book has %d entries, rank is %d", len(addrs), rank)
+		return nil, fmt.Errorf("bootstrap: address book has %d entries, rank is %d", len(addrs), rank)
 	}
 	book := make([]Endpoint, len(addrs))
 	for i := range addrs {

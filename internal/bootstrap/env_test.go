@@ -1,4 +1,4 @@
-package mpirun
+package bootstrap
 
 import (
 	"bufio"

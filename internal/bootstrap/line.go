@@ -1,0 +1,68 @@
+package bootstrap
+
+import (
+	"bufio"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"sync"
+)
+
+// MaxLineBytes caps one line of any launch-plane connection (block protocol
+// and telemetry). It is sized for the largest legitimate message — a spawn
+// request carrying a registration file by value — so a peer that never
+// sends a newline costs the reader at most this much memory.
+const MaxLineBytes = 16 << 20
+
+// ErrBadLine marks a received line that cannot be a message: longer than
+// MaxLineBytes, or not the expected JSON. I/O errors are returned bare.
+var ErrBadLine = errors.New("bad line")
+
+// LineConn is the launch plane's one framing: newline-delimited JSON, reads
+// bounded by MaxLineBytes, writes serialized so concurrent senders cannot
+// interleave lines. Both ends of the telemetry channel and both ends of
+// mpirun's block protocol speak it.
+type LineConn struct {
+	br *bufio.Reader
+
+	wmu sync.Mutex
+	enc *json.Encoder // one Write per message, newline included
+}
+
+// NewLineConn frames a byte stream.
+func NewLineConn(rw io.ReadWriter) *LineConn {
+	return &LineConn{br: bufio.NewReaderSize(rw, 64<<10), enc: json.NewEncoder(rw)}
+}
+
+// Send writes one message as a single line.
+func (c *LineConn) Send(msg any) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.enc.Encode(msg)
+}
+
+// Recv reads the next line into msg. Only one goroutine may receive.
+func (c *LineConn) Recv(msg any) error {
+	var long []byte // accumulates a line longer than the reader's buffer
+	for {
+		chunk, err := c.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			if len(long)+len(chunk) > MaxLineBytes {
+				return fmt.Errorf("%w: longer than %d bytes", ErrBadLine, MaxLineBytes)
+			}
+			long = append(long, chunk...)
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if long != nil {
+			chunk = append(long, chunk...)
+		}
+		if err := json.Unmarshal(chunk, msg); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadLine, err)
+		}
+		return nil
+	}
+}

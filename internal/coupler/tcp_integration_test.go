@@ -6,12 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/coupler"
 	"mph/internal/grid"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
-	"mph/internal/mpirun"
 )
 
 // TestCoupledRunOverTCP drives the complete stack — rendezvous, TCP world,
@@ -30,7 +30,7 @@ func TestCoupledRunOverTCP(t *testing.T) {
 	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 2, Dt: 0.5,
 		Names: coupler.DefaultNames()}
 
-	rv, err := mpirun.NewRendezvous(world)
+	rv, err := bootstrap.NewRendezvous(world)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
-	"mph/internal/mpirun"
 )
 
 func TestNewWorldValidation(t *testing.T) {
@@ -194,7 +194,7 @@ func TestEnvAccessors(t *testing.T) {
 // transport fails every pending acknowledgment on Close, exactly like the
 // in-process engine closing a message's Ack channel.
 func TestTCPSsendReleasedByClose(t *testing.T) {
-	rv, err := mpirun.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}

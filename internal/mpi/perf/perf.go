@@ -25,8 +25,10 @@
 package perf
 
 import (
+	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -374,6 +376,11 @@ type Snapshot struct {
 	Host string `json:"host,omitempty"`
 	PID  int    `json:"pid,omitempty"`
 
+	// PeakRSSKB is the process's resident-set high-water mark (VmHWM) in
+	// KiB; 0 where /proc is not available. In-process worlds report the
+	// one shared process on every rank.
+	PeakRSSKB int64 `json:"peak_rss_kb,omitempty"`
+
 	// CapturedUnixNS is the wall-clock capture time on the rank's own
 	// clock; consumers computing rates difference it between reports.
 	CapturedUnixNS int64 `json:"captured_unix_ns,omitempty"`
@@ -413,6 +420,16 @@ func (s *Snapshot) CollNanos() int64 {
 		total += c.Nanos
 	}
 	return total
+}
+
+// peakRSSKB reads VmHWM from /proc/self/status. It is not getrusage's
+// ru_maxrss, which across an exec inherits the spawning process's peak.
+func peakRSSKB() int64 {
+	data, _ := os.ReadFile("/proc/self/status")
+	_, rest, _ := strings.Cut(string(data), "VmHWM:")
+	var kb int64
+	fmt.Sscan(rest, &kb) //nolint:errcheck // no VmHWM line (not linux) reads as 0
+	return kb
 }
 
 // Rank is one rank's performance-variable handle, shared by the engine, the
@@ -623,6 +640,7 @@ func (r *Rank) Snapshot() Snapshot {
 		Component:      r.ComponentName(),
 		Host:           r.Host(),
 		PID:            r.pid,
+		PeakRSSKB:      peakRSSKB(),
 		CapturedUnixNS: time.Now().UnixNano(),
 	}
 	s.ClockOffsetNS, s.ClockErrBoundNS = r.ClockOffset()

@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/mpi"
-	"mph/internal/mpirun"
 )
 
 func TestFaultSpecParse(t *testing.T) {
@@ -230,7 +230,7 @@ func TestFaultDialRetryExhausts(t *testing.T) {
 // chaos tests deliberately leave some ranks unclosed.
 func startWorld(t testing.TB, n int) ([]*Transport, []*mpi.Env) {
 	t.Helper()
-	rv, err := mpirun.NewRendezvous(n)
+	rv, err := bootstrap.NewRendezvous(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestFaultSeverRecovery(t *testing.T) {
 // failing a blocked receive with *mpi.ErrPeerLost.
 func TestFaultPeerSilenceDetected(t *testing.T) {
 	t.Setenv(EnvPeerTimeout, "500ms")
-	rv, err := mpirun.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zln.Close()
-	go mpirun.RegisterEndpoint(rv.Advertised(), 1, mpirun.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
+	go bootstrap.RegisterEndpoint(rv.Advertised(), 1, bootstrap.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
 
 	tr, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
@@ -384,7 +384,7 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 // SendAbort — exactly what mphrun does when a child dies — and checks that a
 // blocked receive fails with the typed abort error.
 func TestFaultAbortFrameUnblocks(t *testing.T) {
-	rv, err := mpirun.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zln.Close()
-	go mpirun.RegisterEndpoint(rv.Advertised(), 1, mpirun.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
+	go bootstrap.RegisterEndpoint(rv.Advertised(), 1, bootstrap.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
 
 	tr, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
@@ -413,7 +413,7 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 
-	if err := SendAbort(tr.ln.Addr().String(), 5, -1, time.Second); err != nil {
+	if err := bootstrap.SendAbort(tr.ln.Addr().String(), 5, -1, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -1,7 +1,7 @@
 // Package tcpnet is the multi-process transport for the mpi substrate:
 // each executable of an MPMD job is a real OS process, ranks exchange
 // packets over per-direction TCP streams, and the initial wiring happens
-// through the mphrun rendezvous (package mpirun).
+// through the mphrun rendezvous (package bootstrap).
 //
 // Each sender owns one outbound connection per peer and writes its packets
 // to it in program order; TCP's ordered delivery plus the engine's
@@ -64,9 +64,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
-	"mph/internal/mpirun"
 )
 
 // frame kinds.
@@ -75,7 +75,7 @@ const (
 	kindAck       = 2 // Ssend release: u64 ack id
 	kindHello     = 3 // first frame on every outbound conn: u64 sender world rank [+ its intra-host socket path]
 	kindHeartbeat = 4 // idle-connection liveness signal, empty body
-	kindAbort     = 5 // job-wide abort: i64 code + i64 origin rank (-1 launcher)
+	kindAbort     = 5 // job-wide abort (= bootstrap.AbortFrameKind): i64 code + i64 origin rank (-1 launcher)
 	kindRTS       = 6 // rendezvous request-to-send: envelope + promised length
 	kindCTS       = 7 // rendezvous clear-to-send: u64 rendezvous id
 	kindRData     = 8 // rendezvous payload: u64 srcWorld + u64 id + payload
@@ -221,7 +221,7 @@ type Transport struct {
 	// tele is the launcher's telemetry channel (MPH_TELEMETRY), nil unless
 	// the launcher registered one. teleFinalOnce guards the final report:
 	// exactly one of Close, abort, or peer-loss sends it.
-	tele          *mpirun.TelemetryClient
+	tele          *bootstrap.TelemetryClient
 	teleFinalOnce sync.Once
 
 	wg sync.WaitGroup
@@ -317,19 +317,19 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	// Bind where the launcher said to (MPH_BIND; loopback by default) and
 	// advertise an address peers on other hosts can dial: the wildcard bind
 	// advertises the routable interface address, not 0.0.0.0.
-	bind := os.Getenv(mpirun.EnvBind)
-	ln, err := net.Listen("tcp", mpirun.ListenAddr(bind))
+	bind := os.Getenv(bootstrap.EnvBind)
+	ln, err := net.Listen("tcp", bootstrap.ListenAddr(bind))
 	if err != nil {
 		return nil, nil, fmt.Errorf("tcpnet: listen: %w", err)
 	}
-	host := os.Getenv(mpirun.EnvHost)
+	host := os.Getenv(bootstrap.EnvHost)
 	if host == "" {
 		if host, err = os.Hostname(); err != nil || host == "" {
 			host = "localhost"
 		}
 	}
-	self := mpirun.Endpoint{Addr: mpirun.AdvertiseAddr(bind, ln.Addr()), Host: host}
-	book, err := mpirun.RegisterEndpoint(rendezvous, rank, self, cfg.dialTimeout)
+	self := bootstrap.Endpoint{Addr: bootstrap.AdvertiseAddr(bind, ln.Addr()), Host: host}
+	book, err := bootstrap.RegisterEndpoint(rendezvous, rank, self, cfg.dialTimeout)
 	if err != nil {
 		ln.Close()
 		return nil, nil, err
@@ -387,8 +387,8 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: perf debug endpoint at http://%s/perf\n", rank, srv.Addr())
 		}
 	}
-	if teleAddr := os.Getenv(mpirun.EnvTelemetry); teleAddr != "" {
-		tele, err := mpirun.DialTelemetry(teleAddr, rank, host, os.Getpid(), cfg.dialTimeout)
+	if teleAddr := os.Getenv(bootstrap.EnvTelemetry); teleAddr != "" {
+		tele, err := bootstrap.DialTelemetry(teleAddr, rank, host, os.Getpid(), cfg.dialTimeout)
 		if err != nil {
 			// Telemetry is best-effort diagnostics; the job runs without it.
 			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: telemetry: %v\n", rank, err)
@@ -457,7 +457,7 @@ func (t *Transport) teleFinal() {
 // InitFromEnv bootstraps from the mphrun environment variables and also
 // returns the registration file path the launcher forwarded.
 func InitFromEnv() (*mpi.Env, string, error) {
-	le, err := mpirun.EnvFromOS()
+	le, err := bootstrap.EnvFromOS()
 	if err != nil {
 		return nil, "", err
 	}
@@ -1018,7 +1018,7 @@ func (t *Transport) clearSuspect(rank int) {
 // unreachable peers are skipped, and the launcher's process-group kill is
 // the backstop.
 func (t *Transport) BroadcastAbort(code, origin int) {
-	frame := abortFrame(code, origin)
+	frame := bootstrap.AbortFrame(code, origin)
 	var wg sync.WaitGroup
 	for dst := range t.addrs {
 		if dst == t.rank || t.deadErr(dst) != nil {
@@ -1037,7 +1037,7 @@ func (t *Transport) BroadcastAbort(code, origin int) {
 				t.netCounters().AbortsOut.Add(1)
 				return
 			}
-			if SendAbort(t.addrs[dst], code, origin, abortSendTimeout) == nil {
+			if bootstrap.SendAbort(t.addrs[dst], code, origin, abortSendTimeout) == nil {
 				t.netCounters().AbortsOut.Add(1)
 			}
 		}(dst, oc)
@@ -1079,14 +1079,6 @@ func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 	// snapshot now rather than hoping Close still runs.
 	go t.teleFinal()
 	return ae
-}
-
-// SendAbort dials addr and delivers a single abort frame, telling that rank
-// the job is over; origin -1 (mpirun.AbortOriginLauncher) identifies the
-// launcher. It delegates to mpirun.SendAbort, which owns the frame encoding
-// (the launcher cannot import tcpnet without a cycle).
-func SendAbort(addr string, code, origin int, timeout time.Duration) error {
-	return mpirun.SendAbort(addr, code, origin, timeout)
 }
 
 // acceptLoop receives inbound connections on one listener — the TCP world
@@ -1520,13 +1512,6 @@ func heartbeatFrame() []byte {
 	binary.LittleEndian.PutUint32(b, 1)
 	b[4] = kindHeartbeat
 	return b
-}
-
-// abortFrame frames a job-wide abort notice. The encoding is owned by
-// package mpirun (the launcher sends the same frame); kindAbort must equal
-// mpirun.AbortFrameKind.
-func abortFrame(code, origin int) []byte {
-	return mpirun.AbortFrame(code, origin)
 }
 
 // encodePacketInto frames a packet into buf, reusing its capacity:

@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
-	"mph/internal/mpirun"
 )
 
 // runTCPWorld boots a rendezvous plus n TCP endpoints (each endpoint is a
@@ -18,7 +18,7 @@ import (
 // runs fn per rank.
 func runTCPWorld(t *testing.T, n int, fn func(c *mpi.Comm) error) {
 	t.Helper()
-	rv, err := mpirun.NewRendezvous(n)
+	rv, err := bootstrap.NewRendezvous(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +237,13 @@ func TestInitBadRank(t *testing.T) {
 }
 
 func TestRendezvousTimeout(t *testing.T) {
-	rv, err := mpirun.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only one of two ranks ever registers.
 	go func() {
-		_, _ = mpirun.RegisterEndpoint(rv.Advertised(), 0, mpirun.Endpoint{Addr: "127.0.0.1:9"}, 5*time.Second)
+		_, _ = bootstrap.RegisterEndpoint(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "127.0.0.1:9"}, 5*time.Second)
 	}()
 	if err := rv.Serve(300 * time.Millisecond); err == nil {
 		t.Fatal("Serve returned nil despite a missing rank")
@@ -251,15 +251,15 @@ func TestRendezvousTimeout(t *testing.T) {
 }
 
 func TestRendezvousDuplicateRank(t *testing.T) {
-	rv, err := mpirun.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- rv.Serve(5 * time.Second) }()
-	go mpirun.RegisterEndpoint(rv.Advertised(), 0, mpirun.Endpoint{Addr: "a:1"}, time.Second)
+	go bootstrap.RegisterEndpoint(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "a:1"}, time.Second)
 	time.Sleep(100 * time.Millisecond)
-	go mpirun.RegisterEndpoint(rv.Advertised(), 0, mpirun.Endpoint{Addr: "b:2"}, time.Second)
+	go bootstrap.RegisterEndpoint(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "b:2"}, time.Second)
 	if err := <-done; err == nil {
 		t.Fatal("duplicate rank accepted")
 	}

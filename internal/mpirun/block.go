@@ -10,6 +10,8 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
+
+	"mph/internal/bootstrap"
 )
 
 // blockRun is one running rank block: every rank a process-group child of
@@ -50,7 +52,7 @@ func (r *blockRun) startRank(b *SpawnBlock, rk SpawnRank, registration string) s
 	if len(rk.Argv) == 0 {
 		return "no command"
 	}
-	env := Env{
+	env := bootstrap.Env{
 		Rank:         rk.Rank,
 		Size:         b.Size,
 		Rendezvous:   b.Rendezvous,
@@ -61,11 +63,7 @@ func (r *blockRun) startRank(b *SpawnBlock, rk SpawnRank, registration string) s
 	cmd := exec.Command(rk.Argv[0], rk.Argv[1:]...)
 	cmd.Env = dedupEnv(append(append(append(os.Environ(),
 		env.Environ()...), b.Env...), rk.Env...))
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err.Error()
-	}
-	stderr, err := cmd.StderrPipe()
+	stdout, stderr, err := outputPipes(cmd)
 	if err != nil {
 		return err.Error()
 	}
@@ -97,6 +95,21 @@ func (r *blockRun) startRank(b *SpawnBlock, rk SpawnRank, registration string) s
 	return ""
 }
 
+// outputPipes opens the command's stdout and stderr pipes, or neither: exec
+// closes a pipe's ends only in Start and Wait, and a command whose second
+// pipe failed is never started.
+func outputPipes(cmd *exec.Cmd) (stdout, stderr io.ReadCloser, err error) {
+	if stdout, err = cmd.StdoutPipe(); err != nil {
+		return nil, nil, err
+	}
+	if stderr, err = cmd.StderrPipe(); err != nil {
+		stdout.Close()
+		cmd.Stdout.(io.Closer).Close() // the write end StdoutPipe installed
+		return nil, nil, err
+	}
+	return stdout, stderr, nil
+}
+
 // kill terminates one rank's process group, or every rank's when rank is
 // negative. Idempotent; call only after startBlock has returned.
 func (r *blockRun) kill(rank int) {
@@ -110,21 +123,32 @@ func (r *blockRun) kill(rank int) {
 // wait blocks until every started rank's exit event has been emitted.
 func (r *blockRun) wait() { r.wg.Wait() }
 
-// relayBufSize is the relay's line buffer: lines up to this length are
-// emitted intact; longer ones degrade to chunks of this size.
+// relayBufSize is the relay's line cap: lines up to this length are emitted
+// intact; longer ones degrade to chunks of this size.
 const relayBufSize = 1 << 20
 
 // relayLines reads a child stream and emits it line by line, newline (and a
-// preceding carriage return) stripped. A line longer than relayBufSize is
-// emitted as several chunks rather than truncating the stream — the
-// oversized lines are the panic traces and log records that most need
-// relaying. Read errors other than EOF and the closed-pipe teardown race
-// are reported to stderr so a dying pipe is visible instead of looking like
-// a quiet child. The emitted slice is only valid during the call.
+// preceding carriage return) stripped. It reads through a small buffer and
+// accumulates only a line that outgrows it, so an idle stream costs a few
+// KiB, not the cap. A line longer than relayBufSize is emitted as several
+// chunks rather than truncating the stream — the oversized lines are the
+// panic traces and log records that most need relaying. Read errors other
+// than EOF and the closed-pipe teardown race are reported to stderr so a
+// dying pipe is visible instead of looking like a quiet child. The emitted
+// slice is only valid during the call.
 func relayLines(src io.Reader, emit func(line []byte)) {
-	br := bufio.NewReaderSize(src, relayBufSize)
+	br := bufio.NewReaderSize(src, 4<<10)
+	var long []byte // the line so far, when it is longer than br's buffer
 	for {
 		line, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) && len(long)+len(line) < relayBufSize {
+			long = append(long, line...)
+			continue
+		}
+		if len(long) > 0 {
+			line = append(long, line...)
+			long = long[:0]
+		}
 		if len(line) > 0 {
 			if n := len(line); line[n-1] == '\n' {
 				line = line[:n-1]
@@ -136,8 +160,8 @@ func relayLines(src io.Reader, emit func(line []byte)) {
 		}
 		switch {
 		case err == nil, errors.Is(err, bufio.ErrBufferFull):
-			// ErrBufferFull: the full buffer was just emitted as one chunk;
-			// keep draining the rest of the same line.
+			// ErrBufferFull: a cap-sized chunk was just emitted; keep
+			// draining the rest of the same line.
 		case errors.Is(err, io.EOF), errors.Is(err, os.ErrClosed), errors.Is(err, io.ErrClosedPipe):
 			return
 		default:

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -101,5 +103,66 @@ func TestRelayStopsOnClosedPipe(t *testing.T) {
 	}
 	if got, want := out.String(), "[rank 2] last words\n"; got != want {
 		t.Fatalf("relay output %q, want %q", got, want)
+	}
+}
+
+// TestRelayIdleStreamsAllocation pins the relay's footprint: a stream costs
+// its small read buffer until a line actually outgrows it. Sixteen quiet
+// ranks are 32 streams on a launcher; when each relay allocated its 1 MiB
+// line cap up front, 16 streams were 16 MiB of garbage made in the middle of
+// the fork loop.
+func TestRelayIdleStreamsAllocation(t *testing.T) {
+	const streams = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seen := make(chan struct{}, streams)
+	var writers []*io.PipeWriter
+	for i := 0; i < streams; i++ {
+		pr, pw := io.Pipe()
+		writers = append(writers, pw)
+		go relayLines(pr, func([]byte) { seen <- struct{}{} })
+	}
+	for _, pw := range writers {
+		if _, err := pw.Write([]byte("hello\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < streams; i++ {
+		<-seen
+	}
+	runtime.ReadMemStats(&after)
+	for _, pw := range writers {
+		pw.Close()
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("%d idle relay streams allocated %d bytes, want < 2 MiB", streams, got)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// TestOutputPipesFailureLeaksNothing is the regression test for the
+// half-opened command: when the stderr pipe cannot be made after the stdout
+// pipe was, the command is never started, so nothing but outputPipes can
+// close the stdout pipe's two ends.
+func TestOutputPipesFailureLeaksNothing(t *testing.T) {
+	before := openFDs(t)
+	for i := 0; i < 8; i++ {
+		cmd := exec.Command("/bin/true")
+		cmd.Stderr = io.Discard // makes StderrPipe fail: "Stderr already set"
+		if _, _, err := outputPipes(cmd); err == nil {
+			t.Fatal("outputPipes succeeded with Stderr already set")
+		}
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("open fds %d -> %d: a failed outputPipes leaked the stdout pipe", before, after)
 	}
 }

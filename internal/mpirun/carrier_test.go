@@ -15,6 +15,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"mph/internal/bootstrap"
 )
 
 // TestMain doubles as the per-host agent: invoked as "agent" this test
@@ -328,16 +330,16 @@ func TestBlockProtocolConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			lc := newLineConn(conn)
+			lc := bootstrap.NewLineConn(conn)
 			req := blockRequest{Op: "spawn", Spawn: wireBlock(host, sleepers(1))}
 			for i := 0; i < 2; i++ {
-				if err := lc.send(req); err != nil {
+				if err := lc.Send(req); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for {
 				var ev blockEvent
-				if err := lc.recv(&ev); err != nil {
+				if err := lc.Recv(&ev); err != nil {
 					t.Fatalf("connection ended without an error event: %v", err)
 				}
 				if ev.Event == "error" {
@@ -357,16 +359,16 @@ func TestBlockProtocolConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lc := newLineConn(conn)
+			lc := bootstrap.NewLineConn(conn)
 			block := sleepers(2)
 			block.Procs[1].Argv = []string{"/bin/sh", "-c", "while :; do echo chatter; done"}
-			if err := lc.send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
+			if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
 				t.Fatal(err)
 			}
 			var pids []int
 			for len(pids) < 2 {
 				var ev blockEvent
-				if err := lc.recv(&ev); err != nil {
+				if err := lc.Recv(&ev); err != nil {
 					t.Fatal(err)
 				}
 				if ev.Event == "spawned" {
@@ -424,7 +426,7 @@ func TestDaemonBoundsRequestLine(t *testing.T) {
 	}()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	var ev blockEvent
-	if err := newLineConn(conn).recv(&ev); err != nil {
+	if err := bootstrap.NewLineConn(conn).Recv(&ev); err != nil {
 		t.Fatalf("no reply to a 17 MiB newline-free request: %v", err)
 	}
 	if ev.Event != "error" || !strings.Contains(ev.Msg, "longer than") {
@@ -432,8 +434,8 @@ func TestDaemonBoundsRequestLine(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > before.HeapAlloc+maxLineBytes {
-		t.Errorf("heap grew %d bytes serving one connection, cap is %d", after.HeapAlloc-before.HeapAlloc, maxLineBytes)
+	if after.HeapAlloc > before.HeapAlloc+bootstrap.MaxLineBytes {
+		t.Errorf("heap grew %d bytes serving one connection, cap is %d", after.HeapAlloc-before.HeapAlloc, bootstrap.MaxLineBytes)
 	}
 }
 

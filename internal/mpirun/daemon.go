@@ -7,6 +7,8 @@ import (
 	"net"
 	"os"
 	"sync"
+
+	"mph/internal/bootstrap"
 )
 
 // DefaultDaemonPort is the TCP control port mphd listens on when none is
@@ -109,10 +111,10 @@ func ServeAgent() {
 // requests in, events out, and a guaranteed kill of everything the
 // connection spawned once it drops.
 func serveConn(rw io.ReadWriter) {
-	lc := newLineConn(rw)
+	lc := bootstrap.NewLineConn(rw)
 	// Event write errors are ignored: a dead launcher shows up as a read
 	// error below.
-	send := func(ev blockEvent) { _ = lc.send(ev) }
+	send := func(ev blockEvent) { _ = lc.Send(ev) }
 	var run *blockRun
 	cleanup := func() {}
 	defer func() {
@@ -124,8 +126,8 @@ func serveConn(rw io.ReadWriter) {
 	}()
 	for {
 		var req blockRequest
-		if err := lc.recv(&req); err != nil {
-			if errors.Is(err, errBadLine) {
+		if err := lc.Recv(&req); err != nil {
+			if errors.Is(err, bootstrap.ErrBadLine) {
 				send(blockEvent{Event: "error", Msg: fmt.Sprintf("bad request: %v", err)})
 			}
 			return // EOF, torn connection or garbage: the kill lease expires

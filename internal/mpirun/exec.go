@@ -1,16 +1,20 @@
 package mpirun
 
-import "strings"
+import (
+	"strings"
+
+	"mph/internal/bootstrap"
+)
 
 // perRankEnvKeys are the launch variables set per rank by the launcher;
 // they must never be forwarded from the launcher's own environment.
 var perRankEnvKeys = map[string]bool{
-	EnvRank:         true,
-	EnvSize:         true,
-	EnvRendezvous:   true,
-	EnvRegistration: true,
-	EnvHost:         true,
-	EnvBind:         true,
+	bootstrap.EnvRank:         true,
+	bootstrap.EnvSize:         true,
+	bootstrap.EnvRendezvous:   true,
+	bootstrap.EnvRegistration: true,
+	bootstrap.EnvHost:         true,
+	bootstrap.EnvBind:         true,
 }
 
 // passthroughEnv filters an environment down to the MPH_* variables worth

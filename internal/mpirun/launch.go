@@ -1,3 +1,21 @@
+// Package mpirun is the launcher of a true multi-executable (MPMD) job:
+// LaunchSpec describes a placed job and Launch runs it, locally or across
+// hosts, through a Spawner (direct fork, exec/ssh agents, or persistent mphd
+// daemons speaking the block protocol), with the telemetry aggregator and
+// its HTTP surface beside it. What a rank and the launcher must agree on —
+// the MPH_* environment, the rendezvous exchange, the abort frame, the
+// telemetry wire messages — lives in the leaf package bootstrap, which this
+// package imports and a rank links instead of this one.
+//
+// The launcher plays the role of the paper's vendor MPP-run command
+// ("poe -pgmmodel mpmd -cmdfile ..." on the IBM SP, §6): it assigns
+// contiguous world-rank blocks to the executables of a cmdfile, places each
+// rank on a host (block, cyclic, or pinned placement over a hostfile), then
+// acts as the rendezvous point through which every rank learns every other
+// rank's listen address and host. After rendezvous the launcher is out of
+// the data path: ranks talk directly over their own TCP connections, and —
+// exactly as the paper describes — share nothing but the world communicator
+// until MPH hands them component communicators.
 package mpirun
 
 import (
@@ -9,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mph/internal/bootstrap"
 )
 
 // Launch defaults, applied when the corresponding LaunchSpec field is zero.
@@ -69,7 +89,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		// Remote ranks must be able to dial back; loopback would strand them.
 		rvBind = "0.0.0.0"
 	}
-	rv, err := NewRendezvousBind(rvBind, total)
+	rv, err := bootstrap.NewRendezvousBind(rvBind, total)
 	if err != nil {
 		return err
 	}
@@ -360,16 +380,16 @@ func hostTag(host string) string {
 // 1) to the advertised address of every rank that has not exited yet. Best
 // effort and parallel: a rank that died without being reaped yet simply
 // refuses the dial.
-func broadcastAbort(book []Endpoint, exited []bool) {
+func broadcastAbort(book []bootstrap.Endpoint, exited []bool) {
 	var wg sync.WaitGroup
 	for rank, ep := range book {
 		if rank < len(exited) && exited[rank] {
 			continue
 		}
 		wg.Add(1)
-		go func(rank int, ep Endpoint) {
+		go func(rank int, ep bootstrap.Endpoint) {
 			defer wg.Done()
-			if err := SendAbort(ep.Addr, 1, AbortOriginLauncher, abortSendTimeout); err != nil {
+			if err := bootstrap.SendAbort(ep.Addr, 1, bootstrap.AbortOriginLauncher, abortSendTimeout); err != nil {
 				fmt.Fprintf(os.Stderr, "mphrun: abort to rank %d%s (%s): %v\n", rank, hostTag(ep.Host), ep.Addr, err)
 			}
 		}(rank, ep)

@@ -1,16 +1,8 @@
 package mpirun
 
-import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"sync"
-)
-
 // The block protocol is the one way a launcher talks to anything that
-// spawns ranks for it: line-JSON over one connection per (launcher, host)
+// spawns ranks for it: line-JSON (bootstrap.LineConn, the framing the
+// telemetry channel also uses) over one connection per (launcher, host)
 // pair, whatever carries the bytes — a TCP connection to a persistent mphd,
 // or the stdio pipes of an "mphrun agent" started locally or through ssh.
 // The launcher sends blockRequest lines; the server streams blockEvent
@@ -79,61 +71,4 @@ type SpawnRank struct {
 	Argv []string `json:"argv"`
 	// Env holds extra KEY=VALUE pairs for this rank only.
 	Env []string `json:"env,omitempty"`
-}
-
-// maxLineBytes caps one line of any launch-plane connection (block protocol
-// and telemetry). It is sized for the largest legitimate message — a spawn
-// request carrying a registration file by value — so a peer that never
-// sends a newline costs the reader at most this much memory.
-const maxLineBytes = 16 << 20
-
-// errBadLine marks a received line that cannot be a message: longer than
-// maxLineBytes, or not the expected JSON. I/O errors are returned bare.
-var errBadLine = errors.New("bad line")
-
-// lineConn is the launch plane's one framing: newline-delimited JSON, reads
-// bounded by maxLineBytes, writes serialized so concurrent senders cannot
-// interleave lines.
-type lineConn struct {
-	br *bufio.Reader
-
-	wmu sync.Mutex
-	enc *json.Encoder // one Write per message, newline included
-}
-
-// newLineConn frames a byte stream.
-func newLineConn(rw io.ReadWriter) *lineConn {
-	return &lineConn{br: bufio.NewReaderSize(rw, 64<<10), enc: json.NewEncoder(rw)}
-}
-
-// send writes one message as a single line.
-func (c *lineConn) send(msg any) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(msg)
-}
-
-// recv reads the next line into msg. Only one goroutine may receive.
-func (c *lineConn) recv(msg any) error {
-	var long []byte // accumulates a line longer than the reader's buffer
-	for {
-		chunk, err := c.br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			if len(long)+len(chunk) > maxLineBytes {
-				return fmt.Errorf("%w: longer than %d bytes", errBadLine, maxLineBytes)
-			}
-			long = append(long, chunk...)
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if long != nil {
-			chunk = append(long, chunk...)
-		}
-		if err := json.Unmarshal(chunk, msg); err != nil {
-			return fmt.Errorf("%w: %v", errBadLine, err)
-		}
-		return nil
-	}
 }

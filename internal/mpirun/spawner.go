@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mph/internal/bootstrap"
 )
 
 // RankExit is one reaped rank of a spawned block: its world rank and the
@@ -282,12 +284,12 @@ func probeRemote(ctx context.Context, d dialer, host string) error {
 			tc.SetDeadline(deadline)
 		}
 	}
-	lc := newLineConn(conn)
+	lc := bootstrap.NewLineConn(conn)
 	var ev blockEvent
-	if err := lc.send(blockRequest{Op: "ping"}); err != nil {
+	if err := lc.Send(blockRequest{Op: "ping"}); err != nil {
 		return fmt.Errorf("%s: %w", peerName(d, host), err)
 	}
-	if err := lc.recv(&ev); err != nil {
+	if err := lc.Recv(&ev); err != nil {
 		return fmt.Errorf("%s: %w", peerName(d, host), err)
 	}
 	if ev.Event != "pong" {
@@ -304,10 +306,10 @@ func spawnRemote(ctx context.Context, d dialer, host string, block Block) (Handl
 	if err != nil {
 		return nil, err
 	}
-	lc := newLineConn(conn)
+	lc := bootstrap.NewLineConn(conn)
 	h := newBlockHandle(peerName(d, host), host, block)
-	h.kill = func(rank int) { _ = lc.send(blockRequest{Op: "kill", Rank: rank}) }
-	if err := lc.send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
+	h.kill = func(rank int) { _ = lc.Send(blockRequest{Op: "kill", Rank: rank}) }
+	if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%s: send spawn: %w", h.peer, err)
 	}
@@ -323,7 +325,7 @@ func spawnRemote(ctx context.Context, d dialer, host string, block Block) (Handl
 // exited. A dead connection or a garbled event fails every still-pending
 // rank — a server crash mid-job must surface as supervised rank failures,
 // not a hang.
-func (h *blockHandle) readEvents(lc *lineConn) {
+func (h *blockHandle) readEvents(lc *bootstrap.LineConn) {
 	pending := make(map[int]bool, len(h.prefix))
 	for rank := range h.prefix {
 		pending[rank] = true
@@ -335,8 +337,8 @@ func (h *blockHandle) readEvents(lc *lineConn) {
 	}
 	for len(pending) > 0 {
 		var ev blockEvent
-		switch err := lc.recv(&ev); {
-		case errors.Is(err, errBadLine):
+		switch err := lc.Recv(&ev); {
+		case errors.Is(err, bootstrap.ErrBadLine):
 			fail(fmt.Sprintf("bad event: %v", err))
 			return
 		case err != nil:

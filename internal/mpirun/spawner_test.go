@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestDedupEnv pins the duplicate-key rule the GOMAXPROCS injection relies
@@ -124,75 +123,5 @@ func TestSlotShareReachesChild(t *testing.T) {
 	h.Wait()
 	if e.Err != nil {
 		t.Fatalf("child saw the wrong GOMAXPROCS: %v", e.Err)
-	}
-}
-
-// TestRendezvousConcurrentRegistration pins the book fan-out rework: a rank
-// that connects first but registers last must not serialize the exchange —
-// the other ranks' registrations are read while it stalls, and everyone
-// still gets the complete book.
-func TestRendezvousConcurrentRegistration(t *testing.T) {
-	const n = 4
-	rv, err := NewRendezvous(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
-
-	// The stall: connect immediately, say nothing yet. Under the old
-	// sequential accept→read loop this blocked every later rank.
-	stall, err := dial(rv.Advertised())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stall.Close()
-
-	books := make(chan []Endpoint, n)
-	errs := make(chan error, n)
-	register := func(rank int) {
-		book, err := RegisterEndpoint(rv.Advertised(), rank, Endpoint{Addr: addrFor(rank)}, 10*time.Second)
-		if err != nil {
-			errs <- err
-			return
-		}
-		books <- book
-	}
-	for r := 1; r < n; r++ {
-		go register(r)
-	}
-	time.Sleep(300 * time.Millisecond) // the eager ranks' lines are in flight
-	// Now the stalled connection finally registers rank 0.
-	if _, err := fmt.Fprintf(stall, "0 %s -\n", addrFor(0)); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		// Read rank 0's reply on the stalled conn so its Write path completes.
-		buf := make([]byte, 4096)
-		stall.Read(buf)
-		books <- nil // placeholder: rank 0's book arrived on the raw conn
-	}()
-
-	received := 0
-	timeout := time.After(10 * time.Second)
-	for received < n {
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		case book := <-books:
-			if book != nil {
-				for r := 0; r < n; r++ {
-					if book[r].Addr != addrFor(r) {
-						t.Fatalf("book[%d] = %q", r, book[r].Addr)
-					}
-				}
-			}
-			received++
-		case <-timeout:
-			t.Fatalf("exchange stalled: %d of %d books delivered", received, n)
-		}
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mph/internal/bootstrap"
 )
 
 func TestParseCmdfile(t *testing.T) {
@@ -280,8 +282,8 @@ func TestPassthroughEnv(t *testing.T) {
 	environ := []string{
 		"PATH=/bin",
 		"MPH_FAULT=drop",
-		EnvRank + "=3",
-		EnvBind + "=0.0.0.0",
+		bootstrap.EnvRank + "=3",
+		bootstrap.EnvBind + "=0.0.0.0",
 		"MPH_COLL_RING_THRESHOLD=1024",
 		"NOTMPH=1",
 	}

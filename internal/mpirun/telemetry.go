@@ -6,92 +6,20 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/mpi/perf"
 )
-
-// EnvTelemetry is the launcher's telemetry-channel address. When set, every
-// rank dials it at transport init, runs the clock-sync handshake, and pushes
-// perf.Snapshot reports: periodically at perf.EnvStatsInterval, and a final
-// report at shutdown or abort. mphrun sets it for all children when live
-// telemetry is requested.
-const EnvTelemetry = "MPH_TELEMETRY"
-
-// DefaultClockSyncRounds is how many ping-pong round trips the clock-sync
-// handshake performs per rank. The estimate keeps the minimum-RTT round, so
-// a handful of rounds suffices to dodge scheduling noise.
-const DefaultClockSyncRounds = 8
-
-// telemetryIOTimeout bounds every read or write on a telemetry connection.
-// Telemetry is best-effort diagnostics: a wedged launcher must never stall a
-// rank, and a wedged rank must never stall the aggregator.
-const telemetryIOTimeout = 5 * time.Second
 
 // DefaultStaleAfter is how long a live (non-final) rank may go without a
 // report before the job view marks it stale. Reporting ranks push at their
 // configured interval; several missed intervals on top of this floor means
 // the rank is hung, partitioned, or dead.
 const DefaultStaleAfter = 15 * time.Second
-
-// ClockSample is one ping-pong round of the clock-sync handshake, all in
-// nanoseconds: T0 is the client's send time and T3 its receive time on the
-// client clock; TS is the server's reply time on the server clock.
-type ClockSample struct {
-	T0 int64 // client clock, ping sent
-	TS int64 // server clock, pong sent
-	T3 int64 // client clock, pong received
-}
-
-// RTT returns the round-trip time of the sample on the client clock.
-func (s ClockSample) RTT() int64 { return s.T3 - s.T0 }
-
-// EstimateClockOffset reduces the rounds of one clock-sync handshake to an
-// offset estimate: server_clock − client_clock, NTP style. Each round's
-// estimate assumes the server's reply timestamp was taken at the midpoint of
-// the round trip (offset = TS − (T0+T3)/2); the round with the smallest RTT
-// is kept, because midpoint error is bounded by half the RTT — the returned
-// bound. ok is false when no sample is usable (none, or negative RTTs from a
-// clock step mid-handshake).
-func EstimateClockOffset(samples []ClockSample) (offset, bound int64, ok bool) {
-	best := -1
-	for i, s := range samples {
-		if s.RTT() < 0 {
-			continue
-		}
-		if best < 0 || s.RTT() < samples[best].RTT() {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, 0, false
-	}
-	s := samples[best]
-	return s.TS - (s.T0+s.T3)/2, s.RTT() / 2, true
-}
-
-// teleMsg is one line of the telemetry wire protocol (the launch plane's
-// lineConn framing over TCP, one connection per rank):
-//
-//	client: {"kind":"hello","rank":R,"host":"H","pid":P}
-//	client: {"kind":"ping","seq":i,"t0":<client ns>}     (×K rounds)
-//	server: {"kind":"pong","seq":i,"ts":<server ns>}
-//	client: {"kind":"report","seq":n,"final":F,"snap":{Snapshot}}
-//
-// Reports are one-way; the server never writes after the sync rounds.
-type teleMsg struct {
-	Kind  string         `json:"kind"`
-	Rank  int            `json:"rank,omitempty"`
-	Host  string         `json:"host,omitempty"`
-	PID   int            `json:"pid,omitempty"`
-	Seq   uint64         `json:"seq,omitempty"`
-	T0    int64          `json:"t0,omitempty"`
-	TS    int64          `json:"ts,omitempty"`
-	Final bool           `json:"final,omitempty"`
-	Snap  *perf.Snapshot `json:"snap,omitempty"`
-}
 
 // rankReport is the aggregator's state for one reporting rank: the latest
 // snapshot, the previous one for rate derivation, and receipt bookkeeping.
@@ -131,6 +59,7 @@ type RankStatus struct {
 	ClockOffsetNS   int64 `json:"clock_offset_ns,omitempty"`
 	ClockErrBoundNS int64 `json:"clock_err_bound_ns,omitempty"`
 	CollNanos       int64 `json:"coll_nanos,omitempty"`
+	PeakRSSKB       int64 `json:"peak_rss_kb,omitempty"`
 }
 
 // JobView is the aggregator's merged, job-wide view of every rank report.
@@ -177,13 +106,13 @@ func NewTelemetry(bind string, size int) (*Telemetry, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpirun: telemetry for world of %d", size)
 	}
-	ln, err := net.Listen("tcp", ListenAddr(bind))
+	ln, err := net.Listen("tcp", bootstrap.ListenAddr(bind))
 	if err != nil {
 		return nil, fmt.Errorf("mpirun: telemetry listen: %w", err)
 	}
 	t := &Telemetry{
 		ln:         ln,
-		addr:       AdvertiseAddr(bind, ln.Addr()),
+		addr:       bootstrap.AdvertiseAddr(bind, ln.Addr()),
 		size:       size,
 		staleAfter: DefaultStaleAfter,
 		reports:    make(map[int]*rankReport),
@@ -194,8 +123,8 @@ func NewTelemetry(bind string, size int) (*Telemetry, error) {
 	return t, nil
 }
 
-// Addr returns the routable address ranks should dial (the EnvTelemetry
-// value the launcher forwards).
+// Addr returns the routable address ranks should dial (the
+// bootstrap.EnvTelemetry value the launcher forwards).
 func (t *Telemetry) Addr() string {
 	return t.addr
 }
@@ -256,21 +185,21 @@ func (t *Telemetry) acceptLoop() {
 // then report ingestion until the rank hangs up. Malformed input just ends
 // the session — telemetry must never take a job down.
 func (t *Telemetry) handleConn(conn net.Conn) {
-	lc := newLineConn(conn)
+	lc := bootstrap.NewLineConn(conn)
 	rank, host, pid := -1, "", 0
 	for {
 		// No read deadline: a final-only rank is silent for the whole job.
 		// The session ends when the rank hangs up or Close tears it down.
-		var msg teleMsg
-		if err := lc.recv(&msg); err != nil {
+		var msg bootstrap.TeleMsg
+		if err := lc.Recv(&msg); err != nil {
 			return
 		}
 		switch msg.Kind {
 		case "hello":
 			rank, host, pid = msg.Rank, msg.Host, msg.PID
 		case "ping":
-			conn.SetWriteDeadline(time.Now().Add(telemetryIOTimeout))
-			if err := lc.send(teleMsg{Kind: "pong", Seq: msg.Seq, TS: time.Now().UnixNano()}); err != nil {
+			conn.SetWriteDeadline(time.Now().Add(bootstrap.TelemetryIOTimeout))
+			if err := lc.Send(bootstrap.TeleMsg{Kind: "pong", Seq: msg.Seq, TS: time.Now().UnixNano()}); err != nil {
 				return
 			}
 		case "report":
@@ -356,6 +285,7 @@ func (t *Telemetry) viewAt(now time.Time) JobView {
 			ClockOffsetNS:   s.ClockOffsetNS,
 			ClockErrBoundNS: s.ClockErrBoundNS,
 			CollNanos:       s.CollNanos(),
+			PeakRSSKB:       s.PeakRSSKB,
 		}
 		if r.prev != nil && !r.final {
 			if dt := r.received.Sub(r.prevAt).Seconds(); dt > 0 {
@@ -412,8 +342,19 @@ func (t *Telemetry) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	perf.PprofMux(mux)
+	pprofMux(mux)
 	return mux
+}
+
+// pprofMux registers the net/http/pprof handlers on mux under the standard
+// /debug/pprof/ prefix, so profiling the launcher uses the same paths as
+// profiling a rank's MPH_DEBUG_ADDR endpoint.
+func pprofMux(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // WriteMetrics renders the job view in the Prometheus text exposition
@@ -421,156 +362,39 @@ func (t *Telemetry) Handler() http.Handler {
 // and host.
 func (t *Telemetry) WriteMetrics(w io.Writer) {
 	view := t.View()
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
+	scalar := func(kind, name, help string, v any) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, kind, name, v)
 	}
-	gauge("mph_job_ranks_expected", "World size of the running job.", view.WorldSize)
-	gauge("mph_job_ranks_reporting", "Ranks that have pushed at least one telemetry report.", view.Reporting)
-	gauge("mph_job_ranks_final", "Ranks whose final (shutdown) report has arrived.", view.Finals)
-	counter := func(name, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	counter("mph_job_sent_messages_total", "Messages sent, summed over reporting ranks.")
-	fmt.Fprintf(w, "mph_job_sent_messages_total %d\n", view.TotalSentMsgs)
-	counter("mph_job_recv_messages_total", "Messages received, summed over reporting ranks.")
-	fmt.Fprintf(w, "mph_job_recv_messages_total %d\n", view.TotalRecvMsgs)
-	counter("mph_job_sent_bytes_total", "Payload bytes sent, summed over reporting ranks.")
-	fmt.Fprintf(w, "mph_job_sent_bytes_total %d\n", view.TotalSentBytes)
-	counter("mph_job_recv_bytes_total", "Payload bytes received, summed over reporting ranks.")
-	fmt.Fprintf(w, "mph_job_recv_bytes_total %d\n", view.TotalRecvBytes)
+	scalar("gauge", "mph_job_ranks_expected", "World size of the running job.", view.WorldSize)
+	scalar("gauge", "mph_job_ranks_reporting", "Ranks that have pushed at least one telemetry report.", view.Reporting)
+	scalar("gauge", "mph_job_ranks_final", "Ranks whose final (shutdown) report has arrived.", view.Finals)
+	scalar("counter", "mph_job_sent_messages_total", "Messages sent, summed over reporting ranks.", view.TotalSentMsgs)
+	scalar("counter", "mph_job_recv_messages_total", "Messages received, summed over reporting ranks.", view.TotalRecvMsgs)
+	scalar("counter", "mph_job_sent_bytes_total", "Payload bytes sent, summed over reporting ranks.", view.TotalSentBytes)
+	scalar("counter", "mph_job_recv_bytes_total", "Payload bytes received, summed over reporting ranks.", view.TotalRecvBytes)
 
 	if len(view.Ranks) == 0 {
 		return
 	}
-	labels := func(rs RankStatus) string {
-		return fmt.Sprintf("rank=%q,component=%q,host=%q",
-			fmt.Sprint(rs.Rank), rs.Component, rs.Host)
+	series := func(kind, name, help string, val func(RankStatus) any) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+		for _, rs := range view.Ranks {
+			fmt.Fprintf(w, "%s{rank=%q,component=%q,host=%q} %v\n",
+				name, fmt.Sprint(rs.Rank), rs.Component, rs.Host, val(rs))
+		}
 	}
-	counter("mph_rank_sent_messages_total", "Messages sent by one rank.")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_sent_messages_total{%s} %d\n", labels(rs), rs.SentMsgs)
-	}
-	counter("mph_rank_recv_messages_total", "Messages received by one rank.")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_recv_messages_total{%s} %d\n", labels(rs), rs.RecvMsgs)
-	}
-	counter("mph_rank_sent_bytes_total", "Payload bytes sent by one rank.")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_sent_bytes_total{%s} %d\n", labels(rs), rs.SentBytes)
-	}
-	counter("mph_rank_recv_bytes_total", "Payload bytes received by one rank.")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_recv_bytes_total{%s} %d\n", labels(rs), rs.RecvBytes)
-	}
-	counter("mph_rank_coll_seconds_total", "Cumulative wall time one rank spent inside collectives.")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_coll_seconds_total{%s} %g\n", labels(rs), float64(rs.CollNanos)/1e9)
-	}
-	fmt.Fprintf(w, "# HELP mph_rank_last_report_age_seconds Seconds since the rank's latest report, launcher clock.\n# TYPE mph_rank_last_report_age_seconds gauge\n")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_last_report_age_seconds{%s} %g\n", labels(rs), float64(rs.LastReportAgeMS)/1e3)
-	}
-	fmt.Fprintf(w, "# HELP mph_rank_clock_offset_seconds Estimated launcher-clock minus rank-clock offset.\n# TYPE mph_rank_clock_offset_seconds gauge\n")
-	for _, rs := range view.Ranks {
-		fmt.Fprintf(w, "mph_rank_clock_offset_seconds{%s} %g\n", labels(rs), float64(rs.ClockOffsetNS)/1e9)
-	}
-	fmt.Fprintf(w, "# HELP mph_rank_stale One when the rank has missed its reporting window without a final report.\n# TYPE mph_rank_stale gauge\n")
-	for _, rs := range view.Ranks {
-		v := 0
+	series("counter", "mph_rank_sent_messages_total", "Messages sent by one rank.", func(rs RankStatus) any { return rs.SentMsgs })
+	series("counter", "mph_rank_recv_messages_total", "Messages received by one rank.", func(rs RankStatus) any { return rs.RecvMsgs })
+	series("counter", "mph_rank_sent_bytes_total", "Payload bytes sent by one rank.", func(rs RankStatus) any { return rs.SentBytes })
+	series("counter", "mph_rank_recv_bytes_total", "Payload bytes received by one rank.", func(rs RankStatus) any { return rs.RecvBytes })
+	series("counter", "mph_rank_coll_seconds_total", "Cumulative wall time one rank spent inside collectives.", func(rs RankStatus) any { return float64(rs.CollNanos) / 1e9 })
+	series("gauge", "mph_rank_peak_rss_bytes", "Resident-set high-water mark of the rank's process (VmHWM).", func(rs RankStatus) any { return rs.PeakRSSKB * 1024 })
+	series("gauge", "mph_rank_last_report_age_seconds", "Seconds since the rank's latest report, launcher clock.", func(rs RankStatus) any { return float64(rs.LastReportAgeMS) / 1e3 })
+	series("gauge", "mph_rank_clock_offset_seconds", "Estimated launcher-clock minus rank-clock offset.", func(rs RankStatus) any { return float64(rs.ClockOffsetNS) / 1e9 })
+	series("gauge", "mph_rank_stale", "One when the rank has missed its reporting window without a final report.", func(rs RankStatus) any {
 		if rs.Stale {
-			v = 1
+			return 1
 		}
-		fmt.Fprintf(w, "mph_rank_stale{%s} %d\n", labels(rs), v)
-	}
-}
-
-// TelemetryClient is the rank side of the telemetry channel: one TCP
-// connection to the launcher, a clock-sync handshake at dial time, then
-// one-way snapshot reports.
-type TelemetryClient struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	lc     *lineConn
-	seq    uint64
-	closed bool
-
-	offset, bound int64
-	synced        bool
-}
-
-// DialTelemetry connects to the launcher's telemetry endpoint, introduces
-// the rank, and runs the clock-sync handshake (DefaultClockSyncRounds
-// ping-pong rounds, minimum-RTT midpoint estimate). The handshake result is
-// available via ClockOffset; a handshake that fails midway degrades to "no
-// offset" rather than failing the dial, because telemetry must never take a
-// rank down.
-func DialTelemetry(addr string, rank int, host string, pid int, timeout time.Duration) (*TelemetryClient, error) {
-	if timeout <= 0 {
-		timeout = telemetryIOTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("mpirun: dial telemetry %s: %w", addr, err)
-	}
-	c := &TelemetryClient{conn: conn, lc: newLineConn(conn)}
-	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := c.lc.send(teleMsg{Kind: "hello", Rank: rank, Host: host, PID: pid}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("mpirun: telemetry hello: %w", err)
-	}
-	c.clockSync(timeout)
-	return c, nil
-}
-
-// clockSync runs the ping-pong rounds and stores the offset estimate.
-func (c *TelemetryClient) clockSync(timeout time.Duration) {
-	samples := make([]ClockSample, 0, DefaultClockSyncRounds)
-	for i := 0; i < DefaultClockSyncRounds; i++ {
-		t0 := time.Now().UnixNano()
-		c.conn.SetWriteDeadline(time.Now().Add(timeout))
-		if err := c.lc.send(teleMsg{Kind: "ping", Seq: uint64(i), T0: t0}); err != nil {
-			break
-		}
-		c.conn.SetReadDeadline(time.Now().Add(timeout))
-		var pong teleMsg
-		if err := c.lc.recv(&pong); err != nil || pong.Kind != "pong" {
-			break
-		}
-		samples = append(samples, ClockSample{T0: t0, TS: pong.TS, T3: time.Now().UnixNano()})
-	}
-	if off, bound, ok := EstimateClockOffset(samples); ok {
-		c.offset, c.bound, c.synced = off, bound, true
-	}
-}
-
-// ClockOffset returns the clock-sync result: the estimated
-// launcher_clock − rank_clock offset, its half-RTT error bound, and whether
-// the handshake produced a usable estimate.
-func (c *TelemetryClient) ClockOffset() (offset, bound int64, ok bool) {
-	return c.offset, c.bound, c.synced
-}
-
-// Report pushes one snapshot to the launcher. Reports carry a sequence
-// number so the aggregator can drop reordered arrivals; final marks the
-// shutdown (or abort) report that ends the rank's live rate derivation.
-func (c *TelemetryClient) Report(snap perf.Snapshot, final bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return net.ErrClosed
-	}
-	c.seq++
-	c.conn.SetWriteDeadline(time.Now().Add(telemetryIOTimeout))
-	return c.lc.send(teleMsg{Kind: "report", Seq: c.seq, Final: final, Snap: &snap})
-}
-
-// Close hangs up the telemetry connection. Safe to call more than once.
-func (c *TelemetryClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.conn.Close()
+		return 0
+	})
 }

@@ -38,7 +38,10 @@
 # fails on any unformatted file. The first-contact pass runs, under -race, the
 # tests that pin what the MPH handshake costs (two world collectives on one
 # tree, 2(N-1) dials) and the closing-Barrier case the reverse dial used to
-# break. The closing line count gives the next simplicity PR its baseline in
+# break. The link-budget guard fails if anything a rank is built from
+# (tcpnet, core, coupler, the climate and mcme examples) links net/http,
+# crypto/tls, os/exec or the launcher package again. The closing line count
+# and the stripped size of examples/climate give the next PR its baselines in
 # the log.
 set -eux
 
@@ -49,7 +52,14 @@ go vet ./internal/mpi/perf
 # One remote-spawn protocol, one connection per directed contact: these
 # names were deleted and stay deleted (an if, because set -e does not act on
 # a "!" pipeline).
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered' --include=*.go .; then
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry' --include=*.go .; then
+    exit 1
+fi
+# Link budget: a component executable links the rank side only. Nothing a
+# rank is built from may pull in the HTTP/TLS stack, process spawning or the
+# launcher (DESIGN.md §15, "What a rank links").
+if go list -deps ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/climate ./examples/mcme |
+    grep -x 'net/http\|crypto/tls\|os/exec\|mph/internal/mpirun'; then
     exit 1
 fi
 test -z "$(gofmt -l .)"
@@ -60,7 +70,7 @@ go test -race ./internal/mpi/...
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
-go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun
+go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun ./internal/bootstrap
 go test -run=NONE -bench=BenchmarkTracerOverhead -benchtime=1x ./internal/mpi
 go test -run=NONE -bench=BenchmarkAllgather -benchtime=1x ./internal/mpi
 
@@ -155,5 +165,9 @@ grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
 # Non-test Go lines outside benchmark/ (20,632 before the one-protocol PR,
-# 20,314 after it).
+# 20,314 after it), and the stripped size of a component executable (6,983,972
+# bytes before the rank stopped linking the launcher and net/http, 3,555,620
+# after) — the next PR's baselines.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
+wc -c < "$smoke/climate.stripped"
