@@ -10,13 +10,13 @@ import (
 // The launcher speaks one frame of the transport's control protocol: the
 // job-wide abort. The frame layout (little-endian u32 length prefix, one
 // kind byte, payload) and the abort kind byte are shared with
-// internal/mpi/tcpnet, which decodes these frames in its read loop and
-// sends them rank to rank; the encoder lives in this leaf package so the
-// launcher can reach surviving ranks without importing the transport, and
-// the transport can sign its own aborts without importing the launcher.
+// internal/mpi/tcpnet, whose frame table points at AbortFrameKind and
+// ParseAbort; encoder and decoder live in this leaf package so the launcher
+// can reach surviving ranks without importing the transport, the transport
+// can sign its own aborts without importing the launcher, and the abort
+// body's layout has one owner.
 const (
-	// AbortFrameKind is the transport frame-kind byte of a job-wide abort
-	// (tcpnet's kindAbort).
+	// AbortFrameKind is the transport frame-kind byte of a job-wide abort.
 	AbortFrameKind = 5
 	// AbortOriginLauncher is the origin rank the launcher signs its aborts
 	// with; real ranks use their own world rank.
@@ -32,6 +32,17 @@ func AbortFrame(code, origin int) []byte {
 	binary.LittleEndian.PutUint64(b[5:], uint64(int64(code)))
 	binary.LittleEndian.PutUint64(b[13:], uint64(int64(origin)))
 	return b
+}
+
+// ParseAbort decodes the body of an abort frame — what follows the length
+// prefix and kind byte of AbortFrame's output.
+func ParseAbort(body []byte) (code, origin int, err error) {
+	if len(body) != 16 {
+		return 0, 0, fmt.Errorf("bootstrap: abort frame body is %d bytes, want 16", len(body))
+	}
+	code = int(int64(binary.LittleEndian.Uint64(body)))
+	origin = int(int64(binary.LittleEndian.Uint64(body[8:])))
+	return code, origin, nil
 }
 
 // SendAbort dials a rank's listener and delivers a single abort frame,

@@ -33,11 +33,11 @@ import (
 //	rank=R  — the rule only applies in the process whose world rank is R
 //	peer=P  — the rule only applies to sends addressed to world rank P
 //	frame=F — the outbound frame kind the rule applies to: packet (eager
-//	          message, the default), rts / cts / data (the rendezvous
-//	          protocol frames), shm (a rendezvous payload taking the
-//	          intra-host channel; sever closes the local socket, not the
-//	          TCP stream, so the transparent TCP fallback is exercised),
-//	          or any
+//	          message, the default), ack (the Ssend release), rts / cts /
+//	          data (the rendezvous protocol frames; data is the payload on
+//	          the TCP stream), shm (the payload taking the intra-host
+//	          channel instead; sever closes the local socket, not the TCP
+//	          stream, so the transparent TCP fallback is exercised), or any
 //	after=K — the rule arms after K matching sends have passed unharmed
 //	times=N — the rule fires at most N times (default 1; 0 = unlimited)
 //	dur=D   — delay duration (delay action only), Go duration syntax
@@ -50,7 +50,7 @@ type faultRule struct {
 	action string
 	rank   int    // -1 = any rank
 	peer   int    // -1 = any peer
-	frame  string // frame kind filter: "packet", "rts", "cts", "data", "shm", "any"
+	frame  string // frame kind filter: "packet", "ack", "rts", "cts", "data", "shm", "any"
 	after  int    // matching sends to let through before arming
 	times  int    // max firings; 0 = unlimited
 	dur    time.Duration
@@ -71,11 +71,14 @@ type faultAction struct {
 	dur  time.Duration
 }
 
-// Fault-point frame kinds, the values of the frame= filter. frameAny matches
-// every fault point; the default framePacket preserves the pre-rendezvous
-// grammar, where every injectable send was an eager packet frame.
+// Fault-point frame kinds, the values of the frame= filter: the frame
+// table's fault column, plus frameShm for a payload on the intra-host carrier
+// and frameAny, which matches every fault point. The default framePacket
+// preserves the pre-rendezvous grammar, where every injectable send was an
+// eager packet frame.
 const (
 	framePacket = "packet"
+	frameAck    = "ack"
 	frameRTS    = "rts"
 	frameCTS    = "cts"
 	frameData   = "data"
@@ -127,7 +130,7 @@ func ParseFaultSpec(spec string) (*faultSet, error) {
 				}
 			case "frame":
 				switch val {
-				case framePacket, frameRTS, frameCTS, frameData, frameShm, frameAny:
+				case framePacket, frameAck, frameRTS, frameCTS, frameData, frameShm, frameAny:
 					r.frame = val
 				default:
 					return nil, fmt.Errorf("tcpnet: bad fault frame kind %q in %q", val, part)
@@ -179,4 +182,31 @@ func (fs *faultSet) sendAction(rank, peer int, frame string) faultAction {
 		return faultAction{kind: r.action, dur: r.dur}
 	}
 	return faultAction{}
+}
+
+// injectFault consults the fault rules for one outbound frame to this peer —
+// of the given kind, about to take the intra-host carrier or not — and
+// applies the side-effectful actions (delay, sever, die) inline. It reports
+// whether the frame is to be dropped; what a vanished frame means differs
+// per kind, so that is left to send's caller.
+func (pr *peer) injectFault(kind byte, viaUnix bool) (drop bool) {
+	t, name := pr.t, frameTable[kind].fault
+	if viaUnix {
+		name = frameShm
+	}
+	act := t.faults.sendAction(t.rank, pr.rank, name)
+	if act.kind == "" {
+		return false
+	}
+	t.netCounters().FaultsInjected.Add(1)
+	switch act.kind {
+	case "delay":
+		time.Sleep(act.dur)
+	case "sever":
+		pr.sever(viaUnix)
+	case "die":
+		t.severAll()
+		osExit(1)
+	}
+	return act.kind == "drop"
 }

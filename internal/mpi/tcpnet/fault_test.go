@@ -43,7 +43,7 @@ func TestFaultSpecParse(t *testing.T) {
 		t.Errorf("rule 1 parsed as %+v", fs.rules[1])
 	}
 
-	for _, kind := range []string{framePacket, frameRTS, frameCTS, frameData, frameShm, frameAny} {
+	for _, kind := range []string{framePacket, frameAck, frameRTS, frameCTS, frameData, frameShm, frameAny} {
 		fs, err := ParseFaultSpec("drop,frame=" + kind)
 		if err != nil {
 			t.Fatalf("frame=%s rejected: %v", kind, err)
@@ -127,7 +127,7 @@ func TestFaultSpecFrameFiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{framePacket, frameRTS, frameCTS, frameData, frameShm} {
+	for _, kind := range []string{framePacket, frameAck, frameRTS, frameCTS, frameData, frameShm} {
 		if act := any.sendAction(3, 4, kind); act.kind != "delay" {
 			t.Fatalf("frame=any missed %s: %+v", kind, act)
 		}
@@ -139,7 +139,7 @@ func TestFaultSpecFrameFiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{framePacket, frameRTS, frameCTS, frameData} {
+	for _, kind := range []string{framePacket, frameAck, frameRTS, frameCTS, frameData} {
 		if act := shm.sendAction(0, 1, kind); act.kind != "" {
 			t.Fatalf("shm rule fired for %s: %+v", kind, act)
 		}

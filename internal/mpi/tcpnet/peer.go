@@ -1,0 +1,357 @@
+package tcpnet
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"mph/internal/mpi"
+	"mph/internal/mpi/perf"
+)
+
+// peer is everything this rank knows about one other world rank: both
+// outbound carriers, what its hello advertised, and the failure detector's
+// opinion of it. Transport.peers holds one per world rank, fixed at Init.
+//
+// A peer is unconnected until the first send dials it, connected while its
+// TCP stream is up, suspect once an inbound stream from it is lost (a hello
+// on a new stream clears that), and dead on the detector's verdict — dial
+// budget spent, read silence, or a suspicion nobody cleared (DESIGN.md §9).
+// Dead is final: both carriers close and every later send fails fast.
+type peer struct {
+	t    *Transport
+	rank int
+	addr string // TCP listener, from the rendezvous address book
+
+	mu       sync.Mutex
+	tcp      *outConn    // established outbound TCP stream; nil until dialed and after a drop
+	unix     *outConn    // established outbound intra-host payload stream (shm.go)
+	unixPath string      // socket path the peer's last hello advertised; "" = none
+	unixDown bool        // that path failed to dial; a fresh advertisement clears it
+	suspect  *time.Timer // pending death suspicion, cancelable by a reconnect
+	dead     error       // the verdict's cause; nil while the peer is presumed alive
+
+	// Send totals. Unlike the in-process transport — where sent totals are
+	// derived from sibling engines — a TCP sender cannot see the remote
+	// engine, so it counts on its own wire path.
+	sentMsgs, sentBytes atomic.Uint64
+}
+
+// outConn is one outbound stream on either carrier — net.Conn is the seam —
+// with its writes serialized and the time of the last one kept for the
+// heartbeat loop.
+type outConn struct {
+	mu        sync.Mutex
+	conn      net.Conn
+	lastWrite time.Time
+}
+
+// write sends one frame under the stream's write lock with a deadline: hdr
+// alone, or hdr and payload as two iovecs. net.Buffers reaches the kernel as
+// a single writev, so a payload goes from the caller's slice to the socket
+// with no intermediate copy.
+func (oc *outConn) write(hdr, payload []byte, timeout time.Duration) error {
+	oc.mu.Lock()
+	defer oc.mu.Unlock()
+	oc.conn.SetWriteDeadline(time.Now().Add(timeout))
+	var err error
+	if payload == nil {
+		_, err = oc.conn.Write(hdr)
+	} else {
+		bufs := net.Buffers{hdr, payload}
+		_, err = bufs.WriteTo(oc.conn)
+	}
+	oc.lastWrite = time.Now()
+	if err != nil {
+		return fmt.Errorf("tcpnet: write: %w", err)
+	}
+	return nil
+}
+
+// idleFor reports whether the stream has gone unwritten for at least d.
+func (oc *outConn) idleFor(d time.Duration) bool {
+	oc.mu.Lock()
+	defer oc.mu.Unlock()
+	return time.Since(oc.lastWrite) >= d
+}
+
+// open wraps a freshly dialed connection and introduces this rank on it, so
+// the peer's reader can attribute the stream before any traffic.
+func (pr *peer) open(conn net.Conn, shmPath string) (*outConn, error) {
+	oc := &outConn{conn: conn}
+	if err := oc.write(helloFrame(pr.t.rank, shmPath), nil, pr.t.cfg.writeTimeout); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return oc, nil
+}
+
+// errDropped is send's report that a "drop" fault swallowed the frame.
+var errDropped = errors.New("tcpnet: frame dropped by fault injection")
+
+// send is the one way a frame leaves for this peer. A rendezvous payload
+// prefers the intra-host carrier when one is negotiated and falls back to
+// TCP on any local failure (a hard error under MPH_SHM=force); everything
+// else goes on TCP, which transparently redials and resends once when the
+// established stream fails mid-write. Retrying a whole frame is safe: the
+// receiver discards partial frames on stream error, and a frame that was
+// fully flushed onto a broken connection was already counted as delivered by
+// TCP or lost with the peer. MPH_FAULT is consulted here, once per frame.
+func (pr *peer) send(kind byte, hdr, payload []byte) error {
+	t := pr.t
+	var uc *outConn
+	var unixErr error
+	if kind == kindRData {
+		uc, unixErr = pr.unixConn()
+	}
+	if t.faults != nil && pr.injectFault(kind, uc != nil) {
+		return errDropped
+	}
+	if uc != nil {
+		// A "sever" fault just closed uc; the write then fails and takes the
+		// fallback like any real channel loss.
+		if unixErr = uc.write(hdr, payload, t.cfg.writeTimeout); unixErr == nil {
+			// Also counted in the caller's RDataOut/BytesOut: the shm
+			// counters split the totals by carrier, they do not fork them.
+			nc := t.netCounters()
+			nc.ShmRDataOut.Add(1)
+			nc.ShmBytesOut.Add(uint64(len(hdr) + len(payload)))
+			return nil
+		}
+		pr.drop(uc)
+		t.netCounters().ShmFallbacks.Add(1)
+	}
+	if unixErr != nil && t.cfg.shm == shmForce {
+		return fmt.Errorf("tcpnet: %s=force: intra-host channel to rank %d unusable: %w", EnvShm, pr.rank, unixErr)
+	}
+	for redialed := false; ; redialed = true {
+		oc, err := pr.outbound() // a redial gets the full retry budget
+		if err != nil {
+			return err // outbound already declared the peer down
+		}
+		if err = oc.write(hdr, payload, t.cfg.writeTimeout); err == nil {
+			return nil
+		}
+		pr.drop(oc)
+		if redialed {
+			t.peerDown(pr.rank, err)
+			return &mpi.ErrPeerLost{Rank: pr.rank, Cause: err}
+		}
+	}
+}
+
+// outbound returns the TCP stream for sends to this peer, dialing with retry
+// if there is none. A dial that exhausts its budget declares the peer dead.
+func (pr *peer) outbound() (*outConn, error) {
+	t := pr.t
+	pr.mu.Lock()
+	oc, dead := pr.tcp, pr.dead
+	pr.mu.Unlock()
+	switch {
+	case t.isClosed():
+		return nil, mpi.ErrClosed
+	case dead != nil:
+		return nil, &mpi.ErrPeerLost{Rank: pr.rank, Cause: dead}
+	case oc != nil:
+		return oc, nil
+	}
+	conn, err := dialRetry(pr.addr, t.cfg, t.stop, func(attempt int, wait time.Duration) {
+		t.netCounters().DialRetries.Add(1)
+		if tr := t.tracer(); tr != nil {
+			tr.Record(perf.KDialRetry, int64(pr.rank), int64(attempt), int64(wait), 0)
+		}
+	})
+	if err == nil {
+		// The hello clears any suspicion at the far end, and tells a
+		// same-host peer this rank's intra-host listener before any CTS
+		// written to this stream (shm.go).
+		oc, err = pr.open(conn, t.shmPathFor(pr.rank))
+	}
+	if err != nil {
+		if errors.Is(err, mpi.ErrClosed) {
+			return nil, err
+		}
+		t.peerDown(pr.rank, err)
+		return nil, &mpi.ErrPeerLost{Rank: pr.rank, Cause: err}
+	}
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	switch {
+	case t.isClosed():
+		conn.Close()
+		return nil, mpi.ErrClosed
+	case pr.tcp != nil: // lost a dial race; keep the first
+		conn.Close()
+		return pr.tcp, nil
+	}
+	pr.tcp = oc
+	t.netCounters().Dials.Add(1)
+	return oc, nil
+}
+
+// dialRetry dials addr until it succeeds or the cfg.dialTimeout budget is
+// spent, backing off exponentially with jitter between attempts. onRetry
+// (optional) observes each scheduled retry; stop (optional) cancels the
+// backoff wait. It is a standalone function so the schedule is testable
+// without a Transport.
+func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(attempt int, wait time.Duration)) (net.Conn, error) {
+	bo := &backoff{base: cfg.dialBase, max: cfg.dialMax}
+	deadline := time.Now().Add(cfg.dialTimeout)
+	attempt := 0
+	for {
+		per := time.Until(deadline)
+		if per <= 0 {
+			return nil, fmt.Errorf("tcpnet: dial %s: budget exhausted after %d attempts", addr, attempt)
+		}
+		if cfg.dialMax > 0 && per > cfg.dialMax {
+			per = cfg.dialMax
+		}
+		conn, err := net.DialTimeout("tcp", addr, per)
+		if err == nil {
+			if tc, ok := conn.(*net.TCPConn); ok {
+				tc.SetNoDelay(true)
+			}
+			return conn, nil
+		}
+		attempt++
+		wait := bo.next()
+		if time.Now().Add(wait).After(deadline) {
+			return nil, fmt.Errorf("tcpnet: dial %s: %w (after %d attempts)", addr, err, attempt)
+		}
+		if onRetry != nil {
+			onRetry(attempt, wait)
+		}
+		if stop != nil {
+			select {
+			case <-stop:
+				return nil, mpi.ErrClosed
+			case <-time.After(wait):
+			}
+		} else {
+			time.Sleep(wait)
+		}
+	}
+}
+
+// established returns the peer's TCP stream if one is up, without dialing.
+func (pr *peer) established() *outConn {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.tcp
+}
+
+// drop closes a failed outbound stream of either carrier and forgets it,
+// leaving the redial to the next send; what the peer advertised survives.
+// Forgetting is a no-op if the stream was already replaced.
+func (pr *peer) drop(oc *outConn) {
+	pr.mu.Lock()
+	if pr.tcp == oc {
+		pr.tcp = nil
+	}
+	if pr.unix == oc {
+		pr.unix = nil
+	}
+	pr.mu.Unlock()
+	oc.conn.Close()
+}
+
+// sever abruptly closes the established stream of one carrier without
+// marking anything failed: the next send redials (or, for the intra-host
+// carrier, falls back). It is the "sever" fault action.
+func (pr *peer) sever(unix bool) {
+	pr.mu.Lock()
+	oc := pr.tcp
+	if unix {
+		oc = pr.unix
+	}
+	pr.mu.Unlock()
+	if oc != nil {
+		pr.drop(oc)
+	}
+}
+
+// deadErr returns the typed failure for a send to this peer if the failure
+// detector has declared it dead, or nil.
+func (pr *peer) deadErr() error {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if pr.dead != nil {
+		return &mpi.ErrPeerLost{Rank: pr.rank, Cause: pr.dead}
+	}
+	return nil
+}
+
+// suspectLost starts the reconnect window for a peer whose inbound stream
+// was lost: if no new stream from it says hello within cfg.peerTimeout, it is
+// declared dead. A connection loss alone is not death — a live peer redials
+// (sends retry transparently), and its hello cancels the suspicion.
+func (pr *peer) suspectLost(cause error) {
+	t := pr.t
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if t.isClosed() || pr.dead != nil || pr.suspect != nil {
+		return
+	}
+	pr.suspect = time.AfterFunc(t.cfg.peerTimeout, func() {
+		t.peerDown(pr.rank, fmt.Errorf("tcpnet: connection lost and not re-established within %v: %w", t.cfg.peerTimeout, cause))
+	})
+}
+
+// clearSuspect cancels a pending suspicion: the peer proved itself alive, or
+// nobody is left to care.
+func (pr *peer) clearSuspect() {
+	pr.mu.Lock()
+	if pr.suspect != nil {
+		pr.suspect.Stop()
+		pr.suspect = nil
+	}
+	pr.mu.Unlock()
+}
+
+// condemn records the failure detector's verdict and discards the peer's
+// connection state, reporting false if it was already dead. Closing the
+// intra-host stream fails any in-flight local payload write, whose TCP
+// fallback then meets the verdict — a severed same-host neighbor yields
+// ErrPeerLost, not a hang.
+func (pr *peer) condemn(cause error) bool {
+	pr.mu.Lock()
+	if pr.dead != nil {
+		pr.mu.Unlock()
+		return false
+	}
+	pr.dead = cause
+	tcp, unix := pr.tcp, pr.unix
+	pr.tcp, pr.unix, pr.unixPath = nil, nil, ""
+	if pr.suspect != nil {
+		pr.suspect.Stop()
+		pr.suspect = nil
+	}
+	pr.mu.Unlock()
+	for _, oc := range []*outConn{tcp, unix} {
+		if oc != nil {
+			oc.conn.Close()
+		}
+	}
+	return true
+}
+
+// peerDown acts on the failure-detector verdict for one world rank: its
+// connection state is discarded, everything waiting on it fails with
+// *mpi.ErrPeerLost, and the engine fails the receives only it could satisfy.
+// Idempotent; a no-op after Close.
+func (t *Transport) peerDown(rank int, cause error) {
+	if rank == t.rank || t.isClosed() || !t.peers[rank].condemn(cause) {
+		return
+	}
+	t.failWaiters(func(r int) bool { return r == rank }, &mpi.ErrPeerLost{Rank: rank, Cause: cause})
+	t.netCounters().PeersLost.Add(1)
+	fmt.Fprintf(os.Stderr, "tcpnet: rank %d: peer rank %d lost: %v\n", t.rank, rank, cause)
+	t.env.PeerLost(rank, cause)
+	// Push the failure counters to the launcher right away — the survivors
+	// may run on for a while, and the post-mortem wants the loss timestamped.
+	go t.teleReport()
+}

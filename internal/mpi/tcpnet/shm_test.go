@@ -99,7 +99,7 @@ func TestShmForce(t *testing.T) {
 	// payload can neither reuse nor re-dial it, and force forbids the TCP
 	// fallback.
 	trs[1].shmLn.Close()
-	trs[0].severShm(1)
+	trs[0].peers[1].sever(true)
 	recvErr := make(chan error, 1)
 	go func() {
 		_, _, err := c1.Recv(0, 5)
@@ -176,7 +176,7 @@ func TestFaultShmSeverFallsBackToTCP(t *testing.T) {
 // window (between its CTS and the payload landing) while the payload is
 // routed over the intra-host channel: the sender's local write fails, its
 // TCP fallback finds the peer dead, and the send must surface ErrPeerLost —
-// never hang — exactly like the rdvOut CTS-waiter sweep promises.
+// never hang — exactly like the CTS-waiter sweep promises.
 func TestChaosShmSeverMidRData(t *testing.T) {
 	t.Setenv(EnvHeartbeat, "100ms")
 	t.Setenv(EnvPeerTimeout, "500ms")
@@ -223,24 +223,6 @@ func TestChaosShmSeverMidRData(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("shm rendezvous sender hung on a dead same-host receiver")
-	}
-}
-
-// TestHelloFrameRoundTrip pins the advertisement wire format: the hello
-// frame's optional tail is the sender's socket path.
-func TestHelloFrameRoundTrip(t *testing.T) {
-	for _, path := range []string{"", "/tmp/mph-shm-test/r3.sock"} {
-		frame := helloFrame(3, path)
-		if got, want := len(frame), 5+8+len(path); got != want {
-			t.Fatalf("frame length %d, want %d", got, want)
-		}
-		kind, body, err := readFrame(bytes.NewReader(frame))
-		if err != nil || kind != kindHello {
-			t.Fatalf("readFrame: kind %d, err %v", kind, err)
-		}
-		if got := string(body[8:]); got != path {
-			t.Fatalf("advertised path %q, want %q", got, path)
-		}
 	}
 }
 

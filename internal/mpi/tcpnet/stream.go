@@ -1,0 +1,291 @@
+package tcpnet
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"time"
+
+	"mph/internal/mpi"
+)
+
+// stream is the receive side of one inbound connection: the decoder loop's
+// state, and what its frame handlers reach the transport through.
+type stream struct {
+	t     *Transport
+	r     io.Reader // the connection, behind the silence deadline on TCP
+	local bool      // the intra-host (Unix-socket) carrier
+	size  int       // world size: the bound on a hello's rank
+	peer  int       // the world rank the stream's hello named; -1 before it
+
+	// scratch takes every frame's prefix and fixed part, so only a tail is
+	// ever allocated — exactly sized, because the engine hands it to the
+	// application, which owns it from then on.
+	scratch [prefixLen + rtsHdrLen]byte
+}
+
+// handler consumes one decoded frame whose tail bytes are still unread on
+// s.r. A non-nil error ends the stream.
+type handler func(s *stream, f frame, tail int) error
+
+// handlers is the production dispatch table, indexed by frame kind.
+var handlers = [len(frameTable)]handler{
+	kindPacket:    (*stream).onPacket,
+	kindAck:       (*stream).onReply,
+	kindHello:     (*stream).onHello,
+	kindHeartbeat: (*stream).onHeartbeat,
+	kindAbort:     (*stream).onAbort,
+	kindRTS:       (*stream).onRTS,
+	kindCTS:       (*stream).onReply,
+	kindRData:     (*stream).onRData,
+}
+
+// errStreamDone ends a stream whose job is over — it delivered an abort, or
+// the local engine stopped taking packets — with nothing to hold against the
+// peer.
+var errStreamDone = errors.New("tcpnet: stream finished")
+
+// run is the decoder loop: read a frame's header, check it against the frame
+// table and the stream's identity, hand it to its kind's handler, in stream
+// order until an error. The identity rule: a stream opens with a hello naming
+// a rank of this world (or is a launcher's bare abort), and every later frame
+// that names its sender names that rank. So no handler — none of which
+// allocates before it has a frame it wants — ever runs for a stranger.
+func (s *stream) run(hs *[len(frameTable)]handler) error {
+	for {
+		f, tail, err := decode(s.r, s.scratch[:])
+		if err != nil {
+			return err
+		}
+		spec := &frameTable[f.kind]
+		switch {
+		case s.local && !spec.unix:
+			return fmt.Errorf("tcpnet: %s frame on the intra-host channel", spec.name)
+		case s.peer < 0 && f.kind == kindHello && f.src >= 0 && f.src < s.size:
+			s.peer = f.src
+		case s.peer < 0 && f.kind != kindAbort:
+			return fmt.Errorf("tcpnet: stream opened with a %s frame (rank %d), not a hello from this world", spec.name, f.src)
+		case spec.hasSrc && f.src != s.peer:
+			return fmt.Errorf("tcpnet: %s frame from rank %d on rank %d's stream", spec.name, f.src, s.peer)
+		}
+		if err := hs[f.kind](s, f, tail); err != nil {
+			return err
+		}
+	}
+}
+
+// deadlineReader arms the peer-silence deadline before every read, so even a
+// slow multi-megabyte transfer is judged by progress, not by total time.
+type deadlineReader struct {
+	conn    net.Conn
+	silence time.Duration
+}
+
+func (r deadlineReader) Read(p []byte) (int, error) {
+	r.conn.SetReadDeadline(time.Now().Add(r.silence))
+	return r.conn.Read(p)
+}
+
+// readLoop runs one inbound connection's stream and, whichever way it ends,
+// closes and forgets the connection — a sender still writing to it must find
+// out now, not when its write buffer fills.
+//
+// Every TCP read carries a cfg.peerTimeout deadline: the sender heartbeats
+// when idle, so prolonged silence on an open connection means the peer is
+// hung or partitioned and it is declared dead immediately. A closed, broken
+// or garbled connection only raises suspicion — the peer gets
+// cfg.peerTimeout to re-establish before the same verdict.
+//
+// A local (intra-host carrier) stream carries no liveness duty: it has no
+// heartbeats, no read deadlines, and its loss neither suspects nor condemns
+// the peer — the TCP stream owns the failure detector, and its verdict closes
+// the local connections.
+func (t *Transport) readLoop(conn net.Conn, local bool) {
+	defer t.wg.Done()
+	s := &stream{t: t, r: conn, local: local, size: len(t.peers), peer: -1}
+	if !local {
+		s.r = deadlineReader{conn, t.cfg.peerTimeout}
+	}
+	err := s.run(&handlers)
+	t.mu.Lock()
+	delete(t.inbound, conn)
+	t.mu.Unlock()
+	conn.Close()
+	switch {
+	case local || s.peer < 0 || err == errStreamDone:
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		t.peerDown(s.peer, fmt.Errorf("tcpnet: rank %d silent for %v", s.peer, t.cfg.peerTimeout))
+	default:
+		t.peers[s.peer].suspectLost(err)
+	}
+}
+
+// onHello handles the introduction: the loop has already checked the rank.
+// On TCP it proves the peer alive and may carry the path of its intra-host
+// payload listener.
+func (s *stream) onHello(f frame, tail int) error {
+	path := make([]byte, tail)
+	if _, err := io.ReadFull(s.r, path); err != nil {
+		return err
+	}
+	s.t.netCounters().BytesIn.Add(uint64(prefixLen + 8 + tail))
+	if !s.local {
+		pr := &s.t.peers[f.src]
+		pr.clearSuspect()
+		if tail > 0 {
+			pr.advertised(string(path))
+		}
+	}
+	return nil
+}
+
+func (s *stream) onHeartbeat(frame, int) error {
+	nc := s.t.netCounters()
+	nc.HeartbeatsIn.Add(1)
+	nc.BytesIn.Add(prefixLen)
+	return nil
+}
+
+// onPacket posts an eager message to the local engine, reading the payload
+// into the buffer the matched receive will hand to the application.
+func (s *stream) onPacket(f frame, tail int) error {
+	t := s.t
+	p := &mpi.Packet{Ctx: f.ctx, Src: f.rank, SrcWorld: f.src, Tag: f.tag}
+	if tail > 0 {
+		p.Data = make([]byte, tail)
+		if _, err := io.ReadFull(s.r, p.Data); err != nil {
+			return err
+		}
+	}
+	nc := t.netCounters()
+	nc.FramesIn.Add(1)
+	nc.BytesIn.Add(uint64(prefixLen + packetHdrLen + tail))
+	if f.id != 0 {
+		ch := make(chan error, 1)
+		p.Ack = ch
+		go t.ackWhenMatched(f.src, f.id, ch)
+	}
+	if t.env.Post(p) != nil {
+		return errStreamDone
+	}
+	return nil
+}
+
+// onReply takes an ack or a CTS and releases the sender waiting on the id it
+// quotes; a replayed one misses the table and is ignored.
+func (s *stream) onReply(f frame, _ int) error {
+	nc := s.t.netCounters()
+	if f.kind == kindAck {
+		nc.AcksIn.Add(1)
+	} else {
+		nc.FramesIn.Add(1)
+		nc.CTSIn.Add(1)
+	}
+	nc.BytesIn.Add(prefixLen + 8)
+	s.t.releaseWaiter(f.id)
+	return nil
+}
+
+// onRTS posts a placeholder that holds the sender's position in the match
+// order, and arranges the CTS for when a receive consumes it.
+func (s *stream) onRTS(f frame, _ int) error {
+	t := s.t
+	nc := t.netCounters()
+	nc.FramesIn.Add(1)
+	nc.RTSIn.Add(1)
+	nc.BytesIn.Add(prefixLen + rtsHdrLen)
+	key := rdvKey{src: f.src, id: f.id}
+	p := &mpi.Packet{Ctx: f.ctx, Src: f.rank, SrcWorld: f.src, Tag: f.tag, Rdv: mpi.NewRendezvous(f.plen)}
+	t.waitMu.Lock()
+	_, dup := t.rdvIn[key]
+	if !dup {
+		t.rdvIn[key] = p
+	}
+	t.waitMu.Unlock()
+	if dup {
+		// A redial replayed an RTS whose first copy did arrive; the original
+		// placeholder already holds the match slot.
+		return nil
+	}
+	rdv := p.Rdv
+	if err := t.env.Post(p); err != nil {
+		t.forgetRdv(key)
+		rdv.Fail(err)
+		return errStreamDone
+	}
+	go t.ctsWhenMatched(f.src, f.id, rdv)
+	return nil
+}
+
+// onRData completes a rendezvous: the payload is read straight into the
+// buffer the matched receive hands to the application.
+func (s *stream) onRData(f frame, tail int) error {
+	t := s.t
+	key := rdvKey{src: f.src, id: f.id}
+	t.waitMu.Lock()
+	p := t.rdvIn[key]
+	t.waitMu.Unlock()
+	wire := uint64(prefixLen + rdataHdrLen + tail)
+	nc := t.netCounters()
+	if p == nil {
+		// Duplicate delivery after a redial replay, or a transfer the
+		// failure sweep already gave up on: drain and discard, keeping the
+		// stream usable.
+		if err := drain(s.r, tail); err != nil {
+			return err
+		}
+		nc.FramesIn.Add(1)
+		nc.BytesIn.Add(wire)
+		return nil
+	}
+	if tail != p.Rdv.PayloadLen() {
+		err := fmt.Errorf("tcpnet: rendezvous %d/%d payload is %d bytes, rts promised %d", f.src, f.id, tail, p.Rdv.PayloadLen())
+		t.forgetRdv(key)
+		p.Rdv.Fail(err)
+		return err
+	}
+	buf := make([]byte, tail)
+	if _, err := io.ReadFull(s.r, buf); err != nil {
+		return err // the entry stays: a sender-side retry may still complete it
+	}
+	nc.FramesIn.Add(1)
+	nc.RDataIn.Add(1)
+	nc.BytesIn.Add(wire)
+	if s.local {
+		nc.ShmRDataIn.Add(1)
+		nc.ShmBytesIn.Add(wire)
+	}
+	// Forgotten only now, with the payload completely read: a duplicate
+	// RData from a redialed connection then misses the table and is drained.
+	t.forgetRdv(key)
+	p.FinishRendezvous(buf)
+	return nil
+}
+
+// drain discards n bytes of r through a bounded buffer. (Not io.CopyN: its
+// ReaderFrom/WriterTo probing links every such method in the binary — splice
+// and sendfile included — into each component executable.)
+func drain(r io.Reader, n int) error {
+	buf := make([]byte, min(n, 32<<10))
+	for n > 0 {
+		c := min(n, len(buf))
+		if _, err := io.ReadFull(r, buf[:c]); err != nil {
+			return err
+		}
+		n -= c
+	}
+	return nil
+}
+
+// onAbort applies a job-wide abort. The job is over, so the stream ends with
+// no suspicion raised.
+func (s *stream) onAbort(f frame, _ int) error {
+	nc := s.t.netCounters()
+	nc.AbortsIn.Add(1)
+	nc.BytesIn.Add(uint64(prefixLen + frameTable[kindAbort].fixed))
+	s.t.applyAbort(f.code, f.origin)
+	s.t.env.AbortDelivered(f.code, f.origin)
+	return errStreamDone
+}

@@ -3,6 +3,14 @@
 // packets over per-direction TCP streams, and the initial wiring happens
 // through the mphrun rendezvous (package bootstrap).
 //
+// The package is three pieces. frame.go is the wire codec, the only file
+// that knows a frame's layout. peer.go is the per-destination object, one per
+// world rank, that owns both outbound carriers (the TCP stream and the
+// same-host Unix-socket payload channel of shm.go), the one send path, and
+// the failure detector's state. stream.go is the receive side: one decoder
+// loop per inbound connection dispatching to a handler per frame kind. This
+// file holds the Transport that ties them to the mpi engine.
+//
 // Each sender owns one outbound connection per peer and writes its packets
 // to it in program order; TCP's ordered delivery plus the engine's
 // first-match scan yield the same non-overtaking guarantee as the
@@ -54,10 +62,7 @@
 package tcpnet
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -68,40 +73,6 @@ import (
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
 )
-
-// frame kinds.
-const (
-	kindPacket    = 1 // a message: header + payload
-	kindAck       = 2 // Ssend release: u64 ack id
-	kindHello     = 3 // first frame on every outbound conn: u64 sender world rank [+ its intra-host socket path]
-	kindHeartbeat = 4 // idle-connection liveness signal, empty body
-	kindAbort     = 5 // job-wide abort (= bootstrap.AbortFrameKind): i64 code + i64 origin rank (-1 launcher)
-	kindRTS       = 6 // rendezvous request-to-send: envelope + promised length
-	kindCTS       = 7 // rendezvous clear-to-send: u64 rendezvous id
-	kindRData     = 8 // rendezvous payload: u64 srcWorld + u64 id + payload
-)
-
-// packetHdrLen is the fixed packet-frame header after the length prefix and
-// kind byte: srcWorld, ctx, src, tag, ackID (u64/i64 each).
-const packetHdrLen = 8 + 8 + 8 + 8 + 8
-
-// rtsHdrLen is the fixed body of a kindRTS frame: srcWorld, ctx, src, tag,
-// rendezvous id, promised payload length (u64/i64 each). An RTS frame has no
-// payload — that is its entire point.
-const rtsHdrLen = 8 + 8 + 8 + 8 + 8 + 8
-
-// rdataHdrLen is the fixed header of a kindRData frame before the payload:
-// srcWorld and rendezvous id. srcWorld is carried so the frame decodes
-// standalone (and so a redialed stream needs no prior context).
-const rdataHdrLen = 8 + 8
-
-// rdvChunk is the read granularity for rendezvous payloads: each chunk read
-// refreshes the peer-silence deadline, so a slow multi-megabyte transfer is
-// judged by per-chunk progress, not whole-payload time.
-const rdvChunk = 256 << 10
-
-// maxFrame bounds a frame's byte length as a corruption guard.
-const maxFrame = 1 << 30
 
 // abortSendTimeout bounds the per-peer effort of an abort broadcast: aborts
 // must go out promptly even when some peers are already unreachable.
@@ -138,9 +109,10 @@ const DialTimeout = 30 * time.Second
 // osExit is swapped out by tests of the "die" fault action.
 var osExit = os.Exit
 
-// pendingAck is one registered synchronous send awaiting its ack frame (or
-// a rendezvous send awaiting its CTS frame).
-type pendingAck struct {
+// waiter is one blocked sender: a synchronous send awaiting its ack frame, or
+// a rendezvous send awaiting its CTS. The channel closes on release (reads
+// nil) or first carries the typed failure.
+type waiter struct {
 	ch  chan error
 	dst int
 }
@@ -155,61 +127,34 @@ type rdvKey struct {
 // Transport implements mpi.Transport over TCP.
 type Transport struct {
 	rank  int
-	addrs []string
+	peers []peer // indexed by world rank; the entry for rank itself is idle
 	env   *mpi.Env
 	ln    net.Listener
 	cfg   netConfig
 
 	faults *faultSet // parsed MPH_FAULT rules, nil when no faults are injected
 
-	mu      sync.Mutex
-	out     map[int]*outConn
-	inbound []net.Conn
-	dead    map[int]error       // world rank -> cause, per failure-detector verdict
-	suspect map[int]*time.Timer // pending peer-death suspicions, cancelable by reconnect
-	closed  bool
+	// Intra-host payload listener (shm.go), fixed at Init: nil and "" when
+	// the channel is disabled.
+	shmLn  net.Listener
+	shmDir string // private socket directory, removed on Close
 
-	stop chan struct{} // closed by Close; cancels dial backoff and heartbeats
+	mu      sync.Mutex
+	inbound map[net.Conn]struct{} // accepted connections of both carriers, each until its reader exits
+
+	stop chan struct{} // closed by Close, under mu; cancels dial backoff and heartbeats
 
 	abortErr atomic.Pointer[mpi.AbortError] // set once the job is aborting
 
-	ackSeq  atomic.Uint64
-	ackMu   sync.Mutex
-	pending map[uint64]pendingAck
-	// rdvOut holds this rank's rendezvous sends between RTS and CTS, keyed
-	// by rendezvous id and guarded by ackMu (the same failure sweeps that
-	// release pending Ssend acks release CTS waiters). The channel closes on
-	// CTS (nil) or carries the typed failure.
-	rdvOut map[uint64]pendingAck
-
-	// rdvSeq numbers this rank's outbound rendezvous transfers; ids are
-	// per-sender, so (srcWorld, id) is globally unique.
-	rdvSeq atomic.Uint64
-
-	// rdvIn holds inbound rendezvous placeholders between RTS and the full
-	// payload landing, keyed by (sender world rank, id). An entry is removed
-	// only after its payload is completely read — a duplicate RData from a
-	// redialed connection then misses the map and is drained harmlessly.
-	rdvMu sync.Mutex
-	rdvIn map[rdvKey]*mpi.Packet
-
-	// Intra-host payload channel state (shm.go, DESIGN.md §12): per-peer
-	// Unix-domain sockets advertised in the hello frame that carry rendezvous
-	// payload frames between same-host ranks. Guarded by its own mutex —
-	// the payload hot path must not contend with connection bookkeeping.
-	shmMu   sync.Mutex
-	shmDir  string           // private socket directory, removed on Close
-	shmLn   net.Listener     // this rank's local payload listener, nil when disabled
-	shmAddr map[int]string   // peer world rank -> advertised socket path
-	shmOut  map[int]*outConn // established outbound local payload connections
-	shmDead map[int]bool     // peers whose local channel failed permanently
-
-	// Per-destination send totals, indexed by world rank. Unlike the
-	// in-process transport — where sent totals are derived from sibling
-	// engines — a TCP sender cannot see the remote engine, so it counts on
-	// its own wire path with atomics (the syscall dominates the cost).
-	sentMsgs  []atomic.Uint64
-	sentBytes []atomic.Uint64
+	// The waiter tables: what one failure sweep (failWaiters) must release.
+	// waiters holds this rank's blocked senders by the id their packet or
+	// RTS carried (one sequence, so an ack and a CTS never collide). rdvIn
+	// holds inbound rendezvous placeholders between RTS and the full payload
+	// landing, keyed by (sender world rank, id).
+	waitMu  sync.Mutex
+	waitSeq uint64
+	waiters map[uint64]waiter
+	rdvIn   map[rdvKey]*mpi.Packet
 
 	// net points at the rank's perf counters once the Env exists; frames
 	// read before then (none in practice: peers dial after rendezvous)
@@ -245,53 +190,14 @@ func (t *Transport) tracer() *perf.Tracer {
 	return t.env.Perf().Tracer()
 }
 
-// outConn serializes writes to one peer and tracks when the connection was
-// last written, which is what the heartbeat loop consults.
-type outConn struct {
-	mu        sync.Mutex
-	conn      net.Conn
-	lastWrite time.Time
-}
-
-// write sends one frame under the connection's write lock with a deadline.
-func (oc *outConn) write(frame []byte, timeout time.Duration) error {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	if timeout > 0 {
-		oc.conn.SetWriteDeadline(time.Now().Add(timeout))
+// isClosed reports whether Close has begun.
+func (t *Transport) isClosed() bool {
+	select {
+	case <-t.stop:
+		return true
+	default:
+		return false
 	}
-	_, err := oc.conn.Write(frame)
-	oc.lastWrite = time.Now()
-	if err != nil {
-		return fmt.Errorf("tcpnet: write: %w", err)
-	}
-	return nil
-}
-
-// writev sends one frame split across two iovecs — header and payload —
-// under the connection's write lock with a deadline. net.Buffers on a TCP
-// connection reaches the kernel as a single writev call, so the payload is
-// never copied into an intermediate frame buffer.
-func (oc *outConn) writev(hdr, payload []byte, timeout time.Duration) error {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	if timeout > 0 {
-		oc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	bufs := net.Buffers{hdr, payload}
-	_, err := bufs.WriteTo(oc.conn)
-	oc.lastWrite = time.Now()
-	if err != nil {
-		return fmt.Errorf("tcpnet: writev: %w", err)
-	}
-	return nil
-}
-
-// idleFor reports whether the connection has gone unwritten for at least d.
-func (oc *outConn) idleFor(d time.Duration) bool {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return time.Since(oc.lastWrite) >= d
 }
 
 // Init bootstraps a TCP world endpoint: listen, register with the
@@ -338,30 +244,22 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		ln.Close()
 		return nil, nil, fmt.Errorf("tcpnet: address book has %d entries, world is %d", len(book), size)
 	}
-	addrs := make([]string, size)
+	t := &Transport{
+		rank:    rank,
+		peers:   make([]peer, size),
+		ln:      ln,
+		cfg:     cfg,
+		faults:  faults,
+		inbound: make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
+		waiters: make(map[uint64]waiter),
+		rdvIn:   make(map[rdvKey]*mpi.Packet),
+	}
 	hosts := make([]string, size)
 	for r, ep := range book {
-		addrs[r] = ep.Addr
+		pr := &t.peers[r]
+		pr.t, pr.rank, pr.addr = t, r, ep.Addr
 		hosts[r] = ep.Host
-	}
-	t := &Transport{
-		rank:      rank,
-		addrs:     addrs,
-		ln:        ln,
-		cfg:       cfg,
-		faults:    faults,
-		out:       make(map[int]*outConn),
-		dead:      make(map[int]error),
-		suspect:   make(map[int]*time.Timer),
-		stop:      make(chan struct{}),
-		pending:   make(map[uint64]pendingAck),
-		rdvOut:    make(map[uint64]pendingAck),
-		rdvIn:     make(map[rdvKey]*mpi.Packet),
-		shmAddr:   make(map[int]string),
-		shmOut:    make(map[int]*outConn),
-		shmDead:   make(map[int]bool),
-		sentMsgs:  make([]atomic.Uint64, size),
-		sentBytes: make([]atomic.Uint64, size),
 	}
 	env := mpi.NewEnv(rank, size, t)
 	env.SetHosts(hosts)
@@ -371,9 +269,9 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	pv.SetSentCollector(func() (msgs, bytes []uint64) {
 		msgs = make([]uint64, size)
 		bytes = make([]uint64, size)
-		for d := range msgs {
-			msgs[d] = t.sentMsgs[d].Load()
-			bytes[d] = t.sentBytes[d].Load()
+		for d := range t.peers {
+			msgs[d] = t.peers[d].sentMsgs.Load()
+			bytes[d] = t.peers[d].sentBytes.Load()
 		}
 		return msgs, bytes
 	})
@@ -465,116 +363,128 @@ func InitFromEnv() (*mpi.Env, string, error) {
 	return env, le.Registration, err
 }
 
+// addWaiter registers a sender blocked on dst and returns the id its frame
+// carries for the reply to quote.
+func (t *Transport) addWaiter(ch chan error, dst int) uint64 {
+	t.waitMu.Lock()
+	defer t.waitMu.Unlock()
+	t.waitSeq++
+	t.waiters[t.waitSeq] = waiter{ch: ch, dst: dst}
+	return t.waitSeq
+}
+
+// releaseWaiter wakes the sender registered under id, if it is still
+// waiting: its ack or CTS arrived. forgetWaiter drops the registration of a
+// frame that never left, so no reply will come.
+func (t *Transport) releaseWaiter(id uint64) {
+	if w, ok := t.forgetWaiter(id); ok {
+		close(w.ch) // reads as nil
+	}
+}
+
+func (t *Transport) forgetWaiter(id uint64) (waiter, bool) {
+	t.waitMu.Lock()
+	defer t.waitMu.Unlock()
+	w, ok := t.waiters[id]
+	delete(t.waiters, id)
+	return w, ok
+}
+
+// forgetRdv removes an inbound rendezvous placeholder from the table.
+func (t *Transport) forgetRdv(key rdvKey) {
+	t.waitMu.Lock()
+	delete(t.rdvIn, key)
+	t.waitMu.Unlock()
+}
+
+// failWaiters is the one failure sweep: every blocked sender and every
+// inbound rendezvous placeholder whose peer satisfies match is released with
+// err. Peer death, job abort and Close differ only in the predicate and the
+// error. An orderly shutdown is not a send failure, so mpi.ErrClosed reaches
+// senders as a plain release (a CTS waiter's data write then fails with
+// ErrClosed through the closed transport, so no payload escapes).
+func (t *Transport) failWaiters(match func(rank int) bool, err error) {
+	t.waitMu.Lock()
+	defer t.waitMu.Unlock()
+	for id, w := range t.waiters {
+		if !match(w.dst) {
+			continue
+		}
+		if err != mpi.ErrClosed {
+			select {
+			case w.ch <- err:
+			default:
+			}
+		}
+		close(w.ch)
+		delete(t.waiters, id)
+	}
+	for k, p := range t.rdvIn {
+		if match(k.src) {
+			delete(t.rdvIn, k)
+			p.Rdv.Fail(err)
+		}
+	}
+}
+
+// everyPeer is the failWaiters predicate of the job-wide sweeps.
+func everyPeer(int) bool { return true }
+
+// ignoreDrop turns the report of a "drop" fault into success: the frame
+// vanishes, the send itself "succeeds".
+func ignoreDrop(err error) error {
+	if err == errDropped {
+		return nil
+	}
+	return err
+}
+
 // Deliver implements mpi.Transport. Sends to a rank the failure detector
 // has declared dead fail fast with *mpi.ErrPeerLost; sends after an abort
 // fail with the abort error.
 func (t *Transport) Deliver(dst int, p *mpi.Packet) error {
-	if dst < 0 || dst >= len(t.addrs) {
+	if dst < 0 || dst >= len(t.peers) {
 		return mpi.ErrRank
 	}
 	if ae := t.abortErr.Load(); ae != nil {
 		return ae
 	}
-	if dst == t.rank {
-		// Local fast path; the engine takes ownership of the packet.
-		t.sentMsgs[dst].Add(1)
-		t.sentBytes[dst].Add(uint64(len(p.Data)))
-		return t.env.Post(p)
+	pr := &t.peers[dst]
+	if dst != t.rank {
+		if err := pr.deadErr(); err != nil {
+			return err
+		}
 	}
-	if err := t.deadErr(dst); err != nil {
-		return err
+	pr.sentMsgs.Add(1)
+	pr.sentBytes.Add(uint64(len(p.Data)))
+	switch {
+	case dst == t.rank:
+		return t.env.Post(p) // local fast path; the engine takes ownership of the packet
+	case t.rendezvousEligible(len(p.Data)):
+		return t.deliverRendezvous(pr, p)
 	}
-	if t.rendezvousEligible(len(p.Data)) {
-		return t.deliverRendezvous(dst, p)
-	}
-	if act, fired := t.sendFault(dst, framePacket); fired && act.kind == "drop" {
-		return nil // the frame vanishes; the send itself "succeeds"
-	}
-	t.sentMsgs[dst].Add(1)
-	t.sentBytes[dst].Add(uint64(len(p.Data)))
-	var ackID uint64
+	f := frame{kind: kindPacket, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag}
 	if p.Ack != nil {
-		ackID = t.ackSeq.Add(1)
-		t.ackMu.Lock()
-		t.pending[ackID] = pendingAck{ch: p.Ack, dst: dst}
-		t.ackMu.Unlock()
+		f.id = t.addWaiter(p.Ack, dst)
 	}
 	fb := framePool.Get().(*frameBuf)
-	fb.b = encodePacketInto(fb.b, t.rank, p, ackID)
-	err := t.send(dst, fb.b)
+	if n := prefixLen + packetHdrLen + len(p.Data); cap(fb.b) < n {
+		fb.b = make([]byte, 0, n)
+	}
+	fb.b = append(encode(fb.b[:0], f, len(p.Data)), p.Data...)
+	err := pr.send(kindPacket, fb.b, nil)
 	if err == nil {
 		nc := t.netCounters()
 		nc.FramesOut.Add(1)
 		nc.BytesOut.Add(uint64(len(fb.b)))
 	}
 	putFrame(fb, t.cfg.maxPooledFrame)
-	if err != nil && ackID != 0 {
+	if err != nil && f.id != 0 {
 		// The packet never left, so no ack will come back; drop the
 		// registration rather than stranding it until Close.
-		t.ackMu.Lock()
-		delete(t.pending, ackID)
-		t.ackMu.Unlock()
+		t.forgetWaiter(f.id)
 	}
-	return err
-}
-
-// send writes one frame to dst, transparently redialing and resending once
-// when the established connection fails mid-write. Retrying a whole frame is
-// safe: the receiver discards partial frames on stream error, and a frame
-// that was fully flushed onto a broken connection was already counted as
-// delivered by TCP or lost with the peer.
-func (t *Transport) send(dst int, frame []byte) error {
-	oc, err := t.outbound(dst)
-	if err != nil {
-		return err
-	}
-	err = oc.write(frame, t.cfg.writeTimeout)
-	if err == nil {
-		return nil
-	}
-	t.dropOut(dst, oc)
-	oc, err2 := t.outbound(dst) // full retry budget for the redial
-	if err2 != nil {
-		return err2 // outbound already declared the peer down
-	}
-	if err3 := oc.write(frame, t.cfg.writeTimeout); err3 != nil {
-		t.dropOut(dst, oc)
-		t.peerDown(dst, err3)
-		return &mpi.ErrPeerLost{Rank: dst, Cause: err3}
-	}
-	return nil
-}
-
-// sendFault consults the fault rules for one outbound frame of the given
-// kind and applies the side-effectful actions (delay, sever, die) inline.
-// It reports the chosen action and whether any rule fired; the caller
-// implements "drop" itself, because what a vanished frame means differs per
-// frame kind.
-func (t *Transport) sendFault(dst int, frame string) (faultAction, bool) {
-	if t.faults == nil {
-		return faultAction{}, false
-	}
-	act := t.faults.sendAction(t.rank, dst, frame)
-	if act.kind == "" {
-		return faultAction{}, false
-	}
-	t.netCounters().FaultsInjected.Add(1)
-	switch act.kind {
-	case "delay":
-		time.Sleep(act.dur)
-	case "sever":
-		// A shm-frame sever hits the intra-host channel, not the TCP stream:
-		// the point of frame=shm chaos is proving the fallback path.
-		if frame == frameShm {
-			t.severShm(dst)
-		} else {
-			t.severPeer(dst)
-		}
-	case "die":
-		t.severAll()
-		osExit(1)
-	}
-	return act, true
+	return ignoreDrop(err)
 }
 
 // rendezvousEligible reports whether a payload of n bytes takes the
@@ -597,57 +507,36 @@ func (t *Transport) BorrowsPayload(dst, n int) bool {
 // the envelope, block until the receiver's CTS proves the consuming match,
 // then the payload as a header iovec plus the caller's slice (writev) — over
 // the intra-host channel when one is negotiated (shm.go), else TCP. The
-// CTS wait is released with a typed error by the failure sweeps when the
+// CTS wait is released with a typed error by the failure sweep when the
 // peer dies, the job aborts, or the transport closes — a rendezvous send
 // never hangs on a dead receiver.
-func (t *Transport) deliverRendezvous(dst int, p *mpi.Packet) error {
-	if act, fired := t.sendFault(dst, frameRTS); fired && act.kind == "drop" {
-		return nil // the announcement vanishes; chaos semantics as for packet drop
-	}
-	t.sentMsgs[dst].Add(1)
-	t.sentBytes[dst].Add(uint64(len(p.Data)))
-	id := t.rdvSeq.Add(1)
+func (t *Transport) deliverRendezvous(pr *peer, p *mpi.Packet) error {
 	ch := make(chan error, 1)
-	t.ackMu.Lock()
-	t.rdvOut[id] = pendingAck{ch: ch, dst: dst}
-	t.ackMu.Unlock()
-	var rts [5 + rtsHdrLen]byte
-	encodeRTSInto(rts[:], t.rank, p, id)
-	if err := t.send(dst, rts[:]); err != nil {
-		t.ackMu.Lock()
-		delete(t.rdvOut, id)
-		t.ackMu.Unlock()
-		return err
+	id := t.addWaiter(ch, pr.rank)
+	var hdr [prefixLen + rtsHdrLen]byte
+	rts := encode(hdr[:0], frame{kind: kindRTS, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag, id: id, plen: len(p.Data)}, 0)
+	if err := pr.send(kindRTS, rts, nil); err != nil {
+		t.forgetWaiter(id)
+		return ignoreDrop(err)
 	}
 	nc := t.netCounters()
 	nc.FramesOut.Add(1)
 	nc.RTSOut.Add(1)
-	nc.BytesOut.Add(5 + rtsHdrLen)
+	nc.BytesOut.Add(uint64(len(rts)))
 	if tr := t.tracer(); tr != nil {
-		tr.Record(perf.KRendezvous, int64(dst), int64(p.Tag), int64(len(p.Data)), int64(id))
+		tr.Record(perf.KRendezvous, int64(pr.rank), int64(p.Tag), int64(len(p.Data)), int64(id))
 	}
 	if err := <-ch; err != nil {
 		return err
 	}
 	// CTS received: the receiver has matched. Ship the payload.
-	if act, fired := t.sendFault(dst, frameData); fired && act.kind == "drop" {
-		return nil
-	}
-	var hdr [5 + rdataHdrLen]byte
-	encodeRDataHeader(hdr[:], t.rank, id, len(p.Data))
-	viaShm, err := t.sendRData(dst, hdr[:], p.Data)
-	if err != nil {
-		return err
+	data := encode(hdr[:0], frame{kind: kindRData, src: t.rank, id: id}, len(p.Data))
+	if err := pr.send(kindRData, data, p.Data); err != nil {
+		return ignoreDrop(err)
 	}
 	nc.FramesOut.Add(1)
 	nc.RDataOut.Add(1)
-	nc.BytesOut.Add(uint64(5 + rdataHdrLen + len(p.Data)))
-	if viaShm {
-		// Also counted in RDataOut/BytesOut above: the shm counters split
-		// the totals by channel, they do not fork them.
-		nc.ShmRDataOut.Add(1)
-		nc.ShmBytesOut.Add(uint64(5 + rdataHdrLen + len(p.Data)))
-	}
+	nc.BytesOut.Add(uint64(len(data) + len(p.Data)))
 	// The CTS already proved the consuming match, which is exactly what an
 	// Ssend waits for; release it locally, no wire ack needed.
 	if p.Ack != nil {
@@ -656,64 +545,52 @@ func (t *Transport) deliverRendezvous(dst int, p *mpi.Packet) error {
 	return nil
 }
 
-// sendv writes one frame as two iovecs — a small header and the caller's
-// payload slice — with scatter-gather I/O (net.Buffers → writev), redialing
-// once on failure exactly like send. The payload crosses from the user's
-// buffer to the kernel with no intermediate copy.
-func (t *Transport) sendv(dst int, hdr, payload []byte) error {
-	oc, err := t.outbound(dst)
-	if err != nil {
-		return err
+// ackWhenMatched waits for the local engine to match an Ssend's packet, then
+// returns the ack. A failed completion (abort, shutdown) produces none: the
+// sender's own failure path delivers its error.
+func (t *Transport) ackWhenMatched(src int, id uint64, matched <-chan error) {
+	if err := <-matched; err == nil {
+		t.reply(src, kindAck, id)
 	}
-	err = oc.writev(hdr, payload, t.cfg.writeTimeout)
-	if err == nil {
-		return nil
-	}
-	t.dropOut(dst, oc)
-	oc, err2 := t.outbound(dst) // full retry budget for the redial
-	if err2 != nil {
-		return err2 // outbound already declared the peer down
-	}
-	if err3 := oc.writev(hdr, payload, t.cfg.writeTimeout); err3 != nil {
-		t.dropOut(dst, oc)
-		t.peerDown(dst, err3)
-		return &mpi.ErrPeerLost{Rank: dst, Cause: err3}
-	}
-	return nil
 }
 
-// deadErr returns the typed failure for a send to dst if the failure
-// detector has declared it dead, or nil.
-func (t *Transport) deadErr(dst int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cause, dead := t.dead[dst]; dead {
-		return &mpi.ErrPeerLost{Rank: dst, Cause: cause}
+// ctsWhenMatched waits for the local engine to match a rendezvous
+// placeholder, then tells the sender it is clear to ship the payload. A
+// failed rendezvous (peer lost, abort, shutdown) produces no CTS: the
+// sender's own failure sweep delivers its error.
+func (t *Transport) ctsWhenMatched(src int, id uint64, rdv *mpi.Rendezvous) {
+	if <-rdv.Matched(); rdv.MatchErr() == nil {
+		t.reply(src, kindCTS, id)
 	}
-	return nil
+}
+
+// reply returns an ack or a CTS quoting id. Both take the full redial-once
+// send path: a reply lost on a stale connection would strand a sender whose
+// peer is alive, where no failure detector ever fires.
+func (t *Transport) reply(dst int, kind byte, id uint64) {
+	var b [prefixLen + 8]byte
+	if t.peers[dst].send(kind, encode(b[:0], frame{kind: kind, id: id}, 0), nil) != nil {
+		return // best effort: the peer may already be gone
+	}
+	nc := t.netCounters()
+	if kind == kindAck {
+		nc.AcksOut.Add(1)
+	} else {
+		nc.CTSOut.Add(1)
+		nc.BytesOut.Add(uint64(len(b)))
+	}
 }
 
 // Close implements mpi.Transport: it stops the accept and heartbeat loops,
-// cancels pending suspicions, closes every connection, and releases pending
-// synchronous senders with a nil error (an orderly shutdown is not a send
-// failure).
+// cancels pending suspicions, closes every connection, and releases blocked
+// senders (an orderly shutdown is not a send failure).
 func (t *Transport) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.isClosed() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
 	close(t.stop)
-	for r, tm := range t.suspect {
-		tm.Stop()
-		delete(t.suspect, r)
-	}
-	ln := t.ln
-	conns := append([]net.Conn(nil), t.inbound...)
-	for _, oc := range t.out {
-		conns = append(conns, oc.conn)
-	}
 	t.mu.Unlock()
 
 	// The final telemetry report goes out before connections drop: counters
@@ -722,293 +599,32 @@ func (t *Transport) Close() error {
 	if t.debugSrv != nil {
 		t.debugSrv.Close()
 	}
-	ln.Close()
-	t.closeShm()
-	for _, c := range conns {
-		c.Close()
+	t.severAll()
+	for i := range t.peers {
+		t.peers[i].clearSuspect()
 	}
-	t.ackMu.Lock()
-	for id, pa := range t.pending {
-		close(pa.ch)
-		delete(t.pending, id)
-	}
-	for id, pa := range t.rdvOut {
-		// Closing reads as nil; the sender's data write then fails with
-		// ErrClosed through the closed transport, so no payload escapes.
-		close(pa.ch)
-		delete(t.rdvOut, id)
-	}
-	t.ackMu.Unlock()
-	t.rdvMu.Lock()
-	for k, p := range t.rdvIn {
-		delete(t.rdvIn, k)
-		p.Rdv.Fail(mpi.ErrClosed)
-	}
-	t.rdvMu.Unlock()
+	t.failWaiters(everyPeer, mpi.ErrClosed)
 	t.wg.Wait()
 	return nil
 }
 
-// outbound returns (dialing with retry if necessary) the connection for
-// sends to dst. A dial that exhausts its retry budget declares the peer
-// dead.
-func (t *Transport) outbound(dst int) (*outConn, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, mpi.ErrClosed
-	}
-	if cause, dead := t.dead[dst]; dead {
-		t.mu.Unlock()
-		return nil, &mpi.ErrPeerLost{Rank: dst, Cause: cause}
-	}
-	if oc, ok := t.out[dst]; ok {
-		t.mu.Unlock()
-		return oc, nil
-	}
-	t.mu.Unlock()
-
-	conn, err := t.dial(dst)
-	if err != nil {
-		if errors.Is(err, mpi.ErrClosed) {
-			return nil, err
-		}
-		t.peerDown(dst, err)
-		return nil, &mpi.ErrPeerLost{Rank: dst, Cause: err}
-	}
-	// Introduce ourselves before any traffic so the peer's failure detector
-	// can attribute this stream (and clear any suspicion) immediately, and
-	// a same-host peer learns this rank's intra-host channel before any CTS
-	// written to this connection (shm.go).
-	conn.SetWriteDeadline(time.Now().Add(t.cfg.writeTimeout))
-	if _, err := conn.Write(helloFrame(t.rank, t.shmPathFor(dst))); err != nil {
-		conn.Close()
-		t.peerDown(dst, err)
-		return nil, &mpi.ErrPeerLost{Rank: dst, Cause: err}
-	}
-	conn.SetWriteDeadline(time.Time{})
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		conn.Close()
-		return nil, mpi.ErrClosed
-	}
-	if oc, ok := t.out[dst]; ok { // lost a dial race; keep the first
-		conn.Close()
-		return oc, nil
-	}
-	oc := &outConn{conn: conn, lastWrite: time.Now()}
-	t.out[dst] = oc
-	t.netCounters().Dials.Add(1)
-	return oc, nil
-}
-
-// dial establishes one connection to dst with the transport's retry budget,
-// counting retries and tracing them.
-func (t *Transport) dial(dst int) (net.Conn, error) {
-	return dialRetry(t.addrs[dst], t.cfg, t.stop, func(attempt int, wait time.Duration) {
-		t.netCounters().DialRetries.Add(1)
-		if tr := t.tracer(); tr != nil {
-			tr.Record(perf.KDialRetry, int64(dst), int64(attempt), int64(wait), 0)
-		}
-	})
-}
-
-// dialRetry dials addr until it succeeds or the cfg.dialTimeout budget is
-// spent, backing off exponentially with jitter between attempts. onRetry
-// (optional) observes each scheduled retry; stop (optional) cancels the
-// backoff wait. It is a standalone function so the schedule is testable
-// without a Transport.
-func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(attempt int, wait time.Duration)) (net.Conn, error) {
-	bo := &backoff{base: cfg.dialBase, max: cfg.dialMax}
-	deadline := time.Now().Add(cfg.dialTimeout)
-	attempt := 0
-	for {
-		per := time.Until(deadline)
-		if per <= 0 {
-			return nil, fmt.Errorf("tcpnet: dial %s: budget exhausted after %d attempts", addr, attempt)
-		}
-		if cfg.dialMax > 0 && per > cfg.dialMax {
-			per = cfg.dialMax
-		}
-		conn, err := net.DialTimeout("tcp", addr, per)
-		if err == nil {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
-			}
-			return conn, nil
-		}
-		attempt++
-		wait := bo.next()
-		if time.Now().Add(wait).After(deadline) {
-			return nil, fmt.Errorf("tcpnet: dial %s: %w (after %d attempts)", addr, err, attempt)
-		}
-		if onRetry != nil {
-			onRetry(attempt, wait)
-		}
-		if stop != nil {
-			select {
-			case <-stop:
-				return nil, mpi.ErrClosed
-			case <-time.After(wait):
-			}
-		} else {
-			time.Sleep(wait)
-		}
-	}
-}
-
-// dropOut removes a failed outbound connection, leaving redial to the next
-// send; it is a no-op if the connection was already replaced.
-func (t *Transport) dropOut(dst int, oc *outConn) {
-	t.mu.Lock()
-	if t.out[dst] == oc {
-		delete(t.out, dst)
-	}
-	t.mu.Unlock()
-	oc.conn.Close()
-}
-
-// severPeer abruptly closes the established outbound connection to dst
-// without marking anything failed: the next send redials. It implements the
-// "sever" fault action.
-func (t *Transport) severPeer(dst int) {
-	t.mu.Lock()
-	oc := t.out[dst]
-	delete(t.out, dst)
-	t.mu.Unlock()
-	if oc != nil {
-		oc.conn.Close()
-	}
-}
-
-// severAll closes the listener and every connection without marking the
+// severAll closes the listeners and every connection without marking the
 // transport closed — the network-visible effect of a process crash. The
-// "die" fault action uses it before exiting, and the chaos tests call it
-// directly to simulate a rank's death inside one test process.
+// "die" fault action uses it before exiting, the chaos tests call it
+// directly to simulate a rank's death inside one test process, and Close
+// ends with it. Readers unregister their own connections as they exit.
 func (t *Transport) severAll() {
-	t.mu.Lock()
-	ln := t.ln
-	conns := append([]net.Conn(nil), t.inbound...)
-	for _, oc := range t.out {
-		conns = append(conns, oc.conn)
-	}
-	t.out = make(map[int]*outConn)
-	t.inbound = nil
-	t.mu.Unlock()
-	ln.Close()
+	t.ln.Close()
 	t.closeShm()
-	for _, c := range conns {
+	t.mu.Lock()
+	for c := range t.inbound {
 		c.Close()
 	}
-}
-
-// peerDown records the failure-detector verdict for one world rank: its
-// connection state is discarded, pending synchronous sends to it fail with
-// *mpi.ErrPeerLost, and the engine fails the receives only it could
-// satisfy. Idempotent; a no-op after Close.
-func (t *Transport) peerDown(rank int, cause error) {
-	if rank == t.rank {
-		return
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	if _, dead := t.dead[rank]; dead {
-		t.mu.Unlock()
-		return
-	}
-	t.dead[rank] = cause
-	oc := t.out[rank]
-	delete(t.out, rank)
-	if tm := t.suspect[rank]; tm != nil {
-		tm.Stop()
-		delete(t.suspect, rank)
-	}
 	t.mu.Unlock()
-	if oc != nil {
-		oc.conn.Close()
+	for i := range t.peers {
+		t.peers[i].sever(false)
+		t.peers[i].sever(true)
 	}
-	// Discard the intra-host channel first: closing its connection fails any
-	// in-flight local payload write, whose TCP fallback then inherits the
-	// verdict below — a severed same-host neighbor yields ErrPeerLost, not a
-	// hang, exactly like the rdvOut CTS-waiter sweep.
-	t.shmPeerDown(rank)
-	lostErr := &mpi.ErrPeerLost{Rank: rank, Cause: cause}
-	t.ackMu.Lock()
-	for id, pa := range t.pending {
-		if pa.dst != rank {
-			continue
-		}
-		select {
-		case pa.ch <- lostErr:
-		default:
-		}
-		close(pa.ch)
-		delete(t.pending, id)
-	}
-	for id, pa := range t.rdvOut {
-		if pa.dst != rank {
-			continue
-		}
-		pa.ch <- lostErr // capacity 1, sole send
-		close(pa.ch)
-		delete(t.rdvOut, id)
-	}
-	t.ackMu.Unlock()
-	t.rdvMu.Lock()
-	for k, p := range t.rdvIn {
-		if k.src != rank {
-			continue
-		}
-		delete(t.rdvIn, k)
-		p.Rdv.Fail(lostErr)
-	}
-	t.rdvMu.Unlock()
-	t.netCounters().PeersLost.Add(1)
-	fmt.Fprintf(os.Stderr, "tcpnet: rank %d: peer rank %d lost: %v\n", t.rank, rank, cause)
-	t.env.PeerLost(rank, cause)
-	// Push the failure counters to the launcher right away — the survivors
-	// may run on for a while, and the post-mortem wants the loss timestamped.
-	go t.teleReport()
-}
-
-// suspectPeer starts the reconnect window for a rank whose inbound stream
-// was lost: if no new connection from it identifies itself within
-// cfg.peerTimeout, the peer is declared dead. A connection loss alone is
-// not death — a live peer redials (sends retry transparently), and its
-// hello cancels the suspicion.
-func (t *Transport) suspectPeer(rank int, cause error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	if _, dead := t.dead[rank]; dead {
-		return
-	}
-	if _, ok := t.suspect[rank]; ok {
-		return
-	}
-	t.suspect[rank] = time.AfterFunc(t.cfg.peerTimeout, func() {
-		t.mu.Lock()
-		delete(t.suspect, rank)
-		t.mu.Unlock()
-		t.peerDown(rank, fmt.Errorf("tcpnet: connection lost and not re-established within %v: %w", t.cfg.peerTimeout, cause))
-	})
-}
-
-// clearSuspect cancels a pending suspicion: the rank proved itself alive.
-func (t *Transport) clearSuspect(rank int) {
-	t.mu.Lock()
-	if tm := t.suspect[rank]; tm != nil {
-		tm.Stop()
-		delete(t.suspect, rank)
-	}
-	t.mu.Unlock()
 }
 
 // BroadcastAbort implements the abort hook behind mpi.Comm.Abort: it pushes
@@ -1018,63 +634,39 @@ func (t *Transport) clearSuspect(rank int) {
 // unreachable peers are skipped, and the launcher's process-group kill is
 // the backstop.
 func (t *Transport) BroadcastAbort(code, origin int) {
-	frame := bootstrap.AbortFrame(code, origin)
+	abort := encode(nil, frame{kind: kindAbort, code: code, origin: origin}, 0)
 	var wg sync.WaitGroup
-	for dst := range t.addrs {
-		if dst == t.rank || t.deadErr(dst) != nil {
+	for i := range t.peers {
+		pr := &t.peers[i]
+		if i == t.rank || pr.deadErr() != nil {
 			continue
 		}
-		t.mu.Lock()
-		oc, closed := t.out[dst], t.closed
-		t.mu.Unlock()
-		if closed {
+		if t.isClosed() {
 			break
 		}
 		wg.Add(1)
-		go func(dst int, oc *outConn) {
+		go func() {
 			defer wg.Done()
-			if oc != nil && oc.write(frame, abortSendTimeout) == nil {
-				t.netCounters().AbortsOut.Add(1)
-				return
-			}
-			if bootstrap.SendAbort(t.addrs[dst], code, origin, abortSendTimeout) == nil {
+			oc := pr.established()
+			if (oc != nil && oc.write(abort, nil, abortSendTimeout) == nil) ||
+				bootstrap.SendAbort(pr.addr, code, origin, abortSendTimeout) == nil {
 				t.netCounters().AbortsOut.Add(1)
 			}
-		}(dst, oc)
+		}()
 	}
 	wg.Wait()
 	t.applyAbort(code, origin)
 }
 
 // applyAbort records the job-wide abort locally (first abort wins) and
-// fails every pending synchronous send with it. The engine-side failure is
+// fails everything waiting on any peer with it. The engine-side failure is
 // applied separately by mpi.Env.
 func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 	ae := &mpi.AbortError{Code: code, Origin: origin}
 	if !t.abortErr.CompareAndSwap(nil, ae) {
 		return t.abortErr.Load()
 	}
-	t.ackMu.Lock()
-	for id, pa := range t.pending {
-		select {
-		case pa.ch <- ae:
-		default:
-		}
-		close(pa.ch)
-		delete(t.pending, id)
-	}
-	for id, pa := range t.rdvOut {
-		pa.ch <- ae
-		close(pa.ch)
-		delete(t.rdvOut, id)
-	}
-	t.ackMu.Unlock()
-	t.rdvMu.Lock()
-	for k, p := range t.rdvIn {
-		delete(t.rdvIn, k)
-		p.Rdv.Fail(ae)
-	}
-	t.rdvMu.Unlock()
+	t.failWaiters(everyPeer, ae)
 	// An aborting process usually exits moments later; ship the post-mortem
 	// snapshot now rather than hoping Close still runs.
 	go t.teleFinal()
@@ -1083,8 +675,8 @@ func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 
 // acceptLoop receives inbound connections on one listener — the TCP world
 // endpoint or (local=true) the intra-host payload socket — and spawns a
-// reader per connection. Accepted connections of both flavors land in
-// t.inbound so Close and severAll tear them all down.
+// reader per connection. Accepted connections of both carriers are
+// registered in t.inbound so Close and severAll tear them all down.
 func (t *Transport) acceptLoop(ln net.Listener, local bool) {
 	defer t.wg.Done()
 	for {
@@ -1096,12 +688,12 @@ func (t *Transport) acceptLoop(ln net.Listener, local bool) {
 			tc.SetNoDelay(true)
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.isClosed() {
 			t.mu.Unlock()
 			conn.Close()
 			return
 		}
-		t.inbound = append(t.inbound, conn)
+		t.inbound[conn] = struct{}{}
 		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn, local)
@@ -1116,25 +708,21 @@ func (t *Transport) heartbeatLoop() {
 	defer t.wg.Done()
 	ticker := time.NewTicker(t.cfg.heartbeat)
 	defer ticker.Stop()
-	hb := heartbeatFrame()
+	hb := encode(nil, frame{kind: kindHeartbeat}, 0)
 	for {
 		select {
 		case <-t.stop:
 			return
 		case <-ticker.C:
 		}
-		t.mu.Lock()
-		conns := make(map[int]*outConn, len(t.out))
-		for d, oc := range t.out {
-			conns[d] = oc
-		}
-		t.mu.Unlock()
-		for d, oc := range conns {
-			if !oc.idleFor(t.cfg.heartbeat) {
+		for i := range t.peers {
+			pr := &t.peers[i]
+			oc := pr.established()
+			if oc == nil || !oc.idleFor(t.cfg.heartbeat) {
 				continue
 			}
-			if err := oc.write(hb, t.cfg.writeTimeout); err != nil {
-				t.dropOut(d, oc)
+			if err := oc.write(hb, nil, t.cfg.writeTimeout); err != nil {
+				pr.drop(oc)
 				continue
 			}
 			nc := t.netCounters()
@@ -1142,514 +730,4 @@ func (t *Transport) heartbeatLoop() {
 			nc.BytesOut.Add(uint64(len(hb)))
 		}
 	}
-}
-
-// readLoop decodes frames from one inbound stream and posts them to the
-// local engine, preserving stream order. Fixed-size frame parts (length
-// prefix, kind, packet header, ack body) land in a per-connection scratch
-// buffer so only the payload itself is allocated — exactly sized, because
-// the engine hands it to the application, which owns it from then on.
-//
-// Every read carries a cfg.peerTimeout deadline: the sender heartbeats when
-// idle, so prolonged silence on an open connection means the peer is hung
-// or partitioned and it is declared dead immediately. A closed or broken
-// connection only raises suspicion — the peer gets cfg.peerTimeout to
-// re-establish before the same verdict.
-//
-// A local (intra-host channel) stream carries no liveness duty: it has no
-// heartbeats, no read deadlines, and its loss neither suspects nor condemns
-// the peer — the TCP stream owns the failure detector, and the sweeps close
-// local connections when it rules. Only hello and RData frames are legal on
-// it.
-func (t *Transport) readLoop(conn net.Conn, local bool) {
-	defer t.wg.Done()
-	peer := -1
-	var readErr error
-	defer func() {
-		if local || peer < 0 || readErr == nil {
-			return
-		}
-		if errors.Is(readErr, os.ErrDeadlineExceeded) {
-			t.peerDown(peer, fmt.Errorf("tcpnet: rank %d silent for %v", peer, t.cfg.peerTimeout))
-		} else {
-			t.suspectPeer(peer, readErr)
-		}
-	}()
-	identify := func(rank int) {
-		if peer < 0 && rank >= 0 && rank < len(t.addrs) {
-			peer = rank
-			if !local {
-				t.clearSuspect(rank)
-			}
-		}
-	}
-	var scratch [5 + rtsHdrLen]byte
-	readFull := func(buf []byte) error {
-		if !local {
-			conn.SetReadDeadline(time.Now().Add(t.cfg.peerTimeout))
-		}
-		_, err := io.ReadFull(conn, buf)
-		return err
-	}
-	// readPayload fills buf in rdvChunk pieces so each chunk read refreshes
-	// the silence deadline: a large transfer is judged by progress, not total
-	// time.
-	readPayload := func(buf []byte) error {
-		for off := 0; off < len(buf); {
-			end := off + rdvChunk
-			if end > len(buf) {
-				end = len(buf)
-			}
-			if err := readFull(buf[off:end]); err != nil {
-				return err
-			}
-			off = end
-		}
-		return nil
-	}
-	for {
-		if err := readFull(scratch[:5]); err != nil {
-			readErr = err
-			return
-		}
-		n := binary.LittleEndian.Uint32(scratch[:4])
-		if n == 0 || n > maxFrame {
-			readErr = fmt.Errorf("tcpnet: bad frame length %d", n)
-			return
-		}
-		kind, body := scratch[4], int(n)-1
-		if local && kind != kindHello && kind != kindRData {
-			readErr = fmt.Errorf("tcpnet: unexpected frame kind %d on intra-host channel", kind)
-			return
-		}
-		nc := t.netCounters()
-		switch kind {
-		case kindPacket:
-			if body < packetHdrLen {
-				readErr = fmt.Errorf("tcpnet: short packet frame (%d bytes)", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+packetHdrLen]); err != nil {
-				readErr = err
-				return
-			}
-			srcWorld, p, ackID := parsePacketHeader(scratch[5 : 5+packetHdrLen])
-			if payload := body - packetHdrLen; payload > 0 {
-				buf := make([]byte, payload)
-				if err := readFull(buf); err != nil {
-					readErr = err
-					return
-				}
-				p.Data = buf
-			}
-			identify(srcWorld)
-			nc.FramesIn.Add(1)
-			nc.BytesIn.Add(uint64(4 + 1 + body))
-			if ackID != 0 {
-				ch := make(chan error, 1)
-				p.Ack = ch
-				go t.sendAckWhenMatched(srcWorld, ackID, ch)
-			}
-			if err := t.env.Post(p); err != nil {
-				return
-			}
-		case kindRTS:
-			if body != rtsHdrLen {
-				readErr = fmt.Errorf("tcpnet: bad rts frame length %d", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+rtsHdrLen]); err != nil {
-				readErr = err
-				return
-			}
-			srcWorld, p, id, plen, err := parseRTSHeader(scratch[5 : 5+rtsHdrLen])
-			if err != nil {
-				readErr = err
-				return
-			}
-			identify(srcWorld)
-			nc.FramesIn.Add(1)
-			nc.RTSIn.Add(1)
-			nc.BytesIn.Add(4 + 1 + rtsHdrLen)
-			key := rdvKey{src: srcWorld, id: id}
-			t.rdvMu.Lock()
-			_, dup := t.rdvIn[key]
-			if !dup {
-				p.Rdv = mpi.NewRendezvous(plen)
-				t.rdvIn[key] = p
-			}
-			t.rdvMu.Unlock()
-			if dup {
-				// A redial replayed an RTS whose first copy did arrive; the
-				// original placeholder already holds the match slot.
-				continue
-			}
-			rdv := p.Rdv
-			if err := t.env.Post(p); err != nil {
-				t.rdvMu.Lock()
-				delete(t.rdvIn, key)
-				t.rdvMu.Unlock()
-				rdv.Fail(err)
-				return
-			}
-			go t.sendCTSWhenMatched(srcWorld, id, rdv)
-		case kindCTS:
-			if body != 8 {
-				readErr = fmt.Errorf("tcpnet: bad cts frame length %d", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+8]); err != nil {
-				readErr = err
-				return
-			}
-			id := binary.LittleEndian.Uint64(scratch[5 : 5+8])
-			nc.FramesIn.Add(1)
-			nc.CTSIn.Add(1)
-			nc.BytesIn.Add(4 + 1 + 8)
-			t.ackMu.Lock()
-			if pa, ok := t.rdvOut[id]; ok {
-				close(pa.ch) // reads as nil: clear to send
-				delete(t.rdvOut, id)
-			}
-			t.ackMu.Unlock()
-		case kindRData:
-			if body < rdataHdrLen {
-				readErr = fmt.Errorf("tcpnet: short rdata frame (%d bytes)", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+rdataHdrLen]); err != nil {
-				readErr = err
-				return
-			}
-			srcWorld := int(int64(binary.LittleEndian.Uint64(scratch[5 : 5+8])))
-			id := binary.LittleEndian.Uint64(scratch[13 : 13+8])
-			plen := body - rdataHdrLen
-			identify(srcWorld)
-			key := rdvKey{src: srcWorld, id: id}
-			t.rdvMu.Lock()
-			p := t.rdvIn[key]
-			t.rdvMu.Unlock()
-			if p == nil {
-				// Duplicate delivery after a redial replay, or a transfer the
-				// failure sweeps already gave up on: drain and discard.
-				if err := drainPayload(plen, readFull); err != nil {
-					readErr = err
-					return
-				}
-				nc.FramesIn.Add(1)
-				nc.BytesIn.Add(uint64(4 + 1 + body))
-				continue
-			}
-			if plen != p.Rdv.PayloadLen() {
-				readErr = fmt.Errorf("tcpnet: rendezvous %d/%d payload is %d bytes, rts promised %d", srcWorld, id, plen, p.Rdv.PayloadLen())
-				p.Rdv.Fail(readErr)
-				t.rdvMu.Lock()
-				delete(t.rdvIn, key)
-				t.rdvMu.Unlock()
-				return
-			}
-			// Read straight into the final buffer: this is the buffer the
-			// matched receive hands to the application.
-			buf := make([]byte, plen)
-			if err := readPayload(buf); err != nil {
-				readErr = err
-				return // entry stays: a sender-side retry may still complete it
-			}
-			nc.FramesIn.Add(1)
-			nc.RDataIn.Add(1)
-			nc.BytesIn.Add(uint64(4 + 1 + body))
-			if local {
-				nc.ShmRDataIn.Add(1)
-				nc.ShmBytesIn.Add(uint64(4 + 1 + body))
-			}
-			t.rdvMu.Lock()
-			delete(t.rdvIn, key)
-			t.rdvMu.Unlock()
-			p.FinishRendezvous(buf)
-		case kindAck:
-			if body != 8 {
-				readErr = fmt.Errorf("tcpnet: bad ack frame length %d", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+8]); err != nil {
-				readErr = err
-				return
-			}
-			id := binary.LittleEndian.Uint64(scratch[5 : 5+8])
-			nc.AcksIn.Add(1)
-			nc.BytesIn.Add(4 + 1 + 8)
-			t.ackMu.Lock()
-			if pa, ok := t.pending[id]; ok {
-				close(pa.ch)
-				delete(t.pending, id)
-			}
-			t.ackMu.Unlock()
-		case kindHello:
-			if body < 8 || body > 8+maxShmPath {
-				readErr = fmt.Errorf("tcpnet: bad hello frame length %d", body)
-				return
-			}
-			buf := make([]byte, body)
-			if err := readFull(buf); err != nil {
-				readErr = err
-				return
-			}
-			nc.BytesIn.Add(uint64(4 + 1 + body))
-			src := int(int64(binary.LittleEndian.Uint64(buf)))
-			identify(src)
-			if !local && body > 8 {
-				t.shmAdvertised(src, string(buf[8:]))
-			}
-		case kindHeartbeat:
-			if body != 0 {
-				readErr = fmt.Errorf("tcpnet: bad heartbeat frame length %d", body)
-				return
-			}
-			nc.HeartbeatsIn.Add(1)
-			nc.BytesIn.Add(4 + 1)
-		case kindAbort:
-			if body != 16 {
-				readErr = fmt.Errorf("tcpnet: bad abort frame length %d", body)
-				return
-			}
-			if err := readFull(scratch[5 : 5+16]); err != nil {
-				readErr = err
-				return
-			}
-			code := int(int64(binary.LittleEndian.Uint64(scratch[5 : 5+8])))
-			origin := int(int64(binary.LittleEndian.Uint64(scratch[13 : 13+8])))
-			nc.AbortsIn.Add(1)
-			nc.BytesIn.Add(4 + 1 + 16)
-			t.applyAbort(code, origin)
-			t.env.AbortDelivered(code, origin)
-			return // the job is over; no suspicion for this stream
-		default:
-			readErr = fmt.Errorf("tcpnet: unknown frame kind %d", kind)
-			return
-		}
-	}
-}
-
-// sendAckWhenMatched waits for the local engine to match the packet, then
-// returns the acknowledgment to the synchronous sender. A failed completion
-// (abort, shutdown) produces no ack: the sender's own failure path delivers
-// its error.
-func (t *Transport) sendAckWhenMatched(srcWorld int, ackID uint64, matched <-chan error) {
-	if err := <-matched; err != nil {
-		return
-	}
-	var frame [5 + 8]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(1+8))
-	frame[4] = kindAck
-	binary.LittleEndian.PutUint64(frame[5:], ackID)
-	if oc, err := t.outbound(srcWorld); err == nil {
-		if oc.write(frame[:], t.cfg.writeTimeout) == nil { // best effort: the peer may already be gone
-			t.netCounters().AcksOut.Add(1)
-		}
-	}
-}
-
-// sendCTSWhenMatched waits for the local engine to match a rendezvous
-// placeholder, then tells the sender it is clear to ship the payload. A
-// failed rendezvous (peer lost, abort, shutdown) produces no CTS: the
-// sender's own failure sweeps deliver its error. CTS uses the full
-// redial-once send path — a lost CTS would strand the sender until its
-// failure detector fires, so it is worth a retry.
-func (t *Transport) sendCTSWhenMatched(srcWorld int, id uint64, rdv *mpi.Rendezvous) {
-	<-rdv.Matched()
-	if rdv.MatchErr() != nil {
-		return
-	}
-	if act, fired := t.sendFault(srcWorld, frameCTS); fired && act.kind == "drop" {
-		return
-	}
-	var frame [5 + 8]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(1+8))
-	frame[4] = kindCTS
-	binary.LittleEndian.PutUint64(frame[5:], id)
-	if err := t.send(srcWorld, frame[:]); err == nil {
-		nc := t.netCounters()
-		nc.CTSOut.Add(1)
-		nc.BytesOut.Add(uint64(len(frame)))
-	}
-}
-
-// drainPayload discards n payload bytes from the stream in deadline-refreshed
-// chunks, keeping the connection usable after a rendezvous data frame whose
-// transfer this side no longer tracks.
-func drainPayload(n int, readFull func([]byte) error) error {
-	if n <= 0 {
-		return nil
-	}
-	buf := make([]byte, min(n, 32<<10))
-	for n > 0 {
-		c := min(n, len(buf))
-		if err := readFull(buf[:c]); err != nil {
-			return err
-		}
-		n -= c
-	}
-	return nil
-}
-
-// helloFrame frames this rank's introduction, the first write on every
-// outbound connection: its world rank and, to a same-host peer, the path of
-// its intra-host payload listener (empty otherwise).
-//
-//	u32 length | u8 kind | u64 srcWorld | socket path bytes
-func helloFrame(rank int, shmPath string) []byte {
-	b := make([]byte, 5+8+len(shmPath))
-	binary.LittleEndian.PutUint32(b, uint32(1+8+len(shmPath)))
-	b[4] = kindHello
-	binary.LittleEndian.PutUint64(b[5:], uint64(rank))
-	copy(b[13:], shmPath)
-	return b
-}
-
-// heartbeatFrame frames one idle-connection liveness signal.
-func heartbeatFrame() []byte {
-	b := make([]byte, 5)
-	binary.LittleEndian.PutUint32(b, 1)
-	b[4] = kindHeartbeat
-	return b
-}
-
-// encodePacketInto frames a packet into buf, reusing its capacity:
-//
-//	u32 length | u8 kind | u64 srcWorld | u64 ctx | i64 src | i64 tag |
-//	u64 ackID | payload
-func encodePacketInto(buf []byte, srcWorld int, p *mpi.Packet, ackID uint64) []byte {
-	n := 4 + 1 + packetHdrLen + len(p.Data)
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	binary.LittleEndian.PutUint32(buf, uint32(1+packetHdrLen+len(p.Data)))
-	buf[4] = kindPacket
-	binary.LittleEndian.PutUint64(buf[5:], uint64(srcWorld))
-	binary.LittleEndian.PutUint64(buf[13:], p.Ctx)
-	binary.LittleEndian.PutUint64(buf[21:], uint64(int64(p.Src)))
-	binary.LittleEndian.PutUint64(buf[29:], uint64(int64(p.Tag)))
-	binary.LittleEndian.PutUint64(buf[37:], ackID)
-	copy(buf[45:], p.Data)
-	return buf
-}
-
-// encodePacket frames a packet into a fresh buffer.
-func encodePacket(srcWorld int, p *mpi.Packet, ackID uint64) []byte {
-	return encodePacketInto(nil, srcWorld, p, ackID)
-}
-
-// parsePacketHeader decodes the fixed header of a kindPacket frame; hdr must
-// be exactly packetHdrLen bytes. The returned packet has no payload yet.
-func parsePacketHeader(hdr []byte) (srcWorld int, p *mpi.Packet, ackID uint64) {
-	srcWorld = int(binary.LittleEndian.Uint64(hdr))
-	ctx := binary.LittleEndian.Uint64(hdr[8:])
-	src := int(int64(binary.LittleEndian.Uint64(hdr[16:])))
-	tag := int(int64(binary.LittleEndian.Uint64(hdr[24:])))
-	ackID = binary.LittleEndian.Uint64(hdr[32:])
-	return srcWorld, &mpi.Packet{Ctx: ctx, Src: src, SrcWorld: srcWorld, Tag: tag}, ackID
-}
-
-// decodePacket parses the body of a kindPacket frame (after the length and
-// kind bytes were consumed). It is the whole-buffer form of the streaming
-// parse in readLoop and shares parsePacketHeader with it.
-func decodePacket(body []byte) (srcWorld int, p *mpi.Packet, ackID uint64, err error) {
-	if len(body) < packetHdrLen {
-		return 0, nil, 0, errors.New("tcpnet: short packet frame")
-	}
-	srcWorld, p, ackID = parsePacketHeader(body[:packetHdrLen])
-	p.Data = body[packetHdrLen:]
-	return srcWorld, p, ackID, nil
-}
-
-// encodeRTSInto frames a rendezvous request-to-send into buf, which must be
-// exactly 5+rtsHdrLen bytes:
-//
-//	u32 length | u8 kind | u64 srcWorld | u64 ctx | i64 src | i64 tag |
-//	u64 rdvID | u64 payloadLen
-func encodeRTSInto(buf []byte, srcWorld int, p *mpi.Packet, id uint64) {
-	binary.LittleEndian.PutUint32(buf, uint32(1+rtsHdrLen))
-	buf[4] = kindRTS
-	binary.LittleEndian.PutUint64(buf[5:], uint64(srcWorld))
-	binary.LittleEndian.PutUint64(buf[13:], p.Ctx)
-	binary.LittleEndian.PutUint64(buf[21:], uint64(int64(p.Src)))
-	binary.LittleEndian.PutUint64(buf[29:], uint64(int64(p.Tag)))
-	binary.LittleEndian.PutUint64(buf[37:], id)
-	binary.LittleEndian.PutUint64(buf[45:], uint64(len(p.Data)))
-}
-
-// encodeRTS frames a request-to-send into a fresh buffer (tests).
-func encodeRTS(srcWorld int, p *mpi.Packet, id uint64) []byte {
-	buf := make([]byte, 5+rtsHdrLen)
-	encodeRTSInto(buf, srcWorld, p, id)
-	return buf
-}
-
-// parseRTSHeader decodes the body of a kindRTS frame; hdr must be exactly
-// rtsHdrLen bytes. The returned packet is the receive-side placeholder
-// envelope, without its Rendezvous attached yet. The promised length is
-// validated against the frame-size bound the payload's own data frame must
-// later satisfy.
-func parseRTSHeader(hdr []byte) (srcWorld int, p *mpi.Packet, id uint64, plen int, err error) {
-	srcWorld = int(binary.LittleEndian.Uint64(hdr))
-	ctx := binary.LittleEndian.Uint64(hdr[8:])
-	src := int(int64(binary.LittleEndian.Uint64(hdr[16:])))
-	tag := int(int64(binary.LittleEndian.Uint64(hdr[24:])))
-	id = binary.LittleEndian.Uint64(hdr[32:])
-	n := int64(binary.LittleEndian.Uint64(hdr[40:]))
-	if n <= 0 || n > maxFrame-1-rdataHdrLen {
-		return 0, nil, 0, 0, fmt.Errorf("tcpnet: bad rts payload length %d", n)
-	}
-	return srcWorld, &mpi.Packet{Ctx: ctx, Src: src, SrcWorld: srcWorld, Tag: tag}, id, int(n), nil
-}
-
-// decodeRTS parses the body of a kindRTS frame (after the length and kind
-// bytes were consumed); the whole-buffer form used by tests and fuzzing.
-func decodeRTS(body []byte) (srcWorld int, p *mpi.Packet, id uint64, plen int, err error) {
-	if len(body) != rtsHdrLen {
-		return 0, nil, 0, 0, errors.New("tcpnet: bad rts frame length")
-	}
-	return parseRTSHeader(body)
-}
-
-// encodeRDataHeader frames the fixed prefix of a rendezvous data frame into
-// buf, which must be exactly 5+rdataHdrLen bytes; the payload follows as its
-// own iovec:
-//
-//	u32 length | u8 kind | u64 srcWorld | u64 rdvID | payload
-func encodeRDataHeader(buf []byte, srcWorld int, id uint64, payloadLen int) {
-	binary.LittleEndian.PutUint32(buf, uint32(1+rdataHdrLen+payloadLen))
-	buf[4] = kindRData
-	binary.LittleEndian.PutUint64(buf[5:], uint64(srcWorld))
-	binary.LittleEndian.PutUint64(buf[13:], id)
-}
-
-// decodeRData parses the body of a kindRData frame: the sender's world rank,
-// the rendezvous id, and the payload (aliasing body). The whole-buffer form
-// of readLoop's streaming parse, used by tests and fuzzing.
-func decodeRData(body []byte) (srcWorld int, id uint64, payload []byte, err error) {
-	if len(body) < rdataHdrLen {
-		return 0, 0, nil, errors.New("tcpnet: short rdata frame")
-	}
-	srcWorld = int(int64(binary.LittleEndian.Uint64(body)))
-	id = binary.LittleEndian.Uint64(body[8:])
-	return srcWorld, id, body[rdataHdrLen:], nil
-}
-
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) (kind byte, body []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("tcpnet: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
 }

@@ -34,8 +34,10 @@
 # (-backend daemon), proving the persistent-agent path works outside the unit
 # tests; the L1 smoke keeps the launch-latency harness executable. The
 # removed-names guard keeps the second remote-spawn implementation, the
-# Backend shim and the shm-ack reverse dial from creeping back; the gofmt gate
-# fails on any unformatted file. The first-contact pass runs, under -race, the
+# Backend shim, the shm-ack reverse dial, and tcpnet's test-only second
+# decoder and per-carrier write/drop/sever copies from creeping back; the
+# gofmt gate fails on any unformatted file. The fuzz smoke runs the native
+# fuzzer for ten seconds over the decoder loop production reads frames with. The first-contact pass runs, under -race, the
 # tests that pin what the MPH handshake costs (two world collectives on one
 # tree, 2(N-1) dials) and the closing-Barrier case the reverse dial used to
 # break. The link-budget guard fails if anything a rank is built from
@@ -49,10 +51,11 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 go vet ./internal/mpi/perf
-# One remote-spawn protocol, one connection per directed contact: these
+# One remote-spawn protocol, one connection per directed contact, one frame
+# decoder, one write and one drop/sever routine for both carriers: these
 # names were deleted and stay deleted (an if, because set -e does not act on
 # a "!" pipeline).
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry' --include=*.go .; then
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown' --include=*.go .; then
     exit 1
 fi
 # Link budget: a component executable links the rank side only. Nothing a
@@ -71,6 +74,7 @@ go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun ./internal/bootstrap
+go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
 go test -run=NONE -bench=BenchmarkTracerOverhead -benchtime=1x ./internal/mpi
 go test -run=NONE -bench=BenchmarkAllgather -benchtime=1x ./internal/mpi
 
@@ -164,8 +168,9 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (20,632 before the one-protocol PR,
-# 20,314 after it), and the stripped size of a component executable (6,983,972
+# Non-test Go lines outside benchmark/ (20,463 before tcpnet became one frame
+# codec, one peer object and one failure sweep, 20,309 after; tcpnet itself
+# 2,326 -> 2,161), and the stripped size of a component executable (6,983,972
 # bytes before the rank stopped linking the launcher and net/http, 3,555,620
 # after) — the next PR's baselines.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
