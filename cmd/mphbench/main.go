@@ -586,12 +586,13 @@ var benchCollPath string
 // the per-operation times side by side, and writes the sweep to
 // BENCH_coll.json so the crossover recorded in EXPERIMENTS.md stays
 // reproducible. The ratio column is tree/ring: above 1.0 the ring wins.
-// A second table repeats the sweep over a 2–4 host matrix (SetHosts on an
-// in-process world, block placement) with the two-level hierarchical
-// algorithm pinned off and on via MPH_COLL_HIER, recording the
-// flat-vs-hierarchical crossover. In-process "hosts" share one address
-// space, so these cells price the hierarchy's extra message count and
-// pipelining, not a real network win — see EXPERIMENTS.md.
+// A second table times the two operations that have a two-level form, over
+// a 2–4 host matrix (SetHosts on an in-process world, block placement) with
+// the two-level algorithm pinned off and on via MPH_COLL_HIER: Bcast at
+// every size, Allreduce only below the size from which the selector keeps
+// it flat whatever the knob says. In-process "hosts" share one address
+// space, so these cells price the hierarchy's extra store-and-forward hop,
+// not a real network win — see EXPERIMENTS.md.
 func c1(repeat int) error {
 	fmt.Println("C1: collective algorithm crossover, tree vs ring (8 ranks)")
 	const ranks = 8
@@ -730,12 +731,27 @@ func c1(repeat int) error {
 		FlatOverHier float64 `json:"flat_over_hier"`
 	}
 	var hierRows []hierRow
-	hierSizes := []int{4 << 10, 64 << 10, 1 << 20}
+	bcast := func(c *mpi.Comm, size int) error {
+		var in []byte
+		if c.Rank() == 0 {
+			in = make([]byte, size)
+		}
+		_, err := c.Bcast(0, in)
+		return err
+	}
+	hierOps := []struct {
+		name  string
+		run   func(c *mpi.Comm, size int) error
+		sizes []int
+	}{
+		{"bcast", bcast, []int{4 << 10, 64 << 10, 1 << 20}},
+		{"allreduce", allreduce, []int{1 << 10, 4 << 10, 32 << 10}},
+	}
 	fmt.Println("\nC1b: flat vs hierarchical over a host matrix (8 ranks, block placement)")
-	for _, op := range ops {
+	for _, op := range hierOps {
 		fmt.Printf("%-10s %-6s %-10s %12s %12s %8s\n", "op", "hosts", "payload", "flat", "hier", "f/h")
 		for _, hostCount := range []int{2, 3, 4} {
-			for _, size := range hierSizes {
+			for _, size := range op.sizes {
 				flat, err := measureHier("0", hostCount, size, op.run)
 				if err != nil {
 					return err
@@ -756,10 +772,9 @@ func c1(repeat int) error {
 		Experiment       string    `json:"experiment"`
 		Repeat           int       `json:"repeat"`
 		DefaultThreshold int       `json:"default_threshold_bytes"`
-		DefaultSegment   int       `json:"default_segment_bytes"`
 		Rows             []row     `json:"rows"`
 		HierRows         []hierRow `json:"hier_rows"`
-	}{"C1", repeat, mpi.DefaultRingThreshold, mpi.DefaultCollSegment, rows, hierRows}
+	}{"C1", repeat, mpi.DefaultRingThreshold, rows, hierRows}
 	data, err := json.MarshalIndent(&sweep, "", "  ")
 	if err != nil {
 		return err

@@ -218,7 +218,7 @@ func buildChromeTrace(traces []rankTrace) []chromeEvent {
 				ce.Name, ce.Phase = perf.PhaseName(e.A), "E"
 			case perf.KCollPhaseBegin:
 				ce.Name, ce.Phase = perf.CollOpName(e.A)+"/"+perf.CollPhaseName(e.B), "B"
-				ce.Args = map[string]any{"segment": e.C, "bytes": e.D}
+				ce.Args = map[string]any{"bytes": e.C}
 			case perf.KCollPhaseEnd:
 				ce.Name, ce.Phase = perf.CollOpName(e.A)+"/"+perf.CollPhaseName(e.B), "E"
 			case perf.KSend:

@@ -13,7 +13,7 @@
 // spawning and no HTTP stack. The launcher proper — placement, spawners,
 // the mphd daemon, the telemetry aggregator and its HTTP surface — is
 // package mpirun, which imports this package; the dependency arrow is
-// mpirun → bootstrap ← tcpnet (DESIGN.md §15).
+// mpirun → bootstrap ← tcpnet (DESIGN.md §14).
 package bootstrap
 
 import (

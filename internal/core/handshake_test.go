@@ -83,6 +83,51 @@ func TestHandshakeCollectiveCounts(t *testing.T) {
 		}
 		return nil
 	})
+
+	// The same handshake on a world placed 5+5 over two hosts (benchmark/'s
+	// bulk_2host): both collectives route two-level, and the job sends 27
+	// messages — 9 for the Bcast, 18 for the Allreduce, exactly what the flat
+	// trees send — of which one and two cross the hosts, where the flat trees'
+	// pairing would send 3 and 6 across.
+	t.Run("two hosts 5+5", func(t *testing.T) {
+		w, err := mpi.NewWorld(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		w.SetHosts([]string{"nodeA", "nodeA", "nodeA", "nodeA", "nodeA", "nodeB", "nodeB", "nodeB", "nodeB", "nodeB"})
+		err = w.Run(func(c *mpi.Comm) error {
+			name := "atmosphere"
+			if c.Rank() >= 5 {
+				name = "ocean"
+			}
+			_, err := core.ComponentsSetup(c, core.TextSource("BEGIN\natmosphere\nocean\nEND\n"), []string{name})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, crossed := uint64(0), uint64(0)
+		for r := 0; r < w.Size(); r++ {
+			pv, err := w.Perf(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := pv.Snapshot()
+			sent += snap.TotalSentMsgs
+			for dst, n := range snap.SentMsgs {
+				if (dst < 5) != (r < 5) {
+					crossed += n
+				}
+			}
+			if b, a := snap.Collectives["bcast"].Hier, snap.Collectives["allreduce"].Hier; b != 1 || a != 1 {
+				t.Errorf("rank %d: two-level selections bcast=%d allreduce=%d, want 1 and 1", r, b, a)
+			}
+		}
+		if sent != 27 || crossed != 3 {
+			t.Errorf("handshake sent %d messages job-wide, %d of them between the hosts, want 27 and 3", sent, crossed)
+		}
+	})
 }
 
 // commView is what a rank can observe of a communicator.

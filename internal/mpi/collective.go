@@ -30,6 +30,28 @@ func (c *Comm) collBegin(op perf.CollOp) func() {
 	return func() { c.env.pv.CollExit(op, start, top) }
 }
 
+// checkRoot is the one root validation of each rooted collective, made on
+// entry, before any traffic moves or any sub-communicator is built, so a bad
+// root fails identically on every rank and no rank hangs on a partner that
+// errored out early.
+func (c *Comm) checkRoot(op string, root int) error {
+	if root < 0 || root >= len(c.group) {
+		return fmt.Errorf("%w: %s root %d", ErrRank, op, root)
+	}
+	return nil
+}
+
+// cancelRequests withdraws pending receives so they cannot steal messages
+// from a later collective; nil entries are skipped and a request that
+// completed while being cancelled is consumed and discarded.
+func cancelRequests(reqs []*Request) {
+	for _, r := range reqs {
+		if r != nil && !r.Cancel() {
+			r.Wait()
+		}
+	}
+}
+
 // Barrier blocks until every rank of the communicator has entered it.
 // It uses the dissemination algorithm: ceil(log2 P) rounds of paired
 // send/receive, with no root hotspot.
@@ -57,19 +79,22 @@ func vrank(rank, root, size int) int { return (rank - root + size) % size }
 // rrank is the inverse of vrank.
 func rrank(vr, root, size int) int { return (vr + root) % size }
 
-// Bcast broadcasts data from root to every rank. Communicators spanning
-// more than one host route through the two-level host-aware broadcast
-// (collective_hier.go); otherwise a binomial tree runs flat. The root
-// passes the payload; other ranks pass nil. Every rank receives the
-// broadcast value as the return. The returned slice is a private copy
-// on every rank, root included: mutating it never changes the caller's
-// input, and mutating the input after Bcast never changes the result.
+// Bcast broadcasts data from root to every rank, over the algorithm choose
+// picks: the two-level host-aware broadcast (collective_hier.go) or the flat
+// binomial tree. The root passes the payload; other ranks pass nil. Every
+// rank receives the broadcast value as the return. The returned slice is a
+// private copy on every rank, root included: mutating it never changes the
+// caller's input, and mutating the input after Bcast never changes the
+// result.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	defer c.collBegin(perf.CollBcast)()
+	if err := c.checkRoot("bcast", root); err != nil {
+		return nil, err
+	}
 	var buf []byte
 	var err error
-	if c.useHier() {
-		c.env.pv.CollAlgo(perf.CollBcast, perf.AlgHier)
+	// Only the root knows the payload length, so size cannot steer the choice.
+	if c.choose(perf.CollBcast, 0, true) == perf.AlgHier {
 		buf, err = c.bcastHier(root, data)
 	} else {
 		buf, err = c.bcastOn(tagBcast, root, data)
@@ -95,10 +120,10 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // lowest-numbered slow rank.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	defer c.collBegin(perf.CollGather)()
-	size := len(c.group)
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("%w: gather root %d", ErrRank, root)
+	if err := c.checkRoot("gather", root); err != nil {
+		return nil, err
 	}
+	size := len(c.group)
 	if c.rank != root {
 		if err := c.sendCtx(c.cctx, root, tagGather, data, nil); err != nil {
 			return nil, fmt.Errorf("mpi: gather send: %w", err)
@@ -121,14 +146,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		}
 		got, _, err := reqs[r].Wait()
 		if err != nil {
-			// Withdraw the still-pending receives so they cannot steal
-			// messages from a later gather; one that completed while being
-			// cancelled is consumed and discarded.
-			for q := r + 1; q < size; q++ {
-				if q != root && !reqs[q].Cancel() {
-					reqs[q].Wait()
-				}
-			}
+			cancelRequests(reqs[r+1:])
 			return nil, fmt.Errorf("mpi: gather recv from %d: %w", r, err)
 		}
 		out[r] = got
@@ -138,13 +156,11 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 
 // Allgather collects each rank's payload at every rank, in rank order.
 // Payload sizes may differ per rank (allgatherv); a Bruck size exchange
-// first gives every rank the full size vector, from which all ranks make
-// the same algorithm choice. Communicators spanning more than one host take
-// the two-level host-aware path (collective_hier.go); otherwise payloads
-// whose largest block is under the ring threshold (EnvCollRingThreshold)
-// take the latency-optimal gather-to-0 + framed-broadcast tree, larger ones
-// take the bandwidth-optimal ring in which each rank forwards one block per
-// step to its successor.
+// first gives every rank the full size vector, so all ranks feed choose the
+// same decision size — the largest block — and take the same algorithm: the
+// bandwidth-optimal ring in which each rank forwards one block per step to
+// its successor (collective_ring.go), or the latency-optimal gather-to-0 +
+// framed-broadcast tree.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	defer c.collBegin(perf.CollAllgather)()
 	size := len(c.group)
@@ -163,15 +179,9 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 			maxBlock = s
 		}
 	}
-	if c.useHier() {
-		c.env.pv.CollAlgo(perf.CollAllgather, perf.AlgHier)
-		return c.allgatherHier(data, sizes)
-	}
-	if c.useRing(maxBlock) {
-		c.env.pv.CollAlgo(perf.CollAllgather, perf.AlgRing)
+	if c.choose(perf.CollAllgather, maxBlock, true) == perf.AlgRing {
 		return c.allgatherRing(data, sizes)
 	}
-	c.env.pv.CollAlgo(perf.CollAllgather, perf.AlgTree)
 	parts, err := c.Gather(0, data)
 	if err != nil {
 		return nil, err
@@ -189,14 +199,12 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 
 // bcastOn is the binomial-tree broadcast with a caller-chosen internal tag,
 // so composite collectives (Allgather, Allreduce) do not interleave with
-// plain Bcasts issued between their internal phases on other ranks. It is
-// the single place the broadcast root is validated; at root it returns data
-// itself (callers that expose the result copy it, see Bcast).
+// plain Bcasts issued between their internal phases on other ranks. The
+// caller vouches for root (Bcast validates the user's; composites pass
+// their own); at root it returns data itself (callers that expose the
+// result copy it, see Bcast).
 func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
 	size := len(c.group)
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("%w: bcast root %d", ErrRank, root)
-	}
 	vr := vrank(c.rank, root, size)
 	buf := data
 	mask := 1
@@ -228,10 +236,10 @@ func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
 // part.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 	defer c.collBegin(perf.CollScatter)()
-	size := len(c.group)
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("%w: scatter root %d", ErrRank, root)
+	if err := c.checkRoot("scatter", root); err != nil {
+		return nil, err
 	}
+	size := len(c.group)
 	if c.rank == root {
 		if len(parts) != size {
 			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", size, len(parts))
@@ -272,9 +280,7 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	}
 	for j := 0; j < size; j++ {
 		if err := c.sendCtx(c.cctx, j, tagAlltoall, parts[j], nil); err != nil {
-			for _, r := range reqs {
-				r.Cancel() // withdraw unmatched receives; don't leak PRQ slots
-			}
+			cancelRequests(reqs) // don't leak PRQ slots
 			return nil, fmt.Errorf("mpi: alltoall send to %d: %w", j, err)
 		}
 	}
@@ -292,19 +298,21 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 // Reduce combines every rank's payload at root with fn, a binary associative
 // operation over encoded payloads. fn receives (accumulated, incoming) and
 // returns the combined payload; it must not retain its arguments. Non-root
-// ranks return nil. Communicators spanning more than one host with
-// contiguous per-host rank blocks route through the two-level host-aware
-// reduce (collective_hier.go); otherwise a binomial tree runs flat.
+// ranks return nil. It has one algorithm, the flat binomial tree, so there is
+// nothing for choose to pick.
 func (c *Comm) Reduce(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	defer c.collBegin(perf.CollReduce)()
-	if c.useHier() && c.hierInfo().contiguous {
-		c.env.pv.CollAlgo(perf.CollReduce, perf.AlgHier)
-		return c.reduceHier(root, data, fn)
+	if err := c.checkRoot("reduce", root); err != nil {
+		return nil, err
 	}
+	return c.reduceTree(root, data, fn)
+}
+
+// reduceTree is the binomial-tree reduce. Rooted at 0 it folds in rank
+// order; any other root rotates the order to start there. The caller vouches
+// for root.
+func (c *Comm) reduceTree(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	size := len(c.group)
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("%w: reduce root %d", ErrRank, root)
-	}
 	vr := vrank(c.rank, root, size)
 	acc := make([]byte, len(data))
 	copy(acc, data)
@@ -334,51 +342,37 @@ func (c *Comm) Reduce(root int, data []byte, fn func(acc, in []byte) ([]byte, er
 }
 
 // Allreduce combines every rank's payload with fn and delivers the result
-// to every rank. fn sees only whole payloads, which pins the algorithm to
-// reduce-to-0 + broadcast; use AllreduceWith with an element size to unlock
-// the bandwidth-optimal ring for large payloads (the typed wrappers
-// AllreduceInts/AllreduceFloats do).
+// to every rank. fn sees only whole payloads, which rules the ring out; use
+// AllreduceWith with an element size to unlock it for large payloads (the
+// typed wrappers AllreduceInts/AllreduceFloats do).
 func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	return c.AllreduceWith(data, 0, fn)
 }
 
 // AllreduceWith combines every rank's payload with fn and delivers the
-// result to every rank, choosing the algorithm by payload size. elem > 0
-// declares the payload a sequence of elem-byte elements and fn an
-// elementwise, associative, commutative, length-preserving combination that
-// accepts any elem-aligned subrange; that contract is what allows the
-// Rabenseifner path (ring reduce-scatter + ring allgather of chunks) for
-// payloads at or above the ring threshold (EnvCollRingThreshold). elem == 0
-// keeps the whole-payload tree path (reduce-to-0 then broadcast) at every
-// size. Every rank must pass the same payload length — the standard
-// reduction contract — which is also what keeps the size-based selection
-// identical on all ranks.
-//
-// Communicators spanning more than one host route through the two-level
-// host-aware allreduce first (collective_hier.go): always when elem > 0
-// divides the payload (the commutative elementwise contract covers the
-// host regrouping, and large payloads pipeline in MPH_COLL_SEGMENT-byte
-// segments), and for opaque fns only when the hosts form contiguous rank
-// blocks. The flat tree/ring selector applies otherwise, and again inside
-// the hierarchical inter-host phase.
+// result to every rank. elem > 0 declares the payload a sequence of
+// elem-byte elements and fn an elementwise, associative, commutative,
+// length-preserving combination that accepts any elem-aligned subrange; that
+// contract is what allows the Rabenseifner ring (collective_ring.go) for
+// large payloads and the two-level path (collective_hier.go), which small
+// payloads take on a comm that spans hosts, on any host placement. elem == 0
+// promises associativity only: no ring, and two-level only where the hosts
+// are contiguous rank blocks; otherwise the flat tree (reduce-to-0 then
+// broadcast). Every rank must pass the same payload length — the standard
+// reduction contract — which is also what keeps choose's verdict identical
+// on all ranks.
 func (c *Comm) AllreduceWith(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	defer c.collBegin(perf.CollAllreduce)()
-	if c.useHier() {
-		if elem > 0 && len(data)%elem == 0 {
-			c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgHier)
-			return c.allreduceHier(data, elem, fn)
-		}
-		if c.hierInfo().contiguous {
-			c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgHier)
-			return c.allreduceHier(data, 0, fn)
-		}
+	if elem <= 0 || len(data)%elem != 0 {
+		elem = 0 // not the elementwise contract: treat fn as opaque
 	}
-	if elem > 0 && len(data)%elem == 0 && c.useRing(len(data)) {
-		c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgRing)
+	switch c.choose(perf.CollAllreduce, len(data), elem > 0) {
+	case perf.AlgHier:
+		return c.allreduceHier(data, elem, fn)
+	case perf.AlgRing:
 		return c.allreduceRing(data, elem, fn)
 	}
-	c.env.pv.CollAlgo(perf.CollAllreduce, perf.AlgTree)
-	acc, err := c.Reduce(0, data, fn)
+	acc, err := c.reduceTree(0, data, fn)
 	if err != nil {
 		return nil, err
 	}

@@ -26,6 +26,7 @@ var hierLayouts = []struct {
 	{"contig-2+2", []string{"hA", "hA", "hB", "hB"}},
 	{"cyclic-2x2", []string{"hA", "hB", "hA", "hB"}},
 	{"uneven-3+3+2", []string{"hA", "hA", "hA", "hB", "hB", "hB", "hC", "hC"}},
+	{"uneven-3+2+1", []string{"hA", "hA", "hA", "hB", "hB", "hC"}},
 }
 
 // newHierWorld builds an in-process world with the given host topology
@@ -51,131 +52,137 @@ func hierPayload(rank, size int) []byte {
 	return p
 }
 
-func TestHierBcastTopologies(t *testing.T) {
-	// A 96-byte segment forces multi-segment pipelining on the larger
-	// payloads without making the test slow.
-	t.Setenv(EnvCollSegment, "96")
-	for _, layout := range hierLayouts {
-		t.Run(layout.name, func(t *testing.T) {
-			w := newHierWorld(t, layout.hosts)
-			for _, root := range []int{0, 1, len(layout.hosts) - 1} {
-				for _, size := range []int{0, 1, 96, 300, 5000} {
-					want := hierPayload(root, size)
-					err := w.Run(func(c *Comm) error {
-						var in []byte
-						if c.Rank() == root {
-							in = hierPayload(root, size)
-						}
-						got, err := c.Bcast(root, in)
-						if err != nil {
-							return err
-						}
-						if !bytes.Equal(got, want) {
-							return fmt.Errorf("rank %d: bcast root=%d size=%d: got %d bytes, mismatch", c.Rank(), root, size, len(got))
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatalf("root=%d size=%d: %v", root, size, err)
-					}
-				}
-			}
-		})
+// hierOps are collectives as functions from a rank to the bytes it ends up
+// with, so one table can compare the two-level algorithms against the flat
+// ones and pin which operations have a two-level form at all. perHost is the
+// closed form of the messages a two-level run sends between hosts, per host
+// beyond the first. Reductions sum integers: exact, so byte equality is
+// required.
+var hierOps = func() []hierOp {
+	concat := func(acc, in []byte) ([]byte, error) {
+		return append(append([]byte(nil), acc...), in...), nil
 	}
+	sum := func(n int) func(c *Comm) ([]byte, error) {
+		return func(c *Comm) ([]byte, error) {
+			xs := make([]int64, n)
+			for i := range xs {
+				xs[i] = int64(c.Rank()*1000 + i)
+			}
+			out, err := c.AllreduceInts(xs, OpSum)
+			return encodeInts(out), err
+		}
+	}
+	ops := []hierOp{
+		{"allreduce/elementwise", "allreduce", true, true, 2, sum(100)},
+		// Rank-order concatenation: associative, not commutative.
+		{"allreduce/opaque", "allreduce", true, false, 2,
+			func(c *Comm) ([]byte, error) { return c.Allreduce([]byte{byte('a' + c.Rank())}, concat) }},
+		// From hierAllreduceBelow up the flat algorithms won every C1b cell.
+		{"allreduce/large", "allreduce", false, true, 0, sum(hierAllreduceBelow / 8)},
+		// Allgather and Reduce have no two-level form (no measured cell
+		// supports one); per-rank allgather sizes differ, one is empty.
+		{"allgather", "allgather", false, true, 0,
+			func(c *Comm) ([]byte, error) {
+				parts, err := c.Allgather(hierPayload(c.Rank(), c.Rank()*37))
+				return frameSlices(parts), err
+			}},
+		{"reduce", "reduce", false, false, 0,
+			func(c *Comm) ([]byte, error) { return c.Reduce(1, []byte{byte('a' + c.Rank())}, concat) }},
+	}
+	// Roots: a leader, a rank off its leader wherever host 0 has two members,
+	// and the last rank (a single-member host's leader in two layouts).
+	for _, root := range []int{0, 1, -1} {
+		root := root
+		at := func(c *Comm) int { return (root + c.Size()) % c.Size() }
+		for _, size := range []int{0, 5000} {
+			size := size
+			ops = append(ops, hierOp{fmt.Sprintf("bcast/root=%d/size=%d", root, size), "bcast", true, true, 1,
+				func(c *Comm) ([]byte, error) {
+					var in []byte
+					if c.Rank() == at(c) {
+						in = hierPayload(c.Rank(), size)
+					}
+					return c.Bcast(at(c), in)
+				}})
+		}
+	}
+	return ops
+}()
+
+type hierOp struct {
+	name, pvar  string
+	twoLevel    bool // the selector has a two-level row for it
+	commutative bool // may regroup operands: routes two-level on any placement
+	perHost     int
+	run         func(c *Comm) ([]byte, error)
 }
 
-func TestHierAllgatherTopologies(t *testing.T) {
-	t.Setenv(EnvCollSegment, "96")
-	for _, layout := range hierLayouts {
-		t.Run(layout.name, func(t *testing.T) {
-			w := newHierWorld(t, layout.hosts)
-			err := w.Run(func(c *Comm) error {
-				// Per-rank sizes differ (allgatherv), including an empty one.
-				mine := hierPayload(c.Rank(), c.Rank()*37)
-				got, err := c.Allgather(mine)
-				if err != nil {
-					return err
-				}
-				if len(got) != c.Size() {
-					return fmt.Errorf("rank %d: got %d blocks, want %d", c.Rank(), len(got), c.Size())
-				}
-				for r, blk := range got {
-					if !bytes.Equal(blk, hierPayload(r, r*37)) {
-						return fmt.Errorf("rank %d: block of rank %d mismatch", c.Rank(), r)
-					}
-				}
-				return nil
-			})
+// TestHierMatchesFlat is the property the two-level algorithms exist for,
+// over op x topology: every rank ends up with exactly the bytes the flat
+// algorithm gives it, and the messages that cross a host boundary — read
+// from the per-peer sent counters — number the closed form (Bcast H-1,
+// Allreduce 2(H-1)), not whatever the flat tree's pairing yields. A
+// placement whose hosts are not contiguous rank blocks must send the
+// order-sensitive allreduce down the flat path instead, and the operations
+// and sizes the selector has no two-level row for must stay flat everywhere.
+func TestHierMatchesFlat(t *testing.T) {
+	// run executes op on a fresh world and returns every rank's output, the
+	// messages sent between hosts, and rank 0's two-level selection count.
+	run := func(t *testing.T, hosts []string, op hierOp, hier string) (outs [][]byte, interHost int, picked uint64) {
+		t.Setenv(EnvCollHier, hier)
+		w := newHierWorld(t, hosts)
+		outs = make([][]byte, len(hosts))
+		err := w.Run(func(c *Comm) error {
+			out, err := op.run(c)
+			outs[c.Rank()] = out
+			return err
+		})
+		if err != nil {
+			t.Fatalf("MPH_COLL_HIER=%s: %v", hier, err)
+		}
+		for r := range hosts {
+			pv, err := w.Perf(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			snap := pv.Snapshot()
+			for dst, n := range snap.SentMsgs {
+				if hosts[dst] != hosts[r] {
+					interHost += int(n)
+				}
+			}
+			if r == 0 {
+				picked = snap.Collectives[op.pvar].Hier
+			}
+		}
+		return outs, interHost, picked
 	}
-}
-
-func TestHierAllreduceTopologies(t *testing.T) {
-	// 24-byte segments over 100 floats (800 bytes) exercise the per-segment
-	// pipeline including an element-aligned tail.
-	t.Setenv(EnvCollSegment, "24")
 	for _, layout := range hierLayouts {
-		t.Run(layout.name, func(t *testing.T) {
-			w := newHierWorld(t, layout.hosts)
-			n := 100
-			err := w.Run(func(c *Comm) error {
-				xs := make([]float64, n)
-				for i := range xs {
-					xs[i] = float64(c.Rank()*1000 + i)
-				}
-				got, err := c.AllreduceFloats(xs, OpSum)
-				if err != nil {
-					return err
-				}
-				for i, v := range got {
-					want := 0.0
-					for r := 0; r < c.Size(); r++ {
-						want += float64(r*1000 + i)
-					}
-					if v != want {
-						return fmt.Errorf("rank %d: sum[%d] = %v, want %v", c.Rank(), i, v, want)
+		distinct := map[string]bool{}
+		contiguous := true
+		for r, h := range layout.hosts {
+			if distinct[h] && layout.hosts[r-1] != h {
+				contiguous = false
+			}
+			distinct[h] = true
+		}
+		H := len(distinct)
+		for _, op := range hierOps {
+			t.Run(layout.name+"/"+op.name, func(t *testing.T) {
+				want, _, _ := run(t, layout.hosts, op, "0")
+				got, interHost, picked := run(t, layout.hosts, op, "1")
+				for r := range want {
+					if !bytes.Equal(got[r], want[r]) {
+						t.Errorf("rank %d: two-level result differs from flat (%d vs %d bytes)", r, len(got[r]), len(want[r]))
 					}
 				}
-				return nil
+				if routes := op.twoLevel && H > 1 && (op.commutative || contiguous); routes != (picked == 1) {
+					t.Fatalf("two-level selections = %d, want routed = %v", picked, routes)
+				} else if closed := op.perHost * (H - 1); routes && interHost != closed {
+					t.Errorf("%d messages crossed hosts, closed form for %d hosts is %d", interHost, H, closed)
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestHierReduceTopologies(t *testing.T) {
-	for _, layout := range hierLayouts {
-		t.Run(layout.name, func(t *testing.T) {
-			w := newHierWorld(t, layout.hosts)
-			for _, root := range []int{0, 1, len(layout.hosts) - 1} {
-				err := w.Run(func(c *Comm) error {
-					xs := []float64{float64(c.Rank()), 1}
-					got, err := c.ReduceFloats(root, xs, OpSum)
-					if err != nil {
-						return err
-					}
-					if c.Rank() != root {
-						if got != nil {
-							return fmt.Errorf("rank %d: non-root got a result", c.Rank())
-						}
-						return nil
-					}
-					wantSum := float64(c.Size()*(c.Size()-1)) / 2
-					if got[0] != wantSum || got[1] != float64(c.Size()) {
-						return fmt.Errorf("root %d: got %v, want [%v %v]", root, got, wantSum, c.Size())
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("root=%d: %v", root, err)
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -287,34 +294,6 @@ func TestHierPvarRouting(t *testing.T) {
 			t.Errorf("MPH_COLL_HIER=0 still routed %d collectives hierarchically", h)
 		}
 	})
-}
-
-func TestSegmentBounds(t *testing.T) {
-	cases := []struct {
-		n, segSize, elem int
-		want             []int
-	}{
-		{0, 128, 1, []int{0, 0}},
-		{100, 0, 1, []int{0, 100}},   // segmentation disabled
-		{100, 128, 1, []int{0, 100}}, // payload under one segment
-		{100, 40, 1, []int{0, 40, 80, 100}},
-		{100, 40, 8, []int{0, 40, 80, 100}},           // already aligned
-		{96, 20, 8, []int{0, 16, 32, 48, 64, 80, 96}}, // rounded down to 16
-		{24, 4, 8, []int{0, 8, 16, 24}},               // segSize below one element
-	}
-	for _, tc := range cases {
-		got := segmentBounds(tc.n, tc.segSize, tc.elem)
-		if len(got) != len(tc.want) {
-			t.Errorf("segmentBounds(%d,%d,%d) = %v, want %v", tc.n, tc.segSize, tc.elem, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("segmentBounds(%d,%d,%d) = %v, want %v", tc.n, tc.segSize, tc.elem, got, tc.want)
-				break
-			}
-		}
-	}
 }
 
 // TestChaosPeerLostMidHierInter severs a host leader while the other ranks

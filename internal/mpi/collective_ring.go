@@ -1,66 +1,15 @@
 package mpi
 
-import (
-	"fmt"
-	"os"
-	"strconv"
-)
+import "fmt"
 
-// Bandwidth-optimal ring collectives and the size-based algorithm selector
-// that routes between them and the latency-optimal trees.
-//
-// The trees (binomial bcast/reduce, gather+bcast allgather, reduce+bcast
-// allreduce) finish in O(log P) rounds but funnel the whole payload through
-// a root: for an allgather of P blocks of n bytes the root touches O(P*n)
-// bytes, the classic root hotspot. The rings trade rounds for bandwidth:
-// P-1 steps in which every rank forwards exactly one block to its successor,
-// so no rank ever touches more than ~2x its share of the data. The crossover
-// is payload-size dependent — small payloads are latency-dominated and want
-// the tree, large payloads are bandwidth-dominated and want the ring — which
-// is the same algorithm-selection shape MPICH-G2 used to make grid-spanning
-// collectives usable (see DESIGN.md "Collective algorithms").
-
-// EnvCollRingThreshold is the environment variable holding the tree-to-ring
-// crossover in bytes. A collective whose decision size (largest per-rank
-// block for Allgather, payload length for Allreduce) is at least the
-// threshold takes the ring path. 0 forces the ring everywhere, a negative
-// value disables the rings, unset or unparsable falls back to
-// DefaultRingThreshold.
-const EnvCollRingThreshold = "MPH_COLL_RING_THRESHOLD"
-
-// DefaultRingThreshold is the default tree-to-ring crossover in bytes,
-// chosen from the C1 sweep in EXPERIMENTS.md: below ~8 KiB the log-depth
-// trees win on latency, above it the rings win on bandwidth.
-const DefaultRingThreshold = 8 << 10
-
-// ringThresholdFromEnv parses EnvCollRingThreshold once per Env.
-func ringThresholdFromEnv() int {
-	v := os.Getenv(EnvCollRingThreshold)
-	if v == "" {
-		return DefaultRingThreshold
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return DefaultRingThreshold
-	}
-	return n
-}
-
-// useRing is the selector: it reports whether a collective with the given
-// decision size should take the ring path. Every rank of a communicator must
-// reach the same verdict, so callers must feed it a globally agreed size
-// (Allgather exchanges block sizes first; Allreduce requires equal payload
-// lengths on every rank).
-func (c *Comm) useRing(decisionBytes int) bool {
-	if len(c.group) < 2 {
-		return false
-	}
-	t := c.env.ringThreshold
-	if t < 0 {
-		return false
-	}
-	return decisionBytes >= t
-}
+// Bandwidth-optimal ring collectives. The trees (binomial bcast/reduce,
+// gather+bcast allgather, reduce+bcast allreduce) finish in O(log P) rounds
+// but funnel the whole payload through a root: for an allgather of P blocks
+// of n bytes the root touches O(P*n) bytes, the classic root hotspot. The
+// rings trade rounds for bandwidth: P-1 steps in which every rank forwards
+// exactly one block to its successor, so no rank ever touches more than ~2x
+// its share of the data. Where each wins is measured, not assumed: see
+// choose (collective_select.go).
 
 // tagCollSizes carries the Bruck size exchange that precedes Allgather;
 // the ring tags carry the per-step block traffic of the ring algorithms.

@@ -1,0 +1,135 @@
+package mpi
+
+import (
+	"os"
+	"strconv"
+
+	"mph/internal/mpi/perf"
+)
+
+// The collective algorithm selector: the two job-wide knobs it reads and
+// choose, the only place an algorithm is picked and counted. The algorithms
+// themselves live one family per file — flat trees in collective.go, rings
+// in collective_ring.go, the two-level compositions in collective_hier.go.
+
+// EnvCollHier is the environment variable gating the two-level host-aware
+// collectives. Parsed by EnvBool: on by default (it only engages when the
+// comm actually spans hosts); "0"/"false"/"off"/"no" or a non-positive
+// integer disables it, and garbage warns once and keeps the default. Every
+// rank of a job must see the same value or algorithm choices diverge.
+const EnvCollHier = "MPH_COLL_HIER"
+
+// EnvCollRingThreshold is the environment variable that pins the
+// tree-to-ring crossover, in bytes, for both ring-capable collectives at
+// once: one whose decision size (largest per-rank block for Allgather,
+// payload length for Allreduce) is at least the threshold takes the ring.
+// 0 forces the ring everywhere, a negative value disables the rings; unset
+// or unparsable leaves each op at its own measured crossover
+// (DefaultRingThreshold for Allgather). Every rank of a job must see the
+// same value.
+const EnvCollRingThreshold = "MPH_COLL_RING_THRESHOLD"
+
+// DefaultRingThreshold is Allgather's tree-to-ring crossover in bytes.
+const DefaultRingThreshold = 8 << 10
+
+// allreduceRingFrom is Allreduce's tree-to-ring crossover in bytes. It sits
+// far above Allgather's because the tree allreduce moves one payload per
+// hop where the tree allgather moves P of them through its root.
+const allreduceRingFrom = 256 << 10
+
+// hierFromEnv parses EnvCollHier once per Env.
+func hierFromEnv() bool {
+	return EnvBool(EnvCollHier, true)
+}
+
+// ringThresholdsFromEnv resolves the two ring crossovers once per Env.
+func ringThresholdsFromEnv() (allgather, allreduce int) {
+	if n, err := strconv.Atoi(os.Getenv(EnvCollRingThreshold)); err == nil {
+		return n, n
+	}
+	return DefaultRingThreshold, allreduceRingFrom
+}
+
+// hierAllreduceBelow is the payload size in bytes from which an Allreduce
+// that spans hosts stays on the flat algorithms: the first C1b size at which
+// flat beat two-level in every cell.
+const hierAllreduceBelow = 64 << 10
+
+// choose picks the algorithm for one invocation of op and counts the pick
+// in the per-algorithm performance variable. decisionBytes must be a size
+// every rank of the communicator agrees on (Allgather exchanges block sizes
+// first; Allreduce requires equal payload lengths; only a Bcast's root knows
+// its length, so Bcast passes 0), and commutative reports whether the
+// operation may regroup its operands (a broadcast or gather always may; a
+// reduction only under the elementwise AllreduceWith contract). Together
+// with the published topology and the job-wide environment those are
+// identical on every rank, so all members reach the same verdict without
+// communication.
+//
+// The table, first matching row wins; each row names the measured cell that
+// justifies it (EXPERIMENTS.md C1/C1b/S4, BENCH_coll.json, benchmark/):
+//
+//	hier  Bcast, and Allreduce below 64 KiB, when the comm spans more than
+//	      one host, MPH_COLL_HIER is not off, and either operands may regroup
+//	      or every host is one contiguous rank block. Inter-host messages
+//	      drop to the closed form (Bcast H-1, Allreduce 2(H-1)) where the
+//	      flat tree's grow with the ranks it happens to pair across hosts:
+//	      benchmark/ bulk_2host's 5+5 handshake — a sub-KiB Bcast and a
+//	      24-byte Allreduce — sends 3 of its 27 messages between the hosts
+//	      instead of 9 and ties MPH_COLL_HIER=0 on setup_s (S4: 0.993, lower
+//	      in 6 of 10 pairs). C1b, flat/hier at 2, 3, 4 hosts: Bcast 64 KiB
+//	      0.86/1.11/1.07 and 1 MiB 1.06/0.83/1.11; Allreduce 1 KiB
+//	      1.03/0.71/1.30 and 32 KiB 1.70/0.84/1.16 — a tie inside the scatter
+//	      this harness shows against itself (three sweeps: Bcast median 1.03
+//	      over 42 cells, Allreduce below 64 KiB 0.94 over 42). From 64 KiB
+//	      flat won every Allreduce cell (0.87-0.95; 0.64-0.75 at 1 MiB), so
+//	      the row stops there; Bcast cannot stop anywhere, only its root
+//	      knows the length. No harness here can price a slow link, so this
+//	      row stands on message counts and ties, not on a time win. Reduce
+//	      and Allgather have no two-level form: the composed Allgather lost
+//	      all nine C1b cells (0.24-0.58), no caller runs either across hosts.
+//	ring  Allgather from 8 KiB (C1: tree/ring 5.62 at 8 KiB, 1.69 or more in
+//	      every larger cell); Allreduce, elementwise contract only, from
+//	      256 KiB (C1: 1.27 at 256 KiB, 1.24 at 1 MiB, but 0.72-0.87 at
+//	      8-64 KiB, where the tree therefore stays).
+//	tree  everything else (C1: allreduce tree/ring 0.30-0.87 up to 64 KiB
+//	      but for one 1.02 at 4 KiB; benchmark/ couple_fine, whose 8-24-byte
+//	      allreduces are all here).
+//
+// Bcast has one flat algorithm, so below the hier row there is nothing to
+// choose and nothing is counted: Tree and Ring count tree-vs-ring decisions,
+// as perf.CollSnap has always reported them.
+func (c *Comm) choose(op perf.CollOp, decisionBytes int, commutative bool) perf.CollAlg {
+	ringFrom, hasRing, twoLevel := 0, false, false
+	switch op {
+	case perf.CollBcast:
+		twoLevel = true
+	case perf.CollAllgather:
+		ringFrom, hasRing = c.env.ringAllgather, true
+	case perf.CollAllreduce:
+		ringFrom, hasRing = c.env.ringAllreduce, true
+		twoLevel = decisionBytes < hierAllreduceBelow
+	}
+	alg := perf.AlgTree
+	if len(c.group) >= 2 {
+		if h := c.hierView(); twoLevel && h != nil && (commutative || h.contiguous) {
+			alg = perf.AlgHier
+		} else if hasRing && commutative && ringFrom >= 0 && decisionBytes >= ringFrom {
+			alg = perf.AlgRing
+		}
+	}
+	if alg != perf.AlgTree || hasRing {
+		c.env.pv.CollAlgo(op, alg)
+	}
+	return alg
+}
+
+// hierView returns the communicator's host topology if the two-level
+// algorithms may run on it — it spans more than one host, MPH_COLL_HIER is
+// not off, and it is not itself one of their sub-communicators — else nil.
+func (c *Comm) hierView() *hierComm {
+	if c.noHier || !c.env.hierEnabled {
+		return nil
+	}
+	return c.hierInfo()
+}

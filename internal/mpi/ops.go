@@ -155,6 +155,36 @@ func (c *Comm) AllreduceInts(xs []int64, op Op) ([]int64, error) {
 	return decodeInts(out)
 }
 
+// AllgatherInts gathers one int64 slice per rank at every rank.
+func (c *Comm) AllgatherInts(xs []int64) ([][]int64, error) {
+	parts, err := c.Allgather(encodeInts(xs))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int64, len(parts))
+	for i, p := range parts {
+		if out[i], err = decodeInts(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// AllgatherFloats gathers one float64 slice per rank at every rank.
+func (c *Comm) AllgatherFloats(xs []float64) ([][]float64, error) {
+	parts, err := c.Allgather(encodeFloats(xs))
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float64, len(parts))
+	for i, p := range parts {
+		if out[i], err = decodeFloats(p); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // BcastInts broadcasts an int64 slice from root.
 func (c *Comm) BcastInts(root int, xs []int64) ([]int64, error) {
 	var payload []byte

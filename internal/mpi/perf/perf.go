@@ -108,16 +108,16 @@ func (op CollOp) String() string {
 }
 
 // CollAlg identifies the algorithm family a collective invocation was routed
-// to by the size-based selector (DESIGN.md "Collective algorithms").
+// to by the selector (DESIGN.md "Collective algorithms").
 type CollAlg uint8
 
 // Algorithm families tracked per collective op. Tree covers the
 // latency-optimal binomial-tree/gather+bcast shapes; Ring covers the
 // bandwidth-optimal ring (allgather) and reduce-scatter+ring (allreduce)
 // shapes; Hier covers the two-level host-aware shape (intra-host phase,
-// one leader per host for the inter-host phase, local fan-out — DESIGN.md
-// "Hierarchical collectives"). A Hier invocation runs flat collectives on
-// its sub-communicators, so Hier selections also increment Tree/Ring.
+// one leader per host for the inter-host phase, local fan-out). A Hier
+// invocation's leader phase selects again on the leader sub-communicator, so
+// Hier selections also increment Tree/Ring.
 const (
 	AlgTree CollAlg = iota
 	AlgRing

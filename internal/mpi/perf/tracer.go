@@ -31,8 +31,8 @@ type Kind uint8
 //	KPeerLost:   A=lost world rank
 //	KAbort:      A=abort code, B=origin world rank (-1 launcher)
 //	KRendezvous: A=destination world rank, B=tag, C=payload bytes, D=rendezvous id
-//	KCollPhaseBegin: A=CollOp, B=CollPhase, C=segment index, D=segment bytes
-//	KCollPhaseEnd:   A=CollOp, B=CollPhase, C=segment index
+//	KCollPhaseBegin: A=CollOp, B=CollPhase, C=payload bytes
+//	KCollPhaseEnd:   A=CollOp, B=CollPhase
 //	KShmChannel: A=peer world rank, B=1 channel established / 0 fell back to TCP
 //
 // The per-message hot-path kinds — KSend, KRecvPost, KMatch — are subject to

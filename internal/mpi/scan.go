@@ -103,37 +103,3 @@ func (c *Comm) ExclusiveScanInts(xs []int64, op Op) ([]int64, error) {
 	}
 	return out, nil
 }
-
-// AllgatherInts gathers one int64 slice per rank at every rank. Like every
-// Allgather it is routed between the tree and ring algorithms by payload
-// size (see EnvCollRingThreshold).
-func (c *Comm) AllgatherInts(xs []int64) ([][]int64, error) {
-	parts, err := c.Allgather(encodeInts(xs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, len(parts))
-	for i, p := range parts {
-		if out[i], err = decodeInts(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// AllgatherFloats gathers one float64 slice per rank at every rank. Like
-// every Allgather it is routed between the tree and ring algorithms by
-// payload size (see EnvCollRingThreshold).
-func (c *Comm) AllgatherFloats(xs []float64) ([][]float64, error) {
-	parts, err := c.Allgather(encodeFloats(xs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(parts))
-	for i, p := range parts {
-		if out[i], err = decodeFloats(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}

@@ -188,7 +188,11 @@ func TestEagerAllocBudgetRaisedThreshold(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / iters
 	t.Logf("per-message alloc at raised threshold: %.2f payloads", per/size)
-	if per > 2.5*size {
+	// Under -race sync.Pool deliberately drops a share of Puts (to shake out
+	// code that depends on reuse), so the frame pool misses at random and the
+	// budget fails at the same rate at every commit. The transfer still runs
+	// and the figure is logged; only the assertion is a non-race one.
+	if per > 2.5*size && !raceEnabled {
 		t.Errorf("eager send at raised threshold allocates %.2f payloads per message, want <= 2.5 (frame pool cap not tracking MPH_EAGER_THRESHOLD?)", per/size)
 	}
 }

@@ -70,18 +70,13 @@ type Env struct {
 	// type assertion.
 	borrower payloadBorrower
 
-	// ringThreshold is the tree-to-ring collective crossover in bytes,
-	// parsed once from EnvCollRingThreshold (negative = rings disabled).
-	// Every rank of a job must see the same value or collective algorithm
+	// Inputs of the collective selector (collective_select.go), parsed once:
+	// the tree-to-ring crossover of each ring-capable op in bytes (negative
+	// = rings disabled) and the gate of the two-level host-aware algorithms.
+	// Every rank of a job must see the same values or collective algorithm
 	// choices diverge; the launcher propagates the environment.
-	ringThreshold int
-
-	// hierEnabled gates the two-level host-aware collectives, parsed once
-	// from EnvCollHier; collSegment is the pipelining segment size in bytes,
-	// parsed once from EnvCollSegment (<= 0 disables segmentation). Like
-	// ringThreshold, every rank of a job must see the same values.
-	hierEnabled bool
-	collSegment int
+	ringAllgather, ringAllreduce int
+	hierEnabled                  bool
 
 	// hosts maps world rank -> host label, published by the transport once
 	// the rendezvous book is known. Atomic because transports learn the
@@ -96,15 +91,14 @@ type Env struct {
 // unset).
 func NewEnv(worldRank, worldSize int, tr Transport) *Env {
 	e := &Env{
-		worldRank:     worldRank,
-		worldSize:     worldSize,
-		eng:           newEngine(worldSize),
-		tr:            tr,
-		pv:            perf.NewRank(worldRank, worldSize),
-		ringThreshold: ringThresholdFromEnv(),
-		hierEnabled:   hierFromEnv(),
-		collSegment:   segmentFromEnv(),
+		worldRank:   worldRank,
+		worldSize:   worldSize,
+		eng:         newEngine(worldSize),
+		tr:          tr,
+		pv:          perf.NewRank(worldRank, worldSize),
+		hierEnabled: hierFromEnv(),
 	}
+	e.ringAllgather, e.ringAllreduce = ringThresholdsFromEnv()
 	if b, ok := tr.(payloadBorrower); ok {
 		e.borrower = b
 	}

@@ -8,8 +8,8 @@
 # repeats the fault-injection tests under -race: failure paths are the most
 # interleaving-sensitive code in the tree. lintdoc enforces doc comments on
 # every exported identifier (golint's exported rule, in-tree). The collective
-# bench smoke runs one tree and one ring Allgather iteration so both
-# algorithm paths of the size-based selector stay executable. The rendezvous
+# bench smoke runs one tree and one ring Allgather iteration so both flat
+# rows of the selector table stay executable. The rendezvous
 # alloc guard runs the large-send benchmark with -benchmem and fails if the
 # send path regrows a payload-sized copy (B/op must stay near one payload —
 # the receiver's buffer — for 1 MiB messages). The P2 smoke runs one cell of
@@ -34,13 +34,17 @@
 # (-backend daemon), proving the persistent-agent path works outside the unit
 # tests; the L1 smoke keeps the launch-latency harness executable. The
 # removed-names guard keeps the second remote-spawn implementation, the
-# Backend shim, the shm-ack reverse dial, and tcpnet's test-only second
-# decoder and per-carrier write/drop/sever copies from creeping back; the
-# gofmt gate fails on any unformatted file. The fuzz smoke runs the native
-# fuzzer for ten seconds over the decoder loop production reads frames with. The first-contact pass runs, under -race, the
-# tests that pin what the MPH handshake costs (two world collectives on one
-# tree, 2(N-1) dials) and the closing-Barrier case the reverse dial used to
-# break. The link-budget guard fails if anything a rank is built from
+# Backend shim, the shm-ack reverse dial, tcpnet's test-only second decoder
+# and per-carrier write/drop/sever copies, the segmented hierarchical
+# collectives with their MPH_COLL_SEGMENT knob, and the two-level Reduce and
+# Allgather no measured cell supported from creeping back; the
+# selector guard fails if an algorithm is counted anywhere but in choose's
+# file; the gofmt gate fails on any unformatted file. The fuzz smoke runs the
+# native fuzzer for ten seconds over the decoder loop production reads frames
+# with. The first-contact pass runs, under -race, the tests that pin what the
+# MPH handshake costs (two world collectives on one tree — 27 messages on a
+# 5+5 two-host world, 3 of them between the hosts — and 2(N-1) dials) and the
+# closing-Barrier case the reverse dial used to break. The link-budget guard fails if anything a rank is built from
 # (tcpnet, core, coupler, the climate and mcme examples) links net/http,
 # crypto/tls, os/exec or the launcher package again. The closing line count
 # and the stripped size of examples/climate give the next PR its baselines in
@@ -52,15 +56,17 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go vet ./internal/mpi/perf
 # One remote-spawn protocol, one connection per directed contact, one frame
-# decoder, one write and one drop/sever routine for both carriers: these
-# names were deleted and stay deleted (an if, because set -e does not act on
-# a "!" pipeline).
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown' --include=*.go .; then
+# decoder, one write and one drop/sever routine for both carriers, two-level
+# collectives by composition only: these names were deleted and stay deleted
+# (an if, because set -e does not act on a "!" pipeline).
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed' --include=*.go .; then
     exit 1
 fi
+# One selector: exactly one non-test file of internal/mpi counts an algorithm.
+test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
 # Link budget: a component executable links the rank side only. Nothing a
 # rank is built from may pull in the HTTP/TLS stack, process spawning or the
-# launcher (DESIGN.md §15, "What a rank links").
+# launcher (DESIGN.md §14, "What a rank links").
 if go list -deps ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/climate ./examples/mcme |
     grep -x 'net/http\|crypto/tls\|os/exec\|mph/internal/mpirun'; then
     exit 1
@@ -168,11 +174,11 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (20,463 before tcpnet became one frame
-# codec, one peer object and one failure sweep, 20,309 after; tcpnet itself
-# 2,326 -> 2,161), and the stripped size of a component executable (6,983,972
-# bytes before the rank stopped linking the launcher and net/http, 3,555,620
-# after) — the next PR's baselines.
+# Non-test Go lines outside benchmark/ (20,309 before the two-level
+# collectives became compositions of the flat ones behind one selector, 19,771
+# after; internal/mpi itself 4,292 -> 3,739, collective_hier.go 838 -> 217),
+# and the stripped size of a component executable (3,551,524 bytes before,
+# 3,522,852 after) — the next PR's baselines.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
