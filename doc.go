@@ -43,10 +43,10 @@
 // # Tooling
 //
 // cmd/ holds the executables: mphrun (the launcher), mphtrace (merges
-// per-rank event traces into Chrome trace_event JSON), mphinfo, mphbench,
-// and mphhistory. The benchmark suite in bench_test.go regenerates the
-// experiments indexed in EXPERIMENTS.md; runnable applications live under
-// examples/ and cmd/.
+// per-rank event traces into Chrome trace_event JSON), mphd, mphinfo and
+// mphhistory. Every experiment indexed in EXPERIMENTS.md is one Benchmark
+// function beside the code it measures (go test -bench); the end-to-end
+// benchmark is benchmark/. Runnable applications live under examples/, cmd/.
 //
 // # Further reading
 //

@@ -342,3 +342,31 @@ func TestRunCoupledInitHook(t *testing.T) {
 		t.Fatalf("perturbation not visible: base %g, perturbed %g", base, warm)
 	}
 }
+
+// BenchmarkCoupledClimate (EXPERIMENTS.md E8) runs the five-component
+// coupled system of paper §7 on ten in-process ranks across grid sizes; an
+// op is world creation + handshake + four coupling periods.
+func BenchmarkCoupledClimate(b *testing.B) {
+	for _, n := range [][2]int{{16, 8}, {32, 16}, {64, 32}, {128, 64}} {
+		b.Run(fmt.Sprintf("%dx%d", n[0], n[1]), func(b *testing.B) {
+			g, err := grid.New(n[0], n[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := coupler.Config{Grid: g, Periods: 4, SubSteps: 2, Dt: 0.5}
+			for i := 0; i < b.N; i++ {
+				err := mpi.RunWorld(ccsmWorldSize, func(c *mpi.Comm) error {
+					s, err := setupCCSM(c)
+					if err != nil {
+						return err
+					}
+					_, err = coupler.RunCoupled(s, cfg)
+					return err
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

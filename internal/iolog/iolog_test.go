@@ -337,3 +337,39 @@ func TestEnvVarOverrideNonAlphanumericName(t *testing.T) {
 		t.Error("default path written despite override")
 	}
 }
+
+// BenchmarkRedirect (EXPERIMENTS.md E9) measures the serialized
+// per-component log writer (§5.4) under concurrent writers; b.N lines are
+// split between them.
+func BenchmarkRedirect(b *testing.B) {
+	for _, writers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			mux, err := NewMux(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer mux.Close()
+			w, err := mux.ComponentWriter("bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			line := []byte("component step report: all fields nominal\n")
+			b.SetBytes(int64(len(line)))
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for k := 0; k < writers; k++ {
+				wg.Add(1)
+				go func(lines int) {
+					defer wg.Done()
+					for i := 0; i < lines; i++ {
+						if _, err := w.Write(line); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}((b.N + k) / writers)
+			}
+			wg.Wait()
+		})
+	}
+}

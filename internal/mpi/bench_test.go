@@ -1,14 +1,18 @@
 package mpi_test
 
-// Microbenchmarks of the message-passing substrate itself: the costs below
-// are the floor under every MPH operation measured in the repo-root
-// experiment benchmarks.
+// Microbenchmarks of the message-passing substrate itself — the floor under
+// every MPH operation the other packages' benchmarks measure — and the
+// experiments of EXPERIMENTS.md that price it: P1 (BenchmarkTracerOverhead),
+// C1 (BenchmarkTreeVsRing), C1b (BenchmarkFlatVsHier), A3
+// (BenchmarkSendRecvLatency against BenchmarkSsendLatency).
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"mph/internal/mpi"
+	"mph/internal/mpi/perf"
 )
 
 // benchWorld runs fn on a persistent world, once per rank, with b.N
@@ -18,6 +22,29 @@ func benchWorld(b *testing.B, n int, fn func(c *mpi.Comm) error) {
 	if err := mpi.RunWorld(n, fn); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// exactMatchLoop is the engine's common case and the loop every
+// observability budget is stated on: b.N exact-envelope send/recv pairs on a
+// self-delivering rank while pending unexpected messages of another tag sit
+// in the queue.
+func exactMatchLoop(b *testing.B, c *mpi.Comm, pending int) error {
+	for i := 0; i < pending; i++ {
+		if err := c.Send(0, 99, nil); err != nil {
+			return err
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Send(0, 0, nil); err != nil {
+			return err
+		}
+		if _, _, err := c.Recv(0, 0); err != nil {
+			return err
+		}
+	}
+	b.StopTimer()
+	return nil
 }
 
 // BenchmarkEngineMatching isolates the receive-side matching engine: every
@@ -37,23 +64,7 @@ func benchWorld(b *testing.B, n int, fn func(c *mpi.Comm) error) {
 func BenchmarkEngineMatching(b *testing.B) {
 	for _, pending := range []int{0, 1, 64, 1024} {
 		b.Run(fmt.Sprintf("exact/pending=%d", pending), func(b *testing.B) {
-			benchWorld(b, 1, func(c *mpi.Comm) error {
-				for i := 0; i < pending; i++ {
-					if err := c.Send(0, 99, nil); err != nil {
-						return err
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.Send(0, 0, nil); err != nil {
-						return err
-					}
-					if _, _, err := c.Recv(0, 0); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
+			benchWorld(b, 1, func(c *mpi.Comm) error { return exactMatchLoop(b, c, pending) })
 		})
 	}
 	for _, pending := range []int{0, 64} {
@@ -84,16 +95,9 @@ func BenchmarkEngineMatching(b *testing.B) {
 				for i := range reqs {
 					reqs[i] = c.Irecv(0, 1000+i)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.Send(0, 0, nil); err != nil {
-						return err
-					}
-					if _, _, err := c.Recv(0, 0); err != nil {
-						return err
-					}
+				if err := exactMatchLoop(b, c, 0); err != nil {
+					return err
 				}
-				b.StopTimer()
 				// Drain the outstanding receives so the world shuts down
 				// cleanly on any engine.
 				for i := range reqs {
@@ -122,46 +126,34 @@ func BenchmarkEngineMatching(b *testing.B) {
 	})
 }
 
-// BenchmarkTracerOverhead guards the tracer's off-path cost: the same
-// exact-match send/recv loop as BenchmarkEngineMatching/exact/pending=64,
-// with the tracer disabled (the default nil-pointer fast path) and enabled.
-// The "off" variant must stay within a few percent of the uninstrumented
-// engine; EXPERIMENTS.md P1 records the measured bound.
+// BenchmarkTracerOverhead (EXPERIMENTS.md P1) prices the event tracer on
+// exactMatchLoop with 64 pending: off is the default nil-pointer fast path
+// (budget: within 2 % of BenchmarkEngineMatching/exact/pending=64, the same
+// loop on a world that has no tracer to check), sampled is what a job gets by
+// enabling tracing (1-in-DefaultTraceSample per-message events, budget 25 %
+// over off), full records every event (MPH_TRACE_SAMPLE=1). The same loop
+// under live telemetry is internal/mpirun's BenchmarkTelemetryOverhead.
 func BenchmarkTracerOverhead(b *testing.B) {
-	const pending = 64
-	run := func(b *testing.B, traced bool) {
-		w, err := mpi.NewWorld(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer w.Close()
-		if traced {
-			w.EnableTracing(1 << 16)
-		}
-		err = w.Run(func(c *mpi.Comm) error {
-			for i := 0; i < pending; i++ {
-				if err := c.Send(0, 99, nil); err != nil {
-					return err
-				}
+	for _, cfg := range []struct{ name, sample string }{
+		{"off", ""},
+		{"sampled", strconv.Itoa(perf.DefaultTraceSample)},
+		{"full", "1"},
+	} {
+		b.Run(cfg.name, func(b *testing.B) {
+			w, err := mpi.NewWorld(1)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Send(0, 0, nil); err != nil {
-					return err
-				}
-				if _, _, err := c.Recv(0, 0); err != nil {
-					return err
-				}
+			defer w.Close()
+			if cfg.sample != "" {
+				b.Setenv(perf.EnvTraceSample, cfg.sample)
+				w.EnableTracing(1 << 16)
 			}
-			b.StopTimer()
-			return nil
+			if err := w.Run(func(c *mpi.Comm) error { return exactMatchLoop(b, c, 64) }); err != nil {
+				b.Fatal(err)
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, false) })
-	b.Run("on", func(b *testing.B) { run(b, true) })
 }
 
 func BenchmarkSendRecvLatency(b *testing.B) {
@@ -225,25 +217,63 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
+// collOps builds, per payload size, the per-rank body of one invocation of
+// each collective the selector routes (collective_select.go).
+var collOps = map[string]func(size int) func(c *mpi.Comm) error{
+	"allgather": func(size int) func(c *mpi.Comm) error {
+		payload := make([]byte, size)
+		return func(c *mpi.Comm) error { _, err := c.Allgather(payload); return err }
+	},
+	"allreduce": func(size int) func(c *mpi.Comm) error {
+		xs := make([]float64, size/8)
+		return func(c *mpi.Comm) error { _, err := c.AllreduceFloats(xs, mpi.OpSum); return err }
+	},
+	"bcast": func(size int) func(c *mpi.Comm) error {
+		payload := make([]byte, size)
+		return func(c *mpi.Comm) error {
+			var in []byte
+			if c.Rank() == 0 {
+				in = payload
+			}
+			_, err := c.Bcast(0, in)
+			return err
+		}
+	},
+}
+
+// benchCollective times b.N invocations of one collective at one payload
+// size on every rank of a fresh world, its ranks published on hosts when
+// given. The world is built here, after the caller pinned its knobs: the
+// selector reads them at construction.
+func benchCollective(b *testing.B, ranks int, hosts []string, op string, size int) {
+	b.Helper()
+	w, err := mpi.NewWorld(ranks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	if hosts != nil {
+		w.SetHosts(hosts)
+	}
+	run := collOps[op](size)
+	b.SetBytes(int64(size))
+	err = w.Run(func(c *mpi.Comm) error {
+		for i := 0; i < b.N; i++ {
+			if err := run(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkBcast(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		for _, size := range []int{64, 64 << 10} {
-			b.Run(fmt.Sprintf("n=%d/%dB", n, size), func(b *testing.B) {
-				payload := make([]byte, size)
-				b.SetBytes(int64(size))
-				benchWorld(b, n, func(c *mpi.Comm) error {
-					for i := 0; i < b.N; i++ {
-						var in []byte
-						if c.Rank() == 0 {
-							in = payload
-						}
-						if _, err := c.Bcast(0, in); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-			})
+			b.Run(fmt.Sprintf("n=%d/%dB", n, size), func(b *testing.B) { benchCollective(b, n, nil, "bcast", size) })
 		}
 	}
 }
@@ -251,45 +281,62 @@ func BenchmarkBcast(b *testing.B) {
 func BenchmarkAllreduce(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		for _, elems := range []int{1, 1024} {
-			b.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(b *testing.B) {
-				xs := make([]float64, elems)
-				benchWorld(b, n, func(c *mpi.Comm) error {
-					for i := 0; i < b.N; i++ {
-						if _, err := c.AllreduceFloats(xs, mpi.OpSum); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-			})
+			b.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(b *testing.B) { benchCollective(b, n, nil, "allreduce", 8*elems) })
 		}
 	}
 }
 
-// BenchmarkAllgather pits the gather+bcast tree against the ring on both
-// sides of the crossover, with the threshold pinned so each sub-benchmark
-// measures exactly one algorithm. BENCH_coll.json (mphbench C1) is the
-// committed sweep; this is the in-tree spot check.
-func BenchmarkAllgather(b *testing.B) {
-	for _, alg := range []struct{ name, threshold string }{
-		{"tree", "-1"},
-		{"ring", "0"},
+// BenchmarkTreeVsRing (EXPERIMENTS.md C1) pits the flat tree against the
+// ring on 8 ranks, MPH_COLL_RING_THRESHOLD pinning each cell to one
+// algorithm, at the sizes the selector's ring and tree rows cite: around
+// Allgather's 8 KiB crossover (DefaultRingThreshold) and around Allreduce's
+// 256 KiB one (allreduceRingFrom).
+func BenchmarkTreeVsRing(b *testing.B) {
+	for _, op := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"allgather", []int{1 << 10, 4 << 10, 8 << 10, 64 << 10, 1 << 20}},
+		{"allreduce", []int{4 << 10, 64 << 10, 256 << 10, 1 << 20}},
 	} {
-		for _, n := range []int{4, 8} {
-			for _, size := range []int{64, 64 << 10} {
-				b.Run(fmt.Sprintf("%s/n=%d/%dB", alg.name, n, size), func(b *testing.B) {
+		for _, size := range op.sizes {
+			for _, alg := range []struct{ name, threshold string }{{"tree", "-1"}, {"ring", "0"}} {
+				b.Run(fmt.Sprintf("%s/%dB/%s", op.name, size, alg.name), func(b *testing.B) {
 					b.Setenv(mpi.EnvCollRingThreshold, alg.threshold)
-					payload := make([]byte, size)
-					b.SetBytes(int64(size))
-					benchWorld(b, n, func(c *mpi.Comm) error {
-						for i := 0; i < b.N; i++ {
-							if _, err := c.Allgather(payload); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
+					benchCollective(b, 8, nil, op.name, size)
 				})
+			}
+		}
+	}
+}
+
+// BenchmarkFlatVsHier (EXPERIMENTS.md C1b) times the two operations the
+// selector's hier row routes, at sizes it routes them (Bcast at any, Allreduce
+// below hierAllreduceBelow), on 8 ranks block-placed over 2-4 published hosts
+// with MPH_COLL_HIER pinned off then on. In-process "hosts" share one
+// address space, so a cell prices the two-level shape's extra
+// store-and-forward hop, not a network win.
+func BenchmarkFlatVsHier(b *testing.B) {
+	const ranks = 8
+	for _, op := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"bcast", []int{4 << 10, 64 << 10, 1 << 20}},
+		{"allreduce", []int{1 << 10, 4 << 10, 32 << 10}},
+	} {
+		for _, hostCount := range []int{2, 3, 4} {
+			hosts := make([]string, ranks)
+			for r := range hosts {
+				hosts[r] = fmt.Sprintf("node%d", r*hostCount/ranks)
+			}
+			for _, size := range op.sizes {
+				for _, alg := range []struct{ name, hier string }{{"flat", "0"}, {"hier", "1"}} {
+					b.Run(fmt.Sprintf("%s/hosts=%d/%dB/%s", op.name, hostCount, size, alg.name), func(b *testing.B) {
+						b.Setenv(mpi.EnvCollHier, alg.hier)
+						benchCollective(b, ranks, hosts, op.name, size)
+					})
+				}
 			}
 		}
 	}

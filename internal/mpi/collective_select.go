@@ -67,7 +67,8 @@ const hierAllreduceBelow = 64 << 10
 // communication.
 //
 // The table, first matching row wins; each row names the measured cell that
-// justifies it (EXPERIMENTS.md C1/C1b/S4, BENCH_coll.json, benchmark/):
+// justifies it (EXPERIMENTS.md C1, C1b and S4: go test -run=NONE
+// -bench='TreeVsRing|FlatVsHier' ./internal/mpi, and benchmark/):
 //
 //	hier  Bcast, and Allreduce below 64 KiB, when the comm spans more than
 //	      one host, MPH_COLL_HIER is not off, and either operands may regroup
@@ -77,24 +78,24 @@ const hierAllreduceBelow = 64 << 10
 //	      benchmark/ bulk_2host's 5+5 handshake — a sub-KiB Bcast and a
 //	      24-byte Allreduce — sends 3 of its 27 messages between the hosts
 //	      instead of 9 and ties MPH_COLL_HIER=0 on setup_s (S4: 0.993, lower
-//	      in 6 of 10 pairs). C1b, flat/hier at 2, 3, 4 hosts: Bcast 64 KiB
-//	      0.86/1.11/1.07 and 1 MiB 1.06/0.83/1.11; Allreduce 1 KiB
-//	      1.03/0.71/1.30 and 32 KiB 1.70/0.84/1.16 — a tie inside the scatter
-//	      this harness shows against itself (three sweeps: Bcast median 1.03
-//	      over 42 cells, Allreduce below 64 KiB 0.94 over 42). From 64 KiB
-//	      flat won every Allreduce cell (0.87-0.95; 0.64-0.75 at 1 MiB), so
-//	      the row stops there; Bcast cannot stop anywhere, only its root
-//	      knows the length. No harness here can price a slow link, so this
-//	      row stands on message counts and ties, not on a time win. Reduce
-//	      and Allgather have no two-level form: the composed Allgather lost
-//	      all nine C1b cells (0.24-0.58), no caller runs either across hosts.
-//	ring  Allgather from 8 KiB (C1: tree/ring 5.62 at 8 KiB, 1.69 or more in
-//	      every larger cell); Allreduce, elementwise contract only, from
-//	      256 KiB (C1: 1.27 at 256 KiB, 1.24 at 1 MiB, but 0.72-0.87 at
-//	      8-64 KiB, where the tree therefore stays).
-//	tree  everything else (C1: allreduce tree/ring 0.30-0.87 up to 64 KiB
-//	      but for one 1.02 at 4 KiB; benchmark/ couple_fine, whose 8-24-byte
-//	      allreduces are all here).
+//	      in 6 of 10 pairs). C1b prices the extra store-and-forward hop where
+//	      every link costs the same, flat/hier at 2, 3, 4 hosts: Bcast 64 KiB
+//	      0.99/0.71/0.99 and 1 MiB 0.91/0.68/1.00; Allreduce 1 KiB
+//	      0.92/0.82/0.87 and 32 KiB 0.94/0.95/0.90 — an overhead bound, not
+//	      the tie PR 16's sweeps read. From 64 KiB flat won every Allreduce
+//	      cell of those (0.87-0.95; 0.64-0.75 at 1 MiB), so the row stops
+//	      there; Bcast cannot stop anywhere, only its root knows the length.
+//	      No harness here can price a slow link, so this row stands on
+//	      message counts and bulk_2host, not on a time win. Reduce and
+//	      Allgather have no two-level form: the composed Allgather lost all
+//	      nine C1b cells (0.24-0.58), no caller runs either across hosts.
+//	ring  Allgather from 8 KiB (C1: tree/ring 1.98 at 8 KiB, 2.17 at 64 KiB,
+//	      2.94 at 1 MiB); Allreduce, elementwise contract only, from 256 KiB
+//	      (C1: 1.24 at 256 KiB, 1.37 at 1 MiB, but 0.69 at 64 KiB, where the
+//	      tree therefore stays).
+//	tree  everything else (C1: allreduce tree/ring 0.76 at 4 KiB, 0.69 at
+//	      64 KiB; benchmark/ couple_fine, whose 8-24-byte allreduces are all
+//	      here).
 //
 // Bcast has one flat algorithm, so below the hier row there is nothing to
 // choose and nothing is counted: Tree and Ring count tree-vs-ring decisions,

@@ -68,10 +68,10 @@ const DefaultTraceEvents = 1 << 16
 
 // DefaultTraceSample is the 1-in-N sampling divisor applied to the
 // per-message hot-path events (send, recv-post, match) when EnvTraceSample
-// does not override it. 16 keeps tracer-on overhead on the p2p fast path
-// under the 25% budget (BENCH_perf.json P1) while retaining a statistically
-// useful event stream; set MPH_TRACE_SAMPLE=1 to record everything when
-// debugging message-level ordering.
+// does not override it. 16 was chosen to bring tracer-on overhead on the p2p
+// fast path under its 25% budget (EXPERIMENTS.md P1: BenchmarkTracerOverhead,
+// sampled against off) with a statistically useful event stream left; set
+// MPH_TRACE_SAMPLE=1 to record everything when debugging message ordering.
 const DefaultTraceSample = 16
 
 // CollOp identifies one collective operation for invocation counting.

@@ -93,8 +93,8 @@ type Event struct {
 }
 
 // Tracer sharding. A single mutex-guarded ring doubles the cost of the
-// matching hot path under concurrency (BENCH_perf.json P1 before this
-// design), so large rings are split into independently locked shards merged
+// matching hot path under concurrency (EXPERIMENTS.md P1, the single-ring
+// figure), so large rings are split into independently locked shards merged
 // at dump time. Small rings keep one shard — splitting a 64-event ring would
 // change which events survive, and the contention it avoids only matters at
 // sizes where events pour in from several goroutines.

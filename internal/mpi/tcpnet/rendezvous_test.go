@@ -288,43 +288,86 @@ func TestRendezvousSendAllocBudget(t *testing.T) {
 	}
 }
 
-// benchSend measures one-directional large sends between two in-process TCP
-// ranks; the threshold selects the protocol under test.
-func benchSend(b *testing.B, size int, threshold string) {
-	b.Setenv(EnvEagerThreshold, threshold)
+// benchPair times b.N runs of body on each of two in-process TCP ranks
+// (goroutines standing in for OS processes; the wire path is the same one).
+func benchPair(b *testing.B, size int, body func(c *mpi.Comm, payload []byte) error) {
 	_, envs := startWorld(b, 2)
 	defer envs[0].Close()
 	defer envs[1].Close()
-	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
 	payload := make([]byte, size)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	loop := func(c *mpi.Comm) error {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c1.Recv(0, 4); err != nil {
-				b.Error(err)
-				return
+			if err := body(c, payload); err != nil {
+				return err
 			}
 		}
-	}()
+		return nil
+	}
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c0.Send(1, 4, payload); err != nil {
-			b.Fatal(err)
-		}
+	done := make(chan error, 1)
+	go func() { done <- loop(mpi.WorldComm(envs[1])) }()
+	if err := loop(mpi.WorldComm(envs[0])); err != nil {
+		b.Fatal(err) // the deferred Closes release rank 1
 	}
-	<-done
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
 	b.StopTimer()
 }
 
-// BenchmarkRendezvousSend is the alloc-regression benchmark check.sh runs
-// with -benchmem: B/op must stay near one payload (the receiver's buffer) —
-// the sender side of a rendezvous transfer allocates nothing payload-sized.
-func BenchmarkRendezvousSend(b *testing.B) { benchSend(b, 1<<20, "1024") }
+// BenchmarkSend (EXPERIMENTS.md P2) times one-directional sends in the three
+// transport cells: eager (MPH_EAGER_THRESHOLD=-1), rendezvous with the
+// payload on loopback TCP (threshold 0, MPH_SHM=off) and rendezvous with it
+// on the intra-host channel (threshold 0, MPH_SHM on: the pair shares a
+// hostname, as ranks of a one-host placement do). The sizes bracket the
+// 64 KiB default threshold and the channel's ~256 KiB crossover. check.sh
+// runs the 1 MiB rendezvous cells with -benchmem as the alloc-regression
+// guard: B/op must stay near one payload (the receiver's buffer) — the
+// sender side of a rendezvous transfer allocates nothing payload-sized.
+func BenchmarkSend(b *testing.B) {
+	for _, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20} {
+		for _, cell := range []struct{ name, threshold, shm string }{
+			{"eager", "-1", "off"},
+			{"rendezvous-tcp", "0", "off"},
+			{"rendezvous-shm", "0", "1"},
+		} {
+			b.Run(fmt.Sprintf("%dB/%s", size, cell.name), func(b *testing.B) {
+				b.Setenv(EnvEagerThreshold, cell.threshold)
+				b.Setenv(EnvShm, cell.shm)
+				benchPair(b, size, func(c *mpi.Comm, payload []byte) error {
+					if c.Rank() == 0 {
+						return c.Send(1, 4, payload)
+					}
+					_, _, err := c.Recv(0, 4)
+					return err
+				})
+			})
+		}
+	}
+}
 
-// BenchmarkEagerLargeSend is the same transfer with rendezvous disabled, the
-// before/after comparison for BENCH_transport.json.
-func BenchmarkEagerLargeSend(b *testing.B) { benchSend(b, 1<<20, "-1") }
+// BenchmarkPingPong (EXPERIMENTS.md E10) is a round trip over the
+// multi-process transport at its defaults, for comparison with the
+// in-process round trip of internal/core's BenchmarkIntercompPingPong (E5).
+func BenchmarkPingPong(b *testing.B) {
+	for _, size := range []int{64, 16 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			benchPair(b, size, func(c *mpi.Comm, payload []byte) error {
+				if c.Rank() == 0 {
+					if err := c.Send(1, 1, payload); err != nil {
+						return err
+					}
+					_, _, err := c.Recv(1, 2)
+					return err
+				}
+				data, _, err := c.Recv(0, 1)
+				if err != nil {
+					return err
+				}
+				return c.Send(0, 2, data)
+			})
+		})
+	}
+}

@@ -77,15 +77,38 @@ func testAgent(t *testing.T) (path string, kill func()) {
 
 // sshStub writes a fake ssh client that ignores every option and host
 // argument and runs the final argument (the remote command line) in a local
-// shell, so the SSHSpawner's argument and quoting path runs without sshd.
+// shell, so the SSHSpawner's argument and quoting path runs without sshd. It
+// leaves its argv, one argument a line, in "<stub>.argv".
 func sshStub(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fake-ssh")
-	script := "#!/bin/sh\nfor a in \"$@\"; do cmd=\"$a\"; done\nexec /bin/sh -c \"$cmd\"\n"
+	script := "#!/bin/sh\nprintf '%s\\n' \"$@\" > \"$0.argv\"\nfor a in \"$@\"; do cmd=\"$a\"; done\nexec /bin/sh -c \"$cmd\"\n"
 	if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestSSHArgvEndsOptionsBeforeHost: a Proc.Host set in code never met the
+// parsers' validHost, so dial itself must keep ssh from reading an
+// option-shaped host ("-oProxyCommand=..." runs a command on the launcher)
+// as an option. The stub records the argv it was started with.
+func TestSSHArgvEndsOptionsBeforeHost(t *testing.T) {
+	agent, _ := testAgent(t)
+	sp := NewSSHSpawner(agent, []string{"-p", "2222"})
+	sp.Command = sshStub(t)
+	const host = "-oProxyCommand=false"
+	if err := sp.ProbeHost(context.Background(), host); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(sp.Command + ".argv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	argv := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if n := len(argv); n < 3 || argv[n-3] != "--" || argv[n-2] != host {
+		t.Fatalf("ssh argv %q: want \"--\" directly before the host", argv)
+	}
 }
 
 // carriers are the three byte streams the block protocol is served over.

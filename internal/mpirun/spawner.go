@@ -501,7 +501,8 @@ func (s *SSHSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser,
 	}
 	args := []string{ssh, "-o", "BatchMode=yes", "-o", "StrictHostKeyChecking=accept-new"}
 	args = append(args, s.Options...)
-	return dialPipe(ctx, append(args, host, shellJoin(argv)))
+	// "--": whatever the host is called, ssh must not read it as an option.
+	return dialPipe(ctx, append(args, "--", host, shellJoin(argv)))
 }
 
 // ProbeHost implements HostProber: beyond name resolution, reachability and

@@ -23,6 +23,38 @@ type Entry struct {
 	Line int
 }
 
+// MaxWorld bounds the ranks of one job and the slots of one host. The counts
+// come from files and command lines; unbounded, their sum wraps and sizes
+// NewLaunchSpec's slice.
+const MaxWorld = 1 << 20
+
+// WorldSizeError reports the entry whose rank count takes a job past MaxWorld.
+type WorldSizeError struct {
+	Where  string // the entry: "job.cmd:3", a colon-spec segment, a command
+	Nprocs int    // its rank count
+}
+
+// Error implements error.
+func (e *WorldSizeError) Error() string {
+	return fmt.Sprintf("%s: %d more ranks pass the %d-rank world bound", e.Where, e.Nprocs, MaxWorld)
+}
+
+// addRanks returns total+n, or a WorldSizeError if that passes MaxWorld
+// (total never does and n is positive, so the comparison cannot wrap).
+func addRanks(total, n int, where string) (int, error) {
+	if n > MaxWorld-total {
+		return 0, &WorldSizeError{where, n}
+	}
+	return total + n, nil
+}
+
+// validHost reports whether a host name from a hostfile, a -hosts list or a
+// host= pin may reach a spawner: non-empty, and not shaped like an option —
+// ssh would parse "-oProxyCommand=..." in host position as one and run it.
+func validHost(name string) bool {
+	return name != "" && name[0] != '-'
+}
+
 // parseEntryFields turns the token list of one spec segment —
 // "nprocs [host=NAME] command [args...]" — into an Entry.
 func parseEntryFields(fields []string, line int) (Entry, error) {
@@ -38,8 +70,8 @@ func parseEntryFields(fields []string, line int) (Entry, error) {
 	rest := fields[1:]
 	if strings.HasPrefix(rest[0], "host=") {
 		e.Host = strings.TrimPrefix(rest[0], "host=")
-		if e.Host == "" {
-			return Entry{}, fmt.Errorf("segment %q: empty host= pin", joined)
+		if !validHost(e.Host) {
+			return Entry{}, fmt.Errorf("segment %q: bad host= pin %q", joined, e.Host)
 		}
 		rest = rest[1:]
 	}
@@ -67,9 +99,9 @@ func ParseColonSpec(args []string) ([]Entry, int, error) {
 			return err
 		}
 		entries = append(entries, e)
-		total += e.Nprocs
+		total, err = addRanks(total, e.Nprocs, fmt.Sprintf("segment %q", strings.Join(seg, " ")))
 		seg = seg[:0]
-		return nil
+		return err
 	}
 	for _, a := range args {
 		if a == ":" {
@@ -112,7 +144,9 @@ func ParseCmdfile(path string) ([]Entry, int, error) {
 			return nil, 0, fmt.Errorf("%s:%d: %w", path, lineNo, err)
 		}
 		entries = append(entries, e)
-		total += e.Nprocs
+		if total, err = addRanks(total, e.Nprocs, fmt.Sprintf("%s:%d", path, lineNo)); err != nil {
+			return nil, 0, err
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, 0, err
@@ -159,13 +193,16 @@ func ParseHostfile(path string) ([]HostSlot, error) {
 			continue
 		}
 		hs := HostSlot{Name: fields[0], Slots: 1}
+		if !validHost(hs.Name) {
+			return nil, fmt.Errorf("%s:%d: bad host name %q", path, lineNo, hs.Name)
+		}
 		for _, tok := range fields[1:] {
 			val, ok := strings.CutPrefix(tok, "slots=")
 			if !ok {
 				return nil, fmt.Errorf("%s:%d: unknown token %q (want \"host [slots=N]\")", path, lineNo, tok)
 			}
 			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
+			if err != nil || n <= 0 || n > MaxWorld {
 				return nil, fmt.Errorf("%s:%d: bad slot count %q", path, lineNo, val)
 			}
 			hs.Slots = n
@@ -198,10 +235,13 @@ func ParseHostList(s string) ([]HostSlot, error) {
 		hs := HostSlot{Name: item, Slots: 1}
 		if name, slots, ok := strings.Cut(item, ":"); ok {
 			n, err := strconv.Atoi(slots)
-			if err != nil || n <= 0 || name == "" {
+			if err != nil || n <= 0 || n > MaxWorld {
 				return nil, fmt.Errorf("bad host entry %q (want \"host[:slots]\")", item)
 			}
 			hs = HostSlot{Name: name, Slots: n}
+		}
+		if !validHost(hs.Name) {
+			return nil, fmt.Errorf("bad host name %q in list %q", hs.Name, s)
 		}
 		if seen[hs.Name] {
 			return nil, fmt.Errorf("host %q listed twice", hs.Name)
@@ -312,7 +352,10 @@ func NewLaunchSpec(entries []Entry, hosts []HostSlot, policy Placement) (*Launch
 		if len(e.Argv) == 0 {
 			return nil, fmt.Errorf("mpirun: entry with no command")
 		}
-		total += e.Nprocs
+		var err error
+		if total, err = addRanks(total, e.Nprocs, fmt.Sprintf("mpirun: entry %q", strings.Join(e.Argv, " "))); err != nil {
+			return nil, err
+		}
 	}
 	assign, err := placeRanks(entries, hosts, policy, total)
 	if err != nil {

@@ -1,9 +1,11 @@
 package mpirun
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,18 +13,12 @@ import (
 )
 
 func TestParseCmdfile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "job.cmd")
-	content := `
+	entries, total, err := ParseCmdfile(writeSpec(t, `
 # a comment
 3 ./atm -x   # trailing comment
 2 host=node-b ./ocn
 1 ./coupler
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, total, err := ParseCmdfile(path)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +37,6 @@ func TestParseCmdfile(t *testing.T) {
 }
 
 func TestParseCmdfileErrors(t *testing.T) {
-	dir := t.TempDir()
 	cases := map[string]string{
 		"empty":      "# nothing\n",
 		"bad count":  "x ./atm\n",
@@ -53,16 +48,12 @@ func TestParseCmdfileErrors(t *testing.T) {
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".cmd")
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := ParseCmdfile(path); err == nil {
+			if _, _, err := ParseCmdfile(writeSpec(t, content)); err == nil {
 				t.Fatalf("accepted %q", content)
 			}
 		})
 	}
-	if _, _, err := ParseCmdfile(filepath.Join(dir, "missing.cmd")); err == nil {
+	if _, _, err := ParseCmdfile(filepath.Join(t.TempDir(), "missing.cmd")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -104,17 +95,12 @@ func TestParseColonSpecErrors(t *testing.T) {
 }
 
 func TestParseHostfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hosts")
-	content := `
+	hosts, err := ParseHostfile(writeSpec(t, `
 # cluster
 node-a slots=2
 node-b            # defaults to one slot
 node-c slots=1
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	hosts, err := ParseHostfile(path)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +111,6 @@ node-c slots=1
 }
 
 func TestParseHostfileErrors(t *testing.T) {
-	dir := t.TempDir()
 	cases := map[string]string{
 		"empty":     "# nothing\n",
 		"bad slots": "node-a slots=x\n",
@@ -135,11 +120,7 @@ func TestParseHostfileErrors(t *testing.T) {
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ParseHostfile(path); err == nil {
+			if _, err := ParseHostfile(writeSpec(t, content)); err == nil {
 				t.Fatalf("accepted %q", content)
 			}
 		})
@@ -299,5 +280,66 @@ func TestShellJoin(t *testing.T) {
 	want := `'/usr/bin/mphrun' 'agent' 'A=x y' 'B=it'\''s'`
 	if got != want {
 		t.Errorf("shellJoin:\n got %s\nwant %s", got, want)
+	}
+}
+
+// writeSpec writes one parser input file and returns its path.
+func writeSpec(t testing.TB, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestParsersRejectOptionShapedHosts: every host name ends up in an ssh
+// command line, so none of the three places one can be written may accept a
+// name ssh would read as an option.
+func TestParsersRejectOptionShapedHosts(t *testing.T) {
+	for _, bad := range []string{"-oProxyCommand=touch${IFS}/tmp/pwned", "-l"} {
+		if _, err := ParseHostfile(writeSpec(t, "node-a\n"+bad+" slots=2\n")); err == nil {
+			t.Errorf("hostfile accepted host %q", bad)
+		}
+		for _, list := range []string{bad, "node-a," + bad + ":2"} {
+			if _, err := ParseHostList(list); err == nil {
+				t.Errorf("host list %q accepted", list)
+			}
+		}
+		if _, _, err := ParseCmdfile(writeSpec(t, "1 host="+bad+" ./a.out\n")); err == nil {
+			t.Errorf("cmdfile accepted pin host=%s", bad)
+		}
+		if _, _, err := ParseColonSpec([]string{"1", "host=" + bad, "./a.out"}); err == nil {
+			t.Errorf("colon spec accepted pin host=%s", bad)
+		}
+	}
+}
+
+// TestWorldSizeBound: rank counts are outside input; their sum must not wrap
+// or size an allocation. Every summing site reports the entry that crossed
+// MaxWorld as a WorldSizeError, and a slot count is held to the same bound.
+func TestWorldSizeBound(t *testing.T) {
+	const huge = "1000000000000"
+	var sizeErr *WorldSizeError
+	path := writeSpec(t, "2 ./ok\n"+huge+" ./a.out\n")
+	if _, _, err := ParseCmdfile(path); !errors.As(err, &sizeErr) || sizeErr.Where != path+":2" {
+		t.Errorf("cmdfile: %v, want a WorldSizeError naming %s:2", err, path)
+	}
+	// 9223372036854775807 + 1 wraps negative in an unchecked sum.
+	if _, _, err := ParseColonSpec([]string{"9223372036854775807", "./a", ":", "1", "./b"}); !errors.As(err, &sizeErr) {
+		t.Errorf("colon spec: %v, want a WorldSizeError", err)
+	}
+	half := []Entry{{Nprocs: MaxWorld/2 + 1, Argv: []string{"./a"}}, {Nprocs: MaxWorld / 2, Argv: []string{"./b"}}}
+	if _, err := NewLaunchSpec(half, nil, PlaceBlock); !errors.As(err, &sizeErr) || !strings.Contains(sizeErr.Where, "./b") {
+		t.Errorf("NewLaunchSpec: %v, want a WorldSizeError naming ./b", err)
+	}
+	if _, err := ParseHostfile(writeSpec(t, "node-a slots="+huge+"\n")); err == nil {
+		t.Error("hostfile accepted slots=" + huge)
+	}
+	if _, err := ParseHostList("node-a:" + huge); err == nil {
+		t.Error("host list accepted " + huge + " slots")
+	}
+	if _, total, err := ParseColonSpec([]string{strconv.Itoa(MaxWorld), "./a"}); err != nil || total != MaxWorld {
+		t.Errorf("a world of exactly MaxWorld: total %d, %v", total, err)
 	}
 }

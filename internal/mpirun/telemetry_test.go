@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mph/internal/bootstrap"
+	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
 )
 
@@ -208,4 +209,75 @@ func httpGet(t *testing.T, url, wantType string) string {
 		t.Fatal(err)
 	}
 	return string(body)
+}
+
+// BenchmarkTelemetryOverhead (EXPERIMENTS.md P1, live-telemetry row) runs the
+// loop every observability budget is stated on — exact-envelope send/recv
+// pairs on a self-delivering rank with 64 unexpected messages queued, the
+// one internal/mpi's BenchmarkTracerOverhead times — bare, and while a
+// reporter goroutine snapshots the rank's counters every 50 ms and pushes
+// them to a live aggregator over TCP: the work MPH_STATS_INTERVAL=50ms adds
+// to a job. Budget: 50ms within 5 % of 0s.
+func BenchmarkTelemetryOverhead(b *testing.B) {
+	for _, interval := range []time.Duration{0, 50 * time.Millisecond} {
+		b.Run(interval.String(), func(b *testing.B) {
+			w, err := mpi.NewWorld(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			if interval > 0 {
+				tele, err := NewTelemetry("", 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer tele.Close()
+				client, err := bootstrap.DialTelemetry(tele.Addr(), 0, "bench", os.Getpid(), 5*time.Second)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer client.Close()
+				pv, err := w.Perf(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stop, stopped := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(stopped)
+					tick := time.NewTicker(interval)
+					defer tick.Stop()
+					for {
+						select {
+						case <-stop:
+							return
+						case <-tick.C:
+							client.Report(pv.Snapshot(), false) // a lost report costs the loop nothing
+						}
+					}
+				}()
+				defer func() { close(stop); <-stopped }()
+			}
+			err = w.Run(func(c *mpi.Comm) error {
+				for i := 0; i < 64; i++ {
+					if err := c.Send(0, 99, nil); err != nil {
+						return err
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Send(0, 0, nil); err != nil {
+						return err
+					}
+					if _, _, err := c.Recv(0, 0); err != nil {
+						return err
+					}
+				}
+				b.StopTimer()
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

@@ -129,3 +129,29 @@ func TestArgumentsFieldProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkArguments (EXPERIMENTS.md E7) measures MPH_get_argument lookups
+// (§4.4) on the paper's example fields.
+func BenchmarkArguments(b *testing.B) {
+	b.Run("int", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := paperArgs.Int("alpha"); !ok || err != nil {
+				b.Fatal("lookup failed")
+			}
+		}
+	})
+	b.Run("float", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := paperArgs.Float("beta"); !ok || err != nil {
+				b.Fatal("lookup failed")
+			}
+		}
+	})
+	b.Run("field", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := paperArgs.Field(1); !ok {
+				b.Fatal("lookup failed")
+			}
+		}
+	})
+}

@@ -9,8 +9,8 @@ import (
 	"mph/internal/xfer"
 )
 
-// BenchmarkTranspose measures the all-to-all row-to-column redistribution
-// across processor counts and grid sizes.
+// BenchmarkTranspose (EXPERIMENTS.md A1) measures the all-to-all
+// row-to-column redistribution across processor counts and grid sizes.
 func BenchmarkTranspose(b *testing.B) {
 	for _, p := range []int{2, 4, 8} {
 		for _, n := range []int{32, 128} {
@@ -40,8 +40,10 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
-// BenchmarkMToNTransfer isolates the redistribution cost without the MPH
-// handshake around it (compare with the repo-root E4 benchmark).
+// BenchmarkMToNTransfer (EXPERIMENTS.md E4) measures the M-to-N field
+// redistribution a joined communicator exists for. It runs on the world
+// communicator laid out as MPH_comm_join would (sources first): the join
+// itself is a local derivation and sends nothing (A4).
 func BenchmarkMToNTransfer(b *testing.B) {
 	for _, mn := range [][2]int{{2, 2}, {4, 4}, {8, 2}} {
 		b.Run(fmt.Sprintf("%dto%d", mn[0], mn[1]), func(b *testing.B) {
@@ -79,87 +81,4 @@ func BenchmarkMToNTransfer(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBundledVsPerField is the message-aggregation ablation: moving k
-// fields as one bundle (one message per sender-receiver pair) versus k
-// separate transfers.
-func BenchmarkBundledVsPerField(b *testing.B) {
-	const m, n, k = 4, 4, 8
-	g, err := grid.New(64, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, _ := grid.NewDecomp(g, m)
-	dst, _ := grid.NewDecomp(g, n)
-	names := make([]string, k)
-	for i := range names {
-		names[i] = fmt.Sprintf("f%d", i)
-	}
-
-	b.Run("bundled", func(b *testing.B) {
-		b.SetBytes(int64(k * g.Cells() * 8))
-		err := mpi.RunWorld(m+n, func(c *mpi.Comm) error {
-			r, err := xfer.NewRouter(src, dst)
-			if err != nil {
-				return err
-			}
-			spec := xfer.BundleSpec{SrcOffset: 0, DstOffset: m, SrcProc: -1, DstProc: -1}
-			if c.Rank() < m {
-				spec.SrcProc = c.Rank()
-				fields := make([]*grid.Field, k)
-				for i := range fields {
-					fields[i] = grid.NewField(src, spec.SrcProc)
-				}
-				bundle, err := xfer.NewBundle(names, fields)
-				if err != nil {
-					return err
-				}
-				spec.Bundle = bundle
-			} else {
-				spec.DstProc = c.Rank() - m
-			}
-			for i := 0; i < b.N; i++ {
-				spec.Tag = i % 1024
-				if _, err := xfer.TransferBundle(c, r, spec, names); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
-
-	b.Run("per-field", func(b *testing.B) {
-		b.SetBytes(int64(k * g.Cells() * 8))
-		err := mpi.RunWorld(m+n, func(c *mpi.Comm) error {
-			r, err := xfer.NewRouter(src, dst)
-			if err != nil {
-				return err
-			}
-			spec := xfer.Spec{SrcOffset: 0, DstOffset: m, SrcProc: -1, DstProc: -1}
-			var f *grid.Field
-			if c.Rank() < m {
-				spec.SrcProc = c.Rank()
-				f = grid.NewField(src, spec.SrcProc)
-			} else {
-				spec.DstProc = c.Rank() - m
-			}
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < k; j++ {
-					spec.Tag = (i*k + j) % 1024
-					spec.Field = f
-					if _, err := xfer.Transfer(c, r, spec); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
 }

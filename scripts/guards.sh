@@ -1,0 +1,33 @@
+#!/bin/sh
+# Static guards, shared by scripts/check.sh and .github/workflows/check.yml:
+# greps and package listings over the tree, nothing is built or run. Each
+# "if grep ...; then exit 1" is an if because set -e does not act on a "!"
+# pipeline.
+set -eu
+cd "$(dirname "$0")/.."
+
+# Removed names stay removed: the second remote-spawn implementation and the
+# Backend shim (PR 12), the shm-ack reverse dial (PR 13), launcher names on the
+# rank side (PR 14), tcpnet's test-only second decoder and per-carrier
+# write/drop/sever copies (PR 15), the segmented two-level collectives with
+# their knob and the two-level Reduce and Allgather (PR 16).
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec' --include=*.go .; then
+    exit 1
+fi
+# One micro-benchmark surface (PR 18): the table-printing second harness, its
+# scenario package and its four JSON snapshots stay out of code and docs
+# alike. CHANGES.md, ROADMAP.md and the per-PR ISSUE.md/REVIEW.md are history.
+if grep -rn 'mphbench\|internal/bench\|BENCH_[a-z]*\.json' \
+    --exclude-dir=.git --exclude-dir=.bench_build --exclude=guards.sh \
+    --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md .; then
+    exit 1
+fi
+# One selector: exactly one non-test file of internal/mpi counts an algorithm.
+test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
+# Link budget: nothing a rank is built from may pull in the HTTP/TLS stack,
+# process spawning or the launcher (DESIGN.md §14, "What a rank links").
+if go list -deps ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/climate ./examples/mcme |
+    grep -x 'net/http\|crypto/tls\|os/exec\|mph/internal/mpirun'; then
+    exit 1
+fi
+test -z "$(gofmt -l .)"
