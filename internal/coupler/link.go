@@ -12,25 +12,28 @@ import (
 
 	"mph/internal/core"
 	"mph/internal/grid"
-	"mph/internal/mpi"
 	"mph/internal/xfer"
 )
 
 // Link is the coupling channel between one model component and the coupler
-// component: a joined communicator plus routers for both directions. Every
-// rank of both components constructs the Link collectively (in the same
-// order relative to other Links, since CommJoin is collective).
+// component: this rank's transfer plan for each direction over the two
+// components' joined communicator. Every rank of both constructs the Link
+// collectively (in the same order relative to other Links, since CommJoin is
+// collective).
+//
+// The plans own the slabs the exchanges land in, so a coupled period
+// allocates none: the field ToCoupler or ToModel returns belongs to the link
+// and holds that exchange's data until the next call on the same link in the
+// same direction overwrites it. A caller that needs it longer copies it.
 type Link struct {
 	model, coupler string
-	joined         *mpi.Comm
 
 	modelDecomp, couplerDecomp *grid.Decomp
 
 	// local processor indices; -1 when this rank is not on that side.
 	myModelProc, myCouplerProc int
 
-	toCoupler *xfer.Router
-	toModel   *xfer.Router
+	up, down *xfer.Plan // model → coupler, coupler → model
 }
 
 // NewLink joins model and coupler components over a shared logical grid.
@@ -73,7 +76,6 @@ func NewLink(s *core.Setup, model, coupler string, g grid.Grid) (*Link, error) {
 	l := &Link{
 		model:         model,
 		coupler:       coupler,
-		joined:        joined,
 		modelDecomp:   md,
 		couplerDecomp: cd,
 		myModelProc:   -1,
@@ -85,10 +87,18 @@ func NewLink(s *core.Setup, model, coupler string, g grid.Grid) (*Link, error) {
 	if comm, ok := s.ProcInComponent(coupler); ok {
 		l.myCouplerProc = comm.Rank()
 	}
-	if l.toCoupler, err = xfer.NewRouter(md, cd); err != nil {
+	plan := func(src, dst *grid.Decomp, spec xfer.Spec) (*xfer.Plan, error) {
+		r, err := xfer.NewRouter(src, dst)
+		if err != nil {
+			return nil, err
+		}
+		return xfer.NewPlan(joined, r, spec)
+	}
+	// The coupler block follows the model block on the joined communicator.
+	if l.up, err = plan(md, cd, xfer.Spec{DstOffset: md.P, SrcProc: l.myModelProc, DstProc: l.myCouplerProc}); err != nil {
 		return nil, err
 	}
-	if l.toModel, err = xfer.NewRouter(cd, md); err != nil {
+	if l.down, err = plan(cd, md, xfer.Spec{SrcOffset: md.P, SrcProc: l.myCouplerProc, DstProc: l.myModelProc}); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -109,31 +119,15 @@ func (l *Link) OnModel() (int, bool) { return l.myModelProc, l.myModelProc >= 0 
 func (l *Link) OnCoupler() (int, bool) { return l.myCouplerProc, l.myCouplerProc >= 0 }
 
 // ToCoupler redistributes a model field onto the coupler decomposition.
-// Model ranks pass their slab; coupler ranks pass nil and receive theirs.
-// Collective over the joined communicator.
+// Model ranks pass their slab; coupler ranks pass nil and receive theirs,
+// which the link owns (see Link). Collective over the joined communicator.
 func (l *Link) ToCoupler(f *grid.Field, tag int) (*grid.Field, error) {
-	spec := xfer.Spec{
-		SrcOffset: 0,
-		DstOffset: l.modelDecomp.P, // coupler block follows the model block
-		SrcProc:   l.myModelProc,
-		DstProc:   l.myCouplerProc,
-		Field:     f,
-		Tag:       tag,
-	}
-	return xfer.Transfer(l.joined, l.toCoupler, spec)
+	return l.up.Run(tag, f)
 }
 
 // ToModel redistributes a coupler field onto the model decomposition.
-// Coupler ranks pass their slab; model ranks pass nil and receive theirs.
-// Collective over the joined communicator.
+// Coupler ranks pass their slab; model ranks pass nil and receive theirs,
+// which the link owns (see Link). Collective over the joined communicator.
 func (l *Link) ToModel(f *grid.Field, tag int) (*grid.Field, error) {
-	spec := xfer.Spec{
-		SrcOffset: l.modelDecomp.P,
-		DstOffset: 0,
-		SrcProc:   l.myCouplerProc,
-		DstProc:   l.myModelProc,
-		Field:     f,
-		Tag:       tag,
-	}
-	return xfer.Transfer(l.joined, l.toModel, spec)
+	return l.down.Run(tag, f)
 }

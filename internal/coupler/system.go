@@ -198,10 +198,15 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		if len(ringing) == 0 {
 			continue
 		}
+		// The receive of the increment is posted before the field goes up, so
+		// the coupler's answer never waits for this rank to come back round.
+		if err := link.down.Start(downTags[slot], nil); err != nil {
+			return nil, err
+		}
 		if _, err := link.ToCoupler(m.Field(), upTags[slot]); err != nil {
 			return nil, err
 		}
-		delta, err := link.ToModel(nil, downTags[slot])
+		delta, err := link.down.Wait()
 		if err != nil {
 			return nil, err
 		}
@@ -243,11 +248,17 @@ func applyDelta(m *model.SurfaceModel, delta *grid.Field, clampNonNegative bool)
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
-	g := cfg.Grid
 	d := &Diagnostics{}
 	sched, err := couplingSchedule(cfg)
 	if err != nil {
 		return nil, err
+	}
+	// The increments live across periods, like the links' received fields:
+	// every cell is rewritten before it is sent.
+	var deltas [4]*grid.Field
+	for i, l := range links {
+		proc, _ := l.OnCoupler()
+		deltas[i] = grid.NewField(l.CouplerDecomp(), proc)
 	}
 
 	for !sched.Clock.Done() {
@@ -258,22 +269,23 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		if len(ringing) == 0 {
 			continue // the models are mid-period; the coupler idles
 		}
-		var fields [4]*grid.Field
+		// Every link's receives are posted before any is waited on: a model
+		// with a rendezvous-sized field sends when it is ready, not when
+		// this loop reaches its link.
 		for i, l := range links {
-			f, err := l.ToCoupler(nil, upTags[i])
-			if err != nil {
+			if err := l.up.Start(upTags[i], nil); err != nil {
 				return nil, err
 			}
-			fields[i] = f
+		}
+		var fields [4]*grid.Field
+		for i, l := range links {
+			if fields[i], err = l.up.Wait(); err != nil {
+				return nil, err
+			}
 		}
 		atm, ocn, ice := fields[0], fields[1], fields[3]
 
 		// Flux merge on the coupler decomposition.
-		deltas := [4]*grid.Field{}
-		for i, l := range links {
-			proc, _ := l.OnCoupler()
-			deltas[i] = grid.NewField(l.CouplerDecomp(), proc)
-		}
 		for i := range atm.Data {
 			iceFrac := ice.Data[i] / 2
 			if iceFrac > 1 {
@@ -345,7 +357,6 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 			d.Energy = append(d.Energy, total)
 		}
 	}
-	_ = g // the coupling grid is implicit in the links' decompositions
 	return bcastDiagnostics(s, cfg, d)
 }
 

@@ -8,49 +8,46 @@ import (
 
 // exchangeEdgeRows swaps the first and last rows of a row-major slab with
 // the latitude neighbors on comm (rank-1 to the north, rank+1 to the
-// south) and fills the provided halo buffers. Both models share this
-// pattern; distinct tags keep their streams separate when they coexist on
-// one communicator.
+// south), receiving straight into the provided halo buffers. Both receives
+// are posted before either row is sent. Both models share this pattern;
+// distinct tags keep their streams separate when they coexist on one
+// communicator.
 func exchangeEdgeRows(comm *mpi.Comm, name string, data []float64, nlon, tag int, north, south []float64) error {
-	rank, size := comm.Rank(), comm.Size()
+	size := comm.Size()
 	rows := len(data) / nlon
-
-	var reqs []*mpi.Request
-	if rank > 0 {
-		reqs = append(reqs, comm.Irecv(rank-1, tag))
-		if err := comm.SendFloats(rank-1, tag, data[:nlon]); err != nil {
-			return fmt.Errorf("model %s: halo send north: %w", name, err)
+	sides := [2]struct {
+		peer       int
+		halo, edge []float64
+		dir        string
+	}{
+		{comm.Rank() - 1, north[:nlon], data[:nlon], "north"},
+		{comm.Rank() + 1, south[:nlon], data[(rows-1)*nlon:], "south"},
+	}
+	var reqs [2]*mpi.Request
+	for i, s := range sides {
+		if s.peer >= 0 && s.peer < size {
+			reqs[i] = comm.IrecvFloatsInto(s.peer, tag, s.halo)
 		}
 	}
-	if rank < size-1 {
-		reqs = append(reqs, comm.Irecv(rank+1, tag))
-		if err := comm.SendFloats(rank+1, tag, data[(rows-1)*nlon:]); err != nil {
-			return fmt.Errorf("model %s: halo send south: %w", name, err)
+	var err error
+	for i, s := range sides {
+		if reqs[i] == nil || err != nil {
+			continue
+		}
+		if e := comm.SendFloats(s.peer, tag, s.edge); e != nil {
+			err = fmt.Errorf("model %s: halo send %s: %w", name, s.dir, e)
 		}
 	}
-	idx := 0
-	if rank > 0 {
-		raw, _, err := reqs[idx].Wait()
-		idx++
+	for i, rq := range reqs {
+		if rq == nil {
+			continue
+		}
 		if err != nil {
-			return fmt.Errorf("model %s: halo recv north: %w", name, err)
+			rq.Cancel() // the halo rows are the caller's again on return
 		}
-		xs, err := mpi.DecodeFloats(raw)
-		if err != nil || len(xs) != nlon {
-			return fmt.Errorf("model %s: bad north halo (%d cells): %v", name, len(xs), err)
+		if _, _, e := rq.Wait(); e != nil && err == nil {
+			err = fmt.Errorf("model %s: halo recv %s: %w", name, sides[i].dir, e)
 		}
-		copy(north, xs)
 	}
-	if rank < size-1 {
-		raw, _, err := reqs[idx].Wait()
-		if err != nil {
-			return fmt.Errorf("model %s: halo recv south: %w", name, err)
-		}
-		xs, err := mpi.DecodeFloats(raw)
-		if err != nil || len(xs) != nlon {
-			return fmt.Errorf("model %s: bad south halo (%d cells): %v", name, len(xs), err)
-		}
-		copy(south, xs)
-	}
-	return nil
+	return err
 }

@@ -49,8 +49,10 @@ type SurfaceModel struct {
 	time float64
 	step int
 
-	// halo rows reused across steps
+	// halo rows and the slab a step writes into, reused across steps; Step
+	// swaps next with the state's storage
 	north, south []float64
+	next         []float64
 }
 
 // haloTag carries halo-exchange traffic; the component communicator is
@@ -99,7 +101,8 @@ func New(name string, comm *mpi.Comm, decomp *grid.Decomp, p Params) (*SurfaceMo
 func (m *SurfaceModel) Name() string { return m.name }
 
 // Field returns the local slab of the prognostic field. Callers may read
-// it; writing between steps changes the model state (used by coupling).
+// it; writing between steps changes the model state (used by coupling). Its
+// Data slice is only good until the next Step, which swaps the storage.
 func (m *SurfaceModel) Field() *grid.Field { return m.state }
 
 // SetField replaces the local slab (after a coupler-to-model transfer or a
@@ -138,7 +141,10 @@ func (m *SurfaceModel) Step(dt float64) error {
 	lo, hi := m.decomp.Bands(m.comm.Rank())
 	rows := hi - lo
 	old := m.state.Data
-	next := make([]float64, len(old))
+	if len(m.next) != len(old) {
+		m.next = make([]float64, len(old)) // first step only
+	}
+	next := m.next
 	kdt := m.params.Kappa * dt
 
 	at := func(row, lon int) float64 {
@@ -177,7 +183,7 @@ func (m *SurfaceModel) Step(dt float64) error {
 			next[row*nlon+lon] = v
 		}
 	}
-	m.state.Data = next
+	m.state.Data, m.next = next, old
 	m.time += dt
 	m.step++
 	return nil

@@ -3,6 +3,7 @@ package model_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"mph/internal/grid"
@@ -344,4 +345,68 @@ func TestSetFieldValidation(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestStepAllocatesNoSlab: a step writes into the slab the model keeps for
+// it and swaps, and receives its halo rows in place. A one-rank model then
+// allocates nothing at all; with neighbors the per-step allocations are the
+// halo exchange's request records and the in-process send's copy of one row,
+// a small fraction of the slab a step used to make.
+func TestStepAllocatesNoSlab(t *testing.T) {
+	d := mustDecomp(t, 64, 64, 1)
+	mpitest.Run(t, 1, func(c *mpi.Comm) error {
+		m, err := model.NewAtmosphere(c, d)
+		if err != nil {
+			return err
+		}
+		if err := m.Step(0.5); err != nil { // the first step makes the second slab
+			return err
+		}
+		state := m.Field()
+		if n := testing.AllocsPerRun(10, func() { err = m.Step(0.5) }); n != 0 || err != nil {
+			return fmt.Errorf("a one-rank step makes %v allocations (err %v), want none", n, err)
+		}
+		if m.Field() != state {
+			return fmt.Errorf("Field() changed identity across steps")
+		}
+		return nil
+	})
+
+	const ranks, steps = 2, 16
+	d2 := mustDecomp(t, 64, 64, ranks)
+	var before, after runtime.MemStats
+	mpitest.Run(t, ranks, func(c *mpi.Comm) error {
+		m, err := model.NewOcean(c, d2)
+		if err != nil {
+			return err
+		}
+		if err := m.Step(0.5); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if err := m.StepN(steps, 0.5); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		return nil
+	})
+	slab := float64(8 * d2.OwnedCells(0))
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (ranks * steps)
+	t.Logf("a step with one neighbor allocates %.0f bytes beside a %.0f-byte slab", per, slab)
+	if per > slab/4 {
+		t.Errorf("a step allocates %.0f bytes, a quarter of its %.0f-byte slab or more: a slab-sized buffer is back", per, slab)
+	}
 }

@@ -61,7 +61,7 @@ func (c *Comm) Barrier() error {
 	for dist := 1; dist < size; dist *= 2 {
 		to := (c.rank + dist) % size
 		from := (c.rank - dist + size) % size
-		req := c.irecvCtx(c.cctx, from, tagBarrier)
+		req := c.irecvCtx(c.cctx, from, tagBarrier, nil)
 		if err := c.sendCtx(c.cctx, to, tagBarrier, nil, nil); err != nil {
 			return fmt.Errorf("mpi: barrier send: %w", err)
 		}
@@ -137,7 +137,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	reqs := make([]*Request, size)
 	for r := 0; r < size; r++ {
 		if r != root {
-			reqs[r] = c.irecvCtx(c.cctx, r, tagGather)
+			reqs[r] = c.irecvCtx(c.cctx, r, tagGather, nil)
 		}
 	}
 	for r := 0; r < size; r++ {
@@ -276,7 +276,7 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	}
 	reqs := make([]*Request, size)
 	for j := 0; j < size; j++ {
-		reqs[j] = c.irecvCtx(c.cctx, j, tagAlltoall)
+		reqs[j] = c.irecvCtx(c.cctx, j, tagAlltoall, nil)
 	}
 	for j := 0; j < size; j++ {
 		if err := c.sendCtx(c.cctx, j, tagAlltoall, parts[j], nil); err != nil {

@@ -142,6 +142,10 @@ type precv struct {
 	reusable bool
 	pkt      *Packet
 	err      error
+	// dst is the caller's own buffer (IrecvInto), nil otherwise. A matching
+	// rendezvous placeholder learns it at the match, so the transport reads
+	// the payload straight into it; the waiter copies any other packet in.
+	dst []byte
 
 	queued     bool // still linked in the engine; guarded by engine.mu
 	exact      bool // lives in a bucket (src and tag concrete) vs the wildcard list
@@ -423,7 +427,7 @@ func (e *engine) post(m *Packet) error {
 				close(m.Ack)
 			}
 			if m.Rdv != nil {
-				m.Rdv.signalMatched() // consuming match: transport may send CTS
+				m.Rdv.signalMatched(pr.dst) // consuming match: transport may send CTS
 			}
 			pr.complete()
 			e.mu.Unlock()
@@ -518,8 +522,8 @@ func (e *engine) sweepPostedBuckets() {
 
 // enqueuePosted appends a posted-receive record for (ctx, src, tag). reuse
 // selects a pool-recycled record (blocking Recv) over a heap-owned one
-// (Irecv requests).
-func (e *engine) enqueuePosted(ctx uint64, src, tag int, reuse bool) *precv {
+// (Irecv requests). dst is the receive's own buffer, or nil.
+func (e *engine) enqueuePosted(ctx uint64, src, tag int, dst []byte, reuse bool) *precv {
 	e.seq++
 	var r *precv
 	if reuse {
@@ -528,7 +532,7 @@ func (e *engine) enqueuePosted(ctx uint64, src, tag int, reuse bool) *precv {
 	} else {
 		r = &precv{ready: make(chan struct{})}
 	}
-	r.ctx, r.src, r.tag = ctx, src, tag
+	r.ctx, r.src, r.tag, r.dst = ctx, src, tag, dst
 	r.seq = e.seq
 	r.queued = true
 	r.exact = src != AnySource && tag != AnyTag
@@ -677,7 +681,9 @@ func (e *engine) sweepUnexpectedBuckets() {
 
 // takeUnexpected removes and returns the earliest-arrived matching packet,
 // closing its Ack (the consuming match is what releases an Ssend), or nil.
-func (e *engine) takeUnexpected(ctx uint64, src, tag int) *Packet {
+// dst is the receive's own buffer, or nil; a rendezvous placeholder learns it
+// here, before the CTS that lets the payload come.
+func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 	n := e.findUnexpected(ctx, src, tag)
 	if n == nil {
 		return nil
@@ -695,7 +701,7 @@ func (e *engine) takeUnexpected(ctx uint64, src, tag int) *Packet {
 		close(pkt.Ack)
 	}
 	if pkt.Rdv != nil {
-		pkt.Rdv.signalMatched() // consuming match: transport may send CTS
+		pkt.Rdv.signalMatched(dst) // consuming match: transport may send CTS
 	}
 	return pkt
 }
@@ -710,7 +716,7 @@ func (e *engine) recv(ctx uint64, src, tag int) (*Packet, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
-	if m := e.takeUnexpected(ctx, src, tag); m != nil {
+	if m := e.takeUnexpected(ctx, src, tag, nil); m != nil {
 		e.mu.Unlock()
 		return awaitPayload(m)
 	}
@@ -720,7 +726,7 @@ func (e *engine) recv(ctx uint64, src, tag int) (*Packet, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
-	pr := e.enqueuePosted(ctx, src, tag, true)
+	pr := e.enqueuePosted(ctx, src, tag, nil, true)
 	e.mu.Unlock()
 	<-pr.ready
 	m, err := pr.pkt, pr.err
@@ -745,20 +751,21 @@ func awaitPayload(m *Packet) (*Packet, error) {
 
 // postRecv is the nonblocking receive entry: it either consumes an
 // already-arrived unexpected message (inline completion, pr == nil) or
-// enqueues a posted-receive record the caller may wait on or cancel.
-func (e *engine) postRecv(ctx uint64, src, tag int) (m *Packet, pr *precv, err error) {
+// enqueues a posted-receive record the caller may wait on or cancel. dst is
+// the receive's own buffer (IrecvInto), or nil.
+func (e *engine) postRecv(ctx uint64, src, tag int, dst []byte) (m *Packet, pr *precv, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fail != nil {
 		return nil, nil, e.fail
 	}
-	if m := e.takeUnexpected(ctx, src, tag); m != nil {
+	if m := e.takeUnexpected(ctx, src, tag, dst); m != nil {
 		return m, nil, nil
 	}
 	if err := e.lostErrFor(ctx, src); err != nil {
 		return nil, nil, err
 	}
-	return nil, e.enqueuePosted(ctx, src, tag, false), nil
+	return nil, e.enqueuePosted(ctx, src, tag, dst, false), nil
 }
 
 // cancel withdraws a posted receive that has not matched yet. It reports

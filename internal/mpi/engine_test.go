@@ -36,11 +36,11 @@ func waitPayload(t *testing.T, pr *precv) string {
 // exact bucket head and the wildcard list. And vice versa.
 func TestExactVsWildcardArbitration(t *testing.T) {
 	e := newEngine(8)
-	_, wild, err := e.postRecv(1, AnySource, AnyTag)
+	_, wild, err := e.postRecv(1, AnySource, AnyTag, nil)
 	if err != nil || wild == nil {
 		t.Fatalf("wildcard postRecv: %v %v", wild, err)
 	}
-	_, exact, err := e.postRecv(1, 0, 5)
+	_, exact, err := e.postRecv(1, 0, 5, nil)
 	if err != nil || exact == nil {
 		t.Fatalf("exact postRecv: %v %v", exact, err)
 	}
@@ -54,8 +54,8 @@ func TestExactVsWildcardArbitration(t *testing.T) {
 	}
 
 	// Reverse posting order: now the exact receive is older and must win.
-	_, exact2, _ := e.postRecv(1, 0, 5)
-	_, wild2, _ := e.postRecv(1, AnySource, AnyTag)
+	_, exact2, _ := e.postRecv(1, 0, 5, nil)
+	_, wild2, _ := e.postRecv(1, AnySource, AnyTag, nil)
 	post(t, e, 1, 0, 5, "third")
 	if got := waitPayload(t, exact2); got != "third" {
 		t.Errorf("older exact receive lost (got %q)", got)
@@ -72,7 +72,7 @@ func TestPostedOrderSameEnvelope(t *testing.T) {
 	const n = 8
 	prs := make([]*precv, n)
 	for i := range prs {
-		_, pr, err := e.postRecv(1, 0, 0)
+		_, pr, err := e.postRecv(1, 0, 0, nil)
 		if err != nil || pr == nil {
 			t.Fatalf("postRecv %d: %v %v", i, pr, err)
 		}
@@ -99,11 +99,11 @@ func TestQueueAccounting(t *testing.T) {
 	if u := e.pendingUnexpected(); u != 2 {
 		t.Fatalf("UMQ depth %d after two posts", u)
 	}
-	_, pr, _ := e.postRecv(1, 0, 9) // no match: queues
+	_, pr, _ := e.postRecv(1, 0, 9, nil) // no match: queues
 	if u, p := e.pendingUnexpected(), e.pendingPosted(); u != 2 || p != 1 {
 		t.Fatalf("queues %d/%d after unmatched postRecv", u, p)
 	}
-	if m, pr2, _ := e.postRecv(1, 0, 0); m == nil || pr2 != nil {
+	if m, pr2, _ := e.postRecv(1, 0, 0, nil); m == nil || pr2 != nil {
 		t.Fatal("postRecv did not complete inline against the UMQ")
 	}
 	if u := e.pendingUnexpected(); u != 1 {
@@ -137,7 +137,7 @@ func TestBucketSweep(t *testing.T) {
 		if m := func() *Packet {
 			e.mu.Lock()
 			defer e.mu.Unlock()
-			return e.takeUnexpected(1, 0, i)
+			return e.takeUnexpected(1, 0, i, nil)
 		}(); m == nil {
 			t.Fatalf("message on tag %d lost", i)
 		}
@@ -152,13 +152,13 @@ func TestBucketSweep(t *testing.T) {
 	// The engine still matches correctly after the sweep (the memo cache
 	// must have been invalidated with the buckets it pointed into).
 	post(t, e, 1, 0, 7, "again")
-	if m, pr, _ := e.postRecv(1, 0, 7); m == nil || pr != nil || string(m.Data) != "again" {
+	if m, pr, _ := e.postRecv(1, 0, 7, nil); m == nil || pr != nil || string(m.Data) != "again" {
 		t.Fatal("post-sweep match failed")
 	}
 
 	// Same policy on the posted-receive side.
 	for i := 0; i < envelopes; i++ {
-		_, pr, _ := e.postRecv(1, 0, i)
+		_, pr, _ := e.postRecv(1, 0, i, nil)
 		post(t, e, 1, 0, i, "y")
 		if got := waitPayload(t, pr); got != "y" {
 			t.Fatalf("posted receive on tag %d got %q", i, got)
@@ -176,8 +176,8 @@ func TestBucketSweep(t *testing.T) {
 // synchronous senders parked on unmatched messages.
 func TestCloseFailsPostedReceives(t *testing.T) {
 	e := newEngine(8)
-	_, exact, _ := e.postRecv(1, 0, 0)
-	_, wild, _ := e.postRecv(1, AnySource, AnyTag)
+	_, exact, _ := e.postRecv(1, 0, 0, nil)
+	_, wild, _ := e.postRecv(1, AnySource, AnyTag, nil)
 	ack := make(chan error, 1)
 	if err := e.post(&Packet{Ctx: 2, Src: 0, Tag: 0, Ack: ack}); err != nil {
 		t.Fatal(err) // different ctx: goes unexpected, Ssend-style ack pends
@@ -197,7 +197,7 @@ func TestCloseFailsPostedReceives(t *testing.T) {
 	if err := e.post(&Packet{Ctx: 1, Src: 0, Tag: 0}); !errors.Is(err, ErrClosed) {
 		t.Errorf("post after close: %v", err)
 	}
-	if _, _, err := e.postRecv(1, 0, 0); !errors.Is(err, ErrClosed) {
+	if _, _, err := e.postRecv(1, 0, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("postRecv after close: %v", err)
 	}
 	e.close() // idempotent

@@ -30,6 +30,19 @@ var (
 	ErrCanceled = errors.New("mpi: request canceled")
 )
 
+// ErrTruncated reports a receive into a caller-supplied buffer (RecvInto and
+// kin) whose length is not the matched message's: MPI_ERR_TRUNCATE, except
+// that a short message is as wrong as a long one. The message is consumed
+// and the buffer left as it was.
+type ErrTruncated struct {
+	Posted, Arrived int // buffer and message length in bytes
+}
+
+// Error implements the error interface.
+func (e *ErrTruncated) Error() string {
+	return fmt.Sprintf("mpi: message of %d bytes matched a receive buffer of %d", e.Arrived, e.Posted)
+}
+
 // Status describes a received or probed message.
 type Status struct {
 	// Source is the sender's rank in the communicator the message was

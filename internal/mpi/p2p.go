@@ -7,8 +7,10 @@ import (
 )
 
 // Send delivers data to rank dst of the communicator with the given tag.
-// It is an eager send: it may complete before the matching receive is
-// posted. The payload is copied, so the caller may reuse data immediately.
+// Below the transport's eager threshold (and always in-process) it may
+// complete before the matching receive is posted; above it, it blocks until
+// the receiver has matched and the payload is on the wire. Either way the
+// caller may reuse data as soon as it returns.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	return c.send(dst, tag, data, nil)
 }
@@ -40,13 +42,12 @@ func (c *Comm) sendCtx(ctx uint64, dst, tag int, data []byte, ack chan error) er
 		return fmt.Errorf("%w: send to rank %d of comm size %d", ErrRank, dst, len(c.group))
 	}
 	// Copy the payload: ranks must not share mutable memory. The copy is
-	// elided when the transport's rendezvous path will write the bytes
-	// straight from the caller's slice (writev) and hand ownership back at
-	// Deliver's return — that is the zero-copy half of the eager/rendezvous
-	// protocol (DESIGN.md §12).
+	// elided when the transport is done with the caller's slice at Deliver's
+	// return — tcpnet writes a rendezvous payload straight from it (writev)
+	// and copies an eager one into its frame; DESIGN.md §12.
 	var buf []byte
 	if len(data) > 0 {
-		if b := c.env.borrower; b != nil && b.BorrowsPayload(c.group[dst], len(data)) {
+		if b := c.env.borrower; b != nil && b.BorrowsPayload(c.group[dst]) {
 			buf = data
 		} else {
 			buf = make([]byte, len(data))
@@ -78,6 +79,29 @@ func (c *Comm) recvCtx(ctx uint64, src, tag int) ([]byte, Status, error) {
 	return m.Data, Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}, nil
 }
 
+// RecvInto is Recv with a destination: it blocks until a message matching
+// (src, tag) arrives and leaves its payload in dst, which must have exactly
+// the message's length — any other is an *ErrTruncated, with the message
+// consumed and dst untouched. Nothing payload-sized is allocated: a
+// rendezvous payload is read from the connection straight into dst
+// (DESIGN.md §12), an eager or in-process one is copied into it once.
+func (c *Comm) RecvInto(src, tag int, dst []byte) (Status, error) {
+	_, st, err := c.IrecvInto(src, tag, dst).Wait()
+	return st, err
+}
+
+// landInto completes a receive into the caller's buffer: the length check,
+// and the one copy of a payload that did not arrive in dst itself.
+func landInto(dst []byte, m *Packet) error {
+	if len(m.Data) != len(dst) {
+		return &ErrTruncated{Posted: len(dst), Arrived: len(m.Data)}
+	}
+	if len(dst) > 0 && &m.Data[0] != &dst[0] {
+		copy(dst, m.Data)
+	}
+	return nil
+}
+
 // Probe blocks until a message matching (src, tag) is available and returns
 // its status without consuming it.
 func (c *Comm) Probe(src, tag int) (Status, error) {
@@ -96,8 +120,9 @@ func (c *Comm) IProbe(src, tag int) (Status, bool) {
 // A request that completes inline — every Isend, and an Irecv whose message
 // had already arrived — carries its result directly and allocates no
 // channel; otherwise it holds the posted-receive record whose targeted
-// completion Wait parks on. Wait is idempotent and safe to call from
-// several goroutines.
+// completion Wait parks on. Wait is idempotent, and safe to call from
+// several goroutines unless the receive has a destination (IrecvInto,
+// IrecvFloatsInto): each Wait may be the one that fills it.
 type Request struct {
 	pr   *precv  // nil when the operation completed inline
 	pkt  *Packet // inline-matched rendezvous placeholder awaiting its payload
@@ -105,12 +130,23 @@ type Request struct {
 	data []byte
 	st   Status
 	err  error
+
+	dst    []byte    // IrecvInto: the caller's buffer; non-nil marks the kind
+	floats []float64 // IrecvFloatsInto, big-endian host: Wait decodes into it
 }
 
 // Wait blocks until the operation completes. For a receive that matched a
 // rendezvous placeholder it also waits for the payload transfer itself, so a
 // successful Wait always returns the full message.
 func (r *Request) Wait() ([]byte, Status, error) {
+	data, st, err := r.wait()
+	if err == nil && r.floats != nil {
+		err = decodeFloatsInto(r.floats, data)
+	}
+	return data, st, err
+}
+
+func (r *Request) wait() ([]byte, Status, error) {
 	m := r.pkt
 	if r.pr != nil {
 		<-r.pr.ready
@@ -126,7 +162,11 @@ func (r *Request) Wait() ([]byte, Status, error) {
 			return nil, Status{}, err
 		}
 	}
-	return m.Data, Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}, nil
+	st := Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}
+	if r.dst != nil {
+		return r.dst, st, landInto(r.dst, m)
+	}
+	return m.Data, st, nil
 }
 
 // Done reports whether the operation has completed, without blocking. A
@@ -161,9 +201,11 @@ func (r *Request) Cancel() bool {
 	return r.eng.cancel(r.pr)
 }
 
-// Isend starts a nonblocking send. Because sends are eager and the payload
-// is copied, the request completes inline; it exists so that code written
-// against the MPI nonblocking style ports directly.
+// Isend is Send behind a request: it returns when Send would — for a
+// rendezvous-sized payload, after the receiver has matched — so its request
+// is always complete and data is the caller's again. It exists so that code
+// written against the MPI nonblocking style ports directly; code that must
+// not block on its peer posts its receives first (SendRecv, xfer.Plan).
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return &Request{err: c.Send(dst, tag, data)}
 }
@@ -178,26 +220,42 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	if src != AnySource && (src < 0 || src >= len(c.group)) {
 		return &Request{err: fmt.Errorf("%w: recv from rank %d of comm size %d", ErrRank, src, len(c.group))}
 	}
-	return c.irecvCtx(c.ctx, src, tag)
+	return c.irecvCtx(c.ctx, src, tag, nil)
+}
+
+// IrecvInto is Irecv with a destination (see RecvInto): dst holds the
+// payload once Wait returns nil — Wait's slice is dst — and must be left
+// alone until then. Cancel works as for Irecv and leaves dst untouched.
+func (c *Comm) IrecvInto(src, tag int, dst []byte) *Request {
+	if src != AnySource && (src < 0 || src >= len(c.group)) {
+		return &Request{err: fmt.Errorf("%w: recv from rank %d of comm size %d", ErrRank, src, len(c.group))}
+	}
+	if dst == nil {
+		dst = []byte{}
+	}
+	return c.irecvCtx(c.ctx, src, tag, dst)
 }
 
 // irecvCtx posts a nonblocking receive on an explicit context; the
 // collectives use it with the internal collective context for their
-// pipelined rounds.
-func (c *Comm) irecvCtx(ctx uint64, src, tag int) *Request {
-	m, pr, err := c.env.eng.postRecv(ctx, src, tag)
+// pipelined rounds. A non-nil dst makes it a receive into that buffer.
+func (c *Comm) irecvCtx(ctx uint64, src, tag int, dst []byte) *Request {
+	m, pr, err := c.env.eng.postRecv(ctx, src, tag, dst)
 	switch {
 	case err != nil:
 		return &Request{err: err}
 	case pr != nil:
-		return &Request{pr: pr, eng: c.env.eng}
+		return &Request{pr: pr, eng: c.env.eng, dst: dst}
 	case m.Rdv != nil:
 		// Matched a rendezvous placeholder: completion means the payload
 		// landed, which Wait/Done observe through the packet.
-		return &Request{pkt: m}
-	default:
-		return &Request{data: m.Data, st: Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}}
+		return &Request{pkt: m, dst: dst}
 	}
+	r := &Request{data: m.Data, st: Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}}
+	if dst != nil {
+		r.data, r.err = dst, landInto(dst, m)
+	}
+	return r
 }
 
 // WaitAll waits for every request and returns the first error encountered.

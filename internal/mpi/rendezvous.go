@@ -1,6 +1,9 @@
 package mpi
 
-import "sync"
+import (
+	"io"
+	"sync"
+)
 
 // Rendezvous is the receive-side state of one large-message rendezvous
 // transfer (DESIGN.md §12). The TCP transport posts a placeholder Packet
@@ -19,11 +22,19 @@ type Rendezvous struct {
 
 	mu      sync.Mutex
 	matched bool
-	done    bool
+	done    bool  // the payload landed
 	err     error // first failure wins; set before doneCh closes
 
+	// dst is the matched receive's own buffer (IrecvInto), installed at the
+	// match — before any CTS, hence before any payload — when it has the
+	// promised length. While a transport stream reads into it, filling is set
+	// and the waiters are not released, whatever the outcome: the application
+	// never gets back a buffer something still writes to.
+	dst     []byte
+	filling bool
+
 	matchCh chan struct{} // closed at the consuming match, or on failure
-	doneCh  chan struct{} // closed when the payload landed, or on failure
+	doneCh  chan struct{} // closed once the outcome is known and dst is quiet
 }
 
 // NewRendezvous creates the receive-side record for a transfer promising n
@@ -52,20 +63,37 @@ func (r *Rendezvous) MatchErr() error {
 	return r.err
 }
 
-// signalMatched records the consuming match. Called by the engine under its
-// own lock; idempotent, and a no-op after a failure.
-func (r *Rendezvous) signalMatched() {
+// signalMatched records the consuming match and, for a receive that brought
+// its own buffer of the promised length, where the payload is to land (with
+// any other length the payload takes a buffer of its own and the receive
+// reports the truncation). Called by the engine under its own lock;
+// idempotent, and a no-op after a failure.
+func (r *Rendezvous) signalMatched(dst []byte) {
 	r.mu.Lock()
 	if !r.matched && r.err == nil {
+		if len(dst) == r.n {
+			r.dst = dst
+		}
 		r.matched = true
 		close(r.matchCh)
 	}
 	r.mu.Unlock()
 }
 
+// settle releases the waiters once the transfer has an outcome and no stream
+// is still reading into the receiver's buffer. Caller holds r.mu.
+func (r *Rendezvous) settle() {
+	if (r.done || r.err != nil) && !r.filling && !r.completed() {
+		close(r.doneCh)
+	}
+}
+
 // Fail ends the rendezvous with err: the payload will never arrive (peer
 // died, job aborted, transport closed). Waiters on both channels unblock and
-// observe err. Idempotent; a no-op after successful completion.
+// observe err — the payload's only once a stream caught reading into the
+// receiver's buffer has let go, which the cause of the failure (a closed
+// connection, a read deadline) makes prompt. Idempotent; a no-op after
+// successful completion.
 func (r *Rendezvous) Fail(err error) {
 	if err == nil {
 		return
@@ -76,12 +104,11 @@ func (r *Rendezvous) Fail(err error) {
 		return
 	}
 	r.err = err
-	r.done = true
 	if !r.matched {
 		r.matched = true
 		close(r.matchCh)
 	}
-	close(r.doneCh)
+	r.settle()
 }
 
 // await blocks until the payload is delivered or the rendezvous fails. The
@@ -114,21 +141,44 @@ func (r *Rendezvous) delivered() bool {
 	return r.done && r.err == nil
 }
 
-// FinishRendezvous installs the delivered payload and releases the matched
-// receive. data must be exactly the promised length and is owned by the
-// packet from then on. It reports false for a duplicate delivery (redial
-// replay) whose buffer the caller must discard.
-func (p *Packet) FinishRendezvous(data []byte) bool {
-	p.Rdv.mu.Lock()
-	if p.Rdv.done || p.Rdv.err != nil {
-		p.Rdv.mu.Unlock()
-		return false
+// ReceiveRendezvous reads the promised payload, next on rd, into its final
+// buffer and releases the matched receive: the receive's own buffer when it
+// posted one (IrecvInto), else an exactly-sized one the packet then owns.
+//
+// It reports false, having read nothing, when the transfer is already over —
+// a redial replayed a payload that did land, or the rendezvous failed — and
+// the caller must discard the bytes: a late copy never touches a buffer the
+// application has got back. An error is rd's; the rendezvous stays open, as
+// a sender-side retry on another stream may still complete it (into a buffer
+// of its own while this stream has not let go).
+func (p *Packet) ReceiveRendezvous(rd io.Reader) (bool, error) {
+	r := p.Rdv
+	r.mu.Lock()
+	if r.done || r.err != nil {
+		r.mu.Unlock()
+		return false, nil
 	}
-	p.Data = data
-	p.Rdv.done = true
-	close(p.Rdv.doneCh)
-	p.Rdv.mu.Unlock()
-	return true
+	buf, own := r.dst, r.dst != nil && !r.filling
+	if own {
+		r.filling = true
+	} else {
+		buf = make([]byte, r.n)
+	}
+	r.mu.Unlock()
+
+	_, err := io.ReadFull(rd, buf)
+
+	r.mu.Lock()
+	if own {
+		r.filling = false
+	}
+	if err == nil && !r.done && r.err == nil {
+		p.Data = buf
+		r.done = true
+	}
+	r.settle()
+	r.mu.Unlock()
+	return true, err
 }
 
 // PayloadLen returns the packet's payload length: the promised length for a

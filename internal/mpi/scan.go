@@ -30,7 +30,7 @@ func (c *Comm) Scan(data []byte, fn func(low, high []byte) ([]byte, error)) ([]b
 	for dist := 1; dist < size; dist <<= 1 {
 		var req *Request
 		if rank-dist >= 0 {
-			req = c.irecvCtx(c.cctx, rank-dist, tagScan)
+			req = c.irecvCtx(c.cctx, rank-dist, tagScan, nil)
 		}
 		if rank+dist < size {
 			if err := c.sendCtx(c.cctx, rank+dist, tagScan, carry, nil); err != nil {

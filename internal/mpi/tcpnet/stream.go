@@ -220,7 +220,8 @@ func (s *stream) onRTS(f frame, _ int) error {
 }
 
 // onRData completes a rendezvous: the payload is read straight into the
-// buffer the matched receive hands to the application.
+// buffer the application ends up with — the matched receive's own when it
+// posted one (mpi.RecvInto), else one made here, exactly sized.
 func (s *stream) onRData(f frame, tail int) error {
 	t := s.t
 	key := rdvKey{src: f.src, id: f.id}
@@ -229,7 +230,28 @@ func (s *stream) onRData(f frame, tail int) error {
 	t.waitMu.Unlock()
 	wire := uint64(prefixLen + rdataHdrLen + tail)
 	nc := t.netCounters()
-	if p == nil {
+	landed := false
+	if p != nil {
+		if tail != p.Rdv.PayloadLen() {
+			err := fmt.Errorf("tcpnet: rendezvous %d/%d payload is %d bytes, rts promised %d", f.src, f.id, tail, p.Rdv.PayloadLen())
+			t.forgetRdv(key)
+			p.Rdv.Fail(err)
+			return err
+		}
+		rd := s.r
+		if conn, ok := s.r.(net.Conn); ok && s.local {
+			// The intra-host carrier idles without deadlines, but a payload
+			// under way is judged by progress like any TCP read: the receive
+			// whose buffer it fills is not released before this read returns.
+			rd = deadlineReader{conn, t.cfg.peerTimeout}
+			defer conn.SetReadDeadline(time.Time{})
+		}
+		var err error
+		if landed, err = p.ReceiveRendezvous(rd); err != nil {
+			return err // the entry stays: a sender-side retry may still complete it
+		}
+	}
+	if !landed {
 		// Duplicate delivery after a redial replay, or a transfer the
 		// failure sweep already gave up on: drain and discard, keeping the
 		// stream usable.
@@ -240,16 +262,6 @@ func (s *stream) onRData(f frame, tail int) error {
 		nc.BytesIn.Add(wire)
 		return nil
 	}
-	if tail != p.Rdv.PayloadLen() {
-		err := fmt.Errorf("tcpnet: rendezvous %d/%d payload is %d bytes, rts promised %d", f.src, f.id, tail, p.Rdv.PayloadLen())
-		t.forgetRdv(key)
-		p.Rdv.Fail(err)
-		return err
-	}
-	buf := make([]byte, tail)
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return err // the entry stays: a sender-side retry may still complete it
-	}
 	nc.FramesIn.Add(1)
 	nc.RDataIn.Add(1)
 	nc.BytesIn.Add(wire)
@@ -257,10 +269,9 @@ func (s *stream) onRData(f frame, tail int) error {
 		nc.ShmRDataIn.Add(1)
 		nc.ShmBytesIn.Add(wire)
 	}
-	// Forgotten only now, with the payload completely read: a duplicate
-	// RData from a redialed connection then misses the table and is drained.
+	// A duplicate RData from a redialed connection now finds no entry, or a
+	// finished one, and is drained above without touching the payload.
 	t.forgetRdv(key)
-	p.FinishRendezvous(buf)
 	return nil
 }
 

@@ -494,13 +494,14 @@ func (t *Transport) rendezvousEligible(n int) bool {
 	return t.cfg.eagerThreshold >= 0 && n > 0 && n >= t.cfg.eagerThreshold
 }
 
-// BorrowsPayload implements the mpi payload-borrower capability: a
-// rendezvous-eligible send to a remote peer writes the payload straight from
-// the caller's slice (writev) and returns only after the bytes are handed to
-// the kernel, so the mpi send layer skips its defensive copy. Self-sends
-// hand the slice to the local engine and must still be copied.
-func (t *Transport) BorrowsPayload(dst, n int) bool {
-	return dst != t.rank && t.rendezvousEligible(n)
+// BorrowsPayload implements the mpi payload-borrower capability: no send to
+// a remote peer keeps the caller's slice past Deliver's return — a rendezvous
+// writes the payload straight from it (writev) and returns only after the
+// bytes are handed to the kernel, an eager send copies it into its pooled
+// frame first — so the mpi send layer skips its defensive copy for both.
+// Self-sends hand the slice to the local engine and must still be copied.
+func (t *Transport) BorrowsPayload(dst int) bool {
+	return dst != t.rank
 }
 
 // deliverRendezvous sends one payload with the rendezvous protocol: RTS with

@@ -9,8 +9,10 @@ import (
 
 	"mph/internal/bootstrap"
 	"mph/internal/core"
+	"mph/internal/grid"
 	"mph/internal/mpi"
 	"mph/internal/mpi/tcpnet"
+	"mph/internal/xfer"
 )
 
 // runTCPWorld boots a rendezvous plus n TCP endpoints (each endpoint is a
@@ -376,4 +378,64 @@ func TestHandshakeDialBudget(t *testing.T) {
 	if got := dials.Load(); got > 2*(n-1) {
 		t.Errorf("handshake dialled %d connections job-wide, budget 2(N-1) = %d", got, 2*(n-1))
 	}
+}
+
+// TestTransferBothSidesRendezvous is the regression test for the head-to-head
+// deadlock of the old send-all-then-receive-all transfer: three ranks that
+// are each source and destination of a redistribution (every rank's slab
+// goes to the next rank round the ring, as in a coupler.MigrateField between
+// two layouts of the same ranks) with every segment above the eager
+// threshold. Each used to block in Send waiting for a CTS its neighbor, itself
+// blocked in Send, would never issue. With every receive posted before any
+// send the ring completes; a watchdog turns a relapse into a failure, not a
+// stuck test run.
+func TestTransferBothSidesRendezvous(t *testing.T) {
+	t.Setenv(tcpnet.EnvEagerThreshold, "1024")
+	const n = 3
+	g, err := grid.New(48, 32) // 16 bands x 32 cells x 8 B = 4 KiB a segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := grid.NewDecomp(g, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := xfer.NewRouter(d, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runTCPWorld(t, n, func(c *mpi.Comm) error {
+		me := c.Rank()
+		f := grid.NewField(d, me)
+		f.FillFunc(func(lat, lon int) float64 { return float64(1000*lat + lon) })
+		spec := xfer.Spec{
+			SrcRanks: []int{0, 1, 2}, SrcProc: me,
+			DstRanks: []int{1, 2, 0}, DstProc: (me + n - 1) % n, // processor p's slab lands on rank p+1
+			Field: f, Tag: 4,
+		}
+		type result struct {
+			out *grid.Field
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			out, err := xfer.Transfer(c, r, spec)
+			done <- result{out, err}
+		}()
+		select {
+		case res := <-done:
+			if res.err != nil {
+				return res.err
+			}
+			lo, _ := d.Bands(spec.DstProc)
+			for i, v := range res.out.Data {
+				if want := float64(1000*(lo+i/g.NLon) + i%g.NLon); v != want {
+					return fmt.Errorf("cell %d of the received slab is %v, want %v", i, v, want)
+				}
+			}
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("rank %d: transfer with rendezvous-sized segments in both directions deadlocked", me)
+		}
+	})
 }

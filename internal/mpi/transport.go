@@ -25,18 +25,16 @@ type Transport interface {
 	Close() error
 }
 
-// payloadBorrower is the optional transport capability behind zero-copy
-// sends. A transport reports true from BorrowsPayload when a Deliver of n
-// payload bytes to dst will write the packet's Data straight from the
-// caller's slice and not retain it past Deliver's return (the TCP
-// transport's rendezvous path: writev from the user buffer, blocking until
-// the payload is on the wire). The send layer then skips its defensive copy.
-// A transport that answers true but delivers by another route must still not
-// retain the slice.
+// payloadBorrower is the optional transport capability behind copy-free
+// sends. A transport reports true from BorrowsPayload when a Deliver to dst
+// is done with the packet's Data by the time it returns (the TCP transport
+// to any remote peer: the rendezvous path writes the user buffer with writev
+// and blocks until the payload is on the wire, the eager path copies it into
+// the outgoing frame). The send layer then skips its defensive copy.
 type payloadBorrower interface {
-	// BorrowsPayload reports whether Deliver(dst, p) with len(p.Data) == n
-	// would write the payload directly from p.Data without retaining it.
-	BorrowsPayload(dst, n int) bool
+	// BorrowsPayload reports whether Deliver(dst, p) only reads p.Data, and
+	// only until it returns.
+	BorrowsPayload(dst int) bool
 }
 
 // abortBroadcaster is the optional transport capability behind Abort: a

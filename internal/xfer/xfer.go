@@ -6,10 +6,12 @@
 //
 // Both components hold the same logical grid, each block-decomposed over
 // its own processor count. A Router computes, per processor, the contiguous
-// latitude-band segments it must exchange with the other side; Transfer
-// executes the plan with point-to-point messages over a communicator in
+// latitude-band segments it must exchange with the other side; a Plan lays
+// one rank's segments out against its slabs and runs them, as often as the
+// coupling repeats, with point-to-point messages over a communicator in
 // which the source processors occupy one rank block and the destination
-// processors another (exactly what CommJoin produces).
+// processors another (exactly what CommJoin produces). Transfer is the
+// one-shot form.
 package xfer
 
 import (
@@ -72,7 +74,7 @@ func intersect(lo, hi int, other *grid.Decomp) []Segment {
 	}
 	for p := 0; p < other.P; p++ {
 		plo, phi := other.Bands(p)
-		l, h := maxInt(lo, plo), minInt(hi, phi)
+		l, h := max(lo, plo), min(hi, phi)
 		if l < h {
 			segs = append(segs, Segment{Peer: p, Lo: l, Hi: h})
 		}
@@ -80,21 +82,7 @@ func intersect(lo, hi int, other *grid.Decomp) []Segment {
 	return segs
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Spec describes one rank's role in a Transfer. A rank may be a source, a
+// Spec describes one rank's role in a transfer. A rank may be a source, a
 // destination, both, or neither (set the corresponding processor index to
 // -1 when absent).
 type Spec struct {
@@ -117,80 +105,144 @@ type Spec struct {
 	DstProc int
 	// Field is the local slab to send; required when SrcProc >= 0.
 	Field *grid.Field
-	// Tag distinguishes concurrent transfers on one communicator.
+	// Tag distinguishes concurrent transfers on one communicator. Field and
+	// Tag are Transfer's: a Plan takes both at each Start.
 	Tag int
 }
 
-// Transfer redistributes a field from the source decomposition to the
-// destination decomposition over comm. Every participating rank calls it
-// with its Spec; destination ranks receive the assembled local slab, other
-// ranks receive nil.
+// piece is one segment of a plan as the wire sees it: the communicator rank
+// at the other end and the cell range [lo, hi) of the local slab it moves.
+type piece struct {
+	proc, rank int
+	lo, hi     int
+}
+
+// Plan is one rank's share of a transfer, laid out once and run any number
+// of times: which cell ranges of its source slab go to which ranks, which
+// ranges of its destination slab come from which, and — on a destination
+// rank — the destination slab itself, which the plan owns.
 //
-// Sends are eager, so a rank that is both source and destination cannot
-// deadlock against itself.
-func Transfer(comm *mpi.Comm, r *Router, spec Spec) (*grid.Field, error) {
-	if spec.Tag < 0 {
-		return nil, fmt.Errorf("xfer: negative tag %d", spec.Tag)
-	}
+// A run is two phases. Start posts a receive for every incoming segment
+// straight into its range of the destination slab, then sends every outgoing
+// segment straight from the source slab; Wait completes the receives. No
+// rank sends before all its receives are posted, so ranks that are sources
+// and destinations of each other cannot deadlock, however large the segments
+// (a send above the eager threshold blocks until its receive is posted;
+// DESIGN.md §12). Between the two a rank may start other plans, as the
+// coupler does. Nothing slab-sized is allocated after NewPlan.
+type Plan struct {
+	comm    *mpi.Comm
+	src     *grid.Decomp
+	srcProc int
+	sends   []piece
+	recvs   []piece
+	out     *grid.Field    // nil when this rank is not a destination
+	reqs    []*mpi.Request // the receives between Start and Wait
+}
+
+// NewPlan lays out this rank's share of the transfer r over comm. spec gives
+// the rank's role; its Field and Tag are not used.
+func NewPlan(comm *mpi.Comm, r *Router, spec Spec) (*Plan, error) {
 	if spec.SrcRanks != nil && len(spec.SrcRanks) != r.Src.P {
 		return nil, fmt.Errorf("xfer: SrcRanks has %d entries for %d source processors", len(spec.SrcRanks), r.Src.P)
 	}
 	if spec.DstRanks != nil && len(spec.DstRanks) != r.Dst.P {
 		return nil, fmt.Errorf("xfer: DstRanks has %d entries for %d destination processors", len(spec.DstRanks), r.Dst.P)
 	}
-	srcRank := func(proc int) int {
-		if spec.SrcRanks != nil {
-			return spec.SrcRanks[proc]
-		}
-		return spec.SrcOffset + proc
-	}
-	dstRank := func(proc int) int {
-		if spec.DstRanks != nil {
-			return spec.DstRanks[proc]
-		}
-		return spec.DstOffset + proc
-	}
 	nlon := r.Src.Grid.NLon
-
+	// pieces turns this processor's segments into slab ranges and peer ranks.
+	pieces := func(segs []Segment, mine *grid.Decomp, proc int, ranks []int, offset int) []piece {
+		myLo, _ := mine.Bands(proc)
+		ps := make([]piece, len(segs))
+		for i, seg := range segs {
+			rank := offset + seg.Peer
+			if ranks != nil {
+				rank = ranks[seg.Peer]
+			}
+			ps[i] = piece{proc: seg.Peer, rank: rank, lo: (seg.Lo - myLo) * nlon, hi: (seg.Hi - myLo) * nlon}
+		}
+		return ps
+	}
+	p := &Plan{comm: comm, src: r.Src, srcProc: spec.SrcProc}
 	if spec.SrcProc >= 0 {
-		if spec.Field == nil {
-			return nil, fmt.Errorf("xfer: source processor %d has no field", spec.SrcProc)
+		p.sends = pieces(r.SendPlan(spec.SrcProc), r.Src, spec.SrcProc, spec.DstRanks, spec.DstOffset)
+	}
+	if spec.DstProc >= 0 {
+		p.recvs = pieces(r.RecvPlan(spec.DstProc), r.Dst, spec.DstProc, spec.SrcRanks, spec.SrcOffset)
+		p.out = grid.NewField(r.Dst, spec.DstProc)
+		p.reqs = make([]*mpi.Request, 0, len(p.recvs))
+	}
+	return p, nil
+}
+
+// Start begins one run under tag: every receive is posted, then every
+// segment of f — this rank's source slab; nil on a rank that is not a source
+// — is sent. f is the caller's again when Start returns. Each Start must be
+// followed by a Wait before the next.
+func (p *Plan) Start(tag int, f *grid.Field) error {
+	if tag < 0 {
+		return fmt.Errorf("xfer: negative tag %d", tag)
+	}
+	if p.srcProc >= 0 {
+		if f == nil {
+			return fmt.Errorf("xfer: source processor %d has no field", p.srcProc)
 		}
 		// Structural match suffices: NewDecomp is deterministic in
 		// (grid, P), so two decomps with equal shape partition alike.
-		if spec.Field.Decomp.Grid != r.Src.Grid || spec.Field.Decomp.P != r.Src.P ||
-			spec.Field.P != spec.SrcProc {
-			return nil, fmt.Errorf("xfer: field does not match source processor %d", spec.SrcProc)
+		if f.Decomp.Grid != p.src.Grid || f.Decomp.P != p.src.P || f.P != p.srcProc {
+			return fmt.Errorf("xfer: field does not match source processor %d", p.srcProc)
 		}
-		myLo, _ := r.Src.Bands(spec.SrcProc)
-		for _, seg := range r.SendPlan(spec.SrcProc) {
-			start := (seg.Lo - myLo) * nlon
-			end := (seg.Hi - myLo) * nlon
-			dst := dstRank(seg.Peer)
-			if err := comm.SendFloats(dst, spec.Tag, spec.Field.Data[start:end]); err != nil {
-				return nil, fmt.Errorf("xfer: send to dst proc %d: %w", seg.Peer, err)
+	}
+	for _, pc := range p.recvs {
+		p.reqs = append(p.reqs, p.comm.IrecvFloatsInto(pc.rank, tag, p.out.Data[pc.lo:pc.hi]))
+	}
+	for _, pc := range p.sends {
+		if err := p.comm.SendFloats(pc.rank, tag, f.Data[pc.lo:pc.hi]); err != nil {
+			for _, rq := range p.reqs {
+				rq.Cancel() // nothing may write to the slab behind the caller's back
 			}
+			p.reqs = p.reqs[:0]
+			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
 		}
 	}
+	return nil
+}
 
-	if spec.DstProc < 0 {
-		return nil, nil
-	}
-	out := grid.NewField(r.Dst, spec.DstProc)
-	myLo, _ := r.Dst.Bands(spec.DstProc)
-	for _, seg := range r.RecvPlan(spec.DstProc) {
-		src := srcRank(seg.Peer)
-		xs, _, err := comm.RecvFloats(src, spec.Tag)
-		if err != nil {
-			return nil, fmt.Errorf("xfer: recv from src proc %d: %w", seg.Peer, err)
+// Wait completes the run Start began and returns the destination slab (nil
+// on a rank that is not a destination). The slab is the plan's: it holds
+// this run's field until the next Start overwrites it.
+func (p *Plan) Wait() (*grid.Field, error) {
+	var first error
+	for i, rq := range p.reqs {
+		if _, _, err := rq.Wait(); err != nil && first == nil {
+			first = fmt.Errorf("xfer: recv from src proc %d: %w", p.recvs[i].proc, err)
 		}
-		want := seg.Cells(r.Src.Grid)
-		if len(xs) != want {
-			return nil, fmt.Errorf("xfer: segment from src proc %d has %d cells, want %d", seg.Peer, len(xs), want)
-		}
-		copy(out.Data[(seg.Lo-myLo)*nlon:], xs)
 	}
-	return out, nil
+	p.reqs = p.reqs[:0]
+	if first != nil {
+		return nil, first
+	}
+	return p.out, nil
+}
+
+// Run is Start followed by Wait.
+func (p *Plan) Run(tag int, f *grid.Field) (*grid.Field, error) {
+	if err := p.Start(tag, f); err != nil {
+		return nil, err
+	}
+	return p.Wait()
+}
+
+// Transfer redistributes a field from the source decomposition to the
+// destination decomposition over comm, once: a Plan run one time. Every
+// participating rank calls it with its Spec; destination ranks receive the
+// assembled local slab, other ranks receive nil.
+func Transfer(comm *mpi.Comm, r *Router, spec Spec) (*grid.Field, error) {
+	p, err := NewPlan(comm, r, spec)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(spec.Tag, spec.Field)
 }
 
 // Volume returns the total number of cells the transfer moves (the grid

@@ -2,6 +2,7 @@ package xfer_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,92 @@ func TestRouterVolumeProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanSteadyState runs one plan many times, as a coupled run does: the
+// destination slab is the same storage every period (the plan owns it), each
+// period's values replace the last, and a period allocates nothing
+// slab-sized — over the in-process transport the sender's defensive copy of
+// each segment, one payload per message, is all that is left (it was three to
+// four: encode, copy, decode, and the fresh destination field).
+func TestPlanSteadyState(t *testing.T) {
+	const m, n, iters = 3, 2, 8
+	g := mustGrid(t, 96, 64)
+	src, _ := grid.NewDecomp(g, m)
+	dst, _ := grid.NewDecomp(g, n)
+	r, err := xfer.NewRouter(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	mpitest.Run(t, m+n, func(c *mpi.Comm) error {
+		spec := xfer.Spec{SrcOffset: 0, DstOffset: m, SrcProc: -1, DstProc: -1}
+		var f *grid.Field
+		if c.Rank() < m {
+			spec.SrcProc = c.Rank()
+			f = grid.NewField(src, spec.SrcProc)
+		} else {
+			spec.DstProc = c.Rank() - m
+		}
+		p, err := xfer.NewPlan(c, r, spec)
+		if err != nil {
+			return err
+		}
+		var slab *grid.Field
+		period := func(k int) error {
+			if f != nil {
+				f.FillFunc(func(lat, lon int) float64 { return float64(k*1e6 + 100*lat + lon) })
+			}
+			if err := p.Start(5, f); err != nil {
+				return err
+			}
+			out, err := p.Wait()
+			if err != nil || spec.DstProc < 0 {
+				return err
+			}
+			if slab != nil && &out.Data[0] != &slab.Data[0] {
+				return fmt.Errorf("period %d landed in a new slab", k)
+			}
+			slab = out
+			lo, _ := dst.Bands(spec.DstProc)
+			for i, v := range out.Data {
+				if want := float64(k*1e6 + 100*(lo+i/g.NLon) + i%g.NLon); v != want {
+					return fmt.Errorf("period %d, cell %d: got %v, want %v", k, i, v, want)
+				}
+			}
+			return nil
+		}
+		if err := period(0); err != nil { // warm: first-use allocations
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		for k := 1; k <= iters; k++ {
+			if err := period(k); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		return nil
+	})
+	moved := float64(8 * g.Cells())
+	per := float64(after.TotalAlloc-before.TotalAlloc) / iters / moved
+	t.Logf("steady-state period allocates %.2f of the bytes it moves", per)
+	if per > 1.1 {
+		t.Errorf("a steady-state Start/Wait allocates %.2f payloads per message, want <= 1.1 (the in-process send's copy and nothing else)", per)
 	}
 }

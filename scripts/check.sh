@@ -3,7 +3,9 @@
 # Why each pass is here, where the command does not say it:
 # - the -race passes target internal/mpi (the matching engine is the
 #   concurrency-critical core) and repeat the fault-injection and
-#   first-contact tests, the most interleaving-sensitive code in the tree;
+#   first-contact tests, the most interleaving-sensitive code in the tree,
+#   and the receive-into-place tests (a transport stream writes into a slab
+#   the application owns: the failure paths must never hand it back early);
 # - the bench smoke runs every Benchmark* once, so every experiment of
 #   EXPERIMENTS.md keeps a command that executes (one harness: go test -bench);
 # - the launcher smokes drive the remote-spawn path end to end without an
@@ -22,6 +24,7 @@ go build ./...
 go test ./...
 go test -race ./internal/mpi/...
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
+go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun ./internal/bootstrap
@@ -39,6 +42,17 @@ awk '/^BenchmarkSend/ { cells++; for (i = 1; i < NF; i++) if ($(i+1) == "B/op" &
      END { if (cells != 2) { print "want 2 rendezvous cells, saw " cells + 0; exit 1 } exit bad }' \
     /tmp/rdvbench.$$
 rm -f /tmp/rdvbench.$$
+
+# Steady-state allocation gate: a period of the M-to-N plan (128x64 grid,
+# 65,536 bytes moved) must not allocate beyond 1.5 x what it moves — over the
+# in-process transport the sender's copy of each segment is the 1.0; 3-4 x
+# means encode, decode or a fresh destination slab crept back into xfer.
+go test -run=NONE -bench=BenchmarkMToNTransfer -benchmem ./internal/xfer | tee /tmp/xferbench.$$
+awk '/^BenchmarkMToNTransfer/ { cells++; for (i = 1; i < NF; i++) if ($(i+1) == "B/op" && $i + 0 > 1.5 * 65536) {
+         print $1 " allocates " $i " B/op, budget 98304 (1.5 x 65536 moved)"; bad = 1 } }
+     END { if (cells != 3) { print "want 3 transfer cells, saw " cells + 0; exit 1 } exit bad }' \
+    /tmp/xferbench.$$
+rm -f /tmp/xferbench.$$
 
 # Multi-host exec-backend smoke: 5 ranks on two 2-slot hosts (rank 4 wraps).
 smoke=$(mktemp -d)
@@ -109,9 +123,9 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (19,771 before the second benchmark
-# harness and xfer.Bundle were deleted, 18,346 after) and the stripped size of
-# a component executable (3,522,852 bytes, unchanged) — the next PR's
+# Non-test Go lines outside benchmark/ (18,346 before the receive-into-place
+# primitives and xfer.Plan, 18,593 after) and the stripped size of a
+# component executable (3,522,852 -> 3,535,140 bytes) — the next PR's
 # baselines.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
