@@ -51,6 +51,8 @@ type componentSummary struct {
 	MaxUMQHW  int
 	MaxPRQHW  int
 	MaxRSSKB  int64 // largest resident-set high-water mark of any rank
+	GCCycles  uint64
+	AllocMB   float64
 	CollNanos int64
 }
 
@@ -63,6 +65,8 @@ func (c *componentSummary) add(s *perf.Snapshot) {
 	c.MaxUMQHW = max(c.MaxUMQHW, s.Engine.UMQHighWater)
 	c.MaxPRQHW = max(c.MaxPRQHW, s.Engine.PRQHighWater)
 	c.MaxRSSKB = max(c.MaxRSSKB, s.PeakRSSKB)
+	c.GCCycles += s.GCCycles
+	c.AllocMB += float64(s.AllocBytes) / 1e6
 	c.CollNanos += s.CollNanos()
 }
 
@@ -95,12 +99,13 @@ func summarize(snaps []perf.Snapshot) ([]componentSummary, componentSummary) {
 func printStats(w io.Writer, snaps []perf.Snapshot) {
 	rows, totals := summarize(snaps)
 	fmt.Fprintf(w, "mphrun: performance summary (%d rank(s))\n", totals.Ranks)
-	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s %11s\n",
-		"component", "ranks", "sent msgs", "sent bytes", "recv msgs", "recv bytes", "umq-hw", "prq-hw", "coll time", "peak rss MB")
+	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s %11s %9s %8s\n",
+		"component", "ranks", "sent msgs", "sent bytes", "recv msgs", "recv bytes", "umq-hw", "prq-hw", "coll time", "peak rss MB", "gc cycles", "alloc MB")
 	line := func(c componentSummary) {
-		fmt.Fprintf(w, "%-16s %5d %12d %14d %12d %14d %7d %7d %12s %11.1f\n",
+		fmt.Fprintf(w, "%-16s %5d %12d %14d %12d %14d %7d %7d %12s %11.1f %9d %8.1f\n",
 			c.Name, c.Ranks, c.SentMsgs, c.SentBytes, c.RecvMsgs, c.RecvBytes,
-			c.MaxUMQHW, c.MaxPRQHW, time.Duration(c.CollNanos).Round(time.Microsecond), float64(c.MaxRSSKB)/1024)
+			c.MaxUMQHW, c.MaxPRQHW, time.Duration(c.CollNanos).Round(time.Microsecond), float64(c.MaxRSSKB)/1024,
+			c.GCCycles, c.AllocMB)
 	}
 	for _, c := range rows {
 		line(c)

@@ -127,7 +127,11 @@ func (s *Setup) identify(worldRank int) (string, int) {
 
 // SendFloatsTo sends a float64 slice to (component, localID).
 func (s *Setup) SendFloatsTo(component string, localID, tag int, xs []float64) error {
-	return s.SendTo(component, localID, tag, mpi.EncodeFloats(xs))
+	dst, err := s.WorldRankOf(component, localID)
+	if err != nil {
+		return err
+	}
+	return s.global.SendFloats(dst, tag, xs)
 }
 
 // RecvFloatsFrom receives a float64 slice from (component, localID).

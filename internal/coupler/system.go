@@ -186,6 +186,7 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 	if err != nil {
 		return nil, err
 	}
+	var report [1]float64 // the sum sent to the coupler root each period
 
 	for !sched.Clock.Done() {
 		ringing, err := sched.Advance()
@@ -218,12 +219,11 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		// Conservation bookkeeping: atmosphere and ocean report their
 		// unweighted sums to the coupler root after the exchange.
 		if slot == 0 || slot == 1 {
-			sum, err := m.GlobalSum()
-			if err != nil {
+			if report[0], err = m.GlobalSum(); err != nil {
 				return nil, err
 			}
 			if comm.Rank() == 0 {
-				if err := s.SendFloatsTo(cfg.Names.Coupler, 0, tagSums, []float64{sum}); err != nil {
+				if err := s.SendFloatsTo(cfg.Names.Coupler, 0, tagSums, report[:]); err != nil {
 					return nil, err
 				}
 			}
@@ -248,7 +248,15 @@ func applyDelta(m *model.SurfaceModel, delta *grid.Field, clampNonNegative bool)
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
-	d := &Diagnostics{}
+	np := cfg.Periods
+	d := &Diagnostics{
+		AtmMean: make([]float64, 0, np), OcnMean: make([]float64, 0, np),
+		LandMean: make([]float64, 0, np), IceMean: make([]float64, 0, np),
+		Energy: make([]float64, 0, np), FluxImbalance: make([]float64, 0, np),
+	}
+	// Operands of the period's allreduces and the models' reports.
+	var imbalance, report [1]float64
+	var mean [2]float64
 	sched, err := couplingSchedule(cfg)
 	if err != nil {
 		return nil, err
@@ -319,7 +327,8 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		for _, v := range deltas[1].Data {
 			localImbalance += v
 		}
-		imb, err := comm.AllreduceFloats([]float64{localImbalance}, mpi.OpSum)
+		imbalance[0] = localImbalance
+		imb, err := comm.AllreduceFloats(imbalance[:], mpi.OpSum)
 		if err != nil {
 			return nil, err
 		}
@@ -328,8 +337,8 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		// Diagnostics: area-weighted means over the coupler communicator.
 		means := [4]float64{}
 		for i, f := range fields {
-			ws, w := f.LocalWeightedMean()
-			out, err := comm.AllreduceFloats([]float64{ws, w}, mpi.OpSum)
+			mean[0], mean[1] = f.LocalWeightedMean()
+			out, err := comm.AllreduceFloats(mean[:], mpi.OpSum)
 			if err != nil {
 				return nil, err
 			}
@@ -344,15 +353,10 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		if comm.Rank() == 0 {
 			total := 0.0
 			for k := 0; k < 2; k++ {
-				xs, _, _, err := s.RecvAny(tagSums)
-				if err != nil {
+				if _, err := s.GlobalWorld().RecvFloatsInto(mpi.AnySource, tagSums, report[:]); err != nil {
 					return nil, err
 				}
-				vals, err := mpi.DecodeFloats(xs)
-				if err != nil {
-					return nil, err
-				}
-				total += vals[0]
+				total += report[0]
 			}
 			d.Energy = append(d.Energy, total)
 		}

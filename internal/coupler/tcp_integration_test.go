@@ -2,6 +2,7 @@ package coupler_test
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,22 +15,13 @@ import (
 	"mph/internal/mpi/tcpnet"
 )
 
-// TestCoupledRunOverTCP drives the complete stack — rendezvous, TCP world,
-// MPH handshake, comm joins, M-to-N transfers, flux merge, diagnostics
-// broadcast — on the multi-process transport (each rank is an endpoint
-// with its own TCP wiring, exactly as an mphrun-launched process has).
-func TestCoupledRunOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("opens many sockets")
-	}
+// runCoupledOverTCP runs the five-component job on the multi-process
+// transport inside this process — each rank an endpoint with its own TCP
+// wiring, exactly as an mphrun-launched process has — and returns every
+// rank's diagnostics.
+func runCoupledOverTCP(t *testing.T, cfg coupler.Config) []*coupler.Diagnostics {
+	t.Helper()
 	const world = ccsmWorldSize
-	g, err := grid.New(12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 2, Dt: 0.5,
-		Names: coupler.DefaultNames()}
-
 	rv, err := bootstrap.NewRendezvous(world)
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +73,24 @@ func TestCoupledRunOverTCP(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
+	return diags
+}
+
+// TestCoupledRunOverTCP drives the complete stack — rendezvous, TCP world,
+// MPH handshake, comm joins, M-to-N transfers, flux merge, diagnostics
+// broadcast — on the multi-process transport.
+func TestCoupledRunOverTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens many sockets")
+	}
+	const world = ccsmWorldSize
+	g, err := grid.New(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 2, Dt: 0.5,
+		Names: coupler.DefaultNames()}
+	diags := runCoupledOverTCP(t, cfg)
 
 	// Every rank got identical diagnostics, and they are sane.
 	ref := diags[0]
@@ -123,5 +133,38 @@ func TestCoupledRunOverTCP(t *testing.T) {
 		if inproc[0].AtmMean[p] != ref.AtmMean[p] {
 			t.Fatalf("transport mismatch at period %d: %v vs %v", p, inproc[0].AtmMean[p], ref.AtmMean[p])
 		}
+	}
+}
+
+// TestCoupledPeriodAllocBudget is the allocation guard of the whole
+// small-message period: the 48x24 job of the benchmark's couple_fine
+// workload, all ten ranks in this process over TCP loopback, run short and
+// run long; what the extra periods allocate, job-wide, is the steady state.
+// Eager payloads land through recycled buffers, posted records and requests
+// are reused, the callers keep their operands: a period stays under 10 KiB
+// summed over the ten ranks (the parent of this test's commit: 98 KB), most
+// of it the diagnostics series growing by a period on every rank.
+func TestCoupledPeriodAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens many sockets")
+	}
+	allocated := func(periods int) uint64 {
+		cfg := coupler.Config{Grid: mustGrid(t, 48, 24), Periods: periods, SubSteps: 1, Dt: 0.5,
+			Names: coupler.DefaultNames()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runCoupledOverTCP(t, cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const short, long = 20, 220
+	allocated(short) // first use of the process: pools, lazily built tables
+	base := allocated(short)
+	per := (float64(allocated(long)) - float64(base)) / (long - short)
+	t.Logf("%.0f B allocated per coupled period, ten ranks together", per)
+	// The outbound frames come from a sync.Pool, which under -race drops a
+	// share of Puts: the figure is logged, the assertion is a non-race one.
+	if per > 10<<10 && !raceEnabled {
+		t.Errorf("a coupled period allocates %.0f B over the ten ranks, budget 10240 (a per-message buffer, record or operand crept back)", per)
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // exchangeEdgeRows swaps the first and last rows of a row-major slab with
 // the latitude neighbors on comm (rank-1 to the north, rank+1 to the
-// south), receiving straight into the provided halo buffers. Both receives
-// are posted before either row is sent. Both models share this pattern;
-// distinct tags keep their streams separate when they coexist on one
-// communicator.
-func exchangeEdgeRows(comm *mpi.Comm, name string, data []float64, nlon, tag int, north, south []float64) error {
+// south), receiving straight into the provided halo buffers on the model's
+// own two requests, posted again every step. Both receives are posted before
+// either row is sent. Both models share this pattern; distinct tags keep
+// their streams separate when they coexist on one communicator.
+func exchangeEdgeRows(comm *mpi.Comm, name string, data []float64, nlon, tag int, north, south []float64, reqs *[2]mpi.Request) error {
 	size := comm.Size()
 	rows := len(data) / nlon
 	sides := [2]struct {
@@ -23,29 +23,29 @@ func exchangeEdgeRows(comm *mpi.Comm, name string, data []float64, nlon, tag int
 		{comm.Rank() - 1, north[:nlon], data[:nlon], "north"},
 		{comm.Rank() + 1, south[:nlon], data[(rows-1)*nlon:], "south"},
 	}
-	var reqs [2]*mpi.Request
+	var posted [2]bool
 	for i, s := range sides {
-		if s.peer >= 0 && s.peer < size {
-			reqs[i] = comm.IrecvFloatsInto(s.peer, tag, s.halo)
+		if posted[i] = s.peer >= 0 && s.peer < size; posted[i] {
+			comm.StartRecvFloatsInto(&reqs[i], s.peer, tag, s.halo)
 		}
 	}
 	var err error
 	for i, s := range sides {
-		if reqs[i] == nil || err != nil {
+		if !posted[i] || err != nil {
 			continue
 		}
 		if e := comm.SendFloats(s.peer, tag, s.edge); e != nil {
 			err = fmt.Errorf("model %s: halo send %s: %w", name, s.dir, e)
 		}
 	}
-	for i, rq := range reqs {
-		if rq == nil {
+	for i := range reqs {
+		if !posted[i] {
 			continue
 		}
 		if err != nil {
-			rq.Cancel() // the halo rows are the caller's again on return
+			reqs[i].Cancel() // the halo rows are the caller's again on return
 		}
-		if _, _, e := rq.Wait(); e != nil && err == nil {
+		if _, _, e := reqs[i].Wait(); e != nil && err == nil {
 			err = fmt.Errorf("model %s: halo recv %s: %w", name, sides[i].dir, e)
 		}
 	}

@@ -49,10 +49,13 @@ type SurfaceModel struct {
 	time float64
 	step int
 
-	// halo rows and the slab a step writes into, reused across steps; Step
-	// swaps next with the state's storage
+	// halo rows, the requests that receive them and the slab a step writes
+	// into, reused across steps; Step swaps next with the state's storage
 	north, south []float64
+	halo         [2]mpi.Request
 	next         []float64
+
+	sum [1]float64 // GlobalSum's operand
 }
 
 // haloTag carries halo-exchange traffic; the component communicator is
@@ -203,7 +206,7 @@ func (m *SurfaceModel) StepN(n int, dt float64) error {
 // holds the bands to the north (lower latitude index), p+1 to the south.
 func (m *SurfaceModel) exchangeHalos() error {
 	return exchangeEdgeRows(m.comm, m.name, m.state.Data, m.decomp.Grid.NLon,
-		haloTag, m.north, m.south)
+		haloTag, m.north, m.south, &m.halo)
 }
 
 // GlobalMean returns the area-weighted global mean of the field;
@@ -220,7 +223,8 @@ func (m *SurfaceModel) GlobalMean() (float64, error) {
 // GlobalSum returns the unweighted global sum of the field; collective over
 // the component communicator. Diffusion with Relax = 0 conserves it.
 func (m *SurfaceModel) GlobalSum() (float64, error) {
-	out, err := m.comm.AllreduceFloats([]float64{m.state.LocalSum()}, mpi.OpSum)
+	m.sum[0] = m.state.LocalSum()
+	out, err := m.comm.AllreduceFloats(m.sum[:], mpi.OpSum)
 	if err != nil {
 		return 0, err
 	}

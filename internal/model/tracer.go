@@ -29,6 +29,8 @@ type TracerModel struct {
 
 	time float64
 	step int
+
+	halo [2]mpi.Request // the halo receives, posted again every step
 }
 
 // tracerHaloTag keeps tracer halo traffic distinct from SurfaceModel's.
@@ -186,5 +188,5 @@ func (m *TracerModel) StepN(n int, dt float64) error {
 
 // exchange swaps edge rows with latitude neighbors.
 func (m *TracerModel) exchange(north, south []float64, nlon int) error {
-	return exchangeEdgeRows(m.comm, m.name, m.conc.Data, nlon, tracerHaloTag, north, south)
+	return exchangeEdgeRows(m.comm, m.name, m.conc.Data, nlon, tracerHaloTag, north, south, &m.halo)
 }

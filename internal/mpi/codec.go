@@ -30,6 +30,15 @@ func floatBytes(xs []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs))
 }
 
+// floatPayload returns the wire encoding of xs for a call that only reads
+// it: xs's own memory on a little-endian host, an encoded copy elsewhere.
+func floatPayload(xs []float64) []byte {
+	if hostLittleEndian {
+		return floatBytes(xs)
+	}
+	return encodeFloats(xs)
+}
+
 // encodeInts packs int64 values into a byte payload.
 func encodeInts(xs []int64) []byte {
 	buf := make([]byte, 8*len(xs))
@@ -95,10 +104,7 @@ func DecodeFloats(buf []byte) ([]float64, error) { return decodeFloats(buf) }
 // SendFloats sends a float64 slice to dst with the given tag. The caller may
 // reuse xs as soon as it returns, as with Send.
 func (c *Comm) SendFloats(dst, tag int, xs []float64) error {
-	if hostLittleEndian {
-		return c.Send(dst, tag, floatBytes(xs))
-	}
-	return c.Send(dst, tag, encodeFloats(xs))
+	return c.Send(dst, tag, floatPayload(xs))
 }
 
 // RecvFloats receives a float64 slice matching (src, tag).
@@ -114,19 +120,33 @@ func (c *Comm) RecvFloats(src, tag int) ([]float64, Status, error) {
 // RecvFloatsInto receives a message of exactly len(dst) float64s matching
 // (src, tag) into dst; any other length is an *ErrTruncated.
 func (c *Comm) RecvFloatsInto(src, tag int, dst []float64) (Status, error) {
-	_, st, err := c.IrecvFloatsInto(src, tag, dst).Wait()
-	return st, err
+	if hostLittleEndian {
+		return c.RecvInto(src, tag, floatBytes(dst))
+	}
+	buf, st, err := c.Recv(src, tag)
+	if err != nil {
+		return st, err
+	}
+	return st, decodeFloatsInto(dst, buf)
 }
 
 // IrecvFloatsInto is the nonblocking RecvFloatsInto: dst is filled by the
 // time Wait returns nil and must be left alone until then.
 func (c *Comm) IrecvFloatsInto(src, tag int, dst []float64) *Request {
-	if hostLittleEndian {
-		return c.IrecvInto(src, tag, floatBytes(dst))
-	}
-	r := c.Irecv(src, tag)
-	r.floats = dst
+	r := new(Request)
+	c.StartRecvFloatsInto(r, src, tag, dst)
 	return r
+}
+
+// StartRecvFloatsInto is IrecvFloatsInto on a request the caller owns and
+// posts again and again (see StartRecvInto).
+func (c *Comm) StartRecvFloatsInto(r *Request, src, tag int, dst []float64) {
+	if hostLittleEndian {
+		c.StartRecvInto(r, src, tag, floatBytes(dst))
+		return
+	}
+	r.floats = dst
+	c.startRecv(r, c.ctx, src, tag, nil)
 }
 
 // SendInts sends an int64 slice to dst with the given tag.

@@ -22,13 +22,24 @@ const (
 	tagAllreduce
 )
 
-// collBegin records entry into a collective op (invocation count, cumulative
-// latency, trace events) and returns the exit hook. Composite collectives
-// nest: only the outermost op on the rank accumulates count and latency.
-func (c *Comm) collBegin(op perf.CollOp) func() {
-	start, top := c.env.pv.CollEnter(op)
-	return func() { c.env.pv.CollExit(op, start, top) }
+// collSpan is one collective op between entry and exit.
+type collSpan struct {
+	pv    *perf.Rank
+	op    perf.CollOp
+	start int64
+	top   bool
 }
+
+// collBegin records entry into a collective op (invocation count, cumulative
+// latency, trace events); callers defer the span's end, a value, so timing
+// allocates nothing. Composite collectives nest: only the outermost op on
+// the rank accumulates count and latency.
+func (c *Comm) collBegin(op perf.CollOp) collSpan {
+	start, top := c.env.pv.CollEnter(op)
+	return collSpan{c.env.pv, op, start, top}
+}
+
+func (s collSpan) end() { s.pv.CollExit(s.op, s.start, s.top) }
 
 // checkRoot is the one root validation of each rooted collective, made on
 // entry, before any traffic moves or any sub-communicator is built, so a bad
@@ -56,7 +67,7 @@ func cancelRequests(reqs []*Request) {
 // It uses the dissemination algorithm: ceil(log2 P) rounds of paired
 // send/receive, with no root hotspot.
 func (c *Comm) Barrier() error {
-	defer c.collBegin(perf.CollBarrier)()
+	defer c.collBegin(perf.CollBarrier).end()
 	size := len(c.group)
 	for dist := 1; dist < size; dist *= 2 {
 		to := (c.rank + dist) % size
@@ -87,7 +98,7 @@ func rrank(vr, root, size int) int { return (vr + root) % size }
 // caller's input, and mutating the input after Bcast never changes the
 // result.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	defer c.collBegin(perf.CollBcast)()
+	defer c.collBegin(perf.CollBcast).end()
 	if err := c.checkRoot("bcast", root); err != nil {
 		return nil, err
 	}
@@ -119,7 +130,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // whatever order they land, instead of head-of-line blocking on the
 // lowest-numbered slow rank.
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	defer c.collBegin(perf.CollGather)()
+	defer c.collBegin(perf.CollGather).end()
 	if err := c.checkRoot("gather", root); err != nil {
 		return nil, err
 	}
@@ -162,7 +173,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 // its successor (collective_ring.go), or the latency-optimal gather-to-0 +
 // framed-broadcast tree.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	defer c.collBegin(perf.CollAllgather)()
+	defer c.collBegin(perf.CollAllgather).end()
 	size := len(c.group)
 	if size == 1 {
 		own := make([]byte, len(data))
@@ -211,7 +222,7 @@ func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
 	for ; mask < size; mask <<= 1 {
 		if vr&mask != 0 {
 			src := rrank(vr-mask, root, size)
-			got, _, err := c.recvCtx(c.cctx, src, tag)
+			got, _, err := c.recvCtx(c.cctx, src, tag, nil)
 			if err != nil {
 				return nil, fmt.Errorf("mpi: bcast recv: %w", err)
 			}
@@ -235,7 +246,7 @@ func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
 // with one entry per rank; other ranks pass nil. Every rank receives its
 // part.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	defer c.collBegin(perf.CollScatter)()
+	defer c.collBegin(perf.CollScatter).end()
 	if err := c.checkRoot("scatter", root); err != nil {
 		return nil, err
 	}
@@ -256,7 +267,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 		copy(own, parts[root])
 		return own, nil
 	}
-	got, _, err := c.recvCtx(c.cctx, root, tagScatter)
+	got, _, err := c.recvCtx(c.cctx, root, tagScatter, nil)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: scatter recv: %w", err)
 	}
@@ -269,7 +280,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 // receiver matches, so a send-first exchange of big rows would deadlock in a
 // cycle of senders (DESIGN.md §12).
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	defer c.collBegin(perf.CollAlltoall)()
+	defer c.collBegin(perf.CollAlltoall).end()
 	size := len(c.group)
 	if len(parts) != size {
 		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", size, len(parts))
@@ -301,7 +312,7 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 // ranks return nil. It has one algorithm, the flat binomial tree, so there is
 // nothing for choose to pick.
 func (c *Comm) Reduce(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	defer c.collBegin(perf.CollReduce)()
+	defer c.collBegin(perf.CollReduce).end()
 	if err := c.checkRoot("reduce", root); err != nil {
 		return nil, err
 	}
@@ -321,7 +332,7 @@ func (c *Comm) reduceTree(root int, data []byte, fn func(acc, in []byte) ([]byte
 		if vr&mask == 0 {
 			peer := vr | mask
 			if peer < size {
-				in, _, err := c.recvCtx(c.cctx, rrank(peer, root, size), tagReduce)
+				in, _, err := c.recvCtx(c.cctx, rrank(peer, root, size), tagReduce, nil)
 				if err != nil {
 					return nil, fmt.Errorf("mpi: reduce recv: %w", err)
 				}
@@ -362,21 +373,89 @@ func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) (
 // reduction contract — which is also what keeps choose's verdict identical
 // on all ranks.
 func (c *Comm) AllreduceWith(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	defer c.collBegin(perf.CollAllreduce)()
+	out, scratch, err := c.allreduce(data, elem, fn)
+	if scratch && err == nil {
+		out = append([]byte(nil), out...)
+	}
+	return out, err
+}
+
+// allreduce is AllreduceWith, except that the result may lie in the
+// communicator's scratch (scratch == true), good until the next collective
+// on c: the typed wrappers decode it from there, AllreduceWith copies it out.
+func (c *Comm) allreduce(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) (out []byte, scratch bool, err error) {
+	defer c.collBegin(perf.CollAllreduce).end()
 	if elem <= 0 || len(data)%elem != 0 {
 		elem = 0 // not the elementwise contract: treat fn as opaque
 	}
 	switch c.choose(perf.CollAllreduce, len(data), elem > 0) {
+	case algPair:
+		out, err = c.allreducePair(data, elem, fn)
+		return out, true, err
 	case perf.AlgHier:
-		return c.allreduceHier(data, elem, fn)
+		out, err = c.allreduceHier(data, elem, fn)
 	case perf.AlgRing:
-		return c.allreduceRing(data, elem, fn)
+		out, err = c.allreduceRing(data, elem, fn)
+	default:
+		if out, err = c.reduceTree(0, data, fn); err == nil {
+			out, err = c.bcastOn(tagAllreduce, 0, out)
+		}
 	}
-	acc, err := c.reduceTree(0, data, fn)
+	return out, false, err
+}
+
+// pairScratchMax is the largest payload whose buffers a communicator keeps
+// between two-rank allreduces; a larger one works in buffers of its own.
+const pairScratchMax = 64 << 10
+
+// pairScratch is what a two-rank allreduce works in, kept on the Comm:
+// collectives on one communicator run one at a time, so one set serves all.
+type pairScratch struct {
+	req          Request
+	mine, theirs []byte
+}
+
+// allreducePair is the allreduce of a two-rank communicator: one exchange.
+// Each rank posts the receive of the other's payload, sends its own, and
+// both compute fn(rank 0's, rank 1's) — what the flat tree computes at rank
+// 0 and then broadcasts, so the result is bit-identical on both, also for a
+// non-commutative fn: the same two messages, one hop on the critical path
+// instead of two. fn gets scratch copies, as in the tree. Only an
+// elementwise fn (elem > 0) promises the other payload's length, so only
+// then is it received into scratch; an opaque fn's gets a slice of its own.
+func (c *Comm) allreducePair(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
+	s, n, peer := &c.pair, len(data), 1-c.rank
+	if cap(s.mine) < n {
+		s.mine, s.theirs = make([]byte, n), make([]byte, n)
+	}
+	mine, theirs := s.mine[:n], s.theirs[:n]
+	if n > pairScratchMax {
+		s.mine, s.theirs = nil, nil // this call's own, not the communicator's
+	}
+	if elem == 0 {
+		theirs = nil
+	}
+	copy(mine, data)
+	c.startRecv(&s.req, c.cctx, peer, tagAllreduce, theirs)
+	if err := c.sendCtx(c.cctx, peer, tagAllreduce, data, nil); err != nil {
+		if !s.req.Cancel() {
+			s.req.Wait()
+		}
+		return nil, fmt.Errorf("mpi: allreduce send: %w", err)
+	}
+	theirs, _, err := s.req.Wait()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mpi: allreduce recv: %w", err)
 	}
-	return c.bcastOn(tagAllreduce, 0, acc)
+	acc, in := mine, theirs
+	if c.rank == 1 {
+		acc, in = theirs, mine
+	}
+	out, err := fn(acc, in)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: allreduce combine: %w", err)
+	}
+	return out, nil
 }
 
 // frameSlices packs a list of byte slices into one payload:

@@ -55,6 +55,12 @@ func ringThresholdsFromEnv() (allgather, allreduce int) {
 // flat beat two-level in every cell.
 const hierAllreduceBelow = 64 << 10
 
+// algPair is choose's verdict for the allreduce of a two-rank communicator
+// (allreducePair). It is the flat tree of two ranks with both playing the
+// root, so it is counted as a tree and has no performance variable of its
+// own.
+const algPair = perf.NumCollAlgs
+
 // choose picks the algorithm for one invocation of op and counts the pick
 // in the per-algorithm performance variable. decisionBytes must be a size
 // every rank of the communicator agrees on (Allgather exchanges block sizes
@@ -70,6 +76,14 @@ const hierAllreduceBelow = 64 << 10
 // justifies it (EXPERIMENTS.md C1, C1b and S4: go test -run=NONE
 // -bench='TreeVsRing|FlatVsHier' ./internal/mpi, and benchmark/):
 //
+//	pair  Allreduce on two ranks, wherever the tree would be picked (below
+//	      the ring crossover): one exchange, both ranks fold, bit-identical
+//	      to reduce-then-bcast. S6: BenchmarkAllreduce, 2 ranks over tcpnet,
+//	      tree/pair 2.2 at 8 B, 2.1 at 16 B, 1.8 at 72 B; benchmark/
+//	      couple_fine, whose coupler and ocean allreduces are all here,
+//	      mpi.allreduce_ms 0.86 of the same build without the row, lower in
+//	      9 of 10 traced pairs. Ahead of hier: two ranks have nothing to be
+//	      hierarchical about.
 //	hier  Bcast, and Allreduce below 64 KiB, when the comm spans more than
 //	      one host, MPH_COLL_HIER is not off, and either operands may regroup
 //	      or every host is one contiguous rank block. Inter-host messages
@@ -111,16 +125,27 @@ func (c *Comm) choose(op perf.CollOp, decisionBytes int, commutative bool) perf.
 		ringFrom, hasRing = c.env.ringAllreduce, true
 		twoLevel = decisionBytes < hierAllreduceBelow
 	}
-	alg := perf.AlgTree
-	if len(c.group) >= 2 {
-		if h := c.hierView(); twoLevel && h != nil && (commutative || h.contiguous) {
-			alg = perf.AlgHier
-		} else if hasRing && commutative && ringFrom >= 0 && decisionBytes >= ringFrom {
-			alg = perf.AlgRing
-		}
+	ring := hasRing && commutative && ringFrom >= 0 && decisionBytes >= ringFrom
+	var h *hierComm
+	if twoLevel {
+		h = c.hierView()
 	}
-	if alg != perf.AlgTree || hasRing {
-		c.env.pv.CollAlgo(op, alg)
+	alg := perf.AlgTree
+	switch {
+	case len(c.group) < 2:
+	case op == perf.CollAllreduce && len(c.group) == 2 && !ring:
+		alg = algPair
+	case h != nil && (commutative || h.contiguous):
+		alg = perf.AlgHier
+	case ring:
+		alg = perf.AlgRing
+	}
+	counted := alg
+	if alg == algPair {
+		counted = perf.AlgTree
+	}
+	if counted != perf.AlgTree || hasRing {
+		c.env.pv.CollAlgo(op, counted)
 	}
 	return alg
 }

@@ -33,6 +33,8 @@ type Comm struct {
 	hier      *hierComm
 	hierKnown bool
 	noHier    bool
+
+	pair pairScratch // the two-rank allreduce's request and buffers (collective.go)
 }
 
 // WorldComm returns the world communicator of an environment. It is how a
@@ -184,7 +186,7 @@ func (c *Comm) Dup() *Comm {
 // Undefined as color receive a nil communicator. The call is collective:
 // one Allgather of (color, key), then SplitWith.
 func (c *Comm) Split(color, key int) (*Comm, error) {
-	defer c.collBegin(perf.CollSplit)()
+	defer c.collBegin(perf.CollSplit).end()
 	all, err := c.Allgather(encodeInts([]int64{int64(color), int64(key)}))
 	if err != nil {
 		return nil, fmt.Errorf("mpi: comm split exchange: %w", err)

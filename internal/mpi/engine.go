@@ -39,6 +39,10 @@ import (
 // Wakeups are targeted: every posted receive (and probe waiter) owns its own
 // completion channel, so completing one operation wakes exactly one waiter
 // instead of broadcasting to all.
+//
+// Posting allocates nothing: a posted receive's record lives inside its
+// Request (a caller-owned request is re-armed period after period), and a
+// blocking Recv borrows one from the engine's own free list.
 type engine struct {
 	mu   sync.Mutex
 	fail error  // non-nil once the engine stopped: ErrClosed or an abort error
@@ -79,6 +83,7 @@ type engine struct {
 	plast    *plist
 	pwild    plist
 	pcount   int
+	pfree    *precv // blocking-Recv records between uses, linked through next
 
 	// Blocked Probe waiters. Probes never consume, so they are kept apart
 	// from consuming receives and all matching waiters wake per arrival.
@@ -125,23 +130,20 @@ type umsg struct {
 }
 
 // precv is one posted receive: the record behind a blocked Recv or a live
-// Irecv request. Completion signals ready exactly once, with pkt or err set
-// beforehand (both writes ordered by engine.mu before the signal).
-//
-// Records come in two flavors. A blocking Recv has exactly one waiter that
-// waits exactly once, so its record is pool-recycled and completion sends a
-// token on a reusable buffered channel (reusable == true). An Irecv request
-// needs idempotent Wait/Done from any number of goroutines, so its record is
-// heap-owned and completion closes the channel.
+// Irecv request. Completion puts one token on ready exactly once per post,
+// with pkt or err set beforehand (both writes ordered by engine.mu before
+// the signal). The channel is made at the record's first post and serves
+// every later one: a record is either inside a Request, whose Wait takes the
+// token and puts it back (so Wait and Done stay idempotent), or on the
+// engine's free list, borrowed by one blocking Recv at a time.
 type precv struct {
 	ctx      uint64
 	src, tag int
 	seq      uint64
 
-	ready    chan struct{}
-	reusable bool
-	pkt      *Packet
-	err      error
+	ready chan struct{}
+	pkt   *Packet
+	err   error
 	// dst is the caller's own buffer (IrecvInto), nil otherwise. A matching
 	// rendezvous placeholder learns it at the match, so the transport reads
 	// the payload straight into it; the waiter copies any other packet in.
@@ -152,22 +154,24 @@ type precv struct {
 	prev, next *precv
 }
 
-// precvPool recycles blocking-Recv records; their buffered channels are
-// drained by the single waiter before the record is returned.
-var precvPool = sync.Pool{New: func() any {
-	return &precv{ready: make(chan struct{}, 1), reusable: true}
-}}
-
-// complete wakes the record's single waiter. It must be called at most once
-// per enqueue, under engine.mu, after pkt/err are set. The caller must not
-// touch the record afterwards: a pool-owned record may be recycled by its
-// waiter immediately.
-func (r *precv) complete() {
-	if r.reusable {
-		r.ready <- struct{}{}
-	} else {
-		close(r.ready)
+// arm readies the completion channel for one more signal: made on first use,
+// and emptied of a token nobody collected (a request completed or cancelled
+// and never waited on).
+func (r *precv) arm() {
+	if r.ready == nil {
+		r.ready = make(chan struct{}, 1)
 	}
+	select {
+	case <-r.ready:
+	default:
+	}
+}
+
+// complete wakes the record's waiter. It must be called at most once per
+// enqueue, under engine.mu, after pkt/err are set. The caller must not touch
+// the record afterwards: its waiter may re-post or recycle it immediately.
+func (r *precv) complete() {
+	r.ready <- struct{}{}
 }
 
 // matchesPacket reports whether packet m satisfies this receive's envelope.
@@ -520,18 +524,15 @@ func (e *engine) sweepPostedBuckets() {
 	e.plast = nil // the memo may point at a dropped bucket
 }
 
-// enqueuePosted appends a posted-receive record for (ctx, src, tag). reuse
-// selects a pool-recycled record (blocking Recv) over a heap-owned one
-// (Irecv requests). dst is the receive's own buffer, or nil.
-func (e *engine) enqueuePosted(ctx uint64, src, tag int, dst []byte, reuse bool) *precv {
-	e.seq++
-	var r *precv
-	if reuse {
-		r = precvPool.Get().(*precv)
-		r.pkt, r.err = nil, nil
-	} else {
-		r = &precv{ready: make(chan struct{})}
+// enqueuePosted appends record r, complete or never used, as a posted
+// receive for (ctx, src, tag). dst is the receive's own buffer, or nil.
+func (e *engine) enqueuePosted(r *precv, ctx uint64, src, tag int, dst []byte) {
+	if r.queued {
+		panic("mpi: receive posted on a request that is still pending")
 	}
+	e.seq++
+	r.arm()
+	r.pkt, r.err = nil, nil
 	r.ctx, r.src, r.tag, r.dst = ctx, src, tag, dst
 	r.seq = e.seq
 	r.queued = true
@@ -559,7 +560,6 @@ func (e *engine) enqueuePosted(ctx uint64, src, tag int, dst []byte, reuse bool)
 	if e.tr != nil {
 		e.tr.Record(perf.KRecvPost, int64(src), int64(tag), 0, int64(e.pcount))
 	}
-	return r
 }
 
 // addUnexpected appends a packet to the UMQ (bucket plus arrival list).
@@ -707,16 +707,18 @@ func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 }
 
 // recv blocks until a message matching (ctx, src, tag) is available and
-// returns it. The fast path (message already unexpected) allocates nothing;
-// the slow path posts a receive record and parks on its private channel.
-func (e *engine) recv(ctx uint64, src, tag int) (*Packet, error) {
+// returns it; dst is the receive's own buffer, or nil. Neither path
+// allocates in steady state: a message already unexpected is taken as it
+// is, else the receive posts a record from the engine's free list and parks
+// on its private channel.
+func (e *engine) recv(ctx uint64, src, tag int, dst []byte) (*Packet, error) {
 	e.mu.Lock()
 	if e.fail != nil {
 		err := e.fail
 		e.mu.Unlock()
 		return nil, err
 	}
-	if m := e.takeUnexpected(ctx, src, tag, nil); m != nil {
+	if m := e.takeUnexpected(ctx, src, tag, dst); m != nil {
 		e.mu.Unlock()
 		return awaitPayload(m)
 	}
@@ -726,11 +728,20 @@ func (e *engine) recv(ctx uint64, src, tag int) (*Packet, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
-	pr := e.enqueuePosted(ctx, src, tag, nil, true)
+	pr := e.pfree
+	if pr != nil {
+		e.pfree, pr.next = pr.next, nil
+	} else {
+		pr = new(precv)
+	}
+	e.enqueuePosted(pr, ctx, src, tag, dst)
 	e.mu.Unlock()
 	<-pr.ready
 	m, err := pr.pkt, pr.err
-	precvPool.Put(pr)
+	pr.pkt, pr.dst = nil, nil
+	e.mu.Lock()
+	pr.next, e.pfree = e.pfree, pr
+	e.mu.Unlock()
 	if err != nil {
 		return m, err
 	}
@@ -750,22 +761,23 @@ func awaitPayload(m *Packet) (*Packet, error) {
 }
 
 // postRecv is the nonblocking receive entry: it either consumes an
-// already-arrived unexpected message (inline completion, pr == nil) or
-// enqueues a posted-receive record the caller may wait on or cancel. dst is
-// the receive's own buffer (IrecvInto), or nil.
-func (e *engine) postRecv(ctx uint64, src, tag int, dst []byte) (m *Packet, pr *precv, err error) {
+// already-arrived unexpected message (inline completion, m != nil) or
+// enqueues the caller's record pr, which the caller may then wait on or
+// cancel. dst is the receive's own buffer (IrecvInto), or nil.
+func (e *engine) postRecv(pr *precv, ctx uint64, src, tag int, dst []byte) (m *Packet, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fail != nil {
-		return nil, nil, e.fail
+		return nil, e.fail
 	}
 	if m := e.takeUnexpected(ctx, src, tag, dst); m != nil {
-		return m, nil, nil
+		return m, nil
 	}
 	if err := e.lostErrFor(ctx, src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return nil, e.enqueuePosted(ctx, src, tag, dst, false), nil
+	e.enqueuePosted(pr, ctx, src, tag, dst)
+	return nil, nil
 }
 
 // cancel withdraws a posted receive that has not matched yet. It reports
@@ -907,6 +919,7 @@ func (e *engine) failAll(opErr, ackErr error) {
 	}
 	e.pwild = plist{}
 	e.pcount = 0
+	e.pfree = nil
 	for w := e.probes.head; w != nil; w = w.next {
 		w.err = opErr
 		close(w.ready)

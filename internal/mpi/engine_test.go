@@ -18,6 +18,16 @@ func post(t *testing.T, e *engine, ctx uint64, src, tag int, payload string) {
 	}
 }
 
+// postRecv posts a fresh record the way a Request posts its own: pr is nil
+// when the receive completed inline (m) or failed (err).
+func postRecv(e *engine, ctx uint64, src, tag int, dst []byte) (m *Packet, pr *precv, err error) {
+	pr = new(precv)
+	if m, err = e.postRecv(pr, ctx, src, tag, dst); m != nil || err != nil {
+		pr = nil
+	}
+	return m, pr, err
+}
+
 func waitPayload(t *testing.T, pr *precv) string {
 	t.Helper()
 	select {
@@ -36,11 +46,11 @@ func waitPayload(t *testing.T, pr *precv) string {
 // exact bucket head and the wildcard list. And vice versa.
 func TestExactVsWildcardArbitration(t *testing.T) {
 	e := newEngine(8)
-	_, wild, err := e.postRecv(1, AnySource, AnyTag, nil)
+	_, wild, err := postRecv(e, 1, AnySource, AnyTag, nil)
 	if err != nil || wild == nil {
 		t.Fatalf("wildcard postRecv: %v %v", wild, err)
 	}
-	_, exact, err := e.postRecv(1, 0, 5, nil)
+	_, exact, err := postRecv(e, 1, 0, 5, nil)
 	if err != nil || exact == nil {
 		t.Fatalf("exact postRecv: %v %v", exact, err)
 	}
@@ -54,8 +64,8 @@ func TestExactVsWildcardArbitration(t *testing.T) {
 	}
 
 	// Reverse posting order: now the exact receive is older and must win.
-	_, exact2, _ := e.postRecv(1, 0, 5, nil)
-	_, wild2, _ := e.postRecv(1, AnySource, AnyTag, nil)
+	_, exact2, _ := postRecv(e, 1, 0, 5, nil)
+	_, wild2, _ := postRecv(e, 1, AnySource, AnyTag, nil)
 	post(t, e, 1, 0, 5, "third")
 	if got := waitPayload(t, exact2); got != "third" {
 		t.Errorf("older exact receive lost (got %q)", got)
@@ -72,7 +82,7 @@ func TestPostedOrderSameEnvelope(t *testing.T) {
 	const n = 8
 	prs := make([]*precv, n)
 	for i := range prs {
-		_, pr, err := e.postRecv(1, 0, 0, nil)
+		_, pr, err := postRecv(e, 1, 0, 0, nil)
 		if err != nil || pr == nil {
 			t.Fatalf("postRecv %d: %v %v", i, pr, err)
 		}
@@ -99,11 +109,11 @@ func TestQueueAccounting(t *testing.T) {
 	if u := e.pendingUnexpected(); u != 2 {
 		t.Fatalf("UMQ depth %d after two posts", u)
 	}
-	_, pr, _ := e.postRecv(1, 0, 9, nil) // no match: queues
+	_, pr, _ := postRecv(e, 1, 0, 9, nil) // no match: queues
 	if u, p := e.pendingUnexpected(), e.pendingPosted(); u != 2 || p != 1 {
 		t.Fatalf("queues %d/%d after unmatched postRecv", u, p)
 	}
-	if m, pr2, _ := e.postRecv(1, 0, 0, nil); m == nil || pr2 != nil {
+	if m, pr2, _ := postRecv(e, 1, 0, 0, nil); m == nil || pr2 != nil {
 		t.Fatal("postRecv did not complete inline against the UMQ")
 	}
 	if u := e.pendingUnexpected(); u != 1 {
@@ -152,13 +162,13 @@ func TestBucketSweep(t *testing.T) {
 	// The engine still matches correctly after the sweep (the memo cache
 	// must have been invalidated with the buckets it pointed into).
 	post(t, e, 1, 0, 7, "again")
-	if m, pr, _ := e.postRecv(1, 0, 7, nil); m == nil || pr != nil || string(m.Data) != "again" {
+	if m, pr, _ := postRecv(e, 1, 0, 7, nil); m == nil || pr != nil || string(m.Data) != "again" {
 		t.Fatal("post-sweep match failed")
 	}
 
 	// Same policy on the posted-receive side.
 	for i := 0; i < envelopes; i++ {
-		_, pr, _ := e.postRecv(1, 0, i, nil)
+		_, pr, _ := postRecv(e, 1, 0, i, nil)
 		post(t, e, 1, 0, i, "y")
 		if got := waitPayload(t, pr); got != "y" {
 			t.Fatalf("posted receive on tag %d got %q", i, got)
@@ -176,8 +186,8 @@ func TestBucketSweep(t *testing.T) {
 // synchronous senders parked on unmatched messages.
 func TestCloseFailsPostedReceives(t *testing.T) {
 	e := newEngine(8)
-	_, exact, _ := e.postRecv(1, 0, 0, nil)
-	_, wild, _ := e.postRecv(1, AnySource, AnyTag, nil)
+	_, exact, _ := postRecv(e, 1, 0, 0, nil)
+	_, wild, _ := postRecv(e, 1, AnySource, AnyTag, nil)
 	ack := make(chan error, 1)
 	if err := e.post(&Packet{Ctx: 2, Src: 0, Tag: 0, Ack: ack}); err != nil {
 		t.Fatal(err) // different ctx: goes unexpected, Ssend-style ack pends
@@ -197,7 +207,7 @@ func TestCloseFailsPostedReceives(t *testing.T) {
 	if err := e.post(&Packet{Ctx: 1, Src: 0, Tag: 0}); !errors.Is(err, ErrClosed) {
 		t.Errorf("post after close: %v", err)
 	}
-	if _, _, err := e.postRecv(1, 0, 0, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := postRecv(e, 1, 0, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("postRecv after close: %v", err)
 	}
 	e.close() // idempotent

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Wildcard values for Recv and Probe.
@@ -54,10 +55,14 @@ type Status struct {
 	Len int
 }
 
-// Packet is the wire unit a Transport moves: a matching envelope plus an
-// owned payload copy. It is exported so transport implementations (the TCP
-// transport in package tcpnet) can serialize it; normal users never touch
-// it.
+// Packet is the wire unit a Transport moves: a matching envelope plus a
+// payload. It is exported so transport implementations (the TCP transport in
+// package tcpnet) can serialize it; normal users never touch it.
+//
+// Outbound it is the value Transport.Deliver takes, Data being the sender's
+// own slice, read until Deliver returns and not kept. Inbound it is a record
+// a transport gets from its PacketPool, fills and posts to the engine, which
+// owns it from then on.
 type Packet struct {
 	// Ctx is the communicator context the packet belongs to.
 	Ctx uint64
@@ -68,7 +73,8 @@ type Packet struct {
 	SrcWorld int
 	// Tag is the user or collective tag.
 	Tag int
-	// Data is the payload, owned by the packet.
+	// Data is the payload: borrowed from the sender on an outbound packet,
+	// the packet's own on an inbound one.
 	Data []byte
 	// Ack, when non-nil, carries the message's completion back to a
 	// synchronous sender (Ssend). On a consuming match the engine closes the
@@ -83,6 +89,110 @@ type Packet struct {
 	// the packet waits on it before touching Data. Only transports with a
 	// two-protocol wire path (tcpnet) set it.
 	Rdv *Rendezvous
+
+	// Set on packets from a PacketPool: where a consumed packet goes back
+	// to, the payload buffer that goes with it, and the free-list link.
+	pool *PacketPool
+	buf  []byte
+	next *Packet
+}
+
+// packetPoolDepth bounds a PacketPool's free list: a rank in steady state
+// holds a handful of inbound messages at once, and a burst of unexpected
+// ones should not stay resident for the rest of the job.
+const packetPoolDepth = 64
+
+// PacketPool is a transport's bounded free list of inbound packets and the
+// payload buffers that travel with them, so a message in steady state
+// allocates neither. The receive that consumes a pooled packet gives it
+// back, under one rule: a buffer the pool recycles is never returned to a
+// caller — a receive with a destination has the payload copied into it, any
+// other gets an exact-size slice of its own. Nothing is allocated before the
+// first message, and a payload above maxBuf gets a buffer of its own, which
+// is not kept and which the receive hands to its caller as it is.
+type PacketPool struct {
+	maxBuf int
+
+	mu   sync.Mutex
+	free *Packet
+	n    int
+}
+
+// NewPacketPool returns an empty pool keeping buffers of up to maxBuf bytes.
+func NewPacketPool(maxBuf int) *PacketPool { return &PacketPool{maxBuf: maxBuf} }
+
+// Get returns a packet whose Data has length n (nil for n == 0), for the
+// transport to fill in and post. A recycled buffer too small for n is
+// replaced: the buffers in circulation grow to what the traffic repeats.
+func (pp *PacketPool) Get(n int) *Packet {
+	pp.mu.Lock()
+	p := pp.free
+	if p != nil {
+		pp.free, p.next = p.next, nil
+		pp.n--
+	}
+	pp.mu.Unlock()
+	if p == nil {
+		p = &Packet{pool: pp}
+	}
+	switch {
+	case n == 0:
+	case n <= cap(p.buf):
+		p.Data = p.buf[:n]
+	case n <= pp.maxBuf:
+		p.buf = make([]byte, n)
+		p.Data = p.buf
+	default:
+		p.Data = make([]byte, n)
+	}
+	return p
+}
+
+// Copy returns a pooled copy of an outbound packet, payload included: how a
+// delivery that stays inside the process keeps nothing of the sender's.
+func (pp *PacketPool) Copy(p Packet) *Packet {
+	q := pp.Get(len(p.Data))
+	q.Ctx, q.Src, q.SrcWorld, q.Tag, q.Ack = p.Ctx, p.Src, p.SrcWorld, p.Tag, p.Ack
+	copy(q.Data, p.Data)
+	return q
+}
+
+// recycle returns a consumed packet to its pool; a packet no pool made is
+// left to the collector. The caller must not touch the packet afterwards.
+func (p *Packet) recycle() {
+	pp := p.pool
+	if pp == nil {
+		return
+	}
+	*p = Packet{pool: pp, buf: p.buf}
+	pp.mu.Lock()
+	if pp.n < packetPoolDepth {
+		p.next, pp.free = pp.free, p
+		pp.n++
+	}
+	pp.mu.Unlock()
+}
+
+// consume ends a matched packet's life, the one call every receive makes
+// once its payload is there. With a destination: the length check and the
+// one copy of a payload that did not arrive in dst itself. Without: the
+// caller gets the payload as a slice of its own — a copy if it sits in a
+// recycled buffer. Either way the packet goes back to its pool.
+func (p *Packet) consume(dst []byte) ([]byte, Status, error) {
+	defer p.recycle()
+	data, st := p.Data, Status{Source: p.Src, Tag: p.Tag, Len: len(p.Data)}
+	switch {
+	case dst == nil:
+		if len(data) > 0 && len(data) <= cap(p.buf) {
+			data = append(make([]byte, 0, len(data)), data...)
+		}
+		return data, st, nil
+	case len(data) != len(dst):
+		return dst, st, &ErrTruncated{Posted: len(dst), Arrived: len(data)}
+	case len(dst) > 0 && &data[0] != &dst[0]:
+		copy(dst, data)
+	}
+	return dst, st, nil
 }
 
 // String formats the packet's matching envelope for diagnostics.

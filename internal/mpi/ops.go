@@ -124,10 +124,13 @@ func (c *Comm) ReduceFloats(root int, xs []float64, op Op) ([]float64, error) {
 }
 
 // AllreduceFloats combines xs elementwise across ranks and returns the
-// result at every rank. The 8-byte element encoding lets the size-based
+// result at every rank, in a slice of the caller's own — the call's one
+// allocation on the small-payload paths: xs goes out as it lies on a
+// little-endian host (floatPayload) and the result is decoded straight from
+// the collective's buffer. The 8-byte element encoding lets the size-based
 // selector use the ring algorithm for large slices.
 func (c *Comm) AllreduceFloats(xs []float64, op Op) ([]float64, error) {
-	out, err := c.AllreduceWith(encodeFloats(xs), 8, combineFloats(op))
+	out, _, err := c.allreduce(floatPayload(xs), 8, combineFloats(op))
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +151,7 @@ func (c *Comm) ReduceInts(root int, xs []int64, op Op) ([]int64, error) {
 // at every rank. The 8-byte element encoding lets the size-based selector
 // use the ring algorithm for large slices.
 func (c *Comm) AllreduceInts(xs []int64, op Op) ([]int64, error) {
-	out, err := c.AllreduceWith(encodeInts(xs), 8, combineInts(op))
+	out, _, err := c.allreduce(encodeInts(xs), 8, combineInts(op))
 	if err != nil {
 		return nil, err
 	}

@@ -36,70 +36,63 @@ func (c *Comm) send(dst, tag int, data []byte, ack chan error) error {
 }
 
 // sendCtx performs the transport-level send on an explicit context; the
-// collectives use it with the internal collective context.
+// collectives use it with the internal collective context. Nothing is
+// copied or allocated here: the transport reads data until Deliver returns
+// and keeps none of it (see Transport).
 func (c *Comm) sendCtx(ctx uint64, dst, tag int, data []byte, ack chan error) error {
 	if dst < 0 || dst >= len(c.group) {
 		return fmt.Errorf("%w: send to rank %d of comm size %d", ErrRank, dst, len(c.group))
 	}
-	// Copy the payload: ranks must not share mutable memory. The copy is
-	// elided when the transport is done with the caller's slice at Deliver's
-	// return — tcpnet writes a rendezvous payload straight from it (writev)
-	// and copies an eager one into its frame; DESIGN.md §12.
-	var buf []byte
-	if len(data) > 0 {
-		if b := c.env.borrower; b != nil && b.BorrowsPayload(c.group[dst]) {
-			buf = data
-		} else {
-			buf = make([]byte, len(data))
-			copy(buf, data)
-		}
-	}
 	if tr := c.env.tracer; tr != nil {
 		tr.Record(perf.KSend, int64(c.group[dst]), int64(tag), int64(len(data)), 0)
 	}
-	p := &Packet{Ctx: ctx, Src: c.rank, SrcWorld: c.env.worldRank, Tag: tag, Data: buf, Ack: ack}
-	return c.env.tr.Deliver(c.group[dst], p)
+	return c.env.tr.Deliver(c.group[dst], Packet{Ctx: ctx, Src: c.rank, SrcWorld: c.env.worldRank, Tag: tag, Data: data, Ack: ack})
+}
+
+// checkSource validates a receive's source rank.
+func (c *Comm) checkSource(src int) error {
+	if src != AnySource && (src < 0 || src >= len(c.group)) {
+		return fmt.Errorf("%w: recv from rank %d of comm size %d", ErrRank, src, len(c.group))
+	}
+	return nil
 }
 
 // Recv blocks until a message matching (src, tag) arrives on the
 // communicator and returns its payload. src may be AnySource and tag may be
 // AnyTag. The returned slice is owned by the caller.
 func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
-	if src != AnySource && (src < 0 || src >= len(c.group)) {
-		return nil, Status{}, fmt.Errorf("%w: recv from rank %d of comm size %d", ErrRank, src, len(c.group))
+	if err := c.checkSource(src); err != nil {
+		return nil, Status{}, err
 	}
-	return c.recvCtx(c.ctx, src, tag)
+	return c.recvCtx(c.ctx, src, tag, nil)
 }
 
-func (c *Comm) recvCtx(ctx uint64, src, tag int) ([]byte, Status, error) {
-	m, err := c.env.eng.recv(ctx, src, tag)
+// recvCtx is the blocking receive on an explicit context, into dst when it
+// is non-nil. It returns the payload as a slice the caller owns: dst, or one
+// of the message's exact size.
+func (c *Comm) recvCtx(ctx uint64, src, tag int, dst []byte) ([]byte, Status, error) {
+	m, err := c.env.eng.recv(ctx, src, tag, dst)
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return m.Data, Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}, nil
+	return m.consume(dst)
 }
 
 // RecvInto is Recv with a destination: it blocks until a message matching
 // (src, tag) arrives and leaves its payload in dst, which must have exactly
 // the message's length — any other is an *ErrTruncated, with the message
-// consumed and dst untouched. Nothing payload-sized is allocated: a
-// rendezvous payload is read from the connection straight into dst
-// (DESIGN.md §12), an eager or in-process one is copied into it once.
+// consumed and dst untouched. Nothing is allocated: a rendezvous payload is
+// read from the connection straight into dst (DESIGN.md §12), an eager or
+// in-process one is copied into it once, out of a buffer that is recycled.
 func (c *Comm) RecvInto(src, tag int, dst []byte) (Status, error) {
-	_, st, err := c.IrecvInto(src, tag, dst).Wait()
+	if err := c.checkSource(src); err != nil {
+		return Status{}, err
+	}
+	if dst == nil {
+		dst = []byte{}
+	}
+	_, st, err := c.recvCtx(c.ctx, src, tag, dst)
 	return st, err
-}
-
-// landInto completes a receive into the caller's buffer: the length check,
-// and the one copy of a payload that did not arrive in dst itself.
-func landInto(dst []byte, m *Packet) error {
-	if len(m.Data) != len(dst) {
-		return &ErrTruncated{Posted: len(dst), Arrived: len(m.Data)}
-	}
-	if len(dst) > 0 && &m.Data[0] != &dst[0] {
-		copy(dst, m.Data)
-	}
-	return nil
 }
 
 // Probe blocks until a message matching (src, tag) is available and returns
@@ -117,75 +110,83 @@ func (c *Comm) IProbe(src, tag int) (Status, bool) {
 // Request represents an in-flight nonblocking operation. Wait blocks until
 // completion and returns the received payload (nil for sends).
 //
-// A request that completes inline — every Isend, and an Irecv whose message
-// had already arrived — carries its result directly and allocates no
-// channel; otherwise it holds the posted-receive record whose targeted
-// completion Wait parks on. Wait is idempotent, and safe to call from
-// several goroutines unless the receive has a destination (IrecvInto,
-// IrecvFloatsInto): each Wait may be the one that fills it.
+// A receive's posted record lives inside its request — one object, whose
+// completion channel is made at the first post — so a request its caller
+// keeps costs nothing to post again: StartRecvInto on a request whose
+// previous receive is over (its Wait returned, or it was never posted)
+// starts the next one. That is MPI_Recv_init and MPI_Start in one call;
+// xfer.Plan and the models' halo exchange re-arm theirs every period.
+//
+// Wait is idempotent, and safe to call from several goroutines unless the
+// receive has a destination (IrecvInto, IrecvFloatsInto, StartRecvInto),
+// which allows one waiter.
 type Request struct {
-	pr   *precv  // nil when the operation completed inline
-	pkt  *Packet // inline-matched rendezvous placeholder awaiting its payload
-	eng  *engine // engine the record is posted on, for Cancel
+	rec precv   // the posted-receive record; rec.dst non-nil marks a receive into the caller's buffer
+	eng *engine // engine the record is posted on, for Cancel
+
+	// latched: completion arrives as rec.ready's token — the record went on
+	// the engine's queue, or matched a rendezvous placeholder whose payload
+	// is still to come. Whoever holds the token may settle the request.
+	latched bool
+	settled bool // data, st and err are final
+
 	data []byte
 	st   Status
 	err  error
 
-	dst    []byte    // IrecvInto: the caller's buffer; non-nil marks the kind
-	floats []float64 // IrecvFloatsInto, big-endian host: Wait decodes into it
+	floats []float64 // big-endian host: settle decodes the payload into it
 }
 
 // Wait blocks until the operation completes. For a receive that matched a
 // rendezvous placeholder it also waits for the payload transfer itself, so a
 // successful Wait always returns the full message.
 func (r *Request) Wait() ([]byte, Status, error) {
-	data, st, err := r.wait()
-	if err == nil && r.floats != nil {
-		err = decodeFloatsInto(r.floats, data)
+	if r.latched {
+		<-r.rec.ready
+		r.settle()
+		r.rec.ready <- struct{}{}
 	}
-	return data, st, err
+	return r.data, r.st, r.err
 }
 
-func (r *Request) wait() ([]byte, Status, error) {
-	m := r.pkt
-	if r.pr != nil {
-		<-r.pr.ready
-		if r.pr.err != nil {
-			return nil, Status{}, r.pr.err
-		}
-		m = r.pr.pkt
-	} else if m == nil {
-		return r.data, r.st, r.err
+// settle turns the completed record into the request's result, once: the
+// payload wait of a rendezvous, then the packet's end of life — into the
+// caller's buffer or out as a slice of its own. The caller holds the token,
+// or is the post itself.
+func (r *Request) settle() {
+	if r.settled {
+		return
 	}
-	if m.Rdv != nil {
-		if err := m.Rdv.await(); err != nil {
-			return nil, Status{}, err
-		}
+	r.settled = true
+	m, err := r.rec.pkt, r.rec.err
+	if err == nil {
+		m, err = awaitPayload(m)
 	}
-	st := Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}
-	if r.dst != nil {
-		return r.dst, st, landInto(r.dst, m)
+	if r.rec.pkt = nil; err != nil {
+		r.err = err
+		return
 	}
-	return m.Data, st, nil
+	if r.data, r.st, r.err = m.consume(r.rec.dst); r.err == nil && r.floats != nil {
+		r.err = decodeFloatsInto(r.floats, r.data)
+	}
 }
 
 // Done reports whether the operation has completed, without blocking. A
 // receive that matched a rendezvous placeholder is not done until its
 // payload has landed (or the transfer failed).
 func (r *Request) Done() bool {
-	m := r.pkt
-	if r.pr != nil {
-		select {
-		case <-r.pr.ready:
-		default:
-			return false
-		}
-		if r.pr.err != nil {
-			return true
-		}
-		m = r.pr.pkt
+	if !r.latched {
+		return true
 	}
-	return m == nil || m.Rdv == nil || m.Rdv.completed()
+	select {
+	case <-r.rec.ready:
+	default:
+		return false
+	}
+	m := r.rec.pkt
+	done := r.settled || r.rec.err != nil || m.Rdv == nil || m.Rdv.completed()
+	r.rec.ready <- struct{}{}
+	return done
 }
 
 // Cancel withdraws a receive that has not matched yet and reports whether
@@ -195,10 +196,10 @@ func (r *Request) Done() bool {
 // completed normally and Wait returns its result. Canceling an
 // already-completed or send request returns false and has no effect.
 func (r *Request) Cancel() bool {
-	if r.pr == nil {
+	if r.eng == nil {
 		return false
 	}
-	return r.eng.cancel(r.pr)
+	return r.eng.cancel(&r.rec)
 }
 
 // Isend is Send behind a request: it returns when Send would — for a
@@ -217,9 +218,6 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 // waited on should be Canceled, or it occupies a queue slot until the
 // communicator's engine closes.
 func (c *Comm) Irecv(src, tag int) *Request {
-	if src != AnySource && (src < 0 || src >= len(c.group)) {
-		return &Request{err: fmt.Errorf("%w: recv from rank %d of comm size %d", ErrRank, src, len(c.group))}
-	}
 	return c.irecvCtx(c.ctx, src, tag, nil)
 }
 
@@ -227,34 +225,55 @@ func (c *Comm) Irecv(src, tag int) *Request {
 // payload once Wait returns nil — Wait's slice is dst — and must be left
 // alone until then. Cancel works as for Irecv and leaves dst untouched.
 func (c *Comm) IrecvInto(src, tag int, dst []byte) *Request {
-	if src != AnySource && (src < 0 || src >= len(c.group)) {
-		return &Request{err: fmt.Errorf("%w: recv from rank %d of comm size %d", ErrRank, src, len(c.group))}
-	}
+	r := new(Request)
+	c.StartRecvInto(r, src, tag, dst)
+	return r
+}
+
+// StartRecvInto is IrecvInto on a request the caller owns: it posts the
+// receive on r, which must be idle — never used, or used by a receive whose
+// Wait has returned — and allocates nothing once r has been posted before.
+// A failure to post is what r's Wait returns.
+func (c *Comm) StartRecvInto(r *Request, src, tag int, dst []byte) {
 	if dst == nil {
 		dst = []byte{}
 	}
-	return c.irecvCtx(c.ctx, src, tag, dst)
+	r.floats = nil
+	c.startRecv(r, c.ctx, src, tag, dst)
 }
 
-// irecvCtx posts a nonblocking receive on an explicit context; the
+// startRecv posts a nonblocking receive on r over an explicit context; the
 // collectives use it with the internal collective context for their
 // pipelined rounds. A non-nil dst makes it a receive into that buffer.
-func (c *Comm) irecvCtx(ctx uint64, src, tag int, dst []byte) *Request {
-	m, pr, err := c.env.eng.postRecv(ctx, src, tag, dst)
+func (c *Comm) startRecv(r *Request, ctx uint64, src, tag int, dst []byte) {
+	r.eng, r.latched, r.settled = c.env.eng, false, false
+	r.rec.pkt, r.rec.err, r.rec.dst = nil, nil, dst // not the previous receive's
+	r.data, r.st, r.err = nil, Status{}, c.checkSource(src)
+	if r.err != nil {
+		return
+	}
+	m, err := r.eng.postRecv(&r.rec, ctx, src, tag, dst)
 	switch {
 	case err != nil:
-		return &Request{err: err}
-	case pr != nil:
-		return &Request{pr: pr, eng: c.env.eng, dst: dst}
+		r.err = err
+	case m == nil:
+		r.latched = true // queued: the engine completes the record
 	case m.Rdv != nil:
-		// Matched a rendezvous placeholder: completion means the payload
-		// landed, which Wait/Done observe through the packet.
-		return &Request{pkt: m, dst: dst}
+		// Matched a rendezvous placeholder: the payload is still to come, and
+		// waiting for it is Wait's, behind the token like any completion.
+		r.rec.arm()
+		r.rec.pkt, r.latched = m, true
+		r.rec.ready <- struct{}{}
+	default:
+		r.rec.pkt = m
+		r.settle()
 	}
-	r := &Request{data: m.Data, st: Status{Source: m.Src, Tag: m.Tag, Len: len(m.Data)}}
-	if dst != nil {
-		r.data, r.err = dst, landInto(dst, m)
-	}
+}
+
+// irecvCtx is startRecv on a fresh request.
+func (c *Comm) irecvCtx(ctx uint64, src, tag int, dst []byte) *Request {
+	r := new(Request)
+	c.startRecv(r, ctx, src, tag, dst)
 	return r
 }
 

@@ -27,6 +27,7 @@ package perf
 import (
 	"fmt"
 	"os"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -381,6 +382,13 @@ type Snapshot struct {
 	// one shared process on every rank.
 	PeakRSSKB int64 `json:"peak_rss_kb,omitempty"`
 
+	// GCCycles and AllocBytes are the process's completed garbage-collection
+	// cycles and cumulative heap allocation (runtime/metrics: no
+	// stop-the-world): a steady-state period that allocates nothing shows as
+	// a job that ends with GCCycles 0. Shared like PeakRSSKB in-process.
+	GCCycles   uint64 `json:"gc_cycles,omitempty"`
+	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
+
 	// CapturedUnixNS is the wall-clock capture time on the rank's own
 	// clock; consumers computing rates difference it between reports.
 	CapturedUnixNS int64 `json:"captured_unix_ns,omitempty"`
@@ -430,6 +438,14 @@ func peakRSSKB() int64 {
 	var kb int64
 	fmt.Sscan(rest, &kb) //nolint:errcheck // no VmHWM line (not linux) reads as 0
 	return kb
+}
+
+// heapCounters reads the collector's cycle count and the cumulative bytes
+// allocated; both metrics are as old as runtime/metrics itself.
+func heapCounters() (gcCycles, allocBytes uint64) {
+	s := [2]metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // Rank is one rank's performance-variable handle, shared by the engine, the
@@ -644,6 +660,7 @@ func (r *Rank) Snapshot() Snapshot {
 		CapturedUnixNS: time.Now().UnixNano(),
 	}
 	s.ClockOffsetNS, s.ClockErrBoundNS = r.ClockOffset()
+	s.GCCycles, s.AllocBytes = heapCounters()
 	if engSnap != nil {
 		s.Engine = engSnap()
 	}

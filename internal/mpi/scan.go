@@ -16,7 +16,7 @@ const tagScan = 100
 // The implementation walks a hypercube: after round k, each rank holds the
 // combination of a 2^k-aligned block, giving O(log P) rounds.
 func (c *Comm) Scan(data []byte, fn func(low, high []byte) ([]byte, error)) ([]byte, error) {
-	defer c.collBegin(perf.CollScan)()
+	defer c.collBegin(perf.CollScan).end()
 	size := len(c.group)
 	rank := c.rank
 

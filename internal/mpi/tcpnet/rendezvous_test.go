@@ -375,6 +375,33 @@ func BenchmarkPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkAllreduce (EXPERIMENTS.md S6) is the cell behind the selector's
+// two-rank row: AllreduceFloats on two ranks over TCP at the payloads the
+// coupled period issues (1, 2 and 9 values) — one exchange — against the
+// reduce-then-broadcast it replaced, spelled with the public rooted calls.
+// check.sh holds the 8-byte pair cell to 128 B/op, both ranks together.
+func BenchmarkAllreduce(b *testing.B) {
+	for _, floats := range []int{1, 2, 9} {
+		xs := make([]float64, floats)
+		b.Run(fmt.Sprintf("2ranks/%dB/pair", 8*floats), func(b *testing.B) {
+			benchPair(b, 8*floats, func(c *mpi.Comm, _ []byte) error {
+				_, err := c.AllreduceFloats(xs, mpi.OpSum)
+				return err
+			})
+		})
+		b.Run(fmt.Sprintf("2ranks/%dB/reduce+bcast", 8*floats), func(b *testing.B) {
+			benchPair(b, 8*floats, func(c *mpi.Comm, _ []byte) error {
+				acc, err := c.ReduceFloats(0, xs, mpi.OpSum)
+				if err != nil {
+					return err
+				}
+				_, err = c.BcastFloats(0, acc)
+				return err
+			})
+		})
+	}
+}
+
 // exchangeFloats is exchange for the copy-free pair: SendFloats from rank 0,
 // RecvFloatsInto the caller's slice on rank 1.
 func exchangeFloats(t testing.TB, sender, receiver *mpi.Comm, tag int, xs, into []float64) {
@@ -397,8 +424,9 @@ func exchangeFloats(t testing.TB, sender, receiver *mpi.Comm, tag int, xs, into 
 // RecvFloatsInto pair moves the sender's slice to the receiver's through
 // writev and one read into place, so neither carrier may allocate anything
 // payload-sized — where TestRendezvousSendAllocBudget's plain Recv pays the
-// receiver's buffer. An eager pair pays exactly that buffer and nothing else:
-// no encode, no defensive copy (the frame is pooled), no decode.
+// receiver's buffer. Nor may an eager pair: no encode, no defensive copy (the
+// frame is pooled), no decode, and the payload is read into a recycled buffer
+// (TestEagerRecvIntoAllocBudget holds the small-message path to bytes).
 func TestRecvIntoRendezvousAllocBudget(t *testing.T) {
 	measure := func(threshold, shm string, floats, iters int) float64 {
 		t.Setenv(EnvEagerThreshold, threshold)
@@ -434,11 +462,12 @@ func TestRecvIntoRendezvousAllocBudget(t *testing.T) {
 		}
 	}
 	per := measure("", "off", 48<<10/8, 16) // default threshold: 48 KiB goes eager
-	t.Logf("eager: %.2f payloads allocated per message", per)
+	t.Logf("eager: %.4f payloads allocated per message", per)
 	// Under -race sync.Pool drops a share of Puts, so the frame pool misses
 	// at random; the figure is logged, the assertion is a non-race one.
-	if per > 1.25 && !raceEnabled {
-		t.Errorf("eager SendFloats/RecvFloatsInto allocates %.2f payloads per message, want one (the receiver's buffer and nothing else)", per)
+	// The GC above emptied the frame pool: one frame is made again in 16 sends.
+	if per >= 0.25 && !raceEnabled {
+		t.Errorf("eager SendFloats/RecvFloatsInto allocates %.2f payloads per message, want < 0.25 (a per-message buffer or copy crept back)", per)
 	}
 }
 

@@ -20,9 +20,8 @@ type stream struct {
 	size  int       // world size: the bound on a hello's rank
 	peer  int       // the world rank the stream's hello named; -1 before it
 
-	// scratch takes every frame's prefix and fixed part, so only a tail is
-	// ever allocated — exactly sized, because the engine hands it to the
-	// application, which owns it from then on.
+	// scratch takes every frame's prefix and fixed part; an eager tail goes
+	// into a recycled buffer, a rendezvous payload into the receive's own.
 	scratch [prefixLen + rtsHdrLen]byte
 }
 
@@ -149,15 +148,15 @@ func (s *stream) onHeartbeat(frame, int) error {
 }
 
 // onPacket posts an eager message to the local engine, reading the payload
-// into the buffer the matched receive will hand to the application.
+// into a recycled buffer that stays with the packet while it waits for its
+// receive; the receive copies it out and gives both back (mpi.PacketPool). A
+// packet whose payload never fully arrived is dropped, not recycled.
 func (s *stream) onPacket(f frame, tail int) error {
 	t := s.t
-	p := &mpi.Packet{Ctx: f.ctx, Src: f.rank, SrcWorld: f.src, Tag: f.tag}
-	if tail > 0 {
-		p.Data = make([]byte, tail)
-		if _, err := io.ReadFull(s.r, p.Data); err != nil {
-			return err
-		}
+	p := t.pool.Get(tail)
+	p.Ctx, p.Src, p.SrcWorld, p.Tag = f.ctx, f.rank, f.src, f.tag
+	if _, err := io.ReadFull(s.r, p.Data); err != nil {
+		return err
 	}
 	nc := t.netCounters()
 	nc.FramesIn.Add(1)

@@ -134,6 +134,11 @@ type Transport struct {
 
 	faults *faultSet // parsed MPH_FAULT rules, nil when no faults are injected
 
+	// pool recycles inbound eager packets with their payload buffers, sized
+	// like the outbound frames (cfg.maxPooledFrame): the stream readers take
+	// from it, the receive that consumes a packet gives it back.
+	pool *mpi.PacketPool
+
 	// Intra-host payload listener (shm.go), fixed at Init: nil and "" when
 	// the channel is disabled.
 	shmLn  net.Listener
@@ -250,6 +255,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		ln:      ln,
 		cfg:     cfg,
 		faults:  faults,
+		pool:    mpi.NewPacketPool(cfg.maxPooledFrame),
 		inbound: make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 		waiters: make(map[uint64]waiter),
@@ -442,7 +448,7 @@ func ignoreDrop(err error) error {
 // Deliver implements mpi.Transport. Sends to a rank the failure detector
 // has declared dead fail fast with *mpi.ErrPeerLost; sends after an abort
 // fail with the abort error.
-func (t *Transport) Deliver(dst int, p *mpi.Packet) error {
+func (t *Transport) Deliver(dst int, p mpi.Packet) error {
 	if dst < 0 || dst >= len(t.peers) {
 		return mpi.ErrRank
 	}
@@ -459,7 +465,7 @@ func (t *Transport) Deliver(dst int, p *mpi.Packet) error {
 	pr.sentBytes.Add(uint64(len(p.Data)))
 	switch {
 	case dst == t.rank:
-		return t.env.Post(p) // local fast path; the engine takes ownership of the packet
+		return t.env.Post(t.pool.Copy(p)) // local fast path: the sender's slice stays the sender's
 	case t.rendezvousEligible(len(p.Data)):
 		return t.deliverRendezvous(pr, p)
 	}
@@ -494,16 +500,6 @@ func (t *Transport) rendezvousEligible(n int) bool {
 	return t.cfg.eagerThreshold >= 0 && n > 0 && n >= t.cfg.eagerThreshold
 }
 
-// BorrowsPayload implements the mpi payload-borrower capability: no send to
-// a remote peer keeps the caller's slice past Deliver's return — a rendezvous
-// writes the payload straight from it (writev) and returns only after the
-// bytes are handed to the kernel, an eager send copies it into its pooled
-// frame first — so the mpi send layer skips its defensive copy for both.
-// Self-sends hand the slice to the local engine and must still be copied.
-func (t *Transport) BorrowsPayload(dst int) bool {
-	return dst != t.rank
-}
-
 // deliverRendezvous sends one payload with the rendezvous protocol: RTS with
 // the envelope, block until the receiver's CTS proves the consuming match,
 // then the payload as a header iovec plus the caller's slice (writev) — over
@@ -511,7 +507,7 @@ func (t *Transport) BorrowsPayload(dst int) bool {
 // CTS wait is released with a typed error by the failure sweep when the
 // peer dies, the job aborts, or the transport closes — a rendezvous send
 // never hangs on a dead receiver.
-func (t *Transport) deliverRendezvous(pr *peer, p *mpi.Packet) error {
+func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 	ch := make(chan error, 1)
 	id := t.addWaiter(ch, pr.rank)
 	var hdr [prefixLen + rtsHdrLen]byte

@@ -19,22 +19,14 @@ import (
 // Implementations must preserve per-(sender, destination) ordering.
 type Transport interface {
 	// Deliver sends p to the engine owned by world rank dst. Delivery to
-	// the local rank is allowed.
-	Deliver(dst int, p *Packet) error
+	// the local rank is allowed. p.Data is the sender's own slice: Deliver
+	// only reads it, and only until it returns — the TCP transport writes a
+	// rendezvous payload straight from it and copies an eager one into its
+	// frame, a delivery within the process copies it into a pooled packet —
+	// so no send makes a defensive copy or a heap record (DESIGN.md §12).
+	Deliver(dst int, p Packet) error
 	// Close releases transport resources. Sends after Close fail.
 	Close() error
-}
-
-// payloadBorrower is the optional transport capability behind copy-free
-// sends. A transport reports true from BorrowsPayload when a Deliver to dst
-// is done with the packet's Data by the time it returns (the TCP transport
-// to any remote peer: the rendezvous path writes the user buffer with writev
-// and blocks until the payload is on the wire, the eager path copies it into
-// the outgoing frame). The send layer then skips its defensive copy.
-type payloadBorrower interface {
-	// BorrowsPayload reports whether Deliver(dst, p) only reads p.Data, and
-	// only until it returns.
-	BorrowsPayload(dst int) bool
 }
 
 // abortBroadcaster is the optional transport capability behind Abort: a
@@ -62,11 +54,6 @@ type Env struct {
 	// paths flush early so a crashed job keeps its post-mortem, and a
 	// later clean Close rewrites the files with the complete counters.
 	flushMu sync.Mutex
-
-	// borrower caches the transport's payloadBorrower capability (nil when
-	// the transport always copies); the send hot path checks a field, not a
-	// type assertion.
-	borrower payloadBorrower
 
 	// Inputs of the collective selector (collective_select.go), parsed once:
 	// the tree-to-ring crossover of each ring-capable op in bytes (negative
@@ -97,9 +84,6 @@ func NewEnv(worldRank, worldSize int, tr Transport) *Env {
 		hierEnabled: hierFromEnv(),
 	}
 	e.ringAllgather, e.ringAllreduce = ringThresholdsFromEnv()
-	if b, ok := tr.(payloadBorrower); ok {
-		e.borrower = b
-	}
 	e.pv.SetEngineCollector(e.eng.perfSnap)
 	if os.Getenv(perf.EnvTraceDir) != "" {
 		capacity := 0
@@ -218,8 +202,8 @@ func (e *Env) WorldRank() int { return e.worldRank }
 func (e *Env) WorldSize() int { return e.worldSize }
 
 // Post injects an incoming packet into this rank's engine. It is the
-// receive-side hook for transports; the packet's payload must be owned by
-// the callee (transports hand over their decode buffers).
+// receive-side hook for transports; the engine owns the packet and its
+// payload from here on (transports post packets of their PacketPool).
 func (e *Env) Post(p *Packet) error {
 	return e.eng.post(p)
 }
@@ -278,17 +262,23 @@ func (e *Env) Close() error {
 	return e.tr.Close()
 }
 
+// inprocPooledPayload is the largest payload buffer the in-process
+// transport recycles: the TCP transport's default eager threshold. A larger
+// message gets a buffer of its own, which a plain Recv hands on uncopied.
+const inprocPooledPayload = 64 << 10
+
 // inprocTransport delivers directly into sibling engines within one OS
-// process.
+// process, each through that rank's own packet pool.
 type inprocTransport struct {
 	engines []*engine
+	pools   []*PacketPool
 }
 
-func (t *inprocTransport) Deliver(dst int, p *Packet) error {
+func (t *inprocTransport) Deliver(dst int, p Packet) error {
 	if dst < 0 || dst >= len(t.engines) {
 		return ErrRank
 	}
-	return t.engines[dst].post(p)
+	return t.engines[dst].post(t.pools[dst].Copy(p))
 }
 
 func (t *inprocTransport) Close() error { return nil }

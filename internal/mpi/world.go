@@ -21,11 +21,12 @@ func NewWorld(n int) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mpi: world size must be positive, got %d", n)
 	}
-	tr := &inprocTransport{engines: make([]*engine, n)}
+	tr := &inprocTransport{engines: make([]*engine, n), pools: make([]*PacketPool, n)}
 	w := &World{size: n, envs: make([]*Env, n)}
 	for i := 0; i < n; i++ {
 		env := NewEnv(i, n, tr)
 		tr.engines[i] = env.eng
+		tr.pools[i] = NewPacketPool(inprocPooledPayload)
 		w.envs[i] = env
 	}
 	// Sent totals are derived, not counted: an in-process eager send is

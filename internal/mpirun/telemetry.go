@@ -56,10 +56,11 @@ type RankStatus struct {
 	RecvMsgsPerSec  float64 `json:"recv_msgs_per_sec,omitempty"`
 	RecvBytesPerSec float64 `json:"recv_bytes_per_sec,omitempty"`
 
-	ClockOffsetNS   int64 `json:"clock_offset_ns,omitempty"`
-	ClockErrBoundNS int64 `json:"clock_err_bound_ns,omitempty"`
-	CollNanos       int64 `json:"coll_nanos,omitempty"`
-	PeakRSSKB       int64 `json:"peak_rss_kb,omitempty"`
+	ClockOffsetNS   int64  `json:"clock_offset_ns,omitempty"`
+	ClockErrBoundNS int64  `json:"clock_err_bound_ns,omitempty"`
+	CollNanos       int64  `json:"coll_nanos,omitempty"`
+	PeakRSSKB       int64  `json:"peak_rss_kb,omitempty"`
+	GCCycles        uint64 `json:"gc_cycles,omitempty"`
 }
 
 // JobView is the aggregator's merged, job-wide view of every rank report.
@@ -286,6 +287,7 @@ func (t *Telemetry) viewAt(now time.Time) JobView {
 			ClockErrBoundNS: s.ClockErrBoundNS,
 			CollNanos:       s.CollNanos(),
 			PeakRSSKB:       s.PeakRSSKB,
+			GCCycles:        s.GCCycles,
 		}
 		if r.prev != nil && !r.final {
 			if dt := r.received.Sub(r.prevAt).Seconds(); dt > 0 {
@@ -389,6 +391,7 @@ func (t *Telemetry) WriteMetrics(w io.Writer) {
 	series("counter", "mph_rank_recv_bytes_total", "Payload bytes received by one rank.", func(rs RankStatus) any { return rs.RecvBytes })
 	series("counter", "mph_rank_coll_seconds_total", "Cumulative wall time one rank spent inside collectives.", func(rs RankStatus) any { return float64(rs.CollNanos) / 1e9 })
 	series("gauge", "mph_rank_peak_rss_bytes", "Resident-set high-water mark of the rank's process (VmHWM).", func(rs RankStatus) any { return rs.PeakRSSKB * 1024 })
+	series("counter", "mph_rank_gc_cycles_total", "Garbage-collection cycles the rank's process has completed.", func(rs RankStatus) any { return rs.GCCycles })
 	series("gauge", "mph_rank_last_report_age_seconds", "Seconds since the rank's latest report, launcher clock.", func(rs RankStatus) any { return float64(rs.LastReportAgeMS) / 1e3 })
 	series("gauge", "mph_rank_clock_offset_seconds", "Estimated launcher-clock minus rank-clock offset.", func(rs RankStatus) any { return float64(rs.ClockOffsetNS) / 1e9 })
 	series("gauge", "mph_rank_stale", "One when the rank has missed its reporting window without a final report.", func(rs RankStatus) any {

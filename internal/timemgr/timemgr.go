@@ -107,8 +107,9 @@ func (a *Alarm) NextRing(c *Clock) int64 {
 // restart cadence, history cadence — so a component's main loop reads as
 // "advance; for each ringing alarm, act".
 type Schedule struct {
-	Clock  *Clock
-	alarms []*Alarm
+	Clock   *Clock
+	alarms  []*Alarm
+	ringing []string // Advance's result, reused from step to step
 }
 
 // NewSchedule creates a schedule over a clock.
@@ -130,18 +131,20 @@ func (s *Schedule) AddAlarm(name string, interval, offset int64) error {
 }
 
 // Advance steps the clock and returns the names of the alarms ringing at
-// the new step, in registration order.
+// the new step, in registration order. The slice is the schedule's own,
+// valid until the next Advance: a loop that advances every step allocates
+// nothing for it.
 func (s *Schedule) Advance() ([]string, error) {
 	if err := s.Clock.Advance(); err != nil {
 		return nil, err
 	}
-	var ringing []string
+	s.ringing = s.ringing[:0]
 	for _, a := range s.alarms {
 		if a.Ringing(s.Clock) {
-			ringing = append(ringing, a.name)
+			s.ringing = append(s.ringing, a.name)
 		}
 	}
-	return ringing, nil
+	return s.ringing, nil
 }
 
 // Ringing reports whether the named alarm rings at the current step.

@@ -129,15 +129,17 @@ type piece struct {
 // and destinations of each other cannot deadlock, however large the segments
 // (a send above the eager threshold blocks until its receive is posted;
 // DESIGN.md §12). Between the two a rank may start other plans, as the
-// coupler does. Nothing slab-sized is allocated after NewPlan.
+// coupler does. Nothing is allocated after NewPlan: the slab and the
+// requests are the plan's, posted again every run.
 type Plan struct {
 	comm    *mpi.Comm
 	src     *grid.Decomp
 	srcProc int
 	sends   []piece
 	recvs   []piece
-	out     *grid.Field    // nil when this rank is not a destination
-	reqs    []*mpi.Request // the receives between Start and Wait
+	out     *grid.Field   // nil when this rank is not a destination
+	reqs    []mpi.Request // one per incoming segment
+	live    bool          // between Start and Wait: the receives are posted
 }
 
 // NewPlan lays out this rank's share of the transfer r over comm. spec gives
@@ -170,7 +172,7 @@ func NewPlan(comm *mpi.Comm, r *Router, spec Spec) (*Plan, error) {
 	if spec.DstProc >= 0 {
 		p.recvs = pieces(r.RecvPlan(spec.DstProc), r.Dst, spec.DstProc, spec.SrcRanks, spec.SrcOffset)
 		p.out = grid.NewField(r.Dst, spec.DstProc)
-		p.reqs = make([]*mpi.Request, 0, len(p.recvs))
+		p.reqs = make([]mpi.Request, len(p.recvs))
 	}
 	return p, nil
 }
@@ -193,18 +195,18 @@ func (p *Plan) Start(tag int, f *grid.Field) error {
 			return fmt.Errorf("xfer: field does not match source processor %d", p.srcProc)
 		}
 	}
-	for _, pc := range p.recvs {
-		p.reqs = append(p.reqs, p.comm.IrecvFloatsInto(pc.rank, tag, p.out.Data[pc.lo:pc.hi]))
+	for i, pc := range p.recvs {
+		p.comm.StartRecvFloatsInto(&p.reqs[i], pc.rank, tag, p.out.Data[pc.lo:pc.hi])
 	}
 	for _, pc := range p.sends {
 		if err := p.comm.SendFloats(pc.rank, tag, f.Data[pc.lo:pc.hi]); err != nil {
-			for _, rq := range p.reqs {
-				rq.Cancel() // nothing may write to the slab behind the caller's back
+			for i := range p.reqs {
+				p.reqs[i].Cancel() // nothing may write to the slab behind the caller's back
 			}
-			p.reqs = p.reqs[:0]
 			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
 		}
 	}
+	p.live = true
 	return nil
 }
 
@@ -213,12 +215,12 @@ func (p *Plan) Start(tag int, f *grid.Field) error {
 // this run's field until the next Start overwrites it.
 func (p *Plan) Wait() (*grid.Field, error) {
 	var first error
-	for i, rq := range p.reqs {
-		if _, _, err := rq.Wait(); err != nil && first == nil {
+	for i := 0; p.live && i < len(p.reqs); i++ {
+		if _, _, err := p.reqs[i].Wait(); err != nil && first == nil {
 			first = fmt.Errorf("xfer: recv from src proc %d: %w", p.recvs[i].proc, err)
 		}
 	}
-	p.reqs = p.reqs[:0]
+	p.live = false
 	if first != nil {
 		return nil, first
 	}

@@ -5,7 +5,12 @@
 #   concurrency-critical core) and repeat the fault-injection and
 #   first-contact tests, the most interleaving-sensitive code in the tree,
 #   and the receive-into-place tests (a transport stream writes into a slab
-#   the application owns: the failure paths must never hand it back early);
+#   the application owns: the failure paths must never hand it back early),
+#   and the lifetime tests of the recycled eager buffers, re-armed requests
+#   and the two-rank allreduce (a record given back too early, or seen twice,
+#   shows as a corrupted checksum); their allocation budgets
+#   (TestEagerRecvIntoAllocBudget, TestAllocBudget*,
+#   TestCoupledPeriodAllocBudget) run in the plain "go test ./..." pass;
 # - the bench smoke runs every Benchmark* once, so every experiment of
 #   EXPERIMENTS.md keeps a command that executes (one harness: go test -bench);
 # - the launcher smokes drive the remote-spawn path end to end without an
@@ -25,6 +30,7 @@ go test ./...
 go test -race ./internal/mpi/...
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
+go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./internal/mpi/...
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun ./internal/bootstrap
@@ -53,6 +59,18 @@ awk '/^BenchmarkMToNTransfer/ { cells++; for (i = 1; i < NF; i++) if ($(i+1) == 
      END { if (cells != 3) { print "want 3 transfer cells, saw " cells + 0; exit 1 } exit bad }' \
     /tmp/xferbench.$$
 rm -f /tmp/xferbench.$$
+
+# Small-message allocation gate: a two-rank 8-byte AllreduceFloats over TCP —
+# the coupled period's hottest call — allocates the slice it returns on each
+# rank and nothing else: 128 B/op over both ranks; 300+ means a request, a
+# packet, an encode/decode temporary or the closure crept back.
+go test -run=NONE -bench='BenchmarkAllreduce/2ranks/8B/pair' -benchtime=2000x -benchmem \
+    ./internal/mpi/tcpnet | tee /tmp/pairbench.$$
+awk '/^BenchmarkAllreduce/ { cells++; for (i = 1; i < NF; i++) if ($(i+1) == "B/op" && $i + 0 > 128) {
+         print $1 " allocates " $i " B/op, budget 128"; bad = 1 } }
+     END { if (cells != 1) { print "want 1 allreduce cell, saw " cells + 0; exit 1 } exit bad }' \
+    /tmp/pairbench.$$
+rm -f /tmp/pairbench.$$
 
 # Multi-host exec-backend smoke: 5 ranks on two 2-slot hosts (rank 4 wraps).
 smoke=$(mktemp -d)
@@ -123,10 +141,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (18,346 before the receive-into-place
-# primitives and xfer.Plan, 18,593 after) and the stripped size of a
-# component executable (3,522,852 -> 3,535,140 bytes) — the next PR's
-# baselines.
+# Non-test Go lines outside benchmark/ (18,593 before the recycled eager
+# buffers, re-armed requests and the two-rank allreduce, 18,894 after) and
+# the stripped size of a component executable (3,535,140 -> 3,559,716 bytes,
+# runtime/metrics included) — the next PR's baselines.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

@@ -12,8 +12,11 @@ cd "$(dirname "$0")/.."
 # write/drop/sever copies (PR 15), the segmented two-level collectives with
 # their knob and the two-level Reduce and Allgather (PR 16), the rendezvous
 # completion that took a transport-made buffer (PR 19: ReceiveRendezvous reads
-# into the receive's own).
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous' --include=*.go .; then
+# into the receive's own), the send layer's defensive copy with the capability
+# that let tcpnet skip it and the pool of blocking-Recv records (PR 20: Deliver
+# borrows from every sender, posted records live in their requests or on the
+# engine's free list).
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool' --include=*.go .; then
     exit 1
 fi
 # One micro-benchmark surface (PR 18): the table-printing second harness, its
@@ -22,6 +25,14 @@ fi
 if grep -rn 'mphbench\|internal/bench\|BENCH_[a-z]*\.json' \
     --exclude-dir=.git --exclude-dir=.bench_build --exclude=guards.sh \
     --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md --exclude=REVIEW.md .; then
+    exit 1
+fi
+# The allocation numbers move because nothing is allocated, not because the
+# collector was retuned: no GC knob in non-test code, in the scripts, or in an
+# environment a launcher builds for its ranks.
+if grep -rn 'SetGCPercent\|SetMemoryLimit\|FreeOSMemory\|GOGC\|GOMEMLIMIT' \
+    --include=*.go --include=*.sh --include=*.yml --exclude=*_test.go --exclude=guards.sh \
+    --exclude-dir=.git --exclude-dir=.bench_build .; then
     exit 1
 fi
 # One selector: exactly one non-test file of internal/mpi counts an algorithm.
