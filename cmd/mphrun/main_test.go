@@ -48,7 +48,7 @@ func TestMain(m *testing.M) {
 //	MPH_TEST_HANG_RANK     this rank sleeps instead of participating, so
 //	                       only the launcher's grace kill can end it
 //	MPH_TEST_EXPECT_HOSTS  comma-separated host of each rank; the worker
-//	                       verifies the published topology and SplitByHost
+//	                       verifies the published topology and a split by it
 //	MPH_TEST_SPIN          per-rank imbalance: every rank sleeps rank×SPIN
 //	                       before the final barrier, making the highest rank
 //	                       the straggler the telemetry tests look for
@@ -118,7 +118,7 @@ func worker() int {
 }
 
 // checkTopology verifies the rank's view of the published host topology
-// against the expected per-rank host list and exercises SplitByHost: the
+// against the expected per-rank host list and splits the world by it: the
 // host-local communicator must contain exactly the ranks sharing this
 // rank's host.
 func checkTopology(world *mpi.Comm, expect []string) error {
@@ -130,9 +130,15 @@ func checkTopology(world *mpi.Comm, expect []string) error {
 			return fmt.Errorf("HostOf(%d) = %q, want %q", r, got, want)
 		}
 	}
-	local, err := world.SplitByHost()
+	color := map[string]int{} // host label -> index of first appearance
+	for r := range expect {
+		if _, ok := color[world.HostOf(r)]; !ok {
+			color[world.HostOf(r)] = len(color)
+		}
+	}
+	local, err := world.Split(color[world.HostOf(world.Rank())], 0)
 	if err != nil {
-		return fmt.Errorf("SplitByHost: %w", err)
+		return fmt.Errorf("split by host: %w", err)
 	}
 	mine := expect[world.Rank()]
 	want := 0
@@ -142,7 +148,7 @@ func checkTopology(world *mpi.Comm, expect []string) error {
 		}
 	}
 	if local.Size() != want {
-		return fmt.Errorf("SplitByHost comm has %d ranks on %s, want %d", local.Size(), mine, want)
+		return fmt.Errorf("host comm has %d ranks on %s, want %d", local.Size(), mine, want)
 	}
 	for r := 0; r < local.Size(); r++ {
 		wr, err := local.WorldRankOf(r)
@@ -150,7 +156,7 @@ func checkTopology(world *mpi.Comm, expect []string) error {
 			return err
 		}
 		if expect[wr] != mine {
-			return fmt.Errorf("SplitByHost comm contains rank %d on %s, want only %s", wr, expect[wr], mine)
+			return fmt.Errorf("host comm contains rank %d on %s, want only %s", wr, expect[wr], mine)
 		}
 	}
 	return nil
@@ -286,7 +292,7 @@ func TestLaunchFailureReport(t *testing.T) {
 // TestLaunchMultiHostExec runs a 4-rank job placed on two hosts (2 slots
 // each) through the exec backend: each host's block is spawned through an
 // agent exactly as an ssh launch would, minus the ssh hop. The workers
-// verify the published host topology (HostOf, SplitByHost), the registration
+// verify the published host topology (HostOf, a split by host), the registration
 // file travels by value through the agent, and the stats dumps must still
 // reconcile across the "hosts".
 func TestLaunchMultiHostExec(t *testing.T) {

@@ -91,6 +91,9 @@ func TestCommJoinRepeatedIsolated(t *testing.T) {
 			if err := j2.Send(1, 0, []byte("second")); err != nil {
 				return err
 			}
+			if err := j1.Send(1, 0, []byte("first")); err != nil {
+				return err
+			}
 		}
 		if j1.Rank() == 1 {
 			got, _, err := j2.Recv(0, 0)
@@ -100,8 +103,8 @@ func TestCommJoinRepeatedIsolated(t *testing.T) {
 			if string(got) != "second" {
 				return fmt.Errorf("got %q", got)
 			}
-			if _, ok := j1.IProbe(0, 0); ok {
-				return fmt.Errorf("message leaked onto first join")
+			if got, _, err = j1.Recv(0, mpi.AnyTag); err != nil || string(got) != "first" {
+				return fmt.Errorf("first join got %q, %v: a message leaked onto it", got, err)
 			}
 		}
 		return nil

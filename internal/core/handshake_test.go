@@ -192,7 +192,12 @@ func splitReference(world *mpi.Comm, reg *registry.Registry, execIdx int) (*hand
 		v.Mine = []string{e.Components[v.Instance].Name}
 		v.Comms[v.Mine[0]] = viewOf(comm)
 	}
-	parts, err := world.Allgather([]byte(strings.Join(v.Mine, "\n")))
+	mine := []byte(strings.Join(v.Mine, "\n"))
+	out := make([][]byte, world.Size())
+	for r := range out {
+		out[r] = mine
+	}
+	parts, err := world.Alltoall(out) // an allgather: every rank gets every rank's names
 	if err != nil {
 		return nil, err
 	}

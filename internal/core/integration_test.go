@@ -43,11 +43,15 @@ func TestMCMECrossExecutableJoin(t *testing.T) {
 			return fmt.Errorf("coupler joined rank %d", joined.Rank())
 		}
 		// A broadcast from the coupler over the joined communicator.
-		msg, err := joined.BcastString(4, "flux schedule v2")
+		var in []byte
+		if joined.Rank() == 4 {
+			in = []byte("flux schedule v2")
+		}
+		msg, err := joined.Bcast(4, in)
 		if err != nil {
 			return err
 		}
-		if msg != "flux schedule v2" {
+		if string(msg) != "flux schedule v2" {
 			return fmt.Errorf("bcast got %q", msg)
 		}
 		return nil

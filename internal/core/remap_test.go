@@ -253,6 +253,9 @@ func TestCommJoinIsolatedAcrossRemaps(t *testing.T) {
 			if err := j2.Send(1, 0, []byte("new")); err != nil {
 				return err
 			}
+			if err := j1.Send(1, 0, []byte("old")); err != nil {
+				return err
+			}
 		} else {
 			got, _, err := j2.Recv(0, 0)
 			if err != nil {
@@ -261,8 +264,8 @@ func TestCommJoinIsolatedAcrossRemaps(t *testing.T) {
 			if string(got) != "new" {
 				return fmt.Errorf("got %q", got)
 			}
-			if _, ok := j1.IProbe(0, 0); ok {
-				return fmt.Errorf("message leaked onto the old join")
+			if got, _, err = j1.Recv(0, mpi.AnyTag); err != nil || string(got) != "old" {
+				return fmt.Errorf("old join got %q, %v: a message leaked onto it", got, err)
 			}
 		}
 		return nil

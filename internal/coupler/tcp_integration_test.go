@@ -162,9 +162,7 @@ func TestCoupledPeriodAllocBudget(t *testing.T) {
 	base := allocated(short)
 	per := (float64(allocated(long)) - float64(base)) / (long - short)
 	t.Logf("%.0f B allocated per coupled period, ten ranks together", per)
-	// The outbound frames come from a sync.Pool, which under -race drops a
-	// share of Puts: the figure is logged, the assertion is a non-race one.
-	if per > 10<<10 && !raceEnabled {
+	if per > 10<<10 {
 		t.Errorf("a coupled period allocates %.0f B over the ten ranks, budget 10240 (a per-message buffer, record or operand crept back)", per)
 	}
 }

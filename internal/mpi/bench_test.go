@@ -3,8 +3,7 @@ package mpi_test
 // Microbenchmarks of the message-passing substrate itself — the floor under
 // every MPH operation the other packages' benchmarks measure — and the
 // experiments of EXPERIMENTS.md that price it: P1 (BenchmarkTracerOverhead),
-// C1 (BenchmarkTreeVsRing), C1b (BenchmarkFlatVsHier), A3
-// (BenchmarkSendRecvLatency against BenchmarkSsendLatency).
+// C1 (BenchmarkTreeVsRing), C1b (BenchmarkFlatVsHier).
 
 import (
 	"fmt"
@@ -59,7 +58,7 @@ func exactMatchLoop(b *testing.B, c *mpi.Comm, pending int) error {
 //   - fanout/waiters=N: ping-pong while N unmatched posted receives exist.
 //     Broadcast wakeups pay O(N) scheduler work per message; targeted
 //     wakeups pay nothing.
-//   - irecv: post-match-wait cost of a nonblocking receive whose message
+//   - posted: post-match-wait cost of a re-armed receive whose message
 //     arrives after posting.
 func BenchmarkEngineMatching(b *testing.B) {
 	for _, pending := range []int{0, 1, 64, 1024} {
@@ -91,9 +90,9 @@ func BenchmarkEngineMatching(b *testing.B) {
 	for _, waiters := range []int{16, 256} {
 		b.Run(fmt.Sprintf("fanout/waiters=%d", waiters), func(b *testing.B) {
 			benchWorld(b, 1, func(c *mpi.Comm) error {
-				reqs := make([]*mpi.Request, waiters)
+				reqs := make([]mpi.Request, waiters)
 				for i := range reqs {
-					reqs[i] = c.Irecv(0, 1000+i)
+					c.StartRecvInto(&reqs[i], 0, 1000+i, nil)
 				}
 				if err := exactMatchLoop(b, c, 0); err != nil {
 					return err
@@ -104,16 +103,20 @@ func BenchmarkEngineMatching(b *testing.B) {
 					if err := c.Send(0, 1000+i, nil); err != nil {
 						return err
 					}
+					if _, _, err := reqs[i].Wait(); err != nil {
+						return err
+					}
 				}
-				return mpi.WaitAll(reqs...)
+				return nil
 			})
 		})
 	}
-	b.Run("irecv", func(b *testing.B) {
+	b.Run("posted", func(b *testing.B) {
 		benchWorld(b, 1, func(c *mpi.Comm) error {
+			var r mpi.Request
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := c.Irecv(0, 7)
+				c.StartRecvInto(&r, 0, 7, nil)
 				if err := c.Send(0, 7, nil); err != nil {
 					return err
 				}
@@ -185,23 +188,6 @@ func BenchmarkSendRecvLatency(b *testing.B) {
 	}
 }
 
-func BenchmarkSsendLatency(b *testing.B) {
-	benchWorld(b, 2, func(c *mpi.Comm) error {
-		for i := 0; i < b.N; i++ {
-			if c.Rank() == 0 {
-				if err := c.Ssend(1, 0, []byte("x")); err != nil {
-					return err
-				}
-			} else {
-				if _, _, err := c.Recv(0, 0); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func BenchmarkBarrier(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -222,7 +208,7 @@ func BenchmarkBarrier(b *testing.B) {
 var collOps = map[string]func(size int) func(c *mpi.Comm) error{
 	"allgather": func(size int) func(c *mpi.Comm) error {
 		payload := make([]byte, size)
-		return func(c *mpi.Comm) error { _, err := c.Allgather(payload); return err }
+		return func(c *mpi.Comm) error { _, err := mpi.Allgather(c, payload); return err }
 	},
 	"allreduce": func(size int) func(c *mpi.Comm) error {
 		xs := make([]float64, size/8)
@@ -367,22 +353,6 @@ func BenchmarkCommSplit(b *testing.B) {
 			benchWorld(b, n, func(c *mpi.Comm) error {
 				for i := 0; i < b.N; i++ {
 					if _, err := c.Split(c.Rank()%2, 0); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func BenchmarkScan(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchWorld(b, n, func(c *mpi.Comm) error {
-				xs := []int64{int64(c.Rank())}
-				for i := 0; i < b.N; i++ {
-					if _, err := c.ScanInts(xs, mpi.OpSum); err != nil {
 						return err
 					}
 				}

@@ -13,7 +13,7 @@ import (
 // len(payload)/8.
 //
 // On a little-endian host that encoding is a float64 slice's own memory, so
-// SendFloats and (I)RecvFloatsInto move the slice as it lies — no encode, no
+// SendFloats and (Start)RecvFloatsInto move the slice as it lies — no encode, no
 // decode, and above the eager threshold no user-space copy (DESIGN.md §12).
 // The explicit encode/decode below remains their big-endian path, the codec
 // of the collectives, and the public Encode*/Decode*.
@@ -107,21 +107,11 @@ func (c *Comm) SendFloats(dst, tag int, xs []float64) error {
 	return c.Send(dst, tag, floatPayload(xs))
 }
 
-// RecvFloats receives a float64 slice matching (src, tag).
-func (c *Comm) RecvFloats(src, tag int) ([]float64, Status, error) {
-	buf, st, err := c.Recv(src, tag)
-	if err != nil {
-		return nil, st, err
-	}
-	xs, err := decodeFloats(buf)
-	return xs, st, err
-}
-
 // RecvFloatsInto receives a message of exactly len(dst) float64s matching
 // (src, tag) into dst; any other length is an *ErrTruncated.
 func (c *Comm) RecvFloatsInto(src, tag int, dst []float64) (Status, error) {
 	if hostLittleEndian {
-		return c.RecvInto(src, tag, floatBytes(dst))
+		return c.recvInto(src, tag, floatBytes(dst))
 	}
 	buf, st, err := c.Recv(src, tag)
 	if err != nil {
@@ -130,16 +120,9 @@ func (c *Comm) RecvFloatsInto(src, tag int, dst []float64) (Status, error) {
 	return st, decodeFloatsInto(dst, buf)
 }
 
-// IrecvFloatsInto is the nonblocking RecvFloatsInto: dst is filled by the
-// time Wait returns nil and must be left alone until then.
-func (c *Comm) IrecvFloatsInto(src, tag int, dst []float64) *Request {
-	r := new(Request)
-	c.StartRecvFloatsInto(r, src, tag, dst)
-	return r
-}
-
-// StartRecvFloatsInto is IrecvFloatsInto on a request the caller owns and
-// posts again and again (see StartRecvInto).
+// StartRecvFloatsInto is the nonblocking RecvFloatsInto, on a request the
+// caller owns and posts again and again (see StartRecvInto): dst is filled
+// by the time Wait returns nil and must be left alone until then.
 func (c *Comm) StartRecvFloatsInto(r *Request, src, tag int, dst []float64) {
 	if hostLittleEndian {
 		c.StartRecvInto(r, src, tag, floatBytes(dst))
@@ -147,30 +130,4 @@ func (c *Comm) StartRecvFloatsInto(r *Request, src, tag int, dst []float64) {
 	}
 	r.floats = dst
 	c.startRecv(r, c.ctx, src, tag, nil)
-}
-
-// SendInts sends an int64 slice to dst with the given tag.
-func (c *Comm) SendInts(dst, tag int, xs []int64) error {
-	return c.Send(dst, tag, encodeInts(xs))
-}
-
-// RecvInts receives an int64 slice matching (src, tag).
-func (c *Comm) RecvInts(src, tag int) ([]int64, Status, error) {
-	buf, st, err := c.Recv(src, tag)
-	if err != nil {
-		return nil, st, err
-	}
-	xs, err := decodeInts(buf)
-	return xs, st, err
-}
-
-// SendString sends a string to dst with the given tag.
-func (c *Comm) SendString(dst, tag int, s string) error {
-	return c.Send(dst, tag, []byte(s))
-}
-
-// RecvString receives a string matching (src, tag).
-func (c *Comm) RecvString(src, tag int) (string, Status, error) {
-	buf, st, err := c.Recv(src, tag)
-	return string(buf), st, err
 }

@@ -72,8 +72,8 @@ func (c *Comm) Barrier() error {
 	for dist := 1; dist < size; dist *= 2 {
 		to := (c.rank + dist) % size
 		from := (c.rank - dist + size) % size
-		req := c.irecvCtx(c.cctx, from, tagBarrier, nil)
-		if err := c.sendCtx(c.cctx, to, tagBarrier, nil, nil); err != nil {
+		req := c.irecvCtx(c.cctx, from, tagBarrier)
+		if err := c.sendCtx(c.cctx, to, tagBarrier, nil); err != nil {
 			return fmt.Errorf("mpi: barrier send: %w", err)
 		}
 		if _, _, err := req.Wait(); err != nil {
@@ -136,7 +136,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	}
 	size := len(c.group)
 	if c.rank != root {
-		if err := c.sendCtx(c.cctx, root, tagGather, data, nil); err != nil {
+		if err := c.sendCtx(c.cctx, root, tagGather, data); err != nil {
 			return nil, fmt.Errorf("mpi: gather send: %w", err)
 		}
 		return nil, nil
@@ -148,7 +148,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	reqs := make([]*Request, size)
 	for r := 0; r < size; r++ {
 		if r != root {
-			reqs[r] = c.irecvCtx(c.cctx, r, tagGather, nil)
+			reqs[r] = c.irecvCtx(c.cctx, r, tagGather)
 		}
 	}
 	for r := 0; r < size; r++ {
@@ -165,14 +165,14 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Allgather collects each rank's payload at every rank, in rank order.
-// Payload sizes may differ per rank (allgatherv); a Bruck size exchange
-// first gives every rank the full size vector, so all ranks feed choose the
-// same decision size — the largest block — and take the same algorithm: the
-// bandwidth-optimal ring in which each rank forwards one block per step to
-// its successor (collective_ring.go), or the latency-optimal gather-to-0 +
-// framed-broadcast tree.
-func (c *Comm) Allgather(data []byte) ([][]byte, error) {
+// allgather collects each rank's payload at every rank, in rank order — the
+// exchange behind Split. Payload sizes may differ per rank (allgatherv); a
+// Bruck size exchange first gives every rank the full size vector, so all
+// ranks feed choose the same decision size — the largest block — and take the
+// same algorithm: the bandwidth-optimal ring in which each rank forwards one
+// block per step to its successor (collective_ring.go), or the
+// latency-optimal gather-to-0 + framed-broadcast tree.
+func (c *Comm) allgather(data []byte) ([][]byte, error) {
 	defer c.collBegin(perf.CollAllgather).end()
 	size := len(c.group)
 	if size == 1 {
@@ -209,7 +209,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 }
 
 // bcastOn is the binomial-tree broadcast with a caller-chosen internal tag,
-// so composite collectives (Allgather, Allreduce) do not interleave with
+// so composite collectives (allgather, Allreduce) do not interleave with
 // plain Bcasts issued between their internal phases on other ranks. The
 // caller vouches for root (Bcast validates the user's; composites pass
 // their own); at root it returns data itself (callers that expose the
@@ -234,7 +234,7 @@ func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
 	for ; mask > 0; mask >>= 1 {
 		if vr+mask < size {
 			dst := rrank(vr+mask, root, size)
-			if err := c.sendCtx(c.cctx, dst, tag, buf, nil); err != nil {
+			if err := c.sendCtx(c.cctx, dst, tag, buf); err != nil {
 				return nil, fmt.Errorf("mpi: bcast send: %w", err)
 			}
 		}
@@ -259,7 +259,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.sendCtx(c.cctx, r, tagScatter, parts[r], nil); err != nil {
+			if err := c.sendCtx(c.cctx, r, tagScatter, parts[r]); err != nil {
 				return nil, fmt.Errorf("mpi: scatter send to %d: %w", r, err)
 			}
 		}
@@ -287,10 +287,10 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	}
 	reqs := make([]*Request, size)
 	for j := 0; j < size; j++ {
-		reqs[j] = c.irecvCtx(c.cctx, j, tagAlltoall, nil)
+		reqs[j] = c.irecvCtx(c.cctx, j, tagAlltoall)
 	}
 	for j := 0; j < size; j++ {
-		if err := c.sendCtx(c.cctx, j, tagAlltoall, parts[j], nil); err != nil {
+		if err := c.sendCtx(c.cctx, j, tagAlltoall, parts[j]); err != nil {
 			cancelRequests(reqs) // don't leak PRQ slots
 			return nil, fmt.Errorf("mpi: alltoall send to %d: %w", j, err)
 		}
@@ -306,22 +306,13 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Reduce combines every rank's payload at root with fn, a binary associative
-// operation over encoded payloads. fn receives (accumulated, incoming) and
-// returns the combined payload; it must not retain its arguments. Non-root
-// ranks return nil. It has one algorithm, the flat binomial tree, so there is
-// nothing for choose to pick.
-func (c *Comm) Reduce(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	defer c.collBegin(perf.CollReduce).end()
-	if err := c.checkRoot("reduce", root); err != nil {
-		return nil, err
-	}
-	return c.reduceTree(root, data, fn)
-}
-
-// reduceTree is the binomial-tree reduce. Rooted at 0 it folds in rank
-// order; any other root rotates the order to start there. The caller vouches
-// for root.
+// reduceTree is the binomial-tree reduce: it combines every rank's payload
+// at root with fn, a binary associative operation over encoded payloads that
+// receives (accumulated, incoming) and must not retain its arguments; other
+// ranks return nil. Rooted at 0 it folds in rank order; any other root
+// rotates the order to start there. The caller vouches for root. It is the
+// first half of the flat allreduce and the intra-host phase of the two-level
+// one.
 func (c *Comm) reduceTree(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	size := len(c.group)
 	vr := vrank(c.rank, root, size)
@@ -343,7 +334,7 @@ func (c *Comm) reduceTree(root int, data []byte, fn func(acc, in []byte) ([]byte
 			}
 		} else {
 			parent := vr &^ mask
-			if err := c.sendCtx(c.cctx, rrank(parent, root, size), tagReduce, acc, nil); err != nil {
+			if err := c.sendCtx(c.cctx, rrank(parent, root, size), tagReduce, acc); err != nil {
 				return nil, fmt.Errorf("mpi: reduce send: %w", err)
 			}
 			return nil, nil
@@ -352,15 +343,16 @@ func (c *Comm) reduceTree(root int, data []byte, fn func(acc, in []byte) ([]byte
 	return acc, nil
 }
 
-// Allreduce combines every rank's payload with fn and delivers the result
-// to every rank. fn sees only whole payloads, which rules the ring out; use
-// AllreduceWith with an element size to unlock it for large payloads (the
-// typed wrappers AllreduceInts/AllreduceFloats do).
+// Allreduce combines every rank's payload with fn, a binary associative
+// operation over encoded payloads, and delivers the result to every rank. fn
+// sees only whole payloads, which rules the ring out; the typed wrappers
+// AllreduceInts/AllreduceFloats declare an element size that unlocks it for
+// large payloads.
 func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	return c.AllreduceWith(data, 0, fn)
+	return c.allreduceWith(data, 0, fn)
 }
 
-// AllreduceWith combines every rank's payload with fn and delivers the
+// allreduceWith combines every rank's payload with fn and delivers the
 // result to every rank. elem > 0 declares the payload a sequence of
 // elem-byte elements and fn an elementwise, associative, commutative,
 // length-preserving combination that accepts any elem-aligned subrange; that
@@ -372,7 +364,7 @@ func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) (
 // broadcast). Every rank must pass the same payload length — the standard
 // reduction contract — which is also what keeps choose's verdict identical
 // on all ranks.
-func (c *Comm) AllreduceWith(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
+func (c *Comm) allreduceWith(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	out, scratch, err := c.allreduce(data, elem, fn)
 	if scratch && err == nil {
 		out = append([]byte(nil), out...)
@@ -380,9 +372,9 @@ func (c *Comm) AllreduceWith(data []byte, elem int, fn func(acc, in []byte) ([]b
 	return out, err
 }
 
-// allreduce is AllreduceWith, except that the result may lie in the
+// allreduce is allreduceWith, except that the result may lie in the
 // communicator's scratch (scratch == true), good until the next collective
-// on c: the typed wrappers decode it from there, AllreduceWith copies it out.
+// on c: the typed wrappers decode it from there, allreduceWith copies it out.
 func (c *Comm) allreduce(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) (out []byte, scratch bool, err error) {
 	defer c.collBegin(perf.CollAllreduce).end()
 	if elem <= 0 || len(data)%elem != 0 {
@@ -437,7 +429,7 @@ func (c *Comm) allreducePair(data []byte, elem int, fn func(acc, in []byte) ([]b
 	}
 	copy(mine, data)
 	c.startRecv(&s.req, c.cctx, peer, tagAllreduce, theirs)
-	if err := c.sendCtx(c.cctx, peer, tagAllreduce, data, nil); err != nil {
+	if err := c.sendCtx(c.cctx, peer, tagAllreduce, data); err != nil {
 		if !s.req.Cancel() {
 			s.req.Wait()
 		}

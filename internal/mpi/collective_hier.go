@@ -18,8 +18,8 @@ import (
 // on a sub-communicator's own context under the flat tags. The pair is built
 // lazily, without communication, on the first hierarchically routed
 // collective and cached on the Comm. choose (collective_select.go) decides
-// when these run; Reduce and Allgather have no two-level form because no
-// measured cell supports one (DESIGN.md §10).
+// when these run; allgather has no two-level form because no measured cell
+// supports one (DESIGN.md §10).
 //
 // Fold order of the allreduce: binomial within a host (intra rank order),
 // then host-index order across the leaders. For hosts that are contiguous
@@ -90,8 +90,8 @@ func (c *Comm) hierInfo() *hierComm {
 
 // hierEnsure builds (once) and returns the sub-communicator pair, with no
 // communication: hierInfo already gives every rank the whole host table, so
-// the intra-host communicator is SplitWith over it (what SplitByHost would
-// gather) and the leader communicator a CommFromGroup.
+// the intra-host communicator is SplitWith over it and the leader
+// communicator a CommFromGroup.
 func (c *Comm) hierEnsure() (*hierComm, error) {
 	h := c.hierInfo()
 	if h == nil {
@@ -203,7 +203,7 @@ func (c *Comm) allreduceHier(data []byte, elem int, fn func(acc, in []byte) ([]b
 	}
 	if h.leaders != nil {
 		end := c.collPhase(perf.CollAllreduce, perf.CollPhaseInter, len(acc))
-		acc, err = h.leaders.AllreduceWith(acc, elem, fn)
+		acc, err = h.leaders.allreduceWith(acc, elem, fn)
 		if err = end(err); err != nil {
 			return nil, err
 		}

@@ -79,15 +79,17 @@ var hierOps = func() []hierOp {
 			func(c *Comm) ([]byte, error) { return c.Allreduce([]byte{byte('a' + c.Rank())}, concat) }},
 		// From hierAllreduceBelow up the flat algorithms won every C1b cell.
 		{"allreduce/large", "allreduce", false, true, 0, sum(hierAllreduceBelow / 8)},
-		// Allgather and Reduce have no two-level form (no measured cell
-		// supports one); per-rank allgather sizes differ, one is empty.
+		// Allgather has no two-level form (no measured cell supports one);
+		// per-rank allgather sizes differ, one is empty. The tree reduce the
+		// allreduce is built on stays flat at any root: it has no selector row
+		// and no performance variable, so its "reduce" lookup reads zero.
 		{"allgather", "allgather", false, true, 0,
 			func(c *Comm) ([]byte, error) {
-				parts, err := c.Allgather(hierPayload(c.Rank(), c.Rank()*37))
+				parts, err := c.allgather(hierPayload(c.Rank(), c.Rank()*37))
 				return frameSlices(parts), err
 			}},
 		{"reduce", "reduce", false, false, 0,
-			func(c *Comm) ([]byte, error) { return c.Reduce(1, []byte{byte('a' + c.Rank())}, concat) }},
+			func(c *Comm) ([]byte, error) { return c.reduceTree(1, []byte{byte('a' + c.Rank())}, concat) }},
 	}
 	// Roots: a leader, a rank off its leader wherever host 0 has two members,
 	// and the last rank (a single-member host's leader in two layouts).

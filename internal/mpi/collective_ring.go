@@ -43,8 +43,8 @@ func (c *Comm) exchangeSizes(mine int) ([]int, error) {
 		}
 		to := (c.rank - dist + size) % size
 		from := (c.rank + dist) % size
-		req := c.irecvCtx(c.cctx, from, tagCollSizes, nil)
-		if err := c.sendCtx(c.cctx, to, tagCollSizes, encodeInts(known[:cnt]), nil); err != nil {
+		req := c.irecvCtx(c.cctx, from, tagCollSizes)
+		if err := c.sendCtx(c.cctx, to, tagCollSizes, encodeInts(known[:cnt])); err != nil {
 			return nil, fmt.Errorf("mpi: size exchange send: %w", err)
 		}
 		in, _, err := req.Wait()
@@ -86,8 +86,8 @@ func (c *Comm) allgatherRing(data []byte, sizes []int) ([][]byte, error) {
 	for step := 0; step < size-1; step++ {
 		sendIdx := ((c.rank-step)%size + size) % size
 		recvIdx := ((c.rank-step-1)%size + size) % size
-		req := c.irecvCtx(c.cctx, prev, tagRingAllgather, nil)
-		if err := c.sendCtx(c.cctx, next, tagRingAllgather, out[sendIdx], nil); err != nil {
+		req := c.irecvCtx(c.cctx, prev, tagRingAllgather)
+		if err := c.sendCtx(c.cctx, next, tagRingAllgather, out[sendIdx]); err != nil {
 			return nil, fmt.Errorf("mpi: ring allgather send: %w", err)
 		}
 		in, _, err := req.Wait()
@@ -146,8 +146,8 @@ func (c *Comm) allreduceRing(data []byte, elem int, fn func(acc, in []byte) ([]b
 	for step := 0; step < size-1; step++ {
 		sendIdx := mod(c.rank - step)
 		recvIdx := mod(c.rank - step - 1)
-		req := c.irecvCtx(c.cctx, prev, tagRingReduceScatter, nil)
-		if err := c.sendCtx(c.cctx, next, tagRingReduceScatter, chunk(sendIdx), nil); err != nil {
+		req := c.irecvCtx(c.cctx, prev, tagRingReduceScatter)
+		if err := c.sendCtx(c.cctx, next, tagRingReduceScatter, chunk(sendIdx)); err != nil {
 			return nil, fmt.Errorf("mpi: ring reduce-scatter send: %w", err)
 		}
 		in, _, err := req.Wait()
@@ -174,8 +174,8 @@ func (c *Comm) allreduceRing(data []byte, elem int, fn func(acc, in []byte) ([]b
 	for step := 0; step < size-1; step++ {
 		sendIdx := mod(c.rank + 1 - step)
 		recvIdx := mod(c.rank - step)
-		req := c.irecvCtx(c.cctx, prev, tagRingReduceGather, nil)
-		if err := c.sendCtx(c.cctx, next, tagRingReduceGather, chunk(sendIdx), nil); err != nil {
+		req := c.irecvCtx(c.cctx, prev, tagRingReduceGather)
+		if err := c.sendCtx(c.cctx, next, tagRingReduceGather, chunk(sendIdx)); err != nil {
 			return nil, fmt.Errorf("mpi: ring allreduce gather send: %w", err)
 		}
 		in, _, err := req.Wait()

@@ -67,7 +67,7 @@ const algPair = perf.NumCollAlgs
 // first; Allreduce requires equal payload lengths; only a Bcast's root knows
 // its length, so Bcast passes 0), and commutative reports whether the
 // operation may regroup its operands (a broadcast or gather always may; a
-// reduction only under the elementwise AllreduceWith contract). Together
+// reduction only under the elementwise allreduceWith contract). Together
 // with the published topology and the job-wide environment those are
 // identical on every rank, so all members reach the same verdict without
 // communication.
@@ -100,9 +100,9 @@ const algPair = perf.NumCollAlgs
 //	      cell of those (0.87-0.95; 0.64-0.75 at 1 MiB), so the row stops
 //	      there; Bcast cannot stop anywhere, only its root knows the length.
 //	      No harness here can price a slow link, so this row stands on
-//	      message counts and bulk_2host, not on a time win. Reduce and
-//	      Allgather have no two-level form: the composed Allgather lost all
-//	      nine C1b cells (0.24-0.58), no caller runs either across hosts.
+//	      message counts and bulk_2host, not on a time win. Allgather has
+//	      no two-level form: the composed one lost all nine C1b cells
+//	      (0.24-0.58), and its one caller, Split, runs it on the whole comm.
 //	ring  Allgather from 8 KiB (C1: tree/ring 1.98 at 8 KiB, 2.17 at 64 KiB,
 //	      2.94 at 1 MiB); Allreduce, elementwise contract only, from 256 KiB
 //	      (C1: 1.24 at 256 KiB, 1.37 at 1 MiB, but 0.69 at 64 KiB, where the

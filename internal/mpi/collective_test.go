@@ -95,7 +95,7 @@ func TestAllgather(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
 				mine := []byte(fmt.Sprintf("r%d", c.Rank()))
-				parts, err := c.Allgather(mine)
+				parts, err := mpi.Allgather(c, mine)
 				if err != nil {
 					return err
 				}
@@ -162,26 +162,40 @@ func TestAlltoall(t *testing.T) {
 	}
 }
 
+// TestReduceSumEveryRoot drives the binomial-tree reduce the allreduce is
+// built on at every root: the root folds every rank's payload, the others
+// get nil.
 func TestReduceSumEveryRoot(t *testing.T) {
 	const n = 6
+	sum := func(acc, in []byte) ([]byte, error) {
+		a, err := mpi.DecodeFloats(acc)
+		if err != nil {
+			return nil, err
+		}
+		b, err := mpi.DecodeFloats(in)
+		for i := range a {
+			a[i] += b[i]
+		}
+		return mpi.EncodeFloats(a), err
+	}
 	for root := 0; root < n; root++ {
 		root := root
 		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				xs := []float64{float64(c.Rank()), 1}
-				out, err := c.ReduceFloats(root, xs, mpi.OpSum)
+				raw, err := mpi.ReduceTree(c, root, mpi.EncodeFloats([]float64{float64(c.Rank()), 1}), sum)
 				if err != nil {
 					return err
 				}
 				if c.Rank() != root {
-					if out != nil {
-						return fmt.Errorf("non-root got %v", out)
+					if raw != nil {
+						return fmt.Errorf("non-root got %v", raw)
 					}
 					return nil
 				}
+				out, err := mpi.DecodeFloats(raw)
 				wantSum := float64(n*(n-1)) / 2
-				if out[0] != wantSum || out[1] != float64(n) {
-					return fmt.Errorf("reduce got %v, want [%g %g]", out, wantSum, float64(n))
+				if err != nil || out[0] != wantSum || out[1] != float64(n) {
+					return fmt.Errorf("reduce got %v, %v, want [%g %g]", out, err, wantSum, float64(n))
 				}
 				return nil
 			})
@@ -257,14 +271,21 @@ func TestConsecutiveCollectivesDoNotInterleave(t *testing.T) {
 	})
 }
 
+// TestBcastIntsFloatsString broadcasts the three payload shapes callers
+// send: encoded ints (the handshake's flags), floats, and text (the
+// registry).
 func TestBcastIntsFloatsString(t *testing.T) {
 	mpitest.Run(t, 3, func(c *mpi.Comm) error {
-		is, err := c.BcastInts(0, []int64{1, 2, 3})
+		var in []byte
+		if c.Rank() == 0 {
+			in = mpi.EncodeInts([]int64{1, 2, 3})
+		}
+		raw, err := c.Bcast(0, in)
 		if err != nil {
 			return err
 		}
-		if len(is) != 3 || is[2] != 3 {
-			return fmt.Errorf("ints %v", is)
+		if is, err := mpi.DecodeInts(raw); err != nil || len(is) != 3 || is[2] != 3 {
+			return fmt.Errorf("ints %v, %v", is, err)
 		}
 		fs, err := c.BcastFloats(1, []float64{2.5})
 		if err != nil {
@@ -273,12 +294,42 @@ func TestBcastIntsFloatsString(t *testing.T) {
 		if len(fs) != 1 || fs[0] != 2.5 {
 			return fmt.Errorf("floats %v", fs)
 		}
-		s, err := c.BcastString(2, "root-two")
+		if in = nil; c.Rank() == 2 {
+			in = []byte("root-two")
+		}
+		s, err := c.Bcast(2, in)
 		if err != nil {
 			return err
 		}
-		if s != "root-two" {
+		if string(s) != "root-two" {
 			return fmt.Errorf("string %q", s)
+		}
+		return nil
+	})
+}
+
+// TestAllgatherTyped gathers encoded int64 and float64 rows — Split's
+// (color, key) pairs are the first kind — and decodes every rank's row.
+func TestAllgatherTyped(t *testing.T) {
+	const n = 4
+	mpitest.Run(t, n, func(c *mpi.Comm) error {
+		parts, err := mpi.Allgather(c, mpi.EncodeInts([]int64{int64(c.Rank()), int64(-c.Rank())}))
+		if err != nil {
+			return err
+		}
+		for r, raw := range parts {
+			if row, err := mpi.DecodeInts(raw); err != nil || row[0] != int64(r) || row[1] != int64(-r) {
+				return fmt.Errorf("ints row %d = %v, %v", r, row, err)
+			}
+		}
+		parts, err = mpi.Allgather(c, mpi.EncodeFloats([]float64{float64(c.Rank()) + 0.5}))
+		if err != nil {
+			return err
+		}
+		for r, raw := range parts {
+			if row, err := mpi.DecodeFloats(raw); err != nil || row[0] != float64(r)+0.5 {
+				return fmt.Errorf("floats row %d = %v, %v", r, row, err)
+			}
 		}
 		return nil
 	})

@@ -91,12 +91,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns this rank's identity in the world communicator.
-func (c *Comm) WorldRank() int { return c.env.worldRank }
-
-// WorldSize returns the size of the world communicator.
-func (c *Comm) WorldSize() int { return c.env.worldSize }
-
 // Group returns a copy of the communicator's group: the world rank of each
 // communicator rank, in communicator order.
 func (c *Comm) Group() []int {
@@ -113,17 +107,6 @@ func (c *Comm) WorldRankOf(rank int) (int, error) {
 	return c.group[rank], nil
 }
 
-// RankOfWorld translates a world rank to a rank within this communicator.
-// The boolean reports whether the world rank belongs to the group.
-func (c *Comm) RankOfWorld(world int) (int, bool) {
-	for r, wr := range c.group {
-		if wr == world {
-			return r, true
-		}
-	}
-	return 0, false
-}
-
 // HostOf returns the host label of the given communicator rank, or "" when
 // the rank is out of range or the transport has not published a host
 // topology (single-host jobs).
@@ -132,29 +115,6 @@ func (c *Comm) HostOf(rank int) string {
 		return ""
 	}
 	return c.env.HostOf(c.group[rank])
-}
-
-// SplitByHost partitions the communicator into one sub-communicator per
-// host, ordered by parent rank within each host — the analog of
-// MPI_Comm_split_type(MPI_COMM_TYPE_SHARED). Ranks without a published host
-// label (single-host transports) all land in one communicator. The call is
-// collective.
-func (c *Comm) SplitByHost() (*Comm, error) {
-	// Color = index of this rank's host among the sorted distinct host
-	// labels of the group. Every member computes the same ordering from the
-	// published topology, so colors agree without extra communication beyond
-	// the Split exchange itself.
-	distinct := make(map[string]bool, len(c.group))
-	for r := range c.group {
-		distinct[c.HostOf(r)] = true
-	}
-	hosts := make([]string, 0, len(distinct))
-	for h := range distinct {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	color := sort.SearchStrings(hosts, c.HostOf(c.rank))
-	return c.Split(color, 0)
 }
 
 // Context returns the communicator's point-to-point message context. It is
@@ -184,10 +144,10 @@ func (c *Comm) Dup() *Comm {
 // Split partitions the communicator by color, ordering each new group by
 // (key, parent rank) — the MPI_Comm_split contract. Ranks passing
 // Undefined as color receive a nil communicator. The call is collective:
-// one Allgather of (color, key), then SplitWith.
+// one allgather of (color, key), then SplitWith.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	defer c.collBegin(perf.CollSplit).end()
-	all, err := c.Allgather(encodeInts([]int64{int64(color), int64(key)}))
+	all, err := c.allgather(encodeInts([]int64{int64(color), int64(key)}))
 	if err != nil {
 		return nil, fmt.Errorf("mpi: comm split exchange: %w", err)
 	}

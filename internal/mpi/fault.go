@@ -20,8 +20,8 @@ import (
 //
 // Both are detected asynchronously by the transport (package tcpnet) and
 // injected into the matching engine, which completes the affected posted
-// receives, probes, and synchronous sends with the typed error instead of
-// leaving them parked.
+// receives with the typed error instead of leaving them parked; the
+// transport fails its own blocked senders (rendezvous CTS waits) alike.
 
 // ErrAborted is the sentinel wrapped by every abort-induced failure.
 // Test with errors.Is(err, ErrAborted); recover the abort code with

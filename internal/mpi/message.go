@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Wildcard values for Recv and Probe.
+// Wildcard values for the receives.
 const (
 	// AnySource matches a message from any sender rank.
 	AnySource = -1
@@ -31,10 +31,10 @@ var (
 	ErrCanceled = errors.New("mpi: request canceled")
 )
 
-// ErrTruncated reports a receive into a caller-supplied buffer (RecvInto and
-// kin) whose length is not the matched message's: MPI_ERR_TRUNCATE, except
-// that a short message is as wrong as a long one. The message is consumed
-// and the buffer left as it was.
+// ErrTruncated reports a receive into a caller-supplied buffer
+// (RecvFloatsInto, StartRecvInto) whose length is not the matched message's:
+// MPI_ERR_TRUNCATE, except that a short message is as wrong as a long one.
+// The message is consumed and the buffer left as it was.
 type ErrTruncated struct {
 	Posted, Arrived int // buffer and message length in bytes
 }
@@ -44,7 +44,7 @@ func (e *ErrTruncated) Error() string {
 	return fmt.Sprintf("mpi: message of %d bytes matched a receive buffer of %d", e.Arrived, e.Posted)
 }
 
-// Status describes a received or probed message.
+// Status describes a received message.
 type Status struct {
 	// Source is the sender's rank in the communicator the message was
 	// received on.
@@ -76,13 +76,6 @@ type Packet struct {
 	// Data is the payload: borrowed from the sender on an outbound packet,
 	// the packet's own on an inbound one.
 	Data []byte
-	// Ack, when non-nil, carries the message's completion back to a
-	// synchronous sender (Ssend). On a consuming match the engine closes the
-	// channel, which reads as a nil error; when the message can never be
-	// consumed (engine aborted, job torn down) the engine sends the typed
-	// failure before closing. Creators must allocate it with capacity 1 so
-	// the failure send never blocks the engine.
-	Ack chan error
 	// Rdv, when non-nil, marks this packet as a rendezvous placeholder: the
 	// payload has been announced (RTS) but not transferred yet. The engine
 	// signals the consuming match through it, and the receive that matched
@@ -152,7 +145,7 @@ func (pp *PacketPool) Get(n int) *Packet {
 // delivery that stays inside the process keeps nothing of the sender's.
 func (pp *PacketPool) Copy(p Packet) *Packet {
 	q := pp.Get(len(p.Data))
-	q.Ctx, q.Src, q.SrcWorld, q.Tag, q.Ack = p.Ctx, p.Src, p.SrcWorld, p.Tag, p.Ack
+	q.Ctx, q.Src, q.SrcWorld, q.Tag = p.Ctx, p.Src, p.SrcWorld, p.Tag
 	copy(q.Data, p.Data)
 	return q
 }

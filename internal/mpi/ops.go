@@ -38,9 +38,7 @@ func (op Op) String() string {
 // and write the result into the incoming side's storage: reductions run once
 // per received message, so a decode/combine/encode round trip here is the
 // dominant allocation source of every typed reduction (and of the ring
-// allreduce, which combines one chunk per ring step). The result must not be
-// written into the accumulator argument — Scan feeds the same accumulated
-// slice to two consecutive combines.
+// allreduce, which combines one chunk per ring step).
 
 func combineFloats(op Op) func(acc, in []byte) ([]byte, error) {
 	return func(acc, in []byte) ([]byte, error) {
@@ -113,16 +111,6 @@ func combineCheck(op Op, acc, in []byte) error {
 	return nil
 }
 
-// ReduceFloats combines xs elementwise across ranks at root. Non-root ranks
-// receive nil.
-func (c *Comm) ReduceFloats(root int, xs []float64, op Op) ([]float64, error) {
-	out, err := c.Reduce(root, encodeFloats(xs), combineFloats(op))
-	if err != nil || out == nil {
-		return nil, err
-	}
-	return decodeFloats(out)
-}
-
 // AllreduceFloats combines xs elementwise across ranks and returns the
 // result at every rank, in a slice of the caller's own — the call's one
 // allocation on the small-payload paths: xs goes out as it lies on a
@@ -137,64 +125,11 @@ func (c *Comm) AllreduceFloats(xs []float64, op Op) ([]float64, error) {
 	return decodeFloats(out)
 }
 
-// ReduceInts combines xs elementwise across ranks at root. Non-root ranks
-// receive nil.
-func (c *Comm) ReduceInts(root int, xs []int64, op Op) ([]int64, error) {
-	out, err := c.Reduce(root, encodeInts(xs), combineInts(op))
-	if err != nil || out == nil {
-		return nil, err
-	}
-	return decodeInts(out)
-}
-
 // AllreduceInts combines xs elementwise across ranks and returns the result
 // at every rank. The 8-byte element encoding lets the size-based selector
 // use the ring algorithm for large slices.
 func (c *Comm) AllreduceInts(xs []int64, op Op) ([]int64, error) {
 	out, _, err := c.allreduce(encodeInts(xs), 8, combineInts(op))
-	if err != nil {
-		return nil, err
-	}
-	return decodeInts(out)
-}
-
-// AllgatherInts gathers one int64 slice per rank at every rank.
-func (c *Comm) AllgatherInts(xs []int64) ([][]int64, error) {
-	parts, err := c.Allgather(encodeInts(xs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, len(parts))
-	for i, p := range parts {
-		if out[i], err = decodeInts(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// AllgatherFloats gathers one float64 slice per rank at every rank.
-func (c *Comm) AllgatherFloats(xs []float64) ([][]float64, error) {
-	parts, err := c.Allgather(encodeFloats(xs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(parts))
-	for i, p := range parts {
-		if out[i], err = decodeFloats(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// BcastInts broadcasts an int64 slice from root.
-func (c *Comm) BcastInts(root int, xs []int64) ([]int64, error) {
-	var payload []byte
-	if c.rank == root {
-		payload = encodeInts(xs)
-	}
-	out, err := c.Bcast(root, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -212,14 +147,4 @@ func (c *Comm) BcastFloats(root int, xs []float64) ([]float64, error) {
 		return nil, err
 	}
 	return decodeFloats(out)
-}
-
-// BcastString broadcasts a string from root.
-func (c *Comm) BcastString(root int, s string) (string, error) {
-	var payload []byte
-	if c.rank == root {
-		payload = []byte(s)
-	}
-	out, err := c.Bcast(root, payload)
-	return string(out), err
 }

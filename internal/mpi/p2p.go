@@ -12,41 +12,24 @@ import (
 // the receiver has matched and the payload is on the wire. Either way the
 // caller may reuse data as soon as it returns.
 func (c *Comm) Send(dst, tag int, data []byte) error {
-	return c.send(dst, tag, data, nil)
-}
-
-// Ssend is a synchronous send: it blocks until the matching receive has
-// consumed the message (MPI_Ssend semantics). If the destination rank dies
-// or the job aborts before the message is consumed, Ssend returns the typed
-// failure (*ErrPeerLost, *AbortError) instead of blocking forever; an
-// orderly engine shutdown releases it with a nil error.
-func (c *Comm) Ssend(dst, tag int, data []byte) error {
-	ack := make(chan error, 1)
-	if err := c.send(dst, tag, data, ack); err != nil {
-		return err
-	}
-	return <-ack
-}
-
-func (c *Comm) send(dst, tag int, data []byte, ack chan error) error {
 	if tag < 0 {
 		return fmt.Errorf("%w: %d", ErrTag, tag)
 	}
-	return c.sendCtx(c.ctx, dst, tag, data, ack)
+	return c.sendCtx(c.ctx, dst, tag, data)
 }
 
 // sendCtx performs the transport-level send on an explicit context; the
 // collectives use it with the internal collective context. Nothing is
 // copied or allocated here: the transport reads data until Deliver returns
 // and keeps none of it (see Transport).
-func (c *Comm) sendCtx(ctx uint64, dst, tag int, data []byte, ack chan error) error {
+func (c *Comm) sendCtx(ctx uint64, dst, tag int, data []byte) error {
 	if dst < 0 || dst >= len(c.group) {
 		return fmt.Errorf("%w: send to rank %d of comm size %d", ErrRank, dst, len(c.group))
 	}
 	if tr := c.env.tracer; tr != nil {
 		tr.Record(perf.KSend, int64(c.group[dst]), int64(tag), int64(len(data)), 0)
 	}
-	return c.env.tr.Deliver(c.group[dst], Packet{Ctx: ctx, Src: c.rank, SrcWorld: c.env.worldRank, Tag: tag, Data: data, Ack: ack})
+	return c.env.tr.Deliver(c.group[dst], Packet{Ctx: ctx, Src: c.rank, SrcWorld: c.env.worldRank, Tag: tag, Data: data})
 }
 
 // checkSource validates a receive's source rank.
@@ -78,13 +61,13 @@ func (c *Comm) recvCtx(ctx uint64, src, tag int, dst []byte) ([]byte, Status, er
 	return m.consume(dst)
 }
 
-// RecvInto is Recv with a destination: it blocks until a message matching
+// recvInto is Recv with a destination: it blocks until a message matching
 // (src, tag) arrives and leaves its payload in dst, which must have exactly
 // the message's length — any other is an *ErrTruncated, with the message
 // consumed and dst untouched. Nothing is allocated: a rendezvous payload is
 // read from the connection straight into dst (DESIGN.md §12), an eager or
 // in-process one is copied into it once, out of a buffer that is recycled.
-func (c *Comm) RecvInto(src, tag int, dst []byte) (Status, error) {
+func (c *Comm) recvInto(src, tag int, dst []byte) (Status, error) {
 	if err := c.checkSource(src); err != nil {
 		return Status{}, err
 	}
@@ -95,31 +78,19 @@ func (c *Comm) RecvInto(src, tag int, dst []byte) (Status, error) {
 	return st, err
 }
 
-// Probe blocks until a message matching (src, tag) is available and returns
-// its status without consuming it.
-func (c *Comm) Probe(src, tag int) (Status, error) {
-	return c.env.eng.probe(c.ctx, src, tag)
-}
-
-// IProbe reports whether a message matching (src, tag) is available right
-// now, without consuming it.
-func (c *Comm) IProbe(src, tag int) (Status, bool) {
-	return c.env.eng.tryProbe(c.ctx, src, tag)
-}
-
-// Request represents an in-flight nonblocking operation. Wait blocks until
-// completion and returns the received payload (nil for sends).
+// Request is a posted receive: the one nonblocking operation. Wait blocks
+// until it completes and returns the payload; Cancel withdraws it.
 //
-// A receive's posted record lives inside its request — one object, whose
-// completion channel is made at the first post — so a request its caller
-// keeps costs nothing to post again: StartRecvInto on a request whose
-// previous receive is over (its Wait returned, or it was never posted)
-// starts the next one. That is MPI_Recv_init and MPI_Start in one call;
-// xfer.Plan and the models' halo exchange re-arm theirs every period.
+// The posted record lives inside the request — one object, whose completion
+// channel is made at the first post — so a request its caller keeps costs
+// nothing to post again: StartRecvInto on a request whose previous receive
+// is over (its Wait returned, or it was never posted) starts the next one.
+// That is MPI_Recv_init and MPI_Start in one call; xfer.Plan and the models'
+// halo exchange re-arm theirs every period.
 //
 // Wait is idempotent, and safe to call from several goroutines unless the
-// receive has a destination (IrecvInto, IrecvFloatsInto, StartRecvInto),
-// which allows one waiter.
+// receive has a destination (StartRecvInto, StartRecvFloatsInto), which
+// allows one waiter.
 type Request struct {
 	rec precv   // the posted-receive record; rec.dst non-nil marks a receive into the caller's buffer
 	eng *engine // engine the record is posted on, for Cancel
@@ -137,7 +108,7 @@ type Request struct {
 	floats []float64 // big-endian host: settle decodes the payload into it
 }
 
-// Wait blocks until the operation completes. For a receive that matched a
+// Wait blocks until the receive completes. For a receive that matched a
 // rendezvous placeholder it also waits for the payload transfer itself, so a
 // successful Wait always returns the full message.
 func (r *Request) Wait() ([]byte, Status, error) {
@@ -171,30 +142,12 @@ func (r *Request) settle() {
 	}
 }
 
-// Done reports whether the operation has completed, without blocking. A
-// receive that matched a rendezvous placeholder is not done until its
-// payload has landed (or the transfer failed).
-func (r *Request) Done() bool {
-	if !r.latched {
-		return true
-	}
-	select {
-	case <-r.rec.ready:
-	default:
-		return false
-	}
-	m := r.rec.pkt
-	done := r.settled || r.rec.err != nil || m.Rdv == nil || m.Rdv.completed()
-	r.rec.ready <- struct{}{}
-	return done
-}
-
 // Cancel withdraws a receive that has not matched yet and reports whether
 // the cancellation won the race against an incoming message. On success the
-// posted-receive record is removed from the engine (so an abandoned Irecv
+// posted-receive record is removed from the engine (so an abandoned receive
 // leaks nothing) and Wait returns ErrCanceled; on failure the request
-// completed normally and Wait returns its result. Canceling an
-// already-completed or send request returns false and has no effect.
+// completed normally and Wait returns its result. Canceling a request that
+// already completed, or was never posted, returns false and has no effect.
 func (r *Request) Cancel() bool {
 	if r.eng == nil {
 		return false
@@ -202,38 +155,12 @@ func (r *Request) Cancel() bool {
 	return r.eng.cancel(&r.rec)
 }
 
-// Isend is Send behind a request: it returns when Send would — for a
-// rendezvous-sized payload, after the receiver has matched — so its request
-// is always complete and data is the caller's again. It exists so that code
-// written against the MPI nonblocking style ports directly; code that must
-// not block on its peer posts its receives first (SendRecv, xfer.Plan).
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	return &Request{err: c.Send(dst, tag, data)}
-}
-
-// Irecv starts a nonblocking receive; Wait on the returned request yields
-// the payload. It is a true posted receive: an O(1) enqueue into the
-// engine's posted-receive queue (or an inline completion against an
-// already-arrived message), never a goroutine. A request that will never be
-// waited on should be Canceled, or it occupies a queue slot until the
-// communicator's engine closes.
-func (c *Comm) Irecv(src, tag int) *Request {
-	return c.irecvCtx(c.ctx, src, tag, nil)
-}
-
-// IrecvInto is Irecv with a destination (see RecvInto): dst holds the
-// payload once Wait returns nil — Wait's slice is dst — and must be left
-// alone until then. Cancel works as for Irecv and leaves dst untouched.
-func (c *Comm) IrecvInto(src, tag int, dst []byte) *Request {
-	r := new(Request)
-	c.StartRecvInto(r, src, tag, dst)
-	return r
-}
-
-// StartRecvInto is IrecvInto on a request the caller owns: it posts the
-// receive on r, which must be idle — never used, or used by a receive whose
-// Wait has returned — and allocates nothing once r has been posted before.
-// A failure to post is what r's Wait returns.
+// StartRecvInto posts a receive into dst on a request the caller owns: dst
+// holds the payload once Wait returns nil — Wait's slice is dst — and must be
+// left alone until then; a message of any other length is an *ErrTruncated.
+// r must be idle — never used, or used by a receive whose Wait has returned —
+// and nothing is allocated once r has been posted before. A failure to post
+// is what r's Wait returns; Cancel leaves dst untouched.
 func (c *Comm) StartRecvInto(r *Request, src, tag int, dst []byte) {
 	if dst == nil {
 		dst = []byte{}
@@ -252,7 +179,7 @@ func (c *Comm) startRecv(r *Request, ctx uint64, src, tag int, dst []byte) {
 	if r.err != nil {
 		return
 	}
-	m, err := r.eng.postRecv(&r.rec, ctx, src, tag, dst)
+	m, _, err := r.eng.postRecv(&r.rec, ctx, src, tag, dst)
 	switch {
 	case err != nil:
 		r.err = err
@@ -270,30 +197,12 @@ func (c *Comm) startRecv(r *Request, ctx uint64, src, tag int, dst []byte) {
 	}
 }
 
-// irecvCtx is startRecv on a fresh request.
-func (c *Comm) irecvCtx(ctx uint64, src, tag int, dst []byte) *Request {
+// irecvCtx is startRecv on a fresh request: how the collectives post a
+// receive ahead of their own send, or several at once. A request that will
+// never be waited on is Canceled, or it occupies a queue slot until the
+// engine closes.
+func (c *Comm) irecvCtx(ctx uint64, src, tag int) *Request {
 	r := new(Request)
-	c.startRecv(r, ctx, src, tag, dst)
+	c.startRecv(r, ctx, src, tag, nil)
 	return r
-}
-
-// WaitAll waits for every request and returns the first error encountered.
-func WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// SendRecv performs a combined send to dst and receive from src, safe
-// against the head-to-head deadlock of two blocking calls.
-func (c *Comm) SendRecv(dst, sendTag int, data []byte, src, recvTag int) ([]byte, Status, error) {
-	rreq := c.Irecv(src, recvTag)
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, Status{}, err
-	}
-	return rreq.Wait()
 }

@@ -77,18 +77,18 @@ func TestNonOvertakingOrder(t *testing.T) {
 	mpitest.Run(t, 2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				if err := c.SendInts(1, 5, []int64{int64(i)}); err != nil {
+				if err := c.Send(1, 5, mpi.EncodeInts([]int64{int64(i)})); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			vals, _, err := c.RecvInts(0, 5)
+			raw, _, err := c.Recv(0, 5)
 			if err != nil {
 				return err
 			}
-			if vals[0] != int64(i) {
+			if vals, err := mpi.DecodeInts(raw); err != nil || vals[0] != int64(i) {
 				return fmt.Errorf("message %d overtaken: got %d", i, vals[0])
 			}
 		}
@@ -143,98 +143,44 @@ func TestAnySourceAnyTag(t *testing.T) {
 	})
 }
 
-func TestSsendBlocksUntilMatched(t *testing.T) {
-	mpitest.Run(t, 2, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Ssend(1, 0, []byte("sync")); err != nil {
-				return err
-			}
-			// After Ssend returns, the receiver must have matched. Tell it
-			// we noticed via a flag message; receiver asserts ordering.
-			return c.Send(1, 1, []byte("after"))
-		}
-		data, _, err := c.Recv(0, 0)
-		if err != nil {
-			return err
-		}
-		if string(data) != "sync" {
-			return fmt.Errorf("got %q", data)
-		}
-		_, _, err = c.Recv(0, 1)
-		return err
-	})
-}
-
-func TestProbeThenRecv(t *testing.T) {
-	mpitest.Run(t, 2, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 9, []byte("probe-me"))
-		}
-		st, err := c.Probe(mpi.AnySource, mpi.AnyTag)
-		if err != nil {
-			return err
-		}
-		if st.Source != 0 || st.Tag != 9 || st.Len != 8 {
-			return fmt.Errorf("probe status %+v", st)
-		}
-		data, _, err := c.Recv(st.Source, st.Tag)
-		if err != nil {
-			return err
-		}
-		if string(data) != "probe-me" {
-			return fmt.Errorf("got %q", data)
-		}
-		return nil
-	})
-}
-
-func TestIProbe(t *testing.T) {
-	mpitest.Run(t, 2, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			if _, ok := c.IProbe(1, 0); ok {
-				return errors.New("IProbe matched before any send")
-			}
-			return c.Send(1, 0, []byte("x"))
-		}
-		// Blocking probe first to guarantee arrival, then IProbe must hit.
-		if _, err := c.Probe(0, 0); err != nil {
-			return err
-		}
-		if _, ok := c.IProbe(0, 0); !ok {
-			return errors.New("IProbe missed a queued message")
-		}
-		_, _, err := c.Recv(0, 0)
-		return err
-	})
-}
-
+// TestIsendIrecvWaitAll is the ring shift MPI codes write with Isend, Irecv
+// and Waitall, in this package's one nonblocking primitive: post the
+// receive, send, wait.
 func TestIsendIrecvWaitAll(t *testing.T) {
 	mpitest.Run(t, 4, func(c *mpi.Comm) error {
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() - 1 + c.Size()) % c.Size()
-		rr := c.Irecv(prev, 0)
-		sr := c.Isend(next, 0, []byte{byte(c.Rank())})
-		if err := mpi.WaitAll(sr, rr); err != nil {
+		var rr mpi.Request
+		got := make([]byte, 1)
+		c.StartRecvInto(&rr, prev, 0, got)
+		if err := c.Send(next, 0, []byte{byte(c.Rank())}); err != nil {
 			return err
 		}
-		data, _, _ := rr.Wait() // Wait is idempotent
-		if len(data) != 1 || data[0] != byte(prev) {
-			return fmt.Errorf("ring recv got %v, want [%d]", data, prev)
+		for i := 0; i < 2; i++ { // Wait is idempotent
+			if data, _, err := rr.Wait(); err != nil || &data[0] != &got[0] || got[0] != byte(prev) {
+				return fmt.Errorf("ring recv got %v, %v, want [%d]", got, err, prev)
+			}
 		}
 		return nil
 	})
 }
 
+// TestSendRecvExchangeNoDeadlock: two ranks that each send the other a
+// rendezvous-sized payload do not deadlock when both post the receive first.
 func TestSendRecvExchangeNoDeadlock(t *testing.T) {
 	mpitest.Run(t, 2, func(c *mpi.Comm) error {
 		peer := 1 - c.Rank()
-		out := bytes.Repeat([]byte{byte(c.Rank())}, 1<<16)
-		in, _, err := c.SendRecv(peer, 0, out, peer, 0)
-		if err != nil {
+		out, in := bytes.Repeat([]byte{byte(c.Rank())}, 1<<16), make([]byte, 1<<16)
+		var req mpi.Request
+		c.StartRecvInto(&req, peer, 0, in)
+		if err := c.Send(peer, 0, out); err != nil {
 			return err
 		}
-		if len(in) != 1<<16 || in[0] != byte(peer) {
-			return fmt.Errorf("exchange got len=%d first=%d", len(in), in[0])
+		if _, _, err := req.Wait(); err != nil {
+			return err
+		}
+		if in[0] != byte(peer) || in[len(in)-1] != byte(peer) {
+			return fmt.Errorf("exchange got first=%d last=%d", in[0], in[len(in)-1])
 		}
 		return nil
 	})
@@ -255,46 +201,49 @@ func TestSendErrors(t *testing.T) {
 	})
 }
 
+// TestTypedHelpers moves the payload shapes callers send point to point:
+// floats through the float view, ints through the portable codec (the
+// handshake's flags), and text.
 func TestTypedHelpers(t *testing.T) {
 	mpitest.Run(t, 2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			if err := c.SendFloats(1, 0, []float64{1.5, -2.25}); err != nil {
 				return err
 			}
-			if err := c.SendInts(1, 1, []int64{-7, 42}); err != nil {
+			if err := c.Send(1, 1, mpi.EncodeInts([]int64{-7, 42})); err != nil {
 				return err
 			}
-			return c.SendString(1, 2, "typed")
+			return c.Send(1, 2, []byte("typed"))
 		}
-		fs, _, err := c.RecvFloats(0, 0)
-		if err != nil {
+		fs := make([]float64, 2)
+		if _, err := c.RecvFloatsInto(0, 0, fs); err != nil {
 			return err
 		}
-		if len(fs) != 2 || fs[0] != 1.5 || fs[1] != -2.25 {
+		if fs[0] != 1.5 || fs[1] != -2.25 {
 			return fmt.Errorf("floats %v", fs)
 		}
-		is, _, err := c.RecvInts(0, 1)
+		raw, _, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
-		if len(is) != 2 || is[0] != -7 || is[1] != 42 {
-			return fmt.Errorf("ints %v", is)
+		if is, err := mpi.DecodeInts(raw); err != nil || len(is) != 2 || is[0] != -7 || is[1] != 42 {
+			return fmt.Errorf("ints %v, %v", is, err)
 		}
-		s, _, err := c.RecvString(0, 2)
+		s, _, err := c.Recv(0, 2)
 		if err != nil {
 			return err
 		}
-		if s != "typed" {
+		if string(s) != "typed" {
 			return fmt.Errorf("string %q", s)
 		}
 		return nil
 	})
 }
 
-// Irecv must be a true posted receive: an enqueue into the engine's
-// posted-receive queue, never a goroutine per call. Post 10k unmatched
-// receives, check the goroutine count is flat, then Cancel them all and
-// verify the cancellation contract.
+// A posted receive is an enqueue into the engine's posted-receive queue,
+// never a goroutine per call. Post 10k unmatched receives, check the
+// goroutine count is flat, then Cancel them all and verify the cancellation
+// contract.
 func TestIrecvSpawnsNoGoroutines(t *testing.T) {
 	const posts = 10000
 	w, err := mpi.NewWorld(1)
@@ -305,24 +254,19 @@ func TestIrecvSpawnsNoGoroutines(t *testing.T) {
 	c, _ := w.Comm(0)
 
 	before := runtime.NumGoroutine()
-	reqs := make([]*mpi.Request, posts)
+	reqs := make([]mpi.Request, posts)
 	for i := range reqs {
-		reqs[i] = c.Irecv(0, 1) // never matched
+		c.StartRecvInto(&reqs[i], 0, 1, nil) // never matched
 	}
 	after := runtime.NumGoroutine()
 	if after > before+2 { // tolerate unrelated runtime churn, not 10k spawns
-		t.Fatalf("goroutines went %d -> %d across %d Irecvs", before, after, posts)
+		t.Fatalf("goroutines went %d -> %d across %d posted receives", before, after, posts)
 	}
 
-	for i, r := range reqs {
-		if r.Done() {
-			t.Fatalf("request %d done with no matching send", i)
-		}
+	for i := range reqs {
+		r := &reqs[i]
 		if !r.Cancel() {
 			t.Fatalf("Cancel of unmatched request %d returned false", i)
-		}
-		if !r.Done() {
-			t.Fatalf("canceled request %d not done", i)
 		}
 		if _, _, err := r.Wait(); !errors.Is(err, mpi.ErrCanceled) {
 			t.Fatalf("canceled request %d: Wait err %v", i, err)
@@ -342,7 +286,8 @@ func TestIrecvSpawnsNoGoroutines(t *testing.T) {
 	}
 
 	// Cancel loses the race once the message has matched.
-	done := c.Irecv(0, 2)
+	var done mpi.Request
+	c.StartRecvInto(&done, 0, 2, nil)
 	if err := c.Send(0, 2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +297,8 @@ func TestIrecvSpawnsNoGoroutines(t *testing.T) {
 	if done.Cancel() {
 		t.Fatal("Cancel of completed request returned true")
 	}
-	// Sends complete inline; Cancel on them is a no-op.
-	if c.Isend(0, 3, nil).Cancel() {
-		t.Fatal("Cancel of a send request returned true")
-	}
-	if _, _, err := c.Recv(0, 3); err != nil {
-		t.Fatal(err)
+	// Cancel of a request never posted is a no-op.
+	if new(mpi.Request).Cancel() {
+		t.Fatal("Cancel of an idle request returned true")
 	}
 }

@@ -79,8 +79,8 @@ const DefaultTraceSample = 16
 type CollOp uint8
 
 // Collective operations tracked per rank. Composite collectives count only
-// at the outermost level: an Allreduce's internal Reduce does not also count
-// as a Reduce.
+// at the outermost level: a Split's internal allgather does not also count as
+// an allgather.
 const (
 	CollBarrier CollOp = iota
 	CollBcast
@@ -88,16 +88,14 @@ const (
 	CollAllgather
 	CollScatter
 	CollAlltoall
-	CollReduce
 	CollAllreduce
-	CollScan
 	CollSplit
 	NumCollOps // count sentinel, not an op
 )
 
 var collOpNames = [NumCollOps]string{
 	"barrier", "bcast", "gather", "allgather", "scatter",
-	"alltoall", "reduce", "allreduce", "scan", "split",
+	"alltoall", "allreduce", "split",
 }
 
 // String names the collective operation for summaries and traces.
@@ -242,9 +240,7 @@ func (c *collCounter) observe(d int64) {
 type NetCounters struct {
 	FramesOut atomic.Uint64 // packet frames written
 	FramesIn  atomic.Uint64 // packet frames read
-	AcksOut   atomic.Uint64 // ack frames written (Ssend releases)
-	AcksIn    atomic.Uint64 // ack frames read
-	BytesOut  atomic.Uint64 // total bytes written (frames + acks)
+	BytesOut  atomic.Uint64 // total bytes written, every frame kind
 	BytesIn   atomic.Uint64 // total bytes read
 	Dials     atomic.Uint64 // outbound connections established
 
@@ -325,8 +321,6 @@ type CollSnap struct {
 type NetSnap struct {
 	FramesOut uint64 `json:"frames_out"`
 	FramesIn  uint64 `json:"frames_in"`
-	AcksOut   uint64 `json:"acks_out"`
-	AcksIn    uint64 `json:"acks_in"`
 	BytesOut  uint64 `json:"bytes_out"`
 	BytesIn   uint64 `json:"bytes_in"`
 	Dials     uint64 `json:"dials"`
@@ -718,8 +712,6 @@ func (r *Rank) Snapshot() Snapshot {
 	s.Net = NetSnap{
 		FramesOut: r.Net.FramesOut.Load(),
 		FramesIn:  r.Net.FramesIn.Load(),
-		AcksOut:   r.Net.AcksOut.Load(),
-		AcksIn:    r.Net.AcksIn.Load(),
 		BytesOut:  r.Net.BytesOut.Load(),
 		BytesIn:   r.Net.BytesIn.Load(),
 		Dials:     r.Net.Dials.Load(),

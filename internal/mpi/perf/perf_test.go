@@ -66,24 +66,24 @@ func TestCollectiveCountingAndNesting(t *testing.T) {
 	}
 	r.CollExit(CollBarrier, start, top)
 
-	// Composite: Allreduce nests a Reduce; only the outer op may count.
-	oStart, oTop := r.CollEnter(CollAllreduce)
-	iStart, iTop := r.CollEnter(CollReduce)
+	// Composite: Split nests an Allgather; only the outer op may count.
+	oStart, oTop := r.CollEnter(CollSplit)
+	iStart, iTop := r.CollEnter(CollAllgather)
 	if iTop {
 		t.Error("nested collective marked top")
 	}
-	r.CollExit(CollReduce, iStart, iTop)
-	r.CollExit(CollAllreduce, oStart, oTop)
+	r.CollExit(CollAllgather, iStart, iTop)
+	r.CollExit(CollSplit, oStart, oTop)
 
 	s := r.Snapshot()
 	if c := s.Collectives["barrier"]; c.Count != 1 {
 		t.Errorf("barrier count %d, want 1", c.Count)
 	}
-	if c := s.Collectives["allreduce"]; c.Count != 1 {
-		t.Errorf("allreduce count %d, want 1", c.Count)
+	if c := s.Collectives["split"]; c.Count != 1 {
+		t.Errorf("split count %d, want 1", c.Count)
 	}
-	if _, ok := s.Collectives["reduce"]; ok {
-		t.Error("nested reduce leaked into the counters")
+	if _, ok := s.Collectives["allgather"]; ok {
+		t.Error("nested allgather leaked into the counters")
 	}
 	if s.CollNanos() < 0 {
 		t.Errorf("negative cumulative latency %d", s.CollNanos())

@@ -186,8 +186,8 @@ func TestPerfCollectiveAttribution(t *testing.T) {
 		if c := s.Collectives["allreduce"]; c.Count != 1 {
 			t.Errorf("rank %d: allreduce count %d, want 1", r, c.Count)
 		}
-		if _, ok := s.Collectives["reduce"]; ok {
-			t.Errorf("rank %d: nested reduce counted separately", r)
+		if _, ok := s.Collectives["bcast"]; ok {
+			t.Errorf("rank %d: the allreduce's broadcast counted separately", r)
 		}
 		if c := s.Collectives["barrier"]; c.Count != 2 {
 			t.Errorf("rank %d: barrier count %d, want 2", r, c.Count)

@@ -67,7 +67,7 @@ func TestAllocBudgetRearmedRequest(t *testing.T) {
 		// Two messages a run: rank 1 posts its receive before rank 0 is told
 		// to send, then rank 0's second message arrives before its receive.
 		if c.Rank() == 0 {
-			if _, err := c.RecvInto(1, 1, nil); err != nil {
+			if _, err := c.recvInto(1, 1, nil); err != nil {
 				return err
 			}
 			if err := c.Send(1, 2, payload); err != nil {
@@ -82,9 +82,7 @@ func TestAllocBudgetRearmedRequest(t *testing.T) {
 		if _, _, err := req.Wait(); err != nil {
 			return err
 		}
-		for queued := false; !queued; runtime.Gosched() { // a blocking Probe allocates its waiter
-			_, queued = c.IProbe(0, 3)
-		}
+		awaitQueued(c)
 		c.StartRecvInto(&req, 0, 3, into)
 		_, _, err := req.Wait()
 		return err
@@ -92,6 +90,14 @@ func TestAllocBudgetRearmedRequest(t *testing.T) {
 	t.Logf("%.1f allocations per run of three sends and three receives", per)
 	if per > 0 {
 		t.Errorf("re-armed request: %.1f allocations per run, want 0", per)
+	}
+}
+
+// awaitQueued spins until a message waits in c's unexpected queue, without
+// allocating.
+func awaitQueued(c *Comm) {
+	for c.env.eng.pendingUnexpected() == 0 {
+		runtime.Gosched()
 	}
 }
 
@@ -135,7 +141,7 @@ func TestPairMatchesTree(t *testing.T) {
 				}
 				tree[c.Rank()] = append([]byte(nil), tree[c.Rank()]...)
 				for i := 0; i < 3; i++ { // scratch reuse must not leak one call into the next
-					if pair[c.Rank()], err = c.AllreduceWith(tc.data(c.Rank()), tc.elem, tc.fn); err != nil {
+					if pair[c.Rank()], err = c.allreduceWith(tc.data(c.Rank()), tc.elem, tc.fn); err != nil {
 						return err
 					}
 				}
@@ -168,7 +174,7 @@ func TestPairMatchesTree(t *testing.T) {
 func TestRearmInlineAfterCancel(t *testing.T) {
 	err := RunWorld(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if _, err := c.RecvInto(1, 1, nil); err != nil {
+			if _, err := c.recvInto(1, 1, nil); err != nil {
 				return err
 			}
 			return c.Send(1, 2, []byte("next"))
@@ -185,12 +191,10 @@ func TestRearmInlineAfterCancel(t *testing.T) {
 		if err := c.Send(0, 1, nil); err != nil {
 			return err
 		}
-		if _, err := c.Probe(0, 2); err != nil {
-			return err
-		}
+		awaitQueued(c)
 		c.StartRecvInto(&req, 0, 2, into)
-		if !req.Done() {
-			return fmt.Errorf("receive of a waiting message is not done")
+		if !req.settled {
+			return fmt.Errorf("receive of a waiting message did not complete inline")
 		}
 		for i := 0; i < 2; i++ { // Wait is idempotent
 			if data, st, err := req.Wait(); err != nil || string(data) != "next" || st.Len != 4 {

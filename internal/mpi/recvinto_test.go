@@ -1,6 +1,7 @@
 package mpi
 
-// White-box tests of the receive with a destination (RecvInto, IrecvInto):
+// White-box tests of the receive with a destination (StartRecvInto and the
+// blocking recvInto):
 // how the engine hands the caller's buffer to a rendezvous placeholder on
 // either match path, what a transport's ReceiveRendezvous does with it, and
 // what the eager and in-process paths do instead. The placeholders are built
@@ -9,6 +10,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -42,6 +44,31 @@ func placeholder(t *testing.T, c *Comm, tag, n int) *Packet {
 	return p
 }
 
+// startInto posts a receive into dst on a fresh request.
+func startInto(c *Comm, src, tag int, dst []byte) *Request {
+	r := new(Request)
+	c.StartRecvInto(r, src, tag, dst)
+	return r
+}
+
+// done reports, without blocking, whether r's receive is over: completed
+// inline, or completed by the engine with any rendezvous payload landed (or
+// failed). It looks at what Wait would, and puts the token back.
+func done(r *Request) bool {
+	if !r.latched {
+		return true
+	}
+	select {
+	case <-r.rec.ready:
+	default:
+		return false
+	}
+	m := r.rec.pkt
+	over := r.settled || r.rec.err != nil || m.Rdv == nil || m.Rdv.completed()
+	r.rec.ready <- struct{}{}
+	return over
+}
+
 func matched(r *Rendezvous) bool {
 	select {
 	case <-r.Matched():
@@ -65,19 +92,19 @@ func TestIrecvIntoRendezvous(t *testing.T) {
 			var req *Request
 			var p *Packet
 			if order == "receive first" {
-				req = c.IrecvInto(0, 3, dst)
+				req = startInto(c, 0, 3, dst)
 				p = placeholder(t, c, 3, len(payload))
 			} else {
 				p = placeholder(t, c, 3, len(payload))
 				if matched(p.Rdv) {
 					t.Fatal("placeholder matched before any receive")
 				}
-				req = c.IrecvInto(0, 3, dst)
+				req = startInto(c, 0, 3, dst)
 			}
 			if !matched(p.Rdv) || p.Rdv.MatchErr() != nil {
 				t.Fatal("the receive did not consume the placeholder")
 			}
-			if req.Done() {
+			if done(req) {
 				t.Fatal("request done before the payload landed")
 			}
 			if read, err := p.ReceiveRendezvous(bytes.NewReader(payload)); !read || err != nil {
@@ -94,6 +121,28 @@ func TestIrecvIntoRendezvous(t *testing.T) {
 	}
 }
 
+// TestRequestDone: a posted receive is not over before its message arrives,
+// is as soon as the message matched it, and stays so through Wait.
+func TestRequestDone(t *testing.T) {
+	c := soloComm(t)
+	req := startInto(c, 0, 0, make([]byte, 1))
+	if done(req) {
+		t.Error("receive done before any send")
+	}
+	if err := c.Send(0, 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if !done(req) {
+		t.Error("receive not done once its message matched it")
+	}
+	if _, _, err := req.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !done(req) {
+		t.Error("request not done after Wait")
+	}
+}
+
 // TestRecvIntoEager: a packet that carries its payload — eager over tcpnet,
 // or any in-process send — is copied into the buffer once, on both match
 // orders and through the blocking call.
@@ -101,7 +150,7 @@ func TestRecvIntoEager(t *testing.T) {
 	c := soloComm(t)
 	dst := make([]byte, 5)
 
-	req := c.IrecvInto(0, 1, dst) // posted first
+	req := startInto(c, 0, 1, dst) // posted first
 	if err := c.Send(0, 1, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +161,8 @@ func TestRecvIntoEager(t *testing.T) {
 	if err := c.Send(0, 1, []byte("later")); err != nil { // message first
 		t.Fatal(err)
 	}
-	req = c.IrecvInto(0, 1, dst)
-	if !req.Done() {
+	req = startInto(c, 0, 1, dst)
+	if !done(req) {
 		t.Error("receive of an already-arrived eager message is not complete inline")
 	}
 	if data, _, err := req.Wait(); err != nil || string(dst) != "later" || &data[0] != &dst[0] {
@@ -123,15 +172,15 @@ func TestRecvIntoEager(t *testing.T) {
 	if err := c.Send(0, 2, []byte("block")); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := c.RecvInto(0, 2, dst); err != nil || string(dst) != "block" || st.Len != 5 {
-		t.Fatalf("RecvInto: %q, %+v, %v", dst, st, err)
+	if st, err := c.recvInto(0, 2, dst); err != nil || string(dst) != "block" || st.Len != 5 {
+		t.Fatalf("recvInto: %q, %+v, %v", dst, st, err)
 	}
 
 	if err := c.Send(0, 4, nil); err != nil { // the empty message and the nil buffer
 		t.Fatal(err)
 	}
-	if st, err := c.RecvInto(0, 4, nil); err != nil || st.Len != 0 {
-		t.Fatalf("empty RecvInto: %+v, %v", st, err)
+	if st, err := c.recvInto(0, 4, nil); err != nil || st.Len != 0 {
+		t.Fatalf("empty recvInto: %+v, %v", st, err)
 	}
 }
 
@@ -144,7 +193,7 @@ func TestRecvIntoTruncated(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 64)
 	for _, n := range []int{63, 65} {
 		dst := bytes.Repeat([]byte{0xEE}, n)
-		req := c.IrecvInto(0, 5, dst)
+		req := startInto(c, 0, 5, dst)
 		p := placeholder(t, c, 5, len(payload))
 		if read, err := p.ReceiveRendezvous(bytes.NewReader(payload)); !read || err != nil {
 			t.Fatalf("ReceiveRendezvous = %v, %v", read, err)
@@ -163,14 +212,14 @@ func TestRecvIntoTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trunc *ErrTruncated
-	if _, err := c.RecvInto(0, 5, make([]byte, 8)); !errors.As(err, &trunc) {
-		t.Fatalf("eager RecvInto of 64 bytes into 8: %v", err)
+	if _, err := c.recvInto(0, 5, make([]byte, 8)); !errors.As(err, &trunc) {
+		t.Fatalf("eager recvInto of 64 bytes into 8: %v", err)
 	}
 	if err := c.Send(0, 5, payload); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 64)
-	if _, err := c.RecvInto(0, 5, dst); err != nil || !bytes.Equal(dst, payload) {
+	if _, err := c.recvInto(0, 5, dst); err != nil || !bytes.Equal(dst, payload) {
 		t.Fatalf("receive after a truncation: %v", err)
 	}
 }
@@ -180,9 +229,9 @@ func TestRecvIntoTruncated(t *testing.T) {
 func TestIrecvIntoCancel(t *testing.T) {
 	c := soloComm(t)
 	dst := bytes.Repeat([]byte{0xEE}, 4)
-	req := c.IrecvInto(0, 6, dst)
+	req := startInto(c, 0, 6, dst)
 	if !req.Cancel() {
-		t.Fatal("Cancel of an unmatched IrecvInto lost")
+		t.Fatal("Cancel of an unmatched receive lost")
 	}
 	if _, _, err := req.Wait(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Wait after Cancel = %v", err)
@@ -195,7 +244,7 @@ func TestIrecvIntoCancel(t *testing.T) {
 		t.Fatal("the placeholder matched a canceled receive")
 	}
 	got := make([]byte, 4)
-	req = c.IrecvInto(0, 6, got)
+	req = startInto(c, 0, 6, got)
 	if _, err := p.ReceiveRendezvous(bytes.NewReader([]byte("data"))); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +264,7 @@ func TestIrecvIntoCancel(t *testing.T) {
 func TestRecvIntoFailureWaitsForTheReader(t *testing.T) {
 	c := soloComm(t)
 	dst := make([]byte, 8)
-	req := c.IrecvInto(0, 7, dst)
+	req := startInto(c, 0, 7, dst)
 	p := placeholder(t, c, 7, len(dst))
 
 	pr, pw := io.Pipe()
@@ -229,7 +278,7 @@ func TestRecvIntoFailureWaitsForTheReader(t *testing.T) {
 	}
 	lost := &ErrPeerLost{Rank: 0, Cause: errors.New("test: peer died mid-payload")}
 	p.Rdv.Fail(lost)
-	if req.Done() {
+	if done(req) {
 		t.Fatal("receive released while a stream was still reading into its buffer")
 	}
 	pw.CloseWithError(io.ErrUnexpectedEOF) // the dead peer's connection closes
@@ -254,7 +303,7 @@ func TestRecvIntoFailureWaitsForTheReader(t *testing.T) {
 func TestReceiveRendezvousAfterCompletion(t *testing.T) {
 	c := soloComm(t)
 	dst := make([]byte, 4)
-	req := c.IrecvInto(0, 8, dst)
+	req := startInto(c, 0, 8, dst)
 	p := placeholder(t, c, 8, 4)
 	if _, err := p.ReceiveRendezvous(bytes.NewReader([]byte("good"))); err != nil {
 		t.Fatal(err)
@@ -273,7 +322,7 @@ func TestReceiveRendezvousAfterCompletion(t *testing.T) {
 	// A retry while the first stream is still reading takes a buffer of its
 	// own; whichever finishes, the receive gets the payload once.
 	dst2 := make([]byte, 4)
-	req = c.IrecvInto(0, 8, dst2)
+	req = startInto(c, 0, 8, dst2)
 	p = placeholder(t, c, 8, 4)
 	pr, pw := io.Pipe()
 	first := make(chan error, 1)
@@ -282,7 +331,7 @@ func TestReceiveRendezvousAfterCompletion(t *testing.T) {
 	if read, err := p.ReceiveRendezvous(bytes.NewReader([]byte("good"))); !read || err != nil {
 		t.Fatalf("retry on a second stream: %v, %v", read, err)
 	}
-	if req.Done() {
+	if done(req) {
 		t.Fatal("receive released while the stalled stream still holds its buffer")
 	}
 	pw.CloseWithError(io.ErrUnexpectedEOF)
@@ -332,8 +381,99 @@ func TestFloatsMoveAsTheyLie(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trunc *ErrTruncated
-	req := c.IrecvFloatsInto(0, 9, make([]float64, 2))
+	var req Request
+	c.StartRecvFloatsInto(&req, 0, 9, make([]float64, 2))
 	if _, _, err := req.Wait(); !errors.As(err, &trunc) || trunc.Posted != 16 || trunc.Arrived != 40 {
 		t.Fatalf("short float buffer: %v", err)
+	}
+}
+
+// TestFloatsBigEndianPaths runs the float paths of a big-endian host — SendFloats
+// encodes, the receives decode out of a payload of their own — on this one, by
+// clearing hostLittleEndian, and holds every value bit-identical to the
+// little-endian run: RecvFloatsInto, StartRecvFloatsInto with the message
+// first and with the receive posted first, AllreduceFloats, and the
+// *ErrTruncated of a buffer of the wrong length. Not parallel: the flag is
+// package state.
+func TestFloatsBigEndianPaths(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), -1.5, math.Pi, math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	type outcome struct {
+		got   [4][]float64 // RecvFloatsInto, message first, receive first, AllreduceFloats
+		trunc ErrTruncated
+	}
+	run := func() outcome {
+		var out outcome
+		err := RunWorld(2, func(c *Comm) error {
+			ys := []float64{1e16 * float64(c.Rank()+1), 1, -1e16, math.Pi / float64(c.Rank()+1)}
+			if c.Rank() == 0 {
+				for _, tag := range []int{1, 2} {
+					if err := c.SendFloats(1, tag, xs); err != nil {
+						return err
+					}
+				}
+				if _, _, err := c.Recv(1, 9); err != nil { // rank 1 has posted tag 3
+					return err
+				}
+				for _, tag := range []int{3, 4} {
+					if err := c.SendFloats(1, tag, xs); err != nil {
+						return err
+					}
+				}
+				_, err := c.AllreduceFloats(ys, OpSum)
+				return err
+			}
+			for i := range out.got[:3] {
+				out.got[i] = make([]float64, len(xs))
+			}
+			if _, err := c.RecvFloatsInto(0, 1, out.got[0]); err != nil {
+				return err
+			}
+			var first, posted Request
+			awaitQueued(c)
+			if c.StartRecvFloatsInto(&first, 0, 2, out.got[1]); first.latched {
+				return fmt.Errorf("receive of a waiting message did not complete inline")
+			}
+			if c.StartRecvFloatsInto(&posted, 0, 3, out.got[2]); !posted.latched {
+				return fmt.Errorf("receive posted ahead of its message completed")
+			}
+			if err := c.Send(0, 9, nil); err != nil {
+				return err
+			}
+			for _, r := range []*Request{&first, &posted} {
+				if _, _, err := r.Wait(); err != nil {
+					return err
+				}
+			}
+			var trunc *ErrTruncated
+			if _, err := c.RecvFloatsInto(0, 4, make([]float64, 2)); !errors.As(err, &trunc) {
+				return fmt.Errorf("short float buffer: %v", err)
+			}
+			out.trunc = *trunc
+			var err error
+			out.got[3], err = c.AllreduceFloats(ys, OpSum)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	little := run()
+	saved := hostLittleEndian
+	t.Cleanup(func() { hostLittleEndian = saved })
+	hostLittleEndian = false
+	big := run()
+	if big.trunc != little.trunc || big.trunc != (ErrTruncated{Posted: 16, Arrived: 8 * len(xs)}) {
+		t.Errorf("truncation: big-endian %+v, little-endian %+v", big.trunc, little.trunc)
+	}
+	for i := range big.got {
+		if len(big.got[i]) != len(little.got[i]) {
+			t.Fatalf("result %d: %d values big-endian, %d little-endian", i, len(big.got[i]), len(little.got[i]))
+		}
+		for j := range big.got[i] {
+			if b, l := math.Float64bits(big.got[i][j]), math.Float64bits(little.got[i][j]); b != l || (i < 3 && b != math.Float64bits(xs[j])) {
+				t.Errorf("result %d, element %d: big-endian %#x, little-endian %#x", i, j, b, l)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ type Rendezvous struct {
 	done    bool  // the payload landed
 	err     error // first failure wins; set before doneCh closes
 
-	// dst is the matched receive's own buffer (IrecvInto), installed at the
+	// dst is the matched receive's own buffer (StartRecvInto), installed at the
 	// match — before any CTS, hence before any payload — when it has the
 	// promised length. While a transport stream reads into it, filling is set
 	// and the waiters are not released, whatever the outcome: the application
@@ -143,7 +143,7 @@ func (r *Rendezvous) delivered() bool {
 
 // ReceiveRendezvous reads the promised payload, next on rd, into its final
 // buffer and releases the matched receive: the receive's own buffer when it
-// posted one (IrecvInto), else an exactly-sized one the packet then owns.
+// posted one (StartRecvInto), else an exactly-sized one the packet then owns.
 //
 // It reports false, having read nothing, when the transfer is already over —
 // a redial replayed a payload that did land, or the rendezvous failed — and
@@ -183,7 +183,7 @@ func (p *Packet) ReceiveRendezvous(rd io.Reader) (bool, error) {
 
 // PayloadLen returns the packet's payload length: the promised length for a
 // rendezvous placeholder whose data is still in flight, the actual data
-// length otherwise. Matching, probes, and per-peer accounting use it so a
+// length otherwise. Status.Len and per-peer accounting use it so a
 // placeholder is indistinguishable from a delivered message.
 func (p *Packet) PayloadLen() int {
 	if p.Rdv != nil && p.Data == nil {

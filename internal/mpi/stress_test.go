@@ -52,7 +52,7 @@ func TestRandomTrafficSchedules(t *testing.T) {
 					for j := 0; j < s.length; j++ {
 						payload[2+j] = int64(s.seq * (j + 1))
 					}
-					if err := c.SendInts(s.dst, s.tag, payload); err != nil {
+					if err := c.Send(s.dst, s.tag, mpi.EncodeInts(payload)); err != nil {
 						return err
 					}
 				}
@@ -68,7 +68,11 @@ func TestRandomTrafficSchedules(t *testing.T) {
 				}
 				for k, slots := range expected {
 					for _, want := range slots {
-						got, _, err := c.RecvInts(k.src, k.tag)
+						raw, _, err := c.Recv(k.src, k.tag)
+						if err != nil {
+							return err
+						}
+						got, err := mpi.DecodeInts(raw)
 						if err != nil {
 							return err
 						}
@@ -241,9 +245,9 @@ func TestMatchingOrderTorture(t *testing.T) {
 				// Phase B: post every receive up front, then release the
 				// sender and replay the model — message i completes the
 				// oldest posted request whose envelope matches it.
-				reqs := make([]*mpi.Request, posted)
+				reqs := make([]mpi.Request, posted)
 				for i, p := range postsB {
-					reqs[i] = c.Irecv(sender, p.tag)
+					c.StartRecvInto(&reqs[i], sender, p.tag, make([]byte, 8))
 				}
 				wantSeq := make([]int, posted)
 				for i := range wantSeq {
@@ -265,8 +269,8 @@ func TestMatchingOrderTorture(t *testing.T) {
 				if err := c.Send(sender, readyTag, nil); err != nil {
 					return err
 				}
-				for i, r := range reqs {
-					data, st, err := r.Wait()
+				for i := range reqs {
+					data, st, err := reqs[i].Wait()
 					if err != nil {
 						return fmt.Errorf("request %d: %w", i, err)
 					}

@@ -65,7 +65,7 @@ const (
 const DefaultEagerThreshold = 64 << 10
 
 // maxPooledFrameCeiling caps how large a pooled frame buffer may grow no
-// matter how high MPH_EAGER_THRESHOLD is raised: beyond 8 MiB, a pool of
+// matter how high MPH_EAGER_THRESHOLD is raised: beyond 8 MiB, a list of
 // per-connection scratch frames pins more memory than the copy it avoids is
 // worth, and the rendezvous path should carry the payload anyway.
 const maxPooledFrameCeiling = 8 << 20
@@ -107,7 +107,7 @@ type netConfig struct {
 
 	eagerThreshold int // rendezvous switch in payload bytes; negative disables
 
-	// maxPooledFrame is the largest frame buffer putFrame keeps for reuse,
+	// maxPooledFrame is the largest frame buffer the frame list keeps for reuse,
 	// derived from the resolved eager threshold (not the default — a job
 	// that raises MPH_EAGER_THRESHOLD must still recycle its eager frames)
 	// and capped at maxPooledFrameCeiling.
@@ -136,10 +136,10 @@ func defaultConfig() netConfig {
 	}
 }
 
-// pooledFrameCap derives the frame-pool size cap from the resolved eager
+// pooledFrameCap derives the frame list's size cap from the resolved eager
 // threshold: the largest eager frame is threshold payload bytes plus the wire
 // and packet headers. A disabled (negative) or forced-rendezvous (zero)
-// threshold keeps the default-sized cap so ack/control frames still pool, and
+// threshold keeps the default-sized cap so small frames still recycle, and
 // the ceiling stops a huge threshold from pinning huge scratch buffers.
 func pooledFrameCap(threshold int) int {
 	if threshold <= 0 {

@@ -18,18 +18,27 @@ import (
 // buffer is never given back while something can still read it, and never
 // reaches a caller.
 
-// awaitQueued spins until a message matching (src, tag) is in c's unexpected
-// queue. IProbe does not allocate, so the budget test can use it.
-func awaitQueued(t testing.TB, c *mpi.Comm, src, tag int) {
+// awaitFramesIn spins until env's transport has handed its n-th inbound
+// frame to the engine — an eager packet counts once posted, so with no
+// receive waiting it sits in the unexpected queue. The spin is atomic loads,
+// so the budget test can use it.
+func awaitFramesIn(t testing.TB, env *mpi.Env, n uint64) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
-		if _, ok := c.IProbe(src, tag); ok {
-			return
-		}
+	nc := &env.Perf().Net
+	for deadline := time.Now().Add(10 * time.Second); nc.FramesIn.Load() < n; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("no message from %d with tag %d arrived", src, tag)
+			t.Fatalf("inbound frame %d never arrived (%d did)", n, nc.FramesIn.Load())
 		}
 	}
+}
+
+// recvInto is the blocking receive into a buffer: a receive posted on a
+// request of its own, then waited on.
+func recvInto(c *mpi.Comm, src, tag int, into []byte) error {
+	var r mpi.Request
+	c.StartRecvInto(&r, src, tag, into)
+	_, _, err := r.Wait()
+	return err
 }
 
 // TestEagerRecvIntoAllocBudget is the allocation guard of the small-message
@@ -63,10 +72,11 @@ func TestEagerRecvIntoAllocBudget(t *testing.T) {
 			}
 		}},
 		{"unexpected-first", func() {
+			n := envs[1].Perf().Net.FramesIn.Load()
 			if err := c0.SendFloats(1, 7, xs); err != nil {
 				t.Fatal(err)
 			}
-			awaitQueued(t, c1, 0, 7)
+			awaitFramesIn(t, envs[1], n+1)
 			if _, err := c1.RecvFloatsInto(0, 7, into); err != nil {
 				t.Fatal(err)
 			}
@@ -88,9 +98,7 @@ func TestEagerRecvIntoAllocBudget(t *testing.T) {
 		}
 		per := float64(after.TotalAlloc-before.TotalAlloc) / iters
 		t.Logf("%s: %.1f B allocated per message", cell.name, per)
-		// The outbound frame comes from a sync.Pool, which under -race drops
-		// a share of Puts: the figure is logged, the assertion is non-race.
-		if per > 64 && !raceEnabled {
+		if per > 64 {
 			t.Errorf("%s: eager SendFloats/receive-into allocates %.0f B a message, budget 64 (a per-message buffer or record crept back)", cell.name, per)
 		}
 	}
@@ -98,18 +106,18 @@ func TestEagerRecvIntoAllocBudget(t *testing.T) {
 
 // BenchmarkEagerInto (EXPERIMENTS.md S6, the per-operation table) streams
 // 4 KiB eager messages one way into the receiver's own buffer, through the
-// three ways of receiving into place: the blocking call, a fresh request a
-// message, and one request posted again and again. BenchmarkSend's
-// 4096B/eager cell is the same stream into a plain Recv.
+// three ways of receiving into place: the blocking call (the float view's),
+// a fresh request a message, and one request posted again and again.
+// BenchmarkSend's 4096B/eager cell is the same stream into a plain Recv.
 func BenchmarkEagerInto(b *testing.B) {
-	into := make([]byte, 4<<10)
+	into, floats := make([]byte, 4<<10), make([]float64, 4<<10/8)
 	var req mpi.Request
 	for _, cell := range []struct {
 		name string
 		recv func(c *mpi.Comm) error
 	}{
-		{"RecvInto", func(c *mpi.Comm) error { _, err := c.RecvInto(0, 4, into); return err }},
-		{"IrecvInto", func(c *mpi.Comm) error { _, _, err := c.IrecvInto(0, 4, into).Wait(); return err }},
+		{"RecvFloatsInto", func(c *mpi.Comm) error { _, err := c.RecvFloatsInto(0, 4, floats); return err }},
+		{"fresh-request", func(c *mpi.Comm) error { return recvInto(c, 0, 4, into) }},
 		{"StartRecvInto", func(c *mpi.Comm) error {
 			c.StartRecvInto(&req, 0, 4, into)
 			_, _, err := req.Wait()
@@ -136,10 +144,11 @@ func stamp(buf []byte, seq int) uint32 {
 }
 
 // TestEagerLifetimeChecksums drives one envelope ten thousand times,
-// alternating the receive posted first with the message arriving first, and
-// checks every payload against its checksum: a buffer recycled while a
-// receive could still read it, or a record seen by two receives, shows as a
-// corrupted field. Sizes vary so buffers are reused across sizes.
+// alternating a receive into place posted first with a blocking Recv of a
+// message sent first, and checks every payload against its checksum: a
+// buffer recycled while a receive could still read it, or a record seen by
+// two receives, shows as a corrupted field. Sizes vary so buffers are reused
+// across sizes.
 func TestEagerLifetimeChecksums(t *testing.T) {
 	_, envs := startWorld(t, 2)
 	defer envs[0].Close()
@@ -154,8 +163,9 @@ func TestEagerLifetimeChecksums(t *testing.T) {
 	for seq := 0; seq < n; seq++ {
 		size := 8 << (seq % 10) // 8 B … 4 KiB
 		want := stamp(out[:size], seq)
+		data := into[:size]
 		if seq%2 == 0 {
-			c1.StartRecvInto(&req, 0, 3, into[:size])
+			c1.StartRecvInto(&req, 0, 3, data)
 			if err := c0.Send(1, 3, out[:size]); err != nil {
 				t.Fatal(err)
 			}
@@ -163,6 +173,7 @@ func TestEagerLifetimeChecksums(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
+			in := envs[1].Perf().Net.FramesIn.Load()
 			if err := c0.Send(1, 3, out[:size]); err != nil {
 				t.Fatal(err)
 			}
@@ -170,20 +181,21 @@ func TestEagerLifetimeChecksums(t *testing.T) {
 			// reach the message already on its way.
 			out[0] ^= 0xFF
 			if seq%4 == 1 {
-				awaitQueued(t, c1, 0, 3)
+				awaitFramesIn(t, envs[1], in+1)
 			}
-			if _, err := c1.RecvInto(0, 3, into[:size]); err != nil {
+			var err error
+			if data, _, err = c1.Recv(0, 3); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := crc32.ChecksumIEEE(into[:size]); got != want {
+		if got := crc32.ChecksumIEEE(data); got != want {
 			t.Fatalf("message %d (%d bytes): checksum %08x, want %08x", seq, size, got, want)
 		}
 	}
 }
 
-// TestEagerLifetimeRecvSlicesSurvive holds on to what Recv, a wildcard Recv
-// and Irecv returned — after a Probe saw the message in its recycled buffer —
+// TestEagerLifetimeRecvSlicesSurvive holds on to what Recv and two wildcard
+// Recvs returned — each message already waiting in its recycled buffer —
 // while a thousand later messages go through the same buffers: the slices
 // are the caller's own and must not change.
 func TestEagerLifetimeRecvSlicesSurvive(t *testing.T) {
@@ -199,24 +211,21 @@ func TestEagerLifetimeRecvSlicesSurvive(t *testing.T) {
 	var held []kept
 	for seq := 0; seq < 3; seq++ {
 		want := stamp(out, seq)
+		in := envs[1].Perf().Net.FramesIn.Load()
 		if err := c0.Send(1, 4, out); err != nil {
 			t.Fatal(err)
 		}
-		st, err := c1.Probe(0, 4)
-		if err != nil || st.Len != len(out) {
-			t.Fatalf("probe: %+v %v", st, err)
-		}
-		var data []byte
+		awaitFramesIn(t, envs[1], in+1)
+		src, tag := 0, 4
 		switch seq {
-		case 0:
-			data, _, err = c1.Recv(0, 4)
 		case 1:
-			data, _, err = c1.Recv(mpi.AnySource, mpi.AnyTag)
+			src = mpi.AnySource
 		case 2:
-			data, _, err = c1.Irecv(0, 4).Wait()
+			src, tag = mpi.AnySource, mpi.AnyTag
 		}
-		if err != nil {
-			t.Fatal(err)
+		data, st, err := c1.Recv(src, tag)
+		if err != nil || st.Len != len(out) {
+			t.Fatalf("recv: %+v %v", st, err)
 		}
 		held = append(held, kept{data, want})
 	}
@@ -226,7 +235,7 @@ func TestEagerLifetimeRecvSlicesSurvive(t *testing.T) {
 		if err := c0.Send(1, 4, out); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c1.RecvInto(0, 4, into); err != nil {
+		if err := recvInto(c1, 0, 4, into); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +285,7 @@ func TestEagerLifetimeCancelRace(t *testing.T) {
 			if _, _, err := req.Wait(); err != mpi.ErrCanceled {
 				t.Fatalf("message %d: canceled request's Wait = %v", seq, err)
 			}
-			if _, err := c1.RecvInto(0, 6, into); err != nil {
+			if err := recvInto(c1, 0, 6, into); err != nil {
 				t.Fatal(err)
 			}
 		} else if _, _, err := req.Wait(); err != nil {
@@ -333,7 +342,7 @@ func TestEagerLifetimePeerLostQueued(t *testing.T) {
 
 	into := make([]byte, size)
 	for seq, want := range sums {
-		if _, err := c0.RecvInto(1, 9, into); err != nil {
+		if err := recvInto(c0, 1, 9, into); err != nil {
 			t.Fatalf("queued message %d after the peer's death: %v", seq, err)
 		}
 		if got := crc32.ChecksumIEEE(into); got != want {
@@ -341,7 +350,7 @@ func TestEagerLifetimePeerLostQueued(t *testing.T) {
 		}
 	}
 	done := make(chan error, 1)
-	go func() { _, err := c0.RecvInto(1, 9, into); done <- err }()
+	go func() { done <- recvInto(c0, 1, 9, into) }()
 	select {
 	case err := <-done:
 		if rank, lost := mpi.IsPeerLost(err); !lost || rank != 1 {
@@ -358,7 +367,7 @@ func TestEagerLifetimePeerLostQueued(t *testing.T) {
 		if err := c2.Send(0, 9, out); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c0.RecvInto(2, 9, into); err != nil {
+		if err := recvInto(c0, 2, 9, into); err != nil {
 			t.Fatal(err)
 		}
 		if got := crc32.ChecksumIEEE(into); got != want {

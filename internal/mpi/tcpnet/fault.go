@@ -33,11 +33,11 @@ import (
 //	rank=R  — the rule only applies in the process whose world rank is R
 //	peer=P  — the rule only applies to sends addressed to world rank P
 //	frame=F — the outbound frame kind the rule applies to: packet (eager
-//	          message, the default), ack (the Ssend release), rts / cts /
-//	          data (the rendezvous protocol frames; data is the payload on
-//	          the TCP stream), shm (the payload taking the intra-host
-//	          channel instead; sever closes the local socket, not the TCP
-//	          stream, so the transparent TCP fallback is exercised), or any
+//	          message, the default), rts / cts / data (the rendezvous
+//	          protocol frames; data is the payload on the TCP stream), shm
+//	          (the payload taking the intra-host channel instead; sever
+//	          closes the local socket, not the TCP stream, so the
+//	          transparent TCP fallback is exercised), or any
 //	after=K — the rule arms after K matching sends have passed unharmed
 //	times=N — the rule fires at most N times (default 1; 0 = unlimited)
 //	dur=D   — delay duration (delay action only), Go duration syntax
@@ -50,7 +50,7 @@ type faultRule struct {
 	action string
 	rank   int    // -1 = any rank
 	peer   int    // -1 = any peer
-	frame  string // frame kind filter: "packet", "ack", "rts", "cts", "data", "shm", "any"
+	frame  string // frame kind filter: "packet", "rts", "cts", "data", "shm", "any"
 	after  int    // matching sends to let through before arming
 	times  int    // max firings; 0 = unlimited
 	dur    time.Duration
@@ -78,7 +78,6 @@ type faultAction struct {
 // eager packet frame.
 const (
 	framePacket = "packet"
-	frameAck    = "ack"
 	frameRTS    = "rts"
 	frameCTS    = "cts"
 	frameData   = "data"
@@ -130,7 +129,7 @@ func ParseFaultSpec(spec string) (*faultSet, error) {
 				}
 			case "frame":
 				switch val {
-				case framePacket, frameAck, frameRTS, frameCTS, frameData, frameShm, frameAny:
+				case framePacket, frameRTS, frameCTS, frameData, frameShm, frameAny:
 					r.frame = val
 				default:
 					return nil, fmt.Errorf("tcpnet: bad fault frame kind %q in %q", val, part)

@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -43,7 +42,7 @@ func TestFaultSpecParse(t *testing.T) {
 		t.Errorf("rule 1 parsed as %+v", fs.rules[1])
 	}
 
-	for _, kind := range []string{framePacket, frameAck, frameRTS, frameCTS, frameData, frameShm, frameAny} {
+	for _, kind := range []string{framePacket, frameRTS, frameCTS, frameData, frameShm, frameAny} {
 		fs, err := ParseFaultSpec("drop,frame=" + kind)
 		if err != nil {
 			t.Fatalf("frame=%s rejected: %v", kind, err)
@@ -62,6 +61,7 @@ func TestFaultSpecParse(t *testing.T) {
 		"drop,rank",         // no '='
 		"sever,peer=1;boom", // second rule bad
 		"drop,frame=ssend",  // unknown frame kind
+		"drop,frame=ack",    // the Ssend release, gone with Ssend
 	} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
@@ -127,7 +127,7 @@ func TestFaultSpecFrameFiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{framePacket, frameAck, frameRTS, frameCTS, frameData, frameShm} {
+	for _, kind := range []string{framePacket, frameRTS, frameCTS, frameData, frameShm} {
 		if act := any.sendAction(3, 4, kind); act.kind != "delay" {
 			t.Fatalf("frame=any missed %s: %+v", kind, act)
 		}
@@ -139,7 +139,7 @@ func TestFaultSpecFrameFiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{framePacket, frameAck, frameRTS, frameCTS, frameData} {
+	for _, kind := range []string{framePacket, frameRTS, frameCTS, frameData} {
 		if act := shm.sendAction(0, 1, kind); act.kind != "" {
 			t.Fatalf("shm rule fired for %s: %+v", kind, act)
 		}
@@ -293,18 +293,27 @@ func TestFaultSeverRecovery(t *testing.T) {
 				done <- fmt.Errorf("got %q", data)
 				return
 			}
+			if i == 0 { // msg0 is matched: the sender may go on
+				if err := c1.Send(0, 4, nil); err != nil {
+					done <- err
+					return
+				}
+			}
 		}
 		done <- nil
 	}()
 
-	// Ssend so msg0 is matched before the severed-and-redialed msg1 can
-	// race it on a fresh connection: two TCP streams have no mutual order.
-	if err := c0.Ssend(1, 3, []byte("msg0")); err != nil {
+	// msg0 is matched before the severed-and-redialed msg1 can race it on a
+	// fresh connection: two TCP streams have no mutual order.
+	if err := c0.Send(1, 3, []byte("msg0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c0.Recv(1, 4); err != nil {
 		t.Fatal(err)
 	}
 	// The second send hits the sever rule, loses its connection just before
 	// the write, and must redial-and-deliver without surfacing an error.
-	if err := c0.Ssend(1, 3, []byte("msg1")); err != nil {
+	if err := c0.Send(1, 3, []byte("msg1")); err != nil {
 		t.Fatalf("send across severed connection: %v", err)
 	}
 	select {
@@ -434,28 +443,24 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 }
 
 // TestChaosDieFaultMidRing injects the MPH_FAULT "die" action so rank 3
-// crashes between two steps of a forced-ring Allgather: its connections
+// crashes between two steps of a forced-ring Allreduce: its connections
 // vanish mid-ring exactly as a process crash. The victim's ring successor
-// (rank 0, blocked on a block only rank 3 can supply) must unblock with
+// (rank 0, blocked on a chunk only rank 3 can supply) must unblock with
 // *mpi.ErrPeerLost and escalates to Abort — the handshake's policy — which
-// must unblock the remaining survivors with the typed abort error. The
-// survivors run two rounds because a ring pipelines: the victim's own block
-// is already in the relay chain when it dies, so the survivor farthest
-// downstream can legitimately finish round 1; round 2's size exchange makes
-// every survivor depend on the dead rank directly. Every survivor must end
-// with one of the two typed failures; zero hangs.
+// must unblock the remaining survivors, each waiting on its predecessor, with
+// the typed abort error. Every survivor must end with one of the two typed
+// failures; zero hangs.
 func TestChaosDieFaultMidRing(t *testing.T) {
 	t.Setenv(EnvHeartbeat, "100ms")
 	t.Setenv(EnvPeerTimeout, "500ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
 	t.Setenv(mpi.EnvCollRingThreshold, "0")
-	// Frames from rank 3: two Bruck size-exchange sends, then one ring block
-	// per step. after=3 lets the size exchange and ring step 0 through and
-	// kills the rank on its ring step 1 send — genuinely mid-ring, and after
-	// its step-0 send gave rank 0 the inbound stream whose abrupt loss feeds
-	// rank 0's failure detector.
-	t.Setenv(EnvFault, "die,rank=3,after=3")
+	// Frames from rank 3: one ring chunk per reduce-scatter step. after=1
+	// lets step 0 through and kills the rank on its step 1 send — genuinely
+	// mid-ring, and after its step-0 send gave rank 0 the inbound stream whose
+	// abrupt loss feeds rank 0's failure detector.
+	t.Setenv(EnvFault, "die,rank=3,after=1")
 
 	// The die action calls osExit after severing; in-test the "process" is a
 	// goroutine, so death is modelled as goroutine exit.
@@ -487,10 +492,7 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			world := mpi.WorldComm(envs[rank])
-			var err error
-			for round := 0; round < 2 && err == nil; round++ {
-				_, err = world.Allgather(bytes.Repeat([]byte{byte(rank)}, 2048))
-			}
+			_, err := world.AllreduceInts(make([]int64, 256), mpi.OpSum)
 			if rank == victim {
 				return // unreachable: the die fault Goexits this goroutine
 			}
@@ -513,7 +515,7 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	for o := range outcomes {
 		got++
 		if o.err == nil {
-			t.Errorf("rank %d: ring allgather succeeded without rank %d", o.rank, victim)
+			t.Errorf("rank %d: ring allreduce succeeded without rank %d", o.rank, victim)
 			continue
 		}
 		if rank, lost := mpi.IsPeerLost(o.err); lost {

@@ -20,10 +20,10 @@ import (
 // path — is never touched here: its writer sends it as a second iovec and its
 // reader reads it straight into the buffer that keeps it.
 
-// frame kinds.
+// frame kinds. Kind 2 is unassigned: it was the Ssend release, and decode
+// rejects it like any other unknown byte.
 const (
-	kindPacket    = 1                        // an eager message: envelope + ack id, payload tail
-	kindAck       = 2                        // Ssend release: the packet's ack id
+	kindPacket    = 1                        // an eager message: envelope, payload tail
 	kindHello     = 3                        // first frame on every stream: sender's world rank, socket-path tail
 	kindHeartbeat = 4                        // idle-connection liveness signal, empty
 	kindAbort     = bootstrap.AbortFrameKind // job-wide abort; the body belongs to package bootstrap
@@ -35,8 +35,8 @@ const (
 const (
 	// prefixLen is the length prefix plus the kind byte.
 	prefixLen = 4 + 1
-	// packetHdrLen is a packet's fixed part: srcWorld, ctx, src, tag, ackID.
-	packetHdrLen = 8 + 8 + 8 + 8 + 8
+	// packetHdrLen is a packet's fixed part: srcWorld, ctx, src, tag.
+	packetHdrLen = 8 + 8 + 8 + 8
 	// rtsHdrLen is an RTS's fixed part: srcWorld, ctx, src, tag, rendezvous
 	// id, promised payload length. It is the longest fixed part, so it sizes
 	// every decode scratch buffer.
@@ -65,7 +65,6 @@ type frameSpec struct {
 // from the encoder that owns that layout.
 var frameTable = [...]frameSpec{
 	kindPacket:    {name: "packet", fixed: packetHdrLen, maxTail: maxFrame, hasSrc: true, fault: framePacket},
-	kindAck:       {name: "ack", fixed: 8, fault: frameAck},
 	kindHello:     {name: "hello", fixed: 8, maxTail: maxShmPath, unix: true, hasSrc: true},
 	kindHeartbeat: {name: "heartbeat"},
 	kindAbort:     {name: "abort", fixed: len(bootstrap.AbortFrame(0, 0)) - prefixLen},
@@ -82,7 +81,7 @@ type frame struct {
 	ctx  uint64 // envelope: communicator context (packet, rts)
 	rank int    // envelope: sender's rank in that communicator
 	tag  int    // envelope: message tag
-	id   uint64 // ack id (packet, ack; 0 = no ack wanted) or rendezvous id (rts, cts, rdata)
+	id   uint64 // rendezvous id (rts, cts, rdata)
 	plen int    // promised payload length (rts)
 
 	code, origin int // abort
@@ -105,11 +104,11 @@ func encode(buf []byte, f frame, tail int) []byte {
 		buf = le.AppendUint64(buf, f.ctx)
 		buf = le.AppendUint64(buf, uint64(int64(f.rank)))
 		buf = le.AppendUint64(buf, uint64(int64(f.tag)))
-		buf = le.AppendUint64(buf, f.id)
 		if f.kind == kindRTS {
+			buf = le.AppendUint64(buf, f.id)
 			buf = le.AppendUint64(buf, uint64(f.plen))
 		}
-	case kindAck, kindCTS, kindRData:
+	case kindCTS, kindRData:
 		buf = le.AppendUint64(buf, f.id)
 	}
 	return buf
@@ -156,8 +155,8 @@ func decode(r io.Reader, scratch []byte) (f frame, tail int, err error) {
 		f.ctx = le.Uint64(b)
 		f.rank = int(int64(le.Uint64(b[8:])))
 		f.tag = int(int64(le.Uint64(b[16:])))
-		f.id = le.Uint64(b[24:])
 		if f.kind == kindRTS {
+			f.id = le.Uint64(b[24:])
 			// Checked against the bound the payload's own data frame must
 			// meet, before any receive buffer is sized from it.
 			plen := int64(le.Uint64(b[32:]))
@@ -166,7 +165,7 @@ func decode(r io.Reader, scratch []byte) (f frame, tail int, err error) {
 			}
 			f.plen = int(plen)
 		}
-	case kindAck, kindCTS, kindRData:
+	case kindCTS, kindRData:
 		f.id = le.Uint64(b)
 	case kindAbort:
 		f.code, f.origin, err = bootstrap.ParseAbort(b)

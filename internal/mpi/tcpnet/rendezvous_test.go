@@ -119,18 +119,29 @@ func TestRendezvousDisabled(t *testing.T) {
 
 // TestFramePoolDropsOversized is the white-box guard for the pool-pinning
 // fix: a frame buffer that grew beyond the configured cap must shed its
-// backing array on Put, while threshold-sized buffers keep theirs.
+// backing array on put, while threshold-sized buffers keep theirs — and the
+// list itself holds no more than frameListDepth buffers.
 func TestFramePoolDropsOversized(t *testing.T) {
 	limit := defaultConfig().maxPooledFrame
+	fl := &frameList{maxCap: limit}
 	big := &frameBuf{b: make([]byte, limit+1)}
-	putFrame(big, limit)
+	fl.put(big)
 	if big.b != nil {
-		t.Errorf("oversized buffer (cap %d) survived putFrame", limit+1)
+		t.Errorf("oversized buffer (cap %d) survived put", limit+1)
 	}
 	small := &frameBuf{b: make([]byte, 512)}
-	putFrame(small, limit)
+	fl.put(small)
 	if small.b == nil {
-		t.Error("threshold-sized buffer was dropped by putFrame")
+		t.Error("threshold-sized buffer was dropped by put")
+	}
+	if got := fl.get(); got != small {
+		t.Error("get did not return the buffer put last")
+	}
+	for i := 0; i < 2*frameListDepth; i++ {
+		fl.put(new(frameBuf))
+	}
+	if fl.n != frameListDepth {
+		t.Errorf("free list holds %d buffers, bound %d", fl.n, frameListDepth)
 	}
 }
 
@@ -191,11 +202,7 @@ func TestEagerAllocBudgetRaisedThreshold(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := float64(after.TotalAlloc-before.TotalAlloc) / iters
 	t.Logf("per-message alloc at raised threshold: %.2f payloads", per/size)
-	// Under -race sync.Pool deliberately drops a share of Puts (to shake out
-	// code that depends on reuse), so the frame pool misses at random and the
-	// budget fails at the same rate at every commit. The transfer still runs
-	// and the figure is logged; only the assertion is a non-race one.
-	if per > 1.5*size && !raceEnabled {
+	if per > 1.5*size {
 		t.Errorf("eager send at raised threshold allocates %.2f payloads per message, want <= 1.5 (frame pool cap not tracking MPH_EAGER_THRESHOLD?)", per/size)
 	}
 }
@@ -378,8 +385,9 @@ func BenchmarkPingPong(b *testing.B) {
 // BenchmarkAllreduce (EXPERIMENTS.md S6) is the cell behind the selector's
 // two-rank row: AllreduceFloats on two ranks over TCP at the payloads the
 // coupled period issues (1, 2 and 9 values) — one exchange — against the
-// reduce-then-broadcast it replaced, spelled with the public rooted calls.
-// check.sh holds the 8-byte pair cell to 128 B/op, both ranks together.
+// reduce-then-broadcast it replaced, spelled as that tree's two messages:
+// rank 1's operand to rank 0, rank 0's sum back. check.sh holds the 8-byte
+// pair cell to 128 B/op, both ranks together.
 func BenchmarkAllreduce(b *testing.B) {
 	for _, floats := range []int{1, 2, 9} {
 		xs := make([]float64, floats)
@@ -390,13 +398,23 @@ func BenchmarkAllreduce(b *testing.B) {
 			})
 		})
 		b.Run(fmt.Sprintf("2ranks/%dB/reduce+bcast", 8*floats), func(b *testing.B) {
+			acc := [2][]float64{make([]float64, floats), make([]float64, floats)}
 			benchPair(b, 8*floats, func(c *mpi.Comm, _ []byte) error {
-				acc, err := c.ReduceFloats(0, xs, mpi.OpSum)
-				if err != nil {
+				in := acc[c.Rank()]
+				if c.Rank() == 1 {
+					if err := c.SendFloats(0, 5, xs); err != nil {
+						return err
+					}
+					_, err := c.RecvFloatsInto(0, 6, in)
 					return err
 				}
-				_, err = c.BcastFloats(0, acc)
-				return err
+				if _, err := c.RecvFloatsInto(1, 5, in); err != nil {
+					return err
+				}
+				for i := range in {
+					in[i] += xs[i]
+				}
+				return c.SendFloats(1, 6, in)
 			})
 		})
 	}
@@ -463,10 +481,7 @@ func TestRecvIntoRendezvousAllocBudget(t *testing.T) {
 	}
 	per := measure("", "off", 48<<10/8, 16) // default threshold: 48 KiB goes eager
 	t.Logf("eager: %.4f payloads allocated per message", per)
-	// Under -race sync.Pool drops a share of Puts, so the frame pool misses
-	// at random; the figure is logged, the assertion is a non-race one.
-	// The GC above emptied the frame pool: one frame is made again in 16 sends.
-	if per >= 0.25 && !raceEnabled {
+	if per >= 0.25 {
 		t.Errorf("eager SendFloats/RecvFloatsInto allocates %.2f payloads per message, want < 0.25 (a per-message buffer or copy crept back)", per)
 	}
 }
@@ -502,7 +517,8 @@ func TestChaosRecvIntoPeerLostMidPayload(t *testing.T) {
 
 	const n, id = 64 << 10, 77
 	slab := make([]byte, n)
-	req := c0.IrecvInto(1, 5, slab)
+	var req mpi.Request
+	c0.StartRecvInto(&req, 1, 5, slab)
 
 	conn := rawPeer(t, trs[0])
 	defer conn.Close()
@@ -521,7 +537,7 @@ func TestChaosRecvIntoPeerLostMidPayload(t *testing.T) {
 			t.Fatalf("Wait = %v, want ErrPeerLost{Rank: 1}", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("IrecvInto hung on a sender that died mid-payload")
+		t.Fatal("a receive into place hung on a sender that died mid-payload")
 	}
 }
 
@@ -556,7 +572,7 @@ func TestRecvIntoReplayedRData(t *testing.T) {
 		t.Fatal("no inbound rendezvous registered after the RTS")
 	}
 	slab := make([]byte, len(payload))
-	if _, err := c0.RecvInto(1, 3, slab); err != nil {
+	if err := recvInto(c0, 1, 3, slab); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-sent; err != nil {
@@ -609,11 +625,11 @@ func TestRecvIntoTruncatedKeepsStreamFramed(t *testing.T) {
 			sent <- err
 		}()
 		var trunc *mpi.ErrTruncated
-		if _, err := c1.RecvInto(0, 2, make([]byte, size-8)); !errors.As(err, &trunc) || trunc.Arrived != size {
+		if err := recvInto(c1, 0, 2, make([]byte, size-8)); !errors.As(err, &trunc) || trunc.Arrived != size {
 			t.Fatalf("%d-byte message into %d: %v, want ErrTruncated", size, size-8, err)
 		}
 		into := make([]byte, size)
-		if _, err := c1.RecvInto(0, 2, into); err != nil || !bytes.Equal(into, payload) {
+		if err := recvInto(c1, 0, 2, into); err != nil || !bytes.Equal(into, payload) {
 			t.Fatalf("%d-byte message after a truncation: %v", size, err)
 		}
 		if err := <-sent; err != nil {

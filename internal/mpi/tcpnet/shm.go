@@ -15,7 +15,7 @@ import (
 // rendezvous payload. Following MPICH-G2's multi-protocol selection, the
 // transport advertises a per-rank Unix-domain socket at hello time and moves
 // kindRData frames — and only those — over it. RTS/CTS control, eager
-// packets, acks, heartbeats, aborts, and the whole failure detector stay on
+// packets, heartbeats, aborts, and the whole failure detector stay on
 // the TCP stream, so ordering and failure semantics (§9/§12) are untouched:
 // the control stream still serializes RTS before CTS before the payload
 // becomes eligible, and a dead peer is still detected by TCP-side silence.

@@ -32,12 +32,11 @@ type handler func(s *stream, f frame, tail int) error
 // handlers is the production dispatch table, indexed by frame kind.
 var handlers = [len(frameTable)]handler{
 	kindPacket:    (*stream).onPacket,
-	kindAck:       (*stream).onReply,
 	kindHello:     (*stream).onHello,
 	kindHeartbeat: (*stream).onHeartbeat,
 	kindAbort:     (*stream).onAbort,
 	kindRTS:       (*stream).onRTS,
-	kindCTS:       (*stream).onReply,
+	kindCTS:       (*stream).onCTS,
 	kindRData:     (*stream).onRData,
 }
 
@@ -150,7 +149,9 @@ func (s *stream) onHeartbeat(frame, int) error {
 // onPacket posts an eager message to the local engine, reading the payload
 // into a recycled buffer that stays with the packet while it waits for its
 // receive; the receive copies it out and gives both back (mpi.PacketPool). A
-// packet whose payload never fully arrived is dropped, not recycled.
+// packet whose payload never fully arrived is dropped, not recycled. The
+// frame counts in once the engine has it, so a count a test reads is a
+// message it can receive.
 func (s *stream) onPacket(f frame, tail int) error {
 	t := s.t
 	p := t.pool.Get(tail)
@@ -158,30 +159,21 @@ func (s *stream) onPacket(f frame, tail int) error {
 	if _, err := io.ReadFull(s.r, p.Data); err != nil {
 		return err
 	}
-	nc := t.netCounters()
-	nc.FramesIn.Add(1)
-	nc.BytesIn.Add(uint64(prefixLen + packetHdrLen + tail))
-	if f.id != 0 {
-		ch := make(chan error, 1)
-		p.Ack = ch
-		go t.ackWhenMatched(f.src, f.id, ch)
-	}
 	if t.env.Post(p) != nil {
 		return errStreamDone
 	}
+	nc := t.netCounters()
+	nc.FramesIn.Add(1)
+	nc.BytesIn.Add(uint64(prefixLen + packetHdrLen + tail))
 	return nil
 }
 
-// onReply takes an ack or a CTS and releases the sender waiting on the id it
-// quotes; a replayed one misses the table and is ignored.
-func (s *stream) onReply(f frame, _ int) error {
+// onCTS releases the rendezvous sender waiting on the id the CTS quotes; a
+// replayed one misses the table and is ignored.
+func (s *stream) onCTS(f frame, _ int) error {
 	nc := s.t.netCounters()
-	if f.kind == kindAck {
-		nc.AcksIn.Add(1)
-	} else {
-		nc.FramesIn.Add(1)
-		nc.CTSIn.Add(1)
-	}
+	nc.FramesIn.Add(1)
+	nc.CTSIn.Add(1)
 	nc.BytesIn.Add(prefixLen + 8)
 	s.t.releaseWaiter(f.id)
 	return nil
@@ -220,7 +212,7 @@ func (s *stream) onRTS(f frame, _ int) error {
 
 // onRData completes a rendezvous: the payload is read straight into the
 // buffer the application ends up with — the matched receive's own when it
-// posted one (mpi.RecvInto), else one made here, exactly sized.
+// posted one (mpi.Comm.StartRecvInto), else one made here, exactly sized.
 func (s *stream) onRData(f frame, tail int) error {
 	t := s.t
 	key := rdvKey{src: f.src, id: f.id}

@@ -104,11 +104,17 @@ func TestFaultSeverRedialLeaksNoFDs(t *testing.T) {
 		recvd := make(chan error, 1)
 		go func() {
 			_, _, err := c1.Recv(0, 3)
+			if err == nil {
+				err = c1.Send(0, 4, nil)
+			}
 			recvd <- err
 		}()
-		// Ssend, so the cycle ends only once the receiver has consumed the
-		// message — and its ack has dialed or reused the reverse stream.
-		if err := c0.Ssend(1, 3, []byte(fmt.Sprintf("msg%d", i))); err != nil {
+		// The cycle ends only once the receiver has consumed the message and
+		// answered — over a reverse stream it dialed or reused.
+		if err := c0.Send(1, 3, []byte(fmt.Sprintf("msg%d", i))); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if _, _, err := c0.Recv(1, 4); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		if err := <-recvd; err != nil {
@@ -138,27 +144,27 @@ func TestFaultSeverRedialLeaksNoFDs(t *testing.T) {
 	}
 }
 
-// TestFaultAckSurvivesConnectionLoss is the regression test for the Ssend
-// ack that went out on a bare write: when the receiver's stream back to the
-// sender was gone, the ack was silently lost and the Ssend blocked forever
-// with both ranks alive, so no failure detector ever fired. The ack now
-// takes the same redial-once send path as a CTS. One row severs the stream
-// with MPH_FAULT's frame=ack filter just before the ack is written; the
-// other breaks the connection underneath the transport, so the ack's first
-// write fails on a stale stream.
-func TestFaultAckSurvivesConnectionLoss(t *testing.T) {
+// TestFaultCTSSurvivesConnectionLoss: a CTS is a reply on the receiver's
+// stream back to the sender, and one lost there would strand a rendezvous
+// send with both ranks alive, where no failure detector ever fires; it takes
+// the redial-once send path. One row severs the stream with MPH_FAULT's
+// frame=cts filter just before the CTS is written; the other breaks the
+// connection underneath the transport, so the CTS's first write fails on a
+// stale stream.
+func TestFaultCTSSurvivesConnectionLoss(t *testing.T) {
 	for _, row := range []struct{ name, fault string }{
-		{"sever,frame=ack", "sever,rank=1,frame=ack"},
+		{"sever,frame=cts", "sever,rank=1,frame=cts"},
 		{"stale stream", ""},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Setenv(EnvFault, row.fault)
+			t.Setenv(EnvEagerThreshold, "1024")
 			trs, envs := startWorld(t, 2)
 			defer envs[0].Close()
 			defer envs[1].Close()
 			c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
 
-			// Rank 1 talks to rank 0 first, so the stream its ack will use
+			// Rank 1 talks to rank 0 first, so the stream its CTS will use
 			// exists before the fault.
 			go c1.Send(0, 1, []byte("warmup"))
 			if _, _, err := c0.Recv(1, 1); err != nil {
@@ -170,18 +176,18 @@ func TestFaultAckSurvivesConnectionLoss(t *testing.T) {
 
 			go c1.Recv(0, 2)
 			done := make(chan error, 1)
-			go func() { done <- c0.Ssend(1, 2, []byte("synchronous")) }()
+			go func() { done <- c0.Send(1, 2, make([]byte, 4<<10)) }()
 			select {
 			case err := <-done:
 				if err != nil {
-					t.Fatalf("Ssend: %v", err)
+					t.Fatalf("rendezvous send: %v", err)
 				}
 			case <-time.After(10 * time.Second):
-				t.Fatal("Ssend hung: its ack was lost with the receiver's connection")
+				t.Fatal("rendezvous send hung: its CTS was lost with the receiver's connection")
 			}
 			nc := &envs[1].Perf().Net
 			if got := nc.Dials.Load(); got != 2 {
-				t.Errorf("receiver Dials = %d, want 2 (the ack's stream was redialed once)", got)
+				t.Errorf("receiver Dials = %d, want 2 (the CTS's stream was redialed once)", got)
 			}
 			if got, want := nc.FaultsInjected.Load(), uint64(len(strings.Fields(row.fault))); got != want {
 				t.Errorf("receiver FaultsInjected = %d, want %d", got, want)

@@ -14,8 +14,7 @@
 // Each sender owns one outbound connection per peer and writes its packets
 // to it in program order; TCP's ordered delivery plus the engine's
 // first-match scan yield the same non-overtaking guarantee as the
-// in-process transport. Synchronous sends (Ssend) are acknowledged with a
-// small control frame sent back when the receiver matches the packet.
+// in-process transport.
 //
 // # Eager/rendezvous protocol
 //
@@ -30,8 +29,8 @@
 // from the caller's slice — no intermediate copy on either side: the
 // receiver reads the payload into its final exactly-sized buffer. A
 // rendezvous send therefore blocks until the receiver has matched, giving
-// Send Ssend-like synchronous semantics above the threshold (permitted by
-// the MPI standard, which lets any send block until the matching receive).
+// Send synchronous semantics above the threshold (permitted by the MPI
+// standard, which lets any send block until the matching receive).
 //
 // # Fault tolerance
 //
@@ -49,8 +48,8 @@
 //     for longer than MPH_PEER_TIMEOUT means the peer is hung or
 //     partitioned, and a lost inbound stream that is not re-established
 //     within the same window means the peer is dead.
-//   - When the failure detector declares a world rank dead, pending
-//     synchronous sends to it fail, the engine fails receives that only it
+//   - When the failure detector declares a world rank dead, rendezvous
+//     sends waiting on its CTS fail, the engine fails receives that only it
 //     could satisfy (mpi.ErrPeerLost), and future sends to it fail fast.
 //   - Abort frames propagate mpi.Comm.Abort (and the launcher's abort on
 //     child failure) to every rank, failing all pending operations with
@@ -78,27 +77,65 @@ import (
 // must go out promptly even when some peers are already unreachable.
 const abortSendTimeout = time.Second
 
-// frameBuf is a pooled outbound frame buffer. A frame is dead the moment its
+// frameBuf is an outbound eager frame buffer. A frame is dead the moment its
 // blocking write returns, so Deliver recycles it for the next send instead
-// of allocating header+payload garbage per packet. The wrapper keeps the
-// slice header off the heap on pool round trips.
-type frameBuf struct{ b []byte }
+// of allocating header+payload garbage per packet.
+type frameBuf struct {
+	b    []byte
+	next *frameBuf
+}
 
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+// frameListDepth bounds the transport's free list of frame buffers, like an
+// mpi.PacketPool's: a handful of senders write at once, and a burst of them
+// should not stay resident for the rest of the job.
+const frameListDepth = 64
 
-// putFrame recycles a frame buffer, dropping (not pooling) one that grew
-// beyond maxCap — the transport's resolved netConfig.maxPooledFrame — so a
-// single large send cannot pin payload-sized memory for the life of the
-// process. The cap tracks the configured eager threshold (it used to be
-// pinned to the default, which made every eager frame of a job that raised
-// MPH_EAGER_THRESHOLD above 64 KiB miss the pool and allocate per send),
-// bounded by maxPooledFrameCeiling; rendezvous-disabled jobs can still push
-// arbitrarily large eager frames, and those are dropped here.
-func putFrame(fb *frameBuf, maxCap int) {
-	if cap(fb.b) > maxCap {
+// frameList is the transport's bounded free list of outbound frame buffers,
+// the same shape as the mpi.PacketPool its readers take inbound packets from:
+// a mutex, a linked list, a depth bound, so a buffer handed back is always
+// there for the next send — under the race detector too, where a sync.Pool
+// drops a share of its Puts.
+type frameList struct {
+	// maxCap is the transport's resolved netConfig.maxPooledFrame: put drops
+	// the backing array of a buffer that grew beyond it, so a single large
+	// send cannot pin payload-sized memory for the life of the process. The
+	// cap tracks the configured eager threshold, so a job that raises
+	// MPH_EAGER_THRESHOLD still recycles its eager frames, bounded by
+	// maxPooledFrameCeiling; rendezvous-disabled jobs can still push
+	// arbitrarily large eager frames, and those are dropped here.
+	maxCap int
+
+	mu   sync.Mutex
+	free *frameBuf
+	n    int
+}
+
+// get takes a frame buffer off the list, or makes an empty one.
+func (fl *frameList) get() *frameBuf {
+	fl.mu.Lock()
+	fb := fl.free
+	if fb != nil {
+		fl.free, fb.next = fb.next, nil
+		fl.n--
+	}
+	fl.mu.Unlock()
+	if fb == nil {
+		fb = new(frameBuf)
+	}
+	return fb
+}
+
+// put recycles a frame buffer whose write has returned.
+func (fl *frameList) put(fb *frameBuf) {
+	if cap(fb.b) > fl.maxCap {
 		fb.b = nil
 	}
-	framePool.Put(fb)
+	fl.mu.Lock()
+	if fl.n < frameListDepth {
+		fb.next, fl.free = fl.free, fb
+		fl.n++
+	}
+	fl.mu.Unlock()
 }
 
 // DialTimeout is the default total budget for rendezvous registration and
@@ -109,9 +146,8 @@ const DialTimeout = 30 * time.Second
 // osExit is swapped out by tests of the "die" fault action.
 var osExit = os.Exit
 
-// waiter is one blocked sender: a synchronous send awaiting its ack frame, or
-// a rendezvous send awaiting its CTS. The channel closes on release (reads
-// nil) or first carries the typed failure.
+// waiter is one blocked sender: a rendezvous send awaiting its CTS. The
+// channel closes on release (reads nil) or first carries the typed failure.
 type waiter struct {
 	ch  chan error
 	dst int
@@ -138,6 +174,8 @@ type Transport struct {
 	// like the outbound frames (cfg.maxPooledFrame): the stream readers take
 	// from it, the receive that consumes a packet gives it back.
 	pool *mpi.PacketPool
+	// frames recycles outbound eager frames, whose buffers Deliver fills.
+	frames frameList
 
 	// Intra-host payload listener (shm.go), fixed at Init: nil and "" when
 	// the channel is disabled.
@@ -152,10 +190,9 @@ type Transport struct {
 	abortErr atomic.Pointer[mpi.AbortError] // set once the job is aborting
 
 	// The waiter tables: what one failure sweep (failWaiters) must release.
-	// waiters holds this rank's blocked senders by the id their packet or
-	// RTS carried (one sequence, so an ack and a CTS never collide). rdvIn
-	// holds inbound rendezvous placeholders between RTS and the full payload
-	// landing, keyed by (sender world rank, id).
+	// waiters holds this rank's blocked rendezvous senders by the id their
+	// RTS carried. rdvIn holds inbound rendezvous placeholders between RTS and
+	// the full payload landing, keyed by (sender world rank, id).
 	waitMu  sync.Mutex
 	waitSeq uint64
 	waiters map[uint64]waiter
@@ -256,6 +293,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		cfg:     cfg,
 		faults:  faults,
 		pool:    mpi.NewPacketPool(cfg.maxPooledFrame),
+		frames:  frameList{maxCap: cfg.maxPooledFrame},
 		inbound: make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 		waiters: make(map[uint64]waiter),
@@ -380,8 +418,8 @@ func (t *Transport) addWaiter(ch chan error, dst int) uint64 {
 }
 
 // releaseWaiter wakes the sender registered under id, if it is still
-// waiting: its ack or CTS arrived. forgetWaiter drops the registration of a
-// frame that never left, so no reply will come.
+// waiting: its CTS arrived. forgetWaiter drops the registration of an RTS
+// that never left, so no CTS will come.
 func (t *Transport) releaseWaiter(id uint64) {
 	if w, ok := t.forgetWaiter(id); ok {
 		close(w.ch) // reads as nil
@@ -470,10 +508,7 @@ func (t *Transport) Deliver(dst int, p mpi.Packet) error {
 		return t.deliverRendezvous(pr, p)
 	}
 	f := frame{kind: kindPacket, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag}
-	if p.Ack != nil {
-		f.id = t.addWaiter(p.Ack, dst)
-	}
-	fb := framePool.Get().(*frameBuf)
+	fb := t.frames.get()
 	if n := prefixLen + packetHdrLen + len(p.Data); cap(fb.b) < n {
 		fb.b = make([]byte, 0, n)
 	}
@@ -484,12 +519,7 @@ func (t *Transport) Deliver(dst int, p mpi.Packet) error {
 		nc.FramesOut.Add(1)
 		nc.BytesOut.Add(uint64(len(fb.b)))
 	}
-	putFrame(fb, t.cfg.maxPooledFrame)
-	if err != nil && f.id != 0 {
-		// The packet never left, so no ack will come back; drop the
-		// registration rather than stranding it until Close.
-		t.forgetWaiter(f.id)
-	}
+	t.frames.put(fb)
 	return ignoreDrop(err)
 }
 
@@ -534,48 +564,26 @@ func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 	nc.FramesOut.Add(1)
 	nc.RDataOut.Add(1)
 	nc.BytesOut.Add(uint64(len(data) + len(p.Data)))
-	// The CTS already proved the consuming match, which is exactly what an
-	// Ssend waits for; release it locally, no wire ack needed.
-	if p.Ack != nil {
-		close(p.Ack)
-	}
 	return nil
-}
-
-// ackWhenMatched waits for the local engine to match an Ssend's packet, then
-// returns the ack. A failed completion (abort, shutdown) produces none: the
-// sender's own failure path delivers its error.
-func (t *Transport) ackWhenMatched(src int, id uint64, matched <-chan error) {
-	if err := <-matched; err == nil {
-		t.reply(src, kindAck, id)
-	}
 }
 
 // ctsWhenMatched waits for the local engine to match a rendezvous
 // placeholder, then tells the sender it is clear to ship the payload. A
 // failed rendezvous (peer lost, abort, shutdown) produces no CTS: the
-// sender's own failure sweep delivers its error.
+// sender's own failure sweep delivers its error. The CTS takes the full
+// redial-once send path: one lost on a stale connection would strand a
+// sender whose peer is alive, where no failure detector ever fires.
 func (t *Transport) ctsWhenMatched(src int, id uint64, rdv *mpi.Rendezvous) {
-	if <-rdv.Matched(); rdv.MatchErr() == nil {
-		t.reply(src, kindCTS, id)
+	if <-rdv.Matched(); rdv.MatchErr() != nil {
+		return
 	}
-}
-
-// reply returns an ack or a CTS quoting id. Both take the full redial-once
-// send path: a reply lost on a stale connection would strand a sender whose
-// peer is alive, where no failure detector ever fires.
-func (t *Transport) reply(dst int, kind byte, id uint64) {
 	var b [prefixLen + 8]byte
-	if t.peers[dst].send(kind, encode(b[:0], frame{kind: kind, id: id}, 0), nil) != nil {
+	if t.peers[src].send(kindCTS, encode(b[:0], frame{kind: kindCTS, id: id}, 0), nil) != nil {
 		return // best effort: the peer may already be gone
 	}
 	nc := t.netCounters()
-	if kind == kindAck {
-		nc.AcksOut.Add(1)
-	} else {
-		nc.CTSOut.Add(1)
-		nc.BytesOut.Add(uint64(len(b)))
-	}
+	nc.CTSOut.Add(1)
+	nc.BytesOut.Add(uint64(len(b)))
 }
 
 // Close implements mpi.Transport: it stops the accept and heartbeat loops,
@@ -626,8 +634,8 @@ func (t *Transport) severAll() {
 
 // BroadcastAbort implements the abort hook behind mpi.Comm.Abort: it pushes
 // an abort frame to every peer not already dead (briefly dialing peers with
-// no established connection) and fails this rank's pending synchronous
-// sends with the abort error. Best effort with a bounded per-peer timeout:
+// no established connection) and fails this rank's pending rendezvous sends
+// with the abort error. Best effort with a bounded per-peer timeout:
 // unreachable peers are skipped, and the launcher's process-group kill is
 // the backstop.
 func (t *Transport) BroadcastAbort(code, origin int) {

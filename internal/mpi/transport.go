@@ -109,13 +109,6 @@ func (e *Env) EnableTracing(capacity int) *perf.Tracer {
 	return t
 }
 
-// PeerArrivals reports the messages and bytes this rank's engine has
-// received from one source world rank. Transports use it to derive sent
-// totals for self-delivered traffic.
-func (e *Env) PeerArrivals(src int) (msgs, bytes uint64) {
-	return e.eng.arrivalsFrom(src)
-}
-
 // flushObservability writes the stats and trace files requested through
 // perf.EnvStatsDir / perf.EnvTraceDir before the engine is torn down.
 // Besides the clean Close path it also runs on abort and peer loss — a
@@ -194,12 +187,6 @@ func (e *Env) HostOf(r int) string {
 	}
 	return (*p)[r]
 }
-
-// WorldRank returns this process's rank in the world communicator.
-func (e *Env) WorldRank() int { return e.worldRank }
-
-// WorldSize returns the total number of ranks in the job.
-func (e *Env) WorldSize() int { return e.worldSize }
 
 // Post injects an incoming packet into this rank's engine. It is the
 // receive-side hook for transports; the engine owns the packet and its

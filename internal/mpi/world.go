@@ -45,8 +45,8 @@ func NewWorld(n int) (*World, error) {
 			return msgs, bytes
 		})
 	}
-	// Every in-process rank shares one host; publish that so HostOf and
-	// SplitByHost behave uniformly across transports.
+	// Every in-process rank shares one host; publish that so HostOf behaves
+	// uniformly across transports.
 	host, err := os.Hostname()
 	if err != nil || host == "" {
 		host = "localhost"
@@ -95,10 +95,8 @@ func (w *World) Comm(rank int) (*Comm, error) {
 	return worldComm(w.envs[rank]), nil
 }
 
-// Close shuts down every rank's engine: blocked receivers and probes fail
-// with ErrClosed, outstanding posted receives (Irecv requests) complete with
-// ErrClosed, and synchronous senders blocked on unmatched messages are
-// released.
+// Close shuts down every rank's engine: blocked receivers fail with
+// ErrClosed, and so do outstanding posted receives (requests).
 func (w *World) Close() {
 	// Flush observability dumps for every rank before any engine closes:
 	// sent totals are derived from sibling engines, which must still hold

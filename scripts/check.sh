@@ -10,7 +10,10 @@
 #   and the two-rank allreduce (a record given back too early, or seen twice,
 #   shows as a corrupted checksum); their allocation budgets
 #   (TestEagerRecvIntoAllocBudget, TestAllocBudget*,
-#   TestCoupledPeriodAllocBudget) run in the plain "go test ./..." pass;
+#   TestCoupledPeriodAllocBudget) hold under -race as well — every buffer on
+#   the path comes from a bounded free list, no sync.Pool drops a Put — so
+#   they run in the plain pass, in the internal/mpi -race pass and, for the
+#   coupled period, in a -race pass of their own;
 # - the bench smoke runs every Benchmark* once, so every experiment of
 #   EXPERIMENTS.md keeps a command that executes (one harness: go test -bench);
 # - the launcher smokes drive the remote-spawn path end to end without an
@@ -31,6 +34,7 @@ go test -race ./internal/mpi/...
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./internal/mpi/...
+go test -run 'TestCoupledPeriodAllocBudget' -race -count=2 ./internal/coupler
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun ./internal/bootstrap
@@ -141,10 +145,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (18,593 before the recycled eager
-# buffers, re-armed requests and the two-rank allreduce, 18,894 after) and
-# the stripped size of a component executable (3,535,140 -> 3,559,716 bytes,
-# runtime/metrics included) — the next PR's baselines.
+# Non-test Go lines outside benchmark/ (18,894 before internal/mpi shed the
+# MPI nothing called, 18,346 after) and the stripped size of a component
+# executable (3,559,716 bytes before and after: text fell 6.4 KB, the file
+# grows and shrinks in 4 KiB pages) — the next PR's baselines.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

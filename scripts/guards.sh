@@ -15,8 +15,11 @@ cd "$(dirname "$0")/.."
 # into the receive's own), the send layer's defensive copy with the capability
 # that let tcpnet skip it and the pool of blocking-Recv records (PR 20: Deliver
 # borrows from every sender, posted records live in their requests or on the
-# engine's free list).
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool' --include=*.go .; then
+# engine's free list), and the MPI nothing called (PR 21: Ssend with its ack
+# frame, counters and goroutine, Probe with the engine's probe waiters, the
+# scans, the nonblocking helpers, the communicator helpers). The tokens are
+# chosen so they cannot hit mpirun's ProbeHost or benchmark/'s job.Probe.
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool\|\.Ssend(\|\.IProbe(\|\.Isend(\|mpi\.WaitAll\|kindAck\|frameAck\|AcksOut\|ackWhenMatched\|notifyProbes\|pwaitList\|ExclusiveScanInts\|SplitByHost\|RankOfWorld\|IrecvFloatsInto' --include=*.go .; then
     exit 1
 fi
 # One micro-benchmark surface (PR 18): the table-printing second harness, its
