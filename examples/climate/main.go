@@ -12,20 +12,23 @@
 //     the same binary serves every component because nothing is
 //     hard-coded (paper §4.1).
 //
-//     go build -o climate ./examples/climate
+//     go build -o /tmp/climate ./examples/climate
+//     mkdir -p /tmp/logs
 //     cat > job.cmd <<'EOF'
-//     3 ./climate -component atmosphere
-//     2 ./climate -component ocean
-//     2 ./climate -component land
-//     1 ./climate -component ice
-//     2 ./climate -component coupler
+//     3 /tmp/climate -component atmosphere -logdir /tmp/logs
+//     2 /tmp/climate -component ocean      -logdir /tmp/logs
+//     2 /tmp/climate -component land       -logdir /tmp/logs
+//     1 /tmp/climate -component ice        -logdir /tmp/logs
+//     2 /tmp/climate -component coupler    -logdir /tmp/logs
 //     EOF
 //     go run ./cmd/mphrun -cmdfile job.cmd -registration examples/climate/processors_map.in
 //
 // Each coupling period the models advance internally, ship their surface
 // fields to the coupler through MPH-joined communicators, receive flux
 // increments back, and the coupler logs global diagnostics to coupler.log
-// (paper §5.4).
+// (paper §5.4) under -logdir. In-process, -logdir defaults to a fresh
+// temporary directory whose path the run prints; under mphrun it is
+// required, since every rank must name the same directory.
 package main
 
 import (
@@ -33,7 +36,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"mph/internal/bootstrap"
 	"mph/internal/core"
@@ -78,7 +80,7 @@ func main() {
 	substeps := flag.Int("substeps", 4, "model steps per period")
 	dt := flag.Float64("dt", 0.5, "model time step")
 	pace := flag.Duration("pace", 0, "sleep per coupling period, to stretch the run to wall-clock time for live-telemetry demos")
-	logDir := flag.String("logdir", ".", "directory for component log files")
+	logDir := flag.String("logdir", "", "directory for component log files (in-process default: a new temporary directory)")
 	flag.Parse()
 
 	g, err := grid.New(*nlat, *nlon)
@@ -106,6 +108,9 @@ func runDistributed(component string, cfg coupler.Config, logDir string) error {
 	if component == "" {
 		return fmt.Errorf("-component is required under mphrun")
 	}
+	if logDir == "" {
+		return fmt.Errorf("-logdir is required under mphrun")
+	}
 	env, regPath, err := tcpnet.InitFromEnv()
 	if err != nil {
 		return err
@@ -121,7 +126,7 @@ func runDistributed(component string, cfg coupler.Config, logDir string) error {
 	if err != nil {
 		return err
 	}
-	if err := runComponent(s, cfg, logDir); err != nil {
+	if err := runComponent(s, cfg); err != nil {
 		return err
 	}
 	return world.Barrier() // drain before teardown
@@ -129,19 +134,28 @@ func runDistributed(component string, cfg coupler.Config, logDir string) error {
 
 // runInProcess simulates the whole job in one process.
 func runInProcess(cfg coupler.Config, logDir string) error {
-	return mpi.RunWorld(10, func(c *mpi.Comm) error {
+	if logDir == "" {
+		dir, err := os.MkdirTemp("", "climate-logs-")
+		if err != nil {
+			return err
+		}
+		logDir = dir
+	}
+	err := mpi.RunWorld(10, func(c *mpi.Comm) error {
 		name := launchPlan(c.Rank())
 		s, err := core.SingleComponentSetup(c, core.TextSource(registration), name,
 			core.WithLogDir(logDir))
 		if err != nil {
 			return err
 		}
-		return runComponent(s, cfg, logDir)
+		return runComponent(s, cfg)
 	})
+	fmt.Printf("component logs in %s\n", logDir)
+	return err
 }
 
 // runComponent is the shared body: coupled run plus logging.
-func runComponent(s *core.Setup, cfg coupler.Config, logDir string) error {
+func runComponent(s *core.Setup, cfg coupler.Config) error {
 	lg, err := s.Logger(s.CompName())
 	if err != nil {
 		return err
@@ -161,15 +175,6 @@ func runComponent(s *core.Setup, cfg coupler.Config, logDir string) error {
 		for p := range d.AtmMean {
 			lg.Printf("%-6d %10.3f %10.3f %10.4f %10.4f %14.3e",
 				p, d.AtmMean[p], d.OcnMean[p], d.LandMean[p], d.IceMean[p], d.FluxImbalance[p])
-		}
-		// Machine-readable history next to the log, for post-processing.
-		f, err := os.Create(filepath.Join(logDir, "coupler_history.csv"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := coupler.WriteHistory(f, d); err != nil {
-			return err
 		}
 		// Also summarize on stdout so the launcher output shows the
 		// result.

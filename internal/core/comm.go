@@ -55,7 +55,7 @@ func (s *Setup) CommJoin(a, b string) (*mpi.Comm, error) {
 	// in the same order, so the counters stay consistent without
 	// communication. The setup's own global-communicator context (unique
 	// per handshake) is folded in so that joins made through different
-	// Setups — e.g. before and after a Remap — never collide either.
+	// Setups — two handshakes on the same world — never collide either.
 	pair := a + "\x00" + b
 	seq := s.joinSeq[pair]
 	s.joinSeq[pair]++

@@ -50,11 +50,10 @@ type Config struct {
 	// Names maps roles to component names; zero value means DefaultNames.
 	Names Names
 	// Init, when non-nil, runs on each model component's ranks right
-	// after model construction — the hook for loading restart files
-	// (model.LoadCheckpoint) or applying per-member perturbations. It must
-	// succeed on every rank or the whole job is expected to abort; a
-	// partial failure leaves peers blocked in the first exchange, exactly
-	// as in an MPI job.
+	// after model construction — the hook for loading a restart state or
+	// applying per-member perturbations. It must succeed on every rank or
+	// the whole job is expected to abort; a partial failure leaves peers
+	// blocked in the first exchange, exactly as in an MPI job.
 	Init func(component string, m *model.SurfaceModel) error
 }
 

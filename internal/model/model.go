@@ -109,7 +109,7 @@ func (m *SurfaceModel) Name() string { return m.name }
 func (m *SurfaceModel) Field() *grid.Field { return m.state }
 
 // SetField replaces the local slab (after a coupler-to-model transfer or a
-// migration). The field must have this processor's shape; a structurally
+// restart). The field must have this processor's shape; a structurally
 // equal decomposition (same grid, same processor count) is accepted
 // because grid.NewDecomp is deterministic.
 func (m *SurfaceModel) SetField(f *grid.Field) error {
@@ -202,11 +202,50 @@ func (m *SurfaceModel) StepN(n int, dt float64) error {
 	return nil
 }
 
-// exchangeHalos swaps edge rows with latitude neighbors. Processor p-1
-// holds the bands to the north (lower latitude index), p+1 to the south.
+// exchangeHalos swaps the slab's first and last rows with the latitude
+// neighbors: processor p-1 holds the bands to the north (lower latitude
+// index), p+1 to the south. The rows land straight in m.north and m.south on
+// the model's own two requests, posted again every step; both receives are
+// posted before either row is sent.
 func (m *SurfaceModel) exchangeHalos() error {
-	return exchangeEdgeRows(m.comm, m.name, m.state.Data, m.decomp.Grid.NLon,
-		haloTag, m.north, m.south, &m.halo)
+	nlon := m.decomp.Grid.NLon
+	data := m.state.Data
+	rows := len(data) / nlon
+	sides := [2]struct {
+		peer       int
+		halo, edge []float64
+		dir        string
+	}{
+		{m.comm.Rank() - 1, m.north, data[:nlon], "north"},
+		{m.comm.Rank() + 1, m.south, data[(rows-1)*nlon:], "south"},
+	}
+	var posted [2]bool
+	for i, s := range sides {
+		if posted[i] = s.peer >= 0 && s.peer < m.comm.Size(); posted[i] {
+			m.comm.StartRecvFloatsInto(&m.halo[i], s.peer, haloTag, s.halo)
+		}
+	}
+	var err error
+	for i, s := range sides {
+		if !posted[i] || err != nil {
+			continue
+		}
+		if e := m.comm.SendFloats(s.peer, haloTag, s.edge); e != nil {
+			err = fmt.Errorf("model %s: halo send %s: %w", m.name, s.dir, e)
+		}
+	}
+	for i := range m.halo {
+		if !posted[i] {
+			continue
+		}
+		if err != nil {
+			m.halo[i].Cancel() // the halo rows are the model's again on return
+		}
+		if _, _, e := m.halo[i].Wait(); e != nil && err == nil {
+			err = fmt.Errorf("model %s: halo recv %s: %w", m.name, sides[i].dir, e)
+		}
+	}
+	return err
 }
 
 // GlobalMean returns the area-weighted global mean of the field;

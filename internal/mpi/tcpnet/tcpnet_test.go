@@ -390,8 +390,8 @@ func TestHandshakeDialBudget(t *testing.T) {
 // TestTransferBothSidesRendezvous is the regression test for the head-to-head
 // deadlock of the old send-all-then-receive-all transfer: three ranks that
 // are each source and destination of a redistribution (every rank's slab
-// goes to the next rank round the ring, as in a coupler.MigrateField between
-// two layouts of the same ranks) with every segment above the eager
+// goes to the next rank round the ring, a cycle only explicit SrcRanks and
+// DstRanks can express within one plan) with every segment above the eager
 // threshold. Each used to block in Send waiting for a CTS its neighbor, itself
 // blocked in Send, would never issue. With every receive posted before any
 // send the ring completes; a watchdog turns a relapse into a failure, not a

@@ -9,37 +9,6 @@ import (
 	"mph/internal/xfer"
 )
 
-// BenchmarkTranspose (EXPERIMENTS.md A1) measures the all-to-all
-// row-to-column redistribution across processor counts and grid sizes.
-func BenchmarkTranspose(b *testing.B) {
-	for _, p := range []int{2, 4, 8} {
-		for _, n := range []int{32, 128} {
-			b.Run(fmt.Sprintf("p=%d/%dx%d", p, n, n), func(b *testing.B) {
-				g, err := grid.New(n, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows, _ := grid.NewDecomp(g, p)
-				cols, _ := grid.NewColDecomp(g, p)
-				b.SetBytes(int64(g.Cells() * 8))
-				err = mpi.RunWorld(p, func(c *mpi.Comm) error {
-					f := grid.NewField(rows, c.Rank())
-					f.FillFunc(func(lat, lon int) float64 { return float64(lat + lon) })
-					for i := 0; i < b.N; i++ {
-						if _, err := xfer.Transpose(c, rows, cols, f); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkMToNTransfer (EXPERIMENTS.md E4) measures the M-to-N field
 // redistribution a joined communicator exists for, in the steady state of a
 // coupled run: one Plan per rank, one Start/Wait per period. It runs on the

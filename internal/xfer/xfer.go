@@ -94,8 +94,8 @@ type Spec struct {
 	// SrcRanks and DstRanks, when non-nil, override the affine offset
 	// mapping with an explicit communicator rank per processor index —
 	// needed when the two processor sets interleave arbitrarily on the
-	// communicator (e.g. migrating a component between two layouts of the
-	// same world after a Remap).
+	// communicator (e.g. each rank's slab moving to the next rank round a
+	// ring, which no pair of offsets expresses).
 	SrcRanks, DstRanks []int
 	// SrcProc is this rank's processor index on the source decomposition,
 	// or -1.
