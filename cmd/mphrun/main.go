@@ -50,7 +50,6 @@ import (
 	"net/http"
 	"os"
 
-	"mph/internal/bootstrap"
 	"mph/internal/mpi/perf"
 	"mph/internal/mpirun"
 )
@@ -153,16 +152,6 @@ func main() {
 	spec.Bind = *bind
 	spec.Spawner = spawner
 
-	statsDir := ""
-	if *stats {
-		statsDir, err = os.MkdirTemp("", "mph-stats-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(statsDir)
-		spec.ExtraEnv = append(spec.ExtraEnv, perf.EnvStatsDir+"="+statsDir)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
@@ -172,25 +161,18 @@ func main() {
 	}
 
 	// The telemetry plane rides along whenever any observability output is
-	// requested: -http and -stats-interval need it for live reports, and
-	// -stats/-trace benefit from the handshake clock sync it performs (clock
-	// offsets end up in the snapshots and trace metadata, which is what lets
-	// mphtrace align per-host timelines).
-	var tele *mpirun.Telemetry
+	// requested: -http and -stats-interval need it for live reports, -stats
+	// for the final ones, and -trace for the clock sync the ranks run with
+	// it (clock offsets end up in the snapshots and trace metadata, which is
+	// what lets mphtrace align per-host timelines).
 	if *httpAddr != "" || *statsInterval > 0 || *stats || *traceDir != "" {
-		tele, err = mpirun.NewTelemetry(*bind, len(spec.Procs))
-		if err != nil {
+		if spec.Telemetry, err = mpirun.NewTelemetry(len(spec.Procs), *statsInterval); err != nil {
 			fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
 			os.Exit(1)
 		}
-		defer tele.Close()
-		spec.ExtraEnv = append(spec.ExtraEnv, bootstrap.EnvTelemetry+"="+tele.Addr())
-		if *statsInterval > 0 {
-			spec.ExtraEnv = append(spec.ExtraEnv, perf.EnvStatsInterval+"="+statsInterval.String())
-		}
 	}
 	if *httpAddr != "" {
-		srv := &http.Server{Addr: *httpAddr, Handler: tele.Handler()}
+		srv := &http.Server{Addr: *httpAddr, Handler: spec.Telemetry.Handler()}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mphrun: -http: %v\n", err)
@@ -205,33 +187,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
 		// A failed job still has a story to tell: print whatever the
 		// telemetry plane collected before the crash.
-		if *stats && tele != nil {
-			if snaps := tele.Snapshots(); len(snaps) > 0 {
+		if *stats {
+			if snaps := spec.Telemetry.Snapshots(); len(snaps) > 0 {
 				fmt.Fprintf(os.Stderr, "mphrun: post-mortem telemetry (%d of %d rank(s) reported):\n",
 					len(snaps), len(spec.Procs))
 				printStats(os.Stderr, snaps)
 			}
 		}
-		if statsDir != "" {
-			os.RemoveAll(statsDir)
-		}
 		os.Exit(1)
 	}
-	if statsDir != "" {
-		snaps, err := readStats(statsDir)
-		if err != nil && tele != nil {
-			// Rank dumps can go missing on shared-nothing multi-host runs
-			// (the files land on the remote hosts); the telemetry plane's
-			// final reports carry the same snapshots.
-			if ts := tele.Snapshots(); len(ts) > 0 {
-				snaps, err = ts, nil
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mphrun: stats: %v\n", err)
-			os.RemoveAll(statsDir)
-			os.Exit(1)
-		}
+	if *stats {
+		snaps := spec.Telemetry.Snapshots()
 		printStats(os.Stdout, snaps)
 		printStragglers(os.Stdout, snaps)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
@@ -192,6 +191,30 @@ func selfSpec(t *testing.T, nAlpha int, hosts []mpirun.HostSlot, policy mpirun.P
 	return spec
 }
 
+// withTelemetry attaches an aggregator to the spec, as mphrun -stats does,
+// ranks reporting live every `every` (0 = final reports only).
+func withTelemetry(t *testing.T, spec *mpirun.LaunchSpec, every time.Duration) *mpirun.Telemetry {
+	t.Helper()
+	tele, err := mpirun.NewTelemetry(len(spec.Procs), every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Telemetry = tele
+	return tele
+}
+
+// finalReports is what -stats summarizes: every rank's snapshot as the
+// aggregator holds it once Launch has returned — by which time every rank's
+// final report must be in, with no waiting.
+func finalReports(t *testing.T, tele *mpirun.Telemetry) []perf.Snapshot {
+	t.Helper()
+	view := tele.View()
+	if view.Reporting != view.WorldSize || view.Finals != view.WorldSize {
+		t.Fatalf("once Launch returned: %d of %d rank(s) reported, %d final", view.Reporting, view.WorldSize, view.Finals)
+	}
+	return tele.Snapshots()
+}
+
 // TestLaunchEndToEnd runs a real MPMD job: mpirun.Launch spawns three OS
 // processes of this test binary (two executables), which bootstrap a TCP
 // world, perform the MPH handshake against a registration file, and
@@ -293,7 +316,7 @@ func TestLaunchFailureReport(t *testing.T) {
 // each) through the exec backend: each host's block is spawned through an
 // agent exactly as an ssh launch would, minus the ssh hop. The workers
 // verify the published host topology (HostOf, a split by host), the registration
-// file travels by value through the agent, and the stats dumps must still
+// file travels by value through the agent, and the final reports must still
 // reconcile across the "hosts".
 func TestLaunchMultiHostExec(t *testing.T) {
 	if testing.Short() {
@@ -302,15 +325,11 @@ func TestLaunchMultiHostExec(t *testing.T) {
 	hosts := []mpirun.HostSlot{{Name: "nodeA", Slots: 2}, {Name: "nodeB", Slots: 2}}
 	t.Setenv("MPH_TEST_WORKER", "1")
 	t.Setenv("MPH_TEST_EXPECT_HOSTS", "nodeA,nodeA,nodeB,nodeB")
-	statsDir := filepath.Join(t.TempDir(), "stats")
-	if err := os.MkdirAll(statsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	spec := selfSpec(t, 3, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
 	spec.Spawner = mpirun.NewExecSpawner("")
-	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
+	tele := withTelemetry(t, spec, 0)
 	for r, want := range []string{"nodeA", "nodeA", "nodeB", "nodeB"} {
 		if got := spec.Procs[r].Host; got != want {
 			t.Fatalf("placement: rank %d on %q, want %q", r, got, want)
@@ -319,14 +338,7 @@ func TestLaunchMultiHostExec(t *testing.T) {
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
-	snaps, err := readStats(statsDir)
-	if err != nil {
-		t.Fatalf("readStats: %v", err)
-	}
-	if len(snaps) != 4 {
-		t.Fatalf("got %d snapshots, want 4", len(snaps))
-	}
-	_, totals := summarize(snaps)
+	_, totals := summarize(finalReports(t, tele))
 	if totals.SentMsgs == 0 || totals.SentMsgs != totals.RecvMsgs {
 		t.Errorf("totals do not reconcile: sent %d, recv %d", totals.SentMsgs, totals.RecvMsgs)
 	}
@@ -334,8 +346,8 @@ func TestLaunchMultiHostExec(t *testing.T) {
 
 // TestLaunchHierCollectives forces the two-level host-aware collectives on
 // (MPH_COLL_HIER=1, forwarded to every rank by the launcher) in a 5-rank
-// exec-backend job spanning two uneven hosts, and checks through the stats
-// dumps that the handshake's world collectives actually routed
+// exec-backend job spanning two uneven hosts, and checks through the final
+// reports that the handshake's world collectives actually routed
 // hierarchically (the hier pvar is nonzero) while the job-wide send/recv
 // totals still reconcile — the same assertions scripts/check.sh greps for.
 func TestLaunchHierCollectives(t *testing.T) {
@@ -346,25 +358,15 @@ func TestLaunchHierCollectives(t *testing.T) {
 	t.Setenv("MPH_TEST_WORKER", "1")
 	t.Setenv("MPH_TEST_EXPECT_HOSTS", "nodeA,nodeA,nodeA,nodeB,nodeB")
 	t.Setenv(mpi.EnvCollHier, "1")
-	statsDir := filepath.Join(t.TempDir(), "stats")
-	if err := os.MkdirAll(statsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
 	spec.Spawner = mpirun.NewExecSpawner("")
-	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
+	tele := withTelemetry(t, spec, 0)
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
-	snaps, err := readStats(statsDir)
-	if err != nil {
-		t.Fatalf("readStats: %v", err)
-	}
-	if len(snaps) != 5 {
-		t.Fatalf("got %d snapshots, want 5", len(snaps))
-	}
+	snaps := finalReports(t, tele)
 	_, totals := summarize(snaps)
 	if totals.SentMsgs == 0 || totals.SentMsgs != totals.RecvMsgs {
 		t.Errorf("totals do not reconcile: sent %d, recv %d", totals.SentMsgs, totals.RecvMsgs)
@@ -383,7 +385,7 @@ func TestLaunchHierCollectives(t *testing.T) {
 // TestLaunchShmChannel places all five ranks of an exec-backend job on ONE
 // host with rendezvous forced (MPH_EAGER_THRESHOLD=0, forwarded to every
 // rank), so every non-empty payload is eligible for the intra-host channel,
-// and checks through the stats dumps that payload frames actually moved over
+// and checks through the final reports that payload frames actually moved over
 // it (shm pvars nonzero on both sides, byte counts matching) while the
 // job-wide send/recv totals still reconcile — the same assertions the
 // scripts/check.sh shm smoke greps for.
@@ -395,25 +397,15 @@ func TestLaunchShmChannel(t *testing.T) {
 	t.Setenv("MPH_TEST_WORKER", "1")
 	t.Setenv("MPH_TEST_EXPECT_HOSTS", "nodeA,nodeA,nodeA,nodeA,nodeA")
 	t.Setenv(tcpnet.EnvEagerThreshold, "0")
-	statsDir := filepath.Join(t.TempDir(), "stats")
-	if err := os.MkdirAll(statsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
 	spec.Spawner = mpirun.NewExecSpawner("")
-	spec.ExtraEnv = []string{perf.EnvStatsDir + "=" + statsDir}
+	tele := withTelemetry(t, spec, 0)
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
-	snaps, err := readStats(statsDir)
-	if err != nil {
-		t.Fatalf("readStats: %v", err)
-	}
-	if len(snaps) != 5 {
-		t.Fatalf("got %d snapshots, want 5", len(snaps))
-	}
+	snaps := finalReports(t, tele)
 	_, totals := summarize(snaps)
 	if totals.SentMsgs == 0 || totals.SentMsgs != totals.RecvMsgs {
 		t.Errorf("totals do not reconcile: sent %d, recv %d", totals.SentMsgs, totals.RecvMsgs)
@@ -482,10 +474,10 @@ func TestLaunchMultiHostChaos(t *testing.T) {
 // TestLaunchTelemetryMetrics is the end-to-end telemetry-plane test: a
 // 4-rank exec-backend job on two fake hosts pushes periodic snapshot reports
 // to a launcher-side aggregator whose /metrics endpoint is scraped MID-RUN
-// (live Prometheus series with not-yet-final ranks), and after the job the
-// aggregated totals must reconcile job-wide and agree with the file-based
-// stats dumps. The deliberate per-rank imbalance (MPH_TEST_SPIN) makes the
-// last rank the straggler, which the stats summary must name.
+// (live Prometheus series with not-yet-final ranks), and once Launch returns
+// every rank's final report is in and the aggregated totals reconcile
+// job-wide. The deliberate per-rank imbalance (MPH_TEST_SPIN) makes the last
+// rank the straggler, which the stats summary must name.
 func TestLaunchTelemetryMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -493,28 +485,13 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 	hosts := []mpirun.HostSlot{{Name: "nodeA", Slots: 2}, {Name: "nodeB", Slots: 2}}
 	t.Setenv("MPH_TEST_WORKER", "1")
 	t.Setenv("MPH_TEST_SPIN", "250ms")
-	statsDir := filepath.Join(t.TempDir(), "stats")
-	if err := os.MkdirAll(statsDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	tele, err := mpirun.NewTelemetry("", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tele.Close()
-	srv := httptest.NewServer(tele.Handler())
-	defer srv.Close()
-
 	spec := selfSpec(t, 3, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
 	spec.Spawner = mpirun.NewExecSpawner("")
-	spec.ExtraEnv = []string{
-		perf.EnvStatsDir + "=" + statsDir,
-		bootstrap.EnvTelemetry + "=" + tele.Addr(),
-		perf.EnvStatsInterval + "=100ms",
-	}
+	tele := withTelemetry(t, spec, 100*time.Millisecond)
+	srv := httptest.NewServer(tele.Handler())
+	defer srv.Close()
 
 	// Scrape /metrics while the job runs; the spin keeps it alive ~750ms, so
 	// with 100ms report intervals a live (non-final) view must be observable.
@@ -570,32 +547,10 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 		t.Error("never scraped a live (pre-final) /metrics view mid-run")
 	}
 
-	// Final reports travel asynchronously; wait for all four.
-	deadline := time.Now().Add(10 * time.Second)
-	var view mpirun.JobView
-	for {
-		view = tele.View()
-		if view.Finals == 4 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if view.Finals != 4 {
-		t.Fatalf("got %d final reports, want 4 (view %+v)", view.Finals, view)
-	}
+	snaps := finalReports(t, tele)
+	view := tele.View()
 	if !view.Reconciled || view.TotalSentMsgs == 0 {
 		t.Errorf("job-wide totals must reconcile: %+v", view)
-	}
-
-	// The aggregated totals agree with the file-based -stats dumps.
-	snaps, err := readStats(statsDir)
-	if err != nil {
-		t.Fatalf("readStats: %v", err)
-	}
-	_, totals := summarize(snaps)
-	if totals.SentMsgs != view.TotalSentMsgs || totals.RecvMsgs != view.TotalRecvMsgs {
-		t.Errorf("telemetry totals %d/%d != stats-file totals %d/%d",
-			view.TotalSentMsgs, view.TotalRecvMsgs, totals.SentMsgs, totals.RecvMsgs)
 	}
 
 	// Every rank's clock-sync handshake produced an estimate (loopback RTT
@@ -631,41 +586,26 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 }
 
 // TestLaunchStats runs the same MPMD job with stats and trace collection
-// enabled and verifies that the per-rank dumps appear, that the aggregated
-// totals reconcile (every message sent was received), and that the summary
-// formats without error.
+// enabled, as mphrun -stats -trace does, and verifies that every rank's final
+// report is in the moment Launch returns, that the aggregated totals
+// reconcile (every message sent was received), that the summary formats
+// without error, and that the trace dumps appear.
 func TestLaunchStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	dir := t.TempDir()
-	statsDir := filepath.Join(dir, "stats")
-	traceDir := filepath.Join(dir, "trace")
-	for _, d := range []string{statsDir, traceDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	traceDir := t.TempDir()
 	t.Setenv("MPH_TEST_WORKER", "1")
 	spec := selfSpec(t, 2, nil, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
-	spec.ExtraEnv = []string{
-		perf.EnvStatsDir + "=" + statsDir,
-		perf.EnvTraceDir + "=" + traceDir,
-	}
+	spec.ExtraEnv = []string{perf.EnvTraceDir + "=" + traceDir}
+	tele := withTelemetry(t, spec, 0)
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
 
-	snaps, err := readStats(statsDir)
-	if err != nil {
-		t.Fatalf("readStats: %v", err)
-	}
-	if len(snaps) != 3 {
-		t.Fatalf("got %d snapshots, want 3", len(snaps))
-	}
+	snaps := finalReports(t, tele)
 	rows, totals := summarize(snaps)
 	if totals.SentMsgs == 0 {
 		t.Error("no messages counted: handshake traffic should be nonzero")

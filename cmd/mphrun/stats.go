@@ -1,43 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"mph/internal/mpi/perf"
 )
-
-// readStats loads every per-rank snapshot dump (stats.rank*.json) from dir,
-// sorted by world rank.
-func readStats(dir string) ([]perf.Snapshot, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "stats.rank*.json"))
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no stats.rank*.json files in %s", dir)
-	}
-	sort.Strings(paths)
-	snaps := make([]perf.Snapshot, 0, len(paths))
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		var s perf.Snapshot
-		if err := json.Unmarshal(data, &s); err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		snaps = append(snaps, s)
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].WorldRank < snaps[j].WorldRank })
-	return snaps, nil
-}
 
 // componentSummary aggregates the snapshots of the ranks sharing one
 // component name (or "rank<N>" for ranks that never completed a handshake).

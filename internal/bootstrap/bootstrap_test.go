@@ -2,7 +2,6 @@ package bootstrap
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -72,40 +71,56 @@ func TestNewRendezvousValidation(t *testing.T) {
 	}
 }
 
+// serveWorld starts Serve for a rendezvous and returns its result channel.
+func serveWorld(rv *Rendezvous, timeout time.Duration) <-chan error {
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- rv.Serve(timeout) }()
+	return serveErr
+}
+
+// registerAll opens one session per rank concurrently, rank r registering
+// endpoint ep(r), and returns them in rank order.
+func registerAll(t *testing.T, rv *Rendezvous, n int, ep func(rank int) Endpoint) []*Session {
+	t.Helper()
+	sessions := make([]*Session, n)
+	errs := make(chan error, n)
+	for r := 0; r < n; r++ {
+		go func() {
+			s, err := Register(rv.Advertised(), r, ep(r), 10*time.Second)
+			sessions[r] = s
+			errs <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sessions
+}
+
 func TestRendezvousExchange(t *testing.T) {
 	const n = 4
 	rv, err := NewRendezvous(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
-
-	books := make(chan []Endpoint, n)
-	errs := make(chan error, n)
-	for r := 0; r < n; r++ {
-		go func(rank int) {
-			book, err := RegisterEndpoint(rv.Advertised(), rank, Endpoint{Addr: addrFor(rank)}, 10*time.Second)
-			if err != nil {
-				errs <- err
-				return
+	defer rv.Close()
+	serveErr := serveWorld(rv, 10*time.Second)
+	sessions := registerAll(t, rv, n, func(rank int) Endpoint { return Endpoint{Addr: addrFor(rank)} })
+	for rank, s := range sessions {
+		defer s.Close()
+		book := s.Book()
+		if len(book) != n {
+			t.Fatalf("rank %d: book %v", rank, book)
+		}
+		for r := 0; r < n; r++ {
+			if book[r].Addr != addrFor(r) {
+				t.Fatalf("rank %d: book[%d] = %q", rank, r, book[r].Addr)
 			}
-			books <- book
-		}(r)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		case book := <-books:
-			if len(book) != n {
-				t.Fatalf("book %v", book)
-			}
-			for r := 0; r < n; r++ {
-				if book[r].Addr != addrFor(r) {
-					t.Fatalf("book[%d] = %q", r, book[r].Addr)
-				}
-			}
+		}
+		if _, ok := s.ReportEvery(); ok {
+			t.Errorf("rank %d: a rendezvous with no aggregator asked for reports", rank)
 		}
 	}
 	if err := <-serveErr; err != nil {
@@ -118,7 +133,7 @@ func addrFor(rank int) string {
 }
 
 func TestRegisterDialFailure(t *testing.T) {
-	if _, err := RegisterEndpoint("127.0.0.1:1", 0, Endpoint{Addr: "x:1"}, 200*time.Millisecond); err == nil {
+	if _, err := Register("127.0.0.1:1", 0, Endpoint{Addr: "x:1"}, 200*time.Millisecond); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -128,9 +143,8 @@ func TestRendezvousRejectsMalformedRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- rv.Serve(5 * time.Second) }()
-	// A client that sends garbage instead of "rank addr".
+	done := serveWorld(rv, 5*time.Second)
+	// A client that sends garbage instead of a register message.
 	conn, err := dial(rv.Advertised())
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +153,8 @@ func TestRendezvousRejectsMalformedRegistration(t *testing.T) {
 	if _, err := conn.Write([]byte("garbage line\n")); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
-		t.Fatal("malformed registration accepted")
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "registration") {
+		t.Fatalf("malformed registration: Serve returned %v, want an error naming the registration", err)
 	}
 }
 
@@ -157,8 +171,7 @@ func TestRendezvousClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(60 * time.Second) }()
+	serveErr := serveWorld(rv, 60*time.Second)
 
 	time.Sleep(20 * time.Millisecond) // let Serve block in Accept
 	start := time.Now()
@@ -177,41 +190,6 @@ func TestRendezvousClose(t *testing.T) {
 	}
 }
 
-// TestRendezvousBook checks the endpoint-book accessor the launcher's abort
-// broadcast relies on: nil before the exchange completes, the full book in
-// rank order afterwards, and safely copied.
-func TestRendezvousBook(t *testing.T) {
-	const n = 2
-	rv, err := NewRendezvous(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rv.Book() != nil {
-		t.Error("Book non-nil before Serve completed")
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
-	for r := 0; r < n; r++ {
-		go RegisterEndpoint(rv.Advertised(), r, Endpoint{Addr: addrFor(r)}, 10*time.Second)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
-	}
-	book := rv.Book()
-	if len(book) != n {
-		t.Fatalf("Book = %v", book)
-	}
-	for r := 0; r < n; r++ {
-		if book[r].Addr != addrFor(r) {
-			t.Errorf("book[%d].Addr = %q, want %q", r, book[r].Addr, addrFor(r))
-		}
-	}
-	book[0].Addr = "mutated"
-	if rv.Book()[0].Addr == "mutated" {
-		t.Error("Book returned the internal slice, not a copy")
-	}
-}
-
 // TestRendezvousConcurrentRegistration pins the book fan-out rework: a rank
 // that connects first but registers last must not serialize the exchange —
 // the other ranks' registrations are read while it stalls, and everyone
@@ -222,8 +200,8 @@ func TestRendezvousConcurrentRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
+	defer rv.Close()
+	serveErr := serveWorld(rv, 10*time.Second)
 
 	// The stall: connect immediately, say nothing yet. Under the old
 	// sequential accept→read loop this blocked every later rank.
@@ -235,44 +213,43 @@ func TestRendezvousConcurrentRegistration(t *testing.T) {
 
 	books := make(chan []Endpoint, n)
 	errs := make(chan error, n)
-	register := func(rank int) {
-		book, err := RegisterEndpoint(rv.Advertised(), rank, Endpoint{Addr: addrFor(rank)}, 10*time.Second)
-		if err != nil {
-			errs <- err
-			return
-		}
-		books <- book
-	}
 	for r := 1; r < n; r++ {
-		go register(r)
+		go func() {
+			s, err := Register(rv.Advertised(), r, Endpoint{Addr: addrFor(r)}, 10*time.Second)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer s.Close()
+			books <- s.Book()
+		}()
 	}
 	time.Sleep(300 * time.Millisecond) // the eager ranks' lines are in flight
-	// Now the stalled connection finally registers rank 0.
-	if _, err := fmt.Fprintf(stall, "0 %s -\n", addrFor(0)); err != nil {
+	// Now the stalled connection finally registers rank 0 and reads its book.
+	lc := NewLineConn(stall)
+	if err := lc.Send(msg{Kind: "register", Rank: 0, Addr: addrFor(0)}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		// Read rank 0's reply on the stalled conn so its Write path completes.
-		buf := make([]byte, 4096)
-		stall.Read(buf)
-		books <- nil // placeholder: rank 0's book arrived on the raw conn
+		var book msg
+		if err := lc.Recv(&book); err != nil {
+			errs <- err
+			return
+		}
+		books <- book.Book
 	}()
 
-	received := 0
 	timeout := time.After(10 * time.Second)
-	for received < n {
+	for received := 0; received < n; received++ {
 		select {
 		case err := <-errs:
 			t.Fatal(err)
 		case book := <-books:
-			if book != nil {
-				for r := 0; r < n; r++ {
-					if book[r].Addr != addrFor(r) {
-						t.Fatalf("book[%d] = %q", r, book[r].Addr)
-					}
+			for r := 0; r < n; r++ {
+				if book[r].Addr != addrFor(r) {
+					t.Fatalf("book[%d] = %q", r, book[r].Addr)
 				}
 			}
-			received++
 		case <-timeout:
 			t.Fatalf("exchange stalled: %d of %d books delivered", received, n)
 		}

@@ -1,7 +1,6 @@
 package bootstrap
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"reflect"
@@ -100,101 +99,38 @@ func TestRoutableIPParses(t *testing.T) {
 	}
 }
 
-// TestEndpointExchange covers the three-field protocol end to end: ranks
-// register with host labels (one without) and every book carries them back.
+// TestEndpointExchange covers the endpoint half of the session end to end:
+// ranks register with host labels (one without) and every book carries them
+// back.
 func TestEndpointExchange(t *testing.T) {
 	const n = 3
 	rv, err := NewRendezvous(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
+	defer rv.Close()
+	serveErr := serveWorld(rv, 10*time.Second)
 
 	hostOf := func(rank int) string {
 		if rank == 2 {
-			return "" // a legacy rank with no host label
+			return "" // a rank with no host label
 		}
 		return fmt.Sprintf("node-%d", rank)
 	}
-	books := make(chan []Endpoint, n)
-	errs := make(chan error, n)
-	for r := 0; r < n; r++ {
-		go func(rank int) {
-			ep := Endpoint{Addr: addrFor(rank), Host: hostOf(rank)}
-			book, err := RegisterEndpoint(rv.Advertised(), rank, ep, 10*time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			books <- book
-		}(r)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		case book := <-books:
-			if len(book) != n {
-				t.Fatalf("book %v", book)
-			}
-			for r := 0; r < n; r++ {
-				if book[r].Addr != addrFor(r) || book[r].Host != hostOf(r) {
-					t.Fatalf("book[%d] = %+v", r, book[r])
-				}
+	sessions := registerAll(t, rv, n, func(rank int) Endpoint { return Endpoint{Addr: addrFor(rank), Host: hostOf(rank)} })
+	for rank, s := range sessions {
+		defer s.Close()
+		book := s.Book()
+		if len(book) != n {
+			t.Fatalf("rank %d: book %v", rank, book)
+		}
+		for r := 0; r < n; r++ {
+			if book[r].Addr != addrFor(r) || book[r].Host != hostOf(r) {
+				t.Fatalf("rank %d: book[%d] = %+v", rank, r, book[r])
 			}
 		}
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
-	}
-	// The launcher-side accessor must agree with what workers saw.
-	book := rv.Book()
-	if len(book) != n || book[0].Host != "node-0" || book[2].Host != "" {
-		t.Fatalf("rv.Book() = %+v", book)
-	}
-}
-
-// TestLegacyRegistration pins wire compatibility: a worker speaking the old
-// two-field protocol (no host, reads only the address line) still completes
-// the exchange.
-func TestLegacyRegistration(t *testing.T) {
-	rv, err := NewRendezvous(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rv.Serve(10 * time.Second) }()
-
-	newDone := make(chan error, 1)
-	go func() {
-		_, err := RegisterEndpoint(rv.Advertised(), 1, Endpoint{Addr: addrFor(1), Host: "node-1"}, 10*time.Second)
-		newDone <- err
-	}()
-
-	conn, err := dial(rv.Advertised())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "0 %s\n", addrFor(0)); err != nil {
-		t.Fatal(err)
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := strings.Fields(line)
-	if len(addrs) != 2 || addrs[0] != addrFor(0) || addrs[1] != addrFor(1) {
-		t.Fatalf("legacy address line %q", line)
-	}
-	if err := <-newDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
-	}
-	if book := rv.Book(); book[0].Host != "" || book[1].Host != "node-1" {
-		t.Fatalf("book hosts %+v", book)
 	}
 }

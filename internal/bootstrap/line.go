@@ -10,10 +10,16 @@ import (
 )
 
 // MaxLineBytes caps one line of any launch-plane connection (block protocol
-// and telemetry). It is sized for the largest legitimate message — a spawn
-// request carrying a registration file by value — so a peer that never
+// and rank sessions). It is sized for the largest legitimate message — a
+// spawn request carrying a registration file by value — so a peer that never
 // sends a newline costs the reader at most this much memory.
 const MaxLineBytes = 16 << 20
+
+// lineBufBytes is what a LineConn's reader holds for the life of the
+// connection. Every message but a spawn request or a large world's book fits
+// it; a longer line accumulates up to MaxLineBytes and is then garbage, so a
+// session a rank holds open for the whole job costs it 4 KiB.
+const lineBufBytes = 4 << 10
 
 // ErrBadLine marks a received line that cannot be a message: longer than
 // MaxLineBytes, or not the expected JSON. I/O errors are returned bare.
@@ -21,8 +27,8 @@ var ErrBadLine = errors.New("bad line")
 
 // LineConn is the launch plane's one framing: newline-delimited JSON, reads
 // bounded by MaxLineBytes, writes serialized so concurrent senders cannot
-// interleave lines. Both ends of the telemetry channel and both ends of
-// mpirun's block protocol speak it.
+// interleave lines. Both ends of a rank's session and both ends of mpirun's
+// block protocol speak it.
 type LineConn struct {
 	br *bufio.Reader
 
@@ -32,7 +38,7 @@ type LineConn struct {
 
 // NewLineConn frames a byte stream.
 func NewLineConn(rw io.ReadWriter) *LineConn {
-	return &LineConn{br: bufio.NewReaderSize(rw, 64<<10), enc: json.NewEncoder(rw)}
+	return &LineConn{br: bufio.NewReaderSize(rw, lineBufBytes), enc: json.NewEncoder(rw)}
 }
 
 // Send writes one message as a single line.

@@ -1,0 +1,311 @@
+package bootstrap
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"mph/internal/mpi/perf"
+)
+
+// ErrRendezvousClosed is returned by Serve when the exchange was canceled
+// with Close before every rank registered — the launcher's way of tearing
+// the rendezvous down promptly once a child has already failed.
+var ErrRendezvousClosed = errors.New("bootstrap: rendezvous closed")
+
+// Rendezvous is the launcher's end of every rank's session (see msg): it
+// accepts one connection per rank, reads each registration, answers them
+// all with the complete endpoint book once the world has registered, and
+// then serves each session until its rank hangs up — answering clock-sync
+// pings, handing reports to the aggregator and relaying aborts.
+type Rendezvous struct {
+	ln         net.Listener
+	size       int
+	advertised string
+	every      time.Duration
+	ingest     func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)
+
+	closed atomic.Bool
+
+	mu       sync.Mutex
+	sessions []*session // by rank once the book is out; nil where the rank has hung up
+}
+
+// session is the launcher's state for one rank's session.
+type session struct {
+	rank int
+	ep   Endpoint
+	conn net.Conn
+	lc   *LineConn
+	done chan struct{} // closed once the session has ended
+}
+
+// NewRendezvous starts the exchange for a world of the given size on a
+// loopback port, taking no reports: the right default for single-host jobs.
+func NewRendezvous(size int) (*Rendezvous, error) {
+	return NewRendezvousBind("", size, 0, nil)
+}
+
+// NewRendezvousBind starts the exchange on the given bind host ("" =
+// loopback, wildcard = all interfaces with a detected routable IP
+// advertised) so workers on other hosts can reach it. A non-nil ingest
+// receives every rank's reports — keyed by the rank the session registered,
+// the snapshot's host filled in from the registration when empty — and
+// makes the book ask each rank to clock-sync and report: every `every`
+// while it runs (0 = never), and once at its end.
+func NewRendezvousBind(bind string, size int, every time.Duration, ingest func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)) (*Rendezvous, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("bootstrap: rendezvous for world of %d", size)
+	}
+	ln, err := net.Listen("tcp", ListenAddr(bind))
+	if err != nil {
+		return nil, fmt.Errorf("bootstrap: rendezvous listen: %w", err)
+	}
+	return &Rendezvous{ln: ln, size: size, advertised: AdvertiseAddr(bind, ln.Addr()), every: every, ingest: ingest}, nil
+}
+
+// Advertised returns the routable address workers should register with. It
+// is the single advertised-address accessor; with the default loopback bind
+// it equals the listen address.
+func (r *Rendezvous) Advertised() string { return r.advertised }
+
+// Serve wires the world: it accepts every rank's registration, answers each
+// with the full endpoint book, closes the listener, and leaves the sessions
+// running. The timeout bounds the exchange.
+//
+// Registrations are read concurrently and the book is fanned out to all
+// registrants in parallel once complete, so the exchange costs one round
+// trip for the whole world instead of N sequential ones — a slow or distant
+// rank delays only the final fan-out, never the other ranks' reads.
+func (r *Rendezvous) Serve(timeout time.Duration) error {
+	defer r.ln.Close()
+	deadline := time.Now().Add(timeout)
+
+	// admission is one read registration, or the error that ended it.
+	type admission struct {
+		s   *session
+		err error
+	}
+	admitted := make(chan admission, r.size)
+	acceptErr := make(chan error, 1)
+
+	// Every accepted connection is tracked so a failed or canceled exchange
+	// can close them all while registration readers are still in flight; a
+	// completed one hands them to the sessions.
+	var connMu sync.Mutex
+	var conns []net.Conn
+	done, wired := false, false
+	track := func(c net.Conn) bool {
+		connMu.Lock()
+		defer connMu.Unlock()
+		if done {
+			c.Close()
+			return false
+		}
+		conns = append(conns, c)
+		return true
+	}
+	defer func() {
+		connMu.Lock()
+		done = true
+		if !wired {
+			for _, c := range conns {
+				c.Close()
+			}
+		}
+		connMu.Unlock()
+	}()
+
+	go func() {
+		for i := 0; i < r.size; i++ {
+			if l, ok := r.ln.(*net.TCPListener); ok {
+				if err := l.SetDeadline(deadline); err != nil {
+					acceptErr <- err
+					return
+				}
+			}
+			conn, err := r.ln.Accept()
+			if err != nil {
+				acceptErr <- err
+				return
+			}
+			if !track(conn) {
+				return
+			}
+			go func() {
+				s, err := r.admit(conn, deadline)
+				admitted <- admission{s, err}
+			}()
+		}
+	}()
+
+	sessions := make([]*session, r.size)
+	for got := 0; got < r.size; {
+		select {
+		case err := <-acceptErr:
+			if r.closed.Load() {
+				return ErrRendezvousClosed
+			}
+			return fmt.Errorf("bootstrap: rendezvous accept (%d/%d registered): %w", got, r.size, err)
+		case a := <-admitted:
+			if a.err != nil {
+				return a.err
+			}
+			if sessions[a.s.rank] != nil {
+				return fmt.Errorf("bootstrap: rank %d registered twice", a.s.rank)
+			}
+			sessions[a.s.rank] = a.s
+			got++
+		}
+	}
+
+	book := msg{Kind: "book", Book: make([]Endpoint, r.size), Sync: r.ingest != nil, Every: int64(r.every)}
+	for rank, s := range sessions {
+		book.Book[rank] = s.ep
+	}
+	line, err := json.Marshal(book) // LineConn's framing, encoded once for the whole world
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	errs := make([]error, r.size)
+	var wg sync.WaitGroup
+	for _, s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.conn.Write(line); err != nil {
+				errs[s.rank] = fmt.Errorf("bootstrap: book to rank %d: %w", s.rank, err)
+				return
+			}
+			s.conn.SetDeadline(time.Time{}) // a rank may be silent for the rest of the job
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	wired = true
+	r.mu.Lock()
+	r.sessions = sessions
+	r.mu.Unlock()
+	for _, s := range sessions {
+		go r.serve(s)
+	}
+	return nil
+}
+
+// admit reads one connection's registration. Every error names it.
+func (r *Rendezvous) admit(conn net.Conn, deadline time.Time) (*session, error) {
+	if err := conn.SetDeadline(deadline); err != nil {
+		return nil, fmt.Errorf("bootstrap: registration: %w", err)
+	}
+	lc := NewLineConn(conn)
+	var m msg
+	if err := lc.Recv(&m); err != nil {
+		return nil, fmt.Errorf("bootstrap: registration: %w", err)
+	}
+	switch {
+	case m.Kind != "register":
+		return nil, fmt.Errorf("bootstrap: registration expected, got a %q message", m.Kind)
+	case m.Rank < 0 || m.Rank >= r.size:
+		return nil, fmt.Errorf("bootstrap: registration of rank %d in a world of %d", m.Rank, r.size)
+	case m.Addr == "":
+		return nil, fmt.Errorf("bootstrap: registration of rank %d has no address", m.Rank)
+	}
+	return &session{rank: m.Rank, ep: Endpoint{Addr: m.Addr, Host: m.Host}, conn: conn, lc: lc, done: make(chan struct{})}, nil
+}
+
+// serve runs one rank's session after the book until the rank hangs up, its
+// line is bad, or Close cuts it off.
+func (r *Rendezvous) serve(s *session) {
+	defer func() {
+		r.mu.Lock()
+		r.sessions[s.rank] = nil
+		r.mu.Unlock()
+		s.conn.Close()
+		close(s.done)
+	}()
+	for {
+		var m msg
+		if s.lc.Recv(&m) != nil {
+			return
+		}
+		switch m.Kind {
+		case "ping":
+			s.send(msg{Kind: "pong", Seq: m.Seq, TS: time.Now().UnixNano()})
+		case "report":
+			var snap perf.Snapshot
+			if r.ingest == nil || json.Unmarshal(m.Snap, &snap) != nil {
+				continue
+			}
+			if snap.Host == "" {
+				snap.Host = s.ep.Host
+			}
+			r.ingest(s.rank, snap, m.Seq, m.Final, time.Now())
+		case "abort":
+			r.broadcast(msg{Kind: "abort", Code: m.Code, Origin: s.rank}, s.rank)
+		}
+	}
+}
+
+// send writes one message to the rank. A failure is not acted on here: a
+// rank that cannot be written to ends its session on the read side.
+func (s *session) send(m msg) {
+	s.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
+	s.lc.Send(m)
+}
+
+// broadcast sends m on every open session but except's.
+func (r *Rendezvous) broadcast(m msg, except int) {
+	r.mu.Lock()
+	var open []*session
+	for _, s := range r.sessions {
+		if s != nil && s.rank != except {
+			open = append(open, s)
+		}
+	}
+	r.mu.Unlock()
+	for _, s := range open {
+		s.send(m)
+	}
+}
+
+// Abort tells every rank still in session that the launcher aborted the job
+// with code; their blocked MPI calls fail with origin AbortOriginLauncher.
+func (r *Rendezvous) Abort(code int) {
+	r.broadcast(msg{Kind: "abort", Code: code, Origin: AbortOriginLauncher}, AbortOriginLauncher)
+}
+
+// Close ends the rendezvous. An exchange still in progress is canceled:
+// Serve returns ErrRendezvousClosed instead of waiting out its timeout. Once
+// the world is wired, Close waits for every rank to hang up — a rank does
+// when its transport closes or its process exits — so when it returns every
+// report a rank sent has been ingested; a session still open ioTimeout later
+// is cut off. Safe to call concurrently with Serve and more than once.
+func (r *Rendezvous) Close() {
+	if r.closed.CompareAndSwap(false, true) {
+		r.ln.Close()
+	}
+	r.mu.Lock()
+	var open []*session
+	for _, s := range r.sessions {
+		if s != nil {
+			open = append(open, s)
+		}
+	}
+	r.mu.Unlock()
+	cut := time.AfterFunc(ioTimeout, func() {
+		for _, s := range open {
+			s.conn.Close()
+		}
+	})
+	defer cut.Stop()
+	for _, s := range open {
+		<-s.done
+	}
+}

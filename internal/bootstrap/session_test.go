@@ -1,0 +1,183 @@
+package bootstrap
+
+import (
+	"fmt"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"mph/internal/mpi/perf"
+)
+
+func TestEstimateClockOffset(t *testing.T) {
+	cases := []struct {
+		name    string
+		samples []ClockSample
+		offset  int64
+		bound   int64
+		ok      bool
+	}{
+		{name: "no samples", ok: false},
+		{
+			name:    "clocks agree, symmetric rtt",
+			samples: []ClockSample{{T0: 100, TS: 150, T3: 200}},
+			offset:  0, bound: 50, ok: true,
+		},
+		{
+			name:    "server ahead by 1000",
+			samples: []ClockSample{{T0: 100, TS: 1150, T3: 200}},
+			offset:  1000, bound: 50, ok: true,
+		},
+		{
+			name:    "server behind by 1000",
+			samples: []ClockSample{{T0: 2100, TS: 1150, T3: 2200}},
+			offset:  -1000, bound: 50, ok: true,
+		},
+		{
+			name: "min rtt round wins",
+			samples: []ClockSample{
+				{T0: 0, TS: 5000, T3: 1000},    // rtt 1000, noisy
+				{T0: 2000, TS: 2060, T3: 2100}, // rtt 100, tight
+				{T0: 4000, TS: 9000, T3: 4800}, // rtt 800
+			},
+			offset: 10, bound: 50, ok: true,
+		},
+		{
+			name:    "negative rtt skipped",
+			samples: []ClockSample{{T0: 500, TS: 400, T3: 100}},
+			ok:      false,
+		},
+		{
+			name: "negative rtt skipped, good round kept",
+			samples: []ClockSample{
+				{T0: 500, TS: 400, T3: 100},
+				{T0: 100, TS: 150, T3: 200},
+			},
+			offset: 0, bound: 50, ok: true,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			offset, bound, ok := EstimateClockOffset(c.samples)
+			if ok != c.ok {
+				t.Fatalf("ok = %v, want %v", ok, c.ok)
+			}
+			if !ok {
+				return
+			}
+			if offset != c.offset || bound != c.bound {
+				t.Errorf("offset, bound = %d, %d; want %d, %d", offset, bound, c.offset, c.bound)
+			}
+		})
+	}
+}
+
+// abortSeen is one abort a rank's Serve handed its callback.
+type abortSeen struct{ rank, code, origin int }
+
+// TestSessionAbortRelay: a rank's abort travels up its session and the
+// launcher relays it, attributed to that rank, to every other session —
+// never back to its sender; the launcher's own abort reaches every session
+// with origin AbortOriginLauncher.
+func TestSessionAbortRelay(t *testing.T) {
+	const n = 3
+	rv, err := NewRendezvous(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rv.Close()
+	serveErr := serveWorld(rv, 10*time.Second)
+	sessions := registerAll(t, rv, n, func(rank int) Endpoint { return Endpoint{Addr: addrFor(rank)} })
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+	seen := make(chan abortSeen, 4*n)
+	for rank, s := range sessions {
+		defer s.Close()
+		go s.Serve(func(code, origin int) { seen <- abortSeen{rank, code, origin} })
+	}
+	expect := func(want map[abortSeen]bool) {
+		t.Helper()
+		for len(want) > 0 {
+			select {
+			case a := <-seen:
+				if !want[a] {
+					t.Fatalf("unexpected abort %+v", a)
+				}
+				delete(want, a)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("aborts never delivered: %v", want)
+			}
+		}
+	}
+	if err := sessions[0].Abort(9); err != nil {
+		t.Fatal(err)
+	}
+	expect(map[abortSeen]bool{{1, 9, 0}: true, {2, 9, 0}: true})
+	rv.Abort(5)
+	expect(map[abortSeen]bool{{0, 5, AbortOriginLauncher}: true, {1, 5, AbortOriginLauncher}: true, {2, 5, AbortOriginLauncher}: true})
+	select {
+	case a := <-seen:
+		t.Fatalf("abort %+v delivered twice or to its sender", a)
+	default:
+	}
+}
+
+// TestSessionReportsBeforeClose: with an aggregator attached, the book asks
+// every rank to clock-sync and report, each report lands keyed by the
+// session's rank with its host filled in from the registration, and once
+// Close returns — every rank having hung up — every final report is in,
+// with no waiting on the caller's side.
+func TestSessionReportsBeforeClose(t *testing.T) {
+	const n = 2
+	type report struct {
+		rank  int
+		host  string
+		final bool
+	}
+	var mu sync.Mutex
+	var got []report
+	ingest := func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time) {
+		mu.Lock()
+		got = append(got, report{rank, snap.Host, final})
+		mu.Unlock()
+	}
+	rv, err := NewRendezvousBind("", n, time.Hour, ingest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := serveWorld(rv, 10*time.Second)
+	sessions := registerAll(t, rv, n, func(rank int) Endpoint {
+		return Endpoint{Addr: addrFor(rank), Host: fmt.Sprintf("node-%d", rank)}
+	})
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+	for rank, s := range sessions {
+		if every, ok := s.ReportEvery(); !ok || every != time.Hour {
+			t.Errorf("rank %d: ReportEvery = %v, %v; want 1h, true", rank, every, ok)
+		}
+		if _, bound, ok := s.ClockOffset(); !ok || bound < 0 {
+			t.Errorf("rank %d: clock sync failed over loopback (ok=%v bound=%d)", rank, ok, bound)
+		}
+		if err := s.Report(perf.Snapshot{WorldRank: 1 - rank}, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Report(perf.Snapshot{Host: "own"}, true); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	}
+	rv.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	want := []report{{0, "node-0", false}, {0, "own", true}, {1, "node-1", false}, {1, "own", true}}
+	sort.Slice(got, func(i, j int) bool {
+		return got[i].rank < got[j].rank || got[i].rank == got[j].rank && !got[i].final
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ingested %+v, want %+v", got, want)
+	}
+}

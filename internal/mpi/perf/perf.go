@@ -37,10 +37,6 @@ import (
 
 // Environment variables consulted by the substrate's observability hooks.
 const (
-	// EnvStatsDir, when set, makes every rank write a JSON Snapshot to
-	// <dir>/stats.rank<N>.json when its environment is closed. mphrun
-	// -stats sets it for all children and merges the files.
-	EnvStatsDir = "MPH_STATS_DIR"
 	// EnvTraceDir, when set, enables the event tracer at Env creation and
 	// makes every rank write <dir>/trace.rank<N>.jsonl on close. mphrun
 	// -trace=DIR sets it; cmd/mphtrace merges the files.
@@ -55,12 +51,6 @@ const (
 	// EnvDebugAddr, when set for a TCP-transport job, starts a per-rank
 	// HTTP endpoint serving the live Snapshot as JSON (see Serve).
 	EnvDebugAddr = "MPH_DEBUG_ADDR"
-	// EnvStatsInterval is the period at which a rank pushes its live
-	// Snapshot over the launcher's telemetry channel (when one is
-	// registered). Unset, unparsable, or nonpositive means "final-only":
-	// one report at shutdown. mphrun -stats-interval sets it for all
-	// children.
-	EnvStatsInterval = "MPH_STATS_INTERVAL"
 )
 
 // DefaultTraceEvents is the tracer ring capacity when EnvTraceEvents does

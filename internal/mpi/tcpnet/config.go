@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mph/internal/mpi"
-	"mph/internal/mpi/perf"
 )
 
 // Environment variables tuning the transport's fault-tolerance behavior.
@@ -115,10 +114,6 @@ type netConfig struct {
 
 	// shm selects the intra-host payload channel mode (EnvShm).
 	shm shmMode
-
-	// statsInterval is the live-telemetry push period (perf.EnvStatsInterval);
-	// zero means final-only reporting.
-	statsInterval time.Duration
 }
 
 // defaultConfig returns the built-in tuning.
@@ -168,13 +163,6 @@ func configFromEnv() netConfig {
 	}
 	c.maxPooledFrame = pooledFrameCap(c.eagerThreshold)
 	c.shm = shmFromEnv()
-	// Zero is a meaningful value here (final-only reporting), so the
-	// envDuration default-on-nonpositive contract does not apply.
-	if v := os.Getenv(perf.EnvStatsInterval); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			c.statsInterval = d
-		}
-	}
 	return c
 }
 

@@ -352,7 +352,7 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zln.Close()
-	go bootstrap.RegisterEndpoint(rv.Advertised(), 1, bootstrap.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
+	go registerZombie(rv, 1, zln.Addr().String())
 
 	tr, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
@@ -389,24 +389,28 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 	}
 }
 
-// TestFaultAbortFrameUnblocks delivers a launcher-style abort frame with
-// SendAbort — exactly what mphrun does when a child dies — and checks that a
-// blocked receive fails with the typed abort error.
+// registerZombie stands in for a rank that registers an endpoint with the
+// rendezvous and then neither runs a transport nor says anything more.
+func registerZombie(rv *bootstrap.Rendezvous, rank int, addr string) {
+	if s, err := bootstrap.Register(rv.Advertised(), rank, bootstrap.Endpoint{Addr: addr}, 10*time.Second); err == nil {
+		s.Close()
+	}
+}
+
+// TestFaultAbortFrameUnblocks delivers the launcher's abort exactly as
+// mphrun does when a child dies — Rendezvous.Abort, over the rank's session —
+// and checks that a blocked receive fails with the typed abort error.
 func TestFaultAbortFrameUnblocks(t *testing.T) {
 	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rv.Close()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(30 * time.Second) }()
-	zln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zln.Close()
-	go bootstrap.RegisterEndpoint(rv.Advertised(), 1, bootstrap.Endpoint{Addr: zln.Addr().String()}, 10*time.Second)
+	go registerZombie(rv, 1, "127.0.0.1:9")
 
-	tr, env, err := initTransport(0, 2, rv.Advertised())
+	_, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +426,7 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 	}()
 	time.Sleep(20 * time.Millisecond)
 
-	if err := bootstrap.SendAbort(tr.ln.Addr().String(), 5, -1, time.Second); err != nil {
-		t.Fatal(err)
-	}
+	rv.Abort(5)
 	select {
 	case err := <-blocked:
 		var ae *mpi.AbortError
@@ -439,6 +441,39 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 	}
 	if got := env.Perf().Net.AbortsIn.Load(); got != 1 {
 		t.Errorf("AbortsIn = %d, want 1", got)
+	}
+}
+
+// TestFaultAbortRelayedToUnconnectedRank: an abort reaches a rank its origin
+// never talked to. Ranks 0 and 2 have exchanged no traffic — no stream either
+// way — and rank 2 is blocked in Recv(1, …); rank 0's Comm.Abort(9) writes on
+// the streams rank 0 has and once on its session, and it is the launcher's
+// relay that releases rank 2, with the abort attributed to rank 0.
+func TestFaultAbortRelayedToUnconnectedRank(t *testing.T) {
+	trs, envs := startWorld(t, 3)
+	for _, env := range envs {
+		defer env.Close()
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		_, _, err := mpi.WorldComm(envs[2]).Recv(1, 1)
+		blocked <- err
+	}()
+	mpi.WorldComm(envs[0]).Abort(9)
+	select {
+	case err := <-blocked:
+		var ae *mpi.AbortError
+		if !errors.As(err, &ae) || ae.Code != 9 || ae.Origin != 0 {
+			t.Fatalf("blocked recv returned %v, want AbortError{Code: 9, Origin: 0}", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abort never reached a rank its origin had no stream to")
+	}
+	if trs[0].peers[2].established() != nil {
+		t.Error("rank 0 dialed rank 2 to abort it")
+	}
+	if got := envs[2].Perf().Net.AbortsIn.Load(); got != 1 {
+		t.Errorf("rank 2 AbortsIn = %d, want 1 (the relay)", got)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"mph/internal/bootstrap"
 )
 
 // The wire format (DESIGN.md §12) lives in this file and nowhere else. Every
@@ -23,13 +21,13 @@ import (
 // frame kinds. Kind 2 is unassigned: it was the Ssend release, and decode
 // rejects it like any other unknown byte.
 const (
-	kindPacket    = 1                        // an eager message: envelope, payload tail
-	kindHello     = 3                        // first frame on every stream: sender's world rank, socket-path tail
-	kindHeartbeat = 4                        // idle-connection liveness signal, empty
-	kindAbort     = bootstrap.AbortFrameKind // job-wide abort; the body belongs to package bootstrap
-	kindRTS       = 6                        // rendezvous request-to-send: envelope + id + promised length
-	kindCTS       = 7                        // rendezvous clear-to-send: the id
-	kindRData     = 8                        // rendezvous payload: sender's world rank + id, payload tail
+	kindPacket    = 1 // an eager message: envelope, payload tail
+	kindHello     = 3 // first frame on every stream: sender's world rank, socket-path tail
+	kindHeartbeat = 4 // idle-connection liveness signal, empty
+	kindAbort     = 5 // job-wide abort: code and origin rank
+	kindRTS       = 6 // rendezvous request-to-send: envelope + id + promised length
+	kindCTS       = 7 // rendezvous clear-to-send: the id
+	kindRData     = 8 // rendezvous payload: sender's world rank + id, payload tail
 )
 
 const (
@@ -61,13 +59,12 @@ type frameSpec struct {
 	fault   string // the MPH_FAULT frame= name of a send of this kind; "" for kinds peer.send never carries
 }
 
-// frameTable maps a kind byte to its layout. The abort row's size is taken
-// from the encoder that owns that layout.
+// frameTable maps a kind byte to its layout.
 var frameTable = [...]frameSpec{
 	kindPacket:    {name: "packet", fixed: packetHdrLen, maxTail: maxFrame, hasSrc: true, fault: framePacket},
 	kindHello:     {name: "hello", fixed: 8, maxTail: maxShmPath, unix: true, hasSrc: true},
 	kindHeartbeat: {name: "heartbeat"},
-	kindAbort:     {name: "abort", fixed: len(bootstrap.AbortFrame(0, 0)) - prefixLen},
+	kindAbort:     {name: "abort", fixed: 8 + 8},
 	kindRTS:       {name: "rts", fixed: rtsHdrLen, hasSrc: true, fault: frameRTS},
 	kindCTS:       {name: "cts", fixed: 8, fault: frameCTS},
 	kindRData:     {name: "rdata", fixed: rdataHdrLen, maxTail: maxFrame, unix: true, hasSrc: true, fault: frameData},
@@ -90,9 +87,6 @@ type frame struct {
 // encode appends f's length prefix, kind byte and fixed part to buf; tail is
 // the number of bytes the caller will send after them.
 func encode(buf []byte, f frame, tail int) []byte {
-	if f.kind == kindAbort {
-		return append(buf, bootstrap.AbortFrame(f.code, f.origin)...)
-	}
 	spec, le := &frameTable[f.kind], binary.LittleEndian
 	buf = le.AppendUint32(buf, uint32(1+spec.fixed+tail))
 	buf = append(buf, f.kind)
@@ -110,6 +104,9 @@ func encode(buf []byte, f frame, tail int) []byte {
 		}
 	case kindCTS, kindRData:
 		buf = le.AppendUint64(buf, f.id)
+	case kindAbort:
+		buf = le.AppendUint64(buf, uint64(int64(f.code)))
+		buf = le.AppendUint64(buf, uint64(int64(f.origin)))
 	}
 	return buf
 }
@@ -168,7 +165,8 @@ func decode(r io.Reader, scratch []byte) (f frame, tail int, err error) {
 	case kindCTS, kindRData:
 		f.id = le.Uint64(b)
 	case kindAbort:
-		f.code, f.origin, err = bootstrap.ParseAbort(b)
+		f.code = int(int64(le.Uint64(b)))
+		f.origin = int(int64(le.Uint64(b[8:])))
 	}
-	return f, tail, err
+	return f, tail, nil
 }

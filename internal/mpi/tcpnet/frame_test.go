@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"mph/internal/bootstrap"
 )
 
 // wireOf hand-assembles a frame — length prefix, kind byte, then the given
@@ -92,9 +90,14 @@ func TestFrameRoundTrip(t *testing.T) {
 			wire: wireOf(kindHello, []uint64{3}, "/tmp/mph-shm-test/r3.sock")},
 		{name: "hello, longest path", f: frame{kind: kindHello, src: 1}, tail: strings.Repeat("p", maxShmPath)},
 		{name: "heartbeat", f: frame{kind: kindHeartbeat}, wire: []byte{1, 0, 0, 0, kindHeartbeat}},
-		{name: "abort", f: frame{kind: kindAbort, code: 5, origin: -1}, wire: bootstrap.AbortFrame(5, -1)},
+		// The abort spelled out: length 1+16, kind, then code and origin as
+		// two's-complement i64s — the launcher's origin is -1.
+		{name: "abort", f: frame{kind: kindAbort, code: 5, origin: -1},
+			wire: []byte{17, 0, 0, 0, kindAbort,
+				5, 0, 0, 0, 0, 0, 0, 0,
+				0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
 		{name: "abort, negative code", f: frame{kind: kindAbort, code: -2, origin: 3},
-			wire: wireOf(bootstrap.AbortFrameKind, []uint64{neg(-2), 3}, "")},
+			wire: wireOf(kindAbort, []uint64{neg(-2), 3}, "")},
 		{name: "rts", f: frame{kind: kindRTS, src: 1, ctx: 7, rank: 1, tag: 2, id: 17, plen: 7},
 			wire: wireOf(kindRTS, []uint64{1, 7, 1, 2, 17, 7}, "")},
 		{name: "rts, largest promise", f: frame{kind: kindRTS, src: 1, id: 1, plen: maxFrame - 1 - rdataHdrLen}},

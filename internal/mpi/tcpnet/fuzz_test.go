@@ -11,8 +11,7 @@ import (
 // identity rule — with a recording handler in place of each production one.
 // Invariants: no panic; every frame a handler is given re-encodes to exactly
 // the bytes the loop consumed for it; and no handler runs (so nothing can be
-// sized from a header) before the stream has identified itself, the tail-less
-// launcher abort excepted.
+// sized from a header) before the stream has identified itself.
 func FuzzFrameDecode(f *testing.F) {
 	stream3 := func(frames ...[]byte) []byte {
 		return bytes.Join(append([][]byte{helloFrame(3, "")}, frames...), nil)
@@ -38,7 +37,7 @@ func FuzzFrameDecode(f *testing.F) {
 		s := &stream{r: r, local: local, size: 4, peer: -1}
 		start := 0 // offset in buf of the frame being decoded
 		record := func(s *stream, f frame, tail int) error {
-			if s.peer < 0 && (f.kind != kindAbort || tail != 0) {
+			if s.peer < 0 {
 				t.Fatalf("handler for %+v ran on an unidentified stream", f)
 			}
 			if f.kind == kindHello && (f.src != s.peer || f.src < 0 || f.src >= s.size) {

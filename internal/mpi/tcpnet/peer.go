@@ -353,5 +353,5 @@ func (t *Transport) peerDown(rank int, cause error) {
 	t.env.PeerLost(rank, cause)
 	// Push the failure counters to the launcher right away — the survivors
 	// may run on for a while, and the post-mortem wants the loss timestamped.
-	go t.teleReport()
+	go t.report()
 }

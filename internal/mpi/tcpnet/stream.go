@@ -48,9 +48,10 @@ var errStreamDone = errors.New("tcpnet: stream finished")
 // run is the decoder loop: read a frame's header, check it against the frame
 // table and the stream's identity, hand it to its kind's handler, in stream
 // order until an error. The identity rule: a stream opens with a hello naming
-// a rank of this world (or is a launcher's bare abort), and every later frame
-// that names its sender names that rank. So no handler — none of which
-// allocates before it has a frame it wants — ever runs for a stranger.
+// a rank of this world, and every later frame that names its sender names
+// that rank. So no handler — none of which allocates before it has a frame it
+// wants — ever runs for a stranger, and a stranger cannot abort the job: the
+// launcher's aborts come over the rank's session, never over a stream.
 func (s *stream) run(hs *[len(frameTable)]handler) error {
 	for {
 		f, tail, err := decode(s.r, s.scratch[:])
@@ -63,7 +64,7 @@ func (s *stream) run(hs *[len(frameTable)]handler) error {
 			return fmt.Errorf("tcpnet: %s frame on the intra-host channel", spec.name)
 		case s.peer < 0 && f.kind == kindHello && f.src >= 0 && f.src < s.size:
 			s.peer = f.src
-		case s.peer < 0 && f.kind != kindAbort:
+		case s.peer < 0:
 			return fmt.Errorf("tcpnet: stream opened with a %s frame (rank %d), not a hello from this world", spec.name, f.src)
 		case spec.hasSrc && f.src != s.peer:
 			return fmt.Errorf("tcpnet: %s frame from rank %d on rank %d's stream", spec.name, f.src, s.peer)
@@ -281,13 +282,10 @@ func drain(r io.Reader, n int) error {
 	return nil
 }
 
-// onAbort applies a job-wide abort. The job is over, so the stream ends with
-// no suspicion raised.
+// onAbort applies a job-wide abort from a peer. The job is over, so the
+// stream ends with no suspicion raised.
 func (s *stream) onAbort(f frame, _ int) error {
-	nc := s.t.netCounters()
-	nc.AbortsIn.Add(1)
-	nc.BytesIn.Add(uint64(prefixLen + frameTable[kindAbort].fixed))
-	s.t.applyAbort(f.code, f.origin)
-	s.t.env.AbortDelivered(f.code, f.origin)
+	s.t.netCounters().BytesIn.Add(uint64(prefixLen + frameTable[kindAbort].fixed))
+	s.t.abortDelivered(f.code, f.origin)
 	return errStreamDone
 }

@@ -17,7 +17,9 @@ import (
 // that does not open with a hello from a rank of this world, or that later
 // names another rank, is cut — before anything is posted to the engine or
 // sized from its headers — and the connection is closed so the writer finds
-// out at once. The one frame a stranger may send is the launcher's abort.
+// out at once. No frame is exempt: an abort is obeyed only from a peer that
+// said hello, or over the rank's session with the launcher, so whatever can
+// reach a rank's port cannot kill the job.
 func TestStreamIdentity(t *testing.T) {
 	packetFrom := func(src uint64, payload string) []byte {
 		return wireOf(kindPacket, []uint64{src, 0, 0, 9, 0}, payload)
@@ -34,6 +36,7 @@ func TestStreamIdentity(t *testing.T) {
 		{"huge packet header before any hello", [][]byte{huge}},
 		{"rts before any hello", [][]byte{wireOf(kindRTS, []uint64{1, 0, 0, 9, 1, 64}, "")}},
 		{"heartbeat before any hello", [][]byte{{1, 0, 0, 0, kindHeartbeat}}},
+		{"bare abort before any hello", [][]byte{wireOf(kindAbort, []uint64{9, neg(-1)}, "")}},
 		{"hello from a rank outside the world", [][]byte{helloFrame(2, "")}},
 		{"hello from a negative rank", [][]byte{wireOf(kindHello, []uint64{neg(-1)}, "")}},
 		{"packet naming another rank", [][]byte{helloFrame(1, ""), packetFrom(0, "impostor")}},
@@ -62,6 +65,9 @@ func TestStreamIdentity(t *testing.T) {
 		conn.Close()
 		if got := nc.FramesIn.Load(); got != 0 {
 			t.Fatalf("%s: %d frames were accepted", row.name, got)
+		}
+		if ae := trs[0].abortErr.Load(); ae != nil || nc.AbortsIn.Load() != 0 {
+			t.Fatalf("%s: a stranger aborted the rank (%v)", row.name, ae)
 		}
 	}
 

@@ -51,9 +51,11 @@
 //   - When the failure detector declares a world rank dead, rendezvous
 //     sends waiting on its CTS fail, the engine fails receives that only it
 //     could satisfy (mpi.ErrPeerLost), and future sends to it fail fast.
-//   - Abort frames propagate mpi.Comm.Abort (and the launcher's abort on
-//     child failure) to every rank, failing all pending operations with
-//     mpi.ErrAborted.
+//   - mpi.Comm.Abort reaches every rank, failing all pending operations with
+//     mpi.ErrAborted: as abort frames on the streams the aborting rank
+//     already has, and through the launcher, which relays it over every
+//     rank's session (bootstrap.Session) — the path the launcher's own abort
+//     on child failure takes too.
 //
 // MPH_FAULT injects deterministic faults for chaos testing; see
 // ParseFaultSpec. All failure traffic is counted in perf.NetCounters and
@@ -205,11 +207,12 @@ type Transport struct {
 
 	debugSrv *perf.DebugServer // MPH_DEBUG_ADDR endpoint, nil unless enabled
 
-	// tele is the launcher's telemetry channel (MPH_TELEMETRY), nil unless
-	// the launcher registered one. teleFinalOnce guards the final report:
-	// exactly one of Close, abort, or peer-loss sends it.
-	tele          *bootstrap.TelemetryClient
-	teleFinalOnce sync.Once
+	// sess is the rank's one connection to its launcher, open from
+	// registration to Close. endOnce guards its end: exactly one of Close or
+	// an abort sends the final report, when the launcher takes reports, and
+	// hangs up.
+	sess    *bootstrap.Session
+	endOnce sync.Once
 
 	wg sync.WaitGroup
 }
@@ -277,12 +280,14 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		}
 	}
 	self := bootstrap.Endpoint{Addr: bootstrap.AdvertiseAddr(bind, ln.Addr()), Host: host}
-	book, err := bootstrap.RegisterEndpoint(rendezvous, rank, self, cfg.dialTimeout)
+	sess, err := bootstrap.Register(rendezvous, rank, self, cfg.dialTimeout)
 	if err != nil {
 		ln.Close()
 		return nil, nil, err
 	}
+	book := sess.Book()
 	if len(book) != size {
+		sess.Close()
 		ln.Close()
 		return nil, nil, fmt.Errorf("tcpnet: address book has %d entries, world is %d", len(book), size)
 	}
@@ -290,6 +295,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		rank:    rank,
 		peers:   make([]peer, size),
 		ln:      ln,
+		sess:    sess,
 		cfg:     cfg,
 		faults:  faults,
 		pool:    mpi.NewPacketPool(cfg.maxPooledFrame),
@@ -320,6 +326,9 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		return msgs, bytes
 	})
 	pv.SetHost(host)
+	if off, bound, ok := sess.ClockOffset(); ok {
+		pv.SetClockOffset(off, bound)
+	}
 	if base := os.Getenv(perf.EnvDebugAddr); base != "" {
 		srv, err := perf.Serve(base, rank, pv)
 		if err != nil {
@@ -329,35 +338,28 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: perf debug endpoint at http://%s/perf\n", rank, srv.Addr())
 		}
 	}
-	if teleAddr := os.Getenv(bootstrap.EnvTelemetry); teleAddr != "" {
-		tele, err := bootstrap.DialTelemetry(teleAddr, rank, host, os.Getpid(), cfg.dialTimeout)
-		if err != nil {
-			// Telemetry is best-effort diagnostics; the job runs without it.
-			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: telemetry: %v\n", rank, err)
-		} else {
-			t.tele = tele
-			if off, bound, ok := tele.ClockOffset(); ok {
-				pv.SetClockOffset(off, bound)
-			}
-			if cfg.statsInterval > 0 {
-				t.wg.Add(1)
-				go t.telemetryLoop(cfg.statsInterval)
-			}
-		}
-	}
 	if err := t.initShm(size); err != nil {
+		sess.Close()
 		ln.Close()
 		return nil, nil, err
 	}
-	t.wg.Add(2)
+	t.wg.Add(3)
 	go t.acceptLoop(t.ln, false)
 	go t.heartbeatLoop()
+	go func() {
+		defer t.wg.Done()
+		sess.Serve(t.abortDelivered)
+	}()
+	if every, _ := sess.ReportEvery(); every > 0 {
+		t.wg.Add(1)
+		go t.reportLoop(every)
+	}
 	return t, env, nil
 }
 
-// telemetryLoop pushes a live snapshot to the launcher every interval until
-// the transport closes; the final report is teleFinal's job.
-func (t *Transport) telemetryLoop(interval time.Duration) {
+// reportLoop pushes a live snapshot to the launcher every interval until
+// the transport closes; the final report is endSession's job.
+func (t *Transport) reportLoop(interval time.Duration) {
 	defer t.wg.Done()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -367,32 +369,31 @@ func (t *Transport) telemetryLoop(interval time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		if err := t.tele.Report(t.env.Perf().Snapshot(), false); err != nil {
-			return // launcher gone; the final report will be a no-op too
+		if err := t.sess.Report(t.env.Perf().Snapshot(), false); err != nil {
+			return // launcher gone; the final report will fail too
 		}
 	}
 }
 
-// teleReport pushes one non-final snapshot (used by event-driven updates
-// like a peer-loss verdict, so the launcher sees the failure counters
-// without waiting out the reporting interval).
-func (t *Transport) teleReport() {
-	if t.tele == nil {
-		return
+// report pushes one non-final snapshot, when the launcher takes reports:
+// event-driven updates like a peer-loss verdict, so the launcher sees the
+// failure counters without waiting out the reporting interval.
+func (t *Transport) report() {
+	if _, ok := t.sess.ReportEvery(); ok {
+		t.sess.Report(t.env.Perf().Snapshot(), false) //nolint:errcheck // best-effort diagnostics
 	}
-	t.tele.Report(t.env.Perf().Snapshot(), false) //nolint:errcheck // best-effort diagnostics
 }
 
-// teleFinal pushes the rank's final snapshot over the telemetry channel and
-// hangs up, exactly once. Clean Close and job abort both funnel through it
-// so a crashed job still delivers its post-mortem counters.
-func (t *Transport) teleFinal() {
-	if t.tele == nil {
-		return
-	}
-	t.teleFinalOnce.Do(func() {
-		t.tele.Report(t.env.Perf().Snapshot(), true) //nolint:errcheck // best-effort diagnostics
-		t.tele.Close()
+// endSession sends the rank's final snapshot, when the launcher takes
+// reports, and hangs up the session, exactly once. Clean Close and job abort
+// both funnel through it so a crashed job still delivers its post-mortem
+// counters.
+func (t *Transport) endSession() {
+	t.endOnce.Do(func() {
+		if _, ok := t.sess.ReportEvery(); ok {
+			t.sess.Report(t.env.Perf().Snapshot(), true) //nolint:errcheck // best-effort diagnostics
+		}
+		t.sess.Close()
 	})
 }
 
@@ -598,9 +599,9 @@ func (t *Transport) Close() error {
 	close(t.stop)
 	t.mu.Unlock()
 
-	// The final telemetry report goes out before connections drop: counters
-	// are complete at this point (the Env flushed observability first).
-	t.teleFinal()
+	// The final report goes out before connections drop: counters are
+	// complete at this point (the Env flushed observability first).
+	t.endSession()
 	if t.debugSrv != nil {
 		t.debugSrv.Close()
 	}
@@ -613,13 +614,14 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// severAll closes the listeners and every connection without marking the
-// transport closed — the network-visible effect of a process crash. The
-// "die" fault action uses it before exiting, the chaos tests call it
-// directly to simulate a rank's death inside one test process, and Close
+// severAll closes the listeners, the session and every connection without
+// marking the transport closed — the network-visible effect of a process
+// crash. The "die" fault action uses it before exiting, the chaos tests call
+// it directly to simulate a rank's death inside one test process, and Close
 // ends with it. Readers unregister their own connections as they exit.
 func (t *Transport) severAll() {
 	t.ln.Close()
+	t.sess.Close()
 	t.closeShm()
 	t.mu.Lock()
 	for c := range t.inbound {
@@ -632,35 +634,44 @@ func (t *Transport) severAll() {
 	}
 }
 
-// BroadcastAbort implements the abort hook behind mpi.Comm.Abort: it pushes
-// an abort frame to every peer not already dead (briefly dialing peers with
-// no established connection) and fails this rank's pending rendezvous sends
-// with the abort error. Best effort with a bounded per-peer timeout:
-// unreachable peers are skipped, and the launcher's process-group kill is
-// the backstop.
+// BroadcastAbort implements the abort hook behind mpi.Comm.Abort: it writes
+// an abort frame on every outbound stream this rank already has, and once on
+// its session, whence the launcher relays it to every other rank — so a peer
+// this rank never talked to hears it too, and no rank ever dials to abort.
+// It then fails this rank's pending rendezvous sends with the abort error.
+// Best effort with a bounded per-write timeout: the launcher's process-group
+// kill is the backstop.
 func (t *Transport) BroadcastAbort(code, origin int) {
 	abort := encode(nil, frame{kind: kindAbort, code: code, origin: origin}, 0)
+	nc := t.netCounters()
 	var wg sync.WaitGroup
 	for i := range t.peers {
-		pr := &t.peers[i]
-		if i == t.rank || pr.deadErr() != nil {
+		oc := t.peers[i].established()
+		if i == t.rank || oc == nil || t.isClosed() {
 			continue
-		}
-		if t.isClosed() {
-			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			oc := pr.established()
-			if (oc != nil && oc.write(abort, nil, abortSendTimeout) == nil) ||
-				bootstrap.SendAbort(pr.addr, code, origin, abortSendTimeout) == nil {
-				t.netCounters().AbortsOut.Add(1)
+			if oc.write(abort, nil, abortSendTimeout) == nil {
+				nc.AbortsOut.Add(1)
 			}
 		}()
 	}
+	if t.sess.Abort(code) == nil {
+		nc.AbortsOut.Add(1)
+	}
 	wg.Wait()
 	t.applyAbort(code, origin)
+}
+
+// abortDelivered applies a job-wide abort that arrived from elsewhere — an
+// abort frame on a peer's stream, or an abort on the session, from the
+// launcher or relayed by it.
+func (t *Transport) abortDelivered(code, origin int) {
+	t.netCounters().AbortsIn.Add(1)
+	t.applyAbort(code, origin)
+	t.env.AbortDelivered(code, origin)
 }
 
 // applyAbort records the job-wide abort locally (first abort wins) and
@@ -674,7 +685,7 @@ func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 	t.failWaiters(everyPeer, ae)
 	// An aborting process usually exits moments later; ship the post-mortem
 	// snapshot now rather than hoping Close still runs.
-	go t.teleFinal()
+	go t.endSession()
 	return ae
 }
 

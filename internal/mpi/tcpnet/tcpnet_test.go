@@ -258,9 +258,7 @@ func TestRendezvousTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only one of two ranks ever registers.
-	go func() {
-		_, _ = bootstrap.RegisterEndpoint(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "127.0.0.1:9"}, 5*time.Second)
-	}()
+	go registerAndHangUp(rv, 0, "127.0.0.1:9")
 	if err := rv.Serve(300 * time.Millisecond); err == nil {
 		t.Fatal("Serve returned nil despite a missing rank")
 	}
@@ -273,11 +271,19 @@ func TestRendezvousDuplicateRank(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- rv.Serve(5 * time.Second) }()
-	go bootstrap.RegisterEndpoint(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "a:1"}, time.Second)
+	go registerAndHangUp(rv, 0, "a:1")
 	time.Sleep(100 * time.Millisecond)
-	go bootstrap.RegisterEndpoint(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "b:2"}, time.Second)
+	go registerAndHangUp(rv, 0, "b:2")
 	if err := <-done; err == nil {
 		t.Fatal("duplicate rank accepted")
+	}
+}
+
+// registerAndHangUp stands in for a rank that registers its endpoint and
+// exits as soon as it has the book.
+func registerAndHangUp(rv *bootstrap.Rendezvous, rank int, addr string) {
+	if s, err := bootstrap.Register(rv.Advertised(), rank, bootstrap.Endpoint{Addr: addr}, 5*time.Second); err == nil {
+		s.Close()
 	}
 }
 

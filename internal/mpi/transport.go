@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,9 +49,9 @@ type Env struct {
 
 	pv     *perf.Rank
 	tracer *perf.Tracer // cached for the send-path nil check; nil = off
-	// flushMu serializes observability dumps: the abort and peer-loss
-	// paths flush early so a crashed job keeps its post-mortem, and a
-	// later clean Close rewrites the files with the complete counters.
+	// flushMu serializes trace dumps: the abort and peer-loss paths flush
+	// early so a crashed job keeps its post-mortem, and a later clean Close
+	// rewrites the file with the complete ring.
 	flushMu sync.Mutex
 
 	// Inputs of the collective selector (collective_select.go), parsed once:
@@ -109,22 +108,16 @@ func (e *Env) EnableTracing(capacity int) *perf.Tracer {
 	return t
 }
 
-// flushObservability writes the stats and trace files requested through
-// perf.EnvStatsDir / perf.EnvTraceDir before the engine is torn down.
-// Besides the clean Close path it also runs on abort and peer loss — a
-// crashed job loses exactly the telemetry the post-mortem needs otherwise —
-// so the write is idempotent (Create truncates) and a later flush with more
-// complete counters simply rewrites the files. Failures are reported to
-// stderr: diagnostics must never fail the job.
+// flushObservability writes the trace file requested through
+// perf.EnvTraceDir before the engine is torn down. Besides the clean Close
+// path it also runs on abort and peer loss — a crashed job loses exactly the
+// events the post-mortem needs otherwise — so the write is idempotent
+// (Create truncates) and a later flush with more events simply rewrites the
+// file. Failures are reported to stderr: diagnostics must never fail the
+// job.
 func (e *Env) flushObservability() {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	if dir := os.Getenv(perf.EnvStatsDir); dir != "" {
-		path := filepath.Join(dir, fmt.Sprintf("stats.rank%04d.json", e.worldRank))
-		if err := writeJSONFile(path, e.pv.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "mpi: perf stats dump: %v\n", err)
-		}
-	}
 	dir := os.Getenv(perf.EnvTraceDir)
 	tr := e.pv.Tracer()
 	if dir == "" || tr == nil {
@@ -150,20 +143,6 @@ func (e *Env) flushObservability() {
 	if err := f.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "mpi: perf trace dump: %v\n", err)
 	}
-}
-
-func writeJSONFile(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // SetHosts publishes the job's host topology: hosts[r] is the host label of

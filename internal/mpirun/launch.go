@@ -3,9 +3,10 @@
 // hosts, through a Spawner (direct fork, exec/ssh agents, or persistent mphd
 // daemons speaking the block protocol), with the telemetry aggregator and
 // its HTTP surface beside it. What a rank and the launcher must agree on —
-// the MPH_* environment, the rendezvous exchange, the abort frame, the
-// telemetry wire messages — lives in the leaf package bootstrap, which this
-// package imports and a rank links instead of this one.
+// the MPH_* environment and the session each rank holds with the launcher —
+// lives in the leaf package bootstrap, which this package imports and a rank
+// links instead of this one. The launcher dials nothing but its spawners'
+// carriers: every rank comes to it.
 //
 // The launcher plays the role of the paper's vendor MPP-run command
 // ("poe -pgmmodel mpmd -cmdfile ..." on the IBM SP, §6): it assigns
@@ -15,7 +16,9 @@
 // rank's listen address and host. After rendezvous the launcher is out of
 // the data path: ranks talk directly over their own TCP connections, and —
 // exactly as the paper describes — share nothing but the world communicator
-// until MPH hands them component communicators.
+// until MPH hands them component communicators. Each rank's rendezvous
+// connection stays open as its session, which carries only clock sync,
+// telemetry reports and aborts.
 package mpirun
 
 import (
@@ -29,6 +32,7 @@ import (
 	"time"
 
 	"mph/internal/bootstrap"
+	"mph/internal/mpi/perf"
 )
 
 // Launch defaults, applied when the corresponding LaunchSpec field is zero.
@@ -40,11 +44,6 @@ const (
 	DefaultGrace = 5 * time.Second
 )
 
-// abortSendTimeout bounds the launcher's per-rank abort delivery; remote
-// hosts can be slower than loopback but an abort must never stall the
-// teardown.
-const abortSendTimeout = 2 * time.Second
-
 // Launch runs a placed MPMD job to completion: it probes the placement
 // hosts, starts the rendezvous, spawns every host's rank block through the
 // spec's Spawner, supervises the job, and returns nil only if every rank
@@ -52,11 +51,13 @@ const abortSendTimeout = 2 * time.Second
 //
 // Failure semantics span hosts: a rank that exits before the world is wired
 // cancels the rendezvous and fails the job immediately; after wiring, the
-// first abnormal exit triggers an abort broadcast to every surviving rank's
-// advertised address (their blocked MPI calls return mpi.ErrAborted), and
-// once spec.Grace expires the remaining process groups are killed — through
-// the host's agent or daemon for ranks on other hosts. Canceling ctx aborts
-// and kills the job the same way and returns ctx.Err().
+// first abnormal exit triggers an abort on every surviving rank's session
+// (their blocked MPI calls return mpi.ErrAborted), and once spec.Grace
+// expires the remaining process groups are killed — through the host's agent
+// or daemon for ranks on other hosts. Canceling ctx aborts and kills the job
+// the same way and returns ctx.Err(). Launch returns once every rank has
+// been reaped and every session has ended, so spec.Telemetry holds every
+// final report a rank sent.
 func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -89,7 +90,12 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		// Remote ranks must be able to dial back; loopback would strand them.
 		rvBind = "0.0.0.0"
 	}
-	rv, err := bootstrap.NewRendezvousBind(rvBind, total)
+	var every time.Duration
+	var ingest func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)
+	if spec.Telemetry != nil {
+		every, ingest = spec.Telemetry.every, spec.Telemetry.Ingest
+	}
+	rv, err := bootstrap.NewRendezvousBind(rvBind, total, every, ingest)
 	if err != nil {
 		return err
 	}
@@ -215,12 +221,11 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		}
 	}
 
-	// Phase 2: supervise the running job. On the first abnormal exit,
-	// broadcast a launcher abort so every survivor's blocked MPI calls —
-	// on every host — fail with mpi.ErrAborted, then give them grace to
-	// exit on their own before killing the remaining process groups
-	// (through the agents or daemons for remote ranks).
-	book := rv.Book()
+	// Phase 2: supervise the running job. On the first abnormal exit, abort
+	// every survivor's session so its blocked MPI calls — on every host —
+	// fail with mpi.ErrAborted, then give them grace to exit on their own
+	// before killing the remaining process groups (through the agents or
+	// daemons for remote ranks).
 	aborted := false
 	var graceCh <-chan time.Time
 	maybeAbort := func() {
@@ -239,7 +244,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		}
 		fmt.Fprintf(os.Stderr, "mphrun: rank %d%s failed; aborting %d surviving rank(s) (grace %v)\n",
 			primary, hostTag(spec.Procs[primary].Host), survivors, grace)
-		broadcastAbort(book, exited)
+		rv.Abort(1)
 		graceCh = time.After(grace)
 	}
 	maybeAbort()
@@ -249,7 +254,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		case <-ctx.Done():
 			if !canceled {
 				canceled = true
-				broadcastAbort(book, exited)
+				rv.Abort(1)
 				killAll()
 			}
 			record(<-results)
@@ -269,6 +274,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	for _, h := range handles {
 		h.Wait()
 	}
+	rv.Close()
 	if canceled {
 		return ctx.Err()
 	}
@@ -374,27 +380,6 @@ func hostTag(host string) string {
 		return ""
 	}
 	return "@" + host
-}
-
-// broadcastAbort pushes a launcher abort (origin AbortOriginLauncher, code
-// 1) to the advertised address of every rank that has not exited yet. Best
-// effort and parallel: a rank that died without being reaped yet simply
-// refuses the dial.
-func broadcastAbort(book []bootstrap.Endpoint, exited []bool) {
-	var wg sync.WaitGroup
-	for rank, ep := range book {
-		if rank < len(exited) && exited[rank] {
-			continue
-		}
-		wg.Add(1)
-		go func(rank int, ep bootstrap.Endpoint) {
-			defer wg.Done()
-			if err := bootstrap.SendAbort(ep.Addr, 1, bootstrap.AbortOriginLauncher, abortSendTimeout); err != nil {
-				fmt.Fprintf(os.Stderr, "mphrun: abort to rank %d%s (%s): %v\n", rank, hostTag(ep.Host), ep.Addr, err)
-			}
-		}(rank, ep)
-	}
-	wg.Wait()
 }
 
 // failureReport summarises abnormal exits grouped per component executable,

@@ -321,8 +321,13 @@ type LaunchSpec struct {
 	// host (default 5s).
 	Grace time.Duration
 	// ExtraEnv entries (KEY=VALUE) are appended to every rank's environment
-	// (observability dump directories and the like).
+	// (the trace directory and the like).
 	ExtraEnv []string
+	// Telemetry, when non-nil, aggregates the ranks' reports: every rank
+	// clock-syncs with the launcher as it wires up, reports over its session
+	// at the aggregator's interval, and sends a final report when it exits.
+	// nil = ranks report nothing.
+	Telemetry *Telemetry
 	// Bind is the host or IP the rendezvous and every rank's listener bind
 	// ("" = backend default: loopback unless the spawner wants routable
 	// addresses, in which case all interfaces with a detected routable IP).

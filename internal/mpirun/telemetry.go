@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"sync"
 	"time"
 
-	"mph/internal/bootstrap"
 	"mph/internal/mpi/perf"
 )
 
@@ -82,151 +80,34 @@ type JobView struct {
 	Ranks []RankStatus `json:"ranks"`
 }
 
-// Telemetry is the launcher-side telemetry plane: a TCP endpoint ranks push
-// perf.Snapshot reports to (answering their clock-sync pings), an aggregator
-// merging the per-rank reports into a live job view, and an http.Handler
+// Telemetry is the launcher-side telemetry plane: an aggregator merging the
+// perf.Snapshot reports ranks push over their sessions (LaunchSpec.Telemetry
+// hands it to the rendezvous) into a live job view, and an http.Handler
 // serving the view as Prometheus /metrics and JSON /status.
 type Telemetry struct {
-	ln         net.Listener
-	addr       string
 	size       int
+	every      time.Duration
 	staleAfter time.Duration
 
 	mu      sync.Mutex
 	reports map[int]*rankReport
-	conns   map[net.Conn]struct{}
-	closed  bool
-
-	wg sync.WaitGroup
 }
 
-// NewTelemetry starts the telemetry endpoint for a world of the given size
-// on the given bind host ("" = loopback, wildcard = all interfaces with a
-// routable address advertised). Close it when the job ends.
-func NewTelemetry(bind string, size int) (*Telemetry, error) {
+// NewTelemetry makes the aggregator for a world of the given size, whose
+// ranks are to report every `every` while they run (0 = only their final
+// report, at exit).
+func NewTelemetry(size int, every time.Duration) (*Telemetry, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpirun: telemetry for world of %d", size)
 	}
-	ln, err := net.Listen("tcp", bootstrap.ListenAddr(bind))
-	if err != nil {
-		return nil, fmt.Errorf("mpirun: telemetry listen: %w", err)
-	}
-	t := &Telemetry{
-		ln:         ln,
-		addr:       bootstrap.AdvertiseAddr(bind, ln.Addr()),
-		size:       size,
-		staleAfter: DefaultStaleAfter,
-		reports:    make(map[int]*rankReport),
-		conns:      make(map[net.Conn]struct{}),
-	}
-	t.wg.Add(1)
-	go t.acceptLoop()
-	return t, nil
-}
-
-// Addr returns the routable address ranks should dial (the
-// bootstrap.EnvTelemetry value the launcher forwards).
-func (t *Telemetry) Addr() string {
-	return t.addr
-}
-
-// Close stops the endpoint. Aggregated reports stay readable afterwards, so
-// the launcher can still print a final summary from them.
-func (t *Telemetry) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	conns := make([]net.Conn, 0, len(t.conns))
-	for c := range t.conns {
-		conns = append(conns, c)
-	}
-	t.mu.Unlock()
-	err := t.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	t.wg.Wait()
-	return err
-}
-
-// acceptLoop receives rank connections and spawns a handler per rank.
-func (t *Telemetry) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.conns[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			defer func() {
-				t.mu.Lock()
-				delete(t.conns, conn)
-				t.mu.Unlock()
-				conn.Close()
-			}()
-			t.handleConn(conn)
-		}()
-	}
-}
-
-// handleConn runs one rank's telemetry session: hello, clock-sync pongs,
-// then report ingestion until the rank hangs up. Malformed input just ends
-// the session — telemetry must never take a job down.
-func (t *Telemetry) handleConn(conn net.Conn) {
-	lc := bootstrap.NewLineConn(conn)
-	rank, host, pid := -1, "", 0
-	for {
-		// No read deadline: a final-only rank is silent for the whole job.
-		// The session ends when the rank hangs up or Close tears it down.
-		var msg bootstrap.TeleMsg
-		if err := lc.Recv(&msg); err != nil {
-			return
-		}
-		switch msg.Kind {
-		case "hello":
-			rank, host, pid = msg.Rank, msg.Host, msg.PID
-		case "ping":
-			conn.SetWriteDeadline(time.Now().Add(bootstrap.TelemetryIOTimeout))
-			if err := lc.Send(bootstrap.TeleMsg{Kind: "pong", Seq: msg.Seq, TS: time.Now().UnixNano()}); err != nil {
-				return
-			}
-		case "report":
-			if msg.Snap == nil {
-				continue
-			}
-			r := msg.Snap.WorldRank
-			if rank >= 0 {
-				r = rank
-			}
-			if msg.Snap.Host == "" {
-				msg.Snap.Host = host
-			}
-			if msg.Snap.PID == 0 {
-				msg.Snap.PID = pid
-			}
-			t.Ingest(r, *msg.Snap, msg.Seq, msg.Final, time.Now())
-		}
-	}
+	return &Telemetry{size: size, every: every, staleAfter: DefaultStaleAfter, reports: make(map[int]*rankReport)}, nil
 }
 
 // Ingest merges one rank report into the aggregate, keyed by world rank.
 // Reports carry a per-rank sequence number; one arriving out of order
 // (an older seq than the latest merged) is dropped, so a delayed periodic
-// report can never overwrite the final one. Exported for aggregator tests;
-// the TCP sessions call it internally.
+// report can never overwrite the final one. The rendezvous calls it for
+// every report a rank's session carries.
 func (t *Telemetry) Ingest(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time) {
 	if rank < 0 || rank >= t.size {
 		return
@@ -312,8 +193,8 @@ func (t *Telemetry) viewAt(now time.Time) JobView {
 }
 
 // Snapshots returns the latest snapshot of every reporting rank, sorted by
-// world rank. With every final report in, these are exactly the per-rank
-// stats files a -stats run would have collected.
+// world rank. Once Launch has returned these include every final report a
+// rank sent: what mphrun -stats summarizes.
 func (t *Telemetry) Snapshots() []perf.Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -4,8 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,11 +26,10 @@ func snapFor(rank int, sent, recv uint64) perf.Snapshot {
 }
 
 func TestTelemetryIngestOutOfOrder(t *testing.T) {
-	tele, err := NewTelemetry("", 4)
+	tele, err := NewTelemetry(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tele.Close()
 	now := time.Now()
 
 	// A delayed periodic report (seq 1) arriving after the final (seq 3)
@@ -51,11 +50,10 @@ func TestTelemetryIngestOutOfOrder(t *testing.T) {
 }
 
 func TestTelemetryIngestPartialAndStale(t *testing.T) {
-	tele, err := NewTelemetry("", 3)
+	tele, err := NewTelemetry(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tele.Close()
 	tele.SetStaleAfter(10 * time.Second)
 	now := time.Now()
 
@@ -100,11 +98,10 @@ func TestTelemetryIngestPartialAndStale(t *testing.T) {
 }
 
 func TestTelemetryRates(t *testing.T) {
-	tele, err := NewTelemetry("", 1)
+	tele, err := NewTelemetry(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tele.Close()
 	now := time.Now()
 
 	tele.Ingest(0, snapFor(0, 100, 0), 1, false, now)
@@ -129,42 +126,58 @@ func TestTelemetryRates(t *testing.T) {
 }
 
 func TestTelemetryEndToEnd(t *testing.T) {
-	tele, err := NewTelemetry("", 2)
+	tele, err := NewTelemetry(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tele.Close()
+	rv, err := bootstrap.NewRendezvousBind("", 2, tele.every, tele.Ingest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- rv.Serve(10 * time.Second) }()
 
-	// Two ranks dial, sync clocks, and push reports over real TCP.
-	for rank := 0; rank < 2; rank++ {
-		c, err := bootstrap.DialTelemetry(tele.Addr(), rank, "host-x", os.Getpid(), time.Second)
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+	// Two ranks open their sessions — registering, syncing clocks — and
+	// push reports over real TCP.
+	sessions := make([]*bootstrap.Session, 2)
+	var wg sync.WaitGroup
+	for rank := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := bootstrap.Register(rv.Advertised(), rank, bootstrap.Endpoint{Addr: "x:1", Host: "host-x"}, 5*time.Second)
+			if err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+				return
+			}
+			sessions[rank] = s
+		}()
+	}
+	wg.Wait()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+	for rank, s := range sessions {
+		if s == nil {
+			t.FailNow()
 		}
-		if _, bound, ok := c.ClockOffset(); !ok || bound < 0 {
+		if _, bound, ok := s.ClockOffset(); !ok || bound < 0 {
 			t.Errorf("rank %d: clock sync failed over loopback (ok=%v bound=%d)", rank, ok, bound)
 		}
 		snap := snapFor(rank, 4, 4)
-		snap.Host = "" // the hello's host must backfill it
-		if err := c.Report(snap, false); err != nil {
+		snap.Host = "" // the registration's host must backfill it
+		if err := s.Report(snap, false); err != nil {
 			t.Fatalf("rank %d report: %v", rank, err)
 		}
-		if err := c.Report(snapFor(rank, 9, 9), true); err != nil {
+		if err := s.Report(snapFor(rank, 9, 9), true); err != nil {
 			t.Fatalf("rank %d final: %v", rank, err)
 		}
-		c.Close()
+		s.Close()
 	}
+	// Close returns once both ranks have hung up: every report is in.
+	rv.Close()
 
-	// Reports travel asynchronously; wait for both finals.
-	deadline := time.Now().Add(5 * time.Second)
-	var view JobView
-	for {
-		view = tele.View()
-		if view.Finals == 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	view := tele.View()
 	if view.Finals != 2 || view.Reporting != 2 {
 		t.Fatalf("finals, reporting = %d, %d; want 2, 2", view.Finals, view.Reporting)
 	}
@@ -216,8 +229,8 @@ func httpGet(t *testing.T, url, wantType string) string {
 // pairs on a self-delivering rank with 64 unexpected messages queued, the
 // one internal/mpi's BenchmarkTracerOverhead times — bare, and while a
 // reporter goroutine snapshots the rank's counters every 50 ms and pushes
-// them to a live aggregator over TCP: the work MPH_STATS_INTERVAL=50ms adds
-// to a job. Budget: 50ms within 5 % of 0s.
+// them over a rendezvous session to a live aggregator: the work
+// mphrun -stats-interval 50ms adds to a job. Budget: 50ms within 5 % of 0s.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	for _, interval := range []time.Duration{0, 50 * time.Millisecond} {
 		b.Run(interval.String(), func(b *testing.B) {
@@ -227,16 +240,22 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 			defer w.Close()
 			if interval > 0 {
-				tele, err := NewTelemetry("", 1)
+				tele, err := NewTelemetry(1, interval)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer tele.Close()
-				client, err := bootstrap.DialTelemetry(tele.Addr(), 0, "bench", os.Getpid(), 5*time.Second)
+				rv, err := bootstrap.NewRendezvousBind("", 1, tele.every, tele.Ingest)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer client.Close()
+				defer rv.Close()
+				go rv.Serve(5 * time.Second)
+				sess, err := bootstrap.Register(rv.Advertised(), 0, bootstrap.Endpoint{Addr: "bench:1"}, 5*time.Second)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sess.Close()
+				every, _ := sess.ReportEvery()
 				pv, err := w.Perf(0)
 				if err != nil {
 					b.Fatal(err)
@@ -244,14 +263,14 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				stop, stopped := make(chan struct{}), make(chan struct{})
 				go func() {
 					defer close(stopped)
-					tick := time.NewTicker(interval)
+					tick := time.NewTicker(every)
 					defer tick.Stop()
 					for {
 						select {
 						case <-stop:
 							return
 						case <-tick.C:
-							client.Report(pv.Snapshot(), false) // a lost report costs the loop nothing
+							sess.Report(pv.Snapshot(), false) // a lost report costs the loop nothing
 						}
 					}
 				}()

@@ -14,6 +14,9 @@
 #   the path comes from a bounded free list, no sync.Pool drops a Put — so
 #   they run in the plain pass, in the internal/mpi -race pass and, for the
 #   coupled period, in a -race pass of their own;
+# - the session race pass repeats TestLaunchStats: -stats prints only the
+#   final reports ranks send over their sessions, so every one of them must
+#   be in when Launch returns, on every run;
 # - the bench smoke runs every Benchmark* once, so every experiment of
 #   EXPERIMENTS.md keeps a command that executes (one harness: go test -bench);
 # - the launcher smokes drive the remote-spawn path end to end without an
@@ -37,9 +40,11 @@ go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./inte
 go test -run 'TestCoupledPeriodAllocBudget' -race -count=2 ./internal/coupler
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
-go test -run 'Telemetry|ClockOffset' -race ./internal/mpirun ./internal/bootstrap
+go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
+go test -run 'TestLaunchStats$' -race -count=5 ./cmd/mphrun
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
 go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s ./internal/mpirun
+go test -run=NONE -fuzz=FuzzSession -fuzztime=10s ./internal/bootstrap
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 # Rendezvous alloc-regression guard: a 1 MiB rendezvous send, on either
@@ -145,10 +150,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (18,346 before the remap/topology
-# extensions, checkpoint files, tracer model, transpose and history tool
-# went, 16,815 after) and the stripped size of a component executable
-# (3,559,716 bytes before, 3,551,524 after), printed for later comparison.
+# Non-test Go lines outside benchmark/ (16,815 before a rank's connections
+# to its launcher became one session, 16,610 after) and the stripped size of
+# a component executable (3,551,524 bytes before, 3,547,428 after), printed
+# for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
