@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -51,6 +52,8 @@ func TestMain(m *testing.M) {
 //	MPH_TEST_SPIN          per-rank imbalance: every rank sleeps rank×SPIN
 //	                       before the final barrier, making the highest rank
 //	                       the straggler the telemetry tests look for
+//	MPH_TEST_MSG_BYTES     pads the name-addressed message to this many
+//	                       bytes, so it can take the rendezvous path
 func worker() int {
 	env, regPath, err := tcpnet.InitFromEnv()
 	if err != nil {
@@ -90,16 +93,20 @@ func worker() int {
 		os.Exit(0)
 	}
 	const tag = 4
+	msg := []byte("launched")
+	if n, err := strconv.Atoi(os.Getenv("MPH_TEST_MSG_BYTES")); err == nil && n > len(msg) {
+		msg = append(msg, make([]byte, n-len(msg))...)
+	}
 	switch {
 	case name == "alpha" && s.LocalProcID() == 1:
-		if err := s.SendTo("beta", 0, tag, []byte("launched")); err != nil {
+		if err := s.SendTo("beta", 0, tag, msg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	case name == "beta":
 		data, _, err := s.RecvFrom("alpha", 1, tag)
-		if err != nil || string(data) != "launched" {
-			fmt.Fprintf(os.Stderr, "beta recv: %q %v\n", data, err)
+		if err != nil || !bytes.Equal(data, msg) {
+			fmt.Fprintf(os.Stderr, "beta recv: %d bytes, want %d: %v\n", len(data), len(msg), err)
 			return 1
 		}
 		fmt.Println("beta received the message")
@@ -344,12 +351,11 @@ func TestLaunchMultiHostExec(t *testing.T) {
 	}
 }
 
-// TestLaunchHierCollectives forces the two-level host-aware collectives on
-// (MPH_COLL_HIER=1, forwarded to every rank by the launcher) in a 5-rank
-// exec-backend job spanning two uneven hosts, and checks through the final
-// reports that the handshake's world collectives actually routed
-// hierarchically (the hier pvar is nonzero) while the job-wide send/recv
-// totals still reconcile — the same assertions scripts/check.sh greps for.
+// TestLaunchHierCollectives runs a 5-rank exec-backend job spanning two
+// uneven hosts and checks through the final reports that the handshake's
+// world collectives routed through the two-level host-aware algorithms (the
+// hier pvar is nonzero) while the job-wide send/recv totals still reconcile
+// — the same assertions scripts/check.sh greps for.
 func TestLaunchHierCollectives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -357,7 +363,6 @@ func TestLaunchHierCollectives(t *testing.T) {
 	hosts := []mpirun.HostSlot{{Name: "nodeA", Slots: 3}, {Name: "nodeB", Slots: 2}}
 	t.Setenv("MPH_TEST_WORKER", "1")
 	t.Setenv("MPH_TEST_EXPECT_HOSTS", "nodeA,nodeA,nodeA,nodeB,nodeB")
-	t.Setenv(mpi.EnvCollHier, "1")
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
@@ -378,14 +383,14 @@ func TestLaunchHierCollectives(t *testing.T) {
 		}
 	}
 	if hier == 0 {
-		t.Error("no collective routed hierarchically despite MPH_COLL_HIER=1 across two hosts")
+		t.Error("no collective routed hierarchically across two hosts")
 	}
 }
 
 // TestLaunchShmChannel places all five ranks of an exec-backend job on ONE
-// host with rendezvous forced (MPH_EAGER_THRESHOLD=0, forwarded to every
-// rank), so every non-empty payload is eligible for the intra-host channel,
-// and checks through the final reports that payload frames actually moved over
+// host and pads the name-addressed message to the eager threshold, so it
+// takes the rendezvous path and is eligible for the intra-host channel, and
+// checks through the final reports that payload frames actually moved over
 // it (shm pvars nonzero on both sides, byte counts matching) while the
 // job-wide send/recv totals still reconcile — the same assertions the
 // scripts/check.sh shm smoke greps for.
@@ -396,7 +401,7 @@ func TestLaunchShmChannel(t *testing.T) {
 	hosts := []mpirun.HostSlot{{Name: "nodeA", Slots: 5}}
 	t.Setenv("MPH_TEST_WORKER", "1")
 	t.Setenv("MPH_TEST_EXPECT_HOSTS", "nodeA,nodeA,nodeA,nodeA,nodeA")
-	t.Setenv(tcpnet.EnvEagerThreshold, "0")
+	t.Setenv("MPH_TEST_MSG_BYTES", strconv.Itoa(tcpnet.DefaultEagerThreshold))
 	spec := selfSpec(t, 4, hosts, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second

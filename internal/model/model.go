@@ -108,18 +108,6 @@ func (m *SurfaceModel) Name() string { return m.name }
 // Data slice is only good until the next Step, which swaps the storage.
 func (m *SurfaceModel) Field() *grid.Field { return m.state }
 
-// SetField replaces the local slab (after a coupler-to-model transfer or a
-// restart). The field must have this processor's shape; a structurally
-// equal decomposition (same grid, same processor count) is accepted
-// because grid.NewDecomp is deterministic.
-func (m *SurfaceModel) SetField(f *grid.Field) error {
-	if f.Decomp.Grid != m.decomp.Grid || f.Decomp.P != m.decomp.P || f.P != m.comm.Rank() {
-		return fmt.Errorf("model %s: foreign field", m.name)
-	}
-	m.state = f
-	return nil
-}
-
 // Time returns the model time.
 func (m *SurfaceModel) Time() float64 { return m.time }
 

@@ -312,41 +312,6 @@ func TestAtmosphereWarmerAtEquator(t *testing.T) {
 	})
 }
 
-func TestSetFieldValidation(t *testing.T) {
-	d := mustDecomp(t, 8, 4, 1)
-	otherGrid := mustDecomp(t, 8, 6, 1)  // different grid shape
-	otherProcs := mustDecomp(t, 8, 4, 2) // different processor count
-	sameShape := mustDecomp(t, 8, 4, 1)  // structurally equal: accepted
-	mpitest.Run(t, 1, func(c *mpi.Comm) error {
-		m, err := model.New("x", c, d, model.Params{Kappa: 0.1})
-		if err != nil {
-			return err
-		}
-		if err := m.SetField(grid.NewField(otherGrid, 0)); err == nil {
-			return fmt.Errorf("foreign grid accepted")
-		}
-		if err := m.SetField(grid.NewField(otherProcs, 0)); err == nil {
-			return fmt.Errorf("foreign processor count accepted")
-		}
-		if err := m.SetField(grid.NewField(sameShape, 0)); err != nil {
-			return fmt.Errorf("structurally equal decomp rejected: %v", err)
-		}
-		f := grid.NewField(d, 0)
-		f.FillFunc(func(lat, lon int) float64 { return 7 })
-		if err := m.SetField(f); err != nil {
-			return err
-		}
-		v, err := m.Field().At(0, 0)
-		if err != nil {
-			return err
-		}
-		if v != 7 {
-			return fmt.Errorf("SetField did not take: %g", v)
-		}
-		return nil
-	})
-}
-
 // TestStepAllocatesNoSlab: a step writes into the slab the model keeps for
 // it and swaps, and receives its halo rows in place. A one-rank model then
 // allocates nothing at all; with neighbors the per-step allocations are the

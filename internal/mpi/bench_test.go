@@ -229,9 +229,9 @@ var collOps = map[string]func(size int) func(c *mpi.Comm) error{
 
 // benchCollective times b.N invocations of one collective at one payload
 // size on every rank of a fresh world, its ranks published on hosts when
-// given. The world is built here, after the caller pinned its knobs: the
-// selector reads them at construction.
-func benchCollective(b *testing.B, ranks int, hosts []string, op string, size int) {
+// given. pin, when given, runs on every rank before the first invocation, to
+// hold the selector to one algorithm.
+func benchCollective(b *testing.B, ranks int, hosts []string, pin func(c *mpi.Comm), op string, size int) {
 	b.Helper()
 	w, err := mpi.NewWorld(ranks)
 	if err != nil {
@@ -244,6 +244,9 @@ func benchCollective(b *testing.B, ranks int, hosts []string, op string, size in
 	run := collOps[op](size)
 	b.SetBytes(int64(size))
 	err = w.Run(func(c *mpi.Comm) error {
+		if pin != nil {
+			pin(c)
+		}
 		for i := 0; i < b.N; i++ {
 			if err := run(c); err != nil {
 				return err
@@ -259,7 +262,7 @@ func benchCollective(b *testing.B, ranks int, hosts []string, op string, size in
 func BenchmarkBcast(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		for _, size := range []int{64, 64 << 10} {
-			b.Run(fmt.Sprintf("n=%d/%dB", n, size), func(b *testing.B) { benchCollective(b, n, nil, "bcast", size) })
+			b.Run(fmt.Sprintf("n=%d/%dB", n, size), func(b *testing.B) { benchCollective(b, n, nil, nil, "bcast", size) })
 		}
 	}
 }
@@ -267,15 +270,15 @@ func BenchmarkBcast(b *testing.B) {
 func BenchmarkAllreduce(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		for _, elems := range []int{1, 1024} {
-			b.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(b *testing.B) { benchCollective(b, n, nil, "allreduce", 8*elems) })
+			b.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(b *testing.B) { benchCollective(b, n, nil, nil, "allreduce", 8*elems) })
 		}
 	}
 }
 
 // BenchmarkTreeVsRing (EXPERIMENTS.md C1) pits the flat tree against the
-// ring on 8 ranks, MPH_COLL_RING_THRESHOLD pinning each cell to one
-// algorithm, at the sizes the selector's ring and tree rows cite: around
-// Allgather's 8 KiB crossover (DefaultRingThreshold) and around Allreduce's
+// ring on 8 ranks, mpi.SetRingThreshold pinning each cell to one algorithm,
+// at the sizes the selector's ring and tree rows cite: around Allgather's
+// 8 KiB crossover (DefaultRingThreshold) and around Allreduce's
 // 256 KiB one (allreduceRingFrom).
 func BenchmarkTreeVsRing(b *testing.B) {
 	for _, op := range []struct {
@@ -286,10 +289,13 @@ func BenchmarkTreeVsRing(b *testing.B) {
 		{"allreduce", []int{4 << 10, 64 << 10, 256 << 10, 1 << 20}},
 	} {
 		for _, size := range op.sizes {
-			for _, alg := range []struct{ name, threshold string }{{"tree", "-1"}, {"ring", "0"}} {
+			for _, alg := range []struct {
+				name      string
+				threshold int
+			}{{"tree", -1}, {"ring", 0}} {
 				b.Run(fmt.Sprintf("%s/%dB/%s", op.name, size, alg.name), func(b *testing.B) {
-					b.Setenv(mpi.EnvCollRingThreshold, alg.threshold)
-					benchCollective(b, 8, nil, op.name, size)
+					pin := func(c *mpi.Comm) { mpi.SetRingThreshold(c, alg.threshold) }
+					benchCollective(b, 8, nil, pin, op.name, size)
 				})
 			}
 		}
@@ -298,8 +304,8 @@ func BenchmarkTreeVsRing(b *testing.B) {
 
 // BenchmarkFlatVsHier (EXPERIMENTS.md C1b) times the two operations the
 // selector's hier row routes, at sizes it routes them (Bcast at any, Allreduce
-// below hierAllreduceBelow), on 8 ranks block-placed over 2-4 published hosts
-// with MPH_COLL_HIER pinned off then on. In-process "hosts" share one
+// below hierAllreduceBelow), on 8 ranks block-placed over 2-4 published hosts,
+// pinned flat (mpi.SetFlat) then left two-level. In-process "hosts" share one
 // address space, so a cell prices the two-level shape's extra
 // store-and-forward hop, not a network win.
 func BenchmarkFlatVsHier(b *testing.B) {
@@ -317,10 +323,12 @@ func BenchmarkFlatVsHier(b *testing.B) {
 				hosts[r] = fmt.Sprintf("node%d", r*hostCount/ranks)
 			}
 			for _, size := range op.sizes {
-				for _, alg := range []struct{ name, hier string }{{"flat", "0"}, {"hier", "1"}} {
+				for _, alg := range []struct {
+					name string
+					pin  func(c *mpi.Comm)
+				}{{"flat", mpi.SetFlat}, {"hier", nil}} {
 					b.Run(fmt.Sprintf("%s/hosts=%d/%dB/%s", op.name, hostCount, size, alg.name), func(b *testing.B) {
-						b.Setenv(mpi.EnvCollHier, alg.hier)
-						benchCollective(b, ranks, hosts, op.name, size)
+						benchCollective(b, ranks, hosts, alg.pin, op.name, size)
 					})
 				}
 			}

@@ -188,9 +188,8 @@ func (c *Comm) bcastHier(root int, data []byte) ([]byte, error) {
 // allreduceHier is the two-level allreduce, for opaque (elem == 0) and
 // element-wise fns alike: each host reduces to its leader, the leaders
 // allreduce among themselves — choose runs again there and, below the size
-// at which it stops routing here, picks the tree unless
-// MPH_COLL_RING_THRESHOLD pins the ring lower — and each leader broadcasts
-// the result to its host.
+// at which it stops routing here, picks the tree (the pair on two hosts) —
+// and each leader broadcasts the result to its host.
 func (c *Comm) allreduceHier(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	h, err := c.hierEnsure()
 	if err != nil {

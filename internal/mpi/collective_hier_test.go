@@ -130,17 +130,17 @@ type hierOp struct {
 func TestHierMatchesFlat(t *testing.T) {
 	// run executes op on a fresh world and returns every rank's output, the
 	// messages sent between hosts, and rank 0's two-level selection count.
-	run := func(t *testing.T, hosts []string, op hierOp, hier string) (outs [][]byte, interHost int, picked uint64) {
-		t.Setenv(EnvCollHier, hier)
+	run := func(t *testing.T, hosts []string, op hierOp, flat bool) (outs [][]byte, interHost int, picked uint64) {
 		w := newHierWorld(t, hosts)
 		outs = make([][]byte, len(hosts))
 		err := w.Run(func(c *Comm) error {
+			c.noHier = flat
 			out, err := op.run(c)
 			outs[c.Rank()] = out
 			return err
 		})
 		if err != nil {
-			t.Fatalf("MPH_COLL_HIER=%s: %v", hier, err)
+			t.Fatalf("flat=%v: %v", flat, err)
 		}
 		for r := range hosts {
 			pv, err := w.Perf(r)
@@ -171,8 +171,8 @@ func TestHierMatchesFlat(t *testing.T) {
 		H := len(distinct)
 		for _, op := range hierOps {
 			t.Run(layout.name+"/"+op.name, func(t *testing.T) {
-				want, _, _ := run(t, layout.hosts, op, "0")
-				got, interHost, picked := run(t, layout.hosts, op, "1")
+				want, _, _ := run(t, layout.hosts, op, true)
+				got, interHost, picked := run(t, layout.hosts, op, false)
 				for r := range want {
 					if !bytes.Equal(got[r], want[r]) {
 						t.Errorf("rank %d: two-level result differs from flat (%d vs %d bytes)", r, len(got[r]), len(want[r]))
@@ -259,12 +259,13 @@ func TestHierCyclicFallsBackFlat(t *testing.T) {
 }
 
 // TestHierPvarRouting checks the selector end to end through the pvar:
-// multi-host comms must count hier selections, and MPH_COLL_HIER=0 must
-// force them back to zero.
+// multi-host comms must count hier selections, and a comm pinned flat must
+// count none.
 func TestHierPvarRouting(t *testing.T) {
-	run := func(t *testing.T) map[string]perf.CollSnap {
+	run := func(t *testing.T, flat bool) map[string]perf.CollSnap {
 		w := newHierWorld(t, []string{"hA", "hA", "hB", "hB"})
 		err := w.Run(func(c *Comm) error {
+			c.noHier = flat
 			if _, err := c.Bcast(0, hierPayload(0, 4096)); err != nil && c.Rank() != 0 {
 				return err
 			}
@@ -281,7 +282,7 @@ func TestHierPvarRouting(t *testing.T) {
 		return pv.Snapshot().Collectives
 	}
 	t.Run("enabled", func(t *testing.T) {
-		colls := run(t)
+		colls := run(t, false)
 		if colls["bcast"].Hier == 0 {
 			t.Error("multi-host bcast did not route hierarchically")
 		}
@@ -290,10 +291,9 @@ func TestHierPvarRouting(t *testing.T) {
 		}
 	})
 	t.Run("disabled", func(t *testing.T) {
-		t.Setenv(EnvCollHier, "0")
-		colls := run(t)
+		colls := run(t, true)
 		if h := colls["bcast"].Hier + colls["allreduce"].Hier; h != 0 {
-			t.Errorf("MPH_COLL_HIER=0 still routed %d collectives hierarchically", h)
+			t.Errorf("a comm pinned flat still routed %d collectives hierarchically", h)
 		}
 	})
 }

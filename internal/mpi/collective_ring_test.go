@@ -19,11 +19,11 @@ var ringSizes = []int{1, 2, 3, 5, 7, 8}
 // variable-size per-rank payloads — the allgatherv shape the size exchange
 // exists for — across non-power-of-two communicator sizes.
 func TestAllgatherRingAllSizes(t *testing.T) {
-	t.Setenv(mpi.EnvCollRingThreshold, "0")
 	for _, n := range ringSizes {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
+				mpi.SetRingThreshold(c, 0)
 				// Rank r contributes 3*r bytes of value r (rank 0 contributes
 				// an empty block, exercising zero-length ring steps).
 				mine := bytes.Repeat([]byte{byte(c.Rank())}, 3*c.Rank())
@@ -54,12 +54,12 @@ func TestAllgatherRingAllSizes(t *testing.T) {
 // results at every communicator size, including payloads with fewer
 // elements than ranks (empty chunks) and payloads that do not divide evenly.
 func TestAllreduceRingAllSizes(t *testing.T) {
-	t.Setenv(mpi.EnvCollRingThreshold, "0")
 	for _, n := range ringSizes {
 		for _, elems := range []int{1, 3, 64, 257} {
 			n, elems := n, elems
 			t.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(t *testing.T) {
 				mpitest.Run(t, n, func(c *mpi.Comm) error {
+					mpi.SetRingThreshold(c, 0)
 					xs := make([]int64, elems)
 					fs := make([]float64, elems)
 					for i := range xs {
@@ -97,10 +97,10 @@ func TestAllreduceRingAllSizes(t *testing.T) {
 // identical results (integer sums are exact, so byte equality is required).
 func TestAllreduceRingMatchesTree(t *testing.T) {
 	const n, elems = 5, 100
-	run := func(t *testing.T, threshold string) [][]int64 {
-		t.Setenv(mpi.EnvCollRingThreshold, threshold)
+	run := func(t *testing.T, threshold int) [][]int64 {
 		results := make([][]int64, n)
 		mpitest.Run(t, n, func(c *mpi.Comm) error {
+			mpi.SetRingThreshold(c, threshold)
 			xs := make([]int64, elems)
 			for i := range xs {
 				xs[i] = int64((c.Rank()+1)*(i+3)) % 97
@@ -114,8 +114,8 @@ func TestAllreduceRingMatchesTree(t *testing.T) {
 		})
 		return results
 	}
-	ring := run(t, "0")
-	tree := run(t, "-1")
+	ring := run(t, 0)
+	tree := run(t, -1)
 	for r := range ring {
 		for i := range ring[r] {
 			if ring[r][i] != tree[r][i] {
@@ -131,7 +131,6 @@ func TestAllreduceRingMatchesTree(t *testing.T) {
 // exchange ranks would pick different algorithms and deadlock. The perf
 // per-algorithm pvar must show every rank took the ring.
 func TestAllgatherSelectorAgreesOnMixedSizes(t *testing.T) {
-	t.Setenv(mpi.EnvCollRingThreshold, "1024")
 	const n = 5
 	w, err := mpi.NewWorld(n)
 	if err != nil {
@@ -139,6 +138,7 @@ func TestAllgatherSelectorAgreesOnMixedSizes(t *testing.T) {
 	}
 	defer w.Close()
 	err = w.Run(func(c *mpi.Comm) error {
+		mpi.SetRingThreshold(c, 1024)
 		mine := []byte{byte(c.Rank())}
 		if c.Rank() == 2 {
 			mine = bytes.Repeat([]byte{2}, 4096) // only this rank exceeds the threshold
@@ -177,7 +177,6 @@ func TestAllgatherSelectorAgreesOnMixedSizes(t *testing.T) {
 // both sides of the crossover: payloads below the threshold count as tree,
 // payloads at or above it count as ring, for Allgather and Allreduce.
 func TestCollAlgPvarRoutes(t *testing.T) {
-	t.Setenv(mpi.EnvCollRingThreshold, "256")
 	const n = 4
 	w, err := mpi.NewWorld(n)
 	if err != nil {
@@ -185,6 +184,7 @@ func TestCollAlgPvarRoutes(t *testing.T) {
 	}
 	defer w.Close()
 	err = w.Run(func(c *mpi.Comm) error {
+		mpi.SetRingThreshold(c, 256)
 		if _, err := mpi.Allgather(c, make([]byte, 16)); err != nil { // tree
 			return err
 		}
@@ -228,12 +228,12 @@ func TestCollAlgPvarRoutes(t *testing.T) {
 // one reordering away from crossing streams. Both orderings and both
 // algorithm routes are exercised.
 func TestAllgatherAllreduceInterleaved(t *testing.T) {
-	for _, threshold := range []string{"-1", "0", "64"} {
+	for _, threshold := range []int{-1, 0, 64} {
 		threshold := threshold
-		t.Run("threshold="+threshold, func(t *testing.T) {
-			t.Setenv(mpi.EnvCollRingThreshold, threshold)
+		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
 			const n = 4
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
+				mpi.SetRingThreshold(c, threshold)
 				for round := 0; round < 10; round++ {
 					mine := bytes.Repeat([]byte{byte(c.Rank())}, 8+round*16)
 					parts, err := mpi.Allgather(c, mine)

@@ -1,33 +1,13 @@
 package mpi
 
-import (
-	"os"
-	"strconv"
+import "mph/internal/mpi/perf"
 
-	"mph/internal/mpi/perf"
-)
-
-// The collective algorithm selector: the two job-wide knobs it reads and
-// choose, the only place an algorithm is picked and counted. The algorithms
+// The collective algorithm selector: choose, the only place an algorithm is
+// picked and counted. It decides from what every rank of a communicator
+// already observes — the operation, the payload size and the published host
+// labels — so no setting can make two ranks disagree. The algorithms
 // themselves live one family per file — flat trees in collective.go, rings
 // in collective_ring.go, the two-level compositions in collective_hier.go.
-
-// EnvCollHier is the environment variable gating the two-level host-aware
-// collectives. Parsed by EnvBool: on by default (it only engages when the
-// comm actually spans hosts); "0"/"false"/"off"/"no" or a non-positive
-// integer disables it, and garbage warns once and keeps the default. Every
-// rank of a job must see the same value or algorithm choices diverge.
-const EnvCollHier = "MPH_COLL_HIER"
-
-// EnvCollRingThreshold is the environment variable that pins the
-// tree-to-ring crossover, in bytes, for both ring-capable collectives at
-// once: one whose decision size (largest per-rank block for Allgather,
-// payload length for Allreduce) is at least the threshold takes the ring.
-// 0 forces the ring everywhere, a negative value disables the rings; unset
-// or unparsable leaves each op at its own measured crossover
-// (DefaultRingThreshold for Allgather). Every rank of a job must see the
-// same value.
-const EnvCollRingThreshold = "MPH_COLL_RING_THRESHOLD"
 
 // DefaultRingThreshold is Allgather's tree-to-ring crossover in bytes.
 const DefaultRingThreshold = 8 << 10
@@ -36,19 +16,6 @@ const DefaultRingThreshold = 8 << 10
 // far above Allgather's because the tree allreduce moves one payload per
 // hop where the tree allgather moves P of them through its root.
 const allreduceRingFrom = 256 << 10
-
-// hierFromEnv parses EnvCollHier once per Env.
-func hierFromEnv() bool {
-	return EnvBool(EnvCollHier, true)
-}
-
-// ringThresholdsFromEnv resolves the two ring crossovers once per Env.
-func ringThresholdsFromEnv() (allgather, allreduce int) {
-	if n, err := strconv.Atoi(os.Getenv(EnvCollRingThreshold)); err == nil {
-		return n, n
-	}
-	return DefaultRingThreshold, allreduceRingFrom
-}
 
 // hierAllreduceBelow is the payload size in bytes from which an Allreduce
 // that spans hosts stays on the flat algorithms: the first C1b size at which
@@ -68,9 +35,8 @@ const algPair = perf.NumCollAlgs
 // its length, so Bcast passes 0), and commutative reports whether the
 // operation may regroup its operands (a broadcast or gather always may; a
 // reduction only under the elementwise allreduceWith contract). Together
-// with the published topology and the job-wide environment those are
-// identical on every rank, so all members reach the same verdict without
-// communication.
+// with the published topology those are identical on every rank, so all
+// members reach the same verdict without communication.
 //
 // The table, first matching row wins; each row names the measured cell that
 // justifies it (EXPERIMENTS.md C1, C1b and S4: go test -run=NONE
@@ -85,19 +51,19 @@ const algPair = perf.NumCollAlgs
 //	      9 of 10 traced pairs. Ahead of hier: two ranks have nothing to be
 //	      hierarchical about.
 //	hier  Bcast, and Allreduce below 64 KiB, when the comm spans more than
-//	      one host, MPH_COLL_HIER is not off, and either operands may regroup
-//	      or every host is one contiguous rank block. Inter-host messages
-//	      drop to the closed form (Bcast H-1, Allreduce 2(H-1)) where the
-//	      flat tree's grow with the ranks it happens to pair across hosts:
-//	      benchmark/ bulk_2host's 5+5 handshake — a sub-KiB Bcast and a
-//	      24-byte Allreduce — sends 3 of its 27 messages between the hosts
-//	      instead of 9 and ties MPH_COLL_HIER=0 on setup_s (S4: 0.993, lower
-//	      in 6 of 10 pairs). C1b prices the extra store-and-forward hop where
-//	      every link costs the same, flat/hier at 2, 3, 4 hosts: Bcast 64 KiB
-//	      0.99/0.71/0.99 and 1 MiB 0.91/0.68/1.00; Allreduce 1 KiB
-//	      0.92/0.82/0.87 and 32 KiB 0.94/0.95/0.90 — an overhead bound, not
-//	      the tie PR 16's sweeps read. From 64 KiB flat won every Allreduce
-//	      cell of those (0.87-0.95; 0.64-0.75 at 1 MiB), so the row stops
+//	      one host and either operands may regroup or every host is one
+//	      contiguous rank block. Inter-host messages drop to the closed form
+//	      (Bcast H-1, Allreduce 2(H-1)) where the flat tree's grow with the
+//	      ranks it happens to pair across hosts: benchmark/ bulk_2host's 5+5
+//	      handshake — a sub-KiB Bcast and a 24-byte Allreduce — sends 3 of
+//	      its 27 messages between the hosts instead of 9 and ties flat on
+//	      setup_s (S4: 0.993, lower in 6 of 10 pairs). C1b prices the extra
+//	      store-and-forward hop where every link costs the same, flat/hier
+//	      at 2, 3, 4 hosts: Bcast 64 KiB 0.99/0.71/0.99 and 1 MiB
+//	      0.91/0.68/1.00; Allreduce 1 KiB 0.92/0.82/0.87 and 32 KiB
+//	      0.94/0.95/0.90 — an overhead bound, not the tie earlier, noisier
+//	      sweeps read. From 64 KiB flat won every Allreduce cell of those
+//	      (0.87-0.95; 0.64-0.75 at 1 MiB), so the row stops
 //	      there; Bcast cannot stop anywhere, only its root knows the length.
 //	      No harness here can price a slow link, so this row stands on
 //	      message counts and bulk_2host, not on a time win. Allgather has
@@ -151,10 +117,10 @@ func (c *Comm) choose(op perf.CollOp, decisionBytes int, commutative bool) perf.
 }
 
 // hierView returns the communicator's host topology if the two-level
-// algorithms may run on it — it spans more than one host, MPH_COLL_HIER is
-// not off, and it is not itself one of their sub-communicators — else nil.
+// algorithms may run on it — it spans more than one host and it is not
+// itself one of their sub-communicators — else nil.
 func (c *Comm) hierView() *hierComm {
-	if c.noHier || !c.env.hierEnabled {
+	if c.noHier {
 		return nil
 	}
 	return c.hierInfo()

@@ -7,3 +7,14 @@ var (
 	Allgather  = (*Comm).allgather
 	ReduceTree = (*Comm).reduceTree
 )
+
+// SetRingThreshold pins both ring crossovers of c's rank to n bytes: 0 sends
+// every ring-capable collective down the ring, a negative n down the tree.
+// Every rank calls it before its first collective.
+func SetRingThreshold(c *Comm, n int) {
+	c.env.ringAllgather, c.env.ringAllreduce = n, n
+}
+
+// SetFlat keeps c off the two-level algorithms whatever hosts it spans.
+// Every rank calls it before its first collective on c.
+func SetFlat(c *Comm) { c.noHier = true }

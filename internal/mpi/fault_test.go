@@ -159,17 +159,27 @@ func TestFaultWorldAbort(t *testing.T) {
 	}
 }
 
+// newRingWorld is a world of n ranks whose collectives take the ring at any
+// payload size.
+func newRingWorld(t *testing.T, n int) *World {
+	t.Helper()
+	w, err := NewWorld(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	for _, env := range w.envs {
+		env.ringAllgather, env.ringAllreduce = 0, 0
+	}
+	return w
+}
+
 // TestChaosAbortDuringRingCollective aborts a 4-rank world while the other
 // three ranks sit mid-ring inside a forced-ring Allreduce (each blocked on a
 // reduce-scatter step); every one of them must return a typed abort error
 // instead of hanging — the same contract the binomial trees honour.
 func TestChaosAbortDuringRingCollective(t *testing.T) {
-	t.Setenv(EnvCollRingThreshold, "0")
-	w, err := NewWorld(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
+	w := newRingWorld(t, 4)
 
 	results := make(chan error, 3)
 	for r := 1; r < 4; r++ {
@@ -204,12 +214,7 @@ func TestChaosAbortDuringRingCollective(t *testing.T) {
 // remaining survivors with the typed abort error. Every survivor must end
 // with one of the two typed failures — zero hangs.
 func TestChaosPeerLostMidRing(t *testing.T) {
-	t.Setenv(EnvCollRingThreshold, "0")
-	w, err := NewWorld(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
+	w := newRingWorld(t, 4)
 
 	type outcome struct {
 		rank int

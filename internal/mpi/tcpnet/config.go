@@ -3,11 +3,7 @@ package tcpnet
 import (
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 	"time"
-
-	"mph/internal/mpi"
 )
 
 // Environment variables tuning the transport's fault-tolerance behavior.
@@ -38,23 +34,6 @@ const (
 	// EnvFault injects deterministic transport faults for chaos testing;
 	// see ParseFaultSpec for the grammar. Never set it in production.
 	EnvFault = "MPH_FAULT"
-	// EnvEagerThreshold is the eager/rendezvous protocol switch in payload
-	// bytes (default DefaultEagerThreshold): payloads of at least this many
-	// bytes are sent with the RTS/CTS rendezvous protocol, smaller ones with
-	// the eager copy-into-frame path. 0 forces rendezvous for every non-empty
-	// payload; a negative value disables rendezvous entirely. Every rank of a
-	// job should see the same value (the launcher propagates the
-	// environment), though nothing breaks if they differ — the protocol is
-	// chosen per sender.
-	EnvEagerThreshold = "MPH_EAGER_THRESHOLD"
-	// EnvShm gates the intra-host shared-memory payload channel (DESIGN.md
-	// §12): "on" (the default — boolean-ish values per mpi.EnvBool) moves
-	// rendezvous payloads between same-host ranks over a per-peer
-	// Unix-domain socket negotiated at hello time, falling back to TCP
-	// transparently when negotiation or a local write fails; "off" keeps
-	// everything on TCP; "force" turns a would-be fallback for a same-host
-	// peer into a hard send error (test aid — never set it in production).
-	EnvShm = "MPH_SHM"
 )
 
 // DefaultEagerThreshold is the built-in eager/rendezvous switch point. 64 KiB
@@ -63,37 +42,10 @@ const (
 // copy cost dominates; DESIGN.md §12 shows the P2 sweep behind the number.
 const DefaultEagerThreshold = 64 << 10
 
-// maxPooledFrameCeiling caps how large a pooled frame buffer may grow no
-// matter how high MPH_EAGER_THRESHOLD is raised: beyond 8 MiB, a list of
-// per-connection scratch frames pins more memory than the copy it avoids is
-// worth, and the rendezvous path should carry the payload anyway.
-const maxPooledFrameCeiling = 8 << 20
-
-// shmMode is the resolved EnvShm setting.
-type shmMode uint8
-
-const (
-	// shmOn selects the intra-host channel when peers share a host and
-	// falls back to TCP when it cannot be used. The default.
-	shmOn shmMode = iota
-	// shmOff keeps every payload on TCP.
-	shmOff
-	// shmForce fails a same-host send that cannot use the intra-host
-	// channel instead of falling back to TCP (test aid).
-	shmForce
-)
-
-// shmFromEnv resolves EnvShm. "force" is matched before the boolean parse so
-// it never trips EnvBool's garbage warning.
-func shmFromEnv() shmMode {
-	if strings.EqualFold(strings.TrimSpace(os.Getenv(EnvShm)), "force") {
-		return shmForce
-	}
-	if mpi.EnvBool(EnvShm, true) {
-		return shmOn
-	}
-	return shmOff
-}
+// maxPooledFrame is the largest frame buffer the frame list and the inbound
+// packet pool keep for reuse: the largest eager frame, DefaultEagerThreshold
+// payload bytes plus the wire and packet headers.
+const maxPooledFrame = DefaultEagerThreshold + 4 + 1 + packetHdrLen
 
 // netConfig is the transport's resolved fault-tolerance tuning.
 type netConfig struct {
@@ -104,16 +56,10 @@ type netConfig struct {
 	heartbeat    time.Duration // idle interval before a heartbeat is written
 	peerTimeout  time.Duration // inbound silence / reconnect window before peer death
 
-	eagerThreshold int // rendezvous switch in payload bytes; negative disables
-
-	// maxPooledFrame is the largest frame buffer the frame list keeps for reuse,
-	// derived from the resolved eager threshold (not the default — a job
-	// that raises MPH_EAGER_THRESHOLD must still recycle its eager frames)
-	// and capped at maxPooledFrameCeiling.
-	maxPooledFrame int
-
-	// shm selects the intra-host payload channel mode (EnvShm).
-	shm shmMode
+	// eagerThreshold is the rendezvous switch in payload bytes,
+	// DefaultEagerThreshold; tests overwrite it before the first send to
+	// reach either protocol at any size.
+	eagerThreshold int
 }
 
 // defaultConfig returns the built-in tuning.
@@ -127,23 +73,7 @@ func defaultConfig() netConfig {
 		peerTimeout:  8 * time.Second,
 
 		eagerThreshold: DefaultEagerThreshold,
-		maxPooledFrame: pooledFrameCap(DefaultEagerThreshold),
 	}
-}
-
-// pooledFrameCap derives the frame list's size cap from the resolved eager
-// threshold: the largest eager frame is threshold payload bytes plus the wire
-// and packet headers. A disabled (negative) or forced-rendezvous (zero)
-// threshold keeps the default-sized cap so small frames still recycle, and
-// the ceiling stops a huge threshold from pinning huge scratch buffers.
-func pooledFrameCap(threshold int) int {
-	if threshold <= 0 {
-		threshold = DefaultEagerThreshold
-	}
-	if threshold > maxPooledFrameCeiling {
-		threshold = maxPooledFrameCeiling
-	}
-	return threshold + 4 + 1 + packetHdrLen
 }
 
 // configFromEnv resolves the tuning from the MPH_* environment variables,
@@ -156,13 +86,6 @@ func configFromEnv() netConfig {
 	c.writeTimeout = envDuration(EnvWriteTimeout, c.writeTimeout)
 	c.heartbeat = envDuration(EnvHeartbeat, c.heartbeat)
 	c.peerTimeout = envDuration(EnvPeerTimeout, c.peerTimeout)
-	if v := os.Getenv(EnvEagerThreshold); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			c.eagerThreshold = n // negative means "rendezvous disabled", so no clamp
-		}
-	}
-	c.maxPooledFrame = pooledFrameCap(c.eagerThreshold)
-	c.shm = shmFromEnv()
 	return c
 }
 

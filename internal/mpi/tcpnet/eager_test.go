@@ -125,7 +125,7 @@ func BenchmarkEagerInto(b *testing.B) {
 		}},
 	} {
 		b.Run("4096B/"+cell.name, func(b *testing.B) {
-			benchPair(b, len(into), func(c *mpi.Comm, payload []byte) error {
+			benchPair(b, len(into), nil, func(c *mpi.Comm, payload []byte) error {
 				if c.Rank() == 0 {
 					return c.Send(1, 4, payload)
 				}

@@ -267,6 +267,28 @@ func startWorld(t testing.TB, n int) ([]*Transport, []*mpi.Env) {
 	return trs, envs
 }
 
+// setEagerThreshold moves every transport's eager/rendezvous switch to n
+// payload bytes: 0 sends every non-empty payload by rendezvous, math.MaxInt
+// none. Call it before the first send.
+func setEagerThreshold(trs []*Transport, n int) {
+	for _, tr := range trs {
+		tr.cfg.eagerThreshold = n
+	}
+}
+
+// splitHosts publishes a distinct host label for every rank, so no pair
+// shares a host and rendezvous payloads stay on TCP instead of taking the
+// intra-host channel. Call it before the first send.
+func splitHosts(envs []*mpi.Env) {
+	hosts := make([]string, len(envs))
+	for r := range hosts {
+		hosts[r] = fmt.Sprintf("host%d", r)
+	}
+	for _, env := range envs {
+		env.SetHosts(hosts)
+	}
+}
+
 // TestFaultSeverRecovery injects a mid-run connection loss on the send path
 // ("sever" action): the severed connection must be transparently redialed,
 // both messages must arrive, and the injection must be counted.
@@ -477,10 +499,11 @@ func TestFaultAbortRelayedToUnconnectedRank(t *testing.T) {
 	}
 }
 
-// TestChaosDieFaultMidRing injects the MPH_FAULT "die" action so rank 3
-// crashes between two steps of a forced-ring Allreduce: its connections
+// TestChaosDieFaultMidRing injects the MPH_FAULT "die" action so rank 4
+// crashes between two steps of a ring Allreduce — 256 KiB, the ring's
+// crossover, over five ranks, so every chunk stays eager: its connections
 // vanish mid-ring exactly as a process crash. The victim's ring successor
-// (rank 0, blocked on a chunk only rank 3 can supply) must unblock with
+// (rank 0, blocked on a chunk only rank 4 can supply) must unblock with
 // *mpi.ErrPeerLost and escalates to Abort — the handshake's policy — which
 // must unblock the remaining survivors, each waiting on its predecessor, with
 // the typed abort error. Every survivor must end with one of the two typed
@@ -490,12 +513,11 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	t.Setenv(EnvPeerTimeout, "500ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
-	t.Setenv(mpi.EnvCollRingThreshold, "0")
-	// Frames from rank 3: one ring chunk per reduce-scatter step. after=1
+	// Frames from rank 4: one ring chunk per reduce-scatter step. after=1
 	// lets step 0 through and kills the rank on its step 1 send — genuinely
 	// mid-ring, and after its step-0 send gave rank 0 the inbound stream whose
 	// abrupt loss feeds rank 0's failure detector.
-	t.Setenv(EnvFault, "die,rank=3,after=1")
+	t.Setenv(EnvFault, "die,rank=4,after=1")
 
 	// The die action calls osExit after severing; in-test the "process" is a
 	// goroutine, so death is modelled as goroutine exit.
@@ -503,7 +525,7 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	osExit = func(int) { runtime.Goexit() }
 	t.Cleanup(func() { osExit = oldExit })
 
-	const n, victim = 4, 3
+	const n, victim = 5, 4
 	trs, envs := startWorld(t, n)
 	defer func() {
 		for r, env := range envs {
@@ -527,7 +549,7 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			world := mpi.WorldComm(envs[rank])
-			_, err := world.AllreduceInts(make([]int64, 256), mpi.OpSum)
+			_, err := world.AllreduceInts(make([]int64, 256<<10/8), mpi.OpSum)
 			if rank == victim {
 				return // unreachable: the die fault Goexits this goroutine
 			}
@@ -568,8 +590,52 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	if !sawPeerLost {
 		t.Error("no survivor observed ErrPeerLost (the victim's ring successor should)")
 	}
+	if ring := envs[0].Perf().Snapshot().Collectives["allreduce"].Ring; ring != 1 {
+		t.Errorf("rank 0 ran %d ring allreduces, want 1", ring)
+	}
 	if injected := envs[victim].Perf().Net.FaultsInjected.Load(); injected != 1 {
 		t.Errorf("FaultsInjected = %d, want 1", injected)
+	}
+}
+
+// TestChaosHeartbeatRedialCondemnsDeadPeer is the survivor that has only an
+// outbound stream to a peer that dies: rank 0 has sent to rank 1, rank 1
+// never to rank 0, so rank 0 has no inbound stream whose loss or silence
+// could raise suspicion. Rank 1 crashes — listener and connections gone —
+// while rank 0 is blocked in a receive from it. The heartbeat on rank 0's
+// outbound stream fails, its redial finds no listener, and the spent dial
+// budget condemns rank 1: the receive must end in ErrPeerLost, not hang.
+func TestChaosHeartbeatRedialCondemnsDeadPeer(t *testing.T) {
+	t.Setenv(EnvHeartbeat, "50ms")
+	t.Setenv(EnvPeerTimeout, "500ms")
+	t.Setenv(EnvDialTimeout, "500ms")
+	t.Setenv(EnvDialBackoff, "20ms")
+
+	const victim = 1
+	trs, envs := startWorld(t, 2)
+	defer envs[0].Close() // the victim's env is deliberately never closed
+	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[victim])
+	exchange(t, c0, c1, 1, []byte("one way"))
+	if trs[0].peers[victim].established() == nil || trs[victim].peers[0].established() != nil {
+		t.Fatal("want exactly one stream, rank 0 to rank 1")
+	}
+
+	recvErr := make(chan error, 1)
+	go func() {
+		_, _, err := c0.Recv(victim, 2)
+		recvErr <- err
+	}()
+	start := time.Now()
+	trs[victim].severAll()
+
+	select {
+	case err := <-recvErr:
+		if rank, lost := mpi.IsPeerLost(err); !lost || rank != victim {
+			t.Fatalf("Recv returned %v, want ErrPeerLost{Rank: %d}", err, victim)
+		}
+		t.Logf("receive failed after %v", time.Since(start))
+	case <-time.After(10 * time.Second):
+		t.Fatal("a receive from a dead peer reached only by an outbound stream hung")
 	}
 }
 

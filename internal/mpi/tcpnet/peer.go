@@ -95,18 +95,17 @@ var errDropped = errors.New("tcpnet: frame dropped by fault injection")
 
 // send is the one way a frame leaves for this peer. A rendezvous payload
 // prefers the intra-host carrier when one is negotiated and falls back to
-// TCP on any local failure (a hard error under MPH_SHM=force); everything
-// else goes on TCP, which transparently redials and resends once when the
-// established stream fails mid-write. Retrying a whole frame is safe: the
+// TCP on any local failure; everything else goes on TCP, which
+// transparently redials and resends once when the established stream fails
+// mid-write. Retrying a whole frame is safe: the
 // receiver discards partial frames on stream error, and a frame that was
 // fully flushed onto a broken connection was already counted as delivered by
 // TCP or lost with the peer. MPH_FAULT is consulted here, once per frame.
 func (pr *peer) send(kind byte, hdr, payload []byte) error {
 	t := pr.t
 	var uc *outConn
-	var unixErr error
 	if kind == kindRData {
-		uc, unixErr = pr.unixConn()
+		uc = pr.unixConn()
 	}
 	if t.faults != nil && pr.injectFault(kind, uc != nil) {
 		return errDropped
@@ -114,7 +113,7 @@ func (pr *peer) send(kind byte, hdr, payload []byte) error {
 	if uc != nil {
 		// A "sever" fault just closed uc; the write then fails and takes the
 		// fallback like any real channel loss.
-		if unixErr = uc.write(hdr, payload, t.cfg.writeTimeout); unixErr == nil {
+		if err := uc.write(hdr, payload, t.cfg.writeTimeout); err == nil {
 			// Also counted in the caller's RDataOut/BytesOut: the shm
 			// counters split the totals by carrier, they do not fork them.
 			nc := t.netCounters()
@@ -124,9 +123,6 @@ func (pr *peer) send(kind byte, hdr, payload []byte) error {
 		}
 		pr.drop(uc)
 		t.netCounters().ShmFallbacks.Add(1)
-	}
-	if unixErr != nil && t.cfg.shm == shmForce {
-		return fmt.Errorf("tcpnet: %s=force: intra-host channel to rank %d unusable: %w", EnvShm, pr.rank, unixErr)
 	}
 	for redialed := false; ; redialed = true {
 		oc, err := pr.outbound() // a redial gets the full retry budget

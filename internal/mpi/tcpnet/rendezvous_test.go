@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -41,13 +42,10 @@ func exchange(t testing.TB, sender, receiver *mpi.Comm, tag int, payload []byte)
 // threshold+1 go rendezvous, and all three arrive intact.
 func TestRendezvousThresholdBoundary(t *testing.T) {
 	const threshold = 1024
-	t.Setenv(EnvEagerThreshold, fmt.Sprint(threshold))
 	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, threshold)
 	defer envs[0].Close()
 	defer envs[1].Close()
-	if got := trs[0].cfg.eagerThreshold; got != threshold {
-		t.Fatalf("threshold resolved to %d, want %d", got, threshold)
-	}
 
 	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
 	for i, size := range []int{threshold - 1, threshold, threshold + 1} {
@@ -77,12 +75,13 @@ func TestRendezvousThresholdBoundary(t *testing.T) {
 	}
 }
 
-// TestRendezvousForced covers MPH_EAGER_THRESHOLD=0: every non-empty payload
-// takes the rendezvous path, however small; empty payloads stay eager (there
-// is no payload to avoid copying).
+// TestRendezvousForced covers a zero threshold, the seam BenchmarkSend's
+// rendezvous cells use: every non-empty payload takes the rendezvous path,
+// however small; empty payloads stay eager (there is no payload to avoid
+// copying).
 func TestRendezvousForced(t *testing.T) {
-	t.Setenv(EnvEagerThreshold, "0")
-	_, envs := startWorld(t, 2)
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 0)
 	defer envs[0].Close()
 	defer envs[1].Close()
 
@@ -95,35 +94,13 @@ func TestRendezvousForced(t *testing.T) {
 	}
 }
 
-// TestRendezvousDisabled covers a negative MPH_EAGER_THRESHOLD: rendezvous is
-// off and even multi-megabyte payloads ship on the eager path, byte-identical
-// to the rendezvous result.
-func TestRendezvousDisabled(t *testing.T) {
-	t.Setenv(EnvEagerThreshold, "-1")
-	_, envs := startWorld(t, 2)
-	defer envs[0].Close()
-	defer envs[1].Close()
-
-	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
-	payload := bytes.Repeat([]byte{0x5A}, 1<<20)
-	exchange(t, c0, c1, 0, payload)
-
-	nc := &envs[0].Perf().Net
-	if got := nc.RTSOut.Load(); got != 0 {
-		t.Errorf("RTSOut = %d, want 0 with rendezvous disabled", got)
-	}
-	if got := nc.FramesOut.Load(); got == 0 {
-		t.Error("no packet frames counted for the eager large send")
-	}
-}
-
 // TestFramePoolDropsOversized is the white-box guard for the pool-pinning
 // fix: a frame buffer that grew beyond the configured cap must shed its
 // backing array on put, while threshold-sized buffers keep theirs — and the
 // list itself holds no more than frameListDepth buffers.
 func TestFramePoolDropsOversized(t *testing.T) {
-	limit := defaultConfig().maxPooledFrame
-	fl := &frameList{maxCap: limit}
+	const limit = maxPooledFrame
+	fl := &frameList{}
 	big := &frameBuf{b: make([]byte, limit+1)}
 	fl.put(big)
 	if big.b != nil {
@@ -145,50 +122,18 @@ func TestFramePoolDropsOversized(t *testing.T) {
 	}
 }
 
-// TestPooledFrameCap pins the cap derivation: the cap tracks the resolved
-// eager threshold (a job that raises MPH_EAGER_THRESHOLD must keep pooling
-// its eager frames — the cap used to be pinned to the default, dropping
-// every frame above 64 KiB), keeps the default-sized cap for the forced (0)
-// and disabled (negative) cases, and respects the ceiling.
-func TestPooledFrameCap(t *testing.T) {
-	const hdr = 4 + 1 + packetHdrLen
-	cases := []struct{ threshold, want int }{
-		{DefaultEagerThreshold, DefaultEagerThreshold + hdr},
-		{256 << 10, 256<<10 + hdr},
-		{0, DefaultEagerThreshold + hdr},
-		{-1, DefaultEagerThreshold + hdr},
-		{1 << 30, maxPooledFrameCeiling + hdr},
-	}
-	for _, c := range cases {
-		if got := pooledFrameCap(c.threshold); got != c.want {
-			t.Errorf("pooledFrameCap(%d) = %d, want %d", c.threshold, got, c.want)
-		}
-	}
-	t.Setenv(EnvEagerThreshold, fmt.Sprint(256<<10))
-	if got := configFromEnv().maxPooledFrame; got != 256<<10+hdr {
-		t.Errorf("configFromEnv resolved maxPooledFrame = %d, want %d", got, 256<<10+hdr)
-	}
-}
-
-// TestEagerAllocBudgetRaisedThreshold is the allocation-regression guard for
-// the frame-pool cap fix at a raised MPH_EAGER_THRESHOLD: a 256 KiB eager
-// send must reuse its pooled frame, leaving one payload-sized allocation per
-// message (the receiver's buffer; the send layer lends the transport the
-// caller's slice). Before the fix the cap stayed at the 64 KiB default,
-// every eager frame above it missed the pool, and the same transfer paid
-// another payload-sized allocation per send.
-func TestEagerAllocBudgetRaisedThreshold(t *testing.T) {
-	const threshold = 512 << 10
-	const size = 256 << 10
+// eagerAllocPerMessage sends size-byte payloads between two ranks whose
+// eager/rendezvous switch sits at threshold, checks that they went eager,
+// and returns the bytes allocated per message once pools and connections
+// are warm.
+func eagerAllocPerMessage(t *testing.T, threshold, size int) float64 {
+	t.Helper()
 	const iters = 8
 
-	t.Setenv(EnvEagerThreshold, fmt.Sprint(threshold))
 	trs, envs := startWorld(t, 2)
 	defer envs[0].Close()
 	defer envs[1].Close()
-	if got := trs[0].cfg.maxPooledFrame; got < size {
-		t.Fatalf("maxPooledFrame = %d, below the %d-byte eager payload this test sends", got, size)
-	}
+	setEagerThreshold(trs, threshold)
 	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
 	payload := bytes.Repeat([]byte{0x3C}, size)
 
@@ -200,10 +145,39 @@ func TestEagerAllocBudgetRaisedThreshold(t *testing.T) {
 		exchange(t, c0, c1, 9, payload)
 	}
 	runtime.ReadMemStats(&after)
-	per := float64(after.TotalAlloc-before.TotalAlloc) / iters
+	if got := envs[0].Perf().Net.RTSOut.Load(); got != 0 {
+		t.Errorf("RTSOut = %d, want 0: the payload must go eager", got)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / iters
+}
+
+// TestPooledFrameCap is the allocation-regression guard for the frame-pool
+// cap: the largest eager payload, one byte under DefaultEagerThreshold, must
+// reuse its pooled frame, leaving one payload-sized allocation per message
+// (the receiver's buffer; the send layer lends the transport the caller's
+// slice). A cap below the largest eager frame would make every such send
+// pay another payload-sized allocation.
+func TestPooledFrameCap(t *testing.T) {
+	const size = DefaultEagerThreshold - 1
+	per := eagerAllocPerMessage(t, DefaultEagerThreshold, size)
+	t.Logf("per-message alloc of the largest eager payload: %.2f payloads", per/size)
+	if per > 1.5*size {
+		t.Errorf("largest eager send allocates %.2f payloads per message, want <= 1.5 (maxPooledFrame below the largest eager frame?)", per/size)
+	}
+}
+
+// TestEagerAllocBudgetRaisedThreshold is the same guard with the switch
+// raised above the default: a payload of exactly DefaultEagerThreshold bytes
+// now goes eager, and its frame, payload plus wire and packet headers, is
+// the largest maxPooledFrame admits. It must still reuse its pooled frame;
+// a cap that counted the payload without its headers would drop that frame
+// on every put and double the allocation per send.
+func TestEagerAllocBudgetRaisedThreshold(t *testing.T) {
+	const size = DefaultEagerThreshold
+	per := eagerAllocPerMessage(t, 2*DefaultEagerThreshold, size)
 	t.Logf("per-message alloc at raised threshold: %.2f payloads", per/size)
 	if per > 1.5*size {
-		t.Errorf("eager send at raised threshold allocates %.2f payloads per message, want <= 1.5 (frame pool cap not tracking MPH_EAGER_THRESHOLD?)", per/size)
+		t.Errorf("eager send at raised threshold allocates %.2f payloads per message, want <= 1.5 (maxPooledFrame below a %d-byte eager frame?)", per/size, size)
 	}
 }
 
@@ -267,9 +241,9 @@ func TestRendezvousSendAllocBudget(t *testing.T) {
 	const size = 4 << 20
 	const iters = 4
 
-	measure := func(threshold string) float64 {
-		t.Setenv(EnvEagerThreshold, threshold)
-		_, envs := startWorld(t, 2)
+	measure := func(threshold int) float64 {
+		trs, envs := startWorld(t, 2)
+		setEagerThreshold(trs, threshold)
 		defer envs[0].Close()
 		defer envs[1].Close()
 		c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
@@ -286,8 +260,8 @@ func TestRendezvousSendAllocBudget(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / iters
 	}
 
-	rdv := measure("1024") // 4 MiB payloads go rendezvous
-	eager := measure("-1") // rendezvous disabled: same payloads go eager
+	rdv := measure(1024)          // 4 MiB payloads go rendezvous
+	eager := measure(math.MaxInt) // same payloads go eager
 	t.Logf("per-message alloc: rendezvous %.2f payloads, eager %.2f payloads",
 		rdv/size, eager/size)
 	if rdv > 1.6*size {
@@ -300,8 +274,12 @@ func TestRendezvousSendAllocBudget(t *testing.T) {
 
 // benchPair times b.N runs of body on each of two in-process TCP ranks
 // (goroutines standing in for OS processes; the wire path is the same one).
-func benchPair(b *testing.B, size int, body func(c *mpi.Comm, payload []byte) error) {
-	_, envs := startWorld(b, 2)
+// setup, when given, adjusts the pair before the first send.
+func benchPair(b *testing.B, size int, setup func(trs []*Transport, envs []*mpi.Env), body func(c *mpi.Comm, payload []byte) error) {
+	trs, envs := startWorld(b, 2)
+	if setup != nil {
+		setup(trs, envs)
+	}
 	defer envs[0].Close()
 	defer envs[1].Close()
 	payload := make([]byte, size)
@@ -328,25 +306,33 @@ func benchPair(b *testing.B, size int, body func(c *mpi.Comm, payload []byte) er
 }
 
 // BenchmarkSend (EXPERIMENTS.md P2) times one-directional sends in the three
-// transport cells: eager (MPH_EAGER_THRESHOLD=-1), rendezvous with the
-// payload on loopback TCP (threshold 0, MPH_SHM=off) and rendezvous with it
-// on the intra-host channel (threshold 0, MPH_SHM on: the pair shares a
-// hostname, as ranks of a one-host placement do). The sizes bracket the
+// transport cells: eager (threshold math.MaxInt), rendezvous with the
+// payload on loopback TCP (threshold 0, the ranks on different host labels)
+// and rendezvous with it on the intra-host channel (threshold 0, the pair
+// sharing a hostname, as ranks of a one-host placement do). The sizes bracket the
 // 64 KiB default threshold and the channel's ~256 KiB crossover. check.sh
 // runs the 1 MiB rendezvous cells with -benchmem as the alloc-regression
 // guard: B/op must stay near one payload (the receiver's buffer) — the
 // sender side of a rendezvous transfer allocates nothing payload-sized.
 func BenchmarkSend(b *testing.B) {
 	for _, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20} {
-		for _, cell := range []struct{ name, threshold, shm string }{
-			{"eager", "-1", "off"},
-			{"rendezvous-tcp", "0", "off"},
-			{"rendezvous-shm", "0", "1"},
+		for _, cell := range []struct {
+			name      string
+			threshold int
+			shm       bool
+		}{
+			{"eager", math.MaxInt, false},
+			{"rendezvous-tcp", 0, false},
+			{"rendezvous-shm", 0, true},
 		} {
 			b.Run(fmt.Sprintf("%dB/%s", size, cell.name), func(b *testing.B) {
-				b.Setenv(EnvEagerThreshold, cell.threshold)
-				b.Setenv(EnvShm, cell.shm)
-				benchPair(b, size, func(c *mpi.Comm, payload []byte) error {
+				setup := func(trs []*Transport, envs []*mpi.Env) {
+					setEagerThreshold(trs, cell.threshold)
+					if !cell.shm {
+						splitHosts(envs)
+					}
+				}
+				benchPair(b, size, setup, func(c *mpi.Comm, payload []byte) error {
 					if c.Rank() == 0 {
 						return c.Send(1, 4, payload)
 					}
@@ -364,7 +350,7 @@ func BenchmarkSend(b *testing.B) {
 func BenchmarkPingPong(b *testing.B) {
 	for _, size := range []int{64, 16 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			benchPair(b, size, func(c *mpi.Comm, payload []byte) error {
+			benchPair(b, size, nil, func(c *mpi.Comm, payload []byte) error {
 				if c.Rank() == 0 {
 					if err := c.Send(1, 1, payload); err != nil {
 						return err
@@ -392,14 +378,14 @@ func BenchmarkAllreduce(b *testing.B) {
 	for _, floats := range []int{1, 2, 9} {
 		xs := make([]float64, floats)
 		b.Run(fmt.Sprintf("2ranks/%dB/pair", 8*floats), func(b *testing.B) {
-			benchPair(b, 8*floats, func(c *mpi.Comm, _ []byte) error {
+			benchPair(b, 8*floats, nil, func(c *mpi.Comm, _ []byte) error {
 				_, err := c.AllreduceFloats(xs, mpi.OpSum)
 				return err
 			})
 		})
 		b.Run(fmt.Sprintf("2ranks/%dB/reduce+bcast", 8*floats), func(b *testing.B) {
 			acc := [2][]float64{make([]float64, floats), make([]float64, floats)}
-			benchPair(b, 8*floats, func(c *mpi.Comm, _ []byte) error {
+			benchPair(b, 8*floats, nil, func(c *mpi.Comm, _ []byte) error {
 				in := acc[c.Rank()]
 				if c.Rank() == 1 {
 					if err := c.SendFloats(0, 5, xs); err != nil {
@@ -446,10 +432,14 @@ func exchangeFloats(t testing.TB, sender, receiver *mpi.Comm, tag int, xs, into 
 // frame is pooled), no decode, and the payload is read into a recycled buffer
 // (TestEagerRecvIntoAllocBudget holds the small-message path to bytes).
 func TestRecvIntoRendezvousAllocBudget(t *testing.T) {
-	measure := func(threshold, shm string, floats, iters int) float64 {
-		t.Setenv(EnvEagerThreshold, threshold)
-		t.Setenv(EnvShm, shm)
-		_, envs := startWorld(t, 2)
+	// measure returns the allocations per message, in payloads, and how many
+	// payloads the intra-host channel carried.
+	measure := func(threshold int, shm bool, floats, iters int) (float64, uint64) {
+		trs, envs := startWorld(t, 2)
+		setEagerThreshold(trs, threshold)
+		if !shm {
+			splitHosts(envs)
+		}
 		defer envs[0].Close()
 		defer envs[1].Close()
 		c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
@@ -468,18 +458,29 @@ func TestRecvIntoRendezvousAllocBudget(t *testing.T) {
 			exchangeFloats(t, c0, c1, 7, xs, into)
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / float64(iters) / float64(8*floats)
+		per := float64(after.TotalAlloc-before.TotalAlloc) / float64(iters) / float64(8*floats)
+		return per, envs[0].Perf().Net.ShmRDataOut.Load()
 	}
 
-	const big = 4 << 20 / 8
-	for _, cell := range []struct{ name, shm string }{{"tcp", "off"}, {"shm", "force"}} {
-		per := measure("1024", cell.shm, big, 4)
+	const big, iters = 4 << 20 / 8, 4
+	for _, cell := range []struct {
+		name string
+		shm  bool
+	}{{"tcp", false}, {"shm", true}} {
+		per, viaShm := measure(1024, cell.shm, big, iters)
 		t.Logf("rendezvous over %s: %.4f payloads allocated per message", cell.name, per)
 		if per >= 0.1 {
 			t.Errorf("rendezvous SendFloats/RecvFloatsInto over %s allocates %.2f payloads per message, want < 0.1 (a payload-sized buffer or copy crept back)", cell.name, per)
 		}
+		want := uint64(0)
+		if cell.shm {
+			want = iters + 1 // the warm-up too
+		}
+		if viaShm != want {
+			t.Errorf("%s cell: the intra-host channel carried %d payloads, want %d", cell.name, viaShm, want)
+		}
 	}
-	per := measure("", "off", 48<<10/8, 16) // default threshold: 48 KiB goes eager
+	per, _ := measure(DefaultEagerThreshold, false, 48<<10/8, 16) // 48 KiB goes eager
 	t.Logf("eager: %.4f payloads allocated per message", per)
 	if per >= 0.25 {
 		t.Errorf("eager SendFloats/RecvFloatsInto allocates %.2f payloads per message, want < 0.25 (a per-message buffer or copy crept back)", per)
@@ -509,8 +510,8 @@ func TestChaosRecvIntoPeerLostMidPayload(t *testing.T) {
 	t.Setenv(EnvPeerTimeout, "250ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
-	t.Setenv(EnvEagerThreshold, "1024")
 	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
 	defer envs[0].Close()
 	defer envs[1].Close()
 	c0 := mpi.WorldComm(envs[0])
@@ -547,8 +548,8 @@ func TestChaosRecvIntoPeerLostMidPayload(t *testing.T) {
 // before it has. Either copy must be drained off the stream without touching
 // the slab the application got back, and the stream must stay usable.
 func TestRecvIntoReplayedRData(t *testing.T) {
-	t.Setenv(EnvEagerThreshold, "1024")
 	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
 	defer envs[0].Close()
 	defer envs[1].Close()
 	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
@@ -609,8 +610,8 @@ func TestRecvIntoReplayedRData(t *testing.T) {
 // off the wire in full, the very next message on the same connection arrives
 // intact on both protocols.
 func TestRecvIntoTruncatedKeepsStreamFramed(t *testing.T) {
-	t.Setenv(EnvEagerThreshold, "1024")
-	_, envs := startWorld(t, 2)
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
 	defer envs[0].Close()
 	defer envs[1].Close()
 	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])

@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -33,25 +32,17 @@ import (
 // lazily on first use and introduces itself with the usual (path-less) hello.
 //
 // Fallback: any local-channel failure — listen, dial, or write — degrades
-// transparently to the TCP path (counted in ShmFallbacks), except under
-// MPH_SHM=force, where a same-host fallback becomes a hard send error so
-// tests can assert the channel actually carried the payload.
-
-// errShmNoChannel reports a send to a same-host peer that never advertised a
-// local channel; meaningful only under MPH_SHM=force.
-var errShmNoChannel = errors.New("tcpnet: peer advertised no intra-host channel")
-
-// errShmChannelDown reports a local channel previously marked unusable.
-var errShmChannelDown = errors.New("tcpnet: intra-host channel marked down")
+// transparently to the TCP path, counted in ShmFallbacks; the ShmRDataOut
+// and ShmBytesOut counters show what the channel did carry.
 
 // initShm creates this rank's local payload listener: a Unix-domain socket in
 // a private temp directory (the socket name stays short — sockaddr_un caps
 // the path around 104 bytes), advertised to same-host peers at hello time.
-// Failure degrades to TCP with a warning unless MPH_SHM=force. No-op when
-// the channel is off or the world has no one to share a host with.
-func (t *Transport) initShm(size int) error {
-	if t.cfg.shm == shmOff || size < 2 {
-		return nil
+// Failure degrades to TCP with a warning. No-op when the world has no one
+// to share a host with.
+func (t *Transport) initShm(size int) {
+	if size < 2 {
+		return
 	}
 	dir, err := os.MkdirTemp("", "mph-shm-")
 	if err == nil {
@@ -62,14 +53,10 @@ func (t *Transport) initShm(size int) error {
 			t.shmLn = ln
 			t.wg.Add(1)
 			go t.acceptLoop(ln, true)
-			return nil
+			return
 		}
 	}
-	if t.cfg.shm == shmForce {
-		return fmt.Errorf("tcpnet: %s=force: %w", EnvShm, err)
-	}
 	fmt.Fprintf(os.Stderr, "tcpnet: rank %d: intra-host channel disabled: %v\n", t.rank, err)
-	return nil
 }
 
 // closeShm closes the local payload listener and removes its socket
@@ -100,7 +87,7 @@ func (t *Transport) shmPathFor(dst int) string {
 // advertised records the local payload listener the peer's hello carried;
 // the dial happens lazily on the first rendezvous payload to it.
 func (pr *peer) advertised(path string) {
-	if pr.t.cfg.shm == shmOff || pr.rank == pr.t.rank {
+	if pr.rank == pr.t.rank {
 		return
 	}
 	pr.mu.Lock()
@@ -109,27 +96,17 @@ func (pr *peer) advertised(path string) {
 }
 
 // unixConn returns the established local payload stream to the peer, dialing
-// it on first use. (nil, nil) means the channel does not apply to this
-// destination — disabled, or nothing advertised. (nil, err) means it should
-// apply but is unusable; the caller falls back to TCP, or fails the send
-// under MPH_SHM=force.
-func (pr *peer) unixConn() (*outConn, error) {
+// it on first use, or nil when the payload goes on TCP: nothing advertised,
+// or the channel is unusable.
+func (pr *peer) unixConn() *outConn {
 	t := pr.t
-	if t.cfg.shm == shmOff {
-		return nil, nil
-	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	switch {
 	case pr.unix != nil:
-		return pr.unix, nil
-	case pr.unixDown:
-		return nil, errShmChannelDown
-	case pr.unixPath == "":
-		if t.cfg.shm == shmForce && t.sameHost(pr.rank) {
-			return nil, errShmNoChannel
-		}
-		return nil, nil
+		return pr.unix
+	case pr.unixDown, pr.unixPath == "":
+		return nil
 	}
 	// A Unix-socket connect to a listening peer completes immediately;
 	// holding the peer's lock across it keeps the dial/store race-free.
@@ -148,12 +125,12 @@ func (pr *peer) unixConn() (*outConn, error) {
 		}
 		fmt.Fprintf(os.Stderr, "tcpnet: rank %d: intra-host channel to rank %d: %v (falling back to tcp)\n",
 			t.rank, pr.rank, err)
-		return nil, err
+		return nil
 	}
 	pr.unix = oc
 	t.netCounters().ShmChannels.Add(1)
 	if tr := t.tracer(); tr != nil {
 		tr.Record(perf.KShmChannel, int64(pr.rank), 1, 0, 0)
 	}
-	return oc, nil
+	return oc
 }

@@ -20,8 +20,8 @@ import (
 // totals so job-wide reconciliation holds. Small eager traffic must stay off
 // the channel.
 func TestShmPayloadChannel(t *testing.T) {
-	t.Setenv(EnvEagerThreshold, "1024")
-	_, envs := startWorld(t, 2)
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
 	defer envs[0].Close()
 	defer envs[1].Close()
 
@@ -54,70 +54,37 @@ func TestShmPayloadChannel(t *testing.T) {
 	}
 }
 
-// TestShmDisabled pins MPH_SHM=off: no channel is negotiated, no local
-// socket carries payloads, and the transfer still completes over TCP.
+// TestShmDisabled pins the channel's scope: ranks on different hosts
+// negotiate no channel, no local socket carries their payloads, and the
+// transfer completes over TCP.
 func TestShmDisabled(t *testing.T) {
-	t.Setenv(EnvShm, "off")
-	t.Setenv(EnvEagerThreshold, "1024")
 	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
+	splitHosts(envs)
 	defer envs[0].Close()
 	defer envs[1].Close()
 
-	if trs[0].shmLn != nil {
-		t.Error("MPH_SHM=off still created a local payload listener")
-	}
 	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
 	exchange(t, c0, c1, 3, bytes.Repeat([]byte{0xCD}, 128<<10))
 
 	nc0 := &envs[0].Perf().Net
+	if got := nc0.ShmChannels.Load(); got != 0 {
+		t.Errorf("ShmChannels = %d between hosts, want 0", got)
+	}
 	if got := nc0.ShmRDataOut.Load(); got != 0 {
-		t.Errorf("ShmRDataOut = %d with MPH_SHM=off, want 0", got)
+		t.Errorf("ShmRDataOut = %d between hosts, want 0", got)
 	}
 	if got := nc0.RDataOut.Load(); got != 1 {
 		t.Errorf("RDataOut = %d, want 1 (TCP rendezvous)", got)
 	}
 }
 
-// TestShmForce pins MPH_SHM=force: the transfer must use the channel, and a
-// send whose channel cannot be established must fail instead of silently
-// falling back to TCP.
-func TestShmForce(t *testing.T) {
-	t.Setenv(EnvShm, "force")
-	t.Setenv(EnvEagerThreshold, "1024")
-	trs, envs := startWorld(t, 2)
-	defer envs[0].Close()
-	defer envs[1].Close()
-
-	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
-	exchange(t, c0, c1, 4, bytes.Repeat([]byte{0xEF}, 128<<10))
-	nc0 := &envs[0].Perf().Net
-	if got := nc0.ShmRDataOut.Load(); got != 1 {
-		t.Fatalf("ShmRDataOut = %d under MPH_SHM=force, want 1", got)
-	}
-
-	// Kill the receiver's listener and the established channel: the next
-	// payload can neither reuse nor re-dial it, and force forbids the TCP
-	// fallback.
-	trs[1].shmLn.Close()
-	trs[0].peers[1].sever(true)
-	recvErr := make(chan error, 1)
-	go func() {
-		_, _, err := c1.Recv(0, 5)
-		recvErr <- err
-	}()
-	err := c0.Send(1, 5, bytes.Repeat([]byte{0x11}, 128<<10))
-	if err == nil {
-		t.Fatal("MPH_SHM=force send succeeded with the intra-host channel gone (silent TCP fallback)")
-	}
-	t.Logf("forced-mode send failed as required: %v", err)
-}
-
 // TestShmNegotiationFallback severs the advertised socket before the first
 // payload: the lazy dial fails, the transfer falls back to TCP transparently
 // (counted in ShmFallbacks), and the payload arrives intact.
 func TestShmNegotiationFallback(t *testing.T) {
-	t.Setenv(EnvEagerThreshold, "1024")
 	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
 	defer envs[0].Close()
 	defer envs[1].Close()
 
@@ -147,8 +114,8 @@ func TestShmNegotiationFallback(t *testing.T) {
 // counted — the chaos proof that a mid-run channel loss is survivable.
 func TestFaultShmSeverFallsBackToTCP(t *testing.T) {
 	t.Setenv(EnvFault, "sever,rank=0,frame=shm,times=1")
-	t.Setenv(EnvEagerThreshold, "1024")
-	_, envs := startWorld(t, 2)
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
 	defer envs[0].Close()
 	defer envs[1].Close()
 
@@ -182,7 +149,6 @@ func TestChaosShmSeverMidRData(t *testing.T) {
 	t.Setenv(EnvPeerTimeout, "500ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
-	t.Setenv(EnvEagerThreshold, "1024")
 	// Hold the sender at the shm fault point for 750ms after CTS, giving the
 	// test a deterministic window to sever the receiver mid-transfer.
 	t.Setenv(EnvFault, "delay,rank=0,frame=shm,dur=750ms")
@@ -253,34 +219,6 @@ func TestFirstContactInClosingBarrier(t *testing.T) {
 			if err := <-errs; err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
-		}
-	}
-}
-
-// TestShmModeFromEnv pins the EnvShm parse table, including the force
-// special case and the EnvBool garbage fallback.
-func TestShmModeFromEnv(t *testing.T) {
-	cases := []struct {
-		val  string
-		want shmMode
-	}{
-		{"", shmOn},
-		{"1", shmOn},
-		{"on", shmOn},
-		{"true", shmOn},
-		{"0", shmOff},
-		{"off", shmOff},
-		{"no", shmOff},
-		{"false", shmOff},
-		{"force", shmForce},
-		{"FORCE", shmForce},
-		{" force ", shmForce},
-		{"gibberish", shmOn}, // garbage keeps the default
-	}
-	for _, c := range cases {
-		t.Setenv(EnvShm, c.val)
-		if got := shmFromEnv(); got != c.want {
-			t.Errorf("MPH_SHM=%q resolved to mode %d, want %d", c.val, got, c.want)
 		}
 	}
 }

@@ -164,8 +164,8 @@ func TestFaultCTSSurvivesConnectionLoss(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Setenv(EnvFault, row.fault)
-			t.Setenv(EnvEagerThreshold, "1024")
 			trs, envs := startWorld(t, 2)
+			setEagerThreshold(trs, 1024)
 			defer envs[0].Close()
 			defer envs[1].Close()
 			c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])

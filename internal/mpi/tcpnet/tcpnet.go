@@ -18,7 +18,7 @@
 //
 // # Eager/rendezvous protocol
 //
-// Payloads below MPH_EAGER_THRESHOLD (default 64 KiB) are sent eagerly:
+// Payloads below DefaultEagerThreshold (64 KiB) are sent eagerly:
 // copied into a pooled frame and written in one shot, completing before the
 // receiver has matched. Payloads at or above the threshold use a rendezvous
 // (DESIGN.md §12): the sender writes a small RTS frame carrying only the
@@ -98,15 +98,6 @@ const frameListDepth = 64
 // there for the next send — under the race detector too, where a sync.Pool
 // drops a share of its Puts.
 type frameList struct {
-	// maxCap is the transport's resolved netConfig.maxPooledFrame: put drops
-	// the backing array of a buffer that grew beyond it, so a single large
-	// send cannot pin payload-sized memory for the life of the process. The
-	// cap tracks the configured eager threshold, so a job that raises
-	// MPH_EAGER_THRESHOLD still recycles its eager frames, bounded by
-	// maxPooledFrameCeiling; rendezvous-disabled jobs can still push
-	// arbitrarily large eager frames, and those are dropped here.
-	maxCap int
-
 	mu   sync.Mutex
 	free *frameBuf
 	n    int
@@ -127,9 +118,12 @@ func (fl *frameList) get() *frameBuf {
 	return fb
 }
 
-// put recycles a frame buffer whose write has returned.
+// put recycles a frame buffer whose write has returned. A buffer grown past
+// maxPooledFrame, by an eager send above the default threshold, sheds its
+// backing array so one large send cannot pin payload-sized memory for the
+// life of the process.
 func (fl *frameList) put(fb *frameBuf) {
-	if cap(fb.b) > fl.maxCap {
+	if cap(fb.b) > maxPooledFrame {
 		fb.b = nil
 	}
 	fl.mu.Lock()
@@ -173,14 +167,14 @@ type Transport struct {
 	faults *faultSet // parsed MPH_FAULT rules, nil when no faults are injected
 
 	// pool recycles inbound eager packets with their payload buffers, sized
-	// like the outbound frames (cfg.maxPooledFrame): the stream readers take
+	// like the outbound frames (maxPooledFrame): the stream readers take
 	// from it, the receive that consumes a packet gives it back.
 	pool *mpi.PacketPool
 	// frames recycles outbound eager frames, whose buffers Deliver fills.
 	frames frameList
 
-	// Intra-host payload listener (shm.go), fixed at Init: nil and "" when
-	// the channel is disabled.
+	// Intra-host payload listener (shm.go), fixed at Init: nil and "" in a
+	// one-rank world or when the listener could not be created.
 	shmLn  net.Listener
 	shmDir string // private socket directory, removed on Close
 
@@ -298,8 +292,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		sess:    sess,
 		cfg:     cfg,
 		faults:  faults,
-		pool:    mpi.NewPacketPool(cfg.maxPooledFrame),
-		frames:  frameList{maxCap: cfg.maxPooledFrame},
+		pool:    mpi.NewPacketPool(maxPooledFrame),
 		inbound: make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 		waiters: make(map[uint64]waiter),
@@ -338,11 +331,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: perf debug endpoint at http://%s/perf\n", rank, srv.Addr())
 		}
 	}
-	if err := t.initShm(size); err != nil {
-		sess.Close()
-		ln.Close()
-		return nil, nil, err
-	}
+	t.initShm(size)
 	t.wg.Add(3)
 	go t.acceptLoop(t.ln, false)
 	go t.heartbeatLoop()
@@ -525,10 +514,9 @@ func (t *Transport) Deliver(dst int, p mpi.Packet) error {
 }
 
 // rendezvousEligible reports whether a payload of n bytes takes the
-// rendezvous path: at or above the configured threshold, non-empty, and
-// rendezvous not disabled (negative threshold).
+// rendezvous path: non-empty and at or above the eager threshold.
 func (t *Transport) rendezvousEligible(n int) bool {
-	return t.cfg.eagerThreshold >= 0 && n > 0 && n >= t.cfg.eagerThreshold
+	return n > 0 && n >= t.cfg.eagerThreshold
 }
 
 // deliverRendezvous sends one payload with the rendezvous protocol: RTS with
@@ -718,8 +706,12 @@ func (t *Transport) acceptLoop(ln net.Listener, local bool) {
 
 // heartbeatLoop keeps idle outbound connections warm so the peer's
 // read-side failure detector can distinguish "idle but alive" from "gone".
-// A heartbeat write failure just drops the connection; the next send (or
-// the peer's own detector) decides the peer's fate.
+// A failed heartbeat write drops the connection and redials it the way a
+// send would, off the loop so one dial budget does not starve the other
+// peers' heartbeats: a live peer gets a fresh stream, a dead one spends the
+// budget and is condemned. Without the redial a rank whose only stream to a
+// dead peer was this outbound one would never suspect it, and a receive
+// naming that peer would block forever.
 func (t *Transport) heartbeatLoop() {
 	defer t.wg.Done()
 	ticker := time.NewTicker(t.cfg.heartbeat)
@@ -739,6 +731,11 @@ func (t *Transport) heartbeatLoop() {
 			}
 			if err := oc.write(hb, nil, t.cfg.writeTimeout); err != nil {
 				pr.drop(oc)
+				t.wg.Add(1)
+				go func() {
+					defer t.wg.Done()
+					pr.outbound() //nolint:errcheck // a failed redial condemns the peer itself
+				}()
 				continue
 			}
 			nc := t.netCounters()

@@ -125,8 +125,7 @@ func TestTCPCollectivesAndSplit(t *testing.T) {
 // guarantee, which this transport gives through the rendezvous: it returns
 // only once the receiver has matched.
 func TestTCPSsend(t *testing.T) {
-	t.Setenv(tcpnet.EnvEagerThreshold, "1024")
-	payload := []byte(strings.Repeat("sync-tcp", 512))
+	payload := []byte(strings.Repeat("sync-tcp", tcpnet.DefaultEagerThreshold/8))
 	var receiving atomic.Bool
 	runTCPWorld(t, 2, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -403,9 +402,8 @@ func TestHandshakeDialBudget(t *testing.T) {
 // send the ring completes; a watchdog turns a relapse into a failure, not a
 // stuck test run.
 func TestTransferBothSidesRendezvous(t *testing.T) {
-	t.Setenv(tcpnet.EnvEagerThreshold, "1024")
 	const n = 3
-	g, err := grid.New(48, 32) // 16 bands x 32 cells x 8 B = 4 KiB a segment
+	g, err := grid.New(48, 1024) // 16 bands x 1024 cells x 8 B = 128 KiB a segment
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +422,10 @@ func TestTransferBothSidesRendezvous(t *testing.T) {
 		spec := xfer.Spec{
 			SrcRanks: []int{0, 1, 2}, SrcProc: me,
 			DstRanks: []int{1, 2, 0}, DstProc: (me + n - 1) % n, // processor p's slab lands on rank p+1
-			Field: f, Tag: 4,
+		}
+		p, err := xfer.NewPlan(c, r, spec)
+		if err != nil {
+			return err
 		}
 		type result struct {
 			out *grid.Field
@@ -432,7 +433,7 @@ func TestTransferBothSidesRendezvous(t *testing.T) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			out, err := xfer.Transfer(c, r, spec)
+			out, err := p.Run(4, f)
 			done <- result{out, err}
 		}()
 		select {

@@ -54,13 +54,11 @@ type Env struct {
 	// rewrites the file with the complete ring.
 	flushMu sync.Mutex
 
-	// Inputs of the collective selector (collective_select.go), parsed once:
-	// the tree-to-ring crossover of each ring-capable op in bytes (negative
-	// = rings disabled) and the gate of the two-level host-aware algorithms.
-	// Every rank of a job must see the same values or collective algorithm
-	// choices diverge; the launcher propagates the environment.
+	// The collective selector's tree-to-ring crossover of each ring-capable
+	// op in bytes (collective_select.go): DefaultRingThreshold and
+	// allreduceRingFrom. Tests overwrite them before the first collective to
+	// reach one algorithm at any size; negative disables the ring.
 	ringAllgather, ringAllreduce int
-	hierEnabled                  bool
 
 	// hosts maps world rank -> host label, published by the transport once
 	// the rendezvous book is known. Atomic because transports learn the
@@ -75,14 +73,14 @@ type Env struct {
 // unset).
 func NewEnv(worldRank, worldSize int, tr Transport) *Env {
 	e := &Env{
-		worldRank:   worldRank,
-		worldSize:   worldSize,
-		eng:         newEngine(worldSize),
-		tr:          tr,
-		pv:          perf.NewRank(worldRank, worldSize),
-		hierEnabled: hierFromEnv(),
+		worldRank:     worldRank,
+		worldSize:     worldSize,
+		eng:           newEngine(worldSize),
+		tr:            tr,
+		pv:            perf.NewRank(worldRank, worldSize),
+		ringAllgather: DefaultRingThreshold,
+		ringAllreduce: allreduceRingFrom,
 	}
-	e.ringAllgather, e.ringAllreduce = ringThresholdsFromEnv()
 	e.pv.SetEngineCollector(e.eng.perfSnap)
 	if os.Getenv(perf.EnvTraceDir) != "" {
 		capacity := 0

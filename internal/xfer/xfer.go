@@ -10,8 +10,7 @@
 // one rank's segments out against its slabs and runs them, as often as the
 // coupling repeats, with point-to-point messages over a communicator in
 // which the source processors occupy one rank block and the destination
-// processors another (exactly what CommJoin produces). Transfer is the
-// one-shot form.
+// processors another (exactly what CommJoin produces).
 package xfer
 
 import (
@@ -103,11 +102,6 @@ type Spec struct {
 	// DstProc is this rank's processor index on the destination
 	// decomposition, or -1.
 	DstProc int
-	// Field is the local slab to send; required when SrcProc >= 0.
-	Field *grid.Field
-	// Tag distinguishes concurrent transfers on one communicator. Field and
-	// Tag are Transfer's: a Plan takes both at each Start.
-	Tag int
 }
 
 // piece is one segment of a plan as the wire sees it: the communicator rank
@@ -143,7 +137,7 @@ type Plan struct {
 }
 
 // NewPlan lays out this rank's share of the transfer r over comm. spec gives
-// the rank's role; its Field and Tag are not used.
+// the rank's role.
 func NewPlan(comm *mpi.Comm, r *Router, spec Spec) (*Plan, error) {
 	if spec.SrcRanks != nil && len(spec.SrcRanks) != r.Src.P {
 		return nil, fmt.Errorf("xfer: SrcRanks has %d entries for %d source processors", len(spec.SrcRanks), r.Src.P)
@@ -233,18 +227,6 @@ func (p *Plan) Run(tag int, f *grid.Field) (*grid.Field, error) {
 		return nil, err
 	}
 	return p.Wait()
-}
-
-// Transfer redistributes a field from the source decomposition to the
-// destination decomposition over comm, once: a Plan run one time. Every
-// participating rank calls it with its Spec; destination ranks receive the
-// assembled local slab, other ranks receive nil.
-func Transfer(comm *mpi.Comm, r *Router, spec Spec) (*grid.Field, error) {
-	p, err := NewPlan(comm, r, spec)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(spec.Tag, spec.Field)
 }
 
 // Volume returns the total number of cells the transfer moves (the grid

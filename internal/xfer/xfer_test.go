@@ -103,16 +103,20 @@ func runTransfer(t *testing.T, nlat, nlon, m, n int) {
 		if err != nil {
 			return err
 		}
-		spec := xfer.Spec{SrcOffset: 0, DstOffset: m, SrcProc: -1, DstProc: -1, Tag: 3}
+		spec := xfer.Spec{SrcOffset: 0, DstOffset: m, SrcProc: -1, DstProc: -1}
+		var f *grid.Field
 		if c.Rank() < m {
 			spec.SrcProc = c.Rank()
-			f := grid.NewField(src, spec.SrcProc)
+			f = grid.NewField(src, spec.SrcProc)
 			f.FillFunc(value)
-			spec.Field = f
 		} else {
 			spec.DstProc = c.Rank() - m
 		}
-		out, err := xfer.Transfer(c, r, spec)
+		p, err := xfer.NewPlan(c, r, spec)
+		if err != nil {
+			return err
+		}
+		out, err := p.Run(3, f)
 		if err != nil {
 			return err
 		}
@@ -166,11 +170,14 @@ func TestTransferSameRankBothRoles(t *testing.T) {
 		}
 		f := grid.NewField(src, c.Rank())
 		f.FillFunc(func(lat, lon int) float64 { return float64(lat) })
-		out, err := xfer.Transfer(c, r, xfer.Spec{
+		p, err := xfer.NewPlan(c, r, xfer.Spec{
 			SrcOffset: 0, DstOffset: 0,
 			SrcProc: c.Rank(), DstProc: c.Rank(),
-			Field: f, Tag: 0,
 		})
+		if err != nil {
+			return err
+		}
+		out, err := p.Run(0, f)
 		if err != nil {
 			return err
 		}
@@ -197,17 +204,28 @@ func TestTransferSpecErrors(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// Rank lists whose length disagrees with the decomposition.
+		if _, err := xfer.NewPlan(c, r, xfer.Spec{SrcRanks: []int{0, 1}, SrcProc: 0, DstProc: -1}); err == nil {
+			return fmt.Errorf("SrcRanks of the wrong length accepted")
+		}
+		if _, err := xfer.NewPlan(c, r, xfer.Spec{DstRanks: []int{}, SrcProc: 0, DstProc: -1}); err == nil {
+			return fmt.Errorf("DstRanks of the wrong length accepted")
+		}
+		p, err := xfer.NewPlan(c, r, xfer.Spec{SrcProc: 0, DstProc: -1})
+		if err != nil {
+			return err
+		}
 		// Source without field.
-		if _, err := xfer.Transfer(c, r, xfer.Spec{SrcProc: 0, DstProc: -1}); err == nil {
+		if _, err := p.Run(0, nil); err == nil {
 			return fmt.Errorf("missing field accepted")
 		}
 		// Field bound to the wrong processor.
 		f := grid.NewField(src, 0)
-		if _, err := xfer.Transfer(c, r, xfer.Spec{SrcProc: 0, DstProc: -1, Field: &grid.Field{Decomp: src, P: 99, Data: f.Data}}); err == nil {
+		if _, err := p.Run(0, &grid.Field{Decomp: src, P: 99, Data: f.Data}); err == nil {
 			return fmt.Errorf("mismatched field accepted")
 		}
 		// Negative tag.
-		if _, err := xfer.Transfer(c, r, xfer.Spec{SrcProc: -1, DstProc: -1, Tag: -1}); err == nil {
+		if _, err := p.Run(-1, f); err == nil {
 			return fmt.Errorf("negative tag accepted")
 		}
 		return nil

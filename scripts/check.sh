@@ -97,17 +97,26 @@ EOF
     -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in
 grep -q "period" "$smoke/coupler.log"
 
-# Hierarchical-collective smoke: same job, uneven 3+2 placement, hier forced.
-MPH_COLL_HIER=1 "$smoke/mphrun" -hosts nodeA:3,nodeB:2 -backend exec -placement block -stats \
+# Hierarchical-collective smoke: same job, uneven 3+2 placement; the world
+# spans two hosts, so the handshake's collectives route two-level.
+"$smoke/mphrun" -hosts nodeA:3,nodeB:2 -backend exec -placement block -stats \
     -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/hier.out"
 grep -q "totals reconcile" "$smoke/hier.out"
 grep -Eq "collective routing: .* hier=[1-9]" "$smoke/hier.out"
 
-# Shm-channel smoke: all 5 ranks on one host, rendezvous forced so payloads
-# are eligible for the intra-host channel.
-MPH_EAGER_THRESHOLD=0 "$smoke/mphrun" -hosts nodeA:5 -backend exec -placement block -stats \
-    -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in \
+# Shm-channel smoke: all 5 ranks on one host, on couple_bulk's 384x192 grid,
+# whose exchange pieces exceed the 64 KiB eager threshold, so they take the
+# rendezvous path and with it the intra-host channel.
+cat > "$smoke/bulk.cmd" <<EOF
+1 $smoke/climate -component atmosphere -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
+1 $smoke/climate -component ocean      -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
+1 $smoke/climate -component land       -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
+1 $smoke/climate -component ice        -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
+1 $smoke/climate -component coupler    -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
+EOF
+"$smoke/mphrun" -hosts nodeA:5 -backend exec -placement block -stats \
+    -cmdfile "$smoke/bulk.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/shm.out"
 grep -q "totals reconcile" "$smoke/shm.out"
 grep -Eq "shm channel: [1-9][0-9]* payload frame" "$smoke/shm.out"
@@ -150,10 +159,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,815 before a rank's connections
-# to its launcher became one session, 16,610 after) and the stripped size of
-# a component executable (3,551,524 bytes before, 3,547,428 after), printed
-# for later comparison.
+# Non-test Go lines outside benchmark/ (16,610 before algorithm and protocol
+# choice stopped being read from the environment, 16,391 after) and the
+# stripped size of a component executable (3,547,428 bytes before, 3,539,236
+# after), printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

@@ -44,6 +44,17 @@ if grep -rn 'RegisterEndpoint\|DialTelemetry\|TelemetryClient\|SendAbort\|AbortF
     README.md DESIGN.md OPERATIONS.md EXPERIMENTS.md; then
     exit 1
 fi
+# Algorithm and protocol choice is code, not environment: the variables that
+# picked a collective algorithm, the eager/rendezvous switch and the
+# intra-host channel, their Go names, the boolean parser only they used, the
+# channel's forced mode and the pool cap that followed the threshold stay out
+# of the code, the scripts and the user documents (the variables are spelled
+# so that this file does not name them).
+if grep -rn 'EnvCollHier\|EnvCollRingThreshold\|EnvEagerThreshold\|EnvShm\|EnvBool\|shmForce\|shmFromEnv\|pooledFrameCap\|MPH_\(COLL_HIER\|COLL_RING_THRESHOLD\|EAGER_THRESHOLD\|SHM\)' \
+    --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go \
+    README.md DESIGN.md OPERATIONS.md; then
+    exit 1
+fi
 # The allocation numbers move because nothing is allocated, not because the
 # collector was retuned: no GC knob in non-test code, in the scripts, or in an
 # environment a launcher builds for its ranks.
