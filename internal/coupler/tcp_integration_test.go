@@ -12,14 +12,15 @@ import (
 	"mph/internal/coupler"
 	"mph/internal/grid"
 	"mph/internal/mpi"
+	"mph/internal/mpi/perf"
 	"mph/internal/mpi/tcpnet"
 )
 
 // runCoupledOverTCP runs the five-component job on the multi-process
 // transport inside this process — each rank an endpoint with its own TCP
 // wiring, exactly as an mphrun-launched process has — and returns every
-// rank's diagnostics.
-func runCoupledOverTCP(t *testing.T, cfg coupler.Config) []*coupler.Diagnostics {
+// rank's diagnostics and its matching engine's final counters.
+func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics, []perf.EngineSnap) {
 	t.Helper()
 	const world = ccsmWorldSize
 	rv, err := bootstrap.NewRendezvous(world)
@@ -31,6 +32,7 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) []*coupler.Diagnostics 
 
 	errs := make([]error, world)
 	diags := make([]*coupler.Diagnostics, world)
+	engines := make([]perf.EngineSnap, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
@@ -55,6 +57,7 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) []*coupler.Diagnostics 
 			}
 			diags[rank] = d
 			errs[rank] = c.Barrier()
+			engines[rank] = env.Perf().Snapshot().Engine
 		}(r)
 	}
 
@@ -73,7 +76,7 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) []*coupler.Diagnostics 
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return diags
+	return diags, engines
 }
 
 // TestCoupledRunOverTCP drives the complete stack — rendezvous, TCP world,
@@ -90,7 +93,7 @@ func TestCoupledRunOverTCP(t *testing.T) {
 	}
 	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 2, Dt: 0.5,
 		Names: coupler.DefaultNames()}
-	diags := runCoupledOverTCP(t, cfg)
+	diags, _ := runCoupledOverTCP(t, cfg)
 
 	// Every rank got identical diagnostics, and they are sane.
 	ref := diags[0]
@@ -144,25 +147,40 @@ func TestCoupledRunOverTCP(t *testing.T) {
 // are reused, the callers keep their operands: a period stays under 10 KiB
 // summed over the ten ranks (the parent of this test's commit: 98 KB), most
 // of it the diagnostics series growing by a period on every rank.
+//
+// The long run also pins the premise of the matching engine's plain FIFO
+// queues (DESIGN.md §7): no rank ever holds more than a handful of messages
+// or receives queued (measured: 8 unexpected, 5 posted).
 func TestCoupledPeriodAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
 	}
-	allocated := func(periods int) uint64 {
+	allocated := func(periods int) (uint64, []perf.EngineSnap) {
 		cfg := coupler.Config{Grid: mustGrid(t, 48, 24), Periods: periods, SubSteps: 1, Dt: 0.5,
 			Names: coupler.DefaultNames()}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		runCoupledOverTCP(t, cfg)
+		_, engines := runCoupledOverTCP(t, cfg)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, engines
 	}
 	const short, long = 20, 220
 	allocated(short) // first use of the process: pools, lazily built tables
-	base := allocated(short)
-	per := (float64(allocated(long)) - float64(base)) / (long - short)
+	base, _ := allocated(short)
+	total, engines := allocated(long)
+	per := (float64(total) - float64(base)) / (long - short)
 	t.Logf("%.0f B allocated per coupled period, ten ranks together", per)
 	if per > 10<<10 {
 		t.Errorf("a coupled period allocates %.0f B over the ten ranks, budget 10240 (a per-message buffer, record or operand crept back)", per)
 	}
+	const maxDepth = 16
+	umq, prq := 0, 0
+	for r, e := range engines {
+		umq, prq = max(umq, e.UMQHighWater), max(prq, e.PRQHighWater)
+		if e.UMQHighWater > maxDepth || e.PRQHighWater > maxDepth {
+			t.Errorf("rank %d queued %d unexpected messages and %d posted receives at once, budget %d each (the engine walks its queues)",
+				r, e.UMQHighWater, e.PRQHighWater, maxDepth)
+		}
+	}
+	t.Logf("deepest queues over the ranks: %d unexpected, %d posted", umq, prq)
 }

@@ -23,10 +23,14 @@ func benchWorld(b *testing.B, n int, fn func(c *mpi.Comm) error) {
 	}
 }
 
+// workloadDepth is the unexpected-queue depth the observability budgets are
+// stated at: the high-water the coupled workloads reach (EXPERIMENTS.md S7).
+const workloadDepth = 8
+
 // exactMatchLoop is the engine's common case and the loop every
 // observability budget is stated on: b.N exact-envelope send/recv pairs on a
 // self-delivering rank while pending unexpected messages of another tag sit
-// in the queue.
+// in the queue ahead of each one.
 func exactMatchLoop(b *testing.B, c *mpi.Comm, pending int) error {
 	for i := 0; i < pending; i++ {
 		if err := c.Send(0, 99, nil); err != nil {
@@ -51,17 +55,17 @@ func exactMatchLoop(b *testing.B, c *mpi.Comm, pending int) error {
 // constant and queue behaviour dominates.
 //
 //   - exact/pending=N: an exact-envelope recv while N unexpected messages of
-//     a different tag sit in the queue. The indexed engine makes this O(1);
-//     a linear-scan engine pays O(N) per recv.
-//   - wildcard/pending=N: an AnySource recv under the same load; wildcard
-//     matching legitimately walks arrival order on any engine.
+//     a different tag sit in the queue ahead of it. The engine's queues are
+//     plain FIFO lists, so the recv walks all N: 16 brackets the depths the
+//     workloads reach (EXPERIMENTS.md S7), 64 and 1024 price the walk.
+//   - wildcard/pending=N: an AnySource recv under the same load.
 //   - fanout/waiters=N: ping-pong while N unmatched posted receives exist.
 //     Broadcast wakeups pay O(N) scheduler work per message; targeted
 //     wakeups pay nothing.
 //   - posted: post-match-wait cost of a re-armed receive whose message
 //     arrives after posting.
 func BenchmarkEngineMatching(b *testing.B) {
-	for _, pending := range []int{0, 1, 64, 1024} {
+	for _, pending := range []int{0, 1, 16, 64, 1024} {
 		b.Run(fmt.Sprintf("exact/pending=%d", pending), func(b *testing.B) {
 			benchWorld(b, 1, func(c *mpi.Comm) error { return exactMatchLoop(b, c, pending) })
 		})
@@ -130,12 +134,12 @@ func BenchmarkEngineMatching(b *testing.B) {
 }
 
 // BenchmarkTracerOverhead (EXPERIMENTS.md P1) prices the event tracer on
-// exactMatchLoop with 64 pending: off is the default nil-pointer fast path
-// (budget: within 2 % of BenchmarkEngineMatching/exact/pending=64, the same
-// loop on a world that has no tracer to check), sampled is what a job gets by
-// enabling tracing (1-in-DefaultTraceSample per-message events, budget 25 %
-// over off), full records every event (MPH_TRACE_SAMPLE=1). The same loop
-// under live telemetry is internal/mpirun's BenchmarkTelemetryOverhead.
+// exactMatchLoop at workloadDepth pending: off is the default nil-pointer fast
+// path (budget: within 2 % of the same cell on a parent build), sampled is
+// what a job gets by enabling tracing (1-in-DefaultTraceSample per-message
+// events, budget 25 % over off), full records every event
+// (MPH_TRACE_SAMPLE=1). The same loop under live telemetry is
+// internal/mpirun's BenchmarkTelemetryOverhead.
 func BenchmarkTracerOverhead(b *testing.B) {
 	for _, cfg := range []struct{ name, sample string }{
 		{"off", ""},
@@ -152,7 +156,7 @@ func BenchmarkTracerOverhead(b *testing.B) {
 				b.Setenv(perf.EnvTraceSample, cfg.sample)
 				w.EnableTracing(1 << 16)
 			}
-			if err := w.Run(func(c *mpi.Comm) error { return exactMatchLoop(b, c, 64) }); err != nil {
+			if err := w.Run(func(c *mpi.Comm) error { return exactMatchLoop(b, c, workloadDepth) }); err != nil {
 				b.Fatal(err)
 			}
 		})

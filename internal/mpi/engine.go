@@ -14,27 +14,23 @@ import (
 //   - the posted-receive queue (PRQ) holds receives posted before a matching
 //     packet arrived.
 //
-// A packet is in at most one place: post consults the PRQ and hands the
-// packet straight to the oldest matching receive, or else appends it to the
-// UMQ; a receive consults the UMQ and consumes the oldest matching packet,
-// or else appends itself to the PRQ. Both queues are indexed by exact
-// (ctx, src, tag) envelope buckets so the fully-qualified case is O(1);
-// wildcard receives (AnySource/AnyTag) live on a separate list and are
-// arbitrated against exact candidates by sequence number.
+// A packet is in at most one place: post walks the PRQ and hands the packet
+// straight to the first matching receive, or else appends it to the UMQ; a
+// receive walks the UMQ and consumes the first matching packet, or else
+// appends itself to the PRQ. Each queue is one FIFO list, so a match costs
+// time linear in the queue's depth — a handful of entries on every workload
+// (DESIGN.md §7).
 //
-// Ordering invariants:
+// Ordering invariants, both read off the list order:
 //
 //   - Non-overtaking: messages from one sender arrive in the order they were
 //     sent (the in-process transport posts under the sender's program order;
-//     the TCP transport uses one ordered byte stream per peer). Each UMQ
-//     bucket and the UMQ arrival list are FIFO, so for any fixed
+//     the TCP transport uses one ordered byte stream per peer). The UMQ is in
+//     arrival order and a receive takes its first match, so for any fixed
 //     (ctx, src, tag) receives consume in send order.
 //   - Posted order: when a packet matches several posted receives, the one
-//     posted first wins. Each PRQ bucket and the wildcard list are FIFO in
-//     post order, and the global sequence number decides between the exact
-//     bucket head and the first matching wildcard record — without it, a
-//     wildcard receive posted before an exact receive could be starved by
-//     the newer exact match.
+//     posted first wins — exact or wildcard alike, since the PRQ is in post
+//     order and a packet takes its first match.
 //
 // Wakeups are targeted: every posted receive owns its own completion
 // channel, so completing one operation wakes exactly one waiter instead of
@@ -45,8 +41,7 @@ import (
 // blocking Recv borrows one from the engine's own free list.
 type engine struct {
 	mu   sync.Mutex
-	fail error  // non-nil once the engine stopped: ErrClosed or an abort error
-	seq  uint64 // arrival/post sequence, monotone under mu
+	fail error // non-nil once the engine stopped: ErrClosed or an abort error
 
 	// groups maps a live message context to its communicator group
 	// (communicator rank -> world rank), registered by newComm. The engine
@@ -60,40 +55,21 @@ type engine struct {
 	// *ErrPeerLost instead of waiting forever.
 	lost map[int]error
 
-	// Unexpected-message queue: exact-envelope buckets plus an engine-wide
-	// arrival-order list for wildcard matching. Emptied buckets are kept in
-	// the map for reuse (the common traffic pattern hammers a handful of
-	// envelopes) and swept in bulk once the empty ones dominate; ulastKey /
-	// ulast memoize the most recent bucket so ping-pong traffic skips the
-	// map hash entirely. ufree recycles list nodes.
-	ubuckets map[matchKey]*ulist
-	uempty   int
-	ulastKey matchKey
-	ulast    *ulist
-	uallHead *umsg
-	uallTail *umsg
-	ucount   int
-	ufree    *umsg
+	unexpected ulist // the UMQ, in arrival order
+	ucount     int
+	ufree      *umsg // recycled UMQ nodes, linked through next
 
-	// Posted-receive queue: exact-envelope buckets plus the wildcard list,
-	// with the same empty-bucket retention policy and memoized last bucket.
-	pbuckets map[matchKey]*plist
-	pempty   int
-	plastKey matchKey
-	plast    *plist
-	pwild    plist
-	pcount   int
-	pfree    *precv // blocking-Recv records between uses, linked through next
+	posted plist // the PRQ, in post order
+	pcount int
+	pfree  *precv // blocking-Recv records between uses, linked through next
 
 	// Performance variables, all plain values mutated under mu (the hot
 	// paths already hold it, so counting costs a few integer adds — no
 	// extra synchronization). perfSnap copies them out for Snapshot.
 	umqHW, prqHW    int
-	matchUnexpected uint64 // receive consumed an already-queued message
-	matchPosted     uint64 // arrival completed a posted receive
-	matchWildcard   uint64 // matched receive carried AnySource/AnyTag
-	// (exact matches are derived: unexpected + posted - wildcard.)
-	recvFrom []peerCount // arrivals indexed by source world rank
+	matchUnexpected uint64      // receive consumed an already-queued message
+	matchPosted     uint64      // arrival completed a posted receive
+	recvFrom        []peerCount // arrivals indexed by source world rank
 
 	// tr, when non-nil, receives match and recv-post events. It is set
 	// before traffic starts and never cleared, so the off path is a plain
@@ -108,21 +84,10 @@ type peerCount struct {
 	msgs, bytes uint64
 }
 
-// matchKey identifies one fully-qualified envelope: a communicator context
-// plus concrete source and tag.
-type matchKey struct {
-	ctx      uint64
-	src, tag int
-}
-
-// umsg is one unexpected message, linked into two FIFO lists: its
-// exact-envelope bucket and the engine-wide arrival list.
+// umsg is one unexpected message, linked into the UMQ.
 type umsg struct {
-	pkt *Packet
-	seq uint64
-
-	bucketPrev, bucketNext *umsg
-	allPrev, allNext       *umsg
+	pkt        *Packet
+	prev, next *umsg
 }
 
 // precv is one posted receive: the record behind a blocked Recv or a live
@@ -135,7 +100,6 @@ type umsg struct {
 type precv struct {
 	ctx      uint64
 	src, tag int
-	seq      uint64
 
 	ready chan struct{}
 	pkt   *Packet
@@ -145,8 +109,7 @@ type precv struct {
 	// the payload straight into it; the waiter copies any other packet in.
 	dst []byte
 
-	queued     bool // still linked in the engine; guarded by engine.mu
-	exact      bool // lives in a bucket (src and tag concrete) vs the wildcard list
+	queued     bool // still linked in the PRQ; guarded by engine.mu
 	prev, next *precv
 }
 
@@ -170,21 +133,14 @@ func (r *precv) complete() {
 	r.ready <- struct{}{}
 }
 
-// matchesPacket reports whether packet m satisfies this receive's envelope.
-func (r *precv) matchesPacket(m *Packet) bool {
-	return r.ctx == m.Ctx &&
-		(r.src == AnySource || r.src == m.Src) &&
-		(r.tag == AnyTag || r.tag == m.Tag)
-}
-
-// ulist is a FIFO of unexpected messages sharing one exact envelope.
+// ulist is a FIFO of unexpected messages.
 type ulist struct{ head, tail *umsg }
 
 func (l *ulist) pushBack(m *umsg) {
-	m.bucketPrev = l.tail
-	m.bucketNext = nil
+	m.prev = l.tail
+	m.next = nil
 	if l.tail != nil {
-		l.tail.bucketNext = m
+		l.tail.next = m
 	} else {
 		l.head = m
 	}
@@ -192,21 +148,20 @@ func (l *ulist) pushBack(m *umsg) {
 }
 
 func (l *ulist) remove(m *umsg) {
-	if m.bucketPrev != nil {
-		m.bucketPrev.bucketNext = m.bucketNext
+	if m.prev != nil {
+		m.prev.next = m.next
 	} else {
-		l.head = m.bucketNext
+		l.head = m.next
 	}
-	if m.bucketNext != nil {
-		m.bucketNext.bucketPrev = m.bucketPrev
+	if m.next != nil {
+		m.next.prev = m.prev
 	} else {
-		l.tail = m.bucketPrev
+		l.tail = m.prev
 	}
-	m.bucketPrev, m.bucketNext = nil, nil
+	m.prev, m.next = nil, nil
 }
 
-// plist is a FIFO of posted receives (one exact bucket, or the wildcard
-// list).
+// plist is a FIFO of posted receives.
 type plist struct{ head, tail *precv }
 
 func (l *plist) pushBack(r *precv) {
@@ -236,8 +191,6 @@ func (l *plist) remove(r *precv) {
 
 func newEngine(worldSize int) *engine {
 	return &engine{
-		ubuckets: make(map[matchKey]*ulist),
-		pbuckets: make(map[matchKey]*plist),
 		recvFrom: make([]peerCount, worldSize),
 		groups:   make(map[uint64][]int),
 		lost:     make(map[int]error),
@@ -317,8 +270,6 @@ func (e *engine) perfSnap() perf.EngineSnap {
 		PRQHighWater:      e.prqHW,
 		MatchesUnexpected: e.matchUnexpected,
 		MatchesPosted:     e.matchPosted,
-		MatchesWildcard:   e.matchWildcard,
-		MatchesExact:      e.matchUnexpected + e.matchPosted - e.matchWildcard,
 		RecvMsgs:          recvMsgs,
 		RecvBytes:         recvBytes,
 	}
@@ -336,11 +287,6 @@ func (e *engine) arrivalsFrom(src int) (msgs, bytes uint64) {
 	return e.recvFrom[src].msgs, e.recvFrom[src].bytes
 }
 
-// sweepThreshold is the number of retained empty buckets beyond which a
-// queue considers a bulk sweep (it also requires empties to outnumber live
-// buckets, keeping the sweep amortized O(1) per operation).
-const sweepThreshold = 64
-
 // post delivers a message into the engine. It is called by transports.
 func (e *engine) post(m *Packet) error {
 	e.mu.Lock()
@@ -353,107 +299,43 @@ func (e *engine) post(m *Packet) error {
 		e.recvFrom[s].msgs++
 		e.recvFrom[s].bytes += uint64(m.PayloadLen())
 	}
-	if e.pcount > 0 {
-		if pr := e.takePosted(m); pr != nil {
-			// Direct hand-off: complete exactly the oldest matching posted
-			// receive, nobody else wakes.
-			e.matchPosted++
-			if !pr.exact {
-				e.matchWildcard++
-			}
-			if e.tr != nil {
-				e.tr.Record(perf.KMatch, int64(m.SrcWorld), int64(m.Tag), int64(m.PayloadLen()), int64(e.ucount))
-			}
-			pr.pkt = m
-			if m.Rdv != nil {
-				m.Rdv.signalMatched(pr.dst) // consuming match: transport may send CTS
-			}
-			pr.complete()
-			e.mu.Unlock()
-			return nil
+	if pr := e.takePosted(m); pr != nil {
+		// Direct hand-off: complete exactly the oldest matching posted
+		// receive, nobody else wakes.
+		e.matchPosted++
+		if e.tr != nil {
+			e.tr.Record(perf.KMatch, int64(m.SrcWorld), int64(m.Tag), int64(m.PayloadLen()), int64(e.ucount))
 		}
+		pr.pkt = m
+		if m.Rdv != nil {
+			m.Rdv.signalMatched(pr.dst) // consuming match: transport may send CTS
+		}
+		pr.complete()
+		e.mu.Unlock()
+		return nil
 	}
 	e.addUnexpected(m)
 	e.mu.Unlock()
 	return nil
 }
 
-// takePosted removes and returns the oldest-posted receive matching packet
-// m, or nil. Candidates are the head of m's exact-envelope bucket and the
-// first matching wildcard record; the post sequence number arbitrates
-// between the two lists so "oldest posted wins" holds globally.
+// takePosted removes and returns the first (oldest-posted) receive matching
+// packet m, or nil.
 func (e *engine) takePosted(m *Packet) *precv {
-	var exact *precv
-	if l := e.pbucketLookup(matchKey{m.Ctx, m.Src, m.Tag}); l != nil {
-		exact = l.head
-	}
-	var wild *precv
-	for r := e.pwild.head; r != nil; r = r.next {
-		if r.matchesPacket(m) {
-			wild = r
-			break
+	for r := e.posted.head; r != nil; r = r.next {
+		if m.matches(r.ctx, r.src, r.tag) {
+			e.unlinkPosted(r)
+			return r
 		}
-	}
-	var chosen *precv
-	switch {
-	case exact == nil:
-		chosen = wild
-	case wild == nil:
-		chosen = exact
-	case wild.seq < exact.seq:
-		chosen = wild
-	default:
-		chosen = exact
-	}
-	if chosen == nil {
-		return nil
-	}
-	e.unlinkPosted(chosen)
-	return chosen
-}
-
-// pbucketLookup returns the posted-receive bucket for key, or nil, without
-// creating one. The one-entry memo makes repeated hits on one envelope skip
-// the map hash.
-func (e *engine) pbucketLookup(key matchKey) *plist {
-	if e.plast != nil && e.plastKey == key {
-		return e.plast
-	}
-	if l, ok := e.pbuckets[key]; ok {
-		e.plastKey, e.plast = key, l
-		return l
 	}
 	return nil
 }
 
-// unlinkPosted removes a still-queued posted receive from its list. Emptied
-// buckets stay in the map for reuse until empties dominate, then are swept.
+// unlinkPosted removes a still-queued posted receive from the PRQ.
 func (e *engine) unlinkPosted(r *precv) {
-	if r.exact {
-		l := e.pbucketLookup(matchKey{r.ctx, r.src, r.tag})
-		l.remove(r)
-		if l.head == nil {
-			e.pempty++
-			if e.pempty > sweepThreshold && e.pempty*2 > len(e.pbuckets) {
-				e.sweepPostedBuckets()
-			}
-		}
-	} else {
-		e.pwild.remove(r)
-	}
+	e.posted.remove(r)
 	r.queued = false
 	e.pcount--
-}
-
-// sweepPostedBuckets drops every retained empty posted-receive bucket.
-func (e *engine) sweepPostedBuckets() {
-	for k, l := range e.pbuckets {
-		if l.head == nil {
-			delete(e.pbuckets, k)
-		}
-	}
-	e.pempty = 0
-	e.plast = nil // the memo may point at a dropped bucket
 }
 
 // enqueuePosted appends record r, complete or never used, as a posted
@@ -462,29 +344,11 @@ func (e *engine) enqueuePosted(r *precv, ctx uint64, src, tag int, dst []byte) {
 	if r.queued {
 		panic("mpi: receive posted on a request that is still pending")
 	}
-	e.seq++
 	r.arm()
 	r.pkt, r.err = nil, nil
 	r.ctx, r.src, r.tag, r.dst = ctx, src, tag, dst
-	r.seq = e.seq
 	r.queued = true
-	r.exact = src != AnySource && tag != AnyTag
-	if r.exact {
-		key := matchKey{ctx, src, tag}
-		l := e.pbucketLookup(key)
-		if l == nil {
-			l = &plist{}
-			e.pbuckets[key] = l
-			e.plastKey, e.plast = key, l
-			e.pempty++ // counted empty until the push below
-		}
-		if l.head == nil {
-			e.pempty--
-		}
-		l.pushBack(r)
-	} else {
-		e.pwild.pushBack(r)
-	}
+	e.posted.pushBack(r)
 	e.pcount++
 	if e.pcount > e.prqHW {
 		e.prqHW = e.pcount
@@ -494,137 +358,47 @@ func (e *engine) enqueuePosted(r *precv, ctx uint64, src, tag int, dst []byte) {
 	}
 }
 
-// addUnexpected appends a packet to the UMQ (bucket plus arrival list).
+// addUnexpected appends a packet to the UMQ on a node from the free list.
 func (e *engine) addUnexpected(m *Packet) {
-	e.seq++
-	n := e.newUmsg(m)
-	key := matchKey{m.Ctx, m.Src, m.Tag}
-	l := e.ubucketLookup(key)
-	if l == nil {
-		l = &ulist{}
-		e.ubuckets[key] = l
-		e.ulastKey, e.ulast = key, l
-		e.uempty++ // counted empty until the push below
-	}
-	if l.head == nil {
-		e.uempty--
-	}
-	l.pushBack(n)
-	n.allPrev = e.uallTail
-	if e.uallTail != nil {
-		e.uallTail.allNext = n
+	n := e.ufree
+	if n != nil {
+		e.ufree = n.next
 	} else {
-		e.uallHead = n
+		n = &umsg{}
 	}
-	e.uallTail = n
+	n.pkt = m
+	e.unexpected.pushBack(n)
 	e.ucount++
 	if e.ucount > e.umqHW {
 		e.umqHW = e.ucount
 	}
 }
 
-// newUmsg takes a UMQ node off the free list or allocates one.
-func (e *engine) newUmsg(m *Packet) *umsg {
-	n := e.ufree
-	if n != nil {
-		e.ufree = n.bucketNext
-		n.bucketNext = nil
-	} else {
-		n = &umsg{}
-	}
-	n.pkt = m
-	n.seq = e.seq
-	return n
-}
-
-// ubucketLookup returns the UMQ bucket for key, or nil, without creating
-// one.
-func (e *engine) ubucketLookup(key matchKey) *ulist {
-	if e.ulast != nil && e.ulastKey == key {
-		return e.ulast
-	}
-	if l, ok := e.ubuckets[key]; ok {
-		e.ulastKey, e.ulast = key, l
-		return l
-	}
-	return nil
-}
-
-// findUnexpected returns the earliest-arrived unexpected message matching
-// (ctx, src, tag) without removing it, or nil. A fully-qualified envelope is
-// an O(1) bucket peek; wildcards walk the arrival-order list so the oldest
-// match wins regardless of which bucket holds it.
-func (e *engine) findUnexpected(ctx uint64, src, tag int) *umsg {
-	if e.ucount == 0 {
-		return nil
-	}
-	if src != AnySource && tag != AnyTag {
-		if l := e.ubucketLookup(matchKey{ctx, src, tag}); l != nil {
-			return l.head
-		}
-		return nil
-	}
-	for n := e.uallHead; n != nil; n = n.allNext {
-		if n.pkt.matches(ctx, src, tag) {
-			return n
-		}
-	}
-	return nil
-}
-
-// removeUnexpected unlinks a UMQ node from its bucket and the arrival list
-// and recycles the node; the caller must capture n.pkt first.
+// removeUnexpected unlinks a UMQ node and recycles it; the caller must
+// capture n.pkt first.
 func (e *engine) removeUnexpected(n *umsg) {
-	l := e.ubucketLookup(matchKey{n.pkt.Ctx, n.pkt.Src, n.pkt.Tag})
-	l.remove(n)
-	if l.head == nil {
-		e.uempty++
-		if e.uempty > sweepThreshold && e.uempty*2 > len(e.ubuckets) {
-			e.sweepUnexpectedBuckets()
-		}
-	}
-	if n.allPrev != nil {
-		n.allPrev.allNext = n.allNext
-	} else {
-		e.uallHead = n.allNext
-	}
-	if n.allNext != nil {
-		n.allNext.allPrev = n.allPrev
-	} else {
-		e.uallTail = n.allPrev
-	}
-	n.allPrev, n.allNext = nil, nil
+	e.unexpected.remove(n)
 	e.ucount--
 	n.pkt = nil
-	n.bucketNext = e.ufree
+	n.next = e.ufree
 	e.ufree = n
 }
 
-// sweepUnexpectedBuckets drops every retained empty UMQ bucket.
-func (e *engine) sweepUnexpectedBuckets() {
-	for k, l := range e.ubuckets {
-		if l.head == nil {
-			delete(e.ubuckets, k)
-		}
-	}
-	e.uempty = 0
-	e.ulast = nil // the memo may point at a dropped bucket
-}
-
-// takeUnexpected removes and returns the earliest-arrived matching packet,
-// or nil. dst is the receive's own buffer, or nil; a rendezvous placeholder
-// learns it here, before the CTS that lets the payload come.
+// takeUnexpected removes and returns the first (earliest-arrived) packet
+// matching (ctx, src, tag), or nil. dst is the receive's own buffer, or nil;
+// a rendezvous placeholder learns it here, before the CTS that lets the
+// payload come.
 func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
-	n := e.findUnexpected(ctx, src, tag)
+	n := e.unexpected.head
+	for n != nil && !n.pkt.matches(ctx, src, tag) {
+		n = n.next
+	}
 	if n == nil {
 		return nil
 	}
 	pkt := n.pkt
 	e.removeUnexpected(n)
 	e.matchUnexpected++
-	if src == AnySource || tag == AnyTag {
-		e.matchWildcard++
-	}
 	if e.tr != nil {
 		e.tr.Record(perf.KMatch, int64(pkt.SrcWorld), int64(pkt.Tag), int64(pkt.PayloadLen()), int64(e.ucount))
 	}
@@ -747,39 +521,22 @@ func (e *engine) failAll(err error) {
 		return
 	}
 	e.fail = err
-	for n := e.uallHead; n != nil; n = n.allNext {
+	for n := e.unexpected.head; n != nil; n = n.next {
 		if n.pkt.Rdv != nil {
 			n.pkt.Rdv.Fail(err) // no-op if the payload already landed
 		}
 	}
-	e.uallHead, e.uallTail = nil, nil
-	e.ubuckets = nil
-	e.ulast = nil
-	e.ufree = nil
-	e.ucount = 0
+	e.unexpected, e.ucount, e.ufree = ulist{}, 0, nil
 	// Capture each record's successor before completing it: a pool-owned
 	// record may be recycled by its waiter the moment it is signaled.
-	for _, l := range e.pbuckets {
-		for r := l.head; r != nil; {
-			next := r.next
-			r.queued = false
-			r.err = err
-			r.complete()
-			r = next
-		}
-	}
-	e.pbuckets = nil
-	e.plast = nil
-	for r := e.pwild.head; r != nil; {
+	for r := e.posted.head; r != nil; {
 		next := r.next
 		r.queued = false
 		r.err = err
 		r.complete()
 		r = next
 	}
-	e.pwild = plist{}
-	e.pcount = 0
-	e.pfree = nil
+	e.posted, e.pcount, e.pfree = plist{}, 0, nil
 	e.groups = nil
 	e.lost = nil
 }
@@ -804,8 +561,8 @@ func (e *engine) peerLost(world int, cause error) {
 	// landed are unconsumable: drop them from the UMQ so they cannot poison a
 	// wildcard receive that a live peer could still satisfy. Eager messages
 	// (and finished rendezvous) delivered before death stay consumable.
-	for n := e.uallHead; n != nil; {
-		next := n.allNext
+	for n := e.unexpected.head; n != nil; {
+		next := n.next
 		if n.pkt.Rdv != nil && n.pkt.SrcWorld == world && !n.pkt.Rdv.delivered() {
 			rdv := n.pkt.Rdv
 			e.removeUnexpected(n)
@@ -813,20 +570,7 @@ func (e *engine) peerLost(world int, cause error) {
 		}
 		n = next
 	}
-	// Both PRQ homes can hold records naming a concrete source: exact
-	// buckets, and the wildcard list for concrete-source/AnyTag records.
-	for _, l := range e.pbuckets {
-		for r := l.head; r != nil; {
-			next := r.next
-			if w, ok := e.worldOf(r.ctx, r.src); ok && w == world {
-				e.unlinkPosted(r)
-				r.err = lostErr
-				r.complete()
-			}
-			r = next
-		}
-	}
-	for r := e.pwild.head; r != nil; {
+	for r := e.posted.head; r != nil; {
 		next := r.next
 		if w, ok := e.worldOf(r.ctx, r.src); ok && w == world {
 			e.unlinkPosted(r)

@@ -1,8 +1,8 @@
 package mpi
 
-// White-box tests of the two-queue matching engine: posted-order
-// arbitration, queue accounting, bucket sweeping, and shutdown, exercised
-// directly against engine internals without a transport.
+// White-box tests of the two-queue matching engine: posted order, queue
+// accounting, peer loss and shutdown, exercised directly against engine
+// internals without a transport.
 
 import (
 	"errors"
@@ -38,8 +38,8 @@ func waitPayload(t *testing.T, pr *precv) string {
 }
 
 // A wildcard receive posted before an exact receive on the same envelope
-// must win the first message — the sequence number arbitrates between the
-// exact bucket head and the wildcard list. And vice versa.
+// must win the first message: posted order holds across exact and wildcard
+// receives alike. And vice versa.
 func TestExactVsWildcardArbitration(t *testing.T) {
 	e := newEngine(8)
 	_, wild, err := postRecv(e, 1, AnySource, AnyTag, nil)
@@ -130,54 +130,6 @@ func TestQueueAccounting(t *testing.T) {
 	}
 }
 
-// Driving many distinct envelopes must not leave the bucket maps holding an
-// empty bucket per envelope forever: once empties dominate, a sweep drops
-// them, and the memoized last-bucket pointer must not dangle across it.
-func TestBucketSweep(t *testing.T) {
-	e := newEngine(8)
-	const envelopes = 4 * sweepThreshold
-	for i := 0; i < envelopes; i++ {
-		post(t, e, 1, 0, i, "x")
-	}
-	for i := 0; i < envelopes; i++ {
-		if m := func() *Packet {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return e.takeUnexpected(1, 0, i, nil)
-		}(); m == nil {
-			t.Fatalf("message on tag %d lost", i)
-		}
-	}
-	e.mu.Lock()
-	ulen, uempty := len(e.ubuckets), e.uempty
-	e.mu.Unlock()
-	if ulen > sweepThreshold+1 {
-		t.Errorf("UMQ retains %d buckets (%d empty) after draining %d envelopes",
-			ulen, uempty, envelopes)
-	}
-	// The engine still matches correctly after the sweep (the memo cache
-	// must have been invalidated with the buckets it pointed into).
-	post(t, e, 1, 0, 7, "again")
-	if m, pr, _ := postRecv(e, 1, 0, 7, nil); m == nil || pr != nil || string(m.Data) != "again" {
-		t.Fatal("post-sweep match failed")
-	}
-
-	// Same policy on the posted-receive side.
-	for i := 0; i < envelopes; i++ {
-		_, pr, _ := postRecv(e, 1, 0, i, nil)
-		post(t, e, 1, 0, i, "y")
-		if got := waitPayload(t, pr); got != "y" {
-			t.Fatalf("posted receive on tag %d got %q", i, got)
-		}
-	}
-	e.mu.Lock()
-	plen := len(e.pbuckets)
-	e.mu.Unlock()
-	if plen > sweepThreshold+1 {
-		t.Errorf("PRQ retains %d buckets after draining %d envelopes", plen, envelopes)
-	}
-}
-
 // close must fail every queued posted receive with ErrClosed, whatever else
 // the queues hold, and every later post and receive.
 func TestCloseFailsPostedReceives(t *testing.T) {
@@ -202,4 +154,71 @@ func TestCloseFailsPostedReceives(t *testing.T) {
 		t.Errorf("postRecv after close: %v", err)
 	}
 	e.close() // idempotent
+}
+
+// peerLost must fail exactly the posted receives only the dead rank can
+// satisfy — whether they name a tag or not — leave AnySource receives and
+// receives from live ranks queued in post order, keep the dead rank's eager
+// messages consumable, and drop and fail its undelivered rendezvous
+// placeholders.
+func TestPeerLostSelectsRecords(t *testing.T) {
+	const dead, live = 2, 3          // world ranks
+	const deadSrc, liveSrc = 1, 0    // their ranks in the communicators below
+	group := []int{live, dead, 1, 0} // communicator rank -> world rank
+	e := newEngine(4)
+	e.registerGroup(1, group) // receives are posted on context 1
+	e.registerGroup(2, group) // unexpected traffic waits on context 2
+
+	_, exact, _ := postRecv(e, 1, deadSrc, 3, nil)
+	_, anyTag, _ := postRecv(e, 1, deadSrc, AnyTag, nil)
+	_, anySrc, _ := postRecv(e, 1, AnySource, 3, nil)
+	_, fromLive, _ := postRecv(e, 1, liveSrc, 3, nil)
+	if err := e.post(&Packet{Ctx: 2, Src: deadSrc, SrcWorld: dead, Tag: 7, Data: []byte("eager")}); err != nil {
+		t.Fatal(err)
+	}
+	rdv := NewRendezvous(16)
+	if err := e.post(&Packet{Ctx: 2, Src: deadSrc, SrcWorld: dead, Tag: 8, Rdv: rdv}); err != nil {
+		t.Fatal(err)
+	}
+
+	cause := errors.New("connection reset")
+	e.peerLost(dead, cause)
+	e.peerLost(dead, cause) // idempotent
+
+	for name, pr := range map[string]*precv{"exact": exact, "concrete-source/AnyTag": anyTag} {
+		select {
+		case <-pr.ready:
+		default:
+			t.Fatalf("%s receive naming the dead rank still pending", name)
+		}
+		if r, ok := IsPeerLost(pr.err); !ok || r != dead {
+			t.Errorf("%s receive: err %v, want *ErrPeerLost for rank %d", name, pr.err, dead)
+		}
+	}
+	if p := e.pendingPosted(); p != 2 {
+		t.Errorf("PRQ depth %d after peer loss, want the AnySource and live receives", p)
+	}
+	if r, ok := IsPeerLost(rdv.MatchErr()); !ok || r != dead {
+		t.Errorf("undelivered placeholder: err %v, want *ErrPeerLost for rank %d", rdv.MatchErr(), dead)
+	}
+	if u := e.pendingUnexpected(); u != 1 {
+		t.Errorf("UMQ depth %d after peer loss, want the eager message alone", u)
+	}
+	if m, pr, err := postRecv(e, 2, deadSrc, AnyTag, nil); err != nil || pr != nil || string(m.Data) != "eager" {
+		t.Errorf("eager message from the dead rank: %v %v %v, want it consumable", m, pr, err)
+	}
+	if _, _, err := postRecv(e, 2, deadSrc, 8, nil); err == nil {
+		t.Error("a new receive naming the dead rank was queued")
+	}
+
+	// The survivors keep their post order: the AnySource receive was posted
+	// first, so it takes the live rank's first message.
+	post(t, e, 1, liveSrc, 3, "first")
+	post(t, e, 1, liveSrc, 3, "second")
+	if got := waitPayload(t, anySrc); got != "first" {
+		t.Errorf("AnySource receive got %q", got)
+	}
+	if got := waitPayload(t, fromLive); got != "second" {
+		t.Errorf("receive from the live rank got %q", got)
+	}
 }

@@ -185,30 +185,12 @@ func CollOpName(id int64) string {
 	return "unknown"
 }
 
-// CollHistBuckets is the number of log-spaced duration buckets kept per
-// collective op for straggler analysis: bucket i counts invocations whose
-// wall time was under 1µs·2^i (the last bucket is unbounded), spanning 1µs
-// to ~33ms with the overflow catching everything slower.
-const CollHistBuckets = 16
-
-// collHistBucket maps one invocation duration to its histogram bucket.
-func collHistBucket(ns int64) int {
-	us := ns / 1000
-	for i := 0; i < CollHistBuckets-1; i++ {
-		if us < 1<<i {
-			return i
-		}
-	}
-	return CollHistBuckets - 1
-}
-
 // collCounter is one collective op's invocation count, cumulative wall
-// time, slowest single invocation, and duration histogram.
+// time and slowest single invocation.
 type collCounter struct {
 	count atomic.Uint64
 	ns    atomic.Int64
 	maxNS atomic.Int64
-	hist  [CollHistBuckets]atomic.Uint64
 }
 
 // observe folds one outermost invocation's duration into the counter.
@@ -221,7 +203,6 @@ func (c *collCounter) observe(d int64) {
 			break
 		}
 	}
-	c.hist[collHistBucket(d)].Add(1)
 }
 
 // NetCounters are the TCP transport's wire-level performance variables. All
@@ -272,12 +253,9 @@ type EngineSnap struct {
 	PRQDepth     int `json:"prq_depth"`
 	PRQHighWater int `json:"prq_high_water"`
 
-	// Match classification: where the message was when it matched, and
-	// what kind of envelope the receive carried.
+	// Match classification: where the message was when it matched.
 	MatchesUnexpected uint64 `json:"matches_unexpected"`
 	MatchesPosted     uint64 `json:"matches_posted"`
-	MatchesWildcard   uint64 `json:"matches_wildcard"`
-	MatchesExact      uint64 `json:"matches_exact"`
 
 	// Per-source-world-rank arrival accounting.
 	RecvMsgs  []uint64 `json:"recv_msgs_by_peer"`
@@ -301,10 +279,6 @@ type CollSnap struct {
 	// MaxNanos is the slowest single outermost invocation — a rank whose
 	// max dwarfs its peers' was waiting on a straggler (or was one).
 	MaxNanos int64 `json:"max_nanos,omitempty"`
-	// HistNanos is the per-invocation duration histogram: HistNanos[i]
-	// counts invocations under 1µs·2^i (last bucket unbounded). Nil when
-	// the op was never invoked at the outermost level.
-	HistNanos []uint64 `json:"hist,omitempty"`
 }
 
 // NetSnap is the wire counters' value in a Snapshot.
@@ -679,7 +653,7 @@ func (r *Rank) Snapshot() Snapshot {
 		if s.Collectives == nil {
 			s.Collectives = make(map[string]CollSnap)
 		}
-		cs := CollSnap{
+		s.Collectives[op.String()] = CollSnap{
 			Count:    count,
 			Nanos:    r.coll[op].ns.Load(),
 			Tree:     tree,
@@ -687,13 +661,6 @@ func (r *Rank) Snapshot() Snapshot {
 			Hier:     hier,
 			MaxNanos: r.coll[op].maxNS.Load(),
 		}
-		if count > 0 {
-			cs.HistNanos = make([]uint64, CollHistBuckets)
-			for i := range cs.HistNanos {
-				cs.HistNanos[i] = r.coll[op].hist[i].Load()
-			}
-		}
-		s.Collectives[op.String()] = cs
 	}
 	s.CommSplits = r.splits.Load()
 	s.CommDups = r.dups.Load()

@@ -18,7 +18,6 @@ func TestSnapshotDerivedTotals(t *testing.T) {
 		return EngineSnap{
 			UMQDepth: 2, UMQHighWater: 7, PRQDepth: 1, PRQHighWater: 4,
 			MatchesUnexpected: 10, MatchesPosted: 5,
-			MatchesWildcard: 3, MatchesExact: 12,
 			RecvMsgs:  []uint64{4, 0, 11},
 			RecvBytes: []uint64{400, 0, 1100},
 		}
@@ -233,28 +232,7 @@ func TestServeSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-func TestCollHistBucket(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want int
-	}{
-		{0, 0},
-		{999, 0},            // <1µs
-		{1000, 1},           // 1µs: no longer under 1µs
-		{1999, 1},           // <2µs
-		{2000, 2},           // <4µs
-		{1_000_000, 10},     // 1ms: under 1.024ms
-		{1_048_576_000, 15}, // ~1s = 2^20µs: beyond the last bounded bucket
-		{1 << 62, 15},       // unbounded tail
-	}
-	for _, c := range cases {
-		if got := collHistBucket(c.ns); got != c.want {
-			t.Errorf("collHistBucket(%d) = %d, want %d", c.ns, got, c.want)
-		}
-	}
-}
-
-func TestCollObserveMaxAndHistogram(t *testing.T) {
+func TestCollObserveMax(t *testing.T) {
 	var c collCounter
 	for _, d := range []int64{500, 3_000, 120_000, 90_000, 3_500} {
 		c.observe(d)
@@ -265,18 +243,8 @@ func TestCollObserveMaxAndHistogram(t *testing.T) {
 	if got := c.maxNS.Load(); got != 120_000 {
 		t.Errorf("max %d, want 120000", got)
 	}
-	var histTotal uint64
-	for i := range c.hist {
-		histTotal += c.hist[i].Load()
-	}
-	if histTotal != 5 {
-		t.Errorf("histogram holds %d observations, want 5", histTotal)
-	}
-	if got := c.hist[0].Load(); got != 1 {
-		t.Errorf("sub-µs bucket %d, want 1 (the 500ns call)", got)
-	}
-	if got := c.hist[2].Load(); got != 2 {
-		t.Errorf("2-4µs bucket %d, want 2 (3µs and 3.5µs)", got)
+	if got := c.ns.Load(); got != 217_000 {
+		t.Errorf("total %d ns, want 217000", got)
 	}
 }
 
@@ -292,15 +260,8 @@ func TestSnapshotCollStragglerFields(t *testing.T) {
 	if c.MaxNanos <= 0 {
 		t.Errorf("MaxNanos %d, want > 0", c.MaxNanos)
 	}
-	if len(c.HistNanos) != CollHistBuckets {
-		t.Fatalf("histogram has %d buckets, want %d", len(c.HistNanos), CollHistBuckets)
-	}
-	var total uint64
-	for _, b := range c.HistNanos {
-		total += b
-	}
-	if total != c.Count {
-		t.Errorf("histogram total %d != count %d", total, c.Count)
+	if c.MaxNanos > c.Nanos {
+		t.Errorf("MaxNanos %d above the op's total %d", c.MaxNanos, c.Nanos)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 //
 //   - both queues drain to zero on every rank,
 //   - every arrival was matched (unexpected + posted == total received),
-//   - the match-kind classification partitions the matches,
 //   - per-peer receive counts cover the schedule,
 //   - job-wide sent totals equal job-wide received totals.
 func TestPerfCounterReconciliation(t *testing.T) {
@@ -66,8 +65,8 @@ func TestPerfCounterReconciliation(t *testing.T) {
 					}
 				}
 				// Tags 0-1 are consumed with exact (src, tag) receives,
-				// tags 2-3 with wildcard-source receives — so both match
-				// classifications are exercised. Wildcards never poach from
+				// tags 2-3 with wildcard-source receives — so both kinds of
+				// receive are counted. Wildcards never poach from
 				// the exact receives because they name a different tag.
 				type key struct{ src, tag int }
 				exact := make(map[key]int)
@@ -120,12 +119,6 @@ func TestPerfCounterReconciliation(t *testing.T) {
 				if matches != s.TotalRecvMsgs {
 					t.Errorf("rank %d: %d matches != %d arrivals (UMQ not drained?)",
 						r, matches, s.TotalRecvMsgs)
-				}
-				if kinds := s.Engine.MatchesExact + s.Engine.MatchesWildcard; kinds != matches {
-					t.Errorf("rank %d: exact+wildcard = %d, matches = %d", r, kinds, matches)
-				}
-				if s.Engine.MatchesWildcard == 0 {
-					t.Errorf("rank %d: wildcard receives not classified", r)
 				}
 				// Arrivals from each peer must cover the schedule (the
 				// barrier adds collective traffic on top).

@@ -2,10 +2,13 @@
 # Repository check suite: everything a change must pass before merging.
 # Why each pass is here, where the command does not say it:
 # - the -race passes target internal/mpi (the matching engine is the
-#   concurrency-critical core) and repeat the fault-injection and
-#   first-contact tests, the most interleaving-sensitive code in the tree,
-#   and the receive-into-place tests (a transport stream writes into a slab
-#   the application owns: the failure paths must never hand it back early),
+#   concurrency-critical core) and repeat the engine's ordering tests (posted
+#   order, peer loss, the matching-order torture and random schedules: the
+#   two FIFO lists are the only thing that keeps non-overtaking), the
+#   fault-injection and first-contact tests, the most interleaving-sensitive
+#   code in the tree, and the receive-into-place tests (a transport stream
+#   writes into a slab the application owns: the failure paths must never
+#   hand it back early),
 #   and the lifetime tests of the recycled eager buffers, re-armed requests
 #   and the two-rank allreduce (a record given back too early, or seen twice,
 #   shows as a corrupted checksum); their allocation budgets
@@ -34,6 +37,7 @@ go run ./scripts/lintdoc .
 go build ./...
 go test ./...
 go test -race ./internal/mpi/...
+go test -run 'TestPeerLostSelectsRecords|TestExactVsWildcardArbitration|TestPostedOrder|TestMatchingOrderTorture|TestRandomTrafficSchedules' -race -count=2 ./internal/mpi
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./internal/mpi/...
@@ -159,10 +163,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,610 before algorithm and protocol
-# choice stopped being read from the environment, 16,391 after) and the
-# stripped size of a component executable (3,547,428 bytes before, 3,539,236
-# after), printed for later comparison.
+# Non-test Go lines outside benchmark/ (16,391 before the matching engine
+# became two FIFO lists, 16,102 after) and the stripped size of a component
+# executable (3,543,332 bytes before, 3,531,044 after), printed for later
+# comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
