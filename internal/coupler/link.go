@@ -24,7 +24,12 @@ import (
 // The plans own the slabs the exchanges land in, so a coupled period
 // allocates none: the field ToCoupler or ToModel returns belongs to the link
 // and holds that exchange's data until the next call on the same link in the
-// same direction overwrites it. A caller that needs it longer copies it.
+// same direction overwrites it. A caller that needs it longer copies it. Until
+// then the caller may also write into it and send from it — the coupler
+// writes its increments over the fields it received and sends them back from
+// there — because a send, eager or rendezvous, is done with its buffer when
+// it returns, and the next receive into the field is posted only by the next
+// call.
 type Link struct {
 	model, coupler string
 

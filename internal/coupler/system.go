@@ -104,6 +104,14 @@ const (
 // setup: every rank of the five components calls it collectively after the
 // handshake. It returns the same Diagnostics on every rank.
 func RunCoupled(s *core.Setup, cfg Config) (*Diagnostics, error) {
+	return runCoupled(s, cfg, runCouplerSide)
+}
+
+// couplerSide is the coupler component's half of the loop; the seam lets a
+// test run the model side against a reference coupler.
+type couplerSide func(*core.Setup, Config, [4]*Link) (*Diagnostics, error)
+
+func runCoupled(s *core.Setup, cfg Config, couplerLoop couplerSide) (*Diagnostics, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -137,7 +145,7 @@ func RunCoupled(s *core.Setup, cfg Config) (*Diagnostics, error) {
 	}
 
 	if onCoupler {
-		return runCouplerSide(s, cfg, links)
+		return couplerLoop(s, cfg, links)
 	}
 	return runModelSide(s, cfg, links[myModel], myModel)
 }
@@ -243,7 +251,9 @@ func applyDelta(m *model.SurfaceModel, delta *grid.Field, clampNonNegative bool)
 }
 
 // runCouplerSide receives every model's field, merges fluxes, returns the
-// increments, and accumulates diagnostics.
+// increments, and accumulates diagnostics. It holds one slab per link: each
+// increment is written over the received field it is computed from and sent
+// from there (see Link).
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
@@ -255,17 +265,10 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 	}
 	// Operands of the period's allreduces and the models' reports.
 	var imbalance, report [1]float64
-	var mean [2]float64
+	var mean [4][2]float64
 	sched, err := couplingSchedule(cfg)
 	if err != nil {
 		return nil, err
-	}
-	// The increments live across periods, like the links' received fields:
-	// every cell is rewritten before it is sent.
-	var deltas [4]*grid.Field
-	for i, l := range links {
-		proc, _ := l.OnCoupler()
-		deltas[i] = grid.NewField(l.CouplerDecomp(), proc)
 	}
 
 	for !sched.Clock.Done() {
@@ -290,11 +293,19 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 				return nil, err
 			}
 		}
-		atm, ocn, ice := fields[0], fields[1], fields[3]
+		// The diagnostics' local pairs are taken first: the merge writes over
+		// the fields.
+		for i, f := range fields {
+			mean[i][0], mean[i][1] = f.LocalWeightedMean()
+		}
 
-		// Flux merge on the coupler decomposition.
-		for i := range atm.Data {
-			iceFrac := ice.Data[i] / 2
+		// Flux merge on the coupler decomposition, each increment written
+		// over the field of the model it goes to, once the cell's inputs are
+		// read.
+		atm, ocn, lnd, ice := fields[0].Data, fields[1].Data, fields[2].Data, fields[3].Data
+		for i, a := range atm {
+			o, c := ocn[i], ice[i]
+			iceFrac := c / 2
 			if iceFrac > 1 {
 				iceFrac = 1
 			}
@@ -303,16 +314,16 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 			}
 			// Atmosphere-ocean heat exchange, shut off under ice. The two
 			// increments are equal and opposite: unweighted conservation.
-			flux := cfg.ExchangeCoeff * (atm.Data[i] - ocn.Data[i]) * (1 - iceFrac)
-			deltas[0].Data[i] = -flux * dtc
-			deltas[1].Data[i] = +flux * dtc
+			flux := cfg.ExchangeCoeff * (a - o) * (1 - iceFrac)
+			atm[i] = -flux * dtc
+			ocn[i] = +flux * dtc
 			// Land dries under a warm atmosphere.
-			deltas[2].Data[i] = -1e-4 * (atm.Data[i] - 288) * dtc
+			lnd[i] = -1e-4 * (a - 288) * dtc
 			// Ice grows below freezing, melts above.
-			deltas[3].Data[i] = 5e-3 * (271.35 - atm.Data[i]) * dtc
+			ice[i] = 5e-3 * (271.35 - a) * dtc
 		}
 		for i, l := range links {
-			if _, err := l.ToModel(deltas[i], downTags[i]); err != nil {
+			if _, err := l.ToModel(fields[i], downTags[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -320,10 +331,10 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		// Conservation of the exchange itself: the atmosphere and ocean
 		// increments must cancel globally.
 		localImbalance := 0.0
-		for _, v := range deltas[0].Data {
+		for _, v := range atm {
 			localImbalance += v
 		}
-		for _, v := range deltas[1].Data {
+		for _, v := range ocn {
 			localImbalance += v
 		}
 		imbalance[0] = localImbalance
@@ -335,9 +346,8 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 
 		// Diagnostics: area-weighted means over the coupler communicator.
 		means := [4]float64{}
-		for i, f := range fields {
-			mean[0], mean[1] = f.LocalWeightedMean()
-			out, err := comm.AllreduceFloats(mean[:], mpi.OpSum)
+		for i := range mean {
+			out, err := comm.AllreduceFloats(mean[i][:], mpi.OpSum)
 			if err != nil {
 				return nil, err
 			}

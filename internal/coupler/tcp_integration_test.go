@@ -14,13 +14,14 @@ import (
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
 	"mph/internal/mpi/tcpnet"
+	"mph/internal/xfer"
 )
 
 // runCoupledOverTCP runs the five-component job on the multi-process
 // transport inside this process — each rank an endpoint with its own TCP
 // wiring, exactly as an mphrun-launched process has — and returns every
-// rank's diagnostics and its matching engine's final counters.
-func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics, []perf.EngineSnap) {
+// rank's diagnostics and its final performance counters.
+func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics, []perf.Snapshot) {
 	t.Helper()
 	const world = ccsmWorldSize
 	rv, err := bootstrap.NewRendezvous(world)
@@ -32,7 +33,7 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics
 
 	errs := make([]error, world)
 	diags := make([]*coupler.Diagnostics, world)
-	engines := make([]perf.EngineSnap, world)
+	snaps := make([]perf.Snapshot, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
@@ -57,7 +58,7 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics
 			}
 			diags[rank] = d
 			errs[rank] = c.Barrier()
-			engines[rank] = env.Perf().Snapshot().Engine
+			snaps[rank] = env.Perf().Snapshot()
 		}(r)
 	}
 
@@ -76,7 +77,48 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return diags, engines
+	return diags, snaps
+}
+
+// runCoupledInProcess runs the same job on the in-process transport and
+// returns world rank 0's diagnostics.
+func runCoupledInProcess(t *testing.T, cfg coupler.Config) *coupler.Diagnostics {
+	t.Helper()
+	var d0 *coupler.Diagnostics
+	err := mpi.RunWorld(ccsmWorldSize, func(c *mpi.Comm) error {
+		s, err := core.SingleComponentSetup(c, core.TextSource(ccsmReg), ccsmLaunch(c.Rank()))
+		if err != nil {
+			return err
+		}
+		d, err := coupler.RunCoupled(s, cfg)
+		if c.Rank() == 0 {
+			d0 = d
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d0
+}
+
+// sameBits fails t unless every series of got equals want's bit for bit.
+func sameBits(t *testing.T, got, want *coupler.Diagnostics) {
+	t.Helper()
+	series := func(d *coupler.Diagnostics) [6][]float64 {
+		return [6][]float64{d.AtmMean, d.OcnMean, d.LandMean, d.IceMean, d.Energy, d.FluxImbalance}
+	}
+	g, w := series(got), series(want)
+	for k := range w {
+		if len(g[k]) != len(w[k]) {
+			t.Fatalf("series %d: %d periods, want %d", k, len(g[k]), len(w[k]))
+		}
+		for p := range w[k] {
+			if math.Float64bits(g[k][p]) != math.Float64bits(w[k][p]) {
+				t.Fatalf("series %d period %d: %v, want %v", k, p, g[k][p], w[k][p])
+			}
+		}
+	}
 }
 
 // TestCoupledRunOverTCP drives the complete stack — rendezvous, TCP world,
@@ -114,29 +156,63 @@ func TestCoupledRunOverTCP(t *testing.T) {
 	}
 	// TCP and in-process transports must agree bit-for-bit: the coupled
 	// system is deterministic.
-	inproc := make([]*coupler.Diagnostics, 1)
-	err = mpi.RunWorld(world, func(c *mpi.Comm) error {
-		s, err := core.SingleComponentSetup(c, core.TextSource(ccsmReg), ccsmLaunch(c.Rank()))
-		if err != nil {
-			return err
-		}
-		d, err := coupler.RunCoupled(s, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			inproc[0] = d
-		}
-		return nil
-	})
+	sameBits(t, ref, runCoupledInProcess(t, cfg))
+}
+
+// TestCoupledRunOverTCPRendezvous is TestCoupledRunOverTCP on the benchmark's
+// couple_bulk grid, 384x192, where every exchange piece is above the eager
+// threshold and so travels RTS → CTS → payload. The coupler sends each
+// increment from the slab its next up-receive lands in; this run is the one
+// that leans on "a rendezvous send is done with its buffer when it returns",
+// and the check suite repeats it under the race detector.
+func TestCoupledRunOverTCPRendezvous(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens many sockets")
+	}
+	g, err := grid.New(384, 192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := 0; p < cfg.Periods; p++ {
-		if inproc[0].AtmMean[p] != ref.AtmMean[p] {
-			t.Fatalf("transport mismatch at period %d: %v vs %v", p, inproc[0].AtmMean[p], ref.AtmMean[p])
+	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 1, Dt: 0.5,
+		Names: coupler.DefaultNames()}
+
+	// Every piece of every link, both directions, is rendezvous-sized.
+	cd, err := grid.NewDecomp(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pieces := 0
+	for _, size := range []int{3, 2, 2, 1} { // atmosphere, ocean, land, ice
+		md, err := grid.NewDecomp(g, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := xfer.NewRouter(md, cd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < md.P; p++ {
+			for _, seg := range r.SendPlan(p) {
+				if bytes := 8 * seg.Cells(g); bytes < tcpnet.DefaultEagerThreshold {
+					t.Fatalf("a %d-rank model's piece %+v is %d bytes, under the %d-byte eager threshold",
+						size, seg, bytes, tcpnet.DefaultEagerThreshold)
+				}
+				pieces++
+			}
 		}
 	}
+
+	diags, snaps := runCoupledOverTCP(t, cfg)
+	var rts uint64
+	for _, s := range snaps {
+		rts += s.Net.RTSOut
+	}
+	// The up and down pieces are the same intersections; nothing else a
+	// period sends (halo rows, reports, allreduces) is near the threshold.
+	if want := uint64(2 * pieces * cfg.Periods); rts != want {
+		t.Errorf("%d rendezvous sends job-wide, want %d (%d pieces a direction, %d periods)", rts, want, pieces, cfg.Periods)
+	}
+	sameBits(t, diags[0], runCoupledInProcess(t, cfg))
 }
 
 // TestCoupledPeriodAllocBudget is the allocation guard of the whole
@@ -155,19 +231,19 @@ func TestCoupledPeriodAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
 	}
-	allocated := func(periods int) (uint64, []perf.EngineSnap) {
+	allocated := func(periods int) (uint64, []perf.Snapshot) {
 		cfg := coupler.Config{Grid: mustGrid(t, 48, 24), Periods: periods, SubSteps: 1, Dt: 0.5,
 			Names: coupler.DefaultNames()}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, engines := runCoupledOverTCP(t, cfg)
+		_, snaps := runCoupledOverTCP(t, cfg)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, engines
+		return after.TotalAlloc - before.TotalAlloc, snaps
 	}
 	const short, long = 20, 220
 	allocated(short) // first use of the process: pools, lazily built tables
 	base, _ := allocated(short)
-	total, engines := allocated(long)
+	total, snaps := allocated(long)
 	per := (float64(total) - float64(base)) / (long - short)
 	t.Logf("%.0f B allocated per coupled period, ten ranks together", per)
 	if per > 10<<10 {
@@ -175,7 +251,8 @@ func TestCoupledPeriodAllocBudget(t *testing.T) {
 	}
 	const maxDepth = 16
 	umq, prq := 0, 0
-	for r, e := range engines {
+	for r, s := range snaps {
+		e := s.Engine
 		umq, prq = max(umq, e.UMQHighWater), max(prq, e.PRQHighWater)
 		if e.UMQHighWater > maxDepth || e.PRQHighWater > maxDepth {
 			t.Errorf("rank %d queued %d unexpected messages and %d posted receives at once, budget %d each (the engine walks its queues)",

@@ -44,15 +44,23 @@ func (g Grid) CellCenter(lat, lon int) (phi, lambda float64) {
 // CellArea returns the relative area weight of a latitude band's cells
 // (proportional to cos of latitude), normalized so weights over the whole
 // grid sum to 1.
-func (g Grid) CellArea(lat int) float64 {
-	phi, _ := g.CellCenter(lat, 0)
-	// Sum of cos(phi_i) over bands times NLon normalizes the total.
+func (g Grid) CellArea(lat int) float64 { return g.cellArea(lat, g.areaNorm()) }
+
+// areaNorm is CellArea's divisor, O(NLat) to compute: the sum of cos(phi_i)
+// over bands times NLon normalizes the total.
+func (g Grid) areaNorm() float64 {
 	total := 0.0
 	for i := 0; i < g.NLat; i++ {
 		p, _ := g.CellCenter(i, 0)
 		total += math.Cos(p)
 	}
-	return math.Cos(phi) / (total * float64(g.NLon))
+	return total * float64(g.NLon)
+}
+
+// cellArea is CellArea with its divisor computed by the caller.
+func (g Grid) cellArea(lat int, norm float64) float64 {
+	phi, _ := g.CellCenter(lat, 0)
+	return math.Cos(phi) / norm
 }
 
 // Decomp is a 1-D block decomposition of a grid's latitude bands over P
@@ -172,12 +180,14 @@ func (f *Field) LocalSum() float64 {
 
 // LocalWeightedMean returns the area-weighted partial sum of the slab and
 // the slab's total weight; combining the pairs across processors yields the
-// global mean.
+// global mean. The weights are CellArea's, bit for bit, with its divisor
+// computed once a call rather than once a band.
 func (f *Field) LocalWeightedMean() (weightedSum, weight float64) {
 	lo, hi := f.Decomp.Bands(f.P)
+	norm := f.Decomp.Grid.areaNorm()
 	idx := 0
 	for lat := lo; lat < hi; lat++ {
-		w := f.Decomp.Grid.CellArea(lat)
+		w := f.Decomp.Grid.cellArea(lat, norm)
 		for lon := 0; lon < f.Decomp.Grid.NLon; lon++ {
 			weightedSum += w * f.Data[idx]
 			weight += w

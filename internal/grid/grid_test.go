@@ -193,3 +193,57 @@ func TestFieldLocalSumsCombineToGlobal(t *testing.T) {
 		t.Errorf("weighted mean %g", wsum/wtot)
 	}
 }
+
+// TestLocalWeightedMeanWeightsAreCellArea: LocalWeightedMean computes its
+// normaliser once a call, and its weights must still be CellArea's bit for
+// bit. A one-hot field's weighted sum is exactly the weight of the hot cell's
+// band; a general field's pair must equal a per-band CellArea reference.
+func TestLocalWeightedMeanWeightsAreCellArea(t *testing.T) {
+	for _, shape := range [][3]int{{19, 24, 1}, {19, 24, 4}, {12, 5, 12}, {384, 192, 2}} {
+		g, _ := New(shape[0], shape[1])
+		d, _ := NewDecomp(g, shape[2])
+		for p := 0; p < d.P; p++ {
+			f := NewField(d, p)
+			lo, hi := d.Bands(p)
+			for lat := lo; lat < hi; lat++ {
+				i := (lat-lo)*g.NLon + lat%g.NLon
+				f.Data[i] = 1
+				ws, _ := f.LocalWeightedMean()
+				f.Data[i] = 0
+				if want := g.CellArea(lat); math.Float64bits(ws) != math.Float64bits(want) {
+					t.Fatalf("%dx%d band %d: weight %v, CellArea %v", g.NLat, g.NLon, lat, ws, want)
+				}
+			}
+			f.FillFunc(func(lat, lon int) float64 { return math.Sin(float64(3*lat)) + float64(lon) })
+			ws, w := f.LocalWeightedMean()
+			refWS, refW := 0.0, 0.0
+			for lat, idx := lo, 0; lat < hi; lat++ {
+				a := g.CellArea(lat)
+				for lon := 0; lon < g.NLon; lon++ {
+					refWS += a * f.Data[idx]
+					refW += a
+					idx++
+				}
+			}
+			if math.Float64bits(ws) != math.Float64bits(refWS) || math.Float64bits(w) != math.Float64bits(refW) {
+				t.Fatalf("%dx%d proc %d: (%v, %v), CellArea reference (%v, %v)", g.NLat, g.NLon, p, ws, w, refWS, refW)
+			}
+		}
+	}
+}
+
+// BenchmarkLocalWeightedMean times one call on a coupler slab of the
+// benchmark's couple_bulk workload: a 384x192 grid over two coupler ranks.
+func BenchmarkLocalWeightedMean(b *testing.B) {
+	g, _ := New(384, 192)
+	d, _ := NewDecomp(g, 2)
+	f := NewField(d, 0)
+	f.FillFunc(func(lat, lon int) float64 { return float64(lat + lon) })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkWS, sinkW = f.LocalWeightedMean()
+	}
+}
+
+// sinkWS and sinkW keep the benchmarked call from being optimised away.
+var sinkWS, sinkW float64

@@ -49,13 +49,14 @@ type SurfaceModel struct {
 	time float64
 	step int
 
-	// halo rows, the requests that receive them and the slab a step writes
-	// into, reused across steps; Step swaps next with the state's storage
+	// halo rows and the requests that receive them, and the two old rows an
+	// in-place Step carries, all reused across steps
 	north, south []float64
 	halo         [2]mpi.Request
-	next         []float64
+	prev, cur    []float64
 
-	sum [1]float64 // GlobalSum's operand
+	sum  [1]float64 // GlobalSum's operand
+	mean [2]float64 // GlobalMean's operand
 }
 
 // haloTag carries halo-exchange traffic; the component communicator is
@@ -93,6 +94,8 @@ func New(name string, comm *mpi.Comm, decomp *grid.Decomp, p Params) (*SurfaceMo
 		params: p,
 		north:  make([]float64, decomp.Grid.NLon),
 		south:  make([]float64, decomp.Grid.NLon),
+		prev:   make([]float64, decomp.Grid.NLon),
+		cur:    make([]float64, decomp.Grid.NLon),
 	}
 	if p.Initial != nil {
 		m.state.FillFunc(p.Initial)
@@ -104,8 +107,8 @@ func New(name string, comm *mpi.Comm, decomp *grid.Decomp, p Params) (*SurfaceMo
 func (m *SurfaceModel) Name() string { return m.name }
 
 // Field returns the local slab of the prognostic field. Callers may read
-// it; writing between steps changes the model state (used by coupling). Its
-// Data slice is only good until the next Step, which swaps the storage.
+// it; writing between steps changes the model state (used by coupling). Step
+// rewrites the slab in place, so Data stays the same slice across steps.
 func (m *SurfaceModel) Field() *grid.Field { return m.state }
 
 // Time returns the model time.
@@ -131,50 +134,49 @@ func (m *SurfaceModel) Step(dt float64) error {
 	nlon := m.decomp.Grid.NLon
 	lo, hi := m.decomp.Bands(m.comm.Rank())
 	rows := hi - lo
-	old := m.state.Data
-	if len(m.next) != len(old) {
-		m.next = make([]float64, len(old)) // first step only
-	}
-	next := m.next
+	data := m.state.Data
 	kdt := m.params.Kappa * dt
 
-	at := func(row, lon int) float64 {
-		// row in [-1, rows]; -1 and rows read the halos. Outside the grid
-		// (beyond a pole) the boundary is insulated: mirror the edge cell.
-		switch {
-		case row < 0:
-			if lo == 0 {
-				row = 0
-			} else {
-				return m.north[lon]
-			}
-		case row >= rows:
-			if hi == m.decomp.Grid.NLat {
-				row = rows - 1
-			} else {
-				return m.south[lon]
-			}
-		}
-		return old[row*nlon+lon]
-	}
-
+	// The slab is rewritten row by row, top down: the row below is still old
+	// when a row is computed, and prev and cur keep the old copies of the row
+	// above and of the row being overwritten.
+	prev, cur := m.prev, m.cur
 	for row := 0; row < rows; row++ {
+		prev, cur = cur, prev
+		out := data[row*nlon : (row+1)*nlon]
+		copy(cur, out)
+		// Beyond a pole the boundary is insulated: the edge row mirrors
+		// itself. Between processors the halos stand in.
+		var north, south []float64
+		switch {
+		case row > 0:
+			north = prev
+		case lo == 0:
+			north = cur
+		default:
+			north = m.north
+		}
+		switch {
+		case row < rows-1:
+			south = data[(row+1)*nlon : (row+2)*nlon]
+		case hi == m.decomp.Grid.NLat:
+			south = cur
+		default:
+			south = m.south
+		}
 		for lon := 0; lon < nlon; lon++ {
-			c := old[row*nlon+lon]
-			east := old[row*nlon+(lon+1)%nlon]
-			west := old[row*nlon+(lon-1+nlon)%nlon]
-			north := at(row-1, lon)
-			south := at(row+1, lon)
-			lap := east + west + north + south - 4*c
+			c := cur[lon]
+			east := cur[(lon+1)%nlon]
+			west := cur[(lon-1+nlon)%nlon]
+			lap := east + west + north[lon] + south[lon] - 4*c
 			v := c + kdt*lap
 			if m.params.Relax > 0 {
 				eq := m.params.Forcing(lo+row, lon, m.time)
 				v += m.params.Relax * dt * (eq - v)
 			}
-			next[row*nlon+lon] = v
+			out[lon] = v
 		}
 	}
-	m.state.Data, m.next = next, old
 	m.time += dt
 	m.step++
 	return nil
@@ -239,8 +241,8 @@ func (m *SurfaceModel) exchangeHalos() error {
 // GlobalMean returns the area-weighted global mean of the field;
 // collective over the component communicator.
 func (m *SurfaceModel) GlobalMean() (float64, error) {
-	ws, w := m.state.LocalWeightedMean()
-	out, err := m.comm.AllreduceFloats([]float64{ws, w}, mpi.OpSum)
+	m.mean[0], m.mean[1] = m.state.LocalWeightedMean()
+	out, err := m.comm.AllreduceFloats(m.mean[:], mpi.OpSum)
 	if err != nil {
 		return 0, err
 	}

@@ -194,7 +194,10 @@ func TestRelaxationReachesEquilibrium(t *testing.T) {
 
 func TestDecompositionInvariance(t *testing.T) {
 	// The parallel model must produce bit-identical fields regardless of
-	// the processor count: run on 1 and on 4 processors, compare.
+	// the processor count: run on 1 processor and on 2, 4, 5 and 12, compare.
+	// Step rewrites its slab in place carrying two old rows; the counts cover
+	// even and uneven splits, single-row slabs and both poles, where an
+	// off-by-one in that carry would show.
 	const nlat, nlon, steps = 12, 5, 25
 	init := func(lat, lon int) float64 { return math.Sin(float64(3*lat)) + math.Cos(float64(2*lon)) }
 
@@ -238,13 +241,15 @@ func TestDecompositionInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := gather(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("cell %d differs: serial %v, parallel %v", i, serial[i], parallel[i])
+	for _, p := range []int{2, 4, 5, 12} {
+		parallel, err := gather(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
+				t.Fatalf("p=%d: cell %d differs: serial %v, parallel %v", p, i, serial[i], parallel[i])
+			}
 		}
 	}
 }
@@ -312,11 +317,12 @@ func TestAtmosphereWarmerAtEquator(t *testing.T) {
 	})
 }
 
-// TestStepAllocatesNoSlab: a step writes into the slab the model keeps for
-// it and swaps, and receives its halo rows in place. A one-rank model then
-// allocates nothing at all; with neighbors the per-step allocations are the
-// halo exchange's request records and the in-process send's copy of one row,
-// a small fraction of the slab a step used to make.
+// TestStepAllocatesNoSlab: a step rewrites the model's one slab in place,
+// carrying two old rows the model made with it, and receives its halo rows in
+// place. A one-rank model then allocates nothing at all, its first step
+// included; with neighbors the per-step allocations are the halo exchange's
+// request records and the in-process send's copy of one row, a small
+// fraction of a slab.
 func TestStepAllocatesNoSlab(t *testing.T) {
 	d := mustDecomp(t, 64, 64, 1)
 	mpitest.Run(t, 1, func(c *mpi.Comm) error {
@@ -324,15 +330,23 @@ func TestStepAllocatesNoSlab(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := m.Step(0.5); err != nil { // the first step makes the second slab
+		state, data := m.Field(), &m.Field().Data[0]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = m.Step(0.5)
+		runtime.ReadMemStats(&after)
+		if err != nil {
 			return err
 		}
-		state := m.Field()
+		slab := 8 * d.OwnedCells(0)
+		if first := after.TotalAlloc - before.TotalAlloc; first >= uint64(slab)/4 {
+			return fmt.Errorf("the first step allocates %d bytes beside a %d-byte slab: a second slab is back", first, slab)
+		}
 		if n := testing.AllocsPerRun(10, func() { err = m.Step(0.5) }); n != 0 || err != nil {
 			return fmt.Errorf("a one-rank step makes %v allocations (err %v), want none", n, err)
 		}
-		if m.Field() != state {
-			return fmt.Errorf("Field() changed identity across steps")
+		if m.Field() != state || &m.Field().Data[0] != data {
+			return fmt.Errorf("Field() or its Data changed identity across steps")
 		}
 		return nil
 	})

@@ -17,6 +17,10 @@
 #   the path comes from a bounded free list, no sync.Pool drops a Put — so
 #   they run in the plain pass, in the internal/mpi -race pass and, for the
 #   coupled period, in a -race pass of their own;
+# - the coupler sends each increment from the slab its next up-receive lands
+#   in, so the rendezvous-sized coupled run over TCP repeats under -race: a
+#   send that let go of its buffer late would show as a race or a diagnostic
+#   that differs from the in-process run;
 # - the session race pass repeats TestLaunchStats: -stats prints only the
 #   final reports ranks send over their sessions, so every one of them must
 #   be in when Launch returns, on every run;
@@ -41,7 +45,7 @@ go test -run 'TestPeerLostSelectsRecords|TestExactVsWildcardArbitration|TestPost
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./internal/mpi/...
-go test -run 'TestCoupledPeriodAllocBudget' -race -count=2 ./internal/coupler
+go test -run 'TestCoupledPeriodAllocBudget|TestCoupledRunOverTCPRendezvous' -race -count=2 ./internal/coupler
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
