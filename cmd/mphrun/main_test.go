@@ -239,6 +239,23 @@ func TestLaunchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestLaunchBindHostName: the launcher resolves a host-name bind, so the
+// rendezvous and every rank bind and advertise an IP — a rank handed a name
+// would fail at once.
+func TestLaunchBindHostName(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	t.Setenv("MPH_TEST_WORKER", "1")
+	spec := selfSpec(t, 2, nil, mpirun.PlaceBlock)
+	spec.Registration = writeRegistration(t)
+	spec.Timeout = 60 * time.Second
+	spec.Bind = "localhost"
+	if err := mpirun.Launch(context.Background(), spec); err != nil {
+		t.Fatalf("launch with bind %q: %v", spec.Bind, err)
+	}
+}
+
 // TestLaunchReportsChildFailure verifies that a failing rank fails the job.
 func TestLaunchReportsChildFailure(t *testing.T) {
 	if testing.Short() {

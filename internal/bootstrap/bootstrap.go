@@ -9,19 +9,23 @@
 // carry clock sync, telemetry reports and aborts (Session on the rank,
 // Rendezvous in the launcher).
 //
-// It is a leaf: it imports nothing heavier than net, encoding/json and
+// It is a leaf: it imports nothing heavier than sock, encoding/json and
 // mpi/perf, so a rank that links it (through tcpnet) links no process
-// spawning and no HTTP stack. The launcher proper — placement, spawners,
-// the mphd daemon, the telemetry aggregator and its HTTP surface — is
-// package mpirun, which imports this package; the dependency arrow is
+// spawning, no HTTP stack and not net. The launcher proper — placement,
+// spawners, the mphd daemon, the telemetry aggregator and its HTTP surface —
+// is package mpirun, which imports this package; the dependency arrow is
 // mpirun → bootstrap ← tcpnet (DESIGN.md §14).
 package bootstrap
 
 import (
 	"fmt"
-	"net"
+	"net/netip"
 	"os"
 	"strconv"
+	"strings"
+	"syscall"
+
+	"mph/internal/sock"
 )
 
 // Environment variables carrying the launch context to worker processes.
@@ -39,10 +43,10 @@ const (
 	// It feeds the per-rank host topology (mpi.Comm.HostOf); transports fall
 	// back to os.Hostname when it is unset.
 	EnvHost = "MPH_HOST"
-	// EnvBind is the host or IP worker listeners bind ("" = loopback). The
-	// launcher sets it for multi-host jobs so rank listen addresses are
-	// routable from other hosts; a wildcard value (0.0.0.0, ::, *) binds all
-	// interfaces and advertises a detected routable IP.
+	// EnvBind is the IP worker listeners bind ("" = loopback). The launcher
+	// sets it for multi-host jobs so rank listen addresses are routable from
+	// other hosts, resolving a host name first; a wildcard value (0.0.0.0,
+	// ::, *) binds all interfaces and advertises a detected routable IP.
 	EnvBind = "MPH_BIND"
 )
 
@@ -144,35 +148,30 @@ type Endpoint struct {
 
 // ListenAddr maps a bind host to the address a job listener should listen
 // on: "" keeps the loopback default, anything else (including wildcards)
-// binds that host on an ephemeral port.
-func ListenAddr(bind string) string {
+// binds that host on an ephemeral port. A bind host must be an IP literal:
+// the launcher resolves a name before it exports MPH_BIND.
+func ListenAddr(bind string) (string, error) {
 	switch bind {
 	case "":
-		return "127.0.0.1:0"
+		return "127.0.0.1:0", nil
 	case "*":
-		return net.JoinHostPort("", "0") // ":0" — all interfaces
-	default:
-		return net.JoinHostPort(bind, "0")
+		return ":0", nil // all interfaces
 	}
+	ip, err := netip.ParseAddr(strings.Trim(bind, "[]"))
+	if err != nil || ip.Zone() != "" {
+		return "", fmt.Errorf("bootstrap: %s %q is not an IP address: names are resolved by the launcher", EnvBind, bind)
+	}
+	return sock.JoinAddr(ip, 0), nil
 }
 
 // AdvertiseAddr derives the address peers should dial from the bind host
-// and the actual listen address: loopback binds advertise themselves,
-// wildcard binds substitute a detected routable IP, and explicit binds
-// advertise the bound host.
-func AdvertiseAddr(bind string, actual net.Addr) string {
-	_, port, err := net.SplitHostPort(actual.String())
-	if err != nil {
-		return actual.String()
+// and the actual listen address: a wildcard bind advertises a detected
+// routable IP on the listener's port, any other the listen address itself.
+func AdvertiseAddr(bind, actual string) string {
+	if _, port, err := sock.SplitAddr(actual); err == nil && isWildcard(bind) {
+		return sock.JoinAddr(RoutableIP(), port)
 	}
-	switch {
-	case bind == "":
-		return actual.String()
-	case isWildcard(bind):
-		return net.JoinHostPort(RoutableIP(), port)
-	default:
-		return net.JoinHostPort(bind, port)
-	}
+	return actual
 }
 
 // isWildcard reports whether a bind host means "all interfaces".
@@ -185,25 +184,66 @@ func isWildcard(bind string) bool {
 }
 
 // RoutableIP returns this host's primary non-loopback IP, the address other
-// hosts of a job should dial. It prefers the source address of the default
-// route (no packet is sent), falls back to the first global unicast
-// interface address, and degrades to loopback on single-interface machines.
-func RoutableIP() string {
-	if conn, err := net.Dial("udp", "192.0.2.1:9"); err == nil { // TEST-NET-1: route lookup only
-		ip := conn.LocalAddr().(*net.UDPAddr).IP
-		conn.Close()
-		if ip != nil && !ip.IsLoopback() {
-			return ip.String()
+// hosts of a job should dial: the source address of the default route, else
+// the first global unicast interface address, else loopback.
+func RoutableIP() netip.Addr {
+	return pickRoutable(routeSource(), interfaceAddrs())
+}
+
+// pickRoutable is RoutableIP's choice over what the host reported.
+func pickRoutable(route netip.Addr, ifaddrs []netip.Addr) netip.Addr {
+	if route.IsValid() && !route.IsLoopback() && !route.IsUnspecified() {
+		return route
+	}
+	for _, ip := range ifaddrs {
+		if !ip.IsLoopback() && ip.IsGlobalUnicast() {
+			return ip
 		}
 	}
-	if addrs, err := net.InterfaceAddrs(); err == nil {
-		for _, a := range addrs {
-			ipn, ok := a.(*net.IPNet)
-			if !ok || ipn.IP.IsLoopback() || !ipn.IP.IsGlobalUnicast() {
-				continue
+	return netip.AddrFrom4([4]byte{127, 0, 0, 1})
+}
+
+// routeSource returns the source address the kernel picks for the default
+// route, from a UDP socket connected to TEST-NET-1 (connecting sends no
+// packet), or the zero Addr when there is no route.
+func routeSource() netip.Addr {
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		return netip.Addr{}
+	}
+	defer syscall.Close(fd)
+	var sa syscall.Sockaddr
+	if syscall.Connect(fd, &syscall.SockaddrInet4{Port: 9, Addr: [4]byte{192, 0, 2, 1}}) == nil {
+		sa, _ = syscall.Getsockname(fd)
+	}
+	if in4, ok := sa.(*syscall.SockaddrInet4); ok {
+		return netip.AddrFrom4(in4.Addr)
+	}
+	return netip.Addr{}
+}
+
+// interfaceAddrs lists the host's interface addresses in the order of a
+// netlink RTM_GETADDR dump, which is net.InterfaceAddrs's order.
+func interfaceAddrs() []netip.Addr {
+	rib, err := syscall.NetlinkRIB(syscall.RTM_GETADDR, syscall.AF_UNSPEC)
+	if err != nil {
+		return nil
+	}
+	msgs, _ := syscall.ParseNetlinkMessage(rib)
+	var addrs []netip.Addr
+	for _, m := range msgs {
+		attrs, _ := syscall.ParseNetlinkRouteAttr(&m) // none but for RTM_NEWADDR
+		var addr netip.Addr
+		for _, a := range attrs {
+			// IFA_LOCAL is the interface's own address; on a point-to-point
+			// link IFA_ADDRESS is the peer's.
+			if a.Attr.Type == syscall.IFA_LOCAL || a.Attr.Type == syscall.IFA_ADDRESS && !addr.IsValid() {
+				addr, _ = netip.AddrFromSlice(a.Value)
 			}
-			return ipn.IP.String()
+		}
+		if addr.IsValid() {
+			addrs = append(addrs, addr)
 		}
 	}
-	return "127.0.0.1"
+	return addrs
 }

@@ -3,6 +3,7 @@ package bootstrap
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,22 +66,44 @@ func TestListenAddr(t *testing.T) {
 		"":         "127.0.0.1:0",
 		"*":        ":0",
 		"0.0.0.0":  "0.0.0.0:0",
+		"::":       "[::]:0",
+		"[::]":     "[::]:0",
 		"10.1.2.3": "10.1.2.3:0",
-		"node-a":   "node-a:0",
 	}
 	for bind, want := range cases {
-		if got := ListenAddr(bind); got != want {
-			t.Errorf("ListenAddr(%q) = %q, want %q", bind, got, want)
+		if got, err := ListenAddr(bind); err != nil || got != want {
+			t.Errorf("ListenAddr(%q) = %q, %v; want %q", bind, got, err, want)
+		}
+	}
+	// A rank resolves no names: a host name in MPH_BIND is an error that
+	// names the variable.
+	for _, name := range []string{"node-a", "localhost"} {
+		if _, err := ListenAddr(name); err == nil || !strings.Contains(err.Error(), EnvBind) {
+			t.Errorf("ListenAddr(%q): %v, want an error naming %s", name, err, EnvBind)
 		}
 	}
 }
 
+// TestRegisterRejectsNames: a host name in MPH_RENDEZVOUS fails at once,
+// naming the variable, instead of spending the dial budget.
+func TestRegisterRejectsNames(t *testing.T) {
+	start := time.Now()
+	_, err := Register("localhost:4000", 0, Endpoint{Addr: "127.0.0.1:1"}, 30*time.Second)
+	if err == nil || !strings.Contains(err.Error(), EnvRendezvous) || !strings.Contains(err.Error(), "not an IP address") {
+		t.Fatalf("Register with a host name: %v, want an error naming %s", err, EnvRendezvous)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Register took %v to reject a host name", d)
+	}
+}
+
 func TestAdvertiseAddr(t *testing.T) {
-	actual := &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4321}
+	actual := "127.0.0.1:4321"
 	if got := AdvertiseAddr("", actual); got != "127.0.0.1:4321" {
 		t.Errorf("loopback bind advertised %q", got)
 	}
-	if got := AdvertiseAddr("10.1.2.3", actual); got != "10.1.2.3:4321" {
+	// An explicit bind is an IP literal, so the listener reports it as is.
+	if got := AdvertiseAddr("10.1.2.3", "10.1.2.3:4321"); got != "10.1.2.3:4321" {
 		t.Errorf("explicit bind advertised %q", got)
 	}
 	got := AdvertiseAddr("0.0.0.0", actual)
@@ -94,8 +117,31 @@ func TestAdvertiseAddr(t *testing.T) {
 
 func TestRoutableIPParses(t *testing.T) {
 	ip := RoutableIP()
-	if net.ParseIP(ip) == nil {
+	if net.ParseIP(ip.String()) == nil {
 		t.Fatalf("RoutableIP() = %q is not an IP", ip)
+	}
+}
+
+func TestPickRoutable(t *testing.T) {
+	ip := netip.MustParseAddr
+	lo, lo6 := ip("127.0.0.1"), ip("::1")
+	cases := []struct {
+		name    string
+		route   netip.Addr
+		ifaddrs []netip.Addr
+		want    string
+	}{
+		{"loopback only", netip.Addr{}, []netip.Addr{lo, lo6}, "127.0.0.1"},
+		{"link-local only", netip.Addr{}, []netip.Addr{lo, ip("169.254.3.4"), ip("fe80::1")}, "127.0.0.1"},
+		{"global IPv6", netip.Addr{}, []netip.Addr{lo, lo6, ip("fe80::1"), ip("2001:db8::7")}, "2001:db8::7"},
+		{"no default route: private fabric", netip.Addr{}, []netip.Addr{lo, ip("10.1.0.5"), ip("10.2.0.5")}, "10.1.0.5"},
+		{"default route reports loopback", lo, []netip.Addr{lo, ip("192.168.1.9")}, "192.168.1.9"},
+		{"default route wins", ip("10.9.9.9"), []netip.Addr{lo, ip("192.168.1.9")}, "10.9.9.9"},
+	}
+	for _, c := range cases {
+		if got := pickRoutable(c.route, c.ifaddrs); got.String() != c.want {
+			t.Errorf("%s: picked %v, want %s", c.name, got, c.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -21,21 +22,21 @@ type pipeListener struct {
 	once   sync.Once
 }
 
-func (l *pipeListener) Accept() (net.Conn, error) {
+func (l *pipeListener) Accept() (conn, error) {
 	select {
 	case c := <-l.conns:
 		return c, nil
 	case <-l.closed:
-		return nil, net.ErrClosed
+		return nil, os.ErrClosed
 	}
 }
+
+func (l *pipeListener) SetDeadline(time.Time) error { return nil }
 
 func (l *pipeListener) Close() error {
 	l.once.Do(func() { close(l.closed) })
 	return nil
 }
-
-func (l *pipeListener) Addr() net.Addr { return &net.TCPAddr{} }
 
 // FuzzSession feeds arbitrary lines to the launcher's end of the session
 // wire — Serve's registration reads and duplicate check, then the session

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mph/internal/mpi/perf"
+	"mph/internal/sock"
 )
 
 // ErrRendezvousClosed is returned by Serve when the exchange was canceled
@@ -23,7 +23,7 @@ var ErrRendezvousClosed = errors.New("bootstrap: rendezvous closed")
 // then serves each session until its rank hangs up — answering clock-sync
 // pings, handing reports to the aggregator and relaying aborts.
 type Rendezvous struct {
-	ln         net.Listener
+	ln         listener
 	size       int
 	advertised string
 	every      time.Duration
@@ -35,11 +35,30 @@ type Rendezvous struct {
 	sessions []*session // by rank once the book is out; nil where the rank has hung up
 }
 
+// listener is what Serve accepts sessions on: a *sock.Listener, or in-memory
+// pipes under test.
+type listener interface {
+	Accept() (conn, error)
+	SetDeadline(time.Time) error
+	Close() error
+}
+
+// sockListener is a *sock.Listener as a listener.
+type sockListener struct{ *sock.Listener }
+
+func (l sockListener) Accept() (conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err // not a nil *sock.Conn in a non-nil conn
+	}
+	return c, nil
+}
+
 // session is the launcher's state for one rank's session.
 type session struct {
 	rank int
 	ep   Endpoint
-	conn net.Conn
+	conn conn
 	lc   *LineConn
 	done chan struct{} // closed once the session has ended
 }
@@ -61,11 +80,15 @@ func NewRendezvousBind(bind string, size int, every time.Duration, ingest func(r
 	if size <= 0 {
 		return nil, fmt.Errorf("bootstrap: rendezvous for world of %d", size)
 	}
-	ln, err := net.Listen("tcp", ListenAddr(bind))
+	addr, err := ListenAddr(bind)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := sock.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: rendezvous listen: %w", err)
 	}
-	return &Rendezvous{ln: ln, size: size, advertised: AdvertiseAddr(bind, ln.Addr()), every: every, ingest: ingest}, nil
+	return &Rendezvous{ln: sockListener{ln}, size: size, advertised: AdvertiseAddr(bind, ln.Addr()), every: every, ingest: ingest}, nil
 }
 
 // Advertised returns the routable address workers should register with. It
@@ -97,9 +120,9 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 	// can close them all while registration readers are still in flight; a
 	// completed one hands them to the sessions.
 	var connMu sync.Mutex
-	var conns []net.Conn
+	var conns []conn
 	done, wired := false, false
-	track := func(c net.Conn) bool {
+	track := func(c conn) bool {
 		connMu.Lock()
 		defer connMu.Unlock()
 		if done {
@@ -121,13 +144,11 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 	}()
 
 	go func() {
+		if err := r.ln.SetDeadline(deadline); err != nil {
+			acceptErr <- err
+			return
+		}
 		for i := 0; i < r.size; i++ {
-			if l, ok := r.ln.(*net.TCPListener); ok {
-				if err := l.SetDeadline(deadline); err != nil {
-					acceptErr <- err
-					return
-				}
-			}
 			conn, err := r.ln.Accept()
 			if err != nil {
 				acceptErr <- err
@@ -200,7 +221,7 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 }
 
 // admit reads one connection's registration. Every error names it.
-func (r *Rendezvous) admit(conn net.Conn, deadline time.Time) (*session, error) {
+func (r *Rendezvous) admit(conn conn, deadline time.Time) (*session, error) {
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, fmt.Errorf("bootstrap: registration: %w", err)
 	}

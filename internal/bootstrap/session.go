@@ -3,11 +3,12 @@ package bootstrap
 import (
 	"encoding/json"
 	"fmt"
-	"net"
+	"io"
 	"sync/atomic"
 	"time"
 
 	"mph/internal/mpi/perf"
+	"mph/internal/sock"
 )
 
 // A rank's session is its one connection to the launcher: the connection it
@@ -62,12 +63,20 @@ const DefaultClockSyncRounds = 8
 // launcher must never stall a rank, nor a wedged rank the launcher.
 const ioTimeout = 5 * time.Second
 
+// conn is either end of a session: a *sock.Conn, or a net.Pipe end under
+// test.
+type conn interface {
+	io.ReadWriteCloser
+	SetDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+}
+
 // Session is a rank's end of its session with the launcher. Register opens
 // it; it then holds the endpoint book, the clock-sync estimate and the
 // report period the launcher asked for, carries the rank's reports and
 // aborts up, and hands the launcher's aborts to Serve's callback.
 type Session struct {
-	conn net.Conn
+	conn conn
 	lc   *LineConn
 	seq  atomic.Uint64 // last report sequence number
 
@@ -85,9 +94,9 @@ type Session struct {
 // when the book asks for them. timeout bounds the dial and the wait for the
 // book.
 func Register(rendezvous string, rank int, self Endpoint, timeout time.Duration) (*Session, error) {
-	conn, err := net.DialTimeout("tcp", rendezvous, timeout)
+	conn, err := sock.Dial("tcp", rendezvous, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("bootstrap: dial rendezvous %s: %w", rendezvous, err)
+		return nil, fmt.Errorf("bootstrap: dial rendezvous %s=%s: %w", EnvRendezvous, rendezvous, err)
 	}
 	s := &Session{conn: conn, lc: NewLineConn(conn)}
 	if err := s.open(rank, self, timeout); err != nil {

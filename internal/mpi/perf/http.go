@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"runtime/pprof"
 	"runtime/trace"
@@ -14,34 +13,33 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mph/internal/sock"
 )
 
 // DebugAddr resolves the per-rank listen address for a base EnvDebugAddr
-// value: a non-zero port is offset by the world rank so every process of a
-// job gets its own endpoint on one host; port 0 asks the kernel for an
-// ephemeral port per rank.
+// value, "ip:port" or ":port": a non-zero port is offset by the world rank so
+// every process of a job gets its own endpoint on one host; port 0 asks the
+// kernel for an ephemeral port per rank. A host name is an error.
 func DebugAddr(base string, rank int) (string, error) {
-	host, portStr, err := net.SplitHostPort(base)
+	ip, port, err := sock.SplitAddr(base)
 	if err != nil {
 		return "", fmt.Errorf("perf: bad %s %q: %w", EnvDebugAddr, base, err)
 	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil || port < 0 || port > 65535 {
-		return "", fmt.Errorf("perf: bad port in %s %q", EnvDebugAddr, base)
-	}
 	if port != 0 {
-		port += rank
-		if port > 65535 {
-			return "", fmt.Errorf("perf: %s port %d + rank %d exceeds 65535", EnvDebugAddr, port-rank, rank)
+		if int(port)+rank > 65535 {
+			return "", fmt.Errorf("perf: %s port %d + rank %d exceeds 65535", EnvDebugAddr, port, rank)
 		}
+		port += uint16(rank)
 	}
-	return net.JoinHostPort(host, strconv.Itoa(port)), nil
+	return sock.JoinAddr(ip, port), nil
 }
 
 // The debug endpoint is a GET-only HTTP/1.0 responder over a plain listener:
 // one request per connection, the reply delimited by the close. That is all
 // curl and "go tool pprof http://…" need, and it keeps net/http (and the TLS
-// stack behind it) out of every executable that links the rank side.
+// stack behind it) out of every executable that links the rank side; the
+// listener is a sock one, so net stays out too.
 const (
 	debugLineMax   = 4 << 10         // request-line bound; longer is a 400
 	debugIOTimeout = 5 * time.Second // whole-request read deadline, write deadline
@@ -52,8 +50,7 @@ const (
 // server down — listener and active connections, a profile in flight
 // included — so a Finalize that stops the transport leaks nothing.
 type DebugServer struct {
-	ln     net.Listener
-	addr   string
+	ln     *sock.Listener
 	rank   *Rank
 	ctx    context.Context // canceled by Close
 	cancel context.CancelFunc
@@ -61,7 +58,7 @@ type DebugServer struct {
 }
 
 // Addr returns the actual bound address of the endpoint.
-func (s *DebugServer) Addr() string { return s.addr }
+func (s *DebugServer) Addr() string { return s.ln.Addr() }
 
 // Close stops the endpoint: the listener closes, in-flight connections are
 // torn down and their handlers waited for. Safe to call more than once.
@@ -69,26 +66,22 @@ func (s *DebugServer) Close() error {
 	s.cancel()
 	err := s.ln.Close()
 	s.wg.Wait()
-	if errors.Is(err, net.ErrClosed) {
+	if errors.Is(err, os.ErrClosed) {
 		return nil
 	}
 	return err
 }
 
-// Serve starts the debug endpoint for one rank on the resolved per-rank
-// address and returns the running server (close it to stop serving).
+// Serve starts the debug endpoint on a per-rank address from DebugAddr and
+// returns the running server (close it to stop serving).
 // Serving runs on its own goroutines; errors after startup are ignored (the
 // endpoint is best-effort diagnostics). Paths: / and /perf (the Snapshot as
 // indented JSON, carrying the rank's identity so a scrape is attributable),
 // /debug/pprof/<profile>[?debug=N] for every runtime/pprof profile,
 // /debug/pprof/profile?seconds=N, /debug/pprof/trace?seconds=N and
 // /debug/pprof/cmdline.
-func Serve(baseAddr string, rank int, r *Rank) (*DebugServer, error) {
-	addr, err := DebugAddr(baseAddr, rank)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", addr)
+func Serve(addr string, r *Rank) (*DebugServer, error) {
+	ln, err := sock.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("perf: debug listen on %s: %w", addr, err)
 	}
@@ -97,8 +90,8 @@ func Serve(baseAddr string, rank int, r *Rank) (*DebugServer, error) {
 
 // serveDebug runs the endpoint on ln, each connection on its own goroutine
 // and bounded by timeout, until Close.
-func serveDebug(ln net.Listener, r *Rank, timeout time.Duration) *DebugServer {
-	s := &DebugServer{ln: ln, addr: ln.Addr().String(), rank: r}
+func serveDebug(ln *sock.Listener, r *Rank, timeout time.Duration) *DebugServer {
+	s := &DebugServer{ln: ln, rank: r}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go func() {
@@ -158,7 +151,7 @@ var debugStatusText = map[int]string{200: "OK", 400: "Bad Request", 404: "Not Fo
 
 // serveConn answers one request. A peer that never finishes its request
 // line is dropped by the read deadline without a reply.
-func (s *DebugServer) serveConn(conn net.Conn, timeout time.Duration) {
+func (s *DebugServer) serveConn(conn *sock.Conn, timeout time.Duration) {
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	br := bufio.NewReaderSize(conn, debugLineMax)
 	line, err := br.ReadSlice('\n')

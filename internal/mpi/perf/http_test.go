@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mph/internal/sock"
 )
 
 // rawRequest writes req to a fresh connection to the endpoint and returns
@@ -33,7 +35,7 @@ func rawRequest(t *testing.T, srv *DebugServer, req string) string {
 // TestDebugResponder drives the responder over raw connections: what it
 // serves, and every way it refuses.
 func TestDebugResponder(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", 0, NewRank(0, 1))
+	srv, err := Serve("127.0.0.1:0", NewRank(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestDebugResponder(t *testing.T) {
 // never finishes its request line is closed by the read deadline, with no
 // reply, and the endpoint keeps serving.
 func TestDebugResponderDeadline(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := sock.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestDebugResponderDeadline(t *testing.T) {
 // there is: a 30 s CPU profile in flight is cut short, its connection
 // dropped, and the profiler released, before Close returns.
 func TestDebugServerCloseDropsProfile(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", 0, NewRank(0, 1))
+	srv, err := Serve("127.0.0.1:0", NewRank(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

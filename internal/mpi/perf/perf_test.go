@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,9 +190,13 @@ func TestDebugAddr(t *testing.T) {
 	if err != nil || addr != "127.0.0.1:7073" {
 		t.Errorf("got %q, %v; want port offset by rank", addr, err)
 	}
-	addr, err = DebugAddr("localhost:0", 5)
-	if err != nil || addr != "localhost:0" {
+	addr, err = DebugAddr(":0", 5)
+	if err != nil || addr != ":0" {
 		t.Errorf("ephemeral base: %q, %v", addr, err)
+	}
+	// A rank resolves no names: a host name is an error naming the variable.
+	if _, err := DebugAddr("localhost:7070", 0); err == nil || !strings.Contains(err.Error(), EnvDebugAddr) {
+		t.Errorf("host name: %v, want an error naming %s", err, EnvDebugAddr)
 	}
 	if _, err := DebugAddr("127.0.0.1:65535", 1); err == nil {
 		t.Error("port overflow accepted")
@@ -205,7 +210,7 @@ func TestServeSnapshotEndpoint(t *testing.T) {
 	r := NewRank(0, 2)
 	r.SetComponent("coupler")
 	r.Net.Dials.Add(3)
-	srv, err := Serve("127.0.0.1:0", 0, r)
+	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +292,7 @@ func TestSnapshotIdentityAndClock(t *testing.T) {
 
 func TestDebugServerCloseReleasesListener(t *testing.T) {
 	r := NewRank(0, 1)
-	srv, err := Serve("127.0.0.1:0", 0, r)
+	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}

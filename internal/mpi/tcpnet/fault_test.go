@@ -392,7 +392,7 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 	}()
 
 	// The zombie introduces itself to rank 0 and then says nothing more.
-	conn, err := net.Dial("tcp", tr.ln.Addr().String())
+	conn, err := net.Dial("tcp", tr.ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
+	"mph/internal/sock"
 )
 
 // peer is everything this rank knows about one other world rank: both
@@ -41,30 +41,22 @@ type peer struct {
 	sentMsgs, sentBytes atomic.Uint64
 }
 
-// outConn is one outbound stream on either carrier — net.Conn is the seam —
-// with its writes serialized and the time of the last one kept for the
-// heartbeat loop.
+// outConn is one outbound stream on either carrier, with its writes
+// serialized and the time of the last one kept for the heartbeat loop.
 type outConn struct {
 	mu        sync.Mutex
-	conn      net.Conn
+	conn      *sock.Conn
 	lastWrite time.Time
 }
 
 // write sends one frame under the stream's write lock with a deadline: hdr
-// alone, or hdr and payload as two iovecs. net.Buffers reaches the kernel as
-// a single writev, so a payload goes from the caller's slice to the socket
-// with no intermediate copy.
+// and payload (nil for most frames) as two iovecs of one writev, so a payload
+// goes from the caller's slice to the socket with no intermediate copy.
 func (oc *outConn) write(hdr, payload []byte, timeout time.Duration) error {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
 	oc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	var err error
-	if payload == nil {
-		_, err = oc.conn.Write(hdr)
-	} else {
-		bufs := net.Buffers{hdr, payload}
-		_, err = bufs.WriteTo(oc.conn)
-	}
+	_, err := oc.conn.Writev(hdr, payload)
 	oc.lastWrite = time.Now()
 	if err != nil {
 		return fmt.Errorf("tcpnet: write: %w", err)
@@ -81,7 +73,7 @@ func (oc *outConn) idleFor(d time.Duration) bool {
 
 // open wraps a freshly dialed connection and introduces this rank on it, so
 // the peer's reader can attribute the stream before any traffic.
-func (pr *peer) open(conn net.Conn, shmPath string) (*outConn, error) {
+func (pr *peer) open(conn *sock.Conn, shmPath string) (*outConn, error) {
 	oc := &outConn{conn: conn}
 	if err := oc.write(helloFrame(pr.t.rank, shmPath), nil, pr.t.cfg.writeTimeout); err != nil {
 		conn.Close()
@@ -194,7 +186,7 @@ func (pr *peer) outbound() (*outConn, error) {
 // (optional) observes each scheduled retry; stop (optional) cancels the
 // backoff wait. It is a standalone function so the schedule is testable
 // without a Transport.
-func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(attempt int, wait time.Duration)) (net.Conn, error) {
+func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(attempt int, wait time.Duration)) (*sock.Conn, error) {
 	bo := &backoff{base: cfg.dialBase, max: cfg.dialMax}
 	deadline := time.Now().Add(cfg.dialTimeout)
 	attempt := 0
@@ -206,11 +198,8 @@ func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(at
 		if cfg.dialMax > 0 && per > cfg.dialMax {
 			per = cfg.dialMax
 		}
-		conn, err := net.DialTimeout("tcp", addr, per)
+		conn, err := sock.Dial("tcp", addr, per)
 		if err == nil {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
-			}
 			return conn, nil
 		}
 		attempt++

@@ -491,7 +491,7 @@ func TestRecvIntoRendezvousAllocBudget(t *testing.T) {
 // rank 1, for the tests that need a peer to misbehave at an exact byte.
 func rawPeer(t *testing.T, tr *Transport) net.Conn {
 	t.Helper()
-	conn, err := net.Dial("tcp", tr.ln.Addr().String())
+	conn, err := net.Dial("tcp", tr.ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

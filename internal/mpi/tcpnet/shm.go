@@ -2,11 +2,11 @@ package tcpnet
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 
 	"mph/internal/mpi/perf"
+	"mph/internal/sock"
 )
 
 // Intra-host payload channel (DESIGN.md §12). Two ranks that mphrun placed on
@@ -47,8 +47,8 @@ func (t *Transport) initShm(size int) {
 	dir, err := os.MkdirTemp("", "mph-shm-")
 	if err == nil {
 		t.shmDir = dir
-		var ln net.Listener
-		ln, err = net.Listen("unix", filepath.Join(dir, fmt.Sprintf("r%d.sock", t.rank)))
+		var ln *sock.Listener
+		ln, err = sock.Listen("unix", filepath.Join(dir, fmt.Sprintf("r%d.sock", t.rank)))
 		if err == nil {
 			t.shmLn = ln
 			t.wg.Add(1)
@@ -81,7 +81,7 @@ func (t *Transport) shmPathFor(dst int) string {
 	if t.shmLn == nil || !t.sameHost(dst) {
 		return ""
 	}
-	return t.shmLn.Addr().String()
+	return t.shmLn.Addr()
 }
 
 // advertised records the local payload listener the peer's hello carried;
@@ -111,7 +111,7 @@ func (pr *peer) unixConn() *outConn {
 	// A Unix-socket connect to a listening peer completes immediately;
 	// holding the peer's lock across it keeps the dial/store race-free.
 	var oc *outConn
-	conn, err := net.DialTimeout("unix", pr.unixPath, t.cfg.dialMax)
+	conn, err := sock.Dial("unix", pr.unixPath, t.cfg.dialMax)
 	if err == nil {
 		oc, err = pr.open(conn, "")
 	}

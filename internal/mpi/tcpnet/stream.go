@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"time"
 
 	"mph/internal/mpi"
+	"mph/internal/sock"
 )
 
 // stream is the receive side of one inbound connection: the decoder loop's
@@ -78,7 +78,7 @@ func (s *stream) run(hs *[len(frameTable)]handler) error {
 // deadlineReader arms the peer-silence deadline before every read, so even a
 // slow multi-megabyte transfer is judged by progress, not by total time.
 type deadlineReader struct {
-	conn    net.Conn
+	conn    *sock.Conn
 	silence time.Duration
 }
 
@@ -101,7 +101,7 @@ func (r deadlineReader) Read(p []byte) (int, error) {
 // heartbeats, no read deadlines, and its loss neither suspects nor condemns
 // the peer — the TCP stream owns the failure detector, and its verdict closes
 // the local connections.
-func (t *Transport) readLoop(conn net.Conn, local bool) {
+func (t *Transport) readLoop(conn *sock.Conn, local bool) {
 	defer t.wg.Done()
 	s := &stream{t: t, r: conn, local: local, size: len(t.peers), peer: -1}
 	if !local {
@@ -231,7 +231,7 @@ func (s *stream) onRData(f frame, tail int) error {
 			return err
 		}
 		rd := s.r
-		if conn, ok := s.r.(net.Conn); ok && s.local {
+		if conn, ok := s.r.(*sock.Conn); ok && s.local {
 			// The intra-host carrier idles without deadlines, but a payload
 			// under way is judged by progress like any TCP read: the receive
 			// whose buffer it fills is not released before this read returns.

@@ -48,7 +48,7 @@ func TestStreamIdentity(t *testing.T) {
 	defer envs[1].Close()
 	nc := &envs[0].Perf().Net
 	for _, row := range rows {
-		conn, err := net.Dial("tcp", trs[0].ln.Addr().String())
+		conn, err := net.Dial("tcp", trs[0].ln.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestStreamIdentity(t *testing.T) {
 
 	// The rule admits the well-formed stream: hello, then frames from the
 	// same rank.
-	conn, err := net.Dial("tcp", trs[0].ln.Addr().String())
+	conn, err := net.Dial("tcp", trs[0].ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@
 // envelope and promised length, the receiver posts a placeholder packet that
 // holds the sender's position in the match order, and once a receive
 // consumes the placeholder the receiver answers with CTS. The sender then
-// writes the payload with scatter-gather I/O (net.Buffers, writev) straight
+// writes the payload with scatter-gather I/O (sock.Conn.Writev) straight
 // from the caller's slice — no intermediate copy on either side: the
 // receiver reads the payload into its final exactly-sized buffer. A
 // rendezvous send therefore blocks until the receiver has matched, giving
@@ -64,7 +64,6 @@ package tcpnet
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -73,6 +72,7 @@ import (
 	"mph/internal/bootstrap"
 	"mph/internal/mpi"
 	"mph/internal/mpi/perf"
+	"mph/internal/sock"
 )
 
 // abortSendTimeout bounds the per-peer effort of an abort broadcast: aborts
@@ -161,7 +161,7 @@ type Transport struct {
 	rank  int
 	peers []peer // indexed by world rank; the entry for rank itself is idle
 	env   *mpi.Env
-	ln    net.Listener
+	ln    *sock.Listener
 	cfg   netConfig
 
 	faults *faultSet // parsed MPH_FAULT rules, nil when no faults are injected
@@ -175,11 +175,11 @@ type Transport struct {
 
 	// Intra-host payload listener (shm.go), fixed at Init: nil and "" in a
 	// one-rank world or when the listener could not be created.
-	shmLn  net.Listener
+	shmLn  *sock.Listener
 	shmDir string // private socket directory, removed on Close
 
 	mu      sync.Mutex
-	inbound map[net.Conn]struct{} // accepted connections of both carriers, each until its reader exits
+	inbound map[*sock.Conn]struct{} // accepted connections of both carriers, each until its reader exits
 
 	stop chan struct{} // closed by Close, under mu; cancels dial backoff and heartbeats
 
@@ -259,11 +259,24 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	if err != nil {
 		return nil, nil, err
 	}
+	// Every address a rank binds or dials is an IP literal: a host name in
+	// MPH_DEBUG_ADDR (here), MPH_BIND (ListenAddr) or MPH_RENDEZVOUS
+	// (Register) fails Init at once, naming the variable.
+	var debugAddr string
+	if base := os.Getenv(perf.EnvDebugAddr); base != "" {
+		if debugAddr, err = perf.DebugAddr(base, rank); err != nil {
+			return nil, nil, err
+		}
+	}
 	// Bind where the launcher said to (MPH_BIND; loopback by default) and
 	// advertise an address peers on other hosts can dial: the wildcard bind
 	// advertises the routable interface address, not 0.0.0.0.
 	bind := os.Getenv(bootstrap.EnvBind)
-	ln, err := net.Listen("tcp", bootstrap.ListenAddr(bind))
+	laddr, err := bootstrap.ListenAddr(bind)
+	if err != nil {
+		return nil, nil, err
+	}
+	ln, err := sock.Listen("tcp", laddr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tcpnet: listen: %w", err)
 	}
@@ -293,7 +306,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		cfg:     cfg,
 		faults:  faults,
 		pool:    mpi.NewPacketPool(maxPooledFrame),
-		inbound: make(map[net.Conn]struct{}),
+		inbound: make(map[*sock.Conn]struct{}),
 		stop:    make(chan struct{}),
 		waiters: make(map[uint64]waiter),
 		rdvIn:   make(map[rdvKey]*mpi.Packet),
@@ -322,8 +335,8 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	if off, bound, ok := sess.ClockOffset(); ok {
 		pv.SetClockOffset(off, bound)
 	}
-	if base := os.Getenv(perf.EnvDebugAddr); base != "" {
-		srv, err := perf.Serve(base, rank, pv)
+	if debugAddr != "" {
+		srv, err := perf.Serve(debugAddr, pv)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: debug endpoint: %v\n", rank, err)
 		} else {
@@ -681,15 +694,12 @@ func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 // endpoint or (local=true) the intra-host payload socket — and spawns a
 // reader per connection. Accepted connections of both carriers are
 // registered in t.inbound so Close and severAll tear them all down.
-func (t *Transport) acceptLoop(ln net.Listener, local bool) {
+func (t *Transport) acceptLoop(ln *sock.Listener, local bool) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true)
 		}
 		t.mu.Lock()
 		if t.isClosed() {

@@ -12,6 +12,7 @@ import (
 	"mph/internal/core"
 	"mph/internal/grid"
 	"mph/internal/mpi"
+	"mph/internal/mpi/perf"
 	"mph/internal/mpi/tcpnet"
 	"mph/internal/xfer"
 )
@@ -248,6 +249,31 @@ func TestInitBadRank(t *testing.T) {
 	}
 	if _, err := tcpnet.Init(-1, 2, "127.0.0.1:1"); err == nil {
 		t.Fatal("negative rank accepted")
+	}
+}
+
+// TestInitRejectsNames: a rank resolves no names, so a host name in any
+// address it binds or dials fails Init at once, naming the variable.
+func TestInitRejectsNames(t *testing.T) {
+	cases := []struct{ env, value, rendezvous string }{
+		{bootstrap.EnvBind, "node-a", "127.0.0.1:1"},
+		{perf.EnvDebugAddr, "localhost:7170", "127.0.0.1:1"},
+		{bootstrap.EnvRendezvous, "", "localhost:4000"},
+	}
+	for _, c := range cases {
+		t.Run(c.env, func(t *testing.T) {
+			if c.value != "" {
+				t.Setenv(c.env, c.value)
+			}
+			start := time.Now()
+			_, err := tcpnet.Init(0, 2, c.rendezvous)
+			if err == nil || !strings.Contains(err.Error(), c.env) {
+				t.Fatalf("Init: %v, want an error naming %s", err, c.env)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("Init took %v to reject a host name", d)
+			}
+		})
 	}
 }
 

@@ -26,6 +26,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"net"
+	"net/netip"
 	"os"
 	"strings"
 	"sync"
@@ -89,6 +91,10 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if rvBind == "" && sp.WantsRoutable() {
 		// Remote ranks must be able to dial back; loopback would strand them.
 		rvBind = "0.0.0.0"
+	}
+	rvBind, err := resolveBind(ctx, rvBind)
+	if err != nil {
+		return err
 	}
 	var every time.Duration
 	var ingest func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)
@@ -279,6 +285,26 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		return ctx.Err()
 	}
 	return failureReport(spec, exitErr, primary)
+}
+
+// resolveBind turns a host-name bind into one IP, IPv4 first as net.Listen
+// picks, which the rendezvous binds and advertises and every rank receives
+// as MPH_BIND: ranks resolve no names. "", "*" and IP literals pass as they
+// are.
+func resolveBind(ctx context.Context, bind string) (string, error) {
+	if _, err := netip.ParseAddr(strings.Trim(bind, "[]")); err == nil || bind == "" || bind == "*" {
+		return bind, nil
+	}
+	ips, err := net.DefaultResolver.LookupNetIP(ctx, "ip", bind)
+	if err != nil {
+		return "", fmt.Errorf("mpirun: resolve bind host: %w", err)
+	}
+	for _, ip := range ips {
+		if ip.Unmap().Is4() {
+			return ip.Unmap().String(), nil
+		}
+	}
+	return ips[0].String(), nil // a lookup without error found an address
 }
 
 // hostBlock pairs a placement host with its assembled Block.

@@ -331,6 +331,7 @@ type LaunchSpec struct {
 	// Bind is the host or IP the rendezvous and every rank's listener bind
 	// ("" = backend default: loopback unless the spawner wants routable
 	// addresses, in which case all interfaces with a detected routable IP).
+	// Launch resolves a host name to one IP before any rank sees it.
 	Bind string
 	// Quiet suppresses the launcher's informational banner (benchmark
 	// harnesses that launch hundreds of jobs).

@@ -23,14 +23,17 @@
 #   that differs from the in-process run;
 # - the session race pass repeats TestLaunchStats: -stats prints only the
 #   final reports ranks send over their sessions, so every one of them must
-#   be in when Launch returns, on every run;
+#   be in when Launch returns, on every run; it covers the socket layer the
+#   sessions and the streams run on, internal/sock, whole;
 # - the bench smoke runs every Benchmark* once, so every experiment of
 #   EXPERIMENTS.md keeps a command that executes (one harness: go test -bench);
 # - the launcher smokes drive the remote-spawn path end to end without an
 #   sshd: the exec backend is one "mphrun agent" per host speaking the block
 #   protocol over a pipe, host names are placement labels;
 # - the closing line count and stripped size of examples/climate are the next
-#   PR's baselines in the log.
+#   PR's baselines in the log; the default build of examples/climate must
+#   have no ELF interpreter: a rank links no libc (DESIGN.md, "What a rank
+#   links").
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -49,6 +52,7 @@ go test -run 'TestCoupledPeriodAllocBudget|TestCoupledRunOverTCPRendezvous' -rac
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
+go test -race ./internal/sock
 go test -run 'TestLaunchStats$' -race -count=5 ./cmd/mphrun
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
 go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s ./internal/mpirun
@@ -167,10 +171,13 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,391 before the matching engine
-# became two FIFO lists, 16,102 after) and the stripped size of a component
-# executable (3,543,332 bytes before, 3,531,044 after), printed for later
-# comparison.
+# Non-test Go lines outside benchmark/ (16,129 before the rank side dropped
+# net, 16,571 after) and the stripped size of a component executable
+# (3,531,044 bytes before, 3,150,008 after), printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
+if readelf -l "$smoke/climate" | grep INTERP; then
+    echo "examples/climate is linked dynamically: something a rank imports has cgo files"
+    exit 1
+fi

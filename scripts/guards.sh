@@ -68,10 +68,12 @@ if grep -rn 'SetGCPercent\|SetMemoryLimit\|FreeOSMemory\|GOGC\|GOMEMLIMIT' \
 fi
 # One selector: exactly one non-test file of internal/mpi counts an algorithm.
 test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
-# Link budget: nothing a rank is built from may pull in the HTTP/TLS stack,
-# process spawning or the launcher (DESIGN.md §14, "What a rank links").
+# Link budget: nothing a rank is built from may pull in net (whose cgo
+# resolver links libc and the dynamic loader into every rank), runtime/cgo,
+# the HTTP/TLS stack, process spawning or the launcher (DESIGN.md §14, "What
+# a rank links").
 if go list -deps ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/climate ./examples/mcme |
-    grep -x 'net/http\|crypto/tls\|os/exec\|mph/internal/mpirun'; then
+    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun'; then
     exit 1
 fi
 test -z "$(gofmt -l .)"
