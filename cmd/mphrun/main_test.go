@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -47,6 +49,13 @@ func TestMain(m *testing.M) {
 //	MPH_TEST_FAIL_RANK     this rank exits 3 right after the handshake
 //	MPH_TEST_HANG_RANK     this rank sleeps instead of participating, so
 //	                       only the launcher's grace kill can end it
+//	MPH_TEST_EXIT_RANK     "R[,how]": rank R leaves right after the
+//	                       handshake, once beta says it is about to block
+//	                       on it — closes its env and exits 0, or exits
+//	                       with code how after the close, or with how "kill"
+//	                       sends itself SIGKILL
+//	MPH_TEST_RECV_LOG      beta writes how long its receive took, in
+//	                       nanoseconds, and the error it returned to this file
 //	MPH_TEST_EXPECT_HOSTS  comma-separated host of each rank; the worker
 //	                       verifies the published topology and a split by it
 //	MPH_TEST_SPIN          per-rank imbalance: every rank sleeps rank×SPIN
@@ -92,7 +101,20 @@ func worker() int {
 		time.Sleep(5 * time.Minute)
 		os.Exit(0)
 	}
-	const tag = 4
+	const tag, readyTag = 4, 5
+	exitRank, how, _ := strings.Cut(os.Getenv("MPH_TEST_EXIT_RANK"), ",")
+	if exitRank == strconv.Itoa(world.Rank()) {
+		if _, _, err := world.Recv(world.Size()-1, readyTag); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		if how == "kill" {
+			syscall.Kill(os.Getpid(), syscall.SIGKILL)
+		}
+		env.Close()
+		code, _ := strconv.Atoi(how)
+		os.Exit(code)
+	}
 	msg := []byte("launched")
 	if n, err := strconv.Atoi(os.Getenv("MPH_TEST_MSG_BYTES")); err == nil && n > len(msg) {
 		msg = append(msg, make([]byte, n-len(msg))...)
@@ -104,7 +126,17 @@ func worker() int {
 			return 1
 		}
 	case name == "beta":
+		if r, err := strconv.Atoi(exitRank); err == nil {
+			if err := world.Send(r, readyTag, nil); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 1
+			}
+		}
+		start := time.Now()
 		data, _, err := s.RecvFrom("alpha", 1, tag)
+		if path := os.Getenv("MPH_TEST_RECV_LOG"); path != "" {
+			os.WriteFile(path, []byte(fmt.Sprintf("%d %v", time.Since(start), err)), 0o644)
+		}
 		if err != nil || !bytes.Equal(data, msg) {
 			fmt.Fprintf(os.Stderr, "beta recv: %d bytes, want %d: %v\n", len(data), len(msg), err)
 			return 1
@@ -334,6 +366,74 @@ func TestLaunchFailureReport(t *testing.T) {
 	if !strings.Contains(msg, "exe0") || !strings.Contains(msg, "exe1") {
 		t.Errorf("report %q is not grouped per executable", msg)
 	}
+}
+
+// TestLaunchPeerExit times a receive blocked on a rank that leaves, through
+// real processes: rank 1 leaves right after the handshake while beta (rank 2)
+// blocks in RecvFrom on it. The launcher's down line, not a timer, ends the
+// receive — in milliseconds when rank 1 closed cleanly, no later than the
+// launcher's abort when it was killed. And the report's first failure is
+// causal: rank 1 when it failed, though the survivors that reacted to its
+// down line may be reaped before it.
+func TestLaunchPeerExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for _, c := range []struct {
+		name, exit string
+		errs       []string // what beta's receive may return
+		first      bool     // the report names rank 1 as the first failure
+	}{
+		{"exit 0 after a clean Close", "1", []string{"peer rank 1 lost"}, false},
+		{"SIGKILL", "1,kill", []string{"peer rank 1 lost", "job aborted"}, true},
+		{"exit 1 after a clean Close", "1,1", []string{"peer rank 1 lost"}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			recvLog := filepath.Join(t.TempDir(), "recv")
+			t.Setenv("MPH_TEST_WORKER", "1")
+			t.Setenv("MPH_TEST_EXIT_RANK", c.exit)
+			t.Setenv("MPH_TEST_RECV_LOG", recvLog)
+			spec := selfSpec(t, 2, nil, mpirun.PlaceBlock)
+			spec.Registration = writeRegistration(t)
+			spec.Timeout = 60 * time.Second
+			err := mpirun.Launch(context.Background(), spec)
+			if err == nil {
+				t.Fatal("launch succeeded though beta's receive could not")
+			}
+			msg := err.Error()
+			if named := firstFailure.FindString(msg); c.first && !strings.HasPrefix(named, "rank 1:") {
+				t.Errorf("report %q does not name rank 1 as the first failure", msg)
+			} else if !c.first && strings.Contains(msg, "rank 1:") {
+				t.Errorf("report %q lists rank 1, which exited 0", msg)
+			}
+			out, rerr := os.ReadFile(recvLog)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			ns, recvErr, _ := strings.Cut(string(out), " ")
+			took, _ := strconv.ParseInt(ns, 10, 64)
+			if !containsAny(recvErr, c.errs) {
+				t.Errorf("beta's receive returned %q, want one of %q", recvErr, c.errs)
+			}
+			if d := time.Duration(took); d <= 0 || d > time.Second {
+				t.Errorf("beta's receive returned after %v, want under 1s", d)
+			}
+			t.Logf("beta's receive returned after %v: %s", time.Duration(took), recvErr)
+		})
+	}
+}
+
+// firstFailure finds the rank a failure report calls the first failure.
+var firstFailure = regexp.MustCompile(`rank \d+: [^;\n]* \(first failure\)`)
+
+// containsAny reports whether s contains one of subs.
+func containsAny(s string, subs []string) bool {
+	for _, sub := range subs {
+		if strings.Contains(s, sub) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestLaunchMultiHostExec runs a 4-rank job placed on two hosts (2 slots

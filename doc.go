@@ -21,8 +21,8 @@
 //     Comm_split/Dup, a two-queue matching engine (UMQ/PRQ), typed failure
 //     semantics (ErrPeerLost, ErrAborted, Comm.Abort), an in-process
 //     transport for tests and an inter-process TCP transport
-//     (internal/mpi/tcpnet) with dial retry, heartbeats, a peer-failure
-//     detector, abort frames, and deterministic fault injection.
+//     (internal/mpi/tcpnet) with dial retry, peer death taken from the
+//     launcher's session, abort frames, and deterministic fault injection.
 //   - internal/mpi/perf — the MPI_T-style tool layer: per-rank performance
 //     variables, an event tracer, and the MPH_DEBUG_ADDR live endpoint.
 //   - internal/registry — the processors_map.in registration file.

@@ -34,7 +34,7 @@ func TestAbortFrameRoundTrip(t *testing.T) {
 	got := make(chan abort, 2*len(cases)) // room for every line sent
 	served := make(chan struct{})
 	go func() {
-		s.Serve(func(code, origin int) { got <- abort{code, origin} })
+		s.Serve(func(code, origin int) { got <- abort{code, origin} }, func(int, bool) {})
 		close(served)
 	}()
 	lc := NewLineConn(launcher)

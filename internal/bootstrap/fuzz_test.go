@@ -56,6 +56,9 @@ func FuzzSession(f *testing.F) {
 	f.Add([]byte(both + `{"kind":"ping","seq":1,"t0":5}` + "\n" + `{"kind":"ping","seq":2,"t0":6}` + "\n"))
 	f.Add([]byte(both + `{"kind":"report","seq":1,"snap":{"world_rank":1}}` + "\n" + `{"kind":"report","seq":2,"final":true,"snap":{"host":"h"}}` + "\n"))
 	f.Add([]byte(both + `{"kind":"abort","code":9,"origin":1}` + "\n"))
+	f.Add([]byte(both + `{"kind":"bye"}` + "\n"))                                                             // rank 0 ends cleanly: rank 1 gets a final down
+	f.Add([]byte(both + `{"kind":"report","seq":1}` + "\n" + `{"kind":"bye","final":true}` + "\n"))           // rank 1's bye
+	f.Add([]byte(both + `{"kind":"down","rank":1,"final":true}` + "\n" + `{"kind":"down","rank":-3}` + "\n")) // down lines go launcher → rank only
 	f.Add([]byte(both + `{"kind":"book","book":[{"addr":"x"}]}` + "\n" + `{"kind":"pong","ts":1}` + "\n" + reg(0) + `{"kind":"report"}` + "\n"))
 	f.Add([]byte(reg(0) + reg(2)))                                     // a rank out of range
 	f.Add([]byte(reg(-1) + reg(0)))                                    // a negative rank
@@ -107,7 +110,7 @@ func FuzzSession(f *testing.F) {
 					cli.Close() // EOF ends a registration with no newline
 				}
 			}()
-			go func() { // the book, then pongs and relayed aborts until the pipe closes
+			go func() { // the book, then pongs, relayed aborts and down lines until the pipe closes
 				defer wg.Done()
 				lc := NewLineConn(cli)
 				bookErr[c] <- lc.Recv(&books[c])

@@ -21,7 +21,8 @@ var ErrRendezvousClosed = errors.New("bootstrap: rendezvous closed")
 // accepts one connection per rank, reads each registration, answers them
 // all with the complete endpoint book once the world has registered, and
 // then serves each session until its rank hangs up — answering clock-sync
-// pings, handing reports to the aggregator and relaying aborts.
+// pings, handing reports to the aggregator, relaying aborts, and telling
+// every other rank when a session ends.
 type Rendezvous struct {
 	ln         listener
 	size       int
@@ -33,6 +34,7 @@ type Rendezvous struct {
 
 	mu       sync.Mutex
 	sessions []*session // by rank once the book is out; nil where the rank has hung up
+	ended    []int      // ranks in the order their sessions ended
 }
 
 // listener is what Serve accepts sessions on: a *sock.Listener, or in-memory
@@ -60,7 +62,8 @@ type session struct {
 	ep   Endpoint
 	conn conn
 	lc   *LineConn
-	done chan struct{} // closed once the session has ended
+	bye  bool          // the rank said bye: its session ends cleanly
+	done chan struct{} // closed once the session has ended and the others were told
 }
 
 // NewRendezvous starts the exchange for a world of the given size on a
@@ -242,13 +245,17 @@ func (r *Rendezvous) admit(conn conn, deadline time.Time) (*session, error) {
 }
 
 // serve runs one rank's session after the book until the rank hangs up, its
-// line is bad, or Close cuts it off.
+// line is bad, or Close cuts it off. However it ends, that is the rank's
+// death to the job: every other open session gets a down line naming it,
+// final if the rank said bye, and the end is numbered for Ended.
 func (r *Rendezvous) serve(s *session) {
 	defer func() {
 		r.mu.Lock()
 		r.sessions[s.rank] = nil
+		r.ended = append(r.ended, s.rank)
 		r.mu.Unlock()
 		s.conn.Close()
+		r.broadcast(msg{Kind: "down", Rank: s.rank, Final: s.bye}, s.rank)
 		close(s.done)
 	}()
 	for {
@@ -270,6 +277,8 @@ func (r *Rendezvous) serve(s *session) {
 			r.ingest(s.rank, snap, m.Seq, m.Final, time.Now())
 		case "abort":
 			r.broadcast(msg{Kind: "abort", Code: m.Code, Origin: s.rank}, s.rank)
+		case "bye":
+			s.bye = true
 		}
 	}
 }
@@ -300,6 +309,14 @@ func (r *Rendezvous) broadcast(m msg, except int) {
 // with code; their blocked MPI calls fail with origin AbortOriginLauncher.
 func (r *Rendezvous) Abort(code int) {
 	r.broadcast(msg{Kind: "abort", Code: code, Origin: AbortOriginLauncher}, AbortOriginLauncher)
+}
+
+// Ended returns the ranks whose sessions have ended, in the order they
+// ended. Once Close has returned it holds every rank of a wired world.
+func (r *Rendezvous) Ended() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]int(nil), r.ended...)
 }
 
 // Close ends the rendezvous. An exchange still in progress is canceled:

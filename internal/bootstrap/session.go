@@ -21,6 +21,8 @@ import (
 //	launcher → rank   {"kind":"pong","seq":k,"ts":<launcher clock ns>}
 //	rank → launcher   {"kind":"report","seq":n,"final":F,"snap":{…}}     when S
 //	either way        {"kind":"abort","code":C,"origin":O}
+//	rank → launcher   {"kind":"bye"}                                    on a clean Close
+//	launcher → rank   {"kind":"down","rank":R,"final":F}
 //
 // The book goes out once every rank of the world has registered. S says the
 // launcher aggregates telemetry: the rank clock-syncs right after the book,
@@ -29,9 +31,11 @@ import (
 // relayed by the launcher to every other session with origin set to the
 // sender's rank; the launcher's own carries AbortOriginLauncher. The launcher
 // reads EOF when the rank hangs up, so once every session has ended every
-// report a rank sent is in. A report's snapshot is encoded on its own: a
-// rank that never reports never builds perf.Snapshot's encoder, a quarter
-// of a millisecond of its start-up.
+// report a rank sent is in. A rank's session ending is its death to the job:
+// the launcher writes down on every other session, F saying whether the rank
+// said bye first (a clean Close, not a crash). A report's snapshot is
+// encoded on its own: a rank that never reports never builds perf.Snapshot's
+// encoder, a quarter of a millisecond of its start-up.
 type msg struct {
 	Kind   string          `json:"kind"`
 	Rank   int             `json:"rank,omitempty"`
@@ -172,6 +176,10 @@ func (s *Session) Report(snap perf.Snapshot, final bool) error {
 	return s.send(msg{Kind: "report", Seq: s.seq.Add(1), Final: final, Snap: raw})
 }
 
+// Bye tells the launcher the session is about to end cleanly: the down line
+// the other ranks get says so.
+func (s *Session) Bye() error { return s.send(msg{Kind: "bye"}) }
+
 // Abort tells the launcher this rank aborted the job with code; the
 // launcher relays it to every other rank.
 func (s *Session) Abort(code int) error {
@@ -185,15 +193,20 @@ func (s *Session) send(m msg) error {
 
 // Serve reads what the launcher sends after the book until the session
 // ends — Close, or the launcher hanging up — and hands every abort to
-// onAbort. Only one goroutine may serve a session.
-func (s *Session) Serve(onAbort func(code, origin int)) {
+// onAbort and every down line to onDown. The rank a down line names comes
+// from outside the process: onDown checks it. Only one goroutine may serve a
+// session.
+func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, final bool)) {
 	for {
 		var m msg
 		if s.lc.Recv(&m) != nil {
 			return
 		}
-		if m.Kind == "abort" {
+		switch m.Kind {
+		case "abort":
 			onAbort(m.Code, m.Origin)
+		case "down":
+			onDown(m.Rank, m.Final)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestSessionAbortRelay(t *testing.T) {
 	seen := make(chan abortSeen, 4*n)
 	for rank, s := range sessions {
 		defer s.Close()
-		go s.Serve(func(code, origin int) { seen <- abortSeen{rank, code, origin} })
+		go s.Serve(func(code, origin int) { seen <- abortSeen{rank, code, origin} }, func(int, bool) {})
 	}
 	expect := func(want map[abortSeen]bool) {
 		t.Helper()
@@ -121,6 +121,67 @@ func TestSessionAbortRelay(t *testing.T) {
 	select {
 	case a := <-seen:
 		t.Fatalf("abort %+v delivered twice or to its sender", a)
+	default:
+	}
+}
+
+// downSeen is one down line a rank's Serve handed its callback.
+type downSeen struct {
+	rank, dead int
+	final      bool
+}
+
+// TestSessionDownRelay: a session's end reaches every other open session as
+// a down line naming its rank — final when the rank said bye first, not when
+// it just hung up — never the ended rank itself, and Ended numbers the ends
+// in order.
+func TestSessionDownRelay(t *testing.T) {
+	const n = 3
+	rv, err := NewRendezvous(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := serveWorld(rv, 10*time.Second)
+	sessions := registerAll(t, rv, n, func(rank int) Endpoint { return Endpoint{Addr: addrFor(rank)} })
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+	seen := make(chan downSeen, n*n)
+	for rank, s := range sessions {
+		go s.Serve(func(int, int) {}, func(dead int, final bool) { seen <- downSeen{rank, dead, final} })
+	}
+	expect := func(want ...downSeen) {
+		t.Helper()
+		for _, w := range want {
+			select {
+			case d := <-seen:
+				if d != w {
+					t.Fatalf("down line %+v, want %+v", d, w)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("down line %+v never delivered", w)
+			}
+		}
+	}
+	if err := sessions[1].Bye(); err != nil {
+		t.Fatal(err)
+	}
+	sessions[1].Close()
+	got := []downSeen{<-seen, <-seen}
+	sort.Slice(got, func(i, j int) bool { return got[i].rank < got[j].rank })
+	if want := []downSeen{{0, 1, true}, {2, 1, true}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after rank 1's bye: %+v, want %+v", got, want)
+	}
+	sessions[2].Close() // no bye: a crash, to the launcher
+	expect(downSeen{0, 2, false})
+	sessions[0].Close()
+	rv.Close()
+	if ended := rv.Ended(); !reflect.DeepEqual(ended, []int{1, 2, 0}) {
+		t.Errorf("Ended = %v, want [1 2 0]", ended)
+	}
+	select {
+	case d := <-seen:
+		t.Fatalf("extra down line %+v", d)
 	default:
 	}
 }

@@ -10,10 +10,10 @@ import (
 //
 // Two failure classes exist:
 //
-//   - Peer loss: one rank of the world is gone (its process died, its host
-//     became unreachable, its connection went silent past the heartbeat
-//     budget). Operations addressing that rank fail with *ErrPeerLost;
-//     traffic among surviving ranks continues.
+//   - Peer loss: one rank of the world is gone (its session with the
+//     launcher ended — it exited, crashed or closed — or a send to it spent
+//     its dial budget). Operations addressing that rank fail with
+//     *ErrPeerLost; traffic among surviving ranks continues.
 //   - Abort: the whole job is coming down (Comm.Abort, a launcher-initiated
 //     abort, or a failed registration handshake). Every pending and future
 //     operation on the rank fails with an *AbortError wrapping ErrAborted.
@@ -53,8 +53,9 @@ func (e *AbortError) Unwrap() error { return ErrAborted }
 // ErrPeerLost is the typed error returned by operations that address a world
 // rank the transport has declared dead: in-flight receives posted for the
 // rank, future receives naming it, and sends to it. Recover it with
-// errors.As; Cause carries the transport-level evidence (connection reset,
-// heartbeat timeout, dial failure after retries).
+// errors.As; Cause carries the transport-level evidence (the launcher's word
+// that the rank's session ended, a dial failure after retries, a write that
+// failed twice).
 type ErrPeerLost struct {
 	// Rank is the lost peer's world rank.
 	Rank int

@@ -51,7 +51,7 @@ func TestFaultErrAbortedUnwrap(t *testing.T) {
 	}
 }
 
-// TestFaultEnginePeerLost drives the failure detector's engine hook directly:
+// TestFaultEnginePeerLost drives the transport's peer-loss hook directly:
 // losing a peer fails blocked and future receives from it with *ErrPeerLost,
 // leaves messages it sent before dying consumable (the UMQ is consulted
 // first), and leaves traffic with surviving ranks untouched.
@@ -206,7 +206,7 @@ func TestChaosAbortDuringRingCollective(t *testing.T) {
 	}
 }
 
-// TestChaosPeerLostMidRing injects the failure detector's verdict while
+// TestChaosPeerLostMidRing injects a peer-loss verdict while
 // survivors sit mid-ring: rank 0 never enters the forced-ring Allreduce, so
 // its ring successor blocks on a receive only rank 0 could satisfy. Declaring
 // rank 0 dead must fail that receive with *ErrPeerLost; the observing rank

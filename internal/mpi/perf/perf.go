@@ -215,11 +215,9 @@ type NetCounters struct {
 	BytesIn   atomic.Uint64 // total bytes read
 	Dials     atomic.Uint64 // outbound connections established
 
-	// Fault-tolerance counters: retry, liveness, and failure traffic.
+	// Fault-tolerance counters: retry and failure traffic.
 	DialRetries    atomic.Uint64 // dial attempts after the first, per connection
-	HeartbeatsOut  atomic.Uint64 // heartbeat frames written on idle connections
-	HeartbeatsIn   atomic.Uint64 // heartbeat frames read
-	PeersLost      atomic.Uint64 // world ranks declared dead by the failure detector
+	PeersLost      atomic.Uint64 // world ranks declared dead, clean closes aside
 	AbortsOut      atomic.Uint64 // abort frames broadcast by this rank
 	AbortsIn       atomic.Uint64 // abort frames received
 	FaultsInjected atomic.Uint64 // MPH_FAULT rule firings (testing only)
@@ -290,8 +288,6 @@ type NetSnap struct {
 	Dials     uint64 `json:"dials"`
 
 	DialRetries    uint64 `json:"dial_retries,omitempty"`
-	HeartbeatsOut  uint64 `json:"heartbeats_out,omitempty"`
-	HeartbeatsIn   uint64 `json:"heartbeats_in,omitempty"`
 	PeersLost      uint64 `json:"peers_lost,omitempty"`
 	AbortsOut      uint64 `json:"aborts_out,omitempty"`
 	AbortsIn       uint64 `json:"aborts_in,omitempty"`
@@ -674,8 +670,6 @@ func (r *Rank) Snapshot() Snapshot {
 		Dials:     r.Net.Dials.Load(),
 
 		DialRetries:    r.Net.DialRetries.Load(),
-		HeartbeatsOut:  r.Net.HeartbeatsOut.Load(),
-		HeartbeatsIn:   r.Net.HeartbeatsIn.Load(),
 		PeersLost:      r.Net.PeersLost.Load(),
 		AbortsOut:      r.Net.AbortsOut.Load(),
 		AbortsIn:       r.Net.AbortsIn.Load(),

@@ -92,12 +92,9 @@ func TestFaultConfigFromEnv(t *testing.T) {
 	t.Setenv(EnvDialBackoff, "10ms")
 	t.Setenv(EnvDialBackoffMax, "1s")
 	t.Setenv(EnvWriteTimeout, "7s")
-	t.Setenv(EnvHeartbeat, "250ms")
-	t.Setenv(EnvPeerTimeout, "2s")
 	cfg := configFromEnv()
 	if cfg.dialTimeout != 3*time.Second || cfg.dialBase != 10*time.Millisecond ||
-		cfg.dialMax != time.Second || cfg.writeTimeout != 7*time.Second ||
-		cfg.heartbeat != 250*time.Millisecond || cfg.peerTimeout != 2*time.Second {
+		cfg.dialMax != time.Second || cfg.writeTimeout != 7*time.Second {
 		t.Errorf("configFromEnv ignored the environment: %+v", cfg)
 	}
 

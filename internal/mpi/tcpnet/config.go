@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// Environment variables tuning the transport's fault-tolerance behavior.
-// Every knob has a production-safe default; OPERATIONS.md documents when to
-// turn each one.
+// Environment variables tuning how a send judges its own dial and write.
+// Whether a peer is alive is not tuned here: the launcher says when a rank's
+// session ends (Transport.downDelivered). Every knob has a production-safe
+// default; OPERATIONS.md documents when to turn each one.
 const (
 	// EnvDialTimeout is the total budget for establishing one outbound
 	// connection, including every backoff retry (default 30s).
@@ -22,15 +23,6 @@ const (
 	// (default 30s). A peer that stops draining its socket for longer is
 	// treated as failed.
 	EnvWriteTimeout = "MPH_WRITE_TIMEOUT"
-	// EnvHeartbeat is the idle interval after which a heartbeat frame is
-	// written on an established outbound connection (default 2s), keeping
-	// the peer's read-side failure detector fed.
-	EnvHeartbeat = "MPH_HEARTBEAT"
-	// EnvPeerTimeout is how long an inbound connection may stay silent —
-	// and how long a lost connection may stay unre-established — before the
-	// peer behind it is declared dead (default 8s). It must comfortably
-	// exceed EnvHeartbeat.
-	EnvPeerTimeout = "MPH_PEER_TIMEOUT"
 	// EnvFault injects deterministic transport faults for chaos testing;
 	// see ParseFaultSpec for the grammar. Never set it in production.
 	EnvFault = "MPH_FAULT"
@@ -53,8 +45,6 @@ type netConfig struct {
 	dialBase     time.Duration // backoff base delay
 	dialMax      time.Duration // backoff cap (also the per-attempt dial timeout)
 	writeTimeout time.Duration // per-frame write deadline
-	heartbeat    time.Duration // idle interval before a heartbeat is written
-	peerTimeout  time.Duration // inbound silence / reconnect window before peer death
 
 	// eagerThreshold is the rendezvous switch in payload bytes,
 	// DefaultEagerThreshold; tests overwrite it before the first send to
@@ -69,8 +59,6 @@ func defaultConfig() netConfig {
 		dialBase:     50 * time.Millisecond,
 		dialMax:      2 * time.Second,
 		writeTimeout: 30 * time.Second,
-		heartbeat:    2 * time.Second,
-		peerTimeout:  8 * time.Second,
 
 		eagerThreshold: DefaultEagerThreshold,
 	}
@@ -84,8 +72,6 @@ func configFromEnv() netConfig {
 	c.dialBase = envDuration(EnvDialBackoff, c.dialBase)
 	c.dialMax = envDuration(EnvDialBackoffMax, c.dialMax)
 	c.writeTimeout = envDuration(EnvWriteTimeout, c.writeTimeout)
-	c.heartbeat = envDuration(EnvHeartbeat, c.heartbeat)
-	c.peerTimeout = envDuration(EnvPeerTimeout, c.peerTimeout)
 	return c
 }
 

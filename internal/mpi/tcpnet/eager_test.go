@@ -309,8 +309,6 @@ func TestEagerLifetimeCancelRace(t *testing.T) {
 // payload never fully arrived was dropped, not recycled — traffic from a
 // surviving rank runs through the same free list unharmed.
 func TestEagerLifetimePeerLostQueued(t *testing.T) {
-	t.Setenv(EnvHeartbeat, "50ms")
-	t.Setenv(EnvPeerTimeout, "250ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
 	trs, envs := startWorld(t, 3)

@@ -1,6 +1,8 @@
 package tcpnet
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -354,29 +356,22 @@ func TestFaultSeverRecovery(t *testing.T) {
 	}
 }
 
-// TestFaultPeerSilenceDetected exercises the read-deadline detector: a
-// connection that identifies itself and then goes silent — no traffic, no
-// heartbeats — must get its rank declared dead within the peer timeout,
-// failing a blocked receive with *mpi.ErrPeerLost.
-func TestFaultPeerSilenceDetected(t *testing.T) {
-	t.Setenv(EnvPeerTimeout, "500ms")
+// TestFaultSessionEndDeclaresPeerDown: a rank's death is its session with
+// the launcher ending. Rank 1 registers, runs no transport, and hangs up
+// while rank 0 is blocked in a receive from it: the launcher's down line
+// must fail that receive with *mpi.ErrPeerLost, counted as a loss — rank 1
+// said no bye.
+func TestFaultSessionEndDeclaresPeerDown(t *testing.T) {
 	rv, err := bootstrap.NewRendezvous(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rv.Close()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(30 * time.Second) }()
+	zombie := registerZombie(rv, 1, "127.0.0.1:9")
 
-	// Rank 1 is a zombie: it registers a throwaway address with the
-	// rendezvous but never runs a transport.
-	zln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zln.Close()
-	go registerZombie(rv, 1, zln.Addr().String())
-
-	tr, env, err := initTransport(0, 2, rv.Advertised())
+	_, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,38 +379,93 @@ func TestFaultPeerSilenceDetected(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
 	}
+	z := <-zombie
+	if z == nil {
+		t.Fatal("the zombie did not register")
+	}
 
 	blocked := make(chan error, 1)
 	go func() {
 		_, _, err := mpi.WorldComm(env).Recv(1, 1)
 		blocked <- err
 	}()
-
-	// The zombie introduces itself to rank 0 and then says nothing more.
-	conn, err := net.Dial("tcp", tr.ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(helloFrame(1, "")); err != nil {
-		t.Fatal(err)
-	}
-
+	z.Close()
 	select {
 	case err := <-blocked:
 		if rank, ok := mpi.IsPeerLost(err); !ok || rank != 1 {
 			t.Fatalf("blocked recv returned %v, want ErrPeerLost{Rank: 1}", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("silent peer was never declared dead")
+		t.Fatal("a rank whose session ended was never declared dead")
+	}
+	if lost := env.Perf().Net.PeersLost.Load(); lost != 1 {
+		t.Errorf("PeersLost = %d, want 1", lost)
 	}
 }
 
 // registerZombie stands in for a rank that registers an endpoint with the
-// rendezvous and then neither runs a transport nor says anything more.
-func registerZombie(rv *bootstrap.Rendezvous, rank int, addr string) {
-	if s, err := bootstrap.Register(rv.Advertised(), rank, bootstrap.Endpoint{Addr: addr}, 10*time.Second); err == nil {
-		s.Close()
+// rendezvous and then runs no transport. It delivers the session (nil if
+// registration failed), which stays open until the test closes it.
+func registerZombie(rv *bootstrap.Rendezvous, rank int, addr string) <-chan *bootstrap.Session {
+	zombie := make(chan *bootstrap.Session, 1)
+	go func() {
+		s, _ := bootstrap.Register(rv.Advertised(), rank, bootstrap.Endpoint{Addr: addr}, 10*time.Second)
+		zombie <- s
+	}()
+	return zombie
+}
+
+// TestDownLineNamingNoPeerIgnored: down lines come from outside the process,
+// so one naming this rank, a negative rank or a rank past the world is
+// ignored — no panic, no verdict on this rank, the session still served —
+// and the one naming a real peer still takes effect: final, so neither
+// printed nor counted as a loss.
+func TestDownLineNamingNoPeerIgnored(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hold := make(chan struct{})
+	defer close(hold)
+	go func() { // a launcher of a world of 2 whose rank 1 never registers
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var reg struct{ Addr string }
+		line, _ := bufio.NewReader(conn).ReadBytes('\n')
+		json.Unmarshal(line, &reg)
+		fmt.Fprintf(conn, `{"kind":"book","book":[{"addr":%q},{"addr":"127.0.0.1:9"}]}`+"\n", reg.Addr)
+		for _, rank := range []int{0, -1, 2, 1 << 40} {
+			fmt.Fprintf(conn, `{"kind":"down","rank":%d}`+"\n", rank)
+		}
+		fmt.Fprint(conn, `{"kind":"down","rank":1,"final":true}`+"\n")
+		<-hold
+	}()
+	tr, env, err := initTransport(0, 2, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	world := mpi.WorldComm(env)
+	if _, _, err := world.Recv(1, 1); err == nil {
+		t.Fatal("receive from rank 1 succeeded")
+	} else if rank, ok := mpi.IsPeerLost(err); !ok || rank != 1 {
+		t.Fatalf("receive from rank 1 = %v, want ErrPeerLost{Rank: 1}", err)
+	}
+	if err := tr.peers[0].deadErr(); err != nil {
+		t.Fatalf("a down line naming this rank condemned it: %v", err)
+	}
+	if err := world.Send(0, 2, []byte("self")); err != nil {
+		t.Fatalf("send to self after the down lines: %v", err)
+	}
+	if data, _, err := world.Recv(0, 2); err != nil || string(data) != "self" {
+		t.Fatalf("receive from self = %q, %v", data, err)
+	}
+	if lost := env.Perf().Net.PeersLost.Load(); lost != 0 {
+		t.Errorf("PeersLost = %d after a final down line, want 0", lost)
 	}
 }
 
@@ -430,7 +480,7 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 	defer rv.Close()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(30 * time.Second) }()
-	go registerZombie(rv, 1, "127.0.0.1:9")
+	zombie := registerZombie(rv, 1, "127.0.0.1:9")
 
 	_, env, err := initTransport(0, 2, rv.Advertised())
 	if err != nil {
@@ -439,6 +489,9 @@ func TestFaultAbortFrameUnblocks(t *testing.T) {
 	defer env.Close()
 	if err := <-serveErr; err != nil {
 		t.Fatal(err)
+	}
+	if z := <-zombie; z != nil {
+		defer z.Close() // a zombie that hung up would be a death, not an abort
 	}
 
 	blocked := make(chan error, 1)
@@ -506,17 +559,16 @@ func TestFaultAbortRelayedToUnconnectedRank(t *testing.T) {
 // (rank 0, blocked on a chunk only rank 4 can supply) must unblock with
 // *mpi.ErrPeerLost and escalates to Abort — the handshake's policy — which
 // must unblock the remaining survivors, each waiting on its predecessor, with
-// the typed abort error. Every survivor must end with one of the two typed
+// the typed abort error — or, where the down line for rank 4 gets there
+// first, with ErrPeerLost. Every survivor must end with one of the two typed
 // failures; zero hangs.
 func TestChaosDieFaultMidRing(t *testing.T) {
-	t.Setenv(EnvHeartbeat, "100ms")
-	t.Setenv(EnvPeerTimeout, "500ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
 	// Frames from rank 4: one ring chunk per reduce-scatter step. after=1
 	// lets step 0 through and kills the rank on its step 1 send — genuinely
-	// mid-ring, and after its step-0 send gave rank 0 the inbound stream whose
-	// abrupt loss feeds rank 0's failure detector.
+	// mid-ring. The die action hangs up its session too, so the launcher
+	// tells every survivor.
 	t.Setenv(EnvFault, "die,rank=4,after=1")
 
 	// The die action calls osExit after severing; in-test the "process" is a
@@ -598,18 +650,13 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	}
 }
 
-// TestChaosHeartbeatRedialCondemnsDeadPeer is the survivor that has only an
+// TestChaosDeathOfPeerReachedOnlyOutbound is the survivor that has only an
 // outbound stream to a peer that dies: rank 0 has sent to rank 1, rank 1
-// never to rank 0, so rank 0 has no inbound stream whose loss or silence
-// could raise suspicion. Rank 1 crashes — listener and connections gone —
-// while rank 0 is blocked in a receive from it. The heartbeat on rank 0's
-// outbound stream fails, its redial finds no listener, and the spent dial
-// budget condemns rank 1: the receive must end in ErrPeerLost, not hang.
-func TestChaosHeartbeatRedialCondemnsDeadPeer(t *testing.T) {
-	t.Setenv(EnvHeartbeat, "50ms")
-	t.Setenv(EnvPeerTimeout, "500ms")
-	t.Setenv(EnvDialTimeout, "500ms")
-	t.Setenv(EnvDialBackoff, "20ms")
+// never to rank 0, so rank 0 reads nothing from rank 1 that could end. Rank 1
+// crashes — listener, connections and session gone — while rank 0 is
+// blocked in a receive from it. The launcher's down line reaches rank 0
+// anyway: the receive must end in ErrPeerLost, not hang.
+func TestChaosDeathOfPeerReachedOnlyOutbound(t *testing.T) {
 
 	const victim = 1
 	trs, envs := startWorld(t, 2)
@@ -643,11 +690,9 @@ func TestChaosHeartbeatRedialCondemnsDeadPeer(t *testing.T) {
 // 4-rank MCME job (alpha on ranks 0-1, beta on ranks 2-3) completes the MPH
 // handshake, then rank 3's network is severed as abruptly as a crash while
 // the survivors run an Alltoall that depends on it. Every survivor must
-// unblock with a typed peer-loss error well within the failure-detector
-// window — zero hangs.
+// unblock with a typed peer-loss error once the victim's session ends — zero
+// hangs.
 func TestChaosPeerDeathUnblocksSurvivors(t *testing.T) {
-	t.Setenv(EnvHeartbeat, "100ms")
-	t.Setenv(EnvPeerTimeout, "500ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
 
@@ -695,8 +740,8 @@ func TestChaosPeerDeathUnblocksSurvivors(t *testing.T) {
 			}
 			<-ready
 			if rank == victim {
-				// The network-visible effect of a crash: listener and every
-				// connection gone, no goodbye.
+				// The network-visible effect of a crash: listener, every
+				// connection and the session gone, no bye.
 				trs[victim].severAll()
 				return
 			}

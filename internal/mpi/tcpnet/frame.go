@@ -18,16 +18,16 @@ import (
 // path — is never touched here: its writer sends it as a second iovec and its
 // reader reads it straight into the buffer that keeps it.
 
-// frame kinds. Kind 2 is unassigned: it was the Ssend release, and decode
-// rejects it like any other unknown byte.
+// frame kinds. Kinds 2 and 4 are unassigned: they were the Ssend release and
+// the idle-stream heartbeat, and decode rejects them like any other unknown
+// byte.
 const (
-	kindPacket    = 1 // an eager message: envelope, payload tail
-	kindHello     = 3 // first frame on every stream: sender's world rank, socket-path tail
-	kindHeartbeat = 4 // idle-connection liveness signal, empty
-	kindAbort     = 5 // job-wide abort: code and origin rank
-	kindRTS       = 6 // rendezvous request-to-send: envelope + id + promised length
-	kindCTS       = 7 // rendezvous clear-to-send: the id
-	kindRData     = 8 // rendezvous payload: sender's world rank + id, payload tail
+	kindPacket = 1 // an eager message: envelope, payload tail
+	kindHello  = 3 // first frame on every stream: sender's world rank, socket-path tail
+	kindAbort  = 5 // job-wide abort: code and origin rank
+	kindRTS    = 6 // rendezvous request-to-send: envelope + id + promised length
+	kindCTS    = 7 // rendezvous clear-to-send: the id
+	kindRData  = 8 // rendezvous payload: sender's world rank + id, payload tail
 )
 
 const (
@@ -61,13 +61,12 @@ type frameSpec struct {
 
 // frameTable maps a kind byte to its layout.
 var frameTable = [...]frameSpec{
-	kindPacket:    {name: "packet", fixed: packetHdrLen, maxTail: maxFrame, hasSrc: true, fault: framePacket},
-	kindHello:     {name: "hello", fixed: 8, maxTail: maxShmPath, unix: true, hasSrc: true},
-	kindHeartbeat: {name: "heartbeat"},
-	kindAbort:     {name: "abort", fixed: 8 + 8},
-	kindRTS:       {name: "rts", fixed: rtsHdrLen, hasSrc: true, fault: frameRTS},
-	kindCTS:       {name: "cts", fixed: 8, fault: frameCTS},
-	kindRData:     {name: "rdata", fixed: rdataHdrLen, maxTail: maxFrame, unix: true, hasSrc: true, fault: frameData},
+	kindPacket: {name: "packet", fixed: packetHdrLen, maxTail: maxFrame, hasSrc: true, fault: framePacket},
+	kindHello:  {name: "hello", fixed: 8, maxTail: maxShmPath, unix: true, hasSrc: true},
+	kindAbort:  {name: "abort", fixed: 8 + 8},
+	kindRTS:    {name: "rts", fixed: rtsHdrLen, hasSrc: true, fault: frameRTS},
+	kindCTS:    {name: "cts", fixed: 8, fault: frameCTS},
+	kindRData:  {name: "rdata", fixed: rdataHdrLen, maxTail: maxFrame, unix: true, hasSrc: true, fault: frameData},
 }
 
 // frame is the decoded fixed part of one frame; which fields mean anything

@@ -59,7 +59,7 @@ func checkRoundTrip(f frame, tail []byte) error {
 func neg(n int64) uint64 { return uint64(n) }
 
 // TestFrameRoundTrip is the accepting half of the codec table: for each of
-// the seven kinds, frames that must survive encode → decode unchanged, with
+// the six kinds, frames that must survive encode → decode unchanged, with
 // the exact bytes pinned wherever a row gives them.
 func TestFrameRoundTrip(t *testing.T) {
 	rows := []struct {
@@ -89,7 +89,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{name: "hello with socket path", f: frame{kind: kindHello, src: 3}, tail: "/tmp/mph-shm-test/r3.sock",
 			wire: wireOf(kindHello, []uint64{3}, "/tmp/mph-shm-test/r3.sock")},
 		{name: "hello, longest path", f: frame{kind: kindHello, src: 1}, tail: strings.Repeat("p", maxShmPath)},
-		{name: "heartbeat", f: frame{kind: kindHeartbeat}, wire: []byte{1, 0, 0, 0, kindHeartbeat}},
 		// The abort spelled out: length 1+16, kind, then code and origin as
 		// two's-complement i64s — the launcher's origin is -1.
 		{name: "abort", f: frame{kind: kindAbort, code: 5, origin: -1},
@@ -179,9 +178,11 @@ func TestFrameRejection(t *testing.T) {
 		{name: "oversized frame", wire: append(binary.LittleEndian.AppendUint32(nil, maxFrame+1), kindPacket)},
 		{name: "truncated body", wire: append(binary.LittleEndian.AppendUint32(nil, 100), append([]byte{kindPacket}, make([]byte, 9)...)...), want: io.ErrUnexpectedEOF},
 		{name: "kind 0", wire: []byte{1, 0, 0, 0, 0}, text: "unknown frame kind 0"},
-		// Kind 2 was the Ssend release; it left with Ssend and is refused
-		// like any byte the table does not assign.
+		// Kind 2 was the Ssend release, kind 4 the idle-stream heartbeat; they
+		// left with Ssend and with the heartbeat, and are refused like any
+		// byte the table does not assign.
 		{name: "kind 2, the retired ack", wire: wireOf(2, []uint64{9}, ""), text: "unknown frame kind 2"},
+		{name: "kind 4, the retired heartbeat", wire: []byte{1, 0, 0, 0, 4}, text: "unknown frame kind 4"},
 		{name: "kind past the table", wire: []byte{1, 0, 0, 0, byte(len(frameTable))}},
 		{name: "short packet body", wire: wireOf(kindPacket, []uint64{0}, "xx")},
 		{name: "bare packet kind", wire: []byte{1, 0, 0, 0, kindPacket}},
@@ -200,7 +201,6 @@ func TestFrameRejection(t *testing.T) {
 		{name: "long cts body", wire: wireOf(kindCTS, []uint64{42}, "x")},
 		{name: "short hello body", wire: wireOf(kindHello, nil, "123")},
 		{name: "hello path over the bound", wire: wireOf(kindHello, []uint64{1}, strings.Repeat("p", maxShmPath+1))},
-		{name: "heartbeat with a body", wire: wireOf(kindHeartbeat, nil, "x")},
 		{name: "short abort body", wire: wireOf(kindAbort, []uint64{1}, "")},
 		{name: "long abort body", wire: wireOf(kindAbort, []uint64{1, 2, 3}, "")},
 	}

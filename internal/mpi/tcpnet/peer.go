@@ -14,26 +14,25 @@ import (
 )
 
 // peer is everything this rank knows about one other world rank: both
-// outbound carriers, what its hello advertised, and the failure detector's
-// opinion of it. Transport.peers holds one per world rank, fixed at Init.
+// outbound carriers, what its hello advertised, and whether it is dead.
+// Transport.peers holds one per world rank, fixed at Init.
 //
 // A peer is unconnected until the first send dials it, connected while its
-// TCP stream is up, suspect once an inbound stream from it is lost (a hello
-// on a new stream clears that), and dead on the detector's verdict — dial
-// budget spent, read silence, or a suspicion nobody cleared (DESIGN.md §9).
-// Dead is final: both carriers close and every later send fails fast.
+// TCP stream is up, and dead once the launcher says its session ended or a
+// send to it spent its dial budget or failed its write twice (DESIGN.md §9).
+// A lost stream alone is no verdict: a live peer redials. Dead is final:
+// both carriers close and every later send fails fast.
 type peer struct {
 	t    *Transport
 	rank int
 	addr string // TCP listener, from the rendezvous address book
 
 	mu       sync.Mutex
-	tcp      *outConn    // established outbound TCP stream; nil until dialed and after a drop
-	unix     *outConn    // established outbound intra-host payload stream (shm.go)
-	unixPath string      // socket path the peer's last hello advertised; "" = none
-	unixDown bool        // that path failed to dial; a fresh advertisement clears it
-	suspect  *time.Timer // pending death suspicion, cancelable by a reconnect
-	dead     error       // the verdict's cause; nil while the peer is presumed alive
+	tcp      *outConn // established outbound TCP stream; nil until dialed and after a drop
+	unix     *outConn // established outbound intra-host payload stream (shm.go)
+	unixPath string   // socket path the peer's last hello advertised; "" = none
+	unixDown bool     // that path failed to dial; a fresh advertisement clears it
+	dead     error    // the verdict's cause; nil while the peer is presumed alive
 
 	// Send totals. Unlike the in-process transport — where sent totals are
 	// derived from sibling engines — a TCP sender cannot see the remote
@@ -42,11 +41,10 @@ type peer struct {
 }
 
 // outConn is one outbound stream on either carrier, with its writes
-// serialized and the time of the last one kept for the heartbeat loop.
+// serialized.
 type outConn struct {
-	mu        sync.Mutex
-	conn      *sock.Conn
-	lastWrite time.Time
+	mu   sync.Mutex
+	conn *sock.Conn
 }
 
 // write sends one frame under the stream's write lock with a deadline: hdr
@@ -56,19 +54,10 @@ func (oc *outConn) write(hdr, payload []byte, timeout time.Duration) error {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
 	oc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	_, err := oc.conn.Writev(hdr, payload)
-	oc.lastWrite = time.Now()
-	if err != nil {
+	if _, err := oc.conn.Writev(hdr, payload); err != nil {
 		return fmt.Errorf("tcpnet: write: %w", err)
 	}
 	return nil
-}
-
-// idleFor reports whether the stream has gone unwritten for at least d.
-func (oc *outConn) idleFor(d time.Duration) bool {
-	oc.mu.Lock()
-	defer oc.mu.Unlock()
-	return time.Since(oc.lastWrite) >= d
 }
 
 // open wraps a freshly dialed connection and introduces this rank on it, so
@@ -126,7 +115,7 @@ func (pr *peer) send(kind byte, hdr, payload []byte) error {
 		}
 		pr.drop(oc)
 		if redialed {
-			t.peerDown(pr.rank, err)
+			t.peerDown(pr.rank, err, false)
 			return &mpi.ErrPeerLost{Rank: pr.rank, Cause: err}
 		}
 	}
@@ -154,16 +143,15 @@ func (pr *peer) outbound() (*outConn, error) {
 		}
 	})
 	if err == nil {
-		// The hello clears any suspicion at the far end, and tells a
-		// same-host peer this rank's intra-host listener before any CTS
-		// written to this stream (shm.go).
+		// The hello tells a same-host peer this rank's intra-host listener
+		// before any CTS written to this stream (shm.go).
 		oc, err = pr.open(conn, t.shmPathFor(pr.rank))
 	}
 	if err != nil {
 		if errors.Is(err, mpi.ErrClosed) {
 			return nil, err
 		}
-		t.peerDown(pr.rank, err)
+		t.peerDown(pr.rank, err, false)
 		return nil, &mpi.ErrPeerLost{Rank: pr.rank, Cause: err}
 	}
 	pr.mu.Lock()
@@ -259,8 +247,8 @@ func (pr *peer) sever(unix bool) {
 	}
 }
 
-// deadErr returns the typed failure for a send to this peer if the failure
-// detector has declared it dead, or nil.
+// deadErr returns the typed failure for a send to this peer if it has been
+// declared dead, or nil.
 func (pr *peer) deadErr() error {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
@@ -270,34 +258,7 @@ func (pr *peer) deadErr() error {
 	return nil
 }
 
-// suspectLost starts the reconnect window for a peer whose inbound stream
-// was lost: if no new stream from it says hello within cfg.peerTimeout, it is
-// declared dead. A connection loss alone is not death — a live peer redials
-// (sends retry transparently), and its hello cancels the suspicion.
-func (pr *peer) suspectLost(cause error) {
-	t := pr.t
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if t.isClosed() || pr.dead != nil || pr.suspect != nil {
-		return
-	}
-	pr.suspect = time.AfterFunc(t.cfg.peerTimeout, func() {
-		t.peerDown(pr.rank, fmt.Errorf("tcpnet: connection lost and not re-established within %v: %w", t.cfg.peerTimeout, cause))
-	})
-}
-
-// clearSuspect cancels a pending suspicion: the peer proved itself alive, or
-// nobody is left to care.
-func (pr *peer) clearSuspect() {
-	pr.mu.Lock()
-	if pr.suspect != nil {
-		pr.suspect.Stop()
-		pr.suspect = nil
-	}
-	pr.mu.Unlock()
-}
-
-// condemn records the failure detector's verdict and discards the peer's
+// condemn records the verdict and discards the peer's
 // connection state, reporting false if it was already dead. Closing the
 // intra-host stream fails any in-flight local payload write, whose TCP
 // fallback then meets the verdict — a severed same-host neighbor yields
@@ -311,10 +272,6 @@ func (pr *peer) condemn(cause error) bool {
 	pr.dead = cause
 	tcp, unix := pr.tcp, pr.unix
 	pr.tcp, pr.unix, pr.unixPath = nil, nil, ""
-	if pr.suspect != nil {
-		pr.suspect.Stop()
-		pr.suspect = nil
-	}
 	pr.mu.Unlock()
 	for _, oc := range []*outConn{tcp, unix} {
 		if oc != nil {
@@ -324,19 +281,26 @@ func (pr *peer) condemn(cause error) bool {
 	return true
 }
 
-// peerDown acts on the failure-detector verdict for one world rank: its
-// connection state is discarded, everything waiting on it fails with
-// *mpi.ErrPeerLost, and the engine fails the receives only it could satisfy.
-// Idempotent; a no-op after Close.
-func (t *Transport) peerDown(rank int, cause error) {
-	if rank == t.rank || t.isClosed() || !t.peers[rank].condemn(cause) {
+// peerDown is the one sweep for a dead world rank: its connection state is
+// discarded, everything waiting on it fails with *mpi.ErrPeerLost, and the
+// engine fails the receives only it could satisfy. A final verdict — the
+// rank closed cleanly — ends there: a job's normal end is no loss to print,
+// count or dump. Idempotent; a no-op for this rank, a rank outside the
+// world, after Close and after an abort.
+func (t *Transport) peerDown(rank int, cause error, final bool) {
+	if rank < 0 || rank >= len(t.peers) || rank == t.rank || t.isClosed() || t.abortErr.Load() != nil ||
+		!t.peers[rank].condemn(cause) {
 		return
 	}
 	t.failWaiters(func(r int) bool { return r == rank }, &mpi.ErrPeerLost{Rank: rank, Cause: cause})
+	if final {
+		t.env.PeerExited(rank, cause)
+		return
+	}
+	t.env.PeerLost(rank, cause)
 	t.netCounters().PeersLost.Add(1)
 	fmt.Fprintf(os.Stderr, "tcpnet: rank %d: peer rank %d lost: %v\n", t.rank, rank, cause)
-	t.env.PeerLost(rank, cause)
 	// Push the failure counters to the launcher right away — the survivors
 	// may run on for a while, and the post-mortem wants the loss timestamped.
-	go t.report()
+	go t.report(false)
 }

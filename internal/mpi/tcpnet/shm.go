@@ -14,10 +14,10 @@ import (
 // rendezvous payload. Following MPICH-G2's multi-protocol selection, the
 // transport advertises a per-rank Unix-domain socket at hello time and moves
 // kindRData frames — and only those — over it. RTS/CTS control, eager
-// packets, heartbeats, aborts, and the whole failure detector stay on
-// the TCP stream, so ordering and failure semantics (§9/§12) are untouched:
-// the control stream still serializes RTS before CTS before the payload
-// becomes eligible, and a dead peer is still detected by TCP-side silence.
+// packets and aborts stay on the TCP stream, so ordering and failure
+// semantics (§9/§12) are untouched: the control stream still serializes RTS
+// before CTS before the payload becomes eligible, and a dead peer is still
+// declared by the launcher. Close lingers on this carrier as on TCP.
 // The socket is the second carrier under the same peer object (peer.go):
 // peer.send picks it for a payload, and the peer's one drop/sever/condemn
 // path closes it.

@@ -145,8 +145,6 @@ func TestFaultShmSeverFallsBackToTCP(t *testing.T) {
 // TCP fallback finds the peer dead, and the send must surface ErrPeerLost —
 // never hang — exactly like the CTS-waiter sweep promises.
 func TestChaosShmSeverMidRData(t *testing.T) {
-	t.Setenv(EnvHeartbeat, "100ms")
-	t.Setenv(EnvPeerTimeout, "500ms")
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
 	// Hold the sender at the shm fault point for 750ms after CTS, giving the

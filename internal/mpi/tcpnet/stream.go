@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	"mph/internal/mpi"
 	"mph/internal/sock"
@@ -15,7 +13,7 @@ import (
 // state, and what its frame handlers reach the transport through.
 type stream struct {
 	t     *Transport
-	r     io.Reader // the connection, behind the silence deadline on TCP
+	r     io.Reader // the connection
 	local bool      // the intra-host (Unix-socket) carrier
 	size  int       // world size: the bound on a hello's rank
 	peer  int       // the world rank the stream's hello named; -1 before it
@@ -31,18 +29,16 @@ type handler func(s *stream, f frame, tail int) error
 
 // handlers is the production dispatch table, indexed by frame kind.
 var handlers = [len(frameTable)]handler{
-	kindPacket:    (*stream).onPacket,
-	kindHello:     (*stream).onHello,
-	kindHeartbeat: (*stream).onHeartbeat,
-	kindAbort:     (*stream).onAbort,
-	kindRTS:       (*stream).onRTS,
-	kindCTS:       (*stream).onCTS,
-	kindRData:     (*stream).onRData,
+	kindPacket: (*stream).onPacket,
+	kindHello:  (*stream).onHello,
+	kindAbort:  (*stream).onAbort,
+	kindRTS:    (*stream).onRTS,
+	kindCTS:    (*stream).onCTS,
+	kindRData:  (*stream).onRData,
 }
 
-// errStreamDone ends a stream whose job is over — it delivered an abort, or
-// the local engine stopped taking packets — with nothing to hold against the
-// peer.
+// errStreamDone ends a stream whose job is over: it delivered an abort, or
+// the local engine stopped taking packets.
 var errStreamDone = errors.New("tcpnet: stream finished")
 
 // run is the decoder loop: read a frame's header, check it against the frame
@@ -75,75 +71,33 @@ func (s *stream) run(hs *[len(frameTable)]handler) error {
 	}
 }
 
-// deadlineReader arms the peer-silence deadline before every read, so even a
-// slow multi-megabyte transfer is judged by progress, not by total time.
-type deadlineReader struct {
-	conn    *sock.Conn
-	silence time.Duration
-}
-
-func (r deadlineReader) Read(p []byte) (int, error) {
-	r.conn.SetReadDeadline(time.Now().Add(r.silence))
-	return r.conn.Read(p)
-}
-
 // readLoop runs one inbound connection's stream and, whichever way it ends,
 // closes and forgets the connection — a sender still writing to it must find
-// out now, not when its write buffer fills.
-//
-// Every TCP read carries a cfg.peerTimeout deadline: the sender heartbeats
-// when idle, so prolonged silence on an open connection means the peer is
-// hung or partitioned and it is declared dead immediately. A closed, broken
-// or garbled connection only raises suspicion — the peer gets
-// cfg.peerTimeout to re-establish before the same verdict.
-//
-// A local (intra-host carrier) stream carries no liveness duty: it has no
-// heartbeats, no read deadlines, and its loss neither suspects nor condemns
-// the peer — the TCP stream owns the failure detector, and its verdict closes
-// the local connections.
+// out now, not when its write buffer fills, and a sender lingering in Close
+// reads EOF once every frame before it is posted. How a stream ends says
+// nothing about its sender's life: a live peer redials, and a dead one's
+// session end reaches this rank from the launcher.
 func (t *Transport) readLoop(conn *sock.Conn, local bool) {
 	defer t.wg.Done()
 	s := &stream{t: t, r: conn, local: local, size: len(t.peers), peer: -1}
-	if !local {
-		s.r = deadlineReader{conn, t.cfg.peerTimeout}
-	}
-	err := s.run(&handlers)
+	s.run(&handlers) //nolint:errcheck // any end is handled alike
 	t.mu.Lock()
 	delete(t.inbound, conn)
 	t.mu.Unlock()
 	conn.Close()
-	switch {
-	case local || s.peer < 0 || err == errStreamDone:
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		t.peerDown(s.peer, fmt.Errorf("tcpnet: rank %d silent for %v", s.peer, t.cfg.peerTimeout))
-	default:
-		t.peers[s.peer].suspectLost(err)
-	}
 }
 
 // onHello handles the introduction: the loop has already checked the rank.
-// On TCP it proves the peer alive and may carry the path of its intra-host
-// payload listener.
+// On TCP it may carry the path of the peer's intra-host payload listener.
 func (s *stream) onHello(f frame, tail int) error {
 	path := make([]byte, tail)
 	if _, err := io.ReadFull(s.r, path); err != nil {
 		return err
 	}
 	s.t.netCounters().BytesIn.Add(uint64(prefixLen + 8 + tail))
-	if !s.local {
-		pr := &s.t.peers[f.src]
-		pr.clearSuspect()
-		if tail > 0 {
-			pr.advertised(string(path))
-		}
+	if !s.local && tail > 0 {
+		s.t.peers[f.src].advertised(string(path))
 	}
-	return nil
-}
-
-func (s *stream) onHeartbeat(frame, int) error {
-	nc := s.t.netCounters()
-	nc.HeartbeatsIn.Add(1)
-	nc.BytesIn.Add(prefixLen)
 	return nil
 }
 
@@ -230,16 +184,8 @@ func (s *stream) onRData(f frame, tail int) error {
 			p.Rdv.Fail(err)
 			return err
 		}
-		rd := s.r
-		if conn, ok := s.r.(*sock.Conn); ok && s.local {
-			// The intra-host carrier idles without deadlines, but a payload
-			// under way is judged by progress like any TCP read: the receive
-			// whose buffer it fills is not released before this read returns.
-			rd = deadlineReader{conn, t.cfg.peerTimeout}
-			defer conn.SetReadDeadline(time.Time{})
-		}
 		var err error
-		if landed, err = p.ReceiveRendezvous(rd); err != nil {
+		if landed, err = p.ReceiveRendezvous(s.r); err != nil {
 			return err // the entry stays: a sender-side retry may still complete it
 		}
 	}
@@ -283,7 +229,7 @@ func drain(r io.Reader, n int) error {
 }
 
 // onAbort applies a job-wide abort from a peer. The job is over, so the
-// stream ends with no suspicion raised.
+// stream ends.
 func (s *stream) onAbort(f frame, _ int) error {
 	s.t.netCounters().BytesIn.Add(uint64(prefixLen + frameTable[kindAbort].fixed))
 	s.t.abortDelivered(f.code, f.origin)

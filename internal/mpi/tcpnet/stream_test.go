@@ -35,7 +35,7 @@ func TestStreamIdentity(t *testing.T) {
 		{"packet before any hello", [][]byte{packetFrom(1, "stranger")}},
 		{"huge packet header before any hello", [][]byte{huge}},
 		{"rts before any hello", [][]byte{wireOf(kindRTS, []uint64{1, 0, 0, 9, 1, 64}, "")}},
-		{"heartbeat before any hello", [][]byte{{1, 0, 0, 0, kindHeartbeat}}},
+		{"cts before any hello", [][]byte{wireOf(kindCTS, []uint64{9}, "")}},
 		{"bare abort before any hello", [][]byte{wireOf(kindAbort, []uint64{9, neg(-1)}, "")}},
 		{"hello from a rank outside the world", [][]byte{helloFrame(2, "")}},
 		{"hello from a negative rank", [][]byte{wireOf(kindHello, []uint64{neg(-1)}, "")}},
@@ -152,7 +152,7 @@ func TestFaultSeverRedialLeaksNoFDs(t *testing.T) {
 
 // TestFaultCTSSurvivesConnectionLoss: a CTS is a reply on the receiver's
 // stream back to the sender, and one lost there would strand a rendezvous
-// send with both ranks alive, where no failure detector ever fires; it takes
+// send with both ranks alive, where no down line ever comes; it takes
 // the redial-once send path. One row severs the stream with MPH_FAULT's
 // frame=cts filter just before the CTS is written; the other breaks the
 // connection underneath the transport, so the CTS's first write fails on a

@@ -7,7 +7,7 @@
 // that knows a frame's layout. peer.go is the per-destination object, one per
 // world rank, that owns both outbound carriers (the TCP stream and the
 // same-host Unix-socket payload channel of shm.go), the one send path, and
-// the failure detector's state. stream.go is the receive side: one decoder
+// the peer's verdict. stream.go is the receive side: one decoder
 // loop per inbound connection dispatching to a handler per frame kind. This
 // file holds the Transport that ties them to the mpi engine.
 //
@@ -37,20 +37,19 @@
 // The transport assumes peers can die at any point and turns every such
 // death into a typed error instead of a hang:
 //
-//   - Outbound connections are established with bounded
-//     exponential-backoff-plus-jitter dial retry (MPH_DIAL_TIMEOUT /
-//     MPH_DIAL_BACKOFF / MPH_DIAL_BACKOFF_MAX) and every frame write
-//     carries a deadline (MPH_WRITE_TIMEOUT). A write failure triggers one
-//     transparent redial-and-resend before the peer is given up on.
-//   - Every new outbound connection introduces itself with a hello frame,
-//     and idle connections are kept warm with heartbeats (MPH_HEARTBEAT),
-//     so the receive side can attribute silence: an inbound stream quiet
-//     for longer than MPH_PEER_TIMEOUT means the peer is hung or
-//     partitioned, and a lost inbound stream that is not re-established
-//     within the same window means the peer is dead.
-//   - When the failure detector declares a world rank dead, rendezvous
-//     sends waiting on its CTS fail, the engine fails receives that only it
-//     could satisfy (mpi.ErrPeerLost), and future sends to it fail fast.
+//   - The launcher decides who is dead: a rank's death is its session with
+//     the launcher ending, which the launcher reports to every other rank
+//     as a down line (bootstrap.Session). How a stream ends is no verdict:
+//     a live peer redials.
+//   - A send judges its own dial and write: bounded backoff-plus-jitter dial
+//     retry (MPH_DIAL_TIMEOUT / MPH_DIAL_BACKOFF / MPH_DIAL_BACKOFF_MAX), a
+//     deadline on every frame write (MPH_WRITE_TIMEOUT), one transparent
+//     redial-and-resend; a spent budget or a second failed write declares
+//     the peer dead too.
+//   - A dead rank's rendezvous senders fail, the engine fails receives that
+//     only it could satisfy (mpi.ErrPeerLost), and later sends fail fast.
+//   - Close lingers until every peer has read what it sent, then says bye:
+//     a down line never overtakes its rank's data.
 //   - mpi.Comm.Abort reaches every rank, failing all pending operations with
 //     mpi.ErrAborted: as abort frames on the streams the aborting rank
 //     already has, and through the launcher, which relays it over every
@@ -181,7 +180,7 @@ type Transport struct {
 	mu      sync.Mutex
 	inbound map[*sock.Conn]struct{} // accepted connections of both carriers, each until its reader exits
 
-	stop chan struct{} // closed by Close, under mu; cancels dial backoff and heartbeats
+	stop chan struct{} // closed by Close, under mu; cancels dial backoff
 
 	abortErr atomic.Pointer[mpi.AbortError] // set once the job is aborting
 
@@ -202,11 +201,9 @@ type Transport struct {
 	debugSrv *perf.DebugServer // MPH_DEBUG_ADDR endpoint, nil unless enabled
 
 	// sess is the rank's one connection to its launcher, open from
-	// registration to Close. endOnce guards its end: exactly one of Close or
-	// an abort sends the final report, when the launcher takes reports, and
-	// hangs up.
-	sess    *bootstrap.Session
-	endOnce sync.Once
+	// registration to Close (or the process's exit): its end is this rank's
+	// death to the job.
+	sess *bootstrap.Session
 
 	wg sync.WaitGroup
 }
@@ -345,12 +342,11 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		}
 	}
 	t.initShm(size)
-	t.wg.Add(3)
+	t.wg.Add(2)
 	go t.acceptLoop(t.ln, false)
-	go t.heartbeatLoop()
 	go func() {
 		defer t.wg.Done()
-		sess.Serve(t.abortDelivered)
+		sess.Serve(t.abortDelivered, t.downDelivered)
 	}()
 	if every, _ := sess.ReportEvery(); every > 0 {
 		t.wg.Add(1)
@@ -360,7 +356,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 }
 
 // reportLoop pushes a live snapshot to the launcher every interval until
-// the transport closes; the final report is endSession's job.
+// the transport closes; the final report is an abort's or Close's job.
 func (t *Transport) reportLoop(interval time.Duration) {
 	defer t.wg.Done()
 	ticker := time.NewTicker(interval)
@@ -377,26 +373,27 @@ func (t *Transport) reportLoop(interval time.Duration) {
 	}
 }
 
-// report pushes one non-final snapshot, when the launcher takes reports:
-// event-driven updates like a peer-loss verdict, so the launcher sees the
-// failure counters without waiting out the reporting interval.
-func (t *Transport) report() {
+// report pushes one snapshot, when the launcher takes reports: an
+// event-driven update like a peer-loss verdict, so the launcher sees the
+// failure counters without waiting out the reporting interval, or a final
+// one — Close's, or an abort's post-mortem, which a crashing job still
+// delivers.
+func (t *Transport) report(final bool) {
 	if _, ok := t.sess.ReportEvery(); ok {
-		t.sess.Report(t.env.Perf().Snapshot(), false) //nolint:errcheck // best-effort diagnostics
+		t.sess.Report(t.env.Perf().Snapshot(), final) //nolint:errcheck // best-effort diagnostics
 	}
 }
 
-// endSession sends the rank's final snapshot, when the launcher takes
-// reports, and hangs up the session, exactly once. Clean Close and job abort
-// both funnel through it so a crashed job still delivers its post-mortem
-// counters.
-func (t *Transport) endSession() {
-	t.endOnce.Do(func() {
-		if _, ok := t.sess.ReportEvery(); ok {
-			t.sess.Report(t.env.Perf().Snapshot(), true) //nolint:errcheck // best-effort diagnostics
-		}
-		t.sess.Close()
-	})
+// downDelivered acts on the launcher's down line: rank's session ended, and
+// final says it closed cleanly. peerDown ignores a line naming this rank or
+// no rank of the world — it comes from outside the process — and any line
+// once the transport is closing or the job has aborted.
+func (t *Transport) downDelivered(rank int, final bool) {
+	cause := fmt.Errorf("tcpnet: rank %d's session with the launcher ended", rank)
+	if final {
+		cause = fmt.Errorf("tcpnet: rank %d closed", rank)
+	}
+	t.peerDown(rank, cause, final)
 }
 
 // InitFromEnv bootstraps from the mphrun environment variables and also
@@ -486,9 +483,8 @@ func ignoreDrop(err error) error {
 	return err
 }
 
-// Deliver implements mpi.Transport. Sends to a rank the failure detector
-// has declared dead fail fast with *mpi.ErrPeerLost; sends after an abort
-// fail with the abort error.
+// Deliver implements mpi.Transport. Sends to a rank declared dead fail fast
+// with *mpi.ErrPeerLost; sends after an abort fail with the abort error.
 func (t *Transport) Deliver(dst int, p mpi.Packet) error {
 	if dst < 0 || dst >= len(t.peers) {
 		return mpi.ErrRank
@@ -574,7 +570,7 @@ func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 // failed rendezvous (peer lost, abort, shutdown) produces no CTS: the
 // sender's own failure sweep delivers its error. The CTS takes the full
 // redial-once send path: one lost on a stale connection would strand a
-// sender whose peer is alive, where no failure detector ever fires.
+// sender whose peer is alive, where no down line ever comes.
 func (t *Transport) ctsWhenMatched(src int, id uint64, rdv *mpi.Rendezvous) {
 	if <-rdv.Matched(); rdv.MatchErr() != nil {
 		return
@@ -588,8 +584,8 @@ func (t *Transport) ctsWhenMatched(src int, id uint64, rdv *mpi.Rendezvous) {
 	nc.BytesOut.Add(uint64(len(b)))
 }
 
-// Close implements mpi.Transport: it stops the accept and heartbeat loops,
-// cancels pending suspicions, closes every connection, and releases blocked
+// Close implements mpi.Transport: it lingers until every peer has read what
+// this rank sent, says bye, closes every connection, and releases blocked
 // senders (an orderly shutdown is not a send failure).
 func (t *Transport) Close() error {
 	t.mu.Lock()
@@ -600,19 +596,53 @@ func (t *Transport) Close() error {
 	close(t.stop)
 	t.mu.Unlock()
 
-	// The final report goes out before connections drop: counters are
-	// complete at this point (the Env flushed observability first).
-	t.endSession()
+	// The bye waits for the linger, unless the job aborted: it has no order
+	// left to keep. The final report goes out before connections drop:
+	// counters are complete at this point (the Env flushed observability
+	// first).
+	if t.abortErr.Load() == nil {
+		t.linger()
+	}
+	t.report(true)
+	t.sess.Bye() //nolint:errcheck // a launcher that misses it reads a crash; severAll hangs up
 	if t.debugSrv != nil {
 		t.debugSrv.Close()
 	}
 	t.severAll()
-	for i := range t.peers {
-		t.peers[i].clearSuspect()
-	}
 	t.failWaiters(everyPeer, mpi.ErrClosed)
 	t.wg.Wait()
 	return nil
+}
+
+// lingerTimeout bounds Close's wait for its peers to read what it sent.
+const lingerTimeout = 5 * time.Second
+
+// linger half-closes every outbound stream of both carriers and waits, up to
+// lingerTimeout in all, for each to read EOF: a peer's reader closes its end
+// only once it has posted every frame before the EOF. No send opens a new
+// stream meanwhile (stop is closed), and readers here keep running, so two
+// ranks closing at once release each other.
+func (t *Transport) linger() {
+	var outs []*outConn
+	for i := range t.peers {
+		pr := &t.peers[i]
+		pr.mu.Lock()
+		for _, oc := range [...]*outConn{pr.tcp, pr.unix} {
+			if oc != nil {
+				outs = append(outs, oc)
+			}
+		}
+		pr.mu.Unlock()
+	}
+	deadline := time.Now().Add(lingerTimeout)
+	for _, oc := range outs {
+		oc.conn.CloseWrite()
+		oc.conn.SetReadDeadline(deadline)
+	}
+	var b [1]byte
+	for _, oc := range outs {
+		oc.conn.Read(b[:]) // the peer never writes here: EOF, a reset, or the deadline
+	}
 }
 
 // severAll closes the listeners, the session and every connection without
@@ -685,8 +715,10 @@ func (t *Transport) applyAbort(code, origin int) *mpi.AbortError {
 	}
 	t.failWaiters(everyPeer, ae)
 	// An aborting process usually exits moments later; ship the post-mortem
-	// snapshot now rather than hoping Close still runs.
-	go t.endSession()
+	// snapshot now rather than hoping Close still runs. The session stays
+	// open: its end would tell the other ranks this one died, and could beat
+	// the abort itself there.
+	go t.report(true)
 	return ae
 }
 
@@ -711,46 +743,5 @@ func (t *Transport) acceptLoop(ln *sock.Listener, local bool) {
 		t.mu.Unlock()
 		t.wg.Add(1)
 		go t.readLoop(conn, local)
-	}
-}
-
-// heartbeatLoop keeps idle outbound connections warm so the peer's
-// read-side failure detector can distinguish "idle but alive" from "gone".
-// A failed heartbeat write drops the connection and redials it the way a
-// send would, off the loop so one dial budget does not starve the other
-// peers' heartbeats: a live peer gets a fresh stream, a dead one spends the
-// budget and is condemned. Without the redial a rank whose only stream to a
-// dead peer was this outbound one would never suspect it, and a receive
-// naming that peer would block forever.
-func (t *Transport) heartbeatLoop() {
-	defer t.wg.Done()
-	ticker := time.NewTicker(t.cfg.heartbeat)
-	defer ticker.Stop()
-	hb := encode(nil, frame{kind: kindHeartbeat}, 0)
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-ticker.C:
-		}
-		for i := range t.peers {
-			pr := &t.peers[i]
-			oc := pr.established()
-			if oc == nil || !oc.idleFor(t.cfg.heartbeat) {
-				continue
-			}
-			if err := oc.write(hb, nil, t.cfg.writeTimeout); err != nil {
-				pr.drop(oc)
-				t.wg.Add(1)
-				go func() {
-					defer t.wg.Done()
-					pr.outbound() //nolint:errcheck // a failed redial condemns the peer itself
-				}()
-				continue
-			}
-			nc := t.netCounters()
-			nc.HeartbeatsOut.Add(1)
-			nc.BytesOut.Add(uint64(len(hb)))
-		}
 	}
 }

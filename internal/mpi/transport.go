@@ -203,10 +203,9 @@ func (e *Env) abortLocal(code, origin int) {
 	e.flushObservability()
 }
 
-// PeerLost is the receive-side hook the transport calls when its failure
-// detector declares a world rank dead: operations that can only be
-// satisfied by that rank fail with *ErrPeerLost, traffic among surviving
-// ranks continues.
+// PeerLost is the receive-side hook the transport calls when a world rank
+// is declared dead: operations that can only be satisfied by that rank fail
+// with *ErrPeerLost, traffic among surviving ranks continues.
 func (e *Env) PeerLost(rank int, cause error) {
 	if tr := e.tracer; tr != nil {
 		tr.Record(perf.KPeerLost, int64(rank), 0, 0, 0)
@@ -217,6 +216,11 @@ func (e *Env) PeerLost(rank int, cause error) {
 	// clean Close rewrites them with the complete counters.
 	e.flushObservability()
 }
+
+// PeerExited is PeerLost for a rank that closed cleanly: the same receives
+// fail, but a job's normal end is no post-mortem, so nothing is traced or
+// dumped.
+func (e *Env) PeerExited(rank int, cause error) { e.eng.peerLost(rank, cause) }
 
 // Close flushes any requested observability dumps, then shuts down the
 // engine and the transport.

@@ -52,7 +52,9 @@ const (
 // exited cleanly.
 //
 // Failure semantics span hosts: a rank that exits before the world is wired
-// cancels the rendezvous and fails the job immediately; after wiring, the
+// cancels the rendezvous and fails the job immediately; after wiring, a
+// rank's session ending is its death, which the rendezvous tells every other
+// rank at once (their MPI calls naming it return mpi.ErrPeerLost), and the
 // first abnormal exit triggers an abort on every surviving rank's session
 // (their blocked MPI calls return mpi.ErrAborted), and once spec.Grace
 // expires the remaining process groups are killed — through the host's agent
@@ -154,7 +156,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	exitErr := make([]error, total)
 	exited := make([]bool, total)
 	reaped := 0
-	primary := -1 // first abnormally-exiting rank
+	primary := -1 // first abnormally-exiting rank reaped; the report's is causal
 	record := func(r RankExit) {
 		reaped++
 		exited[r.Rank] = true
@@ -284,6 +286,15 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if canceled {
 		return ctx.Err()
 	}
+	// The first failure is causal, not the first reaped: a survivor can exit
+	// on a down line before the rank it reacted to is reaped. So it is the
+	// abnormally exited rank whose session ended first.
+	for _, rank := range rv.Ended() {
+		if exitErr[rank] != nil {
+			primary = rank
+			break
+		}
+	}
 	return failureReport(spec, exitErr, primary)
 }
 
@@ -409,9 +420,9 @@ func hostTag(host string) string {
 }
 
 // failureReport summarises abnormal exits grouped per component executable,
-// or returns nil when every rank exited cleanly. primary is the first rank
-// whose failure was observed (-1 if none); the others typically failed as
-// collateral — aborted by the launcher or killed after the grace period.
+// or returns nil when every rank exited cleanly. primary is the first failure
+// (-1 if none); the others typically failed as collateral — on its down line,
+// aborted by the launcher or killed after the grace period.
 func failureReport(spec *LaunchSpec, exitErr []error, primary int) error {
 	failed := 0
 	for _, err := range exitErr {

@@ -265,11 +265,11 @@ func TestPassthroughEnv(t *testing.T) {
 		"MPH_FAULT=drop",
 		bootstrap.EnvRank + "=3",
 		bootstrap.EnvBind + "=0.0.0.0",
-		"MPH_PEER_TIMEOUT=20s",
+		"MPH_WRITE_TIMEOUT=20s",
 		"NOTMPH=1",
 	}
 	got := passthroughEnv(environ)
-	want := []string{"MPH_FAULT=drop", "MPH_PEER_TIMEOUT=20s"}
+	want := []string{"MPH_FAULT=drop", "MPH_WRITE_TIMEOUT=20s"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("passthroughEnv = %v, want %v", got, want)
 	}

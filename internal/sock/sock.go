@@ -116,6 +116,19 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.f.SetReadDeadline(t
 // SetWriteDeadline sets the deadline of pending and future writes.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.f.SetWriteDeadline(t) }
 
+// CloseWrite shuts down the sending side: the peer reads EOF once it has
+// read everything written before, and this end can still read.
+func (c *Conn) CloseWrite() error {
+	var err error
+	if cerr := c.rc.Control(func(fd uintptr) { err = syscall.Shutdown(int(fd), syscall.SHUT_WR) }); cerr != nil {
+		return c.rawErr("shutdown", cerr)
+	}
+	if err != nil {
+		return &os.PathError{Op: "shutdown", Path: c.f.Name(), Err: err}
+	}
+	return nil
+}
+
 // Writev writes hdr and then payload with writev, resuming after partial
 // writes until both are out, the write deadline passes or the socket fails,
 // and returns how many bytes it wrote.

@@ -40,12 +40,14 @@ func pair(t *testing.T, network, addr string) (ln *Listener, dialed, accepted *C
 }
 
 func TestRoundTrip(t *testing.T) {
-	for _, c := range []struct{ network, addr string }{
-		{"tcp", "127.0.0.1:0"},
-		{"tcp", ":0"},
-		{"unix", filepath.Join(t.TempDir(), "s.sock")},
+	for _, c := range []struct{ name, network, addr string }{
+		{"tcp127.0.0.1:0", "tcp", "127.0.0.1:0"},
+		{"tcp:0", "tcp", ":0"},
+		// Named apart from its address: the temporary directory differs
+		// on every run.
+		{"unix", "unix", filepath.Join(t.TempDir(), "s.sock")},
 	} {
-		t.Run(c.network+c.addr, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			_, d, a := pair(t, c.network, c.addr)
 			if _, err := d.Writev([]byte("hello, "), []byte("world")); err != nil {
 				t.Fatal(err)
@@ -273,5 +275,40 @@ func TestWriteToClosedPeer(t *testing.T) {
 	}
 	if _, err := d.Write([]byte("x")); err == nil {
 		t.Fatal("write to a closed peer succeeded")
+	}
+}
+
+// TestCloseWrite: after CloseWrite the peer reads everything written before
+// and then EOF, while the writer's read side still works — on both networks.
+func TestCloseWrite(t *testing.T) {
+	for _, c := range []struct{ network, addr string }{
+		{"tcp", "127.0.0.1:0"},
+		{"unix", filepath.Join(t.TempDir(), "cw.sock")},
+	} {
+		t.Run(c.network, func(t *testing.T) {
+			_, d, a := pair(t, c.network, c.addr)
+			if _, err := d.Write([]byte("last")); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			a.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(a)
+			if err != nil || string(got) != "last" {
+				t.Fatalf("peer read %q, %v; want \"last\" then EOF", got, err)
+			}
+			if _, err := a.Write([]byte("back")); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 4)
+			d.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.ReadFull(d, buf); err != nil || string(buf) != "back" {
+				t.Fatalf("writer read %q, %v after CloseWrite; want \"back\"", buf, err)
+			}
+			if _, err := d.Write([]byte("x")); err == nil {
+				t.Fatal("write after CloseWrite succeeded")
+			}
+		})
 	}
 }

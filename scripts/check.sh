@@ -21,6 +21,12 @@
 #   in, so the rendezvous-sized coupled run over TCP repeats under -race: a
 #   send that let go of its buffer late would show as a race or a diagnostic
 #   that differs from the in-process run;
+# - the launcher decides who is dead, and a closing rank lingers until its
+#   peers have read what it sent: the linger test and the closing-Barrier
+#   first contact repeat under -race (each fails if a down line overtakes
+#   data), and the launcher's peer-exit test times a receive blocked on a
+#   rank that leaves and repeats the exit-1-after-Close case, whose report
+#   must name the rank whose session ended first, not the first one reaped;
 # - the session race pass repeats TestLaunchStats: -stats prints only the
 #   final reports ranks send over their sessions, so every one of them must
 #   be in when Launch returns, on every run; it covers the socket layer the
@@ -49,11 +55,13 @@ go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./internal/mpi/...
 go test -run 'TestCoupledPeriodAllocBudget|TestCoupledRunOverTCPRendezvous' -race -count=2 ./internal/coupler
-go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier' \
+go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
 go test -race ./internal/sock
 go test -run 'TestLaunchStats$' -race -count=5 ./cmd/mphrun
+go test -run 'TestLaunchPeerExit' -count=2 ./cmd/mphrun
+go test -run 'TestLaunchPeerExit/exit_1_after_a_clean_Close' -count=20 ./cmd/mphrun
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
 go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s ./internal/mpirun
 go test -run=NONE -fuzz=FuzzSession -fuzztime=10s ./internal/bootstrap
@@ -171,9 +179,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,129 before the rank side dropped
-# net, 16,571 after) and the stripped size of a component executable
-# (3,531,044 bytes before, 3,150,008 after), printed for later comparison.
+# Non-test Go lines outside benchmark/ (16,571 before the launcher decided
+# who is dead, 16,510 after) and the stripped size of a component
+# executable (3,150,008 bytes before, 3,141,816 after), printed for later
+# comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

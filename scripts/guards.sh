@@ -58,6 +58,15 @@ if grep -rn 'EnvCollHier\|EnvCollRingThreshold\|EnvEagerThreshold\|EnvShm\|EnvBo
     README.md DESIGN.md OPERATIONS.md; then
     exit 1
 fi
+# The launcher decides who is dead: the heartbeat frame and its loop and
+# counters, the read-silence deadline, the suspicion timer and the two
+# variables that tuned them stay out of the code, the scripts and the user
+# documents (the variables are spelled so that this file does not name them).
+if grep -rn 'kindHeartbeat\|heartbeatLoop\|HeartbeatsOut\|HeartbeatsIn\|suspectLost\|clearSuspect\|deadlineReader\|idleFor\|EnvHeartbeat\|EnvPeerTimeout\|MPH_\(HEARTBEAT\|PEER_TIMEOUT\)' \
+    --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go \
+    README.md DESIGN.md OPERATIONS.md; then
+    exit 1
+fi
 # The allocation numbers move because nothing is allocated, not because the
 # collector was retuned: no GC knob in non-test code, in the scripts, or in an
 # environment a launcher builds for its ranks.
