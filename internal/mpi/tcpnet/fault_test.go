@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,7 +179,7 @@ func TestFaultDialRetrySucceedsOnceListenerAppears(t *testing.T) {
 	cfg.dialBase = 20 * time.Millisecond
 	cfg.dialMax = 200 * time.Millisecond
 	retries := 0
-	conn, err := dialRetry(addr, cfg, nil, func(attempt int, wait time.Duration) {
+	conn, err := dialRetry(addr, cfg, nil, nil, func(attempt int, wait time.Duration) {
 		retries++
 		if wait <= 0 {
 			t.Errorf("retry %d scheduled with wait %v", attempt, wait)
@@ -214,7 +215,7 @@ func TestFaultDialRetryExhausts(t *testing.T) {
 	cfg.dialMax = 100 * time.Millisecond
 	retries := 0
 	start := time.Now()
-	_, err = dialRetry(addr, cfg, nil, func(int, time.Duration) { retries++ })
+	_, err = dialRetry(addr, cfg, nil, nil, func(int, time.Duration) { retries++ })
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dial to a dead address succeeded")
@@ -466,6 +467,73 @@ func TestDownLineNamingNoPeerIgnored(t *testing.T) {
 	}
 	if lost := env.Perf().Net.PeersLost.Load(); lost != 0 {
 		t.Errorf("PeersLost = %d after a final down line, want 0", lost)
+	}
+}
+
+// TestChaosDownLineEndsDialRetry: a send already retrying its dial when the
+// launcher's down line for the peer arrives must give up at once with the
+// verdict, not spend the rest of its 20 s dial budget. Rank 1's address is a
+// closed listener, so rank 0's send to it is refused and backs off; the down
+// line must end it within a second, counted as one loss.
+func TestChaosDownLineEndsDialRetry(t *testing.T) {
+	t.Setenv(EnvDialTimeout, "20s")
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sendDown := make(chan struct{})
+	hold := make(chan struct{})
+	defer close(hold)
+	go func() { // a launcher of a world of 2 whose rank 1 never listens
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var reg struct{ Addr string }
+		line, _ := bufio.NewReader(conn).ReadBytes('\n')
+		json.Unmarshal(line, &reg)
+		fmt.Fprintf(conn, `{"kind":"book","book":[{"addr":%q},{"addr":%q}]}`+"\n", reg.Addr, deadAddr)
+		<-sendDown
+		fmt.Fprint(conn, `{"kind":"down","rank":1}`+"\n")
+		<-hold
+	}()
+	_, env, err := initTransport(0, 2, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+
+	sent := make(chan error, 1)
+	go func() { sent <- mpi.WorldComm(env).Send(1, 1, []byte("to a dead rank")) }()
+	for env.Perf().Net.DialRetries.Load() == 0 {
+		select {
+		case err := <-sent:
+			t.Fatalf("send returned %v before its dial retried", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(sendDown)
+	start := time.Now()
+	select {
+	case err := <-sent:
+		var lost *mpi.ErrPeerLost
+		if !errors.As(err, &lost) || lost.Rank != 1 || !strings.Contains(lost.Cause.Error(), "session with the launcher ended") {
+			t.Fatalf("send returned %v, want ErrPeerLost{Rank: 1} carrying the launcher's verdict", err)
+		}
+		t.Logf("send failed %v after the down line", time.Since(start))
+	case <-time.After(time.Second):
+		t.Fatal("a send mid-dial kept retrying after its peer's down line")
+	}
+	if lost := env.Perf().Net.PeersLost.Load(); lost != 1 {
+		t.Errorf("PeersLost = %d, want 1", lost)
 	}
 }
 

@@ -28,11 +28,12 @@ type peer struct {
 	addr string // TCP listener, from the rendezvous address book
 
 	mu       sync.Mutex
-	tcp      *outConn // established outbound TCP stream; nil until dialed and after a drop
-	unix     *outConn // established outbound intra-host payload stream (shm.go)
-	unixPath string   // socket path the peer's last hello advertised; "" = none
-	unixDown bool     // that path failed to dial; a fresh advertisement clears it
-	dead     error    // the verdict's cause; nil while the peer is presumed alive
+	tcp      *outConn      // established outbound TCP stream; nil until dialed and after a drop
+	unix     *outConn      // established outbound intra-host payload stream (shm.go)
+	unixPath string        // socket path the peer's last hello advertised; "" = none
+	unixDown bool          // that path failed to dial; a fresh advertisement clears it
+	dead     error         // the verdict's cause; nil while the peer is presumed alive
+	down     chan struct{} // closed with the verdict: a send mid-dial gives up
 
 	// Send totals. Unlike the in-process transport — where sent totals are
 	// derived from sibling engines — a TCP sender cannot see the remote
@@ -122,7 +123,8 @@ func (pr *peer) send(kind byte, hdr, payload []byte) error {
 }
 
 // outbound returns the TCP stream for sends to this peer, dialing with retry
-// if there is none. A dial that exhausts its budget declares the peer dead.
+// if there is none. A dial that exhausts its budget declares the peer dead;
+// one the launcher's verdict overtakes returns that verdict.
 func (pr *peer) outbound() (*outConn, error) {
 	t := pr.t
 	pr.mu.Lock()
@@ -136,7 +138,7 @@ func (pr *peer) outbound() (*outConn, error) {
 	case oc != nil:
 		return oc, nil
 	}
-	conn, err := dialRetry(pr.addr, t.cfg, t.stop, func(attempt int, wait time.Duration) {
+	conn, err := dialRetry(pr.addr, t.cfg, t.stop, pr.down, func(attempt int, wait time.Duration) {
 		t.netCounters().DialRetries.Add(1)
 		if tr := t.tracer(); tr != nil {
 			tr.Record(perf.KDialRetry, int64(pr.rank), int64(attempt), int64(wait), 0)
@@ -151,6 +153,9 @@ func (pr *peer) outbound() (*outConn, error) {
 		if errors.Is(err, mpi.ErrClosed) {
 			return nil, err
 		}
+		if dead := pr.deadErr(); dead != nil {
+			return nil, dead // condemned mid-dial: the verdict is already out
+		}
 		t.peerDown(pr.rank, err, false)
 		return nil, &mpi.ErrPeerLost{Rank: pr.rank, Cause: err}
 	}
@@ -160,6 +165,9 @@ func (pr *peer) outbound() (*outConn, error) {
 	case t.isClosed():
 		conn.Close()
 		return nil, mpi.ErrClosed
+	case pr.dead != nil:
+		conn.Close()
+		return nil, &mpi.ErrPeerLost{Rank: pr.rank, Cause: pr.dead}
 	case pr.tcp != nil: // lost a dial race; keep the first
 		conn.Close()
 		return pr.tcp, nil
@@ -171,10 +179,11 @@ func (pr *peer) outbound() (*outConn, error) {
 
 // dialRetry dials addr until it succeeds or the cfg.dialTimeout budget is
 // spent, backing off exponentially with jitter between attempts. onRetry
-// (optional) observes each scheduled retry; stop (optional) cancels the
-// backoff wait. It is a standalone function so the schedule is testable
-// without a Transport.
-func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(attempt int, wait time.Duration)) (*sock.Conn, error) {
+// (optional) observes each scheduled retry; closing stop (the transport's
+// Close) or down (the peer's verdict) cancels the backoff wait — nil never
+// does. It is a standalone function so the schedule is testable without a
+// Transport.
+func dialRetry(addr string, cfg netConfig, stop, down <-chan struct{}, onRetry func(attempt int, wait time.Duration)) (*sock.Conn, error) {
 	bo := &backoff{base: cfg.dialBase, max: cfg.dialMax}
 	deadline := time.Now().Add(cfg.dialTimeout)
 	attempt := 0
@@ -198,14 +207,12 @@ func dialRetry(addr string, cfg netConfig, stop <-chan struct{}, onRetry func(at
 		if onRetry != nil {
 			onRetry(attempt, wait)
 		}
-		if stop != nil {
-			select {
-			case <-stop:
-				return nil, mpi.ErrClosed
-			case <-time.After(wait):
-			}
-		} else {
-			time.Sleep(wait)
+		select {
+		case <-stop:
+			return nil, mpi.ErrClosed
+		case <-down:
+			return nil, fmt.Errorf("tcpnet: dial %s: peer declared down (after %d attempts)", addr, attempt)
+		case <-time.After(wait):
 		}
 	}
 }
@@ -258,8 +265,8 @@ func (pr *peer) deadErr() error {
 	return nil
 }
 
-// condemn records the verdict and discards the peer's
-// connection state, reporting false if it was already dead. Closing the
+// condemn records the verdict, wakes a send waiting to redial, and discards
+// the peer's connection state, reporting false if it was already dead. Closing the
 // intra-host stream fails any in-flight local payload write, whose TCP
 // fallback then meets the verdict — a severed same-host neighbor yields
 // ErrPeerLost, not a hang.
@@ -270,6 +277,7 @@ func (pr *peer) condemn(cause error) bool {
 		return false
 	}
 	pr.dead = cause
+	close(pr.down)
 	tcp, unix := pr.tcp, pr.unix
 	pr.tcp, pr.unix, pr.unixPath = nil, nil, ""
 	pr.mu.Unlock()

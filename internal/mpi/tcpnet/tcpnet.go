@@ -45,7 +45,7 @@
 //     retry (MPH_DIAL_TIMEOUT / MPH_DIAL_BACKOFF / MPH_DIAL_BACKOFF_MAX), a
 //     deadline on every frame write (MPH_WRITE_TIMEOUT), one transparent
 //     redial-and-resend; a spent budget or a second failed write declares
-//     the peer dead too.
+//     the peer dead too. A down line ends a send's dial retry at once.
 //   - A dead rank's rendezvous senders fail, the engine fails receives that
 //     only it could satisfy (mpi.ErrPeerLost), and later sends fail fast.
 //   - Close lingers until every peer has read what it sent, then says bye:
@@ -311,7 +311,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	hosts := make([]string, size)
 	for r, ep := range book {
 		pr := &t.peers[r]
-		pr.t, pr.rank, pr.addr = t, r, ep.Addr
+		pr.t, pr.rank, pr.addr, pr.down = t, r, ep.Addr, make(chan struct{})
 		hosts[r] = ep.Host
 	}
 	env := mpi.NewEnv(rank, size, t)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -65,15 +66,40 @@ func TestSlotShareInjection(t *testing.T) {
 		}
 	}
 
-	// No hostfile: nothing injected.
-	plain, err := NewLaunchSpec([]Entry{{Nprocs: 2, Argv: []string{"w"}}}, nil, PlaceBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plain.Procs {
-		for _, kv := range p.Env {
-			if strings.HasPrefix(kv, "GOMAXPROCS=") {
-				t.Errorf("rank %d got %s without a hostfile", p.Rank, kv)
+	// No hostfile: the launcher's host counts as one host with a slot per
+	// CPU. A rank pinned to a host no list names gets nothing, with or
+	// without a hostfile, and is not counted against the share.
+	share := func(n int) string { return fmt.Sprintf("GOMAXPROCS=%d", max(1, runtime.NumCPU()/n)) }
+	for _, tc := range []struct {
+		name    string
+		entries []Entry
+		hosts   []HostSlot
+		want    []string // per rank; "" = no GOMAXPROCS
+	}{
+		{"no hostfile", []Entry{{Nprocs: 2, Argv: []string{"w"}}}, nil,
+			[]string{share(2), share(2)}},
+		{"no hostfile, one rank pinned", []Entry{
+			{Nprocs: 3, Argv: []string{"w"}},
+			{Nprocs: 1, Host: "stray", Argv: []string{"w"}},
+		}, nil, []string{share(3), share(3), share(3), ""}},
+		{"pinned off the hostfile", []Entry{
+			{Nprocs: 2, Argv: []string{"w"}},
+			{Nprocs: 1, Host: "stray", Argv: []string{"w"}},
+		}, []HostSlot{{Name: "big", Slots: 8}}, []string{"GOMAXPROCS=4", "GOMAXPROCS=4", ""}},
+	} {
+		spec, err := NewLaunchSpec(tc.entries, tc.hosts, PlaceBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range spec.Procs {
+			got := ""
+			for _, kv := range p.Env {
+				if strings.HasPrefix(kv, "GOMAXPROCS=") {
+					got = kv
+				}
+			}
+			if got != tc.want[i] {
+				t.Errorf("%s: rank %d on %q got %q, want %q", tc.name, p.Rank, p.Host, got, tc.want[i])
 			}
 		}
 	}
@@ -100,28 +126,40 @@ func contains(env []string, kv string) bool {
 }
 
 // TestSlotShareReachesChild runs the injected share end to end through a
-// real spawn: the child must observe the slot share even though the
-// inherited environment may already carry a GOMAXPROCS (Go keeps the first
-// occurrence of a duplicated key — the bug dedupEnv exists for).
+// real spawn, with a hostfile and without one: the child must observe the
+// slot share even though the inherited environment already carries a
+// GOMAXPROCS (Go keeps the first occurrence of a duplicated key — the bug
+// dedupEnv exists for).
 func TestSlotShareReachesChild(t *testing.T) {
 	t.Setenv("GOMAXPROCS", "99") // the launcher's own value must lose
-	spec, err := NewLaunchSpec(
-		[]Entry{{Nprocs: 1, Argv: []string{"/bin/sh", "-c", `test "$GOMAXPROCS" = 2`}}},
-		[]HostSlot{{Name: "nodeA", Slots: 2}}, PlaceBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := Block{Procs: spec.Procs, Size: 1}
-	h, err := NewLocalSpawner().Spawn(context.Background(), "", block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := <-h.Exits()
-	if !ok {
-		t.Fatal("no exit delivered")
-	}
-	h.Wait()
-	if e.Err != nil {
-		t.Fatalf("child saw the wrong GOMAXPROCS: %v", e.Err)
+	for _, tc := range []struct {
+		name  string
+		hosts []HostSlot
+		want  int
+	}{
+		{"hostfile", []HostSlot{{Name: "nodeA", Slots: 2}}, 2},
+		{"no hostfile", nil, runtime.NumCPU()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := fmt.Sprintf(`test "$GOMAXPROCS" = %d`, tc.want)
+			spec, err := NewLaunchSpec(
+				[]Entry{{Nprocs: 1, Argv: []string{"/bin/sh", "-c", check}}}, tc.hosts, PlaceBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			block := Block{Procs: spec.Procs, Size: 1}
+			h, err := NewLocalSpawner().Spawn(context.Background(), "", block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, ok := <-h.Exits()
+			if !ok {
+				t.Fatal("no exit delivered")
+			}
+			h.Wait()
+			if e.Err != nil {
+				t.Fatalf("child saw the wrong GOMAXPROCS, want %d: %v", tc.want, e.Err)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -386,14 +387,17 @@ func NewLaunchSpec(entries []Entry, hosts []HostSlot, policy Placement) (*Launch
 
 // injectSlotShares appends a GOMAXPROCS override to each rank placed on a
 // host with a known slot count: its share of the host's slots, floored at
-// one. On an oversubscribed host every rank would otherwise size its
-// scheduler to the full machine and thrash; with the share, co-located
-// ranks split the slots evenly. A caller's own per-rank Env GOMAXPROCS
-// still wins — the share is prepended, and child environments keep the last
-// value of a duplicated key.
+// one. With no hosts, the launcher's host ("") counts as one host with a
+// slot per CPU. Every rank would otherwise size its scheduler to the full
+// machine: an extra OS thread and per-P caches each, idle-P spinning, and a
+// cross-thread wake-up per message its reader hands on. With the share,
+// co-located ranks split the slots evenly. A caller's own per-rank Env
+// GOMAXPROCS still wins — the share is prepended, and child environments
+// keep the last value of a duplicated key. A rank pinned to a host outside
+// the list gets nothing.
 func injectSlotShares(procs []Proc, hosts []HostSlot) {
 	if len(hosts) == 0 {
-		return
+		hosts = []HostSlot{{Name: "", Slots: runtime.NumCPU()}}
 	}
 	slots := make(map[string]int, len(hosts))
 	for _, h := range hosts {

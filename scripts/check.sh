@@ -6,9 +6,10 @@
 #   order, peer loss, the matching-order torture and random schedules: the
 #   two FIFO lists are the only thing that keeps non-overtaking), the
 #   fault-injection and first-contact tests, the most interleaving-sensitive
-#   code in the tree, and the receive-into-place tests (a transport stream
-#   writes into a slab the application owns: the failure paths must never
-#   hand it back early),
+#   code in the tree (TestChaosDownLineEndsDialRetry among them: a down
+#   line must end a send's dial retry at once), and the receive-into-place
+#   tests (a transport stream writes into a slab the application owns: the
+#   failure paths must never hand it back early),
 #   and the lifetime tests of the recycled eager buffers, re-armed requests
 #   and the two-rank allreduce (a record given back too early, or seen twice,
 #   shows as a corrupted checksum); their allocation budgets
@@ -179,10 +180,10 @@ wait "$poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,571 before the launcher decided
-# who is dead, 16,510 after) and the stripped size of a component
-# executable (3,150,008 bytes before, 3,141,816 after), printed for later
-# comparison.
+# Non-test Go lines outside benchmark/ (16,510 before every launch gave
+# its ranks a slot share, 16,522 after) and the stripped size of a
+# component executable (3,141,816 bytes before and after), printed for
+# later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
