@@ -68,7 +68,7 @@ func main() {
 	grace := flag.Duration("grace", mpirun.DefaultGrace, "after a rank fails, how long survivors get to exit before their process groups are killed")
 	stats := flag.Bool("stats", false, "collect per-rank performance variables and print a per-component summary at job end")
 	statsInterval := flag.Duration("stats-interval", 0, "how often each rank pushes a live telemetry report to the launcher (0 = final report only)")
-	httpAddr := flag.String("http", "", "serve the live job view on this address while the job runs: Prometheus /metrics, JSON /status, /debug/pprof")
+	httpAddr := flag.String("http", "", "serve the live job view on this address while the job runs: Prometheus /metrics, JSON /status, each rank's /rank/R/perf and /rank/R/stacks, and the launcher's own profiles at /debug/pprof")
 	traceDir := flag.String("trace", "", "directory for per-rank event traces (trace.rank*.jsonl, mergeable with mphtrace)")
 	hostfile := flag.String("hostfile", "", "hostfile for multi-host placement (one \"host [slots=N]\" per line)")
 	hostList := flag.String("hosts", "", "inline host list for multi-host placement (\"node-a:2,node-b\")")
@@ -180,7 +180,7 @@ func main() {
 		}
 		defer srv.Close()
 		go srv.Serve(ln)
-		fmt.Fprintf(os.Stderr, "mphrun: live job view on http://%s/status (Prometheus /metrics, profiles /debug/pprof)\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "mphrun: live job view on http://%s/status (Prometheus /metrics, per rank /rank/R/perf and /rank/R/stacks, the launcher's profiles /debug/pprof)\n", ln.Addr())
 	}
 
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
@@ -191,14 +191,14 @@ func main() {
 			if snaps := spec.Telemetry.Snapshots(); len(snaps) > 0 {
 				fmt.Fprintf(os.Stderr, "mphrun: post-mortem telemetry (%d of %d rank(s) reported):\n",
 					len(snaps), len(spec.Procs))
-				printStats(os.Stderr, snaps)
+				printStats(os.Stderr, snaps, len(spec.Procs))
 			}
 		}
 		os.Exit(1)
 	}
 	if *stats {
 		snaps := spec.Telemetry.Snapshots()
-		printStats(os.Stdout, snaps)
+		printStats(os.Stdout, snaps, len(spec.Procs))
 		printStragglers(os.Stdout, snaps)
 	}
 	if *traceDir != "" {

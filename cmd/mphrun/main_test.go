@@ -596,7 +596,8 @@ func TestLaunchMultiHostChaos(t *testing.T) {
 // TestLaunchTelemetryMetrics is the end-to-end telemetry-plane test: a
 // 4-rank exec-backend job on two fake hosts pushes periodic snapshot reports
 // to a launcher-side aggregator whose /metrics endpoint is scraped MID-RUN
-// (live Prometheus series with not-yet-final ranks), and once Launch returns
+// (live Prometheus series with not-yet-final ranks), a rank's goroutine
+// stacks are asked for over its session mid-run, and once Launch returns
 // every rank's final report is in and the aggregated totals reconcile
 // job-wide. The deliberate per-rank imbalance (MPH_TEST_SPIN) makes the last
 // rank the straggler, which the stats summary must name.
@@ -646,11 +647,41 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 		}
 	}()
 
+	// Ask a rank for its goroutine stacks over its session, also mid-run.
+	liveStacks := make(chan string, 1)
+	go func() {
+		for {
+			select {
+			case <-stopPoll:
+				return
+			default:
+			}
+			resp, err := http.Get(srv.URL + "/rank/1/stacks")
+			if err == nil {
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					liveStacks <- string(body)
+					return
+				}
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
+	}()
+
 	if err := mpirun.Launch(context.Background(), spec); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
 	close(stopPoll)
 
+	select {
+	case body := <-liveStacks:
+		if !strings.Contains(body, "Session).Serve") {
+			t.Errorf("mid-run /rank/1/stacks does not show the session's Serve:\n%s", body)
+		}
+	default:
+		t.Error("never got rank 1's goroutine stacks mid-run")
+	}
 	select {
 	case body := <-liveScrape:
 		for _, want := range []string{
@@ -746,7 +777,7 @@ func TestLaunchStats(t *testing.T) {
 		t.Errorf("summary rows %v missing component names alpha/beta", names)
 	}
 	var buf strings.Builder
-	printStats(&buf, snaps)
+	printStats(&buf, snaps, len(spec.Procs))
 	if !strings.Contains(buf.String(), "totals reconcile") {
 		t.Errorf("summary output lacks reconciliation line:\n%s", buf.String())
 	}

@@ -65,8 +65,9 @@ func summarize(snaps []perf.Snapshot) ([]componentSummary, componentSummary) {
 }
 
 // printStats renders the per-component summary table followed by the totals
-// row and a reconciliation line (total sent vs total received).
-func printStats(w io.Writer, snaps []perf.Snapshot) {
+// row and a reconciliation line: every one of the world's size ranks must have
+// reported, and messages and bytes sent must equal those received.
+func printStats(w io.Writer, snaps []perf.Snapshot, size int) {
 	rows, totals := summarize(snaps)
 	fmt.Fprintf(w, "mphrun: performance summary (%d rank(s))\n", totals.Ranks)
 	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s %11s %9s %8s\n",
@@ -81,12 +82,15 @@ func printStats(w io.Writer, snaps []perf.Snapshot) {
 		line(c)
 	}
 	line(totals)
-	if totals.SentMsgs == totals.RecvMsgs {
+	switch {
+	case totals.Ranks < size:
+		fmt.Fprintf(w, "mphrun: totals cannot reconcile: %d of %d ranks reported\n", totals.Ranks, size)
+	case totals.SentMsgs == totals.RecvMsgs && totals.SentBytes == totals.RecvBytes:
 		fmt.Fprintf(w, "mphrun: totals reconcile: %d messages sent == %d received\n",
 			totals.SentMsgs, totals.RecvMsgs)
-	} else {
-		fmt.Fprintf(w, "mphrun: WARNING: totals do not reconcile: %d sent != %d received\n",
-			totals.SentMsgs, totals.RecvMsgs)
+	default:
+		fmt.Fprintf(w, "mphrun: WARNING: totals do not reconcile: %d messages (%d bytes) sent != %d (%d bytes) received\n",
+			totals.SentMsgs, totals.SentBytes, totals.RecvMsgs, totals.RecvBytes)
 	}
 	var tree, ring, hier uint64
 	for i := range snaps {

@@ -17,14 +17,14 @@
 // The implementation lives under internal/:
 //
 //   - internal/mpi — a from-scratch MPI-like message-passing substrate:
-//     communicators, point-to-point (eager and synchronous), collectives,
+//     communicators, point-to-point (eager and rendezvous), collectives,
 //     Comm_split/Dup, a two-queue matching engine (UMQ/PRQ), typed failure
 //     semantics (ErrPeerLost, ErrAborted, Comm.Abort), an in-process
 //     transport for tests and an inter-process TCP transport
 //     (internal/mpi/tcpnet) with dial retry, peer death taken from the
 //     launcher's session, abort frames, and deterministic fault injection.
 //   - internal/mpi/perf — the MPI_T-style tool layer: per-rank performance
-//     variables, an event tracer, and the MPH_DEBUG_ADDR live endpoint.
+//     variables and an event tracer.
 //   - internal/registry — the processors_map.in registration file.
 //   - internal/core — MPH itself: component handshaking for all five
 //     execution modes, comm join, name-addressed messaging, inquiry,
@@ -38,7 +38,8 @@
 //   - internal/mpirun + cmd/mphrun — the MPMD launcher and rendezvous.
 //     The launcher watches child exit status, broadcasts an abort to
 //     surviving ranks when one fails, kills process groups after a grace
-//     period, and reports failures per component.
+//     period, and reports failures per component. A rank's session is its
+//     one control channel: mphrun -http asks it for its goroutine stacks.
 //
 // # Tooling
 //

@@ -68,6 +68,10 @@ func FuzzSession(f *testing.F) {
 	f.Add([]byte("0 10.0.0.1:4000 node-0\n1 10.0.0.1:4001 -\n"))       // the retired text wire
 	f.Add([]byte(reg(0) + strings.TrimSuffix(reg(1), "\n")))           // a registration cut short
 	f.Add([]byte(reg(1) + strings.Repeat("x", MaxLineBytes+1) + "\n")) // an over-long line
+	// Stacks answers: one nobody asked for, empty texts, one over the line bound.
+	f.Add([]byte(both + `{"kind":"stacks","id":7,"text":"goroutine 1 [running]:"}` + "\n"))
+	f.Add([]byte(both + `{"kind":"stacks","id":1}` + "\n" + `{"kind":"stacks"}` + "\n"))
+	f.Add([]byte(both + `{"kind":"stacks","id":1,"text":"` + strings.Repeat("x", MaxLineBytes) + `"}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lines := bytes.SplitAfter(data, []byte("\n"))
 		var regs [2][]byte

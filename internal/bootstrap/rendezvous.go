@@ -21,8 +21,8 @@ var ErrRendezvousClosed = errors.New("bootstrap: rendezvous closed")
 // accepts one connection per rank, reads each registration, answers them
 // all with the complete endpoint book once the world has registered, and
 // then serves each session until its rank hangs up — answering clock-sync
-// pings, handing reports to the aggregator, relaying aborts, and telling
-// every other rank when a session ends.
+// pings, handing reports to the aggregator, relaying aborts, matching stacks
+// answers to their asks, and telling every other rank when a session ends.
 type Rendezvous struct {
 	ln         listener
 	size       int
@@ -33,8 +33,10 @@ type Rendezvous struct {
 	closed atomic.Bool
 
 	mu       sync.Mutex
-	sessions []*session // by rank once the book is out; nil where the rank has hung up
-	ended    []int      // ranks in the order their sessions ended
+	sessions []*session             // by rank once the book is out; nil where the rank has hung up
+	ended    []int                  // ranks in the order their sessions ended
+	askSeq   uint64                 // id of the last stacks ask
+	asks     map[uint64]chan string // stacks asks awaiting their answer, by id
 }
 
 // listener is what Serve accepts sessions on: a *sock.Listener, or in-memory
@@ -215,7 +217,7 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 	}
 	wired = true
 	r.mu.Lock()
-	r.sessions = sessions
+	r.sessions, r.asks = sessions, make(map[uint64]chan string)
 	r.mu.Unlock()
 	for _, s := range sessions {
 		go r.serve(s)
@@ -279,6 +281,13 @@ func (r *Rendezvous) serve(s *session) {
 			r.broadcast(msg{Kind: "abort", Code: m.Code, Origin: s.rank}, s.rank)
 		case "bye":
 			s.bye = true
+		case "stacks":
+			r.mu.Lock()
+			if ch, ok := r.asks[m.ID]; ok {
+				ch <- m.Text // buffered, and each id is answered once
+				delete(r.asks, m.ID)
+			}
+			r.mu.Unlock()
 		}
 	}
 }
@@ -309,6 +318,38 @@ func (r *Rendezvous) broadcast(m msg, except int) {
 // with code; their blocked MPI calls fail with origin AbortOriginLauncher.
 func (r *Rendezvous) Abort(code int) {
 	r.broadcast(msg{Kind: "abort", Code: code, Origin: AbortOriginLauncher}, AbortOriginLauncher)
+}
+
+// Stacks asks rank for every goroutine's stack over its session and waits
+// up to timeout for the answer. A rank that is stopped, wedged or gone gets
+// an error naming it; answers are matched by id, and one that comes after
+// its ask gave up is dropped.
+func (r *Rendezvous) Stacks(rank int, timeout time.Duration) (string, error) {
+	r.mu.Lock()
+	if rank < 0 || rank >= len(r.sessions) || r.sessions[rank] == nil {
+		r.mu.Unlock()
+		return "", fmt.Errorf("bootstrap: rank %d has no open session", rank)
+	}
+	s := r.sessions[rank]
+	r.askSeq++
+	id, answer := r.askSeq, make(chan string, 1)
+	r.asks[id] = answer
+	r.mu.Unlock()
+
+	s.send(msg{Kind: "stacks", ID: id})
+	var err error
+	select {
+	case text := <-answer:
+		return text, nil
+	case <-s.done:
+		err = fmt.Errorf("bootstrap: rank %d's session ended before it answered", rank)
+	case <-time.After(timeout):
+		err = fmt.Errorf("bootstrap: rank %d did not answer within %v", rank, timeout)
+	}
+	r.mu.Lock()
+	delete(r.asks, id)
+	r.mu.Unlock()
+	return "", err
 }
 
 // Ended returns the ranks whose sessions have ended, in the order they

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -23,6 +24,8 @@ import (
 //	either way        {"kind":"abort","code":C,"origin":O}
 //	rank → launcher   {"kind":"bye"}                                    on a clean Close
 //	launcher → rank   {"kind":"down","rank":R,"final":F}
+//	launcher → rank   {"kind":"stacks","id":N}
+//	rank → launcher   {"kind":"stacks","id":N,"text":<every goroutine's stack>}
 //
 // The book goes out once every rank of the world has registered. S says the
 // launcher aggregates telemetry: the rank clock-syncs right after the book,
@@ -33,7 +36,8 @@ import (
 // reads EOF when the rank hangs up, so once every session has ended every
 // report a rank sent is in. A rank's session ending is its death to the job:
 // the launcher writes down on every other session, F saying whether the rank
-// said bye first (a clean Close, not a crash). A report's snapshot is
+// said bye first (a clean Close, not a crash). A stacks ask is answered
+// under its id with the rank's goroutine dump. A report's snapshot is
 // encoded on its own: a rank that never reports never builds perf.Snapshot's
 // encoder, a quarter of a millisecond of its start-up.
 type msg struct {
@@ -51,6 +55,8 @@ type msg struct {
 	Snap   json.RawMessage `json:"snap,omitempty"`
 	Code   int             `json:"code,omitempty"`
 	Origin int             `json:"origin,omitempty"`
+	ID     uint64          `json:"id,omitempty"`
+	Text   string          `json:"text,omitempty"`
 }
 
 // AbortOriginLauncher is the origin rank of an abort the launcher itself
@@ -192,10 +198,10 @@ func (s *Session) send(m msg) error {
 }
 
 // Serve reads what the launcher sends after the book until the session
-// ends — Close, or the launcher hanging up — and hands every abort to
-// onAbort and every down line to onDown. The rank a down line names comes
-// from outside the process: onDown checks it. Only one goroutine may serve a
-// session.
+// ends — Close, or the launcher hanging up — hands every abort to onAbort
+// and every down line to onDown, and answers every stacks ask. The rank a
+// down line names comes from outside the process: onDown checks it. Only one
+// goroutine may serve a session.
 func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, final bool)) {
 	for {
 		var m msg
@@ -207,6 +213,27 @@ func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, fi
 			onAbort(m.Code, m.Origin)
 		case "down":
 			onDown(m.Rank, m.Final)
+		case "stacks":
+			s.send(msg{Kind: "stacks", ID: m.ID, Text: goroutineStacks(maxStacksBytes)}) //nolint:errcheck // a launcher that misses it times the ask out
+		}
+	}
+}
+
+// maxStacksBytes caps the dump a stacks answer carries, far inside
+// MaxLineBytes even with JSON's escapes; stacksTruncated ends a dump cut there.
+const maxStacksBytes, stacksTruncated = 1 << 20, "\n... goroutine dump truncated\n"
+
+// goroutineStacks returns runtime.Stack's dump of every goroutine, the text
+// of a goroutine profile at debug=2. The buffer doubles from 64 KiB up to
+// limit; a dump that does not fit even then is cut there and marked.
+func goroutineStacks(limit int) string {
+	for n := min(64<<10, limit); ; n = min(2*n, limit) {
+		buf := make([]byte, n)
+		if k := runtime.Stack(buf, true); k < n {
+			return string(buf[:k])
+		}
+		if n == limit {
+			return string(buf) + stacksTruncated
 		}
 	}
 }

@@ -48,9 +48,6 @@ const (
 	// per-message hot-path events (default DefaultTraceSample; 1 records
 	// every event). Structural events are never sampled.
 	EnvTraceSample = "MPH_TRACE_SAMPLE"
-	// EnvDebugAddr, when set for a TCP-transport job, starts a per-rank
-	// HTTP endpoint serving the live Snapshot as JSON (see Serve).
-	EnvDebugAddr = "MPH_DEBUG_ADDR"
 )
 
 // DefaultTraceEvents is the tracer ring capacity when EnvTraceEvents does
@@ -318,16 +315,15 @@ type TraceSnap struct {
 }
 
 // Snapshot is one rank's performance variables at a point in time. It is
-// the typed unit the HTTP endpoint, the stats files, and mphrun's summary
-// all share.
+// the typed unit a rank's session reports carry, the launcher's job view and
+// /rank/R/perf serve, and mphrun's summary reads.
 type Snapshot struct {
 	WorldRank int    `json:"world_rank"`
 	WorldSize int    `json:"world_size"`
 	Component string `json:"component,omitempty"`
 
-	// Host and PID identify the OS process behind the rank, so a scraped
-	// /perf payload or a streamed telemetry report is attributable without
-	// out-of-band context.
+	// Host and PID identify the OS process behind the rank, so a report is
+	// attributable without out-of-band context.
 	Host string `json:"host,omitempty"`
 	PID  int    `json:"pid,omitempty"`
 

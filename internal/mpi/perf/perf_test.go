@@ -2,11 +2,7 @@ package perf
 
 import (
 	"encoding/json"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,58 +181,6 @@ func TestPhaseAndCollOpNames(t *testing.T) {
 	}
 }
 
-func TestDebugAddr(t *testing.T) {
-	addr, err := DebugAddr("127.0.0.1:7070", 3)
-	if err != nil || addr != "127.0.0.1:7073" {
-		t.Errorf("got %q, %v; want port offset by rank", addr, err)
-	}
-	addr, err = DebugAddr(":0", 5)
-	if err != nil || addr != ":0" {
-		t.Errorf("ephemeral base: %q, %v", addr, err)
-	}
-	// A rank resolves no names: a host name is an error naming the variable.
-	if _, err := DebugAddr("localhost:7070", 0); err == nil || !strings.Contains(err.Error(), EnvDebugAddr) {
-		t.Errorf("host name: %v, want an error naming %s", err, EnvDebugAddr)
-	}
-	if _, err := DebugAddr("127.0.0.1:65535", 1); err == nil {
-		t.Error("port overflow accepted")
-	}
-	if _, err := DebugAddr("no-port", 0); err == nil {
-		t.Error("missing port accepted")
-	}
-}
-
-func TestServeSnapshotEndpoint(t *testing.T) {
-	r := NewRank(0, 2)
-	r.SetComponent("coupler")
-	r.Net.Dials.Add(3)
-	srv, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	resp, err := http.Get("http://" + srv.Addr() + "/perf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
-		t.Fatalf("endpoint body is not a Snapshot: %v\n%s", err, body)
-	}
-	if s.Component != "coupler" || s.Net.Dials != 3 {
-		t.Errorf("served snapshot %+v", s)
-	}
-}
-
 func TestCollObserveMax(t *testing.T) {
 	var c collCounter
 	for _, d := range []int64{500, 3_000, 120_000, 90_000, 3_500} {
@@ -288,36 +232,6 @@ func TestSnapshotIdentityAndClock(t *testing.T) {
 	if off, bound := r.ClockOffset(); off != 12_345 || bound != 678 {
 		t.Errorf("ClockOffset() = %d, %d", off, bound)
 	}
-}
-
-func TestDebugServerCloseReleasesListener(t *testing.T) {
-	r := NewRank(0, 1)
-	srv, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The pprof mux must be mounted alongside /perf.
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof endpoint status %d", resp.StatusCode)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + srv.Addr() + "/perf"); err == nil {
-		t.Error("debug server still serving after Close")
-	}
-	// The port is free again: a second rank in the same process (or a fast
-	// restart) can bind it.
-	ln, err := net.Listen("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("port still held after Close: %v", err)
-	}
-	ln.Close()
 }
 
 func TestNowMonotonic(t *testing.T) {

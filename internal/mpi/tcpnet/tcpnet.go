@@ -198,8 +198,6 @@ type Transport struct {
 	// fall back to a throwaway counter block.
 	net atomic.Pointer[perf.NetCounters]
 
-	debugSrv *perf.DebugServer // MPH_DEBUG_ADDR endpoint, nil unless enabled
-
 	// sess is the rank's one connection to its launcher, open from
 	// registration to Close (or the process's exit): its end is this rank's
 	// death to the job.
@@ -257,17 +255,10 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		return nil, nil, err
 	}
 	// Every address a rank binds or dials is an IP literal: a host name in
-	// MPH_DEBUG_ADDR (here), MPH_BIND (ListenAddr) or MPH_RENDEZVOUS
-	// (Register) fails Init at once, naming the variable.
-	var debugAddr string
-	if base := os.Getenv(perf.EnvDebugAddr); base != "" {
-		if debugAddr, err = perf.DebugAddr(base, rank); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Bind where the launcher said to (MPH_BIND; loopback by default) and
-	// advertise an address peers on other hosts can dial: the wildcard bind
-	// advertises the routable interface address, not 0.0.0.0.
+	// MPH_BIND (ListenAddr) or MPH_RENDEZVOUS (Register) fails Init at once,
+	// naming the variable. Bind where the launcher said to (MPH_BIND;
+	// loopback by default) and advertise an address peers on other hosts can
+	// dial: the wildcard bind advertises the routable interface address.
 	bind := os.Getenv(bootstrap.EnvBind)
 	laddr, err := bootstrap.ListenAddr(bind)
 	if err != nil {
@@ -331,15 +322,6 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	pv.SetHost(host)
 	if off, bound, ok := sess.ClockOffset(); ok {
 		pv.SetClockOffset(off, bound)
-	}
-	if debugAddr != "" {
-		srv, err := perf.Serve(debugAddr, pv)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: debug endpoint: %v\n", rank, err)
-		} else {
-			t.debugSrv = srv
-			fmt.Fprintf(os.Stderr, "tcpnet: rank %d: perf debug endpoint at http://%s/perf\n", rank, srv.Addr())
-		}
 	}
 	t.initShm(size)
 	t.wg.Add(2)
@@ -605,9 +587,6 @@ func (t *Transport) Close() error {
 	}
 	t.report(true)
 	t.sess.Bye() //nolint:errcheck // a launcher that misses it reads a crash; severAll hangs up
-	if t.debugSrv != nil {
-		t.debugSrv.Close()
-	}
 	t.severAll()
 	t.failWaiters(everyPeer, mpi.ErrClosed)
 	t.wg.Wait()

@@ -12,7 +12,6 @@ import (
 	"mph/internal/core"
 	"mph/internal/grid"
 	"mph/internal/mpi"
-	"mph/internal/mpi/perf"
 	"mph/internal/mpi/tcpnet"
 	"mph/internal/xfer"
 )
@@ -257,7 +256,6 @@ func TestInitBadRank(t *testing.T) {
 func TestInitRejectsNames(t *testing.T) {
 	cases := []struct{ env, value, rendezvous string }{
 		{bootstrap.EnvBind, "node-a", "127.0.0.1:1"},
-		{perf.EnvDebugAddr, "localhost:7170", "127.0.0.1:1"},
 		{bootstrap.EnvRendezvous, "", "localhost:4000"},
 	}
 	for _, c := range cases {

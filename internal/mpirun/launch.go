@@ -107,6 +107,10 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	if err != nil {
 		return err
 	}
+	if spec.Telemetry != nil {
+		spec.Telemetry.setStacks(rv.Stacks)
+		defer spec.Telemetry.setStacks(nil)
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(timeout) }()
 

@@ -327,7 +327,8 @@ type LaunchSpec struct {
 	// Telemetry, when non-nil, aggregates the ranks' reports: every rank
 	// clock-syncs with the launcher as it wires up, reports over its session
 	// at the aggregator's interval, and sends a final report when it exits.
-	// nil = ranks report nothing.
+	// While the job runs, the aggregator's /rank/R/stacks asks ranks over
+	// their sessions. nil = ranks report nothing.
 	Telemetry *Telemetry
 	// Bind is the host or IP the rendezvous and every rank's listener bind
 	// ("" = backend default: loopback unless the spawner wants routable

@@ -7,11 +7,16 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"mph/internal/mpi/perf"
 )
+
+// stacksTimeout bounds how long /rank/R/stacks waits for the rank's answer:
+// a rank that is stopped or wedged is reported, not waited on.
+const stacksTimeout = 5 * time.Second
 
 // DefaultStaleAfter is how long a live (non-final) rank may go without a
 // report before the job view marks it stale. Reporting ranks push at their
@@ -72,9 +77,9 @@ type JobView struct {
 	TotalRecvMsgs  uint64 `json:"total_recv_msgs"`
 	TotalRecvBytes uint64 `json:"total_recv_bytes"`
 
-	// Reconciled reports sent==received across every reporting rank. Only
-	// meaningful once every rank's final report is in; mid-run the totals
-	// lag each other by in-flight traffic and report skew.
+	// Reconciled reports that every rank of the world has sent its final
+	// report and the job-wide totals agree: messages and bytes sent equal
+	// messages and bytes received. Mid-run it is false.
 	Reconciled bool `json:"reconciled"`
 
 	Ranks []RankStatus `json:"ranks"`
@@ -83,7 +88,8 @@ type JobView struct {
 // Telemetry is the launcher-side telemetry plane: an aggregator merging the
 // perf.Snapshot reports ranks push over their sessions (LaunchSpec.Telemetry
 // hands it to the rendezvous) into a live job view, and an http.Handler
-// serving the view as Prometheus /metrics and JSON /status.
+// serving the view as Prometheus /metrics and JSON /status, and a rank's own
+// report and goroutine stacks under /rank/R/.
 type Telemetry struct {
 	size       int
 	every      time.Duration
@@ -91,6 +97,7 @@ type Telemetry struct {
 
 	mu      sync.Mutex
 	reports map[int]*rankReport
+	stacks  func(rank int, timeout time.Duration) (string, error) // the running job's asker; nil outside Launch
 }
 
 // NewTelemetry makes the aggregator for a world of the given size, whose
@@ -126,14 +133,6 @@ func (t *Telemetry) Ingest(rank int, snap perf.Snapshot, seq uint64, final bool,
 	r.prev, r.prevAt = &prev, prevAt
 	r.snap, r.seq, r.received = snap, seq, at
 	r.final = r.final || final
-}
-
-// SetStaleAfter overrides the no-report window after which a live rank is
-// marked stale in the job view.
-func (t *Telemetry) SetStaleAfter(d time.Duration) {
-	t.mu.Lock()
-	t.staleAfter = d
-	t.mu.Unlock()
 }
 
 // View returns the merged job view as of now.
@@ -188,7 +187,8 @@ func (t *Telemetry) viewAt(now time.Time) JobView {
 		view.TotalRecvMsgs += rs.RecvMsgs
 		view.TotalRecvBytes += rs.RecvBytes
 	}
-	view.Reconciled = view.Reporting > 0 && view.TotalSentMsgs == view.TotalRecvMsgs
+	view.Reconciled = view.Finals == view.WorldSize &&
+		view.TotalSentMsgs == view.TotalRecvMsgs && view.TotalSentBytes == view.TotalRecvBytes
 	return view
 }
 
@@ -206,38 +206,86 @@ func (t *Telemetry) Snapshots() []perf.Snapshot {
 	return out
 }
 
+// setStacks hands the aggregator the running job's stacks asker (Launch's
+// rendezvous); nil takes it back.
+func (t *Telemetry) setStacks(ask func(rank int, timeout time.Duration) (string, error)) {
+	t.mu.Lock()
+	t.stacks = ask
+	t.mu.Unlock()
+}
+
 // Handler returns the launcher's job-telemetry HTTP surface:
 //
-//	/metrics        Prometheus text exposition of the job view
-//	/status         the JobView as JSON (per-rank table, ages, rates)
-//	/debug/pprof/   net/http/pprof for the launcher process itself
+//	/metrics         Prometheus text exposition of the job view
+//	/status          the JobView as JSON (per-rank table, ages, rates)
+//	/rank/R/perf     rank R's latest report, as JSON
+//	/rank/R/stacks   rank R's goroutine dump, asked over its session
+//	/debug/pprof/    net/http/pprof for the launcher process itself
+//
+// A rank outside the world is a 404; so is a perf ask before the rank has
+// reported. A stacks ask a rank does not answer within stacksTimeout, or
+// one made outside a running job, is a 502 naming the rank.
 func (t *Telemetry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		t.WriteMetrics(w)
 	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(t.View()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+	mux.HandleFunc("/status", func(w http.ResponseWriter, req *http.Request) { writeJSON(w, t.View()) })
+	mux.HandleFunc("GET /rank/{rank}/{what}", func(w http.ResponseWriter, req *http.Request) {
+		rank, err := strconv.Atoi(req.PathValue("rank"))
+		if err != nil || rank < 0 || rank >= t.size {
+			http.Error(w, fmt.Sprintf("no rank %q in a world of %d", req.PathValue("rank"), t.size), http.StatusNotFound)
+			return
+		}
+		t.mu.Lock()
+		r, ask := t.reports[rank], t.stacks
+		var snap perf.Snapshot
+		if r != nil {
+			snap = r.snap
+		}
+		t.mu.Unlock()
+		switch req.PathValue("what") {
+		case "perf":
+			if r == nil {
+				http.Error(w, fmt.Sprintf("rank %d has not reported", rank), http.StatusNotFound)
+				return
+			}
+			writeJSON(w, snap)
+		case "stacks":
+			text, err := "", fmt.Errorf("rank %d: no job is running", rank)
+			if ask != nil {
+				text, err = ask(rank, stacksTimeout)
+			}
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			io.WriteString(w, text)
+		default:
+			http.NotFound(w, req)
 		}
 	})
-	pprofMux(mux)
-	return mux
-}
-
-// pprofMux registers the net/http/pprof handlers on mux under the standard
-// /debug/pprof/ prefix, so profiling the launcher uses the same paths as
-// profiling a rank's MPH_DEBUG_ADDR endpoint.
-func pprofMux(mux *http.ServeMux) {
+	// net/http/pprof under its standard prefix profiles the launcher process
+	// only: a rank links no profiler, and what it answers over its session
+	// is its goroutine dump (/rank/R/stacks).
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// writeJSON answers with v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // WriteMetrics renders the job view in the Prometheus text exposition

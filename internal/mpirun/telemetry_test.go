@@ -54,7 +54,7 @@ func TestTelemetryIngestPartialAndStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tele.SetStaleAfter(10 * time.Second)
+	tele.staleAfter = 10 * time.Second
 	now := time.Now()
 
 	// Only 2 of 3 ranks have reported; one of them long ago.
@@ -74,9 +74,9 @@ func TestTelemetryIngestPartialAndStale(t *testing.T) {
 	if view.Ranks[0].LastReportAgeMS < 29_000 {
 		t.Errorf("rank 0 age %dms, want ≈30000", view.Ranks[0].LastReportAgeMS)
 	}
-	// sent == recv job-wide: reconciled even mid-run.
-	if !view.Reconciled {
-		t.Errorf("10 sent == 10 recv should reconcile: %+v", view)
+	// sent == recv job-wide, but 2 of 3 ranks and none final: no verdict.
+	if view.Reconciled {
+		t.Errorf("a partial, live world must not reconcile: %+v", view)
 	}
 
 	// A final report never goes stale.
@@ -94,6 +94,108 @@ func TestTelemetryIngestPartialAndStale(t *testing.T) {
 	tele.Ingest(3, snapFor(3, 1, 1), 1, false, now)
 	if got := tele.viewAt(now).Reporting; got != 2 {
 		t.Errorf("out-of-range ranks ingested: reporting = %d, want 2", got)
+	}
+}
+
+// TestTelemetryReconcileNeedsEveryFinal: the job view reconciles only once
+// every rank of the world has sent its final report, and only when bytes
+// agree as well as messages.
+func TestTelemetryReconcileNeedsEveryFinal(t *testing.T) {
+	tele, err := NewTelemetry(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	tele.Ingest(0, snapFor(0, 0, 0), 1, true, now)
+	if view := tele.viewAt(now); view.Reconciled {
+		t.Errorf("1 of 2 ranks with zero counts reconciled: %+v", view)
+	}
+	uneven := snapFor(1, 3, 3)
+	uneven.TotalSentBytes, uneven.TotalRecvBytes = 24, 16
+	tele.Ingest(1, uneven, 1, true, now)
+	if view := tele.viewAt(now); view.Reconciled {
+		t.Errorf("3 == 3 messages but 24 != 16 bytes reconciled: %+v", view)
+	}
+	even := snapFor(1, 3, 3)
+	even.TotalSentBytes, even.TotalRecvBytes = 24, 24
+	tele.Ingest(1, even, 2, true, now)
+	if view := tele.viewAt(now); !view.Reconciled {
+		t.Errorf("every final in, messages and bytes equal, did not reconcile: %+v", view)
+	}
+}
+
+// TestTelemetryRankEndpoints: /rank/R/perf serves the rank's latest report
+// and /rank/R/stacks asks the rank over its session; a rank outside the world
+// is a 404, and a rank that does not answer is an error status naming it.
+func TestTelemetryRankEndpoints(t *testing.T) {
+	const n = 2
+	tele, err := NewTelemetry(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tele.Ingest(0, snapFor(0, 5, 4), 1, false, time.Now())
+	srv := httptest.NewServer(tele.Handler())
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for _, path := range []string{"/rank/2/stacks", "/rank/-1/stacks", "/rank/x/perf", "/rank/2/perf", "/rank/1/perf"} {
+		if code, body := get(path); code != http.StatusNotFound {
+			t.Errorf("%s: %d %q, want 404", path, code, body)
+		}
+	}
+	if body := httpGet(t, srv.URL+"/rank/0/perf", "application/json"); !strings.Contains(body, `"total_sent_msgs": 5`) {
+		t.Errorf("/rank/0/perf:\n%s", body)
+	}
+	if code, body := get("/rank/0/stacks"); code != http.StatusBadGateway {
+		t.Errorf("stacks with no job running: %d %q, want 502", code, body)
+	}
+
+	rv, err := bootstrap.NewRendezvous(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rv.Close()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- rv.Serve(10 * time.Second) }()
+	sessions := make([]*bootstrap.Session, n)
+	var wg sync.WaitGroup
+	for rank := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := bootstrap.Register(rv.Advertised(), rank, bootstrap.Endpoint{Addr: "x:1"}, 5*time.Second)
+			if err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+				return
+			}
+			sessions[rank] = s
+		}()
+	}
+	wg.Wait()
+	if err := <-serveErr; err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sessions {
+		if s == nil {
+			t.FailNow()
+		}
+		defer s.Close()
+	}
+	go sessions[0].Serve(func(int, int) {}, func(int, bool) {}) // rank 1 never reads its session
+	tele.setStacks(func(rank int, _ time.Duration) (string, error) { return rv.Stacks(rank, 200*time.Millisecond) })
+	if body := httpGet(t, srv.URL+"/rank/0/stacks", "text/plain; charset=utf-8"); !strings.Contains(body, "Session).Serve") {
+		t.Errorf("/rank/0/stacks:\n%s", body)
+	}
+	if code, body := get("/rank/1/stacks"); code != http.StatusBadGateway || !strings.Contains(body, "rank 1") {
+		t.Errorf("/rank/1/stacks of a silent rank: %d %q, want 502 naming rank 1", code, body)
 	}
 }
 

@@ -158,9 +158,10 @@ grep -q "totals reconcile" "$smoke/daemon.out"
 
 # Telemetry smoke: the same job, paced to ~2s of wall-clock (the unpaced
 # grid finishes in milliseconds — too fast to scrape), with live reporting.
-# The poller starts first (it retries until the launcher's -http server is
-# up) and must see per-rank Prometheus series while the job runs, then the
-# -stats summary must reconcile job-wide.
+# The pollers start first (they retry until the launcher's -http server is
+# up): one must see per-rank Prometheus series while the job runs, the other
+# rank 1's goroutine stacks, asked over its session; then the -stats summary
+# must reconcile job-wide.
 go build -o "$smoke/httpget" ./scripts/httpget
 cat > "$smoke/telejob.cmd" <<EOF
 1 $smoke/climate -component atmosphere -periods 20 -pace 100ms -logdir $smoke
@@ -172,18 +173,22 @@ EOF
 "$smoke/httpget" -timeout 60s -pattern mph_rank_sent_messages_total \
     http://127.0.0.1:7399/metrics > "$smoke/metrics.out" &
 poller=$!
+"$smoke/httpget" -timeout 60s -pattern 'Session).Serve' \
+    http://127.0.0.1:7399/rank/1/stacks > "$smoke/stacks.out" &
+stacks_poller=$!
 "$smoke/mphrun" -hosts nodeA:2,nodeB:2 -backend exec -placement block -stats \
     -stats-interval 100ms -http 127.0.0.1:7399 \
     -cmdfile "$smoke/telejob.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/telemetry.out"
 wait "$poller"
+wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,510 before every launch gave
-# its ranks a slot share, 16,522 after) and the stripped size of a
-# component executable (3,141,816 bytes before and after), printed for
-# later comparison.
+# Non-test Go lines outside benchmark/ (16,522 before the per-rank debug
+# responder went, 16,401 after) and the stripped size of a component
+# executable (3,141,816 bytes before, 2,764,984 after), printed for later
+# comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
