@@ -27,8 +27,8 @@
 // # Multi-host jobs
 //
 // A hostfile (-hostfile, one "host [slots=N]" per line) or inline host list
-// (-hosts node-a:2,node-b) places unpinned ranks across hosts under a
-// -placement policy (block or cyclic); host= pins override the policy. Each
+// (-hosts node-a:2,node-b) places unpinned ranks across hosts in blocks,
+// filling each host's slots before the next; host= pins override that. Each
 // host's ranks are spawned as one block by whatever serves the block
 // protocol there: an "mphrun agent" started via ssh (the default) or locally
 // (-backend exec, single-machine testing of the multi-host path), or a
@@ -72,7 +72,6 @@ func main() {
 	traceDir := flag.String("trace", "", "directory for per-rank event traces (trace.rank*.jsonl, mergeable with mphtrace)")
 	hostfile := flag.String("hostfile", "", "hostfile for multi-host placement (one \"host [slots=N]\" per line)")
 	hostList := flag.String("hosts", "", "inline host list for multi-host placement (\"node-a:2,node-b\")")
-	placement := flag.String("placement", "block", "placement policy for unpinned ranks: block or cyclic")
 	backendName := flag.String("backend", "", "spawn backend: local, exec, ssh, or daemon (default: ssh when hosts are given, local otherwise)")
 	bind := flag.String("bind", "", "host or IP the rendezvous and rank listeners bind (default: loopback, or all interfaces for ssh/daemon)")
 	agentPath := flag.String("agent", "", "mphrun binary to run as each host's agent (default: this executable; must exist on every remote host)")
@@ -117,11 +116,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
 		os.Exit(1)
 	}
-	policy, err := mpirun.ParsePlacement(*placement)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
-		os.Exit(1)
-	}
 	placed := len(hosts) > 0
 	for _, e := range entries {
 		placed = placed || e.Host != ""
@@ -141,7 +135,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	spec, err := mpirun.NewLaunchSpec(entries, hosts, policy)
+	spec, err := mpirun.NewLaunchSpec(entries, hosts, mpirun.PlaceBlock)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mphrun: %v\n", err)
 		os.Exit(1)

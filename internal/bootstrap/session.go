@@ -96,6 +96,8 @@ type Session struct {
 
 	offset, bound int64
 	synced        bool
+
+	early []msg // what the launcher sent during clock sync, for Serve
 }
 
 // Register opens rank's session with the rendezvous at the given address:
@@ -146,13 +148,32 @@ func (s *Session) clockSync() {
 	for i := 0; i < DefaultClockSyncRounds; i++ {
 		s.conn.SetDeadline(time.Now().Add(ioTimeout))
 		t0 := time.Now().UnixNano()
-		var pong msg
-		if s.lc.Send(msg{Kind: "ping", Seq: uint64(i), T0: t0}) != nil || s.lc.Recv(&pong) != nil || pong.Kind != "pong" {
+		if s.lc.Send(msg{Kind: "ping", Seq: uint64(i), T0: t0}) != nil {
+			break
+		}
+		pong, ok := s.nextPong()
+		if !ok {
 			break
 		}
 		samples = append(samples, ClockSample{T0: t0, TS: pong.TS, T3: time.Now().UnixNano()})
 	}
 	s.offset, s.bound, s.synced = EstimateClockOffset(samples)
+}
+
+// nextPong reads up to the next pong. The book is out, so the launcher may
+// already be asking or telling — a stacks ask, an abort, a down line — and
+// each such line is kept, in order, for Serve.
+func (s *Session) nextPong() (msg, bool) {
+	for {
+		var m msg
+		if s.lc.Recv(&m) != nil {
+			return msg{}, false
+		}
+		if m.Kind == "pong" {
+			return m, true
+		}
+		s.early = append(s.early, m)
+	}
 }
 
 // Book returns the job's endpoint book, indexed by world rank.
@@ -203,11 +224,7 @@ func (s *Session) send(m msg) error {
 // down line names comes from outside the process: onDown checks it. Only one
 // goroutine may serve a session.
 func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, final bool)) {
-	for {
-		var m msg
-		if s.lc.Recv(&m) != nil {
-			return
-		}
+	handle := func(m msg) {
 		switch m.Kind {
 		case "abort":
 			onAbort(m.Code, m.Origin)
@@ -216,6 +233,17 @@ func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, fi
 		case "stacks":
 			s.send(msg{Kind: "stacks", ID: m.ID, Text: goroutineStacks(maxStacksBytes)}) //nolint:errcheck // a launcher that misses it times the ask out
 		}
+	}
+	for _, m := range s.early {
+		handle(m)
+	}
+	s.early = nil
+	for {
+		var m msg
+		if s.lc.Recv(&m) != nil {
+			return
+		}
+		handle(m)
 	}
 }
 

@@ -32,6 +32,61 @@ func TestSessionAnswersStacks(t *testing.T) {
 	}
 }
 
+// TestSessionKeepsLinesSentDuringClockSync: the book is out before a rank's
+// clock sync, so the launcher may ask for stacks or send a down line while
+// the rank waits for a pong. Neither may cut the sync short, and Serve must
+// still answer the ask and deliver the down line.
+func TestSessionKeepsLinesSentDuringClockSync(t *testing.T) {
+	rank, launcher := net.Pipe()
+	defer launcher.Close()
+	launcher.SetDeadline(time.Now().Add(10 * time.Second)) // a sync cut short sends no more pings
+	s := &Session{conn: rank, lc: NewLineConn(rank)}
+	defer s.Close()
+	synced := make(chan struct{})
+	go func() {
+		s.clockSync()
+		close(synced)
+	}()
+
+	lc := NewLineConn(launcher)
+	for i := 0; i < DefaultClockSyncRounds; i++ {
+		var ping msg
+		if err := lc.Recv(&ping); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if lc.Send(msg{Kind: "stacks", ID: 7}) != nil || lc.Send(msg{Kind: "down", Rank: 3}) != nil {
+				t.Fatal("launcher send failed")
+			}
+		}
+		if err := lc.Send(msg{Kind: "pong", Seq: ping.Seq, TS: time.Now().UnixNano()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-synced
+	if _, _, ok := s.ClockOffset(); !ok {
+		t.Error("a stacks ask and a down line cut the clock sync short")
+	}
+
+	downs := make(chan int, 1)
+	go s.Serve(func(int, int) {}, func(rank int, _ bool) { downs <- rank })
+	var answer msg
+	if err := lc.Recv(&answer); err != nil {
+		t.Fatal(err)
+	}
+	if answer.Kind != "stacks" || answer.ID != 7 {
+		t.Errorf("answer %q id %d, want stacks id 7", answer.Kind, answer.ID)
+	}
+	select {
+	case r := <-downs:
+		if r != 3 {
+			t.Errorf("down line names rank %d, want 3", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the down line sent during clock sync never reached Serve")
+	}
+}
+
 // TestGoroutineStacksCap: a dump longer than the cap is cut at it and ends
 // with the truncation marker; one within it is whole.
 func TestGoroutineStacksCap(t *testing.T) {

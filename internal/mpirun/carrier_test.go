@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -22,12 +23,45 @@ import (
 // TestMain doubles as the per-host agent: invoked as "agent" this test
 // binary serves one block-protocol connection on its stdio, which is how the
 // pipe and ssh-stub carriers are exercised without installing mphrun.
+// Invoked as "rank" it is the smallest rank Launch can supervise: it joins
+// the rendezvous, takes the address book and says goodbye.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "agent" {
 		ServeAgent()
 		return
 	}
+	if len(os.Args) > 1 && os.Args[1] == "rank" {
+		env, err := bootstrap.EnvFromOS()
+		if err == nil {
+			var s *bootstrap.Session
+			s, err = bootstrap.Register(env.Rendezvous, env.Rank, bootstrap.Endpoint{Addr: "127.0.0.1:1", Host: env.Host}, 30*time.Second)
+			if err == nil {
+				s.Bye()
+				s.Close()
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
 	os.Exit(m.Run())
+}
+
+// countingListener counts the connections a test daemon accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+// Accept implements net.Listener.
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
 }
 
 // testDaemon starts an ephemeral-port daemon serving in the background and
@@ -38,6 +72,7 @@ func testDaemon(t *testing.T) (*Daemon, *DaemonSpawner) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.ln = &countingListener{Listener: d.ln}
 	go d.Serve()
 	t.Cleanup(func() { d.Close() })
 	sp := NewDaemonSpawner(d.Addr(), 0)
@@ -45,9 +80,9 @@ func testDaemon(t *testing.T) (*Daemon, *DaemonSpawner) {
 	return d, sp
 }
 
-// testAgent writes an agent wrapper that records its pid before becoming
-// this test binary's agent mode, and returns its path with a func that
-// SIGKILLs the most recently started agent — the pipe carriers' "server
+// testAgent writes an agent wrapper that appends its pid to a file before
+// becoming this test binary's agent mode, and returns its path with a func
+// that SIGKILLs the most recently started agent — the pipe carriers' "server
 // died" event.
 func testAgent(t *testing.T) (path string, kill func()) {
 	t.Helper()
@@ -55,24 +90,34 @@ func testAgent(t *testing.T) (path string, kill func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path = filepath.Join(dir, "agent")
-	pidfile := filepath.Join(dir, "agent.pid")
-	script := fmt.Sprintf("#!/bin/sh\necho $$ > %s\nexec %s agent\n", pidfile, self)
+	path = filepath.Join(t.TempDir(), "agent")
+	script := fmt.Sprintf("#!/bin/sh\necho $$ >> %s.pids\nexec %s agent\n", path, self)
 	if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	return path, func() {
-		data, err := os.ReadFile(pidfile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pid, err := strconv.Atoi(strings.TrimSpace(string(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		syscall.Kill(pid, syscall.SIGKILL)
+		pids := agentStarts(t, path)
+		syscall.Kill(pids[len(pids)-1], syscall.SIGKILL)
 	}
+}
+
+// agentStarts returns the pid of every agent started through a testAgent
+// wrapper, in start order.
+func agentStarts(t *testing.T, path string) []int {
+	t.Helper()
+	data, err := os.ReadFile(path + ".pids")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pids []int
+	for _, line := range strings.Fields(string(data)) {
+		pid, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, pid)
+	}
+	return pids
 }
 
 // sshStub writes a fake ssh client that ignores every option and host
@@ -98,9 +143,11 @@ func TestSSHArgvEndsOptionsBeforeHost(t *testing.T) {
 	sp := NewSSHSpawner(agent, []string{"-p", "2222"})
 	sp.Command = sshStub(t)
 	const host = "-oProxyCommand=false"
-	if err := sp.ProbeHost(context.Background(), host); err != nil {
+	c, err := sp.Open(context.Background(), host)
+	if err != nil {
 		t.Fatal(err)
 	}
+	c.Close()
 	data, err := os.ReadFile(sp.Command + ".argv")
 	if err != nil {
 		t.Fatal(err)
@@ -134,26 +181,40 @@ var carriers = []struct {
 	}},
 }
 
+// spawnOn opens the host through the spawner and spawns the block there.
+func spawnOn(t *testing.T, sp Spawner, host string, block Block) *blockHandle {
+	t.Helper()
+	c, err := sp.Open(context.Background(), host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.spawn(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // collectExits drains a handle's exit stream into a rank-indexed map.
-func collectExits(t *testing.T, h Handle, n int) map[int]error {
+func collectExits(t *testing.T, h *blockHandle, n int) map[int]error {
 	t.Helper()
 	got := make(map[int]error, n)
 	timeout := time.After(30 * time.Second)
 	for len(got) < n {
 		select {
-		case e, ok := <-h.Exits():
+		case e, ok := <-h.exits:
 			if !ok {
 				t.Fatalf("exit stream closed after %d of %d exits", len(got), n)
 			}
-			if _, dup := got[e.Rank]; dup {
-				t.Fatalf("rank %d exited twice", e.Rank)
+			if _, dup := got[e.rank]; dup {
+				t.Fatalf("rank %d exited twice", e.rank)
 			}
-			got[e.Rank] = e.Err
+			got[e.rank] = e.err
 		case <-timeout:
 			t.Fatalf("timed out after %d of %d exits", len(got), n)
 		}
 	}
-	h.Wait()
+	<-h.done
 	return got
 }
 
@@ -219,10 +280,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 				Stdout:     &out,
 				Stderr:     &errOut,
 			}
-			h, err := sp.Spawn(context.Background(), host, block)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := spawnOn(t, sp, host, block)
 			exits := collectExits(t, h, 3)
 			if exits[0] != nil {
 				t.Errorf("rank 0: %v", exits[0])
@@ -253,10 +311,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 				Procs:        []Proc{{Rank: 0, Argv: []string{"/bin/sh", "-c", `test "$MPH_REGISTRATION" != /launcher/only/path && cat "$MPH_REGISTRATION"`}}},
 				Stdout:       &out,
 			}
-			h, err := sp.Spawn(context.Background(), host, block)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := spawnOn(t, sp, host, block)
 			if exits := collectExits(t, h, 1); exits[0] != nil {
 				t.Errorf("rank 0: %v", exits[0])
 			}
@@ -275,10 +330,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 					{Rank: 1, Argv: []string{"/bin/true"}},
 				},
 			}
-			h, err := sp.Spawn(context.Background(), host, block)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := spawnOn(t, sp, host, block)
 			exits := collectExits(t, h, 2)
 			if exits[0] == nil || !strings.Contains(exits[0].Error(), "exit status 127") {
 				t.Errorf("unstartable rank err %v, want exit status 127", exits[0])
@@ -291,13 +343,10 @@ func TestBlockProtocolConformance(t *testing.T) {
 		// rank's process group on the server's side, surfacing as the SIGKILL
 		// exit status (137).
 		{"kill", func(t *testing.T, sp dialer, _ func()) {
-			h, err := sp.Spawn(context.Background(), host, sleepers(2))
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := spawnOn(t, sp, host, sleepers(2))
 			time.Sleep(100 * time.Millisecond) // let both ranks start
-			h.Kill(0)
-			h.Kill(1)
+			h.kill(0)
+			h.kill(1)
 			start := time.Now()
 			exits := collectExits(t, h, 2)
 			if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -329,10 +378,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 					}
 				}
 			})
-			h, err := sp.Spawn(context.Background(), host, block)
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := spawnOn(t, sp, host, block)
 			time.Sleep(200 * time.Millisecond)
 			killServer()
 			start := time.Now()
@@ -477,13 +523,15 @@ func TestBadEventFailsRanks(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		lc := bootstrap.NewLineConn(conn)
+		var req blockRequest
+		if lc.Recv(&req) != nil || lc.Send(blockEvent{Event: "pong"}) != nil {
+			return
+		}
 		fmt.Fprintln(conn, "this is not an event")
 		time.Sleep(5 * time.Second) // the client must not need EOF to notice
 	}()
-	h, err := NewDaemonSpawner(ln.Addr().String(), 0).Spawn(context.Background(), "", sleepers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := spawnOn(t, NewDaemonSpawner(ln.Addr().String(), 0), "", sleepers(2))
 	for rank, err := range collectExits(t, h, 2) {
 		if err == nil || !strings.Contains(err.Error(), "bad event") {
 			t.Errorf("rank %d err %v, want a bad-event failure", rank, err)
@@ -509,28 +557,33 @@ func TestDaemonStaleReconnect(t *testing.T) {
 		time.Sleep(300 * time.Millisecond) // the supervisor respawning mphd
 		d, err := NewDaemon(addr)
 		if err != nil {
-			return // port raced away; the probe below will fail and report
+			return // port raced away; the open below will fail and report
 		}
 		go d.Serve()
 	}()
-	if err := sp.ProbeHost(context.Background(), ""); err != nil {
+	c, err := sp.Open(context.Background(), "")
+	if err != nil {
 		t.Fatalf("probe did not survive the daemon restart: %v", err)
 	}
+	c.Close()
 }
 
-// TestProbe covers both probe verdicts: pong from a live server on every
-// carrier, a prompt error from a dead daemon address.
+// TestProbe covers both verdicts of Open's ping: pong from a live server on
+// every carrier, a prompt error from a dead daemon address.
 func TestProbe(t *testing.T) {
 	for _, c := range carriers {
 		sp, _ := c.start(t)
-		if err := sp.(HostProber).ProbeHost(context.Background(), "nodeX"); err != nil {
+		conn, err := sp.Open(context.Background(), "nodeX")
+		if err != nil {
 			t.Errorf("probe of live %s server: %v", c.name, err)
+			continue
 		}
+		conn.Close()
 	}
 	dead := NewDaemonSpawner("127.0.0.1:1", 0)
 	dead.DialTimeout = 200 * time.Millisecond
 	start := time.Now()
-	if err := dead.ProbeHost(context.Background(), ""); err == nil {
+	if _, err := dead.Open(context.Background(), ""); err == nil {
 		t.Fatal("probe of dead address succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -565,5 +618,69 @@ func TestLaunchProbeFailFast(t *testing.T) {
 		if !strings.Contains(err.Error(), "host check failed") || !strings.Contains(err.Error(), "nodeA") {
 			t.Errorf("%s: error %q is not a per-host probe report", sp.Name(), err)
 		}
+	}
+}
+
+// TestOneConnectionPerHost: the ping and the spawn share one connection, so
+// a two-host job reaches each host once — two agents started under the exec
+// backend, two connections accepted by a daemon.
+func TestOneConnectionPerHost(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := func(t *testing.T, sp Spawner) {
+		t.Helper()
+		spec := &LaunchSpec{
+			Procs: []Proc{
+				{Rank: 0, Host: "nodeA", Argv: []string{self, "rank"}},
+				{Rank: 1, Host: "nodeB", Argv: []string{self, "rank"}},
+			},
+			Spawner: sp,
+			Timeout: 30 * time.Second,
+			Quiet:   true,
+		}
+		if err := Launch(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("exec", func(t *testing.T) {
+		agent, _ := testAgent(t)
+		launch(t, NewExecSpawner(agent))
+		if n := len(agentStarts(t, agent)); n != 2 {
+			t.Errorf("a two-host job started %d agents, want 2", n)
+		}
+	})
+	t.Run("daemon", func(t *testing.T) {
+		d, sp := testDaemon(t)
+		launch(t, sp)
+		if n := d.ln.(*countingListener).accepted.Load(); n != 2 {
+			t.Errorf("a two-host job opened %d daemon connections, want 2", n)
+		}
+	})
+}
+
+// TestPingBoundSparesTheBlock: the bound on Open's ping covers the ping
+// only. A block that runs past it, on the connection the ping went over,
+// must run to its own clean exit on every carrier — the pipe carriers' dial
+// context is not hung up, the TCP deadline is cleared.
+func TestPingBoundSparesTheBlock(t *testing.T) {
+	for _, c := range carriers {
+		t.Run(c.name, func(t *testing.T) {
+			sp, _ := c.start(t)
+			conn, err := openRemote(context.Background(), sp, "nodeX", 100*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			block := Block{Size: 1, Rendezvous: "127.0.0.1:1",
+				Procs: []Proc{{Rank: 0, Argv: []string{"/bin/sh", "-c", "sleep 0.3"}}}}
+			h, err := conn.spawn(block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := collectExits(t, h, 1)[0]; err != nil {
+				t.Errorf("a block running past the ping's bound failed: %v", err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package mpirun
 import (
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzParseSpec drives the four launch-spec parsers — everything mphrun
@@ -11,7 +12,9 @@ import (
 // colon spec, the string as a -hosts list. Invariants on whatever is
 // accepted: no panic; the total is the sum of the entries' positive counts
 // and at most MaxWorld; every entry has a command; every slot count is in
-// [1, MaxWorld]; no host name, pinned or listed, is empty or option-shaped.
+// [1, MaxWorld]; no host name, pinned or listed, is empty or option-shaped;
+// no listed name holds whitespace, so a -hosts list and a hostfile spell a
+// host the same way.
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte("3 ./atm -x # comment\n2 host=node-b ./ocn\n1 ./coupler\n"))
 	f.Add([]byte("node-a slots=2\nnode-b\n"))
@@ -23,6 +26,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte("-oProxyCommand=touch${IFS}/tmp/x:2"))     // option as a listed host
 	f.Add([]byte("1 host=-oProxyCommand=false ./a.out\n"))  // option as a pin
 	f.Add([]byte("-oProxyCommand=false slots=1\nnode-b\n")) // option in a hostfile
+	f.Add([]byte("nodeA :2,nodeA"))                         // one host under two spellings
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEntries := func(parser string, entries []Entry, total int, err error) {
 			if err != nil {
@@ -44,7 +48,7 @@ func FuzzParseSpec(f *testing.F) {
 				return
 			}
 			for _, h := range hosts {
-				if !validHost(h.Name) || h.Slots < 1 || h.Slots > MaxWorld {
+				if !validHost(h.Name) || strings.ContainsFunc(h.Name, unicode.IsSpace) || h.Slots < 1 || h.Slots > MaxWorld {
 					t.Fatalf("%s accepted host %+v", parser, h)
 				}
 			}

@@ -11,7 +11,7 @@
 // The launcher plays the role of the paper's vendor MPP-run command
 // ("poe -pgmmodel mpmd -cmdfile ..." on the IBM SP, §6): it assigns
 // contiguous world-rank blocks to the executables of a cmdfile, places each
-// rank on a host (block, cyclic, or pinned placement over a hostfile), then
+// rank on a host (block placement over a hostfile, or pinned), then
 // acts as the rendezvous point through which every rank learns every other
 // rank's listen address and host. After rendezvous the launcher is out of
 // the data path: ranks talk directly over their own TCP connections, and —
@@ -46,10 +46,10 @@ const (
 	DefaultGrace = 5 * time.Second
 )
 
-// Launch runs a placed MPMD job to completion: it probes the placement
-// hosts, starts the rendezvous, spawns every host's rank block through the
-// spec's Spawner, supervises the job, and returns nil only if every rank
-// exited cleanly.
+// Launch runs a placed MPMD job to completion: it opens every placement
+// host through the spec's Spawner, starts the rendezvous, spawns each host's
+// rank block on its opened host, supervises the job, and returns nil only
+// if every rank exited cleanly.
 //
 // Failure semantics span hosts: a rank that exits before the world is wired
 // cancels the rendezvous and fails the job immediately; after wiring, a
@@ -79,14 +79,15 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		grace = DefaultGrace
 	}
 
-	// Pre-launch health checks: probe every placement host concurrently and
-	// fail fast with a per-host report, instead of spawning into dead hosts
-	// and burning the rendezvous timeout to find out.
-	if prober, ok := sp.(HostProber); ok {
-		if err := probeHosts(ctx, prober, spec.Hosts()); err != nil {
-			return err
-		}
+	// Reach every placement host before anything spawns, and fail fast with
+	// a per-host report instead of burning the rendezvous timeout to find
+	// out. Whatever is not spawned on is hung up on the way out.
+	hosts := spec.Hosts()
+	conns, err := openHosts(ctx, sp, hosts)
+	if err != nil {
+		return err
 	}
+	defer closeHosts(conns)
 
 	total := len(spec.Procs)
 	rvBind := spec.Bind
@@ -94,7 +95,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		// Remote ranks must be able to dial back; loopback would strand them.
 		rvBind = "0.0.0.0"
 	}
-	rvBind, err := resolveBind(ctx, rvBind)
+	rvBind, err = resolveBind(ctx, rvBind)
 	if err != nil {
 		return err
 	}
@@ -114,7 +115,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- rv.Serve(timeout) }()
 
-	blocks, err := hostBlocks(spec, sp, rv.Advertised(), rvBind)
+	blocks, err := hostBlocks(spec, hosts, sp, rv.Advertised(), rvBind)
 	if err != nil {
 		rv.Close()
 		<-serveErr
@@ -123,37 +124,40 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 
 	if !spec.Quiet {
 		fmt.Fprintf(os.Stderr, "mphrun: world of %d ranks across %d executable(s) on %d host(s) [%s backend]; rendezvous %s\n",
-			total, countExes(spec), len(spec.Hosts()), sp.Name(), rv.Advertised())
+			total, countExes(spec), len(hosts), sp.Name(), rv.Advertised())
 	}
 
-	var handles []Handle
-	rankHandle := make(map[int]Handle, total)
+	var handles []*blockHandle
+	rankHandle := make(map[int]*blockHandle, total)
 	killAll := func() {
 		for _, h := range handles {
-			h.Kill(-1)
+			h.kill(-1)
 		}
 	}
-	results := make(chan RankExit, total)
-	for _, hb := range blocks {
-		h, err := sp.Spawn(ctx, hb.host, hb.block)
+	waitAll := func() {
+		for _, h := range handles {
+			<-h.done
+		}
+	}
+	results := make(chan rankExit, total)
+	for i, block := range blocks {
+		h, err := conns[i].spawn(block)
 		if err != nil {
 			rv.Close()
 			killAll()
-			for _, h := range handles {
-				h.Wait()
-			}
+			waitAll()
 			<-serveErr
-			return fmt.Errorf("spawn on host %q: %w", hb.host, err)
+			return fmt.Errorf("spawn on host %q: %w", hosts[i], err)
 		}
 		handles = append(handles, h)
-		for _, p := range hb.block.Procs {
+		for _, p := range block.Procs {
 			rankHandle[p.Rank] = h
 		}
-		go func(h Handle) {
-			for e := range h.Exits() {
+		go func() {
+			for e := range h.exits {
 				results <- e
 			}
-		}(h)
+		}()
 	}
 
 	// Exit bookkeeping; everything below runs on this goroutine only.
@@ -161,21 +165,19 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 	exited := make([]bool, total)
 	reaped := 0
 	primary := -1 // first abnormally-exiting rank reaped; the report's is causal
-	record := func(r RankExit) {
+	record := func(r rankExit) {
 		reaped++
-		exited[r.Rank] = true
-		exitErr[r.Rank] = r.Err
-		if r.Err != nil && primary < 0 {
-			primary = r.Rank
+		exited[r.rank] = true
+		exitErr[r.rank] = r.err
+		if r.err != nil && primary < 0 {
+			primary = r.rank
 		}
 	}
 	drainRest := func() {
 		for reaped < total {
 			record(<-results)
 		}
-		for _, h := range handles {
-			h.Wait()
-		}
+		waitAll()
 	}
 
 	// Phase 1: wait for the world to wire up, watching for children that
@@ -225,10 +227,10 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 				}
 				killAll()
 				drainRest()
-				if r.Err != nil {
-					return fmt.Errorf("rank %d exited before rendezvous completed: %w", r.Rank, r.Err)
+				if r.err != nil {
+					return fmt.Errorf("rank %d exited before rendezvous completed: %w", r.rank, r.err)
 				}
-				return fmt.Errorf("rank %d exited before rendezvous completed", r.Rank)
+				return fmt.Errorf("rank %d exited before rendezvous completed", r.rank)
 			}
 		}
 	}
@@ -278,14 +280,12 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 			fmt.Fprintln(os.Stderr, "mphrun: grace period expired; killing surviving process groups")
 			for rank := range spec.Procs {
 				if !exited[rank] {
-					rankHandle[rank].Kill(rank)
+					rankHandle[rank].kill(rank)
 				}
 			}
 		}
 	}
-	for _, h := range handles {
-		h.Wait()
-	}
+	waitAll()
 	rv.Close()
 	if canceled {
 		return ctx.Err()
@@ -322,18 +322,12 @@ func resolveBind(ctx context.Context, bind string) (string, error) {
 	return ips[0].String(), nil // a lookup without error found an address
 }
 
-// hostBlock pairs a placement host with its assembled Block.
-type hostBlock struct {
-	host  string
-	block Block
-}
-
-// hostBlocks groups the spec's ranks into per-host blocks in first-use host
-// order and fills in the job-wide launch context each spawner needs. The
-// registration file is shipped both ways — as the launcher-local path (for
-// the direct spawner) and as base64 contents (for spawners that cross a
-// host boundary).
-func hostBlocks(spec *LaunchSpec, sp Spawner, rvAddr, bind string) ([]hostBlock, error) {
+// hostBlocks groups the spec's ranks into one block per host of hosts, in
+// that order, and fills in the job-wide launch context each spawner needs.
+// The registration file is shipped both ways — as the launcher-local path
+// (for the direct spawner) and as base64 contents (for spawners that cross
+// a host boundary).
+func hostBlocks(spec *LaunchSpec, hosts []string, sp Spawner, rvAddr, bind string) ([]Block, error) {
 	regdata := ""
 	if spec.Registration != "" {
 		if _, isLocal := sp.(*LocalSpawner); !isLocal {
@@ -353,38 +347,32 @@ func hostBlocks(spec *LaunchSpec, sp Spawner, rvAddr, bind string) ([]hostBlock,
 		ExtraEnv:     spec.ExtraEnv,
 		Passthrough:  passthroughEnv(os.Environ()),
 	}
-	var blocks []hostBlock
-	index := make(map[string]int)
+	blocks := make([]Block, len(hosts))
+	index := make(map[string]int, len(hosts))
+	for i, host := range hosts {
+		blocks[i] = base
+		index[host] = i
+	}
 	for _, p := range spec.Procs {
-		i, ok := index[p.Host]
-		if !ok {
-			i = len(blocks)
-			index[p.Host] = i
-			b := base
-			blocks = append(blocks, hostBlock{host: p.Host, block: b})
-		}
-		blocks[i].block.Procs = append(blocks[i].block.Procs, p)
+		b := &blocks[index[p.Host]]
+		b.Procs = append(b.Procs, p)
 	}
 	return blocks, nil
 }
 
-// probeTimeout bounds the whole pre-launch host health check.
-const probeTimeout = 15 * time.Second
-
-// probeHosts checks every placement host concurrently through the
-// spawner's prober and returns a per-host failure report if any are
-// unreachable.
-func probeHosts(ctx context.Context, p HostProber, hosts []string) error {
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
+// openHosts opens every placement host concurrently through the spawner.
+// If any cannot be opened, it closes the rest and returns a per-host
+// failure report.
+func openHosts(ctx context.Context, sp Spawner, hosts []string) ([]*HostConn, error) {
+	conns := make([]*HostConn, len(hosts))
 	errs := make([]error, len(hosts))
 	var wg sync.WaitGroup
 	for i, host := range hosts {
 		wg.Add(1)
-		go func(i int, host string) {
+		go func() {
 			defer wg.Done()
-			errs[i] = p.ProbeHost(ctx, host)
-		}(i, host)
+			conns[i], errs[i] = sp.Open(ctx, host)
+		}()
 	}
 	wg.Wait()
 	var bad []string
@@ -398,10 +386,20 @@ func probeHosts(ctx context.Context, p HostProber, hosts []string) error {
 		}
 	}
 	if len(bad) == 0 {
-		return nil
+		return conns, nil
 	}
-	return fmt.Errorf("mpirun: host check failed for %d of %d host(s):\n%s",
+	closeHosts(conns)
+	return nil, fmt.Errorf("mpirun: host check failed for %d of %d host(s):\n%s",
 		len(bad), len(hosts), strings.Join(bad, "\n"))
+}
+
+// closeHosts hangs up every opened host nothing was spawned on.
+func closeHosts(conns []*HostConn) {
+	for _, c := range conns {
+		if c != nil {
+			c.Close()
+		}
+	}
 }
 
 // countExes returns the number of distinct spec entries among the procs.

@@ -15,35 +15,16 @@ import (
 	"mph/internal/bootstrap"
 )
 
-// RankExit is one reaped rank of a spawned block: its world rank and the
+// rankExit is one reaped rank of a spawned block: its world rank and the
 // error its process exited with (nil = clean exit).
-type RankExit struct {
-	// Rank is the world rank that exited.
-	Rank int
-	// Err is the exit error (nil = exit status 0).
-	Err error
+type rankExit struct {
+	rank int
+	err  error
 }
 
-// Handle supervises the ranks of one spawned host block. Implementations
-// must deliver exactly one RankExit per rank on Exits and close the channel
-// once the last rank has been reaped (or declared lost — a daemon connection
-// dying mid-job counts every unresolved rank as failed).
-type Handle interface {
-	// Exits delivers one RankExit per rank of the block, in reap order, and
-	// is closed after the last one.
-	Exits() <-chan RankExit
-	// Kill terminates a rank's process group wherever it runs; rank < 0
-	// kills every rank of the block. Idempotent and best-effort — a rank
-	// that already exited is skipped.
-	Kill(rank int)
-	// Wait blocks until every rank has been reaped and its relayed output
-	// drained.
-	Wait()
-}
-
-// Block is the host-local slice of a launch handed to a Spawner: the ranks
-// placed on one host plus the job-wide launch context they need. The same
-// context travels to every host; only Procs and the host differ.
+// Block is the host-local slice of a launch, spawned on an opened host: the
+// ranks placed on one host plus the job-wide launch context they need. The
+// same context travels to every host; only Procs and the host differ.
 type Block struct {
 	// Procs are the ranks placed on the host, in world order.
 	Procs []Proc
@@ -77,10 +58,10 @@ func rankPrefix(p Proc, host string) string {
 	return fmt.Sprintf("[exe%d rank%d@%s] ", p.Exe, p.Rank, host)
 }
 
-// Spawner starts the host-local rank blocks of a launch: a value resolved
-// once from the CLI (or constructed directly by embedding callers), so the
-// launcher calls Spawn per host without knowing how ranks come to life
-// there.
+// Spawner reaches the placement hosts of a launch: a value resolved once
+// from the CLI (or constructed directly by embedding callers), so the
+// launcher opens each host and spawns its rank block there without knowing
+// how ranks come to life on it.
 type Spawner interface {
 	// Name is the CLI spelling of the spawner ("local", "exec", "ssh",
 	// "daemon"), used in launcher banners and error reports.
@@ -89,20 +70,33 @@ type Spawner interface {
 	// which case the rendezvous and every rank's listener must bind routable
 	// interfaces instead of loopback.
 	WantsRoutable() bool
-	// Spawn starts every rank of the block on the given placement host ("" =
-	// the launcher's host) and returns the handle supervising them. On error
-	// nothing of the block survives.
-	Spawn(ctx context.Context, host string, block Block) (Handle, error)
+	// Open reaches the placement host ("" = the launcher's host) and checks
+	// it can spawn ranks right now. The returned HostConn carries the host's
+	// block; ctx is the job's, and a carrier that is a child process lives
+	// until ctx ends or the HostConn is closed.
+	Open(ctx context.Context, host string) (*HostConn, error)
 }
 
-// HostProber is implemented by spawners that can cheaply check a host is
-// reachable and ready before the launcher commits to the full spawn. The
-// launcher probes every placement host concurrently before phase 1 and fails
-// fast with a per-host report instead of burning the rendezvous timeout.
-type HostProber interface {
-	// ProbeHost checks one placement host; a nil return means the host can
-	// spawn ranks right now.
-	ProbeHost(ctx context.Context, host string) error
+// HostConn is one opened placement host: the block-protocol connection
+// whose ping proved the host's server answers, which then carries the
+// host's one spawn request — or, under LocalSpawner, nothing: the launcher
+// runs the block itself.
+type HostConn struct {
+	host string
+	// peer names the far end in rank errors ("" when the block runs in this
+	// process).
+	peer string
+	conn io.ReadWriteCloser // nil once a spawn owns it, and under LocalSpawner
+	lc   *bootstrap.LineConn
+}
+
+// Close hangs up a host nothing was spawned on; after a spawn the block's
+// handle owns the connection and Close does nothing.
+func (c *HostConn) Close() error {
+	if c.conn == nil {
+		return nil
+	}
+	return c.conn.Close()
 }
 
 // dedupEnv collapses duplicate KEY=VALUE entries, keeping each key's last
@@ -147,16 +141,24 @@ func wireBlock(host string, block Block) *SpawnBlock {
 }
 
 // blockHandle is the launcher's end of one running block, wherever it
-// runs: it turns the block's events into relayed output and RankExits.
+// runs: it turns the block's events into relayed output and rankExits.
 type blockHandle struct {
 	// peer names the far end in rank errors ("" when the block runs in this
 	// process).
 	peer           string
 	prefix         map[int]string // output-relay prefix of every rank
 	stdout, stderr io.Writer
-	exits          chan RankExit
-	done           chan struct{}
-	kill           func(rank int)
+	// exits delivers one rankExit per rank of the block, in reap order, and
+	// is closed after the last one — a connection dying mid-job counts every
+	// unresolved rank as failed.
+	exits chan rankExit
+	// done is closed once every rank has been reaped and its relayed output
+	// drained: lines and exits arrive on one event stream.
+	done chan struct{}
+	// kill terminates a rank's process group wherever it runs; rank < 0
+	// kills every rank of the block. Idempotent and best effort: a lost
+	// connection has already failed every rank.
+	kill func(rank int)
 }
 
 // newBlockHandle prepares the handle of a block about to be spawned.
@@ -166,7 +168,7 @@ func newBlockHandle(peer, host string, block Block) *blockHandle {
 		prefix: make(map[int]string, len(block.Procs)),
 		stdout: block.Stdout,
 		stderr: block.Stderr,
-		exits:  make(chan RankExit, len(block.Procs)),
+		exits:  make(chan rankExit, len(block.Procs)),
 		done:   make(chan struct{}),
 	}
 	if h.stdout == nil {
@@ -192,7 +194,7 @@ func (h *blockHandle) deliver(ev blockEvent) {
 		}
 		fmt.Fprintf(w, "%s%s\n", h.prefix[ev.Rank], ev.Text)
 	case "exit":
-		h.exits <- RankExit{Rank: ev.Rank, Err: errForExit(ev.Code, ev.Msg)}
+		h.exits <- rankExit{rank: ev.Rank, err: errForExit(ev.Code, ev.Msg)}
 	}
 }
 
@@ -214,16 +216,34 @@ func errForExit(code int, msg string) error {
 	return fmt.Errorf("exit status %d", code)
 }
 
-// Exits implements Handle.
-func (h *blockHandle) Exits() <-chan RankExit { return h.exits }
-
-// Kill implements Handle. Best effort: a lost connection has already failed
-// every rank.
-func (h *blockHandle) Kill(rank int) { h.kill(rank) }
-
-// Wait implements Handle: output lines and exits arrive on one event
-// stream, so the stream finishing means everything is relayed.
-func (h *blockHandle) Wait() { <-h.done }
+// spawn starts the block on the opened host and returns the handle
+// supervising it, which owns the connection from then on. On error nothing
+// of the block survives.
+func (c *HostConn) spawn(block Block) (*blockHandle, error) {
+	h := newBlockHandle(c.peer, c.host, block)
+	if c.lc == nil {
+		run := startBlock(wireBlock(c.host, block), block.Registration, h.deliver)
+		h.kill = run.kill
+		go func() {
+			run.wait()
+			h.finish()
+		}()
+		return h, nil
+	}
+	conn, lc := c.conn, c.lc
+	c.conn = nil
+	h.kill = func(rank int) { _ = lc.Send(blockRequest{Op: "kill", Rank: rank}) }
+	if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(c.host, block)}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("%s: send spawn: %w", h.peer, err)
+	}
+	go func() {
+		h.readEvents(lc)
+		conn.Close()
+		h.finish()
+	}()
+	return h, nil
+}
 
 // LocalSpawner runs every rank directly on the launcher's host — the classic
 // single-host mode. Host-placed ranks are rejected by LaunchSpec.Validate.
@@ -238,21 +258,14 @@ func (*LocalSpawner) Name() string { return "local" }
 // WantsRoutable implements Spawner: everything stays on loopback.
 func (*LocalSpawner) WantsRoutable() bool { return false }
 
-// Spawn implements Spawner by running the block in the launcher itself,
-// its events delivered straight to the handle.
-func (s *LocalSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	h := newBlockHandle("", host, block)
-	run := startBlock(wireBlock(host, block), block.Registration, h.deliver)
-	h.kill = run.kill
-	go func() {
-		run.wait()
-		h.finish()
-	}()
-	return h, nil
+// Open implements Spawner: the launcher's own process is the host's
+// server, so there is nothing to reach.
+func (*LocalSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
+	return &HostConn{host: host}, nil
 }
 
 // dialer is how a remote spawner reaches the block-protocol server of a
-// placement host. Everything above the byte stream — probe, spawn, handle —
+// placement host. Everything above the byte stream — open, spawn, handle —
 // is shared; the carriers differ only here.
 type dialer interface {
 	Spawner
@@ -270,55 +283,52 @@ func peerName(d dialer, host string) string {
 	return d.Name() + " " + host
 }
 
-// probeRemote is every remote spawner's ProbeHost: one ping/pong round trip
-// proves the host is reachable and its block-protocol server — daemon or
-// agent binary — is there and answering, which is everything a spawn needs.
-func probeRemote(ctx context.Context, d dialer, host string) error {
-	conn, err := d.dial(ctx, host)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if tc, ok := conn.(net.Conn); ok {
-		if deadline, ok := ctx.Deadline(); ok {
-			tc.SetDeadline(deadline)
-		}
-	}
-	lc := bootstrap.NewLineConn(conn)
-	var ev blockEvent
-	if err := lc.Send(blockRequest{Op: "ping"}); err != nil {
-		return fmt.Errorf("%s: %w", peerName(d, host), err)
-	}
-	if err := lc.Recv(&ev); err != nil {
-		return fmt.Errorf("%s: %w", peerName(d, host), err)
-	}
-	if ev.Event != "pong" {
-		return fmt.Errorf("%s: unexpected %q reply to ping", peerName(d, host), ev.Event)
-	}
-	return nil
-}
+// probeTimeout bounds reaching a host and its ping/pong round trip.
+const probeTimeout = 15 * time.Second
 
-// spawnRemote is every remote spawner's Spawn: ship the host's whole block
-// in one spawn request and supervise it over the streamed events. The
-// registration file travels inside the request, by value.
-func spawnRemote(ctx context.Context, d dialer, host string, block Block) (Handle, error) {
-	conn, err := d.dial(ctx, host)
+// openRemote is every remote spawner's Open: dial the host's server and
+// send one ping. The pong proves the host is reachable and its
+// block-protocol server — daemon or agent binary — is there and answering,
+// which is everything a spawn needs; the same connection then carries the
+// spawn. timeout bounds the dial and the ping only: the dial runs under a
+// child of ctx that a timer cancels, hanging up a pipe carrier, and the
+// timer is stopped at the pong; a TCP connection's deadline is cleared
+// there.
+func openRemote(ctx context.Context, d dialer, host string, timeout time.Duration) (*HostConn, error) {
+	deadline := time.Now().Add(timeout)
+	dctx, hangUp := context.WithCancel(ctx)
+	timer := time.AfterFunc(timeout, hangUp)
+	conn, err := d.dial(dctx, host)
 	if err != nil {
+		timer.Stop()
+		hangUp()
 		return nil, err
 	}
-	lc := bootstrap.NewLineConn(conn)
-	h := newBlockHandle(peerName(d, host), host, block)
-	h.kill = func(rank int) { _ = lc.Send(blockRequest{Op: "kill", Rank: rank}) }
-	if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%s: send spawn: %w", h.peer, err)
+	tc, isTCP := conn.(net.Conn)
+	if isTCP {
+		tc.SetDeadline(deadline)
 	}
-	go func() {
-		h.readEvents(lc)
+	c := &HostConn{host: host, peer: peerName(d, host), conn: conn, lc: bootstrap.NewLineConn(conn)}
+	var ev blockEvent
+	err = c.lc.Send(blockRequest{Op: "ping"})
+	if err == nil {
+		err = c.lc.Recv(&ev)
+	}
+	if err == nil && ev.Event != "pong" {
+		err = fmt.Errorf("unexpected %q reply to ping", ev.Event)
+	}
+	if !timer.Stop() && err == nil {
+		err = fmt.Errorf("no pong within %v", timeout)
+	}
+	if err != nil {
+		hangUp()
 		conn.Close()
-		h.finish()
-	}()
-	return h, nil
+		return nil, fmt.Errorf("%s: %w", c.peer, err)
+	}
+	if isTCP {
+		tc.SetDeadline(time.Time{})
+	}
+	return c, nil
 }
 
 // readEvents consumes the server's event stream until every rank has
@@ -332,7 +342,7 @@ func (h *blockHandle) readEvents(lc *bootstrap.LineConn) {
 	}
 	fail := func(msg string) {
 		for rank := range pending {
-			h.exits <- RankExit{Rank: rank, Err: fmt.Errorf("%s: %s", h.peer, msg)}
+			h.exits <- rankExit{rank: rank, err: fmt.Errorf("%s: %s", h.peer, msg)}
 		}
 	}
 	for len(pending) > 0 {
@@ -448,14 +458,9 @@ func (s *ExecSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser
 	return dialPipe(ctx, argv)
 }
 
-// ProbeHost implements HostProber.
-func (s *ExecSpawner) ProbeHost(ctx context.Context, host string) error {
-	return probeRemote(ctx, s, host)
-}
-
-// Spawn implements Spawner.
-func (s *ExecSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	return spawnRemote(ctx, s, host, block)
+// Open implements Spawner.
+func (s *ExecSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
+	return openRemote(ctx, s, host, probeTimeout)
 }
 
 // SSHSpawner runs each host's block through an agent started on that host
@@ -505,16 +510,11 @@ func (s *SSHSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser,
 	return dialPipe(ctx, append(args, "--", host, shellJoin(argv)))
 }
 
-// ProbeHost implements HostProber: beyond name resolution, reachability and
+// Open implements Spawner: beyond name resolution, reachability and
 // non-interactive authentication, the pong proves the agent binary exists
 // on the host.
-func (s *SSHSpawner) ProbeHost(ctx context.Context, host string) error {
-	return probeRemote(ctx, s, host)
-}
-
-// Spawn implements Spawner.
-func (s *SSHSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	return spawnRemote(ctx, s, host, block)
+func (s *SSHSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
+	return openRemote(ctx, s, host, probeTimeout)
 }
 
 // daemonDialTimeout is the default budget for reaching a host's daemon,
@@ -592,12 +592,7 @@ func (s *DaemonSpawner) dial(ctx context.Context, host string) (io.ReadWriteClos
 	}
 }
 
-// ProbeHost implements HostProber.
-func (s *DaemonSpawner) ProbeHost(ctx context.Context, host string) error {
-	return probeRemote(ctx, s, host)
-}
-
-// Spawn implements Spawner.
-func (s *DaemonSpawner) Spawn(ctx context.Context, host string, block Block) (Handle, error) {
-	return spawnRemote(ctx, s, host, block)
+// Open implements Spawner.
+func (s *DaemonSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
+	return openRemote(ctx, s, host, probeTimeout)
 }

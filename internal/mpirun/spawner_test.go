@@ -1,7 +1,6 @@
 package mpirun
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -29,11 +28,10 @@ func TestDedupEnv(t *testing.T) {
 // spec level: even splits, oversubscription floored at one, unknown hosts
 // untouched.
 func TestSlotShareInjection(t *testing.T) {
-	entries := []Entry{{Nprocs: 6, Argv: []string{"w"}}}
+	// Four ranks fill part of big; the pin puts two on small.
+	entries := []Entry{{Nprocs: 4, Argv: []string{"w"}}, {Nprocs: 2, Host: "small", Argv: []string{"w"}}}
 	hosts := []HostSlot{{Name: "big", Slots: 8}, {Name: "small", Slots: 2}}
-	// Block placement: ranks 0-3 exhaust big's... 8 slots hold ranks 0-5?
-	// No: big has 8 slots, so all 6 ranks land on big. Use cyclic to spread.
-	spec, err := NewLaunchSpec(entries, hosts, PlaceCyclic)
+	spec, err := NewLaunchSpec(entries, hosts, PlaceBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,18 +145,9 @@ func TestSlotShareReachesChild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			block := Block{Procs: spec.Procs, Size: 1}
-			h, err := NewLocalSpawner().Spawn(context.Background(), "", block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, ok := <-h.Exits()
-			if !ok {
-				t.Fatal("no exit delivered")
-			}
-			h.Wait()
-			if e.Err != nil {
-				t.Fatalf("child saw the wrong GOMAXPROCS, want %d: %v", tc.want, e.Err)
+			h := spawnOn(t, NewLocalSpawner(), "", Block{Procs: spec.Procs, Size: 1})
+			if err := collectExits(t, h, 1)[0]; err != nil {
+				t.Fatalf("child saw the wrong GOMAXPROCS, want %d: %v", tc.want, err)
 			}
 		})
 	}

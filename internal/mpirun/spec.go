@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Entry is one parsed component of an MPMD spec: an executable, its
@@ -50,10 +51,12 @@ func addRanks(total, n int, where string) (int, error) {
 }
 
 // validHost reports whether a host name from a hostfile, a -hosts list or a
-// host= pin may reach a spawner: non-empty, and not shaped like an option —
-// ssh would parse "-oProxyCommand=..." in host position as one and run it.
+// host= pin may reach a spawner: non-empty, free of whitespace (a hostfile
+// splits on it, so no other source may hold a name a hostfile cannot), and
+// not shaped like an option — ssh would parse "-oProxyCommand=..." in host
+// position as one and run it.
 func validHost(name string) bool {
-	return name != "" && name[0] != '-'
+	return name != "" && name[0] != '-' && !strings.ContainsFunc(name, unicode.IsSpace)
 }
 
 // parseEntryFields turns the token list of one spec segment —
@@ -158,13 +161,13 @@ func ParseCmdfile(path string) ([]Entry, int, error) {
 	return entries, total, nil
 }
 
-// HostSlot is one host of a hostfile: a name and the number of ranks the
-// placement policies schedule onto it before moving on (its "slots").
+// HostSlot is one host of a hostfile: a name and the number of ranks block
+// placement schedules onto it before moving on (its "slots").
 type HostSlot struct {
 	// Name is the host name or address ssh reaches it by; under the exec
 	// backend it is only a label.
 	Name string
-	// Slots is the rank capacity used by the placement policies (>= 1).
+	// Slots is the rank capacity block placement fills (>= 1).
 	Slots int
 }
 
@@ -239,7 +242,7 @@ func ParseHostList(s string) ([]HostSlot, error) {
 			if err != nil || n <= 0 || n > MaxWorld {
 				return nil, fmt.Errorf("bad host entry %q (want \"host[:slots]\")", item)
 			}
-			hs = HostSlot{Name: name, Slots: n}
+			hs = HostSlot{Name: strings.TrimSpace(name), Slots: n}
 		}
 		if !validHost(hs.Name) {
 			return nil, fmt.Errorf("bad host name %q in list %q", hs.Name, s)
@@ -253,40 +256,16 @@ func ParseHostList(s string) ([]HostSlot, error) {
 	return hosts, nil
 }
 
-// Placement selects how unpinned ranks are assigned to hostfile hosts.
+// Placement names how unpinned ranks are assigned to hostfile hosts;
+// PlaceBlock is the only policy.
 type Placement int
 
-const (
-	// PlaceBlock fills each host's slots with consecutive ranks before
-	// moving to the next host — components land on as few hosts as possible.
-	PlaceBlock Placement = iota
-	// PlaceCyclic deals ranks round-robin across the hosts (skipping hosts
-	// whose slots are full) — components spread over as many hosts as
-	// possible.
-	PlaceCyclic
-)
-
-// String returns the CLI spelling of the placement policy.
-func (p Placement) String() string {
-	switch p {
-	case PlaceBlock:
-		return "block"
-	case PlaceCyclic:
-		return "cyclic"
-	}
-	return fmt.Sprintf("Placement(%d)", int(p))
-}
-
-// ParsePlacement reads a placement policy name ("block" or "cyclic").
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "block", "":
-		return PlaceBlock, nil
-	case "cyclic":
-		return PlaceCyclic, nil
-	}
-	return 0, fmt.Errorf("unknown placement %q (want block or cyclic)", s)
-}
+// PlaceBlock fills each host's slots with consecutive ranks before moving to
+// the next host — components land on as few hosts as possible; a host= pin
+// is how a component is spread instead. NewLaunchSpec keeps its policy
+// parameter, and this constant, for the callers that pass it
+// (benchmark/runjob.go among them).
+const PlaceBlock Placement = 0
 
 // Proc is one placed rank of a LaunchSpec.
 type Proc struct {
@@ -338,17 +317,18 @@ type LaunchSpec struct {
 	// Quiet suppresses the launcher's informational banner (benchmark
 	// harnesses that launch hundreds of jobs).
 	Quiet bool
-	// Spawner starts the host-local rank blocks (nil = NewLocalSpawner).
+	// Spawner opens the placement hosts the rank blocks are spawned on (nil
+	// = NewLocalSpawner).
 	Spawner Spawner
 }
 
-// NewLaunchSpec places the ranks of the parsed entries onto hosts with the
-// given policy and returns the resulting spec. With no hosts, unpinned
+// NewLaunchSpec places the ranks of the parsed entries onto hosts under
+// PlaceBlock and returns the resulting spec. With no hosts, unpinned
 // ranks stay on the launcher's host; pinned entries always land on their
 // pin. When ranks outnumber the hostfile's total slots, placement wraps
 // around (oversubscription), matching what the paper's vendor launchers do
 // when a node list is shorter than the job.
-func NewLaunchSpec(entries []Entry, hosts []HostSlot, policy Placement) (*LaunchSpec, error) {
+func NewLaunchSpec(entries []Entry, hosts []HostSlot, _ Placement) (*LaunchSpec, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("mpirun: no executables")
 	}
@@ -365,10 +345,7 @@ func NewLaunchSpec(entries []Entry, hosts []HostSlot, policy Placement) (*Launch
 			return nil, err
 		}
 	}
-	assign, err := placeRanks(entries, hosts, policy, total)
-	if err != nil {
-		return nil, err
-	}
+	assign := placeRanks(entries, hosts, total)
 	spec := &LaunchSpec{Procs: make([]Proc, 0, total)}
 	rank := 0
 	for ei, e := range entries {
@@ -421,9 +398,10 @@ func injectSlotShares(procs []Proc, hosts []HostSlot) {
 	}
 }
 
-// placeRanks computes the host of every rank: pins first, then the policy
-// over the hostfile for the rest.
-func placeRanks(entries []Entry, hosts []HostSlot, policy Placement, total int) ([]string, error) {
+// placeRanks computes the host of every rank: pins first, then block
+// placement over the hostfile for the rest. Once every slot is used it
+// wraps around, ignoring slot counts from then on (oversubscription).
+func placeRanks(entries []Entry, hosts []HostSlot, total int) []string {
 	assign := make([]string, total)
 	var unpinned []int
 	rank := 0
@@ -437,52 +415,18 @@ func placeRanks(entries []Entry, hosts []HostSlot, policy Placement, total int) 
 			rank++
 		}
 	}
-	if len(hosts) == 0 || len(unpinned) == 0 {
-		return assign, nil
+	if len(hosts) == 0 {
+		return assign
 	}
-	seq := placementSequence(hosts, policy, len(unpinned))
-	for i, r := range unpinned {
-		assign[r] = seq[i]
-	}
-	return assign, nil
-}
-
-// placementSequence expands a hostfile into the host of each of n unpinned
-// ranks under the policy. Both policies wrap around once every slot is
-// used, ignoring slot counts from then on (oversubscription).
-func placementSequence(hosts []HostSlot, policy Placement, n int) []string {
-	seq := make([]string, 0, n)
-	switch policy {
-	case PlaceCyclic:
-		used := make([]int, len(hosts))
-		for len(seq) < n {
-			progressed := false
-			for i, h := range hosts {
-				if len(seq) == n {
-					break
-				}
-				if used[i] < h.Slots {
-					used[i]++
-					seq = append(seq, h.Name)
-					progressed = true
-				}
-			}
-			if !progressed { // every slot used: wrap, plain round robin
-				for i := range used {
-					used[i] = 0
-				}
-			}
-		}
-	default: // PlaceBlock
-		for len(seq) < n {
-			for _, h := range hosts {
-				for s := 0; s < h.Slots && len(seq) < n; s++ {
-					seq = append(seq, h.Name)
-				}
+	for len(unpinned) > 0 {
+		for _, h := range hosts {
+			for s := 0; s < h.Slots && len(unpinned) > 0; s++ {
+				assign[unpinned[0]] = h.Name
+				unpinned = unpinned[1:]
 			}
 		}
 	}
-	return seq
+	return assign
 }
 
 // Validate checks the spec for internal consistency and spawner fit.

@@ -128,7 +128,7 @@ func TestParseHostfileErrors(t *testing.T) {
 }
 
 func TestParseHostList(t *testing.T) {
-	hosts, err := ParseHostList("node-a:2, node-b")
+	hosts, err := ParseHostList("node-a :2, node-b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,22 +136,13 @@ func TestParseHostList(t *testing.T) {
 	if !reflect.DeepEqual(hosts, want) {
 		t.Fatalf("hosts %+v, want %+v", hosts, want)
 	}
-	for _, bad := range []string{"", "node-a,,node-b", "node-a:x", "node-a:0", ":2", "node-a,node-a"} {
+	// A name means what it means in a hostfile: trimmed before the slots,
+	// and never holding whitespace, which a hostfile splits on.
+	for _, bad := range []string{"", "node-a,,node-b", "node-a:x", "node-a:0", ":2", "node-a,node-a",
+		"nodeA :2,nodeA", "a b", "node\tA:2"} {
 		if _, err := ParseHostList(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
-	}
-}
-
-func TestParsePlacement(t *testing.T) {
-	for s, want := range map[string]Placement{"": PlaceBlock, "block": PlaceBlock, "cyclic": PlaceCyclic} {
-		got, err := ParsePlacement(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePlacement(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePlacement("random"); err == nil {
-		t.Error("accepted placement \"random\"")
 	}
 }
 
@@ -174,20 +165,6 @@ func TestPlacementBlock(t *testing.T) {
 	want := []string{"h1", "h1", "h2", "h2", "h3"}
 	if got := placements(spec); !reflect.DeepEqual(got, want) {
 		t.Fatalf("block placement %v, want %v", got, want)
-	}
-}
-
-func TestPlacementCyclic(t *testing.T) {
-	entries := []Entry{{Nprocs: 5, Argv: []string{"a"}}}
-	hosts := []HostSlot{{"h1", 2}, {"h2", 1}, {"h3", 2}}
-	spec, err := NewLaunchSpec(entries, hosts, PlaceCyclic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round one deals h1,h2,h3; round two skips h2 (single slot used).
-	want := []string{"h1", "h2", "h3", "h1", "h3"}
-	if got := placements(spec); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cyclic placement %v, want %v", got, want)
 	}
 }
 

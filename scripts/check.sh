@@ -114,13 +114,13 @@ cat > "$smoke/job.cmd" <<EOF
 1 $smoke/climate -component ice        -periods 2 -logdir $smoke
 1 $smoke/climate -component coupler    -periods 2 -logdir $smoke
 EOF
-"$smoke/mphrun" -hosts nodeA:2,nodeB:2 -backend exec -placement block -stats \
+"$smoke/mphrun" -hosts nodeA:2,nodeB:2 -backend exec -stats \
     -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in
 grep -q "period" "$smoke/coupler.log"
 
 # Hierarchical-collective smoke: same job, uneven 3+2 placement; the world
 # spans two hosts, so the handshake's collectives route two-level.
-"$smoke/mphrun" -hosts nodeA:3,nodeB:2 -backend exec -placement block -stats \
+"$smoke/mphrun" -hosts nodeA:3,nodeB:2 -backend exec -stats \
     -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/hier.out"
 grep -q "totals reconcile" "$smoke/hier.out"
@@ -136,7 +136,7 @@ cat > "$smoke/bulk.cmd" <<EOF
 1 $smoke/climate -component ice        -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
 1 $smoke/climate -component coupler    -nlat 384 -nlon 192 -periods 2 -substeps 1 -logdir $smoke
 EOF
-"$smoke/mphrun" -hosts nodeA:5 -backend exec -placement block -stats \
+"$smoke/mphrun" -hosts nodeA:5 -backend exec -stats \
     -cmdfile "$smoke/bulk.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/shm.out"
 grep -q "totals reconcile" "$smoke/shm.out"
@@ -151,7 +151,7 @@ go build -o "$smoke/mphd" ./cmd/mphd
 mphd_pid=$!
 trap 'kill "$mphd_pid" 2>/dev/null; rm -rf "$smoke"' EXIT
 "$smoke/mphrun" -hosts nodeA:3,nodeB:2 -backend daemon -daemon-addr 127.0.0.1:7641 \
-    -placement block -stats \
+    -stats \
     -cmdfile "$smoke/job.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/daemon.out"
 grep -q "totals reconcile" "$smoke/daemon.out"
@@ -176,7 +176,7 @@ poller=$!
 "$smoke/httpget" -timeout 60s -pattern 'Session).Serve' \
     http://127.0.0.1:7399/rank/1/stacks > "$smoke/stacks.out" &
 stacks_poller=$!
-"$smoke/mphrun" -hosts nodeA:2,nodeB:2 -backend exec -placement block -stats \
+"$smoke/mphrun" -hosts nodeA:2,nodeB:2 -backend exec -stats \
     -stats-interval 100ms -http 127.0.0.1:7399 \
     -cmdfile "$smoke/telejob.cmd" -registration examples/climate/processors_map.in \
     > "$smoke/telemetry.out"
@@ -185,10 +185,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,522 before the per-rank debug
-# responder went, 16,401 after) and the stripped size of a component
-# executable (3,141,816 bytes before, 2,764,984 after), printed for later
-# comparison.
+# Non-test Go lines outside benchmark/ (16,401 before the launcher's probe
+# and spawn shared one connection per host, 16,323 after) and the stripped
+# size of a component executable (2,764,984 bytes, unchanged), printed for
+# later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

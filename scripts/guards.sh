@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 # engine's envelope index with its sweep and the pvars that classified which
 # index path a match took, and the collective duration histogram nothing read
 # (the engine's queues are two FIFO lists). The tokens are chosen so they
-# cannot hit mpirun's ProbeHost or benchmark/'s job.Probe.
+# cannot hit benchmark/'s job.Probe.
 if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool\|\.Ssend(\|\.IProbe(\|\.Isend(\|mpi\.WaitAll\|kindAck\|frameAck\|AcksOut\|ackWhenMatched\|notifyProbes\|pwaitList\|ExclusiveScanInts\|SplitByHost\|RankOfWorld\|IrecvFloatsInto\|NodeComm\|ComponentsOnNode\|SharesNode\|RemapSingle\|RemapMultiInstance\|MigrateField\|LoadCheckpoint\|TracerModel\|NewColDecomp\|xfer\.Transpose\|ParseHistory\|WriteHistory\|matchKey\|ubuckets\|pbuckets\|sweepThreshold\|pbucketLookup\|ubucketLookup\|MatchesWildcard\|MatchesExact\|HistNanos\|CollHistBuckets' --include=*.go .; then
     exit 1
 fi
@@ -73,6 +73,15 @@ fi
 # rank over its session (the variable is spelled so that this file does not
 # name it). FuzzDebugRequest now fuzzes the launcher's /rank/R/ endpoints.
 if grep -rn 'perf\.Serve\|DebugServer\|DebugAddr\|parseDebugRequest\|debugSrv\|MPH_\(DEBUG_ADDR\)' \
+    --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go \
+    README.md DESIGN.md OPERATIONS.md; then
+    exit 1
+fi
+# The launcher reaches each host once: the separate probe (its interface,
+# its method and its dial-and-hang-up) and the cyclic placement policy with
+# its parser and its flag stay out of the code, the scripts and the user
+# documents. The tokens are chosen so they cannot hit benchmark/'s job.Probe.
+if grep -rn -e 'HostProber\|ProbeHost\|probeRemote\|PlaceCyclic\|ParsePlacement\|-placement\|"placement"' \
     --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go \
     README.md DESIGN.md OPERATIONS.md; then
     exit 1
