@@ -215,10 +215,33 @@ func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 	sameBits(t, diags[0], runCoupledInProcess(t, cfg))
 }
 
+// periodAlloc runs the benchmark's coupled job on an nlat x nlon grid, all
+// ten ranks in this process over TCP loopback, for short and then long
+// periods, and returns what each period past the short run allocates, summed
+// over the ten ranks — the steady state: the first short run pays the
+// process's first use of pools and lazily built tables, the second is the
+// base the long run is measured against. It also returns the long run's
+// final counters.
+func periodAlloc(t *testing.T, nlat, nlon, short, long int) (float64, []perf.Snapshot) {
+	t.Helper()
+	allocated := func(periods int) (uint64, []perf.Snapshot) {
+		cfg := coupler.Config{Grid: mustGrid(t, nlat, nlon), Periods: periods, SubSteps: 1, Dt: 0.5,
+			Names: coupler.DefaultNames()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, snaps := runCoupledOverTCP(t, cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, snaps
+	}
+	allocated(short)
+	base, _ := allocated(short)
+	total, snaps := allocated(long)
+	return (float64(total) - float64(base)) / float64(long-short), snaps
+}
+
 // TestCoupledPeriodAllocBudget is the allocation guard of the whole
 // small-message period: the 48x24 job of the benchmark's couple_fine
-// workload, all ten ranks in this process over TCP loopback, run short and
-// run long; what the extra periods allocate, job-wide, is the steady state.
+// workload, run short and run long (periodAlloc).
 // Eager payloads land through recycled buffers, posted records and requests
 // are reused, the callers keep their operands: a period stays under 10 KiB
 // summed over the ten ranks (the parent of this test's commit: 98 KB), most
@@ -231,20 +254,7 @@ func TestCoupledPeriodAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
 	}
-	allocated := func(periods int) (uint64, []perf.Snapshot) {
-		cfg := coupler.Config{Grid: mustGrid(t, 48, 24), Periods: periods, SubSteps: 1, Dt: 0.5,
-			Names: coupler.DefaultNames()}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, snaps := runCoupledOverTCP(t, cfg)
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, snaps
-	}
-	const short, long = 20, 220
-	allocated(short) // first use of the process: pools, lazily built tables
-	base, _ := allocated(short)
-	total, snaps := allocated(long)
-	per := (float64(total) - float64(base)) / (long - short)
+	per, snaps := periodAlloc(t, 48, 24, 20, 220)
 	t.Logf("%.0f B allocated per coupled period, ten ranks together", per)
 	if per > 10<<10 {
 		t.Errorf("a coupled period allocates %.0f B over the ten ranks, budget 10240 (a per-message buffer, record or operand crept back)", per)
@@ -260,4 +270,28 @@ func TestCoupledPeriodAllocBudget(t *testing.T) {
 		}
 	}
 	t.Logf("deepest queues over the ranks: %d unexpected, %d posted", umq, prq)
+}
+
+// TestCoupledBulkPeriodAllocBudget is the same guard on the benchmark's
+// couple_bulk grid, 384x192, where every exchange piece travels RTS → CTS →
+// payload (TestCoupledRunOverTCPRendezvous): the placeholder, its rendezvous
+// record and the sender's CTS wait are recycled, and no goroutine is started
+// per RTS, so a period stays under 3 KiB over the ten ranks (the parent of
+// this test's commit: 15,983 B, ≈ 580 B a rendezvous).
+func TestCoupledBulkPeriodAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens many sockets")
+	}
+	per, snaps := periodAlloc(t, 384, 192, 20, 220)
+	var rts uint64
+	for _, s := range snaps {
+		rts += s.Net.RTSOut
+	}
+	t.Logf("%.0f B allocated per bulk coupled period, ten ranks together (%d rendezvous sends in the long run)", per, rts)
+	if rts == 0 {
+		t.Fatal("no rendezvous traffic: the grid no longer exercises the path this test guards")
+	}
+	if per > 3<<10 {
+		t.Errorf("a bulk coupled period allocates %.0f B over the ten ranks, budget 3072 (a per-rendezvous record, channel or goroutine crept back)", per)
+	}
 }

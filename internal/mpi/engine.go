@@ -295,6 +295,9 @@ func (e *engine) post(m *Packet) error {
 		e.mu.Unlock()
 		return err
 	}
+	if m.Rdv != nil {
+		m.Rdv.Hold() // the engine's, until the receive that takes it is done
+	}
 	if s := m.SrcWorld; s >= 0 && s < len(e.recvFrom) {
 		e.recvFrom[s].msgs++
 		e.recvFrom[s].bytes += uint64(m.PayloadLen())
@@ -308,7 +311,7 @@ func (e *engine) post(m *Packet) error {
 		}
 		pr.pkt = m
 		if m.Rdv != nil {
-			m.Rdv.signalMatched(pr.dst) // consuming match: transport may send CTS
+			m.Rdv.signalMatched(pr.dst) // consuming match: queued for its CTS
 		}
 		pr.complete()
 		e.mu.Unlock()
@@ -403,7 +406,7 @@ func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 		e.tr.Record(perf.KMatch, int64(pkt.SrcWorld), int64(pkt.Tag), int64(pkt.PayloadLen()), int64(e.ucount))
 	}
 	if pkt.Rdv != nil {
-		pkt.Rdv.signalMatched(dst) // consuming match: transport may send CTS
+		pkt.Rdv.signalMatched(dst) // consuming match: queued for its CTS
 	}
 	return pkt
 }
@@ -430,10 +433,12 @@ func (e *engine) recv(ctx uint64, src, tag int, dst []byte) (*Packet, error) {
 
 // awaitPayload blocks until a matched packet's payload is actually present:
 // an eager packet returns immediately, a rendezvous placeholder waits for the
-// transport to finish (or fail) the transfer. Called without engine.mu held.
+// transport to finish (or fail) the transfer — and on failure ends the
+// packet's life here, as consume would have. Called without engine.mu held.
 func awaitPayload(m *Packet) (*Packet, error) {
 	if m != nil && m.Rdv != nil {
 		if err := m.Rdv.await(); err != nil {
+			m.recycle()
 			return nil, err
 		}
 	}
@@ -522,8 +527,9 @@ func (e *engine) failAll(err error) {
 	}
 	e.fail = err
 	for n := e.unexpected.head; n != nil; n = n.next {
-		if n.pkt.Rdv != nil {
-			n.pkt.Rdv.Fail(err) // no-op if the payload already landed
+		if rdv := n.pkt.Rdv; rdv != nil {
+			rdv.Fail(err) // no-op if the payload already landed
+			rdv.Release()
 		}
 	}
 	e.unexpected, e.ucount, e.ufree = ulist{}, 0, nil
@@ -567,6 +573,7 @@ func (e *engine) peerLost(world int, cause error) {
 			rdv := n.pkt.Rdv
 			e.removeUnexpected(n)
 			rdv.Fail(lostErr)
+			rdv.Release()
 		}
 		n = next
 	}

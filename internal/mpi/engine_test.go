@@ -176,8 +176,10 @@ func TestPeerLostSelectsRecords(t *testing.T) {
 	if err := e.post(&Packet{Ctx: 2, Src: deadSrc, SrcWorld: dead, Tag: 7, Data: []byte("eager")}); err != nil {
 		t.Fatal(err)
 	}
-	rdv := NewRendezvous(16)
-	if err := e.post(&Packet{Ctx: 2, Src: deadSrc, SrcWorld: dead, Tag: 8, Rdv: rdv}); err != nil {
+	rp := NewPacketPool(0).GetRendezvous(16, 0) // the test keeps the transport's hold
+	rp.Ctx, rp.Src, rp.SrcWorld, rp.Tag = 2, deadSrc, dead, 8
+	rdv := rp.Rdv
+	if err := e.post(rp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,8 +200,8 @@ func TestPeerLostSelectsRecords(t *testing.T) {
 	if p := e.pendingPosted(); p != 2 {
 		t.Errorf("PRQ depth %d after peer loss, want the AnySource and live receives", p)
 	}
-	if r, ok := IsPeerLost(rdv.MatchErr()); !ok || r != dead {
-		t.Errorf("undelivered placeholder: err %v, want *ErrPeerLost for rank %d", rdv.MatchErr(), dead)
+	if r, ok := IsPeerLost(rdvState(rdv).err); !ok || r != dead {
+		t.Errorf("undelivered placeholder: err %v, want *ErrPeerLost for rank %d", rdvState(rdv).err, dead)
 	}
 	if u := e.pendingUnexpected(); u != 1 {
 		t.Errorf("UMQ depth %d after peer loss, want the eager message alone", u)

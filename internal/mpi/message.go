@@ -62,7 +62,8 @@ type Status struct {
 // Outbound it is the value Transport.Deliver takes, Data being the sender's
 // own slice, read until Deliver returns and not kept. Inbound it is a record
 // a transport gets from its PacketPool, fills and posts to the engine, which
-// owns it from then on.
+// owns it from then on — a rendezvous placeholder jointly with the
+// transport, each holding its record (Rendezvous).
 type Packet struct {
 	// Ctx is the communicator context the packet belongs to.
 	Ctx uint64
@@ -77,10 +78,11 @@ type Packet struct {
 	// the packet's own on an inbound one.
 	Data []byte
 	// Rdv, when non-nil, marks this packet as a rendezvous placeholder: the
-	// payload has been announced (RTS) but not transferred yet. The engine
-	// signals the consuming match through it, and the receive that matched
-	// the packet waits on it before touching Data. Only transports with a
-	// two-protocol wire path (tcpnet) set it.
+	// payload has been announced (RTS) but not transferred yet. The packet
+	// is the record's own (PacketPool.GetRendezvous); the engine signals the
+	// consuming match through it, and the receive that matched the packet
+	// waits on it before touching Data. Only transports with a two-protocol
+	// wire path (tcpnet) set it.
 	Rdv *Rendezvous
 
 	// Set on packets from a PacketPool: where a consumed packet goes back
@@ -90,29 +92,40 @@ type Packet struct {
 	next *Packet
 }
 
-// packetPoolDepth bounds a PacketPool's free list: a rank in steady state
-// holds a handful of inbound messages at once, and a burst of unexpected
-// ones should not stay resident for the rest of the job.
+// packetPoolDepth bounds each of a PacketPool's free lists: a rank in
+// steady state holds a handful of inbound messages at once, and a burst of
+// unexpected ones should not stay resident for the rest of the job.
 const packetPoolDepth = 64
 
-// PacketPool is a transport's bounded free list of inbound packets and the
-// payload buffers that travel with them, so a message in steady state
-// allocates neither. The receive that consumes a pooled packet gives it
-// back, under one rule: a buffer the pool recycles is never returned to a
-// caller — a receive with a destination has the payload copied into it, any
-// other gets an exact-size slice of its own. Nothing is allocated before the
-// first message, and a payload above maxBuf gets a buffer of its own, which
-// is not kept and which the receive hands to its caller as it is.
+// PacketPool is a transport's bounded free lists of inbound packets with the
+// payload buffers that travel with them, and of rendezvous records with
+// their placeholders, so a message in steady state allocates none of them.
+// The receive that consumes a pooled packet gives it back, under one rule: a
+// buffer the pool recycles is never returned to a caller — a receive with a
+// destination has the payload copied into it, any other gets an exact-size
+// slice of its own. Nothing is allocated before the first message, and a
+// payload above maxBuf gets a buffer of its own, which is not kept and which
+// the receive hands to its caller as it is.
+//
+// The pool also queues the placeholders the engine matched, in match order,
+// for the transport's CTS writer (Matches, NextMatch).
 type PacketPool struct {
 	maxBuf int
+	wake   chan struct{} // a token whenever due may have grown since NextMatch last found it empty
 
-	mu   sync.Mutex
-	free *Packet
-	n    int
+	mu    sync.Mutex
+	free  *Packet
+	n     int
+	rfree *Rendezvous // records between transfers
+	rn    int
+	due   *Rendezvous // matched placeholders whose CTS is to be sent, oldest first
+	last  *Rendezvous // due's tail
 }
 
 // NewPacketPool returns an empty pool keeping buffers of up to maxBuf bytes.
-func NewPacketPool(maxBuf int) *PacketPool { return &PacketPool{maxBuf: maxBuf} }
+func NewPacketPool(maxBuf int) *PacketPool {
+	return &PacketPool{maxBuf: maxBuf, wake: make(chan struct{}, 1)}
+}
 
 // Get returns a packet whose Data has length n (nil for n == 0), for the
 // transport to fill in and post. A recycled buffer too small for n is
@@ -150,9 +163,14 @@ func (pp *PacketPool) Copy(p Packet) *Packet {
 	return q
 }
 
-// recycle returns a consumed packet to its pool; a packet no pool made is
-// left to the collector. The caller must not touch the packet afterwards.
+// recycle returns a consumed packet to its pool — a placeholder by dropping
+// the engine's hold on its record; a packet no pool made is left to the
+// collector. The caller must not touch the packet afterwards.
 func (p *Packet) recycle() {
+	if p.Rdv != nil {
+		p.Rdv.Release()
+		return
+	}
 	pp := p.pool
 	if pp == nil {
 		return

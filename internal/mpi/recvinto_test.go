@@ -34,10 +34,13 @@ func soloComm(t *testing.T) *Comm {
 	return c
 }
 
-// placeholder posts what an RTS of n bytes on (c, tag) posts.
+// placeholder posts what an RTS of n bytes on (c, tag) posts. The test keeps
+// the hold a transport's table entry would have, so the record is never
+// recycled under it.
 func placeholder(t *testing.T, c *Comm, tag, n int) *Packet {
 	t.Helper()
-	p := &Packet{Ctx: c.ctx, Src: 0, SrcWorld: 0, Tag: tag, Rdv: NewRendezvous(n)}
+	p := NewPacketPool(0).GetRendezvous(n, 0)
+	p.Ctx, p.Src, p.SrcWorld, p.Tag = c.ctx, 0, 0, tag
 	if err := c.env.Post(p); err != nil {
 		t.Fatal(err)
 	}
@@ -64,19 +67,24 @@ func done(r *Request) bool {
 		return false
 	}
 	m := r.rec.pkt
-	over := r.settled || r.rec.err != nil || m.Rdv == nil || m.Rdv.completed()
+	over := r.settled || r.rec.err != nil || m.Rdv == nil || rdvState(m.Rdv).settled
 	r.rec.ready <- struct{}{}
 	return over
 }
 
-func matched(r *Rendezvous) bool {
-	select {
-	case <-r.Matched():
-		return true
-	default:
-		return false
-	}
+// rdvSnap is what a test reads of a rendezvous record.
+type rdvSnap struct {
+	matched, settled bool
+	err              error
 }
+
+func rdvState(r *Rendezvous) rdvSnap {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return rdvSnap{matched: r.matched, settled: r.settled, err: r.err}
+}
+
+func matched(r *Rendezvous) bool { return rdvState(r).matched }
 
 // TestIrecvIntoRendezvous covers both match orders: the receive posted
 // before the RTS arrives (the engine's post path finds it) and after (the
@@ -101,7 +109,7 @@ func TestIrecvIntoRendezvous(t *testing.T) {
 				}
 				req = startInto(c, 0, 3, dst)
 			}
-			if !matched(p.Rdv) || p.Rdv.MatchErr() != nil {
+			if !matched(p.Rdv) || rdvState(p.Rdv).err != nil {
 				t.Fatal("the receive did not consume the placeholder")
 			}
 			if done(req) {

@@ -5,25 +5,44 @@ import (
 	"sync"
 )
 
-// Rendezvous is the receive-side state of one large-message rendezvous
-// transfer (DESIGN.md §12). The TCP transport posts a placeholder Packet
-// carrying a Rendezvous when an RTS frame arrives: the placeholder occupies
-// the sender's position in the engine's match order (preserving the
+// Rendezvous is the receive-side record of one large-message rendezvous
+// transfer (DESIGN.md §12), and it carries the placeholder Packet the
+// transport posts when an RTS frame arrives: the placeholder occupies the
+// sender's position in the engine's match order (preserving the
 // non-overtaking invariant) while promising PayloadLen bytes that have not
-// crossed the wire yet. The engine signals the match through the Rendezvous,
-// the transport answers with a CTS frame, and once the payload lands in its
-// final buffer the transport finishes the rendezvous, releasing the receive
-// that matched the placeholder.
+// crossed the wire yet. At the consuming match the engine queues the record
+// for its CTS, which the transport's CTS writer takes with
+// PacketPool.NextMatch; once the payload lands in its final buffer the
+// transport finishes the rendezvous, releasing the receive that matched the
+// placeholder.
+//
+// Records come from a PacketPool's bounded free list and go back to it when
+// the last holder lets go. Each holder counts once: the transport's table
+// entry (the hold GetRendezvous returns), the engine from the post until the
+// receive that took the placeholder is done with it, the CTS queue from the
+// match to NextMatch, and a transport stream for the length of its read
+// (Hold, Release). So no stream, table entry or failure sweep reaches a
+// record on the free list; one that tries panics.
 //
 // The type is exported only for transport implementations; in-process
 // traffic never creates one.
 type Rendezvous struct {
-	n int // promised payload length in bytes
+	pkt  Packet      // the placeholder; pkt.Rdv points back here
+	pool *PacketPool // the free list the record goes back to
+	id   uint64      // the sender's transfer id, which the CTS quotes
+	n    int         // promised payload length in bytes
+
+	// ready carries one token once the outcome is known and dst is quiet.
+	// Made with the record, it serves every transfer the record carries.
+	ready chan struct{}
+	next  *Rendezvous // free-list or CTS-queue link, under pool.mu
 
 	mu      sync.Mutex
+	refs    int // holders, above; 0 only on the free list
 	matched bool
-	done    bool  // the payload landed
-	err     error // first failure wins; set before doneCh closes
+	landed  bool  // the payload landed
+	settled bool  // the token is out
+	err     error // first failure wins; set before the token
 
 	// dst is the matched receive's own buffer (StartRecvInto), installed at the
 	// match — before any CTS, hence before any payload — when it has the
@@ -32,104 +51,103 @@ type Rendezvous struct {
 	// never gets back a buffer something still writes to.
 	dst     []byte
 	filling bool
-
-	matchCh chan struct{} // closed at the consuming match, or on failure
-	doneCh  chan struct{} // closed once the outcome is known and dst is quiet
-}
-
-// NewRendezvous creates the receive-side record for a transfer promising n
-// payload bytes.
-func NewRendezvous(n int) *Rendezvous {
-	return &Rendezvous{
-		n:       n,
-		matchCh: make(chan struct{}),
-		doneCh:  make(chan struct{}),
-	}
 }
 
 // PayloadLen returns the promised payload length in bytes.
 func (r *Rendezvous) PayloadLen() int { return r.n }
 
-// Matched returns a channel closed when the placeholder has been consumed by
-// a matching receive — the transport's cue to send CTS — or when the
-// rendezvous failed first; MatchErr distinguishes the two.
-func (r *Rendezvous) Matched() <-chan struct{} { return r.matchCh }
-
-// MatchErr reports the failure that ended the rendezvous before (or instead
-// of) a match, or nil after a genuine match.
-func (r *Rendezvous) MatchErr() error {
+// Hold adds a holder: a stream takes one before it reads the payload, while
+// the table entry it found the record under still holds it.
+func (r *Rendezvous) Hold() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
+	r.hold()
+	r.mu.Unlock()
+}
+
+// hold is Hold with r.mu held.
+func (r *Rendezvous) hold() {
+	if r.refs <= 0 {
+		panic("mpi: rendezvous record held after it was recycled")
+	}
+	r.refs++
+}
+
+// Release drops one holder; the last one gives the record back to its pool.
+// The caller must not touch the record afterwards.
+func (r *Rendezvous) Release() {
+	r.mu.Lock()
+	if r.refs <= 0 {
+		panic("mpi: rendezvous record released after it was recycled")
+	}
+	r.refs--
+	last := r.refs == 0
+	r.mu.Unlock()
+	if last {
+		r.pool.putRendezvous(r)
+	}
 }
 
 // signalMatched records the consuming match and, for a receive that brought
 // its own buffer of the promised length, where the payload is to land (with
 // any other length the payload takes a buffer of its own and the receive
-// reports the truncation). Called by the engine under its own lock;
-// idempotent, and a no-op after a failure.
+// reports the truncation), then queues the record for its CTS. Called by
+// the engine under its own lock; a no-op after a failure.
 func (r *Rendezvous) signalMatched(dst []byte) {
 	r.mu.Lock()
-	if !r.matched && r.err == nil {
+	due := !r.matched && r.err == nil
+	if due {
 		if len(dst) == r.n {
 			r.dst = dst
 		}
 		r.matched = true
-		close(r.matchCh)
+		r.hold() // the CTS queue's
 	}
 	r.mu.Unlock()
+	if due {
+		r.pool.queueMatch(r)
+	}
 }
 
-// settle releases the waiters once the transfer has an outcome and no stream
+// settle releases the waiter once the transfer has an outcome and no stream
 // is still reading into the receiver's buffer. Caller holds r.mu.
 func (r *Rendezvous) settle() {
-	if (r.done || r.err != nil) && !r.filling && !r.completed() {
-		close(r.doneCh)
+	if (r.landed || r.err != nil) && !r.filling && !r.settled {
+		r.settled = true
+		r.ready <- struct{}{}
 	}
 }
 
 // Fail ends the rendezvous with err: the payload will never arrive (peer
-// died, job aborted, transport closed). Waiters on both channels unblock and
-// observe err — the payload's only once a stream caught reading into the
+// died, job aborted, transport closed). A queued CTS is not sent, and the
+// waiter observes err — only once a stream caught reading into the
 // receiver's buffer has let go, which the cause of the failure (a closed
 // connection, a read deadline) makes prompt. Idempotent; a no-op after
-// successful completion.
+// successful completion. The caller must hold the record.
 func (r *Rendezvous) Fail(err error) {
 	if err == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.done || r.err != nil {
+	if r.refs <= 0 {
+		panic("mpi: rendezvous record failed after it was recycled")
+	}
+	if r.landed || r.err != nil {
 		return
 	}
 	r.err = err
-	if !r.matched {
-		r.matched = true
-		close(r.matchCh)
-	}
 	r.settle()
 }
 
 // await blocks until the payload is delivered or the rendezvous fails. The
-// engine's receive paths call it after a receive consumes a placeholder
-// packet; a nil return guarantees the packet's Data is the full payload.
+// engine's receive paths call it once, after a receive consumes a
+// placeholder packet; a nil return guarantees the packet's Data is the full
+// payload.
 func (r *Rendezvous) await() error {
-	<-r.doneCh
+	<-r.ready
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
-}
-
-// completed reports whether await would return without blocking (payload
-// landed or transfer failed).
-func (r *Rendezvous) completed() bool {
-	select {
-	case <-r.doneCh:
-		return true
-	default:
-		return false
-	}
 }
 
 // delivered reports whether the payload actually landed (as opposed to the
@@ -138,12 +156,100 @@ func (r *Rendezvous) completed() bool {
 func (r *Rendezvous) delivered() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.done && r.err == nil
+	return r.landed && r.err == nil
+}
+
+// GetRendezvous returns the placeholder of a transfer promising n payload
+// bytes under the sender's transfer id, its Rdv held once: the caller's
+// hold, which becomes its table entry's. The caller fills in the envelope
+// and posts the packet; the engine takes a hold of its own.
+func (pp *PacketPool) GetRendezvous(n int, id uint64) *Packet {
+	pp.mu.Lock()
+	r := pp.rfree
+	if r != nil {
+		pp.rfree, r.next = r.next, nil
+		pp.rn--
+	}
+	pp.mu.Unlock()
+	if r == nil {
+		r = &Rendezvous{pool: pp, ready: make(chan struct{}, 1)}
+		r.pkt.Rdv = r
+	}
+	r.id, r.n, r.refs = id, n, 1
+	return &r.pkt
+}
+
+// putRendezvous takes back a record its last holder released, clearing the
+// transfer it carried.
+func (pp *PacketPool) putRendezvous(r *Rendezvous) {
+	select {
+	case <-r.ready: // settled, never awaited: the placeholder was dropped unconsumed
+	default:
+	}
+	r.pkt = Packet{Rdv: r}
+	r.matched, r.landed, r.settled, r.err, r.dst = false, false, false, nil, nil
+	pp.mu.Lock()
+	if pp.rn < packetPoolDepth {
+		r.next, pp.rfree = pp.rfree, r
+		pp.rn++
+	}
+	pp.mu.Unlock()
+}
+
+// queueMatch appends a matched placeholder, held for the queue, to the CTS
+// queue and wakes the writer.
+func (pp *PacketPool) queueMatch(r *Rendezvous) {
+	pp.mu.Lock()
+	if pp.last != nil {
+		pp.last.next = r
+	} else {
+		pp.due = r
+	}
+	pp.last = r
+	pp.mu.Unlock()
+	select {
+	case pp.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
+
+// Matches returns the channel that carries a token after a placeholder
+// matched: the CTS writer's cue to call NextMatch until it reports false.
+func (pp *PacketPool) Matches() <-chan struct{} { return pp.wake }
+
+// NextMatch takes the oldest matched placeholder off the CTS queue and
+// returns what its CTS needs: the sender's world rank and the transfer id.
+// ok is false once the queue is empty. A rendezvous that failed while
+// queued is skipped: it gets no CTS.
+func (pp *PacketPool) NextMatch() (src int, id uint64, ok bool) {
+	for {
+		pp.mu.Lock()
+		r := pp.due
+		if r != nil {
+			pp.due, r.next = r.next, nil
+			if pp.due == nil {
+				pp.last = nil
+			}
+		}
+		pp.mu.Unlock()
+		if r == nil {
+			return 0, 0, false
+		}
+		r.mu.Lock()
+		failed := r.err != nil
+		r.mu.Unlock()
+		src, id = r.pkt.SrcWorld, r.id
+		r.Release()
+		if !failed {
+			return src, id, true
+		}
+	}
 }
 
 // ReceiveRendezvous reads the promised payload, next on rd, into its final
 // buffer and releases the matched receive: the receive's own buffer when it
 // posted one (StartRecvInto), else an exactly-sized one the packet then owns.
+// The caller holds the record for the length of the call.
 //
 // It reports false, having read nothing, when the transfer is already over —
 // a redial replayed a payload that did land, or the rendezvous failed — and
@@ -154,7 +260,7 @@ func (r *Rendezvous) delivered() bool {
 func (p *Packet) ReceiveRendezvous(rd io.Reader) (bool, error) {
 	r := p.Rdv
 	r.mu.Lock()
-	if r.done || r.err != nil {
+	if r.landed || r.err != nil {
 		r.mu.Unlock()
 		return false, nil
 	}
@@ -172,9 +278,9 @@ func (p *Packet) ReceiveRendezvous(rd io.Reader) (bool, error) {
 	if own {
 		r.filling = false
 	}
-	if err == nil && !r.done && r.err == nil {
+	if err == nil && !r.landed && r.err == nil {
 		p.Data = buf
-		r.done = true
+		r.landed = true
 	}
 	r.settle()
 	r.mu.Unlock()

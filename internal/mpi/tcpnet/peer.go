@@ -300,13 +300,17 @@ func (t *Transport) peerDown(rank int, cause error, final bool) {
 		!t.peers[rank].condemn(cause) {
 		return
 	}
+	if !final {
+		// Counted first: the sweeps below wake the operations blocked on the
+		// rank, and a count read once one returned includes the loss.
+		t.netCounters().PeersLost.Add(1)
+	}
 	t.failWaiters(func(r int) bool { return r == rank }, &mpi.ErrPeerLost{Rank: rank, Cause: cause})
 	if final {
 		t.env.PeerExited(rank, cause)
 		return
 	}
 	t.env.PeerLost(rank, cause)
-	t.netCounters().PeersLost.Add(1)
 	fmt.Fprintf(os.Stderr, "tcpnet: rank %d: peer rank %d lost: %v\n", t.rank, rank, cause)
 	// Push the failure counters to the launcher right away — the survivors
 	// may run on for a while, and the post-mortem wants the loss timestamped.

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,6 +231,46 @@ func TestChaosSeverBetweenRTSAndCTS(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("rendezvous sender hung waiting for a dead receiver's CTS")
+	}
+}
+
+// TestChaosLateRTSFromDeadPeer: an RTS that a dead rank's stream delivers
+// after the launcher's down line — its bytes were still in flight — is
+// refused and ends the stream. Posted, its placeholder would have escaped the
+// failure sweep that already ran: a receive naming the rank would match it
+// ahead of the peer-loss verdict, and wait for a payload nobody sends.
+func TestChaosLateRTSFromDeadPeer(t *testing.T) {
+	trs, envs := startWorld(t, 2)
+	defer envs[0].Close()
+	setEagerThreshold(trs, 1024)
+	c0 := mpi.WorldComm(envs[0])
+
+	conn := rawPeer(t, trs[0]) // rank 1's stream, still open when it dies
+	defer conn.Close()
+	trs[1].severAll()
+	nc := &envs[0].Perf().Net
+	for deadline := time.Now().Add(10 * time.Second); nc.PeersLost.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 1 was never declared dead")
+		}
+	}
+	conn.Write(wireOf(kindRTS, []uint64{1, c0.Context(), 1, 9, 1, 64 << 10}, ""))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the dead rank's stream stayed open after a late RTS: %v", err)
+	}
+	if depth := envs[0].Perf().Snapshot().Engine.UMQDepth; depth != 0 {
+		t.Fatalf("a late RTS posted a placeholder: %d unexpected messages", depth)
+	}
+	done := make(chan error, 1)
+	go func() { _, _, err := c0.Recv(1, 9); done <- err }()
+	select {
+	case err := <-done:
+		if rank, lost := mpi.IsPeerLost(err); !lost || rank != 1 {
+			t.Fatalf("receive from the dead rank = %v, want ErrPeerLost{Rank: 1}", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a receive from the dead rank hung on its late RTS")
 	}
 }
 
@@ -566,6 +610,9 @@ func TestRecvIntoReplayedRData(t *testing.T) {
 	var placeholder *mpi.Packet
 	for key, placeholder = range trs[0].rdvIn {
 	}
+	if placeholder != nil {
+		placeholder.Rdv.Hold() // the test's: the record must outlive the transfer
+	}
 	trs[0].waitMu.Unlock()
 	if placeholder == nil {
 		t.Fatal("no inbound rendezvous registered after the RTS")
@@ -585,6 +632,7 @@ func TestRecvIntoReplayedRData(t *testing.T) {
 		if window != "forgotten" {
 			trs[0].waitMu.Lock()
 			trs[0].rdvIn[key] = placeholder
+			placeholder.Rdv.Hold() // the entry's
 			trs[0].waitMu.Unlock()
 		}
 		frames := nc.FramesIn.Load()
@@ -635,4 +683,201 @@ func TestRecvIntoTruncatedKeepsStreamFramed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestRendezvousLifetime sends checksummed rendezvous payloads to rank 0 from
+// ranks 1 and 2 at once, received alternately into place and by a plain
+// Recv, while the job ends under them: rank 1 dies with one of its payloads
+// half read into a receive's buffer, and rank 2 runs on; rank 0 aborts the
+// job; or rank 0 closes. Every receive ends in an intact payload or the
+// failure's typed error, and every buffer a receive returned, or was given to
+// fill, holds once everything has stopped what it held when the receive
+// returned. Placeholder records recycle throughout, so one given back before
+// its last holder let go shows here: as a panic where a failure sweep, a
+// stream or a receive reaches it on the free list (Rendezvous.Fail, Hold and
+// Release refuse a recycled record), as a race under -race, as a survivor's
+// receive failing with another rank's error, or as a buffer rewritten after
+// its receive returned.
+func TestRendezvousLifetime(t *testing.T) {
+	for _, end := range []string{"peer dies", "abort", "close"} {
+		for _, carrier := range []string{"tcp", "shm"} {
+			t.Run(end+"/"+carrier, func(t *testing.T) { rendezvousLifetime(t, end, carrier == "tcp") })
+		}
+	}
+}
+
+func rendezvousLifetime(t *testing.T, end string, split bool) {
+	t.Setenv(EnvDialTimeout, "1s")
+	t.Setenv(EnvDialBackoff, "20ms")
+	trs, envs := startWorld(t, 3)
+	setEagerThreshold(trs, 1024)
+	if split {
+		splitHosts(envs)
+	}
+	c0 := mpi.WorldComm(envs[0])
+	const perSender, midway, tag = 300, 40, 5
+	size := func(seq int) int { return 16<<10 + seq%5*(24<<10) } // 16–112 KiB
+	stampSeq := func(buf []byte, src, seq int) {
+		binary.LittleEndian.PutUint32(buf, uint32(seq))
+		stamp(buf[4:], src<<16|seq)
+	}
+
+	type kept struct {
+		data []byte
+		sum  uint32
+	}
+	var mu sync.Mutex
+	var held []kept
+	keep := func(data []byte) {
+		mu.Lock()
+		held = append(held, kept{data, crc32.ChecksumIEEE(data)})
+		mu.Unlock()
+	}
+	// ended reports whether err is the typed error this end gives a receive
+	// from src.
+	ended := func(err error, src int) bool {
+		switch end {
+		case "peer dies":
+			rank, lost := mpi.IsPeerLost(err)
+			return lost && rank == 1 && src == 1
+		case "abort":
+			return errors.Is(err, mpi.ErrAborted)
+		default:
+			return errors.Is(err, mpi.ErrClosed)
+		}
+	}
+
+	var received atomic.Int64
+	var senders, receivers sync.WaitGroup
+	counts := make([]int, 3)
+	for src := 1; src <= 2; src++ {
+		c := mpi.WorldComm(envs[src])
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			out := make([]byte, size(4))
+			for seq := 0; seq < perSender; seq++ {
+				stampSeq(out[:size(seq)], src, seq)
+				if c.Send(0, tag, out[:size(seq)]) != nil {
+					return // the end reached the sender
+				}
+			}
+		}()
+		receivers.Add(1)
+		go func() {
+			defer receivers.Done()
+			var req mpi.Request
+			want := make([]byte, size(4))
+			for seq := 0; seq < perSender; seq++ {
+				var data []byte
+				var err error
+				if seq%2 == 0 {
+					data, _, err = c0.Recv(src, tag)
+				} else {
+					data = make([]byte, size(seq))
+					c0.StartRecvInto(&req, src, tag, data)
+					_, _, err = req.Wait()
+					keep(data) // the receive's buffer is the caller's again, whatever the outcome
+				}
+				if err != nil {
+					if !ended(err, src) {
+						t.Errorf("receive %d from rank %d: %v", seq, src, err)
+					}
+					return
+				}
+				stampSeq(want[:size(seq)], src, seq)
+				if !bytes.Equal(data, want[:size(seq)]) {
+					t.Errorf("receive %d from rank %d: payload corrupted (seq %d arrived)", seq, src, binary.LittleEndian.Uint32(data))
+					return
+				}
+				keep(data)
+				counts[src]++
+				received.Add(1)
+			}
+		}()
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); received.Load() < midway; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d payloads arrived before the end", received.Load(), midway)
+		}
+	}
+	switch end {
+	case "peer dies":
+		// Two of rank 1's payloads are half read when its session ends — one
+		// into a buffer of its own for a plain Recv, one into a receive's
+		// slab — and the rest of both arrives after the failure sweep.
+		const n = 64 << 10
+		slab := make([]byte, n)
+		var req mpi.Request
+		c0.StartRecvInto(&req, 1, tag+1, slab)
+		plain := make(chan error, 1)
+		go func() {
+			data, _, err := c0.Recv(1, tag+2)
+			if err == nil {
+				keep(data)
+			}
+			plain <- err
+		}()
+		nc := &envs[0].Perf().Net
+		cts := nc.CTSOut.Load()
+		var halves [2]net.Conn
+		for i := range halves {
+			id := uint64(1<<40 + i)
+			halves[i] = rawPeer(t, trs[0])
+			defer halves[i].Close()
+			halves[i].Write(wireOf(kindRTS, []uint64{1, c0.Context(), 1, uint64(tag + 1 + i), id, n}, ""))
+			rdata := wireOf(kindRData, []uint64{1, id}, "")
+			binary.LittleEndian.PutUint32(rdata, uint32(1+16+n)) // the frame promises all n bytes
+			halves[i].Write(append(rdata, bytes.Repeat([]byte{0xAB}, n/2)...))
+		}
+		for deadline := time.Now().Add(10 * time.Second); nc.CTSOut.Load() < cts+2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the two half-sent payloads were never matched")
+			}
+		}
+		// Any interleaving must pass; the pause only lets both streams get
+		// into their reads, where a record given back early would be caught.
+		time.Sleep(10 * time.Millisecond)
+		for r := range trs[1].peers {
+			trs[1].peers[r].condemn(errors.New("test: rank 1 dies"))
+		}
+		trs[1].severAll()
+		if err := <-plain; !ended(err, 1) {
+			t.Errorf("plain Recv cut off mid-payload: %v, want ErrPeerLost{Rank: 1}", err)
+		}
+		for _, conn := range halves {
+			conn.Write(bytes.Repeat([]byte{0xCD}, n/2))
+		}
+		if _, _, err := req.Wait(); !ended(err, 1) {
+			t.Errorf("receive into place cut off mid-payload: %v, want ErrPeerLost{Rank: 1}", err)
+		}
+		keep(slab)
+	case "abort":
+		envs[0].Abort(7)
+	case "close":
+		envs[0].Close()
+	}
+
+	done := make(chan struct{})
+	go func() { receivers.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a receive hung after the job ended under it")
+	}
+	for _, env := range envs {
+		env.Close()
+	}
+	senders.Wait()
+
+	if end == "peer dies" && counts[2] != perSender {
+		t.Errorf("the survivor's receives took %d of its %d payloads", counts[2], perSender)
+	}
+	for i, k := range held {
+		if got := crc32.ChecksumIEEE(k.data); got != k.sum {
+			t.Errorf("buffer %d changed after its receive returned: checksum %08x, want %08x", i, got, k.sum)
+		}
+	}
+	t.Logf("%d payloads from rank 1 and %d from rank 2 arrived; %d buffers checked", counts[1], counts[2], len(held))
 }

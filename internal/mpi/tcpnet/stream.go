@@ -135,7 +135,12 @@ func (s *stream) onCTS(f frame, _ int) error {
 }
 
 // onRTS posts a placeholder that holds the sender's position in the match
-// order, and arranges the CTS for when a receive consumes it.
+// order. The CTS goes out when a receive consumes it: the engine queues it
+// for ctsLoop. An RTS read once a failure sweep covering its sender has
+// begun — the sender declared dead, the job aborted, the transport closing —
+// is refused and ends the stream: the sweep could not reach its entry, and a
+// receive that matched the placeholder would wait for a payload nobody
+// sends. Each sweep records its cause before it takes waitMu.
 func (s *stream) onRTS(f frame, _ int) error {
 	t := s.t
 	nc := t.netCounters()
@@ -143,25 +148,31 @@ func (s *stream) onRTS(f frame, _ int) error {
 	nc.RTSIn.Add(1)
 	nc.BytesIn.Add(prefixLen + rtsHdrLen)
 	key := rdvKey{src: f.src, id: f.id}
-	p := &mpi.Packet{Ctx: f.ctx, Src: f.rank, SrcWorld: f.src, Tag: f.tag, Rdv: mpi.NewRendezvous(f.plen)}
 	t.waitMu.Lock()
-	_, dup := t.rdvIn[key]
-	if !dup {
-		t.rdvIn[key] = p
-	}
-	t.waitMu.Unlock()
-	if dup {
+	if _, dup := t.rdvIn[key]; dup {
 		// A redial replayed an RTS whose first copy did arrive; the original
 		// placeholder already holds the match slot.
+		t.waitMu.Unlock()
 		return nil
 	}
-	rdv := p.Rdv
-	if err := t.env.Post(p); err != nil {
-		t.forgetRdv(key)
-		rdv.Fail(err)
+	if t.isClosed() || t.abortErr.Load() != nil || t.peers[f.src].deadErr() != nil {
+		t.waitMu.Unlock()
 		return errStreamDone
 	}
-	go t.ctsWhenMatched(f.src, f.id, rdv)
+	p := t.pool.GetRendezvous(f.plen, f.id)
+	p.Ctx, p.Src, p.SrcWorld, p.Tag = f.ctx, f.rank, f.src, f.tag
+	t.rdvIn[key] = p
+	p.Rdv.Hold() // the stream's, across the post: a failure sweep may drop the entry's at once
+	t.waitMu.Unlock()
+	err := t.env.Post(p)
+	if err != nil {
+		t.forgetRdv(key, p)
+		p.Rdv.Fail(err)
+	}
+	p.Rdv.Release()
+	if err != nil {
+		return errStreamDone
+	}
 	return nil
 }
 
@@ -173,20 +184,19 @@ func (s *stream) onRData(f frame, tail int) error {
 	key := rdvKey{src: f.src, id: f.id}
 	t.waitMu.Lock()
 	p := t.rdvIn[key]
+	if p != nil {
+		p.Rdv.Hold() // the stream's, for the length of the read
+	}
 	t.waitMu.Unlock()
 	wire := uint64(prefixLen + rdataHdrLen + tail)
 	nc := t.netCounters()
 	landed := false
 	if p != nil {
-		if tail != p.Rdv.PayloadLen() {
-			err := fmt.Errorf("tcpnet: rendezvous %d/%d payload is %d bytes, rts promised %d", f.src, f.id, tail, p.Rdv.PayloadLen())
-			t.forgetRdv(key)
-			p.Rdv.Fail(err)
-			return err
-		}
 		var err error
-		if landed, err = p.ReceiveRendezvous(s.r); err != nil {
-			return err // the entry stays: a sender-side retry may still complete it
+		landed, err = s.receivePayload(key, p, tail)
+		p.Rdv.Release()
+		if err != nil {
+			return err
 		}
 	}
 	if !landed {
@@ -207,10 +217,28 @@ func (s *stream) onRData(f frame, tail int) error {
 		nc.ShmRDataIn.Add(1)
 		nc.ShmBytesIn.Add(wire)
 	}
-	// A duplicate RData from a redialed connection now finds no entry, or a
-	// finished one, and is drained above without touching the payload.
-	t.forgetRdv(key)
 	return nil
+}
+
+// receivePayload reads the tail bytes of an RData frame into placeholder p's
+// final buffer, which the stream holds meanwhile, and once the payload has
+// landed drops the transfer's table entry: a duplicate RData from a redialed
+// connection then finds no entry, or a finished one, and is drained without
+// touching the payload. It reports whether the payload landed. A read error
+// leaves the entry: a sender-side retry may still complete it.
+func (s *stream) receivePayload(key rdvKey, p *mpi.Packet, tail int) (bool, error) {
+	t := s.t
+	if tail != p.Rdv.PayloadLen() {
+		err := fmt.Errorf("tcpnet: rendezvous %d/%d payload is %d bytes, rts promised %d", key.src, key.id, tail, p.Rdv.PayloadLen())
+		t.forgetRdv(key, p)
+		p.Rdv.Fail(err)
+		return false, err
+	}
+	landed, err := p.ReceiveRendezvous(s.r)
+	if landed && err == nil {
+		t.forgetRdv(key, p)
+	}
+	return landed, err
 }
 
 // drain discards n bytes of r through a bounded buffer. (Not io.CopyN: its

@@ -141,11 +141,26 @@ const DialTimeout = 30 * time.Second
 // osExit is swapped out by tests of the "die" fault action.
 var osExit = os.Exit
 
-// waiter is one blocked sender: a rendezvous send awaiting its CTS. The
-// channel closes on release (reads nil) or first carries the typed failure.
+// waiter is one blocked sender: a rendezvous send awaiting its CTS. Its
+// release sets err (nil for a CTS) and then puts the one token on ready. The
+// record, channel included, serves send after send from the transport's
+// free list, which never holds more records than were ever waiting at once.
 type waiter struct {
-	ch  chan error
-	dst int
+	ready chan struct{}
+	err   error
+	dst   int
+	next  *waiter // free-list link
+
+	// hdr takes the send's RTS and then its RData header: a buffer on the
+	// sender's stack would escape to the heap through the write.
+	hdr [prefixLen + rtsHdrLen]byte
+}
+
+// release wakes the waiter with err; exactly once per registration, by
+// whoever removed it from the table.
+func (w *waiter) release(err error) {
+	w.err = err
+	w.ready <- struct{}{}
 }
 
 // rdvKey identifies one inbound rendezvous transfer: ids are allocated
@@ -166,8 +181,10 @@ type Transport struct {
 	faults *faultSet // parsed MPH_FAULT rules, nil when no faults are injected
 
 	// pool recycles inbound eager packets with their payload buffers, sized
-	// like the outbound frames (maxPooledFrame): the stream readers take
-	// from it, the receive that consumes a packet gives it back.
+	// like the outbound frames (maxPooledFrame), and rendezvous placeholders
+	// with their records: the stream readers take from it, the receive that
+	// consumes a packet gives it back. It also queues the matched
+	// placeholders for ctsLoop.
 	pool *mpi.PacketPool
 	// frames recycles outbound eager frames, whose buffers Deliver fills.
 	frames frameList
@@ -186,12 +203,17 @@ type Transport struct {
 
 	// The waiter tables: what one failure sweep (failWaiters) must release.
 	// waiters holds this rank's blocked rendezvous senders by the id their
-	// RTS carried. rdvIn holds inbound rendezvous placeholders between RTS and
-	// the full payload landing, keyed by (sender world rank, id).
+	// RTS carried; wfree the records between sends. rdvIn holds inbound
+	// rendezvous placeholders between RTS and the full payload landing, keyed
+	// by (sender world rank, id); each entry holds its record.
 	waitMu  sync.Mutex
 	waitSeq uint64
-	waiters map[uint64]waiter
+	waiters map[uint64]*waiter
+	wfree   *waiter
 	rdvIn   map[rdvKey]*mpi.Packet
+
+	// ctsBuf is ctsLoop's frame buffer.
+	ctsBuf [prefixLen + 8]byte
 
 	// net points at the rank's perf counters once the Env exists; frames
 	// read before then (none in practice: peers dial after rendezvous)
@@ -296,7 +318,7 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		pool:    mpi.NewPacketPool(maxPooledFrame),
 		inbound: make(map[*sock.Conn]struct{}),
 		stop:    make(chan struct{}),
-		waiters: make(map[uint64]waiter),
+		waiters: make(map[uint64]*waiter),
 		rdvIn:   make(map[rdvKey]*mpi.Packet),
 	}
 	hosts := make([]string, size)
@@ -324,8 +346,9 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 		pv.SetClockOffset(off, bound)
 	}
 	t.initShm(size)
-	t.wg.Add(2)
+	t.wg.Add(3)
 	go t.acceptLoop(t.ln, false)
+	go t.ctsLoop()
 	go func() {
 		defer t.wg.Done()
 		sess.Serve(t.abortDelivered, t.downDelivered)
@@ -389,38 +412,66 @@ func InitFromEnv() (*mpi.Env, string, error) {
 	return env, le.Registration, err
 }
 
-// addWaiter registers a sender blocked on dst and returns the id its frame
-// carries for the reply to quote.
-func (t *Transport) addWaiter(ch chan error, dst int) uint64 {
+// addWaiter registers a sender blocked on dst, on a record from the free
+// list, and returns the id its frame carries for the reply to quote.
+func (t *Transport) addWaiter(dst int) (uint64, *waiter) {
 	t.waitMu.Lock()
 	defer t.waitMu.Unlock()
+	w := t.wfree
+	if w != nil {
+		t.wfree, w.next = w.next, nil
+	} else {
+		w = &waiter{ready: make(chan struct{}, 1)}
+	}
+	w.err, w.dst = nil, dst
 	t.waitSeq++
-	t.waiters[t.waitSeq] = waiter{ch: ch, dst: dst}
-	return t.waitSeq
+	t.waiters[t.waitSeq] = w
+	return t.waitSeq, w
+}
+
+// putWaiter returns a sender's record to the free list once its send is
+// over, emptied of a release nobody waited for (its RTS never left).
+func (t *Transport) putWaiter(w *waiter) {
+	select {
+	case <-w.ready:
+	default:
+	}
+	t.waitMu.Lock()
+	w.next, t.wfree = t.wfree, w
+	t.waitMu.Unlock()
 }
 
 // releaseWaiter wakes the sender registered under id, if it is still
 // waiting: its CTS arrived. forgetWaiter drops the registration of an RTS
 // that never left, so no CTS will come.
 func (t *Transport) releaseWaiter(id uint64) {
-	if w, ok := t.forgetWaiter(id); ok {
-		close(w.ch) // reads as nil
+	t.waitMu.Lock()
+	if w, ok := t.waiters[id]; ok {
+		delete(t.waiters, id)
+		w.release(nil)
 	}
-}
-
-func (t *Transport) forgetWaiter(id uint64) (waiter, bool) {
-	t.waitMu.Lock()
-	defer t.waitMu.Unlock()
-	w, ok := t.waiters[id]
-	delete(t.waiters, id)
-	return w, ok
-}
-
-// forgetRdv removes an inbound rendezvous placeholder from the table.
-func (t *Transport) forgetRdv(key rdvKey) {
-	t.waitMu.Lock()
-	delete(t.rdvIn, key)
 	t.waitMu.Unlock()
+}
+
+func (t *Transport) forgetWaiter(id uint64) {
+	t.waitMu.Lock()
+	delete(t.waiters, id)
+	t.waitMu.Unlock()
+}
+
+// forgetRdv removes an inbound rendezvous placeholder from the table and
+// drops the entry's hold on its record, unless a failure sweep got there
+// first.
+func (t *Transport) forgetRdv(key rdvKey, p *mpi.Packet) {
+	t.waitMu.Lock()
+	ours := t.rdvIn[key] == p
+	if ours {
+		delete(t.rdvIn, key)
+	}
+	t.waitMu.Unlock()
+	if ours {
+		p.Rdv.Release()
+	}
 }
 
 // failWaiters is the one failure sweep: every blocked sender and every
@@ -436,19 +487,18 @@ func (t *Transport) failWaiters(match func(rank int) bool, err error) {
 		if !match(w.dst) {
 			continue
 		}
-		if err != mpi.ErrClosed {
-			select {
-			case w.ch <- err:
-			default:
-			}
-		}
-		close(w.ch)
 		delete(t.waiters, id)
+		if err == mpi.ErrClosed {
+			w.release(nil)
+		} else {
+			w.release(err)
+		}
 	}
 	for k, p := range t.rdvIn {
 		if match(k.src) {
 			delete(t.rdvIn, k)
 			p.Rdv.Fail(err)
+			p.Rdv.Release()
 		}
 	}
 }
@@ -518,10 +568,9 @@ func (t *Transport) rendezvousEligible(n int) bool {
 // peer dies, the job aborts, or the transport closes — a rendezvous send
 // never hangs on a dead receiver.
 func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
-	ch := make(chan error, 1)
-	id := t.addWaiter(ch, pr.rank)
-	var hdr [prefixLen + rtsHdrLen]byte
-	rts := encode(hdr[:0], frame{kind: kindRTS, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag, id: id, plen: len(p.Data)}, 0)
+	id, w := t.addWaiter(pr.rank)
+	defer t.putWaiter(w)
+	rts := encode(w.hdr[:0], frame{kind: kindRTS, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag, id: id, plen: len(p.Data)}, 0)
 	if err := pr.send(kindRTS, rts, nil); err != nil {
 		t.forgetWaiter(id)
 		return ignoreDrop(err)
@@ -533,11 +582,12 @@ func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 	if tr := t.tracer(); tr != nil {
 		tr.Record(perf.KRendezvous, int64(pr.rank), int64(p.Tag), int64(len(p.Data)), int64(id))
 	}
-	if err := <-ch; err != nil {
-		return err
+	<-w.ready
+	if w.err != nil {
+		return w.err
 	}
 	// CTS received: the receiver has matched. Ship the payload.
-	data := encode(hdr[:0], frame{kind: kindRData, src: t.rank, id: id}, len(p.Data))
+	data := encode(w.hdr[:0], frame{kind: kindRData, src: t.rank, id: id}, len(p.Data))
 	if err := pr.send(kindRData, data, p.Data); err != nil {
 		return ignoreDrop(err)
 	}
@@ -547,23 +597,40 @@ func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 	return nil
 }
 
-// ctsWhenMatched waits for the local engine to match a rendezvous
-// placeholder, then tells the sender it is clear to ship the payload. A
-// failed rendezvous (peer lost, abort, shutdown) produces no CTS: the
-// sender's own failure sweep delivers its error. The CTS takes the full
-// redial-once send path: one lost on a stale connection would strand a
-// sender whose peer is alive, where no down line ever comes.
-func (t *Transport) ctsWhenMatched(src int, id uint64, rdv *mpi.Rendezvous) {
-	if <-rdv.Matched(); rdv.MatchErr() != nil {
-		return
+// ctsLoop is the transport's one CTS writer. It sends the CTS of every
+// placeholder the engine matched, in match order, until Close: no goroutine
+// is started per RTS, and a stream's read loop, which may be the one that
+// posted the match, never writes. A failed rendezvous gets no CTS: the
+// sender's own failure sweep delivers its error.
+func (t *Transport) ctsLoop() {
+	defer t.wg.Done()
+	for {
+		select {
+		case <-t.stop:
+			return
+		case <-t.pool.Matches():
+		}
+		for src, id, ok := t.pool.NextMatch(); ok; src, id, ok = t.pool.NextMatch() {
+			t.sendCTS(src, id)
+		}
 	}
-	var b [prefixLen + 8]byte
-	if t.peers[src].send(kindCTS, encode(b[:0], frame{kind: kindCTS, id: id}, 0), nil) != nil {
-		return // best effort: the peer may already be gone
-	}
+}
+
+// sendCTS tells the sender of rendezvous id that its receive matched. The
+// CTS takes the full redial-once send path: one lost on a stale connection
+// would strand a sender whose peer is alive, where no down line ever comes.
+// It is counted before it is written, since it lets the transfer finish: a
+// count read once the receive returned includes it. A CTS that did not go
+// out (the peer may already be gone) is taken back out of the count.
+func (t *Transport) sendCTS(src int, id uint64) {
+	cts := encode(t.ctsBuf[:0], frame{kind: kindCTS, id: id}, 0)
 	nc := t.netCounters()
 	nc.CTSOut.Add(1)
-	nc.BytesOut.Add(uint64(len(b)))
+	nc.BytesOut.Add(uint64(len(cts)))
+	if t.peers[src].send(kindCTS, cts, nil) != nil {
+		nc.CTSOut.Add(^uint64(0))
+		nc.BytesOut.Add(^uint64(len(cts) - 1))
+	}
 }
 
 // Close implements mpi.Transport: it lingers until every peer has read what

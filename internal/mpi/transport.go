@@ -167,7 +167,8 @@ func (e *Env) HostOf(r int) string {
 
 // Post injects an incoming packet into this rank's engine. It is the
 // receive-side hook for transports; the engine owns the packet and its
-// payload from here on (transports post packets of their PacketPool).
+// payload from here on (transports post packets of their PacketPool), a
+// rendezvous placeholder by a hold of its own on the record.
 func (e *Env) Post(p *Packet) error {
 	return e.eng.post(p)
 }

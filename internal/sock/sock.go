@@ -318,7 +318,7 @@ func listen(family int, sa syscall.Sockaddr) (int, error) {
 		err = syscall.Bind(fd, sa)
 	}
 	if err == nil {
-		err = syscall.Listen(fd, backlog())
+		err = syscall.Listen(fd, maxBacklog)
 	}
 	if err != nil {
 		syscall.Close(fd)
@@ -327,15 +327,10 @@ func listen(family int, sa syscall.Sockaddr) (int, error) {
 	return fd, nil
 }
 
-// backlog is the accept queue net asks for: the kernel's somaxconn, capped
-// to what listen(2) takes.
-func backlog() int {
-	b, _ := os.ReadFile("/proc/sys/net/core/somaxconn")
-	if n, err := strconv.Atoi(strings.TrimSpace(string(b))); err == nil && n > 0 {
-		return min(n, 1<<16-1)
-	}
-	return syscall.SOMAXCONN
-}
+// maxBacklog is the accept queue a listener asks for: the most listen(2)
+// takes, which the kernel caps at net.core.somaxconn itself — the queue net
+// gets by reading that file first.
+const maxBacklog = 1<<16 - 1
 
 // Accept waits for the next connection. It ends with a wrapped
 // os.ErrDeadlineExceeded past the deadline and os.ErrClosed after Close.

@@ -10,14 +10,16 @@
 #   line must end a send's dial retry at once), and the receive-into-place
 #   tests (a transport stream writes into a slab the application owns: the
 #   failure paths must never hand it back early),
-#   and the lifetime tests of the recycled eager buffers, re-armed requests
-#   and the two-rank allreduce (a record given back too early, or seen twice,
-#   shows as a corrupted checksum); their allocation budgets
+#   and the lifetime tests of the recycled eager buffers, re-armed requests,
+#   the two-rank allreduce and the recycled rendezvous records (a record
+#   given back too early, or seen twice, shows as a corrupted checksum, a
+#   race, or a recycled record's panic); their allocation budgets
 #   (TestEagerRecvIntoAllocBudget, TestAllocBudget*,
-#   TestCoupledPeriodAllocBudget) hold under -race as well — every buffer on
-#   the path comes from a bounded free list, no sync.Pool drops a Put — so
-#   they run in the plain pass, in the internal/mpi -race pass and, for the
-#   coupled period, in a -race pass of their own;
+#   TestCoupledPeriodAllocBudget, TestCoupledBulkPeriodAllocBudget) hold
+#   under -race as well — every buffer and record on the path comes from a
+#   bounded free list, no sync.Pool drops a Put — so they run in the plain
+#   pass, in the internal/mpi -race pass and, for the coupled periods, in a
+#   -race pass of their own;
 # - the coupler sends each increment from the slab its next up-receive lands
 #   in, so the rendezvous-sized coupled run over TCP repeats under -race: a
 #   send that let go of its buffer late would show as a race or a diagnostic
@@ -54,8 +56,8 @@ go test -race ./internal/mpi/...
 go test -run 'TestPeerLostSelectsRecords|TestExactVsWildcardArbitration|TestPostedOrder|TestMatchingOrderTorture|TestRandomTrafficSchedules' -race -count=2 ./internal/mpi
 go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
 go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
-go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree' -race -count=2 ./internal/mpi/...
-go test -run 'TestCoupledPeriodAllocBudget|TestCoupledRunOverTCPRendezvous' -race -count=2 ./internal/coupler
+go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree|TestRendezvousLifetime' -race -count=2 ./internal/mpi/...
+go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|TestCoupledRunOverTCPRendezvous' -race -count=2 ./internal/coupler
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
@@ -185,10 +187,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,401 before the launcher's probe
-# and spawn shared one connection per host, 16,323 after) and the stripped
-# size of a component executable (2,764,984 bytes, unchanged), printed for
-# later comparison.
+# Non-test Go lines outside benchmark/ (16,323 before rendezvous records
+# were recycled and the CTS got one writer per transport, 16,552 after) and
+# the stripped size of a component executable (2,764,984 bytes before,
+# 2,773,176 after), printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
