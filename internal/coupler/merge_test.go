@@ -17,7 +17,7 @@ import (
 func referenceCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
-	d := &Diagnostics{}
+	d := newDiagnostics(cfg.Periods)
 	var deltas [4]*grid.Field
 	for i, l := range links {
 		proc, _ := l.OnCoupler()
@@ -68,7 +68,7 @@ func referenceCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnosti
 		if err != nil {
 			return nil, err
 		}
-		d.FluxImbalance = append(d.FluxImbalance, imb[0])
+		d.FluxImbalance[p] = imb[0]
 		var means [4]float64
 		for i, f := range fields {
 			ws, w := f.LocalWeightedMean()
@@ -78,10 +78,7 @@ func referenceCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnosti
 			}
 			means[i] = out[0] / out[1]
 		}
-		d.AtmMean = append(d.AtmMean, means[0])
-		d.OcnMean = append(d.OcnMean, means[1])
-		d.LandMean = append(d.LandMean, means[2])
-		d.IceMean = append(d.IceMean, means[3])
+		d.AtmMean[p], d.OcnMean[p], d.LandMean[p], d.IceMean[p] = means[0], means[1], means[2], means[3]
 
 		if comm.Rank() == 0 {
 			total := 0.0
@@ -92,7 +89,7 @@ func referenceCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnosti
 				}
 				total += report[0]
 			}
-			d.Energy = append(d.Energy, total)
+			d.Energy[p] = total
 		}
 	}
 	return bcastDiagnostics(s, cfg, d)

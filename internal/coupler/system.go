@@ -76,7 +76,8 @@ func (c *Config) fill() error {
 // Diagnostics holds the per-period global diagnostics, broadcast to every
 // rank when RunCoupled returns: area-weighted means of each surface field
 // and the conservation check (unweighted atmosphere+ocean sum, which the
-// flux exchange must keep constant).
+// flux exchange must keep constant). The six series are consecutive views
+// of one buffer, in field order, which is what the broadcast moves.
 type Diagnostics struct {
 	AtmMean, OcnMean, LandMean, IceMean []float64
 	Energy                              []float64
@@ -84,6 +85,20 @@ type Diagnostics struct {
 	// increments each period; the exchange is conservative, so it must be
 	// numerically zero.
 	FluxImbalance []float64
+
+	all []float64 // the 6×periods buffer the series view
+}
+
+// newDiagnostics returns zeroed diagnostics of the given number of periods,
+// the six series views of one buffer.
+func newDiagnostics(periods int) *Diagnostics {
+	all := make([]float64, 6*periods)
+	series := func(k int) []float64 { return all[k*periods : (k+1)*periods] }
+	return &Diagnostics{
+		AtmMean: series(0), OcnMean: series(1), LandMean: series(2), IceMean: series(3),
+		Energy: series(4), FluxImbalance: series(5),
+		all: all,
+	}
 }
 
 // coupling tags, one per direction and component.
@@ -236,7 +251,7 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 			}
 		}
 	}
-	return recvDiagnostics(s, cfg)
+	return recvDiagnostics(s, cfg, newDiagnostics(cfg.Periods))
 }
 
 // applyDelta adds the coupler's increment to the model state.
@@ -257,12 +272,7 @@ func applyDelta(m *model.SurfaceModel, delta *grid.Field, clampNonNegative bool)
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
-	np := cfg.Periods
-	d := &Diagnostics{
-		AtmMean: make([]float64, 0, np), OcnMean: make([]float64, 0, np),
-		LandMean: make([]float64, 0, np), IceMean: make([]float64, 0, np),
-		Energy: make([]float64, 0, np), FluxImbalance: make([]float64, 0, np),
-	}
+	d := newDiagnostics(cfg.Periods)
 	// Operands of the period's allreduces and the models' reports.
 	var imbalance, report [1]float64
 	var mean [4][2]float64
@@ -271,7 +281,7 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		return nil, err
 	}
 
-	for !sched.Clock.Done() {
+	for p := 0; !sched.Clock.Done(); {
 		ringing, err := sched.Advance()
 		if err != nil {
 			return nil, err
@@ -338,25 +348,19 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 			localImbalance += v
 		}
 		imbalance[0] = localImbalance
-		imb, err := comm.AllreduceFloats(imbalance[:], mpi.OpSum)
-		if err != nil {
+		if _, err := comm.AllreduceFloats(imbalance[:], mpi.OpSum); err != nil {
 			return nil, err
 		}
-		d.FluxImbalance = append(d.FluxImbalance, imb[0])
+		d.FluxImbalance[p] = imbalance[0]
 
 		// Diagnostics: area-weighted means over the coupler communicator.
-		means := [4]float64{}
+		means := [4][]float64{d.AtmMean, d.OcnMean, d.LandMean, d.IceMean}
 		for i := range mean {
-			out, err := comm.AllreduceFloats(mean[i][:], mpi.OpSum)
-			if err != nil {
+			if _, err := comm.AllreduceFloats(mean[i][:], mpi.OpSum); err != nil {
 				return nil, err
 			}
-			means[i] = out[0] / out[1]
+			means[i][p] = mean[i][0] / mean[i][1]
 		}
-		d.AtmMean = append(d.AtmMean, means[0])
-		d.OcnMean = append(d.OcnMean, means[1])
-		d.LandMean = append(d.LandMean, means[2])
-		d.IceMean = append(d.IceMean, means[3])
 
 		// Conservation: the models report their post-exchange sums.
 		if comm.Rank() == 0 {
@@ -367,70 +371,42 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 				}
 				total += report[0]
 			}
-			d.Energy = append(d.Energy, total)
+			d.Energy[p] = total
 		}
+		p++
 	}
 	return bcastDiagnostics(s, cfg, d)
 }
 
 // bcastDiagnostics ships the coupler root's diagnostics to every rank so
-// RunCoupled has a uniform return value.
+// RunCoupled has a uniform return value: the root sends its buffer as it
+// lies, and the other coupler ranks receive over the one they recorded in.
 func bcastDiagnostics(s *core.Setup, cfg Config, d *Diagnostics) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
-	if comm.Rank() == 0 {
-		payload := encodeDiagnostics(d, cfg.Periods)
-		// Send to every non-coupler-root rank over the global world.
-		for r := 0; r < s.World().Size(); r++ {
-			if r == s.GlobalProcID() {
-				continue
-			}
-			if err := s.GlobalWorld().Send(r, tagDiag, payload); err != nil {
-				return nil, err
-			}
-		}
-		return d, nil
+	if comm.Rank() != 0 {
+		return recvDiagnostics(s, cfg, d)
 	}
-	return recvDiagnostics(s, cfg)
+	// Send to every non-coupler-root rank over the global world.
+	for r := 0; r < s.World().Size(); r++ {
+		if r == s.GlobalProcID() {
+			continue
+		}
+		if err := s.GlobalWorld().SendFloats(r, tagDiag, d.all); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }
 
-// recvDiagnostics blocks for the coupler root's diagnostics broadcast.
-func recvDiagnostics(s *core.Setup, cfg Config) (*Diagnostics, error) {
+// recvDiagnostics blocks for the coupler root's diagnostics broadcast and
+// receives it into d's buffer.
+func recvDiagnostics(s *core.Setup, cfg Config, d *Diagnostics) (*Diagnostics, error) {
 	rootWorld, err := s.WorldRankOf(cfg.Names.Coupler, 0)
 	if err != nil {
 		return nil, err
 	}
-	data, _, err := s.GlobalWorld().Recv(rootWorld, tagDiag)
-	if err != nil {
+	if _, err := s.GlobalWorld().RecvFloatsInto(rootWorld, tagDiag, d.all); err != nil {
 		return nil, err
 	}
-	return decodeDiagnostics(data, cfg.Periods)
-}
-
-func encodeDiagnostics(d *Diagnostics, periods int) []byte {
-	flat := make([]float64, 0, 6*periods)
-	flat = append(flat, d.AtmMean...)
-	flat = append(flat, d.OcnMean...)
-	flat = append(flat, d.LandMean...)
-	flat = append(flat, d.IceMean...)
-	flat = append(flat, d.Energy...)
-	flat = append(flat, d.FluxImbalance...)
-	return mpi.EncodeFloats(flat)
-}
-
-func decodeDiagnostics(data []byte, periods int) (*Diagnostics, error) {
-	flat, err := mpi.DecodeFloats(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(flat) != 6*periods {
-		return nil, fmt.Errorf("coupler: diagnostics payload has %d values, want %d", len(flat), 6*periods)
-	}
-	return &Diagnostics{
-		AtmMean:       flat[0*periods : 1*periods],
-		OcnMean:       flat[1*periods : 2*periods],
-		LandMean:      flat[2*periods : 3*periods],
-		IceMean:       flat[3*periods : 4*periods],
-		Energy:        flat[4*periods : 5*periods],
-		FluxImbalance: flat[5*periods : 6*periods],
-	}, nil
+	return d, nil
 }

@@ -121,14 +121,30 @@ func sameBits(t *testing.T, got, want *coupler.Diagnostics) {
 	}
 }
 
+// oneBuffer fails t unless d's six series are the consecutive views of one
+// 6×periods buffer that the diagnostics broadcast moves.
+func oneBuffer(t *testing.T, d *coupler.Diagnostics, periods int) {
+	t.Helper()
+	if cap(d.AtmMean) < 6*periods {
+		t.Fatalf("the first series has capacity %d, want the whole %d-value buffer", cap(d.AtmMean), 6*periods)
+	}
+	all := d.AtmMean[:6*periods]
+	for k, xs := range [6][]float64{d.AtmMean, d.OcnMean, d.LandMean, d.IceMean, d.Energy, d.FluxImbalance} {
+		if len(xs) != periods || &xs[0] != &all[k*periods] {
+			t.Fatalf("series %d: %d values at %p, want %d at %p in the buffer", k, len(xs), &xs[0], periods, &all[k*periods])
+		}
+	}
+}
+
 // TestCoupledRunOverTCP drives the complete stack — rendezvous, TCP world,
 // MPH handshake, comm joins, M-to-N transfers, flux merge, diagnostics
-// broadcast — on the multi-process transport.
+// broadcast — on the multi-process transport. Every rank returns its
+// diagnostics in one buffer of its own, received in place (or, on the
+// coupler ranks, recorded in), bit for bit the in-process run's.
 func TestCoupledRunOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
 	}
-	const world = ccsmWorldSize
 	g, err := grid.New(12, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -137,26 +153,21 @@ func TestCoupledRunOverTCP(t *testing.T) {
 		Names: coupler.DefaultNames()}
 	diags, _ := runCoupledOverTCP(t, cfg)
 
-	// Every rank got identical diagnostics, and they are sane.
-	ref := diags[0]
-	if len(ref.AtmMean) != cfg.Periods {
-		t.Fatalf("series length %d", len(ref.AtmMean))
-	}
-	for r := 1; r < world; r++ {
-		for p := 0; p < cfg.Periods; p++ {
-			if diags[r].AtmMean[p] != ref.AtmMean[p] || diags[r].Energy[p] != ref.Energy[p] {
-				t.Fatalf("rank %d diagnostics differ at period %d", r, p)
+	want := runCoupledInProcess(t, cfg)
+	for r, d := range diags {
+		oneBuffer(t, d, cfg.Periods)
+		sameBits(t, d, want)
+		for o := 0; o < r; o++ {
+			if &d.AtmMean[0] == &diags[o].AtmMean[0] {
+				t.Fatalf("ranks %d and %d share a diagnostics buffer", o, r)
 			}
 		}
 	}
 	for p := 0; p < cfg.Periods; p++ {
-		if math.Abs(ref.FluxImbalance[p]) > 1e-6 {
-			t.Fatalf("period %d imbalance %g", p, ref.FluxImbalance[p])
+		if math.Abs(want.FluxImbalance[p]) > 1e-6 {
+			t.Fatalf("period %d imbalance %g", p, want.FluxImbalance[p])
 		}
 	}
-	// TCP and in-process transports must agree bit-for-bit: the coupled
-	// system is deterministic.
-	sameBits(t, ref, runCoupledInProcess(t, cfg))
 }
 
 // TestCoupledRunOverTCPRendezvous is TestCoupledRunOverTCP on the benchmark's
@@ -243,9 +254,11 @@ func periodAlloc(t *testing.T, nlat, nlon, short, long int) (float64, []perf.Sna
 // small-message period: the 48x24 job of the benchmark's couple_fine
 // workload, run short and run long (periodAlloc).
 // Eager payloads land through recycled buffers, posted records and requests
-// are reused, the callers keep their operands: a period stays under 10 KiB
-// summed over the ten ranks (the parent of this test's commit: 98 KB), most
-// of it the diagnostics series growing by a period on every rank.
+// are reused, the callers keep their operands and every allreduce's result
+// lands in its operand, the diagnostics are recorded in one buffer a rank
+// and received into it: a period stays under 1.5 KiB summed over the ten
+// ranks (the parent of this test's commit: 1,874–2,005 B, the allreduce
+// results and the diagnostics series growing on every rank).
 //
 // The long run also pins the premise of the matching engine's plain FIFO
 // queues (DESIGN.md §7): no rank ever holds more than a handful of messages
@@ -256,8 +269,8 @@ func TestCoupledPeriodAllocBudget(t *testing.T) {
 	}
 	per, snaps := periodAlloc(t, 48, 24, 20, 220)
 	t.Logf("%.0f B allocated per coupled period, ten ranks together", per)
-	if per > 10<<10 {
-		t.Errorf("a coupled period allocates %.0f B over the ten ranks, budget 10240 (a per-message buffer, record or operand crept back)", per)
+	if per > 1536 {
+		t.Errorf("a coupled period allocates %.0f B over the ten ranks, budget 1536 (a per-message buffer, record, operand or result crept back)", per)
 	}
 	const maxDepth = 16
 	umq, prq := 0, 0

@@ -245,9 +245,9 @@ func benchCollective(b *testing.B, ranks int, hosts []string, pin func(c *mpi.Co
 	if hosts != nil {
 		w.SetHosts(hosts)
 	}
-	run := collOps[op](size)
 	b.SetBytes(int64(size))
 	err = w.Run(func(c *mpi.Comm) error {
+		run := collOps[op](size) // a body of each rank's own: an allreduce writes its operand
 		if pin != nil {
 			pin(c)
 		}

@@ -54,10 +54,18 @@ func decodeInts(buf []byte) ([]int64, error) {
 		return nil, fmt.Errorf("mpi: int payload length %d not a multiple of 8", len(buf))
 	}
 	xs := make([]int64, len(buf)/8)
-	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+	return xs, decodeIntsInto(xs, buf)
+}
+
+// decodeIntsInto unpacks a payload of exactly len(dst) elements into dst.
+func decodeIntsInto(dst []int64, buf []byte) error {
+	if len(buf) != 8*len(dst) {
+		return &ErrTruncated{Posted: 8 * len(dst), Arrived: len(buf)}
 	}
-	return xs, nil
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+	}
+	return nil
 }
 
 // encodeFloats packs float64 values into a byte payload.

@@ -108,7 +108,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	if c.choose(perf.CollBcast, 0, true) == perf.AlgHier {
 		buf, err = c.bcastHier(root, data)
 	} else {
-		buf, err = c.bcastOn(tagBcast, root, data)
+		buf, err = c.bcastOn(tagBcast, root, data, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ func (c *Comm) allgather(data []byte) ([][]byte, error) {
 	if c.rank == 0 {
 		framed = frameSlices(parts)
 	}
-	framed, err = c.bcastOn(tagAllgather, 0, framed)
+	framed, err = c.bcastOn(tagAllgather, 0, framed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +213,10 @@ func (c *Comm) allgather(data []byte) ([][]byte, error) {
 // plain Bcasts issued between their internal phases on other ranks. The
 // caller vouches for root (Bcast validates the user's; composites pass
 // their own); at root it returns data itself (callers that expose the
-// result copy it, see Bcast).
-func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
+// result copy it, see Bcast). A non-root rank receives into dst when it is
+// non-nil, which the caller makes exactly the payload's length, else into a
+// slice of its own.
+func (c *Comm) bcastOn(tag, root int, data, dst []byte) ([]byte, error) {
 	size := len(c.group)
 	vr := vrank(c.rank, root, size)
 	buf := data
@@ -222,7 +224,7 @@ func (c *Comm) bcastOn(tag, root int, data []byte) ([]byte, error) {
 	for ; mask < size; mask <<= 1 {
 		if vr&mask != 0 {
 			src := rrank(vr-mask, root, size)
-			got, _, err := c.recvCtx(c.cctx, src, tag, nil)
+			got, _, err := c.recvCtx(c.cctx, src, tag, dst)
 			if err != nil {
 				return nil, fmt.Errorf("mpi: bcast recv: %w", err)
 			}
@@ -306,29 +308,30 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// reduceTree is the binomial-tree reduce: it combines every rank's payload
-// at root with fn, a binary associative operation over encoded payloads that
-// receives (accumulated, incoming) and must not retain its arguments; other
-// ranks return nil. Rooted at 0 it folds in rank order; any other root
+// reduceTree is the binomial-tree reduce: it folds every rank's operand,
+// which each rank passes in acc, into root's acc with fn, a binary
+// associative operation over encoded payloads that receives (accumulated,
+// incoming), may write its result over the accumulated side and must not
+// retain its arguments; root returns the result, other ranks nil. acc is
+// written over, on every rank. Each child's payload lands in in when it is
+// non-nil — an elementwise fn promises a child's length is len(acc), and
+// must then not return in, which the next child's payload overwrites — else
+// in a slice of its own. Rooted at 0 it folds in rank order; any other root
 // rotates the order to start there. The caller vouches for root. It is the
-// first half of the flat allreduce and the intra-host phase of the two-level
-// one.
-func (c *Comm) reduceTree(root int, data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
+// first half of the flat allreduce and the intra-host phase of the
+// two-level one.
+func (c *Comm) reduceTree(root int, acc, in []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	size := len(c.group)
 	vr := vrank(c.rank, root, size)
-	acc := make([]byte, len(data))
-	copy(acc, data)
-
 	for mask := 1; mask < size; mask <<= 1 {
 		if vr&mask == 0 {
 			peer := vr | mask
 			if peer < size {
-				in, _, err := c.recvCtx(c.cctx, rrank(peer, root, size), tagReduce, nil)
+				got, _, err := c.recvCtx(c.cctx, rrank(peer, root, size), tagReduce, in)
 				if err != nil {
 					return nil, fmt.Errorf("mpi: reduce recv: %w", err)
 				}
-				acc, err = fn(acc, in)
-				if err != nil {
+				if acc, err = fn(acc, got); err != nil {
 					return nil, fmt.Errorf("mpi: reduce combine: %w", err)
 				}
 			}
@@ -355,7 +358,8 @@ func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) (
 // allreduceWith combines every rank's payload with fn and delivers the
 // result to every rank. elem > 0 declares the payload a sequence of
 // elem-byte elements and fn an elementwise, associative, commutative,
-// length-preserving combination that accepts any elem-aligned subrange; that
+// length-preserving combination that accepts any elem-aligned subrange and
+// returns acc or a slice of its own, never in (reduceTree); that
 // contract is what allows the Rabenseifner ring (collective_ring.go) for
 // large payloads and the two-level path (collective_hier.go), which small
 // payloads take on a comm that spans hosts, on any host placement. elem == 0
@@ -389,22 +393,59 @@ func (c *Comm) allreduce(data []byte, elem int, fn func(acc, in []byte) ([]byte,
 	case perf.AlgRing:
 		out, err = c.allreduceRing(data, elem, fn)
 	default:
-		if out, err = c.reduceTree(0, data, fn); err == nil {
-			out, err = c.bcastOn(tagAllreduce, 0, out)
-		}
+		out, err = c.allreduceTree(data, elem, fn)
+		return out, true, err
 	}
 	return out, false, err
 }
 
-// pairScratchMax is the largest payload whose buffers a communicator keeps
-// between two-rank allreduces; a larger one works in buffers of its own.
-const pairScratchMax = 64 << 10
+// scratchMax is the largest payload whose buffers a communicator keeps
+// between allreduces; a larger one works in buffers of its own.
+const scratchMax = 64 << 10
 
-// pairScratch is what a two-rank allreduce works in, kept on the Comm:
-// collectives on one communicator run one at a time, so one set serves all.
-type pairScratch struct {
-	req          Request
-	mine, theirs []byte
+// allreduceScratch is what the pair and tree allreduces work in, kept on the
+// Comm: collectives on one communicator run one at a time, so one set
+// serves all.
+type allreduceScratch struct {
+	req     Request // the pair's receive
+	acc, in []byte
+}
+
+// buffers returns the accumulator, holding a copy of data, and the buffer
+// another rank's payload is received into; in is nil unless elem > 0, since
+// only an elementwise fn promises the other payload's length. Both are the
+// communicator's up to scratchMax bytes, the call's own above.
+func (s *allreduceScratch) buffers(data []byte, elem int) (acc, in []byte) {
+	n := len(data)
+	if cap(s.acc) < n {
+		s.acc, s.in = make([]byte, n), make([]byte, n)
+	}
+	acc, in = s.acc[:n], s.in[:n]
+	if n > scratchMax {
+		s.acc, s.in = nil, nil // this call's own, not the communicator's
+	}
+	copy(acc, data)
+	if elem == 0 {
+		in = nil
+	}
+	return acc, in
+}
+
+// allreduceTree is the flat allreduce of three or more ranks (and of one):
+// a reduce to rank 0, then a broadcast from it. It works in the
+// communicator's scratch: the accumulator, each child's payload and, for an
+// elementwise fn, the broadcast result at every rank but 0 — where the
+// accumulator is free again, its payload sent up the tree.
+func (c *Comm) allreduceTree(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
+	acc, in := c.scratch.buffers(data, elem)
+	out, err := c.reduceTree(0, acc, in, fn)
+	if err != nil {
+		return nil, err
+	}
+	if in == nil {
+		acc = nil // an opaque fn's result has no length known beforehand
+	}
+	return c.bcastOn(tagAllreduce, 0, out, acc)
 }
 
 // allreducePair is the allreduce of a two-rank communicator: one exchange.
@@ -412,22 +453,11 @@ type pairScratch struct {
 // both compute fn(rank 0's, rank 1's) — what the flat tree computes at rank
 // 0 and then broadcasts, so the result is bit-identical on both, also for a
 // non-commutative fn: the same two messages, one hop on the critical path
-// instead of two. fn gets scratch copies, as in the tree. Only an
-// elementwise fn (elem > 0) promises the other payload's length, so only
-// then is it received into scratch; an opaque fn's gets a slice of its own.
+// instead of two. fn gets scratch copies, as in the tree; an opaque fn's
+// other payload arrives in a slice of its own.
 func (c *Comm) allreducePair(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
-	s, n, peer := &c.pair, len(data), 1-c.rank
-	if cap(s.mine) < n {
-		s.mine, s.theirs = make([]byte, n), make([]byte, n)
-	}
-	mine, theirs := s.mine[:n], s.theirs[:n]
-	if n > pairScratchMax {
-		s.mine, s.theirs = nil, nil // this call's own, not the communicator's
-	}
-	if elem == 0 {
-		theirs = nil
-	}
-	copy(mine, data)
+	s, peer := &c.scratch, 1-c.rank
+	mine, theirs := s.buffers(data, elem)
 	c.startRecv(&s.req, c.cctx, peer, tagAllreduce, theirs)
 	if err := c.sendCtx(c.cctx, peer, tagAllreduce, data); err != nil {
 		if !s.req.Cancel() {

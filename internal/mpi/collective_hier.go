@@ -163,21 +163,21 @@ func (c *Comm) bcastHier(root int, data []byte) ([]byte, error) {
 	buf := data
 	if feedLeader {
 		end := c.collPhase(perf.CollBcast, perf.CollPhaseIntra, len(buf))
-		buf, err = h.intra.bcastOn(tagBcast, intraRoot, buf)
+		buf, err = h.intra.bcastOn(tagBcast, intraRoot, buf, nil)
 		if err = end(err); err != nil {
 			return nil, err
 		}
 	}
 	if h.leaders != nil {
 		end := c.collPhase(perf.CollBcast, perf.CollPhaseInter, len(buf))
-		buf, err = h.leaders.bcastOn(tagBcast, rootHost, buf)
+		buf, err = h.leaders.bcastOn(tagBcast, rootHost, buf, nil)
 		if err = end(err); err != nil {
 			return nil, err
 		}
 	}
 	if !feedLeader {
 		end := c.collPhase(perf.CollBcast, perf.CollPhaseFanout, len(buf))
-		buf, err = h.intra.bcastOn(tagBcast, 0, buf)
+		buf, err = h.intra.bcastOn(tagBcast, 0, buf, nil)
 		if err = end(err); err != nil {
 			return nil, err
 		}
@@ -195,8 +195,9 @@ func (c *Comm) allreduceHier(data []byte, elem int, fn func(acc, in []byte) ([]b
 	if err != nil {
 		return nil, err
 	}
+	acc, in := h.intra.scratch.buffers(data, elem)
 	end := c.collPhase(perf.CollAllreduce, perf.CollPhaseIntra, len(data))
-	acc, err := h.intra.reduceTree(0, data, fn)
+	acc, err = h.intra.reduceTree(0, acc, in, fn)
 	if err = end(err); err != nil {
 		return nil, err
 	}
@@ -208,7 +209,7 @@ func (c *Comm) allreduceHier(data []byte, elem int, fn func(acc, in []byte) ([]b
 		}
 	}
 	end = c.collPhase(perf.CollAllreduce, perf.CollPhaseFanout, len(acc))
-	acc, err = h.intra.bcastOn(tagAllreduce, 0, acc)
+	acc, err = h.intra.bcastOn(tagAllreduce, 0, acc, nil)
 	if err = end(err); err != nil {
 		return nil, err
 	}

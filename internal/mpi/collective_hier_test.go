@@ -89,7 +89,7 @@ var hierOps = func() []hierOp {
 				return frameSlices(parts), err
 			}},
 		{"reduce", "reduce", false, false, 0,
-			func(c *Comm) ([]byte, error) { return c.reduceTree(1, []byte{byte('a' + c.Rank())}, concat) }},
+			func(c *Comm) ([]byte, error) { return c.reduceTree(1, []byte{byte('a' + c.Rank())}, nil, concat) }},
 	}
 	// Roots: a leader, a rank off its leader wherever host 0 has two members,
 	// and the last rank (a single-member host's leader in two layouts).

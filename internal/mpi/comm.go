@@ -34,7 +34,7 @@ type Comm struct {
 	hierKnown bool
 	noHier    bool
 
-	pair pairScratch // the two-rank allreduce's request and buffers (collective.go)
+	scratch allreduceScratch // the pair and tree allreduces' request and buffers (collective.go)
 }
 
 // WorldComm returns the world communicator of an environment. It is how a

@@ -35,10 +35,12 @@ func (op Op) String() string {
 }
 
 // The combine closures work directly on the 8-byte little-endian wire form
-// and write the result into the incoming side's storage: reductions run once
-// per received message, so a decode/combine/encode round trip here is the
-// dominant allocation source of every typed reduction (and of the ring
-// allreduce, which combines one chunk per ring step).
+// and fold the incoming payload into the accumulator's storage, returning
+// it: reductions run once per received message, so a decode/combine/encode
+// round trip here is the dominant allocation source of every typed
+// reduction (and of the ring allreduce, which combines one chunk per ring
+// step), and an accumulator that stays put is what lets the tree receive
+// every child's payload into one buffer (reduceTree).
 
 func combineFloats(op Op) func(acc, in []byte) ([]byte, error) {
 	return func(acc, in []byte) ([]byte, error) {
@@ -50,21 +52,21 @@ func combineFloats(op Op) func(acc, in []byte) ([]byte, error) {
 			b := math.Float64frombits(binary.LittleEndian.Uint64(in[i:]))
 			switch op {
 			case OpSum:
-				b = a + b
+				a += b
 			case OpProd:
-				b = a * b
-			case OpMax:
-				if a > b {
-					b = a
+				a *= b
+			case OpMax: // b unless a is greater, as NaN and signed zeros have always come out
+				if !(a > b) {
+					a = b
 				}
 			case OpMin:
-				if a < b {
-					b = a
+				if !(a < b) {
+					a = b
 				}
 			}
-			binary.LittleEndian.PutUint64(in[i:], math.Float64bits(b))
+			binary.LittleEndian.PutUint64(acc[i:], math.Float64bits(a))
 		}
-		return in, nil
+		return acc, nil
 	}
 }
 
@@ -78,21 +80,21 @@ func combineInts(op Op) func(acc, in []byte) ([]byte, error) {
 			b := int64(binary.LittleEndian.Uint64(in[i:]))
 			switch op {
 			case OpSum:
-				b = a + b
+				a += b
 			case OpProd:
-				b = a * b
+				a *= b
 			case OpMax:
-				if a > b {
-					b = a
+				if b > a {
+					a = b
 				}
 			case OpMin:
-				if a < b {
-					b = a
+				if b < a {
+					a = b
 				}
 			}
-			binary.LittleEndian.PutUint64(in[i:], uint64(b))
+			binary.LittleEndian.PutUint64(acc[i:], uint64(a))
 		}
-		return in, nil
+		return acc, nil
 	}
 }
 
@@ -111,29 +113,37 @@ func combineCheck(op Op, acc, in []byte) error {
 	return nil
 }
 
-// AllreduceFloats combines xs elementwise across ranks and returns the
-// result at every rank, in a slice of the caller's own — the call's one
-// allocation on the small-payload paths: xs goes out as it lies on a
-// little-endian host (floatPayload) and the result is decoded straight from
-// the collective's buffer. The 8-byte element encoding lets the size-based
+// AllreduceFloats combines xs elementwise across ranks and writes the
+// result into xs, at every rank, and returns xs: MPI_Allreduce with
+// MPI_IN_PLACE. On the small-payload paths the call allocates nothing: xs
+// goes out as it lies on a little-endian host (floatPayload), the
+// collective works in the communicator's scratch and the result is decoded
+// from there into xs. The 8-byte element encoding lets the size-based
 // selector use the ring algorithm for large slices.
 func (c *Comm) AllreduceFloats(xs []float64, op Op) ([]float64, error) {
 	out, _, err := c.allreduce(floatPayload(xs), 8, combineFloats(op))
+	if err == nil {
+		err = decodeFloatsInto(xs, out)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return decodeFloats(out)
+	return xs, nil
 }
 
-// AllreduceInts combines xs elementwise across ranks and returns the result
-// at every rank. The 8-byte element encoding lets the size-based selector
-// use the ring algorithm for large slices.
+// AllreduceInts combines xs elementwise across ranks and writes the result
+// into xs, at every rank, and returns xs, as AllreduceFloats does. The
+// 8-byte element encoding lets the size-based selector use the ring
+// algorithm for large slices.
 func (c *Comm) AllreduceInts(xs []int64, op Op) ([]int64, error) {
 	out, _, err := c.allreduce(encodeInts(xs), 8, combineInts(op))
+	if err == nil {
+		err = decodeIntsInto(xs, out)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return decodeInts(out)
+	return xs, nil
 }
 
 // BcastFloats broadcasts a float64 slice from root.

@@ -25,14 +25,15 @@
 package perf
 
 import (
-	"fmt"
+	"bytes"
 	"os"
 	"runtime/metrics"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
+	"unsafe"
 )
 
 // Environment variables consulted by the substrate's observability hooks.
@@ -381,12 +382,31 @@ func (s *Snapshot) CollNanos() int64 {
 }
 
 // peakRSSKB reads VmHWM from /proc/self/status. It is not getrusage's
-// ru_maxrss, which across an exec inherits the spawning process's peak.
+// ru_maxrss, which across an exec inherits the spawning process's peak. The
+// file comes in with one read(2) into a buffer on the stack and the line is
+// parsed by hand: every report pays this call, in a rank that never runs a
+// collection, so it keeps nothing but the path's C string.
 func peakRSSKB() int64 {
-	data, _ := os.ReadFile("/proc/self/status")
-	_, rest, _ := strings.Cut(string(data), "VmHWM:")
+	fd, err := syscall.Open("/proc/self/status", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return 0 // not linux
+	}
+	defer syscall.Close(fd) //nolint:errcheck // read-only; nothing to flush
+	var buf [4096]byte
+	// A raw read, not syscall.Read, whose race-detector hook would move buf
+	// to the heap under -race.
+	n, _, e := syscall.Syscall(syscall.SYS_READ, uintptr(fd), uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)))
+	if e != 0 {
+		return 0
+	}
+	_, rest, _ := bytes.Cut(buf[:n], []byte("\nVmHWM:"))
 	var kb int64
-	fmt.Sscan(rest, &kb) //nolint:errcheck // no VmHWM line (not linux) reads as 0
+	for _, b := range bytes.TrimLeft(rest, " \t") {
+		if b < '0' || b > '9' {
+			break
+		}
+		kb = 10*kb + int64(b-'0')
+	}
 	return kb
 }
 

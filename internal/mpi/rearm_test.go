@@ -12,13 +12,14 @@ import (
 	"testing"
 )
 
-// allocsPerOp runs op on rank 0 of a two-rank world under
-// testing.AllocsPerRun while rank 1 runs it the same number of times, and
-// returns the process-wide allocations per run: both ranks' share.
-func allocsPerOp(t *testing.T, runs int, op func(c *Comm) error) float64 {
+// allocsPerOp runs op on rank 0 of a world of the given size under
+// testing.AllocsPerRun while every other rank runs it the same number of
+// times, and returns the process-wide allocations per run: every rank's
+// share.
+func allocsPerOp(t *testing.T, ranks, runs int, op func(c *Comm) error) float64 {
 	t.Helper()
 	var per float64
-	err := RunWorld(2, func(c *Comm) error {
+	err := RunWorld(ranks, func(c *Comm) error {
 		var err error
 		do := func() {
 			if e := op(c); e != nil && err == nil {
@@ -40,21 +41,49 @@ func allocsPerOp(t *testing.T, runs int, op func(c *Comm) error) float64 {
 	return per
 }
 
-// TestAllocBudgetPairAllreduce: a two-rank AllreduceFloats allocates the
-// slice it returns and nothing else — no encode or decode temporary, no
-// request, no packet, no closure.
-func TestAllocBudgetPairAllreduce(t *testing.T) {
-	xs := [2][]float64{{1.5, 2.5}, {10, 20}}
-	per := allocsPerOp(t, 200, func(c *Comm) error {
-		out, err := c.AllreduceFloats(xs[c.Rank()], OpSum)
-		if err == nil && (out[0] != 11.5 || out[1] != 22.5) {
-			err = fmt.Errorf("allreduce = %v", out)
+// allreduceAllocs is allocsPerOp of an AllreduceFloats of two elements on a
+// world of the given size, checked against the sum of the ranks' operands.
+// Each call reduces into the operand, so each call resets it first.
+func allreduceAllocs(t *testing.T, ranks int) float64 {
+	t.Helper()
+	xs := make([][2]float64, ranks)
+	want := [2]float64{}
+	for r := range xs {
+		xs[r] = [2]float64{1.5 + float64(r), 10 * float64(r+1)}
+		want[0], want[1] = want[0]+xs[r][0], want[1]+xs[r][1]
+	}
+	operands := make([][2]float64, ranks)
+	return allocsPerOp(t, ranks, 200, func(c *Comm) error {
+		x := &operands[c.Rank()]
+		*x = xs[c.Rank()]
+		out, err := c.AllreduceFloats(x[:], OpSum)
+		if err == nil && (out[0] != want[0] || out[1] != want[1] || &out[0] != &x[0]) {
+			err = fmt.Errorf("allreduce = %v at %p, want %v in the operand at %p", out, &out[0], want, &x[0])
 		}
 		return err
 	})
+}
+
+// TestAllocBudgetPairAllreduce: a two-rank AllreduceFloats allocates
+// nothing — no encode or decode temporary, no request, no packet, no
+// closure, no result: the result lands in the operand.
+func TestAllocBudgetPairAllreduce(t *testing.T) {
+	per := allreduceAllocs(t, 2)
 	t.Logf("%.1f allocations per two-rank AllreduceFloats, both ranks together", per)
-	if per > 2 {
-		t.Errorf("two-rank AllreduceFloats allocates %.1f times per call over both ranks, want 2: each rank's returned slice", per)
+	if per > 0 {
+		t.Errorf("two-rank AllreduceFloats allocates %.1f times per call over both ranks, want 0", per)
+	}
+}
+
+// TestAllocBudgetTreeAllreduce: so does a three-rank AllreduceFloats, which
+// takes the flat tree — reduce to rank 0, broadcast back — with the
+// accumulator, each child's payload and the broadcast result in the
+// communicator's scratch.
+func TestAllocBudgetTreeAllreduce(t *testing.T) {
+	per := allreduceAllocs(t, 3)
+	t.Logf("%.1f allocations per three-rank AllreduceFloats, all ranks together", per)
+	if per > 0 {
+		t.Errorf("three-rank AllreduceFloats allocates %.1f times per call over the ranks, want 0", per)
 	}
 }
 
@@ -63,7 +92,7 @@ func TestAllocBudgetPairAllreduce(t *testing.T) {
 func TestAllocBudgetRearmedRequest(t *testing.T) {
 	var req Request
 	payload, into := bytes.Repeat([]byte{0x5A}, 64), make([]byte, 64)
-	per := allocsPerOp(t, 200, func(c *Comm) error {
+	per := allocsPerOp(t, 2, 200, func(c *Comm) error {
 		// Two messages a run: rank 1 posts its receive before rank 0 is told
 		// to send, then rank 0's second message arrives before its receive.
 		if c.Rank() == 0 {
@@ -132,11 +161,11 @@ func TestPairMatchesTree(t *testing.T) {
 			defer w.Close()
 			var tree, pair [2][]byte
 			err = w.Run(func(c *Comm) error {
-				acc, err := c.reduceTree(0, tc.data(c.Rank()), tc.fn)
+				acc, err := c.reduceTree(0, tc.data(c.Rank()), nil, tc.fn)
 				if err != nil {
 					return err
 				}
-				if tree[c.Rank()], err = c.bcastOn(tagAllreduce, 0, acc); err != nil {
+				if tree[c.Rank()], err = c.bcastOn(tagAllreduce, 0, acc, nil); err != nil {
 					return err
 				}
 				tree[c.Rank()] = append([]byte(nil), tree[c.Rank()]...)
