@@ -208,19 +208,13 @@ func buildChromeTrace(traces []rankTrace) []chromeEvent {
 			us := float64(offset+e.TS) / 1e3
 			ce := chromeEvent{TS: us, PID: rt.meta.Rank}
 			switch e.Kind {
-			case perf.KCollEnter:
-				ce.Name, ce.Phase = perf.CollOpName(e.A), "B"
-			case perf.KCollExit:
-				ce.Name, ce.Phase = perf.CollOpName(e.A), "E"
-			case perf.KPhaseBegin:
-				ce.Name, ce.Phase = perf.PhaseName(e.A), "B"
-			case perf.KPhaseEnd:
-				ce.Name, ce.Phase = perf.PhaseName(e.A), "E"
-			case perf.KCollPhaseBegin:
-				ce.Name, ce.Phase = perf.CollOpName(e.A)+"/"+perf.CollPhaseName(e.B), "B"
-				ce.Args = map[string]any{"bytes": e.C}
-			case perf.KCollPhaseEnd:
-				ce.Name, ce.Phase = perf.CollOpName(e.A)+"/"+perf.CollPhaseName(e.B), "E"
+			case perf.KBegin:
+				ce.Name, ce.Phase = perf.SpanName(e.A, e.B), "B"
+				if e.B != 0 {
+					ce.Args = map[string]any{"bytes": e.C}
+				}
+			case perf.KEnd:
+				ce.Name, ce.Phase = perf.SpanName(e.A, e.B), "E"
 			case perf.KSend:
 				ce.Name, ce.Phase, ce.Scope = "send", "i", "t"
 				ce.Args = map[string]any{"dst": e.A, "tag": e.B, "bytes": e.C}
@@ -261,11 +255,13 @@ type talker struct {
 }
 
 // topTalkers aggregates KSend events into sender→receiver volumes, sorted
-// by bytes descending, truncated to n.
+// by bytes descending, truncated to n. A sender that kept 1 in Sample sends
+// counts each kept one Sample times, so volumes estimate the whole.
 func topTalkers(traces []rankTrace, n int) []talker {
 	type key struct{ src, dst int }
 	agg := make(map[key]*talker)
 	for _, rt := range traces {
+		scale := uint64(max(rt.meta.Sample, 1))
 		for _, e := range rt.events {
 			if e.Kind != perf.KSend {
 				continue
@@ -276,8 +272,8 @@ func topTalkers(traces []rankTrace, n int) []talker {
 				t = &talker{src: k.src, dst: k.dst}
 				agg[k] = t
 			}
-			t.msgs++
-			t.bytes += uint64(e.C)
+			t.msgs += scale
+			t.bytes += scale * uint64(e.C)
 		}
 	}
 	out := make([]talker, 0, len(agg))
@@ -357,9 +353,9 @@ func (s *opSkew) slowest() (rank, count int) {
 	return rank, count
 }
 
-// collectSkews matches KCollEnter events across ranks invocation by
-// invocation on the launcher-aligned clock. KCollEnter/KCollExit are never
-// dropped by trace sampling, so the k-th enter of an op on every rank
+// collectSkews matches collective KBegin events across ranks invocation by
+// invocation on the launcher-aligned clock. Spans are never dropped by
+// trace sampling, so the k-th begin of an op on every rank
 // belongs to the same collective — as long as all traced ranks run their
 // world-communicator collectives in the same order, which MPI semantics
 // already require. Sub-communicator collectives shift the indexing for
@@ -370,8 +366,8 @@ func collectSkews(traces []rankTrace) []opSkew {
 	for _, rt := range traces {
 		base := alignedBase(rt)
 		for _, e := range rt.events {
-			if e.Kind != perf.KCollEnter {
-				continue
+			if e.Kind != perf.KBegin || e.B != 0 || e.A >= int64(perf.NumCollOps) {
+				continue // not a whole collective
 			}
 			m := enters[e.A]
 			if m == nil {
@@ -461,13 +457,19 @@ func printStragglers(w io.Writer, traces []rankTrace) {
 func printSummaries(w io.Writer, traces []rankTrace, topN int) {
 	talkers := topTalkers(traces, topN)
 	if len(talkers) > 0 {
-		fmt.Fprintf(w, "\ntop talkers (by bytes):\n")
+		estimated := ""
+		for _, rt := range traces {
+			if rt.meta.Sample > 1 {
+				estimated = ", estimated: sampled sends scaled by their rank's 1-in-N"
+			}
+		}
+		fmt.Fprintf(w, "\ntop talkers (by bytes%s):\n", estimated)
 		fmt.Fprintf(w, "  %-12s %10s %12s\n", "src -> dst", "msgs", "bytes")
 		for _, t := range talkers {
 			fmt.Fprintf(w, "  %4d -> %-4d %10d %12d\n", t.src, t.dst, t.msgs, t.bytes)
 		}
 	}
-	fmt.Fprintf(w, "\nqueue pressure:\n")
+	fmt.Fprintf(w, "\nqueue pressure (maxima over recorded events; mphrun -stats prints the exact umq-hw/prq-hw):\n")
 	fmt.Fprintf(w, "  %-5s %-16s %10s %10s %10s %8s\n", "rank", "component", "max umq", "max prq", "events", "dropped")
 	for _, p := range queuePressure(traces) {
 		comp := p.component

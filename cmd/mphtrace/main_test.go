@@ -40,12 +40,11 @@ func makeTestTraces(t *testing.T) string {
 	dir := t.TempDir()
 	base := time.Now()
 	writeRankTrace(t, dir, 0, base, func(tr *perf.Tracer) {
-		tr.Record(perf.KPhaseBegin, int64(perf.PhaseRegistry), 0, 0, 0)
-		tr.Record(perf.KPhaseEnd, int64(perf.PhaseRegistry), 0, 0, 0)
+		tr.Begin(int64(perf.PhaseRegistry), 0, 0).End()
 		tr.Record(perf.KSend, 1, 7, 100, 0) // rank 0 -> rank 1, 100 bytes
 		tr.Record(perf.KSend, 1, 7, 50, 0)
-		tr.Record(perf.KCollEnter, int64(perf.CollBarrier), 0, 0, 0)
-		tr.Record(perf.KCollExit, int64(perf.CollBarrier), 1000, 0, 0)
+		tr.Begin(int64(perf.CollBarrier), 0, 0).End()
+		tr.Begin(int64(perf.CollAllreduce), int64(perf.CollPhaseIntra), 64).End()
 	})
 	// Rank 1's process started 1ms later: its monotonic timestamps must be
 	// shifted onto rank 0's origin in the merged timeline.
@@ -88,27 +87,39 @@ func TestMergeProducesValidChromeTrace(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatalf("merged output is not valid JSON: %v", err)
 	}
-	// 10 events + 2 process_name metadata records.
-	if len(doc.TraceEvents) != 12 {
-		t.Fatalf("got %d trace events, want 12", len(doc.TraceEvents))
+	// 12 events + 2 process_name metadata records.
+	if len(doc.TraceEvents) != 14 {
+		t.Fatalf("got %d trace events, want 14", len(doc.TraceEvents))
 	}
-	var metas, begins, ends, instants int
+	var metas, instants int
+	var begins, ends []string
 	for _, e := range doc.TraceEvents {
 		switch e.Phase {
 		case "M":
 			metas++
 		case "B":
-			begins++
+			begins = append(begins, e.Name)
+			if e.Name == "allreduce/intra" && e.Args["bytes"] != float64(64) {
+				t.Errorf("two-level phase begin args %v, want bytes 64", e.Args)
+			}
 		case "E":
-			ends++
+			ends = append(ends, e.Name)
 		case "i":
 			instants++
 		default:
 			t.Errorf("unexpected phase %q", e.Phase)
 		}
 	}
-	if metas != 2 || begins != 2 || ends != 2 || instants != 6 {
-		t.Errorf("phase counts M=%d B=%d E=%d i=%d, want 2/2/2/6", metas, begins, ends, instants)
+	if metas != 2 || instants != 6 {
+		t.Errorf("phase counts M=%d i=%d, want 2/6", metas, instants)
+	}
+	// Span names are what a timeline shows; they stay byte-identical.
+	wantSpans := "handshake:registry,barrier,allreduce/intra"
+	if got := strings.Join(begins, ","); got != wantSpans {
+		t.Errorf("begin names %q, want %q", got, wantSpans)
+	}
+	if got := strings.Join(ends, ","); got != wantSpans {
+		t.Errorf("end names %q, want %q", got, wantSpans)
 	}
 	// Rank 1's events are rebased onto rank 0's wall-clock origin: merged
 	// ts = (base offset + raw monotonic ts) in µs. Verify against the raw
@@ -170,6 +181,30 @@ func TestTopTalkersAndQueuePressure(t *testing.T) {
 	}
 }
 
+// TestTopTalkersScalesSampledSends reads a sender that kept 1 in 16 sends
+// (mphrun -trace's default) as having sent 16 times what it kept, and marks
+// the table as an estimate.
+func TestTopTalkersScalesSampledSends(t *testing.T) {
+	sends := []perf.Event{{Kind: perf.KSend, A: 1, C: 100}, {Kind: perf.KSend, A: 1, C: 50}}
+	traces := []rankTrace{syntheticTrace(0, "alpha", 0, 0, sends)}
+	traces[0].meta.Sample = 16
+	talkers := topTalkers(traces, 5)
+	if len(talkers) != 1 || talkers[0].msgs != 32 || talkers[0].bytes != 16*150 {
+		t.Fatalf("talkers %+v, want 0->1 32 msgs %d bytes", talkers, 16*150)
+	}
+	var sb strings.Builder
+	printSummaries(&sb, traces, 5)
+	if !strings.Contains(sb.String(), "estimated") {
+		t.Errorf("a sampled table must say it is estimated:\n%s", sb.String())
+	}
+	traces[0].meta.Sample = 0 // full fidelity: exact counts, no mark
+	sb.Reset()
+	printSummaries(&sb, traces, 5)
+	if talkers := topTalkers(traces, 5); talkers[0].msgs != 2 || strings.Contains(sb.String(), "estimated") {
+		t.Errorf("unsampled talkers %+v, table:\n%s", talkers, sb.String())
+	}
+}
+
 // syntheticTrace builds a rankTrace without the file round trip, with full
 // control of the meta's wall-clock base and measured clock offset.
 func syntheticTrace(rank int, comp string, baseUnix, clockOff int64, events []perf.Event) rankTrace {
@@ -187,7 +222,7 @@ func TestAlignedBaseAppliesClockOffset(t *testing.T) {
 	// 5ms early, and the telemetry handshake measured +5ms. After alignment
 	// the two ranks share an origin, so identical monotonic offsets must
 	// land on identical merged timestamps.
-	enter := []perf.Event{{Kind: perf.KCollEnter, A: int64(perf.CollBarrier), TS: 1000}}
+	enter := []perf.Event{{Kind: perf.KBegin, A: int64(perf.CollBarrier), TS: 1000}}
 	traces := []rankTrace{
 		syntheticTrace(0, "alpha", 1_000_000_000, 0, enter),
 		syntheticTrace(1, "beta", 1_000_000_000-5_000_000, 5_000_000, enter),
@@ -212,7 +247,7 @@ func TestCollectSkewsNamesSlowestRank(t *testing.T) {
 	mk := func(ts ...int64) []perf.Event {
 		evs := make([]perf.Event, len(ts))
 		for i, v := range ts {
-			evs[i] = perf.Event{Kind: perf.KCollEnter, A: op, TS: v}
+			evs[i] = perf.Event{Kind: perf.KBegin, A: op, TS: v}
 		}
 		return evs
 	}
@@ -257,6 +292,16 @@ func TestCollectSkewsNamesSlowestRank(t *testing.T) {
 	skews = collectSkews(traces)
 	if rank, _ := skews[0].slowest(); rank != 0 {
 		t.Errorf("with rank 0 shifted +5µs the straggler is rank %d, want 0", rank)
+	}
+
+	// Two-level phase and handshake spans are not collective arrivals.
+	for i := range traces {
+		traces[i].events = append(traces[i].events,
+			perf.Event{Kind: perf.KBegin, A: op, B: int64(perf.CollPhaseInter), TS: 50_000 + int64(i)},
+			perf.Event{Kind: perf.KBegin, A: int64(perf.PhaseSplit), TS: 60_000 + int64(i)})
+	}
+	if skews = collectSkews(traces); len(skews) != 1 || skews[0].invocations != 2 {
+		t.Errorf("phase spans counted as collectives: %+v", skews)
 	}
 
 	// Single-rank ops produce no row.

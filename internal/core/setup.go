@@ -96,7 +96,7 @@ func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registr
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// Phase markers bracket each handshake stage in the event trace. On an
+	// Phase spans bracket each handshake stage in the event trace. On an
 	// error return the open phase is left unclosed, which the timeline
 	// renders as running until the end — exactly where the abort happened.
 	pv := world.Perf()
@@ -104,7 +104,7 @@ func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registr
 	// Phase 1: root reads the registration file and broadcasts a status
 	// byte followed by its text, or by its load error. Every rank parses
 	// the identical bytes, so load and parse failures are symmetric.
-	endPhase := pv.TracePhase(perf.PhaseRegistry)
+	phase := pv.BeginPhase(perf.PhaseRegistry)
 	var msg []byte
 	var loadErr error
 	if world.Rank() == 0 {
@@ -132,13 +132,13 @@ func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registr
 	if err != nil {
 		return nil, err
 	}
-	endPhase()
+	phase.End()
 
 	// Phase 2: locate my executable entry and exchange it — the paper's
 	// component_id color, Undefined where resolution failed — together with
 	// the one other thing that can fail on a subset of ranks, opening the
 	// log directory.
-	endPhase = pv.TracePhase(perf.PhaseSplit)
+	phase = pv.BeginPhase(perf.PhaseSplit)
 	color, resolveErr := resolve(reg)
 	if resolveErr != nil {
 		color = mpi.Undefined
@@ -162,10 +162,10 @@ func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registr
 	if err != nil {
 		return nil, err
 	}
-	endPhase()
+	phase.End()
 
 	// Phase 3: derive the communicators and the global layout.
-	endPhase = pv.TracePhase(perf.PhaseComponents)
+	phase = pv.BeginPhase(perf.PhaseComponents)
 	if err := s.derive(colors, resolveErr); err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func handshake(world *mpi.Comm, src Source, opts []Option, resolve func(*registr
 	// name-addressed point-to-point traffic (the paper's MPH_Global_World),
 	// isolated from user traffic on world.
 	s.global = world.Dup()
-	endPhase()
+	phase.End()
 
 	if err := verdict(muxErr, muxFailed); err != nil {
 		return nil, err

@@ -138,16 +138,22 @@ func BenchmarkEngineMatching(b *testing.B) {
 // path (budget: within 2 % of the same cell on a parent build), sampled is
 // what a job gets by enabling tracing (1-in-DefaultTraceSample per-message
 // events, budget 25 % over off), full records every event
-// (MPH_TRACE_SAMPLE=1). The same loop under live telemetry is
+// (MPH_TRACE_SAMPLE=1). exchange prices concurrent recorders on one ring:
+// 4 in-process ranks, each sending to the next and receiving from the
+// previous, recording every event. The same loop under live telemetry is
 // internal/mpirun's BenchmarkTelemetryOverhead.
 func BenchmarkTracerOverhead(b *testing.B) {
-	for _, cfg := range []struct{ name, sample string }{
-		{"off", ""},
-		{"sampled", strconv.Itoa(perf.DefaultTraceSample)},
-		{"full", "1"},
+	for _, cfg := range []struct {
+		name, sample string
+		ranks        int
+	}{
+		{"off", "", 1},
+		{"sampled", strconv.Itoa(perf.DefaultTraceSample), 1},
+		{"full", "1", 1},
+		{"exchange", "1", 4},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			w, err := mpi.NewWorld(1)
+			w, err := mpi.NewWorld(cfg.ranks)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -156,7 +162,22 @@ func BenchmarkTracerOverhead(b *testing.B) {
 				b.Setenv(perf.EnvTraceSample, cfg.sample)
 				w.EnableTracing(1 << 16)
 			}
-			if err := w.Run(func(c *mpi.Comm) error { return exactMatchLoop(b, c, workloadDepth) }); err != nil {
+			err = w.Run(func(c *mpi.Comm) error {
+				if cfg.ranks == 1 {
+					return exactMatchLoop(b, c, workloadDepth)
+				}
+				next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+				for i := 0; i < b.N; i++ {
+					if err := c.Send(next, 0, nil); err != nil {
+						return err
+					}
+					if _, _, err := c.Recv(prev, 0); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
 				b.Fatal(err)
 			}
 		})

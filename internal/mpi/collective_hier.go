@@ -123,24 +123,27 @@ func (c *Comm) hierEnsure() (*hierComm, error) {
 	return h, nil
 }
 
-// collPhase opens one phase of a two-level collective: it emits the phase's
-// begin marker and returns the hook that closes it, which emits the end
-// marker and names the phase in the error, if there was one. With tracing
-// off the markers are free.
-func (c *Comm) collPhase(op perf.CollOp, phase perf.CollPhase, bytes int) func(error) error {
-	tr := c.env.tracer
-	if tr != nil {
-		tr.Record(perf.KCollPhaseBegin, int64(op), int64(phase), int64(bytes), 0)
+// hierPhase is one phase of a two-level collective between its begin and
+// end events.
+type hierPhase struct {
+	span  perf.Span
+	op    perf.CollOp
+	phase perf.CollPhase
+}
+
+// collPhase opens one phase of a two-level collective: it records the
+// phase's begin event, with tracing off for free.
+func (c *Comm) collPhase(op perf.CollOp, phase perf.CollPhase, bytes int) hierPhase {
+	return hierPhase{c.env.tracer.Begin(int64(op), int64(phase), int64(bytes)), op, phase}
+}
+
+// end closes the phase and names it in err, if there was one.
+func (p hierPhase) end(err error) error {
+	p.span.End()
+	if err != nil {
+		return fmt.Errorf("mpi: two-level %s phase: %w", perf.SpanName(int64(p.op), int64(p.phase)), err)
 	}
-	return func(err error) error {
-		if tr != nil {
-			tr.Record(perf.KCollPhaseEnd, int64(op), int64(phase), 0, 0)
-		}
-		if err != nil {
-			return fmt.Errorf("mpi: two-level %v, %s phase: %w", op, perf.CollPhaseName(int64(phase)), err)
-		}
-		return nil
-	}
+	return nil
 }
 
 // bcastHier is the two-level broadcast: the leaders pass the payload on over
@@ -162,23 +165,23 @@ func (c *Comm) bcastHier(root int, data []byte) ([]byte, error) {
 	feedLeader := h.myHost == rootHost && intraRoot != 0
 	buf := data
 	if feedLeader {
-		end := c.collPhase(perf.CollBcast, perf.CollPhaseIntra, len(buf))
+		ph := c.collPhase(perf.CollBcast, perf.CollPhaseIntra, len(buf))
 		buf, err = h.intra.bcastOn(tagBcast, intraRoot, buf, nil)
-		if err = end(err); err != nil {
+		if err = ph.end(err); err != nil {
 			return nil, err
 		}
 	}
 	if h.leaders != nil {
-		end := c.collPhase(perf.CollBcast, perf.CollPhaseInter, len(buf))
+		ph := c.collPhase(perf.CollBcast, perf.CollPhaseInter, len(buf))
 		buf, err = h.leaders.bcastOn(tagBcast, rootHost, buf, nil)
-		if err = end(err); err != nil {
+		if err = ph.end(err); err != nil {
 			return nil, err
 		}
 	}
 	if !feedLeader {
-		end := c.collPhase(perf.CollBcast, perf.CollPhaseFanout, len(buf))
+		ph := c.collPhase(perf.CollBcast, perf.CollPhaseFanout, len(buf))
 		buf, err = h.intra.bcastOn(tagBcast, 0, buf, nil)
-		if err = end(err); err != nil {
+		if err = ph.end(err); err != nil {
 			return nil, err
 		}
 	}
@@ -196,21 +199,21 @@ func (c *Comm) allreduceHier(data []byte, elem int, fn func(acc, in []byte) ([]b
 		return nil, err
 	}
 	acc, in := h.intra.scratch.buffers(data, elem)
-	end := c.collPhase(perf.CollAllreduce, perf.CollPhaseIntra, len(data))
+	ph := c.collPhase(perf.CollAllreduce, perf.CollPhaseIntra, len(data))
 	acc, err = h.intra.reduceTree(0, acc, in, fn)
-	if err = end(err); err != nil {
+	if err = ph.end(err); err != nil {
 		return nil, err
 	}
 	if h.leaders != nil {
-		end := c.collPhase(perf.CollAllreduce, perf.CollPhaseInter, len(acc))
+		ph := c.collPhase(perf.CollAllreduce, perf.CollPhaseInter, len(acc))
 		acc, err = h.leaders.allreduceWith(acc, elem, fn)
-		if err = end(err); err != nil {
+		if err = ph.end(err); err != nil {
 			return nil, err
 		}
 	}
-	end = c.collPhase(perf.CollAllreduce, perf.CollPhaseFanout, len(acc))
+	ph = c.collPhase(perf.CollAllreduce, perf.CollPhaseFanout, len(acc))
 	acc, err = h.intra.bcastOn(tagAllreduce, 0, acc, nil)
-	if err = end(err); err != nil {
+	if err = ph.end(err); err != nil {
 		return nil, err
 	}
 	return acc, nil

@@ -122,33 +122,25 @@ func (a CollAlg) String() string {
 	return "unknown"
 }
 
-// Phase identifies one MPH handshake phase for trace markers (paper §6 as
-// core.handshake runs it: two collectives, then a local derivation).
+// Phase identifies one MPH handshake phase for trace spans (paper §6 as
+// core.handshake runs it: two collectives, then a local derivation). Its
+// values follow the CollOps, so a span's A field names either.
 type Phase uint8
 
 // Handshake phases, in execution order.
 const (
-	PhaseRegistry   Phase = iota + 1 // registration file load + broadcast
-	PhaseSplit                       // exchange of every rank's executable index
-	PhaseComponents                  // local derivation of communicators and layout
+	PhaseRegistry   = Phase(NumCollOps) + iota // registration file load + broadcast
+	PhaseSplit                                 // exchange of every rank's executable index
+	PhaseComponents                            // local derivation of communicators and layout
+	numPhases
 )
 
-var phaseNames = map[Phase]string{
-	PhaseRegistry:   "handshake:registry",
-	PhaseSplit:      "handshake:split",
-	PhaseComponents: "handshake:components",
+var phaseNames = [numPhases - PhaseRegistry]string{
+	"handshake:registry", "handshake:split", "handshake:components",
 }
 
-// PhaseName names a handshake phase id (as carried in trace events).
-func PhaseName(id int64) string {
-	if n, ok := phaseNames[Phase(id)]; ok {
-		return n
-	}
-	return "handshake:unknown"
-}
-
-// CollPhase identifies one phase of a hierarchical (two-level) collective
-// for trace markers (KCollPhaseBegin/KCollPhaseEnd).
+// CollPhase identifies one phase of a hierarchical (two-level) collective,
+// carried in a collective span's B field.
 type CollPhase uint8
 
 // Hierarchical collective phases, in execution order: the intra-host
@@ -158,21 +150,26 @@ const (
 	CollPhaseIntra  CollPhase = iota + 1 // intra-host gather/combine
 	CollPhaseInter                       // leader-to-leader inter-host exchange
 	CollPhaseFanout                      // leader-to-member result fan-out
+	numCollPhases
 )
 
-var collPhaseNames = map[CollPhase]string{
-	CollPhaseIntra:  "intra",
-	CollPhaseInter:  "inter",
-	CollPhaseFanout: "fanout",
-}
+var collPhaseNames = [numCollPhases]string{"", "intra", "inter", "fanout"}
 
-// CollPhaseName names a hierarchical-collective phase id (as carried in
-// trace events).
-func CollPhaseName(id int64) string {
-	if n, ok := collPhaseNames[CollPhase(id)]; ok {
-		return n
+// SpanName names what a KBegin/KEnd pair with payload a, b brackets: a
+// collective ("barrier"), one phase of a two-level collective
+// ("allreduce/intra") or a handshake phase ("handshake:registry").
+func SpanName(a, b int64) string {
+	switch {
+	case a < 0 || a >= int64(numPhases):
+		return "unknown"
+	case a >= int64(PhaseRegistry):
+		return phaseNames[a-int64(PhaseRegistry)]
+	case b == 0:
+		return collOpNames[a]
+	case b > 0 && b < int64(numCollPhases):
+		return collOpNames[a] + "/" + collPhaseNames[b]
 	}
-	return "unknown"
+	return collOpNames[a] + "/unknown"
 }
 
 // CollOpName names a collective op id (as carried in trace events).
@@ -553,7 +550,7 @@ func (r *Rank) CollEnter(op CollOp) (startNS int64, top bool) {
 	top = r.collDepth.Add(1) == 1
 	startNS = r.Now()
 	if tr := r.Tracer(); tr != nil {
-		tr.record(startNS, KCollEnter, int64(op), 0, 0, 0)
+		tr.record(startNS, KBegin, int64(op), 0, 0, 0)
 	}
 	return startNS, top
 }
@@ -562,7 +559,7 @@ func (r *Rank) CollEnter(op CollOp) (startNS int64, top bool) {
 func (r *Rank) CollExit(op CollOp, startNS int64, top bool) {
 	end := r.Now()
 	if tr := r.Tracer(); tr != nil {
-		tr.record(end, KCollExit, int64(op), end-startNS, 0, 0)
+		tr.record(end, KEnd, int64(op), 0, 0, 0)
 	}
 	if top {
 		r.coll[op].observe(end - startNS)
@@ -604,16 +601,9 @@ func (r *Rank) CountJoin(size int) {
 	}
 }
 
-// TracePhase emits a handshake-phase begin marker and returns the matching
-// end function. With tracing off both are free.
-func (r *Rank) TracePhase(p Phase) func() {
-	tr := r.Tracer()
-	if tr == nil {
-		return func() {}
-	}
-	tr.Record(KPhaseBegin, int64(p), 0, 0, 0)
-	return func() { tr.Record(KPhaseEnd, int64(p), 0, 0, 0) }
-}
+// BeginPhase opens a handshake-phase span; its End closes it. With tracing
+// off both are free.
+func (r *Rank) BeginPhase(p Phase) Span { return r.Tracer().Begin(int64(p), 0, 0) }
 
 // Snapshot captures every performance variable of the rank. It is safe to
 // call concurrently with traffic; engine variables are copied under the

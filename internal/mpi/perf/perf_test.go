@@ -166,11 +166,22 @@ func TestCollEnterConcurrent(t *testing.T) {
 }
 
 func TestPhaseAndCollOpNames(t *testing.T) {
-	if PhaseName(int64(PhaseRegistry)) != "handshake:registry" {
-		t.Errorf("PhaseRegistry name %q", PhaseName(int64(PhaseRegistry)))
-	}
-	if PhaseName(99) == "" {
-		t.Error("unknown phase must still render")
+	for _, c := range []struct {
+		a, b int64
+		want string
+	}{
+		{int64(PhaseRegistry), 0, "handshake:registry"},
+		{int64(PhaseComponents), 0, "handshake:components"},
+		{int64(CollBarrier), 0, "barrier"},
+		{int64(CollAllreduce), int64(CollPhaseIntra), "allreduce/intra"},
+		{int64(CollBcast), int64(CollPhaseFanout), "bcast/fanout"},
+		{int64(CollBcast), 9, "bcast/unknown"},
+		{99, 0, "unknown"},
+		{-1, 0, "unknown"},
+	} {
+		if got := SpanName(c.a, c.b); got != c.want {
+			t.Errorf("SpanName(%d, %d) = %q, want %q", c.a, c.b, got, c.want)
+		}
 	}
 	if CollOpName(int64(CollAllreduce)) != "allreduce" {
 		t.Errorf("CollAllreduce name %q", CollOpName(int64(CollAllreduce)))

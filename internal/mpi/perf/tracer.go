@@ -20,49 +20,41 @@ type Kind uint8
 //	KSend:       A=destination world rank, B=tag, C=payload bytes
 //	KRecvPost:   A=requested source (-1 wildcard), B=tag (-1 wildcard), D=PRQ depth
 //	KMatch:      A=source world rank, B=tag, C=payload bytes, D=UMQ depth
-//	KCollEnter:  A=CollOp
-//	KCollExit:   A=CollOp, B=duration ns
+//	KBegin:      A=span (a CollOp or a handshake Phase), B=two-level CollPhase (0 for the whole span), C=payload bytes
+//	KEnd:        A, B as the KBegin it closes
 //	KCommSplit:  A=color, B=new communicator size
 //	KCommDup:    (none)
 //	KCommJoin:   A=group size
-//	KPhaseBegin: A=Phase
-//	KPhaseEnd:   A=Phase
 //	KDialRetry:  A=destination world rank, B=attempt number, C=backoff ns
 //	KPeerLost:   A=lost world rank
 //	KAbort:      A=abort code, B=origin world rank (-1 launcher)
 //	KRendezvous: A=destination world rank, B=tag, C=payload bytes, D=rendezvous id
-//	KCollPhaseBegin: A=CollOp, B=CollPhase, C=payload bytes
-//	KCollPhaseEnd:   A=CollOp, B=CollPhase
 //	KShmChannel: A=peer world rank, B=1 channel established / 0 fell back to TCP
 //
-// The per-message hot-path kinds — KSend, KRecvPost, KMatch — are subject to
-// 1-in-N sampling (SetSample); every other kind is always recorded.
+// SpanName names what a KBegin/KEnd pair brackets. The per-message hot-path
+// kinds — KSend, KRecvPost, KMatch — are subject to 1-in-N sampling
+// (SetSample); every other kind is always recorded.
 const (
 	KSend Kind = iota
 	KRecvPost
 	KMatch
-	KCollEnter
-	KCollExit
+	KBegin
+	KEnd
 	KCommSplit
 	KCommDup
 	KCommJoin
-	KPhaseBegin
-	KPhaseEnd
 	KDialRetry
 	KPeerLost
 	KAbort
 	KRendezvous
-	KCollPhaseBegin
-	KCollPhaseEnd
 	KShmChannel
 	numKinds
 )
 
 var kindNames = [numKinds]string{
-	"send", "recv-post", "match", "coll-enter", "coll-exit",
-	"comm-split", "comm-dup", "comm-join", "phase-begin", "phase-end",
-	"dial-retry", "peer-lost", "abort", "rendezvous",
-	"coll-phase-begin", "coll-phase-end", "shm-channel",
+	"send", "recv-post", "match", "begin", "end",
+	"comm-split", "comm-dup", "comm-join",
+	"dial-retry", "peer-lost", "abort", "rendezvous", "shm-channel",
 }
 
 // String names the event kind as it appears in trace dumps.
@@ -92,51 +84,24 @@ type Event struct {
 	A, B, C, D int64
 }
 
-// Tracer sharding. A single mutex-guarded ring doubles the cost of the
-// matching hot path under concurrency (EXPERIMENTS.md P1, the single-ring
-// figure), so large rings are split into independently locked shards merged
-// at dump time. Small rings keep one shard — splitting a 64-event ring would
-// change which events survive, and the contention it avoids only matters at
-// sizes where events pour in from several goroutines.
-const (
-	// tracerShardMin is the minimum per-shard ring size; rings smaller than
-	// two shards' worth stay unsharded, preserving exact single-ring
-	// overwrite semantics for small capacities.
-	tracerShardMin = 1024
-	// tracerMaxShards caps the shard count; beyond the typical number of
-	// concurrently recording goroutines, more shards just fragment the ring.
-	tracerMaxShards = 8
-)
-
-// tracerShard is one independently locked event ring. The trailing pad keeps
-// adjacent shards' mutexes off one cache line, which is the point of
-// sharding.
-type tracerShard struct {
-	mu    sync.Mutex
-	buf   []Event
-	total uint64
-	_     [64]byte
-}
-
-// Tracer is a fixed-size ring buffer of events. When full it overwrites the
-// oldest events, so a dump always holds the most recent Capacity() records;
-// Dropped() reports how many were overwritten. Record is safe for concurrent
-// use (transport readers and the rank goroutine both record); internally the
-// ring is split into per-goroutine-affine shards so concurrent recorders
-// rarely contend on one mutex, and Events merges the shards back into one
-// chronological stream.
+// Tracer is a fixed-size ring buffer of events behind one mutex. When full
+// it overwrites the oldest events, so a dump always holds the most recent
+// Capacity() records; Dropped() reports how many were overwritten. Record is
+// safe for concurrent use (transport readers and the rank goroutine both
+// record).
 //
 // The per-message kinds (KSend, KRecvPost, KMatch) can additionally be
 // sampled 1-in-N (SetSample) to bound tracer overhead on the p2p fast path;
-// structural events (collectives, phases, failures, rendezvous) are always
-// recorded.
+// structural events (spans, failures, rendezvous) are always recorded.
 type Tracer struct {
 	base         time.Time
 	baseUnixNano int64
 	sample       atomic.Uint64 // 1-in-N divisor for hot kinds; 1 = record all
 	keep         atomic.Uint64 // sampling threshold: keep a draw r iff r <= keep
-	capacity     int
-	shards       []tracerShard
+
+	mu    sync.Mutex
+	buf   []Event
+	total uint64 // events recorded; the next one goes to buf[total%len(buf)]
 }
 
 // NewTracer creates a tracer with the given ring capacity whose timestamps
@@ -146,35 +111,13 @@ func NewTracer(capacity int, base time.Time) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceEvents
 	}
-	nshards := capacity / tracerShardMin
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards > tracerMaxShards {
-		nshards = tracerMaxShards
-	}
-	t := &Tracer{
-		base:         base,
-		baseUnixNano: base.UnixNano(),
-		capacity:     capacity,
-		shards:       make([]tracerShard, nshards),
-	}
+	t := &Tracer{base: base, baseUnixNano: base.UnixNano(), buf: make([]Event, capacity)}
 	t.SetSample(1)
-	// Shard sizes sum exactly to capacity: the remainder goes to the first
-	// shards one event at a time.
-	size, rem := capacity/nshards, capacity%nshards
-	for i := range t.shards {
-		n := size
-		if i < rem {
-			n++
-		}
-		t.shards[i].buf = make([]Event, n)
-	}
 	return t
 }
 
-// Capacity returns the ring size in events (summed across shards).
-func (t *Tracer) Capacity() int { return t.capacity }
+// Capacity returns the ring size in events.
+func (t *Tracer) Capacity() int { return len(t.buf) }
 
 // SetSample sets 1-in-N sampling for the per-message hot-path kinds (send,
 // recv-post, match): each such event is kept with probability 1/n. n <= 1
@@ -195,86 +138,78 @@ func (t *Tracer) SetSample(n int) {
 func (t *Tracer) Sample() int { return int(t.sample.Load()) }
 
 // Record appends an event stamped now. Hot-path kinds are subject to the
-// tracer's sampling divisor.
+// tracer's sampling divisor; sampled-out calls return before touching the
+// clock or the lock.
 func (t *Tracer) Record(k Kind, a, b, c, d int64) {
-	// One random draw serves both decisions: the draw itself decides
-	// sampling (threshold comparison, no division), the high bits pick the
-	// shard. Sampled-out calls return before touching the clock or any lock.
-	r := rand.Uint64()
-	if k <= KMatch && r > t.keep.Load() {
+	if k <= KMatch && rand.Uint64() > t.keep.Load() {
 		return
 	}
-	t.recordAt(int64(time.Since(t.base)), r, k, a, b, c, d)
+	t.record(int64(time.Since(t.base)), k, a, b, c, d)
 }
 
 // record appends an event with an explicit timestamp (callers that already
-// read the clock pass it through). Never sampled: the callers are the
-// structural collective-timing paths.
+// read the clock pass it through). Never sampled.
 func (t *Tracer) record(ts int64, k Kind, a, b, c, d int64) {
-	t.recordAt(ts, rand.Uint64(), k, a, b, c, d)
+	t.mu.Lock()
+	t.buf[t.total%uint64(len(t.buf))] = Event{TS: ts, Kind: k, A: a, B: b, C: c, D: d}
+	t.total++
+	t.mu.Unlock()
 }
 
-// recordAt stores one event in the shard selected by the random draw's high
-// bits.
-func (t *Tracer) recordAt(ts int64, r uint64, k Kind, a, b, c, d int64) {
-	s := &t.shards[0]
-	if len(t.shards) > 1 {
-		s = &t.shards[(r>>32)%uint64(len(t.shards))]
+// Span is one open KBegin/KEnd pair. A Span begun on a nil tracer (tracing
+// off) records nothing at either end.
+type Span struct {
+	tr   *Tracer
+	a, b int64
+}
+
+// Begin records a KBegin event and returns the span its End closes; see
+// the KBegin payload fields. Safe on a nil tracer, where it is free.
+func (t *Tracer) Begin(a, b, c int64) Span {
+	if t != nil {
+		t.Record(KBegin, a, b, c, 0)
 	}
-	s.mu.Lock()
-	s.buf[s.total%uint64(len(s.buf))] = Event{TS: ts, Kind: k, A: a, B: b, C: c, D: d}
-	s.total++
-	s.mu.Unlock()
+	return Span{t, a, b}
+}
+
+// End records the span's KEnd event.
+func (s Span) End() {
+	if s.tr != nil {
+		s.tr.Record(KEnd, s.a, s.b, 0, 0)
+	}
 }
 
 // Recorded returns the total number of events recorded since creation
 // (events skipped by sampling are not recorded).
 func (t *Tracer) Recorded() uint64 {
-	var n uint64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += s.total
-		s.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
 }
 
 // Dropped returns how many recorded events were overwritten by the ring.
 func (t *Tracer) Dropped() uint64 {
-	var n uint64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		if s.total > uint64(len(s.buf)) {
-			n += s.total - uint64(len(s.buf))
-		}
-		s.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total - min(t.total, uint64(len(t.buf)))
 }
 
-// Events returns the retained events in chronological order, merging the
-// shards by timestamp. The merge is stable, so events within one shard keep
-// their insertion order even under equal timestamps.
+// Events returns the newest Capacity() events, oldest first. Concurrent
+// recorders read the clock before they take the lock, so ring order can
+// invert two near-simultaneous stamps; a stable sort by timestamp restores
+// chronological order and keeps ring order among equal stamps.
 func (t *Tracer) Events() []Event {
-	out := make([]Event, 0, t.capacity)
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n, capacity := s.total, uint64(len(s.buf))
-		if n <= capacity {
-			out = append(out, s.buf[:n]...)
-		} else {
-			start := n % capacity
-			out = append(out, s.buf[start:]...)
-			out = append(out, s.buf[:start]...)
-		}
-		s.mu.Unlock()
+	t.mu.Lock()
+	size := uint64(len(t.buf))
+	out := make([]Event, 0, min(t.total, size))
+	if t.total <= size {
+		out = append(out, t.buf[:t.total]...)
+	} else {
+		start := t.total % size
+		out = append(append(out, t.buf[start:]...), t.buf[:start]...)
 	}
-	if len(t.shards) > 1 {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	}
+	t.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out
 }
 
@@ -332,7 +267,7 @@ func (t *Tracer) WriteJSONL(w io.Writer, meta Meta) error {
 		Host:      meta.Host,
 		BaseUnix:  t.baseUnixNano,
 		ClockOff:  meta.ClockOffsetNS,
-		Capacity:  t.capacity,
+		Capacity:  t.Capacity(),
 		Recorded:  t.Recorded(),
 		Dropped:   t.Dropped(),
 	}

@@ -61,33 +61,49 @@ func TestTracerZeroCapacityDefaults(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrentRecord records from several goroutines at once, half
+// through record with a clock read taken before the lock (as CollEnter
+// does), and dumps midway and at the end: every event is counted, and a
+// dump's timestamps never decrease.
 func TestTracerConcurrentRecord(t *testing.T) {
-	tr := NewTracer(64, time.Now())
+	r := NewRank(0, 1)
+	tr := NewTracer(1024, r.base)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tr.Record(KSend, 1, 2, 3, 4)
+			for i := 0; i < 2000; i++ {
+				if i%2 == 0 {
+					tr.Record(KSend, int64(g), 0, 0, 0)
+				} else {
+					tr.record(r.Now(), KBegin, int64(CollBarrier), 0, 0, 0)
+				}
 			}
 		}()
 	}
-	wg.Wait()
-	if tr.Recorded() != 4000 {
-		t.Errorf("recorded %d, want 4000", tr.Recorded())
+	check := func() {
+		evs := tr.Events()
+		for i := 1; i < len(evs); i++ {
+			if evs[i].TS < evs[i-1].TS {
+				t.Fatalf("dump goes back in time at %d: %d after %d", i, evs[i].TS, evs[i-1].TS)
+			}
+		}
 	}
-	if len(tr.Events()) != 64 {
-		t.Errorf("retained %d, want 64", len(tr.Events()))
+	check()
+	wg.Wait()
+	check()
+	if tr.Recorded() != 8000 || len(tr.Events()) != 1024 {
+		t.Errorf("recorded %d, kept %d; want 8000, 1024", tr.Recorded(), len(tr.Events()))
 	}
 }
 
 func TestWriteJSONLRoundTrip(t *testing.T) {
 	base := time.Now()
 	tr := NewTracer(8, base)
-	tr.Record(KPhaseBegin, int64(PhaseRegistry), 0, 0, 0)
+	span := tr.Begin(int64(PhaseRegistry), 0, 0)
 	tr.Record(KSend, 2, 9, 128, 0)
-	tr.Record(KPhaseEnd, int64(PhaseRegistry), 0, 0, 0)
+	span.End()
 
 	var buf bytes.Buffer
 	meta := Meta{Rank: 3, Size: 8, Component: "ice", Host: "node-b", ClockOffsetNS: -2500}
@@ -188,15 +204,13 @@ func TestRankEnableTracerIntegration(t *testing.T) {
 	if r.Tracer() != nil {
 		t.Fatal("tracer on by default")
 	}
-	end := r.TracePhase(PhaseRegistry)
-	end() // no-op with tracing off
+	r.BeginPhase(PhaseRegistry).End() // no-op with tracing off
 
 	tr := r.EnableTracer(32)
 	if tr == nil || r.Tracer() != tr {
 		t.Fatal("EnableTracer did not install")
 	}
-	end = r.TracePhase(PhaseSplit)
-	end()
+	r.BeginPhase(PhaseSplit).End()
 	start, top := r.CollEnter(CollBarrier)
 	r.CollExit(CollBarrier, start, top)
 	r.CountSplit(1, 2)
@@ -206,16 +220,38 @@ func TestRankEnableTracerIntegration(t *testing.T) {
 	for _, e := range evs {
 		kinds[e.Kind]++
 	}
-	if kinds[KPhaseBegin] != 1 || kinds[KPhaseEnd] != 1 {
-		t.Errorf("phase events %v", kinds)
+	if kinds[KBegin] != 2 || kinds[KEnd] != 2 || kinds[KCommSplit] != 1 {
+		t.Errorf("span/split events %v", kinds)
 	}
-	if kinds[KCollEnter] != 1 || kinds[KCollExit] != 1 || kinds[KCommSplit] != 1 {
-		t.Errorf("collective/split events %v", kinds)
-	}
-	// The coll-exit event carries the duration in B.
+	// Each end names the span its begin opened, and follows it.
+	var names []string
 	for _, e := range evs {
-		if e.Kind == KCollExit && e.B < 0 {
-			t.Errorf("negative collective duration %d", e.B)
+		if e.Kind == KBegin || e.Kind == KEnd {
+			names = append(names, e.Kind.String()+" "+SpanName(e.A, e.B))
+		}
+	}
+	want := []string{"begin handshake:split", "end handshake:split", "begin barrier", "end barrier"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("spans %v, want %v", names, want)
+	}
+}
+
+// TestTracerKeepsNewest holds the ring to its contract at a production-sized
+// capacity: after 3×capacity events a dump holds exactly the newest
+// capacity of them, in recording order.
+func TestTracerKeepsNewest(t *testing.T) {
+	const capacity = 4096
+	tr := NewTracer(capacity, time.Now())
+	for i := int64(0); i < 3*capacity; i++ {
+		tr.Record(KCommDup, i, 0, 0, 0)
+	}
+	evs := tr.Events()
+	if len(evs) != capacity || tr.Dropped() != 2*capacity {
+		t.Fatalf("kept %d, dropped %d; want %d, %d", len(evs), tr.Dropped(), capacity, 2*capacity)
+	}
+	for i, e := range evs {
+		if want := int64(2*capacity + i); e.A != want {
+			t.Fatalf("event %d is #%d, want #%d: the ring must keep the newest %d in order", i, e.A, want, capacity)
 		}
 	}
 }

@@ -22,6 +22,10 @@
 #   pass, in the internal/mpi -race pass and, for the coupled periods and a
 #   rank's snapshot, in a -race pass of their own, beside the TCP coupled
 #   run that checks every rank's diagnostics land in one buffer of its own;
+# - the tracer is one ring written by every goroutine of a rank: its tests
+#   (the ring keeps exactly the newest events, a dump never goes back in
+#   time while several goroutines record) and mphtrace's, which read its
+#   dumps, repeat under -race;
 # - the coupler sends each increment from the slab its next up-receive lands
 #   in, so the rendezvous-sized coupled run over TCP repeats under -race: a
 #   send that let go of its buffer late would show as a race or a diagnostic
@@ -61,6 +65,8 @@ go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvo
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree|TestRendezvousLifetime|TestAllreduceFloatsInPlace|TestAllocBudgetTreeAllreduce' -race -count=2 ./internal/mpi/...
 go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|TestCoupledRunOverTCPRendezvous|TestCoupledRunOverTCP$|TestSnapshotAllocBudget' -race -count=2 \
     ./internal/coupler ./internal/mpi/perf
+go test -run 'Tracer|WriteJSONL|ParseTraceLine|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase' -race -count=2 \
+    ./internal/mpi/perf ./cmd/mphtrace
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
@@ -191,11 +197,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,552 before allreduce results
-# landed in the caller's operand and the diagnostics in one buffer, 16,597
-# after) and the stripped size of a component executable (2,773,176 bytes
-# before, 2,740,408 after: a snapshot's VmHWM read no longer links
-# fmt.Sscan), printed for later comparison.
+# Non-test Go lines outside benchmark/ (16,597 before the tracer became one
+# ring and one span pair, 16,527 after) and the stripped size of a component
+# executable (2,740,408 bytes before, 2,736,312 after), printed for later
+# comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

@@ -86,6 +86,13 @@ if grep -rn -e 'HostProber\|ProbeHost\|probeRemote\|PlaceCyclic\|ParsePlacement\
     README.md DESIGN.md OPERATIONS.md; then
     exit 1
 fi
+# The tracer is one ring and one span pair: the shards with their sizing,
+# the per-facility begin/end kinds and the closure-returning phase marker
+# stay out of the code and the scripts.
+if grep -rn 'tracerShard\|tracerMaxShards\|KCollEnter\|KPhaseBegin\|KCollPhaseBegin\|TracePhase' \
+    --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go; then
+    exit 1
+fi
 # The allocation numbers move because nothing is allocated, not because the
 # collector was retuned: no GC knob in non-test code, in the scripts, or in an
 # environment a launcher builds for its ranks.
