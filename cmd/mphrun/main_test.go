@@ -168,13 +168,15 @@ func checkTopology(world *mpi.Comm, expect []string) error {
 			return fmt.Errorf("HostOf(%d) = %q, want %q", r, got, want)
 		}
 	}
-	color := map[string]int{} // host label -> index of first appearance
+	index := map[string]int{} // host label -> index of first appearance
+	colors := make([]int, len(expect))
 	for r := range expect {
-		if _, ok := color[world.HostOf(r)]; !ok {
-			color[world.HostOf(r)] = len(color)
+		if _, ok := index[world.HostOf(r)]; !ok {
+			index[world.HostOf(r)] = len(index)
 		}
+		colors[r] = index[world.HostOf(r)]
 	}
-	local, err := world.Split(color[world.HostOf(world.Rank())], 0)
+	local, err := world.SplitWith(colors, nil)
 	if err != nil {
 		return fmt.Errorf("split by host: %w", err)
 	}
@@ -188,11 +190,7 @@ func checkTopology(world *mpi.Comm, expect []string) error {
 	if local.Size() != want {
 		return fmt.Errorf("host comm has %d ranks on %s, want %d", local.Size(), mine, want)
 	}
-	for r := 0; r < local.Size(); r++ {
-		wr, err := local.WorldRankOf(r)
-		if err != nil {
-			return err
-		}
+	for _, wr := range local.Group() {
 		if expect[wr] != mine {
 			return fmt.Errorf("host comm contains rank %d on %s, want only %s", wr, expect[wr], mine)
 		}

@@ -63,10 +63,10 @@ func TestLaunchedFalseWithoutEnv(t *testing.T) {
 }
 
 func TestNewRendezvousValidation(t *testing.T) {
-	if _, err := NewRendezvous(0); err == nil {
+	if _, err := NewRendezvousBind("", 0, 0, nil); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := NewRendezvous(-1); err == nil {
+	if _, err := NewRendezvousBind("", -1, 0, nil); err == nil {
 		t.Error("negative size accepted")
 	}
 }
@@ -101,7 +101,7 @@ func registerAll(t *testing.T, rv *Rendezvous, n int, ep func(rank int) Endpoint
 
 func TestRendezvousExchange(t *testing.T) {
 	const n = 4
-	rv, err := NewRendezvous(n)
+	rv, err := NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRegisterDialFailure(t *testing.T) {
 }
 
 func TestRendezvousRejectsMalformedRegistration(t *testing.T) {
-	rv, err := NewRendezvous(1)
+	rv, err := NewRendezvousBind("", 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func dial(addr string) (net.Conn, error) {
 // must make a Serve blocked in Accept return ErrRendezvousClosed promptly
 // instead of waiting out its full timeout.
 func TestRendezvousClose(t *testing.T) {
-	rv, err := NewRendezvous(2)
+	rv, err := NewRendezvousBind("", 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRendezvousClose(t *testing.T) {
 // still gets the complete book.
 func TestRendezvousConcurrentRegistration(t *testing.T) {
 	const n = 4
-	rv, err := NewRendezvous(n)
+	rv, err := NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

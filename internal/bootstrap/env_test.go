@@ -150,7 +150,7 @@ func TestPickRoutable(t *testing.T) {
 // back.
 func TestEndpointExchange(t *testing.T) {
 	const n = 3
-	rv, err := NewRendezvous(n)
+	rv, err := NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

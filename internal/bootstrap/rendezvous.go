@@ -68,12 +68,6 @@ type session struct {
 	done chan struct{} // closed once the session has ended and the others were told
 }
 
-// NewRendezvous starts the exchange for a world of the given size on a
-// loopback port, taking no reports: the right default for single-host jobs.
-func NewRendezvous(size int) (*Rendezvous, error) {
-	return NewRendezvousBind("", size, 0, nil)
-}
-
 // NewRendezvousBind starts the exchange on the given bind host ("" =
 // loopback, wildcard = all interfaces with a detected routable IP
 // advertised) so workers on other hosts can reach it. A non-nil ingest

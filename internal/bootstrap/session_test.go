@@ -83,7 +83,7 @@ type abortSeen struct{ rank, code, origin int }
 // with origin AbortOriginLauncher.
 func TestSessionAbortRelay(t *testing.T) {
 	const n = 3
-	rv, err := NewRendezvous(n)
+	rv, err := NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ type downSeen struct {
 // in order.
 func TestSessionDownRelay(t *testing.T) {
 	const n = 3
-	rv, err := NewRendezvous(n)
+	rv, err := NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func TestGoroutineStacksCap(t *testing.T) {
 // ask gets its dump, and the late answer to the first is dropped too.
 func TestRendezvousStacks(t *testing.T) {
 	const n = 2
-	rv, err := NewRendezvous(n)
+	rv, err := NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,18 +294,17 @@ func TestCommOfMembership(t *testing.T) {
 			return err
 		}
 		mine := s.CompName()
-		if _, err := s.CommOf(mine); err != nil {
-			return fmt.Errorf("CommOf own component: %v", err)
+		if comm, ok := s.ProcInComponent(mine); !ok || comm.Rank() != s.LocalProcID() {
+			return fmt.Errorf("ProcInComponent(%s) = %v, %v: not this rank's component communicator", mine, comm, ok)
 		}
 		other := "ocean"
 		if mine == "ocean" {
 			other = "atmosphere"
 		}
-		if _, err := s.CommOf(other); !errors.Is(err, core.ErrNotMember) {
-			return fmt.Errorf("CommOf(%s) error %v", other, err)
-		}
-		if _, err := s.CommOf("bogus"); !errors.Is(err, core.ErrUnknownComponent) {
-			return fmt.Errorf("CommOf(bogus) error %v", err)
+		for _, name := range []string{other, "bogus"} {
+			if comm, ok := s.ProcInComponent(name); ok || comm != nil {
+				return fmt.Errorf("ProcInComponent(%s) = %v, %v on a non-member", name, comm, ok)
+			}
 		}
 		return nil
 	})

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mph/internal/core"
 	"mph/internal/mpi"
 	"mph/internal/mpi/mpitest"
+	"mph/internal/mpi/perf"
 	"mph/internal/registry"
 )
 
@@ -96,7 +96,9 @@ func TestHandshakeCollectiveCounts(t *testing.T) {
 		}
 		defer w.Close()
 		w.SetHosts([]string{"nodeA", "nodeA", "nodeA", "nodeA", "nodeA", "nodeB", "nodeB", "nodeB", "nodeB", "nodeB"})
+		pvs := make([]*perf.Rank, 10)
 		err = w.Run(func(c *mpi.Comm) error {
+			pvs[c.Rank()] = c.Perf()
 			name := "atmosphere"
 			if c.Rank() >= 5 {
 				name = "ocean"
@@ -108,11 +110,7 @@ func TestHandshakeCollectiveCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		sent, crossed := uint64(0), uint64(0)
-		for r := 0; r < w.Size(); r++ {
-			pv, err := w.Perf(r)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for r, pv := range pvs {
 			snap := pv.Snapshot()
 			sent += snap.TotalSentMsgs
 			for dst, n := range snap.SentMsgs {
@@ -148,12 +146,13 @@ type handshakeView struct {
 }
 
 // splitReference runs the handshake as paper §6 states it, with one real
-// MPI_Comm_split per step: the world by executable index, each executable by
-// instance or once per component (the general path, which the single split of
-// the disjoint case must agree with), and an Allgather of memberships for the
+// MPI_Comm_split per step (mpitest.Split, which exchanges every rank's color
+// and key): the world by executable index, each executable by instance or
+// once per component (the general path, which the single split of the
+// disjoint case must agree with), and an allgather of memberships for the
 // layout.
 func splitReference(world *mpi.Comm, reg *registry.Registry, execIdx int) (*handshakeView, error) {
-	execComm, err := world.Split(execIdx, 0)
+	execComm, err := mpitest.Split(world, execIdx, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +169,7 @@ func splitReference(world *mpi.Comm, reg *registry.Registry, execIdx int) (*hand
 			if c.Covers(me) {
 				color = 0
 			}
-			comm, err := execComm.Split(color, 0)
+			comm, err := mpitest.Split(execComm, color, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -185,28 +184,30 @@ func splitReference(world *mpi.Comm, reg *registry.Registry, execIdx int) (*hand
 				v.Instance = i
 			}
 		}
-		comm, err := execComm.Split(v.Instance, 0)
+		comm, err := mpitest.Split(execComm, v.Instance, 0)
 		if err != nil {
 			return nil, err
 		}
 		v.Mine = []string{e.Components[v.Instance].Name}
 		v.Comms[v.Mine[0]] = viewOf(comm)
 	}
-	mine := []byte(strings.Join(v.Mine, "\n"))
-	out := make([][]byte, world.Size())
-	for r := range out {
-		out[r] = mine
+	// member[ci*P+r] is 1 when world rank r is in component ci: each rank
+	// fills its own slots and the sum gives every rank the whole table.
+	names, n := reg.ComponentNames(), world.Size()
+	member := make([]int64, len(names)*n)
+	for ci, name := range names {
+		if _, ok := v.Comms[name]; ok {
+			member[ci*n+world.Rank()] = 1
+		}
 	}
-	parts, err := world.Alltoall(out) // an allgather: every rank gets every rank's names
-	if err != nil {
+	if _, err := world.AllreduceInts(member, mpi.OpSum); err != nil {
 		return nil, err
 	}
-	for rank, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		for _, name := range strings.Split(string(p), "\n") {
-			v.Layout[name] = append(v.Layout[name], rank)
+	for ci, name := range names {
+		for r := 0; r < n; r++ {
+			if member[ci*n+r] != 0 {
+				v.Layout[name] = append(v.Layout[name], r)
+			}
 		}
 	}
 	return v, nil

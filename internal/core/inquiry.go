@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"mph/internal/mpi"
 	"mph/internal/registry"
@@ -108,17 +107,6 @@ func (s *Setup) ProcInComponent(name string) (*mpi.Comm, bool) {
 	return comm, ok
 }
 
-// CommOf returns the communicator of a component this rank belongs to.
-func (s *Setup) CommOf(name string) (*mpi.Comm, error) {
-	if comm, ok := s.comms[name]; ok {
-		return comm, nil
-	}
-	if _, _, ok := s.reg.FindComponent(name); !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownComponent, name)
-	}
-	return nil, fmt.Errorf("%w: %q", ErrNotMember, name)
-}
-
 // ComponentRanks returns the world ranks of a component, in local-rank
 // order. Any rank may ask about any component — the layout is global
 // knowledge after the handshake.
@@ -147,34 +135,6 @@ func (s *Setup) AllComponentNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Describe returns a human-readable summary of the handshaken environment
-// from this rank's perspective: every executable, every component with its
-// world ranks, and the calling rank's own memberships — the debugging
-// printout a component developer wants right after MPH_components_setup.
-func (s *Setup) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "MPH environment: %d executable(s), %d component(s), world size %d\n",
-		s.NumExecutables(), s.TotalComponents(), s.world.Size())
-	for ei, e := range s.reg.Executables {
-		marker := " "
-		if ei == s.execIdx {
-			marker = "*"
-		}
-		fmt.Fprintf(&b, "%s exe %d (%s):\n", marker, ei, e.Kind)
-		for _, c := range e.Components {
-			ranks := s.layout[c.Name]
-			member := ""
-			if comm, ok := s.comms[c.Name]; ok {
-				member = fmt.Sprintf("  [member, local rank %d]", comm.Rank())
-			}
-			fmt.Fprintf(&b, "    %-16s world ranks %v%s\n", c.Name, ranks, member)
-		}
-	}
-	fmt.Fprintf(&b, "this rank: world %d, component %q, local %d\n",
-		s.GlobalProcID(), s.CompName(), s.LocalProcID())
-	return b.String()
 }
 
 // InstanceIndex returns this rank's 0-based instance number within a

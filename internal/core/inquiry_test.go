@@ -2,39 +2,11 @@ package core_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
-	"mph/internal/core"
 	"mph/internal/mpi"
 	"mph/internal/mpi/mpitest"
 )
-
-func TestDescribe(t *testing.T) {
-	mpitest.Run(t, scmeWorldSize, func(c *mpi.Comm) error {
-		s, err := core.SingleComponentSetup(c, core.TextSource(scmeReg), scmeLaunch(c.Rank()))
-		if err != nil {
-			return err
-		}
-		out := s.Describe()
-		for _, want := range []string{
-			"5 executable(s), 5 component(s), world size 10",
-			"atmosphere",
-			"coupler",
-			fmt.Sprintf("this rank: world %d, component %q", c.Rank(), s.CompName()),
-			"[member, local rank",
-		} {
-			if !strings.Contains(out, want) {
-				return fmt.Errorf("Describe missing %q:\n%s", want, out)
-			}
-		}
-		// The marker sits on my executable's line.
-		if !strings.Contains(out, fmt.Sprintf("* exe %d", s.ExecutableIndex())) {
-			return fmt.Errorf("Describe missing own-executable marker:\n%s", out)
-		}
-		return nil
-	})
-}
 
 func TestInquirySuite(t *testing.T) {
 	// One pass over every inquiry function of paper §5.3 on the MCME

@@ -306,7 +306,7 @@ END
 			if len(s.ComponentNames()) != 0 {
 				return fmt.Errorf("rank %d: names %v", c.Rank(), s.ComponentNames())
 			}
-			if s.Args().Len() != 0 {
+			if _, ok := s.Args().Field(1); ok {
 				return fmt.Errorf("rank %d: args", c.Rank())
 			}
 		} else if s.CompName() == "" {

@@ -376,9 +376,9 @@ func componentsOverlap(e registry.Executable) bool {
 	return false
 }
 
-// splitExec stands in for s.execComm.Split(color(me), 0): every member works
-// out every member's color from the registration entry they all parsed, so
-// the exchange inside Comm_split has nothing left to tell them.
+// splitExec stands in for MPI_Comm_split(execComm, color(me), 0): every
+// member works out every member's color from the registration entry they all
+// parsed, so the exchange inside Comm_split has nothing left to tell them.
 func (s *Setup) splitExec(color func(p int) int) (*mpi.Comm, error) {
 	colors := make([]int, s.execComm.Size())
 	for p := range colors {
@@ -442,8 +442,3 @@ func (s *Setup) validateLayout() error {
 	}
 	return nil
 }
-
-// Close releases per-setup resources. The log multiplexer is shared
-// process-wide (see iolog.Shared) and deliberately left open; communicators
-// need no explicit release.
-func (s *Setup) Close() error { return nil }

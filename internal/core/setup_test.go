@@ -95,7 +95,6 @@ func TestSCMEHandshake(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		defer s.Close()
 
 		if s.CompName() != name {
 			return fmt.Errorf("CompName %q, want %q", s.CompName(), name)

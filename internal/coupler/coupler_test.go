@@ -74,8 +74,9 @@ func TestLinkTransfersBothWays(t *testing.T) {
 
 		// ocean -> coupler
 		var up *grid.Field
-		if proc, ok := l.OnModel(); ok {
-			f := grid.NewField(l.ModelDecomp(), proc)
+		// The ocean is the model side, its local processor id its index there.
+		if name == "ocean" {
+			f := grid.NewField(l.ModelDecomp(), s.LocalProcID())
 			f.FillFunc(value)
 			up, err = l.ToCoupler(f, 1)
 		} else {
@@ -107,8 +108,7 @@ func TestLinkTransfersBothWays(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			proc, _ := l.OnModel()
-			lo, hi := l.ModelDecomp().Bands(proc)
+			lo, hi := l.ModelDecomp().Bands(s.LocalProcID())
 			for lat := lo; lat < hi; lat++ {
 				v, err := down.At(lat, 3)
 				if err != nil {

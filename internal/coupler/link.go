@@ -115,10 +115,6 @@ func (l *Link) ModelDecomp() *grid.Decomp { return l.modelDecomp }
 // CouplerDecomp returns the coupler side's decomposition.
 func (l *Link) CouplerDecomp() *grid.Decomp { return l.couplerDecomp }
 
-// OnModel reports whether this rank is on the model side, and its
-// processor index there.
-func (l *Link) OnModel() (int, bool) { return l.myModelProc, l.myModelProc >= 0 }
-
 // OnCoupler reports whether this rank is on the coupler side, and its
 // processor index there.
 func (l *Link) OnCoupler() (int, bool) { return l.myCouplerProc, l.myCouplerProc >= 0 }

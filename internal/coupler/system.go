@@ -175,11 +175,7 @@ var (
 // component constructs the identical schedule, so the integer-step alarms
 // agree exactly (package timemgr's design point).
 func couplingSchedule(cfg Config) (*timemgr.Schedule, error) {
-	clock, err := timemgr.NewClock(cfg.Dt, int64(cfg.Periods*cfg.SubSteps))
-	if err != nil {
-		return nil, err
-	}
-	sched := timemgr.NewSchedule(clock)
+	sched := timemgr.NewSchedule(timemgr.NewClock(int64(cfg.Periods * cfg.SubSteps)))
 	if err := sched.AddAlarm("couple", int64(cfg.SubSteps), 0); err != nil {
 		return nil, err
 	}

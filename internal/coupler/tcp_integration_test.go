@@ -24,7 +24,7 @@ import (
 func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics, []perf.Snapshot) {
 	t.Helper()
 	const world = ccsmWorldSize
-	rv, err := bootstrap.NewRendezvous(world)
+	rv, err := bootstrap.NewRendezvousBind("", world, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,6 @@ func Quantile(vals []float64, q float64) (float64, error) {
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
 
-// Median returns the 0.5-quantile.
-func Median(vals []float64) (float64, error) { return Quantile(vals, 0.5) }
-
 // CellQuantiles computes a per-cell quantile across K member fields: the
 // nonlinear order statistic of paper §2.5(a) that "cannot be done if the K
 // runs are performed as independent runs". members[k] is member k's field;

@@ -149,9 +149,9 @@ func TestQuantileKnownValues(t *testing.T) {
 	if vals[0] != 4 {
 		t.Error("Quantile sorted its input")
 	}
-	med, err := Median([]float64{9})
+	med, err := Quantile([]float64{9}, 0.5)
 	if err != nil || med != 9 {
-		t.Errorf("Median single = %g, %v", med, err)
+		t.Errorf("median of one value = %g, %v", med, err)
 	}
 }
 

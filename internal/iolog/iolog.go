@@ -9,10 +9,13 @@
 // (paper §5.4): setting MPH_LOG_<NAME> (component name upper-cased,
 // non-alphanumerics replaced by '_') redirects that component's log to the
 // given path.
+//
+// Nothing is ever closed: every channel is an O_APPEND file whose Writes are
+// each one write(2), with nothing buffered in the process, so a rank that
+// exits loses no output, and a Mux lives as long as its process.
 package iolog
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,10 +23,6 @@ import (
 	"strings"
 	"sync"
 )
-
-// ErrClosed is returned by writes to a channel of a closed Mux, and by
-// writer-obtaining calls made after Close.
-var ErrClosed = errors.New("iolog: mux closed")
 
 // CombinedName is the file that collects writes from processors that are
 // not a component's designated logger.
@@ -39,7 +38,6 @@ type Mux struct {
 	files    map[string]*os.File  // canonical path -> open file
 	writers  map[string]io.Writer // component name -> serialized writer
 	combined io.Writer
-	closed   bool
 }
 
 // NewMux creates a multiplexer writing its files under dir (created if
@@ -91,9 +89,6 @@ func (m *Mux) ComponentWriter(component string) (io.Writer, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
 	if w, ok := m.writers[component]; ok {
 		return w, nil
 	}
@@ -110,9 +105,6 @@ func (m *Mux) ComponentWriter(component string) (io.Writer, error) {
 func (m *Mux) CombinedWriter() (io.Writer, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
 	if m.combined == nil {
 		f, err := m.openLocked(filepath.Join(m.dir, CombinedName))
 		if err != nil {
@@ -140,71 +132,17 @@ func (m *Mux) openLocked(path string) (*os.File, error) {
 	return f, nil
 }
 
-// Paths returns the open log file paths, for diagnostics and tests.
-func (m *Mux) Paths() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.files))
-	for p := range m.files {
-		out = append(out, p)
-	}
-	return out
-}
-
-// Close flushes and closes every open log file. Writers obtained earlier
-// fail after Close.
-func (m *Mux) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil
-	}
-	m.closed = true
-	// Mark every handed-out writer closed before the files go away, so a
-	// racing Write reports ErrClosed instead of an opaque os error on a
-	// closed descriptor.
-	for _, w := range m.writers {
-		if sw, ok := w.(*serialWriter); ok {
-			sw.close()
-		}
-	}
-	if sw, ok := m.combined.(*serialWriter); ok {
-		sw.close()
-	}
-	var first error
-	for _, f := range m.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	m.files = nil
-	m.writers = nil
-	m.combined = nil
-	return first
-}
-
 // serialWriter makes a writer safe for concurrent use, with each Write
-// atomic. After its Mux closes, writes fail with ErrClosed instead of an
-// opaque error on the closed file descriptor.
+// atomic.
 type serialWriter struct {
-	mu     sync.Mutex
-	w      io.Writer
-	closed bool
+	mu sync.Mutex
+	w  io.Writer
 }
 
 func (s *serialWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
 	return s.w.Write(p)
-}
-
-func (s *serialWriter) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 }
 
 // Process-shared multiplexers: the ranks of an in-process world live in one
@@ -216,7 +154,6 @@ var (
 )
 
 // Shared returns the process-wide Mux for dir, creating it on first use.
-// Shared muxes are never closed by library code; they live for the process.
 func Shared(dir string) (*Mux, error) {
 	if dir == "" {
 		dir = "."

@@ -1,7 +1,6 @@
 package iolog
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,9 +20,6 @@ func TestComponentWriterCreatesLogFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(w, "step 1 done")
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
 	data, err := os.ReadFile(filepath.Join(dir, "atmosphere.log"))
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +34,6 @@ func TestSameWriterForRepeatedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	w1, _ := m.ComponentWriter("ocean")
 	w2, _ := m.ComponentWriter("ocean")
 	if w1 != w2 {
@@ -61,7 +56,6 @@ func TestCombinedWriterShared(t *testing.T) {
 		t.Error("combined writer not shared")
 	}
 	fmt.Fprintln(w1, "stray write")
-	m.Close()
 	data, err := os.ReadFile(filepath.Join(dir, CombinedName))
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +87,6 @@ func TestConcurrentWritesAreAtomic(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	m.Close()
 	data, err := os.ReadFile(filepath.Join(dir, "ice.log"))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +130,6 @@ func TestEnvVarOverridesPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(w, "overridden")
-	m.Close()
 	if _, err := os.Stat(override); err != nil {
 		t.Fatalf("override path not written: %v", err)
 	}
@@ -146,46 +138,13 @@ func TestEnvVarOverridesPath(t *testing.T) {
 	}
 }
 
-func TestMuxClosedErrors(t *testing.T) {
-	m, err := NewMux(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	if _, err := m.ComponentWriter("x"); err == nil {
-		t.Error("ComponentWriter after Close should fail")
-	}
-	if _, err := m.CombinedWriter(); err == nil {
-		t.Error("CombinedWriter after Close should fail")
-	}
-	if err := m.Close(); err != nil {
-		t.Errorf("double Close: %v", err)
-	}
-}
-
 func TestEmptyComponentName(t *testing.T) {
 	m, err := NewMux(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	if _, err := m.ComponentWriter(""); err == nil {
 		t.Error("empty component name accepted")
-	}
-}
-
-func TestPaths(t *testing.T) {
-	dir := t.TempDir()
-	m, err := NewMux(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	m.ComponentWriter("a")
-	m.ComponentWriter("b")
-	m.CombinedWriter()
-	if got := len(m.Paths()); got != 3 {
-		t.Errorf("Paths() has %d entries, want 3", got)
 	}
 }
 
@@ -209,7 +168,6 @@ func TestComponentWriterOpenFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	// Point the env override at a path whose parent does not exist.
 	t.Setenv(EnvVar("ghost"), filepath.Join(dir, "missing", "ghost.log"))
 	if _, err := m.ComponentWriter("ghost"); err == nil {
@@ -256,7 +214,6 @@ func TestSharedMuxAppendAcrossHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(w1, "first")
-	m1.Close()
 	m2, err := NewMux(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -266,43 +223,12 @@ func TestSharedMuxAppendAcrossHandles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(w2, "second")
-	m2.Close()
 	data, err := os.ReadFile(filepath.Join(dir, "x.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != "first\nsecond\n" {
 		t.Errorf("content %q", data)
-	}
-}
-
-func TestWriteAfterCloseReturnsErrClosed(t *testing.T) {
-	m, err := NewMux(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := m.ComponentWriter("ocean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := m.CombinedWriter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cw.Write([]byte("before close\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := cw.Write([]byte("after close\n")); !errors.Is(err, ErrClosed) || n != 0 {
-		t.Errorf("component write after Close: n=%d err=%v, want 0, ErrClosed", n, err)
-	}
-	if _, err := comb.Write([]byte("after close\n")); !errors.Is(err, ErrClosed) {
-		t.Errorf("combined write after Close: %v, want ErrClosed", err)
-	}
-	if _, err := m.ComponentWriter("x"); !errors.Is(err, ErrClosed) {
-		t.Errorf("ComponentWriter after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -325,7 +251,6 @@ func TestEnvVarOverrideNonAlphanumericName(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintln(w, "hello")
-	m.Close()
 	data, err := os.ReadFile(override)
 	if err != nil {
 		t.Fatalf("override path not written: %v", err)
@@ -348,7 +273,6 @@ func BenchmarkRedirect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer mux.Close()
 			w, err := mux.ComponentWriter("bench")
 			if err != nil {
 				b.Fatal(err)

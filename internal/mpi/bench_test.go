@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mph/internal/mpi"
+	"mph/internal/mpi/mpitest"
 	"mph/internal/mpi/perf"
 )
 
@@ -231,10 +232,6 @@ func BenchmarkBarrier(b *testing.B) {
 // collOps builds, per payload size, the per-rank body of one invocation of
 // each collective the selector routes (collective_select.go).
 var collOps = map[string]func(size int) func(c *mpi.Comm) error{
-	"allgather": func(size int) func(c *mpi.Comm) error {
-		payload := make([]byte, size)
-		return func(c *mpi.Comm) error { _, err := mpi.Allgather(c, payload); return err }
-	},
 	"allreduce": func(size int) func(c *mpi.Comm) error {
 		xs := make([]float64, size/8)
 		return func(c *mpi.Comm) error { _, err := c.AllreduceFloats(xs, mpi.OpSum); return err }
@@ -301,28 +298,19 @@ func BenchmarkAllreduce(b *testing.B) {
 }
 
 // BenchmarkTreeVsRing (EXPERIMENTS.md C1) pits the flat tree against the
-// ring on 8 ranks, mpi.SetRingThreshold pinning each cell to one algorithm,
-// at the sizes the selector's ring and tree rows cite: around Allgather's
-// 8 KiB crossover (DefaultRingThreshold) and around Allreduce's
-// 256 KiB one (allreduceRingFrom).
+// ring allreduce on 8 ranks, mpi.SetRingThreshold pinning each cell to one
+// algorithm, at the sizes the selector's ring and tree rows cite: around the
+// 256 KiB crossover (allreduceRingFrom).
 func BenchmarkTreeVsRing(b *testing.B) {
-	for _, op := range []struct {
-		name  string
-		sizes []int
-	}{
-		{"allgather", []int{1 << 10, 4 << 10, 8 << 10, 64 << 10, 1 << 20}},
-		{"allreduce", []int{4 << 10, 64 << 10, 256 << 10, 1 << 20}},
-	} {
-		for _, size := range op.sizes {
-			for _, alg := range []struct {
-				name      string
-				threshold int
-			}{{"tree", -1}, {"ring", 0}} {
-				b.Run(fmt.Sprintf("%s/%dB/%s", op.name, size, alg.name), func(b *testing.B) {
-					pin := func(c *mpi.Comm) { mpi.SetRingThreshold(c, alg.threshold) }
-					benchCollective(b, 8, nil, pin, op.name, size)
-				})
-			}
+	for _, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20} {
+		for _, alg := range []struct {
+			name      string
+			threshold int
+		}{{"tree", -1}, {"ring", 0}} {
+			b.Run(fmt.Sprintf("allreduce/%dB/%s", size, alg.name), func(b *testing.B) {
+				pin := func(c *mpi.Comm) { mpi.SetRingThreshold(c, alg.threshold) }
+				benchCollective(b, 8, nil, pin, "allreduce", size)
+			})
 		}
 	}
 }
@@ -361,31 +349,12 @@ func BenchmarkFlatVsHier(b *testing.B) {
 	}
 }
 
-func BenchmarkAlltoall(b *testing.B) {
-	for _, n := range []int{4, 8} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchWorld(b, n, func(c *mpi.Comm) error {
-				parts := make([][]byte, n)
-				for j := range parts {
-					parts[j] = make([]byte, 1024)
-				}
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Alltoall(parts); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func BenchmarkCommSplit(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchWorld(b, n, func(c *mpi.Comm) error {
 				for i := 0; i < b.N; i++ {
-					if _, err := c.Split(c.Rank()%2, 0); err != nil {
+					if _, err := mpitest.Split(c, c.Rank()%2, 0); err != nil {
 						return err
 					}
 				}

@@ -56,51 +56,6 @@ func TestDecodeRejectsRaggedPayloads(t *testing.T) {
 	}
 }
 
-func TestFrameSlicesRoundTrip(t *testing.T) {
-	prop := func(parts [][]byte) bool {
-		got, err := unframeSlices(frameSlices(parts))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(parts) {
-			return false
-		}
-		for i := range parts {
-			if len(parts[i]) == 0 && len(got[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got[i], parts[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnframeSlicesRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2, 3},
-		// count says 1 entry but no length header follows
-		{1, 0, 0, 0, 0, 0, 0, 0},
-		// entry claims 100 bytes but none follow
-		{1, 0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0},
-	}
-	for i, buf := range cases {
-		if _, err := unframeSlices(buf); err == nil {
-			t.Errorf("case %d: accepted garbage", i)
-		}
-	}
-	// Trailing bytes after a well-formed frame must be rejected.
-	good := frameSlices([][]byte{{1}})
-	if _, err := unframeSlices(append(good, 0)); err == nil {
-		t.Error("accepted trailing bytes")
-	}
-}
-
 func TestDeriveContextProperties(t *testing.T) {
 	// Deterministic.
 	if deriveContext(1, 2, "x") != deriveContext(1, 2, "x") {

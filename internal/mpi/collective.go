@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mph/internal/mpi/perf"
@@ -14,11 +13,7 @@ import (
 const (
 	tagBarrier = iota
 	tagBcast
-	tagGather
-	tagScatter
 	tagReduce
-	tagAlltoall
-	tagAllgather
 	tagAllreduce
 )
 
@@ -27,41 +22,17 @@ type collSpan struct {
 	pv    *perf.Rank
 	op    perf.CollOp
 	start int64
-	top   bool
 }
 
 // collBegin records entry into a collective op (invocation count, cumulative
 // latency, trace events); callers defer the span's end, a value, so timing
-// allocates nothing. Composite collectives nest: only the outermost op on
-// the rank accumulates count and latency.
+// allocates nothing. No collective calls another that records a span, so
+// every span is a whole op.
 func (c *Comm) collBegin(op perf.CollOp) collSpan {
-	start, top := c.env.pv.CollEnter(op)
-	return collSpan{c.env.pv, op, start, top}
+	return collSpan{c.env.pv, op, c.env.pv.CollEnter(op)}
 }
 
-func (s collSpan) end() { s.pv.CollExit(s.op, s.start, s.top) }
-
-// checkRoot is the one root validation of each rooted collective, made on
-// entry, before any traffic moves or any sub-communicator is built, so a bad
-// root fails identically on every rank and no rank hangs on a partner that
-// errored out early.
-func (c *Comm) checkRoot(op string, root int) error {
-	if root < 0 || root >= len(c.group) {
-		return fmt.Errorf("%w: %s root %d", ErrRank, op, root)
-	}
-	return nil
-}
-
-// cancelRequests withdraws pending receives so they cannot steal messages
-// from a later collective; nil entries are skipped and a request that
-// completed while being cancelled is consumed and discarded.
-func cancelRequests(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil && !r.Cancel() {
-			r.Wait()
-		}
-	}
-}
+func (s collSpan) end() { s.pv.CollExit(s.op, s.start) }
 
 // Barrier blocks until every rank of the communicator has entered it.
 // It uses the dissemination algorithm: ceil(log2 P) rounds of paired
@@ -99,8 +70,11 @@ func rrank(vr, root, size int) int { return (vr + root) % size }
 // result.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	defer c.collBegin(perf.CollBcast).end()
-	if err := c.checkRoot("bcast", root); err != nil {
-		return nil, err
+	// The root is checked before any traffic moves, so a bad one fails
+	// identically on every rank and no rank hangs on a partner that errored
+	// out early.
+	if root < 0 || root >= len(c.group) {
+		return nil, fmt.Errorf("%w: bcast root %d", ErrRank, root)
 	}
 	var buf []byte
 	var err error
@@ -123,99 +97,13 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Gather collects each rank's payload at root. At root the result holds one
-// entry per communicator rank, in rank order (the root's own entry is a
-// copy); other ranks get nil. Payload sizes may differ per rank (gatherv).
-// The root posts every receive up front (irecv) so arrivals complete in
-// whatever order they land, instead of head-of-line blocking on the
-// lowest-numbered slow rank.
-func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	defer c.collBegin(perf.CollGather).end()
-	if err := c.checkRoot("gather", root); err != nil {
-		return nil, err
-	}
-	size := len(c.group)
-	if c.rank != root {
-		if err := c.sendCtx(c.cctx, root, tagGather, data); err != nil {
-			return nil, fmt.Errorf("mpi: gather send: %w", err)
-		}
-		return nil, nil
-	}
-	out := make([][]byte, size)
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[root] = own
-	reqs := make([]*Request, size)
-	for r := 0; r < size; r++ {
-		if r != root {
-			reqs[r] = c.irecvCtx(c.cctx, r, tagGather)
-		}
-	}
-	for r := 0; r < size; r++ {
-		if r == root {
-			continue
-		}
-		got, _, err := reqs[r].Wait()
-		if err != nil {
-			cancelRequests(reqs[r+1:])
-			return nil, fmt.Errorf("mpi: gather recv from %d: %w", r, err)
-		}
-		out[r] = got
-	}
-	return out, nil
-}
-
-// allgather collects each rank's payload at every rank, in rank order — the
-// exchange behind Split. Payload sizes may differ per rank (allgatherv); a
-// Bruck size exchange first gives every rank the full size vector, so all
-// ranks feed choose the same decision size — the largest block — and take the
-// same algorithm: the bandwidth-optimal ring in which each rank forwards one
-// block per step to its successor (collective_ring.go), or the
-// latency-optimal gather-to-0 + framed-broadcast tree.
-func (c *Comm) allgather(data []byte) ([][]byte, error) {
-	defer c.collBegin(perf.CollAllgather).end()
-	size := len(c.group)
-	if size == 1 {
-		own := make([]byte, len(data))
-		copy(own, data)
-		return [][]byte{own}, nil
-	}
-	sizes, err := c.exchangeSizes(len(data))
-	if err != nil {
-		return nil, err
-	}
-	maxBlock := 0
-	for _, s := range sizes {
-		if s > maxBlock {
-			maxBlock = s
-		}
-	}
-	if c.choose(perf.CollAllgather, maxBlock, true) == perf.AlgRing {
-		return c.allgatherRing(data, sizes)
-	}
-	parts, err := c.Gather(0, data)
-	if err != nil {
-		return nil, err
-	}
-	var framed []byte
-	if c.rank == 0 {
-		framed = frameSlices(parts)
-	}
-	framed, err = c.bcastOn(tagAllgather, 0, framed, nil)
-	if err != nil {
-		return nil, err
-	}
-	return unframeSlices(framed)
-}
-
 // bcastOn is the binomial-tree broadcast with a caller-chosen internal tag,
-// so composite collectives (allgather, Allreduce) do not interleave with
-// plain Bcasts issued between their internal phases on other ranks. The
-// caller vouches for root (Bcast validates the user's; composites pass
-// their own); at root it returns data itself (callers that expose the
-// result copy it, see Bcast). A non-root rank receives into dst when it is
-// non-nil, which the caller makes exactly the payload's length, else into a
-// slice of its own.
+// so Allreduce's broadcast phase does not interleave with plain Bcasts
+// issued between its phases on other ranks. The caller vouches for root
+// (Bcast validates the user's; Allreduce passes its own); at root it
+// returns data itself (callers that expose the result copy it, see Bcast).
+// A non-root rank receives into dst when it is non-nil, which the caller
+// makes exactly the payload's length, else into a slice of its own.
 func (c *Comm) bcastOn(tag, root int, data, dst []byte) ([]byte, error) {
 	size := len(c.group)
 	vr := vrank(c.rank, root, size)
@@ -242,70 +130,6 @@ func (c *Comm) bcastOn(tag, root int, data, dst []byte) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// Scatter distributes parts[i] from root to rank i. Root passes a slice
-// with one entry per rank; other ranks pass nil. Every rank receives its
-// part.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	defer c.collBegin(perf.CollScatter).end()
-	if err := c.checkRoot("scatter", root); err != nil {
-		return nil, err
-	}
-	size := len(c.group)
-	if c.rank == root {
-		if len(parts) != size {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", size, len(parts))
-		}
-		for r := 0; r < size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.sendCtx(c.cctx, r, tagScatter, parts[r]); err != nil {
-				return nil, fmt.Errorf("mpi: scatter send to %d: %w", r, err)
-			}
-		}
-		own := make([]byte, len(parts[root]))
-		copy(own, parts[root])
-		return own, nil
-	}
-	got, _, err := c.recvCtx(c.cctx, root, tagScatter, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: scatter recv: %w", err)
-	}
-	return got, nil
-}
-
-// Alltoall sends parts[j] to rank j and returns the payloads received from
-// every rank, in rank order. All receives are posted before any send starts:
-// large payloads ride the rendezvous protocol, whose sends block until the
-// receiver matches, so a send-first exchange of big rows would deadlock in a
-// cycle of senders (DESIGN.md §12).
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	defer c.collBegin(perf.CollAlltoall).end()
-	size := len(c.group)
-	if len(parts) != size {
-		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", size, len(parts))
-	}
-	reqs := make([]*Request, size)
-	for j := 0; j < size; j++ {
-		reqs[j] = c.irecvCtx(c.cctx, j, tagAlltoall)
-	}
-	for j := 0; j < size; j++ {
-		if err := c.sendCtx(c.cctx, j, tagAlltoall, parts[j]); err != nil {
-			cancelRequests(reqs) // don't leak PRQ slots
-			return nil, fmt.Errorf("mpi: alltoall send to %d: %w", j, err)
-		}
-	}
-	out := make([][]byte, size)
-	for j := 0; j < size; j++ {
-		got, _, err := reqs[j].Wait()
-		if err != nil {
-			return nil, fmt.Errorf("mpi: alltoall recv from %d: %w", j, err)
-		}
-		out[j] = got
-	}
-	return out, nil
 }
 
 // reduceTree is the binomial-tree reduce: it folds every rank's operand,
@@ -478,55 +302,4 @@ func (c *Comm) allreducePair(data []byte, elem int, fn func(acc, in []byte) ([]b
 		return nil, fmt.Errorf("mpi: allreduce combine: %w", err)
 	}
 	return out, nil
-}
-
-// frameSlices packs a list of byte slices into one payload:
-// count, then (length, bytes) per entry. nil entries are preserved as
-// zero-length.
-func frameSlices(parts [][]byte) []byte {
-	n := 8
-	for _, p := range parts {
-		n += 8 + len(p)
-	}
-	buf := make([]byte, 0, n)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(parts)))
-	buf = append(buf, hdr[:]...)
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(hdr[:], uint64(len(p)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, p...)
-	}
-	return buf
-}
-
-// unframeSlices is the inverse of frameSlices.
-func unframeSlices(buf []byte) ([][]byte, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("mpi: framed payload too short (%d bytes)", len(buf))
-	}
-	count := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	// Each entry needs at least its 8-byte length header; a count beyond
-	// that bound is corruption, not a huge allocation request.
-	if count > uint64(len(buf)/8) {
-		return nil, fmt.Errorf("mpi: framed payload claims %d entries in %d bytes", count, len(buf))
-	}
-	parts := make([][]byte, count)
-	for i := range parts {
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("mpi: framed payload truncated at entry %d", i)
-		}
-		l := binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-		if uint64(len(buf)) < l {
-			return nil, fmt.Errorf("mpi: framed payload truncated in entry %d", i)
-		}
-		parts[i] = append([]byte(nil), buf[:l]...)
-		buf = buf[l:]
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("mpi: %d trailing bytes after framed payload", len(buf))
-	}
-	return parts, nil
 }

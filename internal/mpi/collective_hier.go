@@ -18,8 +18,7 @@ import (
 // on a sub-communicator's own context under the flat tags. The pair is built
 // lazily, without communication, on the first hierarchically routed
 // collective and cached on the Comm. choose (collective_select.go) decides
-// when these run; allgather has no two-level form because no measured cell
-// supports one (DESIGN.md §10).
+// when these run (DESIGN.md §10).
 //
 // Fold order of the allreduce: binomial within a host (intra rank order),
 // then host-index order across the leaders. For hosts that are contiguous

@@ -79,15 +79,16 @@ var hierOps = func() []hierOp {
 			func(c *Comm) ([]byte, error) { return c.Allreduce([]byte{byte('a' + c.Rank())}, concat) }},
 		// From hierAllreduceBelow up the flat algorithms won every C1b cell.
 		{"allreduce/large", "allreduce", false, true, 0, sum(hierAllreduceBelow / 8)},
-		// Allgather has no two-level form (no measured cell supports one);
-		// per-rank allgather sizes differ, one is empty. The tree reduce the
-		// allreduce is built on stays flat at any root: it has no selector row
-		// and no performance variable, so its "reduce" lookup reads zero.
-		{"allgather", "allgather", false, true, 0,
+		// The allgather the handshake runs (core's exchange): one rank-tagged
+		// row per rank, concatenated by an opaque Allreduce, so it routes
+		// two-level only where the hosts are contiguous rank blocks.
+		{"allgather", "allreduce", true, false, 2,
 			func(c *Comm) ([]byte, error) {
-				parts, err := c.allgather(hierPayload(c.Rank(), c.Rank()*37))
-				return frameSlices(parts), err
+				return c.Allreduce(encodeInts([]int64{int64(c.Rank()), int64(c.Rank() * 37), 1}), concat)
 			}},
+		// The tree reduce the allreduce is built on stays flat at any root:
+		// it has no selector row and no performance variable, so its "reduce"
+		// lookup reads zero.
 		{"reduce", "reduce", false, false, 0,
 			func(c *Comm) ([]byte, error) { return c.reduceTree(1, []byte{byte('a' + c.Rank())}, nil, concat) }},
 	}

@@ -1,9 +1,9 @@
 package mpi_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mph/internal/mpi"
@@ -15,33 +15,25 @@ import (
 // no power-of-two assumption and must not acquire one.
 var ringSizes = []int{1, 2, 3, 5, 7, 8}
 
-// TestAllgatherRingAllSizes forces the ring path (threshold 0) over
-// variable-size per-rank payloads — the allgatherv shape the size exchange
-// exists for — across non-power-of-two communicator sizes.
+// TestAllgatherRingAllSizes forces the ring path (threshold 0) under
+// slotAllgather, the allgather mpitest.Split exchanges with — each rank's
+// row in its own slots of a zeroed vector, summed — across non-power-of-two
+// communicator sizes: the ring's gather phase is what places every rank's
+// row at every rank.
 func TestAllgatherRingAllSizes(t *testing.T) {
 	for _, n := range ringSizes {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
 				mpi.SetRingThreshold(c, 0)
-				// Rank r contributes 3*r bytes of value r (rank 0 contributes
-				// an empty block, exercising zero-length ring steps).
-				mine := bytes.Repeat([]byte{byte(c.Rank())}, 3*c.Rank())
-				parts, err := mpi.Allgather(c, mine)
+				r := int64(c.Rank())
+				rows, err := slotAllgather(c, []int64{r, -r, r * r})
 				if err != nil {
 					return err
 				}
-				if len(parts) != n {
-					return fmt.Errorf("got %d parts", len(parts))
-				}
-				for r, p := range parts {
-					if len(p) != 3*r {
-						return fmt.Errorf("part %d has len %d, want %d", r, len(p), 3*r)
-					}
-					for _, b := range p {
-						if b != byte(r) {
-							return fmt.Errorf("part %d has byte %d", r, b)
-						}
+				for r, row := range rows {
+					if want := []int64{int64(r), int64(-r), int64(r * r)}; !slices.Equal(row, want) {
+						return fmt.Errorf("row %d = %v, want %v", r, row, want)
 					}
 				}
 				return nil
@@ -125,57 +117,9 @@ func TestAllreduceRingMatchesTree(t *testing.T) {
 	}
 }
 
-// TestAllgatherSelectorAgreesOnMixedSizes is the divergence regression for
-// the size-based selector: per-rank payloads straddle the threshold (one
-// rank far above, the rest far below), and without the up-front size
-// exchange ranks would pick different algorithms and deadlock. The perf
-// per-algorithm pvar must show every rank took the ring.
-func TestAllgatherSelectorAgreesOnMixedSizes(t *testing.T) {
-	const n = 5
-	w, err := mpi.NewWorld(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	err = w.Run(func(c *mpi.Comm) error {
-		mpi.SetRingThreshold(c, 1024)
-		mine := []byte{byte(c.Rank())}
-		if c.Rank() == 2 {
-			mine = bytes.Repeat([]byte{2}, 4096) // only this rank exceeds the threshold
-		}
-		parts, err := mpi.Allgather(c, mine)
-		if err != nil {
-			return err
-		}
-		for r, p := range parts {
-			want := 1
-			if r == 2 {
-				want = 4096
-			}
-			if len(p) != want || p[0] != byte(r) {
-				return fmt.Errorf("part %d: len %d first %d", r, len(p), p[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		pv, err := w.Perf(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := pv.Snapshot().Collectives["allgather"]
-		if cs.Ring != 1 || cs.Tree != 0 {
-			t.Errorf("rank %d: allgather algorithms tree=%d ring=%d, want ring=1 tree=0", r, cs.Tree, cs.Ring)
-		}
-	}
-}
-
 // TestCollAlgPvarRoutes checks the per-algorithm performance variable on
 // both sides of the crossover: payloads below the threshold count as tree,
-// payloads at or above it count as ring, for Allgather and Allreduce.
+// payloads at or above it count as ring.
 func TestCollAlgPvarRoutes(t *testing.T) {
 	const n = 4
 	w, err := mpi.NewWorld(n)
@@ -185,12 +129,6 @@ func TestCollAlgPvarRoutes(t *testing.T) {
 	defer w.Close()
 	err = w.Run(func(c *mpi.Comm) error {
 		mpi.SetRingThreshold(c, 256)
-		if _, err := mpi.Allgather(c, make([]byte, 16)); err != nil { // tree
-			return err
-		}
-		if _, err := mpi.Allgather(c, make([]byte, 512)); err != nil { // ring
-			return err
-		}
 		if _, err := c.AllreduceInts(make([]int64, 2), mpi.OpSum); err != nil { // tree
 			return err
 		}
@@ -211,22 +149,17 @@ func TestCollAlgPvarRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := pv.Snapshot()
-	ag := s.Collectives["allgather"]
-	if ag.Tree != 1 || ag.Ring != 1 {
-		t.Errorf("allgather tree=%d ring=%d, want 1/1", ag.Tree, ag.Ring)
-	}
-	ar := s.Collectives["allreduce"]
+	ar := pv.Snapshot().Collectives["allreduce"]
 	if ar.Tree != 2 || ar.Ring != 1 {
 		t.Errorf("allreduce tree=%d ring=%d, want 2/1", ar.Tree, ar.Ring)
 	}
 }
 
-// TestAllgatherAllreduceInterleaved is the tag-confusion regression for the
-// satellite bugfix: Allreduce's broadcast phase once shared tagAllgather
-// with Allgather's, so tightly interleaved runs of the two composites were
-// one reordering away from crossing streams. Both orderings and both
-// algorithm routes are exercised.
+// TestAllgatherAllreduceInterleaved is the tag-confusion regression for
+// tightly interleaved collectives: the handshake's allgather (exchangeRows,
+// an opaque Allreduce on the tree) alternates with a typed AllreduceInts
+// that the threshold sends down the tree or the ring, with payloads that
+// grow every round, and neither may read the other's traffic.
 func TestAllgatherAllreduceInterleaved(t *testing.T) {
 	for _, threshold := range []int{-1, 0, 64} {
 		threshold := threshold
@@ -235,14 +168,13 @@ func TestAllgatherAllreduceInterleaved(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
 				mpi.SetRingThreshold(c, threshold)
 				for round := 0; round < 10; round++ {
-					mine := bytes.Repeat([]byte{byte(c.Rank())}, 8+round*16)
-					parts, err := mpi.Allgather(c, mine)
+					rows, err := exchangeRows(c, []int64{int64(c.Rank()), int64(round)})
 					if err != nil {
 						return err
 					}
-					for r, p := range parts {
-						if len(p) != 8+round*16 || p[0] != byte(r) {
-							return fmt.Errorf("round %d part %d: len %d", round, r, len(p))
+					for r, row := range rows {
+						if row[1] != int64(round) {
+							return fmt.Errorf("round %d row %d = %v", round, r, row)
 						}
 					}
 					xs := make([]int64, 1+round*4)
@@ -265,10 +197,10 @@ func TestAllgatherAllreduceInterleaved(t *testing.T) {
 	}
 }
 
-// TestCollectiveRootValidation table-tests out-of-range roots across every
-// rooted collective: all of them must reject the root with ErrRank on every
-// rank, before any traffic moves (so no rank can hang on a partner that
-// errored out early).
+// TestCollectiveRootValidation table-tests out-of-range roots across the
+// rooted collective, Bcast, and its typed wrapper: both must reject the root
+// with ErrRank on every rank, before any traffic moves (so no rank can hang
+// on a partner that errored out early).
 func TestCollectiveRootValidation(t *testing.T) {
 	const n = 3
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
@@ -278,8 +210,7 @@ func TestCollectiveRootValidation(t *testing.T) {
 				call func() error
 			}{
 				{"bcast", func() error { _, err := c.Bcast(root, []byte("x")); return err }},
-				{"gather", func() error { _, err := c.Gather(root, []byte("x")); return err }},
-				{"scatter", func() error { _, err := c.Scatter(root, nil); return err }},
+				{"bcast-floats", func() error { _, err := c.BcastFloats(root, []float64{1}); return err }},
 			}
 			for _, tc := range cases {
 				err := tc.call()

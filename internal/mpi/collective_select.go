@@ -9,12 +9,7 @@ import "mph/internal/mpi/perf"
 // themselves live one family per file — flat trees in collective.go, rings
 // in collective_ring.go, the two-level compositions in collective_hier.go.
 
-// DefaultRingThreshold is Allgather's tree-to-ring crossover in bytes.
-const DefaultRingThreshold = 8 << 10
-
-// allreduceRingFrom is Allreduce's tree-to-ring crossover in bytes. It sits
-// far above Allgather's because the tree allreduce moves one payload per
-// hop where the tree allgather moves P of them through its root.
+// allreduceRingFrom is Allreduce's tree-to-ring crossover in bytes.
 const allreduceRingFrom = 256 << 10
 
 // hierAllreduceBelow is the payload size in bytes from which an Allreduce
@@ -30,11 +25,11 @@ const algPair = perf.NumCollAlgs
 
 // choose picks the algorithm for one invocation of op and counts the pick
 // in the per-algorithm performance variable. decisionBytes must be a size
-// every rank of the communicator agrees on (Allgather exchanges block sizes
-// first; Allreduce requires equal payload lengths; only a Bcast's root knows
-// its length, so Bcast passes 0), and commutative reports whether the
-// operation may regroup its operands (a broadcast or gather always may; a
-// reduction only under the elementwise allreduceWith contract). Together
+// every rank of the communicator agrees on (Allreduce requires equal payload
+// lengths; only a Bcast's root knows its length, so Bcast passes 0), and
+// commutative reports whether the operation may regroup its operands (a
+// broadcast always may; a reduction only under the elementwise
+// allreduceWith contract). Together
 // with the published topology those are identical on every rank, so all
 // members reach the same verdict without communication.
 //
@@ -66,12 +61,9 @@ const algPair = perf.NumCollAlgs
 //	      (0.87-0.95; 0.64-0.75 at 1 MiB), so the row stops
 //	      there; Bcast cannot stop anywhere, only its root knows the length.
 //	      No harness here can price a slow link, so this row stands on
-//	      message counts and bulk_2host, not on a time win. Allgather has
-//	      no two-level form: the composed one lost all nine C1b cells
-//	      (0.24-0.58), and its one caller, Split, runs it on the whole comm.
-//	ring  Allgather from 8 KiB (C1: tree/ring 1.98 at 8 KiB, 2.17 at 64 KiB,
-//	      2.94 at 1 MiB); Allreduce, elementwise contract only, from 256 KiB
-//	      (C1: 1.24 at 256 KiB, 1.37 at 1 MiB, but 0.69 at 64 KiB, where the
+//	      message counts and bulk_2host, not on a time win.
+//	ring  Allreduce, elementwise contract only, from 256 KiB (C1: tree/ring
+//	      1.24 at 256 KiB, 1.37 at 1 MiB, but 0.69 at 64 KiB, where the
 //	      tree therefore stays).
 //	tree  everything else (C1: allreduce tree/ring 0.76 at 4 KiB, 0.69 at
 //	      64 KiB; benchmark/ couple_fine, whose 8-24-byte allreduces are all
@@ -81,17 +73,11 @@ const algPair = perf.NumCollAlgs
 // choose and nothing is counted: Tree and Ring count tree-vs-ring decisions,
 // as perf.CollSnap has always reported them.
 func (c *Comm) choose(op perf.CollOp, decisionBytes int, commutative bool) perf.CollAlg {
-	ringFrom, hasRing, twoLevel := 0, false, false
-	switch op {
-	case perf.CollBcast:
-		twoLevel = true
-	case perf.CollAllgather:
-		ringFrom, hasRing = c.env.ringAllgather, true
-	case perf.CollAllreduce:
-		ringFrom, hasRing = c.env.ringAllreduce, true
+	ring, twoLevel := false, op == perf.CollBcast
+	if op == perf.CollAllreduce {
+		ring = commutative && c.env.ringFrom >= 0 && decisionBytes >= c.env.ringFrom
 		twoLevel = decisionBytes < hierAllreduceBelow
 	}
-	ring := hasRing && commutative && ringFrom >= 0 && decisionBytes >= ringFrom
 	var h *hierComm
 	if twoLevel {
 		h = c.hierView()
@@ -110,7 +96,7 @@ func (c *Comm) choose(op perf.CollOp, decisionBytes int, commutative bool) perf.
 	if alg == algPair {
 		counted = perf.AlgTree
 	}
-	if counted != perf.AlgTree || hasRing {
+	if counted != perf.AlgTree || op == perf.CollAllreduce {
 		c.env.pv.CollAlgo(op, counted)
 	}
 	return alg

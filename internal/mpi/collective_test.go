@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -55,32 +56,30 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 	}
 }
 
+// TestGatherVariableSizes collects every rank's payload at a root over
+// point-to-point, the way tests gather a decomposed field for a serial
+// comparison: rank r sends r bytes of value r (rank 0 an empty message) and
+// the root receives them by source, in rank order.
 func TestGatherVariableSizes(t *testing.T) {
 	for _, n := range mpitest.Sizes {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			root := n - 1
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				// Rank r contributes r bytes of value r (gatherv shape).
 				mine := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank())
-				parts, err := c.Gather(root, mine)
-				if err != nil {
-					return err
-				}
 				if c.Rank() != root {
-					if parts != nil {
-						return fmt.Errorf("non-root rank %d got parts", c.Rank())
-					}
-					return nil
+					return c.Send(root, 3, mine)
 				}
-				for r, p := range parts {
-					if len(p) != r {
-						return fmt.Errorf("part %d has len %d", r, len(p))
-					}
-					for _, b := range p {
-						if b != byte(r) {
-							return fmt.Errorf("part %d has byte %d", r, b)
+				for r := 0; r < n; r++ {
+					p := mine
+					if r != root {
+						var err error
+						if p, _, err = c.Recv(r, 3); err != nil {
+							return err
 						}
+					}
+					if !bytes.Equal(p, bytes.Repeat([]byte{byte(r)}, r)) {
+						return fmt.Errorf("part %d = %v", r, p)
 					}
 				}
 				return nil
@@ -89,22 +88,69 @@ func TestGatherVariableSizes(t *testing.T) {
 	}
 }
 
+// exchangeRows is the allgather the handshake runs (core's exchange): every
+// rank contributes a fixed-width row tagged with its rank, an opaque
+// Allreduce concatenates them, and the tag puts each row in its place
+// whatever the combining order.
+func exchangeRows(c *mpi.Comm, row []int64) ([][]int64, error) {
+	mine := mpi.EncodeInts(append([]int64{int64(c.Rank())}, row...))
+	all, err := c.Allreduce(mine, func(acc, in []byte) ([]byte, error) {
+		return append(acc[:len(acc):len(acc)], in...), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	vals, err := mpi.DecodeInts(all)
+	if err != nil {
+		return nil, err
+	}
+	w := len(row) + 1
+	if len(vals) != w*c.Size() {
+		return nil, fmt.Errorf("exchanged %d values, want %d", len(vals), w*c.Size())
+	}
+	rows := make([][]int64, c.Size())
+	for i := 0; i < len(vals); i += w {
+		r := vals[i]
+		if r < 0 || r >= int64(c.Size()) || rows[r] != nil {
+			return nil, fmt.Errorf("bad row tag %d", r)
+		}
+		rows[r] = vals[i+1 : i+w]
+	}
+	return rows, nil
+}
+
+// slotAllgather is the allgather mpitest.Split exchanges with: each rank
+// writes its row into its own slots of a zeroed vector and AllreduceInts
+// sums them.
+func slotAllgather(c *mpi.Comm, row []int64) ([][]int64, error) {
+	w := len(row)
+	all := make([]int64, w*c.Size())
+	copy(all[w*c.Rank():], row)
+	if _, err := c.AllreduceInts(all, mpi.OpSum); err != nil {
+		return nil, err
+	}
+	rows := make([][]int64, c.Size())
+	for r := range rows {
+		rows[r] = all[w*r : w*(r+1)]
+	}
+	return rows, nil
+}
+
+// TestAllgather runs the handshake's allgather, exchangeRows, at every
+// world size: every rank ends up with every rank's row.
 func TestAllgather(t *testing.T) {
 	for _, n := range mpitest.Sizes {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				mine := []byte(fmt.Sprintf("r%d", c.Rank()))
-				parts, err := mpi.Allgather(c, mine)
+				r := int64(c.Rank())
+				rows, err := exchangeRows(c, []int64{r * 10, -r})
 				if err != nil {
 					return err
 				}
-				if len(parts) != n {
-					return fmt.Errorf("got %d parts", len(parts))
-				}
-				for r, p := range parts {
-					if want := fmt.Sprintf("r%d", r); string(p) != want {
-						return fmt.Errorf("part %d = %q, want %q", r, p, want)
+				for r, row := range rows {
+					if want := []int64{int64(r) * 10, int64(-r)}; !slices.Equal(row, want) {
+						return fmt.Errorf("row %d = %v, want %v", r, row, want)
 					}
 				}
 				return nil
@@ -113,47 +159,31 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestScatter(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7} {
-		n := n
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				var parts [][]byte
-				if c.Rank() == 0 {
-					parts = make([][]byte, n)
-					for r := range parts {
-						parts[r] = []byte(fmt.Sprintf("part-%d", r))
-					}
-				}
-				got, err := c.Scatter(0, parts)
-				if err != nil {
-					return err
-				}
-				if want := fmt.Sprintf("part-%d", c.Rank()); string(got) != want {
-					return fmt.Errorf("rank %d got %q", c.Rank(), got)
-				}
-				return nil
-			})
-		})
-	}
-}
-
+// TestAlltoall is the all-to-all exchange xfer's plans run over
+// point-to-point: every rank posts a receive from every rank (StartRecvInto)
+// before it sends any part, so no send can wait on a receive that is not
+// yet posted, and every part lands in its sender's slot.
 func TestAlltoall(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				parts := make([][]byte, n)
-				for j := range parts {
-					parts[j] = []byte(fmt.Sprintf("%d->%d", c.Rank(), j))
+				got := make([]byte, 2*n)
+				reqs := make([]mpi.Request, n)
+				for j := range reqs {
+					c.StartRecvInto(&reqs[j], j, 5, got[2*j:2*j+2])
 				}
-				got, err := c.Alltoall(parts)
-				if err != nil {
-					return err
+				for j := 0; j < n; j++ {
+					if err := c.Send(j, 5, []byte{byte(c.Rank()), byte(j)}); err != nil {
+						return err
+					}
 				}
-				for j, p := range got {
-					if want := fmt.Sprintf("%d->%d", j, c.Rank()); string(p) != want {
-						return fmt.Errorf("from %d got %q, want %q", j, p, want)
+				for j := range reqs {
+					if _, _, err := reqs[j].Wait(); err != nil {
+						return err
+					}
+					if p := got[2*j : 2*j+2]; p[0] != byte(j) || p[1] != byte(c.Rank()) {
+						return fmt.Errorf("from %d got %v", j, p)
 					}
 				}
 				return nil
@@ -308,27 +338,29 @@ func TestBcastIntsFloatsString(t *testing.T) {
 	})
 }
 
-// TestAllgatherTyped gathers encoded int64 and float64 rows — Split's
-// (color, key) pairs are the first kind — and decodes every rank's row.
+// TestAllgatherTyped gathers int64 and float64 rows the way mpitest.Split
+// exchanges (color, key): each rank fills its own slots of a zeroed vector
+// and the typed allreduce sums them.
 func TestAllgatherTyped(t *testing.T) {
 	const n = 4
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
-		parts, err := mpi.Allgather(c, mpi.EncodeInts([]int64{int64(c.Rank()), int64(-c.Rank())}))
+		rows, err := slotAllgather(c, []int64{int64(c.Rank()), int64(-c.Rank())})
 		if err != nil {
 			return err
 		}
-		for r, raw := range parts {
-			if row, err := mpi.DecodeInts(raw); err != nil || row[0] != int64(r) || row[1] != int64(-r) {
-				return fmt.Errorf("ints row %d = %v, %v", r, row, err)
+		for r, row := range rows {
+			if row[0] != int64(r) || row[1] != int64(-r) {
+				return fmt.Errorf("ints row %d = %v", r, row)
 			}
 		}
-		parts, err = mpi.Allgather(c, mpi.EncodeFloats([]float64{float64(c.Rank()) + 0.5}))
-		if err != nil {
+		xs := make([]float64, n)
+		xs[c.Rank()] = float64(c.Rank()) + 0.5
+		if _, err := c.AllreduceFloats(xs, mpi.OpSum); err != nil {
 			return err
 		}
-		for r, raw := range parts {
-			if row, err := mpi.DecodeFloats(raw); err != nil || row[0] != float64(r)+0.5 {
-				return fmt.Errorf("floats row %d = %v, %v", r, row, err)
+		for r, x := range xs {
+			if x != float64(r)+0.5 {
+				return fmt.Errorf("floats row %d = %v", r, x)
 			}
 		}
 		return nil

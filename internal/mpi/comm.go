@@ -99,14 +99,6 @@ func (c *Comm) Group() []int {
 	return g
 }
 
-// WorldRankOf translates a communicator rank to a world rank.
-func (c *Comm) WorldRankOf(rank int) (int, error) {
-	if rank < 0 || rank >= len(c.group) {
-		return 0, fmt.Errorf("%w: rank %d of comm size %d", ErrRank, rank, len(c.group))
-	}
-	return c.group[rank], nil
-}
-
 // HostOf returns the host label of the given communicator rank, or "" when
 // the rank is out of range or the transport has not published a host
 // topology (single-host jobs).
@@ -141,33 +133,14 @@ func (c *Comm) Dup() *Comm {
 	return newComm(c.env, ctx, c.rank, c.Group())
 }
 
-// Split partitions the communicator by color, ordering each new group by
-// (key, parent rank) — the MPI_Comm_split contract. Ranks passing
-// Undefined as color receive a nil communicator. The call is collective:
-// one allgather of (color, key), then SplitWith.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	defer c.collBegin(perf.CollSplit).end()
-	all, err := c.allgather(encodeInts([]int64{int64(color), int64(key)}))
-	if err != nil {
-		return nil, fmt.Errorf("mpi: comm split exchange: %w", err)
-	}
-	colors, keys := make([]int, len(all)), make([]int, len(all))
-	for r, raw := range all {
-		vals, err := decodeInts(raw)
-		if err != nil || len(vals) != 2 {
-			return nil, fmt.Errorf("mpi: comm split: bad entry from rank %d", r)
-		}
-		colors[r], keys[r] = int(vals[0]), int(vals[1])
-	}
-	return c.SplitWith(colors, keys)
-}
-
-// SplitWith is the communication-free half of Split, for callers that
-// already hold every member's arguments: colors[r] and keys[r] are what
-// communicator rank r passes to the Split this call stands in for (nil keys
-// means all zero). Every member calls it with identical slices, as
-// collectively as Split itself: it advances the same derivation counter and
-// yields the same group, rank order and context that Split would.
+// SplitWith partitions the communicator by color, ordering each new group
+// by (key, parent rank) — the MPI_Comm_split contract — for callers that
+// already hold every member's arguments, so no communication is needed:
+// colors[r] and keys[r] are what communicator rank r would pass to
+// MPI_Comm_split (nil keys means all zero). Ranks whose color is Undefined
+// receive a nil communicator. Every member calls it, with identical slices
+// and in the same order as its other communicator-creating calls: each call
+// advances the parent's derivation counter.
 func (c *Comm) SplitWith(colors, keys []int) (*Comm, error) {
 	if len(colors) != len(c.group) || (keys != nil && len(keys) != len(c.group)) {
 		return nil, fmt.Errorf("mpi: comm split: %d colors and %d keys for comm size %d", len(colors), len(keys), len(c.group))

@@ -21,22 +21,25 @@ func TestWorldCommBasics(t *testing.T) {
 				return fmt.Errorf("group[%d] = %d", i, wr)
 			}
 		}
-		wr, err := c.WorldRankOf(2)
-		if err != nil || wr != 2 {
-			return fmt.Errorf("WorldRankOf(2) = %d, %v", wr, err)
-		}
-		if _, err := c.WorldRankOf(n); err == nil {
-			return fmt.Errorf("WorldRankOf(%d) succeeded", n)
-		}
 		return nil
 	})
+}
+
+// colorsOf is every rank's color, for splits in which each rank can compute
+// every member's: SplitWith then needs no exchange.
+func colorsOf(c *mpi.Comm, color func(rank int) int) []int {
+	colors := make([]int, c.Size())
+	for r := range colors {
+		colors[r] = color(r)
+	}
+	return colors
 }
 
 func TestSplitEvenOdd(t *testing.T) {
 	const n = 7
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
 		color := c.Rank() % 2
-		sub, err := c.Split(color, 0)
+		sub, err := c.SplitWith(colorsOf(c, func(r int) int { return r % 2 }), nil)
 		if err != nil {
 			return err
 		}
@@ -64,7 +67,7 @@ func TestSplitEvenOdd(t *testing.T) {
 func TestSplitKeyReversesOrder(t *testing.T) {
 	const n = 5
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
-		sub, err := c.Split(0, -c.Rank())
+		sub, err := mpitest.Split(c, 0, -c.Rank())
 		if err != nil {
 			return err
 		}
@@ -82,7 +85,7 @@ func TestSplitUndefined(t *testing.T) {
 		if c.Rank() >= 2 {
 			color = mpi.Undefined
 		}
-		sub, err := c.Split(color, 0)
+		sub, err := mpitest.Split(c, color, 0)
 		if err != nil {
 			return err
 		}
@@ -103,7 +106,7 @@ func TestSplitContextIsolation(t *testing.T) {
 	// Messages sent on a subcommunicator must not be received on the
 	// parent, even with matching ranks and tags.
 	mpitest.Run(t, 2, func(c *mpi.Comm) error {
-		sub, err := c.Split(0, 0)
+		sub, err := c.SplitWith(make([]int, c.Size()), nil)
 		if err != nil {
 			return err
 		}
@@ -139,11 +142,11 @@ func TestSplitContextIsolation(t *testing.T) {
 func TestNestedSplits(t *testing.T) {
 	const n = 8
 	mpitest.Run(t, n, func(c *mpi.Comm) error {
-		half, err := c.Split(c.Rank()/4, 0) // two halves of 4
+		half, err := c.SplitWith(colorsOf(c, func(r int) int { return r / 4 }), nil) // two halves of 4
 		if err != nil {
 			return err
 		}
-		quarter, err := half.Split(half.Rank()/2, 0) // four quarters of 2
+		quarter, err := half.SplitWith(colorsOf(half, func(r int) int { return r / 2 }), nil) // four quarters of 2
 		if err != nil {
 			return err
 		}
@@ -241,7 +244,7 @@ func TestSplitGroupsDisjointTraffic(t *testing.T) {
 	// Two sibling subcommunicators from one split must not see each
 	// other's messages even with identical ranks and tags.
 	mpitest.Run(t, 4, func(c *mpi.Comm) error {
-		sub, err := c.Split(c.Rank()/2, 0)
+		sub, err := c.SplitWith(colorsOf(c, func(r int) int { return r / 2 }), nil)
 		if err != nil {
 			return err
 		}

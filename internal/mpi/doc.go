@@ -10,8 +10,9 @@
 //   - point-to-point messages matched on (context, source, tag) with
 //     non-overtaking order per sender: one send, the blocking receives, and
 //     one posted receive (StartRecvInto) completed by Request.Wait or Cancel,
-//   - collectives: barrier, broadcast, gather, scatter, allreduce, alltoall,
-//   - MPI_Comm_split (color/key) and group-based communicator creation.
+//   - collectives: barrier, broadcast, allreduce,
+//   - MPI_Comm_split (color/key) from every member's arguments, without an
+//     exchange (SplitWith), and group-based communicator creation.
 //
 // Two transports exist. The in-process transport (World) runs each rank as a
 // goroutine; message payloads are copied on send, so no mutable memory is

@@ -489,20 +489,6 @@ func (e *engine) cancel(r *precv) bool {
 	return true
 }
 
-// pendingUnexpected reports the UMQ depth (for tests and diagnostics).
-func (e *engine) pendingUnexpected() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ucount
-}
-
-// pendingPosted reports the PRQ depth (for tests and diagnostics).
-func (e *engine) pendingPosted() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pcount
-}
-
 // close shuts the engine down: pending and future receives fail with
 // ErrClosed.
 func (e *engine) close() {

@@ -169,7 +169,7 @@ func newRingWorld(t *testing.T, n int) *World {
 	}
 	t.Cleanup(w.Close)
 	for _, env := range w.envs {
-		env.ringAllgather, env.ringAllreduce = 0, 0
+		env.ringFrom = 0
 	}
 	return w
 }

@@ -2,26 +2,6 @@ package mpi
 
 import "testing"
 
-// FuzzUnframeSlices asserts the collective framing decoder never panics
-// and that frame(unframe(x)) is the identity on accepted inputs.
-func FuzzUnframeSlices(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(frameSlices(nil))
-	f.Add(frameSlices([][]byte{{1, 2, 3}, {}, {4}}))
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		parts, err := unframeSlices(buf)
-		if err != nil {
-			return
-		}
-		again := frameSlices(parts)
-		if string(again) != string(buf) {
-			t.Fatalf("frame(unframe(x)) != x for %d-byte input", len(buf))
-		}
-	})
-}
-
 // FuzzDecodeCodecs asserts the numeric codecs never panic.
 func FuzzDecodeCodecs(f *testing.F) {
 	f.Add([]byte{})

@@ -66,25 +66,15 @@ const DefaultTraceSample = 16
 // CollOp identifies one collective operation for invocation counting.
 type CollOp uint8
 
-// Collective operations tracked per rank. Composite collectives count only
-// at the outermost level: a Split's internal allgather does not also count as
-// an allgather.
+// Collective operations tracked per rank: the three the library runs.
 const (
 	CollBarrier CollOp = iota
 	CollBcast
-	CollGather
-	CollAllgather
-	CollScatter
-	CollAlltoall
 	CollAllreduce
-	CollSplit
 	NumCollOps // count sentinel, not an op
 )
 
-var collOpNames = [NumCollOps]string{
-	"barrier", "bcast", "gather", "allgather", "scatter",
-	"alltoall", "allreduce", "split",
-}
+var collOpNames = [NumCollOps]string{"barrier", "bcast", "allreduce"}
 
 // String names the collective operation for summaries and traces.
 func (op CollOp) String() string {
@@ -99,28 +89,17 @@ func (op CollOp) String() string {
 type CollAlg uint8
 
 // Algorithm families tracked per collective op. Tree covers the
-// latency-optimal binomial-tree/gather+bcast shapes; Ring covers the
-// bandwidth-optimal ring (allgather) and reduce-scatter+ring (allreduce)
-// shapes; Hier covers the two-level host-aware shape (intra-host phase,
-// one leader per host for the inter-host phase, local fan-out). A Hier
-// invocation's leader phase selects again on the leader sub-communicator, so
-// Hier selections also increment Tree/Ring.
+// latency-optimal binomial-tree shapes; Ring covers the bandwidth-optimal
+// reduce-scatter+ring allreduce; Hier covers the two-level host-aware shape
+// (intra-host phase, one leader per host for the inter-host phase, local
+// fan-out). A Hier invocation's leader phase selects again on the leader
+// sub-communicator, so Hier selections also increment Tree/Ring.
 const (
 	AlgTree CollAlg = iota
 	AlgRing
 	AlgHier
 	NumCollAlgs // count sentinel, not an algorithm
 )
-
-var collAlgNames = [NumCollAlgs]string{"tree", "ring", "hier"}
-
-// String names the algorithm family for summaries.
-func (a CollAlg) String() string {
-	if a < NumCollAlgs {
-		return collAlgNames[a]
-	}
-	return "unknown"
-}
 
 // Phase identifies one MPH handshake phase for trace spans (paper §6 as
 // core.handshake runs it: two collectives, then a local derivation). Its
@@ -188,7 +167,7 @@ type collCounter struct {
 	maxNS atomic.Int64
 }
 
-// observe folds one outermost invocation's duration into the counter.
+// observe folds one invocation's duration into the counter.
 func (c *collCounter) observe(d int64) {
 	c.count.Add(1)
 	c.ns.Add(d)
@@ -256,10 +235,9 @@ type EngineSnap struct {
 }
 
 // CollSnap is one collective op's counters in a Snapshot. Count and Nanos
-// cover only outermost invocations (composites nest); Tree and Ring count
-// every algorithm-selection decision, including those made inside composite
-// collectives, so Tree+Ring may exceed Count for ops used as building
-// blocks.
+// cover each invocation; Tree and Ring count every algorithm-selection
+// decision, including the one a two-level collective's leader phase makes,
+// so Tree+Ring may exceed Count.
 type CollSnap struct {
 	Count uint64 `json:"count"`
 	Nanos int64  `json:"nanos"`
@@ -269,7 +247,7 @@ type CollSnap struct {
 	// its sub-communicator phases select tree/ring again, so Hier overlaps
 	// Tree+Ring rather than partitioning Count with them.
 	Hier uint64 `json:"hier,omitempty"`
-	// MaxNanos is the slowest single outermost invocation — a rank whose
+	// MaxNanos is the slowest single invocation — a rank whose
 	// max dwarfs its peers' was waiting on a straggler (or was one).
 	MaxNanos int64 `json:"max_nanos,omitempty"`
 }
@@ -432,9 +410,8 @@ type Rank struct {
 	clockOff   atomic.Int64
 	clockBound atomic.Int64
 
-	collDepth atomic.Int32
-	coll      [NumCollOps]collCounter
-	collAlg   [NumCollOps][NumCollAlgs]atomic.Uint64
+	coll    [NumCollOps]collCounter
+	collAlg [NumCollOps][NumCollAlgs]atomic.Uint64
 
 	splits atomic.Uint64
 	dups   atomic.Uint64
@@ -452,12 +429,6 @@ type Rank struct {
 func NewRank(worldRank, worldSize int) *Rank {
 	return &Rank{worldRank: worldRank, worldSize: worldSize, base: time.Now(), pid: os.Getpid()}
 }
-
-// WorldRank returns the rank this handle belongs to.
-func (r *Rank) WorldRank() int { return r.worldRank }
-
-// WorldSize returns the world size the per-peer arrays are indexed by.
-func (r *Rank) WorldSize() int { return r.worldSize }
 
 // Now returns nanoseconds since the rank's monotonic base; trace event
 // timestamps share it.
@@ -543,33 +514,27 @@ func (r *Rank) EnableTracer(capacity int) *Tracer {
 // Tracer returns the installed tracer, or nil when tracing is off.
 func (r *Rank) Tracer() *Tracer { return r.tracer.Load() }
 
-// CollEnter marks entry into a collective. It returns the start timestamp
-// and whether this is the outermost collective on the rank (composite
-// collectives nest; only the outermost is counted).
-func (r *Rank) CollEnter(op CollOp) (startNS int64, top bool) {
-	top = r.collDepth.Add(1) == 1
+// CollEnter marks entry into a collective and returns its start timestamp.
+func (r *Rank) CollEnter(op CollOp) (startNS int64) {
 	startNS = r.Now()
 	if tr := r.Tracer(); tr != nil {
 		tr.record(startNS, KBegin, int64(op), 0, 0, 0)
 	}
-	return startNS, top
+	return startNS
 }
 
 // CollExit marks exit from a collective entered with CollEnter.
-func (r *Rank) CollExit(op CollOp, startNS int64, top bool) {
+func (r *Rank) CollExit(op CollOp, startNS int64) {
 	end := r.Now()
 	if tr := r.Tracer(); tr != nil {
 		tr.record(end, KEnd, int64(op), 0, 0, 0)
 	}
-	if top {
-		r.coll[op].observe(end - startNS)
-	}
-	r.collDepth.Add(-1)
+	r.coll[op].observe(end - startNS)
 }
 
 // CollAlgo records which algorithm family the size-based selector routed one
 // collective invocation to. It is called at every selection point, including
-// selections made inside composite collectives.
+// the leader phase of a two-level collective.
 func (r *Rank) CollAlgo(op CollOp, alg CollAlg) {
 	if op < NumCollOps && alg < NumCollAlgs {
 		r.collAlg[op][alg].Add(1)

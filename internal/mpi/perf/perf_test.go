@@ -57,39 +57,22 @@ func TestSnapshotWithoutCollectors(t *testing.T) {
 func TestCollectiveCountingAndNesting(t *testing.T) {
 	r := NewRank(0, 1)
 
-	start, top := r.CollEnter(CollBarrier)
-	if !top {
-		t.Fatal("outermost collective not marked top")
-	}
-	r.CollExit(CollBarrier, start, top)
-
-	// Composite: Split nests an Allgather; only the outer op may count.
-	oStart, oTop := r.CollEnter(CollSplit)
-	iStart, iTop := r.CollEnter(CollAllgather)
-	if iTop {
-		t.Error("nested collective marked top")
-	}
-	r.CollExit(CollAllgather, iStart, iTop)
-	r.CollExit(CollSplit, oStart, oTop)
+	r.CollExit(CollBarrier, r.CollEnter(CollBarrier))
+	r.CollExit(CollAllreduce, r.CollEnter(CollAllreduce))
+	r.CollExit(CollAllreduce, r.CollEnter(CollAllreduce))
 
 	s := r.Snapshot()
 	if c := s.Collectives["barrier"]; c.Count != 1 {
 		t.Errorf("barrier count %d, want 1", c.Count)
 	}
-	if c := s.Collectives["split"]; c.Count != 1 {
-		t.Errorf("split count %d, want 1", c.Count)
+	if c := s.Collectives["allreduce"]; c.Count != 2 {
+		t.Errorf("allreduce count %d, want 2", c.Count)
 	}
-	if _, ok := s.Collectives["allgather"]; ok {
-		t.Error("nested allgather leaked into the counters")
+	if _, ok := s.Collectives["bcast"]; ok {
+		t.Error("an op never entered shows in the counters")
 	}
 	if s.CollNanos() < 0 {
 		t.Errorf("negative cumulative latency %d", s.CollNanos())
-	}
-
-	// After the nest unwound, the next collective is top again.
-	_, top = r.CollEnter(CollBcast)
-	if !top {
-		t.Error("collective after unwound nest not top")
 	}
 }
 
@@ -110,8 +93,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.SetComponent("atm")
 	r.Net.FramesOut.Add(9)
 	r.Net.BytesOut.Add(512)
-	start, top := r.CollEnter(CollBcast)
-	r.CollExit(CollBcast, start, top)
+	start := r.CollEnter(CollBcast)
+	r.CollExit(CollBcast, start)
 	r.EnableTracer(16)
 
 	s := r.Snapshot()
@@ -149,8 +132,8 @@ func TestCollEnterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				start, top := r.CollEnter(CollBarrier)
-				r.CollExit(CollBarrier, start, top)
+				start := r.CollEnter(CollBarrier)
+				r.CollExit(CollBarrier, start)
 				r.CountDup()
 			}
 		}()
@@ -211,8 +194,8 @@ func TestCollObserveMax(t *testing.T) {
 
 func TestSnapshotCollStragglerFields(t *testing.T) {
 	r := NewRank(0, 2)
-	start, top := r.CollEnter(CollBarrier)
-	r.CollExit(CollBarrier, start, top)
+	start := r.CollEnter(CollBarrier)
+	r.CollExit(CollBarrier, start)
 	s := r.Snapshot()
 	c, ok := s.Collectives["barrier"]
 	if !ok {
@@ -265,9 +248,9 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	recv, sent := make([]uint64, 10), make([]uint64, 10)
 	r.SetEngineCollector(func() EngineSnap { return EngineSnap{RecvMsgs: recv, RecvBytes: recv} })
 	r.SetSentCollector(func() (msgs, bytes []uint64) { return sent, sent })
-	start, top := r.CollEnter(CollAllreduce)
+	start := r.CollEnter(CollAllreduce)
 	r.CollAlgo(CollAllreduce, AlgTree)
-	r.CollExit(CollAllreduce, start, top)
+	r.CollExit(CollAllreduce, start)
 	if s := r.Snapshot(); s.PeakRSSKB <= 0 {
 		t.Fatalf("VmHWM read as %d kB", s.PeakRSSKB)
 	}

@@ -211,8 +211,8 @@ func TestRankEnableTracerIntegration(t *testing.T) {
 		t.Fatal("EnableTracer did not install")
 	}
 	r.BeginPhase(PhaseSplit).End()
-	start, top := r.CollEnter(CollBarrier)
-	r.CollExit(CollBarrier, start, top)
+	start := r.CollEnter(CollBarrier)
+	r.CollExit(CollBarrier, start)
 	r.CountSplit(1, 2)
 
 	evs := tr.Events()

@@ -297,8 +297,7 @@ func TestRepeatedSplitIsolation(t *testing.T) {
 	mpitest.Run(t, ranks, func(c *mpi.Comm) error {
 		comms := make([]*mpi.Comm, 0, rounds)
 		for round := 0; round < rounds; round++ {
-			color := (c.Rank() + round) % 3
-			sub, err := c.Split(color, 0)
+			sub, err := c.SplitWith(colorsOf(c, func(r int) int { return (r + round) % 3 }), nil)
 			if err != nil {
 				return err
 			}

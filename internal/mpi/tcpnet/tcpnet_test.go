@@ -21,7 +21,7 @@ import (
 // runs fn per rank.
 func runTCPWorld(t *testing.T, n int, fn func(c *mpi.Comm) error) {
 	t.Helper()
-	rv, err := bootstrap.NewRendezvous(n)
+	rv, err := bootstrap.NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,20 +92,7 @@ func TestTCPCollectivesAndSplit(t *testing.T) {
 		if sum[0] != 10 {
 			return fmt.Errorf("allreduce %d", sum[0])
 		}
-		out := make([][]byte, c.Size())
-		for j := range out {
-			out[j] = []byte{byte(c.Rank()), byte(j)}
-		}
-		parts, err := c.Alltoall(out)
-		if err != nil {
-			return err
-		}
-		for r, p := range parts {
-			if len(p) != 2 || p[0] != byte(r) || p[1] != byte(c.Rank()) {
-				return fmt.Errorf("alltoall part %d = %v", r, p)
-			}
-		}
-		sub, err := c.Split(c.Rank()%2, 0)
+		sub, err := c.SplitWith([]int{0, 1, 0, 1, 0}, nil)
 		if err != nil {
 			return err
 		}
@@ -276,7 +263,7 @@ func TestInitRejectsNames(t *testing.T) {
 }
 
 func TestRendezvousTimeout(t *testing.T) {
-	rv, err := bootstrap.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvousBind("", 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +275,7 @@ func TestRendezvousTimeout(t *testing.T) {
 }
 
 func TestRendezvousDuplicateRank(t *testing.T) {
-	rv, err := bootstrap.NewRendezvous(2)
+	rv, err := bootstrap.NewRendezvousBind("", 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +303,11 @@ func TestTCPSplitStorm(t *testing.T) {
 	// to the in-process transport.
 	runTCPWorld(t, 6, func(c *mpi.Comm) error {
 		for round := 0; round < 6; round++ {
-			color := (c.Rank() + round) % 2
-			sub, err := c.Split(color, 0)
+			colors := make([]int, c.Size())
+			for r := range colors {
+				colors[r] = (r + round) % 2
+			}
+			sub, err := c.SplitWith(colors, nil)
 			if err != nil {
 				return err
 			}
@@ -354,34 +344,6 @@ func TestTCPRandomTags(t *testing.T) {
 			if len(data) != 1 || data[0] != byte(tag) {
 				return fmt.Errorf("tag %d delivered %v", tag, data)
 			}
-		}
-		return nil
-	})
-}
-
-func TestTCPGatherScatter(t *testing.T) {
-	runTCPWorld(t, 4, func(c *mpi.Comm) error {
-		parts, err := c.Gather(0, []byte{byte(c.Rank())})
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for r, p := range parts {
-				if len(p) != 1 || p[0] != byte(r) {
-					return fmt.Errorf("gather part %d = %v", r, p)
-				}
-			}
-		}
-		var scatter [][]byte
-		if c.Rank() == 0 {
-			scatter = [][]byte{{10}, {11}, {12}, {13}}
-		}
-		mine, err := c.Scatter(0, scatter)
-		if err != nil {
-			return err
-		}
-		if mine[0] != byte(10+c.Rank()) {
-			return fmt.Errorf("scatter got %v", mine)
 		}
 		return nil
 	})

@@ -54,11 +54,11 @@ type Env struct {
 	// rewrites the file with the complete ring.
 	flushMu sync.Mutex
 
-	// The collective selector's tree-to-ring crossover of each ring-capable
-	// op in bytes (collective_select.go): DefaultRingThreshold and
-	// allreduceRingFrom. Tests overwrite them before the first collective to
-	// reach one algorithm at any size; negative disables the ring.
-	ringAllgather, ringAllreduce int
+	// ringFrom is the collective selector's tree-to-ring crossover of
+	// Allreduce in bytes (collective_select.go), allreduceRingFrom. Tests
+	// overwrite it before the first collective to reach one algorithm at any
+	// size; negative disables the ring.
+	ringFrom int
 
 	// hosts maps world rank -> host label, published by the transport once
 	// the rendezvous book is known. Atomic because transports learn the
@@ -73,13 +73,12 @@ type Env struct {
 // unset).
 func NewEnv(worldRank, worldSize int, tr Transport) *Env {
 	e := &Env{
-		worldRank:     worldRank,
-		worldSize:     worldSize,
-		eng:           newEngine(worldSize),
-		tr:            tr,
-		pv:            perf.NewRank(worldRank, worldSize),
-		ringAllgather: DefaultRingThreshold,
-		ringAllreduce: allreduceRingFrom,
+		worldRank: worldRank,
+		worldSize: worldSize,
+		eng:       newEngine(worldSize),
+		tr:        tr,
+		pv:        perf.NewRank(worldRank, worldSize),
+		ringFrom:  allreduceRingFrom,
 	}
 	e.pv.SetEngineCollector(e.eng.perfSnap)
 	if os.Getenv(perf.EnvTraceDir) != "" {

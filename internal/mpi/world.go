@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-
-	"mph/internal/mpi/perf"
 )
 
 // World is the in-process job: n ranks, each intended to run on its own
@@ -67,25 +65,6 @@ func (w *World) SetHosts(hosts []string) {
 		env.SetHosts(hosts)
 	}
 }
-
-// EnableTracing installs an event tracer on every rank of the world with
-// the given ring capacity each. It must be called before traffic starts.
-func (w *World) EnableTracing(capacity int) {
-	for _, env := range w.envs {
-		env.EnableTracing(capacity)
-	}
-}
-
-// Perf returns rank's performance-variable handle.
-func (w *World) Perf(rank int) (*perf.Rank, error) {
-	if rank < 0 || rank >= w.size {
-		return nil, ErrRank
-	}
-	return w.envs[rank].pv, nil
-}
-
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
 
 // Comm returns rank's world communicator. Each rank must use only its own.
 func (w *World) Comm(rank int) (*Comm, error) {

@@ -158,7 +158,7 @@ func TestTelemetryRankEndpoints(t *testing.T) {
 		t.Errorf("stacks with no job running: %d %q, want 502", code, body)
 	}
 
-	rv, err := bootstrap.NewRendezvous(n)
+	rv, err := bootstrap.NewRendezvousBind("", n, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,10 +359,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				}
 				defer sess.Close()
 				every, _ := sess.ReportEvery()
-				pv, err := w.Perf(0)
+				c, err := w.Comm(0)
 				if err != nil {
 					b.Fatal(err)
 				}
+				pv := c.Perf()
 				stop, stopped := make(chan struct{}), make(chan struct{})
 				go func() {
 					defer close(stopped)

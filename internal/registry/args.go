@@ -19,12 +19,6 @@ func NewArguments(fields []string) Arguments {
 	return Arguments{fields: append([]string(nil), fields...)}
 }
 
-// Len returns the number of argument fields.
-func (a Arguments) Len() int { return len(a.fields) }
-
-// Fields returns a copy of the raw argument fields.
-func (a Arguments) Fields() []string { return append([]string(nil), a.fields...) }
-
 // lookup finds "key=value" among the fields.
 func (a Arguments) lookup(key string) (string, bool) {
 	prefix := key + "="

@@ -445,36 +445,3 @@ func (r *Registry) FindMultiInstanceByPrefix(prefix string) (int, bool) {
 	}
 	return 0, false
 }
-
-// String renders the registry back into registration-file syntax.
-func (r *Registry) String() string {
-	var b strings.Builder
-	b.WriteString("BEGIN\n")
-	for _, e := range r.Executables {
-		switch e.Kind {
-		case SingleComponent:
-			c := e.Components[0]
-			b.WriteString(c.Name)
-			for _, f := range c.Fields {
-				b.WriteString(" " + f)
-			}
-			b.WriteString("\n")
-		case MultiComponent, MultiInstance:
-			open, closeKw := "Multi_Component_Begin", "Multi_Component_End"
-			if e.Kind == MultiInstance {
-				open, closeKw = "Multi_Instance_Begin", "Multi_Instance_End"
-			}
-			b.WriteString(open + "\n")
-			for _, c := range e.Components {
-				fmt.Fprintf(&b, "  %s %d %d", c.Name, c.Low, c.High)
-				for _, f := range c.Fields {
-					b.WriteString(" " + f)
-				}
-				b.WriteString("\n")
-			}
-			b.WriteString(closeKw + "\n")
-		}
-	}
-	b.WriteString("END\n")
-	return b.String()
-}

@@ -220,18 +220,24 @@ func TestComponentNamesOrder(t *testing.T) {
 	}
 }
 
+// TestRoundTripString renders each paper example back to text through the
+// Builder: the text parses, and rendering it again gives the same string.
 func TestRoundTripString(t *testing.T) {
 	for _, src := range []string{scmeFile, mcseFile, mcmeFile, mimeFile} {
 		reg, err := Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := Parse(reg.String())
+		text, err := render(reg)
 		if err != nil {
-			t.Fatalf("re-parse of String() failed: %v\n%s", err, reg.String())
+			t.Fatal(err)
 		}
-		if again.String() != reg.String() {
-			t.Errorf("String() not a fixed point:\n%s\nvs\n%s", reg.String(), again.String())
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("re-parse of the rendered text failed: %v\n%s", err, text)
+		}
+		if twice, _ := render(again); twice != text {
+			t.Errorf("rendering is not a fixed point:\n%s\nvs\n%s", text, twice)
 		}
 	}
 }

@@ -9,14 +9,15 @@ import (
 // ExampleSchedule drives a component loop with a coupling alarm every 3
 // steps and a restart alarm every 6.
 func ExampleSchedule() {
-	clock, _ := timemgr.NewClock(0.5, 6)
+	const dt = 0.5
+	clock := timemgr.NewClock(6)
 	sched := timemgr.NewSchedule(clock)
 	sched.AddAlarm("couple", 3, 0)
 	sched.AddAlarm("restart", 6, 0)
 	for !clock.Done() {
 		ringing, _ := sched.Advance()
 		if len(ringing) > 0 {
-			fmt.Printf("step %d (t=%.1f): %v\n", clock.Step(), clock.Time(), ringing)
+			fmt.Printf("step %d (t=%.1f): %v\n", clock.Step(), float64(clock.Step())*dt, ringing)
 		}
 	}
 	// Output:

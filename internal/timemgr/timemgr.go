@@ -3,35 +3,24 @@
 // drive coupling, restart, and history events. Climate components advance
 // in fixed steps and must agree exactly on when to exchange; floating-point
 // time comparison is how couplers deadlock, so the clock counts steps as
-// integers and converts to model time only for diagnostics.
+// integers and leaves model time to its caller.
 package timemgr
 
 import "fmt"
 
-// Clock is an integer model clock: step counter plus a fixed step length.
+// Clock is an integer model clock: a step counter with an optional stop
+// step. Model time is the caller's: steps times its step length.
 type Clock struct {
-	dt    float64
 	step  int64
 	limit int64 // stop step; <0 means unbounded
 }
 
-// NewClock creates a clock with the given step length, stopping after
-// stopSteps steps (negative for unbounded).
-func NewClock(dt float64, stopSteps int64) (*Clock, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("timemgr: non-positive dt %g", dt)
-	}
-	return &Clock{dt: dt, limit: stopSteps}, nil
-}
-
-// Dt returns the step length.
-func (c *Clock) Dt() float64 { return c.dt }
+// NewClock creates a clock stopping after stopSteps steps (negative for
+// unbounded).
+func NewClock(stopSteps int64) *Clock { return &Clock{limit: stopSteps} }
 
 // Step returns the completed step count.
 func (c *Clock) Step() int64 { return c.step }
-
-// Time returns the model time (steps × dt).
-func (c *Clock) Time() float64 { return float64(c.step) * c.dt }
 
 // Done reports whether the clock reached its stop step.
 func (c *Clock) Done() bool { return c.limit >= 0 && c.step >= c.limit }
@@ -72,35 +61,12 @@ func NewAlarm(name string, interval, offset int64) (*Alarm, error) {
 	return &Alarm{name: name, interval: interval, offset: offset, lastRing: -1}, nil
 }
 
-// Name returns the alarm's name.
-func (a *Alarm) Name() string { return a.name }
-
 // Ringing reports whether the alarm rings at the clock's current step. It
 // is a pure query; a step rings at most once regardless of how often it is
 // asked (use Acknowledge to silence within a step if needed).
 func (a *Alarm) Ringing(c *Clock) bool {
 	s := c.Step() - a.offset
 	return s > 0 && s%a.interval == 0
-}
-
-// RingCount returns how many times the alarm has rung up to and including
-// the clock's current step.
-func (a *Alarm) RingCount(c *Clock) int64 {
-	s := c.Step() - a.offset
-	if s <= 0 {
-		return 0
-	}
-	return s / a.interval
-}
-
-// NextRing returns the step of the next ring strictly after the clock's
-// current step.
-func (a *Alarm) NextRing(c *Clock) int64 {
-	s := c.Step() - a.offset
-	if s < 0 {
-		return a.offset + a.interval
-	}
-	return a.offset + (s/a.interval+1)*a.interval
 }
 
 // Schedule bundles a clock with named alarms — one per coupling stream,
@@ -145,14 +111,4 @@ func (s *Schedule) Advance() ([]string, error) {
 		}
 	}
 	return s.ringing, nil
-}
-
-// Ringing reports whether the named alarm rings at the current step.
-func (s *Schedule) Ringing(name string) (bool, error) {
-	for _, a := range s.alarms {
-		if a.name == name {
-			return a.Ringing(s.Clock), nil
-		}
-	}
-	return false, fmt.Errorf("timemgr: no alarm %q", name)
 }

@@ -40,6 +40,9 @@
 #   final reports ranks send over their sessions, so every one of them must
 #   be in when Launch returns, on every run; it covers the socket layer the
 #   sessions and the streams run on, internal/sock, whole;
+# - the reachability pass keeps out code that no binary runs: what only
+#   tests call is test code, or is named with its reason in
+#   scripts/unreached.txt;
 # - the bench smoke runs every Benchmark* once, so every experiment of
 #   EXPERIMENTS.md keeps a command that executes (one harness: go test -bench);
 # - the launcher smokes drive the remote-spawn path end to end without an
@@ -57,6 +60,22 @@ go vet ./...
 sh scripts/guards.sh
 go run ./scripts/lintdoc .
 go build ./...
+
+# Reachability: build every main package of the module and of benchmark/
+# with inlining off, so no inlined call hides its callee, and check that
+# every non-test function is in some binary's symbols or named, with its
+# reason, in scripts/unreached.txt (and that every entry there is still
+# unreached and still exists).
+reach=$(mktemp -d)
+roots=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...)
+go build -gcflags=all=-l -o "$reach/" $roots
+(cd benchmark && go build -gcflags=all=-l -o "$reach/" . ./rank)
+for pkg in $roots mph/benchmark mph/benchmark/rank; do
+    echo "binary $pkg"
+    go tool nm "$reach/${pkg##*/}"
+done | go run ./scripts/lintdoc -reach scripts/unreached.txt .
+rm -rf "$reach"
+
 go test ./...
 go test -race ./internal/mpi/...
 go test -run 'TestPeerLostSelectsRecords|TestExactVsWildcardArbitration|TestPostedOrder|TestMatchingOrderTorture|TestRandomTrafficSchedules' -race -count=2 ./internal/mpi
@@ -197,10 +216,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,597 before the tracer became one
-# ring and one span pair, 16,527 after) and the stripped size of a component
-# executable (2,740,408 bytes before, 2,736,312 after), printed for later
-# comparison.
+# Non-test Go lines outside benchmark/ (16,527 before the MPI and library
+# surface only tests called went, 16,103 after, the reachability check
+# included) and the stripped size of a component executable (2,736,312 bytes
+# before, 2,728,120 after), printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

@@ -23,9 +23,12 @@ cd "$(dirname "$0")/.."
 # column decomposition with its transpose, the CSV history), and the matching
 # engine's envelope index with its sweep and the pvars that classified which
 # index path a match took, and the collective duration histogram nothing read
-# (the engine's queues are two FIFO lists). The tokens are chosen so they
-# cannot hit benchmark/'s job.Probe.
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool\|\.Ssend(\|\.IProbe(\|\.Isend(\|mpi\.WaitAll\|kindAck\|frameAck\|AcksOut\|ackWhenMatched\|notifyProbes\|pwaitList\|ExclusiveScanInts\|SplitByHost\|RankOfWorld\|IrecvFloatsInto\|NodeComm\|ComponentsOnNode\|SharesNode\|RemapSingle\|RemapMultiInstance\|MigrateField\|LoadCheckpoint\|TracerModel\|NewColDecomp\|xfer\.Transpose\|ParseHistory\|WriteHistory\|matchKey\|ubuckets\|pbuckets\|sweepThreshold\|pbucketLookup\|ubucketLookup\|MatchesWildcard\|MatchesExact\|HistNanos\|CollHistBuckets' --include=*.go .; then
+# (the engine's queues are two FIFO lists), and the MPI only tests called
+# (the allgather behind Split with its Bruck size exchange, ring and framing,
+# its selector row and crossover, and the span depth that nested Split's
+# allgather under it). The tokens are chosen so they cannot hit
+# benchmark/'s job.Probe.
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool\|\.Ssend(\|\.IProbe(\|\.Isend(\|mpi\.WaitAll\|kindAck\|frameAck\|AcksOut\|ackWhenMatched\|notifyProbes\|pwaitList\|ExclusiveScanInts\|SplitByHost\|RankOfWorld\|IrecvFloatsInto\|NodeComm\|ComponentsOnNode\|SharesNode\|RemapSingle\|RemapMultiInstance\|MigrateField\|LoadCheckpoint\|TracerModel\|NewColDecomp\|xfer\.Transpose\|ParseHistory\|WriteHistory\|matchKey\|ubuckets\|pbuckets\|sweepThreshold\|pbucketLookup\|ubucketLookup\|MatchesWildcard\|MatchesExact\|HistNanos\|CollHistBuckets\|allgatherRing\|exchangeSizes\|frameSlices\|tagCollSizes\|CollAllgather\|DefaultRingThreshold\|collDepth' --include=*.go .; then
     exit 1
 fi
 # One micro-benchmark surface (PR 18): the table-printing second harness, its

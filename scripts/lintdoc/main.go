@@ -16,6 +16,15 @@
 // types always; consts and vars only when the comment sits on a single-name
 // spec or a single-spec declaration (a grouped block's shared comment
 // legitimately names none of its members).
+//
+// The same walk runs the reachability check (reach.go):
+//
+//	go tool nm <binaries> | go run ./scripts/lintdoc -reach <allowlist> [module dir]
+//
+// reads the symbols of every binary the module builds, each binary's after a
+// "binary <import path>" line, and fails on a non-test function that no
+// binary contains and the allowlist does not name, or on an allowlist entry
+// that names a reached or missing one.
 package main
 
 import (
@@ -30,6 +39,22 @@ import (
 )
 
 func main() {
+	if len(os.Args) >= 3 && os.Args[1] == "-reach" {
+		root := "."
+		if len(os.Args) > 3 {
+			root = os.Args[3]
+		}
+		bad, err := reachCheck(root, os.Args[2], os.Stdin)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lintdoc: %v\n", err)
+			os.Exit(2)
+		}
+		if bad > 0 {
+			fmt.Fprintf(os.Stderr, "lintdoc: %d reachability finding(s)\n", bad)
+			os.Exit(1)
+		}
+		return
+	}
 	roots := os.Args[1:]
 	if len(roots) == 0 {
 		roots = []string{"."}
@@ -53,7 +78,16 @@ func main() {
 // returning the number of findings.
 func lintTree(root string) (int, error) {
 	bad := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := walkGo(root, false, func(path string, fset *token.FileSet, f *ast.File) {
+		bad += lintFile(fset, f)
+	})
+	return bad, err
+}
+
+// walkGo parses every non-test Go file under root, skipping vendor,
+// testdata and dot directories, and nested modules when sameModule is set.
+func walkGo(root string, sameModule bool, visit func(path string, fset *token.FileSet, f *ast.File)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -62,26 +96,29 @@ func lintTree(root string) (int, error) {
 			if name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") && path != root {
 				return filepath.SkipDir
 			}
+			if sameModule && path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		n, err := lintFile(path)
-		bad += n
-		return err
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		visit(path, fset, f)
+		return nil
 	})
-	return bad, err
 }
 
-// lintFile parses one file and reports exported identifiers lacking a doc
-// comment on their declaration (or, for grouped specs, on the spec itself).
-func lintFile(path string) (int, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-	if err != nil {
-		return 0, err
-	}
+// lintFile reports exported identifiers lacking a doc comment on their
+// declaration (or, for grouped specs, on the spec itself).
+func lintFile(fset *token.FileSet, f *ast.File) int {
 	bad := 0
 	report := func(pos token.Pos, kind, name string) {
 		fmt.Printf("%s: exported %s %s should have a doc comment\n", fset.Position(pos), kind, name)
@@ -154,7 +191,7 @@ func lintFile(path string) (int, error) {
 			}
 		}
 	}
-	return bad, nil
+	return bad
 }
 
 // docStartsWithName reports whether a doc comment's text opens with the
@@ -186,24 +223,7 @@ func docStartsWithName(doc *ast.CommentGroup, name string, allowArticle bool) bo
 }
 
 // receiverExported reports whether a method's receiver names an exported
-// type, unwrapping pointers and type parameters.
+// type.
 func receiverExported(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
-	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr:
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.IsExported()
-		default:
-			return false
-		}
-	}
+	return len(recv.List) > 0 && ast.IsExported(receiverName(recv))
 }
