@@ -25,25 +25,31 @@ coupler
 END
 `
 
-func ccsmLaunch(rank int) string {
-	switch {
-	case rank < 3:
-		return "atmosphere"
-	case rank < 5:
-		return "ocean"
-	case rank < 7:
-		return "land"
-	case rank < 8:
-		return "ice"
-	default:
-		return "coupler"
+// layout is a job's atmosphere, ocean, land, ice and coupler rank counts,
+// laid out on the world in that order under ccsmReg.
+type layout [5]int
+
+// ccsmLayout is the canonical 3/2/2/1/2 job.
+var ccsmLayout = layout{3, 2, 2, 1, 2}
+
+// size returns the layout's world size.
+func (l layout) size() int { return l[0] + l[1] + l[2] + l[3] + l[4] }
+
+// launch returns the component world rank rank runs.
+func (l layout) launch(rank int) string {
+	for i, name := range [5]string{"atmosphere", "ocean", "land", "ice", "coupler"} {
+		if rank < l[i] {
+			return name
+		}
+		rank -= l[i]
 	}
+	return ""
 }
 
 const ccsmWorldSize = 10
 
 func setupCCSM(c *mpi.Comm) (*core.Setup, error) {
-	return core.SingleComponentSetup(c, core.TextSource(ccsmReg), ccsmLaunch(c.Rank()))
+	return core.SingleComponentSetup(c, core.TextSource(ccsmReg), ccsmLayout.launch(c.Rank()))
 }
 
 func mustGrid(t *testing.T, nlat, nlon int) grid.Grid {

@@ -21,15 +21,17 @@ import (
 // collectively (in the same order relative to other Links, since CommJoin is
 // collective).
 //
-// The plans own the slabs the exchanges land in, so a coupled period
-// allocates none: the field ToCoupler or ToModel returns belongs to the link
-// and holds that exchange's data until the next call on the same link in the
-// same direction overwrites it. A caller that needs it longer copies it. Until
-// then the caller may also write into it and send from it — the coupler
-// writes its increments over the fields it received and sends them back from
-// there — because a send, eager or rendezvous, is done with its buffer when
-// it returns, and the next receive into the field is posted only by the next
-// call.
+// The plans own no slab. The coupled loop (RunCoupled) runs them against
+// slabs of its own: a coupler rank receives into three fields, one of which
+// two links take turns with, and a model rank adds its increment into its
+// state one segment at a time (DESIGN.md §12). ToCoupler and ToModel are the
+// one-call form: the field they return on the receiving side belongs to the
+// link, is allocated on the first call that needs it, and holds that
+// exchange's data until the next call on the same link in the same
+// direction overwrites it. A caller that needs it longer copies it. Until
+// then the caller may also write into it and send from it, because a send,
+// eager or rendezvous, is done with its buffer when it returns, and the next
+// receive into the field is posted only by the next call.
 type Link struct {
 	model, coupler string
 
@@ -39,6 +41,10 @@ type Link struct {
 	myModelProc, myCouplerProc int
 
 	up, down *xfer.Plan // model → coupler, coupler → model
+
+	// The fields ToCoupler and ToModel return, allocated on first use: the
+	// coupled loop never calls them on the receiving side.
+	upField, downField *grid.Field
 }
 
 // NewLink joins model and coupler components over a shared logical grid.
@@ -123,12 +129,25 @@ func (l *Link) OnCoupler() (int, bool) { return l.myCouplerProc, l.myCouplerProc
 // Model ranks pass their slab; coupler ranks pass nil and receive theirs,
 // which the link owns (see Link). Collective over the joined communicator.
 func (l *Link) ToCoupler(f *grid.Field, tag int) (*grid.Field, error) {
-	return l.up.Run(tag, f)
+	return run(l.up, tag, f, &l.upField, l.couplerDecomp, l.myCouplerProc)
 }
 
 // ToModel redistributes a coupler field onto the model decomposition.
 // Coupler ranks pass their slab; model ranks pass nil and receive theirs,
 // which the link owns (see Link). Collective over the joined communicator.
 func (l *Link) ToModel(f *grid.Field, tag int) (*grid.Field, error) {
-	return l.down.Run(tag, f)
+	return run(l.down, tag, f, &l.downField, l.modelDecomp, l.myModelProc)
+}
+
+// run is one exchange of p from src into *own, processor proc's slab of d,
+// which is allocated on the first run that lands in it. It returns *own, nil
+// on a rank that receives nothing (proc < 0).
+func run(p *xfer.Plan, tag int, src *grid.Field, own **grid.Field, d *grid.Decomp, proc int) (*grid.Field, error) {
+	if proc >= 0 && *own == nil {
+		*own = grid.NewField(d, proc)
+	}
+	if err := p.Run(tag, src, *own); err != nil {
+		return nil, err
+	}
+	return *own, nil
 }

@@ -13,26 +13,26 @@ import (
 
 // referenceCouplerSide is the coupler loop with an out-of-place merge: four
 // increment fields of its own beside the four received ones, eight slabs a
-// rank. runCouplerSide must reproduce it bit for bit.
+// rank, and all four up-receives posted at once. runCouplerSide must
+// reproduce it bit for bit.
 func referenceCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
 	d := newDiagnostics(cfg.Periods)
-	var deltas [4]*grid.Field
+	var fields, deltas [4]*grid.Field
 	for i, l := range links {
 		proc, _ := l.OnCoupler()
+		fields[i] = grid.NewField(l.CouplerDecomp(), proc)
 		deltas[i] = grid.NewField(l.CouplerDecomp(), proc)
 	}
 	for p := 0; p < cfg.Periods; p++ {
 		for i, l := range links {
-			if err := l.up.Start(upTags[i], nil); err != nil {
+			if err := l.up.Start(upTags[i], nil, fields[i]); err != nil {
 				return nil, err
 			}
 		}
-		var fields [4]*grid.Field
-		for i, l := range links {
-			var err error
-			if fields[i], err = l.up.Wait(); err != nil {
+		for _, l := range links {
+			if err := l.up.Wait(); err != nil {
 				return nil, err
 			}
 		}
@@ -147,16 +147,20 @@ func runLayout(t *testing.T, sizes [5]int, g grid.Grid, coupler couplerSide) (*D
 }
 
 // TestInPlaceMergeMatchesReference: the coupler writes its increments over
-// the fields it received, and the job must still be the out-of-place
-// merge's bit for bit — every diagnostic of every period and every model
-// rank's final state. One layout is the canonical 3/2/2/1/2; the other has a
-// 3-rank coupler, so the coupler's 16 bands split 6/5/5.
+// the fields it received, in three slabs, with land's field landing in the
+// ice slab after the ice increment has gone and the atmosphere's increment
+// the ocean's negated, and every model adds its increment in one segment at
+// a time; the job must still be the out-of-place merge's bit for bit — every
+// diagnostic of every period and every model rank's final state. One layout
+// is the canonical 3/2/2/1/2; the others have a 3-rank coupler, so the
+// coupler's 16 bands split 6/5/5 and the single ice rank takes its increment
+// in three segments.
 func TestInPlaceMergeMatchesReference(t *testing.T) {
 	g, err := grid.New(16, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sizes := range [][5]int{{3, 2, 2, 1, 2}, {2, 2, 1, 1, 3}} {
+	for _, sizes := range [][5]int{{3, 2, 2, 1, 2}, {2, 2, 1, 1, 3}, {3, 2, 2, 1, 3}} {
 		wantDiag, wantSlabs := runLayout(t, sizes, g, referenceCouplerSide)
 		gotDiag, gotSlabs := runLayout(t, sizes, g, runCouplerSide)
 

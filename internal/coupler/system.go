@@ -205,6 +205,10 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		return nil, err
 	}
 	var report [1]float64 // the sum sent to the coupler root each period
+	// The increment arrives one segment at a time, each added into its range
+	// of the state: one buffer the size of the largest segment.
+	seg := make([]float64, link.down.MaxRecv())
+	clamp := slot == 3 // ice thickness cannot go negative
 
 	for !sched.Clock.Done() {
 		ringing, err := sched.Advance()
@@ -217,19 +221,26 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		if len(ringing) == 0 {
 			continue
 		}
-		// The receive of the increment is posted before the field goes up, so
-		// the coupler's answer never waits for this rank to come back round.
-		if err := link.down.Start(downTags[slot], nil); err != nil {
+		// The receive of the increment's first segment is posted before the
+		// field goes up, so the coupler rank that sends it never waits for
+		// this rank to come back round; each later one is posted once the
+		// segment before it is in (DESIGN.md §12).
+		if err := link.down.StartEach(downTags[slot], nil, seg); err != nil {
 			return nil, err
 		}
 		if _, err := link.ToCoupler(m.Field(), upTags[slot]); err != nil {
 			return nil, err
 		}
-		delta, err := link.down.Wait()
-		if err != nil {
-			return nil, err
+		for {
+			lo, delta, err := link.down.Next()
+			if err != nil {
+				return nil, err
+			}
+			if delta == nil {
+				break
+			}
+			applyDelta(m.Field().Data[lo:lo+len(delta)], delta, clamp)
 		}
-		applyDelta(m, delta, slot == 3 /* ice thickness cannot go negative */)
 		if cfg.Pace > 0 {
 			time.Sleep(cfg.Pace)
 		}
@@ -250,10 +261,10 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 	return recvDiagnostics(s, cfg, newDiagnostics(cfg.Periods))
 }
 
-// applyDelta adds the coupler's increment to the model state.
-func applyDelta(m *model.SurfaceModel, delta *grid.Field, clampNonNegative bool) {
-	data := m.Field().Data
-	for i, d := range delta.Data {
+// applyDelta adds one segment of the coupler's increment into its range of
+// the model state.
+func applyDelta(data, delta []float64, clampNonNegative bool) {
+	for i, d := range delta {
 		data[i] += d
 		if clampNonNegative && data[i] < 0 {
 			data[i] = 0
@@ -262,9 +273,10 @@ func applyDelta(m *model.SurfaceModel, delta *grid.Field, clampNonNegative bool)
 }
 
 // runCouplerSide receives every model's field, merges fluxes, returns the
-// increments, and accumulates diagnostics. It holds one slab per link: each
-// increment is written over the received field it is computed from and sent
-// from there (see Link).
+// increments, and accumulates diagnostics. It holds three slabs for the four
+// links: each increment is written over a received field it is computed from
+// and sent from there (see Link), and land's field lands in the ice slab once
+// the ice increment has gone (DESIGN.md §12).
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
@@ -276,6 +288,15 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 	if err != nil {
 		return nil, err
 	}
+	// The three slabs, by link: land's field lands in the ice slab once the
+	// ice increment has gone.
+	proc, _ := links[0].OnCoupler()
+	var slab [4]*grid.Field
+	for _, i := range [3]int{0, 1, 3} {
+		slab[i] = grid.NewField(links[i].CouplerDecomp(), proc)
+	}
+	slab[2] = slab[3]
+	atm, ocn, ice, lnd := slab[0].Data, slab[1].Data, slab[3].Data, slab[2].Data
 
 	for p := 0; !sched.Clock.Done(); {
 		ringing, err := sched.Advance()
@@ -285,30 +306,26 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		if len(ringing) == 0 {
 			continue // the models are mid-period; the coupler idles
 		}
-		// Every link's receives are posted before any is waited on: a model
-		// with a rendezvous-sized field sends when it is ready, not when
-		// this loop reaches its link.
-		for i, l := range links {
-			if err := l.up.Start(upTags[i], nil); err != nil {
+		// Atmosphere, ocean and ice: every receive is posted before any is
+		// waited on, so a model with a rendezvous-sized field sends when it is
+		// ready, not when this loop reaches its link.
+		for _, i := range [3]int{0, 1, 3} {
+			if err := links[i].up.Start(upTags[i], nil, slab[i]); err != nil {
 				return nil, err
 			}
 		}
-		var fields [4]*grid.Field
-		for i, l := range links {
-			if fields[i], err = l.up.Wait(); err != nil {
+		for _, i := range [3]int{0, 1, 3} {
+			if err := links[i].up.Wait(); err != nil {
 				return nil, err
 			}
-		}
-		// The diagnostics' local pairs are taken first: the merge writes over
-		// the fields.
-		for i, f := range fields {
-			mean[i][0], mean[i][1] = f.LocalWeightedMean()
+			// The diagnostics' local pair is taken first: the merge writes
+			// over the field.
+			mean[i][0], mean[i][1] = slab[i].LocalWeightedMean()
 		}
 
-		// Flux merge on the coupler decomposition, each increment written
-		// over the field of the model it goes to, once the cell's inputs are
-		// read.
-		atm, ocn, lnd, ice := fields[0].Data, fields[1].Data, fields[2].Data, fields[3].Data
+		// Flux merge on the coupler decomposition: the ocean and ice
+		// increments are written over their fields once the cell's inputs
+		// are read. The atmosphere field keeps a: land's increment needs it.
 		for i, a := range atm {
 			o, c := ocn[i], ice[i]
 			iceFrac := c / 2
@@ -318,18 +335,36 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 			if iceFrac < 0 {
 				iceFrac = 0
 			}
-			// Atmosphere-ocean heat exchange, shut off under ice. The two
-			// increments are equal and opposite: unweighted conservation.
+			// Atmosphere-ocean heat exchange, shut off under ice.
 			flux := cfg.ExchangeCoeff * (a - o) * (1 - iceFrac)
-			atm[i] = -flux * dtc
 			ocn[i] = +flux * dtc
-			// Land dries under a warm atmosphere.
-			lnd[i] = -1e-4 * (a - 288) * dtc
 			// Ice grows below freezing, melts above.
 			ice[i] = 5e-3 * (271.35 - a) * dtc
 		}
-		for i, l := range links {
-			if _, err := l.ToModel(fields[i], downTags[i]); err != nil {
+		if _, err := links[3].ToModel(slab[3], downTags[3]); err != nil {
+			return nil, err
+		}
+
+		// Land's field, into the slab the ice increment has left.
+		if err := links[2].up.Run(upTags[2], nil, slab[2]); err != nil {
+			return nil, err
+		}
+		mean[2][0], mean[2][1] = slab[2].LocalWeightedMean()
+		for i, a := range atm {
+			// Land dries under a warm atmosphere.
+			lnd[i] = -1e-4 * (a - 288) * dtc
+		}
+		if _, err := links[2].ToModel(slab[2], downTags[2]); err != nil {
+			return nil, err
+		}
+
+		// The atmosphere's increment is the ocean's negated, bit for bit:
+		// equal and opposite, unweighted conservation.
+		for i, o := range ocn {
+			atm[i] = -o
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := links[i].ToModel(slab[i], downTags[i]); err != nil {
 				return nil, err
 			}
 		}

@@ -17,13 +17,15 @@ import (
 	"mph/internal/xfer"
 )
 
-// runCoupledOverTCP runs the five-component job on the multi-process
-// transport inside this process — each rank an endpoint with its own TCP
-// wiring, exactly as an mphrun-launched process has — and returns every
-// rank's diagnostics and its final performance counters.
-func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics, []perf.Snapshot) {
+// runCoupledOverTCP runs the job of layout l on the multi-process transport
+// inside this process — each rank an endpoint with its own TCP wiring,
+// exactly as an mphrun-launched process has — and returns every rank's
+// diagnostics and its final performance counters. With alloc non-nil the
+// ranks meet in a barrier after the handshake and after RunCoupled, and
+// *alloc is what the process allocated between the two.
+func runCoupledOverTCP(t *testing.T, l layout, cfg coupler.Config, alloc *uint64) ([]*coupler.Diagnostics, []perf.Snapshot) {
 	t.Helper()
-	const world = ccsmWorldSize
+	world := l.size()
 	rv, err := bootstrap.NewRendezvousBind("", world, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +36,18 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics
 	errs := make([]error, world)
 	diags := make([]*coupler.Diagnostics, world)
 	snaps := make([]perf.Snapshot, world)
+	var before, after runtime.MemStats
+	// measure is a barrier at which rank 0 reads the process's allocation
+	// counters into ms, and a second one that holds the others meanwhile.
+	measure := func(c *mpi.Comm, ms *runtime.MemStats) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(ms)
+		}
+		return c.Barrier()
+	}
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
@@ -46,15 +60,25 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics
 			}
 			defer env.Close()
 			c := mpi.WorldComm(env)
-			s, err := core.SingleComponentSetup(c, core.TextSource(ccsmReg), ccsmLaunch(rank))
+			s, err := core.SingleComponentSetup(c, core.TextSource(ccsmReg), l.launch(rank))
 			if err != nil {
 				errs[rank] = err
 				return
+			}
+			if alloc != nil {
+				if errs[rank] = measure(c, &before); errs[rank] != nil {
+					return
+				}
 			}
 			d, err := coupler.RunCoupled(s, cfg)
 			if err != nil {
 				errs[rank] = err
 				return
+			}
+			if alloc != nil {
+				if errs[rank] = measure(c, &after); errs[rank] != nil {
+					return
+				}
 			}
 			diags[rank] = d
 			errs[rank] = c.Barrier()
@@ -77,16 +101,19 @@ func runCoupledOverTCP(t *testing.T, cfg coupler.Config) ([]*coupler.Diagnostics
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
+	if alloc != nil {
+		*alloc = after.TotalAlloc - before.TotalAlloc
+	}
 	return diags, snaps
 }
 
 // runCoupledInProcess runs the same job on the in-process transport and
 // returns world rank 0's diagnostics.
-func runCoupledInProcess(t *testing.T, cfg coupler.Config) *coupler.Diagnostics {
+func runCoupledInProcess(t *testing.T, l layout, cfg coupler.Config) *coupler.Diagnostics {
 	t.Helper()
 	var d0 *coupler.Diagnostics
-	err := mpi.RunWorld(ccsmWorldSize, func(c *mpi.Comm) error {
-		s, err := core.SingleComponentSetup(c, core.TextSource(ccsmReg), ccsmLaunch(c.Rank()))
+	err := mpi.RunWorld(l.size(), func(c *mpi.Comm) error {
+		s, err := core.SingleComponentSetup(c, core.TextSource(ccsmReg), l.launch(c.Rank()))
 		if err != nil {
 			return err
 		}
@@ -151,9 +178,9 @@ func TestCoupledRunOverTCP(t *testing.T) {
 	}
 	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 2, Dt: 0.5,
 		Names: coupler.DefaultNames()}
-	diags, _ := runCoupledOverTCP(t, cfg)
+	diags, _ := runCoupledOverTCP(t, ccsmLayout, cfg, nil)
 
-	want := runCoupledInProcess(t, cfg)
+	want := runCoupledInProcess(t, ccsmLayout, cfg)
 	for r, d := range diags {
 		oneBuffer(t, d, cfg.Periods)
 		sameBits(t, d, want)
@@ -173,9 +200,14 @@ func TestCoupledRunOverTCP(t *testing.T) {
 // TestCoupledRunOverTCPRendezvous is TestCoupledRunOverTCP on the benchmark's
 // couple_bulk grid, 384x192, where every exchange piece is above the eager
 // threshold and so travels RTS → CTS → payload. The coupler sends each
-// increment from the slab its next up-receive lands in; this run is the one
-// that leans on "a rendezvous send is done with its buffer when it returns",
-// and the check suite repeats it under the race detector.
+// increment from a slab a later up-receive lands in, and a model receives
+// its increment one segment at a time, posting each only once the one before
+// it is in; this run is the one that leans on "a rendezvous send is done with
+// its buffer when it returns" and on the order of those posts (DESIGN.md
+// §12), and the check suite repeats it under the race detector. Two layouts:
+// the canonical one, where the middle atmosphere rank takes its increment
+// from both coupler ranks, and one with a 3-rank coupler, where the single
+// ice rank takes three segments.
 func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
@@ -186,44 +218,56 @@ func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 	}
 	cfg := coupler.Config{Grid: g, Periods: 3, SubSteps: 1, Dt: 0.5,
 		Names: coupler.DefaultNames()}
-
-	// Every piece of every link, both directions, is rendezvous-sized.
-	cd, err := grid.NewDecomp(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pieces := 0
-	for _, size := range []int{3, 2, 2, 1} { // atmosphere, ocean, land, ice
-		md, err := grid.NewDecomp(g, size)
+	for _, tc := range []struct {
+		l    layout
+		slot int // a model whose rank takes its increment in several segments
+	}{{ccsmLayout, 0}, {layout{3, 2, 2, 1, 3}, 3}} {
+		// Every piece of every link, both directions, is rendezvous-sized.
+		cd, err := grid.NewDecomp(g, tc.l[4])
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := xfer.NewRouter(md, cd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < md.P; p++ {
-			for _, seg := range r.SendPlan(p) {
-				if bytes := 8 * seg.Cells(g); bytes < tcpnet.DefaultEagerThreshold {
-					t.Fatalf("a %d-rank model's piece %+v is %d bytes, under the %d-byte eager threshold",
-						size, seg, bytes, tcpnet.DefaultEagerThreshold)
+		pieces, most := 0, 0
+		for slot, size := range tc.l[:4] {
+			md, err := grid.NewDecomp(g, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := xfer.NewRouter(cd, md)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := 0; q < md.P; q++ {
+				segs := r.RecvPlan(q)
+				for _, seg := range segs {
+					if bytes := 8 * seg.Cells(g); bytes < tcpnet.DefaultEagerThreshold {
+						t.Fatalf("layout %v: a %d-rank model's piece %+v is %d bytes, under the %d-byte eager threshold",
+							tc.l, size, seg, bytes, tcpnet.DefaultEagerThreshold)
+					}
+					pieces++
 				}
-				pieces++
+				if slot == tc.slot {
+					most = max(most, len(segs))
+				}
 			}
 		}
-	}
+		if most < 2 {
+			t.Fatalf("layout %v: no rank of model %d takes more than %d increment segment", tc.l, tc.slot, most)
+		}
 
-	diags, snaps := runCoupledOverTCP(t, cfg)
-	var rts uint64
-	for _, s := range snaps {
-		rts += s.Net.RTSOut
+		diags, snaps := runCoupledOverTCP(t, tc.l, cfg, nil)
+		var rts uint64
+		for _, s := range snaps {
+			rts += s.Net.RTSOut
+		}
+		// The up and down pieces are the same intersections; nothing else a
+		// period sends (halo rows, reports, allreduces) is near the threshold.
+		if want := uint64(2 * pieces * cfg.Periods); rts != want {
+			t.Errorf("layout %v: %d rendezvous sends job-wide, want %d (%d pieces a direction, %d periods)",
+				tc.l, rts, want, pieces, cfg.Periods)
+		}
+		sameBits(t, diags[0], runCoupledInProcess(t, tc.l, cfg))
 	}
-	// The up and down pieces are the same intersections; nothing else a
-	// period sends (halo rows, reports, allreduces) is near the threshold.
-	if want := uint64(2 * pieces * cfg.Periods); rts != want {
-		t.Errorf("%d rendezvous sends job-wide, want %d (%d pieces a direction, %d periods)", rts, want, pieces, cfg.Periods)
-	}
-	sameBits(t, diags[0], runCoupledInProcess(t, cfg))
 }
 
 // periodAlloc runs the benchmark's coupled job on an nlat x nlon grid, all
@@ -240,7 +284,7 @@ func periodAlloc(t *testing.T, nlat, nlon, short, long int) (float64, []perf.Sna
 			Names: coupler.DefaultNames()}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, snaps := runCoupledOverTCP(t, cfg)
+		_, snaps := runCoupledOverTCP(t, ccsmLayout, cfg, nil)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, snaps
 	}
@@ -306,5 +350,56 @@ func TestCoupledBulkPeriodAllocBudget(t *testing.T) {
 	}
 	if per > 3<<10 {
 		t.Errorf("a bulk coupled period allocates %.0f B over the ten ranks, budget 3072 (a per-rendezvous record, channel or goroutine crept back)", per)
+	}
+}
+
+// TestCoupledSlabBudget bounds the grid memory of the coupled exchange: what
+// the ten ranks of the canonical job allocate together from NewLink through
+// the end of the first period, on the couple_bulk grid, where the slabs
+// dominate. The budget is the slab arithmetic of DESIGN.md §12 — every
+// model's state, one buffer the size of its largest increment segment a model
+// rank, three slabs a coupler rank — plus a slack for what the first period's
+// messages and the links' plans allocate once (the parent of this test's
+// commit held a model-side increment slab the size of each state and four
+// slabs a coupler rank: 1.67 grids, 0.98 MB, more).
+func TestCoupledSlabBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens many sockets")
+	}
+	g := mustGrid(t, 384, 192)
+	cfg := coupler.Config{Grid: g, Periods: 1, SubSteps: 1, Dt: 0.5,
+		Names: coupler.DefaultNames()}
+	cd, err := grid.NewDecomp(g, ccsmLayout[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 4 * g.Cells() // the four models' states
+	for _, size := range ccsmLayout[:4] {
+		md, err := grid.NewDecomp(g, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := xfer.NewRouter(cd, md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < md.P; q++ {
+			largest := 0
+			for _, seg := range r.RecvPlan(q) {
+				largest = max(largest, seg.Cells(g))
+			}
+			cells += largest
+		}
+	}
+	cells += 3 * g.Cells() // three slabs on every coupler rank
+	const slack = 384 << 10
+	budget := uint64(8*cells + slack)
+
+	var alloc uint64
+	runCoupledOverTCP(t, ccsmLayout, cfg, &alloc)
+	t.Logf("%d B allocated from NewLink through the first period, ten ranks together; slabs %d B, budget %d B", alloc, 8*cells, budget)
+	if alloc > budget {
+		t.Errorf("the coupled exchange allocates %d B over the ten ranks, budget %d (%d B of slabs + %d B slack): a slab crept back",
+			alloc, budget, 8*cells, slack)
 	}
 }

@@ -413,22 +413,16 @@ func TestTransferBothSidesRendezvous(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		type result struct {
-			out *grid.Field
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			out, err := p.Run(4, f)
-			done <- result{out, err}
-		}()
+		out := grid.NewField(d, spec.DstProc)
+		done := make(chan error, 1)
+		go func() { done <- p.Run(4, f, out) }()
 		select {
-		case res := <-done:
-			if res.err != nil {
-				return res.err
+		case err := <-done:
+			if err != nil {
+				return err
 			}
 			lo, _ := d.Bands(spec.DstProc)
-			for i, v := range res.out.Data {
+			for i, v := range out.Data {
 				if want := float64(1000*(lo+i/g.NLon) + i%g.NLon); v != want {
 					return fmt.Errorf("cell %d of the received slab is %v, want %v", i, v, want)
 				}

@@ -32,23 +32,24 @@ func BenchmarkMToNTransfer(b *testing.B) {
 			b.SetBytes(int64(g.Cells() * 8))
 			err = mpi.RunWorld(mn[0]+mn[1], func(c *mpi.Comm) error {
 				spec := xfer.Spec{SrcOffset: 0, DstOffset: mn[0], SrcProc: -1, DstProc: -1}
-				var f *grid.Field
+				var f, out *grid.Field
 				if c.Rank() < mn[0] {
 					spec.SrcProc = c.Rank()
 					f = grid.NewField(src, spec.SrcProc)
 					f.FillFunc(func(lat, lon int) float64 { return float64(lat) })
 				} else {
 					spec.DstProc = c.Rank() - mn[0]
+					out = grid.NewField(dst, spec.DstProc)
 				}
 				p, err := xfer.NewPlan(c, r, spec)
 				if err != nil {
 					return err
 				}
 				for i := 0; i < b.N; i++ {
-					if err := p.Start(i%1024, f); err != nil {
+					if err := p.Start(i%1024, f, out); err != nil {
 						return err
 					}
-					if _, err := p.Wait(); err != nil {
+					if err := p.Wait(); err != nil {
 						return err
 					}
 				}

@@ -14,6 +14,7 @@
 package xfer
 
 import (
+	"errors"
 	"fmt"
 
 	"mph/internal/grid"
@@ -112,29 +113,47 @@ type piece struct {
 }
 
 // Plan is one rank's share of a transfer, laid out once and run any number
-// of times: which cell ranges of its source slab go to which ranks, which
-// ranges of its destination slab come from which, and — on a destination
-// rank — the destination slab itself, which the plan owns.
+// of times: which cell ranges of its source slab go to which ranks, and which
+// ranges of its destination slab come from which. The slabs are the
+// caller's, named afresh every run, so two plans can take turns with one
+// slab; the plan owns only its requests.
 //
-// A run is two phases. Start posts a receive for every incoming segment
-// straight into its range of the destination slab, then sends every outgoing
-// segment straight from the source slab; Wait completes the receives. No
-// rank sends before all its receives are posted, so ranks that are sources
-// and destinations of each other cannot deadlock, however large the segments
-// (a send above the eager threshold blocks until its receive is posted;
-// DESIGN.md §12). Between the two a rank may start other plans, as the
-// coupler does. Nothing is allocated after NewPlan: the slab and the
-// requests are the plan's, posted again every run.
+// A run lands its incoming segments one of two ways. Start posts a receive
+// for every incoming segment straight into its range of the destination
+// slab, then sends every outgoing segment straight from the source slab; Wait
+// completes the receives. No rank sends before all its receives are posted,
+// so ranks that are sources and destinations of each other cannot deadlock,
+// however large the segments (a send above the eager threshold blocks until
+// its receive is posted; DESIGN.md §12). Between the two a rank may start
+// other plans, as the coupler does. StartEach instead posts only the first
+// incoming segment, into a buffer that holds the largest (MaxRecv cells),
+// then sends; Next hands the segments over one at a time, in source
+// processor order, posting each after the caller is done with the one
+// before. A destination that only adds its increments into a slab of its own
+// needs no second slab that way. The later segments' senders then wait on
+// this rank's progress, so StartEach is for transfers whose senders do not
+// wait back, as in the coupled loop (DESIGN.md §12). Nothing is allocated
+// after NewPlan.
 type Plan struct {
-	comm    *mpi.Comm
-	src     *grid.Decomp
-	srcProc int
-	sends   []piece
-	recvs   []piece
-	out     *grid.Field   // nil when this rank is not a destination
-	reqs    []mpi.Request // one per incoming segment
-	live    bool          // between Start and Wait: the receives are posted
+	comm             *mpi.Comm
+	src, dst         *grid.Decomp
+	srcProc, dstProc int
+	sends            []piece
+	recvs            []piece
+	maxRecv          int           // cells of the largest incoming segment
+	reqs             []mpi.Request // one per incoming segment
+
+	// The run in flight. live: the receives are posted and not yet waited
+	// for. During a StartEach run, each is the caller's buffer and next the
+	// segment whose receive is posted.
+	live bool
+	tag  int
+	each []float64
+	next int
 }
+
+// errNoRun is what Wait and Next return when no run is in flight.
+var errNoRun = errors.New("xfer: no run in flight")
 
 // NewPlan lays out this rank's share of the transfer r over comm. spec gives
 // the rank's role.
@@ -159,74 +178,163 @@ func NewPlan(comm *mpi.Comm, r *Router, spec Spec) (*Plan, error) {
 		}
 		return ps
 	}
-	p := &Plan{comm: comm, src: r.Src, srcProc: spec.SrcProc}
+	p := &Plan{comm: comm, src: r.Src, dst: r.Dst, srcProc: spec.SrcProc, dstProc: spec.DstProc}
 	if spec.SrcProc >= 0 {
 		p.sends = pieces(r.SendPlan(spec.SrcProc), r.Src, spec.SrcProc, spec.DstRanks, spec.DstOffset)
 	}
 	if spec.DstProc >= 0 {
 		p.recvs = pieces(r.RecvPlan(spec.DstProc), r.Dst, spec.DstProc, spec.SrcRanks, spec.SrcOffset)
-		p.out = grid.NewField(r.Dst, spec.DstProc)
 		p.reqs = make([]mpi.Request, len(p.recvs))
+		for _, pc := range p.recvs {
+			p.maxRecv = max(p.maxRecv, pc.hi-pc.lo)
+		}
 	}
 	return p, nil
 }
 
-// Start begins one run under tag: every receive is posted, then every
-// segment of f — this rank's source slab; nil on a rank that is not a source
-// — is sent. f is the caller's again when Start returns. Each Start must be
-// followed by a Wait before the next.
-func (p *Plan) Start(tag int, f *grid.Field) error {
-	if tag < 0 {
-		return fmt.Errorf("xfer: negative tag %d", tag)
+// MaxRecv returns the number of cells of this rank's largest incoming
+// segment: the buffer StartEach needs.
+func (p *Plan) MaxRecv() int { return p.maxRecv }
+
+// Start begins one run under tag: every incoming segment's receive is
+// posted into its range of dst — this rank's destination slab; nil on a rank
+// that is not a destination — then every segment of src — its source slab;
+// nil on a rank that is not a source — is sent. src is the caller's again
+// when Start returns; dst is the run's until Wait returns. Each Start must be
+// followed by a Wait before the next run.
+func (p *Plan) Start(tag int, src, dst *grid.Field) error {
+	if err := p.check(tag, src); err != nil {
+		return err
 	}
-	if p.srcProc >= 0 {
-		if f == nil {
-			return fmt.Errorf("xfer: source processor %d has no field", p.srcProc)
-		}
-		// Structural match suffices: NewDecomp is deterministic in
-		// (grid, P), so two decomps with equal shape partition alike.
-		if f.Decomp.Grid != p.src.Grid || f.Decomp.P != p.src.P || f.P != p.srcProc {
-			return fmt.Errorf("xfer: field does not match source processor %d", p.srcProc)
-		}
+	if p.dstProc >= 0 && !fits(dst, p.dst, p.dstProc) {
+		return fmt.Errorf("xfer: field does not match destination processor %d", p.dstProc)
 	}
 	for i, pc := range p.recvs {
-		p.comm.StartRecvFloatsInto(&p.reqs[i], pc.rank, tag, p.out.Data[pc.lo:pc.hi])
+		p.comm.StartRecvFloatsInto(&p.reqs[i], pc.rank, tag, dst.Data[pc.lo:pc.hi])
 	}
-	for _, pc := range p.sends {
-		if err := p.comm.SendFloats(pc.rank, tag, f.Data[pc.lo:pc.hi]); err != nil {
-			for i := range p.reqs {
-				p.reqs[i].Cancel() // nothing may write to the slab behind the caller's back
-			}
-			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
-		}
+	if err := p.send(tag, src, len(p.recvs)); err != nil {
+		return err
 	}
-	p.live = true
+	p.live, p.each = true, nil
 	return nil
 }
 
-// Wait completes the run Start began and returns the destination slab (nil
-// on a rank that is not a destination). The slab is the plan's: it holds
-// this run's field until the next Start overwrites it.
-func (p *Plan) Wait() (*grid.Field, error) {
+// Wait completes the run Start began: dst holds the incoming segments when
+// it returns nil. Without a Start run in flight — none started, the last one
+// already waited for, or its Start failed — it returns an error.
+func (p *Plan) Wait() error {
+	if !p.live || p.each != nil {
+		return errNoRun
+	}
+	p.live = false
 	var first error
-	for i := 0; p.live && i < len(p.reqs); i++ {
+	for i := range p.reqs {
 		if _, _, err := p.reqs[i].Wait(); err != nil && first == nil {
 			first = fmt.Errorf("xfer: recv from src proc %d: %w", p.recvs[i].proc, err)
 		}
 	}
-	p.live = false
-	if first != nil {
-		return nil, first
-	}
-	return p.out, nil
+	return first
 }
 
 // Run is Start followed by Wait.
-func (p *Plan) Run(tag int, f *grid.Field) (*grid.Field, error) {
-	if err := p.Start(tag, f); err != nil {
-		return nil, err
+func (p *Plan) Run(tag int, src, dst *grid.Field) error {
+	if err := p.Start(tag, src, dst); err != nil {
+		return err
 	}
 	return p.Wait()
+}
+
+// StartEach begins one run under tag whose incoming segments land one at a
+// time in buf, which must hold MaxRecv cells: the first segment's receive is
+// posted, then every segment of src is sent, as in Start. Next hands the
+// segments over.
+func (p *Plan) StartEach(tag int, src *grid.Field, buf []float64) error {
+	if err := p.check(tag, src); err != nil {
+		return err
+	}
+	if len(buf) < p.maxRecv {
+		return fmt.Errorf("xfer: a %d-cell buffer for segments of up to %d cells", len(buf), p.maxRecv)
+	}
+	n := min(len(p.recvs), 1)
+	if n > 0 {
+		pc := p.recvs[0]
+		p.comm.StartRecvFloatsInto(&p.reqs[0], pc.rank, tag, buf[:pc.hi-pc.lo])
+	}
+	if err := p.send(tag, src, n); err != nil {
+		return err
+	}
+	p.live, p.tag, p.each, p.next = true, tag, buf, 0
+	return nil
+}
+
+// Next waits for the incoming segment in flight of the run StartEach began
+// and returns it with its cell offset in this rank's destination slab. The
+// segment is a prefix of the run's buffer and is the caller's until the next
+// call, which posts the receive of the segment after it. Segments come in
+// source processor order; once all have, Next returns a nil segment and the
+// run is over. Without a StartEach run in flight it returns an error, and so
+// does every call after one that failed.
+func (p *Plan) Next() (lo int, seg []float64, err error) {
+	if !p.live || p.each == nil {
+		return 0, nil, errNoRun
+	}
+	k := p.next
+	if k == len(p.recvs) {
+		p.live, p.each = false, nil
+		return 0, nil, nil
+	}
+	pc := p.recvs[k]
+	if k > 0 {
+		p.comm.StartRecvFloatsInto(&p.reqs[k], pc.rank, p.tag, p.each[:pc.hi-pc.lo])
+	}
+	if _, _, err := p.reqs[k].Wait(); err != nil {
+		p.live, p.each = false, nil
+		return 0, nil, fmt.Errorf("xfer: recv from src proc %d: %w", pc.proc, err)
+	}
+	p.next++
+	return pc.lo, p.each[:pc.hi-pc.lo], nil
+}
+
+// check validates a run's start: no run in flight, the tag and the source
+// slab.
+func (p *Plan) check(tag int, src *grid.Field) error {
+	if p.live {
+		return errors.New("xfer: a run is already in flight")
+	}
+	if tag < 0 {
+		return fmt.Errorf("xfer: negative tag %d", tag)
+	}
+	if p.srcProc >= 0 {
+		if src == nil {
+			return fmt.Errorf("xfer: source processor %d has no field", p.srcProc)
+		}
+		if !fits(src, p.src, p.srcProc) {
+			return fmt.Errorf("xfer: field does not match source processor %d", p.srcProc)
+		}
+	}
+	return nil
+}
+
+// fits reports whether f is processor proc's slab of d. Structural match
+// suffices: NewDecomp is deterministic in (grid, P), so two decomps with
+// equal shape partition alike.
+func fits(f *grid.Field, d *grid.Decomp, proc int) bool {
+	return f != nil && f.Decomp.Grid == d.Grid && f.Decomp.P == d.P && f.P == proc
+}
+
+// send sends every outgoing segment of src. On failure the first posted
+// receives are cancelled: nothing may write to a slab behind the caller's
+// back, and the run never started.
+func (p *Plan) send(tag int, src *grid.Field, posted int) error {
+	for _, pc := range p.sends {
+		if err := p.comm.SendFloats(pc.rank, tag, src.Data[pc.lo:pc.hi]); err != nil {
+			for i := range p.reqs[:posted] {
+				p.reqs[i].Cancel()
+			}
+			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
+		}
+	}
+	return nil
 }
 
 // Volume returns the total number of cells the transfer moves (the grid

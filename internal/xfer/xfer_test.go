@@ -116,14 +116,14 @@ func runTransfer(t *testing.T, nlat, nlon, m, n int) {
 		if err != nil {
 			return err
 		}
-		out, err := p.Run(3, f)
-		if err != nil {
+		var out *grid.Field
+		if spec.DstProc >= 0 {
+			out = grid.NewField(dst, spec.DstProc)
+		}
+		if err := p.Run(3, f, out); err != nil {
 			return err
 		}
 		if spec.DstProc < 0 {
-			if out != nil {
-				return fmt.Errorf("source-only rank got a field")
-			}
 			return nil
 		}
 		lo, hi := dst.Bands(spec.DstProc)
@@ -177,8 +177,8 @@ func TestTransferSameRankBothRoles(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		out, err := p.Run(0, f)
-		if err != nil {
+		out := grid.NewField(dst, c.Rank())
+		if err := p.Run(0, f, out); err != nil {
 			return err
 		}
 		lo, hi := dst.Bands(c.Rank())
@@ -216,17 +216,32 @@ func TestTransferSpecErrors(t *testing.T) {
 			return err
 		}
 		// Source without field.
-		if _, err := p.Run(0, nil); err == nil {
+		if err := p.Run(0, nil, nil); err == nil {
 			return fmt.Errorf("missing field accepted")
 		}
 		// Field bound to the wrong processor.
 		f := grid.NewField(src, 0)
-		if _, err := p.Run(0, &grid.Field{Decomp: src, P: 99, Data: f.Data}); err == nil {
+		if err := p.Run(0, &grid.Field{Decomp: src, P: 99, Data: f.Data}, nil); err == nil {
 			return fmt.Errorf("mismatched field accepted")
 		}
 		// Negative tag.
-		if _, err := p.Run(-1, f); err == nil {
+		if err := p.Run(-1, f, nil); err == nil {
 			return fmt.Errorf("negative tag accepted")
+		}
+		// A destination without its slab, with another processor's, or with
+		// a segment buffer too small for its largest segment.
+		q, err := xfer.NewPlan(c, r, xfer.Spec{SrcProc: -1, DstProc: 0})
+		if err != nil {
+			return err
+		}
+		if err := q.Start(0, nil, nil); err == nil {
+			return fmt.Errorf("missing destination field accepted")
+		}
+		if err := q.Start(0, nil, &grid.Field{Decomp: dst, P: 99, Data: f.Data}); err == nil {
+			return fmt.Errorf("mismatched destination field accepted")
+		}
+		if err := q.StartEach(0, nil, make([]float64, q.MaxRecv()-1)); err == nil {
+			return fmt.Errorf("short segment buffer accepted")
 		}
 		return nil
 	})
@@ -257,12 +272,12 @@ func TestRouterVolumeProperty(t *testing.T) {
 	}
 }
 
-// TestPlanSteadyState runs one plan many times, as a coupled run does: the
-// destination slab is the same storage every period (the plan owns it), each
-// period's values replace the last, and a period allocates nothing
-// slab-sized — over the in-process transport the sender's defensive copy of
-// each segment, one payload per message, is all that is left (it was three to
-// four: encode, copy, decode, and the fresh destination field).
+// TestPlanSteadyState runs one plan many times, as a coupled run does, into
+// one destination slab: each period's values replace the last, and a period
+// allocates nothing slab-sized — over the in-process transport the sender's
+// defensive copy of each segment, one payload per message, is all that is
+// left (it was three to four: encode, copy, decode, and the fresh
+// destination field).
 func TestPlanSteadyState(t *testing.T) {
 	const m, n, iters = 3, 2, 8
 	g := mustGrid(t, 96, 64)
@@ -286,22 +301,20 @@ func TestPlanSteadyState(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		var slab *grid.Field
+		var out *grid.Field
+		if spec.DstProc >= 0 {
+			out = grid.NewField(dst, spec.DstProc)
+		}
 		period := func(k int) error {
 			if f != nil {
 				f.FillFunc(func(lat, lon int) float64 { return float64(k*1e6 + 100*lat + lon) })
 			}
-			if err := p.Start(5, f); err != nil {
+			if err := p.Start(5, f, out); err != nil {
 				return err
 			}
-			out, err := p.Wait()
-			if err != nil || spec.DstProc < 0 {
+			if err := p.Wait(); err != nil || spec.DstProc < 0 {
 				return err
 			}
-			if slab != nil && &out.Data[0] != &slab.Data[0] {
-				return fmt.Errorf("period %d landed in a new slab", k)
-			}
-			slab = out
 			lo, _ := dst.Bands(spec.DstProc)
 			for i, v := range out.Data {
 				if want := float64(k*1e6 + 100*(lo+i/g.NLon) + i%g.NLon); v != want {
@@ -341,5 +354,135 @@ func TestPlanSteadyState(t *testing.T) {
 	t.Logf("steady-state period allocates %.2f of the bytes it moves", per)
 	if per > 1.1 {
 		t.Errorf("a steady-state Start/Wait allocates %.2f payloads per message, want <= 1.1 (the in-process send's copy and nothing else)", per)
+	}
+}
+
+// TestPlanWaitWithoutRun: Wait and Next complete a run in flight and nothing
+// else. With no run — never started, its Start failed, or already waited
+// for — they return an error, not the last run's slab as if it had landed
+// again; and a run cannot be started over one in flight.
+func TestPlanWaitWithoutRun(t *testing.T) {
+	g := mustGrid(t, 8, 2)
+	src, _ := grid.NewDecomp(g, 1)
+	dst, _ := grid.NewDecomp(g, 1)
+	r, err := xfer.NewRouter(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpitest.Run(t, 1, func(c *mpi.Comm) error {
+		p, err := xfer.NewPlan(c, r, xfer.Spec{SrcProc: 0, DstProc: 0})
+		if err != nil {
+			return err
+		}
+		f, out := grid.NewField(src, 0), grid.NewField(dst, 0)
+		if err := p.Wait(); err == nil {
+			return fmt.Errorf("Wait before any Start returned nil")
+		}
+		if _, _, err := p.Next(); err == nil {
+			return fmt.Errorf("Next before any StartEach returned nil")
+		}
+		if err := p.Run(1, f, out); err != nil {
+			return err
+		}
+		if err := p.Wait(); err == nil {
+			return fmt.Errorf("a second Wait returned nil")
+		}
+		if err := p.Start(-1, f, out); err == nil {
+			return fmt.Errorf("negative tag accepted")
+		}
+		if err := p.Wait(); err == nil {
+			return fmt.Errorf("Wait after a failed Start returned nil")
+		}
+		if err := p.Start(2, f, out); err != nil {
+			return err
+		}
+		if err := p.Start(3, f, out); err == nil {
+			return fmt.Errorf("Start over a run in flight accepted")
+		}
+		if _, _, err := p.Next(); err == nil {
+			return fmt.Errorf("Next during a Start run returned nil")
+		}
+		return p.Wait()
+	})
+}
+
+// TestTransferEach redistributes M to N with the segment-at-a-time receive:
+// every destination rank gets its segments through one buffer of MaxRecv
+// cells, in source processor order, each at its offset in the slab, and
+// together they cover the slab exactly once. The run then ends, and a new
+// one starts on the same buffer.
+func TestTransferEach(t *testing.T) {
+	for _, mn := range [][2]int{{1, 3}, {3, 1}, {3, 2}, {2, 5}} {
+		m, n := mn[0], mn[1]
+		t.Run(fmt.Sprintf("%dto%d", m, n), func(t *testing.T) {
+			g := mustGrid(t, 17, 3)
+			src, _ := grid.NewDecomp(g, m)
+			dst, _ := grid.NewDecomp(g, n)
+			r, err := xfer.NewRouter(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mpitest.Run(t, m+n, func(c *mpi.Comm) error {
+				spec := xfer.Spec{DstOffset: m, SrcProc: -1, DstProc: -1}
+				var f *grid.Field
+				if c.Rank() < m {
+					spec.SrcProc = c.Rank()
+					f = grid.NewField(src, spec.SrcProc)
+				} else {
+					spec.DstProc = c.Rank() - m
+				}
+				p, err := xfer.NewPlan(c, r, spec)
+				if err != nil {
+					return err
+				}
+				buf := make([]float64, p.MaxRecv())
+				for run := 0; run < 2; run++ {
+					if f != nil {
+						f.FillFunc(func(lat, lon int) float64 { return float64(run*1e6 + 100*lat + lon) })
+					}
+					if err := p.StartEach(7, f, buf); err != nil {
+						return err
+					}
+					var got []float64
+					if spec.DstProc >= 0 {
+						got = make([]float64, dst.OwnedCells(spec.DstProc))
+					}
+					segs := r.RecvPlan(max(spec.DstProc, 0))
+					for k := 0; ; k++ {
+						lo, seg, err := p.Next()
+						if err != nil {
+							return err
+						}
+						if seg == nil {
+							if spec.DstProc >= 0 && k != len(segs) {
+								return fmt.Errorf("run %d: %d segments, want %d", run, k, len(segs))
+							}
+							break
+						}
+						if &seg[0] != &buf[0] {
+							return fmt.Errorf("run %d: segment %d is not in the buffer", run, k)
+						}
+						myLo, _ := dst.Bands(spec.DstProc)
+						if want := (segs[k].Lo - myLo) * g.NLon; lo != want || len(seg) != segs[k].Cells(g) {
+							return fmt.Errorf("run %d: segment %d at %d+%d, want %d+%d", run, k, lo, len(seg), want, segs[k].Cells(g))
+						}
+						copy(got[lo:], seg)
+					}
+					if _, _, err := p.Next(); err == nil {
+						return fmt.Errorf("run %d: Next after the last segment returned nil", run)
+					}
+					if spec.DstProc < 0 {
+						continue
+					}
+					lo, _ := dst.Bands(spec.DstProc)
+					for i, v := range got {
+						if want := float64(run*1e6 + 100*(lo+i/g.NLon) + i%g.NLon); v != want {
+							return fmt.Errorf("run %d: cell %d = %v, want %v", run, i, v, want)
+						}
+					}
+				}
+				return nil
+			})
+		})
 	}
 }

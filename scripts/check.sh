@@ -26,10 +26,15 @@
 #   (the ring keeps exactly the newest events, a dump never goes back in
 #   time while several goroutines record) and mphtrace's, which read its
 #   dumps, repeat under -race;
-# - the coupler sends each increment from the slab its next up-receive lands
-#   in, so the rendezvous-sized coupled run over TCP repeats under -race: a
-#   send that let go of its buffer late would show as a race or a diagnostic
-#   that differs from the in-process run;
+# - the coupler sends each increment from a slab a later up-receive lands
+#   in (land's field lands in the ice slab), and a model takes its increment
+#   one segment at a time through one buffer, so the rendezvous-sized coupled
+#   run over TCP repeats under -race on two layouts: a send that let go of its
+#   buffer late would show as a race or a diagnostic that differs from the
+#   in-process run, a post made out of order as a hang; the slab budget, the
+#   segment-at-a-time plan and the in-place merge against the out-of-place
+#   reference repeat with it, and the chaos pass kills or aborts the coupler
+#   rank each of the two late posts waits on;
 # - the launcher decides who is dead, and a closing rank lingers until its
 #   peers have read what it sent: the linger test and the closing-Barrier
 #   first contact repeat under -race (each fails if a down line overtakes
@@ -84,6 +89,8 @@ go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvo
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree|TestRendezvousLifetime|TestAllreduceFloatsInPlace|TestAllocBudgetTreeAllreduce' -race -count=2 ./internal/mpi/...
 go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|TestCoupledRunOverTCPRendezvous|TestCoupledRunOverTCP$|TestSnapshotAllocBudget' -race -count=2 \
     ./internal/coupler ./internal/mpi/perf
+go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferEach' -race -count=2 \
+    ./internal/coupler ./internal/xfer
 go test -run 'Tracer|WriteJSONL|ParseTraceLine|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase' -race -count=2 \
     ./internal/mpi/perf ./cmd/mphtrace
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage' \
@@ -216,10 +223,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,527 before the MPI and library
-# surface only tests called went, 16,103 after, the reachability check
-# included) and the stripped size of a component executable (2,736,312 bytes
-# before, 2,728,120 after), printed for later comparison.
+# Non-test Go lines outside benchmark/ (16,103 before the coupler's three
+# slabs and the segment-at-a-time receive, 16,265 after) and the stripped
+# size of a component executable (2,728,120 bytes before, 2,736,312 after),
+# printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
