@@ -92,16 +92,15 @@ func printStats(w io.Writer, snaps []perf.Snapshot, size int) {
 		fmt.Fprintf(w, "mphrun: WARNING: totals do not reconcile: %d messages (%d bytes) sent != %d (%d bytes) received\n",
 			totals.SentMsgs, totals.SentBytes, totals.RecvMsgs, totals.RecvBytes)
 	}
-	var tree, ring, hier uint64
+	var tree, hier uint64
 	for i := range snaps {
 		for _, c := range snaps[i].Collectives {
 			tree += c.Tree
-			ring += c.Ring
 			hier += c.Hier
 		}
 	}
-	if tree+ring+hier > 0 {
-		fmt.Fprintf(w, "mphrun: collective routing: tree=%d ring=%d hier=%d\n", tree, ring, hier)
+	if tree+hier > 0 {
+		fmt.Fprintf(w, "mphrun: collective routing: tree=%d hier=%d\n", tree, hier)
 	}
 	var shmFrames, shmBytes, shmFallbacks uint64
 	for i := range snaps {

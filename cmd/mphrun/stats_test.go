@@ -40,3 +40,22 @@ func TestPrintStatsReconcile(t *testing.T) {
 		})
 	}
 }
+
+// TestPrintStatsRouting: the routing line sums every rank's flat and
+// two-level selections and names only the algorithms the selector has.
+func TestPrintStatsRouting(t *testing.T) {
+	snaps := []perf.Snapshot{
+		{WorldRank: 0, Component: "comp", Collectives: map[string]perf.CollSnap{
+			"allreduce": {Count: 3, Tree: 2, Hier: 1}, "bcast": {Count: 1, Hier: 1}}},
+		{WorldRank: 1, Component: "comp", Collectives: map[string]perf.CollSnap{
+			"allreduce": {Count: 3, Tree: 3}}},
+	}
+	var buf strings.Builder
+	printStats(&buf, snaps, 2)
+	if want := "mphrun: collective routing: tree=5 hier=2\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("summary lacks %q:\n%s", want, buf.String())
+	}
+	if strings.Contains(buf.String(), "ring=") {
+		t.Errorf("summary names a ring:\n%s", buf.String())
+	}
+}

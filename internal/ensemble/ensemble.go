@@ -73,32 +73,6 @@ func (m *Moments) StdDev() []float64 {
 	return out
 }
 
-// Merge folds another accumulator into this one (Chan et al. parallel
-// combination), enabling tree reductions of partial statistics.
-func (m *Moments) Merge(other *Moments) error {
-	if len(other.mean) != len(m.mean) {
-		return fmt.Errorf("ensemble: merging %d cells into %d", len(other.mean), len(m.mean))
-	}
-	if other.n == 0 {
-		return nil
-	}
-	if m.n == 0 {
-		m.n = other.n
-		copy(m.mean, other.mean)
-		copy(m.m2, other.m2)
-		return nil
-	}
-	na, nb := float64(m.n), float64(other.n)
-	tot := na + nb
-	for i := range m.mean {
-		d := other.mean[i] - m.mean[i]
-		m.mean[i] += d * nb / tot
-		m.m2[i] += other.m2[i] + d*d*na*nb/tot
-	}
-	m.n += other.n
-	return nil
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of vals with linear
 // interpolation between order statistics. vals is not modified.
 func Quantile(vals []float64, q float64) (float64, error) {

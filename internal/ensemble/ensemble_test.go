@@ -74,63 +74,6 @@ func TestMomentsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMomentsMergeEqualsSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const cells = 4
-	seq, _ := NewMoments(cells)
-	a, _ := NewMoments(cells)
-	b, _ := NewMoments(cells)
-	for s := 0; s < 60; s++ {
-		row := make([]float64, cells)
-		for i := range row {
-			row[i] = rng.Float64() * 100
-		}
-		seq.Add(row)
-		if s < 25 {
-			a.Add(row)
-		} else {
-			b.Add(row)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != seq.N() {
-		t.Fatalf("merged N %d vs %d", a.N(), seq.N())
-	}
-	am, sm := a.Mean(), seq.Mean()
-	av, sv := a.Variance(), seq.Variance()
-	for i := 0; i < cells; i++ {
-		if math.Abs(am[i]-sm[i]) > 1e-10 || math.Abs(av[i]-sv[i]) > 1e-9 {
-			t.Errorf("cell %d merged %g/%g vs %g/%g", i, am[i], av[i], sm[i], sv[i])
-		}
-	}
-}
-
-func TestMergeIntoEmptyAndFromEmpty(t *testing.T) {
-	a, _ := NewMoments(2)
-	b, _ := NewMoments(2)
-	b.Add([]float64{1, 2})
-	b.Add([]float64{3, 4})
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 2 || a.Mean()[0] != 2 || a.Mean()[1] != 3 {
-		t.Errorf("merge into empty: n=%d mean=%v", a.N(), a.Mean())
-	}
-	empty, _ := NewMoments(2)
-	if err := a.Merge(empty); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 2 {
-		t.Error("merge from empty changed N")
-	}
-	wrong, _ := NewMoments(3)
-	if err := a.Merge(wrong); err == nil {
-		t.Error("merge with wrong width accepted")
-	}
-}
-
 func TestQuantileKnownValues(t *testing.T) {
 	vals := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
 	cases := []struct{ q, want float64 }{

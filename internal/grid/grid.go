@@ -27,12 +27,6 @@ func New(nlat, nlon int) (Grid, error) {
 // Cells returns the total number of grid cells.
 func (g Grid) Cells() int { return g.NLat * g.NLon }
 
-// Index linearizes (lat, lon) in row-major order.
-func (g Grid) Index(lat, lon int) int { return lat*g.NLon + lon }
-
-// Coords inverts Index.
-func (g Grid) Coords(idx int) (lat, lon int) { return idx / g.NLon, idx % g.NLon }
-
 // CellCenter returns the latitude and longitude of a cell center in
 // radians: latitude in (-π/2, π/2), longitude in [0, 2π).
 func (g Grid) CellCenter(lat, lon int) (phi, lambda float64) {
@@ -41,12 +35,7 @@ func (g Grid) CellCenter(lat, lon int) (phi, lambda float64) {
 	return phi, lambda
 }
 
-// CellArea returns the relative area weight of a latitude band's cells
-// (proportional to cos of latitude), normalized so weights over the whole
-// grid sum to 1.
-func (g Grid) CellArea(lat int) float64 { return g.cellArea(lat, g.areaNorm()) }
-
-// areaNorm is CellArea's divisor, O(NLat) to compute: the sum of cos(phi_i)
+// areaNorm is cellArea's divisor, O(NLat) to compute: the sum of cos(phi_i)
 // over bands times NLon normalizes the total.
 func (g Grid) areaNorm() float64 {
 	total := 0.0
@@ -57,7 +46,9 @@ func (g Grid) areaNorm() float64 {
 	return total * float64(g.NLon)
 }
 
-// cellArea is CellArea with its divisor computed by the caller.
+// cellArea returns the relative area weight of a latitude band's cells
+// (proportional to cos of latitude), normalized by norm, which areaNorm
+// computes so that weights over the whole grid sum to 1.
 func (g Grid) cellArea(lat int, norm float64) float64 {
 	phi, _ := g.CellCenter(lat, 0)
 	return math.Cos(phi) / norm
@@ -101,36 +92,6 @@ func (d *Decomp) Bands(p int) (lo, hi int) { return d.start[p], d.start[p+1] }
 func (d *Decomp) OwnedCells(p int) int {
 	lo, hi := d.Bands(p)
 	return (hi - lo) * d.Grid.NLon
-}
-
-// Owner returns the processor owning latitude band lat.
-func (d *Decomp) Owner(lat int) int {
-	// Binary search over the start offsets.
-	lo, hi := 0, d.P
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.start[mid+1] <= lat {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// GlobalIndex converts a processor-local cell offset into a global cell
-// index.
-func (d *Decomp) GlobalIndex(p, local int) int {
-	lo, _ := d.Bands(p)
-	return lo*d.Grid.NLon + local
-}
-
-// LocalIndex converts a global cell index into (owner, local offset).
-func (d *Decomp) LocalIndex(global int) (p, local int) {
-	lat := global / d.Grid.NLon
-	p = d.Owner(lat)
-	lo, _ := d.Bands(p)
-	return p, global - lo*d.Grid.NLon
 }
 
 // Field is a processor-local slab of a distributed scalar field: the cells
@@ -180,8 +141,8 @@ func (f *Field) LocalSum() float64 {
 
 // LocalWeightedMean returns the area-weighted partial sum of the slab and
 // the slab's total weight; combining the pairs across processors yields the
-// global mean. The weights are CellArea's, bit for bit, with its divisor
-// computed once a call rather than once a band.
+// global mean. The weights are cellArea's, with its divisor computed once a
+// call rather than once a band.
 func (f *Field) LocalWeightedMean() (weightedSum, weight float64) {
 	lo, hi := f.Decomp.Bands(f.P)
 	norm := f.Decomp.Grid.areaNorm()

@@ -14,16 +14,6 @@ func TestNewRejectsBadShapes(t *testing.T) {
 	}
 }
 
-func TestIndexCoordsRoundTrip(t *testing.T) {
-	g, _ := New(7, 11)
-	for idx := 0; idx < g.Cells(); idx++ {
-		lat, lon := g.Coords(idx)
-		if g.Index(lat, lon) != idx {
-			t.Fatalf("round trip failed at %d", idx)
-		}
-	}
-}
-
 func TestCellCenterRanges(t *testing.T) {
 	g, _ := New(16, 32)
 	for lat := 0; lat < g.NLat; lat++ {
@@ -41,15 +31,16 @@ func TestCellCenterRanges(t *testing.T) {
 
 func TestCellAreaNormalized(t *testing.T) {
 	g, _ := New(19, 24)
+	norm := g.areaNorm()
 	total := 0.0
 	for lat := 0; lat < g.NLat; lat++ {
-		total += g.CellArea(lat) * float64(g.NLon)
+		total += g.cellArea(lat, norm) * float64(g.NLon)
 	}
 	if math.Abs(total-1) > 1e-12 {
 		t.Errorf("areas sum to %g", total)
 	}
 	// Equatorial cells are larger than polar cells.
-	if g.CellArea(g.NLat/2) <= g.CellArea(0) {
+	if g.cellArea(g.NLat/2, norm) <= g.cellArea(0, norm) {
 		t.Error("equatorial cell not larger than polar cell")
 	}
 }
@@ -95,34 +86,6 @@ func TestDecompPartitionProperties(t *testing.T) {
 	}
 }
 
-func TestOwnerMatchesBands(t *testing.T) {
-	g, _ := New(23, 5)
-	for _, p := range []int{1, 2, 3, 7, 23, 30} {
-		d, err := NewDecomp(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lat := 0; lat < g.NLat; lat++ {
-			owner := d.Owner(lat)
-			lo, hi := d.Bands(owner)
-			if lat < lo || lat >= hi {
-				t.Fatalf("p=%d lat=%d: owner %d has bands [%d,%d)", p, lat, owner, lo, hi)
-			}
-		}
-	}
-}
-
-func TestGlobalLocalIndexRoundTrip(t *testing.T) {
-	g, _ := New(13, 7)
-	d, _ := NewDecomp(g, 4)
-	for global := 0; global < g.Cells(); global++ {
-		p, local := d.LocalIndex(global)
-		if d.GlobalIndex(p, local) != global {
-			t.Fatalf("round trip failed at %d", global)
-		}
-	}
-}
-
 func TestDecompMoreProcsThanBands(t *testing.T) {
 	g, _ := New(3, 4)
 	d, err := NewDecomp(g, 8)
@@ -153,7 +116,7 @@ func TestFieldFillAndAt(t *testing.T) {
 	d, _ := NewDecomp(g, 3)
 	for p := 0; p < 3; p++ {
 		f := NewField(d, p)
-		f.FillFunc(func(lat, lon int) float64 { return float64(g.Index(lat, lon)) })
+		f.FillFunc(func(lat, lon int) float64 { return float64(lat*g.NLon + lon) })
 		lo, hi := d.Bands(p)
 		for lat := lo; lat < hi; lat++ {
 			for lon := 0; lon < g.NLon; lon++ {
@@ -161,7 +124,7 @@ func TestFieldFillAndAt(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v != float64(g.Index(lat, lon)) {
+				if v != float64(lat*g.NLon+lon) {
 					t.Fatalf("At(%d,%d) = %g", lat, lon, v)
 				}
 			}
@@ -195,9 +158,10 @@ func TestFieldLocalSumsCombineToGlobal(t *testing.T) {
 }
 
 // TestLocalWeightedMeanWeightsAreCellArea: LocalWeightedMean computes its
-// normaliser once a call, and its weights must still be CellArea's bit for
-// bit. A one-hot field's weighted sum is exactly the weight of the hot cell's
-// band; a general field's pair must equal a per-band CellArea reference.
+// normaliser once a call, and its weights must still be a band's area,
+// g.cellArea(lat, g.areaNorm()), bit for bit. A one-hot field's weighted sum
+// is exactly the weight of the hot cell's band; a general field's pair must
+// equal a per-band reference that recomputes the normaliser every band.
 func TestLocalWeightedMeanWeightsAreCellArea(t *testing.T) {
 	for _, shape := range [][3]int{{19, 24, 1}, {19, 24, 4}, {12, 5, 12}, {384, 192, 2}} {
 		g, _ := New(shape[0], shape[1])
@@ -210,15 +174,15 @@ func TestLocalWeightedMeanWeightsAreCellArea(t *testing.T) {
 				f.Data[i] = 1
 				ws, _ := f.LocalWeightedMean()
 				f.Data[i] = 0
-				if want := g.CellArea(lat); math.Float64bits(ws) != math.Float64bits(want) {
-					t.Fatalf("%dx%d band %d: weight %v, CellArea %v", g.NLat, g.NLon, lat, ws, want)
+				if want := g.cellArea(lat, g.areaNorm()); math.Float64bits(ws) != math.Float64bits(want) {
+					t.Fatalf("%dx%d band %d: weight %v, band area %v", g.NLat, g.NLon, lat, ws, want)
 				}
 			}
 			f.FillFunc(func(lat, lon int) float64 { return math.Sin(float64(3*lat)) + float64(lon) })
 			ws, w := f.LocalWeightedMean()
 			refWS, refW := 0.0, 0.0
 			for lat, idx := lo, 0; lat < hi; lat++ {
-				a := g.CellArea(lat)
+				a := g.cellArea(lat, g.areaNorm())
 				for lon := 0; lon < g.NLon; lon++ {
 					refWS += a * f.Data[idx]
 					refW += a
@@ -226,7 +190,7 @@ func TestLocalWeightedMeanWeightsAreCellArea(t *testing.T) {
 				}
 			}
 			if math.Float64bits(ws) != math.Float64bits(refWS) || math.Float64bits(w) != math.Float64bits(refW) {
-				t.Fatalf("%dx%d proc %d: (%v, %v), CellArea reference (%v, %v)", g.NLat, g.NLon, p, ws, w, refWS, refW)
+				t.Fatalf("%dx%d proc %d: (%v, %v), band-area reference (%v, %v)", g.NLat, g.NLon, p, ws, w, refWS, refW)
 			}
 		}
 	}

@@ -10,22 +10,25 @@ import (
 	"mph/internal/mpi/mpitest"
 )
 
-// ringSizes are the communicator sizes every ring path is exercised at:
-// degenerate, even, odd, prime, and power-of-two — the ring algorithms make
-// no power-of-two assumption and must not acquire one.
-var ringSizes = []int{1, 2, 3, 5, 7, 8}
+// The tests named for a ring, and the threshold subtests of
+// TestAllgatherAllreduceInterleaved, keep names from when the selector could
+// pick a ring allreduce; each now checks the path the selector takes for
+// the case it names.
 
-// TestAllgatherRingAllSizes forces the ring path (threshold 0) under
-// slotAllgather, the allgather mpitest.Split exchanges with — each rank's
-// row in its own slots of a zeroed vector, summed — across non-power-of-two
-// communicator sizes: the ring's gather phase is what places every rank's
-// row at every rank.
+// allreduceSizes are the communicator sizes every allreduce path is exercised
+// at: degenerate, even, odd, prime, and power-of-two — the tree and the
+// pair make no power-of-two assumption and must not acquire one.
+var allreduceSizes = []int{1, 2, 3, 5, 7, 8}
+
+// TestAllgatherRingAllSizes runs slotAllgather, the allgather mpitest.Split
+// exchanges with — each rank's row in its own slots of a zeroed vector,
+// summed — across non-power-of-two communicator sizes: the reduction must
+// place every rank's row at every rank.
 func TestAllgatherRingAllSizes(t *testing.T) {
-	for _, n := range ringSizes {
+	for _, n := range allreduceSizes {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				mpi.SetRingThreshold(c, 0)
 				r := int64(c.Rank())
 				rows, err := slotAllgather(c, []int64{r, -r, r * r})
 				if err != nil {
@@ -42,16 +45,15 @@ func TestAllgatherRingAllSizes(t *testing.T) {
 	}
 }
 
-// TestAllreduceRingAllSizes forces the ring path and checks exact int/float
-// results at every communicator size, including payloads with fewer
-// elements than ranks (empty chunks) and payloads that do not divide evenly.
+// TestAllreduceRingAllSizes checks exact int/float results at every
+// communicator size, including payloads with fewer elements than ranks and
+// payloads that are not a multiple of the communicator size.
 func TestAllreduceRingAllSizes(t *testing.T) {
-	for _, n := range ringSizes {
+	for _, n := range allreduceSizes {
 		for _, elems := range []int{1, 3, 64, 257} {
 			n, elems := n, elems
 			t.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(t *testing.T) {
 				mpitest.Run(t, n, func(c *mpi.Comm) error {
-					mpi.SetRingThreshold(c, 0)
 					xs := make([]int64, elems)
 					fs := make([]float64, elems)
 					for i := range xs {
@@ -84,58 +86,74 @@ func TestAllreduceRingAllSizes(t *testing.T) {
 	}
 }
 
-// TestAllreduceRingMatchesTree pins algorithm equivalence: the same inputs
-// reduced with the threshold forcing the ring and forcing the tree must give
-// identical results (integer sums are exact, so byte equality is required).
+// pastScratch is an AllreduceInts length, in elements, that alone fills the
+// communicator's 64 KiB scratch (scratchMax); anything longer is reduced in
+// buffers of its own.
+const pastScratch = 64 << 10 / 8
+
+// pastOldCrossover is an allreduce payload, in 8-byte elements, at the
+// 256 KiB from which the selector once took the ring; the flat tree now
+// reduces it in buffers of its own, not the communicator's 64 KiB scratch.
+const pastOldCrossover = 256 << 10 / 8
+
+// TestAllreduceRingMatchesTree pins buffer-path equivalence on 5 ranks: a
+// payload past the old ring crossover, reduced in buffers of its own, gives
+// exactly what the same elements give reduced in pieces that fit the
+// communicator's scratch (integer sums are exact, so equality is required).
 func TestAllreduceRingMatchesTree(t *testing.T) {
-	const n, elems = 5, 100
-	run := func(t *testing.T, threshold int) [][]int64 {
-		results := make([][]int64, n)
-		mpitest.Run(t, n, func(c *mpi.Comm) error {
-			mpi.SetRingThreshold(c, threshold)
-			xs := make([]int64, elems)
-			for i := range xs {
-				xs[i] = int64((c.Rank()+1)*(i+3)) % 97
-			}
-			out, err := c.AllreduceInts(xs, mpi.OpSum)
-			if err != nil {
+	const n, elems, piece = 5, pastOldCrossover + 100, 1000
+	mpitest.Run(t, n, func(c *mpi.Comm) error {
+		whole := make([]int64, elems)
+		for i := range whole {
+			whole[i] = int64((c.Rank()+1)*(i+3)) % 97
+		}
+		pieces := slices.Clone(whole)
+		if _, err := c.AllreduceInts(whole, mpi.OpSum); err != nil {
+			return err
+		}
+		for lo := 0; lo < elems; lo += piece {
+			if _, err := c.AllreduceInts(pieces[lo:min(lo+piece, elems)], mpi.OpSum); err != nil {
 				return err
 			}
-			results[c.Rank()] = out
-			return nil
-		})
-		return results
-	}
-	ring := run(t, 0)
-	tree := run(t, -1)
-	for r := range ring {
-		for i := range ring[r] {
-			if ring[r][i] != tree[r][i] {
-				t.Fatalf("rank %d elem %d: ring %d != tree %d", r, i, ring[r][i], tree[r][i])
+		}
+		for i := range whole {
+			if whole[i] != pieces[i] {
+				return fmt.Errorf("elem %d: whole %d != pieces %d", i, whole[i], pieces[i])
 			}
 		}
-	}
+		return nil
+	})
 }
 
-// TestCollAlgPvarRoutes checks the per-algorithm performance variable on
-// both sides of the crossover: payloads below the threshold count as tree,
-// payloads at or above it count as ring.
+// TestCollAlgPvarRoutes checks the per-algorithm performance variable where
+// the ring row once began: a 1 MiB AllreduceInts on 8 ranks is counted as a
+// tree on every rank, never as a ring, and its result is exactly the
+// rank-order fold; the opaque whole-payload Allreduce counts as a tree too.
 func TestCollAlgPvarRoutes(t *testing.T) {
-	const n = 4
+	const n, elems = 8, 1 << 20 / 8
+	operand := func(rank, i int) int64 { return int64(rank+1)<<32 | int64(i*(rank+3)) }
+	want := make([]int64, elems)
+	for i := range want {
+		for r := 0; r < n; r++ {
+			want[i] += operand(r, i)
+		}
+	}
 	w, err := mpi.NewWorld(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	err = w.Run(func(c *mpi.Comm) error {
-		mpi.SetRingThreshold(c, 256)
-		if _, err := c.AllreduceInts(make([]int64, 2), mpi.OpSum); err != nil { // tree
+		xs := make([]int64, elems)
+		for i := range xs {
+			xs[i] = operand(c.Rank(), i)
+		}
+		if _, err := c.AllreduceInts(xs, mpi.OpSum); err != nil {
 			return err
 		}
-		if _, err := c.AllreduceInts(make([]int64, 64), mpi.OpSum); err != nil { // ring
-			return err
+		if !slices.Equal(xs, want) {
+			return fmt.Errorf("rank %d: 1 MiB sum differs from the rank-order fold", c.Rank())
 		}
-		// The opaque whole-payload Allreduce must stay on the tree at any size.
 		concat := func(acc, in []byte) ([]byte, error) { return acc, nil }
 		if _, err := c.Allreduce(make([]byte, 1024), concat); err != nil {
 			return err
@@ -145,28 +163,31 @@ func TestCollAlgPvarRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv, err := w.Perf(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar := pv.Snapshot().Collectives["allreduce"]
-	if ar.Tree != 2 || ar.Ring != 1 {
-		t.Errorf("allreduce tree=%d ring=%d, want 2/1", ar.Tree, ar.Ring)
+	for r := 0; r < n; r++ {
+		pv, err := w.Perf(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ar := pv.Snapshot().Collectives["allreduce"]; ar.Tree != 2 || ar.Ring != 0 {
+			t.Errorf("rank %d: allreduce tree=%d ring=%d, want 2/0", r, ar.Tree, ar.Ring)
+		}
 	}
 }
 
 // TestAllgatherAllreduceInterleaved is the tag-confusion regression for
 // tightly interleaved collectives: the handshake's allgather (exchangeRows,
-// an opaque Allreduce on the tree) alternates with a typed AllreduceInts
-// that the threshold sends down the tree or the ring, with payloads that
-// grow every round, and neither may read the other's traffic.
+// an opaque Allreduce whose result is copied out of the communicator's
+// scratch) alternates with a typed AllreduceInts whose payload grows every
+// round, and neither may read the other's traffic or buffers. threshold is
+// the payload size in bytes from which a round's AllreduceInts is padded
+// past the scratch into buffers of its own (-1: never; 0: every round), so
+// the rounds cross between the two buffer paths.
 func TestAllgatherAllreduceInterleaved(t *testing.T) {
 	for _, threshold := range []int{-1, 0, 64} {
 		threshold := threshold
 		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
 			const n = 4
 			mpitest.Run(t, n, func(c *mpi.Comm) error {
-				mpi.SetRingThreshold(c, threshold)
 				for round := 0; round < 10; round++ {
 					rows, err := exchangeRows(c, []int64{int64(c.Rank()), int64(round)})
 					if err != nil {
@@ -177,7 +198,11 @@ func TestAllgatherAllreduceInterleaved(t *testing.T) {
 							return fmt.Errorf("round %d row %d = %v", round, r, row)
 						}
 					}
-					xs := make([]int64, 1+round*4)
+					elems := 1 + round*4
+					if threshold >= 0 && 8*elems >= threshold {
+						elems += pastScratch
+					}
+					xs := make([]int64, elems)
 					for i := range xs {
 						xs[i] = int64(c.Rank())
 					}

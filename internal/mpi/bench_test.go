@@ -3,7 +3,7 @@ package mpi_test
 // Microbenchmarks of the message-passing substrate itself — the floor under
 // every MPH operation the other packages' benchmarks measure — and the
 // experiments of EXPERIMENTS.md that price it: P1 (BenchmarkTracerOverhead),
-// C1 (BenchmarkTreeVsRing), C1b (BenchmarkFlatVsHier).
+// C1b (BenchmarkFlatVsHier).
 
 import (
 	"fmt"
@@ -293,24 +293,6 @@ func BenchmarkAllreduce(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		for _, elems := range []int{1, 1024} {
 			b.Run(fmt.Sprintf("n=%d/elems=%d", n, elems), func(b *testing.B) { benchCollective(b, n, nil, nil, "allreduce", 8*elems) })
-		}
-	}
-}
-
-// BenchmarkTreeVsRing (EXPERIMENTS.md C1) pits the flat tree against the
-// ring allreduce on 8 ranks, mpi.SetRingThreshold pinning each cell to one
-// algorithm, at the sizes the selector's ring and tree rows cite: around the
-// 256 KiB crossover (allreduceRingFrom).
-func BenchmarkTreeVsRing(b *testing.B) {
-	for _, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		for _, alg := range []struct {
-			name      string
-			threshold int
-		}{{"tree", -1}, {"ring", 0}} {
-			b.Run(fmt.Sprintf("allreduce/%dB/%s", size, alg.name), func(b *testing.B) {
-				pin := func(c *mpi.Comm) { mpi.SetRingThreshold(c, alg.threshold) }
-				benchCollective(b, 8, nil, pin, "allreduce", size)
-			})
 		}
 	}
 }

@@ -172,23 +172,23 @@ func (c *Comm) reduceTree(root int, acc, in []byte, fn func(acc, in []byte) ([]b
 
 // Allreduce combines every rank's payload with fn, a binary associative
 // operation over encoded payloads, and delivers the result to every rank. fn
-// sees only whole payloads, which rules the ring out; the typed wrappers
-// AllreduceInts/AllreduceFloats declare an element size that unlocks it for
-// large payloads.
+// sees only whole payloads; the typed wrappers AllreduceInts/AllreduceFloats
+// declare an element size, which lets the two-level path regroup operands
+// on any host placement.
 func (c *Comm) Allreduce(data []byte, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	return c.allreduceWith(data, 0, fn)
 }
 
 // allreduceWith combines every rank's payload with fn and delivers the
 // result to every rank. elem > 0 declares the payload a sequence of
-// elem-byte elements and fn an elementwise, associative, commutative,
-// length-preserving combination that accepts any elem-aligned subrange and
-// returns acc or a slice of its own, never in (reduceTree); that
-// contract is what allows the Rabenseifner ring (collective_ring.go) for
-// large payloads and the two-level path (collective_hier.go), which small
-// payloads take on a comm that spans hosts, on any host placement. elem == 0
-// promises associativity only: no ring, and two-level only where the hosts
-// are contiguous rank blocks; otherwise the flat tree (reduce-to-0 then
+// elem-byte elements and fn elementwise: associative, commutative,
+// length-preserving, returning acc or a slice of its own, never in
+// (reduceTree). That contract is what lets another rank's payload be
+// received into a scratch buffer of the caller's length and lets the
+// two-level path (collective_hier.go), which small payloads take on a comm
+// that spans hosts, regroup operands on any host placement. elem == 0
+// promises associativity only: two-level only where the hosts are
+// contiguous rank blocks; otherwise the flat tree (reduce-to-0 then
 // broadcast). Every rank must pass the same payload length — the standard
 // reduction contract — which is also what keeps choose's verdict identical
 // on all ranks.
@@ -214,8 +214,6 @@ func (c *Comm) allreduce(data []byte, elem int, fn func(acc, in []byte) ([]byte,
 		return out, true, err
 	case perf.AlgHier:
 		out, err = c.allreduceHier(data, elem, fn)
-	case perf.AlgRing:
-		out, err = c.allreduceRing(data, elem, fn)
 	default:
 		out, err = c.allreduceTree(data, elem, fn)
 		return out, true, err

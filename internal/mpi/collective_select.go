@@ -6,11 +6,8 @@ import "mph/internal/mpi/perf"
 // picked and counted. It decides from what every rank of a communicator
 // already observes — the operation, the payload size and the published host
 // labels — so no setting can make two ranks disagree. The algorithms
-// themselves live one family per file — flat trees in collective.go, rings
-// in collective_ring.go, the two-level compositions in collective_hier.go.
-
-// allreduceRingFrom is Allreduce's tree-to-ring crossover in bytes.
-const allreduceRingFrom = 256 << 10
+// themselves live one family per file — flat trees in collective.go, the
+// two-level compositions in collective_hier.go.
 
 // hierAllreduceBelow is the payload size in bytes from which an Allreduce
 // that spans hosts stays on the flat algorithms: the first C1b size at which
@@ -26,21 +23,21 @@ const algPair = perf.NumCollAlgs
 // choose picks the algorithm for one invocation of op and counts the pick
 // in the per-algorithm performance variable. decisionBytes must be a size
 // every rank of the communicator agrees on (Allreduce requires equal payload
-// lengths; only a Bcast's root knows its length, so Bcast passes 0), and
-// commutative reports whether the operation may regroup its operands (a
-// broadcast always may; a reduction only under the elementwise
-// allreduceWith contract). Together
-// with the published topology those are identical on every rank, so all
-// members reach the same verdict without communication.
+// lengths; only a Bcast's root knows its length, so Bcast passes 0, which
+// is below every cut), and commutative reports whether the operation may
+// regroup its operands (a broadcast always may; a reduction only under the
+// elementwise allreduceWith contract). Together with the published topology
+// those are identical on every rank, so all members reach the same verdict
+// without communication.
 //
 // The table, first matching row wins; each row names the measured cell that
-// justifies it (EXPERIMENTS.md C1, C1b and S4: go test -run=NONE
-// -bench='TreeVsRing|FlatVsHier' ./internal/mpi, and benchmark/):
+// justifies it (EXPERIMENTS.md C1b and S4: go test -run=NONE
+// -bench=FlatVsHier ./internal/mpi, and benchmark/):
 //
-//	pair  Allreduce on two ranks, wherever the tree would be picked (below
-//	      the ring crossover): one exchange, both ranks fold, bit-identical
-//	      to reduce-then-bcast. S6: BenchmarkAllreduce, 2 ranks over tcpnet,
-//	      tree/pair 2.2 at 8 B, 2.1 at 16 B, 1.8 at 72 B; benchmark/
+//	pair  Allreduce on two ranks, at any size: one exchange, both ranks
+//	      fold, bit-identical to reduce-then-bcast. S6: BenchmarkAllreduce,
+//	      2 ranks over tcpnet, tree/pair 2.2 at 8 B, 2.1 at 16 B, 1.8 at
+//	      72 B; benchmark/
 //	      couple_fine, whose coupler and ocean allreduces are all here,
 //	      mpi.allreduce_ms 0.86 of the same build without the row, lower in
 //	      9 of 10 traced pairs. Ahead of hier: two ranks have nothing to be
@@ -62,35 +59,24 @@ const algPair = perf.NumCollAlgs
 //	      there; Bcast cannot stop anywhere, only its root knows the length.
 //	      No harness here can price a slow link, so this row stands on
 //	      message counts and bulk_2host, not on a time win.
-//	ring  Allreduce, elementwise contract only, from 256 KiB (C1: tree/ring
-//	      1.24 at 256 KiB, 1.37 at 1 MiB, but 0.69 at 64 KiB, where the
-//	      tree therefore stays).
-//	tree  everything else (C1: allreduce tree/ring 0.76 at 4 KiB, 0.69 at
-//	      64 KiB; benchmark/ couple_fine, whose 8-24-byte allreduces are all
-//	      here).
+//	tree  everything else, at any size: every elementwise Allreduce the
+//	      code makes is 8-16 bytes (benchmark/ couple_fine), far below where
+//	      a bandwidth-optimal ring could pay (EXPERIMENTS.md C1).
 //
 // Bcast has one flat algorithm, so below the hier row there is nothing to
-// choose and nothing is counted: Tree and Ring count tree-vs-ring decisions,
-// as perf.CollSnap has always reported them.
+// choose and nothing is counted: Tree counts an Allreduce's flat decisions.
 func (c *Comm) choose(op perf.CollOp, decisionBytes int, commutative bool) perf.CollAlg {
-	ring, twoLevel := false, op == perf.CollBcast
-	if op == perf.CollAllreduce {
-		ring = commutative && c.env.ringFrom >= 0 && decisionBytes >= c.env.ringFrom
-		twoLevel = decisionBytes < hierAllreduceBelow
-	}
 	var h *hierComm
-	if twoLevel {
+	if decisionBytes < hierAllreduceBelow {
 		h = c.hierView()
 	}
 	alg := perf.AlgTree
 	switch {
 	case len(c.group) < 2:
-	case op == perf.CollAllreduce && len(c.group) == 2 && !ring:
+	case op == perf.CollAllreduce && len(c.group) == 2:
 		alg = algPair
 	case h != nil && (commutative || h.contiguous):
 		alg = perf.AlgHier
-	case ring:
-		alg = perf.AlgRing
 	}
 	counted := alg
 	if alg == algPair {

@@ -9,11 +9,6 @@ func ReduceTree(c *Comm, root int, data []byte, fn func(acc, in []byte) ([]byte,
 	return c.reduceTree(root, append([]byte(nil), data...), nil, fn)
 }
 
-// SetRingThreshold pins the ring crossover of c's rank to n bytes: 0 sends
-// every ring-capable allreduce down the ring, a negative n down the tree.
-// Every rank calls it before its first collective.
-func SetRingThreshold(c *Comm, n int) { c.env.ringFrom = n }
-
 // SetFlat keeps c off the two-level algorithms whatever hosts it spans.
 // Every rank calls it before its first collective on c.
 func SetFlat(c *Comm) { c.noHier = true }

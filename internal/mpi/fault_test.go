@@ -159,37 +159,33 @@ func TestFaultWorldAbort(t *testing.T) {
 	}
 }
 
-// newRingWorld is a world of n ranks whose collectives take the ring at any
-// payload size.
-func newRingWorld(t *testing.T, n int) *World {
-	t.Helper()
-	w, err := NewWorld(n)
+// pastOldCrossover is an allreduce payload, in float64s, at the 256 KiB
+// from which the selector once took the ring allreduce; it now takes the
+// flat tree, in buffers of the call's own rather than the communicator's
+// scratch.
+const pastOldCrossover = 256 << 10 / 8
+
+// TestChaosAbortDuringRingCollective aborts a 4-rank world while the other
+// three ranks sit inside an Allreduce of a payload the ring once took, now
+// the flat tree's (each blocked on a receive rank 0, or a rank waiting on
+// it, would satisfy); every one of them must return a typed abort error
+// instead of hanging — the contract every collective honours.
+func TestChaosAbortDuringRingCollective(t *testing.T) {
+	w, err := NewWorld(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(w.Close)
-	for _, env := range w.envs {
-		env.ringFrom = 0
-	}
-	return w
-}
-
-// TestChaosAbortDuringRingCollective aborts a 4-rank world while the other
-// three ranks sit mid-ring inside a forced-ring Allreduce (each blocked on a
-// reduce-scatter step); every one of them must return a typed abort error
-// instead of hanging — the same contract the binomial trees honour.
-func TestChaosAbortDuringRingCollective(t *testing.T) {
-	w := newRingWorld(t, 4)
+	defer w.Close()
 
 	results := make(chan error, 3)
 	for r := 1; r < 4; r++ {
 		c, _ := w.Comm(r)
 		go func(c *Comm) {
-			_, err := c.AllreduceFloats(make([]float64, 1024), OpSum)
+			_, err := c.AllreduceFloats(make([]float64, pastOldCrossover), OpSum)
 			results <- err
 		}(c)
 	}
-	time.Sleep(20 * time.Millisecond) // let the ring stall on absent rank 0
+	time.Sleep(20 * time.Millisecond) // let the tree stall on absent rank 0
 
 	c0, _ := w.Comm(0)
 	c0.Abort(4)
@@ -198,23 +194,28 @@ func TestChaosAbortDuringRingCollective(t *testing.T) {
 		select {
 		case err := <-results:
 			if !errors.Is(err, ErrAborted) {
-				t.Fatalf("ring allreduce returned %v, want ErrAborted", err)
+				t.Fatalf("allreduce returned %v, want ErrAborted", err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("abort left a rank blocked mid-ring")
+			t.Fatal("abort left a rank blocked in the allreduce")
 		}
 	}
 }
 
-// TestChaosPeerLostMidRing injects a peer-loss verdict while
-// survivors sit mid-ring: rank 0 never enters the forced-ring Allreduce, so
-// its ring successor blocks on a receive only rank 0 could satisfy. Declaring
-// rank 0 dead must fail that receive with *ErrPeerLost; the observing rank
-// escalates to Abort exactly as the MPH handshake does, which unblocks the
-// remaining survivors with the typed abort error. Every survivor must end
-// with one of the two typed failures — zero hangs.
+// TestChaosPeerLostMidRing injects a peer-loss verdict while survivors sit
+// inside an Allreduce of a payload the ring once took, now the flat tree's:
+// rank 0, the tree's root, never enters it, so ranks 1 and 2 block on the
+// broadcast only rank 0 could send. Declaring rank 0 dead must fail those
+// receives with *ErrPeerLost; the observing rank escalates to Abort exactly
+// as the MPH handshake does, which unblocks rank 3, waiting on rank 2, with
+// the typed abort error. Every survivor must end with one of the two typed
+// failures — zero hangs.
 func TestChaosPeerLostMidRing(t *testing.T) {
-	w := newRingWorld(t, 4)
+	w, err := NewWorld(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 
 	type outcome struct {
 		rank int
@@ -224,14 +225,14 @@ func TestChaosPeerLostMidRing(t *testing.T) {
 	for r := 1; r < 4; r++ {
 		c, _ := w.Comm(r)
 		go func(c *Comm) {
-			_, err := c.AllreduceFloats(make([]float64, 1024), OpSum)
+			_, err := c.AllreduceFloats(make([]float64, pastOldCrossover), OpSum)
 			if _, lost := IsPeerLost(err); lost {
 				c.Abort(3) // escalate collective peer-loss, like core.handshake
 			}
 			results <- outcome{rank: c.Rank(), err: err}
 		}(c)
 	}
-	time.Sleep(20 * time.Millisecond) // let the ring stall on absent rank 0
+	time.Sleep(20 * time.Millisecond) // let the tree stall on absent rank 0
 
 	cause := errors.New("injected: rank 0 crashed")
 	for r := 1; r < 4; r++ {
@@ -243,7 +244,7 @@ func TestChaosPeerLostMidRing(t *testing.T) {
 		select {
 		case o := <-results:
 			if o.err == nil {
-				t.Fatalf("rank %d: ring allreduce succeeded without rank 0", o.rank)
+				t.Fatalf("rank %d: allreduce succeeded without rank 0", o.rank)
 			}
 			if rank, lost := IsPeerLost(o.err); lost {
 				sawPeerLost = true
@@ -254,11 +255,11 @@ func TestChaosPeerLostMidRing(t *testing.T) {
 				t.Errorf("rank %d: error %v is neither ErrPeerLost nor ErrAborted", o.rank, o.err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatal("peer loss left a survivor blocked mid-ring")
+			t.Fatal("peer loss left a survivor blocked in the allreduce")
 		}
 	}
 	if !sawPeerLost {
-		t.Error("no survivor observed ErrPeerLost (rank 0's ring successor should)")
+		t.Error("no survivor observed ErrPeerLost (rank 0's children should)")
 	}
 }
 

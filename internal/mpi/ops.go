@@ -38,8 +38,7 @@ func (op Op) String() string {
 // and fold the incoming payload into the accumulator's storage, returning
 // it: reductions run once per received message, so a decode/combine/encode
 // round trip here is the dominant allocation source of every typed
-// reduction (and of the ring allreduce, which combines one chunk per ring
-// step), and an accumulator that stays put is what lets the tree receive
+// reduction, and an accumulator that stays put is what lets the tree receive
 // every child's payload into one buffer (reduceTree).
 
 func combineFloats(op Op) func(acc, in []byte) ([]byte, error) {
@@ -118,8 +117,7 @@ func combineCheck(op Op, acc, in []byte) error {
 // MPI_IN_PLACE. On the small-payload paths the call allocates nothing: xs
 // goes out as it lies on a little-endian host (floatPayload), the
 // collective works in the communicator's scratch and the result is decoded
-// from there into xs. The 8-byte element encoding lets the size-based
-// selector use the ring algorithm for large slices.
+// from there into xs.
 func (c *Comm) AllreduceFloats(xs []float64, op Op) ([]float64, error) {
 	out, _, err := c.allreduce(floatPayload(xs), 8, combineFloats(op))
 	if err == nil {
@@ -132,9 +130,7 @@ func (c *Comm) AllreduceFloats(xs []float64, op Op) ([]float64, error) {
 }
 
 // AllreduceInts combines xs elementwise across ranks and writes the result
-// into xs, at every rank, and returns xs, as AllreduceFloats does. The
-// 8-byte element encoding lets the size-based selector use the ring
-// algorithm for large slices.
+// into xs, at every rank, and returns xs, as AllreduceFloats does.
 func (c *Comm) AllreduceInts(xs []int64, op Op) ([]int64, error) {
 	out, _, err := c.allreduce(encodeInts(xs), 8, combineInts(op))
 	if err == nil {

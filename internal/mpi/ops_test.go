@@ -3,37 +3,39 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mph/internal/mpi/perf"
 )
 
 // TestAllreduceFloatsInPlace holds the typed allreduces to MPI_IN_PLACE on
-// every algorithm choose can pick: the returned slice is the operand, and it
-// holds, bit for bit, a reference folded in rank order. The operands are
+// every algorithm choose can pick, and on the tree past the scratch at the
+// size the ring allreduce once took: the returned slice is the operand, and
+// it holds, bit for bit, a reference folded in rank order. The operands are
 // multiples of 1/8 whose sums are exact, so every bracketing the algorithms
 // use gives the reference's bits.
 func TestAllreduceFloatsInPlace(t *testing.T) {
-	const elems = 7 // more than the ring's five chunks, not a multiple of them
 	operand := func(rank, i int) float64 { return float64((rank+1)*(i+3)*(1-2*(i%2))) / 8 }
 	cases := []struct {
 		name  string
 		hosts []string // one label a rank; "" is none
-		ring  bool
+		elems int
 		alg   func(perf.CollSnap) uint64 // the counter the path bumps
 	}{
-		{"one-rank", []string{""}, false, func(s perf.CollSnap) uint64 { return s.Tree }},
-		{"pair", []string{"", ""}, false, func(s perf.CollSnap) uint64 { return s.Tree }},
-		{"tree-3", []string{"", "", ""}, false, func(s perf.CollSnap) uint64 { return s.Tree }},
-		{"tree-5", []string{"", "", "", "", ""}, false, func(s perf.CollSnap) uint64 { return s.Tree }},
-		{"ring-5", []string{"", "", "", "", ""}, true, func(s perf.CollSnap) uint64 { return s.Ring }},
-		{"two-level-3+2", []string{"hA", "hA", "hA", "hB", "hB"}, false, func(s perf.CollSnap) uint64 { return s.Hier }},
+		{"one-rank", []string{""}, 7, func(s perf.CollSnap) uint64 { return s.Tree }},
+		{"pair", []string{"", ""}, 7, func(s perf.CollSnap) uint64 { return s.Tree }},
+		{"tree-3", []string{"", "", ""}, 7, func(s perf.CollSnap) uint64 { return s.Tree }},
+		{"tree-5", []string{"", "", "", "", ""}, 7, func(s perf.CollSnap) uint64 { return s.Tree }},
+		// 256 KiB and 7 elements more: where the ring row once started.
+		{"ring-5", []string{"", "", "", "", ""}, 256<<10/8 + 7, func(s perf.CollSnap) uint64 { return s.Tree }},
+		{"two-level-3+2", []string{"hA", "hA", "hA", "hB", "hB"}, 7, func(s perf.CollSnap) uint64 { return s.Hier }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := len(tc.hosts)
-			var sum, max [elems]float64
-			var isum [elems]int64
+			n, elems := len(tc.hosts), tc.elems
+			sum, max := make([]float64, elems), make([]float64, elems)
+			isum := make([]int64, elems)
 			for i := range sum {
 				max[i] = math.Inf(-1)
 				for r := 0; r < n; r++ {
@@ -45,9 +47,6 @@ func TestAllreduceFloatsInPlace(t *testing.T) {
 			}
 			w := newHierWorld(t, tc.hosts)
 			err := w.Run(func(c *Comm) error {
-				if tc.ring {
-					SetRingThreshold(c, 0)
-				}
 				for _, op := range []Op{OpSum, OpMax} {
 					xs := make([]float64, elems)
 					for i := range xs {
@@ -78,8 +77,8 @@ func TestAllreduceFloatsInPlace(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if &out[0] != &is[0] || [elems]int64(is) != isum {
-					return fmt.Errorf("ints: %v at %p, want %v in the operand at %p", out, &out[0], isum, &is[0])
+				if &out[0] != &is[0] || !slices.Equal(is, isum) {
+					return fmt.Errorf("ints: result at %p differs from the reference or is not the operand at %p", &out[0], &is[0])
 				}
 				return nil
 			})

@@ -88,15 +88,14 @@ func (op CollOp) String() string {
 // to by the selector (DESIGN.md "Collective algorithms").
 type CollAlg uint8
 
-// Algorithm families tracked per collective op. Tree covers the
-// latency-optimal binomial-tree shapes; Ring covers the bandwidth-optimal
-// reduce-scatter+ring allreduce; Hier covers the two-level host-aware shape
-// (intra-host phase, one leader per host for the inter-host phase, local
-// fan-out). A Hier invocation's leader phase selects again on the leader
-// sub-communicator, so Hier selections also increment Tree/Ring.
+// Algorithm families tracked per collective op. Tree covers the binomial-
+// tree shapes (the two-rank pair included); Hier covers the two-level
+// host-aware shape (intra-host phase, one leader per host for the
+// inter-host phase, local fan-out). A Hier invocation's leader phase
+// selects again on the leader sub-communicator, so Hier selections also
+// increment Tree.
 const (
 	AlgTree CollAlg = iota
-	AlgRing
 	AlgHier
 	NumCollAlgs // count sentinel, not an algorithm
 )
@@ -235,17 +234,19 @@ type EngineSnap struct {
 }
 
 // CollSnap is one collective op's counters in a Snapshot. Count and Nanos
-// cover each invocation; Tree and Ring count every algorithm-selection
-// decision, including the one a two-level collective's leader phase makes,
-// so Tree+Ring may exceed Count.
+// cover each invocation; Tree counts every algorithm-selection decision
+// that picked a flat tree, including the one a two-level collective's
+// leader phase makes, so Tree may exceed Count.
 type CollSnap struct {
 	Count uint64 `json:"count"`
 	Nanos int64  `json:"nanos"`
 	Tree  uint64 `json:"tree,omitempty"`
-	Ring  uint64 `json:"ring,omitempty"`
+	// Ring is always zero: no collective has a ring algorithm. The field
+	// stays because the benchmark harness reads it as mpi.coll_ring.
+	Ring uint64 `json:"ring,omitempty"`
 	// Hier counts invocations routed to the two-level host-aware algorithm;
-	// its sub-communicator phases select tree/ring again, so Hier overlaps
-	// Tree+Ring rather than partitioning Count with them.
+	// its sub-communicator phases select a tree again, so Hier overlaps
+	// Tree rather than partitioning Count with it.
 	Hier uint64 `json:"hier,omitempty"`
 	// MaxNanos is the slowest single invocation — a rank whose
 	// max dwarfs its peers' was waiting on a straggler (or was one).
@@ -615,9 +616,8 @@ func (r *Rank) Snapshot() Snapshot {
 	for op := CollOp(0); op < NumCollOps; op++ {
 		count := r.coll[op].count.Load()
 		tree := r.collAlg[op][AlgTree].Load()
-		ring := r.collAlg[op][AlgRing].Load()
 		hier := r.collAlg[op][AlgHier].Load()
-		if count == 0 && tree == 0 && ring == 0 && hier == 0 {
+		if count == 0 && tree == 0 && hier == 0 {
 			continue
 		}
 		if s.Collectives == nil {
@@ -627,7 +627,6 @@ func (r *Rank) Snapshot() Snapshot {
 			Count:    count,
 			Nanos:    r.coll[op].ns.Load(),
 			Tree:     tree,
-			Ring:     ring,
 			Hier:     hier,
 			MaxNanos: r.coll[op].maxNS.Load(),
 		}

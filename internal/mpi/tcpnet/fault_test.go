@@ -620,24 +620,26 @@ func TestFaultAbortRelayedToUnconnectedRank(t *testing.T) {
 	}
 }
 
-// TestChaosDieFaultMidRing injects the MPH_FAULT "die" action so rank 4
-// crashes between two steps of a ring Allreduce — 256 KiB, the ring's
-// crossover, over five ranks, so every chunk stays eager: its connections
-// vanish mid-ring exactly as a process crash. The victim's ring successor
-// (rank 0, blocked on a chunk only rank 4 can supply) must unblock with
-// *mpi.ErrPeerLost and escalates to Abort — the handshake's policy — which
-// must unblock the remaining survivors, each waiting on its predecessor, with
-// the typed abort error — or, where the down line for rank 4 gets there
-// first, with ErrPeerLost. Every survivor must end with one of the two typed
-// failures; zero hangs.
+// TestChaosDieFaultMidRing injects the MPH_FAULT "die" action so a rank
+// crashes between two steps of one Allreduce — an 8 KiB payload over five
+// ranks, so every step is one eager frame, on the flat tree: rank 2 sends
+// its partial sum up to rank 0, receives the broadcast and dies forwarding
+// it to rank 3, so its connections vanish mid-collective exactly as a
+// process crash. (The test keeps the name it had when the collective was a
+// ring.) Rank 3, blocked on a broadcast only rank 2 can supply, must unblock
+// with *mpi.ErrPeerLost and escalate to Abort — the handshake's policy. The
+// ranks the broadcast reached finish that Allreduce and block in the next
+// one, which needs rank 2's contribution: each must end there with
+// ErrPeerLost or the typed abort error. Every survivor must end with one of
+// the two typed failures; zero hangs.
 func TestChaosDieFaultMidRing(t *testing.T) {
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
-	// Frames from rank 4: one ring chunk per reduce-scatter step. after=1
-	// lets step 0 through and kills the rank on its step 1 send — genuinely
-	// mid-ring. The die action hangs up its session too, so the launcher
-	// tells every survivor.
-	t.Setenv(EnvFault, "die,rank=4,after=1")
+	// Eager frames from rank 2: its reduce send, then its broadcast
+	// forward. after=1 lets the first through and kills the rank on the
+	// second — between two steps of one collective. The die action hangs up
+	// its session too, so the launcher tells every survivor.
+	t.Setenv(EnvFault, "die,rank=2,after=1")
 
 	// The die action calls osExit after severing; in-test the "process" is a
 	// goroutine, so death is modelled as goroutine exit.
@@ -645,7 +647,7 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	osExit = func(int) { runtime.Goexit() }
 	t.Cleanup(func() { osExit = oldExit })
 
-	const n, victim = 5, 4
+	const n, victim, elems = 5, 2, 1024
 	trs, envs := startWorld(t, n)
 	defer func() {
 		for r, env := range envs {
@@ -669,7 +671,10 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			world := mpi.WorldComm(envs[rank])
-			_, err := world.AllreduceInts(make([]int64, 256<<10/8), mpi.OpSum)
+			var err error
+			for round := 0; round < 2 && err == nil; round++ {
+				_, err = world.AllreduceInts(make([]int64, elems), mpi.OpSum)
+			}
 			if rank == victim {
 				return // unreachable: the die fault Goexits this goroutine
 			}
@@ -685,14 +690,14 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("chaos watchdog expired: a rank is hung mid-ring")
+		t.Fatal("chaos watchdog expired: a rank is hung mid-collective")
 	}
 	close(outcomes)
 	got, sawPeerLost := 0, false
 	for o := range outcomes {
 		got++
 		if o.err == nil {
-			t.Errorf("rank %d: ring allreduce succeeded without rank %d", o.rank, victim)
+			t.Errorf("rank %d: two allreduces succeeded without rank %d", o.rank, victim)
 			continue
 		}
 		if rank, lost := mpi.IsPeerLost(o.err); lost {
@@ -708,10 +713,10 @@ func TestChaosDieFaultMidRing(t *testing.T) {
 		t.Fatalf("got %d survivor outcomes, want %d", got, n-1)
 	}
 	if !sawPeerLost {
-		t.Error("no survivor observed ErrPeerLost (the victim's ring successor should)")
+		t.Error("no survivor observed ErrPeerLost (the victim's child should)")
 	}
-	if ring := envs[0].Perf().Snapshot().Collectives["allreduce"].Ring; ring != 1 {
-		t.Errorf("rank 0 ran %d ring allreduces, want 1", ring)
+	if ar := envs[0].Perf().Snapshot().Collectives["allreduce"]; ar.Tree == 0 || ar.Ring != 0 {
+		t.Errorf("rank 0 routed its allreduces tree=%d ring=%d, want only trees", ar.Tree, ar.Ring)
 	}
 	if injected := envs[victim].Perf().Net.FaultsInjected.Load(); injected != 1 {
 		t.Errorf("FaultsInjected = %d, want 1", injected)

@@ -54,12 +54,6 @@ type Env struct {
 	// rewrites the file with the complete ring.
 	flushMu sync.Mutex
 
-	// ringFrom is the collective selector's tree-to-ring crossover of
-	// Allreduce in bytes (collective_select.go), allreduceRingFrom. Tests
-	// overwrite it before the first collective to reach one algorithm at any
-	// size; negative disables the ring.
-	ringFrom int
-
 	// hosts maps world rank -> host label, published by the transport once
 	// the rendezvous book is known. Atomic because transports learn the
 	// topology on their own goroutine while ranks may already be asking.
@@ -78,7 +72,6 @@ func NewEnv(worldRank, worldSize int, tr Transport) *Env {
 		eng:       newEngine(worldSize),
 		tr:        tr,
 		pv:        perf.NewRank(worldRank, worldSize),
-		ringFrom:  allreduceRingFrom,
 	}
 	e.pv.SetEngineCollector(e.eng.perfSnap)
 	if os.Getenv(perf.EnvTraceDir) != "" {
