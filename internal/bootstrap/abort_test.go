@@ -1,29 +1,32 @@
 package bootstrap
 
 import (
-	"bufio"
+	"bytes"
+	"io"
 	"net"
 	"testing"
 )
 
-// TestAbortFrameRoundTrip pins the session's abort message: a rank's abort
-// goes up as one line carrying its code alone (the launcher fills in the
-// origin), what the launcher writes for a code and origin is what Serve hands
-// its callback, and no other kind of line reaches the callback.
+// TestAbortFrameRoundTrip pins the session's abort record: a rank's abort
+// goes up as one record carrying its code, its origin zero (the launcher
+// fills in the origin), what the launcher writes for a code and origin is
+// what Serve hands its callback, and no other kind of record reaches the
+// callback.
 func TestAbortFrameRoundTrip(t *testing.T) {
 	rank, launcher := net.Pipe()
 	defer launcher.Close()
-	s := &Session{conn: rank, lc: NewLineConn(rank)}
+	s := &Session{conn: rank}
 	defer s.Close()
 
 	up := make(chan error, 1)
 	go func() { up <- s.Abort(7) }()
-	line, err := bufio.NewReader(launcher).ReadString('\n')
-	if err != nil {
+	record := make([]byte, 4+1+8+8)
+	if _, err := io.ReadFull(launcher, record); err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"kind":"abort","code":7}` + "\n"; line != want {
-		t.Errorf("rank's abort line = %q, want %q", line, want)
+	want := []byte{17, 0, 0, 0, kindAbort, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if !bytes.Equal(record, want) {
+		t.Errorf("rank's abort record = % x, want % x", record, want)
 	}
 	if err := <-up; err != nil {
 		t.Fatal(err)
@@ -37,12 +40,11 @@ func TestAbortFrameRoundTrip(t *testing.T) {
 		s.Serve(func(code, origin int) { got <- abort{code, origin} }, func(int, bool) {})
 		close(served)
 	}()
-	lc := NewLineConn(launcher)
 	for _, c := range cases {
-		if err := lc.Send(msg{Kind: "pong", Code: 99, Origin: 99}); err != nil {
+		if err := writeRecord(launcher, msg{Kind: kindPong, Code: 99, Origin: 99}); err != nil {
 			t.Fatal(err)
 		}
-		if err := lc.Send(msg{Kind: "abort", Code: c.code, Origin: c.origin}); err != nil {
+		if err := writeRecord(launcher, msg{Kind: kindAbort, Code: c.code, Origin: c.origin}); err != nil {
 			t.Fatal(err)
 		}
 	}

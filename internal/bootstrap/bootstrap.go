@@ -2,16 +2,15 @@
 // (MPMD) job: everything a component executable and the launcher that
 // started it must agree on, and nothing that only one of them needs. It
 // holds the MPH_* environment conventions (Env), listener addressing
-// (ListenAddr, AdvertiseAddr), LineConn — the one bounded line-JSON framing
-// of the launch plane — and both ends of the one connection a rank has to
-// its launcher: the session, which registers the rank at the rendezvous,
-// brings back the endpoint book, and then stays open for the whole job to
-// carry clock sync, telemetry reports and aborts (Session on the rank,
-// Rendezvous in the launcher).
+// (ListenAddr, AdvertiseAddr), and both ends of the one connection a rank
+// has to its launcher: the session, a stream of fixed binary records, which
+// registers the rank at the rendezvous, brings back the endpoint book, and
+// then stays open for the whole job to carry clock sync, telemetry reports
+// and aborts (Session on the rank, Rendezvous in the launcher).
 //
-// It is a leaf: it imports nothing heavier than sock, encoding/json and
-// mpi/perf, so a rank that links it (through tcpnet) links no process
-// spawning, no HTTP stack and not net. The launcher proper — placement,
+// It is a leaf: it imports nothing heavier than sock and wire, so a rank
+// that links it (through tcpnet) links no process spawning, no HTTP stack,
+// not net and not encoding/json. The launcher proper — placement,
 // spawners, the mphd daemon, the telemetry aggregator and its HTTP surface —
 // is package mpirun, which imports this package; the dependency arrow is
 // mpirun → bootstrap ← tcpnet (DESIGN.md §14).
@@ -141,9 +140,9 @@ func Launched() bool {
 type Endpoint struct {
 	// Addr is the rank's listener address ("ip:port"), routable from every
 	// other host of the job.
-	Addr string `json:"addr"`
+	Addr string
 	// Host is the placement host label ("" = unknown).
-	Host string `json:"host,omitempty"`
+	Host string
 }
 
 // ListenAddr maps a bind host to the address a job listener should listen

@@ -226,13 +226,12 @@ func TestRendezvousConcurrentRegistration(t *testing.T) {
 	}
 	time.Sleep(300 * time.Millisecond) // the eager ranks' lines are in flight
 	// Now the stalled connection finally registers rank 0 and reads its book.
-	lc := NewLineConn(stall)
-	if err := lc.Send(msg{Kind: "register", Rank: 0, Addr: addrFor(0)}); err != nil {
+	if err := writeRecord(stall, msg{Kind: kindRegister, Rank: 0, Addr: addrFor(0)}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		var book msg
-		if err := lc.Recv(&book); err != nil {
+		if err := readRecord(stall, &book); err != nil {
 			errs <- err
 			return
 		}

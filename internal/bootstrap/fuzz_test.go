@@ -2,7 +2,7 @@ package bootstrap
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -38,64 +38,94 @@ func (l *pipeListener) Close() error {
 	return nil
 }
 
-// FuzzSession feeds arbitrary lines to the launcher's end of the session
+// splitRecords cuts fuzz input into session records by their length
+// headers; a last record shorter than its header claims, or shorter than a
+// header, is kept as it is.
+func splitRecords(data []byte) [][]byte {
+	var out [][]byte
+	for len(data) > 0 {
+		n := len(data)
+		if n >= 4 {
+			n = min(n, 4+int(binary.LittleEndian.Uint32(data)))
+		}
+		out = append(out, data[:n])
+		data = data[n:]
+	}
+	return out
+}
+
+// whole reports whether b is exactly one record, as long as its header says.
+func whole(b []byte) bool {
+	return len(b) >= 4 && len(b) == 4+int(binary.LittleEndian.Uint32(b))
+}
+
+// FuzzSession feeds arbitrary records to the launcher's end of the session
 // wire — Serve's registration reads and duplicate check, then the session
-// handlers — over two in-memory connections of a world of 2: the first line
-// is connection 0's registration, the second connection 1's, and later lines
-// alternate between them once the book is out. Invariants: no panic; a
-// Serve that fails names the registration; one that succeeds sends each
-// connection the book of both registrations; a report reaches the aggregator
-// with a host whenever its rank registered one; Close returns once both
+// handlers — over two in-memory connections of a world of 2: the first
+// record is connection 0's registration, the second connection 1's, and
+// later records alternate between them once the book is out. Invariants: no
+// panic; a Serve that fails names the registration; one that succeeds sends
+// each connection the book of both registrations; a report reaches the
+// aggregator beside the host its rank registered; Close returns once both
 // ranks hang up.
 func FuzzSession(f *testing.F) {
+	rec := func(m msg) string { return string(m.encode()) }
 	reg := func(rank int) string {
-		return fmt.Sprintf(`{"kind":"register","rank":%d,"addr":"10.0.0.1:%d","host":"node-%d"}`, rank, 4000+rank, rank) + "\n"
+		return rec(msg{Kind: kindRegister, Rank: rank, Addr: fmt.Sprintf("10.0.0.1:%d", 4000+rank), Host: fmt.Sprintf("node-%d", rank)})
+	}
+	snap := func(s perf.Snapshot) string {
+		b, _ := s.AppendBinary(nil)
+		return string(b)
+	}
+	// over is a header claiming one byte more than a record may hold.
+	over := func(kind byte) string {
+		return string(binary.LittleEndian.AppendUint32(nil, maxRecordBytes+1)) + string(kind) + "xxxx"
 	}
 	both := reg(0) + reg(1)
 	f.Add([]byte(both))
-	f.Add([]byte(both + `{"kind":"ping","seq":1,"t0":5}` + "\n" + `{"kind":"ping","seq":2,"t0":6}` + "\n"))
-	f.Add([]byte(both + `{"kind":"report","seq":1,"snap":{"world_rank":1}}` + "\n" + `{"kind":"report","seq":2,"final":true,"snap":{"host":"h"}}` + "\n"))
-	f.Add([]byte(both + `{"kind":"abort","code":9,"origin":1}` + "\n"))
-	f.Add([]byte(both + `{"kind":"bye"}` + "\n"))                                                             // rank 0 ends cleanly: rank 1 gets a final down
-	f.Add([]byte(both + `{"kind":"report","seq":1}` + "\n" + `{"kind":"bye","final":true}` + "\n"))           // rank 1's bye
-	f.Add([]byte(both + `{"kind":"down","rank":1,"final":true}` + "\n" + `{"kind":"down","rank":-3}` + "\n")) // down lines go launcher → rank only
-	f.Add([]byte(both + `{"kind":"book","book":[{"addr":"x"}]}` + "\n" + `{"kind":"pong","ts":1}` + "\n" + reg(0) + `{"kind":"report"}` + "\n"))
-	f.Add([]byte(reg(0) + reg(2)))                                     // a rank out of range
-	f.Add([]byte(reg(-1) + reg(0)))                                    // a negative rank
-	f.Add([]byte(reg(1) + reg(1)))                                     // a duplicate rank
-	f.Add([]byte(`{"kind":"register","rank":1}` + "\n" + reg(0)))      // no address
-	f.Add([]byte(`{"kind":"ping","seq":1}` + "\n" + reg(1)))           // not a registration
-	f.Add([]byte("0 10.0.0.1:4000 node-0\n1 10.0.0.1:4001 -\n"))       // the retired text wire
-	f.Add([]byte(reg(0) + strings.TrimSuffix(reg(1), "\n")))           // a registration cut short
-	f.Add([]byte(reg(1) + strings.Repeat("x", MaxLineBytes+1) + "\n")) // an over-long line
-	// Stacks answers: one nobody asked for, empty texts, one over the line bound.
-	f.Add([]byte(both + `{"kind":"stacks","id":7,"text":"goroutine 1 [running]:"}` + "\n"))
-	f.Add([]byte(both + `{"kind":"stacks","id":1}` + "\n" + `{"kind":"stacks"}` + "\n"))
-	f.Add([]byte(both + `{"kind":"stacks","id":1,"text":"` + strings.Repeat("x", MaxLineBytes) + `"}` + "\n"))
+	f.Add([]byte(both + rec(msg{Kind: kindPing, Seq: 1, T: 5}) + rec(msg{Kind: kindPing, Seq: 2, T: 6})))
+	f.Add([]byte(both + rec(msg{Kind: kindReport, Seq: 1, Snap: snap(perf.Snapshot{WorldRank: 1})}) + rec(msg{Kind: kindReport, Seq: 2, Final: true, Snap: snap(perf.Snapshot{Host: "h"})})))
+	f.Add([]byte(both + rec(msg{Kind: kindAbort, Code: 9, Origin: 1})))
+	f.Add([]byte(both + rec(msg{Kind: kindBye})))                                                             // rank 0 ends cleanly: rank 1 gets a final down
+	f.Add([]byte(both + rec(msg{Kind: kindReport, Seq: 1}) + rec(msg{Kind: kindBye})))                        // rank 1's bye
+	f.Add([]byte(both + rec(msg{Kind: kindDown, Rank: 1, Final: true}) + rec(msg{Kind: kindDown, Rank: -3}))) // down records go launcher → rank only
+	f.Add([]byte(both + rec(msg{Kind: kindBook, Book: []Endpoint{{Addr: "x"}}}) + rec(msg{Kind: kindPong, T: 1}) + reg(0) + rec(msg{Kind: kindReport})))
+	f.Add([]byte(reg(0) + reg(2)))                                // a rank out of range
+	f.Add([]byte(reg(-1) + reg(0)))                               // a negative rank
+	f.Add([]byte(reg(1) + reg(1)))                                // a duplicate rank
+	f.Add([]byte(rec(msg{Kind: kindRegister, Rank: 1}) + reg(0))) // no address
+	f.Add([]byte(rec(msg{Kind: kindPing, Seq: 1}) + reg(1)))      // not a registration
+	f.Add([]byte("0 10.0.0.1:4000 node-0\n1 10.0.0.1:4001 -\n"))  // the retired text wire
+	f.Add([]byte(reg(0) + strings.TrimSuffix(reg(1), "1")))       // a registration cut short
+	f.Add([]byte(reg(1) + over(kindRegister)))                    // an over-long record
+	// Stacks answers: one nobody asked for, empty texts, one over the record bound.
+	f.Add([]byte(both + rec(msg{Kind: kindStacks, ID: 7, Text: "goroutine 1 [running]:"})))
+	f.Add([]byte(both + rec(msg{Kind: kindStacks, ID: 1}) + rec(msg{Kind: kindStacks})))
+	f.Add([]byte(both + over(kindStacks)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lines := bytes.SplitAfter(data, []byte("\n"))
 		var regs [2][]byte
 		var rest [2][][]byte
-		for i, l := range lines {
+		for i, r := range splitRecords(data) {
 			if i < 2 {
-				regs[i] = l
+				regs[i] = r
 			} else {
-				rest[i%2] = append(rest[i%2], l)
+				rest[i%2] = append(rest[i%2], r)
 			}
 		}
 		// What Serve will have accepted, should it succeed: the sessions read
 		// hosts, so it is filled in before they start.
 		var sent [2]msg
+		var decoded [2]error
 		hosts := map[int]string{}
 		for c := range regs {
-			if json.Unmarshal(regs[c], &sent[c]) == nil {
+			if decoded[c] = readRecord(bytes.NewBuffer(regs[c]), &sent[c]); decoded[c] == nil {
 				hosts[sent[c].Rank] = sent[c].Host
 			}
 		}
 		ln := &pipeListener{conns: make(chan net.Conn, 2), closed: make(chan struct{})}
-		rv := &Rendezvous{ln: ln, size: 2, ingest: func(rank int, snap perf.Snapshot, _ uint64, _ bool, _ time.Time) {
-			if snap.Host == "" && hosts[rank] != "" {
-				t.Errorf("rank %d's report reached the aggregator without its registered host %q", rank, hosts[rank])
+		rv := &Rendezvous{ln: ln, size: 2, ingest: func(rank int, host string, _ []byte, _ uint64, _ bool, _ time.Time) {
+			if host != hosts[rank] {
+				t.Errorf("rank %d's report reached the aggregator with host %q, registered %q", rank, host, hosts[rank])
 			}
 		}}
 		var clients [2]net.Conn
@@ -110,15 +140,14 @@ func FuzzSession(f *testing.F) {
 			go func() {
 				defer wg.Done()
 				cli.Write(regs[c])
-				if !bytes.HasSuffix(regs[c], []byte("\n")) {
-					cli.Close() // EOF ends a registration with no newline
+				if !whole(regs[c]) {
+					cli.Close() // EOF ends a registration cut short
 				}
 			}()
-			go func() { // the book, then pongs, relayed aborts and down lines until the pipe closes
+			go func() { // the book, then pongs, relayed aborts and down records until the pipe closes
 				defer wg.Done()
-				lc := NewLineConn(cli)
-				bookErr[c] <- lc.Recv(&books[c])
-				for lc.Recv(&msg{}) == nil {
+				bookErr[c] <- readRecord(cli, &books[c])
+				for readRecord(cli, &msg{}) == nil {
 				}
 			}()
 		}
@@ -134,10 +163,10 @@ func FuzzSession(f *testing.F) {
 			return
 		}
 		for c, cli := range clients {
-			if err := json.Unmarshal(regs[c], &msg{}); err != nil {
-				t.Fatalf("Serve accepted registration %q: %v", regs[c], err)
+			if decoded[c] != nil {
+				t.Fatalf("Serve accepted registration %q: %v", regs[c], decoded[c])
 			}
-			if err := <-bookErr[c]; err != nil || books[c].Kind != "book" || len(books[c].Book) != 2 {
+			if err := <-bookErr[c]; err != nil || books[c].Kind != kindBook || len(books[c].Book) != 2 {
 				t.Fatalf("connection %d: got %+v (%v), want the book of two", c, books[c], err)
 			}
 			for _, s := range sent {
@@ -149,8 +178,8 @@ func FuzzSession(f *testing.F) {
 			go func() {
 				defer wg.Done()
 				defer cli.Close()
-				for _, l := range rest[c] {
-					if _, err := cli.Write(l); err != nil {
+				for _, r := range rest[c] {
+					if _, err := cli.Write(r); err != nil {
 						return
 					}
 				}

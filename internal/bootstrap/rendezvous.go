@@ -1,14 +1,12 @@
 package bootstrap
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"mph/internal/mpi/perf"
 	"mph/internal/sock"
 )
 
@@ -28,7 +26,7 @@ type Rendezvous struct {
 	size       int
 	advertised string
 	every      time.Duration
-	ingest     func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)
+	ingest     Ingest
 
 	closed atomic.Bool
 
@@ -63,19 +61,23 @@ type session struct {
 	rank int
 	ep   Endpoint
 	conn conn
-	lc   *LineConn
 	bye  bool          // the rank said bye: its session ends cleanly
 	done chan struct{} // closed once the session has ended and the others were told
 }
 
+// Ingest takes one report off a rank's session: the rank and host the
+// session registered, the snapshot as perf.Snapshot.AppendBinary encoded
+// it (decoding it is the callee's), its sequence number, whether it is the
+// rank's final one, and when it arrived.
+type Ingest func(rank int, host string, snap []byte, seq uint64, final bool, at time.Time)
+
 // NewRendezvousBind starts the exchange on the given bind host ("" =
 // loopback, wildcard = all interfaces with a detected routable IP
 // advertised) so workers on other hosts can reach it. A non-nil ingest
-// receives every rank's reports — keyed by the rank the session registered,
-// the snapshot's host filled in from the registration when empty — and
-// makes the book ask each rank to clock-sync and report: every `every`
-// while it runs (0 = never), and once at its end.
-func NewRendezvousBind(bind string, size int, every time.Duration, ingest func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)) (*Rendezvous, error) {
+// receives every rank's reports and makes the book ask each rank to
+// clock-sync and report: every `every` while it runs (0 = never), and once
+// at its end.
+func NewRendezvousBind(bind string, size int, every time.Duration, ingest Ingest) (*Rendezvous, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("bootstrap: rendezvous for world of %d", size)
 	}
@@ -183,22 +185,18 @@ func (r *Rendezvous) Serve(timeout time.Duration) error {
 		}
 	}
 
-	book := msg{Kind: "book", Book: make([]Endpoint, r.size), Sync: r.ingest != nil, Every: int64(r.every)}
+	book := msg{Kind: kindBook, Book: make([]Endpoint, r.size), Sync: r.ingest != nil, Every: int64(r.every)}
 	for rank, s := range sessions {
 		book.Book[rank] = s.ep
 	}
-	line, err := json.Marshal(book) // LineConn's framing, encoded once for the whole world
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
+	record := book.encode() // encoded once for the whole world
 	errs := make([]error, r.size)
 	var wg sync.WaitGroup
 	for _, s := range sessions {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.conn.Write(line); err != nil {
+			if _, err := s.conn.Write(record); err != nil {
 				errs[s.rank] = fmt.Errorf("bootstrap: book to rank %d: %w", s.rank, err)
 				return
 			}
@@ -224,25 +222,24 @@ func (r *Rendezvous) admit(conn conn, deadline time.Time) (*session, error) {
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, fmt.Errorf("bootstrap: registration: %w", err)
 	}
-	lc := NewLineConn(conn)
 	var m msg
-	if err := lc.Recv(&m); err != nil {
+	if err := readRecord(conn, &m); err != nil {
 		return nil, fmt.Errorf("bootstrap: registration: %w", err)
 	}
 	switch {
-	case m.Kind != "register":
-		return nil, fmt.Errorf("bootstrap: registration expected, got a %q message", m.Kind)
+	case m.Kind != kindRegister:
+		return nil, fmt.Errorf("bootstrap: registration expected, got a kind %d record", m.Kind)
 	case m.Rank < 0 || m.Rank >= r.size:
 		return nil, fmt.Errorf("bootstrap: registration of rank %d in a world of %d", m.Rank, r.size)
 	case m.Addr == "":
 		return nil, fmt.Errorf("bootstrap: registration of rank %d has no address", m.Rank)
 	}
-	return &session{rank: m.Rank, ep: Endpoint{Addr: m.Addr, Host: m.Host}, conn: conn, lc: lc, done: make(chan struct{})}, nil
+	return &session{rank: m.Rank, ep: Endpoint{Addr: m.Addr, Host: m.Host}, conn: conn, done: make(chan struct{})}, nil
 }
 
 // serve runs one rank's session after the book until the rank hangs up, its
-// line is bad, or Close cuts it off. However it ends, that is the rank's
-// death to the job: every other open session gets a down line naming it,
+// record is bad, or Close cuts it off. However it ends, that is the rank's
+// death to the job: every other open session gets a down record naming it,
 // final if the rank said bye, and the end is numbered for Ended.
 func (r *Rendezvous) serve(s *session) {
 	defer func() {
@@ -251,31 +248,26 @@ func (r *Rendezvous) serve(s *session) {
 		r.ended = append(r.ended, s.rank)
 		r.mu.Unlock()
 		s.conn.Close()
-		r.broadcast(msg{Kind: "down", Rank: s.rank, Final: s.bye}, s.rank)
+		r.broadcast(msg{Kind: kindDown, Rank: s.rank, Final: s.bye}, s.rank)
 		close(s.done)
 	}()
 	for {
 		var m msg
-		if s.lc.Recv(&m) != nil {
+		if readRecord(s.conn, &m) != nil {
 			return
 		}
 		switch m.Kind {
-		case "ping":
-			s.send(msg{Kind: "pong", Seq: m.Seq, TS: time.Now().UnixNano()})
-		case "report":
-			var snap perf.Snapshot
-			if r.ingest == nil || json.Unmarshal(m.Snap, &snap) != nil {
-				continue
+		case kindPing:
+			s.send(msg{Kind: kindPong, Seq: m.Seq, T: time.Now().UnixNano()})
+		case kindReport:
+			if r.ingest != nil {
+				r.ingest(s.rank, s.ep.Host, []byte(m.Snap), m.Seq, m.Final, time.Now())
 			}
-			if snap.Host == "" {
-				snap.Host = s.ep.Host
-			}
-			r.ingest(s.rank, snap, m.Seq, m.Final, time.Now())
-		case "abort":
-			r.broadcast(msg{Kind: "abort", Code: m.Code, Origin: s.rank}, s.rank)
-		case "bye":
+		case kindAbort:
+			r.broadcast(msg{Kind: kindAbort, Code: m.Code, Origin: s.rank}, s.rank)
+		case kindBye:
 			s.bye = true
-		case "stacks":
+		case kindStacks:
 			r.mu.Lock()
 			if ch, ok := r.asks[m.ID]; ok {
 				ch <- m.Text // buffered, and each id is answered once
@@ -290,7 +282,7 @@ func (r *Rendezvous) serve(s *session) {
 // rank that cannot be written to ends its session on the read side.
 func (s *session) send(m msg) {
 	s.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-	s.lc.Send(m)
+	writeRecord(s.conn, m)
 }
 
 // broadcast sends m on every open session but except's.
@@ -311,7 +303,7 @@ func (r *Rendezvous) broadcast(m msg, except int) {
 // Abort tells every rank still in session that the launcher aborted the job
 // with code; their blocked MPI calls fail with origin AbortOriginLauncher.
 func (r *Rendezvous) Abort(code int) {
-	r.broadcast(msg{Kind: "abort", Code: code, Origin: AbortOriginLauncher}, AbortOriginLauncher)
+	r.broadcast(msg{Kind: kindAbort, Code: code, Origin: AbortOriginLauncher}, AbortOriginLauncher)
 }
 
 // Stacks asks rank for every goroutine's stack over its session and waits
@@ -330,7 +322,7 @@ func (r *Rendezvous) Stacks(rank int, timeout time.Duration) (string, error) {
 	r.asks[id] = answer
 	r.mu.Unlock()
 
-	s.send(msg{Kind: "stacks", ID: id})
+	s.send(msg{Kind: kindStacks, ID: id})
 	var err error
 	select {
 	case text := <-answer:

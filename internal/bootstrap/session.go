@@ -1,63 +1,30 @@
 package bootstrap
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
 
-	"mph/internal/mpi/perf"
 	"mph/internal/sock"
 )
 
 // A rank's session is its one connection to the launcher: the connection it
-// registers on at the rendezvous, held open until the rank exits. It is
-// LineConn framing, one JSON message a line:
-//
-//	rank → launcher   {"kind":"register","rank":R,"addr":"ip:port","host":H}
-//	launcher → rank   {"kind":"book","book":[{"addr":A,"host":H},…],"sync":S,"every":ns}
-//	rank → launcher   {"kind":"ping","seq":k,"t0":<rank clock ns>}        ×8, when S
-//	launcher → rank   {"kind":"pong","seq":k,"ts":<launcher clock ns>}
-//	rank → launcher   {"kind":"report","seq":n,"final":F,"snap":{…}}     when S
-//	either way        {"kind":"abort","code":C,"origin":O}
-//	rank → launcher   {"kind":"bye"}                                    on a clean Close
-//	launcher → rank   {"kind":"down","rank":R,"final":F}
-//	launcher → rank   {"kind":"stacks","id":N}
-//	rank → launcher   {"kind":"stacks","id":N,"text":<every goroutine's stack>}
-//
-// The book goes out once every rank of the world has registered. S says the
-// launcher aggregates telemetry: the rank clock-syncs right after the book,
-// reports every `every` nanoseconds (0 = no live reports) and once more,
-// final, when its transport closes or the job aborts. A rank's abort is
-// relayed by the launcher to every other session with origin set to the
-// sender's rank; the launcher's own carries AbortOriginLauncher. The launcher
-// reads EOF when the rank hangs up, so once every session has ended every
-// report a rank sent is in. A rank's session ending is its death to the job:
-// the launcher writes down on every other session, F saying whether the rank
-// said bye first (a clean Close, not a crash). A stacks ask is answered
-// under its id with the rank's goroutine dump. A report's snapshot is
-// encoded on its own: a rank that never reports never builds perf.Snapshot's
-// encoder, a quarter of a millisecond of its start-up.
-type msg struct {
-	Kind   string          `json:"kind"`
-	Rank   int             `json:"rank,omitempty"`
-	Addr   string          `json:"addr,omitempty"`
-	Host   string          `json:"host,omitempty"`
-	Book   []Endpoint      `json:"book,omitempty"`
-	Sync   bool            `json:"sync,omitempty"`
-	Every  int64           `json:"every,omitempty"`
-	Seq    uint64          `json:"seq,omitempty"`
-	T0     int64           `json:"t0,omitempty"`
-	TS     int64           `json:"ts,omitempty"`
-	Final  bool            `json:"final,omitempty"`
-	Snap   json.RawMessage `json:"snap,omitempty"`
-	Code   int             `json:"code,omitempty"`
-	Origin int             `json:"origin,omitempty"`
-	ID     uint64          `json:"id,omitempty"`
-	Text   string          `json:"text,omitempty"`
-}
+// registers on at the rendezvous, held open until the rank exits. It is a
+// stream of binary records, one message each; record.go lists the kinds with
+// their directions and fields. The book goes out once every rank of the
+// world has registered. Its sync flag says the launcher aggregates
+// telemetry: the rank clock-syncs right after the book, reports every
+// `every` nanoseconds (0 = no live reports) and once more, final, when its
+// transport closes or the job aborts. A rank's abort is relayed by the
+// launcher to every other session with origin set to the sender's rank; the
+// launcher's own carries AbortOriginLauncher. The launcher reads EOF when
+// the rank hangs up, so once every session has ended every report a rank
+// sent is in. A rank's session ending is its death to the job: the launcher
+// writes down on every other session, final saying whether the rank said
+// bye first (a clean Close, not a crash). A stacks ask is answered under its
+// id with the rank's goroutine dump.
 
 // AbortOriginLauncher is the origin rank of an abort the launcher itself
 // decided on; a rank's abort carries that rank.
@@ -87,7 +54,6 @@ type conn interface {
 // aborts up, and hands the launcher's aborts to Serve's callback.
 type Session struct {
 	conn conn
-	lc   *LineConn
 	seq  atomic.Uint64 // last report sequence number
 
 	book      []Endpoint
@@ -110,7 +76,7 @@ func Register(rendezvous string, rank int, self Endpoint, timeout time.Duration)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: dial rendezvous %s=%s: %w", EnvRendezvous, rendezvous, err)
 	}
-	s := &Session{conn: conn, lc: NewLineConn(conn)}
+	s := &Session{conn: conn}
 	if err := s.open(rank, self, timeout); err != nil {
 		conn.Close()
 		return nil, err
@@ -123,15 +89,15 @@ func (s *Session) open(rank int, self Endpoint, timeout time.Duration) error {
 	if err := s.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return err
 	}
-	if err := s.lc.Send(msg{Kind: "register", Rank: rank, Addr: self.Addr, Host: self.Host}); err != nil {
+	if err := writeRecord(s.conn, msg{Kind: kindRegister, Rank: rank, Addr: self.Addr, Host: self.Host}); err != nil {
 		return fmt.Errorf("bootstrap: register rank %d: %w", rank, err)
 	}
 	var book msg
-	if err := s.lc.Recv(&book); err != nil {
+	if err := readRecord(s.conn, &book); err != nil {
 		return fmt.Errorf("bootstrap: rank %d: read book: %w", rank, err)
 	}
-	if book.Kind != "book" || rank >= len(book.Book) {
-		return fmt.Errorf("bootstrap: rank %d: got a %q message of %d endpoints, want the book", rank, book.Kind, len(book.Book))
+	if book.Kind != kindBook || rank >= len(book.Book) {
+		return fmt.Errorf("bootstrap: rank %d: got a kind %d record of %d endpoints, want the book", rank, book.Kind, len(book.Book))
 	}
 	s.book, s.reporting, s.every = book.Book, book.Sync, time.Duration(book.Every)
 	if book.Sync {
@@ -148,28 +114,28 @@ func (s *Session) clockSync() {
 	for i := 0; i < DefaultClockSyncRounds; i++ {
 		s.conn.SetDeadline(time.Now().Add(ioTimeout))
 		t0 := time.Now().UnixNano()
-		if s.lc.Send(msg{Kind: "ping", Seq: uint64(i), T0: t0}) != nil {
+		if writeRecord(s.conn, msg{Kind: kindPing, Seq: uint64(i), T: t0}) != nil {
 			break
 		}
 		pong, ok := s.nextPong()
 		if !ok {
 			break
 		}
-		samples = append(samples, ClockSample{T0: t0, TS: pong.TS, T3: time.Now().UnixNano()})
+		samples = append(samples, ClockSample{T0: t0, TS: pong.T, T3: time.Now().UnixNano()})
 	}
 	s.offset, s.bound, s.synced = EstimateClockOffset(samples)
 }
 
 // nextPong reads up to the next pong. The book is out, so the launcher may
-// already be asking or telling — a stacks ask, an abort, a down line — and
-// each such line is kept, in order, for Serve.
+// already be asking or telling — a stacks ask, an abort, a down record — and
+// each such record is kept, in order, for Serve.
 func (s *Session) nextPong() (msg, bool) {
 	for {
 		var m msg
-		if s.lc.Recv(&m) != nil {
+		if readRecord(s.conn, &m) != nil {
 			return msg{}, false
 		}
-		if m.Kind == "pong" {
+		if m.Kind == kindPong {
 			return m, true
 		}
 		s.early = append(s.early, m)
@@ -191,47 +157,43 @@ func (s *Session) ClockOffset() (offset, bound int64, ok bool) {
 	return s.offset, s.bound, s.synced
 }
 
-// Report sends one snapshot to the launcher's aggregator; a launcher that
-// takes no reports (ReportEvery) drops it. Reports carry a sequence number
-// so the aggregator can drop one overtaken by a newer; final marks the
-// rank's last.
-func (s *Session) Report(snap perf.Snapshot, final bool) error {
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
-	return s.send(msg{Kind: "report", Seq: s.seq.Add(1), Final: final, Snap: raw})
+// Report sends one snapshot, encoded by perf.Snapshot.AppendBinary, to the
+// launcher's aggregator; a launcher that takes no reports (ReportEvery)
+// drops it. Reports carry a sequence number so the aggregator can drop one
+// overtaken by a newer; final marks the rank's last.
+func (s *Session) Report(snap []byte, final bool) error {
+	return s.send(msg{Kind: kindReport, Seq: s.seq.Add(1), Final: final, Snap: string(snap)})
 }
 
-// Bye tells the launcher the session is about to end cleanly: the down line
+// Bye tells the launcher the session is about to end cleanly: the down record
 // the other ranks get says so.
-func (s *Session) Bye() error { return s.send(msg{Kind: "bye"}) }
+func (s *Session) Bye() error { return s.send(msg{Kind: kindBye}) }
 
 // Abort tells the launcher this rank aborted the job with code; the
 // launcher relays it to every other rank.
 func (s *Session) Abort(code int) error {
-	return s.send(msg{Kind: "abort", Code: code})
+	return s.send(msg{Kind: kindAbort, Code: code})
 }
 
 func (s *Session) send(m msg) error {
 	s.conn.SetWriteDeadline(time.Now().Add(ioTimeout))
-	return s.lc.Send(m)
+	return writeRecord(s.conn, m)
 }
 
 // Serve reads what the launcher sends after the book until the session
 // ends — Close, or the launcher hanging up — hands every abort to onAbort
-// and every down line to onDown, and answers every stacks ask. The rank a
-// down line names comes from outside the process: onDown checks it. Only one
+// and every down record to onDown, and answers every stacks ask. The rank a
+// down record names comes from outside the process: onDown checks it. Only one
 // goroutine may serve a session.
 func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, final bool)) {
 	handle := func(m msg) {
 		switch m.Kind {
-		case "abort":
+		case kindAbort:
 			onAbort(m.Code, m.Origin)
-		case "down":
+		case kindDown:
 			onDown(m.Rank, m.Final)
-		case "stacks":
-			s.send(msg{Kind: "stacks", ID: m.ID, Text: goroutineStacks(maxStacksBytes)}) //nolint:errcheck // a launcher that misses it times the ask out
+		case kindStacks:
+			s.send(msg{Kind: kindStacks, ID: m.ID, Text: goroutineStacks(maxStacksBytes)}) //nolint:errcheck // a launcher that misses it times the ask out
 		}
 	}
 	for _, m := range s.early {
@@ -240,7 +202,7 @@ func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, fi
 	s.early = nil
 	for {
 		var m msg
-		if s.lc.Recv(&m) != nil {
+		if readRecord(s.conn, &m) != nil {
 			return
 		}
 		handle(m)
@@ -248,7 +210,7 @@ func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, fi
 }
 
 // maxStacksBytes caps the dump a stacks answer carries, far inside
-// MaxLineBytes even with JSON's escapes; stacksTruncated ends a dump cut there.
+// maxRecordBytes; stacksTruncated ends a dump cut there.
 const maxStacksBytes, stacksTruncated = 1 << 20, "\n... goroutine dump truncated\n"
 
 // goroutineStacks returns runtime.Stack's dump of every goroutine, the text

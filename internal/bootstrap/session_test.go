@@ -186,9 +186,15 @@ func TestSessionDownRelay(t *testing.T) {
 	}
 }
 
+// encoded is snap as a rank's session report carries it.
+func encoded(snap perf.Snapshot) []byte {
+	b, _ := snap.AppendBinary(nil)
+	return b
+}
+
 // TestSessionReportsBeforeClose: with an aggregator attached, the book asks
 // every rank to clock-sync and report, each report lands keyed by the
-// session's rank with its host filled in from the registration, and once
+// session's rank with the host the rank registered beside it, and once
 // Close returns — every rank having hung up — every final report is in,
 // with no waiting on the caller's side.
 func TestSessionReportsBeforeClose(t *testing.T) {
@@ -200,7 +206,14 @@ func TestSessionReportsBeforeClose(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []report
-	ingest := func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time) {
+	ingest := func(rank int, host string, raw []byte, seq uint64, final bool, at time.Time) {
+		var snap perf.Snapshot
+		if err := snap.UnmarshalBinary(raw); err != nil {
+			t.Errorf("rank %d's report does not decode: %v", rank, err)
+		}
+		if snap.Host == "" {
+			snap.Host = host
+		}
 		mu.Lock()
 		got = append(got, report{rank, snap.Host, final})
 		mu.Unlock()
@@ -223,10 +236,10 @@ func TestSessionReportsBeforeClose(t *testing.T) {
 		if _, bound, ok := s.ClockOffset(); !ok || bound < 0 {
 			t.Errorf("rank %d: clock sync failed over loopback (ok=%v bound=%d)", rank, ok, bound)
 		}
-		if err := s.Report(perf.Snapshot{WorldRank: 1 - rank}, false); err != nil {
+		if err := s.Report(encoded(perf.Snapshot{WorldRank: 1 - rank}), false); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Report(perf.Snapshot{Host: "own"}, true); err != nil {
+		if err := s.Report(encoded(perf.Snapshot{Host: "own"}), true); err != nil {
 			t.Fatal(err)
 		}
 		s.Close()

@@ -12,20 +12,19 @@ import (
 func TestSessionAnswersStacks(t *testing.T) {
 	rank, launcher := net.Pipe()
 	defer launcher.Close()
-	s := &Session{conn: rank, lc: NewLineConn(rank)}
+	s := &Session{conn: rank}
 	defer s.Close()
 	go s.Serve(func(int, int) {}, func(int, bool) {})
 
-	lc := NewLineConn(launcher)
-	if err := lc.Send(msg{Kind: "stacks", ID: 42}); err != nil {
+	if err := writeRecord(launcher, msg{Kind: kindStacks, ID: 42}); err != nil {
 		t.Fatal(err)
 	}
 	var answer msg
-	if err := lc.Recv(&answer); err != nil {
+	if err := readRecord(launcher, &answer); err != nil {
 		t.Fatal(err)
 	}
-	if answer.Kind != "stacks" || answer.ID != 42 {
-		t.Fatalf("answer %q id %d, want stacks id 42", answer.Kind, answer.ID)
+	if answer.Kind != kindStacks || answer.ID != 42 {
+		t.Fatalf("answer kind %d id %d, want stacks id 42", answer.Kind, answer.ID)
 	}
 	if !strings.Contains(answer.Text, "bootstrap.(*Session).Serve") {
 		t.Errorf("dump does not show the session's Serve:\n%s", answer.Text)
@@ -40,7 +39,7 @@ func TestSessionKeepsLinesSentDuringClockSync(t *testing.T) {
 	rank, launcher := net.Pipe()
 	defer launcher.Close()
 	launcher.SetDeadline(time.Now().Add(10 * time.Second)) // a sync cut short sends no more pings
-	s := &Session{conn: rank, lc: NewLineConn(rank)}
+	s := &Session{conn: rank}
 	defer s.Close()
 	synced := make(chan struct{})
 	go func() {
@@ -48,18 +47,17 @@ func TestSessionKeepsLinesSentDuringClockSync(t *testing.T) {
 		close(synced)
 	}()
 
-	lc := NewLineConn(launcher)
 	for i := 0; i < DefaultClockSyncRounds; i++ {
 		var ping msg
-		if err := lc.Recv(&ping); err != nil {
+		if err := readRecord(launcher, &ping); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			if lc.Send(msg{Kind: "stacks", ID: 7}) != nil || lc.Send(msg{Kind: "down", Rank: 3}) != nil {
+			if writeRecord(launcher, msg{Kind: kindStacks, ID: 7}) != nil || writeRecord(launcher, msg{Kind: kindDown, Rank: 3}) != nil {
 				t.Fatal("launcher send failed")
 			}
 		}
-		if err := lc.Send(msg{Kind: "pong", Seq: ping.Seq, TS: time.Now().UnixNano()}); err != nil {
+		if err := writeRecord(launcher, msg{Kind: kindPong, Seq: ping.Seq, T: time.Now().UnixNano()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,11 +69,11 @@ func TestSessionKeepsLinesSentDuringClockSync(t *testing.T) {
 	downs := make(chan int, 1)
 	go s.Serve(func(int, int) {}, func(rank int, _ bool) { downs <- rank })
 	var answer msg
-	if err := lc.Recv(&answer); err != nil {
+	if err := readRecord(launcher, &answer); err != nil {
 		t.Fatal(err)
 	}
-	if answer.Kind != "stacks" || answer.ID != 7 {
-		t.Errorf("answer %q id %d, want stacks id 7", answer.Kind, answer.ID)
+	if answer.Kind != kindStacks || answer.ID != 7 {
+		t.Errorf("answer kind %d id %d, want stacks id 7", answer.Kind, answer.ID)
 	}
 	select {
 	case r := <-downs:
@@ -120,7 +118,7 @@ func TestRendezvousStacks(t *testing.T) {
 	defer sessions[1].Close()
 
 	// Rank 1 reads nothing yet; it only sends an answer nobody asked for.
-	if err := sessions[1].send(msg{Kind: "stacks", ID: 1 << 40, Text: "stray"}); err != nil {
+	if err := sessions[1].send(msg{Kind: kindStacks, ID: 1 << 40, Text: "stray"}); err != nil {
 		t.Fatal(err)
 	}
 	const timeout = 300 * time.Millisecond

@@ -34,6 +34,8 @@ import (
 	"syscall"
 	"time"
 	"unsafe"
+
+	"mph/internal/wire"
 )
 
 // Environment variables consulted by the substrate's observability hooks.
@@ -346,6 +348,71 @@ type Snapshot struct {
 
 	Net   NetSnap   `json:"net"`
 	Trace TraceSnap `json:"trace"`
+}
+
+// AppendBinary appends the snapshot's binary encoding (package wire) to b:
+// what a rank's session report carries. The error is always nil.
+func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
+	c := wire.NewEncoder(b)
+	s.fields(c)
+	return c.Bytes(), nil
+}
+
+// UnmarshalBinary decodes AppendBinary's encoding into s, a zero Snapshot,
+// allocating no more than data could hold.
+func (s *Snapshot) UnmarshalBinary(data []byte) error {
+	c := wire.NewDecoder(data)
+	s.fields(c)
+	return c.Err()
+}
+
+// fields codes every field of s, for both AppendBinary and UnmarshalBinary.
+func (s *Snapshot) fields(c *wire.Codec) {
+	e, n, tr := &s.Engine, &s.Net, &s.Trace
+	for _, p := range [...]*int{&s.WorldRank, &s.WorldSize, &s.PID, &e.UMQDepth, &e.UMQHighWater,
+		&e.PRQDepth, &e.PRQHighWater, &tr.Capacity, &tr.Sample} {
+		wire.Int(c, p)
+	}
+	for _, p := range [...]*int64{&s.PeakRSSKB, &s.CapturedUnixNS, &s.ClockOffsetNS, &s.ClockErrBoundNS} {
+		wire.Int(c, p)
+	}
+	for _, p := range [...]*uint64{&s.GCCycles, &s.AllocBytes, &e.MatchesUnexpected, &e.MatchesPosted,
+		&s.TotalSentMsgs, &s.TotalSentBytes, &s.TotalRecvMsgs, &s.TotalRecvBytes, &s.CommSplits, &s.CommDups,
+		&s.CommJoins, &n.FramesOut, &n.FramesIn, &n.BytesOut, &n.BytesIn, &n.Dials, &n.DialRetries,
+		&n.PeersLost, &n.AbortsOut, &n.AbortsIn, &n.FaultsInjected, &n.RTSOut, &n.RTSIn, &n.CTSOut,
+		&n.CTSIn, &n.RDataOut, &n.RDataIn, &n.ShmChannels, &n.ShmRDataOut, &n.ShmRDataIn, &n.ShmBytesOut,
+		&n.ShmBytesIn, &n.ShmFallbacks, &tr.Recorded, &tr.Dropped} {
+		wire.Int(c, p)
+	}
+	for _, p := range [...]*[]uint64{&e.RecvMsgs, &e.RecvBytes, &s.SentMsgs, &s.SentBytes} {
+		*p = wire.Slice(c, *p, 8)
+		for i := range *p {
+			wire.Int(c, &(*p)[i])
+		}
+	}
+	c.String(&s.Component)
+	c.String(&s.Host)
+	c.Bool(&tr.Enabled)
+	// Collectives: a count, then each op's name and six counters.
+	names := make([]string, 0, len(s.Collectives))
+	for name := range s.Collectives {
+		names = append(names, name)
+	}
+	if names = wire.Slice(c, names, 4+6*8); c.Decoding() && len(names) > 0 {
+		s.Collectives = make(map[string]CollSnap, len(names))
+	}
+	for _, name := range names {
+		v := s.Collectives[name]
+		c.String(&name)
+		for _, p := range [...]*uint64{&v.Count, &v.Tree, &v.Ring, &v.Hier} {
+			wire.Int(c, p)
+		}
+		wire.Int(c, &v.Nanos)
+		wire.Int(c, &v.MaxNanos)
+		if c.Decoding() {
+			s.Collectives[name] = v
+		}
+	}
 }
 
 // CollNanos sums the cumulative wall time of every collective op.

@@ -142,10 +142,13 @@ func TestChaosModelWaitsOnSecondSegment(t *testing.T) {
 	})
 	t.Run("abort", func(t *testing.T) {
 		// Coupler rank 1 is held just before that send, and aborts once the
-		// ice rank has its first segment.
+		// ice rank has its first segment and has sent its field to both
+		// coupler ranks: the first segment can land while the ice rank's
+		// send to coupler rank 1 still waits for its CTS.
 		errs := runCoupledChaos(t, fmt.Sprintf("delay,rank=%d,peer=%d,frame=rts,dur=2s", chaosCoupler1, chaosIce),
 			chaosCoupler1, chaosIce, func(envs []*mpi.Env) {
-				waitFor(t, "the ice rank's first segment", func() bool { return envs[chaosIce].Perf().Net.RDataIn.Load() >= 1 })
+				nc := &envs[chaosIce].Perf().Net
+				waitFor(t, "the ice rank's first segment, its field sent", func() bool { return nc.RDataIn.Load() >= 1 && nc.RDataOut.Load() >= 2 })
 				mpi.WorldComm(envs[chaosCoupler1]).Abort(5)
 			})
 		err := errs[chaosIce]

@@ -1,10 +1,10 @@
 package tcpnet
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -17,6 +17,7 @@ import (
 	"mph/internal/bootstrap"
 	"mph/internal/core"
 	"mph/internal/mpi"
+	"mph/internal/wire"
 )
 
 func TestFaultSpecParse(t *testing.T) {
@@ -416,6 +417,65 @@ func registerZombie(rv *bootstrap.Rendezvous, rank int, addr string) <-chan *boo
 	return zombie
 }
 
+// Session records as a launcher writes and reads them
+// (internal/bootstrap/record.go): u32 length | kind | fields, the kinds
+// numbered as there. The fake launchers below speak them.
+const (
+	sessionBook = 2
+	sessionDown = 8
+)
+
+// sessionRecord encodes one session record whose fields fields appends.
+func sessionRecord(kind byte, fields func(c *wire.Codec)) []byte {
+	c := wire.NewEncoder([]byte{0, 0, 0, 0, kind})
+	fields(c)
+	b := c.Bytes()
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// readRegistration reads a rank's register record off conn and returns the
+// address it registered ("" if it is not one).
+func readRegistration(conn net.Conn) string {
+	var hdr [5]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil || binary.LittleEndian.Uint32(hdr[:]) < 1 {
+		return ""
+	}
+	body := make([]byte, binary.LittleEndian.Uint32(hdr[:])-1)
+	io.ReadFull(conn, body)
+	var rank int
+	var addr string
+	c := wire.NewDecoder(body)
+	wire.Int(c, &rank)
+	c.String(&addr)
+	return addr
+}
+
+// bookRecord is a book that asks for no telemetry, of the given addresses
+// by rank, every host unknown.
+func bookRecord(addrs ...string) []byte {
+	return sessionRecord(sessionBook, func(c *wire.Codec) {
+		var sync bool
+		var every int64
+		var host string
+		c.Bool(&sync)
+		wire.Int(c, &every)
+		c.Len(len(addrs), 8)
+		for _, addr := range addrs {
+			c.String(&addr)
+			c.String(&host)
+		}
+	})
+}
+
+// downRecord tells a rank that rank's session ended, cleanly if final.
+func downRecord(rank int, final bool) []byte {
+	return sessionRecord(sessionDown, func(c *wire.Codec) {
+		wire.Int(c, &rank)
+		c.Bool(&final)
+	})
+}
+
 // TestDownLineNamingNoPeerIgnored: down lines come from outside the process,
 // so one naming this rank, a negative rank or a rank past the world is
 // ignored — no panic, no verdict on this rank, the session still served —
@@ -435,14 +495,11 @@ func TestDownLineNamingNoPeerIgnored(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var reg struct{ Addr string }
-		line, _ := bufio.NewReader(conn).ReadBytes('\n')
-		json.Unmarshal(line, &reg)
-		fmt.Fprintf(conn, `{"kind":"book","book":[{"addr":%q},{"addr":"127.0.0.1:9"}]}`+"\n", reg.Addr)
+		conn.Write(bookRecord(readRegistration(conn), "127.0.0.1:9"))
 		for _, rank := range []int{0, -1, 2, 1 << 40} {
-			fmt.Fprintf(conn, `{"kind":"down","rank":%d}`+"\n", rank)
+			conn.Write(downRecord(rank, false))
 		}
-		fmt.Fprint(conn, `{"kind":"down","rank":1,"final":true}`+"\n")
+		conn.Write(downRecord(1, true))
 		<-hold
 	}()
 	tr, env, err := initTransport(0, 2, ln.Addr().String())
@@ -497,12 +554,9 @@ func TestChaosDownLineEndsDialRetry(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var reg struct{ Addr string }
-		line, _ := bufio.NewReader(conn).ReadBytes('\n')
-		json.Unmarshal(line, &reg)
-		fmt.Fprintf(conn, `{"kind":"book","book":[{"addr":%q},{"addr":%q}]}`+"\n", reg.Addr, deadAddr)
+		conn.Write(bookRecord(readRegistration(conn), deadAddr))
 		<-sendDown
-		fmt.Fprint(conn, `{"kind":"down","rank":1}`+"\n")
+		conn.Write(downRecord(1, false))
 		<-hold
 	}()
 	_, env, err := initTransport(0, 2, ln.Addr().String())

@@ -46,6 +46,7 @@ type peer struct {
 type outConn struct {
 	mu   sync.Mutex
 	conn *sock.Conn
+	told bool // a hello on this stream carried the intra-host listener's path; set at open, then only by ctsLoop
 }
 
 // write sends one frame under the stream's write lock with a deadline: hdr
@@ -64,7 +65,7 @@ func (oc *outConn) write(hdr, payload []byte, timeout time.Duration) error {
 // open wraps a freshly dialed connection and introduces this rank on it, so
 // the peer's reader can attribute the stream before any traffic.
 func (pr *peer) open(conn *sock.Conn, shmPath string) (*outConn, error) {
-	oc := &outConn{conn: conn}
+	oc := &outConn{conn: conn, told: shmPath != ""}
 	if err := oc.write(helloFrame(pr.t.rank, shmPath), nil, pr.t.cfg.writeTimeout); err != nil {
 		conn.Close()
 		return nil, err
@@ -145,8 +146,8 @@ func (pr *peer) outbound() (*outConn, error) {
 		}
 	})
 	if err == nil {
-		// The hello tells a same-host peer this rank's intra-host listener
-		// before any CTS written to this stream (shm.go).
+		// The hello tells a same-host peer this rank's intra-host listener,
+		// if it is open, before any CTS written to this stream (shm.go).
 		oc, err = pr.open(conn, t.shmPathFor(pr.rank))
 	}
 	if err != nil {

@@ -3,6 +3,9 @@ package tcpnet
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,10 +91,11 @@ func TestShmNegotiationFallback(t *testing.T) {
 	defer envs[0].Close()
 	defer envs[1].Close()
 
-	// Close the receiver's local listener before any rendezvous: its hello
-	// advertisement already went out (or will — the path string survives),
+	// Open the receiver's local listener and close it before any
+	// rendezvous: its hello advertisement will go out — the path survives —
 	// but the sender's dial must fail.
-	trs[1].shmLn.Close()
+	trs[1].openShm()
+	trs[1].shmLn.Load().Close()
 
 	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
 	exchange(t, c0, c1, 6, bytes.Repeat([]byte{0x77}, 128<<10))
@@ -218,5 +222,125 @@ func TestFirstContactInClosingBarrier(t *testing.T) {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
 		}
+	}
+}
+
+// shmDirs lists the intra-host socket directories under dir.
+func shmDirs(t *testing.T, dir string) []string {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(dir, "mph-shm-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// exchangeBoth sends payload from rank 0 to rank 1 and then from rank 1 to
+// rank 0, each receive posted concurrently with its send.
+func exchangeBoth(t *testing.T, envs []*mpi.Env, tag int, payload []byte) {
+	t.Helper()
+	for src := 0; src < 2; src++ {
+		sender, receiver := mpi.WorldComm(envs[src]), mpi.WorldComm(envs[1-src])
+		got := make(chan []byte, 1)
+		go func() {
+			data, _, err := receiver.Recv(src, tag)
+			if err != nil {
+				t.Errorf("rank %d: recv from %d: %v", 1-src, src, err)
+			}
+			got <- data
+		}()
+		if err := sender.Send(1-src, tag, payload); err != nil {
+			t.Fatalf("rank %d: send %d bytes: %v", src, len(payload), err)
+		}
+		if data := <-got; !bytes.Equal(data, payload) {
+			t.Fatalf("rank %d → %d: %d bytes arrived, want the %d sent", src, 1-src, len(data), len(payload))
+		}
+	}
+}
+
+// TestShmListenerLazy: two same-host ranks that take no rendezvous never
+// open the intra-host channel — no listener, no socket directory, during
+// the run or after Close.
+func TestShmListenerLazy(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	trs, envs := startWorld(t, 2)
+	exchangeBoth(t, envs, 1, []byte("eager"))
+	for r, tr := range trs {
+		if tr.shmLn.Load() != nil {
+			t.Errorf("rank %d opened an intra-host listener with no rendezvous", r)
+		}
+	}
+	if dirs := shmDirs(t, tmp); len(dirs) != 0 {
+		t.Errorf("socket directories during the run: %v", dirs)
+	}
+	for _, env := range envs {
+		env.Close()
+	}
+	if dirs := shmDirs(t, tmp); len(dirs) != 0 {
+		t.Errorf("socket directories after Close: %v", dirs)
+	}
+}
+
+// TestShmAdvertisedOnOpenStream: when both TCP streams already exist — their
+// hellos went out before either rank had a listener — the first rendezvous
+// each way still moves over the intra-host channel: the receiver's hello
+// ahead of its CTS carries the path.
+func TestShmAdvertisedOnOpenStream(t *testing.T) {
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 64<<10)
+	defer envs[0].Close()
+	defer envs[1].Close()
+	exchangeBoth(t, envs, 1, []byte("eager"))
+	for r, tr := range trs {
+		tr.peers[1-r].mu.Lock()
+		if tr.peers[1-r].tcp == nil {
+			t.Fatalf("rank %d has no stream to rank %d after the eager exchange", r, 1-r)
+		}
+		tr.peers[1-r].mu.Unlock()
+	}
+	exchangeBoth(t, envs, 2, bytes.Repeat([]byte{0x5A}, 1<<20))
+	var out, fallbacks uint64
+	for _, env := range envs {
+		out += env.Perf().Net.ShmRDataOut.Load()
+		fallbacks += env.Perf().Net.ShmFallbacks.Load()
+	}
+	if out != 2 || fallbacks != 0 {
+		t.Errorf("ShmRDataOut = %d, ShmFallbacks = %d over both ranks; want 2, 0", out, fallbacks)
+	}
+}
+
+// TestShmListenerUnmakeable: with TMPDIR too long for a socket path, the
+// receiver's listener cannot be made. Every rendezvous still completes over
+// TCP, the failure is counted once and not retried, and nothing is left
+// behind.
+func TestShmListenerUnmakeable(t *testing.T) {
+	tmp := filepath.Join(t.TempDir(), strings.Repeat("d", 120))
+	if err := os.Mkdir(tmp, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", tmp)
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 1024)
+	c0, c1 := mpi.WorldComm(envs[0]), mpi.WorldComm(envs[1])
+	for tag := 1; tag <= 3; tag++ {
+		exchange(t, c0, c1, tag, bytes.Repeat([]byte{byte(tag)}, 128<<10))
+	}
+	var rdata, shm, fallbacks uint64
+	for _, env := range envs {
+		nc := &env.Perf().Net
+		rdata, shm, fallbacks = rdata+nc.RDataOut.Load(), shm+nc.ShmRDataOut.Load(), fallbacks+nc.ShmFallbacks.Load()
+	}
+	if rdata != 3 || shm != 0 || fallbacks != 1 {
+		t.Errorf("RDataOut = %d, ShmRDataOut = %d, ShmFallbacks = %d; want 3, 0, 1", rdata, shm, fallbacks)
+	}
+	if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+		t.Errorf("%d entries left in TMPDIR during the run", len(entries))
+	}
+	for _, env := range envs {
+		env.Close()
+	}
+	if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+		t.Errorf("%d entries left in TMPDIR after Close", len(entries))
 	}
 }

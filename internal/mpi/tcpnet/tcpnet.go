@@ -189,13 +189,15 @@ type Transport struct {
 	// frames recycles outbound eager frames, whose buffers Deliver fills.
 	frames frameList
 
-	// Intra-host payload listener (shm.go), fixed at Init: nil and "" in a
-	// one-rank world or when the listener could not be created.
-	shmLn  *sock.Listener
-	shmDir string // private socket directory, removed on Close
+	// Intra-host payload listener (shm.go): nil until ctsLoop opens it at the
+	// first CTS to a same-host peer, and for good when that failed. Every
+	// sending goroutine reads it.
+	shmLn atomic.Pointer[sock.Listener]
 
-	mu      sync.Mutex
-	inbound map[*sock.Conn]struct{} // accepted connections of both carriers, each until its reader exits
+	mu       sync.Mutex
+	inbound  map[*sock.Conn]struct{} // accepted connections of both carriers, each until its reader exits
+	shmDir   string                  // the listener's private socket directory, removed on Close; "" until made
+	shmTried bool                    // openShm has run, or the transport closed or severed: no listener is made after
 
 	stop chan struct{} // closed by Close, under mu; cancels dial backoff
 
@@ -345,7 +347,6 @@ func initTransport(rank, size int, rendezvous string) (*Transport, *mpi.Env, err
 	if off, bound, ok := sess.ClockOffset(); ok {
 		pv.SetClockOffset(off, bound)
 	}
-	t.initShm(size)
 	t.wg.Add(3)
 	go t.acceptLoop(t.ln, false)
 	go t.ctsLoop()
@@ -372,7 +373,7 @@ func (t *Transport) reportLoop(interval time.Duration) {
 			return
 		case <-ticker.C:
 		}
-		if err := t.sess.Report(t.env.Perf().Snapshot(), false); err != nil {
+		if err := t.sess.Report(t.snapshot(), false); err != nil {
 			return // launcher gone; the final report will fail too
 		}
 	}
@@ -385,8 +386,15 @@ func (t *Transport) reportLoop(interval time.Duration) {
 // delivers.
 func (t *Transport) report(final bool) {
 	if _, ok := t.sess.ReportEvery(); ok {
-		t.sess.Report(t.env.Perf().Snapshot(), final) //nolint:errcheck // best-effort diagnostics
+		t.sess.Report(t.snapshot(), final) //nolint:errcheck // best-effort diagnostics
 	}
+}
+
+// snapshot returns the rank's perf snapshot as a report carries it.
+func (t *Transport) snapshot() []byte {
+	snap := t.env.Perf().Snapshot()
+	b, _ := snap.AppendBinary(nil) // never fails
+	return b
 }
 
 // downDelivered acts on the launcher's down line: rank's session ended, and
@@ -623,6 +631,9 @@ func (t *Transport) ctsLoop() {
 // count read once the receive returned includes it. A CTS that did not go
 // out (the peer may already be gone) is taken back out of the count.
 func (t *Transport) sendCTS(src int, id uint64) {
+	if t.sameHost(src) {
+		t.advertiseShm(&t.peers[src])
+	}
 	cts := encode(t.ctsBuf[:0], frame{kind: kindCTS, id: id}, 0)
 	nc := t.netCounters()
 	nc.CTSOut.Add(1)

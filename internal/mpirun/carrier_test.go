@@ -399,7 +399,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			lc := bootstrap.NewLineConn(conn)
+			lc := NewLineConn(conn)
 			req := blockRequest{Op: "spawn", Spawn: wireBlock(host, sleepers(1))}
 			for i := 0; i < 2; i++ {
 				if err := lc.Send(req); err != nil {
@@ -428,7 +428,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lc := bootstrap.NewLineConn(conn)
+			lc := NewLineConn(conn)
 			block := sleepers(2)
 			block.Procs[1].Argv = []string{"/bin/sh", "-c", "while :; do echo chatter; done"}
 			if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
@@ -495,7 +495,7 @@ func TestDaemonBoundsRequestLine(t *testing.T) {
 	}()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	var ev blockEvent
-	if err := bootstrap.NewLineConn(conn).Recv(&ev); err != nil {
+	if err := NewLineConn(conn).Recv(&ev); err != nil {
 		t.Fatalf("no reply to a 17 MiB newline-free request: %v", err)
 	}
 	if ev.Event != "error" || !strings.Contains(ev.Msg, "longer than") {
@@ -503,8 +503,8 @@ func TestDaemonBoundsRequestLine(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > before.HeapAlloc+bootstrap.MaxLineBytes {
-		t.Errorf("heap grew %d bytes serving one connection, cap is %d", after.HeapAlloc-before.HeapAlloc, bootstrap.MaxLineBytes)
+	if after.HeapAlloc > before.HeapAlloc+MaxLineBytes {
+		t.Errorf("heap grew %d bytes serving one connection, cap is %d", after.HeapAlloc-before.HeapAlloc, MaxLineBytes)
 	}
 }
 
@@ -523,7 +523,7 @@ func TestBadEventFailsRanks(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		lc := bootstrap.NewLineConn(conn)
+		lc := NewLineConn(conn)
 		var req blockRequest
 		if lc.Recv(&req) != nil || lc.Send(blockEvent{Event: "pong"}) != nil {
 			return

@@ -7,8 +7,6 @@ import (
 	"net"
 	"os"
 	"sync"
-
-	"mph/internal/bootstrap"
 )
 
 // DefaultDaemonPort is the TCP control port mphd listens on when none is
@@ -111,7 +109,7 @@ func ServeAgent() {
 // requests in, events out, and a guaranteed kill of everything the
 // connection spawned once it drops.
 func serveConn(rw io.ReadWriter) {
-	lc := bootstrap.NewLineConn(rw)
+	lc := NewLineConn(rw)
 	// Event write errors are ignored: a dead launcher shows up as a read
 	// error below.
 	send := func(ev blockEvent) { _ = lc.Send(ev) }
@@ -127,7 +125,7 @@ func serveConn(rw io.ReadWriter) {
 	for {
 		var req blockRequest
 		if err := lc.Recv(&req); err != nil {
-			if errors.Is(err, bootstrap.ErrBadLine) {
+			if errors.Is(err, ErrBadLine) {
 				send(blockEvent{Event: "error", Msg: fmt.Sprintf("bad request: %v", err)})
 			}
 			return // EOF, torn connection or garbage: the kill lease expires

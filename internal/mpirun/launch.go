@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"mph/internal/bootstrap"
-	"mph/internal/mpi/perf"
 )
 
 // Launch defaults, applied when the corresponding LaunchSpec field is zero.
@@ -100,9 +99,9 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		return err
 	}
 	var every time.Duration
-	var ingest func(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time)
+	var ingest bootstrap.Ingest
 	if spec.Telemetry != nil {
-		every, ingest = spec.Telemetry.every, spec.Telemetry.Ingest
+		every, ingest = spec.Telemetry.every, spec.Telemetry.ingestReport
 	}
 	rv, err := bootstrap.NewRendezvousBind(rvBind, total, every, ingest)
 	if err != nil {

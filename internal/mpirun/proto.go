@@ -1,10 +1,10 @@
 package mpirun
 
 // The block protocol is the one way a launcher talks to anything that
-// spawns ranks for it: line-JSON (bootstrap.LineConn, the framing the
-// telemetry channel also uses) over one connection per (launcher, host)
-// pair, whatever carries the bytes — a TCP connection to a persistent mphd,
-// or the stdio pipes of an "mphrun agent" started locally or through ssh.
+// spawns ranks for it: line-JSON (LineConn, line.go) over one connection
+// per (launcher, host) pair, whatever carries the bytes — a TCP connection
+// to a persistent mphd, or the stdio pipes of an "mphrun agent" started
+// locally or through ssh.
 // The launcher sends blockRequest lines; the server streams blockEvent
 // lines back. One connection carries at most one spawned block, and the
 // block's ranks never outlive it: EOF — the launcher died, or the network

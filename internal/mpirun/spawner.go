@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"mph/internal/bootstrap"
 )
 
 // rankExit is one reaped rank of a spawned block: its world rank and the
@@ -87,7 +85,7 @@ type HostConn struct {
 	// process).
 	peer string
 	conn io.ReadWriteCloser // nil once a spawn owns it, and under LocalSpawner
-	lc   *bootstrap.LineConn
+	lc   *LineConn
 }
 
 // Close hangs up a host nothing was spawned on; after a spawn the block's
@@ -308,7 +306,7 @@ func openRemote(ctx context.Context, d dialer, host string, timeout time.Duratio
 	if isTCP {
 		tc.SetDeadline(deadline)
 	}
-	c := &HostConn{host: host, peer: peerName(d, host), conn: conn, lc: bootstrap.NewLineConn(conn)}
+	c := &HostConn{host: host, peer: peerName(d, host), conn: conn, lc: NewLineConn(conn)}
 	var ev blockEvent
 	err = c.lc.Send(blockRequest{Op: "ping"})
 	if err == nil {
@@ -335,7 +333,7 @@ func openRemote(ctx context.Context, d dialer, host string, timeout time.Duratio
 // exited. A dead connection or a garbled event fails every still-pending
 // rank — a server crash mid-job must surface as supervised rank failures,
 // not a hang.
-func (h *blockHandle) readEvents(lc *bootstrap.LineConn) {
+func (h *blockHandle) readEvents(lc *LineConn) {
 	pending := make(map[int]bool, len(h.prefix))
 	for rank := range h.prefix {
 		pending[rank] = true
@@ -348,7 +346,7 @@ func (h *blockHandle) readEvents(lc *bootstrap.LineConn) {
 	for len(pending) > 0 {
 		var ev blockEvent
 		switch err := lc.Recv(&ev); {
-		case errors.Is(err, bootstrap.ErrBadLine):
+		case errors.Is(err, ErrBadLine):
 			fail(fmt.Sprintf("bad event: %v", err))
 			return
 		case err != nil:

@@ -113,8 +113,7 @@ func NewTelemetry(size int, every time.Duration) (*Telemetry, error) {
 // Ingest merges one rank report into the aggregate, keyed by world rank.
 // Reports carry a per-rank sequence number; one arriving out of order
 // (an older seq than the latest merged) is dropped, so a delayed periodic
-// report can never overwrite the final one. The rendezvous calls it for
-// every report a rank's session carries.
+// report can never overwrite the final one.
 func (t *Telemetry) Ingest(rank int, snap perf.Snapshot, seq uint64, final bool, at time.Time) {
 	if rank < 0 || rank >= t.size {
 		return
@@ -190,6 +189,21 @@ func (t *Telemetry) viewAt(now time.Time) JobView {
 	view.Reconciled = view.Finals == view.WorldSize &&
 		view.TotalSentMsgs == view.TotalRecvMsgs && view.TotalSentBytes == view.TotalRecvBytes
 	return view
+}
+
+// ingestReport is the rendezvous's Ingest: it decodes one report a rank's
+// session carried, once, fills in the host the rank registered when the
+// snapshot names none, and merges it. A report that does not decode is
+// dropped.
+func (t *Telemetry) ingestReport(rank int, host string, report []byte, seq uint64, final bool, at time.Time) {
+	var snap perf.Snapshot
+	if snap.UnmarshalBinary(report) != nil {
+		return
+	}
+	if snap.Host == "" {
+		snap.Host = host
+	}
+	t.Ingest(rank, snap, seq, final, at)
 }
 
 // Snapshots returns the latest snapshot of every reporting rank, sorted by

@@ -227,12 +227,18 @@ func TestTelemetryRates(t *testing.T) {
 	}
 }
 
+// encoded is snap as a rank's session report carries it.
+func encoded(snap perf.Snapshot) []byte {
+	b, _ := snap.AppendBinary(nil)
+	return b
+}
+
 func TestTelemetryEndToEnd(t *testing.T) {
 	tele, err := NewTelemetry(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := bootstrap.NewRendezvousBind("", 2, tele.every, tele.Ingest)
+	rv, err := bootstrap.NewRendezvousBind("", 2, tele.every, tele.ingestReport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +274,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		}
 		snap := snapFor(rank, 4, 4)
 		snap.Host = "" // the registration's host must backfill it
-		if err := s.Report(snap, false); err != nil {
+		if err := s.Report(encoded(snap), false); err != nil {
 			t.Fatalf("rank %d report: %v", rank, err)
 		}
-		if err := s.Report(snapFor(rank, 9, 9), true); err != nil {
+		if err := s.Report(encoded(snapFor(rank, 9, 9)), true); err != nil {
 			t.Fatalf("rank %d final: %v", rank, err)
 		}
 		s.Close()
@@ -347,7 +353,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rv, err := bootstrap.NewRendezvousBind("", 1, tele.every, tele.Ingest)
+				rv, err := bootstrap.NewRendezvousBind("", 1, tele.every, tele.ingestReport)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -374,7 +380,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 						case <-stop:
 							return
 						case <-tick.C:
-							sess.Report(pv.Snapshot(), false) // a lost report costs the loop nothing
+							sess.Report(encoded(pv.Snapshot()), false) // a lost report costs the loop nothing
 						}
 					}
 				}()

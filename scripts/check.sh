@@ -38,7 +38,9 @@
 # - the launcher decides who is dead, and a closing rank lingers until its
 #   peers have read what it sent: the linger test and the closing-Barrier
 #   first contact repeat under -race (each fails if a down line overtakes
-#   data), and the launcher's peer-exit test times a receive blocked on a
+#   data), and so does the intra-host listener opened by ctsLoop at the
+#   first same-host CTS and advertised by a hello on a stream every sender
+#   already writes to, and the launcher's peer-exit test times a receive blocked on a
 #   rank that leaves and repeats the exit-1-after-Close case, whose report
 #   must name the rank whose session ended first, not the first one reaped;
 # - the session race pass repeats TestLaunchStats: -stats prints only the
@@ -93,7 +95,7 @@ go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWai
     ./internal/coupler ./internal/xfer
 go test -run 'Tracer|WriteJSONL|ParseTraceLine|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase' -race -count=2 \
     ./internal/mpi/perf ./cmd/mphtrace
-go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage' \
+go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage|TestShmAdvertisedOnOpenStream' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
 go test -race ./internal/sock
@@ -103,6 +105,7 @@ go test -run 'TestLaunchPeerExit/exit_1_after_a_clean_Close' -count=20 ./cmd/mph
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
 go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s ./internal/mpirun
 go test -run=NONE -fuzz=FuzzSession -fuzztime=10s ./internal/bootstrap
+go test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/mpi/perf
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 # Rendezvous alloc-regression guard: a 1 MiB rendezvous send, on either
@@ -223,10 +226,11 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,265 before the ring allreduce,
-# the histogram, Moments.Merge and the grid index accessors went, 15,947
+# Non-test Go lines outside benchmark/ (15,947 before the session's binary
+# records, the snapshot codec and the lazy intra-host listener, 16,262
 # after) and the stripped size of a component executable (2,736,312 bytes
-# before and after), printed for later comparison.
+# before, 2,629,816 after: no rank links the JSON decoder), printed for
+# later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

@@ -91,6 +91,17 @@ if grep -rn -e 'HostProber\|ProbeHost\|probeRemote\|PlaceCyclic\|ParsePlacement\
     README.md DESIGN.md OPERATIONS.md; then
     exit 1
 fi
+# A rank speaks no JSON to its launcher: the session is binary records, so
+# the line framing's constructor under its bootstrap name and the raw-JSON
+# snapshot field stay out of the rank side; the launcher's block protocol
+# keeps its own LineConn in mpirun.
+if grep -rn 'bootstrap\.NewLineConn\|json\.RawMessage' \
+    --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go; then
+    exit 1
+fi
+if grep -rn 'LineConn' internal/bootstrap internal/mpi internal/wire; then
+    exit 1
+fi
 # The tracer is one ring and one span pair: the shards with their sizing,
 # the per-facility begin/end kinds and the closure-returning phase marker
 # stay out of the code and the scripts.
@@ -115,6 +126,11 @@ test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
 # links").
 if go list -deps ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/... |
     grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter'; then
+    exit 1
+fi
+# The session codec is hand-written: bootstrap, which every rank links,
+# links no encoding/json (a rank still does through perf's trace dump).
+if go list -deps ./internal/bootstrap | grep -x 'encoding/json'; then
     exit 1
 fi
 test -z "$(gofmt -l .)"
