@@ -69,7 +69,7 @@ func main() {
 	stats := flag.Bool("stats", false, "collect per-rank performance variables and print a per-component summary at job end")
 	statsInterval := flag.Duration("stats-interval", 0, "how often each rank pushes a live telemetry report to the launcher (0 = final report only)")
 	httpAddr := flag.String("http", "", "serve the live job view on this address while the job runs: Prometheus /metrics, JSON /status, each rank's /rank/R/perf and /rank/R/stacks, and the launcher's own profiles at /debug/pprof")
-	traceDir := flag.String("trace", "", "directory for per-rank event traces (trace.rank*.jsonl, mergeable with mphtrace)")
+	traceDir := flag.String("trace", "", "directory for per-rank event traces (trace.rank*.bin, binary records mphtrace merges)")
 	hostfile := flag.String("hostfile", "", "hostfile for multi-host placement (one \"host [slots=N]\" per line)")
 	hostList := flag.String("hosts", "", "inline host list for multi-host placement (\"node-a:2,node-b\")")
 	backendName := flag.String("backend", "", "spawn backend: local, exec, ssh, or daemon (default: ssh when hosts are given, local otherwise)")

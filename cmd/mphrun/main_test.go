@@ -780,7 +780,7 @@ func TestLaunchStats(t *testing.T) {
 		t.Errorf("summary output lacks reconciliation line:\n%s", buf.String())
 	}
 
-	traces, err := filepath.Glob(filepath.Join(traceDir, "trace.rank*.jsonl"))
+	traces, err := filepath.Glob(filepath.Join(traceDir, "trace.rank*.bin"))
 	if err != nil || len(traces) != 3 {
 		t.Fatalf("trace dumps: %v (err %v), want 3 files", traces, err)
 	}

@@ -9,12 +9,12 @@
 //
 //	mphtrace [-o trace.json] [-top N] [-stragglers] DIR|FILE...
 //
-// Each argument is either a directory holding trace.rank*.jsonl files or an
-// individual trace file. Timestamps from different OS processes are aligned
-// using the wall-clock base each rank records in its meta line, corrected by
-// the per-rank clock offset the launcher's telemetry handshake measured
-// (clock_offset_ns in the meta line) — so multi-host timelines line up even
-// when the hosts' clocks do not.
+// Each argument is either a directory holding trace.rank*.bin files or an
+// individual trace dump (perf.Tracer.Dump). Timestamps from different OS
+// processes are aligned using the wall-clock base each rank records in its
+// dump's meta record, corrected by the per-rank clock offset the launcher's
+// telemetry handshake measured (also in the meta record) — so multi-host
+// timelines line up even when the hosts' clocks do not.
 //
 // -stragglers compares collective arrival times across ranks invocation by
 // invocation: the last rank to enter a collective made everyone else wait,
@@ -84,12 +84,12 @@ func main() {
 
 // rankTrace is one rank's parsed dump.
 type rankTrace struct {
-	meta   perf.TraceMeta
+	meta   perf.Meta
 	events []perf.Event
 }
 
 // expandArgs resolves each argument to trace files: directories expand to
-// their trace.rank*.jsonl members, files pass through.
+// their trace.rank*.bin members, files pass through.
 func expandArgs(args []string) ([]string, error) {
 	var paths []string
 	for _, a := range args {
@@ -101,12 +101,12 @@ func expandArgs(args []string) ([]string, error) {
 			paths = append(paths, a)
 			continue
 		}
-		matches, err := filepath.Glob(filepath.Join(a, "trace.rank*.jsonl"))
+		matches, err := filepath.Glob(filepath.Join(a, "trace.rank*.bin"))
 		if err != nil {
 			return nil, err
 		}
 		if len(matches) == 0 {
-			return nil, fmt.Errorf("no trace.rank*.jsonl files in %s", a)
+			return nil, fmt.Errorf("no trace.rank*.bin files in %s", a)
 		}
 		paths = append(paths, matches...)
 	}
@@ -134,29 +134,8 @@ func loadTrace(path string) (rankTrace, error) {
 		return rankTrace{}, err
 	}
 	defer f.Close()
-	var rt rankTrace
-	sawMeta := false
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		meta, ev, err := perf.ParseTraceLine(sc.Bytes())
-		switch {
-		case err != nil:
-			return rankTrace{}, err
-		case meta != nil:
-			rt.meta = *meta
-			sawMeta = true
-		case ev != nil:
-			rt.events = append(rt.events, *ev)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return rankTrace{}, err
-	}
-	if !sawMeta {
-		return rankTrace{}, fmt.Errorf("no meta line")
-	}
-	return rt, nil
+	meta, events, err := perf.ReadDump(bufio.NewReader(f))
+	return rankTrace{meta: meta, events: events}, err
 }
 
 // chromeEvent is one entry of the Chrome trace_event JSON array. Timestamps

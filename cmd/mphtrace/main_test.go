@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,12 +14,12 @@ import (
 )
 
 // writeRankTrace dumps a synthetic two-rank trace file via the same
-// WriteJSONL path the library uses at finalize.
+// Tracer.Dump the library uses at finalize.
 func writeRankTrace(t *testing.T, dir string, rank int, base time.Time, record func(tr *perf.Tracer)) string {
 	t.Helper()
 	tr := perf.NewTracer(64, base)
 	record(tr)
-	path := filepath.Join(dir, "trace.rank000"+string(rune('0'+rank))+".jsonl")
+	path := filepath.Join(dir, "trace.rank000"+string(rune('0'+rank))+".bin")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +28,7 @@ func writeRankTrace(t *testing.T, dir string, rank int, base time.Time, record f
 	if rank == 1 {
 		comp = "beta"
 	}
-	if err := tr.WriteJSONL(f, perf.Meta{Rank: rank, Size: 2, Component: comp}); err != nil {
+	if err := tr.Dump(f, perf.Meta{Rank: rank, Size: 2, Component: comp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -209,7 +211,7 @@ func TestTopTalkersScalesSampledSends(t *testing.T) {
 // control of the meta's wall-clock base and measured clock offset.
 func syntheticTrace(rank int, comp string, baseUnix, clockOff int64, events []perf.Event) rankTrace {
 	return rankTrace{
-		meta: perf.TraceMeta{
+		meta: perf.Meta{
 			Rank: rank, Size: 3, Component: comp,
 			BaseUnix: baseUnix, ClockOffsetNS: clockOff,
 		},
@@ -321,11 +323,18 @@ func TestExpandArgsErrors(t *testing.T) {
 }
 
 func TestLoadTraceRejectsMissingMeta(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.rank0000.jsonl")
-	if err := os.WriteFile(path, []byte("{\"t\":1,\"k\":\"send\"}\n"), 0o644); err != nil {
+	tr := perf.NewTracer(4, time.Now())
+	tr.Record(perf.KSend, 1, 7, 100, 0)
+	var dump bytes.Buffer
+	if err := tr.Dump(&dump, perf.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	events := dump.Bytes()[4+binary.LittleEndian.Uint32(dump.Bytes()):] // the meta record cut off
+	path := filepath.Join(t.TempDir(), "trace.rank0000.bin")
+	if err := os.WriteFile(path, events, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadTrace(path); err == nil {
-		t.Error("trace without meta line accepted")
+		t.Error("trace without meta record accepted")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mph/internal/mpi/perf"
+	"mph/internal/wire"
 )
 
 // pipeListener hands a Rendezvous the server ends of in-memory connections,
@@ -79,7 +80,7 @@ func FuzzSession(f *testing.F) {
 	}
 	// over is a header claiming one byte more than a record may hold.
 	over := func(kind byte) string {
-		return string(binary.LittleEndian.AppendUint32(nil, maxRecordBytes+1)) + string(kind) + "xxxx"
+		return string(binary.LittleEndian.AppendUint32(nil, wire.MaxRecordBytes+1)) + string(kind) + "xxxx"
 	}
 	both := reg(0) + reg(1)
 	f.Add([]byte(both))

@@ -1,19 +1,15 @@
 package bootstrap
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"mph/internal/wire"
 )
 
-// A session is a stream of binary records, each `u32 length | u8 kind |
-// fields` little-endian, length counting the kind byte and the fields as in
-// tcpnet's frame header; msg.fields lists each kind's fields (package wire).
-// A record of an unknown kind, over maxRecordBytes, or whose fields do not
-// fill it exactly ends the session.
+// A session is a stream of wire records; msg.fields lists each kind's
+// fields. A record of an unknown kind, over wire.MaxRecordBytes, or whose
+// fields do not fill it exactly ends the session.
 const (
 	kindRegister byte = 1 + iota // rank → launcher: rank, addr, host
 	kindBook                     // launcher → rank: sync, every, then addr and host by rank
@@ -26,13 +22,6 @@ const (
 	kindStacks                   // the ask launcher → rank and its answer: id, text
 	numKinds
 )
-
-// maxRecordBytes caps a session record; a length over it is refused before
-// anything is read for the record.
-const maxRecordBytes = 16 << 20
-
-// errBadRecord marks a received record that cannot be a message.
-var errBadRecord = errors.New("bootstrap: bad session record")
 
 // msg is one session record; which fields mean anything depends on Kind.
 type msg struct {
@@ -81,13 +70,7 @@ func (m *msg) fields(c *wire.Codec) {
 }
 
 // encode returns m as one record.
-func (m *msg) encode() []byte {
-	c := wire.NewEncoder([]byte{0, 0, 0, 0, m.Kind})
-	m.fields(c)
-	b := c.Bytes()
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
+func (m *msg) encode() []byte { return wire.AppendRecord(nil, m.Kind, m.fields) }
 
 // writeRecord writes m as one record in one Write. *sock.Conn, through the
 // runtime poller, and net.Pipe keep a Write whole against concurrent
@@ -99,26 +82,16 @@ func writeRecord(w io.Writer, m msg) error {
 
 // readRecord reads the next record into m. I/O errors are returned bare.
 func readRecord(r io.Reader, m *msg) error {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n, kind := binary.LittleEndian.Uint32(hdr[:]), hdr[4]
-	if n == 0 || n > maxRecordBytes || kind == 0 || kind >= numKinds {
-		return fmt.Errorf("%w: kind %d, %d bytes", errBadRecord, kind, n)
-	}
-	// The body grows as it arrives: a header alone costs the reader nothing.
-	body, err := io.ReadAll(io.LimitReader(r, int64(n-1)))
-	if err == nil && len(body) < int(n-1) {
-		err = io.ErrUnexpectedEOF
-	}
+	kind, body, err := wire.ReadRecord(r)
 	if err != nil {
 		return err
 	}
+	if kind == 0 || kind >= numKinds {
+		return fmt.Errorf("%w: session record of kind %d", wire.ErrMalformed, kind)
+	}
 	*m = msg{Kind: kind}
-	c := wire.NewDecoder(body)
-	if m.fields(c); c.Err() != nil {
-		return fmt.Errorf("%w: a kind %d record's fields do not fill its %d bytes", errBadRecord, kind, n)
+	if err := wire.Decode(body, m.fields); err != nil {
+		return fmt.Errorf("%w: session record of kind %d, %d bytes", err, kind, len(body)+1)
 	}
 	return nil
 }

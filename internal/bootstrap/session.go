@@ -210,7 +210,7 @@ func (s *Session) Serve(onAbort func(code, origin int), onDown func(rank int, fi
 }
 
 // maxStacksBytes caps the dump a stacks answer carries, far inside
-// maxRecordBytes; stacksTruncated ends a dump cut there.
+// wire.MaxRecordBytes; stacksTruncated ends a dump cut there.
 const maxStacksBytes, stacksTruncated = 1 << 20, "\n... goroutine dump truncated\n"
 
 // goroutineStacks returns runtime.Stack's dump of every goroutine, the text

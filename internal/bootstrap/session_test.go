@@ -255,3 +255,18 @@ func TestSessionReportsBeforeClose(t *testing.T) {
 		t.Fatalf("ingested %+v, want %+v", got, want)
 	}
 }
+
+// TestSessionKindNumbers pins the kind numbers that tcpnet's fake launchers
+// (internal/mpi/tcpnet/fault_test.go) write and read by value: renumbering a
+// kind must fail here at once, not there as a rank's 20-30 s wait on a book
+// it cannot read.
+func TestSessionKindNumbers(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		kind, want byte
+	}{{"register", kindRegister, 1}, {"book", kindBook, 2}, {"down", kindDown, 8}} {
+		if c.kind != c.want {
+			t.Errorf("kind %s is %d; fault_test.go's fake launchers use %d", c.name, c.kind, c.want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package perf
 import (
 	"math/rand/v2"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -78,9 +77,10 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotDecode: decoding arbitrary bytes never panics, allocates no
-// more than a small multiple of the input's length, and a snapshot that
-// decodes encodes to bytes that decode to it again.
+// FuzzSnapshotDecode: decoding arbitrary bytes never panics, decodes to
+// no more than the input holds — the slices' lengths times the bytes an
+// element takes on the wire, plus the strings' lengths, whole or cut short —
+// and a snapshot that decodes encodes to bytes that decode to it again.
 func FuzzSnapshotDecode(f *testing.F) {
 	r := rand.New(rand.NewPCG(3, 4))
 	for i := 0; i < 4; i++ {
@@ -95,23 +95,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append(zero[:len(zero)-4:len(zero)-4], 0xff, 0xff, 0xff, 0x7f)) // a map count no input could hold
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The fuzzing engine allocates beside the decoder now and then: a
-		// decode over the bound is tried again, up to five times in all.
 		var s Snapshot
-		var err error
-		for try := 1; ; try++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			s = Snapshot{}
-			err = s.UnmarshalBinary(data)
-			runtime.ReadMemStats(&after)
-			grew := after.TotalAlloc - before.TotalAlloc
-			if grew <= uint64(4*len(data)+4096) {
-				break
-			}
-			if try == 5 {
-				t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-			}
+		err := s.UnmarshalBinary(data)
+		held := len(s.Component) + len(s.Host)
+		for _, v := range [...][]uint64{s.Engine.RecvMsgs, s.Engine.RecvBytes, s.SentMsgs, s.SentBytes} {
+			held += 8 * len(v)
+		}
+		for name := range s.Collectives {
+			held += 4 + 6*8 + len(name)
+		}
+		if held > len(data) {
+			t.Fatalf("%d bytes decoded to %d bytes of strings, slices and collectives", len(data), held)
 		}
 		if err != nil {
 			return

@@ -41,8 +41,9 @@ import (
 // Environment variables consulted by the substrate's observability hooks.
 const (
 	// EnvTraceDir, when set, enables the event tracer at Env creation and
-	// makes every rank write <dir>/trace.rank<N>.jsonl on close. mphrun
-	// -trace=DIR sets it; cmd/mphtrace merges the files.
+	// makes every rank write its trace dump (Tracer.Dump) to
+	// <dir>/trace.rank<N>.bin on close. mphrun -trace=DIR sets it;
+	// cmd/mphtrace merges the files.
 	EnvTraceDir = "MPH_TRACE_DIR"
 	// EnvTraceEvents overrides the tracer ring capacity (default
 	// DefaultTraceEvents).
@@ -360,11 +361,7 @@ func (s *Snapshot) AppendBinary(b []byte) ([]byte, error) {
 
 // UnmarshalBinary decodes AppendBinary's encoding into s, a zero Snapshot,
 // allocating no more than data could hold.
-func (s *Snapshot) UnmarshalBinary(data []byte) error {
-	c := wire.NewDecoder(data)
-	s.fields(c)
-	return c.Err()
-}
+func (s *Snapshot) UnmarshalBinary(data []byte) error { return wire.Decode(data, s.fields) }
 
 // fields codes every field of s, for both AppendBinary and UnmarshalBinary.
 func (s *Snapshot) fields(c *wire.Codec) {

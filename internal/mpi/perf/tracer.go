@@ -2,7 +2,6 @@ package perf
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -10,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mph/internal/wire"
 )
 
 // Kind classifies one trace event.
@@ -57,23 +58,12 @@ var kindNames = [numKinds]string{
 	"dial-retry", "peer-lost", "abort", "rendezvous", "shm-channel",
 }
 
-// String names the event kind as it appears in trace dumps.
+// String names the event kind.
 func (k Kind) String() string {
 	if k < numKinds {
 		return kindNames[k]
 	}
 	return "unknown"
-}
-
-// KindFromString is the inverse of Kind.String; ok is false for unknown
-// names. cmd/mphtrace uses it when re-reading dumped event streams.
-func KindFromString(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
 }
 
 // Event is one trace record: a monotonic timestamp (ns since the rank's
@@ -213,137 +203,97 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Meta is the per-rank header of a dumped event stream.
+// Meta is the header of a rank's trace dump: who the rank is, which the
+// dumping rank fills in, and the tracer's state, which Dump does.
 type Meta struct {
-	Rank      int    `json:"rank"`
-	Size      int    `json:"size"`
-	Component string `json:"component,omitempty"`
-	// Host is the rank's host label, for cross-host trace attribution.
-	Host string `json:"host,omitempty"`
-	// ClockOffsetNS estimates launcher_clock − rank_clock at handshake
-	// time; readers add it to BaseUnix to place this rank's events on the
-	// launcher's timeline. Zero when no clock sync ran.
-	ClockOffsetNS int64 `json:"clock_offset_ns,omitempty"`
-}
-
-// metaLine is the first JSONL line of a trace dump: rank identity plus the
-// wall-clock base that lets cmd/mphtrace align streams from different
-// processes on one timeline. Sample records the 1-in-N divisor in force, so
-// readers can scale per-message event counts back up.
-type metaLine struct {
-	Meta      bool   `json:"meta"`
-	Rank      int    `json:"rank"`
-	Size      int    `json:"size"`
-	Component string `json:"component,omitempty"`
-	Host      string `json:"host,omitempty"`
-	BaseUnix  int64  `json:"base_unix_ns"`
-	ClockOff  int64  `json:"clock_offset_ns,omitempty"`
-	Capacity  int    `json:"capacity"`
-	Recorded  uint64 `json:"recorded"`
-	Dropped   uint64 `json:"dropped"`
-	Sample    int    `json:"sample,omitempty"`
-}
-
-// eventLine is one dumped event. Zero payload fields are omitted to keep
-// the files small; readers treat missing fields as zero.
-type eventLine struct {
-	T int64  `json:"t"`
-	K string `json:"k"`
-	A int64  `json:"a,omitempty"`
-	B int64  `json:"b,omitempty"`
-	C int64  `json:"c,omitempty"`
-	D int64  `json:"d,omitempty"`
-}
-
-// WriteJSONL dumps the retained events as JSON lines: one meta header line
-// followed by one line per event in chronological order.
-func (t *Tracer) WriteJSONL(w io.Writer, meta Meta) error {
-	events := t.Events()
-	header := metaLine{
-		Meta:      true,
-		Rank:      meta.Rank,
-		Size:      meta.Size,
-		Component: meta.Component,
-		Host:      meta.Host,
-		BaseUnix:  t.baseUnixNano,
-		ClockOff:  meta.ClockOffsetNS,
-		Capacity:  t.Capacity(),
-		Recorded:  t.Recorded(),
-		Dropped:   t.Dropped(),
-	}
-	if s := t.Sample(); s > 1 {
-		header.Sample = s
-	}
-
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header); err != nil {
-		return fmt.Errorf("perf: trace meta: %w", err)
-	}
-	for _, e := range events {
-		line := eventLine{T: e.TS, K: e.Kind.String(), A: e.A, B: e.B, C: e.C, D: e.D}
-		if err := enc.Encode(line); err != nil {
-			return fmt.Errorf("perf: trace event: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// TraceMeta is a parsed meta header line; see ParseTraceLine. A Sample
-// greater than 1 means per-message events (send, recv-post, match) were
-// 1-in-Sample sampled when recorded.
-type TraceMeta struct {
 	Rank      int
 	Size      int
 	Component string
-	Host      string
-	BaseUnix  int64
-	// ClockOffsetNS estimates launcher_clock − rank_clock; add it to
-	// BaseUnix to place this rank's events on the launcher's timeline.
+	// Host is the rank's host label, for cross-host trace attribution.
+	Host string
+	// ClockOffsetNS estimates launcher_clock − rank_clock at handshake
+	// time; readers add it to BaseUnix to place this rank's events on the
+	// launcher's timeline. Zero when no clock sync ran.
 	ClockOffsetNS int64
-	Capacity      int
-	Recorded      uint64
-	Dropped       uint64
-	Sample        int
+	// BaseUnix is the wall-clock time, in ns, the events' timestamps count
+	// from: cmd/mphtrace aligns the dumps of different processes by it.
+	BaseUnix int64
+	Capacity int
+	Recorded uint64
+	Dropped  uint64
+	// Sample is the 1-in-N divisor the per-message events (send,
+	// recv-post, match) were recorded under, so readers can scale their
+	// counts back up.
+	Sample int
 }
 
-// ParseTraceLine parses one line of a WriteJSONL stream. Exactly one of
-// meta/event is returned non-nil; blank lines yield (nil, nil, nil).
-func ParseTraceLine(line []byte) (*TraceMeta, *Event, error) {
-	trimmed := false
-	for _, b := range line {
-		if b != ' ' && b != '\t' && b != '\r' && b != '\n' {
-			trimmed = true
-			break
+// fields codes m's fields.
+func (m *Meta) fields(c *wire.Codec) {
+	for _, p := range [...]*int{&m.Rank, &m.Size, &m.Capacity, &m.Sample} {
+		wire.Int(c, p)
+	}
+	for _, p := range [...]*int64{&m.ClockOffsetNS, &m.BaseUnix} {
+		wire.Int(c, p)
+	}
+	wire.Int(c, &m.Recorded)
+	wire.Int(c, &m.Dropped)
+	c.String(&m.Component)
+	c.String(&m.Host)
+}
+
+// fields codes e's fields but its kind, which is its record's.
+func (e *Event) fields(c *wire.Codec) {
+	for _, p := range [...]*int64{&e.TS, &e.A, &e.B, &e.C, &e.D} {
+		wire.Int(c, p)
+	}
+}
+
+// A trace dump is wire records: one meta record, then one record per event,
+// whose record kind is its Kind.
+const kindMeta = byte(numKinds)
+
+// Dump writes the retained events as a trace dump: meta, completed with the
+// tracer's state, then the events in chronological order.
+func (t *Tracer) Dump(w io.Writer, meta Meta) error {
+	events := t.Events()
+	meta.BaseUnix, meta.Capacity, meta.Sample = t.baseUnixNano, t.Capacity(), t.Sample()
+	meta.Recorded, meta.Dropped = t.Recorded(), t.Dropped()
+	bw := bufio.NewWriter(w)
+	rec := wire.AppendRecord(nil, kindMeta, meta.fields)
+	bw.Write(rec) //nolint:errcheck // a bufio.Writer keeps its first error for Flush
+	for i := range events {
+		rec = wire.AppendRecord(rec[:0], byte(events[i].Kind), events[i].fields)
+		bw.Write(rec) //nolint:errcheck
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("perf: trace dump: %w", err)
+	}
+	return nil
+}
+
+// ReadDump reads a trace dump Dump wrote.
+func ReadDump(r io.Reader) (Meta, []Event, error) {
+	var meta Meta
+	var events []Event
+	for n := 0; ; n++ {
+		kind, body, err := wire.ReadRecord(r)
+		switch {
+		case err == io.EOF && n > 0:
+			return meta, events, nil
+		case err == io.EOF:
+			return meta, nil, fmt.Errorf("perf: trace dump without a meta record")
+		case err != nil:
+		case n == 0 && kind == kindMeta:
+			err = wire.Decode(body, meta.fields)
+		case n > 0 && kind < kindMeta:
+			e := Event{Kind: Kind(kind)}
+			err = wire.Decode(body, e.fields)
+			events = append(events, e)
+		default:
+			err = fmt.Errorf("%w: a kind %d record", wire.ErrMalformed, kind)
+		}
+		if err != nil {
+			return meta, nil, fmt.Errorf("perf: trace dump, record %d: %w", n, err)
 		}
 	}
-	if !trimmed {
-		return nil, nil, nil
-	}
-	var probe struct {
-		Meta bool `json:"meta"`
-	}
-	if err := json.Unmarshal(line, &probe); err != nil {
-		return nil, nil, fmt.Errorf("perf: bad trace line: %w", err)
-	}
-	if probe.Meta {
-		var ml metaLine
-		if err := json.Unmarshal(line, &ml); err != nil {
-			return nil, nil, fmt.Errorf("perf: bad trace meta: %w", err)
-		}
-		return &TraceMeta{
-			Rank: ml.Rank, Size: ml.Size, Component: ml.Component, Host: ml.Host,
-			BaseUnix: ml.BaseUnix, ClockOffsetNS: ml.ClockOff, Capacity: ml.Capacity,
-			Recorded: ml.Recorded, Dropped: ml.Dropped, Sample: ml.Sample,
-		}, nil, nil
-	}
-	var el eventLine
-	if err := json.Unmarshal(line, &el); err != nil {
-		return nil, nil, fmt.Errorf("perf: bad trace event: %w", err)
-	}
-	kind, ok := KindFromString(el.K)
-	if !ok {
-		return nil, nil, fmt.Errorf("perf: unknown trace event kind %q", el.K)
-	}
-	return nil, &Event{TS: el.T, Kind: kind, A: el.A, B: el.B, C: el.C, D: el.D}, nil
 }

@@ -1,12 +1,16 @@
 package perf
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mph/internal/wire"
 )
 
 func TestTracerRecordAndEvents(t *testing.T) {
@@ -98,85 +102,86 @@ func TestTracerConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestWriteJSONLRoundTrip(t *testing.T) {
+func TestDumpRoundTrip(t *testing.T) {
 	base := time.Now()
 	tr := NewTracer(8, base)
+	tr.SetSample(4)
 	span := tr.Begin(int64(PhaseRegistry), 0, 0)
-	tr.Record(KSend, 2, 9, 128, 0)
+	tr.record(5, KSend, 2, 9, 128, -1)
 	span.End()
 
 	var buf bytes.Buffer
 	meta := Meta{Rank: 3, Size: 8, Component: "ice", Host: "node-b", ClockOffsetNS: -2500}
-	if err := tr.WriteJSONL(&buf, meta); err != nil {
+	if err := tr.Dump(&buf, meta); err != nil {
 		t.Fatal(err)
 	}
-
-	var gotMeta *TraceMeta
-	var events []Event
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		m, e, err := ParseTraceLine(sc.Bytes())
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		if m != nil {
-			gotMeta = m
-		}
-		if e != nil {
-			events = append(events, *e)
-		}
+	got, events, err := ReadDump(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gotMeta == nil {
-		t.Fatal("no meta line")
+	want := meta
+	want.BaseUnix, want.Capacity, want.Recorded, want.Dropped, want.Sample = base.UnixNano(), 8, 3, 0, 4
+	if got != want {
+		t.Errorf("meta came back as %+v, want %+v", got, want)
 	}
-	if gotMeta.Rank != 3 || gotMeta.Size != 8 || gotMeta.Component != "ice" {
-		t.Errorf("meta %+v", gotMeta)
-	}
-	if gotMeta.Host != "node-b" || gotMeta.ClockOffsetNS != -2500 {
-		t.Errorf("identity round trip: host %q offset %d, want node-b, -2500",
-			gotMeta.Host, gotMeta.ClockOffsetNS)
-	}
-	if gotMeta.BaseUnix != base.UnixNano() {
-		t.Errorf("base %d, want %d", gotMeta.BaseUnix, base.UnixNano())
-	}
-	if gotMeta.Capacity != 8 || gotMeta.Recorded != 3 || gotMeta.Dropped != 0 {
-		t.Errorf("meta counters %+v", gotMeta)
-	}
-	if len(events) != 3 {
-		t.Fatalf("got %d events", len(events))
-	}
-	if events[1].Kind != KSend || events[1].A != 2 || events[1].B != 9 || events[1].C != 128 {
-		t.Errorf("event 1 round trip: %+v", events[1])
+	if !reflect.DeepEqual(events, tr.Events()) {
+		t.Errorf("events came back as %+v, want %+v", events, tr.Events())
 	}
 }
 
-func TestWriteJSONLReportsDropped(t *testing.T) {
+func TestDumpReportsDropped(t *testing.T) {
 	tr := NewTracer(2, time.Now())
 	for i := 0; i < 5; i++ {
 		tr.Record(KSend, 0, 0, 0, 0)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf, Meta{Rank: 0, Size: 1}); err != nil {
+	if err := tr.Dump(&buf, Meta{Rank: 0, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := ParseTraceLine([]byte(strings.SplitN(buf.String(), "\n", 2)[0]))
-	if err != nil || m == nil {
-		t.Fatalf("meta parse: %v", err)
+	m, events, err := ReadDump(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Recorded != 5 || m.Dropped != 3 {
-		t.Errorf("recorded %d dropped %d, want 5/3", m.Recorded, m.Dropped)
+	if m.Recorded != 5 || m.Dropped != 3 || len(events) != 2 {
+		t.Errorf("recorded %d dropped %d kept %d, want 5/3/2", m.Recorded, m.Dropped, len(events))
 	}
 }
 
-func TestParseTraceLineEdges(t *testing.T) {
-	if m, e, err := ParseTraceLine([]byte("   \t  ")); m != nil || e != nil || err != nil {
-		t.Error("blank line should yield all-nil")
+// TestReadDumpEdges: a dump is one meta record, then events, and nothing
+// else reads as one.
+func TestReadDumpEdges(t *testing.T) {
+	tr := NewTracer(4, time.Now())
+	tr.Record(KSend, 1, 2, 3, 0)
+	var buf bytes.Buffer
+	if err := tr.Dump(&buf, Meta{Rank: 1, Size: 2}); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ParseTraceLine([]byte("{bad json")); err == nil {
-		t.Error("bad JSON accepted")
+	dump := buf.Bytes()
+	meta := dump[:4+binary.LittleEndian.Uint32(dump)]
+	event := dump[len(meta):]
+	unknown := wire.AppendRecord(nil, kindMeta+1, func(*wire.Codec) {})
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"no meta record", event},
+		{"two meta records", slices.Concat(meta, meta, event)},
+		{"an unknown kind", slices.Concat(meta, unknown)},
+		{"cut short", dump[:len(dump)-1]},
+		{"an event a field short", slices.Concat(meta, wire.AppendRecord(nil, byte(KSend), func(c *wire.Codec) {
+			var v int64
+			for i := 0; i < 4; i++ {
+				wire.Int(c, &v)
+			}
+		}))},
+	} {
+		if _, _, err := ReadDump(bytes.NewReader(c.data)); err == nil {
+			t.Errorf("%s: read as a dump", c.name)
+		}
 	}
-	if _, _, err := ParseTraceLine([]byte(`{"t":1,"k":"no-such-kind"}`)); err == nil {
-		t.Error("unknown kind accepted")
+	if m, events, err := ReadDump(bytes.NewReader(meta)); err != nil || m.Rank != 1 || len(events) != 0 {
+		t.Errorf("a dump of no events read as %+v, %d events, %v", m, len(events), err)
 	}
 }
 
@@ -186,13 +191,6 @@ func TestKindNames(t *testing.T) {
 		if name == "unknown" || name == "" {
 			t.Fatalf("kind %d has no name", k)
 		}
-		back, ok := KindFromString(name)
-		if !ok || back != k {
-			t.Errorf("KindFromString(%q) = %v, %v", name, back, ok)
-		}
-	}
-	if _, ok := KindFromString("bogus"); ok {
-		t.Error("bogus kind resolved")
 	}
 	if numKinds.String() != "unknown" {
 		t.Error("out-of-range kind must print unknown")

@@ -1,10 +1,8 @@
 package tcpnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -417,44 +415,42 @@ func registerZombie(rv *bootstrap.Rendezvous, rank int, addr string) <-chan *boo
 	return zombie
 }
 
-// Session records as a launcher writes and reads them
-// (internal/bootstrap/record.go): u32 length | kind | fields, the kinds
-// numbered as there. The fake launchers below speak them.
+// Session records as a launcher writes and reads them (package wire), the
+// kinds numbered as in internal/bootstrap/record.go, where
+// TestSessionKindNumbers pins them. The fake launchers below speak them.
 const (
-	sessionBook = 2
-	sessionDown = 8
+	sessionRegister = 1
+	sessionBook     = 2
+	sessionDown     = 8
 )
 
-// sessionRecord encodes one session record whose fields fields appends.
-func sessionRecord(kind byte, fields func(c *wire.Codec)) []byte {
-	c := wire.NewEncoder([]byte{0, 0, 0, 0, kind})
-	fields(c)
-	b := c.Bytes()
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
-
 // readRegistration reads a rank's register record off conn and returns the
-// address it registered ("" if it is not one).
-func readRegistration(conn net.Conn) string {
-	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil || binary.LittleEndian.Uint32(hdr[:]) < 1 {
-		return ""
-	}
-	body := make([]byte, binary.LittleEndian.Uint32(hdr[:])-1)
-	io.ReadFull(conn, body)
+// address it registered; anything else fails the test, naming what it read.
+func readRegistration(t *testing.T, conn net.Conn) string {
 	var rank int
 	var addr string
-	c := wire.NewDecoder(body)
-	wire.Int(c, &rank)
-	c.String(&addr)
+	kind, body, err := wire.ReadRecord(conn)
+	if err == nil && kind != sessionRegister {
+		err = fmt.Errorf("a kind %d record", kind)
+	}
+	if err == nil {
+		err = wire.Decode(body, func(c *wire.Codec) {
+			var host string
+			wire.Int(c, &rank)
+			c.String(&addr)
+			c.String(&host)
+		})
+	}
+	if err != nil {
+		t.Errorf("fake launcher: want a kind %d register record: %v", sessionRegister, err)
+	}
 	return addr
 }
 
 // bookRecord is a book that asks for no telemetry, of the given addresses
 // by rank, every host unknown.
 func bookRecord(addrs ...string) []byte {
-	return sessionRecord(sessionBook, func(c *wire.Codec) {
+	return wire.AppendRecord(nil, sessionBook, func(c *wire.Codec) {
 		var sync bool
 		var every int64
 		var host string
@@ -470,7 +466,7 @@ func bookRecord(addrs ...string) []byte {
 
 // downRecord tells a rank that rank's session ended, cleanly if final.
 func downRecord(rank int, final bool) []byte {
-	return sessionRecord(sessionDown, func(c *wire.Codec) {
+	return wire.AppendRecord(nil, sessionDown, func(c *wire.Codec) {
 		wire.Int(c, &rank)
 		c.Bool(&final)
 	})
@@ -495,7 +491,7 @@ func TestDownLineNamingNoPeerIgnored(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		conn.Write(bookRecord(readRegistration(conn), "127.0.0.1:9"))
+		conn.Write(bookRecord(readRegistration(t, conn), "127.0.0.1:9"))
 		for _, rank := range []int{0, -1, 2, 1 << 40} {
 			conn.Write(downRecord(rank, false))
 		}
@@ -554,7 +550,7 @@ func TestChaosDownLineEndsDialRetry(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		conn.Write(bookRecord(readRegistration(conn), deadAddr))
+		conn.Write(bookRecord(readRegistration(t, conn), deadAddr))
 		<-sendDown
 		conn.Write(downRecord(1, false))
 		<-hold

@@ -344,3 +344,26 @@ func TestShmListenerUnmakeable(t *testing.T) {
 		t.Errorf("%d entries left in TMPDIR after Close", len(entries))
 	}
 }
+
+// TestHelloBytesUncounted: no hello counts as traffic on either side, the
+// second hello that advertises the intra-host listener on an open stream
+// included, so over a clean two-rank job the bytes read equal the bytes
+// written.
+func TestHelloBytesUncounted(t *testing.T) {
+	trs, envs := startWorld(t, 2)
+	setEagerThreshold(trs, 64<<10)
+	exchangeBoth(t, envs, 1, []byte("eager"))
+	exchangeBoth(t, envs, 2, bytes.Repeat([]byte{0x5A}, 1<<20))
+	var in, out, shm uint64
+	for _, env := range envs {
+		env.Close()
+		nc := &env.Perf().Net
+		in, out, shm = in+nc.BytesIn.Load(), out+nc.BytesOut.Load(), shm+nc.ShmRDataOut.Load()
+	}
+	if shm != 2 {
+		t.Fatalf("ShmRDataOut = %d over both ranks, want 2: no second hello went out", shm)
+	}
+	if in != out {
+		t.Errorf("BytesIn = %d, BytesOut = %d over both ranks; want them equal", in, out)
+	}
+}

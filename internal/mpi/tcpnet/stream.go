@@ -89,12 +89,12 @@ func (t *Transport) readLoop(conn *sock.Conn, local bool) {
 
 // onHello handles the introduction: the loop has already checked the rank.
 // On TCP it may carry the path of the peer's intra-host payload listener.
+// No hello is counted, on either side: BytesIn and BytesOut count traffic.
 func (s *stream) onHello(f frame, tail int) error {
 	path := make([]byte, tail)
 	if _, err := io.ReadFull(s.r, path); err != nil {
 		return err
 	}
-	s.t.netCounters().BytesIn.Add(uint64(prefixLen + 8 + tail))
 	if !s.local && tail > 0 {
 		s.t.peers[f.src].advertised(string(path))
 	}

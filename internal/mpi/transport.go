@@ -113,7 +113,7 @@ func (e *Env) flushObservability() {
 	if dir == "" || tr == nil {
 		return
 	}
-	path := filepath.Join(dir, fmt.Sprintf("trace.rank%04d.jsonl", e.worldRank))
+	path := filepath.Join(dir, fmt.Sprintf("trace.rank%04d.bin", e.worldRank))
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpi: perf trace dump: %v\n", err)
@@ -127,7 +127,7 @@ func (e *Env) flushObservability() {
 		Host:          e.pv.Host(),
 		ClockOffsetNS: offset,
 	}
-	if err := tr.WriteJSONL(f, meta); err != nil {
+	if err := tr.Dump(f, meta); err != nil {
 		fmt.Fprintf(os.Stderr, "mpi: perf trace dump: %v\n", err)
 	}
 	if err := f.Close(); err != nil {

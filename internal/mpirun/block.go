@@ -2,7 +2,6 @@ package mpirun
 
 import (
 	"bufio"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -33,14 +32,14 @@ type blockChild struct {
 
 // startBlock spawns every rank of the block and returns once all have been
 // started. Events reach emit from several goroutines; each rank ends in
-// exactly one "exit". A rank that cannot be started exits with code 127
+// exactly one exit event. A rank that cannot be started exits with code 127
 // instead of failing the block. registration is the registration-file path
 // on this host ("" = none).
 func startBlock(b *SpawnBlock, registration string, emit func(blockEvent)) *blockRun {
 	r := &blockRun{emit: emit, children: make(map[int]*blockChild, len(b.Ranks))}
 	for _, rk := range b.Ranks {
 		if msg := r.startRank(b, rk, registration); msg != "" {
-			emit(blockEvent{Event: "exit", Rank: rk.Rank, Code: 127, Msg: msg})
+			emit(blockEvent{Kind: kindExit, Rank: rk.Rank, Code: 127, Text: msg})
 		}
 	}
 	return r
@@ -72,25 +71,25 @@ func (r *blockRun) startRank(b *SpawnBlock, rk SpawnRank, registration string) s
 		return fmt.Sprintf("start %q: %v", strings.Join(rk.Argv, " "), err)
 	}
 	r.children[rk.Rank] = &blockChild{cmd: cmd}
-	r.emit(blockEvent{Event: "spawned", Rank: rk.Rank, Pid: cmd.Process.Pid})
+	r.emit(blockEvent{Kind: kindSpawned, Rank: rk.Rank, Pid: cmd.Process.Pid})
 
 	var pipes sync.WaitGroup
 	pipes.Add(2)
-	relay := func(stream string, src io.Reader) {
+	relay := func(stderr bool, src io.Reader) {
 		defer pipes.Done()
 		relayLines(src, func(line []byte) {
-			r.emit(blockEvent{Event: "line", Rank: rk.Rank, Stream: stream, Text: string(line)})
+			r.emit(blockEvent{Kind: kindLine, Rank: rk.Rank, Stderr: stderr, Text: string(line)})
 		})
 	}
-	go relay("stdout", stdout)
-	go relay("stderr", stderr)
+	go relay(false, stdout)
+	go relay(true, stderr)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		// The pipes EOF when the process group's writers are gone; Wait must
 		// not run (and close them) before the readers drain.
 		pipes.Wait()
-		r.emit(blockEvent{Event: "exit", Rank: rk.Rank, Code: exitStatus(cmd.Wait())})
+		r.emit(blockEvent{Kind: kindExit, Rank: rk.Rank, Code: exitStatus(cmd.Wait())})
 	}()
 	return ""
 }
@@ -173,16 +172,12 @@ func relayLines(src io.Reader, emit func(line []byte)) {
 
 // materializeRegistration writes registration contents shipped by value to
 // a temp file, returning its path and a cleanup func.
-func materializeRegistration(b64 string) (string, func(), error) {
-	data, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return "", nil, fmt.Errorf("bad regdata: %w", err)
-	}
+func materializeRegistration(data string) (string, func(), error) {
 	f, err := os.CreateTemp("", "mph-registration-*")
 	if err != nil {
 		return "", nil, err
 	}
-	if _, err := f.Write(data); err != nil {
+	if _, err := f.WriteString(data); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return "", nil, err

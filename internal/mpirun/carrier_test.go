@@ -3,8 +3,10 @@ package mpirun
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"mph/internal/bootstrap"
+	"mph/internal/wire"
 )
 
 // TestMain doubles as the per-host agent: invoked as "agent" this test
@@ -307,7 +310,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 				Size:         1,
 				Rendezvous:   "127.0.0.1:1",
 				Registration: "/launcher/only/path",
-				Regdata:      "QkVHSU4KRU5ECg==", // "BEGIN\nEND\n"
+				Regdata:      "BEGIN\nEND\n",
 				Procs:        []Proc{{Rank: 0, Argv: []string{"/bin/sh", "-c", `test "$MPH_REGISTRATION" != /launcher/only/path && cat "$MPH_REGISTRATION"`}}},
 				Stdout:       &out,
 			}
@@ -399,21 +402,21 @@ func TestBlockProtocolConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			lc := NewLineConn(conn)
-			req := blockRequest{Op: "spawn", Spawn: wireBlock(host, sleepers(1))}
+			out := &sender{w: conn}
+			req := blockRequest{Kind: kindSpawn, Spawn: wireBlock(host, sleepers(1))}
 			for i := 0; i < 2; i++ {
-				if err := lc.Send(req); err != nil {
+				if err := out.request(req); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for {
 				var ev blockEvent
-				if err := lc.Recv(&ev); err != nil {
+				if err := readEvent(conn, &ev); err != nil {
 					t.Fatalf("connection ended without an error event: %v", err)
 				}
-				if ev.Event == "error" {
-					if !strings.Contains(ev.Msg, "already spawned") {
-						t.Errorf("error %q does not name the second spawn", ev.Msg)
+				if ev.Kind == kindError {
+					if !strings.Contains(ev.Text, "already spawned") {
+						t.Errorf("error %q does not name the second spawn", ev.Text)
 					}
 					return
 				}
@@ -428,19 +431,18 @@ func TestBlockProtocolConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lc := NewLineConn(conn)
 			block := sleepers(2)
 			block.Procs[1].Argv = []string{"/bin/sh", "-c", "while :; do echo chatter; done"}
-			if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(host, block)}); err != nil {
+			if err := (&sender{w: conn}).request(blockRequest{Kind: kindSpawn, Spawn: wireBlock(host, block)}); err != nil {
 				t.Fatal(err)
 			}
 			var pids []int
 			for len(pids) < 2 {
 				var ev blockEvent
-				if err := lc.Recv(&ev); err != nil {
+				if err := readEvent(conn, &ev); err != nil {
 					t.Fatal(err)
 				}
-				if ev.Event == "spawned" {
+				if ev.Kind == kindSpawned {
 					pids = append(pids, ev.Pid)
 				}
 			}
@@ -472,10 +474,10 @@ func TestBlockProtocolConformance(t *testing.T) {
 	}
 }
 
-// TestDaemonBoundsRequestLine is the unauthenticated-port guard: a peer that
-// streams bytes without ever sending a newline gets an error event once it
-// passes the line cap, and the daemon holds no more than the cap for it.
-func TestDaemonBoundsRequestLine(t *testing.T) {
+// TestDaemonBoundsRequestRecord is the unauthenticated-port guard: a peer
+// whose record header names more than wire.MaxRecordBytes gets an error
+// event and a hang-up, and the daemon holds nothing for the bytes it named.
+func TestDaemonBoundsRequestRecord(t *testing.T) {
 	d, _ := testDaemon(t)
 	conn, err := net.Dial("tcp", d.Addr())
 	if err != nil {
@@ -485,32 +487,31 @@ func TestDaemonBoundsRequestLine(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	go func() {
-		chunk := bytes.Repeat([]byte("x"), 1<<20)
-		for i := 0; i < 17; i++ {
-			if _, err := conn.Write(chunk); err != nil {
-				return // the daemon hung up on us, as it should
-			}
-		}
-	}()
+	hdr := binary.LittleEndian.AppendUint32(nil, wire.MaxRecordBytes+1)
+	if _, err := conn.Write(append(hdr, kindSpawn)); err != nil {
+		t.Fatal(err)
+	}
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	var ev blockEvent
-	if err := NewLineConn(conn).Recv(&ev); err != nil {
-		t.Fatalf("no reply to a 17 MiB newline-free request: %v", err)
+	if err := readEvent(conn, &ev); err != nil {
+		t.Fatalf("no reply to an over-cap request: %v", err)
 	}
-	if ev.Event != "error" || !strings.Contains(ev.Msg, "longer than") {
-		t.Errorf("reply %+v, want an over-long-line error event", ev)
+	if ev.Kind != kindError || !strings.Contains(ev.Text, "bad request") {
+		t.Errorf("reply %+v, want a bad-request error event", ev)
+	}
+	if err := readEvent(conn, &ev); err != io.EOF {
+		t.Errorf("after the error event: %v, want the daemon's hang-up", err)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > before.HeapAlloc+MaxLineBytes {
-		t.Errorf("heap grew %d bytes serving one connection, cap is %d", after.HeapAlloc-before.HeapAlloc, MaxLineBytes)
+	if after.HeapAlloc > before.HeapAlloc+1<<20 {
+		t.Errorf("heap grew %d bytes refusing one header", after.HeapAlloc-before.HeapAlloc)
 	}
 }
 
 // TestBadEventFailsRanks is the client's half of the framing guard: a
-// server that sends something other than an event line fails every pending
-// rank with a bad-event error instead of wedging the handle.
+// server that sends something other than an event record fails every
+// pending rank with a bad-event error instead of wedging the handle.
 func TestBadEventFailsRanks(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -523,9 +524,8 @@ func TestBadEventFailsRanks(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		lc := NewLineConn(conn)
 		var req blockRequest
-		if lc.Recv(&req) != nil || lc.Send(blockEvent{Event: "pong"}) != nil {
+		if readRequest(conn, &req) != nil || (&sender{w: conn}).event(blockEvent{Kind: kindPong}) != nil {
 			return
 		}
 		fmt.Fprintln(conn, "this is not an event")

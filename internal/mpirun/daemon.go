@@ -7,6 +7,8 @@ import (
 	"net"
 	"os"
 	"sync"
+
+	"mph/internal/wire"
 )
 
 // DefaultDaemonPort is the TCP control port mphd listens on when none is
@@ -109,10 +111,10 @@ func ServeAgent() {
 // requests in, events out, and a guaranteed kill of everything the
 // connection spawned once it drops.
 func serveConn(rw io.ReadWriter) {
-	lc := NewLineConn(rw)
+	out := &sender{w: rw}
 	// Event write errors are ignored: a dead launcher shows up as a read
 	// error below.
-	send := func(ev blockEvent) { _ = lc.Send(ev) }
+	send := func(ev blockEvent) { _ = out.event(ev) }
 	var run *blockRun
 	cleanup := func() {}
 	defer func() {
@@ -124,41 +126,33 @@ func serveConn(rw io.ReadWriter) {
 	}()
 	for {
 		var req blockRequest
-		if err := lc.Recv(&req); err != nil {
-			if errors.Is(err, ErrBadLine) {
-				send(blockEvent{Event: "error", Msg: fmt.Sprintf("bad request: %v", err)})
+		if err := readRequest(rw, &req); err != nil {
+			if errors.Is(err, wire.ErrMalformed) {
+				send(blockEvent{Kind: kindError, Text: fmt.Sprintf("bad request: %v", err)})
 			}
 			return // EOF, torn connection or garbage: the kill lease expires
 		}
-		reject := ""
 		switch {
-		case req.Op == "ping":
-			send(blockEvent{Event: "pong"})
-		case req.Op == "kill":
+		case req.Kind == kindPing:
+			send(blockEvent{Kind: kindPong})
+		case req.Kind == kindKill:
 			if run != nil {
 				run.kill(req.Rank)
 			}
-		case req.Op != "spawn":
-			reject = fmt.Sprintf("unknown op %q", req.Op)
-		case req.Spawn == nil:
-			reject = "spawn request without a block"
 		case run != nil:
-			reject = "connection already spawned a block"
+			send(blockEvent{Kind: kindError, Text: "connection already spawned a block"})
+			return
 		default:
 			registration := ""
 			if req.Spawn.Regdata != "" {
 				path, remove, err := materializeRegistration(req.Spawn.Regdata)
 				if err != nil {
-					reject = err.Error()
-					break
+					send(blockEvent{Kind: kindError, Text: err.Error()})
+					return
 				}
 				registration, cleanup = path, remove
 			}
-			run = startBlock(req.Spawn, registration, send)
-		}
-		if reject != "" {
-			send(blockEvent{Event: "error", Msg: reject})
-			return
+			run = startBlock(&req.Spawn, registration, send)
 		}
 	}
 }

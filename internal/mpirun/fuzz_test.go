@@ -1,9 +1,14 @@
 package mpirun
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
+
+	"mph/internal/wire"
 )
 
 // FuzzParseSpec drives the four launch-spec parsers — everything mphrun
@@ -66,4 +71,81 @@ func FuzzParseSpec(f *testing.F) {
 		hosts, err = ParseHostList(string(data))
 		checkHosts("ParseHostList", hosts, err)
 	})
+}
+
+// FuzzBlockRecord reads arbitrary bytes as a block-protocol stream, each
+// record with the reader its kind belongs to — a server's readRequest or a
+// launcher's readEvent — and starts no process. Invariants: no panic; what
+// a record decodes to, whole or cut short, is bounded by its bytes (its
+// strings' lengths plus each list's count times the least bytes an item
+// takes); and a record that decodes re-encodes to the bytes it came from.
+func FuzzBlockRecord(f *testing.F) {
+	spawn := blockRequest{Kind: kindSpawn, Spawn: SpawnBlock{
+		Size: 2, Rendezvous: "10.0.0.1:7000", Regdata: "BEGIN\n\x00\xff\nEND\n", Host: "nodeA",
+		Env:   []string{"MPH_TRACE_DIR=/tmp/tr"},
+		Ranks: []SpawnRank{{Rank: 0, Argv: []string{"./atm", "-x"}}, {Rank: 1, Argv: []string{"./ocn"}, Env: []string{"A=b"}}},
+	}}
+	req := func(q blockRequest) []byte { return wire.AppendRecord(nil, q.Kind, q.fields) }
+	ev := func(e blockEvent) []byte { return wire.AppendRecord(nil, e.Kind, e.fields) }
+	full := req(spawn)
+	f.Add(req(blockRequest{Kind: kindPing}))
+	f.Add(full)
+	f.Add(req(blockRequest{Kind: kindKill, Rank: -1}))
+	f.Add(full[:len(full)-3]) // a record cut short
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, wire.MaxRecordBytes+1), kindSpawn, 0, 0))
+	f.Add(slices.Concat(ev(blockEvent{Kind: kindPong}), ev(blockEvent{Kind: kindSpawned, Rank: 1, Pid: 42}),
+		ev(blockEvent{Kind: kindLine, Rank: 1, Stderr: true, Text: "oops"}),
+		ev(blockEvent{Kind: kindExit, Rank: 1, Code: 127, Text: "start: no such file"}),
+		ev(blockEvent{Kind: kindError, Text: "bad request"})))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for r.Len() > 0 {
+			at := len(data) - r.Len()
+			var q blockRequest
+			var e blockEvent
+			var err error
+			var held int
+			if r.Len() > 4 && data[at+4] <= kindKill {
+				err = readRequest(r, &q)
+				held = requestHolds(&q)
+			} else {
+				err = readEvent(r, &e)
+				held = len(e.Text)
+			}
+			raw := data[at : len(data)-r.Len()]
+			if held > max(len(raw)-5, 0) {
+				t.Fatalf("a %d-byte record decoded to %d bytes of strings and lists", len(raw), held)
+			}
+			if err != nil {
+				return
+			}
+			again := req(q)
+			if q.Kind == 0 {
+				again = ev(e)
+			}
+			if !bytes.Equal(again, raw) {
+				t.Fatalf("record %x re-encoded as %x", raw, again)
+			}
+		}
+	})
+}
+
+// requestHolds sums a request's strings' lengths and its lists' counts
+// times the least bytes an item of each takes.
+func requestHolds(q *blockRequest) int {
+	b := &q.Spawn
+	n := len(b.Rendezvous) + len(b.Regdata) + len(b.Host) + len(b.Bind) + listHolds(b.Env) + 16*len(b.Ranks)
+	for _, rk := range b.Ranks {
+		n += listHolds(rk.Argv) + listHolds(rk.Env)
+	}
+	return n
+}
+
+// listHolds is what requestHolds counts for a list of strings.
+func listHolds(s []string) int {
+	n := 4 * len(s)
+	for _, v := range s {
+		n += len(v)
+	}
+	return n
 }

@@ -23,7 +23,6 @@ package mpirun
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"net"
@@ -324,8 +323,8 @@ func resolveBind(ctx context.Context, bind string) (string, error) {
 // hostBlocks groups the spec's ranks into one block per host of hosts, in
 // that order, and fills in the job-wide launch context each spawner needs.
 // The registration file is shipped both ways — as the launcher-local path
-// (for the direct spawner) and as base64 contents (for spawners that cross
-// a host boundary).
+// (for the direct spawner) and as its contents (for spawners that cross a
+// host boundary).
 func hostBlocks(spec *LaunchSpec, hosts []string, sp Spawner, rvAddr, bind string) ([]Block, error) {
 	regdata := ""
 	if spec.Registration != "" {
@@ -334,7 +333,7 @@ func hostBlocks(spec *LaunchSpec, hosts []string, sp Spawner, rvAddr, bind strin
 			if err != nil {
 				return nil, fmt.Errorf("mpirun: read registration: %w", err)
 			}
-			regdata = base64.StdEncoding.EncodeToString(data)
+			regdata = string(data)
 		}
 	}
 	base := Block{

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mph/internal/wire"
 )
 
 // rankExit is one reaped rank of a spawned block: its world rank and the
@@ -33,7 +35,7 @@ type Block struct {
 	// Registration is the launcher-local registration file path ("" = none);
 	// only the local spawner can use it directly.
 	Registration string
-	// Regdata is the base64 registration-file contents shipped by value for
+	// Regdata is the registration file's contents, shipped by value to
 	// spawners that cross a host boundary.
 	Regdata string
 	// Bind is the listener bind host for every rank ("" = loopback).
@@ -85,7 +87,7 @@ type HostConn struct {
 	// process).
 	peer string
 	conn io.ReadWriteCloser // nil once a spawn owns it, and under LocalSpawner
-	lc   *LineConn
+	out  *sender            // conn's sending end; nil under LocalSpawner
 }
 
 // Close hangs up a host nothing was spawned on; after a spawn the block's
@@ -122,8 +124,8 @@ func dedupEnv(env []string) []string {
 }
 
 // wireBlock renders a host's block in its wire form.
-func wireBlock(host string, block Block) *SpawnBlock {
-	wire := &SpawnBlock{
+func wireBlock(host string, block Block) SpawnBlock {
+	wire := SpawnBlock{
 		Size:       block.Size,
 		Rendezvous: block.Rendezvous,
 		Regdata:    block.Regdata,
@@ -184,15 +186,15 @@ func newBlockHandle(peer, host string, block Block) *blockHandle {
 // deliver consumes one event of the block. Exit events must arrive at most
 // once per rank (the exits channel holds exactly one per rank).
 func (h *blockHandle) deliver(ev blockEvent) {
-	switch ev.Event {
-	case "line":
+	switch ev.Kind {
+	case kindLine:
 		w := h.stdout
-		if ev.Stream == "stderr" {
+		if ev.Stderr {
 			w = h.stderr
 		}
 		fmt.Fprintf(w, "%s%s\n", h.prefix[ev.Rank], ev.Text)
-	case "exit":
-		h.exits <- rankExit{rank: ev.Rank, err: errForExit(ev.Code, ev.Msg)}
+	case kindExit:
+		h.exits <- rankExit{rank: ev.Rank, err: errForExit(ev.Code, ev.Text)}
 	}
 }
 
@@ -219,8 +221,9 @@ func errForExit(code int, msg string) error {
 // of the block survives.
 func (c *HostConn) spawn(block Block) (*blockHandle, error) {
 	h := newBlockHandle(c.peer, c.host, block)
-	if c.lc == nil {
-		run := startBlock(wireBlock(c.host, block), block.Registration, h.deliver)
+	if c.out == nil {
+		b := wireBlock(c.host, block)
+		run := startBlock(&b, block.Registration, h.deliver)
 		h.kill = run.kill
 		go func() {
 			run.wait()
@@ -228,15 +231,15 @@ func (c *HostConn) spawn(block Block) (*blockHandle, error) {
 		}()
 		return h, nil
 	}
-	conn, lc := c.conn, c.lc
+	conn, out := c.conn, c.out
 	c.conn = nil
-	h.kill = func(rank int) { _ = lc.Send(blockRequest{Op: "kill", Rank: rank}) }
-	if err := lc.Send(blockRequest{Op: "spawn", Spawn: wireBlock(c.host, block)}); err != nil {
+	h.kill = func(rank int) { _ = out.request(blockRequest{Kind: kindKill, Rank: rank}) }
+	if err := out.request(blockRequest{Kind: kindSpawn, Spawn: wireBlock(c.host, block)}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%s: send spawn: %w", h.peer, err)
 	}
 	go func() {
-		h.readEvents(lc)
+		h.readEvents(conn)
 		conn.Close()
 		h.finish()
 	}()
@@ -306,14 +309,14 @@ func openRemote(ctx context.Context, d dialer, host string, timeout time.Duratio
 	if isTCP {
 		tc.SetDeadline(deadline)
 	}
-	c := &HostConn{host: host, peer: peerName(d, host), conn: conn, lc: NewLineConn(conn)}
+	c := &HostConn{host: host, peer: peerName(d, host), conn: conn, out: &sender{w: conn}}
 	var ev blockEvent
-	err = c.lc.Send(blockRequest{Op: "ping"})
+	err = c.out.request(blockRequest{Kind: kindPing})
 	if err == nil {
-		err = c.lc.Recv(&ev)
+		err = readEvent(conn, &ev)
 	}
-	if err == nil && ev.Event != "pong" {
-		err = fmt.Errorf("unexpected %q reply to ping", ev.Event)
+	if err == nil && ev.Kind != kindPong {
+		err = fmt.Errorf("unexpected kind %d reply to ping", ev.Kind)
 	}
 	if !timer.Stop() && err == nil {
 		err = fmt.Errorf("no pong within %v", timeout)
@@ -333,7 +336,7 @@ func openRemote(ctx context.Context, d dialer, host string, timeout time.Duratio
 // exited. A dead connection or a garbled event fails every still-pending
 // rank — a server crash mid-job must surface as supervised rank failures,
 // not a hang.
-func (h *blockHandle) readEvents(lc *LineConn) {
+func (h *blockHandle) readEvents(r io.Reader) {
 	pending := make(map[int]bool, len(h.prefix))
 	for rank := range h.prefix {
 		pending[rank] = true
@@ -345,19 +348,19 @@ func (h *blockHandle) readEvents(lc *LineConn) {
 	}
 	for len(pending) > 0 {
 		var ev blockEvent
-		switch err := lc.Recv(&ev); {
-		case errors.Is(err, ErrBadLine):
+		switch err := readEvent(r, &ev); {
+		case errors.Is(err, wire.ErrMalformed):
 			fail(fmt.Sprintf("bad event: %v", err))
 			return
 		case err != nil:
 			fail(fmt.Sprintf("connection lost: %v", err))
 			return
-		case ev.Event == "error":
-			fail(ev.Msg)
+		case ev.Kind == kindError:
+			fail(ev.Text)
 			return
-		case ev.Event == "exit" && !pending[ev.Rank]:
+		case ev.Kind == kindExit && !pending[ev.Rank]:
 			continue
-		case ev.Event == "exit":
+		case ev.Kind == kindExit:
 			delete(pending, ev.Rank)
 		}
 		h.deliver(ev)

@@ -1,7 +1,11 @@
-// Package wire is the field codec of the launch plane's binary records: a
-// rank's session with its launcher (package bootstrap) and the perf.Snapshot
-// a report carries. An integer is 8 bytes little-endian, a bool 1; a string
-// or a count is a u32 length and what it counts. One Codec both encodes and
+// Package wire is the one framing and field codec of the launch plane: a
+// rank's session with its launcher (package bootstrap), the block protocol
+// between a launcher and whatever spawns its ranks (package mpirun), a
+// rank's trace dump (package perf), and the perf.Snapshot a report carries.
+// A record is `u32 length | u8 kind | fields`, little-endian, the length
+// counting the kind byte and the fields as in tcpnet's frame header; each
+// stream numbers its own kinds. An integer is 8 bytes, a bool 1; a string or
+// a count is a u32 length and what it counts. One Codec both encodes and
 // decodes, so a record's layout is one list of calls, each naming a field.
 // A decoder checks every length against the bytes still unread before it
 // allocates anything for it.
@@ -10,11 +14,69 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"slices"
 )
 
-// errMalformed is a record that ends early, names a length longer than what
-// is left of it, or has bytes left over after its last field.
-var errMalformed = errors.New("wire: malformed record")
+// MaxRecordBytes caps a record's length: a header naming more is refused
+// before anything is read for the record.
+const MaxRecordBytes = 16 << 20
+
+// ErrMalformed marks a record whose header names no kind byte or more than
+// MaxRecordBytes, or whose fields end early, name a length longer than what
+// is left of the record, or leave bytes over.
+var ErrMalformed = errors.New("wire: malformed record")
+
+// readChunk is how much of a record's body a reader takes in at a time.
+const readChunk = 64 << 10
+
+// AppendRecord appends one record of the given kind to b, its fields coded
+// by fields.
+func AppendRecord(b []byte, kind byte, fields func(*Codec)) []byte {
+	start := len(b)
+	c := NewEncoder(append(b, 0, 0, 0, 0, kind))
+	fields(c)
+	b = c.Bytes()
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
+}
+
+// ReadRecord reads the next record off r and returns its kind and the bytes
+// of its fields. The body grows as it arrives, readChunk at a time, so a
+// header naming more bytes than ever come costs the reader at most that.
+// I/O errors are returned bare; a body cut short is io.ErrUnexpectedEOF.
+func ReadRecord(r io.Reader) (byte, []byte, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	n, kind := binary.LittleEndian.Uint32(hdr[:]), hdr[4]
+	if n == 0 || n > MaxRecordBytes {
+		return kind, nil, fmt.Errorf("%w: kind %d, %d bytes", ErrMalformed, kind, n)
+	}
+	var body []byte
+	for size := int(n - 1); len(body) < size; {
+		k := min(size-len(body), readChunk)
+		body = slices.Grow(body, k)
+		if _, err := io.ReadFull(r, body[len(body):len(body)+k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return kind, nil, err
+		}
+		body = body[:len(body)+k]
+	}
+	return kind, body, nil
+}
+
+// Decode reads a record's fields from b, as fields codes them, and fails
+// unless they fill b exactly.
+func Decode(b []byte, fields func(*Codec)) error {
+	c := NewDecoder(b)
+	fields(c)
+	return c.Err()
+}
 
 // Codec encodes or decodes one record's fields.
 type Codec struct {
@@ -38,7 +100,7 @@ func (c *Codec) Bytes() []byte { return c.b }
 // Err returns nil once a decoder has read every field and nothing is left.
 func (c *Codec) Err() error {
 	if c.err == nil && c.dec && len(c.b) > 0 {
-		return errMalformed
+		return ErrMalformed
 	}
 	return c.err
 }
@@ -46,7 +108,7 @@ func (c *Codec) Err() error {
 // take consumes the next n bytes of a decoder's input, or fails it.
 func (c *Codec) take(n int) []byte {
 	if c.err != nil || n > len(c.b) {
-		c.err = errMalformed
+		c.err = ErrMalformed
 		return nil
 	}
 	p := c.b[:n]
@@ -63,14 +125,16 @@ func Int[T ~int | ~int64 | ~uint64](c *Codec, p *T) {
 	}
 }
 
-// Bool codes a bool as one byte.
+// Bool codes a bool as one byte, 0 or 1; a decoder refuses any other.
 func (c *Codec) Bool(p *bool) {
 	if !c.dec && *p {
 		c.b = append(c.b, 1)
 	} else if !c.dec {
 		c.b = append(c.b, 0)
-	} else if q := c.take(1); q != nil {
-		*p = q[0] != 0
+	} else if q := c.take(1); q != nil && q[0] > 1 {
+		c.err = ErrMalformed
+	} else if q != nil {
+		*p = q[0] == 1
 	}
 }
 
@@ -86,7 +150,7 @@ func (c *Codec) Len(n, each int) int {
 		if n = int(binary.LittleEndian.Uint32(q)); n <= len(c.b)/max(each, 1) {
 			return n
 		}
-		c.err = errMalformed
+		c.err = ErrMalformed
 	}
 	return 0
 }

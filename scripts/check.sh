@@ -24,8 +24,8 @@
 #   run that checks every rank's diagnostics land in one buffer of its own;
 # - the tracer is one ring written by every goroutine of a rank: its tests
 #   (the ring keeps exactly the newest events, a dump never goes back in
-#   time while several goroutines record) and mphtrace's, which read its
-#   dumps, repeat under -race;
+#   time while several goroutines record, a dump reads back as it was
+#   written) and mphtrace's, which read its dumps, repeat under -race;
 # - the coupler sends each increment from a slab a later up-receive lands
 #   in (land's field lands in the ice slab), and a model takes its increment
 #   one segment at a time through one buffer, so the rendezvous-sized coupled
@@ -93,7 +93,7 @@ go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|Test
     ./internal/coupler ./internal/mpi/perf
 go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferEach' -race -count=2 \
     ./internal/coupler ./internal/xfer
-go test -run 'Tracer|WriteJSONL|ParseTraceLine|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase' -race -count=2 \
+go test -run 'Tracer|Dump|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase|ExpandArgs|LoadTrace' -race -count=2 \
     ./internal/mpi/perf ./cmd/mphtrace
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage|TestShmAdvertisedOnOpenStream' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
@@ -104,6 +104,7 @@ go test -run 'TestLaunchPeerExit' -count=2 ./cmd/mphrun
 go test -run 'TestLaunchPeerExit/exit_1_after_a_clean_Close' -count=20 ./cmd/mphrun
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
 go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s ./internal/mpirun
+go test -run=NONE -fuzz=FuzzBlockRecord -fuzztime=10s ./internal/mpirun
 go test -run=NONE -fuzz=FuzzSession -fuzztime=10s ./internal/bootstrap
 go test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/mpi/perf
 go test -run=NONE -bench=. -benchtime=1x ./...
@@ -226,11 +227,11 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (15,947 before the session's binary
-# records, the snapshot codec and the lazy intra-host listener, 16,262
-# after) and the stripped size of a component executable (2,736,312 bytes
-# before, 2,629,816 after: no rank links the JSON decoder), printed for
-# later comparison.
+# Non-test Go lines outside benchmark/ (16,262 before the block protocol and
+# the trace dump moved onto package wire's records, 16,246 after) and the
+# stripped size of a component executable (2,629,816 bytes before,
+# 2,412,728 after: no rank links encoding/json), printed for later
+# comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

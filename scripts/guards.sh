@@ -91,15 +91,13 @@ if grep -rn -e 'HostProber\|ProbeHost\|probeRemote\|PlaceCyclic\|ParsePlacement\
     README.md DESIGN.md OPERATIONS.md; then
     exit 1
 fi
-# A rank speaks no JSON to its launcher: the session is binary records, so
-# the line framing's constructor under its bootstrap name and the raw-JSON
-# snapshot field stay out of the rank side; the launcher's block protocol
-# keeps its own LineConn in mpirun.
-if grep -rn 'bootstrap\.NewLineConn\|json\.RawMessage' \
+# One record framing for the launch plane (package wire): the session, the
+# block protocol and the trace dump are all binary records, so the line-JSON
+# framing with its cap and its error, the JSONL trace dump with its line
+# types and parser, and the raw-JSON snapshot field stay out of the code and
+# the scripts.
+if grep -rn 'LineConn\|ErrBadLine\|MaxLineBytes\|ParseTraceLine\|WriteJSONL\|metaLine\|eventLine\|json\.RawMessage' \
     --exclude=guards.sh cmd internal examples benchmark scripts .github doc.go; then
-    exit 1
-fi
-if grep -rn 'LineConn' internal/bootstrap internal/mpi internal/wire; then
     exit 1
 fi
 # The tracer is one ring and one span pair: the shards with their sizing,
@@ -121,16 +119,12 @@ fi
 test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
 # Link budget: nothing a rank is built from may pull in net (whose cgo
 # resolver links libc and the dynamic loader into every rank), runtime/cgo,
-# the HTTP/TLS stack, process spawning, the launcher, or a profiler with the
-# compression and table writer behind it (DESIGN.md §14, "What a rank
-# links").
-if go list -deps ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/... |
-    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter'; then
-    exit 1
-fi
-# The session codec is hand-written: bootstrap, which every rank links,
-# links no encoding/json (a rank still does through perf's trace dump).
-if go list -deps ./internal/bootstrap | grep -x 'encoding/json'; then
+# the HTTP/TLS stack, process spawning, the launcher, a profiler with the
+# compression and table writer behind it, or encoding/json: every record a
+# rank writes or reads is package wire's (DESIGN.md §14, "What a rank
+# links"). internal/mpi/mpitest is test support, which links testing.
+if go list -deps ./internal/mpi ./internal/mpi/perf ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/... |
+    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter\|encoding/json'; then
     exit 1
 fi
 test -z "$(gofmt -l .)"
