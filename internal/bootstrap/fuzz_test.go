@@ -103,6 +103,7 @@ func FuzzSession(f *testing.F) {
 	f.Add([]byte(both + rec(msg{Kind: kindStacks, ID: 7, Text: "goroutine 1 [running]:"})))
 	f.Add([]byte(both + rec(msg{Kind: kindStacks, ID: 1}) + rec(msg{Kind: kindStacks})))
 	f.Add([]byte(both + over(kindStacks)))
+	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x00\x00")) // two registrations of length 0, on streams left open
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var regs [2][]byte
 		var rest [2][][]byte

@@ -22,10 +22,11 @@ import (
 // collective).
 //
 // The plans own no slab. The coupled loop (RunCoupled) runs them against
-// slabs of its own: a coupler rank receives into three fields, one of which
-// two links take turns with, and a model rank adds its increment into its
-// state one segment at a time (DESIGN.md §12). ToCoupler and ToModel are the
-// one-call form: the field they return on the receiving side belongs to the
+// slabs of its own: a coupler rank receives atmosphere and ice into two
+// fields and land and ocean one chunk at a time, and a model rank adds its
+// increment into its state one chunk at a time (DESIGN.md §12). ToCoupler
+// and ToModel are the one-call form: the field they return on the receiving
+// side belongs to the
 // link, is allocated on the first call that needs it, and holds that
 // exchange's data until the next call on the same link in the same
 // direction overwrites it. A caller that needs it longer copies it. Until

@@ -146,20 +146,28 @@ func runLayout(t *testing.T, sizes [5]int, g grid.Grid, coupler couplerSide) (*D
 	return diag, slabs
 }
 
-// TestInPlaceMergeMatchesReference: the coupler writes its increments over
-// the fields it received, in three slabs, with land's field landing in the
-// ice slab after the ice increment has gone and the atmosphere's increment
-// the ocean's negated, and every model adds its increment in one segment at
-// a time; the job must still be the out-of-place merge's bit for bit — every
-// diagnostic of every period and every model rank's final state. One layout
-// is the canonical 3/2/2/1/2; the others have a 3-rank coupler, so the
-// coupler's 16 bands split 6/5/5 and the single ice rank takes its increment
-// in three segments.
+// TestInPlaceMergeMatchesReference: the coupler holds two slabs, streams
+// land's and ocean's fields through one chunk buffer, writes the ice and
+// atmosphere increments over their fields and fills land's and ocean's into
+// the buffer as they go, and every model adds its increment in one segment
+// at a time; the job must still be the out-of-place merge's bit for bit —
+// every diagnostic of every period and every model rank's final state. One
+// layout is the canonical 3/2/2/1/2; the others have a 3-rank coupler, so
+// the coupler's 16 bands split 6/5/5 and the single ice rank takes its
+// increment in three segments. On the 4096-wide grid a row is 32 KiB, so a
+// band range of two rows or more moves in chunks, and the streamed means
+// are summed over several.
 func TestInPlaceMergeMatchesReference(t *testing.T) {
-	g, err := grid.New(16, 6)
-	if err != nil {
-		t.Fatal(err)
+	for _, nlon := range []int{6, 4096} {
+		g, err := grid.New(16, nlon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inPlaceMatchesReference(t, g)
 	}
+}
+
+func inPlaceMatchesReference(t *testing.T, g grid.Grid) {
 	for _, sizes := range [][5]int{{3, 2, 2, 1, 2}, {2, 2, 1, 1, 3}, {3, 2, 2, 1, 3}} {
 		wantDiag, wantSlabs := runLayout(t, sizes, g, referenceCouplerSide)
 		gotDiag, gotSlabs := runLayout(t, sizes, g, runCouplerSide)
@@ -170,21 +178,21 @@ func TestInPlaceMergeMatchesReference(t *testing.T) {
 		want, got := series(wantDiag), series(gotDiag)
 		for k := range want {
 			if len(got[k]) != len(want[k]) {
-				t.Fatalf("layout %v: series %d has %d periods, reference %d", sizes, k, len(got[k]), len(want[k]))
+				t.Fatalf("%v, layout %v: series %d has %d periods, reference %d", g, sizes, k, len(got[k]), len(want[k]))
 			}
 			for p := range want[k] {
 				if math.Float64bits(got[k][p]) != math.Float64bits(want[k][p]) {
-					t.Errorf("layout %v: series %d period %d: %v, reference %v", sizes, k, p, got[k][p], want[k][p])
+					t.Errorf("%v, layout %v: series %d period %d: %v, reference %v", g, sizes, k, p, got[k][p], want[k][p])
 				}
 			}
 		}
 		for r := range wantSlabs {
 			if len(gotSlabs[r]) != len(wantSlabs[r]) {
-				t.Fatalf("layout %v: world rank %d holds %d cells, reference %d", sizes, r, len(gotSlabs[r]), len(wantSlabs[r]))
+				t.Fatalf("%v, layout %v: world rank %d holds %d cells, reference %d", g, sizes, r, len(gotSlabs[r]), len(wantSlabs[r]))
 			}
 			for i := range wantSlabs[r] {
 				if math.Float64bits(gotSlabs[r][i]) != math.Float64bits(wantSlabs[r][i]) {
-					t.Fatalf("layout %v: world rank %d cell %d: %v, reference %v", sizes, r, i, gotSlabs[r][i], wantSlabs[r][i])
+					t.Fatalf("%v, layout %v: world rank %d cell %d: %v, reference %v", g, sizes, r, i, gotSlabs[r][i], wantSlabs[r][i])
 				}
 			}
 		}

@@ -205,9 +205,10 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		return nil, err
 	}
 	var report [1]float64 // the sum sent to the coupler root each period
-	// The increment arrives one segment at a time, each added into its range
-	// of the state: one buffer the size of the largest segment.
-	seg := make([]float64, link.down.MaxRecv())
+	// The increment arrives one segment (a chunk, from 64 KiB up) at a time,
+	// each added into its range of the state: one buffer the size of the
+	// largest.
+	seg := make([]float64, link.down.MaxSegment())
 	clamp := slot == 3 // ice thickness cannot go negative
 
 	for !sched.Clock.Done() {
@@ -273,10 +274,10 @@ func applyDelta(data, delta []float64, clampNonNegative bool) {
 }
 
 // runCouplerSide receives every model's field, merges fluxes, returns the
-// increments, and accumulates diagnostics. It holds three slabs for the four
-// links: each increment is written over a received field it is computed from
-// and sent from there (see Link), and land's field lands in the ice slab once
-// the ice increment has gone (DESIGN.md §12).
+// increments, and accumulates diagnostics. It holds two slabs, atmosphere
+// and ice, and one chunk buffer: land's and ocean's fields stream through
+// the buffer, each increment is written over a slab it is computed from or
+// filled into the buffer as it goes (DESIGN.md §12).
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
@@ -288,15 +289,37 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 	if err != nil {
 		return nil, err
 	}
-	// The three slabs, by link: land's field lands in the ice slab once the
-	// ice increment has gone.
 	proc, _ := links[0].OnCoupler()
-	var slab [4]*grid.Field
-	for _, i := range [3]int{0, 1, 3} {
-		slab[i] = grid.NewField(links[i].CouplerDecomp(), proc)
+	decomp := links[0].CouplerDecomp()
+	atmF, iceF := grid.NewField(decomp, proc), grid.NewField(decomp, proc)
+	slab := [4]*grid.Field{0: atmF, 3: iceF}
+	atm, ice := atmF.Data, iceF.Data
+	// One buffer for land's and ocean's chunks, both ways.
+	size := 0
+	for _, i := range [2]int{1, 2} {
+		size = max(size, links[i].up.MaxSegment(), links[i].down.MaxSegment())
 	}
-	slab[2] = slab[3]
-	atm, ocn, ice, lnd := slab[0].Data, slab[1].Data, slab[3].Data, slab[2].Data
+	buf := make([]float64, size)
+	// stream receives link i's field one chunk at a time, continuing its
+	// local mean pair over each in ascending cell order, and hands each to
+	// merge, if any.
+	stream := func(i int, merge func(lo int, seg []float64)) error {
+		up := links[i].up
+		if err := up.StartEach(upTags[i], nil, buf); err != nil {
+			return err
+		}
+		mean[i] = [2]float64{}
+		for {
+			lo, seg, err := up.Next()
+			if err != nil || seg == nil {
+				return err
+			}
+			mean[i][0], mean[i][1] = decomp.WeightedSum(proc, lo, seg, mean[i][0], mean[i][1])
+			if merge != nil {
+				merge(lo, seg)
+			}
+		}
+	}
 
 	for p := 0; !sched.Clock.Done(); {
 		ringing, err := sched.Advance()
@@ -306,77 +329,82 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		if len(ringing) == 0 {
 			continue // the models are mid-period; the coupler idles
 		}
-		// Atmosphere, ocean and ice: every receive is posted before any is
-		// waited on, so a model with a rendezvous-sized field sends when it is
-		// ready, not when this loop reaches its link.
-		for _, i := range [3]int{0, 1, 3} {
+		// Atmosphere and ice land in their slabs, both receives posted before
+		// anything waits, while land streams through: only its mean is
+		// needed, since its increment depends on a alone.
+		for _, i := range [2]int{0, 3} {
 			if err := links[i].up.Start(upTags[i], nil, slab[i]); err != nil {
 				return nil, err
 			}
 		}
-		for _, i := range [3]int{0, 1, 3} {
+		if err := stream(2, nil); err != nil {
+			return nil, err
+		}
+		for _, i := range [2]int{0, 3} {
 			if err := links[i].up.Wait(); err != nil {
 				return nil, err
 			}
-			// The diagnostics' local pair is taken first: the merge writes
-			// over the field.
+			// The local mean pair is taken first: the merge writes over it.
 			mean[i][0], mean[i][1] = slab[i].LocalWeightedMean()
 		}
 
-		// Flux merge on the coupler decomposition: the ocean and ice
-		// increments are written over their fields once the cell's inputs
-		// are read. The atmosphere field keeps a: land's increment needs it.
-		for i, a := range atm {
-			o, c := ocn[i], ice[i]
-			iceFrac := c / 2
-			if iceFrac > 1 {
-				iceFrac = 1
+		// Land's increment, a chunk at a time, from a.
+		if err := links[2].down.SendEach(downTags[2], buf, func(lo int, seg []float64) {
+			for i, a := range atm[lo : lo+len(seg)] {
+				// Land dries under a warm atmosphere.
+				seg[i] = -1e-4 * (a - 288) * dtc
 			}
-			if iceFrac < 0 {
-				iceFrac = 0
-			}
-			// Atmosphere-ocean heat exchange, shut off under ice.
-			flux := cfg.ExchangeCoeff * (a - o) * (1 - iceFrac)
-			ocn[i] = +flux * dtc
-			// Ice grows below freezing, melts above.
-			ice[i] = 5e-3 * (271.35 - a) * dtc
-		}
-		if _, err := links[3].ToModel(slab[3], downTags[3]); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 
-		// Land's field, into the slab the ice increment has left.
-		if err := links[2].up.Run(upTags[2], nil, slab[2]); err != nil {
-			return nil, err
-		}
-		mean[2][0], mean[2][1] = slab[2].LocalWeightedMean()
-		for i, a := range atm {
-			// Land dries under a warm atmosphere.
-			lnd[i] = -1e-4 * (a - 288) * dtc
-		}
-		if _, err := links[2].ToModel(slab[2], downTags[2]); err != nil {
-			return nil, err
-		}
-
-		// The atmosphere's increment is the ocean's negated, bit for bit:
-		// equal and opposite, unweighted conservation.
-		for i, o := range ocn {
-			atm[i] = -o
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := links[i].ToModel(slab[i], downTags[i]); err != nil {
-				return nil, err
+		// Ocean streams through the flux merge: each cell's inputs are read,
+		// then its ice increment is written over c and its atmosphere
+		// increment, dA = −dO bit for bit, over a.
+		if err := stream(1, func(lo int, ocn []float64) {
+			a, c := atm[lo:lo+len(ocn)], ice[lo:lo+len(ocn)]
+			for i, o := range ocn {
+				iceFrac := c[i] / 2
+				if iceFrac > 1 {
+					iceFrac = 1
+				}
+				if iceFrac < 0 {
+					iceFrac = 0
+				}
+				// Atmosphere-ocean heat exchange, shut off under ice.
+				flux := cfg.ExchangeCoeff * (a[i] - o) * (1 - iceFrac)
+				// Ice grows below freezing, melts above.
+				c[i] = 5e-3 * (271.35 - a[i]) * dtc
+				a[i] = -(flux * dtc)
 			}
+		}); err != nil {
+			return nil, err
+		}
+		if _, err := links[3].ToModel(iceF, downTags[3]); err != nil {
+			return nil, err
+		}
+		if _, err := links[0].ToModel(atmF, downTags[0]); err != nil {
+			return nil, err
+		}
+		// The ocean's increment is the atmosphere's negated: IEEE negation is
+		// exact.
+		if err := links[1].down.SendEach(downTags[1], buf, func(lo int, seg []float64) {
+			for i, a := range atm[lo : lo+len(seg)] {
+				seg[i] = -a
+			}
+		}); err != nil {
+			return nil, err
 		}
 
 		// Conservation of the exchange itself: the atmosphere and ocean
-		// increments must cancel globally.
+		// increments must cancel globally. The sum runs over dA, then over
+		// dO = −dA, in the order they went out.
 		localImbalance := 0.0
 		for _, v := range atm {
 			localImbalance += v
 		}
-		for _, v := range ocn {
-			localImbalance += v
+		for _, v := range atm {
+			localImbalance += -v
 		}
 		imbalance[0] = localImbalance
 		if _, err := comm.AllreduceFloats(imbalance[:], mpi.OpSum); err != nil {

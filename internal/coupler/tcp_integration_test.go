@@ -199,15 +199,16 @@ func TestCoupledRunOverTCP(t *testing.T) {
 
 // TestCoupledRunOverTCPRendezvous is TestCoupledRunOverTCP on the benchmark's
 // couple_bulk grid, 384x192, where every exchange piece is above the eager
-// threshold and so travels RTS → CTS → payload. The coupler sends each
-// increment from a slab a later up-receive lands in, and a model receives
-// its increment one segment at a time, posting each only once the one before
-// it is in; this run is the one that leans on "a rendezvous send is done with
-// its buffer when it returns" and on the order of those posts (DESIGN.md
-// §12), and the check suite repeats it under the race detector. Two layouts:
-// the canonical one, where the middle atmosphere rank takes its increment
-// from both coupler ranks, and one with a 3-rank coupler, where the single
-// ice rank takes three segments.
+// threshold and so travels RTS → CTS → payload, in 72 KiB chunks. The
+// coupler streams land and ocean through one chunk buffer and sends from it
+// and from the slabs it writes over, and a model receives its increment one
+// chunk at a time, posting each only once the one before it is in; this run
+// is the one that leans on "a rendezvous send is done with its buffer when
+// it returns" and on the order of those posts (DESIGN.md §12), and the check
+// suite repeats it under the race detector. Two layouts: the canonical one,
+// where the middle atmosphere rank takes its increment from both coupler
+// ranks, and one with a 3-rank coupler, where the single ice rank takes
+// chunks from three.
 func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
@@ -267,6 +268,67 @@ func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 				tc.l, rts, want, pieces, cfg.Periods)
 		}
 		sameBits(t, diags[0], runCoupledInProcess(t, tc.l, cfg))
+	}
+}
+
+// TestVolumeCountsSentMessages: a period sends, between model ranks and
+// coupler ranks, exactly the messages Router.Volume counts for the eight
+// transfers, both directions of each link, plus the two conservation
+// reports — the count the benchmark's xfer.msgs is computed from. A
+// period's count is the difference between a two-period and a one-period
+// run over TCP, which share everything else. On the couple_bulk grid every
+// band range moves in rendezvous-sized chunks and nothing else does, so the
+// RTSs differ by the same count without the reports.
+func TestVolumeCountsSentMessages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens many sockets")
+	}
+	g := mustGrid(t, 384, 192)
+	cd, err := grid.NewDecomp(g, ccsmLayout[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, size := range ccsmLayout[:4] {
+		md, err := grid.NewDecomp(g, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [2][2]*grid.Decomp{{md, cd}, {cd, md}} {
+			r, err := xfer.NewRouter(pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, msgs := r.Volume()
+			want += msgs
+		}
+	}
+	couplerRank := ccsmLayout.size() - ccsmLayout[4]
+	// run returns the messages sent across the model/coupler divide and the
+	// RTSs sent, job-wide, by a run of the given number of periods.
+	run := func(periods int) (across, rts int) {
+		cfg := coupler.Config{Grid: g, Periods: periods, SubSteps: 1, Dt: 0.5, Names: coupler.DefaultNames()}
+		_, snaps := runCoupledOverTCP(t, ccsmLayout, cfg, nil)
+		for r, s := range snaps {
+			rts += int(s.Net.RTSOut)
+			for peer, n := range s.SentMsgs {
+				if (r < couplerRank) != (peer < couplerRank) {
+					across += int(n)
+				}
+			}
+		}
+		return across, rts
+	}
+	across1, rts1 := run(1)
+	across2, rts2 := run(2)
+	if got := across2 - across1; got != want+2 {
+		t.Errorf("a period sends %d messages between model and coupler ranks, want %d (Volume's %d and 2 reports)", got, want+2, want)
+	}
+	if got := rts2 - rts1; got != want {
+		t.Errorf("a period sends %d RTSs, want Volume's %d", got, want)
+	}
+	if want != 60 {
+		t.Errorf("Volume counts %d messages a period on the canonical layout, want 60 (72 KiB chunks)", want)
 	}
 }
 
@@ -357,11 +419,12 @@ func TestCoupledBulkPeriodAllocBudget(t *testing.T) {
 // the ten ranks of the canonical job allocate together from NewLink through
 // the end of the first period, on the couple_bulk grid, where the slabs
 // dominate. The budget is the slab arithmetic of DESIGN.md §12 — every
-// model's state, one buffer the size of its largest increment segment a model
-// rank, three slabs a coupler rank — plus a slack for what the first period's
-// messages and the links' plans allocate once (the parent of this test's
-// commit held a model-side increment slab the size of each state and four
-// slabs a coupler rank: 1.67 grids, 0.98 MB, more).
+// model's state and one chunk buffer a model rank, two slabs and one chunk
+// buffer a coupler rank — plus a slack for what the first period's messages
+// and the links' plans allocate once. A chunk is sized here from the eager
+// threshold, not from the router: a band range of R rows of at least the
+// threshold moves in ⌊R / ⌈threshold/row⌉⌋ near-equal chunks, a smaller one
+// whole.
 func TestCoupledSlabBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
@@ -373,25 +436,41 @@ func TestCoupledSlabBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunkRows := (tcpnet.DefaultEagerThreshold + 8*g.NLon - 1) / (8 * g.NLon)
+	// largest returns the rows of the largest chunk processor p of a shares
+	// with any processor of b.
+	largest := func(a, b *grid.Decomp, p int) int {
+		rows := 0
+		plo, phi := a.Bands(p)
+		for q := 0; q < b.P; q++ {
+			qlo, qhi := b.Bands(q)
+			if r := min(phi, qhi) - max(plo, qlo); r > 0 {
+				k := max(1, r/chunkRows)
+				rows = max(rows, (r+k-1)/k)
+			}
+		}
+		return rows
+	}
 	cells := 4 * g.Cells() // the four models' states
-	for _, size := range ccsmLayout[:4] {
+	cplRows := make([]int, cd.P)
+	for slot, size := range ccsmLayout[:4] {
 		md, err := grid.NewDecomp(g, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := xfer.NewRouter(cd, md)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for q := 0; q < md.P; q++ {
-			largest := 0
-			for _, seg := range r.RecvPlan(q) {
-				largest = max(largest, seg.Cells(g))
+			cells += largest(md, cd, q) * g.NLon
+		}
+		if slot == 1 || slot == 2 { // ocean and land stream through the coupler's buffer
+			for c := range cplRows {
+				cplRows[c] = max(cplRows[c], largest(cd, md, c))
 			}
-			cells += largest
 		}
 	}
-	cells += 3 * g.Cells() // three slabs on every coupler rank
+	cells += 2 * g.Cells() // two slabs on every coupler rank
+	for _, rows := range cplRows {
+		cells += rows * g.NLon
+	}
 	const slack = 384 << 10
 	budget := uint64(8*cells + slack)
 

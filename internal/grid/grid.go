@@ -60,7 +60,8 @@ func (g Grid) cellArea(lat int, norm float64) float64 {
 type Decomp struct {
 	Grid  Grid
 	P     int
-	start []int // start[p] = first lat band of processor p; start[P] = NLat
+	start []int   // start[p] = first lat band of processor p; start[P] = NLat
+	norm  float64 // Grid.areaNorm(), cellArea's divisor
 }
 
 // NewDecomp partitions g's latitude bands over p processors as evenly as
@@ -70,7 +71,7 @@ func NewDecomp(g Grid, p int) (*Decomp, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("grid: decomposition over %d processors", p)
 	}
-	d := &Decomp{Grid: g, P: p, start: make([]int, p+1)}
+	d := &Decomp{Grid: g, P: p, start: make([]int, p+1), norm: g.areaNorm()}
 	base, extra := g.NLat/p, g.NLat%p
 	pos := 0
 	for i := 0; i < p; i++ {
@@ -142,18 +143,26 @@ func (f *Field) LocalSum() float64 {
 // LocalWeightedMean returns the area-weighted partial sum of the slab and
 // the slab's total weight; combining the pairs across processors yields the
 // global mean. The weights are cellArea's, with its divisor computed once a
-// call rather than once a band.
+// decomposition rather than once a band.
 func (f *Field) LocalWeightedMean() (weightedSum, weight float64) {
-	lo, hi := f.Decomp.Bands(f.P)
-	norm := f.Decomp.Grid.areaNorm()
-	idx := 0
-	for lat := lo; lat < hi; lat++ {
-		w := f.Decomp.Grid.cellArea(lat, norm)
-		for lon := 0; lon < f.Decomp.Grid.NLon; lon++ {
-			weightedSum += w * f.Data[idx]
+	return f.Decomp.WeightedSum(f.P, 0, f.Data, 0, 0)
+}
+
+// WeightedSum continues LocalWeightedMean's running pair over cells
+// [lo, lo+len(data)) of processor p's slab, which hold data. Continued from
+// zero over consecutive pieces of the slab in ascending order, it returns
+// LocalWeightedMean's pair bit for bit: the same additions in the same order.
+func (d *Decomp) WeightedSum(p, lo int, data []float64, weightedSum, weight float64) (float64, float64) {
+	band, _ := d.Bands(p)
+	lat, lon := band+lo/d.Grid.NLon, lo%d.Grid.NLon
+	for len(data) > 0 {
+		w := d.Grid.cellArea(lat, d.norm)
+		n := min(d.Grid.NLon-lon, len(data))
+		for _, v := range data[:n] {
+			weightedSum += w * v
 			weight += w
-			idx++
 		}
+		data, lat, lon = data[n:], lat+1, 0
 	}
 	return weightedSum, weight
 }

@@ -46,13 +46,30 @@ func AppendRecord(b []byte, kind byte, fields func(*Codec)) []byte {
 // of its fields. The body grows as it arrives, readChunk at a time, so a
 // header naming more bytes than ever come costs the reader at most that.
 // I/O errors are returned bare; a body cut short is io.ErrUnexpectedEOF.
+// A length of 0 is refused as soon as its four bytes are in: it names no
+// kind byte, so a reader that waited for one would wait on the stream's
+// next record, or until its deadline. A header that arrives whole is still
+// one read.
 func ReadRecord(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	got, err := io.ReadAtLeast(r, hdr[:], 4)
+	if err != nil {
 		return 0, nil, err
 	}
-	n, kind := binary.LittleEndian.Uint32(hdr[:]), hdr[4]
-	if n == 0 || n > MaxRecordBytes {
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n == 0 {
+		return 0, nil, fmt.Errorf("%w: a record of length 0", ErrMalformed)
+	}
+	if got < len(hdr) {
+		if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+	}
+	kind := hdr[4]
+	if n > MaxRecordBytes {
 		return kind, nil, fmt.Errorf("%w: kind %d, %d bytes", ErrMalformed, kind, n)
 	}
 	var body []byte

@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 )
 
 // sample is a record of every field type the codec has.
@@ -177,5 +178,29 @@ func TestReadRecordErrors(t *testing.T) {
 	kind, body, err := ReadRecord(bytes.NewReader(header(1)))
 	if err != nil || kind != 1 || len(body) != 0 {
 		t.Errorf("a record of no fields: kind %d, %d bytes, %v", kind, len(body), err)
+	}
+}
+
+// TestReadRecordZeroLengthOnOpenStream: a header of length 0 names no kind
+// byte. It is refused once its four bytes are in, while the stream stays
+// open, not after a fifth byte that may never come (FuzzSession's
+// "\x00\x00\x00\x00\x00\x00\x00\x00" held Serve for its whole deadline).
+func TestReadRecordZeroLengthOnOpenStream(t *testing.T) {
+	r, w := io.Pipe()
+	defer w.Close()
+	go w.Write([]byte{0, 0, 0, 0})
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := ReadRecord(r)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("ReadRecord = %v, want ErrMalformed", err)
+		}
+	case <-time.After(5 * time.Second):
+		r.Close()
+		t.Fatal("ReadRecord still waits for a kind byte after a zero length")
 	}
 }

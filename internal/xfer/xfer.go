@@ -6,11 +6,11 @@
 //
 // Both components hold the same logical grid, each block-decomposed over
 // its own processor count. A Router computes, per processor, the contiguous
-// latitude-band segments it must exchange with the other side; a Plan lays
-// one rank's segments out against its slabs and runs them, as often as the
-// coupling repeats, with point-to-point messages over a communicator in
-// which the source processors occupy one rank block and the destination
-// processors another (exactly what CommJoin produces).
+// latitude-band segments it must exchange with the other side, one message
+// each; a Plan lays one rank's segments out against its slabs and runs them,
+// as often as the coupling repeats, with point-to-point messages over a
+// communicator in which the source processors occupy one rank block and the
+// destination processors another (exactly what CommJoin produces).
 package xfer
 
 import (
@@ -21,9 +21,9 @@ import (
 	"mph/internal/mpi"
 )
 
-// Segment is one contiguous piece of a transfer plan: the latitude bands
-// [Lo, Hi) moving between this processor and the peer processor on the
-// other decomposition.
+// Segment is one contiguous piece of a transfer plan, one message: the
+// latitude bands [Lo, Hi) moving between this processor and the peer
+// processor on the other decomposition.
 type Segment struct {
 	Peer   int // processor index on the other decomposition
 	Lo, Hi int // half-open latitude band range
@@ -50,9 +50,20 @@ func NewRouter(src, dst *grid.Decomp) (*Router, error) {
 	return &Router{Src: src, Dst: dst}, nil
 }
 
+// chunkBytes is the size from which a pair's bands move in chunks. It is
+// tcpnet's eager threshold, not a knob: a band range of at least chunkBytes
+// splits into ⌊rows / ⌈chunkBytes/rowBytes⌉⌋ near-equal chunks of whole
+// rows, so every chunk is still at least chunkBytes and takes the rendezvous
+// path, whose RTS leaves nothing buffered at the receiver, and every chunk
+// is under 2·chunkBytes plus one row. A smaller range is one segment. A rank
+// that takes or fills its segments one at a time (StartEach, SendEach) then
+// needs a buffer of one chunk, not of its largest band range.
+const chunkBytes = 64 << 10
+
 // SendPlan returns the segments source processor p must send, ordered by
-// destination processor. Each (sender, receiver) pair exchanges at most one
-// segment because block intersections of intervals are intervals.
+// destination processor, then by band. Block intersections of intervals are
+// intervals, so each (sender, receiver) pair shares one band range, which
+// moves as one segment or, from chunkBytes up, as several.
 func (r *Router) SendPlan(p int) []Segment {
 	lo, hi := r.Src.Bands(p)
 	return intersect(lo, hi, r.Dst)
@@ -66,17 +77,20 @@ func (r *Router) RecvPlan(q int) []Segment {
 }
 
 // intersect computes the overlap of band range [lo, hi) with every
-// processor of the other decomposition.
+// processor of the other decomposition, in chunks of at least chunkRows
+// rows (chunkBytes).
 func intersect(lo, hi int, other *grid.Decomp) []Segment {
 	var segs []Segment
 	if lo >= hi {
 		return segs
 	}
+	rowBytes := 8 * other.Grid.NLon
+	chunkRows := (chunkBytes + rowBytes - 1) / rowBytes
 	for p := 0; p < other.P; p++ {
 		plo, phi := other.Bands(p)
 		l, h := max(lo, plo), min(hi, phi)
-		if l < h {
-			segs = append(segs, Segment{Peer: p, Lo: l, Hi: h})
+		for i, k := 0, max(1, (h-l)/chunkRows); l < h && i < k; i++ {
+			segs = append(segs, Segment{Peer: p, Lo: l + (h-l)*i/k, Hi: l + (h-l)*(i+1)/k})
 		}
 	}
 	return segs
@@ -126,21 +140,23 @@ type piece struct {
 // however large the segments (a send above the eager threshold blocks until
 // its receive is posted; DESIGN.md §12). Between the two a rank may start
 // other plans, as the coupler does. StartEach instead posts only the first
-// incoming segment, into a buffer that holds the largest (MaxRecv cells),
+// incoming segment, into a buffer that holds the largest (MaxSegment cells),
 // then sends; Next hands the segments over one at a time, in source
 // processor order, posting each after the caller is done with the one
 // before. A destination that only adds its increments into a slab of its own
 // needs no second slab that way. The later segments' senders then wait on
 // this rank's progress, so StartEach is for transfers whose senders do not
-// wait back, as in the coupled loop (DESIGN.md §12). Nothing is allocated
-// after NewPlan.
+// wait back, as in the coupled loop (DESIGN.md §12). SendEach is its mirror
+// on the source side: it sends the outgoing segments one at a time through
+// one buffer the caller's function fills, so the source slab need not exist.
+// Nothing is allocated after NewPlan.
 type Plan struct {
 	comm             *mpi.Comm
 	src, dst         *grid.Decomp
 	srcProc, dstProc int
 	sends            []piece
 	recvs            []piece
-	maxRecv          int           // cells of the largest incoming segment
+	maxSeg           int           // cells of the largest segment, either way
 	reqs             []mpi.Request // one per incoming segment
 
 	// The run in flight. live: the receives are posted and not yet waited
@@ -185,16 +201,18 @@ func NewPlan(comm *mpi.Comm, r *Router, spec Spec) (*Plan, error) {
 	if spec.DstProc >= 0 {
 		p.recvs = pieces(r.RecvPlan(spec.DstProc), r.Dst, spec.DstProc, spec.SrcRanks, spec.SrcOffset)
 		p.reqs = make([]mpi.Request, len(p.recvs))
-		for _, pc := range p.recvs {
-			p.maxRecv = max(p.maxRecv, pc.hi-pc.lo)
+	}
+	for _, pcs := range [2][]piece{p.sends, p.recvs} {
+		for _, pc := range pcs {
+			p.maxSeg = max(p.maxSeg, pc.hi-pc.lo)
 		}
 	}
 	return p, nil
 }
 
-// MaxRecv returns the number of cells of this rank's largest incoming
-// segment: the buffer StartEach needs.
-func (p *Plan) MaxRecv() int { return p.maxRecv }
+// MaxSegment returns the number of cells of this rank's largest segment,
+// incoming or outgoing: the buffer StartEach and SendEach need.
+func (p *Plan) MaxSegment() int { return p.maxSeg }
 
 // Start begins one run under tag: every incoming segment's receive is
 // posted into its range of dst — this rank's destination slab; nil on a rank
@@ -245,15 +263,15 @@ func (p *Plan) Run(tag int, src, dst *grid.Field) error {
 }
 
 // StartEach begins one run under tag whose incoming segments land one at a
-// time in buf, which must hold MaxRecv cells: the first segment's receive is
-// posted, then every segment of src is sent, as in Start. Next hands the
+// time in buf, which must hold MaxSegment cells: the first segment's receive
+// is posted, then every segment of src is sent, as in Start. Next hands the
 // segments over.
 func (p *Plan) StartEach(tag int, src *grid.Field, buf []float64) error {
 	if err := p.check(tag, src); err != nil {
 		return err
 	}
-	if len(buf) < p.maxRecv {
-		return fmt.Errorf("xfer: a %d-cell buffer for segments of up to %d cells", len(buf), p.maxRecv)
+	if err := p.holds(buf); err != nil {
+		return err
 	}
 	n := min(len(p.recvs), 1)
 	if n > 0 {
@@ -295,14 +313,52 @@ func (p *Plan) Next() (lo int, seg []float64, err error) {
 	return pc.lo, p.each[:pc.hi-pc.lo], nil
 }
 
-// check validates a run's start: no run in flight, the tag and the source
-// slab.
-func (p *Plan) check(tag int, src *grid.Field) error {
+// SendEach sends this rank's outgoing segments under tag one at a time
+// through buf, which must hold MaxSegment cells: before each goes, fill
+// writes into seg the cells [lo, lo+len(seg)) of the source slab it stands
+// for. Nothing is received, no source slab is read, and no run of the plan
+// may be in flight.
+func (p *Plan) SendEach(tag int, buf []float64, fill func(lo int, seg []float64)) error {
+	if err := p.ready(tag); err != nil {
+		return err
+	}
+	if err := p.holds(buf); err != nil {
+		return err
+	}
+	for _, pc := range p.sends {
+		seg := buf[:pc.hi-pc.lo]
+		fill(pc.lo, seg)
+		if err := p.comm.SendFloats(pc.rank, tag, seg); err != nil {
+			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
+		}
+	}
+	return nil
+}
+
+// ready reports why no run may start under tag: one in flight, or a
+// negative tag.
+func (p *Plan) ready(tag int) error {
 	if p.live {
 		return errors.New("xfer: a run is already in flight")
 	}
 	if tag < 0 {
 		return fmt.Errorf("xfer: negative tag %d", tag)
+	}
+	return nil
+}
+
+// holds reports a buffer too small for one segment at a time.
+func (p *Plan) holds(buf []float64) error {
+	if len(buf) < p.maxSeg {
+		return fmt.Errorf("xfer: a %d-cell buffer for segments of up to %d cells", len(buf), p.maxSeg)
+	}
+	return nil
+}
+
+// check validates a run's start: ready, and the source slab.
+func (p *Plan) check(tag int, src *grid.Field) error {
+	if err := p.ready(tag); err != nil {
+		return err
 	}
 	if p.srcProc >= 0 {
 		if src == nil {

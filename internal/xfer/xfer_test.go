@@ -9,6 +9,7 @@ import (
 	"mph/internal/grid"
 	"mph/internal/mpi"
 	"mph/internal/mpi/mpitest"
+	"mph/internal/mpi/tcpnet"
 	"mph/internal/xfer"
 )
 
@@ -240,8 +241,15 @@ func TestTransferSpecErrors(t *testing.T) {
 		if err := q.Start(0, nil, &grid.Field{Decomp: dst, P: 99, Data: f.Data}); err == nil {
 			return fmt.Errorf("mismatched destination field accepted")
 		}
-		if err := q.StartEach(0, nil, make([]float64, q.MaxRecv()-1)); err == nil {
+		if err := q.StartEach(0, nil, make([]float64, q.MaxSegment()-1)); err == nil {
 			return fmt.Errorf("short segment buffer accepted")
+		}
+		fill := func(int, []float64) {}
+		if err := p.SendEach(0, make([]float64, p.MaxSegment()-1), fill); err == nil {
+			return fmt.Errorf("short SendEach buffer accepted")
+		}
+		if err := p.SendEach(-1, make([]float64, p.MaxSegment()), fill); err == nil {
+			return fmt.Errorf("SendEach under a negative tag accepted")
 		}
 		return nil
 	})
@@ -249,12 +257,16 @@ func TestTransferSpecErrors(t *testing.T) {
 
 func TestRouterVolumeProperty(t *testing.T) {
 	// For any decomposition pair over the same grid, the plan moves the
-	// whole grid exactly once.
-	prop := func(nlatRaw, mRaw, nRaw uint8) bool {
-		nlat := int(nlatRaw%32) + 1
+	// whole grid exactly once, and counts one message for every band range
+	// a pair shares under xfer.ChunkBytes and ⌊rows / ⌈ChunkBytes/rowBytes⌉⌋
+	// for every one at or above it. Rows run from 24 B to 96 KiB, so ranges
+	// fall on both sides.
+	prop := func(nlatRaw, nlonRaw uint16, mRaw, nRaw uint8) bool {
+		nlat := int(nlatRaw%200) + 1
+		nlon := int(nlonRaw%12288) + 3
 		m := int(mRaw%8) + 1
 		n := int(nRaw%8) + 1
-		g, err := grid.New(nlat, 3)
+		g, err := grid.New(nlat, nlon)
 		if err != nil {
 			return false
 		}
@@ -264,10 +276,118 @@ func TestRouterVolumeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cells, _ := r.Volume()
-		return cells == g.Cells()
+		want := 0
+		chunkRows := (xfer.ChunkBytes + 8*nlon - 1) / (8 * nlon)
+		for p := 0; p < m; p++ {
+			for q := 0; q < n; q++ {
+				if rows := shared(src, dst, p, q); rows > 0 {
+					want += max(1, rows/chunkRows)
+				}
+			}
+		}
+		cells, msgs := r.Volume()
+		return cells == g.Cells() && msgs == want
 	}
 	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shared returns the number of latitude bands source processor p and
+// destination processor q both own.
+func shared(src, dst *grid.Decomp, p, q int) int {
+	plo, phi := src.Bands(p)
+	qlo, qhi := dst.Bands(q)
+	return max(0, min(phi, qhi)-max(plo, qlo))
+}
+
+// TestChunkBytesIsEagerThreshold: band ranges split at the transport's eager
+// threshold, so a chunk of a split range is never small enough to go eager,
+// where it would sit buffered at the receiver.
+func TestChunkBytesIsEagerThreshold(t *testing.T) {
+	if xfer.ChunkBytes != tcpnet.DefaultEagerThreshold {
+		t.Fatalf("xfer.ChunkBytes = %d, tcpnet.DefaultEagerThreshold = %d", xfer.ChunkBytes, tcpnet.DefaultEagerThreshold)
+	}
+}
+
+// TestChunks: for any decomposition pair, the chunks a pair exchanges tile
+// the band range the pair shares, in ascending order; the send plan and the
+// receive plan list them alike, chunk for chunk; every chunk of a range of
+// at least ChunkBytes is at least ChunkBytes itself, so it still takes the
+// rendezvous path; every chunk is under 2·ChunkBytes plus one row; and a
+// range under ChunkBytes is one chunk.
+func TestChunks(t *testing.T) {
+	prop := func(nlatRaw, nlonRaw uint16, mRaw, nRaw uint8) bool {
+		nlat := int(nlatRaw%300) + 1
+		nlon := int(nlonRaw%12288) + 1
+		m, n := int(mRaw%8)+1, int(nRaw%8)+1
+		g, _ := grid.New(nlat, nlon)
+		src, _ := grid.NewDecomp(g, m)
+		dst, _ := grid.NewDecomp(g, n)
+		r, err := xfer.NewRouter(src, dst)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		rowBytes := 8 * nlon
+		// byPeer groups a plan's chunks by peer, keeping their order; the
+		// peer field is dropped, since it names the other side in each plan.
+		byPeer := func(segs []xfer.Segment) map[int][]xfer.Segment {
+			out := map[int][]xfer.Segment{}
+			for _, s := range segs {
+				out[s.Peer] = append(out[s.Peer], xfer.Segment{Lo: s.Lo, Hi: s.Hi})
+			}
+			return out
+		}
+		recvs := make([]map[int][]xfer.Segment, n)
+		for q := range recvs {
+			recvs[q] = byPeer(r.RecvPlan(q))
+		}
+		for p := 0; p < m; p++ {
+			sends := byPeer(r.SendPlan(p))
+			for q := 0; q < n; q++ {
+				chunks, rows := sends[q], shared(src, dst, p, q)
+				if rows == 0 {
+					if len(chunks)+len(recvs[q][p]) != 0 {
+						t.Logf("%dx%d, %d to %d: procs %d and %d share no band but exchange %v", nlat, nlon, m, n, p, q, chunks)
+						return false
+					}
+					continue
+				}
+				if fmt.Sprint(chunks) != fmt.Sprint(recvs[q][p]) {
+					t.Logf("%dx%d, %d to %d: proc %d sends %v to %d, which receives %v", nlat, nlon, m, n, p, chunks, q, recvs[q][p])
+					return false
+				}
+				plo, _ := src.Bands(p)
+				qlo, _ := dst.Bands(q)
+				next := max(plo, qlo)
+				for _, c := range chunks {
+					bytes := c.Cells(g) * 8
+					switch {
+					case c.Lo != next || c.Hi <= c.Lo:
+						t.Logf("%dx%d: chunks %v of procs %d and %d do not tile from band %d", nlat, nlon, chunks, p, q, next)
+						return false
+					case rows*rowBytes >= xfer.ChunkBytes && bytes < xfer.ChunkBytes:
+						t.Logf("%dx%d: a %d-byte chunk of a %d-byte range", nlat, nlon, bytes, rows*rowBytes)
+						return false
+					case rows*rowBytes < xfer.ChunkBytes && len(chunks) != 1:
+						t.Logf("%dx%d: a %d-byte range in %d chunks", nlat, nlon, rows*rowBytes, len(chunks))
+						return false
+					case bytes >= 2*xfer.ChunkBytes+rowBytes && len(chunks) > 1:
+						t.Logf("%dx%d: a %d-byte chunk, %d-byte rows", nlat, nlon, bytes, rowBytes)
+						return false
+					}
+					next = c.Hi
+				}
+				if next != max(plo, qlo)+rows {
+					t.Logf("%dx%d: chunks %v of procs %d and %d end at band %d", nlat, nlon, chunks, p, q, next)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -407,82 +527,105 @@ func TestPlanWaitWithoutRun(t *testing.T) {
 }
 
 // TestTransferEach redistributes M to N with the segment-at-a-time receive:
-// every destination rank gets its segments through one buffer of MaxRecv
+// every destination rank gets its segments through one buffer of MaxSegment
 // cells, in source processor order, each at its offset in the slab, and
 // together they cover the slab exactly once. The run then ends, and a new
-// one starts on the same buffer.
+// one starts on the same buffer; in it the sources send with SendEach, each
+// segment filled into a buffer of their own. On the wide grid every band
+// range a pair shares is at least ChunkBytes and moves in chunks, so the
+// buffers hold one chunk.
 func TestTransferEach(t *testing.T) {
 	for _, mn := range [][2]int{{1, 3}, {3, 1}, {3, 2}, {2, 5}} {
 		m, n := mn[0], mn[1]
 		t.Run(fmt.Sprintf("%dto%d", m, n), func(t *testing.T) {
-			g := mustGrid(t, 17, 3)
-			src, _ := grid.NewDecomp(g, m)
-			dst, _ := grid.NewDecomp(g, n)
-			r, err := xfer.NewRouter(src, dst)
-			if err != nil {
-				t.Fatal(err)
+			for _, nlon := range []int{3, 4096} {
+				transferEach(t, mustGrid(t, 17, nlon), m, n)
 			}
-			mpitest.Run(t, m+n, func(c *mpi.Comm) error {
-				spec := xfer.Spec{DstOffset: m, SrcProc: -1, DstProc: -1}
-				var f *grid.Field
-				if c.Rank() < m {
-					spec.SrcProc = c.Rank()
-					f = grid.NewField(src, spec.SrcProc)
-				} else {
-					spec.DstProc = c.Rank() - m
+		})
+	}
+}
+
+func transferEach(t *testing.T, g grid.Grid, m, n int) {
+	src, _ := grid.NewDecomp(g, m)
+	dst, _ := grid.NewDecomp(g, n)
+	r, err := xfer.NewRouter(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpitest.Run(t, m+n, func(c *mpi.Comm) error {
+		spec := xfer.Spec{DstOffset: m, SrcProc: -1, DstProc: -1}
+		var f *grid.Field
+		var segs []xfer.Segment
+		if c.Rank() < m {
+			spec.SrcProc = c.Rank()
+			f = grid.NewField(src, spec.SrcProc)
+			segs = r.SendPlan(spec.SrcProc)
+		} else {
+			spec.DstProc = c.Rank() - m
+			segs = r.RecvPlan(spec.DstProc)
+		}
+		p, err := xfer.NewPlan(c, r, spec)
+		if err != nil {
+			return err
+		}
+		largest := 0
+		for _, seg := range segs {
+			largest = max(largest, seg.Cells(g))
+		}
+		if p.MaxSegment() != largest {
+			return fmt.Errorf("%dx%d: MaxSegment %d cells, the largest segment %d", g.NLat, g.NLon, p.MaxSegment(), largest)
+		}
+		buf := make([]float64, p.MaxSegment())
+		for run := 0; run < 2; run++ {
+			if f != nil {
+				f.FillFunc(func(lat, lon int) float64 { return float64(run*1e6 + 100*lat + lon) })
+			}
+			if f != nil && run == 1 {
+				if err := p.SendEach(7, buf, func(lo int, seg []float64) { copy(seg, f.Data[lo:]) }); err != nil {
+					return err
 				}
-				p, err := xfer.NewPlan(c, r, spec)
+				continue
+			}
+			if err := p.StartEach(7, f, buf); err != nil {
+				return err
+			}
+			var got []float64
+			if spec.DstProc >= 0 {
+				got = make([]float64, dst.OwnedCells(spec.DstProc))
+			}
+			for k := 0; ; k++ {
+				lo, seg, err := p.Next()
 				if err != nil {
 					return err
 				}
-				buf := make([]float64, p.MaxRecv())
-				for run := 0; run < 2; run++ {
-					if f != nil {
-						f.FillFunc(func(lat, lon int) float64 { return float64(run*1e6 + 100*lat + lon) })
+				if seg == nil {
+					if spec.DstProc >= 0 && k != len(segs) {
+						return fmt.Errorf("run %d: %d segments, want %d", run, k, len(segs))
 					}
-					if err := p.StartEach(7, f, buf); err != nil {
-						return err
-					}
-					var got []float64
-					if spec.DstProc >= 0 {
-						got = make([]float64, dst.OwnedCells(spec.DstProc))
-					}
-					segs := r.RecvPlan(max(spec.DstProc, 0))
-					for k := 0; ; k++ {
-						lo, seg, err := p.Next()
-						if err != nil {
-							return err
-						}
-						if seg == nil {
-							if spec.DstProc >= 0 && k != len(segs) {
-								return fmt.Errorf("run %d: %d segments, want %d", run, k, len(segs))
-							}
-							break
-						}
-						if &seg[0] != &buf[0] {
-							return fmt.Errorf("run %d: segment %d is not in the buffer", run, k)
-						}
-						myLo, _ := dst.Bands(spec.DstProc)
-						if want := (segs[k].Lo - myLo) * g.NLon; lo != want || len(seg) != segs[k].Cells(g) {
-							return fmt.Errorf("run %d: segment %d at %d+%d, want %d+%d", run, k, lo, len(seg), want, segs[k].Cells(g))
-						}
-						copy(got[lo:], seg)
-					}
-					if _, _, err := p.Next(); err == nil {
-						return fmt.Errorf("run %d: Next after the last segment returned nil", run)
-					}
-					if spec.DstProc < 0 {
-						continue
-					}
-					lo, _ := dst.Bands(spec.DstProc)
-					for i, v := range got {
-						if want := float64(run*1e6 + 100*(lo+i/g.NLon) + i%g.NLon); v != want {
-							return fmt.Errorf("run %d: cell %d = %v, want %v", run, i, v, want)
-						}
-					}
+					break
 				}
-				return nil
-			})
-		})
-	}
+				if &seg[0] != &buf[0] {
+					return fmt.Errorf("run %d: segment %d is not in the buffer", run, k)
+				}
+				myLo, _ := dst.Bands(spec.DstProc)
+				if want := (segs[k].Lo - myLo) * g.NLon; lo != want || len(seg) != segs[k].Cells(g) {
+					return fmt.Errorf("run %d: segment %d at %d+%d, want %d+%d", run, k, lo, len(seg), want, segs[k].Cells(g))
+				}
+				copy(got[lo:], seg)
+			}
+			if _, _, err := p.Next(); err == nil {
+				return fmt.Errorf("run %d: Next after the last segment returned nil", run)
+			}
+			if spec.DstProc < 0 {
+				continue
+			}
+			lo, _ := dst.Bands(spec.DstProc)
+			for i, v := range got {
+				if want := float64(run*1e6 + 100*(lo+i/g.NLon) + i%g.NLon); v != want {
+					return fmt.Errorf("%dx%d run %d: cell %d = %v, want %v", g.NLat, g.NLon, run, i, v, want)
+				}
+			}
+		}
+		return nil
+	})
 }

@@ -26,15 +26,17 @@
 #   (the ring keeps exactly the newest events, a dump never goes back in
 #   time while several goroutines record, a dump reads back as it was
 #   written) and mphtrace's, which read its dumps, repeat under -race;
-# - the coupler sends each increment from a slab a later up-receive lands
-#   in (land's field lands in the ice slab), and a model takes its increment
-#   one segment at a time through one buffer, so the rendezvous-sized coupled
-#   run over TCP repeats under -race on two layouts: a send that let go of its
-#   buffer late would show as a race or a diagnostic that differs from the
-#   in-process run, a post made out of order as a hang; the slab budget, the
-#   segment-at-a-time plan and the in-place merge against the out-of-place
-#   reference repeat with it, and the chaos pass kills or aborts the coupler
-#   rank each of the two late posts waits on;
+# - bulk transfers move in rendezvous-sized chunks, the coupler streams land
+#   and ocean through one chunk buffer beside two slabs and sends from both,
+#   and a model takes its increment one chunk at a time through one buffer,
+#   so the rendezvous-sized coupled run over TCP repeats under -race on two
+#   layouts: a send that let go of its buffer late would show as a race or a
+#   diagnostic that differs from the in-process run, a post made out of order
+#   as a hang; the slab budget, the chunk tests (tiling, both plans alike,
+#   bounds, Volume against a TCP period's messages), the segment-at-a-time
+#   plan and the in-place merge against the out-of-place reference repeat
+#   with it, and the chaos pass kills or aborts the rank each late post
+#   waits on;
 # - the launcher decides who is dead, and a closing rank lingers until its
 #   peers have read what it sent: the linger test and the closing-Barrier
 #   first contact repeat under -race (each fails if a down line overtakes
@@ -91,8 +93,8 @@ go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvo
 go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree|TestRendezvousLifetime|TestAllreduceFloatsInPlace|TestAllocBudgetTreeAllreduce' -race -count=2 ./internal/mpi/...
 go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|TestCoupledRunOverTCPRendezvous|TestCoupledRunOverTCP$|TestSnapshotAllocBudget' -race -count=2 \
     ./internal/coupler ./internal/mpi/perf
-go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferEach' -race -count=2 \
-    ./internal/coupler ./internal/xfer
+go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferEach|TestChunks|TestChunkBytesIsEagerThreshold|TestRouterVolumeProperty|TestVolumeCountsSentMessages' \
+    -race -count=2 ./internal/coupler ./internal/xfer
 go test -run 'Tracer|Dump|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase|ExpandArgs|LoadTrace' -race -count=2 \
     ./internal/mpi/perf ./cmd/mphtrace
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage|TestShmAdvertisedOnOpenStream' \
@@ -227,11 +229,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,262 before the block protocol and
-# the trace dump moved onto package wire's records, 16,246 after) and the
-# stripped size of a component executable (2,629,816 bytes before,
-# 2,412,728 after: no rank links encoding/json), printed for later
-# comparison.
+# Non-test Go lines outside benchmark/ (16,246 before bulk transfers moved
+# in chunks and the coupler dropped to two slabs, 16,357 after) and the
+# stripped size of a component executable (2,412,728 bytes before,
+# 2,416,824 after), printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
