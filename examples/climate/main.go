@@ -34,7 +34,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 
 	"mph/internal/bootstrap"
@@ -85,7 +84,8 @@ func main() {
 
 	g, err := grid.New(*nlat, *nlon)
 	if err != nil {
-		log.Fatalf("climate: %v", err)
+		fmt.Fprintf(os.Stderr, "climate: %v\n", err)
+		os.Exit(1)
 	}
 	cfg := coupler.Config{Grid: g, Periods: *periods, SubSteps: *substeps, Dt: *dt,
 		Pace: *pace, Names: coupler.DefaultNames()}

@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 
 	"mph/internal/core"
@@ -64,14 +63,16 @@ func main() {
 	target := flag.Float64("target", 287, "target ensemble-mean SST for steering")
 	flag.Parse()
 	if *members < 2 {
-		log.Fatal("ensemble: need at least 2 members")
+		fmt.Fprintln(os.Stderr, "ensemble: need at least 2 members")
+		os.Exit(1)
 	}
 
 	reg := registrationFor(*members)
 	world := *members*ranksPerMember + 1 // +1 statistics rank
 	g, err := grid.New(12, 6)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	err = mpi.RunWorld(world, func(c *mpi.Comm) error {

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"sync"
 
@@ -50,7 +49,8 @@ func main() {
 	steps := flag.Int("steps", 10, "model steps")
 	flag.Parse()
 	if *ranks != 9 {
-		log.Fatal("pcm: the registration file lays out exactly 9 processors")
+		fmt.Fprintln(os.Stderr, "pcm: the registration file lays out exactly 9 processors")
+		os.Exit(1)
 	}
 
 	var mu sync.Mutex
@@ -62,7 +62,8 @@ func main() {
 
 	g, err := grid.New(16, 8)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	err = mpi.RunWorld(*ranks, func(c *mpi.Comm) error {

@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"sync"
 
@@ -47,7 +46,8 @@ func main() {
 	ranks := flag.Int("ranks", 6, "world size (>= 3)")
 	flag.Parse()
 	if *ranks < 3 {
-		log.Fatal("quickstart: need at least 3 ranks")
+		fmt.Fprintln(os.Stderr, "quickstart: need at least 3 ranks")
+		os.Exit(1)
 	}
 
 	var mu sync.Mutex

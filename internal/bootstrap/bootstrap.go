@@ -18,10 +18,8 @@ package bootstrap
 
 import (
 	"fmt"
-	"net/netip"
 	"os"
 	"strconv"
-	"strings"
 	"syscall"
 
 	"mph/internal/sock"
@@ -156,8 +154,8 @@ func ListenAddr(bind string) (string, error) {
 	case "*":
 		return ":0", nil // all interfaces
 	}
-	ip, err := netip.ParseAddr(strings.Trim(bind, "[]"))
-	if err != nil || ip.Zone() != "" {
+	ip, ok := sock.ParseHost(bind)
+	if !ok {
 		return "", fmt.Errorf("bootstrap: %s %q is not an IP address: names are resolved by the launcher", EnvBind, bind)
 	}
 	return sock.JoinAddr(ip, 0), nil
@@ -167,30 +165,22 @@ func ListenAddr(bind string) (string, error) {
 // and the actual listen address: a wildcard bind advertises a detected
 // routable IP on the listener's port, any other the listen address itself.
 func AdvertiseAddr(bind, actual string) string {
-	if _, port, err := sock.SplitAddr(actual); err == nil && isWildcard(bind) {
+	host, _ := sock.ParseHost(bind)
+	if _, port, err := sock.SplitAddr(actual); err == nil && (bind == "*" || host.IsUnspecified()) {
 		return sock.JoinAddr(RoutableIP(), port)
 	}
 	return actual
 }
 
-// isWildcard reports whether a bind host means "all interfaces".
-func isWildcard(bind string) bool {
-	switch bind {
-	case "*", "0.0.0.0", "::", "[::]":
-		return true
-	}
-	return false
-}
-
 // RoutableIP returns this host's primary non-loopback IP, the address other
 // hosts of a job should dial: the source address of the default route, else
 // the first global unicast interface address, else loopback.
-func RoutableIP() netip.Addr {
+func RoutableIP() sock.Addr {
 	return pickRoutable(routeSource(), interfaceAddrs())
 }
 
 // pickRoutable is RoutableIP's choice over what the host reported.
-func pickRoutable(route netip.Addr, ifaddrs []netip.Addr) netip.Addr {
+func pickRoutable(route sock.Addr, ifaddrs []sock.Addr) sock.Addr {
 	if route.IsValid() && !route.IsLoopback() && !route.IsUnspecified() {
 		return route
 	}
@@ -199,16 +189,16 @@ func pickRoutable(route netip.Addr, ifaddrs []netip.Addr) netip.Addr {
 			return ip
 		}
 	}
-	return netip.AddrFrom4([4]byte{127, 0, 0, 1})
+	return sock.AddrFrom4([4]byte{127, 0, 0, 1})
 }
 
 // routeSource returns the source address the kernel picks for the default
 // route, from a UDP socket connected to TEST-NET-1 (connecting sends no
 // packet), or the zero Addr when there is no route.
-func routeSource() netip.Addr {
+func routeSource() sock.Addr {
 	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {
-		return netip.Addr{}
+		return sock.Addr{}
 	}
 	defer syscall.Close(fd)
 	var sa syscall.Sockaddr
@@ -216,28 +206,33 @@ func routeSource() netip.Addr {
 		sa, _ = syscall.Getsockname(fd)
 	}
 	if in4, ok := sa.(*syscall.SockaddrInet4); ok {
-		return netip.AddrFrom4(in4.Addr)
+		return sock.AddrFrom4(in4.Addr)
 	}
-	return netip.Addr{}
+	return sock.Addr{}
 }
 
 // interfaceAddrs lists the host's interface addresses in the order of a
 // netlink RTM_GETADDR dump, which is net.InterfaceAddrs's order.
-func interfaceAddrs() []netip.Addr {
+func interfaceAddrs() []sock.Addr {
 	rib, err := syscall.NetlinkRIB(syscall.RTM_GETADDR, syscall.AF_UNSPEC)
 	if err != nil {
 		return nil
 	}
 	msgs, _ := syscall.ParseNetlinkMessage(rib)
-	var addrs []netip.Addr
+	var addrs []sock.Addr
 	for _, m := range msgs {
 		attrs, _ := syscall.ParseNetlinkRouteAttr(&m) // none but for RTM_NEWADDR
-		var addr netip.Addr
+		var addr sock.Addr
 		for _, a := range attrs {
 			// IFA_LOCAL is the interface's own address; on a point-to-point
 			// link IFA_ADDRESS is the peer's.
 			if a.Attr.Type == syscall.IFA_LOCAL || a.Attr.Type == syscall.IFA_ADDRESS && !addr.IsValid() {
-				addr, _ = netip.AddrFromSlice(a.Value)
+				switch len(a.Value) {
+				case 4:
+					addr = sock.AddrFrom4([4]byte(a.Value))
+				case 16:
+					addr = sock.AddrFrom16([16]byte(a.Value))
+				}
 			}
 		}
 		if addr.IsValid() {

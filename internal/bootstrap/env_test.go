@@ -3,11 +3,12 @@ package bootstrap
 import (
 	"fmt"
 	"net"
-	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"mph/internal/sock"
 )
 
 func TestEnvValidateAndEnviron(t *testing.T) {
@@ -76,8 +77,9 @@ func TestListenAddr(t *testing.T) {
 		}
 	}
 	// A rank resolves no names: a host name in MPH_BIND is an error that
-	// names the variable.
-	for _, name := range []string{"node-a", "localhost"} {
+	// names the variable. So is a literal with a zone, or with brackets
+	// doubled or around IPv4.
+	for _, name := range []string{"node-a", "localhost", "[[::1]]", "[1.2.3.4]", "fe80::1%eth0", "[::1", "::1]"} {
 		if _, err := ListenAddr(name); err == nil || !strings.Contains(err.Error(), EnvBind) {
 			t.Errorf("ListenAddr(%q): %v, want an error naming %s", name, err, EnvBind)
 		}
@@ -116,31 +118,37 @@ func TestAdvertiseAddr(t *testing.T) {
 }
 
 func TestRoutableIPParses(t *testing.T) {
-	ip := RoutableIP()
-	if net.ParseIP(ip.String()) == nil {
-		t.Fatalf("RoutableIP() = %q is not an IP", ip)
+	addr := sock.JoinAddr(RoutableIP(), 1)
+	if _, _, err := net.SplitHostPort(addr); err != nil || !RoutableIP().IsValid() {
+		t.Fatalf("RoutableIP() = %q is not an IP", addr)
 	}
 }
 
 func TestPickRoutable(t *testing.T) {
-	ip := netip.MustParseAddr
+	ip := func(s string) sock.Addr {
+		a, ok := sock.ParseHost(s)
+		if !ok {
+			t.Fatalf("ParseHost(%q) failed", s)
+		}
+		return a
+	}
 	lo, lo6 := ip("127.0.0.1"), ip("::1")
 	cases := []struct {
 		name    string
-		route   netip.Addr
-		ifaddrs []netip.Addr
+		route   sock.Addr
+		ifaddrs []sock.Addr
 		want    string
 	}{
-		{"loopback only", netip.Addr{}, []netip.Addr{lo, lo6}, "127.0.0.1"},
-		{"link-local only", netip.Addr{}, []netip.Addr{lo, ip("169.254.3.4"), ip("fe80::1")}, "127.0.0.1"},
-		{"global IPv6", netip.Addr{}, []netip.Addr{lo, lo6, ip("fe80::1"), ip("2001:db8::7")}, "2001:db8::7"},
-		{"no default route: private fabric", netip.Addr{}, []netip.Addr{lo, ip("10.1.0.5"), ip("10.2.0.5")}, "10.1.0.5"},
-		{"default route reports loopback", lo, []netip.Addr{lo, ip("192.168.1.9")}, "192.168.1.9"},
-		{"default route wins", ip("10.9.9.9"), []netip.Addr{lo, ip("192.168.1.9")}, "10.9.9.9"},
+		{"loopback only", sock.Addr{}, []sock.Addr{lo, lo6}, "127.0.0.1"},
+		{"link-local only", sock.Addr{}, []sock.Addr{lo, ip("169.254.3.4"), ip("fe80::1")}, "127.0.0.1"},
+		{"global IPv6", sock.Addr{}, []sock.Addr{lo, lo6, ip("fe80::1"), ip("2001:db8::7")}, "2001:db8::7"},
+		{"no default route: private fabric", sock.Addr{}, []sock.Addr{lo, ip("10.1.0.5"), ip("10.2.0.5")}, "10.1.0.5"},
+		{"default route reports loopback", lo, []sock.Addr{lo, ip("192.168.1.9")}, "192.168.1.9"},
+		{"default route wins", ip("10.9.9.9"), []sock.Addr{lo, ip("192.168.1.9")}, "10.9.9.9"},
 	}
 	for _, c := range cases {
-		if got := pickRoutable(c.route, c.ifaddrs); got.String() != c.want {
-			t.Errorf("%s: picked %v, want %s", c.name, got, c.want)
+		if got := pickRoutable(c.route, c.ifaddrs); got != ip(c.want) {
+			t.Errorf("%s: picked %s, want %s", c.name, sock.JoinAddr(got, 0), c.want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"log"
 
 	"mph/internal/iolog"
 )
@@ -28,16 +27,34 @@ func (s *Setup) RedirectOutput(component string) (io.Writer, error) {
 	return mux.CombinedWriter()
 }
 
-// Logger wraps RedirectOutput in a *log.Logger whose prefix identifies the
+// Logger wraps RedirectOutput in a Logger whose prefix identifies the
 // component and local processor.
-func (s *Setup) Logger(component string) (*log.Logger, error) {
+func (s *Setup) Logger(component string) (*Logger, error) {
 	w, err := s.RedirectOutput(component)
 	if err != nil {
 		return nil, err
 	}
 	comm := s.comms[component]
-	prefix := fmt.Sprintf("[%s %d] ", component, comm.Rank())
-	return log.New(w, prefix, 0), nil
+	return &Logger{w: w, prefix: fmt.Sprintf("[%s %d] ", component, comm.Rank())}, nil
+}
+
+// Logger writes prefixed lines to a component's output: the bytes of a
+// log.Logger with no flags, without linking package log into a rank. It
+// holds no state a call changes, so it is as safe for concurrent use as its
+// writer (RedirectOutput's are).
+type Logger struct {
+	w      io.Writer
+	prefix string
+}
+
+// Printf writes the prefix and the message, with a newline added when it
+// has none, in one Write.
+func (l *Logger) Printf(format string, args ...any) {
+	b := fmt.Appendf([]byte(l.prefix), format, args...)
+	if len(b) == len(l.prefix) || b[len(b)-1] != '\n' {
+		b = append(b, '\n')
+	}
+	l.w.Write(b) //nolint:errcheck // log.Logger.Printf drops the error too
 }
 
 // logMux lazily attaches the process-shared multiplexer for the current

@@ -254,11 +254,21 @@ func (m *SurfaceModel) GlobalSum() (float64, error) {
 // SolarEquilibrium is the classic cos²(latitude) radiative profile between
 // a polar and an equatorial temperature.
 func SolarEquilibrium(g grid.Grid, polar, equator float64) ForcingFunc {
-	return func(lat, _ int, _ float64) float64 {
-		phi := -math.Pi/2 + (float64(lat)+0.5)*math.Pi/float64(g.NLat)
+	return byLatitude(g, func(phi float64) float64 {
 		c := math.Cos(phi)
 		return polar + (equator-polar)*c*c
+	})
+}
+
+// byLatitude is the forcing f(φ) of each cell's row latitude φ, worked out
+// once a row into a table: Step asks for it every cell of every step. The
+// returned func only reads the table, so ranks may share it.
+func byLatitude(g grid.Grid, f func(phi float64) float64) ForcingFunc {
+	tab := make([]float64, g.NLat)
+	for lat := range tab {
+		tab[lat] = f(-math.Pi/2 + (float64(lat)+0.5)*math.Pi/float64(g.NLat))
 	}
+	return func(lat, _ int, _ float64) float64 { return tab[lat] }
 }
 
 // NewAtmosphere builds the fast, strongly mixed component: high
@@ -289,11 +299,9 @@ func NewOcean(comm *mpi.Comm, decomp *grid.Decomp) (*SurfaceModel, error) {
 // spreading, relaxation toward a wet-tropics profile for precipitation
 // minus evaporation.
 func NewLand(comm *mpi.Comm, decomp *grid.Decomp) (*SurfaceModel, error) {
-	g := decomp.Grid
-	eq := func(lat, _ int, _ float64) float64 {
-		phi := -math.Pi/2 + (float64(lat)+0.5)*math.Pi/float64(g.NLat)
+	eq := byLatitude(decomp.Grid, func(phi float64) float64 {
 		return 0.2 + 0.6*math.Cos(phi) // saturation fraction
-	}
+	})
 	return New("land", comm, decomp, Params{
 		Kappa:   0.02,
 		Relax:   0.05,
@@ -305,16 +313,14 @@ func NewLand(comm *mpi.Comm, decomp *grid.Decomp) (*SurfaceModel, error) {
 // NewSeaIce builds an ice-thickness model: thick near the poles, zero in
 // the tropics.
 func NewSeaIce(comm *mpi.Comm, decomp *grid.Decomp) (*SurfaceModel, error) {
-	g := decomp.Grid
-	eq := func(lat, _ int, _ float64) float64 {
-		phi := -math.Pi/2 + (float64(lat)+0.5)*math.Pi/float64(g.NLat)
+	eq := byLatitude(decomp.Grid, func(phi float64) float64 {
 		s := math.Sin(phi)
 		thick := 3 * (s*s - 0.7) / 0.3
 		if thick < 0 {
 			return 0
 		}
 		return thick
-	}
+	})
 	return New("ice", comm, decomp, Params{
 		Kappa:   0.01,
 		Relax:   0.08,

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -72,6 +74,28 @@ func TestDeriveContextProperties(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeriveContextIsFNV1a: the inlined hash is hash/fnv's New64a over the
+// big-endian parent and seq and the label, so ranks built before and after
+// the inlining derive the same contexts.
+func TestDeriveContextIsFNV1a(t *testing.T) {
+	prop := func(parent, seq uint64, label string) bool {
+		h := fnv.New64a()
+		h.Write(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, parent), seq))
+		h.Write([]byte(label))
+		want := h.Sum64()
+		if want == 0 {
+			want = 1
+		}
+		return deriveContext(parent, seq, label) == want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 10000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := deriveContext(worldContext, 0, "atmosphere"); got != 0x266b48e83716bc3e {
+		t.Errorf("deriveContext(1, 0, atmosphere) = %#x", got)
 	}
 }
 

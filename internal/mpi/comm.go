@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"mph/internal/mpi/perf"
@@ -71,14 +69,19 @@ func newComm(env *Env, ctx uint64, rank int, group []int) *Comm {
 // number, and a label (the split color, a join label, ...). All members of
 // the child communicator compute the same inputs and hence agree on the
 // context with no communication, even across OS processes.
+// The hash is FNV-1a 64, hash/fnv's New64a inlined, of parent and seq
+// big-endian, then the label.
 func deriveContext(parent uint64, seq uint64, label string) uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], parent)
-	binary.BigEndian.PutUint64(buf[8:], seq)
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	v := h.Sum64()
+	const prime = 1099511628211
+	v := uint64(14695981039346656037) // the offset basis
+	for _, x := range [2]uint64{parent, seq} {
+		for sh := 56; sh >= 0; sh -= 8 {
+			v = (v ^ x>>sh&0xff) * prime
+		}
+	}
+	for i := range len(label) {
+		v = (v ^ uint64(label[i])) * prime
+	}
 	if v == 0 { // reserve 0 as "no context"
 		v = 1
 	}

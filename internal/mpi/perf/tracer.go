@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -258,14 +257,11 @@ func (t *Tracer) Dump(w io.Writer, meta Meta) error {
 	events := t.Events()
 	meta.BaseUnix, meta.Capacity, meta.Sample = t.baseUnixNano, t.Capacity(), t.Sample()
 	meta.Recorded, meta.Dropped = t.Recorded(), t.Dropped()
-	bw := bufio.NewWriter(w)
-	rec := wire.AppendRecord(nil, kindMeta, meta.fields)
-	bw.Write(rec) //nolint:errcheck // a bufio.Writer keeps its first error for Flush
+	buf := wire.AppendRecord(nil, kindMeta, meta.fields)
 	for i := range events {
-		rec = wire.AppendRecord(rec[:0], byte(events[i].Kind), events[i].fields)
-		bw.Write(rec) //nolint:errcheck
+		buf = wire.AppendRecord(buf, byte(events[i].Kind), events[i].fields)
 	}
-	if err := bw.Flush(); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("perf: trace dump: %w", err)
 	}
 	return nil

@@ -1,7 +1,7 @@
 package tcpnet
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"os"
 	"time"
 )

@@ -26,13 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/netip"
 	"os"
 	"strings"
 	"sync"
 	"time"
 
 	"mph/internal/bootstrap"
+	"mph/internal/sock"
 )
 
 // Launch defaults, applied when the corresponding LaunchSpec field is zero.
@@ -305,7 +305,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 // as MPH_BIND: ranks resolve no names. "", "*" and IP literals pass as they
 // are.
 func resolveBind(ctx context.Context, bind string) (string, error) {
-	if _, err := netip.ParseAddr(strings.Trim(bind, "[]")); err == nil || bind == "" || bind == "*" {
+	if _, ok := sock.ParseHost(bind); ok || bind == "" || bind == "*" {
 		return bind, nil
 	}
 	ips, err := net.DefaultResolver.LookupNetIP(ctx, "ip", bind)

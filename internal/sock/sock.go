@@ -13,7 +13,6 @@ package sock
 
 import (
 	"errors"
-	"net/netip"
 	"os"
 	"strconv"
 	"strings"
@@ -21,37 +20,6 @@ import (
 	"time"
 	"unsafe"
 )
-
-// SplitAddr parses "ip:port", "[ipv6]:port" or ":port". The host of ":port"
-// is the zero netip.Addr: every interface, to a listener. A host that is not
-// an IP literal is an error.
-func SplitAddr(addr string) (netip.Addr, uint16, error) {
-	i := strings.LastIndexByte(addr, ':')
-	if i < 0 {
-		return netip.Addr{}, 0, errors.New("sock: address " + strconv.Quote(addr) + " has no port")
-	}
-	host := strings.TrimSuffix(strings.TrimPrefix(addr[:i], "["), "]")
-	port, err := strconv.ParseUint(addr[i+1:], 10, 16)
-	if err != nil {
-		return netip.Addr{}, 0, errors.New("sock: bad port in address " + strconv.Quote(addr))
-	}
-	if host == "" {
-		return netip.Addr{}, uint16(port), nil
-	}
-	ip, err := netip.ParseAddr(host)
-	if err != nil || ip.Zone() != "" {
-		return netip.Addr{}, 0, errors.New("sock: host " + strconv.Quote(host) + " is not an IP address (names are resolved by the launcher)")
-	}
-	return ip, uint16(port), nil
-}
-
-// JoinAddr is SplitAddr's inverse.
-func JoinAddr(ip netip.Addr, port uint16) string {
-	if !ip.IsValid() {
-		return ":" + strconv.Itoa(int(port))
-	}
-	return netip.AddrPortFrom(ip, port).String()
-}
 
 // file is what a Conn and a Listener share: the descriptor behind an
 // os.File, in the runtime poller.
@@ -244,9 +212,9 @@ func sockaddr(network, addr string) (int, syscall.Sockaddr, error) {
 			return 0, nil, err
 		}
 		if ip = ip.Unmap(); ip.Is4() {
-			return syscall.AF_INET, &syscall.SockaddrInet4{Port: int(port), Addr: ip.As4()}, nil
+			return syscall.AF_INET, &syscall.SockaddrInet4{Port: int(port), Addr: [4]byte(ip.b[12:])}, nil
 		}
-		return syscall.AF_INET6, &syscall.SockaddrInet6{Port: int(port), Addr: ip.As16()}, nil
+		return syscall.AF_INET6, &syscall.SockaddrInet6{Port: int(port), Addr: ip.b}, nil
 	}
 	return 0, nil, errors.New("sock: unknown network " + strconv.Quote(network))
 }
@@ -293,9 +261,9 @@ func Listen(network, addr string) (*Listener, error) {
 		sa, _ = syscall.Getsockname(fd)
 		switch sa := sa.(type) {
 		case *syscall.SockaddrInet4:
-			addr = JoinAddr(netip.AddrFrom4(sa.Addr), uint16(sa.Port))
+			addr = JoinAddr(AddrFrom4(sa.Addr), uint16(sa.Port))
 		case *syscall.SockaddrInet6:
-			addr = JoinAddr(netip.AddrFrom16(sa.Addr), uint16(sa.Port))
+			addr = JoinAddr(AddrFrom16(sa.Addr), uint16(sa.Port))
 		}
 	}
 	return &Listener{file: newFile(fd, network+" "+addr), addr: addr, tcp: family != syscall.AF_UNIX}, nil

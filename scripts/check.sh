@@ -104,11 +104,12 @@ go test -race ./internal/sock
 go test -run 'TestLaunchStats$' -race -count=5 ./cmd/mphrun
 go test -run 'TestLaunchPeerExit' -count=2 ./cmd/mphrun
 go test -run 'TestLaunchPeerExit/exit_1_after_a_clean_Close' -count=20 ./cmd/mphrun
-go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/mpi/tcpnet
-go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s ./internal/mpirun
-go test -run=NONE -fuzz=FuzzBlockRecord -fuzztime=10s ./internal/mpirun
-go test -run=NONE -fuzz=FuzzSession -fuzztime=10s ./internal/bootstrap
-go test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/mpi/perf
+go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/mpi/tcpnet
+go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s -fuzzminimizetime=1s ./internal/mpirun
+go test -run=NONE -fuzz=FuzzBlockRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/mpirun
+go test -run=NONE -fuzz=FuzzSession -fuzztime=10s -fuzzminimizetime=1s ./internal/bootstrap
+go test -run=NONE -fuzz=FuzzSnapshotDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/mpi/perf
+go test -run=NONE -fuzz=FuzzAddr -fuzztime=10s -fuzzminimizetime=1s ./internal/sock
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 # Rendezvous alloc-regression guard: a 1 MiB rendezvous send, on either

@@ -122,9 +122,13 @@ test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
 # the HTTP/TLS stack, process spawning, the launcher, a profiler with the
 # compression and table writer behind it, or encoding/json: every record a
 # rank writes or reads is package wire's (DESIGN.md §14, "What a rank
-# links"). internal/mpi/mpitest is test support, which links testing.
+# links"). Nor what a rank needs only a few lines of: net/netip with the
+# unique and weak packages behind it (package sock parses IP literals), log
+# (core.Logger), math/rand (math/rand/v2), hash/fnv (deriveContext inlines
+# FNV-1a) and bufio (a trace dump is one buffer). internal/mpi/mpitest is
+# test support, which links testing.
 if go list -deps ./internal/mpi ./internal/mpi/perf ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/... |
-    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter\|encoding/json'; then
+    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter\|encoding/json\|net/netip\|unique\|weak\|log\|math/rand\|hash/fnv\|bufio'; then
     exit 1
 fi
 test -z "$(gofmt -l .)"
