@@ -22,7 +22,7 @@ type componentSummary struct {
 	MaxPRQHW  int
 	MaxRSSKB  int64 // largest resident-set high-water mark of any rank
 	GCCycles  uint64
-	AllocMB   float64
+	AnonMB    float64 // resident anonymous memory, summed over the ranks
 	CollNanos int64
 }
 
@@ -36,7 +36,7 @@ func (c *componentSummary) add(s *perf.Snapshot) {
 	c.MaxPRQHW = max(c.MaxPRQHW, s.Engine.PRQHighWater)
 	c.MaxRSSKB = max(c.MaxRSSKB, s.PeakRSSKB)
 	c.GCCycles += s.GCCycles
-	c.AllocMB += float64(s.AllocBytes) / 1e6
+	c.AnonMB += float64(s.AnonKB) / 1024
 	c.CollNanos += s.CollNanos()
 }
 
@@ -71,12 +71,12 @@ func printStats(w io.Writer, snaps []perf.Snapshot, size int) {
 	rows, totals := summarize(snaps)
 	fmt.Fprintf(w, "mphrun: performance summary (%d rank(s))\n", totals.Ranks)
 	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s %11s %9s %8s\n",
-		"component", "ranks", "sent msgs", "sent bytes", "recv msgs", "recv bytes", "umq-hw", "prq-hw", "coll time", "peak rss MB", "gc cycles", "alloc MB")
+		"component", "ranks", "sent msgs", "sent bytes", "recv msgs", "recv bytes", "umq-hw", "prq-hw", "coll time", "peak rss MB", "gc cycles", "anon MB")
 	line := func(c componentSummary) {
 		fmt.Fprintf(w, "%-16s %5d %12d %14d %12d %14d %7d %7d %12s %11.1f %9d %8.1f\n",
 			c.Name, c.Ranks, c.SentMsgs, c.SentBytes, c.RecvMsgs, c.RecvBytes,
 			c.MaxUMQHW, c.MaxPRQHW, time.Duration(c.CollNanos).Round(time.Microsecond), float64(c.MaxRSSKB)/1024,
-			c.GCCycles, c.AllocMB)
+			c.GCCycles, c.AnonMB)
 	}
 	for _, c := range rows {
 		line(c)

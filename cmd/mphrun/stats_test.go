@@ -59,3 +59,24 @@ func TestPrintStatsRouting(t *testing.T) {
 		t.Errorf("summary names a ring:\n%s", buf.String())
 	}
 }
+
+// TestPrintStatsAnonColumn: the last column is resident anonymous memory,
+// summed over a component's ranks, beside their largest peak.
+func TestPrintStatsAnonColumn(t *testing.T) {
+	snaps := []perf.Snapshot{
+		{WorldRank: 0, Component: "comp", PeakRSSKB: 4096, AnonKB: 1024, GCCycles: 1},
+		{WorldRank: 1, Component: "comp", PeakRSSKB: 3072, AnonKB: 2048},
+	}
+	var buf strings.Builder
+	printStats(&buf, snaps, 2)
+	lines := strings.Split(buf.String(), "\n")
+	if head := strings.Fields(lines[1]); strings.Join(head[len(head)-7:], " ") != "peak rss MB gc cycles anon MB" {
+		t.Errorf("header ends %q, want peak rss MB, gc cycles, anon MB:\n%s", head[len(head)-7:], buf.String())
+	}
+	for _, row := range lines[2:4] {
+		f := strings.Fields(row)
+		if got := strings.Join(f[len(f)-3:], " "); got != "4.0 1 3.0" {
+			t.Errorf("row %q ends %q, want 4.0 1 3.0", row, got)
+		}
+	}
+}

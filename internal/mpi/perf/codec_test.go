@@ -90,6 +90,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 	}
+	own := NewRank(1, 2).Snapshot() // a rank's own: AnonKB and PeakRSSKB from /proc
+	b, _ := own.AppendBinary(nil)
+	f.Add(b)
 	zero, _ := (&Snapshot{}).AppendBinary(nil)
 	f.Add(zero)
 	f.Add([]byte{})

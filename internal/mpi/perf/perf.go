@@ -27,7 +27,7 @@ package perf
 import (
 	"bytes"
 	"os"
-	"runtime/metrics"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -312,12 +312,15 @@ type Snapshot struct {
 	// one shared process on every rank.
 	PeakRSSKB int64 `json:"peak_rss_kb,omitempty"`
 
-	// GCCycles and AllocBytes are the process's completed garbage-collection
-	// cycles and cumulative heap allocation (runtime/metrics: no
-	// stop-the-world): a steady-state period that allocates nothing shows as
-	// a job that ends with GCCycles 0. Shared like PeakRSSKB in-process.
-	GCCycles   uint64 `json:"gc_cycles,omitempty"`
-	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
+	// AnonKB is the process's resident anonymous memory (RssAnon) in KiB:
+	// heap, stacks and runtime memory, what a rank holds beside its binary's
+	// pages. Read with PeakRSSKB, shared like it in-process.
+	AnonKB int64 `json:"anon_kb,omitempty"`
+
+	// GCCycles is the process's completed garbage-collection cycles: a
+	// steady-state period that allocates nothing shows as a job that ends
+	// with GCCycles 0. Shared like PeakRSSKB in-process.
+	GCCycles uint64 `json:"gc_cycles,omitempty"`
 
 	// CapturedUnixNS is the wall-clock capture time on the rank's own
 	// clock; consumers computing rates difference it between reports.
@@ -370,10 +373,10 @@ func (s *Snapshot) fields(c *wire.Codec) {
 		&e.PRQDepth, &e.PRQHighWater, &tr.Capacity, &tr.Sample} {
 		wire.Int(c, p)
 	}
-	for _, p := range [...]*int64{&s.PeakRSSKB, &s.CapturedUnixNS, &s.ClockOffsetNS, &s.ClockErrBoundNS} {
+	for _, p := range [...]*int64{&s.PeakRSSKB, &s.AnonKB, &s.CapturedUnixNS, &s.ClockOffsetNS, &s.ClockErrBoundNS} {
 		wire.Int(c, p)
 	}
-	for _, p := range [...]*uint64{&s.GCCycles, &s.AllocBytes, &e.MatchesUnexpected, &e.MatchesPosted,
+	for _, p := range [...]*uint64{&s.GCCycles, &e.MatchesUnexpected, &e.MatchesPosted,
 		&s.TotalSentMsgs, &s.TotalSentBytes, &s.TotalRecvMsgs, &s.TotalRecvBytes, &s.CommSplits, &s.CommDups,
 		&s.CommJoins, &n.FramesOut, &n.FramesIn, &n.BytesOut, &n.BytesIn, &n.Dials, &n.DialRetries,
 		&n.PeersLost, &n.AbortsOut, &n.AbortsIn, &n.FaultsInjected, &n.RTSOut, &n.RTSIn, &n.CTSOut,
@@ -421,15 +424,16 @@ func (s *Snapshot) CollNanos() int64 {
 	return total
 }
 
-// peakRSSKB reads VmHWM from /proc/self/status. It is not getrusage's
-// ru_maxrss, which across an exec inherits the spawning process's peak. The
-// file comes in with one read(2) into a buffer on the stack and the line is
-// parsed by hand: every report pays this call, in a rank that never runs a
-// collection, so it keeps nothing but the path's C string.
-func peakRSSKB() int64 {
+// procStatus reads VmHWM and RssAnon from /proc/self/status, both in KiB.
+// VmHWM is not getrusage's ru_maxrss, which across an exec inherits the
+// spawning process's peak. The file comes in with one read(2) into a buffer
+// on the stack and the lines are parsed by hand: every report pays this
+// call, in a rank that never runs a collection, so it keeps nothing but the
+// path's C string.
+func procStatus() (peakKB, anonKB int64) {
 	fd, err := syscall.Open("/proc/self/status", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	if err != nil {
-		return 0 // not linux
+		return 0, 0 // not linux
 	}
 	defer syscall.Close(fd) //nolint:errcheck // read-only; nothing to flush
 	var buf [4096]byte
@@ -437,9 +441,14 @@ func peakRSSKB() int64 {
 	// to the heap under -race.
 	n, _, e := syscall.Syscall(syscall.SYS_READ, uintptr(fd), uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)))
 	if e != 0 {
-		return 0
+		return 0, 0
 	}
-	_, rest, _ := bytes.Cut(buf[:n], []byte("\nVmHWM:"))
+	return statusKB(buf[:n], "\nVmHWM:"), statusKB(buf[:n], "\nRssAnon:")
+}
+
+// statusKB parses the number after key in a /proc status file, 0 if absent.
+func statusKB(status []byte, key string) int64 {
+	_, rest, _ := bytes.Cut(status, []byte(key))
 	var kb int64
 	for _, b := range bytes.TrimLeft(rest, " \t") {
 		if b < '0' || b > '9' {
@@ -450,15 +459,26 @@ func peakRSSKB() int64 {
 	return kb
 }
 
-// heapCounters reads the collector's cycle count and the cumulative bytes
-// allocated; both metrics are as old as runtime/metrics itself. It stays on
-// runtime/metrics, not runtime.ReadMemStats: a build reading MemStats
-// instead peaked 0.39 MB higher per rank on the benchmark's launch_wide
-// workload (3.77 against 3.38–3.39 MB, two 20 s runs a side, 2-vCPU VM).
-func heapCounters() (gcCycles, allocBytes uint64) {
-	s := [2]metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
+// gcStats is the process's one GCStats: ReadGCStats makes its pause and
+// pause-end buffers (4 KB and 6 KB) at the first call and reuses them.
+var gcStats struct {
+	sync.Mutex
+	debug.GCStats
+}
+
+// gcCycles reads the collector's completed-cycle count. ReadGCStats takes the
+// heap lock and copies the pause history: no stop-the-world, no flush. Not
+// runtime.ReadMemStats, which stops the world and flushes every P's mcache,
+// and each flushed span's first push into its mcentral's span set allocates
+// a 4 KB set block off-heap: one call adds 0.19–0.34 MB of RssAnon to a small
+// program, ReadGCStats ≈ 16 KB (EXPERIMENTS.md S20), and a build reading it
+// peaked 0.39 MB higher on launch_wide (S13). Not runtime/metrics, whose
+// package init and metric table every rank paid (S20).
+func gcCycles() uint64 {
+	gcStats.Lock()
+	defer gcStats.Unlock()
+	debug.ReadGCStats(&gcStats.GCStats)
+	return uint64(gcStats.NumGC)
 }
 
 // Rank is one rank's performance-variable handle, shared by the engine, the
@@ -649,11 +669,11 @@ func (r *Rank) Snapshot() Snapshot {
 		Component:      r.ComponentName(),
 		Host:           r.Host(),
 		PID:            r.pid,
-		PeakRSSKB:      peakRSSKB(),
+		GCCycles:       gcCycles(),
 		CapturedUnixNS: time.Now().UnixNano(),
 	}
+	s.PeakRSSKB, s.AnonKB = procStatus()
 	s.ClockOffsetNS, s.ClockErrBoundNS = r.ClockOffset()
-	s.GCCycles, s.AllocBytes = heapCounters()
 	if engSnap != nil {
 		s.Engine = engSnap()
 	}

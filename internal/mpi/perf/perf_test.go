@@ -241,8 +241,9 @@ func TestNowMonotonic(t *testing.T) {
 
 // TestSnapshotAllocBudget: a rank's snapshot, which every telemetry report
 // takes in a rank that never runs a collection, allocates under 1 KiB — its
-// own slices and map, and the VmHWM read no more than its path (the parent
-// of this test's commit: 7,216 B, 6,816 of them the read).
+// own slices and map; the /proc read no more than its path, and the GC-stats
+// buffers once a process, at the first call (the parent of this test's
+// commit: 7,216 B, 6,816 of them the read).
 func TestSnapshotAllocBudget(t *testing.T) {
 	r := NewRank(0, 10)
 	recv, sent := make([]uint64, 10), make([]uint64, 10)
@@ -266,5 +267,63 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	t.Logf("%.0f B allocated per Snapshot", per)
 	if per > 1024 {
 		t.Errorf("Snapshot allocates %.0f B a call, budget 1024", per)
+	}
+}
+
+// TestSnapshotCountsGCCycles: two forced collections move GCCycles by
+// exactly two.
+func TestSnapshotCountsGCCycles(t *testing.T) {
+	r := NewRank(0, 1)
+	runtime.GC() // let a cycle already running finish before the count
+	before := r.Snapshot().GCCycles
+	runtime.GC()
+	runtime.GC()
+	if got := r.Snapshot().GCCycles - before; got != 2 {
+		t.Errorf("two runtime.GC calls moved GCCycles by %d", got)
+	}
+}
+
+// TestSnapshotConcurrent: the ranks of one process snapshot at once, each
+// GCCycles read through the one process-wide GC-stats buffer, while a
+// collection runs (a race here fails under -race).
+func TestSnapshotConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := NewRank(i, 4)
+			for j := 0; j < 50; j++ {
+				r.Snapshot()
+			}
+		}()
+	}
+	runtime.GC()
+	wg.Wait()
+}
+
+// TestSnapshotAnonKB: RssAnon comes from the same read as VmHWM, so it is
+// positive and no larger than the peak on Linux, and 0 where the status file
+// or its line is missing.
+func TestSnapshotAnonKB(t *testing.T) {
+	s := NewRank(0, 1).Snapshot()
+	if runtime.GOOS != "linux" {
+		if s.AnonKB != 0 || s.PeakRSSKB != 0 {
+			t.Errorf("no /proc, yet AnonKB %d, PeakRSSKB %d", s.AnonKB, s.PeakRSSKB)
+		}
+		return
+	}
+	if s.AnonKB <= 0 || s.AnonKB > s.PeakRSSKB {
+		t.Errorf("AnonKB %d, PeakRSSKB %d: want 0 < anon <= peak", s.AnonKB, s.PeakRSSKB)
+	}
+	for status, want := range map[string]int64{
+		"":                                     0,
+		"Name:\tx\nVmHWM:\t  812 kB\n":         0,
+		"VmHWM:\t 9 kB\nRssAnon:\t  1234 kB\n": 1234,
+		"VmHWM:\t 9 kB\nRssAnon:\t":            0,
+	} {
+		if got := statusKB([]byte(status), "\nRssAnon:"); got != want {
+			t.Errorf("statusKB(%q) = %d, want %d", status, got, want)
+		}
 	}
 }

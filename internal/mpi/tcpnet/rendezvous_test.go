@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mph/internal/mpi"
+	"mph/internal/sock"
 )
 
 // exchange runs one send/recv pair between two world comms, with the receive
@@ -406,6 +407,60 @@ func BenchmarkPingPong(b *testing.B) {
 				}
 				return c.Send(0, 2, data)
 			})
+		})
+	}
+}
+
+// BenchmarkSocketPingPong is BenchmarkPingPong's floor: the same sizes over
+// the same loopback, one goroutine a side, but the payload written and read
+// straight on a pair of sock.Conns, with no frame, engine or match. The
+// transport's round trip is stated as a ratio to this one (EXPERIMENTS.md
+// S20).
+func BenchmarkSocketPingPong(b *testing.B) {
+	for _, size := range []int{64, 16 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			ln, err := sock.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			dialed, err := sock.Dial("tcp", ln.Addr(), 5*time.Second)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer dialed.Close()
+			accepted, err := ln.Accept()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer accepted.Close()
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			done := make(chan error, 1)
+			go func() { // the echo side: read one payload, send it back
+				buf := make([]byte, size)
+				var err error
+				for i := 0; i < b.N && err == nil; i++ {
+					if _, err = io.ReadFull(accepted, buf); err == nil {
+						_, err = accepted.Write(buf)
+					}
+				}
+				done <- err
+			}()
+			buf := make([]byte, size)
+			for i := 0; i < b.N; i++ {
+				if _, err := dialed.Write(buf); err != nil {
+					b.Fatal(err) // the deferred Closes release the echo side
+				}
+				if _, err := io.ReadFull(dialed, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
 		})
 	}
 }

@@ -125,10 +125,11 @@ test "$(grep -l 'pv\.CollAlgo(' internal/mpi/*.go | grep -vc _test.go)" = 1
 # links"). Nor what a rank needs only a few lines of: net/netip with the
 # unique and weak packages behind it (package sock parses IP literals), log
 # (core.Logger), math/rand (math/rand/v2), hash/fnv (deriveContext inlines
-# FNV-1a) and bufio (a trace dump is one buffer). internal/mpi/mpitest is
-# test support, which links testing.
+# FNV-1a) and bufio (a trace dump is one buffer), nor runtime/metrics
+# (a snapshot counts GC cycles through runtime/debug and reads RssAnon from
+# /proc). internal/mpi/mpitest is test support, which links testing.
 if go list -deps ./internal/mpi ./internal/mpi/perf ./internal/mpi/tcpnet ./internal/core ./internal/coupler ./examples/... |
-    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter\|encoding/json\|net/netip\|unique\|weak\|log\|math/rand\|hash/fnv\|bufio'; then
+    grep -x 'net\|runtime/cgo\|net/http\|crypto/tls\|os/exec\|mph/internal/mpirun\|runtime/pprof\|runtime/trace\|compress/flate\|text/tabwriter\|encoding/json\|net/netip\|unique\|weak\|log\|math/rand\|hash/fnv\|bufio\|runtime/metrics'; then
     exit 1
 fi
 test -z "$(gofmt -l .)"
