@@ -182,18 +182,17 @@ func main() {
 		// A failed job still has a story to tell: print whatever the
 		// telemetry plane collected before the crash.
 		if *stats {
-			if snaps := spec.Telemetry.Snapshots(); len(snaps) > 0 {
+			if view := spec.Telemetry.View(); view.Reporting > 0 {
 				fmt.Fprintf(os.Stderr, "mphrun: post-mortem telemetry (%d of %d rank(s) reported):\n",
-					len(snaps), len(spec.Procs))
-				printStats(os.Stderr, snaps, len(spec.Procs))
+					view.Reporting, view.WorldSize)
+				printStats(os.Stderr, spec.Telemetry)
 			}
 		}
 		os.Exit(1)
 	}
 	if *stats {
-		snaps := spec.Telemetry.Snapshots()
-		printStats(os.Stdout, snaps, len(spec.Procs))
-		printStragglers(os.Stdout, snaps)
+		printStats(os.Stdout, spec.Telemetry)
+		printStragglers(os.Stdout, spec.Telemetry.Snapshots())
 	}
 	if *traceDir != "" {
 		fmt.Fprintf(os.Stderr, "mphrun: event traces in %s (merge with: mphtrace -o trace.json %s)\n",

@@ -739,14 +739,17 @@ func TestLaunchTelemetryMetrics(t *testing.T) {
 // TestLaunchStats runs the same MPMD job with stats and trace collection
 // enabled, as mphrun -stats -trace does, and verifies that every rank's final
 // report is in the moment Launch returns, that the aggregated totals
-// reconcile (every message sent was received), that the summary formats
-// without error, and that the trace dumps appear.
+// reconcile (every message sent was received), that the summary's
+// top-talkers table leads with the one message the test knows, alpha rank
+// 1's msgBytes to beta, and that the trace dumps appear.
 func TestLaunchStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	traceDir := t.TempDir()
 	t.Setenv("MPH_TEST_WORKER", "1")
+	const msgBytes = 8 << 10
+	t.Setenv("MPH_TEST_MSG_BYTES", strconv.Itoa(msgBytes))
 	spec := selfSpec(t, 2, nil, mpirun.PlaceBlock)
 	spec.Registration = writeRegistration(t)
 	spec.Timeout = 60 * time.Second
@@ -775,9 +778,21 @@ func TestLaunchStats(t *testing.T) {
 		t.Errorf("summary rows %v missing component names alpha/beta", names)
 	}
 	var buf strings.Builder
-	printStats(&buf, snaps, len(spec.Procs))
-	if !strings.Contains(buf.String(), "totals reconcile") {
-		t.Errorf("summary output lacks reconciliation line:\n%s", buf.String())
+	printStats(&buf, tele)
+	out := buf.String()
+	if !strings.Contains(out, "totals reconcile") {
+		t.Errorf("summary output lacks reconciliation line:\n%s", out)
+	}
+	// Rank 1's count to rank 2 is the padded message plus its share of the
+	// handshake and the barrier, a few hundred bytes at most.
+	sent := snaps[1].SentBytes[2]
+	if sent < msgBytes || sent >= msgBytes+1024 {
+		t.Errorf("rank 1 reports %d bytes sent to rank 2, want the %d-byte message and under 1 KiB more", sent, msgBytes)
+	}
+	row := fmt.Sprintf("1 (alpha) -> 2 (beta) %d %d", snaps[1].SentMsgs[2], sent)
+	_, table, _ := strings.Cut(out, "top talkers (exact, by bytes sent)\n")
+	if rows := strings.Split(table, "\n"); len(rows) < 2 || strings.Join(strings.Fields(rows[1]), " ") != row {
+		t.Errorf("top-talkers table does not lead with %q:\n%s", row, out)
 	}
 
 	traces, err := filepath.Glob(filepath.Join(traceDir, "trace.rank*.bin"))

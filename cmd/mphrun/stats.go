@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mph/internal/mpi/perf"
+	"mph/internal/mpirun"
 )
 
 // componentSummary aggregates the snapshots of the ranks sharing one
@@ -64,10 +65,12 @@ func summarize(snaps []perf.Snapshot) ([]componentSummary, componentSummary) {
 	return out, totals
 }
 
-// printStats renders the per-component summary table followed by the totals
-// row and a reconciliation line: every one of the world's size ranks must have
-// reported, and messages and bytes sent must equal those received.
-func printStats(w io.Writer, snaps []perf.Snapshot, size int) {
+// printStats renders the per-component summary table of the aggregator's
+// latest reports, the totals row, the aggregator's reconciliation verdict
+// (every rank's final report in, messages and bytes sent equal to those
+// received: JobView.Reconciled) and the exact top-talkers table.
+func printStats(w io.Writer, tele *mpirun.Telemetry) {
+	snaps, view := tele.Snapshots(), tele.View()
 	rows, totals := summarize(snaps)
 	fmt.Fprintf(w, "mphrun: performance summary (%d rank(s))\n", totals.Ranks)
 	fmt.Fprintf(w, "%-16s %5s %12s %14s %12s %14s %7s %7s %12s %11s %9s %8s\n",
@@ -83,14 +86,14 @@ func printStats(w io.Writer, snaps []perf.Snapshot, size int) {
 	}
 	line(totals)
 	switch {
-	case totals.Ranks < size:
-		fmt.Fprintf(w, "mphrun: totals cannot reconcile: %d of %d ranks reported\n", totals.Ranks, size)
-	case totals.SentMsgs == totals.RecvMsgs && totals.SentBytes == totals.RecvBytes:
+	case view.Reconciled:
 		fmt.Fprintf(w, "mphrun: totals reconcile: %d messages sent == %d received\n",
-			totals.SentMsgs, totals.RecvMsgs)
+			view.TotalSentMsgs, view.TotalRecvMsgs)
+	case view.Finals < view.WorldSize:
+		fmt.Fprintf(w, "mphrun: totals cannot reconcile: %d of %d final reports\n", view.Finals, view.WorldSize)
 	default:
 		fmt.Fprintf(w, "mphrun: WARNING: totals do not reconcile: %d messages (%d bytes) sent != %d (%d bytes) received\n",
-			totals.SentMsgs, totals.SentBytes, totals.RecvMsgs, totals.RecvBytes)
+			view.TotalSentMsgs, view.TotalSentBytes, view.TotalRecvMsgs, view.TotalRecvBytes)
 	}
 	var tree, hier uint64
 	for i := range snaps {
@@ -112,6 +115,48 @@ func printStats(w io.Writer, snaps []perf.Snapshot, size int) {
 		fmt.Fprintf(w, "mphrun: shm channel: %d payload frame(s), %d bytes intra-host, %d fallback(s) to tcp\n",
 			shmFrames, shmBytes, shmFallbacks)
 	}
+	if talkers := topTalkers(snaps); len(talkers) > 0 {
+		fmt.Fprintf(w, "mphrun: top talkers (exact, by bytes sent)\n")
+		fmt.Fprintf(w, "%-20s    %-20s %12s %14s\n", "src", "dst", "msgs", "bytes")
+		for _, t := range talkers {
+			fmt.Fprintf(w, "%-20s -> %-20s %12d %14d\n",
+				rankLabel(snaps, t.src), rankLabel(snaps, t.dst), t.msgs, t.bytes)
+		}
+	}
+}
+
+// topTalkerRows is how many sender→receiver pairs the top-talkers table lists.
+const topTalkerRows = 5
+
+// talker is one sender→receiver pair's traffic.
+type talker struct {
+	src, dst    int
+	msgs, bytes uint64
+}
+
+// topTalkers reads every sender→receiver pair that carried a message from
+// the senders' per-peer counters, and returns the topTalkerRows largest by
+// bytes, ties in (src, dst) order.
+func topTalkers(snaps []perf.Snapshot) []talker {
+	var out []talker
+	for i := range snaps {
+		s := &snaps[i]
+		for dst := range min(len(s.SentMsgs), len(s.SentBytes)) {
+			if s.SentMsgs[dst] > 0 {
+				out = append(out, talker{src: s.WorldRank, dst: dst, msgs: s.SentMsgs[dst], bytes: s.SentBytes[dst]})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].bytes != out[j].bytes {
+			return out[i].bytes > out[j].bytes
+		}
+		if out[i].src != out[j].src {
+			return out[i].src < out[j].src
+		}
+		return out[i].dst < out[j].dst
+	})
+	return out[:min(len(out), topTalkerRows)]
 }
 
 // stragglerRow is one collective op's cross-rank wait-skew summary.
@@ -183,14 +228,15 @@ func stragglers(snaps []perf.Snapshot) []stragglerRow {
 	return rows
 }
 
-// componentOf maps a world rank to its component name for display.
-func componentOf(snaps []perf.Snapshot, rank int) string {
+// rankLabel names a world rank for display: "2 (ocean)", or "2 (rank2)" for
+// a rank that never reported a component.
+func rankLabel(snaps []perf.Snapshot, rank int) string {
 	for i := range snaps {
 		if snaps[i].WorldRank == rank && snaps[i].Component != "" {
-			return snaps[i].Component
+			return fmt.Sprintf("%d (%s)", rank, snaps[i].Component)
 		}
 	}
-	return fmt.Sprintf("rank%d", rank)
+	return fmt.Sprintf("%d (rank%d)", rank, rank)
 }
 
 // printStragglers renders the collective wait-skew table and, when the
@@ -208,7 +254,7 @@ func printStragglers(w io.Writer, snaps []perf.Snapshot) {
 				time.Duration(r.MinNanos).Round(time.Microsecond),
 				time.Duration(r.MaxNanos).Round(time.Microsecond),
 				time.Duration(r.MaxNanos-r.MinNanos).Round(time.Microsecond),
-				fmt.Sprintf("%d (%s)", r.SuspectRank, componentOf(snaps, r.SuspectRank)),
+				rankLabel(snaps, r.SuspectRank),
 				fmt.Sprintf("%s @%d", time.Duration(r.SlowestCall).Round(time.Microsecond), r.SlowestRank))
 		}
 	}

@@ -1,13 +1,16 @@
 // Command mphtrace merges the per-rank event traces dumped by an
 // instrumented job (mphrun -trace DIR, or MPH_TRACE_DIR) into a single
 // Chrome trace_event timeline, loadable in chrome://tracing or Perfetto,
-// and prints quick textual summaries: the top talkers (sender→receiver byte
-// volume) and per-rank queue pressure (matching-engine high-water depths
-// observed in the event stream).
+// and prints one summary line: the events merged, from how many ranks, into
+// which file, the 1-in-N divisor the per-message instants (send, recv-post,
+// match) were sampled under, and every rank whose ring overwrote events.
+// Counts — who sent how much to whom, queue high-water marks, collective
+// wait skew — are mphrun -stats' job: it reads them exactly from every
+// rank's report.
 //
 // Usage:
 //
-//	mphtrace [-o trace.json] [-top N] [-stragglers] DIR|FILE...
+//	mphtrace [-o trace.json] DIR|FILE...
 //
 // Each argument is either a directory holding trace.rank*.bin files or an
 // individual trace dump (perf.Tracer.Dump). Timestamps from different OS
@@ -15,10 +18,6 @@
 // dump's meta record, corrected by the per-rank clock offset the launcher's
 // telemetry handshake measured (also in the meta record) — so multi-host
 // timelines line up even when the hosts' clocks do not.
-//
-// -stragglers compares collective arrival times across ranks invocation by
-// invocation: the last rank to enter a collective made everyone else wait,
-// and the table names the ranks that are last most often.
 package main
 
 import (
@@ -30,15 +29,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
+	"strings"
 
 	"mph/internal/mpi/perf"
 )
 
 func main() {
 	out := flag.String("o", "trace.json", "merged Chrome trace output path")
-	topN := flag.Int("top", 5, "number of sender→receiver pairs in the top-talkers summary")
-	stragglersFlag := flag.Bool("stragglers", false, "print per-collective arrival skew across ranks and name the slowest (last-arriving) ranks")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "mphtrace: need at least one trace directory or file")
@@ -70,16 +67,45 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mphtrace: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Println(summary(traces, *out))
+}
 
-	total := 0
-	for _, rt := range traces {
+// summary is the one line mphtrace prints after the merge: the events merged
+// from how many ranks into out, the sampling divisor of the per-message
+// instants (so a reader of the timeline knows each send or match it shows
+// stands for N), and every rank whose ring overwrote events — its timeline
+// starts late.
+func summary(traces []rankTrace, out string) string {
+	total, minSample, maxSample := 0, 0, 0
+	var dropped []string
+	for i, rt := range traces {
 		total += len(rt.events)
+		n := max(rt.meta.Sample, 1)
+		if i == 0 || n < minSample {
+			minSample = n
+		}
+		maxSample = max(maxSample, n)
+		if rt.meta.Dropped > 0 {
+			dropped = append(dropped, fmt.Sprintf("%s %d of %d", rankName(rt.meta), rt.meta.Dropped, rt.meta.Recorded))
+		}
 	}
-	fmt.Printf("mphtrace: merged %d event(s) from %d rank(s) into %s\n", total, len(traces), *out)
-	printSummaries(os.Stdout, traces, *topN)
-	if *stragglersFlag {
-		printStragglers(os.Stdout, traces)
+	line := fmt.Sprintf("mphtrace: merged %d event(s) from %d rank(s) into %s; send/recv-post/match sampled 1 in %d",
+		total, len(traces), out, maxSample)
+	if minSample != maxSample {
+		line = fmt.Sprintf("%s (1 in %d on some ranks)", line, minSample)
 	}
+	if len(dropped) > 0 {
+		line += "; ring overwrote events on " + strings.Join(dropped, ", ")
+	}
+	return line
+}
+
+// rankName names a rank for display: "rank 3", or "rank 3 (ocean)".
+func rankName(m perf.Meta) string {
+	if m.Component == "" {
+		return fmt.Sprintf("rank %d", m.Rank)
+	}
+	return fmt.Sprintf("rank %d (%s)", m.Rank, m.Component)
 }
 
 // rankTrace is one rank's parsed dump.
@@ -174,13 +200,9 @@ func buildChromeTrace(traces []rankTrace) []chromeEvent {
 	}
 	var out []chromeEvent
 	for _, rt := range traces {
-		name := fmt.Sprintf("rank %d", rt.meta.Rank)
-		if rt.meta.Component != "" {
-			name += " (" + rt.meta.Component + ")"
-		}
 		out = append(out, chromeEvent{
 			Name: "process_name", Phase: "M", PID: rt.meta.Rank,
-			Args: map[string]any{"name": name},
+			Args: map[string]any{"name": rankName(rt.meta)},
 		})
 		offset := alignedBase(rt) - origin
 		for _, e := range rt.events {
@@ -225,237 +247,4 @@ func buildChromeTrace(traces []rankTrace) []chromeEvent {
 func writeChromeTrace(w io.Writer, traces []rankTrace) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": buildChromeTrace(traces)})
-}
-
-// talker is one sender→receiver aggregate from the send events.
-type talker struct {
-	src, dst    int
-	msgs, bytes uint64
-}
-
-// topTalkers aggregates KSend events into sender→receiver volumes, sorted
-// by bytes descending, truncated to n. A sender that kept 1 in Sample sends
-// counts each kept one Sample times, so volumes estimate the whole.
-func topTalkers(traces []rankTrace, n int) []talker {
-	type key struct{ src, dst int }
-	agg := make(map[key]*talker)
-	for _, rt := range traces {
-		scale := uint64(max(rt.meta.Sample, 1))
-		for _, e := range rt.events {
-			if e.Kind != perf.KSend {
-				continue
-			}
-			k := key{src: rt.meta.Rank, dst: int(e.A)}
-			t, ok := agg[k]
-			if !ok {
-				t = &talker{src: k.src, dst: k.dst}
-				agg[k] = t
-			}
-			t.msgs += scale
-			t.bytes += scale * uint64(e.C)
-		}
-	}
-	out := make([]talker, 0, len(agg))
-	for _, t := range agg {
-		out = append(out, *t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].bytes != out[j].bytes {
-			return out[i].bytes > out[j].bytes
-		}
-		if out[i].src != out[j].src {
-			return out[i].src < out[j].src
-		}
-		return out[i].dst < out[j].dst
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// pressure is one rank's queue-depth high water as seen in the event
-// stream: UMQ depth at match time, PRQ depth at post time.
-type pressure struct {
-	rank           int
-	component      string
-	maxUMQ, maxPRQ int64
-	recorded, lost uint64
-}
-
-// queuePressure extracts per-rank queue-depth maxima.
-func queuePressure(traces []rankTrace) []pressure {
-	out := make([]pressure, 0, len(traces))
-	for _, rt := range traces {
-		p := pressure{
-			rank:      rt.meta.Rank,
-			component: rt.meta.Component,
-			recorded:  rt.meta.Recorded,
-			lost:      rt.meta.Dropped,
-		}
-		for _, e := range rt.events {
-			switch e.Kind {
-			case perf.KMatch:
-				if e.D > p.maxUMQ {
-					p.maxUMQ = e.D
-				}
-			case perf.KRecvPost:
-				if e.D > p.maxPRQ {
-					p.maxPRQ = e.D
-				}
-			}
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// opSkew is the cross-rank arrival-skew aggregate of one collective op.
-type opSkew struct {
-	op          int64
-	invocations int         // invocations compared (min across participating ranks)
-	ranks       int         // ranks that ran the op
-	totalSkew   int64       // sum over invocations of (last − first arrival)
-	maxSkew     int64       // worst single invocation
-	maxSkewInv  int         // which invocation was worst
-	lastCount   map[int]int // rank -> times it arrived last
-}
-
-// slowest returns the rank that arrived last most often and how often.
-func (s *opSkew) slowest() (rank, count int) {
-	rank = -1
-	for r, c := range s.lastCount {
-		if c > count || (c == count && (rank == -1 || r < rank)) {
-			rank, count = r, c
-		}
-	}
-	return rank, count
-}
-
-// collectSkews matches collective KBegin events across ranks invocation by
-// invocation on the launcher-aligned clock. Spans are never dropped by
-// trace sampling, so the k-th begin of an op on every rank
-// belongs to the same collective — as long as all traced ranks run their
-// world-communicator collectives in the same order, which MPI semantics
-// already require. Sub-communicator collectives shift the indexing for
-// their members; the tool compares only the common prefix (min invocation
-// count across ranks).
-func collectSkews(traces []rankTrace) []opSkew {
-	enters := make(map[int64]map[int][]int64) // op -> rank -> aligned enter times
-	for _, rt := range traces {
-		base := alignedBase(rt)
-		for _, e := range rt.events {
-			if e.Kind != perf.KBegin || e.B != 0 || e.A >= int64(perf.NumCollOps) {
-				continue // not a whole collective
-			}
-			m := enters[e.A]
-			if m == nil {
-				m = make(map[int][]int64)
-				enters[e.A] = m
-			}
-			m[rt.meta.Rank] = append(m[rt.meta.Rank], base+e.TS)
-		}
-	}
-	var out []opSkew
-	for op, byRank := range enters {
-		if len(byRank) < 2 {
-			continue // no skew of one
-		}
-		n := -1
-		for _, ts := range byRank {
-			if n == -1 || len(ts) < n {
-				n = len(ts)
-			}
-		}
-		s := opSkew{op: op, invocations: n, ranks: len(byRank), lastCount: make(map[int]int)}
-		for k := 0; k < n; k++ {
-			first, last, lastRank := int64(0), int64(0), -1
-			for r, ts := range byRank {
-				t := ts[k]
-				if lastRank == -1 || t < first {
-					first = t
-				}
-				if lastRank == -1 || t > last {
-					last, lastRank = t, r
-				}
-			}
-			skew := last - first
-			s.totalSkew += skew
-			if skew > s.maxSkew {
-				s.maxSkew, s.maxSkewInv = skew, k
-			}
-			s.lastCount[lastRank]++
-		}
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].maxSkew != out[j].maxSkew {
-			return out[i].maxSkew > out[j].maxSkew
-		}
-		return out[i].op < out[j].op
-	})
-	return out
-}
-
-// printStragglers renders the arrival-skew table. Silent when fewer than two
-// traced ranks share a collective.
-func printStragglers(w io.Writer, traces []rankTrace) {
-	skews := collectSkews(traces)
-	if len(skews) == 0 {
-		fmt.Fprintf(w, "\nstragglers: no collective ran on two or more traced ranks\n")
-		return
-	}
-	component := make(map[int]string)
-	aligned := false
-	for _, rt := range traces {
-		component[rt.meta.Rank] = rt.meta.Component
-		aligned = aligned || rt.meta.ClockOffsetNS != 0
-	}
-	fmt.Fprintf(w, "\ncollective arrival skew (last rank in made the others wait):\n")
-	fmt.Fprintf(w, "  %-12s %6s %6s %12s %16s %24s\n",
-		"op", "invoc", "ranks", "mean skew", "max skew", "slowest rank")
-	for _, s := range skews {
-		rank, count := s.slowest()
-		name := fmt.Sprintf("%d", rank)
-		if c := component[rank]; c != "" {
-			name += " (" + c + ")"
-		}
-		fmt.Fprintf(w, "  %-12s %6d %6d %12s %16s %24s\n",
-			perf.CollOpName(s.op), s.invocations, s.ranks,
-			time.Duration(s.totalSkew/int64(s.invocations)).Round(time.Microsecond),
-			fmt.Sprintf("%s @#%d", time.Duration(s.maxSkew).Round(time.Microsecond), s.maxSkewInv),
-			fmt.Sprintf("%s last %d/%d", name, count, s.invocations))
-	}
-	if !aligned {
-		fmt.Fprintf(w, "  (no clock offsets in these traces — cross-host skews include raw clock error;\n"+
-			"   run under mphrun -trace so the telemetry handshake measures offsets)\n")
-	}
-}
-
-// printSummaries renders the textual top-talkers and queue-pressure tables.
-func printSummaries(w io.Writer, traces []rankTrace, topN int) {
-	talkers := topTalkers(traces, topN)
-	if len(talkers) > 0 {
-		estimated := ""
-		for _, rt := range traces {
-			if rt.meta.Sample > 1 {
-				estimated = ", estimated: sampled sends scaled by their rank's 1-in-N"
-			}
-		}
-		fmt.Fprintf(w, "\ntop talkers (by bytes%s):\n", estimated)
-		fmt.Fprintf(w, "  %-12s %10s %12s\n", "src -> dst", "msgs", "bytes")
-		for _, t := range talkers {
-			fmt.Fprintf(w, "  %4d -> %-4d %10d %12d\n", t.src, t.dst, t.msgs, t.bytes)
-		}
-	}
-	fmt.Fprintf(w, "\nqueue pressure (maxima over recorded events; mphrun -stats prints the exact umq-hw/prq-hw):\n")
-	fmt.Fprintf(w, "  %-5s %-16s %10s %10s %10s %8s\n", "rank", "component", "max umq", "max prq", "events", "dropped")
-	for _, p := range queuePressure(traces) {
-		comp := p.component
-		if comp == "" {
-			comp = "-"
-		}
-		fmt.Fprintf(w, "  %-5d %-16s %10d %10d %10d %8d\n",
-			p.rank, comp, p.maxUMQ, p.maxPRQ, p.recorded, p.lost)
-	}
 }

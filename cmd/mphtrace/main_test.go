@@ -143,70 +143,6 @@ func TestMergeProducesValidChromeTrace(t *testing.T) {
 	}
 }
 
-func TestTopTalkersAndQueuePressure(t *testing.T) {
-	dir := makeTestTraces(t)
-	paths, _ := expandArgs([]string{dir})
-	traces, err := loadTraces(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	talkers := topTalkers(traces, 5)
-	if len(talkers) != 2 {
-		t.Fatalf("got %d talker pairs, want 2", len(talkers))
-	}
-	if talkers[0].src != 0 || talkers[0].dst != 1 || talkers[0].bytes != 150 || talkers[0].msgs != 2 {
-		t.Errorf("top talker %+v, want 0->1 2 msgs 150 bytes", talkers[0])
-	}
-	if talkers[1].bytes != 10 {
-		t.Errorf("second talker %+v, want 10 bytes", talkers[1])
-	}
-	if got := topTalkers(traces, 1); len(got) != 1 {
-		t.Errorf("top-1 returned %d pairs", len(got))
-	}
-
-	qp := queuePressure(traces)
-	if len(qp) != 2 {
-		t.Fatalf("got %d pressure rows, want 2", len(qp))
-	}
-	if qp[1].maxUMQ != 5 || qp[1].maxPRQ != 3 {
-		t.Errorf("rank 1 pressure umq=%d prq=%d, want 5/3", qp[1].maxUMQ, qp[1].maxPRQ)
-	}
-	if qp[0].component != "alpha" || qp[1].component != "beta" {
-		t.Errorf("components %q/%q, want alpha/beta", qp[0].component, qp[1].component)
-	}
-
-	var sb strings.Builder
-	printSummaries(&sb, traces, 5)
-	out := sb.String()
-	if !strings.Contains(out, "top talkers") || !strings.Contains(out, "queue pressure") {
-		t.Errorf("summary output missing sections:\n%s", out)
-	}
-}
-
-// TestTopTalkersScalesSampledSends reads a sender that kept 1 in 16 sends
-// (mphrun -trace's default) as having sent 16 times what it kept, and marks
-// the table as an estimate.
-func TestTopTalkersScalesSampledSends(t *testing.T) {
-	sends := []perf.Event{{Kind: perf.KSend, A: 1, C: 100}, {Kind: perf.KSend, A: 1, C: 50}}
-	traces := []rankTrace{syntheticTrace(0, "alpha", 0, 0, sends)}
-	traces[0].meta.Sample = 16
-	talkers := topTalkers(traces, 5)
-	if len(talkers) != 1 || talkers[0].msgs != 32 || talkers[0].bytes != 16*150 {
-		t.Fatalf("talkers %+v, want 0->1 32 msgs %d bytes", talkers, 16*150)
-	}
-	var sb strings.Builder
-	printSummaries(&sb, traces, 5)
-	if !strings.Contains(sb.String(), "estimated") {
-		t.Errorf("a sampled table must say it is estimated:\n%s", sb.String())
-	}
-	traces[0].meta.Sample = 0 // full fidelity: exact counts, no mark
-	sb.Reset()
-	printSummaries(&sb, traces, 5)
-	if talkers := topTalkers(traces, 5); talkers[0].msgs != 2 || strings.Contains(sb.String(), "estimated") {
-		t.Errorf("unsampled talkers %+v, table:\n%s", talkers, sb.String())
-	}
-}
-
 // syntheticTrace builds a rankTrace without the file round trip, with full
 // control of the meta's wall-clock base and measured clock offset.
 func syntheticTrace(rank int, comp string, baseUnix, clockOff int64, events []perf.Event) rankTrace {
@@ -244,72 +180,36 @@ func TestAlignedBaseAppliesClockOffset(t *testing.T) {
 	}
 }
 
-func TestCollectSkewsNamesSlowestRank(t *testing.T) {
-	op := int64(perf.CollAllreduce)
-	mk := func(ts ...int64) []perf.Event {
-		evs := make([]perf.Event, len(ts))
-		for i, v := range ts {
-			evs[i] = perf.Event{Kind: perf.KBegin, A: op, TS: v}
+// TestSummaryLine: the one line mphtrace prints names the events, ranks and
+// output, the sampling divisor of the per-message instants, and each rank
+// whose ring overwrote events, with how many of how many.
+func TestSummaryLine(t *testing.T) {
+	dir := makeTestTraces(t)
+	paths, _ := expandArgs([]string{dir})
+	traces, err := loadTraces(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := summary(traces, "out.json"),
+		"mphtrace: merged 12 event(s) from 2 rank(s) into out.json; send/recv-post/match sampled 1 in 1"; got != want {
+		t.Errorf("summary\n %q, want\n %q", got, want)
+	}
+
+	traces[0].meta.Sample, traces[1].meta.Sample = 16, 16
+	traces[1].meta.Recorded, traces[1].meta.Dropped = 70000, 4464
+	got := summary(traces, "out.json")
+	for _, want := range []string{"sampled 1 in 16", "ring overwrote events on rank 1 (beta) 4464 of 70000"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("summary %q lacks %q", got, want)
 		}
-		return evs
 	}
-	// Three ranks, two invocations. Rank 2 arrives last both times — by 900ns
-	// then 400ns — and should be named the straggler. Rank 1's third enter
-	// (a sub-communicator collective the others never ran) must be ignored:
-	// only the common prefix of invocations is compared.
-	traces := []rankTrace{
-		syntheticTrace(0, "alpha", 1000, 0, mk(100, 2000)),
-		syntheticTrace(1, "beta", 1000, 0, mk(150, 2100, 9000)),
-		syntheticTrace(2, "beta", 1000, 0, mk(1000, 2400)),
-	}
-	skews := collectSkews(traces)
-	if len(skews) != 1 {
-		t.Fatalf("got %d skew rows, want 1", len(skews))
-	}
-	s := skews[0]
-	if s.op != op || s.invocations != 2 || s.ranks != 3 {
-		t.Errorf("row %+v, want op %d over 2 invocations on 3 ranks", s, op)
-	}
-	if s.maxSkew != 900 || s.maxSkewInv != 0 {
-		t.Errorf("max skew %d@%d, want 900@0", s.maxSkew, s.maxSkewInv)
-	}
-	if s.totalSkew != 900+400 {
-		t.Errorf("total skew %d, want 1300", s.totalSkew)
-	}
-	rank, count := s.slowest()
-	if rank != 2 || count != 2 {
-		t.Errorf("slowest = rank %d (%d times), want rank 2 both times", rank, count)
+	if strings.Contains(got, "rank 0 (alpha)") || strings.Contains(got, "some ranks") {
+		t.Errorf("summary %q names a rank that dropped nothing or a second divisor", got)
 	}
 
-	var sb strings.Builder
-	printStragglers(&sb, traces)
-	out := sb.String()
-	if !strings.Contains(out, "allreduce") || !strings.Contains(out, "2 (beta)") {
-		t.Errorf("straggler table must name rank 2 (beta):\n%s", out)
-	}
-
-	// A clock offset that delays rank 0's events past rank 2's flips the
-	// verdict — alignment changes who looks slow, which is the point.
-	traces[0].meta.ClockOffsetNS = 5000
-	skews = collectSkews(traces)
-	if rank, _ := skews[0].slowest(); rank != 0 {
-		t.Errorf("with rank 0 shifted +5µs the straggler is rank %d, want 0", rank)
-	}
-
-	// Two-level phase and handshake spans are not collective arrivals.
-	for i := range traces {
-		traces[i].events = append(traces[i].events,
-			perf.Event{Kind: perf.KBegin, A: op, B: int64(perf.CollPhaseInter), TS: 50_000 + int64(i)},
-			perf.Event{Kind: perf.KBegin, A: int64(perf.PhaseSplit), TS: 60_000 + int64(i)})
-	}
-	if skews = collectSkews(traces); len(skews) != 1 || skews[0].invocations != 2 {
-		t.Errorf("phase spans counted as collectives: %+v", skews)
-	}
-
-	// Single-rank ops produce no row.
-	solo := []rankTrace{syntheticTrace(0, "alpha", 1000, 0, mk(100))}
-	if got := collectSkews(solo); len(got) != 0 {
-		t.Errorf("solo rank produced %d skew rows", len(got))
+	traces[1].meta.Sample = 4
+	if got := summary(traces, "out.json"); !strings.Contains(got, "sampled 1 in 16 (1 in 4 on some ranks)") {
+		t.Errorf("mixed divisors: summary %q", got)
 	}
 }
 

@@ -153,14 +153,6 @@ func SpanName(a, b int64) string {
 	return collOpNames[a] + "/unknown"
 }
 
-// CollOpName names a collective op id (as carried in trace events).
-func CollOpName(id int64) string {
-	if id >= 0 && id < int64(NumCollOps) {
-		return collOpNames[id]
-	}
-	return "unknown"
-}
-
 // collCounter is one collective op's invocation count, cumulative wall
 // time and slowest single invocation.
 type collCounter struct {

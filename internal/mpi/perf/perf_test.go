@@ -166,9 +166,6 @@ func TestPhaseAndCollOpNames(t *testing.T) {
 			t.Errorf("SpanName(%d, %d) = %q, want %q", c.a, c.b, got, c.want)
 		}
 	}
-	if CollOpName(int64(CollAllreduce)) != "allreduce" {
-		t.Errorf("CollAllreduce name %q", CollOpName(int64(CollAllreduce)))
-	}
 	for op := CollOp(0); op < NumCollOps; op++ {
 		if op.String() == "unknown" || op.String() == "" {
 			t.Errorf("op %d has no name", op)

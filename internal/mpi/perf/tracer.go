@@ -221,8 +221,8 @@ type Meta struct {
 	Recorded uint64
 	Dropped  uint64
 	// Sample is the 1-in-N divisor the per-message events (send,
-	// recv-post, match) were recorded under, so readers can scale their
-	// counts back up.
+	// recv-post, match) were recorded under, so a timeline reader knows
+	// each one it shows stands for N.
 	Sample int
 }
 

@@ -25,7 +25,10 @@
 # - the tracer is one ring written by every goroutine of a rank: its tests
 #   (the ring keeps exactly the newest events, a dump never goes back in
 #   time while several goroutines record, a dump reads back as it was
-#   written) and mphtrace's, which read its dumps, repeat under -race;
+#   written) and mphtrace's, which read its dumps into the timeline and
+#   its one summary line, repeat under -race, with -stats' tables (exact
+#   top talkers from the reports, one reconciliation verdict): counts come
+#   from the reports, the timeline from the traces;
 # - bulk transfers move in rendezvous-sized chunks, the coupler streams land
 #   and ocean through one chunk buffer beside two slabs and sends from both,
 #   and a model takes its increment one chunk at a time through one buffer,
@@ -95,8 +98,8 @@ go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|Test
     ./internal/coupler ./internal/mpi/perf
 go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferEach|TestChunks|TestChunkBytesIsEagerThreshold|TestRouterVolumeProperty|TestVolumeCountsSentMessages' \
     -race -count=2 ./internal/coupler ./internal/xfer
-go test -run 'Tracer|Dump|KindNames|PhaseAndCollOpNames|Merge|TopTalkers|CollectSkews|AlignedBase|ExpandArgs|LoadTrace' -race -count=2 \
-    ./internal/mpi/perf ./cmd/mphtrace
+go test -run 'Tracer|Dump|KindNames|PhaseAndCollOpNames|Merge|SummaryLine|AlignedBase|ExpandArgs|LoadTrace|PrintStats' -race -count=2 \
+    ./internal/mpi/perf ./cmd/mphtrace ./cmd/mphrun
 go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage|TestShmAdvertisedOnOpenStream' \
     -race -count=2 ./internal/core ./internal/mpi/tcpnet
 go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
@@ -230,10 +233,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,555 before a rank's snapshot
-# stopped reading runtime/metrics, 16,575 after) and the stripped size of a
-# component executable (2,298,040 bytes before, 2,289,848 after), printed
-# for later comparison.
+# Non-test Go lines outside benchmark/ (16,575 before mphtrace stopped
+# printing counts and mphrun -stats took the exact top talkers, 16,401
+# after) and the stripped size of a component executable (2,289,848 bytes
+# before and after: no rank code changed), printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"
