@@ -23,13 +23,12 @@ import (
 //
 // The plans own no slab. The coupled loop (RunCoupled) runs them against
 // slabs of its own: a coupler rank receives atmosphere and ice into two
-// fields and land and ocean one chunk at a time, and a model rank adds its
-// increment into its state one chunk at a time (DESIGN.md §12). ToCoupler
-// and ToModel are the one-call form: the field they return on the receiving
-// side belongs to the
-// link, is allocated on the first call that needs it, and holds that
-// exchange's data until the next call on the same link in the same
-// direction overwrites it. A caller that needs it longer copies it. Until
+// fields and folds land and ocean as they arrive, and a model rank folds its
+// increment into its state, one segment a coupler rank at a time (DESIGN.md
+// §12). ToCoupler and ToModel are the one-call form: the field they return
+// on the receiving side belongs to the link, is allocated on the first call
+// that needs it, and holds that exchange's data until the next call on the
+// same link in the same direction overwrites it. A caller that needs it longer copies it. Until
 // then the caller may also write into it and send from it, because a send,
 // eager or rendezvous, is done with its buffer when it returns, and the next
 // receive into the field is posted only by the next call.

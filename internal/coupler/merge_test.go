@@ -146,17 +146,17 @@ func runLayout(t *testing.T, sizes [5]int, g grid.Grid, coupler couplerSide) (*D
 	return diag, slabs
 }
 
-// TestInPlaceMergeMatchesReference: the coupler holds two slabs, streams
-// land's and ocean's fields through one chunk buffer, writes the ice and
-// atmosphere increments over their fields and fills land's and ocean's into
-// the buffer as they go, and every model adds its increment in one segment
-// at a time; the job must still be the out-of-place merge's bit for bit —
-// every diagnostic of every period and every model rank's final state. One
-// layout is the canonical 3/2/2/1/2; the others have a 3-rank coupler, so
-// the coupler's 16 bands split 6/5/5 and the single ice rank takes its
-// increment in three segments. On the 4096-wide grid a row is 32 KiB, so a
-// band range of two rows or more moves in chunks, and the streamed means
-// are summed over several.
+// TestInPlaceMergeMatchesReference: the coupler holds two slabs, folds
+// land's and ocean's fields as they arrive, writes the ice and atmosphere
+// increments over their fields and fills land's and ocean's as they go, and
+// every model folds its increment into its state one segment at a time; the
+// job must still be the out-of-place merge's bit for bit — every diagnostic
+// of every period and every model rank's final state. One layout is the
+// canonical 3/2/2/1/2; the others have a 3-rank coupler, so the coupler's 16
+// bands split 6/5/5 and the single ice rank takes its increment in three
+// segments. On the 4096-wide grid a row is 32 KiB, so a band range of two
+// rows or more is rendezvous-sized, and the streamed means are summed over
+// several segments.
 func TestInPlaceMergeMatchesReference(t *testing.T) {
 	for _, nlon := range []int{6, 4096} {
 		g, err := grid.New(16, nlon)

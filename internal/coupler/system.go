@@ -205,11 +205,11 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		return nil, err
 	}
 	var report [1]float64 // the sum sent to the coupler root each period
-	// The increment arrives one segment (a chunk, from 64 KiB up) at a time,
-	// each added into its range of the state: one buffer the size of the
-	// largest.
-	seg := make([]float64, link.down.MaxSegment())
+	// The increment is added into the state as it arrives, piece by piece:
+	// no buffer holds it.
+	state := m.Field().Data
 	clamp := slot == 3 // ice thickness cannot go negative
+	add := func(lo int, delta []float64) { applyDelta(state[lo:lo+len(delta)], delta, clamp) }
 
 	for !sched.Clock.Done() {
 		ringing, err := sched.Advance()
@@ -225,22 +225,15 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 		// The receive of the increment's first segment is posted before the
 		// field goes up, so the coupler rank that sends it never waits for
 		// this rank to come back round; each later one is posted once the
-		// segment before it is in (DESIGN.md §12).
-		if err := link.down.StartEach(downTags[slot], nil, seg); err != nil {
+		// segment before it is folded in (DESIGN.md §12).
+		if err := link.down.StartFold(downTags[slot], nil, add); err != nil {
 			return nil, err
 		}
 		if _, err := link.ToCoupler(m.Field(), upTags[slot]); err != nil {
 			return nil, err
 		}
-		for {
-			lo, delta, err := link.down.Next()
-			if err != nil {
-				return nil, err
-			}
-			if delta == nil {
-				break
-			}
-			applyDelta(m.Field().Data[lo:lo+len(delta)], delta, clamp)
+		if err := link.down.Wait(); err != nil {
+			return nil, err
 		}
 		if cfg.Pace > 0 {
 			time.Sleep(cfg.Pace)
@@ -262,7 +255,7 @@ func runModelSide(s *core.Setup, cfg Config, link *Link, slot int) (*Diagnostics
 	return recvDiagnostics(s, cfg, newDiagnostics(cfg.Periods))
 }
 
-// applyDelta adds one segment of the coupler's increment into its range of
+// applyDelta adds one piece of the coupler's increment into its range of
 // the model state.
 func applyDelta(data, delta []float64, clampNonNegative bool) {
 	for i, d := range delta {
@@ -275,9 +268,9 @@ func applyDelta(data, delta []float64, clampNonNegative bool) {
 
 // runCouplerSide receives every model's field, merges fluxes, returns the
 // increments, and accumulates diagnostics. It holds two slabs, atmosphere
-// and ice, and one chunk buffer: land's and ocean's fields stream through
-// the buffer, each increment is written over a slab it is computed from or
-// filled into the buffer as it goes (DESIGN.md §12).
+// and ice, and no buffer: land's and ocean's fields are folded as they
+// arrive, each increment is written over a slab it is computed from or
+// filled in as it is sent (DESIGN.md §12).
 func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, error) {
 	comm, _ := s.ProcInComponent(cfg.Names.Coupler)
 	dtc := float64(cfg.SubSteps) * cfg.Dt
@@ -294,31 +287,52 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 	atmF, iceF := grid.NewField(decomp, proc), grid.NewField(decomp, proc)
 	slab := [4]*grid.Field{0: atmF, 3: iceF}
 	atm, ice := atmF.Data, iceF.Data
-	// One buffer for land's and ocean's chunks, both ways.
-	size := 0
-	for _, i := range [2]int{1, 2} {
-		size = max(size, links[i].up.MaxSegment(), links[i].down.MaxSegment())
+	// The folds and fills of the period, made once. Each fold continues its
+	// field's local mean pair over the piece in ascending cell order.
+	landMean := func(lo int, lnd []float64) {
+		mean[2][0], mean[2][1] = decomp.WeightedSum(proc, lo, lnd, mean[2][0], mean[2][1])
 	}
-	buf := make([]float64, size)
-	// stream receives link i's field one chunk at a time, continuing its
-	// local mean pair over each in ascending cell order, and hands each to
-	// merge, if any.
-	stream := func(i int, merge func(lo int, seg []float64)) error {
-		up := links[i].up
-		if err := up.StartEach(upTags[i], nil, buf); err != nil {
+	// Ocean streams through the flux merge: each cell's inputs are read, then
+	// its ice increment is written over c and its atmosphere increment,
+	// dA = −dO bit for bit, over a.
+	ocnMerge := func(lo int, ocn []float64) {
+		mean[1][0], mean[1][1] = decomp.WeightedSum(proc, lo, ocn, mean[1][0], mean[1][1])
+		a, c := atm[lo:lo+len(ocn)], ice[lo:lo+len(ocn)]
+		for i, o := range ocn {
+			iceFrac := c[i] / 2
+			if iceFrac > 1 {
+				iceFrac = 1
+			}
+			if iceFrac < 0 {
+				iceFrac = 0
+			}
+			// Atmosphere-ocean heat exchange, shut off under ice.
+			flux := cfg.ExchangeCoeff * (a[i] - o) * (1 - iceFrac)
+			// Ice grows below freezing, melts above.
+			c[i] = 5e-3 * (271.35 - a[i]) * dtc
+			a[i] = -(flux * dtc)
+		}
+	}
+	landDelta := func(lo int, seg []float64) {
+		for i, a := range atm[lo : lo+len(seg)] {
+			// Land dries under a warm atmosphere.
+			seg[i] = -1e-4 * (a - 288) * dtc
+		}
+	}
+	// The ocean's increment is the atmosphere's negated: IEEE negation is
+	// exact.
+	ocnDelta := func(lo int, seg []float64) {
+		for i, a := range atm[lo : lo+len(seg)] {
+			seg[i] = -a
+		}
+	}
+	// stream folds link i's field as it arrives.
+	stream := func(i int, fold func(lo int, seg []float64)) error {
+		mean[i] = [2]float64{}
+		if err := links[i].up.StartFold(upTags[i], nil, fold); err != nil {
 			return err
 		}
-		mean[i] = [2]float64{}
-		for {
-			lo, seg, err := up.Next()
-			if err != nil || seg == nil {
-				return err
-			}
-			mean[i][0], mean[i][1] = decomp.WeightedSum(proc, lo, seg, mean[i][0], mean[i][1])
-			if merge != nil {
-				merge(lo, seg)
-			}
-		}
+		return links[i].up.Wait()
 	}
 
 	for p := 0; !sched.Clock.Done(); {
@@ -337,7 +351,7 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 				return nil, err
 			}
 		}
-		if err := stream(2, nil); err != nil {
+		if err := stream(2, landMean); err != nil {
 			return nil, err
 		}
 		for _, i := range [2]int{0, 3} {
@@ -348,36 +362,11 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 			mean[i][0], mean[i][1] = slab[i].LocalWeightedMean()
 		}
 
-		// Land's increment, a chunk at a time, from a.
-		if err := links[2].down.SendEach(downTags[2], buf, func(lo int, seg []float64) {
-			for i, a := range atm[lo : lo+len(seg)] {
-				// Land dries under a warm atmosphere.
-				seg[i] = -1e-4 * (a - 288) * dtc
-			}
-		}); err != nil {
+		// Land's increment, filled from a as it is sent.
+		if err := links[2].down.SendFill(downTags[2], landDelta); err != nil {
 			return nil, err
 		}
-
-		// Ocean streams through the flux merge: each cell's inputs are read,
-		// then its ice increment is written over c and its atmosphere
-		// increment, dA = −dO bit for bit, over a.
-		if err := stream(1, func(lo int, ocn []float64) {
-			a, c := atm[lo:lo+len(ocn)], ice[lo:lo+len(ocn)]
-			for i, o := range ocn {
-				iceFrac := c[i] / 2
-				if iceFrac > 1 {
-					iceFrac = 1
-				}
-				if iceFrac < 0 {
-					iceFrac = 0
-				}
-				// Atmosphere-ocean heat exchange, shut off under ice.
-				flux := cfg.ExchangeCoeff * (a[i] - o) * (1 - iceFrac)
-				// Ice grows below freezing, melts above.
-				c[i] = 5e-3 * (271.35 - a[i]) * dtc
-				a[i] = -(flux * dtc)
-			}
-		}); err != nil {
+		if err := stream(1, ocnMerge); err != nil {
 			return nil, err
 		}
 		if _, err := links[3].ToModel(iceF, downTags[3]); err != nil {
@@ -386,13 +375,7 @@ func runCouplerSide(s *core.Setup, cfg Config, links [4]*Link) (*Diagnostics, er
 		if _, err := links[0].ToModel(atmF, downTags[0]); err != nil {
 			return nil, err
 		}
-		// The ocean's increment is the atmosphere's negated: IEEE negation is
-		// exact.
-		if err := links[1].down.SendEach(downTags[1], buf, func(lo int, seg []float64) {
-			for i, a := range atm[lo : lo+len(seg)] {
-				seg[i] = -a
-			}
-		}); err != nil {
+		if err := links[1].down.SendFill(downTags[1], ocnDelta); err != nil {
 			return nil, err
 		}
 

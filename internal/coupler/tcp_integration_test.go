@@ -199,16 +199,17 @@ func TestCoupledRunOverTCP(t *testing.T) {
 
 // TestCoupledRunOverTCPRendezvous is TestCoupledRunOverTCP on the benchmark's
 // couple_bulk grid, 384x192, where every exchange piece is above the eager
-// threshold and so travels RTS → CTS → payload, in 72 KiB chunks. The
-// coupler streams land and ocean through one chunk buffer and sends from it
-// and from the slabs it writes over, and a model receives its increment one
-// chunk at a time, posting each only once the one before it is in; this run
-// is the one that leans on "a rendezvous send is done with its buffer when
-// it returns" and on the order of those posts (DESIGN.md §12), and the check
-// suite repeats it under the race detector. Two layouts: the canonical one,
-// where the middle atmosphere rank takes its increment from both coupler
-// ranks, and one with a 3-rank coupler, where the single ice rank takes
-// chunks from three.
+// threshold and so travels RTS → CTS → payload, one message a pair. The
+// coupler folds land and ocean as they come off the connection, fills their
+// increments as they go out and sends from the slabs it writes over, and a
+// model folds its increment into its state one segment at a time, posting
+// each only once the one before it is folded in; this run is the one that
+// leans on "a rendezvous send is done with its buffer when it returns", on
+// no fold running after its receive returned, and on the order of those
+// posts (DESIGN.md §12), and the check suite repeats it under the race
+// detector. Two layouts: the canonical one, where the middle atmosphere rank
+// takes its increment from both coupler ranks, and one with a 3-rank
+// coupler, where the single ice rank takes segments from three.
 func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
@@ -277,8 +278,9 @@ func TestCoupledRunOverTCPRendezvous(t *testing.T) {
 // reports — the count the benchmark's xfer.msgs is computed from. A
 // period's count is the difference between a two-period and a one-period
 // run over TCP, which share everything else. On the couple_bulk grid every
-// band range moves in rendezvous-sized chunks and nothing else does, so the
-// RTSs differ by the same count without the reports.
+// band range two processors share is rendezvous-sized and moves as one
+// message, and nothing else is, so the RTSs differ by the same count without
+// the reports.
 func TestVolumeCountsSentMessages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
@@ -327,8 +329,8 @@ func TestVolumeCountsSentMessages(t *testing.T) {
 	if got := rts2 - rts1; got != want {
 		t.Errorf("a period sends %d RTSs, want Volume's %d", got, want)
 	}
-	if want != 60 {
-		t.Errorf("Volume counts %d messages a period on the canonical layout, want 60 (72 KiB chunks)", want)
+	if want != 20 {
+		t.Errorf("Volume counts %d messages a period on the canonical layout, want 20 (one a pair)", want)
 	}
 }
 
@@ -419,12 +421,11 @@ func TestCoupledBulkPeriodAllocBudget(t *testing.T) {
 // the ten ranks of the canonical job allocate together from NewLink through
 // the end of the first period, on the couple_bulk grid, where the slabs
 // dominate. The budget is the slab arithmetic of DESIGN.md §12 — every
-// model's state and one chunk buffer a model rank, two slabs and one chunk
-// buffer a coupler rank — plus a slack for what the first period's messages
-// and the links' plans allocate once. A chunk is sized here from the eager
-// threshold, not from the router: a band range of R rows of at least the
-// threshold moves in ⌊R / ⌈threshold/row⌉⌋ near-equal chunks, a smaller one
-// whole.
+// model's state, two slabs a coupler rank, and on every rank the one
+// scratch buffer (mpi.PieceBytes) its transport folds and fills rendezvous
+// payloads through, since every band range two processors share is
+// rendezvous-sized here — plus a slack for what the first period's messages
+// and the links' plans allocate once. No rank holds a buffer for a segment.
 func TestCoupledSlabBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens many sockets")
@@ -432,53 +433,17 @@ func TestCoupledSlabBudget(t *testing.T) {
 	g := mustGrid(t, 384, 192)
 	cfg := coupler.Config{Grid: g, Periods: 1, SubSteps: 1, Dt: 0.5,
 		Names: coupler.DefaultNames()}
-	cd, err := grid.NewDecomp(g, ccsmLayout[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkRows := (tcpnet.DefaultEagerThreshold + 8*g.NLon - 1) / (8 * g.NLon)
-	// largest returns the rows of the largest chunk processor p of a shares
-	// with any processor of b.
-	largest := func(a, b *grid.Decomp, p int) int {
-		rows := 0
-		plo, phi := a.Bands(p)
-		for q := 0; q < b.P; q++ {
-			qlo, qhi := b.Bands(q)
-			if r := min(phi, qhi) - max(plo, qlo); r > 0 {
-				k := max(1, r/chunkRows)
-				rows = max(rows, (r+k-1)/k)
-			}
-		}
-		return rows
-	}
-	cells := 4 * g.Cells() // the four models' states
-	cplRows := make([]int, cd.P)
-	for slot, size := range ccsmLayout[:4] {
-		md, err := grid.NewDecomp(g, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < md.P; q++ {
-			cells += largest(md, cd, q) * g.NLon
-		}
-		if slot == 1 || slot == 2 { // ocean and land stream through the coupler's buffer
-			for c := range cplRows {
-				cplRows[c] = max(cplRows[c], largest(cd, md, c))
-			}
-		}
-	}
-	cells += 2 * g.Cells() // two slabs on every coupler rank
-	for _, rows := range cplRows {
-		cells += rows * g.NLon
-	}
+	slabs := 8 * (4*g.Cells() + // the four models' states
+		2*g.Cells()) // two slabs on every coupler rank
+	scratch := ccsmLayout.size() * mpi.PieceBytes
 	const slack = 384 << 10
-	budget := uint64(8*cells + slack)
+	budget := uint64(slabs + scratch + slack)
 
 	var alloc uint64
 	runCoupledOverTCP(t, ccsmLayout, cfg, &alloc)
-	t.Logf("%d B allocated from NewLink through the first period, ten ranks together; slabs %d B, budget %d B", alloc, 8*cells, budget)
+	t.Logf("%d B allocated from NewLink through the first period, ten ranks together; slabs %d B, scratch %d B, budget %d B", alloc, slabs, scratch, budget)
 	if alloc > budget {
-		t.Errorf("the coupled exchange allocates %d B over the ten ranks, budget %d (%d B of slabs + %d B slack): a slab crept back",
-			alloc, budget, 8*cells, slack)
+		t.Errorf("the coupled exchange allocates %d B over the ten ranks, budget %d (%d B of slabs + %d B of scratch + %d B slack): a slab or a segment buffer crept back",
+			alloc, budget, slabs, scratch, slack)
 	}
 }

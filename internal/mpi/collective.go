@@ -280,7 +280,7 @@ func (c *Comm) allreduceTree(data []byte, elem int, fn func(acc, in []byte) ([]b
 func (c *Comm) allreducePair(data []byte, elem int, fn func(acc, in []byte) ([]byte, error)) ([]byte, error) {
 	s, peer := &c.scratch, 1-c.rank
 	mine, theirs := s.buffers(data, elem)
-	c.startRecv(&s.req, c.cctx, peer, tagAllreduce, theirs)
+	c.startRecv(&s.req, c.cctx, peer, tagAllreduce, sink{dst: theirs})
 	if err := c.sendCtx(c.cctx, peer, tagAllreduce, data); err != nil {
 		if !s.req.Cancel() {
 			s.req.Wait()

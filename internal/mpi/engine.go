@@ -104,10 +104,12 @@ type precv struct {
 	ready chan struct{}
 	pkt   *Packet
 	err   error
-	// dst is the caller's own buffer (StartRecvInto), nil otherwise. A matching
-	// rendezvous placeholder learns it at the match, so the transport reads
-	// the payload straight into it; the waiter copies any other packet in.
-	dst []byte
+	// to is where the payload goes: the caller's own buffer (StartRecvInto)
+	// or fold (StartRecvFloatsFold), or neither. A matching rendezvous
+	// placeholder learns it at the match, so the transport reads the payload
+	// straight into the buffer or folds it as it comes; the waiter copies or
+	// folds any other packet.
+	to sink
 
 	queued     bool // still linked in the PRQ; guarded by engine.mu
 	prev, next *precv
@@ -311,7 +313,7 @@ func (e *engine) post(m *Packet) error {
 		}
 		pr.pkt = m
 		if m.Rdv != nil {
-			m.Rdv.signalMatched(pr.dst) // consuming match: queued for its CTS
+			m.Rdv.signalMatched(pr.to) // consuming match: queued for its CTS
 		}
 		pr.complete()
 		e.mu.Unlock()
@@ -342,14 +344,14 @@ func (e *engine) unlinkPosted(r *precv) {
 }
 
 // enqueuePosted appends record r, complete or never used, as a posted
-// receive for (ctx, src, tag). dst is the receive's own buffer, or nil.
-func (e *engine) enqueuePosted(r *precv, ctx uint64, src, tag int, dst []byte) {
+// receive for (ctx, src, tag) whose payload goes where to says.
+func (e *engine) enqueuePosted(r *precv, ctx uint64, src, tag int, to sink) {
 	if r.queued {
 		panic("mpi: receive posted on a request that is still pending")
 	}
 	r.arm()
 	r.pkt, r.err = nil, nil
-	r.ctx, r.src, r.tag, r.dst = ctx, src, tag, dst
+	r.ctx, r.src, r.tag, r.to = ctx, src, tag, to
 	r.queued = true
 	e.posted.pushBack(r)
 	e.pcount++
@@ -388,10 +390,10 @@ func (e *engine) removeUnexpected(n *umsg) {
 }
 
 // takeUnexpected removes and returns the first (earliest-arrived) packet
-// matching (ctx, src, tag), or nil. dst is the receive's own buffer, or nil;
-// a rendezvous placeholder learns it here, before the CTS that lets the
+// matching (ctx, src, tag), or nil. to is where the receive's payload goes; a
+// rendezvous placeholder learns it here, before the CTS that lets the
 // payload come.
-func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
+func (e *engine) takeUnexpected(ctx uint64, src, tag int, to sink) *Packet {
 	n := e.unexpected.head
 	for n != nil && !n.pkt.matches(ctx, src, tag) {
 		n = n.next
@@ -406,21 +408,21 @@ func (e *engine) takeUnexpected(ctx uint64, src, tag int, dst []byte) *Packet {
 		e.tr.Record(perf.KMatch, int64(pkt.SrcWorld), int64(pkt.Tag), int64(pkt.PayloadLen()), int64(e.ucount))
 	}
 	if pkt.Rdv != nil {
-		pkt.Rdv.signalMatched(dst) // consuming match: queued for its CTS
+		pkt.Rdv.signalMatched(to) // consuming match: queued for its CTS
 	}
 	return pkt
 }
 
 // recv blocks until a message matching (ctx, src, tag) is available and
-// returns it; dst is the receive's own buffer, or nil. It is postRecv on a
-// record borrowed from the engine's free list, then a wait on it, so neither
-// path allocates in steady state.
-func (e *engine) recv(ctx uint64, src, tag int, dst []byte) (*Packet, error) {
-	m, pr, err := e.postRecv(nil, ctx, src, tag, dst)
+// returns it; to is where its payload goes. It is postRecv on a record
+// borrowed from the engine's free list, then a wait on it, so neither path
+// allocates in steady state.
+func (e *engine) recv(ctx uint64, src, tag int, to sink) (*Packet, error) {
+	m, pr, err := e.postRecv(nil, ctx, src, tag, to)
 	if pr != nil {
 		<-pr.ready
 		m, err = pr.pkt, pr.err
-		pr.pkt, pr.dst = nil, nil
+		pr.pkt, pr.to = nil, sink{}
 		e.mu.Lock()
 		pr.next, e.pfree = e.pfree, pr
 		e.mu.Unlock()
@@ -450,14 +452,14 @@ func awaitPayload(m *Packet) (*Packet, error) {
 // returns it, for the caller to wait on or cancel — pr itself, or, when pr is
 // nil, one borrowed from the free list that the caller gives back. The UMQ is
 // consulted before the peer-loss table, so messages that arrived before the
-// peer died remain consumable. dst is the receive's own buffer, or nil.
-func (e *engine) postRecv(pr *precv, ctx uint64, src, tag int, dst []byte) (*Packet, *precv, error) {
+// peer died remain consumable. to is where the receive's payload goes.
+func (e *engine) postRecv(pr *precv, ctx uint64, src, tag int, to sink) (*Packet, *precv, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.fail != nil {
 		return nil, nil, e.fail
 	}
-	if m := e.takeUnexpected(ctx, src, tag, dst); m != nil {
+	if m := e.takeUnexpected(ctx, src, tag, to); m != nil {
 		return m, nil, nil
 	}
 	if err := e.lostErrFor(ctx, src); err != nil {
@@ -470,7 +472,7 @@ func (e *engine) postRecv(pr *precv, ctx uint64, src, tag int, dst []byte) (*Pac
 			pr = new(precv)
 		}
 	}
-	e.enqueuePosted(pr, ctx, src, tag, dst)
+	e.enqueuePosted(pr, ctx, src, tag, to)
 	return nil, pr, nil
 }
 

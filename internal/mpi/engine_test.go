@@ -21,7 +21,7 @@ func post(t *testing.T, e *engine, ctx uint64, src, tag int, payload string) {
 // postRecv posts a fresh record the way a Request posts its own: pr is nil
 // when the receive completed inline (m) or failed (err).
 func postRecv(e *engine, ctx uint64, src, tag int, dst []byte) (m *Packet, pr *precv, err error) {
-	return e.postRecv(new(precv), ctx, src, tag, dst)
+	return e.postRecv(new(precv), ctx, src, tag, sink{dst: dst})
 }
 
 func waitPayload(t *testing.T, pr *precv) string {
@@ -144,7 +144,7 @@ func TestCloseFailsPostedReceives(t *testing.T) {
 			t.Errorf("posted receive err %v after close", pr.err)
 		}
 	}
-	if _, err := e.recv(2, 0, 0, nil); !errors.Is(err, ErrClosed) {
+	if _, err := e.recv(2, 0, 0, sink{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("blocking recv after close: %v", err)
 	}
 	if err := e.post(&Packet{Ctx: 1, Src: 0, Tag: 0}); !errors.Is(err, ErrClosed) {

@@ -77,6 +77,12 @@ type Packet struct {
 	// Data is the payload: borrowed from the sender on an outbound packet,
 	// the packet's own on an inbound one.
 	Data []byte
+	// Fill, on an outbound packet, stands in for Data, which is then nil: the
+	// payload is Floats float64s that the transport has Fill write, in
+	// ascending pieces, where it sends them (FillInto, FillPiece). A
+	// transport that must send the payload again runs Fill again.
+	Fill   func(lo int, seg []float64)
+	Floats int
 	// Rdv, when non-nil, marks this packet as a rendezvous placeholder: the
 	// payload has been announced (RTS) but not transferred yet. The packet
 	// is the record's own (PacketPool.GetRendezvous); the engine signals the
@@ -120,6 +126,39 @@ type PacketPool struct {
 	rn    int
 	due   *Rendezvous // matched placeholders whose CTS is to be sent, oldest first
 	last  *Rendezvous // due's tail
+
+	scratch [][]float64 // PieceBytes-sized buffers between folds and fills
+}
+
+// PieceBytes is the size of the scratch a rendezvous fold or fill moves its
+// payload through, one piece at a time (EXPERIMENTS.md S22). A constant, not
+// a knob.
+const PieceBytes = 16 << 10
+
+// GetScratch returns a scratch buffer of a fold's or a fill's piece, from the
+// pool's free list or, the first time a rank needs one more than it had at
+// once, made: a rank holds one per concurrent fold or fill, and none on a job
+// that moves no rendezvous payload piece by piece.
+func (pp *PacketPool) GetScratch() []float64 {
+	var s []float64
+	pp.mu.Lock()
+	if n := len(pp.scratch); n > 0 {
+		s, pp.scratch = pp.scratch[n-1], pp.scratch[:n-1]
+	}
+	pp.mu.Unlock()
+	if s == nil {
+		s = make([]float64, PieceBytes/8)
+	}
+	return s
+}
+
+// PutScratch gives back a buffer GetScratch returned.
+func (pp *PacketPool) PutScratch(s []float64) {
+	pp.mu.Lock()
+	if len(pp.scratch) < packetPoolDepth {
+		pp.scratch = append(pp.scratch, s)
+	}
+	pp.mu.Unlock()
 }
 
 // NewPacketPool returns an empty pool keeping buffers of up to maxBuf bytes.
@@ -154,13 +193,55 @@ func (pp *PacketPool) Get(n int) *Packet {
 	return p
 }
 
-// Copy returns a pooled copy of an outbound packet, payload included: how a
-// delivery that stays inside the process keeps nothing of the sender's.
+// Copy returns a pooled copy of an outbound packet, payload included — a
+// fill writes it straight into the copy: how a delivery that stays inside the
+// process keeps nothing of the sender's.
 func (pp *PacketPool) Copy(p Packet) *Packet {
-	q := pp.Get(len(p.Data))
+	q := pp.Get(p.PayloadLen())
 	q.Ctx, q.Src, q.SrcWorld, q.Tag = p.Ctx, p.Src, p.SrcWorld, p.Tag
-	copy(q.Data, p.Data)
+	if p.Fill != nil {
+		p.FillInto(q.Data)
+	} else {
+		copy(q.Data, p.Data)
+	}
 	return q
+}
+
+// FillInto has an outbound fill packet's Fill write the whole payload, in
+// one piece, into b, which holds its 8·Floats bytes 8-byte aligned, as the
+// transports' buffers do: the wire encoding, in place.
+func (p *Packet) FillInto(b []byte) {
+	xs := floatView(b)
+	p.Fill(0, xs)
+	toWire(xs)
+}
+
+// FillPiece has an outbound fill packet's Fill write floats [lo, lo+k) of
+// the payload into scratch, k being as many as scratch holds or are left,
+// and returns their wire encoding: scratch's own memory.
+func (p *Packet) FillPiece(scratch []float64, lo int) []byte {
+	xs := scratch[:min(len(scratch), p.Floats-lo)]
+	p.Fill(lo, xs)
+	return toWire(xs)
+}
+
+// sink is where a receive puts its payload: into dst, the caller's own
+// buffer, or, when fold is set, through fold, n bytes of float64s in
+// ascending pieces; with neither, the payload comes back as a slice of its
+// own.
+type sink struct {
+	dst  []byte
+	fold func(lo int, seg []float64)
+	n    int
+}
+
+// posted reports whether the receive brought a place for the payload, and
+// of how many bytes.
+func (to *sink) posted() (int, bool) {
+	if to.fold != nil {
+		return to.n, true
+	}
+	return len(to.dst), to.dst != nil
 }
 
 // recycle returns a consumed packet to its pool — a placeholder by dropping
@@ -186,24 +267,32 @@ func (p *Packet) recycle() {
 
 // consume ends a matched packet's life, the one call every receive makes
 // once its payload is there. With a destination: the length check and the
-// one copy of a payload that did not arrive in dst itself. Without: the
-// caller gets the payload as a slice of its own — a copy if it sits in a
-// recycled buffer. Either way the packet goes back to its pool.
-func (p *Packet) consume(dst []byte) ([]byte, Status, error) {
+// one copy of a payload that did not arrive in dst itself. With a fold: the
+// length check and the fold of a payload a transport stream did not already
+// fold. Without either: the caller gets the payload as a slice of its own — a
+// copy if it sits in a recycled buffer. Either way the packet goes back to
+// its pool.
+func (p *Packet) consume(to sink) ([]byte, Status, error) {
 	defer p.recycle()
-	data, st := p.Data, Status{Source: p.Src, Tag: p.Tag, Len: len(p.Data)}
+	data, st := p.Data, Status{Source: p.Src, Tag: p.Tag, Len: p.PayloadLen()}
+	want, ok := to.posted()
 	switch {
-	case dst == nil:
+	case !ok:
 		if len(data) > 0 && len(data) <= cap(p.buf) {
 			data = append(make([]byte, 0, len(data)), data...)
 		}
 		return data, st, nil
-	case len(data) != len(dst):
-		return dst, st, &ErrTruncated{Posted: len(dst), Arrived: len(data)}
-	case len(dst) > 0 && &data[0] != &dst[0]:
-		copy(dst, data)
+	case st.Len != want:
+		return to.dst, st, &ErrTruncated{Posted: want, Arrived: st.Len}
+	case to.fold != nil:
+		if p.Rdv == nil || data != nil { // else a stream folded it as it came in
+			foldBytes(to.fold, data)
+		}
+		return nil, st, nil
+	case len(to.dst) > 0 && &data[0] != &to.dst[0]:
+		copy(to.dst, data)
 	}
-	return dst, st, nil
+	return to.dst, st, nil
 }
 
 // String formats the packet's matching envelope for diagnostics.

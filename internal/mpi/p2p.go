@@ -23,13 +23,23 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // copied or allocated here: the transport reads data until Deliver returns
 // and keeps none of it (see Transport).
 func (c *Comm) sendCtx(ctx uint64, dst, tag int, data []byte) error {
+	w, err := c.sendTo(dst, tag, len(data))
+	if err != nil {
+		return err
+	}
+	return c.env.tr.Deliver(w, Packet{Ctx: ctx, Src: c.rank, SrcWorld: c.env.worldRank, Tag: tag, Data: data})
+}
+
+// sendTo checks a send's destination rank, records the send of n bytes
+// under tag for the tracer, and returns the destination's world rank.
+func (c *Comm) sendTo(dst, tag, n int) (int, error) {
 	if dst < 0 || dst >= len(c.group) {
-		return fmt.Errorf("%w: send to rank %d of comm size %d", ErrRank, dst, len(c.group))
+		return 0, fmt.Errorf("%w: send to rank %d of comm size %d", ErrRank, dst, len(c.group))
 	}
 	if tr := c.env.tracer; tr != nil {
-		tr.Record(perf.KSend, int64(c.group[dst]), int64(tag), int64(len(data)), 0)
+		tr.Record(perf.KSend, int64(c.group[dst]), int64(tag), int64(n), 0)
 	}
-	return c.env.tr.Deliver(c.group[dst], Packet{Ctx: ctx, Src: c.rank, SrcWorld: c.env.worldRank, Tag: tag, Data: data})
+	return c.group[dst], nil
 }
 
 // checkSource validates a receive's source rank.
@@ -54,11 +64,11 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 // is non-nil. It returns the payload as a slice the caller owns: dst, or one
 // of the message's exact size.
 func (c *Comm) recvCtx(ctx uint64, src, tag int, dst []byte) ([]byte, Status, error) {
-	m, err := c.env.eng.recv(ctx, src, tag, dst)
+	m, err := c.env.eng.recv(ctx, src, tag, sink{dst: dst})
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return m.consume(dst)
+	return m.consume(sink{dst: dst})
 }
 
 // recvInto is Recv with a destination: it blocks until a message matching
@@ -89,10 +99,10 @@ func (c *Comm) recvInto(src, tag int, dst []byte) (Status, error) {
 // halo exchange re-arm theirs every period.
 //
 // Wait is idempotent, and safe to call from several goroutines unless the
-// receive has a destination (StartRecvInto, StartRecvFloatsInto), which
-// allows one waiter.
+// receive has a destination or a fold (StartRecvInto, StartRecvFloatsInto,
+// StartRecvFloatsFold), which allows one waiter.
 type Request struct {
-	rec precv   // the posted-receive record; rec.dst non-nil marks a receive into the caller's buffer
+	rec precv   // the posted-receive record; rec.to says where the payload goes
 	eng *engine // engine the record is posted on, for Cancel
 
 	// latched: completion arrives as rec.ready's token — the record went on
@@ -137,7 +147,7 @@ func (r *Request) settle() {
 		r.err = err
 		return
 	}
-	if r.data, r.st, r.err = m.consume(r.rec.dst); r.err == nil && r.floats != nil {
+	if r.data, r.st, r.err = m.consume(r.rec.to); r.err == nil && r.floats != nil {
 		r.err = decodeFloatsInto(r.floats, r.data)
 	}
 }
@@ -166,20 +176,20 @@ func (c *Comm) StartRecvInto(r *Request, src, tag int, dst []byte) {
 		dst = []byte{}
 	}
 	r.floats = nil
-	c.startRecv(r, c.ctx, src, tag, dst)
+	c.startRecv(r, c.ctx, src, tag, sink{dst: dst})
 }
 
 // startRecv posts a nonblocking receive on r over an explicit context; the
 // collectives use it with the internal collective context for their
-// pipelined rounds. A non-nil dst makes it a receive into that buffer.
-func (c *Comm) startRecv(r *Request, ctx uint64, src, tag int, dst []byte) {
+// pipelined rounds. to says where the payload goes.
+func (c *Comm) startRecv(r *Request, ctx uint64, src, tag int, to sink) {
 	r.eng, r.latched, r.settled = c.env.eng, false, false
-	r.rec.pkt, r.rec.err, r.rec.dst = nil, nil, dst // not the previous receive's
+	r.rec.pkt, r.rec.err, r.rec.to = nil, nil, to // not the previous receive's
 	r.data, r.st, r.err = nil, Status{}, c.checkSource(src)
 	if r.err != nil {
 		return
 	}
-	m, _, err := r.eng.postRecv(&r.rec, ctx, src, tag, dst)
+	m, _, err := r.eng.postRecv(&r.rec, ctx, src, tag, to)
 	switch {
 	case err != nil:
 		r.err = err
@@ -203,6 +213,6 @@ func (c *Comm) startRecv(r *Request, ctx uint64, src, tag int, dst []byte) {
 // engine closes.
 func (c *Comm) irecvCtx(ctx uint64, src, tag int) *Request {
 	r := new(Request)
-	c.startRecv(r, ctx, src, tag, nil)
+	c.startRecv(r, ctx, src, tag, sink{})
 	return r
 }

@@ -44,13 +44,22 @@ type Rendezvous struct {
 	settled bool  // the token is out
 	err     error // first failure wins; set before the token
 
-	// dst is the matched receive's own buffer (StartRecvInto), installed at the
-	// match — before any CTS, hence before any payload — when it has the
-	// promised length. While a transport stream reads into it, filling is set
-	// and the waiters are not released, whatever the outcome: the application
-	// never gets back a buffer something still writes to.
+	// dst is the matched receive's own buffer (StartRecvInto), and fold its
+	// fold (StartRecvFloatsFold), installed at the match — before any CTS,
+	// hence before any payload — when the receive takes the promised length.
+	// While a transport stream reads into dst or folds, filling is set and
+	// the waiters are not released, whatever the outcome: the application
+	// never gets back a buffer something still writes to, nor returns while
+	// its fold still runs.
 	dst     []byte
+	fold    func(lo int, seg []float64)
 	filling bool
+
+	// foldMu is held by the stream that folds: a second copy of the payload,
+	// which a sender's redial writes on another stream, waits for the first
+	// stream to let go, and then folds only what folded does not count.
+	foldMu sync.Mutex
+	folded int // payload bytes already handed to fold; under foldMu
 }
 
 // PayloadLen returns the promised payload length in bytes.
@@ -88,16 +97,16 @@ func (r *Rendezvous) Release() {
 }
 
 // signalMatched records the consuming match and, for a receive that brought
-// its own buffer of the promised length, where the payload is to land (with
-// any other length the payload takes a buffer of its own and the receive
-// reports the truncation), then queues the record for its CTS. Called by
-// the engine under its own lock; a no-op after a failure.
-func (r *Rendezvous) signalMatched(dst []byte) {
+// its own buffer or fold of the promised length, where the payload is to go
+// (with any other length the payload takes a buffer of its own and the
+// receive reports the truncation), then queues the record for its CTS.
+// Called by the engine under its own lock; a no-op after a failure.
+func (r *Rendezvous) signalMatched(to sink) {
 	r.mu.Lock()
 	due := !r.matched && r.err == nil
 	if due {
-		if len(dst) == r.n {
-			r.dst = dst
+		if n, ok := to.posted(); ok && n == r.n {
+			r.dst, r.fold = to.dst, to.fold
 		}
 		r.matched = true
 		r.hold() // the CTS queue's
@@ -187,7 +196,7 @@ func (pp *PacketPool) putRendezvous(r *Rendezvous) {
 	default:
 	}
 	r.pkt = Packet{Rdv: r}
-	r.matched, r.landed, r.settled, r.err, r.dst = false, false, false, nil, nil
+	r.matched, r.landed, r.settled, r.err, r.dst, r.fold, r.folded = false, false, false, nil, nil, nil, 0
 	pp.mu.Lock()
 	if pp.rn < packetPoolDepth {
 		r.next, pp.rfree = pp.rfree, r
@@ -248,7 +257,8 @@ func (pp *PacketPool) NextMatch() (src int, id uint64, ok bool) {
 
 // ReceiveRendezvous reads the promised payload, next on rd, into its final
 // buffer and releases the matched receive: the receive's own buffer when it
-// posted one (StartRecvInto), else an exactly-sized one the packet then owns.
+// posted one (StartRecvInto), its fold when it posted one
+// (StartRecvFloatsFold), else an exactly-sized buffer the packet then owns.
 // The caller holds the record for the length of the call.
 //
 // It reports false, having read nothing, when the transfer is already over —
@@ -256,13 +266,17 @@ func (pp *PacketPool) NextMatch() (src int, id uint64, ok bool) {
 // the caller must discard the bytes: a late copy never touches a buffer the
 // application has got back. An error is rd's; the rendezvous stays open, as
 // a sender-side retry on another stream may still complete it (into a buffer
-// of its own while this stream has not let go).
+// of its own while this stream has not let go, or by folding the rest).
 func (p *Packet) ReceiveRendezvous(rd io.Reader) (bool, error) {
 	r := p.Rdv
 	r.mu.Lock()
 	if r.landed || r.err != nil {
 		r.mu.Unlock()
 		return false, nil
+	}
+	if r.fold != nil {
+		r.mu.Unlock()
+		return r.receiveFold(rd)
 	}
 	buf, own := r.dst, r.dst != nil && !r.filling
 	if own {
@@ -287,12 +301,61 @@ func (p *Packet) ReceiveRendezvous(rd io.Reader) (bool, error) {
 	return true, err
 }
 
+// receiveFold is ReceiveRendezvous for a receive with a fold: the payload
+// comes off rd one scratch buffer at a time, each piece handed to the fold
+// once it is whole, in ascending order. The bytes a cut copy of the payload
+// already folded are read again and skipped. Once the rendezvous has failed
+// the rest is read and not folded: the fold of a receive that returned no
+// longer runs.
+func (r *Rendezvous) receiveFold(rd io.Reader) (bool, error) {
+	r.foldMu.Lock()
+	defer r.foldMu.Unlock()
+	r.mu.Lock()
+	if r.landed || r.err != nil {
+		r.mu.Unlock()
+		return false, nil
+	}
+	r.filling = true
+	r.mu.Unlock()
+
+	scratch := r.pool.GetScratch()
+	var err error
+	for lo, k := 0, 0; lo < r.n; lo += 8 * k {
+		k = min(len(scratch), (r.n-lo)/8)
+		if _, err = io.ReadFull(rd, floatBytes(scratch[:k])); err != nil {
+			break
+		}
+		r.mu.Lock()
+		failed := r.err != nil
+		r.mu.Unlock()
+		if lo >= r.folded && !failed {
+			fromWire(scratch[:k])
+			r.fold(lo/8, scratch[:k])
+			r.folded = lo + 8*k
+		}
+	}
+	r.pool.PutScratch(scratch)
+
+	r.mu.Lock()
+	r.filling = false
+	if err == nil && r.err == nil {
+		r.landed = true
+	}
+	r.settle()
+	r.mu.Unlock()
+	return true, err
+}
+
 // PayloadLen returns the packet's payload length: the promised length for a
-// rendezvous placeholder whose data is still in flight, the actual data
-// length otherwise. Status.Len and per-peer accounting use it so a
-// placeholder is indistinguishable from a delivered message.
+// rendezvous placeholder whose data is still in flight or was folded, the
+// length of what Fill writes for an outbound fill, the actual data length
+// otherwise. Status.Len and per-peer accounting use it so a placeholder is
+// indistinguishable from a delivered message.
 func (p *Packet) PayloadLen() int {
-	if p.Rdv != nil && p.Data == nil {
+	switch {
+	case p.Fill != nil:
+		return 8 * p.Floats
+	case p.Rdv != nil && p.Data == nil:
 		return p.Rdv.n
 	}
 	return len(p.Data)

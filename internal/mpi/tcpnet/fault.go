@@ -200,7 +200,7 @@ func (pr *peer) injectFault(kind byte, viaUnix bool) (drop bool) {
 	t.netCounters().FaultsInjected.Add(1)
 	switch act.kind {
 	case "delay":
-		time.Sleep(act.dur)
+		faultSleep(act.dur)
 	case "sever":
 		pr.sever(viaUnix)
 	case "die":

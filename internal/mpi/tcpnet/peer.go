@@ -49,14 +49,44 @@ type outConn struct {
 	told bool // a hello on this stream carried the intra-host listener's path; set at open, then only by ctsLoop
 }
 
+// payload is what follows a rendezvous data frame's header: an outbound
+// packet's bytes, or the pieces its fill writes into scratch. It holds the
+// packet by value: a send keeps no pointer to its caller's.
+type payload struct {
+	p       mpi.Packet
+	scratch []float64
+}
+
 // write sends one frame under the stream's write lock with a deadline: hdr
-// and payload (nil for most frames) as two iovecs of one writev, so a payload
-// goes from the caller's slice to the socket with no intermediate copy.
-func (oc *outConn) write(hdr, payload []byte, timeout time.Duration) error {
+// and pl's bytes (pl is nil for most frames) as two iovecs of one writev, so
+// a payload goes from the caller's slice to the socket with no intermediate
+// copy. A fill's pieces go one writev each as the fill writes them, the
+// first with hdr, the deadline renewed for each.
+func (oc *outConn) write(hdr []byte, pl *payload, timeout time.Duration) error {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
+	if pl == nil || pl.p.Fill == nil {
+		var data []byte
+		if pl != nil {
+			data = pl.p.Data
+		}
+		return oc.writev(hdr, data, timeout)
+	}
+	for lo := 0; lo < pl.p.Floats; hdr = nil {
+		piece := pl.p.FillPiece(pl.scratch, lo)
+		if err := oc.writev(hdr, piece, timeout); err != nil {
+			return err
+		}
+		lo += len(piece) / 8
+	}
+	return nil
+}
+
+// writev is one writev of hdr and data under a fresh deadline; the caller
+// holds the write lock.
+func (oc *outConn) writev(hdr, data []byte, timeout time.Duration) error {
 	oc.conn.SetWriteDeadline(time.Now().Add(timeout))
-	if _, err := oc.conn.Writev(hdr, payload); err != nil {
+	if _, err := oc.conn.Writev(hdr, data); err != nil {
 		return fmt.Errorf("tcpnet: write: %w", err)
 	}
 	return nil
@@ -84,7 +114,7 @@ var errDropped = errors.New("tcpnet: frame dropped by fault injection")
 // receiver discards partial frames on stream error, and a frame that was
 // fully flushed onto a broken connection was already counted as delivered by
 // TCP or lost with the peer. MPH_FAULT is consulted here, once per frame.
-func (pr *peer) send(kind byte, hdr, payload []byte) error {
+func (pr *peer) send(kind byte, hdr []byte, pl *payload) error {
 	t := pr.t
 	var uc *outConn
 	if kind == kindRData {
@@ -96,12 +126,12 @@ func (pr *peer) send(kind byte, hdr, payload []byte) error {
 	if uc != nil {
 		// A "sever" fault just closed uc; the write then fails and takes the
 		// fallback like any real channel loss.
-		if err := uc.write(hdr, payload, t.cfg.writeTimeout); err == nil {
+		if err := uc.write(hdr, pl, t.cfg.writeTimeout); err == nil {
 			// Also counted in the caller's RDataOut/BytesOut: the shm
 			// counters split the totals by carrier, they do not fork them.
 			nc := t.netCounters()
 			nc.ShmRDataOut.Add(1)
-			nc.ShmBytesOut.Add(uint64(len(hdr) + len(payload)))
+			nc.ShmBytesOut.Add(uint64(len(hdr) + pl.p.PayloadLen()))
 			return nil
 		}
 		pr.drop(uc)
@@ -112,7 +142,7 @@ func (pr *peer) send(kind byte, hdr, payload []byte) error {
 		if err != nil {
 			return err // outbound already declared the peer down
 		}
-		if err = oc.write(hdr, payload, t.cfg.writeTimeout); err == nil {
+		if err = oc.write(hdr, pl, t.cfg.writeTimeout); err == nil {
 			return nil
 		}
 		pr.drop(oc)

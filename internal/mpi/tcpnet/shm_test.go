@@ -151,9 +151,10 @@ func TestFaultShmSeverFallsBackToTCP(t *testing.T) {
 func TestChaosShmSeverMidRData(t *testing.T) {
 	t.Setenv(EnvDialTimeout, "1s")
 	t.Setenv(EnvDialBackoff, "20ms")
-	// Hold the sender at the shm fault point for 750ms after CTS, giving the
-	// test a deterministic window to sever the receiver mid-transfer.
-	t.Setenv(EnvFault, "delay,rank=0,frame=shm,dur=750ms")
+	// Hold the sender at the shm fault point after the CTS until the
+	// receiver is severed mid-transfer.
+	t.Setenv(EnvFault, "delay,rank=0,frame=shm")
+	release := holdDelays(t)
 
 	const victim = 1
 	trs, envs := startWorld(t, 2)
@@ -172,17 +173,12 @@ func TestChaosShmSeverMidRData(t *testing.T) {
 		sendErr <- c0.Send(victim, 9, bytes.Repeat([]byte{0x99}, 1<<20))
 	}()
 
-	// Wait for the CTS to reach the sender — it is now inside the delayed
-	// shm fault point — then kill the receiver's entire network, local
-	// channel included.
-	deadline := time.Now().Add(5 * time.Second)
-	for envs[0].Perf().Net.CTSIn.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("CTS never reached the sender")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Wait for the sender to be held at the shm fault point, the CTS in,
+	// then kill the receiver's entire network, local channel included, and
+	// let the sender go on.
+	waitFor(t, "the sender's hold at the shm fault point", func() bool { return envs[0].Perf().Net.FaultsInjected.Load() > 0 })
 	trs[victim].severAll()
+	release()
 
 	select {
 	case err := <-sendErr:

@@ -138,8 +138,12 @@ func (fl *frameList) put(fb *frameBuf) {
 // overrides it.
 const DialTimeout = 30 * time.Second
 
-// osExit is swapped out by tests of the "die" fault action.
-var osExit = os.Exit
+// osExit is swapped out by tests of the "die" fault action, and faultSleep
+// by tests that hold a "delay" until they have acted.
+var (
+	osExit     = os.Exit
+	faultSleep = time.Sleep
+)
 
 // waiter is one blocked sender: a rendezvous send awaiting its CTS. Its
 // release sets err (nil for a CTS) and then puts the one token on ready. The
@@ -538,29 +542,45 @@ func (t *Transport) Deliver(dst int, p mpi.Packet) error {
 			return err
 		}
 	}
+	n := p.PayloadLen()
 	pr.sentMsgs.Add(1)
-	pr.sentBytes.Add(uint64(len(p.Data)))
+	pr.sentBytes.Add(uint64(n))
 	switch {
 	case dst == t.rank:
 		return t.env.Post(t.pool.Copy(p)) // local fast path: the sender's slice stays the sender's
-	case t.rendezvousEligible(len(p.Data)):
+	case t.rendezvousEligible(n):
 		return t.deliverRendezvous(pr, p)
 	}
 	f := frame{kind: kindPacket, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag}
 	fb := t.frames.get()
-	if n := prefixLen + packetHdrLen + len(p.Data); cap(fb.b) < n {
-		fb.b = make([]byte, 0, n)
+	// A fill writes its floats where the frame will hold them, 8-byte
+	// aligned behind fillPad bytes the write skips.
+	pad := 0
+	if p.Fill != nil {
+		pad = fillPad
 	}
-	fb.b = append(encode(fb.b[:0], f, len(p.Data)), p.Data...)
-	err := pr.send(kindPacket, fb.b, nil)
+	if size := pad + prefixLen + packetHdrLen + n; cap(fb.b) < size {
+		fb.b = make([]byte, 0, size)
+	}
+	if fb.b = encode(fb.b[:pad], f, n); p.Fill != nil {
+		fb.b = fb.b[:len(fb.b)+n]
+		p.FillInto(fb.b[len(fb.b)-n:])
+	} else {
+		fb.b = append(fb.b, p.Data...)
+	}
+	err := pr.send(kindPacket, fb.b[pad:], nil)
 	if err == nil {
 		nc := t.netCounters()
 		nc.FramesOut.Add(1)
-		nc.BytesOut.Add(uint64(len(fb.b)))
+		nc.BytesOut.Add(uint64(len(fb.b) - pad))
 	}
 	t.frames.put(fb)
 	return ignoreDrop(err)
 }
+
+// fillPad puts an eager frame's payload on an 8-byte boundary of its
+// buffer: the frame's prefix and fixed part are 37 bytes.
+const fillPad = (8 - (prefixLen+packetHdrLen)%8) % 8
 
 // rendezvousEligible reports whether a payload of n bytes takes the
 // rendezvous path: non-empty and at or above the eager threshold.
@@ -570,15 +590,17 @@ func (t *Transport) rendezvousEligible(n int) bool {
 
 // deliverRendezvous sends one payload with the rendezvous protocol: RTS with
 // the envelope, block until the receiver's CTS proves the consuming match,
-// then the payload as a header iovec plus the caller's slice (writev) — over
+// then the payload as a header iovec plus the caller's slice (writev), or,
+// for a fill, piece by piece through a scratch buffer from the pool — over
 // the intra-host channel when one is negotiated (shm.go), else TCP. The
 // CTS wait is released with a typed error by the failure sweep when the
 // peer dies, the job aborts, or the transport closes — a rendezvous send
 // never hangs on a dead receiver.
 func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
+	n := p.PayloadLen()
 	id, w := t.addWaiter(pr.rank)
 	defer t.putWaiter(w)
-	rts := encode(w.hdr[:0], frame{kind: kindRTS, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag, id: id, plen: len(p.Data)}, 0)
+	rts := encode(w.hdr[:0], frame{kind: kindRTS, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag, id: id, plen: n}, 0)
 	if err := pr.send(kindRTS, rts, nil); err != nil {
 		t.forgetWaiter(id)
 		return ignoreDrop(err)
@@ -588,20 +610,25 @@ func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 	nc.RTSOut.Add(1)
 	nc.BytesOut.Add(uint64(len(rts)))
 	if tr := t.tracer(); tr != nil {
-		tr.Record(perf.KRendezvous, int64(pr.rank), int64(p.Tag), int64(len(p.Data)), int64(id))
+		tr.Record(perf.KRendezvous, int64(pr.rank), int64(p.Tag), int64(n), int64(id))
 	}
 	<-w.ready
 	if w.err != nil {
 		return w.err
 	}
 	// CTS received: the receiver has matched. Ship the payload.
-	data := encode(w.hdr[:0], frame{kind: kindRData, src: t.rank, id: id}, len(p.Data))
-	if err := pr.send(kindRData, data, p.Data); err != nil {
+	pl := payload{p: p}
+	if p.Fill != nil {
+		pl.scratch = t.pool.GetScratch()
+		defer t.pool.PutScratch(pl.scratch)
+	}
+	data := encode(w.hdr[:0], frame{kind: kindRData, src: t.rank, id: id}, n)
+	if err := pr.send(kindRData, data, &pl); err != nil {
 		return ignoreDrop(err)
 	}
 	nc.FramesOut.Add(1)
 	nc.RDataOut.Add(1)
-	nc.BytesOut.Add(uint64(len(data) + len(p.Data)))
+	nc.BytesOut.Add(uint64(len(data) + n))
 	return nil
 }
 

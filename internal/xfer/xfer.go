@@ -50,20 +50,10 @@ func NewRouter(src, dst *grid.Decomp) (*Router, error) {
 	return &Router{Src: src, Dst: dst}, nil
 }
 
-// chunkBytes is the size from which a pair's bands move in chunks. It is
-// tcpnet's eager threshold, not a knob: a band range of at least chunkBytes
-// splits into ⌊rows / ⌈chunkBytes/rowBytes⌉⌋ near-equal chunks of whole
-// rows, so every chunk is still at least chunkBytes and takes the rendezvous
-// path, whose RTS leaves nothing buffered at the receiver, and every chunk
-// is under 2·chunkBytes plus one row. A smaller range is one segment. A rank
-// that takes or fills its segments one at a time (StartEach, SendEach) then
-// needs a buffer of one chunk, not of its largest band range.
-const chunkBytes = 64 << 10
-
 // SendPlan returns the segments source processor p must send, ordered by
-// destination processor, then by band. Block intersections of intervals are
-// intervals, so each (sender, receiver) pair shares one band range, which
-// moves as one segment or, from chunkBytes up, as several.
+// destination processor. Block intersections of intervals are intervals, so
+// each (sender, receiver) pair shares one band range, which moves as one
+// segment, one message.
 func (r *Router) SendPlan(p int) []Segment {
 	lo, hi := r.Src.Bands(p)
 	return intersect(lo, hi, r.Dst)
@@ -77,20 +67,13 @@ func (r *Router) RecvPlan(q int) []Segment {
 }
 
 // intersect computes the overlap of band range [lo, hi) with every
-// processor of the other decomposition, in chunks of at least chunkRows
-// rows (chunkBytes).
+// processor of the other decomposition.
 func intersect(lo, hi int, other *grid.Decomp) []Segment {
 	var segs []Segment
-	if lo >= hi {
-		return segs
-	}
-	rowBytes := 8 * other.Grid.NLon
-	chunkRows := (chunkBytes + rowBytes - 1) / rowBytes
-	for p := 0; p < other.P; p++ {
+	for p := 0; p < other.P && lo < hi; p++ {
 		plo, phi := other.Bands(p)
-		l, h := max(lo, plo), min(hi, phi)
-		for i, k := 0, max(1, (h-l)/chunkRows); l < h && i < k; i++ {
-			segs = append(segs, Segment{Peer: p, Lo: l + (h-l)*i/k, Hi: l + (h-l)*(i+1)/k})
+		if l, h := max(lo, plo), min(hi, phi); l < h {
+			segs = append(segs, Segment{Peer: p, Lo: l, Hi: h})
 		}
 	}
 	return segs
@@ -139,36 +122,37 @@ type piece struct {
 // so ranks that are sources and destinations of each other cannot deadlock,
 // however large the segments (a send above the eager threshold blocks until
 // its receive is posted; DESIGN.md §12). Between the two a rank may start
-// other plans, as the coupler does. StartEach instead posts only the first
-// incoming segment, into a buffer that holds the largest (MaxSegment cells),
-// then sends; Next hands the segments over one at a time, in source
-// processor order, posting each after the caller is done with the one
-// before. A destination that only adds its increments into a slab of its own
-// needs no second slab that way. The later segments' senders then wait on
-// this rank's progress, so StartEach is for transfers whose senders do not
-// wait back, as in the coupled loop (DESIGN.md §12). SendEach is its mirror
-// on the source side: it sends the outgoing segments one at a time through
-// one buffer the caller's function fills, so the source slab need not exist.
-// Nothing is allocated after NewPlan.
+// other plans, as the coupler does. StartFold instead keeps no destination
+// slab: it posts only the first incoming segment's receive, whose payload
+// goes to the caller's fold, then sends; Wait posts the others one at a time,
+// in source processor order, each once the fold of the one before is done. A
+// destination that only adds its increments into a slab of its own, or sums
+// a field it does not keep, needs no second slab that way. The later
+// segments' senders then wait on this rank's progress, so StartFold is for
+// transfers whose senders do not wait back, as in the coupled loop (DESIGN.md
+// §12). SendFill is its mirror on the source side: the caller's fill writes
+// each outgoing segment as the transport sends it, so the source slab need
+// not exist. Nothing is allocated after NewPlan.
 type Plan struct {
 	comm             *mpi.Comm
 	src, dst         *grid.Decomp
 	srcProc, dstProc int
 	sends            []piece
 	recvs            []piece
-	maxSeg           int           // cells of the largest segment, either way
 	reqs             []mpi.Request // one per incoming segment
 
 	// The run in flight. live: the receives are posted and not yet waited
-	// for. During a StartEach run, each is the caller's buffer and next the
-	// segment whose receive is posted.
-	live bool
-	tag  int
-	each []float64
-	next int
+	// for. During a StartFold run, fold is the caller's and tag the run's;
+	// at is the slab offset of the segment being folded or filled, which
+	// atFold and atFill, bound once, add to the transport's piece offsets.
+	live           bool
+	tag            int
+	fold, fill     func(lo int, seg []float64)
+	at             int
+	atFold, atFill func(lo int, seg []float64)
 }
 
-// errNoRun is what Wait and Next return when no run is in flight.
+// errNoRun is what Wait returns when no run is in flight.
 var errNoRun = errors.New("xfer: no run in flight")
 
 // NewPlan lays out this rank's share of the transfer r over comm. spec gives
@@ -202,17 +186,10 @@ func NewPlan(comm *mpi.Comm, r *Router, spec Spec) (*Plan, error) {
 		p.recvs = pieces(r.RecvPlan(spec.DstProc), r.Dst, spec.DstProc, spec.SrcRanks, spec.SrcOffset)
 		p.reqs = make([]mpi.Request, len(p.recvs))
 	}
-	for _, pcs := range [2][]piece{p.sends, p.recvs} {
-		for _, pc := range pcs {
-			p.maxSeg = max(p.maxSeg, pc.hi-pc.lo)
-		}
-	}
+	p.atFold = func(lo int, seg []float64) { p.fold(p.at+lo, seg) }
+	p.atFill = func(lo int, seg []float64) { p.fill(p.at+lo, seg) }
 	return p, nil
 }
-
-// MaxSegment returns the number of cells of this rank's largest segment,
-// incoming or outgoing: the buffer StartEach and SendEach need.
-func (p *Plan) MaxSegment() int { return p.maxSeg }
 
 // Start begins one run under tag: every incoming segment's receive is
 // posted into its range of dst — this rank's destination slab; nil on a rank
@@ -233,18 +210,60 @@ func (p *Plan) Start(tag int, src, dst *grid.Field) error {
 	if err := p.send(tag, src, len(p.recvs)); err != nil {
 		return err
 	}
-	p.live, p.each = true, nil
+	p.live, p.fold = true, nil
 	return nil
 }
 
-// Wait completes the run Start began: dst holds the incoming segments when
-// it returns nil. Without a Start run in flight — none started, the last one
-// already waited for, or its Start failed — it returns an error.
+// StartFold begins one run under tag whose incoming segments go to fold
+// rather than into a slab: the first segment's receive is posted, then every
+// segment of src is sent, as in Start. Wait takes the segments in source
+// processor order, and fold gets each in pieces, seg holding cells
+// [lo, lo+len(seg)) of this rank's destination slab, in ascending order. fold
+// runs on the transport's goroutine, or in Wait; it must not call MPI, and
+// seg is its only until it returns.
+func (p *Plan) StartFold(tag int, src *grid.Field, fold func(lo int, seg []float64)) error {
+	if err := p.check(tag, src); err != nil {
+		return err
+	}
+	p.fold, p.tag = fold, tag
+	n := min(len(p.recvs), 1)
+	if n > 0 {
+		p.post(0)
+	}
+	if err := p.send(tag, src, n); err != nil {
+		return err
+	}
+	p.live = true
+	return nil
+}
+
+// post posts the receive of incoming segment k of a StartFold run.
+func (p *Plan) post(k int) {
+	pc := p.recvs[k]
+	p.at = pc.lo
+	p.comm.StartRecvFloatsFold(&p.reqs[k], pc.rank, p.tag, pc.hi-pc.lo, p.atFold)
+}
+
+// Wait completes the run Start or StartFold began: dst holds the incoming
+// segments, or fold has had them all, when it returns nil. Without a run in
+// flight — none started, the last one already waited for, or its Start
+// failed — it returns an error.
 func (p *Plan) Wait() error {
-	if !p.live || p.each != nil {
+	if !p.live {
 		return errNoRun
 	}
 	p.live = false
+	if p.fold != nil {
+		for k := range p.recvs {
+			if k > 0 {
+				p.post(k)
+			}
+			if _, _, err := p.reqs[k].Wait(); err != nil {
+				return fmt.Errorf("xfer: recv from src proc %d: %w", p.recvs[k].proc, err)
+			}
+		}
+		return nil
+	}
 	var first error
 	for i := range p.reqs {
 		if _, _, err := p.reqs[i].Wait(); err != nil && first == nil {
@@ -262,73 +281,20 @@ func (p *Plan) Run(tag int, src, dst *grid.Field) error {
 	return p.Wait()
 }
 
-// StartEach begins one run under tag whose incoming segments land one at a
-// time in buf, which must hold MaxSegment cells: the first segment's receive
-// is posted, then every segment of src is sent, as in Start. Next hands the
-// segments over.
-func (p *Plan) StartEach(tag int, src *grid.Field, buf []float64) error {
-	if err := p.check(tag, src); err != nil {
-		return err
-	}
-	if err := p.holds(buf); err != nil {
-		return err
-	}
-	n := min(len(p.recvs), 1)
-	if n > 0 {
-		pc := p.recvs[0]
-		p.comm.StartRecvFloatsInto(&p.reqs[0], pc.rank, tag, buf[:pc.hi-pc.lo])
-	}
-	if err := p.send(tag, src, n); err != nil {
-		return err
-	}
-	p.live, p.tag, p.each, p.next = true, tag, buf, 0
-	return nil
-}
-
-// Next waits for the incoming segment in flight of the run StartEach began
-// and returns it with its cell offset in this rank's destination slab. The
-// segment is a prefix of the run's buffer and is the caller's until the next
-// call, which posts the receive of the segment after it. Segments come in
-// source processor order; once all have, Next returns a nil segment and the
-// run is over. Without a StartEach run in flight it returns an error, and so
-// does every call after one that failed.
-func (p *Plan) Next() (lo int, seg []float64, err error) {
-	if !p.live || p.each == nil {
-		return 0, nil, errNoRun
-	}
-	k := p.next
-	if k == len(p.recvs) {
-		p.live, p.each = false, nil
-		return 0, nil, nil
-	}
-	pc := p.recvs[k]
-	if k > 0 {
-		p.comm.StartRecvFloatsInto(&p.reqs[k], pc.rank, p.tag, p.each[:pc.hi-pc.lo])
-	}
-	if _, _, err := p.reqs[k].Wait(); err != nil {
-		p.live, p.each = false, nil
-		return 0, nil, fmt.Errorf("xfer: recv from src proc %d: %w", pc.proc, err)
-	}
-	p.next++
-	return pc.lo, p.each[:pc.hi-pc.lo], nil
-}
-
-// SendEach sends this rank's outgoing segments under tag one at a time
-// through buf, which must hold MaxSegment cells: before each goes, fill
-// writes into seg the cells [lo, lo+len(seg)) of the source slab it stands
-// for. Nothing is received, no source slab is read, and no run of the plan
-// may be in flight.
-func (p *Plan) SendEach(tag int, buf []float64, fill func(lo int, seg []float64)) error {
+// SendFill sends this rank's outgoing segments under tag, one at a time,
+// with no source slab: fill writes into seg the cells [lo, lo+len(seg)) of
+// the source slab it stands for, piece by piece, as the transport sends them.
+// fill may be asked for a piece again (a resend after a lost connection), and
+// must write the same values; it must not call MPI. Nothing is received, and
+// no run of the plan may be in flight.
+func (p *Plan) SendFill(tag int, fill func(lo int, seg []float64)) error {
 	if err := p.ready(tag); err != nil {
 		return err
 	}
-	if err := p.holds(buf); err != nil {
-		return err
-	}
+	p.fill = fill
 	for _, pc := range p.sends {
-		seg := buf[:pc.hi-pc.lo]
-		fill(pc.lo, seg)
-		if err := p.comm.SendFloats(pc.rank, tag, seg); err != nil {
+		p.at = pc.lo
+		if err := p.comm.SendFloatsFill(pc.rank, tag, pc.hi-pc.lo, p.atFill); err != nil {
 			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
 		}
 	}
@@ -343,14 +309,6 @@ func (p *Plan) ready(tag int) error {
 	}
 	if tag < 0 {
 		return fmt.Errorf("xfer: negative tag %d", tag)
-	}
-	return nil
-}
-
-// holds reports a buffer too small for one segment at a time.
-func (p *Plan) holds(buf []float64) error {
-	if len(buf) < p.maxSeg {
-		return fmt.Errorf("xfer: a %d-cell buffer for segments of up to %d cells", len(buf), p.maxSeg)
 	}
 	return nil
 }
@@ -379,13 +337,16 @@ func fits(f *grid.Field, d *grid.Decomp, proc int) bool {
 }
 
 // send sends every outgoing segment of src. On failure the first posted
-// receives are cancelled: nothing may write to a slab behind the caller's
-// back, and the run never started.
+// receives are withdrawn, and one that already matched is waited out: its
+// payload lands, or its fold runs, before the error is returned, never
+// behind the caller's back — the run never started.
 func (p *Plan) send(tag int, src *grid.Field, posted int) error {
 	for _, pc := range p.sends {
 		if err := p.comm.SendFloats(pc.rank, tag, src.Data[pc.lo:pc.hi]); err != nil {
 			for i := range p.reqs[:posted] {
-				p.reqs[i].Cancel()
+				if !p.reqs[i].Cancel() {
+					p.reqs[i].Wait() //nolint:errcheck // the send's error is the run's
+				}
 			}
 			return fmt.Errorf("xfer: send to dst proc %d: %w", pc.proc, err)
 		}

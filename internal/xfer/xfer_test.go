@@ -3,9 +3,12 @@ package xfer_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"mph/internal/bootstrap"
 	"mph/internal/grid"
 	"mph/internal/mpi"
 	"mph/internal/mpi/mpitest"
@@ -229,8 +232,9 @@ func TestTransferSpecErrors(t *testing.T) {
 		if err := p.Run(-1, f, nil); err == nil {
 			return fmt.Errorf("negative tag accepted")
 		}
-		// A destination without its slab, with another processor's, or with
-		// a segment buffer too small for its largest segment.
+		// A destination without its slab or with another processor's, a
+		// source folding with no field, and a fold or fill under a negative
+		// tag.
 		q, err := xfer.NewPlan(c, r, xfer.Spec{SrcProc: -1, DstProc: 0})
 		if err != nil {
 			return err
@@ -241,15 +245,15 @@ func TestTransferSpecErrors(t *testing.T) {
 		if err := q.Start(0, nil, &grid.Field{Decomp: dst, P: 99, Data: f.Data}); err == nil {
 			return fmt.Errorf("mismatched destination field accepted")
 		}
-		if err := q.StartEach(0, nil, make([]float64, q.MaxSegment()-1)); err == nil {
-			return fmt.Errorf("short segment buffer accepted")
+		fold := func(int, []float64) {}
+		if err := p.StartFold(0, nil, fold); err == nil {
+			return fmt.Errorf("StartFold of a source without its field accepted")
 		}
-		fill := func(int, []float64) {}
-		if err := p.SendEach(0, make([]float64, p.MaxSegment()-1), fill); err == nil {
-			return fmt.Errorf("short SendEach buffer accepted")
+		if err := q.StartFold(-1, nil, fold); err == nil {
+			return fmt.Errorf("StartFold under a negative tag accepted")
 		}
-		if err := p.SendEach(-1, make([]float64, p.MaxSegment()), fill); err == nil {
-			return fmt.Errorf("SendEach under a negative tag accepted")
+		if err := p.SendFill(-1, fold); err == nil {
+			return fmt.Errorf("SendFill under a negative tag accepted")
 		}
 		return nil
 	})
@@ -257,10 +261,8 @@ func TestTransferSpecErrors(t *testing.T) {
 
 func TestRouterVolumeProperty(t *testing.T) {
 	// For any decomposition pair over the same grid, the plan moves the
-	// whole grid exactly once, and counts one message for every band range
-	// a pair shares under xfer.ChunkBytes and ⌊rows / ⌈ChunkBytes/rowBytes⌉⌋
-	// for every one at or above it. Rows run from 24 B to 96 KiB, so ranges
-	// fall on both sides.
+	// whole grid exactly once, in one message for every pair of processors
+	// that share a band range, however large the range.
 	prop := func(nlatRaw, nlonRaw uint16, mRaw, nRaw uint8) bool {
 		nlat := int(nlatRaw%200) + 1
 		nlon := int(nlonRaw%12288) + 3
@@ -277,11 +279,10 @@ func TestRouterVolumeProperty(t *testing.T) {
 			return false
 		}
 		want := 0
-		chunkRows := (xfer.ChunkBytes + 8*nlon - 1) / (8 * nlon)
 		for p := 0; p < m; p++ {
 			for q := 0; q < n; q++ {
-				if rows := shared(src, dst, p, q); rows > 0 {
-					want += max(1, rows/chunkRows)
+				if shared(src, dst, p, q) > 0 {
+					want++
 				}
 			}
 		}
@@ -299,97 +300,6 @@ func shared(src, dst *grid.Decomp, p, q int) int {
 	plo, phi := src.Bands(p)
 	qlo, qhi := dst.Bands(q)
 	return max(0, min(phi, qhi)-max(plo, qlo))
-}
-
-// TestChunkBytesIsEagerThreshold: band ranges split at the transport's eager
-// threshold, so a chunk of a split range is never small enough to go eager,
-// where it would sit buffered at the receiver.
-func TestChunkBytesIsEagerThreshold(t *testing.T) {
-	if xfer.ChunkBytes != tcpnet.DefaultEagerThreshold {
-		t.Fatalf("xfer.ChunkBytes = %d, tcpnet.DefaultEagerThreshold = %d", xfer.ChunkBytes, tcpnet.DefaultEagerThreshold)
-	}
-}
-
-// TestChunks: for any decomposition pair, the chunks a pair exchanges tile
-// the band range the pair shares, in ascending order; the send plan and the
-// receive plan list them alike, chunk for chunk; every chunk of a range of
-// at least ChunkBytes is at least ChunkBytes itself, so it still takes the
-// rendezvous path; every chunk is under 2·ChunkBytes plus one row; and a
-// range under ChunkBytes is one chunk.
-func TestChunks(t *testing.T) {
-	prop := func(nlatRaw, nlonRaw uint16, mRaw, nRaw uint8) bool {
-		nlat := int(nlatRaw%300) + 1
-		nlon := int(nlonRaw%12288) + 1
-		m, n := int(mRaw%8)+1, int(nRaw%8)+1
-		g, _ := grid.New(nlat, nlon)
-		src, _ := grid.NewDecomp(g, m)
-		dst, _ := grid.NewDecomp(g, n)
-		r, err := xfer.NewRouter(src, dst)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		rowBytes := 8 * nlon
-		// byPeer groups a plan's chunks by peer, keeping their order; the
-		// peer field is dropped, since it names the other side in each plan.
-		byPeer := func(segs []xfer.Segment) map[int][]xfer.Segment {
-			out := map[int][]xfer.Segment{}
-			for _, s := range segs {
-				out[s.Peer] = append(out[s.Peer], xfer.Segment{Lo: s.Lo, Hi: s.Hi})
-			}
-			return out
-		}
-		recvs := make([]map[int][]xfer.Segment, n)
-		for q := range recvs {
-			recvs[q] = byPeer(r.RecvPlan(q))
-		}
-		for p := 0; p < m; p++ {
-			sends := byPeer(r.SendPlan(p))
-			for q := 0; q < n; q++ {
-				chunks, rows := sends[q], shared(src, dst, p, q)
-				if rows == 0 {
-					if len(chunks)+len(recvs[q][p]) != 0 {
-						t.Logf("%dx%d, %d to %d: procs %d and %d share no band but exchange %v", nlat, nlon, m, n, p, q, chunks)
-						return false
-					}
-					continue
-				}
-				if fmt.Sprint(chunks) != fmt.Sprint(recvs[q][p]) {
-					t.Logf("%dx%d, %d to %d: proc %d sends %v to %d, which receives %v", nlat, nlon, m, n, p, chunks, q, recvs[q][p])
-					return false
-				}
-				plo, _ := src.Bands(p)
-				qlo, _ := dst.Bands(q)
-				next := max(plo, qlo)
-				for _, c := range chunks {
-					bytes := c.Cells(g) * 8
-					switch {
-					case c.Lo != next || c.Hi <= c.Lo:
-						t.Logf("%dx%d: chunks %v of procs %d and %d do not tile from band %d", nlat, nlon, chunks, p, q, next)
-						return false
-					case rows*rowBytes >= xfer.ChunkBytes && bytes < xfer.ChunkBytes:
-						t.Logf("%dx%d: a %d-byte chunk of a %d-byte range", nlat, nlon, bytes, rows*rowBytes)
-						return false
-					case rows*rowBytes < xfer.ChunkBytes && len(chunks) != 1:
-						t.Logf("%dx%d: a %d-byte range in %d chunks", nlat, nlon, rows*rowBytes, len(chunks))
-						return false
-					case bytes >= 2*xfer.ChunkBytes+rowBytes && len(chunks) > 1:
-						t.Logf("%dx%d: a %d-byte chunk, %d-byte rows", nlat, nlon, bytes, rowBytes)
-						return false
-					}
-					next = c.Hi
-				}
-				if next != max(plo, qlo)+rows {
-					t.Logf("%dx%d: chunks %v of procs %d and %d end at band %d", nlat, nlon, chunks, p, q, next)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestPlanSteadyState runs one plan many times, as a coupled run does, into
@@ -477,10 +387,10 @@ func TestPlanSteadyState(t *testing.T) {
 	}
 }
 
-// TestPlanWaitWithoutRun: Wait and Next complete a run in flight and nothing
-// else. With no run — never started, its Start failed, or already waited
-// for — they return an error, not the last run's slab as if it had landed
-// again; and a run cannot be started over one in flight.
+// TestPlanWaitWithoutRun: Wait completes a run in flight and nothing else.
+// With no run — never started, its Start or StartFold failed, or already
+// waited for — it returns an error, not the last run's slab as if it had
+// landed again; and no run or SendFill starts over one in flight.
 func TestPlanWaitWithoutRun(t *testing.T) {
 	g := mustGrid(t, 8, 2)
 	src, _ := grid.NewDecomp(g, 1)
@@ -495,11 +405,9 @@ func TestPlanWaitWithoutRun(t *testing.T) {
 			return err
 		}
 		f, out := grid.NewField(src, 0), grid.NewField(dst, 0)
+		fold := func(lo int, seg []float64) { copy(out.Data[lo:], seg) }
 		if err := p.Wait(); err == nil {
 			return fmt.Errorf("Wait before any Start returned nil")
-		}
-		if _, _, err := p.Next(); err == nil {
-			return fmt.Errorf("Next before any StartEach returned nil")
 		}
 		if err := p.Run(1, f, out); err != nil {
 			return err
@@ -513,53 +421,81 @@ func TestPlanWaitWithoutRun(t *testing.T) {
 		if err := p.Wait(); err == nil {
 			return fmt.Errorf("Wait after a failed Start returned nil")
 		}
+		if err := p.StartFold(-1, f, fold); err == nil {
+			return fmt.Errorf("negative tag accepted by StartFold")
+		}
+		if err := p.Wait(); err == nil {
+			return fmt.Errorf("Wait after a failed StartFold returned nil")
+		}
 		if err := p.Start(2, f, out); err != nil {
 			return err
 		}
 		if err := p.Start(3, f, out); err == nil {
 			return fmt.Errorf("Start over a run in flight accepted")
 		}
-		if _, _, err := p.Next(); err == nil {
-			return fmt.Errorf("Next during a Start run returned nil")
+		if err := p.StartFold(3, f, fold); err == nil {
+			return fmt.Errorf("StartFold over a run in flight accepted")
 		}
-		return p.Wait()
+		if err := p.SendFill(3, fold); err == nil {
+			return fmt.Errorf("SendFill during a run in flight accepted")
+		}
+		if err := p.Wait(); err != nil {
+			return err
+		}
+		if err := p.StartFold(4, f, fold); err != nil {
+			return err
+		}
+		if err := p.Wait(); err != nil {
+			return err
+		}
+		if err := p.Wait(); err == nil {
+			return fmt.Errorf("a second Wait of a StartFold run returned nil")
+		}
+		return nil
 	})
 }
 
-// TestTransferEach redistributes M to N with the segment-at-a-time receive:
-// every destination rank gets its segments through one buffer of MaxSegment
-// cells, in source processor order, each at its offset in the slab, and
-// together they cover the slab exactly once. The run then ends, and a new
-// one starts on the same buffer; in it the sources send with SendEach, each
-// segment filled into a buffer of their own. On the wide grid every band
-// range a pair shares is at least ChunkBytes and moves in chunks, so the
-// buffers hold one chunk.
-func TestTransferEach(t *testing.T) {
+// TestTransferFold redistributes M to N with the folding receive: every
+// destination rank's fold gets its segments in source processor order, each
+// in pieces in ascending order, and together they cover the slab exactly
+// once, with the values sent. A second run has the sources send with
+// SendFill, each segment filled as it goes. On the wide grid a row is
+// 32 KiB; over TCP the band ranges two processors share there are
+// rendezvous-sized and are folded in pieces that split rows.
+func TestTransferFold(t *testing.T) {
 	for _, mn := range [][2]int{{1, 3}, {3, 1}, {3, 2}, {2, 5}} {
 		m, n := mn[0], mn[1]
 		t.Run(fmt.Sprintf("%dto%d", m, n), func(t *testing.T) {
 			for _, nlon := range []int{3, 4096} {
-				transferEach(t, mustGrid(t, 17, nlon), m, n)
+				transferFold(t, mustGrid(t, 17, nlon), m, n, false, func(fn func(c *mpi.Comm) error) {
+					mpitest.Run(t, m+n, fn)
+				})
 			}
 		})
 	}
+	t.Run("tcp", func(t *testing.T) {
+		transferFold(t, mustGrid(t, 17, 4096), 2, 3, true, func(fn func(c *mpi.Comm) error) {
+			runTCP(t, 5, func(c *mpi.Comm, _ *mpi.Env) error { return fn(c) })
+		})
+	})
 }
 
-func transferEach(t *testing.T, g grid.Grid, m, n int) {
+// transferFold runs TestTransferFold's two runs on an m-to-n transfer over
+// g, on the world run starts; split asks for more pieces than segments.
+func transferFold(t *testing.T, g grid.Grid, m, n int, split bool, run func(func(c *mpi.Comm) error)) {
 	src, _ := grid.NewDecomp(g, m)
 	dst, _ := grid.NewDecomp(g, n)
 	r, err := xfer.NewRouter(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpitest.Run(t, m+n, func(c *mpi.Comm) error {
+	run(func(c *mpi.Comm) error {
 		spec := xfer.Spec{DstOffset: m, SrcProc: -1, DstProc: -1}
 		var f *grid.Field
 		var segs []xfer.Segment
 		if c.Rank() < m {
 			spec.SrcProc = c.Rank()
 			f = grid.NewField(src, spec.SrcProc)
-			segs = r.SendPlan(spec.SrcProc)
 		} else {
 			spec.DstProc = c.Rank() - m
 			segs = r.RecvPlan(spec.DstProc)
@@ -568,64 +504,157 @@ func transferEach(t *testing.T, g grid.Grid, m, n int) {
 		if err != nil {
 			return err
 		}
-		largest := 0
-		for _, seg := range segs {
-			largest = max(largest, seg.Cells(g))
+		var got []float64
+		var pieces [][2]int // [lo, hi) of each piece, in fold order
+		fold := func(lo int, seg []float64) {
+			pieces = append(pieces, [2]int{lo, lo + len(seg)})
+			copy(got[lo:], seg)
 		}
-		if p.MaxSegment() != largest {
-			return fmt.Errorf("%dx%d: MaxSegment %d cells, the largest segment %d", g.NLat, g.NLon, p.MaxSegment(), largest)
-		}
-		buf := make([]float64, p.MaxSegment())
 		for run := 0; run < 2; run++ {
 			if f != nil {
 				f.FillFunc(func(lat, lon int) float64 { return float64(run*1e6 + 100*lat + lon) })
-			}
-			if f != nil && run == 1 {
-				if err := p.SendEach(7, buf, func(lo int, seg []float64) { copy(seg, f.Data[lo:]) }); err != nil {
-					return err
+				if run == 1 {
+					if err := p.SendFill(7, func(lo int, seg []float64) { copy(seg, f.Data[lo:]) }); err != nil {
+						return err
+					}
+					continue
 				}
-				continue
 			}
-			if err := p.StartEach(7, f, buf); err != nil {
+			if spec.DstProc >= 0 {
+				got, pieces = make([]float64, dst.OwnedCells(spec.DstProc)), nil
+			}
+			if err := p.StartFold(7, f, fold); err != nil {
 				return err
 			}
-			var got []float64
-			if spec.DstProc >= 0 {
-				got = make([]float64, dst.OwnedCells(spec.DstProc))
-			}
-			for k := 0; ; k++ {
-				lo, seg, err := p.Next()
-				if err != nil {
-					return err
-				}
-				if seg == nil {
-					if spec.DstProc >= 0 && k != len(segs) {
-						return fmt.Errorf("run %d: %d segments, want %d", run, k, len(segs))
-					}
-					break
-				}
-				if &seg[0] != &buf[0] {
-					return fmt.Errorf("run %d: segment %d is not in the buffer", run, k)
-				}
-				myLo, _ := dst.Bands(spec.DstProc)
-				if want := (segs[k].Lo - myLo) * g.NLon; lo != want || len(seg) != segs[k].Cells(g) {
-					return fmt.Errorf("run %d: segment %d at %d+%d, want %d+%d", run, k, lo, len(seg), want, segs[k].Cells(g))
-				}
-				copy(got[lo:], seg)
-			}
-			if _, _, err := p.Next(); err == nil {
-				return fmt.Errorf("run %d: Next after the last segment returned nil", run)
+			if err := p.Wait(); err != nil {
+				return err
 			}
 			if spec.DstProc < 0 {
 				continue
 			}
-			lo, _ := dst.Bands(spec.DstProc)
+			// The pieces walk the segments in order, each from its start to
+			// its end.
+			myLo, _ := dst.Bands(spec.DstProc)
+			k := 0
+			for _, seg := range segs {
+				for next := (seg.Lo - myLo) * g.NLon; next < (seg.Hi-myLo)*g.NLon; k++ {
+					if k == len(pieces) || pieces[k][0] != next || pieces[k][1] <= next {
+						return fmt.Errorf("%dx%d run %d: pieces %v do not walk segment %+v from cell %d", g.NLat, g.NLon, run, pieces, seg, next)
+					}
+					next = pieces[k][1]
+				}
+			}
+			if k != len(pieces) {
+				return fmt.Errorf("%dx%d run %d: %d pieces past the last segment", g.NLat, g.NLon, run, len(pieces)-k)
+			}
+			if split && len(pieces) <= len(segs) {
+				return fmt.Errorf("%dx%d run %d: %d segments came in %d pieces, want them split", g.NLat, g.NLon, run, len(segs), len(pieces))
+			}
 			for i, v := range got {
-				if want := float64(run*1e6 + 100*(lo+i/g.NLon) + i%g.NLon); v != want {
+				if want := float64(run*1e6 + 100*(myLo+i/g.NLon) + i%g.NLon); v != want {
 					return fmt.Errorf("%dx%d run %d: cell %d = %v, want %v", g.NLat, g.NLon, run, i, v, want)
 				}
 			}
 		}
 		return nil
 	})
+}
+
+// TestStartFailureLandsNothingLate: a Start whose send fails withdraws its
+// posted receives and waits out one that already matched, so a rendezvous
+// payload lands before Start returns the error, never after it. Rank 1 is
+// the destination of rank 0's 64 KiB segment and sends its own to a rank
+// that does not exist, which fails at once; rank 0's RTS is in before Start
+// posts, so the receive matches it at the post and Cancel cannot withdraw it.
+func TestStartFailureLandsNothingLate(t *testing.T) {
+	g := mustGrid(t, 8, 1024) // 8 rows of 8 KiB: one 64 KiB segment
+	d, _ := grid.NewDecomp(g, 1)
+	r, err := xfer.NewRouter(d, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runTCP(t, 2, func(c *mpi.Comm, env *mpi.Env) error {
+		if c.Rank() == 0 {
+			f := grid.NewField(d, 0)
+			f.FillFunc(func(lat, lon int) float64 { return 1 })
+			return c.SendFloats(1, 5, f.Data)
+		}
+		nc := &env.Perf().Net
+		if err := poll("rank 0's RTS", func() bool { return nc.RTSIn.Load() > 0 }); err != nil {
+			return err
+		}
+		p, err := xfer.NewPlan(c, r, xfer.Spec{SrcRanks: []int{0}, DstRanks: []int{2}, SrcProc: 0, DstProc: 0})
+		if err != nil {
+			return err
+		}
+		src, dst := grid.NewField(d, 0), grid.NewField(d, 0)
+		if err := p.Start(5, src, dst); err == nil {
+			return fmt.Errorf("a Start whose send goes to no rank succeeded")
+		}
+		before := append([]float64(nil), dst.Data...)
+		if err := poll("the payload off the stream", func() bool { return nc.RDataIn.Load() > 0 }); err != nil {
+			return err
+		}
+		for i, v := range dst.Data {
+			if v != before[i] {
+				return fmt.Errorf("cell %d of the slab changed from %v to %v after Start returned its error", i, before[i], v)
+			}
+		}
+		return nil
+	})
+}
+
+// poll waits up to 10 s for cond.
+func poll(what string, cond func() bool) error {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s never came", what)
+		}
+	}
+	return nil
+}
+
+// runTCP runs fn on every rank of an n-rank world of TCP endpoints inside
+// this process, each with its own wiring as an mphrun-launched process has.
+func runTCP(t *testing.T, n int, fn func(c *mpi.Comm, env *mpi.Env) error) {
+	t.Helper()
+	rv, err := bootstrap.NewRendezvousBind("", n, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- rv.Serve(30 * time.Second) }()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for rank := 0; rank < n; rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env, err := tcpnet.Init(rank, n, rv.Advertised())
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer env.Close()
+			c := mpi.WorldComm(env)
+			if errs[rank] = fn(c, env); errs[rank] == nil {
+				errs[rank] = c.Barrier()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("TCP world watchdog expired")
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("rendezvous: %v", err)
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
 }

@@ -29,17 +29,20 @@
 #   its one summary line, repeat under -race, with -stats' tables (exact
 #   top talkers from the reports, one reconciliation verdict): counts come
 #   from the reports, the timeline from the traces;
-# - bulk transfers move in rendezvous-sized chunks, the coupler streams land
-#   and ocean through one chunk buffer beside two slabs and sends from both,
-#   and a model takes its increment one chunk at a time through one buffer,
-#   so the rendezvous-sized coupled run over TCP repeats under -race on two
-#   layouts: a send that let go of its buffer late would show as a race or a
-#   diagnostic that differs from the in-process run, a post made out of order
-#   as a hang; the slab budget, the chunk tests (tiling, both plans alike,
-#   bounds, Volume against a TCP period's messages), the segment-at-a-time
-#   plan and the in-place merge against the out-of-place reference repeat
-#   with it, and the chaos pass kills or aborts the rank each late post
-#   waits on;
+# - a band range two processors share moves as one message; the coupler
+#   folds land's and ocean's fields as they come off the connection beside
+#   two slabs it sends from, fills land's and ocean's increments as they go
+#   out, and a model folds its increment into its state, so the
+#   rendezvous-sized coupled run over TCP repeats under -race on two
+#   layouts: a send that let go of its buffer late, or a fold that ran after
+#   its receive returned, would show as a race or a diagnostic that differs
+#   from the in-process run, a post made out of order as a hang; the slab
+#   budget, the plan tests (one message a pair, Volume against a TCP
+#   period's messages, the folding run, a failed Start that lands nothing
+#   late) and the in-place merge against the out-of-place reference repeat
+#   with it, the fold and fill tests (pieces, a cut copy resent, a failure
+#   mid-payload) repeat in the receive-into-place pass, and the chaos pass
+#   kills, severs or aborts the rank each late post, fold or fill waits on;
 # - the launcher decides who is dead, and a closing rank lingers until its
 #   peers have read what it sent: the linger test and the closing-Barrier
 #   first contact repeat under -race (each fails if a down line overtakes
@@ -88,25 +91,41 @@ for pkg in $roots mph/benchmark mph/benchmark/rank; do
 done | go run ./scripts/lintdoc -reach scripts/unreached.txt .
 rm -rf "$reach"
 
+# runtests PATTERN FLAGS PKG...: go test -run PATTERN FLAGS PKG..., once
+# every |-separated alternative of PATTERN (up to its first /) lists a test
+# there with go test -list: go test -run with no match passes silently, so a
+# renamed or deleted test would drop out of its pass unseen.
+runtests() {
+    pattern=$1 flags=$2
+    shift 2
+    for alt in $(echo "$pattern" | tr '|' ' '); do
+        if ! go test -list "${alt%%/*}" "$@" | grep -qv '^ok \|^? '; then
+            echo "check.sh: -run alternative '$alt' lists no test in $*"
+            exit 1
+        fi
+    done
+    go test -run "$pattern" $flags "$@"
+}
+
 go test ./...
 go test -race ./internal/mpi/...
-go test -run 'TestPeerLostSelectsRecords|TestExactVsWildcardArbitration|TestPostedOrder|TestMatchingOrderTorture|TestRandomTrafficSchedules' -race -count=2 ./internal/mpi
-go test -run 'Fault|Chaos' -race -count=2 ./internal/mpi/...
-go test -run 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous' -race -count=2 ./internal/mpi/...
-go test -run 'EagerLifetime|TestRearm|TestPairMatchesTree|TestRendezvousLifetime|TestAllreduceFloatsInPlace|TestAllocBudgetTreeAllreduce' -race -count=2 ./internal/mpi/...
-go test -run 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|TestCoupledRunOverTCPRendezvous|TestCoupledRunOverTCP$|TestSnapshotAllocBudget' -race -count=2 \
+runtests 'TestPeerLostSelectsRecords|TestExactVsWildcardArbitration|TestPostedOrder|TestMatchingOrderTorture|TestRandomTrafficSchedules' '-race -count=2' ./internal/mpi
+runtests 'Fault|Chaos' '-race -count=2' ./internal/mpi/...
+runtests 'TestTransferBothSidesRendezvous|RecvInto|IrecvInto|ReceiveRendezvous|Fold' '-race -count=2' ./internal/mpi/...
+runtests 'EagerLifetime|TestRearm|TestPairMatchesTree|TestRendezvousLifetime|TestAllreduceFloatsInPlace|TestAllocBudgetTreeAllreduce' '-race -count=2' ./internal/mpi/...
+runtests 'TestCoupledPeriodAllocBudget|TestCoupledBulkPeriodAllocBudget|TestCoupledRunOverTCPRendezvous|TestCoupledRunOverTCP$|TestSnapshotAllocBudget' '-race -count=2' \
     ./internal/coupler ./internal/mpi/perf
-go test -run 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferEach|TestChunks|TestChunkBytesIsEagerThreshold|TestRouterVolumeProperty|TestVolumeCountsSentMessages' \
-    -race -count=2 ./internal/coupler ./internal/xfer
-go test -run 'Tracer|Dump|KindNames|PhaseAndCollOpNames|Merge|SummaryLine|AlignedBase|ExpandArgs|LoadTrace|PrintStats' -race -count=2 \
+runtests 'TestCoupledSlabBudget|TestInPlaceMergeMatchesReference|TestPlanWaitWithoutRun|TestTransferFold|TestStartFailureLandsNothingLate|TestRouterVolumeProperty|TestVolumeCountsSentMessages' \
+    '-race -count=2' ./internal/coupler ./internal/xfer
+runtests 'Tracer|Dump|KindNames|PhaseAndCollOpNames|Merge|SummaryLine|AlignedBase|ExpandArgs|LoadTrace|PrintStats' '-race -count=2' \
     ./internal/mpi/perf ./cmd/mphtrace ./cmd/mphrun
-go test -run 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage|TestShmAdvertisedOnOpenStream' \
-    -race -count=2 ./internal/core ./internal/mpi/tcpnet
-go test -run 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
+runtests 'TestHandshakeCollectiveCounts|TestHandshakeDialBudget|TestFirstContactInClosingBarrier|TestLingerDeliversLastMessage|TestShmAdvertisedOnOpenStream' \
+    '-race -count=2' ./internal/core ./internal/mpi/tcpnet
+runtests 'Telemetry|ClockOffset|Session|Rendezvous' -race ./internal/mpirun ./internal/bootstrap
 go test -race ./internal/sock
-go test -run 'TestLaunchStats$' -race -count=5 ./cmd/mphrun
-go test -run 'TestLaunchPeerExit' -count=2 ./cmd/mphrun
-go test -run 'TestLaunchPeerExit/exit_1_after_a_clean_Close' -count=20 ./cmd/mphrun
+runtests 'TestLaunchStats$' '-race -count=5' ./cmd/mphrun
+runtests 'TestLaunchPeerExit' -count=2 ./cmd/mphrun
+runtests 'TestLaunchPeerExit/exit_1_after_a_clean_Close' -count=20 ./cmd/mphrun
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/mpi/tcpnet
 go test -run=NONE -fuzz=FuzzParseSpec -fuzztime=10s -fuzzminimizetime=1s ./internal/mpirun
 go test -run=NONE -fuzz=FuzzBlockRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/mpirun
@@ -233,10 +252,10 @@ wait "$stacks_poller"
 grep -q "mph_job_ranks_expected 5" "$smoke/metrics.out"
 grep -q "totals reconcile" "$smoke/telemetry.out"
 
-# Non-test Go lines outside benchmark/ (16,575 before mphtrace stopped
-# printing counts and mphrun -stats took the exact top talkers, 16,401
-# after) and the stripped size of a component executable (2,289,848 bytes
-# before and after: no rank code changed), printed for later comparison.
+# Non-test Go lines outside benchmark/ (16,401 before a band range moved as
+# one message folded and filled in pieces, 16,643 after) and the stripped
+# size of a component executable (2,289,848 bytes before, 2,298,040 after),
+# printed for later comparison.
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 go build -ldflags='-s -w' -o "$smoke/climate.stripped" ./examples/climate
 wc -c < "$smoke/climate.stripped"

@@ -28,9 +28,11 @@ cd "$(dirname "$0")/.."
 # its selector row and crossover, and the span depth that nested Split's
 # allgather under it), the ring allreduce no caller's payload reached, with
 # its crossover, its per-rank pin and its algorithm id, and the histogram no
-# binary called. The tokens are chosen so they cannot hit benchmark/'s
-# job.Probe.
-if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool\|\.Ssend(\|\.IProbe(\|\.Isend(\|mpi\.WaitAll\|kindAck\|frameAck\|AcksOut\|ackWhenMatched\|notifyProbes\|pwaitList\|ExclusiveScanInts\|SplitByHost\|RankOfWorld\|IrecvFloatsInto\|NodeComm\|ComponentsOnNode\|SharesNode\|RemapSingle\|RemapMultiInstance\|MigrateField\|LoadCheckpoint\|TracerModel\|NewColDecomp\|xfer\.Transpose\|ParseHistory\|WriteHistory\|matchKey\|ubuckets\|pbuckets\|sweepThreshold\|pbucketLookup\|ubucketLookup\|MatchesWildcard\|MatchesExact\|HistNanos\|CollHistBuckets\|allgatherRing\|exchangeSizes\|frameSlices\|tagCollSizes\|CollAllgather\|DefaultRingThreshold\|collDepth\|allreduceRing\|allreduceRingFrom\|ringFrom\|SetRingThreshold\|AlgRing\|tagRingReduce\|NewHistogram' --include=*.go .; then
+# binary called, and the band-range chunks with the one-chunk-at-a-time
+# receive and send (a pair's range moves as one message the receiver folds
+# and the sender fills). The tokens are chosen so they cannot hit
+# benchmark/'s job.Probe.
+if grep -rn 'agent-exec\|BackendExec\|NewSpawner(\|kindShmAck\|shmAckFrame\|maybeOfferShm\|shmOffered\|perf\.Handler\|perf\.PprofMux\|mpirun\.RegisterEndpoint\|mpirun\.EnvFromOS\|mpirun\.SendAbort\|mpirun\.DialTelemetry\|decodePacket\|decodeRTS\|decodeRData\|readFrame(\|sendv(\|shmOutConn\|dropShmConn\|severShm\|shmPeerDown\|EnvCollSegment\|DefaultCollSegment\|MPH_COLL_SEGMENT\|segmentBounds\|prependTotal\|recvSegmented\|bcastHierLeader\|allreduceHierOpaque\|allgatherHier\|\<reduceHier\|tagHierFeed\|TransferBundle\|BundleSpec\|FinishRendezvous\|payloadBorrower\|BorrowsPayload\|precvPool\|\.Ssend(\|\.IProbe(\|\.Isend(\|mpi\.WaitAll\|kindAck\|frameAck\|AcksOut\|ackWhenMatched\|notifyProbes\|pwaitList\|ExclusiveScanInts\|SplitByHost\|RankOfWorld\|IrecvFloatsInto\|NodeComm\|ComponentsOnNode\|SharesNode\|RemapSingle\|RemapMultiInstance\|MigrateField\|LoadCheckpoint\|TracerModel\|NewColDecomp\|xfer\.Transpose\|ParseHistory\|WriteHistory\|matchKey\|ubuckets\|pbuckets\|sweepThreshold\|pbucketLookup\|ubucketLookup\|MatchesWildcard\|MatchesExact\|HistNanos\|CollHistBuckets\|allgatherRing\|exchangeSizes\|frameSlices\|tagCollSizes\|CollAllgather\|DefaultRingThreshold\|collDepth\|allreduceRing\|allreduceRingFrom\|ringFrom\|SetRingThreshold\|AlgRing\|tagRingReduce\|NewHistogram\|chunkBytes\|ChunkBytes\|StartEach\|SendEach\|MaxSegment' --include=*.go .; then
     exit 1
 fi
 # One micro-benchmark surface (PR 18): the table-printing second harness, its
