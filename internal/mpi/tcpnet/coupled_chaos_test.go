@@ -265,9 +265,15 @@ func TestChaosOceanDiesMidUpSend(t *testing.T) {
 		}
 	})
 	t.Run("abort", func(t *testing.T) {
+		// Coupler rank 0 sends five payloads a period (land's, ice's, two
+		// atmosphere ranks' and ocean's increments) and posts ocean's receive
+		// right after the first; the abort waits for the sixth, land's in the
+		// second period, so it finds coupler rank 0 at ocean's segment and
+		// not still in the first period.
 		errs := runCoupledChaos(t, fmt.Sprintf("delay,rank=%d,peer=%d,frame=rts,after=1", chaosOcean0, chaosCoupler0),
 			chaosOcean0, chaosCoupler0, func(_ []*Transport, envs []*mpi.Env, _ func()) {
 				waitFor(t, "ocean rank 0's hold", func() bool { return envs[chaosOcean0].Perf().Net.FaultsInjected.Load() >= 1 })
+				waitFor(t, "coupler rank 0's second land increment", func() bool { return envs[chaosCoupler0].Perf().Net.RDataOut.Load() >= 6 })
 				mpi.WorldComm(envs[chaosOcean0]).Abort(5)
 			})
 		err := errs[chaosCoupler0]

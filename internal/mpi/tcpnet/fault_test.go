@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -197,16 +198,32 @@ func TestFaultDialRetrySucceedsOnceListenerAppears(t *testing.T) {
 	}
 }
 
+// refusedAddr returns a loopback address whose dials are refused until the
+// test ends: a socket bound to it that never listens holds the port, so no
+// other process — a second copy of the suite, say — can take it over the way
+// it could take the port of a listener that was closed.
+func refusedAddr(t *testing.T) string {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Close(fd) })
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
+}
+
 // TestFaultDialRetryExhausts bounds the failure side: against an address
 // that never comes up, dialRetry must consume its budget — several attempts,
 // not one — and return an error instead of hanging.
 func TestFaultDialRetryExhausts(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr := refusedAddr(t)
 
 	cfg := defaultConfig()
 	cfg.dialTimeout = 400 * time.Millisecond
@@ -214,7 +231,7 @@ func TestFaultDialRetryExhausts(t *testing.T) {
 	cfg.dialMax = 100 * time.Millisecond
 	retries := 0
 	start := time.Now()
-	_, err = dialRetry(addr, cfg, nil, nil, func(int, time.Duration) { retries++ })
+	_, err := dialRetry(addr, cfg, nil, nil, func(int, time.Duration) { retries++ })
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dial to a dead address succeeded")
@@ -530,12 +547,7 @@ func TestDownLineNamingNoPeerIgnored(t *testing.T) {
 // line must end it within a second, counted as one loss.
 func TestChaosDownLineEndsDialRetry(t *testing.T) {
 	t.Setenv(EnvDialTimeout, "20s")
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
+	deadAddr := refusedAddr(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

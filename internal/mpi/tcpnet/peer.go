@@ -296,18 +296,23 @@ func (pr *peer) deadErr() error {
 	return nil
 }
 
-// condemn records the verdict, wakes a send waiting to redial, and discards
-// the peer's connection state, reporting false if it was already dead. Closing the
+// condemn records the verdict, counts it as a loss when lost is set, wakes
+// a send waiting to redial, and discards the peer's connection state,
+// reporting false if it was already dead. The count comes before the wake,
+// so a count read once that send returned includes the loss. Closing the
 // intra-host stream fails any in-flight local payload write, whose TCP
 // fallback then meets the verdict — a severed same-host neighbor yields
 // ErrPeerLost, not a hang.
-func (pr *peer) condemn(cause error) bool {
+func (pr *peer) condemn(cause error, lost bool) bool {
 	pr.mu.Lock()
 	if pr.dead != nil {
 		pr.mu.Unlock()
 		return false
 	}
 	pr.dead = cause
+	if lost {
+		pr.t.netCounters().PeersLost.Add(1)
+	}
 	close(pr.down)
 	tcp, unix := pr.tcp, pr.unix
 	pr.tcp, pr.unix, pr.unixPath = nil, nil, ""
@@ -328,13 +333,8 @@ func (pr *peer) condemn(cause error) bool {
 // world, after Close and after an abort.
 func (t *Transport) peerDown(rank int, cause error, final bool) {
 	if rank < 0 || rank >= len(t.peers) || rank == t.rank || t.isClosed() || t.abortErr.Load() != nil ||
-		!t.peers[rank].condemn(cause) {
+		!t.peers[rank].condemn(cause, !final) {
 		return
-	}
-	if !final {
-		// Counted first: the sweeps below wake the operations blocked on the
-		// rank, and a count read once one returned includes the loss.
-		t.netCounters().PeersLost.Add(1)
 	}
 	t.failWaiters(func(r int) bool { return r == rank }, &mpi.ErrPeerLost{Rank: rank, Cause: cause})
 	if final {

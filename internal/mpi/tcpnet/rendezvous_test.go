@@ -896,7 +896,7 @@ func rendezvousLifetime(t *testing.T, end string, split bool) {
 		// into their reads, where a record given back early would be caught.
 		time.Sleep(10 * time.Millisecond)
 		for r := range trs[1].peers {
-			trs[1].peers[r].condemn(errors.New("test: rank 1 dies"))
+			trs[1].peers[r].condemn(errors.New("test: rank 1 dies"), false)
 		}
 		trs[1].severAll()
 		if err := <-plain; !ended(err, 1) {

@@ -425,10 +425,23 @@ func InitFromEnv() (*mpi.Env, string, error) {
 }
 
 // addWaiter registers a sender blocked on dst, on a record from the free
-// list, and returns the id its frame carries for the reply to quote.
-func (t *Transport) addWaiter(dst int) (uint64, *waiter) {
+// list, and returns the id its frame carries for the reply to quote. Once a
+// failure sweep covering dst has begun — the job aborted, the transport
+// closing, dst declared dead; each records its cause before it takes waitMu —
+// it registers nothing and returns the sweep's error instead: the sweep
+// could not reach a waiter registered after it, and no CTS would come.
+func (t *Transport) addWaiter(dst int) (uint64, *waiter, error) {
 	t.waitMu.Lock()
 	defer t.waitMu.Unlock()
+	if ae := t.abortErr.Load(); ae != nil {
+		return 0, nil, ae
+	}
+	if t.isClosed() {
+		return 0, nil, mpi.ErrClosed
+	}
+	if err := t.peers[dst].deadErr(); err != nil {
+		return 0, nil, err
+	}
 	w := t.wfree
 	if w != nil {
 		t.wfree, w.next = w.next, nil
@@ -438,7 +451,7 @@ func (t *Transport) addWaiter(dst int) (uint64, *waiter) {
 	w.err, w.dst = nil, dst
 	t.waitSeq++
 	t.waiters[t.waitSeq] = w
-	return t.waitSeq, w
+	return t.waitSeq, w, nil
 }
 
 // putWaiter returns a sender's record to the free list once its send is
@@ -598,7 +611,10 @@ func (t *Transport) rendezvousEligible(n int) bool {
 // never hangs on a dead receiver.
 func (t *Transport) deliverRendezvous(pr *peer, p mpi.Packet) error {
 	n := p.PayloadLen()
-	id, w := t.addWaiter(pr.rank)
+	id, w, err := t.addWaiter(pr.rank)
+	if err != nil {
+		return err
+	}
 	defer t.putWaiter(w)
 	rts := encode(w.hdr[:0], frame{kind: kindRTS, src: t.rank, ctx: p.Ctx, rank: p.Src, tag: p.Tag, id: id, plen: n}, 0)
 	if err := pr.send(kindRTS, rts, nil); err != nil {
