@@ -31,14 +31,14 @@
 // filling each host's slots before the next; host= pins override that. Each
 // host's ranks are spawned as one block by whatever serves the block
 // protocol there: an "mphrun agent" started via ssh (the default) or locally
-// (-backend exec, single-machine testing of the multi-host path), or a
-// persistent mphd (-backend daemon). See OPERATIONS.md for the full story.
+// (-backend exec, single-machine testing of the multi-host path). See
+// OPERATIONS.md for the full story.
 //
 // When a rank exits abnormally mid-job, mphrun broadcasts a launcher abort
 // to the surviving ranks on every host (their blocked MPI calls return
 // mpi.ErrAborted), waits -grace for them to exit on their own, kills the
-// remaining process groups — through the host's agent or daemon for remote
-// ranks — and reports the failures grouped per component executable.
+// remaining process groups — through the host's agent for remote ranks —
+// and reports the failures grouped per component executable.
 // Exit status: 0 success, 1 job or launcher failure, 2 usage error.
 package main
 
@@ -72,11 +72,9 @@ func main() {
 	traceDir := flag.String("trace", "", "directory for per-rank event traces (trace.rank*.bin, binary records mphtrace merges)")
 	hostfile := flag.String("hostfile", "", "hostfile for multi-host placement (one \"host [slots=N]\" per line)")
 	hostList := flag.String("hosts", "", "inline host list for multi-host placement (\"node-a:2,node-b\")")
-	backendName := flag.String("backend", "", "spawn backend: local, exec, ssh, or daemon (default: ssh when hosts are given, local otherwise)")
-	bind := flag.String("bind", "", "host or IP the rendezvous and rank listeners bind (default: loopback, or all interfaces for ssh/daemon)")
+	backendName := flag.String("backend", "", "spawn backend: local, exec, or ssh (default: ssh when hosts are given, local otherwise)")
+	bind := flag.String("bind", "", "host or IP the rendezvous and rank listeners bind (default: loopback, or all interfaces for ssh)")
 	agentPath := flag.String("agent", "", "mphrun binary to run as each host's agent (default: this executable; must exist on every remote host)")
-	daemonPort := flag.Int("daemon-port", mpirun.DefaultDaemonPort, "mphd control port on every host for the daemon backend")
-	daemonAddr := flag.String("daemon-addr", "", "send every rank block to this one mphd address regardless of host (single-machine testing of the daemon backend)")
 	var sshOptions []string
 	flag.Func("sshopt", "extra ssh option for the ssh backend (repeatable, e.g. -sshopt -i -sshopt key.pem)", func(v string) error {
 		sshOptions = append(sshOptions, v)
@@ -128,10 +126,8 @@ func main() {
 		spawner = mpirun.NewExecSpawner(*agentPath)
 	case *backendName == "ssh", *backendName == "":
 		spawner = mpirun.NewSSHSpawner(*agentPath, sshOptions)
-	case *backendName == "daemon":
-		spawner = mpirun.NewDaemonSpawner(*daemonAddr, *daemonPort)
 	default:
-		fmt.Fprintf(os.Stderr, "mphrun: unknown backend %q (want local, exec, ssh, or daemon)\n", *backendName)
+		fmt.Fprintf(os.Stderr, "mphrun: unknown backend %q (want local, exec, or ssh)\n", *backendName)
 		os.Exit(1)
 	}
 

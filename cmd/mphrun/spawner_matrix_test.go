@@ -13,17 +13,18 @@ import (
 
 // sshStub writes a fake ssh client that ignores every option and host
 // argument and just runs the final argument (the remote command line) in a
-// local shell — the agent hop without the network. It lets the SSHSpawner
-// path run unmodified in CI: option parsing, command quoting, agent
-// protocol, kill forwarding.
-func sshStub(t *testing.T) string {
+// local shell — the agent hop without the network — as "ssh" in a directory
+// put at the head of PATH for the rest of the test. It lets the ssh spawner
+// run unmodified in CI: option parsing, command quoting, agent protocol,
+// kill forwarding.
+func sshStub(t *testing.T) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "fake-ssh")
+	dir := t.TempDir()
 	script := "#!/bin/sh\nfor a in \"$@\"; do cmd=\"$a\"; done\nexec /bin/sh -c \"$cmd\"\n"
-	if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ssh"), []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
 }
 
 // testAgentPath points the agent-capable spawners at this test binary,
@@ -37,10 +38,10 @@ func testAgentPath(t *testing.T) string {
 	return self
 }
 
-// startDaemon runs an in-process mphd on an ephemeral loopback port and
-// returns a spawner pinned to it (the -daemon-addr override), so the
-// daemon path is exercised without a real per-host deployment.
-func startDaemon(t *testing.T) *mpirun.DaemonSpawner {
+// startDaemon runs an in-process Daemon on an ephemeral loopback port and
+// returns a spawner pinned to it: the loopback TCP carrier the benchmark's
+// placed workload launches through.
+func startDaemon(t *testing.T) mpirun.Spawner {
 	t.Helper()
 	d, err := mpirun.NewDaemon("127.0.0.1:0")
 	if err != nil {
@@ -73,9 +74,8 @@ func TestLaunchSpawnerMatrix(t *testing.T) {
 			return mpirun.NewExecSpawner(testAgentPath(t))
 		}},
 		{"ssh", twoHosts, "nodeA,nodeA,nodeB,nodeB", func(t *testing.T) mpirun.Spawner {
-			sp := mpirun.NewSSHSpawner(testAgentPath(t), nil)
-			sp.Command = sshStub(t)
-			return sp
+			sshStub(t)
+			return mpirun.NewSSHSpawner(testAgentPath(t), nil)
 		}},
 		{"daemon", twoHosts, "nodeA,nodeA,nodeB,nodeB", func(t *testing.T) mpirun.Spawner {
 			return startDaemon(t)
@@ -97,10 +97,10 @@ func TestLaunchSpawnerMatrix(t *testing.T) {
 }
 
 // TestLaunchDaemonChaos repeats the cross-host failure-semantics test with
-// the daemon backend: rank 1 (nodeA) dies after the handshake, rank 3
+// the loopback daemon carrier: rank 1 (nodeA) dies after the handshake, rank 3
 // (nodeB) hangs outside any MPI call. The abort must cross the host
 // boundary and the grace-expiry kill must reach the hanging rank through
-// its host daemon, finishing the job in bounded time with both casualties
+// the daemon, finishing the job in bounded time with both casualties
 // named in the report.
 func TestLaunchDaemonChaos(t *testing.T) {
 	if testing.Short() {

@@ -44,11 +44,10 @@
 // # Tooling
 //
 // cmd/ holds the executables: mphrun (the launcher), mphtrace (merges
-// per-rank event traces into Chrome trace_event JSON), mphd (the per-host
-// launch daemon) and mphinfo (the registration-file linter). Every
-// experiment indexed in EXPERIMENTS.md is one Benchmark function beside the
-// code it measures (go test -bench); the end-to-end benchmark is
-// benchmark/. Runnable applications live under examples/, cmd/.
+// per-rank event traces into Chrome trace_event JSON) and mphinfo (the
+// registration-file linter). Every experiment indexed in EXPERIMENTS.md is
+// one Benchmark function beside the code it measures (go test -bench); the
+// end-to-end benchmark is benchmark/. Runnable applications live under examples/, cmd/.
 //
 // # Further reading
 //

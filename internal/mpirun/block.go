@@ -15,8 +15,8 @@ import (
 
 // blockRun is one running rank block: every rank a process-group child of
 // this process, its output and fate reported to the sink as blockEvents. It
-// is the only fork/relay/reap/kill code in the launcher: LocalSpawner runs
-// it in the launcher itself, a served connection runs it wherever the
+// is the only fork/relay/reap/kill code in the launcher: the local spawner
+// runs it in the launcher itself, a served connection runs it wherever the
 // server lives.
 type blockRun struct {
 	emit     func(blockEvent)

@@ -69,7 +69,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 
 // testDaemon starts an ephemeral-port daemon serving in the background and
 // returns it with a spawner pinned to its address.
-func testDaemon(t *testing.T) (*Daemon, *DaemonSpawner) {
+func testDaemon(t *testing.T) (*Daemon, Spawner) {
 	t.Helper()
 	d, err := NewDaemon("127.0.0.1:0")
 	if err != nil {
@@ -78,9 +78,7 @@ func testDaemon(t *testing.T) (*Daemon, *DaemonSpawner) {
 	d.ln = &countingListener{Listener: d.ln}
 	go d.Serve()
 	t.Cleanup(func() { d.Close() })
-	sp := NewDaemonSpawner(d.Addr(), 0)
-	sp.DialTimeout = 2 * time.Second
-	return d, sp
+	return d, NewDaemonSpawner(d.Addr(), 0)
 }
 
 // testAgent writes an agent wrapper that appends its pid to a file before
@@ -125,15 +123,19 @@ func agentStarts(t *testing.T, path string) []int {
 
 // sshStub writes a fake ssh client that ignores every option and host
 // argument and runs the final argument (the remote command line) in a local
-// shell, so the SSHSpawner's argument and quoting path runs without sshd. It
-// leaves its argv, one argument a line, in "<stub>.argv".
+// shell, so the ssh spawner's argument and quoting path runs without sshd.
+// The stub is "ssh" in a directory put at the head of PATH for the rest of
+// the test; it leaves its argv, one argument a line, in "<stub>.argv", and
+// sshStub returns its path.
 func sshStub(t *testing.T) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "fake-ssh")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ssh")
 	script := "#!/bin/sh\nprintf '%s\\n' \"$@\" > \"$0.argv\"\nfor a in \"$@\"; do cmd=\"$a\"; done\nexec /bin/sh -c \"$cmd\"\n"
 	if err := os.WriteFile(path, []byte(script), 0o755); err != nil {
 		t.Fatal(err)
 	}
+	t.Setenv("PATH", dir+string(os.PathListSeparator)+os.Getenv("PATH"))
 	return path
 }
 
@@ -143,15 +145,14 @@ func sshStub(t *testing.T) string {
 // as an option. The stub records the argv it was started with.
 func TestSSHArgvEndsOptionsBeforeHost(t *testing.T) {
 	agent, _ := testAgent(t)
-	sp := NewSSHSpawner(agent, []string{"-p", "2222"})
-	sp.Command = sshStub(t)
+	stub := sshStub(t)
 	const host = "-oProxyCommand=false"
-	c, err := sp.Open(context.Background(), host)
+	c, err := NewSSHSpawner(agent, []string{"-p", "2222"}).open(context.Background(), host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	data, err := os.ReadFile(sp.Command + ".argv")
+	data, err := os.ReadFile(stub + ".argv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,28 +167,27 @@ func TestSSHArgvEndsOptionsBeforeHost(t *testing.T) {
 // server abruptly.
 var carriers = []struct {
 	name  string
-	start func(t *testing.T) (dialer, func())
+	start func(t *testing.T) (Spawner, func())
 }{
-	{"tcp", func(t *testing.T) (dialer, func()) {
+	{"tcp", func(t *testing.T) (Spawner, func()) {
 		d, sp := testDaemon(t)
 		return sp, func() { d.Close() }
 	}},
-	{"pipe", func(t *testing.T) (dialer, func()) {
+	{"pipe", func(t *testing.T) (Spawner, func()) {
 		agent, kill := testAgent(t)
 		return NewExecSpawner(agent), kill
 	}},
-	{"ssh-stub", func(t *testing.T) (dialer, func()) {
+	{"ssh-stub", func(t *testing.T) (Spawner, func()) {
 		agent, kill := testAgent(t)
-		sp := NewSSHSpawner(agent, []string{"-p", "2222"})
-		sp.Command = sshStub(t)
-		return sp, kill
+		sshStub(t)
+		return NewSSHSpawner(agent, []string{"-p", "2222"}), kill
 	}},
 }
 
 // spawnOn opens the host through the spawner and spawns the block there.
 func spawnOn(t *testing.T, sp Spawner, host string, block Block) *blockHandle {
 	t.Helper()
-	c, err := sp.Open(context.Background(), host)
+	c, err := sp.open(context.Background(), host)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +262,13 @@ func TestBlockProtocolConformance(t *testing.T) {
 	const host = "nodeX" // non-empty so the ssh carrier goes through its client
 	cases := []struct {
 		name string
-		run  func(t *testing.T, sp dialer, killServer func())
+		run  func(t *testing.T, sp Spawner, killServer func())
 	}{
 		// One spawn request starts a whole mixed-fate block, the environment
 		// (launch context, block env, per-rank env) reaches every rank,
 		// output comes back as prefixed lines on the right streams, and
 		// per-rank exit statuses are reported faithfully.
-		{"round trip", func(t *testing.T, sp dialer, _ func()) {
+		{"round trip", func(t *testing.T, sp Spawner, _ func()) {
 			var out, errOut syncBuffer
 			block := Block{
 				Size:     3,
@@ -304,7 +304,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 		}},
 		// The registration file travels inside the spawn request: the rank
 		// reads it from a path that is not the launcher's.
-		{"registration by value", func(t *testing.T, sp dialer, _ func()) {
+		{"registration by value", func(t *testing.T, sp Spawner, _ func()) {
 			var out syncBuffer
 			block := Block{
 				Size:         1,
@@ -324,7 +324,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 		}},
 		// A rank whose command cannot start is reported as exit code 127 with
 		// the start error, without failing the rest of the block.
-		{"start failure", func(t *testing.T, sp dialer, _ func()) {
+		{"start failure", func(t *testing.T, sp Spawner, _ func()) {
 			block := Block{
 				Size:       2,
 				Rendezvous: "127.0.0.1:1",
@@ -345,7 +345,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 		// The grace-kill path: a Kill over the connection must end the named
 		// rank's process group on the server's side, surfacing as the SIGKILL
 		// exit status (137).
-		{"kill", func(t *testing.T, sp dialer, _ func()) {
+		{"kill", func(t *testing.T, sp Spawner, _ func()) {
 			h := spawnOn(t, sp, host, sleepers(2))
 			time.Sleep(100 * time.Millisecond) // let both ranks start
 			h.kill(0)
@@ -364,7 +364,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 		// The supervised-failure guarantee: when the server dies with ranks
 		// still running, every pending rank must fail with a connection-lost
 		// error promptly — never a hang.
-		{"server death", func(t *testing.T, sp dialer, killServer func()) {
+		{"server death", func(t *testing.T, sp Spawner, killServer func()) {
 			// Each rank records its pid: a SIGKILLed agent cannot reap them,
 			// so the test does.
 			dir := t.TempDir()
@@ -396,7 +396,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 			}
 		}},
 		// One connection carries at most one block.
-		{"second spawn rejected", func(t *testing.T, sp dialer, _ func()) {
+		{"second spawn rejected", func(t *testing.T, sp Spawner, _ func()) {
 			conn, err := sp.dial(context.Background(), host)
 			if err != nil {
 				t.Fatal(err)
@@ -426,7 +426,7 @@ func TestBlockProtocolConformance(t *testing.T) {
 		// block's process groups, so no rank outlives its launcher — even
 		// while a rank is mid-output, when the server's next event write
 		// hits the broken connection before its read sees EOF.
-		{"hang-up kills the block", func(t *testing.T, sp dialer, _ func()) {
+		{"hang-up kills the block", func(t *testing.T, sp Spawner, _ func()) {
 			conn, err := sp.dial(context.Background(), host)
 			if err != nil {
 				t.Fatal(err)
@@ -509,6 +509,26 @@ func TestDaemonBoundsRequestRecord(t *testing.T) {
 	}
 }
 
+// TestDaemonListensOnLoopbackOnly: the block protocol runs any argv it is
+// sent, so a Daemon listens on a loopback IP literal or not at all — not on
+// every interface, and not on a name that could resolve off the machine.
+func TestDaemonListensOnLoopbackOnly(t *testing.T) {
+	for _, addr := range []string{"0.0.0.0:0", "[::]:0", "localhost:0", ":0"} {
+		if d, err := NewDaemon(addr); err == nil {
+			d.Close()
+			t.Errorf("NewDaemon(%q) listened", addr)
+		}
+	}
+	for _, addr := range []string{"127.0.0.1:0", "[::1]:0"} {
+		d, err := NewDaemon(addr)
+		if err != nil {
+			t.Errorf("NewDaemon(%q): %v", addr, err)
+			continue
+		}
+		d.Close()
+	}
+}
+
 // TestBadEventFailsRanks is the client's half of the framing guard: a
 // server that sends something other than an event record fails every
 // pending rank with a bad-event error instead of wedging the handle.
@@ -539,51 +559,20 @@ func TestBadEventFailsRanks(t *testing.T) {
 	}
 }
 
-// TestDaemonStaleReconnect is the restart story: a launcher dialing while
-// the host's daemon is down retries within its budget and connects to the
-// respawned daemon instead of failing on the stale socket.
-func TestDaemonStaleReconnect(t *testing.T) {
-	// Reserve an address, then leave it dead: the first dials must be refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	sp := NewDaemonSpawner(addr, 0)
-	sp.DialTimeout = 5 * time.Second
-	go func() {
-		time.Sleep(300 * time.Millisecond) // the supervisor respawning mphd
-		d, err := NewDaemon(addr)
-		if err != nil {
-			return // port raced away; the open below will fail and report
-		}
-		go d.Serve()
-	}()
-	c, err := sp.Open(context.Background(), "")
-	if err != nil {
-		t.Fatalf("probe did not survive the daemon restart: %v", err)
-	}
-	c.Close()
-}
-
-// TestProbe covers both verdicts of Open's ping: pong from a live server on
+// TestProbe covers both verdicts of open's ping: pong from a live server on
 // every carrier, a prompt error from a dead daemon address.
 func TestProbe(t *testing.T) {
 	for _, c := range carriers {
 		sp, _ := c.start(t)
-		conn, err := sp.Open(context.Background(), "nodeX")
+		conn, err := sp.open(context.Background(), "nodeX")
 		if err != nil {
 			t.Errorf("probe of live %s server: %v", c.name, err)
 			continue
 		}
 		conn.Close()
 	}
-	dead := NewDaemonSpawner("127.0.0.1:1", 0)
-	dead.DialTimeout = 200 * time.Millisecond
 	start := time.Now()
-	if _, err := dead.Open(context.Background(), ""); err == nil {
+	if _, err := NewDaemonSpawner("127.0.0.1:1", 0).open(context.Background(), ""); err == nil {
 		t.Fatal("probe of dead address succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -596,11 +585,12 @@ func TestProbe(t *testing.T) {
 // expects one, the launch must fail with a per-host report before ever
 // spawning or waiting out the rendezvous timeout.
 func TestLaunchProbeFailFast(t *testing.T) {
-	deadDaemon := NewDaemonSpawner("127.0.0.1:1", 0)
-	deadDaemon.DialTimeout = 200 * time.Millisecond
-	noAgentSSH := NewSSHSpawner("/nonexistent-mph-agent", nil)
-	noAgentSSH.Command = sshStub(t)
-	for _, sp := range []Spawner{deadDaemon, NewExecSpawner("/nonexistent-mph-agent"), noAgentSSH} {
+	sshStub(t)
+	for _, sp := range []Spawner{
+		NewDaemonSpawner("127.0.0.1:1", 0),
+		NewExecSpawner("/nonexistent-mph-agent"),
+		NewSSHSpawner("/nonexistent-mph-agent", nil),
+	} {
 		spec := &LaunchSpec{
 			Procs:   []Proc{{Rank: 0, Host: "nodeA", Argv: []string{"/bin/true"}}},
 			Spawner: sp,
@@ -660,7 +650,7 @@ func TestOneConnectionPerHost(t *testing.T) {
 	})
 }
 
-// TestPingBoundSparesTheBlock: the bound on Open's ping covers the ping
+// TestPingBoundSparesTheBlock: the bound on open's ping covers the ping
 // only. A block that runs past it, on the connection the ping went over,
 // must run to its own clean exit on every carrier — the pipe carriers' dial
 // context is not hung up, the TCP deadline is cleared.

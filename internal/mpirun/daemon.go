@@ -1,6 +1,7 @@
 package mpirun
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -8,16 +9,14 @@ import (
 	"os"
 	"sync"
 
+	"mph/internal/sock"
 	"mph/internal/wire"
 )
 
-// DefaultDaemonPort is the TCP control port mphd listens on when none is
-// configured.
-const DefaultDaemonPort = 7601
-
-// Daemon is the mphd server: the block protocol served on a TCP port by a
-// long-lived per-host process, so a launcher reaches it over a warm
-// connection instead of starting an agent on the host for every job.
+// Daemon is the block protocol served on a loopback TCP port by a server in
+// the launcher's own process. It runs any argv a connection sends it, so it
+// never listens off the machine: it is the carrier the benchmark's placed
+// workload launches through, reached by NewDaemonSpawner.
 type Daemon struct {
 	ln net.Listener
 
@@ -27,15 +26,28 @@ type Daemon struct {
 	wg     sync.WaitGroup
 }
 
-// NewDaemon starts a daemon listener on the given TCP address (e.g.
-// "0.0.0.0:7601", or ":0" for an ephemeral test port). Call Serve to accept
-// launchers.
+// NewDaemon starts a daemon listener on listen, whose host must be a
+// loopback IP literal ("127.0.0.1:0" for an ephemeral port). Call Serve to
+// accept launchers.
 func NewDaemon(listen string) (*Daemon, error) {
+	if ip, _, err := sock.SplitAddr(listen); err != nil || !ip.IsLoopback() {
+		return nil, fmt.Errorf("mpirun: daemon listen %s: not a loopback IP address", listen)
+	}
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
-		return nil, fmt.Errorf("mphd: listen %s: %w", listen, err)
+		return nil, fmt.Errorf("mpirun: daemon listen %s: %w", listen, err)
 	}
 	return &Daemon{ln: ln, conns: make(map[net.Conn]bool)}, nil
+}
+
+// NewDaemonSpawner returns the spawner that sends every block to the one
+// Daemon at addr, whatever the block's host label; the second parameter is
+// ignored.
+func NewDaemonSpawner(addr string, _ int) Spawner {
+	return Spawner{name: "daemon", dial: func(ctx context.Context, _ string) (io.ReadWriteCloser, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}}
 }
 
 // Addr returns the daemon's bound control address.

@@ -1,8 +1,8 @@
 // Package mpirun is the launcher of a true multi-executable (MPMD) job:
 // LaunchSpec describes a placed job and Launch runs it, locally or across
-// hosts, through a Spawner (direct fork, exec/ssh agents, or persistent mphd
-// daemons speaking the block protocol), with the telemetry aggregator and
-// its HTTP surface beside it. What a rank and the launcher must agree on —
+// hosts, through a Spawner (direct fork, or exec/ssh agents speaking the
+// block protocol), with the telemetry aggregator and its HTTP surface beside
+// it. What a rank and the launcher must agree on —
 // the MPH_* environment and the session each rank holds with the launcher —
 // lives in the leaf package bootstrap, which this package imports and a rank
 // links instead of this one. The launcher dials nothing but its spawners'
@@ -65,9 +65,6 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 		return err
 	}
 	sp := spec.Spawner
-	if sp == nil {
-		sp = NewLocalSpawner()
-	}
 	timeout := spec.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -89,7 +86,7 @@ func Launch(ctx context.Context, spec *LaunchSpec) error {
 
 	total := len(spec.Procs)
 	rvBind := spec.Bind
-	if rvBind == "" && sp.WantsRoutable() {
+	if rvBind == "" && sp.routable {
 		// Remote ranks must be able to dial back; loopback would strand them.
 		rvBind = "0.0.0.0"
 	}
@@ -328,7 +325,7 @@ func resolveBind(ctx context.Context, bind string) (string, error) {
 func hostBlocks(spec *LaunchSpec, hosts []string, sp Spawner, rvAddr, bind string) ([]Block, error) {
 	regdata := ""
 	if spec.Registration != "" {
-		if _, isLocal := sp.(*LocalSpawner); !isLocal {
+		if sp.dial != nil {
 			data, err := os.ReadFile(spec.Registration)
 			if err != nil {
 				return nil, fmt.Errorf("mpirun: read registration: %w", err)
@@ -369,18 +366,14 @@ func openHosts(ctx context.Context, sp Spawner, hosts []string) ([]*HostConn, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conns[i], errs[i] = sp.Open(ctx, host)
+			conns[i], errs[i] = sp.open(ctx, host)
 		}()
 	}
 	wg.Wait()
 	var bad []string
 	for i, err := range errs {
 		if err != nil {
-			name := hosts[i]
-			if name == "" {
-				name = "(launcher host)"
-			}
-			bad = append(bad, fmt.Sprintf("  %s: %v", name, err))
+			bad = append(bad, fmt.Sprintf("  %s: %v", hostLabel(hosts[i]), err))
 		}
 	}
 	if len(bad) == 0 {
@@ -409,6 +402,14 @@ func countExes(spec *LaunchSpec) int {
 		}
 	}
 	return max + 1
+}
+
+// hostLabel names a placement host in reports, "" as "(launcher host)".
+func hostLabel(host string) string {
+	if host == "" {
+		return "(launcher host)"
+	}
+	return host
 }
 
 // hostTag renders "@host" for remote ranks, "" for local ones.

@@ -10,9 +10,9 @@ import (
 
 // The block protocol is the one way a launcher talks to anything that
 // spawns ranks for it: wire records over one connection per (launcher,
-// host) pair, whatever carries the bytes — a TCP connection to a persistent
-// mphd, or the stdio pipes of an "mphrun agent" started locally or through
-// ssh. The launcher sends requests; the server streams events back. One
+// host) pair, whatever carries the bytes — the stdio pipes of an "mphrun
+// agent" started locally or through ssh, or a loopback TCP connection to a
+// Daemon. The launcher sends requests; the server streams events back. One
 // connection carries at most one spawned block, and the block's ranks never
 // outlive it: EOF — the launcher died, or the network or ssh session went
 // with it — kills every process group the connection spawned. A record its
@@ -87,13 +87,20 @@ func readKind(r io.Reader, lo, hi byte) (byte, []byte, error) {
 	return kind, body, err
 }
 
-// readRequest reads the next request into q.
+// readRequest reads the next request into q. A record that does not decode
+// whole leaves q holding only its kind: a spawn's rank list is sized from
+// its count before the ranks are read, so a half-decoded one can hold more
+// than the record's bytes.
 func readRequest(r io.Reader, q *blockRequest) error {
 	kind, body, err := readKind(r, kindPing, kindKill)
 	if *q = (blockRequest{Kind: kind}); err != nil {
 		return err
 	}
-	return wire.Decode(body, q.fields)
+	if err := wire.Decode(body, q.fields); err != nil {
+		*q = blockRequest{Kind: kind}
+		return err
+	}
+	return nil
 }
 
 // readEvent reads the next event into ev.

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"time"
 
@@ -61,33 +60,98 @@ func rankPrefix(p Proc, host string) string {
 // Spawner reaches the placement hosts of a launch: a value resolved once
 // from the CLI (or constructed directly by embedding callers), so the
 // launcher opens each host and spawns its rank block there without knowing
-// how ranks come to life on it.
-type Spawner interface {
-	// Name is the CLI spelling of the spawner ("local", "exec", "ssh",
-	// "daemon"), used in launcher banners and error reports.
-	Name() string
-	// WantsRoutable reports whether ranks may run on other machines, in
-	// which case the rendezvous and every rank's listener must bind routable
+// how ranks come to life on it. The backends differ only in how they reach
+// a host's block-protocol server. The zero value reaches none: the launcher
+// runs every block in its own process, which is NewLocalSpawner.
+type Spawner struct {
+	// name is the CLI spelling of the backend ("" = "local").
+	name string
+	// routable reports whether ranks may run on other machines, in which
+	// case the rendezvous and every rank's listener must bind routable
 	// interfaces instead of loopback.
-	WantsRoutable() bool
-	// Open reaches the placement host ("" = the launcher's host) and checks
-	// it can spawn ranks right now. The returned HostConn carries the host's
-	// block; ctx is the job's, and a carrier that is a child process lives
-	// until ctx ends or the HostConn is closed.
-	Open(ctx context.Context, host string) (*HostConn, error)
+	routable bool
+	// dial connects to the server of a host ("" = the launcher's host); nil
+	// runs the block in-process. ctx bounds establishing the connection; a
+	// carrier that is a child process is also hung up on (and killed if
+	// that does not end it) when ctx ends.
+	dial func(ctx context.Context, host string) (io.ReadWriteCloser, error)
+}
+
+// NewLocalSpawner returns the direct-spawn backend, the zero Spawner: every
+// rank runs on the launcher's host. Host-placed ranks are rejected by
+// LaunchSpec.Validate.
+func NewLocalSpawner() Spawner { return Spawner{} }
+
+// NewExecSpawner returns the local-agent backend: every host's block runs
+// through an agent process ("mphrun agent", from agentPath; "" = this
+// executable) on the launcher's own host, host assignments being labels
+// only. It exercises the full remote path — block protocol over a pipe, env
+// forwarding, host topology, remote kill — without an ssh daemon, which is
+// what CI runs.
+func NewExecSpawner(agentPath string) Spawner {
+	return Spawner{name: "exec", dial: func(ctx context.Context, _ string) (io.ReadWriteCloser, error) {
+		argv, err := agentArgv(agentPath)
+		if err != nil {
+			return nil, err
+		}
+		return dialPipe(ctx, argv)
+	}}
+}
+
+// NewSSHSpawner returns the ssh backend: each host's block runs through an
+// agent started on that host by the ssh client on PATH, with options
+// inserted before the host after the built-in BatchMode options. The agent
+// binary (agentPath; "" = this executable's path) must exist at the same
+// path on every remote host; beyond name resolution, reachability and
+// non-interactive authentication, the ping's pong proves it does. Ranks on
+// the launcher's host get a local agent, so supervision is uniform.
+func NewSSHSpawner(agentPath string, options []string) Spawner {
+	return Spawner{name: "ssh", routable: true, dial: func(ctx context.Context, host string) (io.ReadWriteCloser, error) {
+		argv, err := agentArgv(agentPath)
+		if err != nil {
+			return nil, err
+		}
+		if host == "" {
+			return dialPipe(ctx, argv)
+		}
+		args := append([]string{"ssh", "-o", "BatchMode=yes", "-o", "StrictHostKeyChecking=accept-new"}, options...)
+		// "--": whatever the host is called, ssh must not read it as an option.
+		return dialPipe(ctx, append(args, "--", host, shellJoin(argv)))
+	}}
+}
+
+// Name is the CLI spelling of the spawner ("local", "exec", "ssh", or
+// "daemon" for the loopback carrier), used in launcher banners and error
+// reports.
+func (s Spawner) Name() string {
+	if s.name == "" {
+		return "local"
+	}
+	return s.name
+}
+
+// open reaches the placement host ("" = the launcher's host) and checks it
+// can spawn ranks right now. The returned HostConn carries the host's
+// block; ctx is the job's, and a carrier that is a child process lives
+// until ctx ends or the HostConn is closed.
+func (s Spawner) open(ctx context.Context, host string) (*HostConn, error) {
+	if s.dial == nil {
+		return &HostConn{host: host}, nil
+	}
+	return openRemote(ctx, s, host, probeTimeout)
 }
 
 // HostConn is one opened placement host: the block-protocol connection
 // whose ping proved the host's server answers, which then carries the
-// host's one spawn request — or, under LocalSpawner, nothing: the launcher
-// runs the block itself.
+// host's one spawn request — or, when the spawner has no dial, nothing:
+// the launcher runs the block itself.
 type HostConn struct {
 	host string
 	// peer names the far end in rank errors ("" when the block runs in this
 	// process).
 	peer string
-	conn io.ReadWriteCloser // nil once a spawn owns it, and under LocalSpawner
-	out  *sender            // conn's sending end; nil under LocalSpawner
+	conn io.ReadWriteCloser // nil once a spawn owns it, and for an in-process block
+	out  *sender            // conn's sending end; nil for an in-process block
 }
 
 // Close hangs up a host nothing was spawned on; after a spawn the block's
@@ -246,48 +310,10 @@ func (c *HostConn) spawn(block Block) (*blockHandle, error) {
 	return h, nil
 }
 
-// LocalSpawner runs every rank directly on the launcher's host — the classic
-// single-host mode. Host-placed ranks are rejected by LaunchSpec.Validate.
-type LocalSpawner struct{}
-
-// NewLocalSpawner returns the direct-spawn backend.
-func NewLocalSpawner() *LocalSpawner { return &LocalSpawner{} }
-
-// Name implements Spawner.
-func (*LocalSpawner) Name() string { return "local" }
-
-// WantsRoutable implements Spawner: everything stays on loopback.
-func (*LocalSpawner) WantsRoutable() bool { return false }
-
-// Open implements Spawner: the launcher's own process is the host's
-// server, so there is nothing to reach.
-func (*LocalSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
-	return &HostConn{host: host}, nil
-}
-
-// dialer is how a remote spawner reaches the block-protocol server of a
-// placement host. Everything above the byte stream — open, spawn, handle —
-// is shared; the carriers differ only here.
-type dialer interface {
-	Spawner
-	// dial connects to the host's server. ctx bounds establishing the
-	// connection; a carrier that is a child process is also hung up on (and
-	// killed if that does not end it) when ctx ends.
-	dial(ctx context.Context, host string) (io.ReadWriteCloser, error)
-}
-
-// peerName renders the server of a host for error reports.
-func peerName(d dialer, host string) string {
-	if host == "" {
-		host = "(launcher host)"
-	}
-	return d.Name() + " " + host
-}
-
 // probeTimeout bounds reaching a host and its ping/pong round trip.
 const probeTimeout = 15 * time.Second
 
-// openRemote is every remote spawner's Open: dial the host's server and
+// openRemote is open for a spawner with a dial: dial the host's server and
 // send one ping. The pong proves the host is reachable and its
 // block-protocol server — daemon or agent binary — is there and answering,
 // which is everything a spawn needs; the same connection then carries the
@@ -295,11 +321,11 @@ const probeTimeout = 15 * time.Second
 // child of ctx that a timer cancels, hanging up a pipe carrier, and the
 // timer is stopped at the pong; a TCP connection's deadline is cleared
 // there.
-func openRemote(ctx context.Context, d dialer, host string, timeout time.Duration) (*HostConn, error) {
+func openRemote(ctx context.Context, s Spawner, host string, timeout time.Duration) (*HostConn, error) {
 	deadline := time.Now().Add(timeout)
 	dctx, hangUp := context.WithCancel(ctx)
 	timer := time.AfterFunc(timeout, hangUp)
-	conn, err := d.dial(dctx, host)
+	conn, err := s.dial(dctx, host)
 	if err != nil {
 		timer.Stop()
 		hangUp()
@@ -309,7 +335,7 @@ func openRemote(ctx context.Context, d dialer, host string, timeout time.Duratio
 	if isTCP {
 		tc.SetDeadline(deadline)
 	}
-	c := &HostConn{host: host, peer: peerName(d, host), conn: conn, out: &sender{w: conn}}
+	c := &HostConn{host: host, peer: s.Name() + " " + hostLabel(host), conn: conn, out: &sender{w: conn}}
 	var ev blockEvent
 	err = c.out.request(blockRequest{Kind: kindPing})
 	if err == nil {
@@ -426,174 +452,4 @@ func agentArgv(path string) ([]string, error) {
 		path = self
 	}
 	return []string{path, "agent"}, nil
-}
-
-// ExecSpawner runs every host's block through an agent process ("mphrun
-// agent") on the launcher's own host, treating host assignments as labels
-// only. It exercises the full remote path — block protocol over a pipe, env
-// forwarding, host topology, remote kill — without an ssh daemon, which is
-// what CI runs.
-type ExecSpawner struct {
-	// AgentPath is the agent binary ("" = this executable).
-	AgentPath string
-}
-
-// NewExecSpawner returns the local-agent backend.
-func NewExecSpawner(agentPath string) *ExecSpawner {
-	return &ExecSpawner{AgentPath: agentPath}
-}
-
-// Name implements Spawner.
-func (*ExecSpawner) Name() string { return "exec" }
-
-// WantsRoutable implements Spawner: every process shares the launcher's
-// loopback.
-func (*ExecSpawner) WantsRoutable() bool { return false }
-
-// dial starts one local agent.
-func (s *ExecSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser, error) {
-	argv, err := agentArgv(s.AgentPath)
-	if err != nil {
-		return nil, err
-	}
-	return dialPipe(ctx, argv)
-}
-
-// Open implements Spawner.
-func (s *ExecSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
-	return openRemote(ctx, s, host, probeTimeout)
-}
-
-// SSHSpawner runs each host's block through an agent started on that host
-// via ssh. The agent binary must exist at the same path on every remote
-// host.
-type SSHSpawner struct {
-	// AgentPath is the agent binary ("" = this executable's path, assumed
-	// shared with the remote hosts).
-	AgentPath string
-	// Options are extra ssh arguments inserted before the host (after the
-	// built-in BatchMode options).
-	Options []string
-	// Command is the ssh client binary ("" = "ssh"). Tests substitute a stub
-	// that runs the remote command locally.
-	Command string
-}
-
-// NewSSHSpawner returns the ssh backend.
-func NewSSHSpawner(agentPath string, options []string) *SSHSpawner {
-	return &SSHSpawner{AgentPath: agentPath, Options: options}
-}
-
-// Name implements Spawner.
-func (*SSHSpawner) Name() string { return "ssh" }
-
-// WantsRoutable implements Spawner: remote ranks must be able to dial back,
-// so loopback listeners would strand them.
-func (*SSHSpawner) WantsRoutable() bool { return true }
-
-// dial runs the agent on the host via ssh; unpinned ranks get a local agent
-// so supervision is uniform.
-func (s *SSHSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser, error) {
-	argv, err := agentArgv(s.AgentPath)
-	if err != nil {
-		return nil, err
-	}
-	if host == "" {
-		return dialPipe(ctx, argv)
-	}
-	ssh := s.Command
-	if ssh == "" {
-		ssh = "ssh"
-	}
-	args := []string{ssh, "-o", "BatchMode=yes", "-o", "StrictHostKeyChecking=accept-new"}
-	args = append(args, s.Options...)
-	// "--": whatever the host is called, ssh must not read it as an option.
-	return dialPipe(ctx, append(args, "--", host, shellJoin(argv)))
-}
-
-// Open implements Spawner: beyond name resolution, reachability and
-// non-interactive authentication, the pong proves the agent binary exists
-// on the host.
-func (s *SSHSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
-	return openRemote(ctx, s, host, probeTimeout)
-}
-
-// daemonDialTimeout is the default budget for reaching a host's daemon,
-// including reconnect retries against a daemon that is restarting.
-const daemonDialTimeout = 5 * time.Second
-
-// DaemonSpawner launches rank blocks through mphd daemons already running
-// on the placement hosts: one warm TCP connection per host, instead of one
-// cold agent start.
-type DaemonSpawner struct {
-	// Addr, when set, sends every block to this one daemon address
-	// regardless of host label — single-machine testing of the daemon path,
-	// the daemon analogue of the exec backend.
-	Addr string
-	// Port is the mphd control port on every host (0 = DefaultDaemonPort).
-	Port int
-	// DialTimeout bounds connecting to a host's daemon, including reconnect
-	// retries against a daemon that is restarting (0 = 5s).
-	DialTimeout time.Duration
-}
-
-// NewDaemonSpawner returns the daemon backend. addr pins every block to one
-// daemon address ("" = per-host, reaching host:port); port 0 selects
-// DefaultDaemonPort.
-func NewDaemonSpawner(addr string, port int) *DaemonSpawner {
-	return &DaemonSpawner{Addr: addr, Port: port}
-}
-
-// Name implements Spawner.
-func (*DaemonSpawner) Name() string { return "daemon" }
-
-// WantsRoutable implements Spawner: per-host daemons mean ranks on other
-// machines, unless a single daemon address pins everything to one machine.
-func (s *DaemonSpawner) WantsRoutable() bool { return s.Addr == "" }
-
-// hostAddr resolves the daemon control address for a placement host.
-func (s *DaemonSpawner) hostAddr(host string) string {
-	if s.Addr != "" {
-		return s.Addr
-	}
-	port := s.Port
-	if port == 0 {
-		port = DefaultDaemonPort
-	}
-	if host == "" {
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, strconv.Itoa(port))
-}
-
-// dial connects to a host's daemon, retrying refused or dropped dials until
-// the budget expires so a daemon mid-restart (stale socket, supervisor
-// respawn) is reconnected to instead of failed on.
-func (s *DaemonSpawner) dial(ctx context.Context, host string) (io.ReadWriteCloser, error) {
-	addr := s.hostAddr(host)
-	timeout := s.DialTimeout
-	if timeout <= 0 {
-		timeout = daemonDialTimeout
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		d := net.Dialer{Deadline: deadline}
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			return conn, nil
-		}
-		if ctx.Err() != nil || !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("daemon %s: %w", addr, err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("daemon %s: %w", addr, ctx.Err())
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-}
-
-// Open implements Spawner.
-func (s *DaemonSpawner) Open(ctx context.Context, host string) (*HostConn, error) {
-	return openRemote(ctx, s, host, probeTimeout)
 }

@@ -171,12 +171,40 @@ type HostSlot struct {
 	Slots int
 }
 
+// hostEntry is the one entry check of both host grammars: a name validHost
+// accepts, without exactly one ':' (that reads as name:slots; an IPv6
+// literal has more) and without brackets ("[::1]:2" is not a name with
+// slots), listed once, and a slot count in 1..MaxWorld. It records the name
+// in seen.
+func hostEntry(name, slots string, seen map[string]bool) (HostSlot, error) {
+	if !validHost(name) {
+		return HostSlot{}, fmt.Errorf("bad host name %q", name)
+	}
+	if strings.Count(name, ":") == 1 {
+		return HostSlot{}, fmt.Errorf("bad host name %q (for a slot count write \"%s slots=N\")", name, strings.Split(name, ":")[0])
+	}
+	if strings.ContainsAny(name, "[]") {
+		return HostSlot{}, fmt.Errorf("bad host name %q (write an IPv6 literal without brackets)", name)
+	}
+	n, err := strconv.Atoi(slots)
+	if err != nil || n <= 0 || n > MaxWorld {
+		return HostSlot{}, fmt.Errorf("bad slot count %q for host %q", slots, name)
+	}
+	if seen[name] {
+		return HostSlot{}, fmt.Errorf("host %q listed twice", name)
+	}
+	seen[name] = true
+	return HostSlot{Name: name, Slots: n}, nil
+}
+
 // ParseHostfile reads a hostfile: one "host [slots=N]" entry per line, '#'
-// comments and blank lines ignored, default one slot per host.
+// comments and blank lines ignored, default one slot per host. An IPv6
+// literal is a name; "host:N" is not a slot count.
 //
 //	# cluster nodes
 //	node-a slots=2
 //	node-b            # one slot
+//	fd00::7 slots=4
 func ParseHostfile(path string) ([]HostSlot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -196,25 +224,18 @@ func ParseHostfile(path string) ([]HostSlot, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		hs := HostSlot{Name: fields[0], Slots: 1}
-		if !validHost(hs.Name) {
-			return nil, fmt.Errorf("%s:%d: bad host name %q", path, lineNo, hs.Name)
-		}
+		slots := "1"
 		for _, tok := range fields[1:] {
 			val, ok := strings.CutPrefix(tok, "slots=")
 			if !ok {
 				return nil, fmt.Errorf("%s:%d: unknown token %q (want \"host [slots=N]\")", path, lineNo, tok)
 			}
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 || n > MaxWorld {
-				return nil, fmt.Errorf("%s:%d: bad slot count %q", path, lineNo, val)
-			}
-			hs.Slots = n
+			slots = val
 		}
-		if seen[hs.Name] {
-			return nil, fmt.Errorf("%s:%d: host %q listed twice", path, lineNo, hs.Name)
+		hs, err := hostEntry(fields[0], slots, seen)
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", path, lineNo, err)
 		}
-		seen[hs.Name] = true
 		hosts = append(hosts, hs)
 	}
 	if err := sc.Err(); err != nil {
@@ -227,30 +248,21 @@ func ParseHostfile(path string) ([]HostSlot, error) {
 }
 
 // ParseHostList reads the inline -hosts form: comma-separated host names,
-// each with an optional ":slots" suffix ("node-a:2,node-b").
+// each with an optional ":slots" suffix ("node-a:2,node-b"). An item with
+// more than one ':' is an IPv6 literal with one slot.
 func ParseHostList(s string) ([]HostSlot, error) {
 	var hosts []HostSlot
 	seen := make(map[string]bool)
 	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return nil, fmt.Errorf("empty host in list %q", s)
+		name, slots := strings.TrimSpace(item), "1"
+		if strings.Count(name, ":") == 1 {
+			name, slots, _ = strings.Cut(name, ":")
+			name = strings.TrimSpace(name)
 		}
-		hs := HostSlot{Name: item, Slots: 1}
-		if name, slots, ok := strings.Cut(item, ":"); ok {
-			n, err := strconv.Atoi(slots)
-			if err != nil || n <= 0 || n > MaxWorld {
-				return nil, fmt.Errorf("bad host entry %q (want \"host[:slots]\")", item)
-			}
-			hs = HostSlot{Name: strings.TrimSpace(name), Slots: n}
+		hs, err := hostEntry(name, slots, seen)
+		if err != nil {
+			return nil, fmt.Errorf("host list %q: %w", s, err)
 		}
-		if !validHost(hs.Name) {
-			return nil, fmt.Errorf("bad host name %q in list %q", hs.Name, s)
-		}
-		if seen[hs.Name] {
-			return nil, fmt.Errorf("host %q listed twice", hs.Name)
-		}
-		seen[hs.Name] = true
 		hosts = append(hosts, hs)
 	}
 	return hosts, nil
@@ -317,8 +329,8 @@ type LaunchSpec struct {
 	// Quiet suppresses the launcher's informational banner (benchmark
 	// harnesses that launch hundreds of jobs).
 	Quiet bool
-	// Spawner opens the placement hosts the rank blocks are spawned on (nil
-	// = NewLocalSpawner).
+	// Spawner opens the placement hosts the rank blocks are spawned on (the
+	// zero value = NewLocalSpawner).
 	Spawner Spawner
 }
 
@@ -434,8 +446,7 @@ func (s *LaunchSpec) Validate() error {
 	if len(s.Procs) == 0 {
 		return fmt.Errorf("mpirun: spec has no ranks")
 	}
-	_, local := s.Spawner.(*LocalSpawner)
-	local = local || s.Spawner == nil
+	local := s.Spawner.dial == nil
 	for i, p := range s.Procs {
 		if p.Rank != i {
 			return fmt.Errorf("mpirun: spec rank %d at index %d (ranks must be dense and ordered)", p.Rank, i)
@@ -444,7 +455,7 @@ func (s *LaunchSpec) Validate() error {
 			return fmt.Errorf("mpirun: rank %d has no command", i)
 		}
 		if p.Host != "" && local {
-			return fmt.Errorf("mpirun: rank %d placed on host %q but the backend is local; use -backend exec, ssh, or daemon", i, p.Host)
+			return fmt.Errorf("mpirun: rank %d placed on host %q but the backend is local; use -backend exec or ssh", i, p.Host)
 		}
 	}
 	return nil

@@ -100,11 +100,12 @@ func TestParseHostfile(t *testing.T) {
 node-a slots=2
 node-b            # defaults to one slot
 node-c slots=1
+fd00::7 slots=4   # an IPv6 literal is a name
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []HostSlot{{"node-a", 2}, {"node-b", 1}, {"node-c", 1}}
+	want := []HostSlot{{"node-a", 2}, {"node-b", 1}, {"node-c", 1}, {"fd00::7", 4}}
 	if !reflect.DeepEqual(hosts, want) {
 		t.Fatalf("hosts %+v, want %+v", hosts, want)
 	}
@@ -117,6 +118,10 @@ func TestParseHostfileErrors(t *testing.T) {
 		"zero":      "node-a slots=0\n",
 		"unknown":   "node-a cpus=4\n",
 		"duplicate": "node-a\nnode-a\n",
+		// One ':' is the -hosts slot syntax, not a name: refused, not read
+		// as a host named "node-b:3" with one slot.
+		"name:slots": "node-b:3\n",
+		"brackets":   "[::1] slots=2\n",
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -139,10 +144,20 @@ func TestParseHostList(t *testing.T) {
 	// A name means what it means in a hostfile: trimmed before the slots,
 	// and never holding whitespace, which a hostfile splits on.
 	for _, bad := range []string{"", "node-a,,node-b", "node-a:x", "node-a:0", ":2", "node-a,node-a",
-		"nodeA :2,nodeA", "a b", "node\tA:2"} {
+		"nodeA :2,nodeA", "a b", "node\tA:2", "::1,::1", "[::1]:2", "[::1]"} {
 		if _, err := ParseHostList(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
+	}
+	// An item with more than one ':' is an IPv6 literal with one slot, as
+	// the same name is in a hostfile.
+	hosts, err = ParseHostList("::1,fd00::7,node-a:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []HostSlot{{"::1", 1}, {"fd00::7", 1}, {"node-a", 2}}
+	if !reflect.DeepEqual(hosts, want) {
+		t.Fatalf("hosts %+v, want %+v", hosts, want)
 	}
 }
 
